@@ -433,7 +433,7 @@ class InvokeHandle:
     key frames are tagged with on the wire and replies are matched by.
     Backends complete it by calling :meth:`complete_with_reply` (raw HAM
     reply bytes) or :meth:`complete_with_error` from any thread; both
-    set the completion event and release the backend's in-flight window
+    publish completion and release the backend's in-flight window
     slot. ``wait`` delegates to the backend's :meth:`Backend.drive` so
     each backend decides how to make progress (wait on the receiver
     thread's event, advance the simulator, ...).
@@ -447,7 +447,12 @@ class InvokeHandle:
         self.label = label
         self._reply: Any = None
         self._error: BaseException | None = None
-        self._done = threading.Event()
+        #: Whether a reply or error has been delivered (read-only for
+        #: callers; set once by ``_finish``, under ``_cb_lock``).
+        self.completed = False
+        # Most handles complete before anyone has to block on them: the
+        # event is created by the first waiter that must (wait_event).
+        self._event: threading.Event | None = None
         self._callbacks: list[Callable[["InvokeHandle"], None]] = []
         self._cb_lock = threading.Lock()
         # Synchronous backends that record their own transport span set
@@ -471,10 +476,16 @@ class InvokeHandle:
         self._finish()
 
     def _finish(self) -> None:
-        self._done.set()
-        self.backend._handle_completed(self)
+        # Flag, event and callback list change hands under one lock: a
+        # waiter creating its event concurrently either sees the flag
+        # or has its event seen (and set) here — no lost wake-up.
         with self._cb_lock:
+            self.completed = True
+            event = self._event
             callbacks, self._callbacks = self._callbacks, []
+        if event is not None:
+            event.set()
+        self.backend._handle_completed(self)
         for fn in callbacks:
             self._run_callback(fn)
 
@@ -491,7 +502,7 @@ class InvokeHandle:
         loop); exceptions are counted and swallowed.
         """
         with self._cb_lock:
-            if not self._done.is_set():
+            if not self.completed:
                 self._callbacks.append(fn)
                 self.backend._callback_armed(self)
                 return
@@ -504,14 +515,15 @@ class InvokeHandle:
             telemetry.count("offload.callback_errors")
 
     # -- future side ------------------------------------------------------------
-    @property
-    def completed(self) -> bool:
-        """Whether a reply or error has been delivered."""
-        return self._done.is_set()
-
     def wait_event(self, timeout: float | None = None) -> bool:
-        """Block on the completion event; used by threaded transports."""
-        return self._done.wait(timeout)
+        """Block until completion; used by threaded transports."""
+        with self._cb_lock:
+            if self.completed:
+                return True
+            event = self._event
+            if event is None:
+                event = self._event = threading.Event()
+        return event.wait(timeout)
 
     def test(self) -> bool:
         """Non-blocking probe; lets the backend poll without blocking."""
@@ -553,9 +565,8 @@ class InvokeHandle:
 class Backend(abc.ABC):
     """Base class of all communication backends.
 
-    Subclasses should call ``super().__init__()``; backends that predate
-    the channel contract (or test stubs that skip it) still work — the
-    window is created lazily on first use.
+    Subclasses that post invokes must call ``super().__init__()``: it
+    creates the in-flight window every invoke is admitted through.
     """
 
     #: Backend name used in node descriptors and reports.
@@ -568,11 +579,8 @@ class Backend(abc.ABC):
     # -- the in-flight window --------------------------------------------------
     @property
     def window(self) -> InflightWindow:
-        """This backend's in-flight window (lazily created)."""
-        window = getattr(self, "_window", None)
-        if window is None:
-            window = self._window = InflightWindow()
-        return window
+        """This backend's in-flight window."""
+        return self._window
 
     def install_window(self, window: InflightWindow) -> None:
         """Replace this backend's in-flight window (the scheduler seam).
@@ -584,11 +592,11 @@ class Backend(abc.ABC):
         Only legal while nothing is in flight — handles registered in
         the old window would otherwise leak their slots on completion.
         """
-        current = getattr(self, "_window", None)
-        if current is not None and current.in_flight:
+        in_flight = self.window.in_flight
+        if in_flight:
             raise BackendError(
                 f"cannot replace the in-flight window with "
-                f"{current.in_flight} operation(s) outstanding"
+                f"{in_flight} operation(s) outstanding"
             )
         self._window = window
 
@@ -624,7 +632,7 @@ class Backend(abc.ABC):
         retried offload re-arms with what is *left*, never with the
         full policy deadline again.
         """
-        timeout = getattr(self, "_window_timeout", None)
+        timeout = self._window_timeout
         budget = _window_budget.get()
         if budget is not None:
             remaining = budget - time.monotonic()
@@ -649,13 +657,15 @@ class Backend(abc.ABC):
         """File a posted handle in the in-flight table; updates the gauge."""
         window = self.window
         window.register(handle)
-        telemetry.gauge("offload.inflight", window.in_flight)
+        if telemetry.enabled():  # reading the depth takes the window lock
+            telemetry.gauge("offload.inflight", window.in_flight)
 
     def _handle_completed(self, handle: "InvokeHandle") -> None:
         """Completion hook: frees the handle's window slot (any thread)."""
         window = self.window
         window.release(handle)
-        telemetry.gauge("offload.inflight", window.in_flight)
+        if telemetry.enabled():
+            telemetry.gauge("offload.inflight", window.in_flight)
 
     # -- topology ---------------------------------------------------------
     @abc.abstractmethod

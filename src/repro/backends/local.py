@@ -42,6 +42,16 @@ class _Target:
         self.buffers = HostedBuffers()
         self.messages_executed = 0
 
+    def resolve(self, arg: object) -> object:
+        """Target-side argument resolution: buffer pointers become views."""
+        if isinstance(arg, BufferPtr):
+            if arg.node != self.node:
+                raise BackendError(
+                    f"buffer of node {arg.node} dereferenced on node {self.node}"
+                )
+            return self.buffers.view(arg)
+        return arg
+
 
 class LocalBackend(Backend):
     """Synchronous in-process backend with ``num_targets`` targets."""
@@ -92,9 +102,7 @@ class LocalBackend(Backend):
         try:
             with telemetry.span("offload.transport", node=node, bytes=len(invoke)):
                 reply, _keep_running = execute_message(
-                    target.image,
-                    invoke,
-                    resolver=lambda arg: self._resolve(target, arg),
+                    target.image, invoke, resolver=target.resolve
                 )
         except BaseException as exc:
             # Registered but never completed would leak the window slot;
@@ -135,15 +143,6 @@ class LocalBackend(Backend):
         return self._targets[node].buffers.read(addr, nbytes)
 
     # -- target-side resolution ------------------------------------------------------
-    def _resolve(self, target: _Target, arg: object) -> object:
-        if isinstance(arg, BufferPtr):
-            if arg.node != target.node:
-                raise BackendError(
-                    f"buffer of node {arg.node} dereferenced on node {target.node}"
-                )
-            return target.buffers.view(arg)
-        return arg
-
     def resolve_buffer(self, node: NodeId, ptr: BufferPtr) -> np.ndarray:
         self.check_target(node)
         return self._targets[node].buffers.view(ptr)

@@ -351,13 +351,16 @@ class ShmRing:
 
     def _account_wait(self, spins: int, slept: float) -> None:
         """Book one completed wait into the spin/stall counters."""
+        recording = telemetry.enabled()  # the series names are formatted
         if spins > self._spin:
             self.sleep_stalls += 1
             self.stalled_s += slept
-            telemetry.observe(f"shm.wait.stall_us.{self._name}", slept * 1e6)
+            if recording:
+                telemetry.observe(f"shm.wait.stall_us.{self._name}", slept * 1e6)
         else:
             self.spin_waits += 1
-            telemetry.observe(f"shm.wait.spin_yields.{self._name}", spins)
+            if recording:
+                telemetry.observe(f"shm.wait.spin_yields.{self._name}", spins)
 
     # -- cursors -----------------------------------------------------------
     def readable(self) -> bool:
@@ -782,7 +785,7 @@ class ShmTargetServer:
             with self._count_lock:
                 self.messages_executed += 1
                 active = self._active_invokes
-            if not sampled:
+            if not (sampled and telemetry.enabled()):
                 self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
                 return
             # ``ring_used`` is the reply ring's occupancy *before* this
@@ -1275,16 +1278,22 @@ class ShmBackend(Backend):
             sink["event"].set()
 
     def _drive_until(
-        self, event: threading.Event, timeout: float | None, what: str
+        self,
+        done: Callable[[], bool],
+        wait: Callable[[float], bool],
+        timeout: float | None,
+        what: str,
     ) -> None:
-        """Pump (or wait on the pumping leader) until ``event`` is set.
+        """Pump (or wait on the pumping leader) until ``done()`` holds.
 
-        Raises :class:`OffloadTimeoutError` after ``timeout`` seconds —
-        softly, the caller's expectation stays filed.
+        ``wait(seconds)`` blocks on the expectation's completion; it is
+        only called while another thread is the pumping leader. Raises
+        :class:`OffloadTimeoutError` after ``timeout`` seconds — softly,
+        the caller's expectation stays filed.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         lock = self._drive_lock
-        while not event.is_set():
+        while not done():
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
@@ -1295,18 +1304,18 @@ class ShmBackend(Backend):
                     )
             if lock.acquire(timeout=0.005):
                 try:
-                    if event.is_set():
+                    if done():
                         return
-                    wait = 0.05
+                    pump_for = 0.05
                     if remaining is not None:
-                        wait = min(wait, max(remaining, 0.0))
-                    self._pump(wait)
+                        pump_for = min(pump_for, max(remaining, 0.0))
+                    self._pump(pump_for)
                 finally:
                     lock.release()
             else:
-                # A leader is pumping; it will set our event on arrival.
-                event.wait(0.002)
-            if not self._alive and not event.is_set():
+                # A leader is pumping; it completes us on arrival.
+                wait(0.002)
+            if not self._alive and not done():
                 # Filed after the drain — nothing will ever match it.
                 raise BackendError("shm transport lost while waiting for a reply")
 
@@ -1369,7 +1378,8 @@ class ShmBackend(Backend):
             if entry is not None and "error" not in box:
                 raise BackendError("shm transport lost during roundtrip")
         try:
-            self._drive_until(box["event"], effective, f"op {op:#x}")
+            event = box["event"]
+            self._drive_until(event.is_set, event.wait, effective, f"op {op:#x}")
         except OffloadTimeoutError:
             self._sync_local.event = None  # the filed box keeps it
             raise
@@ -1473,7 +1483,8 @@ class ShmBackend(Backend):
             self._check_alive()
             self._msg_id += 1
             parts = build_invoke_parts(self.host_image, functor, self._msg_id)
-            total = sum(len(part) for part in parts)
+            # Only the enqueue span reads the size.
+            total = sum(map(len, parts)) if telemetry.enabled() else 0
             handle = InvokeHandle(self, label=functor.type_name)
         except BaseException:
             self.window.cancel()
@@ -1528,7 +1539,10 @@ class ShmBackend(Backend):
                     self._drive_lock.release()
             return
         effective = timeout if timeout is not None else self.op_timeout
-        self._drive_until(handle._done, effective, f"invoke {handle.label}")
+        self._drive_until(
+            lambda: handle.completed, handle.wait_event,
+            effective, f"invoke {handle.label}",
+        )
 
     # -- reactor backstop --------------------------------------------------
     def _callback_armed(self, handle: InvokeHandle) -> None:

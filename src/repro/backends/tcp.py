@@ -835,11 +835,12 @@ class TcpBackend(Backend):
             # own (peeked) context when that trace is unsampled — the
             # recorder gate then stages it with the trace instead of
             # polluting the ring on the fast path.
-            reply_span = telemetry.span("offload.reply")
-            reply_span.__enter__()
-            reply_span.set("bytes", length + _LEN.size)
-            with trace_context.activate(_unsampled_reply_context(body)):
-                reply_span.__exit__(None, None, None)
+            if telemetry.enabled():  # peeking the header is not free
+                reply_span = telemetry.span("offload.reply")
+                reply_span.__enter__()
+                reply_span.set("bytes", length + _LEN.size)
+                with trace_context.activate(_unsampled_reply_context(body)):
+                    reply_span.__exit__(None, None, None)
             self._dispatch_reply(op, corr, body)
         if offset:
             del buf[:offset]
@@ -897,7 +898,8 @@ class TcpBackend(Backend):
                 )
                 return
             sink.complete_with_reply(body)
-            telemetry.gauge("tcp.pending_replies", self._pending_count())
+            if telemetry.enabled():  # the depth is read under a lock
+                telemetry.gauge("tcp.pending_replies", self._pending_count())
         else:
             if op != (sink["op"] | OP_REPLY_BIT):
                 sink["error"] = BackendError(
@@ -944,7 +946,8 @@ class TcpBackend(Backend):
             self._check_alive()
             self._msg_id += 1
             parts = build_invoke_parts(self.host_image, functor, self._msg_id)
-            total = sum(len(part) for part in parts)
+            # Only the enqueue span reads the size.
+            total = sum(map(len, parts)) if telemetry.enabled() else 0
             handle = InvokeHandle(self, label=functor.type_name)
         except BaseException:
             self.window.cancel()
@@ -982,7 +985,8 @@ class TcpBackend(Backend):
                     BackendError("tcp connection lost while posting invoke")
                 )
         self.invokes_posted += 1
-        telemetry.gauge("tcp.pending_replies", self._pending_count())
+        if telemetry.enabled():
+            telemetry.gauge("tcp.pending_replies", self._pending_count())
         return handle
 
     def stats(self) -> dict:

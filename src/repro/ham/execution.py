@@ -57,6 +57,7 @@ def build_invoke_parts(
     execution spans re-attach there, forming one causal tree across the
     process boundary.
     """
+    recorder = telemetry.get()
     with telemetry.span("offload.serialize", functor=functor.type_name) as span:
         key = image.key_for(functor.type_name)
         ctx = trace_context.current()
@@ -74,9 +75,9 @@ def build_invoke_parts(
                 parent_span_id=span.span_id or ctx.span_id,
                 trace_flags=ctx.flags,
             )
-        nbytes = sum(len(part) for part in parts)
-        span.set("bytes", nbytes)
-    recorder = telemetry.get()
+        if recorder is not None:  # the size only feeds telemetry
+            nbytes = sum(map(len, parts))
+            span.set("bytes", nbytes)
     if recorder is not None:
         # Continuous profiling: per-kernel byte attribution, fed for
         # every offload regardless of the sampling verdict.
@@ -135,8 +136,9 @@ def execute_message(
             span.set("handler", entry.type_name)
             args, kwargs = Functor.deserialize_args(payload)
             if resolver is not None:
-                args = tuple(resolver(arg) for arg in args)
-                kwargs = {name: resolver(value) for name, value in kwargs.items()}
+                args = tuple(map(resolver, args))
+                if kwargs:
+                    kwargs = {k: resolver(v) for k, v in kwargs.items()}
             value = entry.handler(*args, **kwargs)
             reply_payload = serialize(value)
         except Exception as exc:  # noqa: BLE001 - shipped back to the host

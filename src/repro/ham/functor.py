@@ -59,14 +59,14 @@ class Functor:
         out: list = [len(self.args).to_bytes(2, "little")]
         for arg in self.args:
             parts = serialize_parts(arg)
-            total = sum(len(part) for part in parts)
+            total = sum(map(len, parts))
             out.append(total.to_bytes(4, "little"))
             out.extend(parts)
         out.append(len(self.kwargs).to_bytes(2, "little"))
         for name, value in self.kwargs:
             name_bytes = name.encode()
             parts = serialize_parts(value)
-            total = sum(len(part) for part in parts)
+            total = sum(map(len, parts))
             out.append(len(name_bytes).to_bytes(2, "little"))
             out.append(name_bytes)
             out.append(total.to_bytes(4, "little"))
@@ -130,5 +130,5 @@ def f2f(
     return Functor(
         type_name=type_name,
         args=args,
-        kwargs=tuple(sorted(kwargs.items())),
+        kwargs=tuple(sorted(kwargs.items())) if kwargs else (),
     )

@@ -36,7 +36,7 @@ the handler key field is the "globally valid handler key" of Fig. 6.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SerializationError
 
@@ -72,9 +72,8 @@ MSG_SHUTDOWN = 4
 _KINDS = {MSG_INVOKE, MSG_RESULT, MSG_ERROR, MSG_SHUTDOWN}
 
 
-@dataclass(frozen=True)
-class MessageHeader:
-    """Parsed header of one active message.
+class MessageHeader(NamedTuple):
+    """Parsed header of one active message (immutable).
 
     ``trace_id`` / ``parent_span_id`` / ``trace_flags`` are zero for
     version-1 messages (no trace context on the wire).
@@ -111,7 +110,7 @@ def build_message_parts(
         raise SerializationError(f"invalid message kind {kind}")
     if handler_key < 0 or msg_id < 0:
         raise SerializationError("handler key and message id must be non-negative")
-    payload_len = sum(len(part) for part in payload_parts)
+    payload_len = sum(map(len, payload_parts))
     if trace_id == 0:
         header = _HEADER_V1.pack(
             MAGIC, _VERSION_1, kind, handler_key, msg_id, payload_len
@@ -235,13 +234,7 @@ def parse_message(data) -> tuple[MessageHeader, bytes]:
         raise SerializationError(
             f"message truncated: payload {len(payload)} bytes < declared {payload_len}"
         )
-    header = MessageHeader(
-        kind=kind,
-        handler_key=handler_key,
-        msg_id=msg_id,
-        payload_len=payload_len,
-        trace_id=trace_id,
-        parent_span_id=parent_span_id,
-        trace_flags=trace_flags,
-    )
-    return header, payload
+    return MessageHeader(
+        kind, handler_key, msg_id, payload_len,
+        trace_id, parent_span_id, trace_flags,
+    ), payload

@@ -135,23 +135,20 @@ def serialize_parts(value: Any) -> list:
     is returned as a view on the array's own storage so scatter-gather
     transports can send it without an intermediate copy.
     """
-    parts = _serialize_parts(value)
+    if (
+        isinstance(value, np.ndarray)
+        and not isinstance(value, Migratable)
+        and type(value) not in _CUSTOM
+    ):
+        parts = _encode_numpy_parts(value)
+    else:
+        parts = [_serialize(value)]
     recorder = telemetry.get()
     if recorder is not None:
         metrics = recorder.metrics
         metrics.counter("serialize.calls").inc()
         metrics.counter("serialize.bytes").inc(sum(len(p) for p in parts))
     return parts
-
-
-def _serialize_parts(value: Any) -> list:
-    if (
-        isinstance(value, np.ndarray)
-        and not isinstance(value, Migratable)
-        and type(value) not in _CUSTOM
-    ):
-        return _encode_numpy_parts(value)
-    return [_serialize(value)]
 
 
 def _serialize(value: Any) -> bytes:
@@ -219,13 +216,10 @@ def deserialize(data) -> Any:
         metrics = recorder.metrics
         metrics.counter("deserialize.calls").inc()
         metrics.counter("deserialize.bytes").inc(len(data))
-    return _deserialize(data)
-
-
-def _deserialize(data) -> Any:
     if not len(data):
         raise SerializationError("empty payload")
-    tag, body = bytes(data[:1]), data[1:]
+    # A one-byte slice (bytes or memoryview) compares equal to the tags.
+    tag, body = data[:1], data[1:]
     if tag == _TAG_PICKLE:
         try:
             return pickle.loads(body)
@@ -274,4 +268,4 @@ def _deserialize(data) -> Any:
             raise SerializationError(
                 f"migratable decoder for {path!r} failed: {exc}"
             ) from exc
-    raise SerializationError(f"unknown payload tag {tag!r}")
+    raise SerializationError(f"unknown payload tag {bytes(tag)!r}")

@@ -211,7 +211,7 @@ class Future:
         self._done = True
         self._handle = None
         telemetry.count("future.settled")
-        if self._start_ns is not None:
+        if self._start_ns is not None and telemetry.enabled():
             # The one completion hook per offload: folds the round trip
             # into per-kernel profiles and SLO windows, and lets the
             # tail pipeline pass its keep/drop verdict on an unsampled

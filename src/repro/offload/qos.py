@@ -32,13 +32,12 @@ config the runtime behaves exactly as before.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.backends.base import DEFAULT_INFLIGHT_LIMIT, InflightWindow
 from repro.errors import (
@@ -130,18 +129,23 @@ def current_tenant() -> "str | TenantContext | None":
     return _CURRENT_TENANT.get()
 
 
-@contextlib.contextmanager
-def tenant_scope(ctx: "str | TenantContext | None") -> Iterator[None]:
+class tenant_scope:  # lower case: it is used like a function
     """Make ``ctx`` the ambient tenant for the duration of the block.
 
     Accepts a full :class:`TenantContext` or a bare tenant id; a bare id
     is resolved to the runtime's policy for that tenant at each offload.
     """
-    token = _CURRENT_TENANT.set(ctx)
-    try:
-        yield
-    finally:
-        _CURRENT_TENANT.reset(token)
+
+    __slots__ = ("_ctx", "_token")
+
+    def __init__(self, ctx: "str | TenantContext | None") -> None:
+        self._ctx = ctx
+
+    def __enter__(self) -> None:
+        self._token = _CURRENT_TENANT.set(self._ctx)
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        _CURRENT_TENANT.reset(self._token)
 
 
 @dataclass(frozen=True)

@@ -217,15 +217,23 @@ class Runtime:
         tenant: "str | TenantContext | None" = None,
     ) -> Future:
         """Asynchronous offload of ``functor`` to ``node`` (paper ``async``)."""
+        return self._post(node, functor, self._resolve_tenant(tenant))
+
+    def _post(
+        self, node: NodeId, functor: Functor, tctx: TenantContext | None
+    ) -> Future:
+        """Post one offload for an already resolved tenant.
+
+        ``node`` is validated by the backend's ``post_invoke`` (every
+        backend checks its target first), not a second time here.
+        """
         self._check_running()
-        self.backend.check_target(node)
         if not isinstance(functor, Functor):
             raise OffloadError(
                 "async_/sync expect a Functor; build one with f2f(fn, args...)"
             )
         if self.monitor is not None:
             self.monitor.check(node)
-        tctx = self._resolve_tenant(tenant)
         if self.admission is not None and tctx is not None:
             # Before serialization by design: a rejected offload never
             # builds its frame, never touches the window.
@@ -306,9 +314,11 @@ class Runtime:
         tctx = self._resolve_tenant(tenant)
         if timeout is None and tctx is not None and tctx.deadline is not None:
             timeout = tctx.deadline
+        if self.policy is None:
+            return self._post(node, functor, tctx).get(timeout=timeout)
+        # The retry loop (and a hedge) re-posts through async_, which
+        # picks the tenant up from the ambient scope.
         with tenant_scope(tctx):
-            if self.policy is None:
-                return self.async_(node, functor).get(timeout=timeout)
             policy = self.policy
             deadline = timeout if timeout is not None else policy.deadline
             attempts = (1 + policy.max_retries) if idempotent else 1

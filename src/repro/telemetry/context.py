@@ -24,11 +24,10 @@ stays free.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import os
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Any
 
 __all__ = [
     "FLAG_SAMPLED",
@@ -147,18 +146,34 @@ def current_trace_id_hex() -> str:
     return ctx.trace_id_hex
 
 
-@contextlib.contextmanager
-def activate(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
+class _Activation:
+    """Context manager behind :func:`activate`; ``None`` passes through."""
+
+    __slots__ = ("_ctx", "_token")
+
+    def __init__(self, ctx: TraceContext | None) -> None:
+        self._ctx = ctx
+
+    def __enter__(self) -> TraceContext | None:
+        if self._ctx is not None:
+            self._token = _CURRENT.set(self._ctx)
+        return self._ctx
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        if self._ctx is not None:
+            _CURRENT.reset(self._token)
+
+
+#: ``activate(None)``: never touches its token, so one instance is shared
+#: by every caller and thread (stateless, like ``NOOP_SPAN``).
+_PASSTHROUGH = _Activation(None)
+
+
+def activate(ctx: TraceContext | None) -> _Activation:
     """Install ``ctx`` as the active trace for the ``with`` block.
 
-    ``activate(None)`` is a no-op passthrough, so call sites can write
-    ``with activate(maybe_ctx):`` without branching.
+    ``activate(None)`` is a no-op passthrough (an enclosing context
+    stays visible), so call sites can write ``with activate(maybe_ctx):``
+    without branching.
     """
-    if ctx is None:
-        yield None
-        return
-    token = _CURRENT.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _CURRENT.reset(token)
+    return _PASSTHROUGH if ctx is None else _Activation(ctx)

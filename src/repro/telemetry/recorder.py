@@ -8,7 +8,8 @@ backends. Design constraints, in order:
    module-level :func:`span` / :func:`event` / :func:`count` helpers,
    which reduce to a single global read plus a cached no-op object while
    telemetry is disabled — the hot path allocates nothing and records
-   nothing (guarded by ``tests/telemetry/test_overhead.py``).
+   nothing (guarded by ``tests/telemetry/test_overhead.py`` and, for a
+   whole offload, ``tests/offload/test_offload_budget.py``).
 2. **Cheap when on.** Timestamps come from :func:`time.perf_counter_ns`;
    finished spans append to a bounded ring (:class:`collections.deque`
    with ``maxlen``), so a long soak cannot eat the heap — old records are

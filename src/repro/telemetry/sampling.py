@@ -32,9 +32,10 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from repro.telemetry import context as trace_context
+from repro.telemetry import recorder as recorder_mod
 from repro.telemetry.metrics import percentile
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.recorder import EventRecord, Recorder, SpanRecord
 
 __all__ = ["HeadSampler", "TailPipeline", "complete_offload"]
@@ -252,8 +253,6 @@ def complete_offload(
     scoreboard consuming it exists.
     """
     if recorder is None:
-        from repro.telemetry import recorder as recorder_mod
-
         recorder = recorder_mod.get()
     if recorder is None:
         return

@@ -90,13 +90,27 @@ class TestBatchedSemantics:
 
 class TestShutdownDrain:
     def test_dead_peer_reports_stranded_batch(self):
-        """Pending futures must learn how many frames never hit the wire."""
+        """Pending futures must learn how many frames never hit the wire.
+
+        Two threads race once the peer is gone: the reactor reports EOF
+        (``_fail_pending`` discards the buffer and counts what it
+        dropped), and a blocking ``get`` drives the stuck buffer out
+        first — a ``sendmsg`` into a just-closed socket still succeeds,
+        so the frames count as sent and the EOF error then speaks of
+        three unmatched operations instead. Both reports are truthful;
+        this test is about the first, so it waits for the reactor's
+        verdict through a done-callback (which neither drives nor
+        flushes) before any ``get`` runs.
+        """
         process, runtime = make_runtime(batch=STUCK)
         backend = runtime.backend
         futures = [runtime.async_(1, f2f(apps.add, i, 1)) for i in range(3)]
         assert backend._coalescer.pending()[0] == 3  # all stuck in the buffer
+        failed = threading.Event()
+        futures[0]._handle.add_done_callback(lambda _handle: failed.set())
         process.terminate()
         process.join(timeout=5)
+        assert failed.wait(10.0), "reactor never reported the dead peer"
         with pytest.raises(BackendError, match=r"dropped 3 coalesced frames"):
             futures[0].get(timeout=10.0)
         for future in futures[1:]:

@@ -128,6 +128,53 @@ class TestHeaderVersions:
                           parent_span_id=1 << 64)
 
 
+class TestMessageHeader:
+    """``MessageHeader`` is tuple-backed: the value-type contract."""
+
+    def test_keyword_construction_and_defaults(self):
+        from repro.ham import MessageHeader
+
+        header = MessageHeader(kind=MSG_INVOKE, handler_key=7, msg_id=3,
+                               payload_len=11)
+        assert (header.kind, header.handler_key, header.msg_id,
+                header.payload_len) == (MSG_INVOKE, 7, 3, 11)
+        assert (header.trace_id, header.parent_span_id,
+                header.trace_flags) == (0, 0, 0)
+
+    def test_equality_is_by_value(self):
+        from repro.ham import MessageHeader
+
+        a = MessageHeader(MSG_RESULT, 0, 5, 1, trace_id=9, trace_flags=1)
+        b = MessageHeader(kind=MSG_RESULT, handler_key=0, msg_id=5,
+                          payload_len=1, trace_id=9, parent_span_id=0,
+                          trace_flags=1)
+        assert a == b and hash(a) == hash(b)
+        assert a != MessageHeader(MSG_RESULT, 0, 6, 1, trace_id=9, trace_flags=1)
+
+    def test_assignment_raises(self):
+        header, _ = parse_message(build_message(MSG_INVOKE, 7, 1, b""))
+        with pytest.raises(AttributeError):
+            header.msg_id = 2
+        with pytest.raises(AttributeError):
+            header.anything_else = 2
+
+    @pytest.mark.parametrize("trace", [
+        {},
+        {"trace_id": (1 << 127) | 0xBEEF, "parent_span_id": 77, "trace_flags": 1},
+    ], ids=["v1", "v2"])
+    def test_parse_then_build_round_trips(self, trace):
+        data = build_message(MSG_INVOKE, 7, 123, b"payload", **trace)
+        header, payload = parse_message(data)
+        rebuilt = build_message(
+            header.kind, header.handler_key, header.msg_id, bytes(payload),
+            trace_id=header.trace_id, parent_span_id=header.parent_span_id,
+            trace_flags=header.trace_flags,
+        )
+        assert rebuilt == data
+        assert parse_message(rebuilt)[0] == header
+        assert header.payload_len == len(b"payload")
+
+
 class TestFunctor:
     def test_f2f_requires_registration(self, catalog):
         def unregistered():

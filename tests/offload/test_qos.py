@@ -84,6 +84,63 @@ class TestTenantContext:
         assert current_tenant() is None
 
 
+class TestTenantScope:
+    """``tenant_scope`` is a plain context manager, not a generator: the
+    contextvar set/reset semantics it must keep."""
+
+    def test_restored_when_the_block_raises(self):
+        with tenant_scope("outer"):
+            with pytest.raises(RuntimeError, match="boom"):
+                with tenant_scope("inner"):
+                    assert current_tenant() == "inner"
+                    raise RuntimeError("boom")
+            assert current_tenant() == "outer"
+        assert current_tenant() is None
+
+    def test_three_deep_unwinds_in_order(self):
+        with tenant_scope("a"):
+            with tenant_scope("b"):
+                with tenant_scope("c"):
+                    assert current_tenant() == "c"
+                assert current_tenant() == "b"
+            assert current_tenant() == "a"
+        assert current_tenant() is None
+
+    def test_scope_is_per_asyncio_task(self):
+        import asyncio
+
+        seen = {}
+
+        async def worker(name):
+            with tenant_scope(name):
+                await asyncio.sleep(0)  # let the other tasks run inside theirs
+                seen[name] = current_tenant()
+                await asyncio.sleep(0)
+            return current_tenant()
+
+        async def main():
+            return await asyncio.gather(*(worker(n) for n in ("a", "b", "c")))
+
+        assert asyncio.run(main()) == [None, None, None]
+        assert seen == {"a": "a", "b": "b", "c": "c"}
+        assert current_tenant() is None
+
+    def test_sync_without_policy_sees_explicit_and_ambient_tenant(self):
+        """``sync`` resolves the tenant once and still hands it to the
+        window: the fair scheduler accounts the grant to that tenant."""
+        runtime = Runtime(LocalBackend(), qos=QoSConfig())
+        try:
+            assert runtime.sync(1, f2f(apps.add, 1, 2), tenant="explicit") == 3
+            with tenant_scope("ambient"):
+                assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+                assert current_tenant() == "ambient"
+            tenants = runtime.stats()["qos"]["window"]["tenants"]
+            assert tenants["explicit"]["granted"] == 1
+            assert tenants["ambient"]["granted"] == 1
+        finally:
+            runtime.shutdown()
+
+
 class TestQoSConfig:
     def test_context_for_resolves_policy(self):
         config = QoSConfig(tenants={

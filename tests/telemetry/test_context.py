@@ -1,5 +1,7 @@
 """Tests for the distributed trace context (W3C-traceparent style)."""
 
+import asyncio
+
 import pytest
 
 from repro.telemetry import context as trace_context
@@ -85,3 +87,62 @@ class TestActivation:
         assert a.trace_id != b.trace_id
         assert a.span_id == 0
         assert a.sampled is True
+
+
+class TestActivationScoping:
+    """``activate`` is a plain context manager, not a generator: the
+    contextvar set/reset semantics it must keep."""
+
+    def test_restored_when_the_block_raises(self):
+        outer, inner = TraceContext(trace_id=1), TraceContext(trace_id=2)
+        with trace_context.activate(outer):
+            with pytest.raises(RuntimeError, match="boom"):
+                with trace_context.activate(inner):
+                    assert trace_context.current() is inner
+                    raise RuntimeError("boom")
+            assert trace_context.current() is outer
+        assert trace_context.current() is None
+
+    def test_three_deep_unwinds_in_order(self):
+        a, b, c = (TraceContext(trace_id=i) for i in (1, 2, 3))
+        with trace_context.activate(a):
+            with trace_context.activate(b):
+                with trace_context.activate(c):
+                    assert trace_context.current() is c
+                assert trace_context.current() is b
+            assert trace_context.current() is a
+        assert trace_context.current() is None
+
+    def test_none_inside_none_inside_active_stays_visible(self):
+        outer = TraceContext(trace_id=9)
+        with trace_context.activate(outer):
+            with trace_context.activate(None) as first:
+                with trace_context.activate(None) as second:
+                    assert first is None and second is None
+                    assert trace_context.current() is outer
+            assert trace_context.current() is outer
+
+    def test_none_passthrough_does_not_swallow_exceptions(self):
+        with pytest.raises(KeyError):
+            with trace_context.activate(None):
+                raise KeyError("k")
+
+    def test_activation_is_per_asyncio_task(self):
+        contexts = {n: TraceContext(trace_id=n) for n in (1, 2, 3)}
+        seen = {}
+
+        async def worker(n):
+            with trace_context.activate(contexts[n]):
+                await asyncio.sleep(0)  # let the other tasks run inside theirs
+                seen[n] = trace_context.current()
+                await asyncio.sleep(0)
+            return trace_context.current()
+
+        async def main():
+            after = await asyncio.gather(*(worker(n) for n in contexts))
+            return after, trace_context.current()
+
+        after, outside = asyncio.run(main())
+        assert seen == contexts
+        assert after == [None, None, None]
+        assert outside is None

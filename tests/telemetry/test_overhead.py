@@ -52,8 +52,9 @@ class TestDisabledPath:
     def test_disabled_count_cost_is_negligible(self):
         assert per_call_ns(lambda: telemetry.count("c")) < 5_000
 
-    def test_disabled_event_cost_is_negligible(self):
-        assert per_call_ns(lambda: telemetry.event("e", node=1)) < 5_000
+    # The per-event wall-clock bound that stood here turned tier-1 red on
+    # loaded runners; the disabled path is now gated structurally (calls,
+    # allocations, locks per offload) by tests/offload/test_offload_budget.py.
 
 
 class TestEnabledSanity:

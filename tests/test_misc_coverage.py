@@ -1,5 +1,5 @@
 """Edge-case tests for smaller modules: errors hierarchy, tracer modes,
-slot layout, futures, breakdown helper, VEO request states."""
+slot layout, breakdown helper, VEO request states."""
 
 import pytest
 
@@ -7,10 +7,9 @@ import repro.errors as errors_mod
 from repro.backends import LocalBackend
 from repro.backends._sim_common import SlotLayout
 from repro.bench.breakdown import offload_breakdown
-from repro.errors import BackendError, FutureError, ReproError, VeoCommandError
+from repro.errors import BackendError, ReproError, VeoCommandError
 from repro.ham import f2f
 from repro.offload import Runtime
-from repro.offload.future import CompletedHandle, Future
 from repro.sim import Simulator, Tracer
 from repro.veo.request import RequestState, VeoRequest
 
@@ -75,27 +74,6 @@ class TestSlotLayout:
             layout.flag_addr(2)
         with pytest.raises(BackendError):
             layout.msg_addr(-1)
-
-
-class TestFutureEdgeCases:
-    def test_completed_handle_error_replays(self):
-        future = Future(CompletedHandle(error=ValueError("stored")))
-        with pytest.raises(ValueError, match="stored"):
-            future.get()
-        with pytest.raises(ValueError, match="stored"):
-            future.get()  # error is cached, not lost
-
-    def test_test_then_get(self):
-        future = Future(CompletedHandle(41))
-        assert future.test()
-        assert future.get() == 41
-
-    def test_detached_future_raises(self):
-        future = Future(CompletedHandle(1))
-        future._handle = None
-        future._done = False
-        with pytest.raises(FutureError):
-            future.get()
 
 
 class TestBreakdownHelper:
