@@ -32,10 +32,10 @@ class HostedBuffers:
         #: sorted base addresses for containment lookups
         self._bases: list[int] = []
         #: Table mutations and lookups may race between a server's
-        #: receive thread (alloc/free/write/read) and its worker pool
-        #: (BufferPtr resolution) — the lock keeps the address table
-        #: consistent. Access to the returned storage itself is the
-        #: application's concern, as with real device memory.
+        #: reading thread (alloc/free/write/read) and the threads
+        #: executing invokes (BufferPtr resolution) — the lock keeps the
+        #: address table consistent. Access to the returned storage
+        #: itself is the application's concern, as with real device memory.
         self._lock = threading.Lock()
 
     def alloc(self, nbytes: int) -> int:

@@ -30,9 +30,12 @@ Segment layout (all integers little-endian)::
 Ring cursors are *monotonic* byte counters (position = counter mod
 capacity), so empty is ``head == tail``, full is ``tail - head ==
 capacity``, and no slot is ever ambiguous. Only the producer writes the
-tail, only the consumer writes the head; aligned 8-byte stores are
-atomic on the architectures CPython runs multiprocessing on, which makes
-the rings lock-free without any further synchronization. Frames reuse
+tail, only the consumer writes the head, both through one ``"Q"``-cast
+view of the header (:attr:`ShmSegment.cursors`): an aligned 8-byte
+access there is a single load or store, atomic on the architectures
+CPython runs multiprocessing on — ``struct.pack_into("<Q")`` is *not*,
+it stores byte by byte and a concurrent reader sees torn values — which
+makes the rings lock-free without any further synchronization. Frames reuse
 the TCP wire format (``length:u32 | op:u8 | corr:u64 | body``) including
 the correlation-id reply matching, so the whole channel contract —
 out-of-order completion, the in-flight window, QoS, hedging, telemetry —
@@ -60,13 +63,11 @@ import pickle
 import struct
 import threading
 import time
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable
 
 from repro.backends import eventloop
-from repro.backends._target_memory import HostedBuffers
+from repro.backends._server import FramedServer
 from repro.backends.base import Backend, InvokeHandle
 from repro.backends.tcp import (
     DEFAULT_SERVER_WORKERS,
@@ -86,17 +87,15 @@ from repro.backends.tcp import (
     _unsampled_reply_context,
 )
 from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
-from repro.ham.execution import build_invoke_parts, execute_message
+from repro.ham.execution import build_invoke_parts
 from repro.ham.functor import Functor
-from repro.ham.message import peek_trace_flags
 from repro.ham.registry import Catalog, ProcessImage
-from repro.offload.buffer import BufferPtr
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.distributed import ClockSync, align_records
-from repro.telemetry.export import dicts_to_records, records_to_dicts
+from repro.telemetry.export import dicts_to_records
 
 __all__ = [
     "DEFAULT_RING_CAPACITY",
@@ -200,6 +199,9 @@ class ShmSegment:
         self, shm: shared_memory.SharedMemory, capacity: int, owner: bool
     ) -> None:
         self._shm = shm
+        #: The header as u64 words (index = byte offset // 8): the only
+        #: way ring cursors are loaded and stored, see the module docstring.
+        self.cursors = shm.buf[:_DATA_OFFSET].cast("Q")
         self.capacity = capacity
         self._owner = owner
         self._closed = False
@@ -286,6 +288,7 @@ class ShmSegment:
         if self._closed:
             return
         self._closed = True
+        self.cursors.release()  # or the mapping below stays exported
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover - a live view escaped
@@ -326,8 +329,9 @@ class ShmRing:
         sleep_max: float = DEFAULT_SLEEP_MAX,
     ) -> None:
         self._buf = segment.buf
-        self._tail_off = tail_off
-        self._head_off = head_off
+        self._cursors = cursors = segment.cursors
+        self._tail_idx = tail_off // 8
+        self._head_idx = head_off // 8
         self._data_off = data_off
         self._capacity = segment.capacity
         self._name = name
@@ -338,8 +342,8 @@ class ShmRing:
         # its current value can live in a plain attribute and skip a
         # shared-memory load per operation. The peer's cursor must of
         # course always be re-read from the segment.
-        self._tail = _U64.unpack_from(self._buf, tail_off)[0]
-        self._head = _U64.unpack_from(self._buf, head_off)[0]
+        self._tail = cursors[self._tail_idx]
+        self._head = cursors[self._head_idx]
         # Spin-vs-sleep accounting: how many waits were satisfied inside
         # the busy-spin phase versus spilling into the sleep backoff (a
         # "stall"), and how long the stalls slept in total. Only touched
@@ -365,15 +369,12 @@ class ShmRing:
     # -- cursors -----------------------------------------------------------
     def readable(self) -> bool:
         """Whether at least one frame awaits the consumer."""
-        return _U64.unpack_from(self._buf, self._tail_off)[0] != self._head
+        return self._cursors[self._tail_idx] != self._head
 
     def used(self) -> int:
         """Bytes currently queued (tail - head)."""
-        buf = self._buf
-        return (
-            _U64.unpack_from(buf, self._tail_off)[0]
-            - _U64.unpack_from(buf, self._head_off)[0]
-        )
+        cursors = self._cursors
+        return cursors[self._tail_idx] - cursors[self._head_idx]
 
     # -- byte copies (wrap-aware) ------------------------------------------
     def _copy_in(self, counter: int, data: Any) -> int:
@@ -423,11 +424,10 @@ class ShmRing:
         last frames must still be consumed) before the exception is
         raised.
         """
-        buf = self._buf
-        tail_off = self._tail_off
-        unpack = _U64.unpack_from
+        cursors = self._cursors
+        tail_idx = self._tail_idx
         head = self._head
-        if unpack(buf, tail_off)[0] != head:
+        if cursors[tail_idx] != head:
             return True
         if timeout is not None and timeout <= 0:
             return False
@@ -441,7 +441,7 @@ class ShmRing:
         spins = 0
         slept = 0.0
         while True:
-            if unpack(buf, tail_off)[0] != head:
+            if cursors[tail_idx] != head:
                 self._account_wait(spins, slept)
                 return True
             spins += 1
@@ -456,7 +456,7 @@ class ShmRing:
             if stop is not None:
                 error = stop()
                 if error is not None:
-                    if unpack(buf, tail_off)[0] != head:
+                    if cursors[tail_idx] != head:
                         self._account_wait(spins, slept)
                         return True
                     raise error
@@ -465,7 +465,7 @@ class ShmRing:
                 if deadline is None:
                     deadline = now + timeout
                 elif now >= deadline:
-                    if unpack(buf, tail_off)[0] != head:
+                    if cursors[tail_idx] != head:
                         self._account_wait(spins, slept)
                         return True
                     return False
@@ -503,7 +503,7 @@ class ShmRing:
             payload = bytes(scratch)
         head += 4 + length
         self._head = head
-        _U64.pack_into(buf, self._head_off, head)
+        self._cursors[self._head_idx] = head
         return payload[0], _U64.unpack_from(payload, 1)[0], memoryview(payload)[
             _FRAME_META:
         ]
@@ -515,17 +515,16 @@ class ShmRing:
         timeout: float | None,
         stop: Callable[[], BaseException | None] | None,
     ) -> None:
-        buf = self._buf
-        head_off = self._head_off
+        cursors = self._cursors
+        head_idx = self._head_idx
         tail = self._tail
-        unpack = _U64.unpack_from
         spin = self._spin
         yield_cpu = os.sched_yield
         sleep_s = self._sleep_min
         deadline = None if timeout is None else time.monotonic() + timeout
         spins = 0
         slept = 0.0
-        while self._capacity - (tail - unpack(buf, head_off)[0]) < total:
+        while self._capacity - (tail - cursors[head_idx]) < total:
             spins += 1
             if spins <= spin:
                 yield_cpu()
@@ -583,8 +582,7 @@ class ShmRing:
             )
         buf = self._buf
         tail = self._tail
-        head = _U64.unpack_from(buf, self._head_off)[0]
-        if cap - (tail - head) < total:
+        if cap - (tail - self._cursors[self._head_idx]) < total:
             if telemetry.get() is not None:
                 with telemetry.span(
                     "shm.ring_wait", ring=self._name, bytes=total
@@ -611,7 +609,7 @@ class ShmRing:
         tail += total
         self._tail = tail
         # Publish last: the consumer never sees a partial frame.
-        _U64.pack_into(buf, self._tail_off, tail)
+        self._cursors[self._tail_idx] = tail
         return total
 
 
@@ -624,8 +622,8 @@ def _ring_state(ring: ShmRing) -> dict[str, Any]:
     means the consumer stopped draining.
     """
     try:
-        tail = _U64.unpack_from(ring._buf, ring._tail_off)[0]
-        head = _U64.unpack_from(ring._buf, ring._head_off)[0]
+        tail = ring._cursors[ring._tail_idx]
+        head = ring._cursors[ring._head_idx]
     except ValueError:  # mapping already released
         tail = head = 0
     return {
@@ -654,18 +652,24 @@ def _target_to_host_ring(segment: ShmSegment, **knobs: Any) -> ShmRing:
     )
 
 
-class ShmTargetServer:
+class ShmTargetServer(FramedServer):
     """The target-side polling loop: one client, concurrent execution.
 
     The mirror image of :class:`~repro.backends.tcp.TcpTargetServer`
-    over rings instead of a socket: invocations are dispatched to a pool
-    of ``workers`` threads (replies return in completion order, tagged
-    with their correlation ids), memory and control operations run
-    inline on the polling thread. The loop exits on SHUTDOWN or when the
-    client process disappears (pid liveness probe), setting the
+    over rings instead of a socket, on the same leader/followers loop
+    (:class:`~repro.backends._server.FramedServer`): the thread that
+    polls an INVOKE off the request ring executes it and posts the reply
+    itself while another takes over polling — up to ``workers`` at once,
+    replies in completion order, tagged with their correlation ids — and
+    memory and control operations run inline on whichever thread is
+    polling. The loop exits on SHUTDOWN, on a corrupt request ring, or
+    when the client process disappears (pid liveness probe), setting the
     segment's state word to ``STATE_STOPPED`` either way so the client's
     own polling loop can tell "stopped" from "wedged".
     """
+
+    transport = "shm"
+    _CLIENT_GONE = (BackendError, OffloadTimeoutError)
 
     def __init__(
         self,
@@ -677,79 +681,34 @@ class ShmTargetServer:
         sleep_min: float = DEFAULT_SLEEP_MIN,
         sleep_max: float = DEFAULT_SLEEP_MAX,
     ) -> None:
-        if workers < 1:
-            raise BackendError(f"worker pool needs at least 1 thread, got {workers}")
+        super().__init__(catalog, workers)
         self.segment = segment
-        self.image = ProcessImage("shm-target", catalog)
-        self.buffers = HostedBuffers()
-        self.workers = workers
         knobs = dict(
             spin_yields=spin_yields, sleep_min=sleep_min, sleep_max=sleep_max
         )
         self._recv = _host_to_target_ring(segment, **knobs)
         self._send = _target_to_host_ring(segment, **knobs)
-        self.messages_executed = 0
-        #: Invocations currently inside the worker pool (executing or
-        #: queued behind it) — the server-side backpressure depth.
-        self._active_invokes = 0
-        self._count_lock = threading.Lock()
-        #: Workers and the polling loop share the reply ring.
+        #: Every serving thread posts to the one reply ring.
         self._send_lock = threading.Lock()
         #: Bound once — creating a bound method per frame costs real
         #: time at shared-memory latencies.
         self._client_gone_cb = self._client_gone
-        #: The catalog is frozen once serving starts; hashing it per
-        #: PING would dominate the heartbeat RTT.
-        self._digest: bytes | None = None
         segment.server_pid = os.getpid()
 
     def serve_forever(self) -> None:
-        """Serve requests until SHUTDOWN or client death."""
-        pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="ham-shm-worker"
-        )
-        recv = self._recv
-        stop = self._client_gone_cb
+        """Serve requests until SHUTDOWN, ring corruption or client death."""
         self.segment.state = STATE_READY
         try:
-            while True:
-                try:
-                    recv.wait_readable(stop=stop)
-                    op, corr, body = recv.read_frame()
-                except BackendError:
-                    return  # client went away (or the ring is corrupt)
-                if op == OP_INVOKE:
-                    with self._count_lock:
-                        self._active_invokes += 1
-                    pool.submit(self._execute_invoke, corr, body)
-                    continue
-                if op == OP_PING and not len(body):
-                    # Heartbeat fast path — pings are the latency probe,
-                    # so skip the generic inline-op dispatch chain.
-                    digest = self._digest
-                    if digest is None:
-                        digest = self._digest = self.image.digest()
-                    try:
-                        with self._send_lock:
-                            self._send.write_frame(
-                                OP_PING | OP_REPLY_BIT, corr, (digest,),
-                                stop=stop,
-                            )
-                    except (BackendError, OffloadTimeoutError):
-                        return
-                    continue
-                if op == OP_SHUTDOWN:
-                    # Drain in-flight invocations before acknowledging,
-                    # so the shutdown reply is the last frame posted.
-                    pool.shutdown(wait=True)
-                    self._reply(OP_SHUTDOWN | OP_REPLY_BIT, corr, b"")
-                    return
-                self._handle_inline(op, corr, body)
+            self._serve()
         finally:
-            pool.shutdown(wait=True)
             # After the state flips the client stops waiting on the
             # reply ring — everything it should see is already there.
             self.segment.state = STATE_STOPPED
+
+    def _next_frame(self) -> tuple[int, int, memoryview]:
+        """Leader only: poll the request ring for the next frame."""
+        self._recv.wait_readable(stop=self._client_gone_cb)
+        return self._recv.read_frame()
 
     def _client_gone(self) -> BackendError | None:
         pid = self.segment.client_pid
@@ -761,135 +720,24 @@ class ShmTargetServer:
         with self._send_lock:
             self._send.write_frame(op, corr, parts, stop=self._client_gone_cb)
 
-    def _send_failure(self, corr: int, exc: BaseException) -> None:
-        info = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(),
-        }
-        try:
-            self._reply(OP_FAILURE, corr, pickle.dumps(info))
-        except (BackendError, OffloadTimeoutError):  # pragma: no cover
-            pass  # client is already gone
-
-    def _execute_invoke(self, corr: int, body: memoryview) -> None:
-        """Worker-pool entry: execute one invocation, reply with its id."""
-        worker = threading.current_thread().name
-        try:
-            # The sampling verdict travels in the v2 header's flag byte,
-            # exactly as on the TCP path: unsampled messages skip the
-            # server-side reply span.
-            flags = peek_trace_flags(body)
-            sampled = flags is None or bool(flags & trace_context.FLAG_SAMPLED)
-            reply, _keep = execute_message(self.image, body, resolver=self._resolve)
-            with self._count_lock:
-                self.messages_executed += 1
-                active = self._active_invokes
-            if not (sampled and telemetry.enabled()):
-                self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
-                return
-            # ``ring_used`` is the reply ring's occupancy *before* this
-            # reply is posted and ``pending`` the pool's concurrent-invoke
-            # depth: a slow reply with a near-full ring is host-side
-            # backpressure (the client is not draining), one with a deep
-            # pool is target-side congestion, neither is slow execution.
-            with telemetry.span(
-                "shm.server.reply", worker=worker, corr=corr, bytes=len(reply),
-                pending=active, ring_used=self._send.used(),
-            ):
-                self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
-        except (BackendError, OffloadTimeoutError):  # pragma: no cover
-            pass  # client is already gone
-        except Exception as exc:  # noqa: BLE001 - shipped to the client
-            self._send_failure(corr, exc)
-        finally:
-            with self._count_lock:
-                self._active_invokes -= 1
-
-    def _handle_inline(self, op: int, corr: int, body: memoryview) -> None:
-        try:
-            if op == OP_ALLOC:
-                (nbytes,) = _U64.unpack(body)
-                addr = self.buffers.alloc(nbytes)
-                self._reply(OP_ALLOC | OP_REPLY_BIT, corr, _U64.pack(addr))
-            elif op == OP_FREE:
-                (addr,) = _U64.unpack(body)
-                self.buffers.free(addr)
-                self._reply(OP_FREE | OP_REPLY_BIT, corr, b"")
-            elif op == OP_WRITE:
-                (addr,) = _U64.unpack(body[:8])
-                self.buffers.write(addr, body[8:])
-                self._reply(OP_WRITE | OP_REPLY_BIT, corr, b"")
-            elif op == OP_READ:
-                (addr,) = _U64.unpack(body[:8])
-                (nbytes,) = _U64.unpack(body[8:16])
-                self._reply(
-                    OP_READ | OP_REPLY_BIT, corr, self.buffers.read(addr, nbytes)
-                )
-            elif op == OP_PING:
-                digest = self._digest
-                if digest is None:
-                    digest = self._digest = self.image.digest()
-                if len(body) and bytes(body) != digest:
-                    raise BackendError(
-                        "offloadable catalogs differ between host and target "
-                        "(both sides must import the same application modules)"
-                    )
-                self._reply(OP_PING | OP_REPLY_BIT, corr, digest)
-            elif op == OP_TELEMETRY:
-                recorder = telemetry.get()
-                rows = records_to_dicts(recorder.drain()) if recorder else []
-                self._reply(
-                    OP_TELEMETRY | OP_REPLY_BIT, corr,
-                    pickle.dumps(rows, protocol=4),
-                )
-            elif op == OP_CLOCK:
-                self._reply(
-                    OP_CLOCK | OP_REPLY_BIT, corr,
-                    _U64.pack(time.perf_counter_ns()),
-                )
-            elif op == OP_INTROSPECT:
-                self._reply(
-                    OP_INTROSPECT | OP_REPLY_BIT, corr,
-                    pickle.dumps(self.introspect(), protocol=4),
-                )
-            else:
-                raise BackendError(f"unknown op {op:#x}")
-        except (OffloadTimeoutError,):  # pragma: no cover - client gone
-            pass
-        except Exception as exc:  # noqa: BLE001 - shipped to the client
-            self._send_failure(corr, exc)
+    def _reply_span_attrs(self) -> dict[str, Any]:
+        # The reply ring's occupancy *before* this reply is posted: a slow
+        # reply with a near-full ring is host-side backpressure (the
+        # client is not draining), not slow execution.
+        return {"ring_used": self._send.used()}
 
     def introspect(self) -> dict[str, Any]:
-        """Live target state, in the transport-agnostic introspection shape.
-
-        Same dict layout as :meth:`TcpTargetServer.introspect`, with the
-        ring block filled in: per-direction cursors and occupancy as this
-        process sees them (the request ring is this side's consumer view,
-        the reply ring its producer view).
-        """
-        with self._count_lock:
-            executed = self.messages_executed
-            active = self._active_invokes
-        return {
-            "role": "target",
-            "transport": "shm",
-            "pid": os.getpid(),
-            "workers": {"pool_size": self.workers, "active": active},
-            "pending_invokes": active,
-            "messages_executed": executed,
-            "live_buffers": self.buffers.live_count,
-            "rings": {
-                "capacity": self.segment.capacity,
-                "request": _ring_state(self._recv),
-                "reply": _ring_state(self._send),
-            },
+        """The shared introspection dict with the ring block filled in:
+        per-direction cursors and occupancy as this process sees them
+        (the request ring is this side's consumer view, the reply ring
+        its producer view)."""
+        state = super().introspect()
+        state["rings"] = {
+            "capacity": self.segment.capacity,
+            "request": _ring_state(self._recv),
+            "reply": _ring_state(self._send),
         }
-
-    def _resolve(self, arg: Any) -> Any:
-        if isinstance(arg, BufferPtr):
-            return self.buffers.view(arg)
-        return arg
+        return state
 
 
 def _server_entry(
@@ -1752,8 +1600,8 @@ class ShmBackend(Backend):
         self._closed = True
         if self._alive:
             try:
-                # The server drains its pool before acknowledging, so
-                # outstanding invoke replies land ahead of this one.
+                # The server acknowledges only once nothing executes or is
+                # backlogged, so invoke replies land ahead of this one.
                 self._roundtrip(OP_SHUTDOWN, timeout=self.op_timeout or 10.0)
             except (BackendError, OffloadTimeoutError, RemoteExecutionError):
                 pass  # server already gone or wedged

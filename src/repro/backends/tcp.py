@@ -26,8 +26,9 @@ Wire protocol (all integers little-endian)::
 Every frame carries a **correlation id**; replies (including failure
 replies) echo the request's id. The client matches replies through an
 id-keyed table instead of a FIFO, so they may arrive in any order —
-which is what lets the target execute invocations concurrently (worker
-pool) while memory operations stay synchronous roundtrips.
+which is what lets the target execute invocations concurrently (the
+leader/followers loop of :mod:`repro.backends._server`) while memory
+operations stay synchronous roundtrips.
 
 Frames are assembled with vectored I/O (``sendmsg``): large array
 payloads travel as ``memoryview`` parts straight from the arrays' own
@@ -35,8 +36,8 @@ storage, never concatenated host-side. Small invoke frames take the
 **coalescing path** instead (:class:`~repro.backends.base.FrameCoalescer`):
 they accumulate into one ``sendmsg`` batch flushed on byte budget,
 frame count or a sub-millisecond deadline. A batch is just frames
-back-to-back on the stream — the server's frame-at-a-time decode loop
-is wire-compatible with both paths, unchanged.
+back-to-back on the stream; both ends decode it with the same
+:class:`FrameParser`, many frames from one ``recv``.
 
 The client's inbound side is owned by the process-wide reactor
 (:mod:`repro.backends.eventloop`): the socket registers a read
@@ -48,61 +49,62 @@ connections cost one loop, not fifty blocking readers.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import socket
 import struct
 import threading
 import time
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.backends import eventloop
-from repro.backends._target_memory import HostedBuffers
+from repro.backends._server import (  # noqa: F401 - the op table lives there
+    OP_ALLOC,
+    OP_CLOCK,
+    OP_FAILURE,
+    OP_FREE,
+    OP_INTROSPECT,
+    OP_INVOKE,
+    OP_PING,
+    OP_READ,
+    OP_REPLY_BIT,
+    OP_SHUTDOWN,
+    OP_TELEMETRY,
+    OP_WRITE,
+    FramedServer,
+)
 from repro.backends.base import Backend, CoalescePolicy, FrameCoalescer, InvokeHandle
 from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
-from repro.ham.execution import build_invoke_parts, execute_message
+from repro.ham.execution import build_invoke_parts
 from repro.ham.functor import Functor
-from repro.ham.message import peek_trace, peek_trace_flags
+from repro.ham.message import peek_trace
 from repro.ham.registry import Catalog, ProcessImage
-from repro.offload.buffer import BufferPtr
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.distributed import ClockSync, align_records
-from repro.telemetry.export import dicts_to_records, records_to_dicts
+from repro.telemetry.export import dicts_to_records
 
 __all__ = ["TcpBackend", "TcpTargetServer", "spawn_local_server"]
 
-OP_INVOKE = 0x01
-OP_ALLOC = 0x02
-OP_FREE = 0x03
-OP_WRITE = 0x04
-OP_READ = 0x05
-OP_SHUTDOWN = 0x06
-OP_PING = 0x07
-OP_TELEMETRY = 0x08
-OP_CLOCK = 0x09
-OP_INTROSPECT = 0x0A
-OP_REPLY_BIT = 0x80
-OP_FAILURE = 0xFF
-
 _LEN = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+#: ``length | op | corr`` — the frame prefix (13 bytes).
+_PREFIX = struct.Struct("<IBQ")
 #: op byte + correlation id, counted inside the frame length.
 _FRAME_META = 1 + _U64.size
 #: Full on-wire overhead of one frame (length prefix + op + corr).
 FRAME_OVERHEAD = _LEN.size + _FRAME_META
 
-#: Default size of the target-side worker pool (concurrent INVOKEs).
+#: Default number of concurrent INVOKEs a target executes.
 DEFAULT_SERVER_WORKERS = 4
 
-#: Bytes pulled off the socket per reactor read callback. Bounded so
-#: one firehose connection cannot monopolize the shared loop; the
-#: level-triggered selector re-fires while data remains.
-_RECV_CHUNK = 256 * 1024
+#: Bytes pulled off the socket per ``recv``. Bounded so one firehose
+#: connection cannot monopolize the shared loop (the level-triggered
+#: selector re-fires while data remains) and small enough that the
+#: receive buffer comes from the allocator's heap, not a fresh mapping
+#: per call. A frame longer than this is received into its own buffer.
+_RECV_CHUNK = 64 * 1024
 
 
 def _sendmsg_all(sock: socket.socket, parts: list) -> None:
@@ -128,65 +130,126 @@ def _sendmsg_all(sock: socket.socket, parts: list) -> None:
 def _send_frame(sock: socket.socket, op: int, corr: int, *parts) -> int:
     """Send one frame; returns the number of wire bytes."""
     body_len = sum(len(part) for part in parts)
-    prefix = (
-        _LEN.pack(_FRAME_META + body_len) + bytes([op]) + _U64.pack(corr)
-    )
-    _sendmsg_all(sock, [prefix, *parts])
-    return _LEN.size + _FRAME_META + body_len
+    _sendmsg_all(sock, [_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts])
+    return FRAME_OVERHEAD + body_len
 
 
-def _recv_into_exact(
-    sock: socket.socket,
-    view: memoryview,
-    what: str,
-    pending: Callable[[], int] | None = None,
-) -> None:
-    """Fill ``view`` completely from the socket.
+def _recv_frame(sock: socket.socket) -> tuple[int, int, memoryview]:
+    """Read exactly one frame; returns ``(op, correlation_id, body_view)``.
 
-    Raises :class:`BackendError` on EOF, reporting how much of the
-    expected data arrived and — when the caller supplies a ``pending``
-    counter — how many operations were left waiting on the connection.
+    The stateless reader of the tests' stub servers — it never reads
+    past the frame. Both transport ends decode with :class:`FrameParser`.
     """
-    received = 0
-    total = len(view)
-    while received < total:
-        n = sock.recv_into(view[received:])
-        if n == 0:
-            context = ""
-            if pending is not None:
-                count = pending()
-                context = (
-                    f"; {count} pending operation{'s' if count != 1 else ''}"
-                    " can no longer be matched"
-                )
+
+    def exact(nbytes: int, what: str) -> bytes:
+        data = sock.recv(nbytes, socket.MSG_WAITALL)
+        if len(data) < nbytes:
             raise BackendError(
-                f"connection closed mid-{what}: received {received} of "
-                f"{total} expected bytes{context}"
+                f"connection closed mid-{what}: received {len(data)} of "
+                f"{nbytes} expected bytes"
             )
-        received += n
+        return data
 
-
-def _recv_frame(
-    sock: socket.socket, pending: Callable[[], int] | None = None
-) -> tuple[int, int, memoryview]:
-    """Read one frame; returns ``(op, correlation_id, body_view)``.
-
-    The body is a :class:`memoryview` over a freshly allocated buffer —
-    safe to hand to another thread, decoded without further copies.
-    """
-    header = bytearray(_LEN.size)
-    _recv_into_exact(sock, memoryview(header), "frame header", pending)
-    (length,) = _LEN.unpack(header)
+    (length,) = _LEN.unpack(exact(_LEN.size, "frame header"))
     if length < _FRAME_META:
-        raise BackendError(
-            f"short frame: length {length} < op + correlation header "
-            f"({_FRAME_META} bytes)"
+        raise BackendError(f"short frame: length {length} < {_FRAME_META}")
+    payload = exact(length, "frame payload")
+    return payload[0], _U64.unpack_from(payload, 1)[0], memoryview(payload)[_FRAME_META:]
+
+
+class FrameParser:
+    """Incremental frame decoder over one stream socket, for both ends.
+
+    :meth:`fill` is one ``recv`` (the host reactor calls it when the
+    socket is readable, the target's leader when it runs out of frames);
+    :meth:`next_frame` hands out every complete frame it carried as a
+    view into the received chunk — no per-frame buffer or syscall. A
+    frame longer than :data:`_RECV_CHUNK` is received into a buffer of
+    its own, so bulk payloads are copied at most once.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        #: Received bytes; the unparsed ones start at ``_pos``.
+        self._data = b""
+        self._pos = 0
+        #: A long frame being received, and how much of it has arrived.
+        self._big: bytearray | None = None
+        self._big_got = 0
+
+    @property
+    def buffered(self) -> int:
+        """Bytes received of a frame that is not complete yet."""
+        partial = len(self._data) - self._pos
+        if self._big is not None:
+            partial += _LEN.size + self._big_got
+        return partial
+
+    def fill(self) -> int:
+        """One receive syscall; returns its byte count (0 at EOF)."""
+        if self._big is not None:
+            got = self._sock.recv_into(memoryview(self._big)[self._big_got:])
+            self._big_got += got
+            return got
+        chunk = self._sock.recv(_RECV_CHUNK)
+        rest = self._data[self._pos:]
+        self._data = rest + chunk if rest else chunk
+        self._pos = 0
+        return len(chunk)
+
+    def next_frame(self) -> tuple[int, int, memoryview] | None:
+        """The next complete ``(op, corr, body)``, or ``None`` when more
+        bytes are needed. Raises :class:`BackendError` on a frame too
+        short to hold its own header."""
+        big = self._big
+        if big is not None:
+            if self._big_got < len(big):
+                return None
+            self._big = None
+            self._big_got = 0
+            return big[0], _U64.unpack_from(big, 1)[0], memoryview(big)[_FRAME_META:]
+        data = self._data
+        pos = self._pos
+        have = len(data) - pos
+        if have < _LEN.size:
+            return None
+        (length,) = _LEN.unpack_from(data, pos)
+        if length < _FRAME_META:
+            raise BackendError(
+                f"short frame: length {length} < op + correlation header "
+                f"({_FRAME_META} bytes)"
+            )
+        end = pos + _LEN.size + length
+        if end > len(data):
+            if length > _RECV_CHUNK:
+                self._big = big = bytearray(length)
+                self._big_got = have - _LEN.size
+                big[: self._big_got] = data[pos + _LEN.size:]
+                self._data = b""
+                self._pos = 0
+            return None
+        self._pos = end
+        return (
+            data[pos + _LEN.size],
+            _U64.unpack_from(data, pos + _LEN.size + 1)[0],
+            memoryview(data)[pos + FRAME_OVERHEAD:end],
         )
-    payload = bytearray(length)
-    _recv_into_exact(sock, memoryview(payload), "frame payload", pending)
-    op = payload[0]
-    (corr,) = _U64.unpack_from(payload, 1)
-    return op, corr, memoryview(payload)[_FRAME_META:]
+
+
+def _eof_error(parser: FrameParser, pending: int = 0) -> BackendError:
+    """Describe an EOF precisely: partial frame bytes + orphaned ops."""
+    context = ""
+    if pending:
+        context = (
+            f"; {pending} pending operation{'s' if pending != 1 else ''}"
+            " can no longer be matched"
+        )
+    if parser.buffered:
+        return BackendError(
+            f"connection closed mid-frame: {parser.buffered} byte(s) "
+            f"of a partial frame received{context}"
+        )
+    return BackendError(f"connection closed by peer{context}")
 
 
 try:  # Linux-only kernel queue probes; depths read as zero elsewhere.
@@ -228,16 +291,21 @@ def socket_queue_depths(sock: socket.socket) -> dict[str, int]:
     }
 
 
-class TcpTargetServer:
+class TcpTargetServer(FramedServer):
     """The target-side message loop: one client, concurrent execution.
 
-    Invocations are dispatched to a pool of ``workers`` threads, so
-    independent offloads execute concurrently and replies return in
-    completion order (each tagged with its correlation id). Memory and
-    control operations are handled inline on the receive thread —
-    they are cheap and their strict ordering keeps alloc/free races out
-    of the picture.
+    Frames are served by the leader/followers loop of
+    :class:`~repro.backends._server.FramedServer`: the thread that reads
+    an INVOKE executes it and replies on its own stack while another
+    takes over the socket, so up to ``workers`` independent offloads
+    execute concurrently and replies return in completion order (each
+    tagged with its correlation id). Memory and control operations are
+    handled inline on whichever thread is reading — they are cheap and
+    their strict ordering keeps alloc/free races out of the picture.
     """
+
+    transport = "tcp"
+    _CLIENT_GONE = (OSError,)
 
     def __init__(
         self,
@@ -246,197 +314,40 @@ class TcpTargetServer:
         catalog: Catalog | None = None,
         workers: int = DEFAULT_SERVER_WORKERS,
     ) -> None:
-        if workers < 1:
-            raise BackendError(f"worker pool needs at least 1 thread, got {workers}")
-        self.image = ProcessImage("tcp-target", catalog)
-        self.buffers = HostedBuffers()
-        self.workers = workers
+        super().__init__(catalog, workers)
         self._listener = socket.create_server((host, port))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self.messages_executed = 0
-        #: Invocations currently inside the worker pool (executing or
-        #: queued behind it) — the server-side backpressure depth.
-        self._active_invokes = 0
-        self._count_lock = threading.Lock()
-        #: Workers and the receive loop share the socket for replies.
+        #: Every serving thread replies on the one socket.
         self._send_lock = threading.Lock()
 
     def serve_forever(self) -> None:
         """Accept one client and serve requests until SHUTDOWN/EOF."""
-        conn, _peer = self._listener.accept()
-        pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="ham-worker"
-        )
+        self._conn, _peer = self._listener.accept()
         try:
-            with conn:
+            with self._conn as conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                while True:
-                    try:
-                        op, corr, body = _recv_frame(conn)
-                    except BackendError:
-                        return  # client went away
-                    if op == OP_INVOKE:
-                        with self._count_lock:
-                            self._active_invokes += 1
-                        pool.submit(self._execute_invoke, conn, corr, body)
-                        continue
-                    if op == OP_SHUTDOWN:
-                        # Drain in-flight invocations before acknowledging,
-                        # so the shutdown reply is the last frame sent.
-                        pool.shutdown(wait=True)
-                        self._reply(conn, OP_SHUTDOWN | OP_REPLY_BIT, corr, b"")
-                        return
-                    self._handle_inline(conn, op, corr, body)
+                self._parser = FrameParser(conn)
+                self._serve()
         finally:
-            pool.shutdown(wait=True)
             self._listener.close()
 
-    def _reply(self, conn: socket.socket, op: int, corr: int, *parts) -> None:
+    def _next_frame(self) -> tuple[int, int, memoryview]:
+        """Leader only: the next frame, receiving more bytes as needed."""
+        parser = self._parser
+        while True:
+            frame = parser.next_frame()
+            if frame is not None:
+                return frame
+            try:
+                received = parser.fill()
+            except OSError as exc:
+                raise BackendError(f"tcp receive failed: {exc}") from exc
+            if not received:
+                raise _eof_error(parser)
+
+    def _reply(self, op: int, corr: int, *parts) -> None:
         with self._send_lock:
-            _send_frame(conn, op, corr, *parts)
-
-    def _send_failure(
-        self, conn: socket.socket, corr: int, exc: BaseException
-    ) -> None:
-        info = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(),
-        }
-        try:
-            self._reply(conn, OP_FAILURE, corr, pickle.dumps(info))
-        except OSError:  # pragma: no cover - client is already gone
-            pass
-
-    def _execute_invoke(
-        self, conn: socket.socket, corr: int, body: memoryview
-    ) -> None:
-        """Worker-pool entry: execute one invocation, reply with its id."""
-        worker = threading.current_thread().name
-        try:
-            # The sampling verdict travels in the v2 header's flag byte:
-            # unsampled messages (and only those — v1/flagless messages
-            # predate sampling and record as before) skip the
-            # server-side reply span entirely.
-            flags = peek_trace_flags(body)
-            sampled = flags is None or bool(flags & trace_context.FLAG_SAMPLED)
-            reply, _keep = execute_message(self.image, body, resolver=self._resolve)
-            with self._count_lock:
-                self.messages_executed += 1
-                active = self._active_invokes
-            if not sampled:
-                self._reply(conn, OP_INVOKE | OP_REPLY_BIT, corr, reply)
-                return
-            # Per-worker reply span: which pool thread produced which
-            # correlation id (the execute span itself is recorded inside
-            # execute_message, parented to the sender's trace). ``pending``
-            # is the pool's concurrent-invoke depth at reply time — a slow
-            # reply with pending ~= pool size is backpressure, with
-            # pending ~= 1 it is this invocation's own execution.
-            with telemetry.span(
-                "tcp.server.reply", worker=worker, corr=corr, bytes=len(reply),
-                pending=active,
-            ):
-                self._reply(conn, OP_INVOKE | OP_REPLY_BIT, corr, reply)
-        except OSError:  # pragma: no cover - client is already gone
-            pass
-        except Exception as exc:  # noqa: BLE001 - shipped to the client
-            self._send_failure(conn, corr, exc)
-        finally:
-            with self._count_lock:
-                self._active_invokes -= 1
-
-    def _handle_inline(
-        self, conn: socket.socket, op: int, corr: int, body: memoryview
-    ) -> None:
-        try:
-            if op == OP_ALLOC:
-                (nbytes,) = _U64.unpack(body)
-                addr = self.buffers.alloc(nbytes)
-                self._reply(conn, OP_ALLOC | OP_REPLY_BIT, corr, _U64.pack(addr))
-            elif op == OP_FREE:
-                (addr,) = _U64.unpack(body)
-                self.buffers.free(addr)
-                self._reply(conn, OP_FREE | OP_REPLY_BIT, corr, b"")
-            elif op == OP_WRITE:
-                (addr,) = _U64.unpack(body[:8])
-                self.buffers.write(addr, body[8:])
-                self._reply(conn, OP_WRITE | OP_REPLY_BIT, corr, b"")
-            elif op == OP_READ:
-                (addr,) = _U64.unpack(body[:8])
-                (nbytes,) = _U64.unpack(body[8:16])
-                self._reply(
-                    conn, OP_READ | OP_REPLY_BIT, corr,
-                    self.buffers.read(addr, nbytes),
-                )
-            elif op == OP_PING:
-                # Handshake: the body carries the client's catalog digest;
-                # a mismatch means host and target were "built" from
-                # different type sets and keys would not translate.
-                digest = self.image.digest()
-                if len(body) and bytes(body) != digest:
-                    raise BackendError(
-                        "offloadable catalogs differ between host and target "
-                        "(both sides must import the same application modules)"
-                    )
-                self._reply(conn, OP_PING | OP_REPLY_BIT, corr, digest)
-            elif op == OP_TELEMETRY:
-                # Drain this process's telemetry so the host can merge
-                # target-side spans (offload.execute, ...) into one
-                # timeline. Empty when telemetry is disabled here; a
-                # forked server inherits the parent's enabled state.
-                recorder = telemetry.get()
-                rows = records_to_dicts(recorder.drain()) if recorder else []
-                self._reply(
-                    conn, OP_TELEMETRY | OP_REPLY_BIT, corr,
-                    pickle.dumps(rows, protocol=4),
-                )
-            elif op == OP_CLOCK:
-                # Clock ping-pong: reply with this process's monotonic
-                # clock so the client can estimate the offset between
-                # the two perf_counter epochs (see telemetry.distributed).
-                self._reply(
-                    conn, OP_CLOCK | OP_REPLY_BIT, corr,
-                    _U64.pack(time.perf_counter_ns()),
-                )
-            elif op == OP_INTROSPECT:
-                self._reply(
-                    conn, OP_INTROSPECT | OP_REPLY_BIT, corr,
-                    pickle.dumps(self.introspect(), protocol=4),
-                )
-            else:
-                raise BackendError(f"unknown op {op:#x}")
-        except OSError:  # pragma: no cover - client is already gone
-            pass
-        except Exception as exc:  # noqa: BLE001 - shipped to the client
-            self._send_failure(conn, corr, exc)
-
-    def introspect(self) -> dict[str, Any]:
-        """Live target state, in the transport-agnostic introspection shape.
-
-        Every backend's target answers ``OP_INTROSPECT`` with this same
-        dict layout so host-side tooling (``RuntimeInspector``,
-        ``repro.telemetry.top``) needs no per-transport cases. ``rings``
-        is ``None`` for stream transports; the shm target fills it in.
-        """
-        with self._count_lock:
-            executed = self.messages_executed
-            active = self._active_invokes
-        return {
-            "role": "target",
-            "transport": "tcp",
-            "pid": os.getpid(),
-            "workers": {"pool_size": self.workers, "active": active},
-            "pending_invokes": active,
-            "messages_executed": executed,
-            "live_buffers": self.buffers.live_count,
-            "rings": None,
-        }
-
-    def _resolve(self, arg: Any) -> Any:
-        if isinstance(arg, BufferPtr):
-            return self.buffers.view(arg)
-        return arg
+            _send_frame(self._conn, op, corr, *parts)
 
 
 def _unsampled_reply_context(body) -> "trace_context.TraceContext | None":
@@ -582,8 +493,8 @@ class TcpBackend(Backend):
         self.invokes_posted = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Partial-frame reassembly buffer, touched only on the loop.
-        self._rbuf = bytearray()
+        #: Inbound frame decoder, touched only on the loop.
+        self._parser = FrameParser(self._sock)
         self._io_detached = False
         self._reactor = eventloop.get_reactor()
         policy = CoalescePolicy.from_option(batch)
@@ -777,12 +688,7 @@ class TcpBackend(Backend):
         ):
             self._send(op, corr, *parts)
             return
-        frame = (
-            _LEN.pack(_FRAME_META + body_len)
-            + bytes([op])
-            + _U64.pack(corr)
-            + b"".join(bytes(part) for part in parts)
-        )
+        frame = b"".join((_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts))
         coalescer.add([frame], len(frame))
 
     def _on_readable(self) -> None:
@@ -794,40 +700,27 @@ class TcpBackend(Backend):
         it arrives. EOF and receive errors poison the backend and fail
         everything outstanding.
         """
+        parser = self._parser
         try:
-            chunk = self._sock.recv(_RECV_CHUNK)
+            received = parser.fill()
         except (BlockingIOError, InterruptedError):  # pragma: no cover
             return
         except OSError as exc:
             self._connection_lost(BackendError(f"tcp receive failed: {exc}"))
             return
-        if not chunk:
-            self._connection_lost(self._eof_error())
+        if not received:
+            self._connection_lost(_eof_error(parser, self._pending_count()))
             return
-        self.bytes_received += len(chunk)
-        buf = self._rbuf
-        buf += chunk
-        offset = 0
-        size = len(buf)
+        self.bytes_received += received
         while True:
-            if size - offset < _LEN.size:
-                break
-            (length,) = _LEN.unpack_from(buf, offset)
-            if length < _FRAME_META:
-                del buf[:offset]
-                self._connection_lost(BackendError(
-                    f"short frame: length {length} < op + correlation "
-                    f"header ({_FRAME_META} bytes)"
-                ))
+            try:
+                frame = parser.next_frame()
+            except BackendError as exc:
+                self._connection_lost(exc)
                 return
-            if size - offset < _LEN.size + length:
-                break
-            start = offset + _LEN.size
-            payload = bytes(buf[start:start + length])
-            offset = start + length
-            op = payload[0]
-            (corr,) = _U64.unpack_from(payload, 1)
-            body = memoryview(payload)[_FRAME_META:]
+            if frame is None:
+                return
+            op, corr, body = frame
             # Telemetry phase ``offload.reply``: one reply frame pulled
             # off the wire (the pre-reply wait lives in
             # ``offload.transport``). The loop thread runs outside any
@@ -838,28 +731,10 @@ class TcpBackend(Backend):
             if telemetry.enabled():  # peeking the header is not free
                 reply_span = telemetry.span("offload.reply")
                 reply_span.__enter__()
-                reply_span.set("bytes", length + _LEN.size)
+                reply_span.set("bytes", len(body) + FRAME_OVERHEAD)
                 with trace_context.activate(_unsampled_reply_context(body)):
                     reply_span.__exit__(None, None, None)
             self._dispatch_reply(op, corr, body)
-        if offset:
-            del buf[:offset]
-
-    def _eof_error(self) -> BackendError:
-        """Describe an EOF precisely: partial frame bytes + orphaned ops."""
-        count = self._pending_count()
-        context = ""
-        if count:
-            context = (
-                f"; {count} pending operation{'s' if count != 1 else ''}"
-                " can no longer be matched"
-            )
-        if self._rbuf:
-            return BackendError(
-                f"connection closed mid-frame: {len(self._rbuf)} byte(s) "
-                f"of a partial frame received{context}"
-            )
-        return BackendError(f"connection closed by peer{context}")
 
     def _connection_lost(self, error: BackendError) -> None:
         """Loop-side connection teardown (EOF or receive error)."""
@@ -1128,9 +1003,9 @@ class TcpBackend(Backend):
                 pass  # transmit failed; _fail_pending already ran
         if self._alive:
             try:
-                # The server drains its worker pool before acknowledging,
-                # so outstanding invoke replies arrive (and complete their
-                # handles) ahead of this reply.
+                # The server acknowledges only once nothing executes or
+                # waits in its backlog, so outstanding invoke replies arrive
+                # (and complete their handles) ahead of this reply.
                 self._roundtrip(
                     OP_SHUTDOWN, timeout=self.op_timeout or 10.0
                 )

@@ -1,5 +1,6 @@
 """Tests for the shared-memory backend (SPSC rings, forked target)."""
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -32,6 +33,46 @@ def rt():
     runtime.shutdown()
     if process.is_alive():  # pragma: no cover - cleanup safety
         process.terminate()
+
+
+def _flip_cursor(segment, word, stop_word, values):
+    cursors = segment.cursors
+    while not cursors[stop_word]:
+        for value in values:
+            cursors[word] = value
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="needs a second CPU to race on"
+)
+def test_ring_cursor_loads_are_never_torn():
+    """A cursor is one aligned 8-byte access, not eight byte stores.
+
+    A second process flips the h2t tail word between two values whose
+    halves differ; ``struct.pack_into("<Q")`` on the same bytes showed a
+    fifth of the loads as a mix of the two (a torn tail is how a
+    consumer reads ``corrupt frame ... length 0``). Whatever the
+    interleaving, a load must return one of the values stored.
+    """
+    values = (0x00000000FFFFFFFF, 0xFFFFFFFF00000000)
+    word, stop_word = 64 // 8, 320 // 8  # h2t tail; an unused header word
+    segment = ShmSegment.create()
+    writer = multiprocessing.get_context("fork").Process(
+        target=_flip_cursor, args=(segment, word, stop_word, values), daemon=True
+    )
+    writer.start()
+    try:
+        cursors = segment.cursors
+        while not cursors[word] and writer.is_alive():
+            pass  # zero is a torn value too once the writer has started
+        seen = {cursors[word] for _ in range(1_000_000)}
+    finally:
+        segment.cursors[stop_word] = 1
+        writer.join(timeout=5)
+        segment.close()
+        segment.unlink()
+    assert seen <= set(values)
+    assert writer.exitcode == 0
 
 
 class TestShmOffload:

@@ -1,0 +1,365 @@
+"""The target dispatch loop (leader/followers) and the tcp frame parser.
+
+Every server here runs *in this process*, on a thread, so the tests can
+gate kernels with ``threading`` primitives and observe which thread did
+what. No assertion reads a clock: waits carry a 10 s timeout only so a
+regression fails instead of hanging.
+"""
+
+import functools
+import os
+import socket
+import struct
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.backends.shm import (
+    STATE_STOPPED,
+    ShmBackend,
+    ShmSegment,
+    ShmTargetServer,
+    _OFF_H2T_TAIL,
+)
+from repro.backends.tcp import (
+    _RECV_CHUNK,
+    OP_ALLOC,
+    OP_FREE,
+    OP_INVOKE,
+    OP_READ,
+    OP_REPLY_BIT,
+    OP_SHUTDOWN,
+    OP_WRITE,
+    FrameParser,
+    TcpBackend,
+    TcpTargetServer,
+    _eof_error,
+)
+from repro.errors import BackendError
+from repro.ham import f2f, offloadable
+from repro.offload import Runtime
+from repro.telemetry import flightrecorder
+
+WAIT = 10.0
+WORKERS = 3
+
+#: Test-installed callables the kernel below runs inside the target.
+_HOOKS = {}
+
+
+@offloadable
+def dispatch_hook(name, arg):
+    return _HOOKS[name](arg)
+
+
+def _probed(server_class):
+    """``server_class`` recording what the loop does, and on which thread."""
+
+    class Probe(server_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.invoke_readers = []
+            self.inline_ops = []
+            self.replies = []
+            self.saw_shutdown = threading.Event()
+
+        def _next_frame(self):
+            frame = super()._next_frame()
+            if frame[0] == OP_INVOKE:
+                self.invoke_readers.append(threading.get_ident())
+            elif frame[0] == OP_SHUTDOWN:
+                self.saw_shutdown.set()
+            return frame
+
+        def _handle_inline(self, op, corr, body):
+            self.inline_ops.append(op)
+            super()._handle_inline(op, corr, body)
+
+        def _reply(self, op, corr, *parts):
+            self.replies.append(op)
+            super()._reply(op, corr, *parts)
+
+    return Probe
+
+
+class Target:
+    """One in-process server thread plus a connected runtime."""
+
+    def __init__(self, transport, workers=WORKERS):
+        if transport == "tcp":
+            self.server = _probed(TcpTargetServer)(workers=workers)
+        else:
+            self.segment = ShmSegment.create()
+            self.segment.client_pid = os.getpid()
+            self.server = _probed(ShmTargetServer)(self.segment, workers=workers)
+        self.thread = threading.Thread(target=self.server.serve_forever)
+        self.thread.start()
+
+    def connect(self):
+        join = functools.partial(self.thread.join, WAIT)
+        if isinstance(self.server, TcpTargetServer):
+            self.backend = TcpBackend(self.server.address, on_shutdown=join)
+        else:
+            self.backend = ShmBackend(self.segment, on_shutdown=join)
+        self.runtime = Runtime(self.backend)
+
+
+@pytest.fixture(params=["shm", "tcp"])
+def target(request):
+    _HOOKS.clear()
+    target = Target(request.param)
+    target.connect()
+    yield target
+    for gate in _HOOKS.get("gates", ()):
+        gate.set()
+    target.runtime.shutdown()
+    target.thread.join(WAIT)
+    assert not target.thread.is_alive()
+
+
+def _park_all(target):
+    """Occupy every worker: each kernel meets the others at one barrier
+    (so they provably run at once), then waits for its own gate."""
+    barrier = threading.Barrier(WORKERS)
+    gates = [threading.Event() for _ in range(WORKERS)]
+    _HOOKS["gates"] = gates
+
+    def park(i):
+        barrier.wait(WAIT)
+        return gates[i].wait(WAIT)
+
+    _HOOKS["park"] = park
+    return gates, [
+        target.runtime.async_(1, f2f(dispatch_hook, "park", i))
+        for i in range(WORKERS)
+    ]
+
+
+def _mark_behind(target, labels):
+    """Post invokes that append their label; returns (order, futures)."""
+    order = []
+    _HOOKS["mark"] = lambda label: order.append(label) or label
+    return order, [
+        target.runtime.async_(1, f2f(dispatch_hook, "mark", label))
+        for label in labels
+    ]
+
+
+class TestDispatchLoop:
+    def test_invoke_executes_on_the_thread_that_read_it(self, target):
+        _HOOKS["ident"] = lambda _arg: threading.get_ident()
+        executed_on = [
+            target.runtime.sync(1, f2f(dispatch_hook, "ident", None))
+            for _ in range(20)
+        ]
+        assert executed_on == target.server.invoke_readers
+        assert threading.get_ident() not in executed_on
+
+    def test_workers_run_concurrently_then_backlog_is_fifo(self, target):
+        gates, parked = _park_all(target)
+        order, late = _mark_behind(target, "ab")
+        # The probe is read after the five invokes: by now all are booked.
+        state = target.backend.introspect_target(timeout=WAIT)
+        assert state["workers"] == {"pool_size": WORKERS, "active": WORKERS}
+        assert state["pending_invokes"] == WORKERS + 2
+        assert order == []
+        gates[0].set()  # one executor finishes and drains the backlog
+        assert [future.get(timeout=WAIT) for future in late] == ["a", "b"]
+        assert order == ["a", "b"]
+        for gate in gates:
+            gate.set()
+        assert [future.get(timeout=WAIT) for future in parked] == [True] * WORKERS
+
+    def test_wedged_target_still_answers_introspect(self, target):
+        gates, parked = _park_all(target)
+        for _ in range(3):
+            state = target.backend.introspect_target(timeout=WAIT)
+            assert state["workers"]["active"] == WORKERS
+        assert target.backend.ping(1) >= 0.0
+        for gate in gates:
+            gate.set()
+        assert all(future.get(timeout=WAIT) for future in parked)
+
+    def test_shutdown_acknowledged_after_every_reply(self, target):
+        gates, parked = _park_all(target)
+        _order, late = _mark_behind(target, "ab")
+        stopper = threading.Thread(target=target.runtime.shutdown)
+        stopper.start()
+        # The leader has read SHUTDOWN and waits for the drain...
+        assert target.server.saw_shutdown.wait(WAIT)
+        assert OP_SHUTDOWN | OP_REPLY_BIT not in target.server.replies
+        for gate in gates:  # ...which only now can finish.
+            gate.set()
+        stopper.join(WAIT)
+        assert not stopper.is_alive()
+        replies = target.server.replies
+        assert replies[-1] == OP_SHUTDOWN | OP_REPLY_BIT
+        assert replies.count(OP_INVOKE | OP_REPLY_BIT) == WORKERS + 2
+        assert [future.get(timeout=WAIT) for future in late] == ["a", "b"]
+        assert all(future.get(timeout=WAIT) for future in parked)
+
+    def test_no_invoke_lost_or_run_twice_under_thread_churn(self, target):
+        count = 3000
+        seen = []
+        _HOOKS["mark"] = lambda i: seen.append(i) or i
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # four server threads + host on <= 2 CPUs
+        try:
+            futures = [
+                target.runtime.async_(1, f2f(dispatch_hook, "mark", i))
+                for i in range(count)
+            ]
+            assert [f.get(timeout=WAIT) for f in futures] == list(range(count))
+        finally:
+            sys.setswitchinterval(interval)
+        target.runtime.shutdown()
+        target.thread.join(WAIT)
+        server = target.server
+        assert sorted(seen) == list(range(count))
+        assert server.messages_executed == count
+        assert server._executing == 0 and not server._backlog
+        assert server.replies.count(OP_INVOKE | OP_REPLY_BIT) == count
+
+    def test_inline_ops_keep_their_order_between_invokes(self, target):
+        runtime = target.runtime
+        _HOOKS["ident"] = lambda _arg: threading.get_ident()
+        inflight = []
+
+        def poke():  # an invoke ahead of each op: the leader changes
+            inflight.append(runtime.async_(1, f2f(dispatch_hook, "ident", None)))
+
+        data = np.arange(16, dtype=np.float64)
+        back = np.zeros_like(data)
+        before = len(target.server.inline_ops)
+        poke()
+        ptr = runtime.allocate(1, 16)
+        poke()
+        runtime.put(data, ptr).get(timeout=WAIT)
+        poke()
+        runtime.get(ptr, back).get(timeout=WAIT)
+        poke()
+        runtime.free(ptr)
+        assert np.array_equal(back, data)
+        assert all(future.get(timeout=WAIT) for future in inflight)
+        memory_ops = [
+            op for op in target.server.inline_ops[before:]
+            if op in (OP_ALLOC, OP_WRITE, OP_READ, OP_FREE)
+        ]
+        assert memory_ops == [OP_ALLOC, OP_WRITE, OP_READ, OP_FREE]
+
+
+class TestStopReason:
+    """A target that stops without SHUTDOWN says why (stderr + flight ring)."""
+
+    def _stopped_with(self, capfd, thread, fragment):
+        thread.join(WAIT)
+        assert not thread.is_alive()
+        assert fragment in capfd.readouterr().err
+        name, attrs = flightrecorder.get().records()[-1][1:]
+        assert name == "target.stopped" and fragment in attrs["reason"]
+
+    @pytest.mark.parametrize("sent, fragment", [
+        (b"", "connection closed by peer"),
+        (struct.pack("<I", 3), "short frame: length 3"),
+        (struct.pack("<IB", 20, OP_INVOKE), "mid-frame: 5 byte(s)"),
+    ])
+    def test_tcp_reason(self, capfd, sent, fragment):
+        target = Target("tcp")
+        with socket.create_connection(target.server.address) as sock:
+            sock.sendall(sent)
+        self._stopped_with(capfd, target.thread, fragment)
+
+    def test_shm_corrupt_ring_reason(self, capfd):
+        target = Target("shm")
+        try:
+            # Publish 16 zero bytes: a frame of length 0.
+            target.segment.cursors[_OFF_H2T_TAIL // 8] = 16
+            self._stopped_with(capfd, target.thread, "corrupt frame")
+            assert target.segment.state == STATE_STOPPED
+        finally:
+            target.segment.close()
+            target.segment.unlink()
+
+
+class _Chunks:
+    """A socket that delivers a fixed list of chunks, then EOF."""
+
+    def __init__(self, chunks):
+        self.chunks = [bytes(chunk) for chunk in chunks]
+        self.recv_into_calls = 0
+
+    def recv(self, limit):
+        if not self.chunks:
+            return b""
+        head, self.chunks[0] = self.chunks[0][:limit], self.chunks[0][limit:]
+        if not self.chunks[0]:
+            self.chunks.pop(0)
+        return head
+
+    def recv_into(self, view):
+        self.recv_into_calls += 1
+        data = self.recv(len(view))
+        view[: len(data)] = data
+        return len(data)
+
+
+def _frame(op, corr, body=b""):
+    return struct.pack("<IBQ", 9 + len(body), op, corr) + body
+
+
+def _drain(parser):
+    """Every frame up to EOF, bodies copied out."""
+    frames = []
+    while True:
+        frame = parser.next_frame()
+        if frame is not None:
+            frames.append((frame[0], frame[1], bytes(frame[2])))
+        elif not parser.fill():
+            return frames
+
+
+class TestFrameParser:
+    FRAMES = [(1, 7, b"abc"), (0x84, 2**63, b""), (5, 9, bytes(range(200)))]
+
+    def test_byte_at_a_time(self):
+        stream = b"".join(_frame(*frame) for frame in self.FRAMES)
+        parser = FrameParser(_Chunks(stream[i:i + 1] for i in range(len(stream))))
+        assert _drain(parser) == self.FRAMES
+        assert parser.buffered == 0
+
+    def test_many_frames_in_one_chunk(self):
+        frames = self.FRAMES * 50
+        sock = _Chunks([b"".join(_frame(*frame) for frame in frames)])
+        parser = FrameParser(sock)
+        assert parser.fill() and not sock.chunks  # one recv carried them all
+        assert [parser.next_frame()[1] for _ in frames] == [f[1] for f in frames]
+        assert parser.next_frame() is None
+
+    def test_long_frame_lands_in_its_own_buffer(self):
+        body = os.urandom(_RECV_CHUNK * 3 + 17)
+        stream = _frame(1, 1, b"before") + _frame(4, 2, body) + _frame(1, 3, b"after")
+        sock = _Chunks([stream[:1000], stream[1000:5000], stream[5000:]])
+        parser = FrameParser(sock)
+        assert _drain(parser) == [(1, 1, b"before"), (4, 2, body), (1, 3, b"after")]
+        assert sock.recv_into_calls  # the remainder skipped the chunk buffer
+
+    def test_short_length_is_a_typed_error(self):
+        parser = FrameParser(_Chunks([_frame(1, 1) + struct.pack("<I", 8)]))
+        assert parser.fill()
+        assert parser.next_frame()[:2] == (1, 1)
+        with pytest.raises(BackendError, match="short frame: length 8"):
+            parser.next_frame()
+
+    @pytest.mark.parametrize("size", [0, 3, 11, 70_000 + 4])
+    def test_eof_mid_frame_keeps_its_byte_count(self, size):
+        stream = _frame(1, 1, bytes(100_000))[:size]
+        parser = FrameParser(_Chunks([stream] if size else []))
+        assert _drain(parser) == []
+        message = str(_eof_error(parser, pending=2))
+        if size:
+            assert f"mid-frame: {size} byte(s)" in message
+        else:
+            assert "closed by peer" in message
+        assert "2 pending operations" in message

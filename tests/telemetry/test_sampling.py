@@ -112,6 +112,26 @@ class TestTailPipeline:
         pipe.stage(span_for(ctx))
         assert pipe.complete(rec, ctx, duration_ns=10_000_000)
 
+    def test_threshold_is_set_at_min_samples_and_held_for_a_sixteenth(self):
+        # min_samples=5, window=64: the sixth completion is the first one
+        # judged, against the p99 of the first five (all equal here); that value
+        # is cached for window/16 = 4 completions, then recomputed.
+        rec = Recorder()
+        pipe = TailPipeline(min_samples=5, window=64)
+
+        def retained(duration_ns):
+            ctx = unsampled_ctx()
+            pipe.stage(span_for(ctx))
+            return pipe.complete(rec, ctx, duration_ns=duration_ns)
+
+        assert not any(retained(5000) for _ in range(5))  # no threshold yet
+        assert not retained(5000)  # 6th: equal to the max is not slower
+        assert retained(5001)  # 7th: just above the held threshold
+        assert retained(9000)  # 8th: the 5001 before it did not move it
+        assert retained(5001)  # 9th: last completion on the cached value
+        assert not retained(6000)  # 10th: recomputed, 9000 is in the window
+        assert retained(9001)
+
     def test_sampled_trace_only_feeds_the_window(self):
         rec = Recorder()
         pipe = TailPipeline()
@@ -228,12 +248,15 @@ class TestUnsampledOffloadEndToEnd:
                 telemetry={"sample_rate": 0.0, "tail_min_samples": 5},
             )
             rec = telemetry.get()
-            # Warm with a kernel whose duration dwarfs scheduler noise:
-            # the rolling p99 of ten near-empty offloads is so tight
-            # that a sub-millisecond stall on a loaded single-CPU box
-            # reads as an outlier and flakes the empty-ring assertion.
-            for _ in range(10):
-                offload_api.sync(1, f2f(apps.sleep_then, 0.01, None))
+            # With tail_min_samples=5 the threshold is fixed at the sixth
+            # completion as the p99 (the max) of the first five and kept
+            # for window/16 = 32 more (pinned in TestTailPipeline). Ten
+            # equal warm-ups made 6-10 draws from the distribution that
+            # set it, so one of them beat it about every other run. Set
+            # it with 20 ms kernels and stay 15 ms under it afterwards:
+            # no scheduler jitter crosses that margin.
+            for seconds in (0.02,) * 5 + (0.005,) * 5:
+                offload_api.sync(1, f2f(apps.sleep_then, seconds, None))
             assert rec.records() == []
             offload_api.sync(1, f2f(apps.sleep_then, 0.2, None))
             retained = rec.spans()
