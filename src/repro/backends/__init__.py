@@ -81,9 +81,7 @@ def create_backend(name: str, **options) -> Backend:
     if name == "tcp":
         if "address" in options:
             return TcpBackend(**options)
-        workers = options.pop("workers", None)
-        spawn_kwargs = {} if workers is None else {"workers": workers}
-        process, address = spawn_local_server(**spawn_kwargs)
+        process, address = _spawn(spawn_local_server, options, "workers")
         return TcpBackend(
             address,
             on_shutdown=lambda: process.join(timeout=10),
@@ -92,14 +90,9 @@ def create_backend(name: str, **options) -> Backend:
     if name == "shm":
         if "segment" in options:
             return ShmBackend(options.pop("segment"), **options)
-        workers = options.pop("workers", None)
-        capacity = options.pop("capacity", None)
-        spawn_kwargs = {}
-        if workers is not None:
-            spawn_kwargs["workers"] = workers
-        if capacity is not None:
-            spawn_kwargs["capacity"] = capacity
-        process, segment = spawn_shm_server(**spawn_kwargs)
+        process, segment = _spawn(
+            spawn_shm_server, options, "workers", "capacity"
+        )
         return ShmBackend(
             segment,
             alive_fn=process.is_alive,
@@ -109,3 +102,10 @@ def create_backend(name: str, **options) -> Backend:
     raise ValueError(
         f"unknown backend name {name!r}; expected 'local', 'tcp' or 'shm'"
     )
+
+
+def _spawn(spawn, options: dict, *spawn_keys: str):
+    """Fork a target with the ``spawn_keys`` among ``options`` (the rest
+    are the backend constructor's); returns what ``spawn`` returns."""
+    picked = {key: options.pop(key, None) for key in spawn_keys}
+    return spawn(**{k: v for k, v in picked.items() if v is not None})

@@ -1,0 +1,606 @@
+"""The host-side client shared by the shm and tcp transports.
+
+The mirror of :mod:`repro.backends._server`: both transports speak the
+same frames, so everything the host does that is not moving bytes is one
+class — the correlation table replies are matched through, posting an
+invocation, the synchronous roundtrip under every memory and control
+op, the catalog handshake, clock sync, telemetry and introspection
+pulls, failing what a lost transport strands, and shutdown. What is
+left to a transport is listed on :class:`FramedClient`.
+"""
+
+from __future__ import annotations
+
+import pickle
+import threading
+import time
+from typing import Any, Callable
+
+from repro.backends._server import (
+    _U64,
+    FRAME_OVERHEAD,
+    OP_ALLOC,
+    OP_CLOCK,
+    OP_FAILURE,
+    OP_FREE,
+    OP_INTROSPECT,
+    OP_INVOKE,
+    OP_PING,
+    OP_READ,
+    OP_REPLY_BIT,
+    OP_SHUTDOWN,
+    OP_TELEMETRY,
+    OP_WRITE,
+)
+from repro.backends.base import Backend, InvokeHandle
+from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
+from repro.ham.execution import build_invoke_parts
+from repro.ham.functor import Functor
+from repro.ham.message import peek_trace
+from repro.ham.registry import Catalog, ProcessImage
+from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
+from repro.telemetry import context as trace_context
+from repro.telemetry import flightrecorder
+from repro.telemetry import recorder as telemetry
+from repro.telemetry.distributed import ClockSync, align_records
+from repro.telemetry.export import dicts_to_records
+
+
+def byte_view(part: Any) -> Any:
+    """A flat byte-level view of one frame part (zero-copy): frames are
+    sized with ``len``, and 16 doubles are 128 bytes, not 16."""
+    if isinstance(part, (bytes, bytearray)):
+        return part
+    view = memoryview(part)
+    if view.format != "B" or view.ndim != 1:
+        view = view.cast("B")
+    return view
+
+
+def remote_failure(body: Any) -> RemoteExecutionError:
+    """The exception an ``OP_FAILURE`` reply carries."""
+    info = pickle.loads(body)
+    return RemoteExecutionError(
+        f"remote {info['type']}: {info['message']}",
+        remote_traceback=info.get("traceback", ""),
+    )
+
+
+def _unsampled_reply_context(body: Any) -> "trace_context.TraceContext | None":
+    """The reply's trace context, only when it is unsampled.
+
+    Sampled (and untraced/v1) replies return ``None`` so their
+    ``offload.reply`` span records exactly as before; an unsampled
+    reply's context routes the span through the recorder's sampling
+    gate, tying its fate to the trace's tail-retention verdict.
+    """
+    peeked = peek_trace(body)
+    if peeked is None:
+        return None
+    tid, _parent, flags = peeked
+    if tid == 0 or flags & trace_context.FLAG_SAMPLED:
+        return None
+    return trace_context.TraceContext(trace_id=tid, sampled=False)
+
+
+def close_reply_span(reply_span: Any, body: Any) -> None:
+    """End an entered ``offload.reply`` span for one received frame.
+
+    Telemetry phase ``offload.reply``: one reply frame pulled off the
+    transport (the pre-reply wait lives in ``offload.transport``). The
+    receiving thread runs outside any trace context, so the span is
+    closed under the reply's own (peeked) context when that trace is
+    unsampled — the recorder gate then stages it with the trace instead
+    of polluting the ring on the fast path.
+    """
+    reply_span.set("bytes", len(body) + FRAME_OVERHEAD)
+    with trace_context.activate(_unsampled_reply_context(body)):
+        reply_span.__exit__(None, None, None)
+
+
+class FramedClient(Backend):
+    """One target behind any frame pipe: the host side of the channel.
+
+    A transport supplies ``peer`` and
+
+    * ``_send(op, corr, *parts)`` — put one frame on the transport now,
+      behind everything sent before it; on a lost transport call
+      :meth:`_fail_pending` and raise :class:`BackendError`.
+      ``_post_frame`` is the same for ``OP_INVOKE`` frames, which a
+      stream transport may batch (it defaults to ``_send``);
+    * ``_wait(done, block, timeout, what)`` — block the caller until
+      ``done()`` holds (``block(seconds)`` sleeps on the expectation's
+      own event), raising :class:`OffloadTimeoutError` after
+      ``timeout``, and ``_poll()``, the progress that needs no waiting;
+      a driven transport pumps replies in both, and returns its
+      window-progress callback from ``_window_progress``;
+    * ``_detach()`` — let go of what only a live transport needs
+      (idempotent, any thread); a buffering transport also reports what
+      it had not sent yet through ``_drop_unsent``;
+    * ``_close_transport()`` — release what is left once ``on_shutdown``
+      has joined the target (defaults to ``_detach``).
+
+    It calls :meth:`_dispatch_reply` for every frame it receives,
+    :meth:`_fail_pending` when the peer is lost, and ends its
+    constructor with :meth:`_handshake`.
+    """
+
+    #: "tcp" / "shm": names the image, the metrics and the error texts.
+    name = ""
+    #: How descriptors, errors and crash bundles name the target, and
+    #: what that is ("address" / "segment") to the flight recorder.
+    peer = ""
+    _peer_kind = "peer"
+    #: Most bulk bytes one WRITE/READ frame may carry (``None``: any).
+    _max_payload: int | None = None
+
+    def __init__(
+        self,
+        catalog: Catalog | None,
+        on_shutdown: Callable[[], None] | None,
+        op_timeout: float | None,
+    ) -> None:
+        super().__init__()
+        self.host_image = ProcessImage(f"{self.name}-host", catalog)
+        self._on_shutdown = on_shutdown
+        self.op_timeout = op_timeout
+        #: Correlation id -> reply sink: ("invoke", handle) or ("sync", box).
+        self._pending: dict[int, tuple[str, Any]] = {}
+        self._pending_lock = threading.Lock()
+        self._send_lock = threading.Lock()
+        self._sync_local = threading.local()
+        self._msg_id = 0
+        self._alive = True
+        self._closed = False
+        self._closing = False
+        self.invokes_posted = 0
+        self.bytes_sent = 0
+        self.bytes_received = 0
+        #: Target->host clock mapping, estimated at connect by clock
+        #: ping-pong (see :mod:`repro.telemetry.distributed`) and
+        #: refreshed on every telemetry pull. Identity when the server
+        #: predates ``OP_CLOCK``, or when telemetry is off (untraced
+        #: workloads get zero extra connect traffic).
+        self.clock_sync = ClockSync.identity()
+
+    # -- what a transport supplies -------------------------------------------
+    def _send(self, op: int, corr: int, *parts: Any) -> None:
+        raise NotImplementedError
+
+    def _post_frame(self, op: int, corr: int, *parts: Any) -> None:
+        self._send(op, corr, *parts)
+
+    def _poll(self) -> None:
+        raise NotImplementedError
+
+    def _wait(
+        self,
+        done: Callable[[], bool],
+        block: Callable[[float | None], bool],
+        timeout: float | None,
+        what: str,
+    ) -> None:
+        raise NotImplementedError
+
+    def _window_progress(self) -> Callable[[], None] | None:
+        """What frees window slots while ``post_invoke`` waits for one:
+        ``None`` when a receiver completes handles on its own."""
+        return None
+
+    def _detach(self) -> None:
+        raise NotImplementedError
+
+    def _drop_unsent(self) -> tuple[int, int]:
+        """Drop frames buffered for send; ``(frames, bytes)`` dropped."""
+        return 0, 0
+
+    def _close_transport(self) -> None:
+        self._detach()
+
+    # -- connect ---------------------------------------------------------------
+    def _handshake(self, timeout: float) -> None:
+        """Fetch the server's catalog digest and compare, to fail fast
+        when host and target registered different offloadable sets. (An
+        empty body asks without asserting, so the comparison happens
+        client-side with a precise error.) Then sync clocks."""
+        try:
+            server_digest = self._roundtrip(OP_PING, timeout=timeout)
+            if server_digest and bytes(server_digest) != self.host_image.digest():
+                raise BackendError(
+                    "offloadable catalogs differ between host and target "
+                    "(both sides must import the same application modules)"
+                )
+        except BaseException:
+            self._closing = True
+            self._alive = False
+            self._close_transport()
+            raise
+        if telemetry.get() is not None:
+            self.clock_sync = self._estimate_clock()
+
+    def _clock_probe(self, timeout: float) -> tuple[int, int, int]:
+        """One ping-pong round: ``(t0_host, t_target, t1_host)`` in ns."""
+        t0 = time.perf_counter_ns()
+        body = self._roundtrip(OP_CLOCK, timeout=timeout)
+        t1 = time.perf_counter_ns()
+        return t0, _U64.unpack(body)[0], t1
+
+    def _estimate_clock(
+        self, rounds: int = 8, timeout: float | None = None
+    ) -> ClockSync:
+        """Ping-pong the server's clock; identity if it lacks OP_CLOCK."""
+        per_probe = timeout if timeout is not None else (self.op_timeout or 5.0)
+        try:
+            return ClockSync.estimate(
+                lambda: self._clock_probe(per_probe), rounds=rounds
+            )
+        except (RemoteExecutionError, OffloadTimeoutError, BackendError):
+            # Older server without OP_CLOCK (or one too wedged or broken
+            # to answer): fall back to the shared monotonic clock. If the
+            # probe killed the transport the next real op reports it.
+            return ClockSync.identity()
+
+    # -- topology --------------------------------------------------------------
+    def num_nodes(self) -> int:
+        return 2
+
+    def descriptor(self, node: NodeId) -> NodeDescriptor:
+        if node == HOST_NODE:
+            return NodeDescriptor(node, "host", "host", f"{self.name} backend host")
+        self.check_target(node)
+        return NodeDescriptor(
+            node, f"{self.name}:{self.peer}", "cpu", f"{self.name} target"
+        )
+
+    # -- the correlation table ---------------------------------------------------
+    def _pending_count(self) -> int:
+        with self._pending_lock:
+            return len(self._pending)
+
+    def _next_corr(self) -> int:
+        """Correlation id for a synchronous (non-invoke) operation.
+
+        Drawn from the same process-wide counter as invoke handles so
+        ids never collide across the two kinds of traffic.
+        """
+        return next(InvokeHandle._ids)
+
+    def _check_alive(self) -> None:
+        if not self._alive:
+            raise BackendError(f"{self.name} backend is shut down")
+
+    def _dispatch_reply(self, op: int, corr: int, body: memoryview) -> None:
+        """Complete the expectation filed under ``corr`` (any order)."""
+        with self._pending_lock:
+            entry = self._pending.pop(corr, None)
+        if entry is None:
+            # A reply nothing waits for: its expectation was already
+            # failed, or the peer invented a correlation id. Either way
+            # the stream itself stays consistent — count and move on.
+            telemetry.count(f"{self.name}.unmatched_replies")
+            return
+        kind, sink = entry
+        if kind == "invoke":
+            if op == OP_INVOKE | OP_REPLY_BIT:
+                sink.complete_with_reply(body)
+                if telemetry.enabled():  # the depth is read under a lock
+                    telemetry.gauge(
+                        f"{self.name}.pending_replies", self._pending_count()
+                    )
+            elif op == OP_FAILURE:
+                sink.complete_with_error(remote_failure(body))
+            else:
+                sink.complete_with_error(
+                    BackendError(f"expected invoke reply, got op {op:#x}")
+                )
+            return
+        if op == sink["op"] | OP_REPLY_BIT:
+            sink["body"] = body
+        elif op == OP_FAILURE:
+            sink["error"] = remote_failure(body)
+        else:
+            sink["error"] = BackendError(
+                f"expected reply to op {sink['op']:#x}, got {op:#x}"
+            )
+        sink["event"].set()
+
+    def _fail_pending(self, error: BaseException) -> None:
+        """Declare the transport lost: mark dead, fail every expectation.
+
+        A receive error, EOF or dead peer means no outstanding operation
+        can ever be matched again — they all inherit ``error`` instead
+        of hanging. Frames still buffered for send can never be
+        delivered either: they are dropped and the queued byte count is
+        folded into the error every waiter sees.
+        """
+        self._alive = False
+        frames, queued = self._drop_unsent()
+        if frames:
+            error = BackendError(
+                f"{error}; dropped {frames} coalesced frame"
+                f"{'s' if frames != 1 else ''} ({queued} bytes) still "
+                "queued for send"
+            )
+        with self._pending_lock:
+            sinks = list(self._pending.values())
+            self._pending.clear()
+        if not (self._closing or self._closed):
+            # Unplanned loss is exactly what the flight recorder exists
+            # for: capture the last few seconds of events before the
+            # failure cascades through retries and failover. A close
+            # initiated by shutdown() records nothing (the receiver may
+            # see the server's EOF before shutdown() flips _closing).
+            flightrecorder.trigger(
+                "peer_death",
+                force=True,  # rare + catastrophic: never debounced away
+                transport=self.name,
+                **{self._peer_kind: self.peer},
+                orphaned=len(sinks),
+                error=str(error),
+            )
+        for kind, sink in sinks:
+            if kind == "invoke":
+                sink.complete_with_error(error)
+            else:
+                sink["error"] = error
+                sink["event"].set()
+        self._detach()
+
+    # -- synchronous operations --------------------------------------------------
+    def _sync_box(self, op: int) -> dict[str, Any]:
+        """A reusable per-thread expectation box for sync roundtrips.
+
+        Reuse keeps Event construction off the hot path. A roundtrip
+        that times out *abandons* its event (the stale expectation stays
+        filed and may be completed later) and the thread gets a fresh
+        one next time.
+        """
+        local = self._sync_local
+        event = getattr(local, "event", None)
+        if event is None:
+            event = local.event = threading.Event()
+        event.clear()
+        return {"op": op, "event": event}
+
+    def _roundtrip(
+        self, op: int, *parts: Any, timeout: float | None = None
+    ) -> memoryview:
+        """Synchronous request: send, then wait for the matching reply.
+
+        ``timeout`` (defaulting to :attr:`op_timeout`) bounds the whole
+        roundtrip; on expiry an :class:`OffloadTimeoutError` is raised
+        *softly* — the expectation stays registered, so the stream is
+        not poisoned and a late reply is consumed silently.
+        """
+        self._check_alive()
+        effective = timeout if timeout is not None else self.op_timeout
+        corr = self._next_corr()
+        box = self._sync_box(op)
+        with self._pending_lock:
+            self._pending[corr] = ("sync", box)
+        try:
+            self._send(op, corr, *parts)
+        except BaseException:
+            with self._pending_lock:
+                self._pending.pop(corr, None)
+            raise
+        if not self._alive:
+            # Declared lost between the aliveness check and the filing:
+            # if the drain missed it, nothing will ever match it.
+            with self._pending_lock:
+                entry = self._pending.pop(corr, None)
+            if entry is not None:
+                raise BackendError(
+                    f"{self.name} transport lost during roundtrip"
+                )
+        event = box["event"]
+        try:
+            self._wait(event.is_set, event.wait, effective, f"op {op:#x}")
+        except OffloadTimeoutError:
+            self._sync_local.event = None  # the filed box keeps it
+            raise
+        if "error" in box:
+            raise box["error"]
+        return box["body"]
+
+    # -- invocation --------------------------------------------------------------
+    def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
+        self._check_alive()
+        self.check_target(node)
+        # Backpressure point: a window slot must free up (a reply
+        # completes a handle) before another invoke may enter the pipe.
+        self._admit_invoke(
+            label=functor.type_name, progress=self._window_progress()
+        )
+        try:
+            self._check_alive()
+            self._msg_id += 1
+            parts = build_invoke_parts(self.host_image, functor, self._msg_id)
+            # Only the enqueue span reads the size.
+            total = sum(map(len, parts)) if telemetry.enabled() else 0
+            handle = InvokeHandle(self, label=functor.type_name)
+        except BaseException:
+            self.window.cancel()
+            raise
+        # Telemetry phase ``offload.enqueue``: filing the reply
+        # expectation and handing the frame to the transport.
+        with telemetry.span(
+            "offload.enqueue", bytes=total, functor=functor.type_name,
+            corr=handle.correlation_id,
+        ):
+            with self._pending_lock:
+                self._pending[handle.correlation_id] = ("invoke", handle)
+            self._register_invoke(handle)
+            try:
+                self._post_frame(OP_INVOKE, handle.correlation_id, *parts)
+            except BaseException as exc:
+                # The handle is already registered: completing it with
+                # the error frees its window slot (a bare re-raise would
+                # leak the slot until the window drained to zero).
+                with self._pending_lock:
+                    self._pending.pop(handle.correlation_id, None)
+                handle.complete_with_error(
+                    exc if isinstance(exc, (BackendError, OffloadTimeoutError))
+                    else BackendError(f"send failed while posting invoke: {exc}")
+                )
+                raise
+        # The transport may have been declared lost between the
+        # aliveness check and our registration; a handle filed after that
+        # drain would wait forever, so fail it here ourselves.
+        if not self._alive:
+            with self._pending_lock:
+                entry = self._pending.pop(handle.correlation_id, None)
+            if entry is not None:
+                handle.complete_with_error(
+                    BackendError(
+                        f"{self.name} transport lost while posting invoke"
+                    )
+                )
+        self.invokes_posted += 1
+        if telemetry.enabled():
+            telemetry.gauge(f"{self.name}.pending_replies", self._pending_count())
+        return handle
+
+    def drive(
+        self, handle: InvokeHandle, *, blocking: bool, timeout: float | None = None
+    ) -> None:
+        if handle.completed:
+            return
+        self._check_alive()
+        if not blocking:
+            self._poll()
+            return
+        self._wait(
+            lambda: handle.completed, handle.wait_event,
+            timeout if timeout is not None else self.op_timeout,
+            f"invoke {handle.label}",
+        )
+
+    # -- memory ------------------------------------------------------------------
+    def alloc_buffer(self, node: NodeId, nbytes: int) -> int:
+        self.check_target(node)
+        return _U64.unpack(self._roundtrip(OP_ALLOC, _U64.pack(nbytes)))[0]
+
+    def free_buffer(self, node: NodeId, addr: int) -> None:
+        self.check_target(node)
+        self._roundtrip(OP_FREE, _U64.pack(addr))
+
+    def write_buffer(self, node: NodeId, addr: int, data: Any) -> None:
+        self.check_target(node)
+        # Callers pass buffers of any item size; frames count bytes. The
+        # payload rides as its own part, never copied host-side.
+        view = byte_view(data)
+        chunk = self._max_payload or len(view)
+        if len(view) <= chunk:
+            self._roundtrip(OP_WRITE, _U64.pack(addr), view)
+            return
+        # Chunked: HostedBuffers accepts offset addresses inside a live
+        # allocation, so each chunk lands at addr + offset.
+        for offset in range(0, len(view), chunk):
+            self._roundtrip(
+                OP_WRITE, _U64.pack(addr + offset), view[offset : offset + chunk]
+            )
+
+    def read_buffer(self, node: NodeId, addr: int, nbytes: int) -> bytes:
+        self.check_target(node)
+        chunk = self._max_payload or nbytes
+        if nbytes <= chunk:
+            return bytes(
+                self._roundtrip(OP_READ, _U64.pack(addr) + _U64.pack(nbytes))
+            )
+        out = bytearray(nbytes)
+        for offset in range(0, nbytes, chunk):
+            n = min(chunk, nbytes - offset)
+            out[offset : offset + n] = self._roundtrip(
+                OP_READ, _U64.pack(addr + offset) + _U64.pack(n)
+            )
+        return bytes(out)
+
+    # -- telemetry, introspection, health ------------------------------------------
+    def fetch_target_telemetry(
+        self, timeout: float | None = None, align: bool = True
+    ) -> list:
+        """Pull (and clear) the target server's telemetry records.
+
+        Returns :class:`~repro.telemetry.recorder.SpanRecord` /
+        :class:`~repro.telemetry.recorder.EventRecord` objects recorded
+        in the server process — empty if telemetry is disabled there.
+        Forked servers inherit the client's enabled state, so enabling
+        telemetry *before* spawning captures target-side
+        ``offload.execute`` spans too.
+
+        With ``align`` (the default) the clock offset is re-estimated
+        right before the pull and applied to the fetched timestamps, so
+        the records land on the host's ``perf_counter_ns`` timeline. On
+        a same-machine server the monotonic clock is shared and the
+        offset is near zero; across machines it is essential.
+        ``timeout`` bounds the pull round trip (falls back to
+        :attr:`op_timeout`).
+        """
+        if align:
+            self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
+        rows = pickle.loads(self._roundtrip(OP_TELEMETRY, timeout=timeout))
+        records = dicts_to_records(rows)
+        if align and self.clock_sync.offset_ns:
+            records = align_records(records, self.clock_sync.offset_ns)
+        return records
+
+    def introspect_target(
+        self, timeout: float | None = None
+    ) -> dict[str, Any]:
+        """Ask the target for its live state (``OP_INTROSPECT``).
+
+        Returns the transport-agnostic introspection dict — serving
+        threads active, executed-message count, live buffer count, ring
+        cursors (``None`` on TCP). Raises the usual transport errors
+        when the target is gone or predates the op.
+        """
+        payload = pickle.loads(self._roundtrip(OP_INTROSPECT, timeout=timeout))
+        if not isinstance(payload, dict):
+            raise BackendError(
+                f"malformed introspection reply: {type(payload).__name__}"
+            )
+        return payload
+
+    def ping(self, node: NodeId) -> float:
+        """Round-trip an ``OP_PING`` heartbeat; returns wall seconds."""
+        self.check_target(node)
+        start = time.monotonic()
+        self._roundtrip(OP_PING)
+        return time.monotonic() - start
+
+    def set_default_timeout(self, seconds: float | None) -> None:
+        self.op_timeout = seconds
+
+    # -- lifecycle ---------------------------------------------------------------
+    def shutdown(self) -> None:
+        """Stop the target, fail stragglers, release the transport.
+
+        Robust against an already-dead target: the SHUTDOWN roundtrip is
+        skipped (or tolerated failing) and the transport is still
+        closed, so no socket, reactor reference or ``/dev/shm`` entry
+        outlives the backend either way.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self._alive:
+            try:
+                # Sent behind everything still buffered; the server
+                # acknowledges only once nothing executes or waits in its
+                # backlog, so outstanding invoke replies arrive (and
+                # complete their handles) ahead of this reply.
+                self._roundtrip(OP_SHUTDOWN, timeout=self.op_timeout or 10.0)
+            except (BackendError, OffloadTimeoutError, RemoteExecutionError):
+                pass  # server already gone or wedged
+        self._closing = True
+        # Anything still expected or buffered can never complete now;
+        # fail it instead of stranding waiters on a closed transport.
+        self._fail_pending(
+            BackendError(
+                f"{self.name} backend shut down with operations outstanding"
+            )
+        )
+        if self._on_shutdown is not None:
+            self._on_shutdown()  # the target is joined before its memory goes
+        self._close_transport()

@@ -55,7 +55,30 @@ OP_INTROSPECT = 0x0A
 OP_REPLY_BIT = 0x80
 OP_FAILURE = 0xFF
 
+_LEN = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+#: ``length | op | corr`` — the frame prefix (13 bytes).
+_PREFIX = struct.Struct("<IBQ")
+#: op byte + correlation id, counted inside the frame length.
+_FRAME_META = 1 + _U64.size
+#: Full overhead of one frame (length prefix + op + corr).
+FRAME_OVERHEAD = _LEN.size + _FRAME_META
+
+
+def reset_forked_recorder() -> None:
+    """First thing in a forked target: keep the recorder, drop its host side.
+
+    The fork inherits the host recorder wholesale, including the
+    host-only sampling machinery. A tail pipeline here would stage
+    unsampled spans that no completion ever settles (completions happen
+    host-side), and SLO windows would double-count — the target is the
+    "skip unsampled work entirely" side.
+    """
+    recorder = telemetry.get()
+    if recorder is not None:
+        recorder.sampler = None
+        recorder.pipeline = None
+        recorder.slo = None
 
 
 class FramedServer:
@@ -84,6 +107,8 @@ class FramedServer:
         #: PING would dominate the heartbeat RTT.
         self._digest: bytes | None = None
         self._token = threading.Lock()
+        #: Every serving thread replies on the one pipe.
+        self._send_lock = threading.Lock()
         #: Guards the depths and the counter; notified when
         #: ``_executing`` reaches zero.
         self._lock = threading.Condition(threading.Lock())

@@ -157,34 +157,6 @@ class CoalescePolicy:
         self.max_delay = max_delay
         self.idle_depth = idle_depth
 
-    @classmethod
-    def from_option(cls, batch: Any) -> "CoalescePolicy | None":
-        """Resolve a user-facing ``batch=`` knob.
-
-        ``None``/``True`` → defaults; ``False`` → coalescing disabled
-        (every frame is its own ``sendmsg``, the PR 4 wire behavior);
-        a dict → keyword overrides (``max_bytes``, ``max_frames``,
-        ``max_delay_us``, ``idle_depth``); a policy → itself.
-        """
-        if batch is None or batch is True:
-            return cls()
-        if batch is False:
-            return None
-        if isinstance(batch, cls):
-            return batch
-        if isinstance(batch, dict):
-            options = dict(batch)
-            delay_us = options.pop("max_delay_us", None)
-            if delay_us is not None:
-                options["max_delay"] = float(delay_us) * 1e-6
-            try:
-                return cls(**options)
-            except TypeError as exc:
-                raise BackendError(f"bad batch= options: {exc}") from None
-        raise BackendError(
-            f"batch= expects bool, dict or CoalescePolicy, got {type(batch).__name__}"
-        )
-
 
 class FrameCoalescer:
     """Accumulates encoded frames into one scatter-gather batch.
@@ -286,7 +258,7 @@ class FrameCoalescer:
         self.flush("deadline")
 
     def _send_batch(
-        self, batch: list[Any], frames: int, nbytes: int, reason: str
+        self, parts: list[Any], frames: int, nbytes: int, reason: str
     ) -> None:
         self.batches += 1
         self.frames_coalesced += frames
@@ -294,7 +266,7 @@ class FrameCoalescer:
         telemetry.observe("net.batch_size", frames)
         telemetry.observe("net.batch_bytes", nbytes)
         telemetry.count(f"net.flush_reason.{reason}")
-        self._transmit(batch)
+        self._transmit(parts)
 
     def stats(self) -> dict[str, Any]:
         frames, nbytes = self.pending()

@@ -39,7 +39,9 @@ makes the rings lock-free without any further synchronization. Frames reuse
 the TCP wire format (``length:u32 | op:u8 | corr:u64 | body``) including
 the correlation-id reply matching, so the whole channel contract —
 out-of-order completion, the in-flight window, QoS, hedging, telemetry —
-composes unchanged.
+composes unchanged, and both ends are the tcp transport's classes over
+another pipe: :mod:`repro.backends._server` and
+:mod:`repro.backends._client` (docs/architecture.md, "Client core").
 
 Both ends poll with the paper's adaptive *spin-then-sleep* loop: a
 bounded busy-spin phase (interleaved with ``sched_yield`` so a same-core
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import struct
 import threading
 import time
@@ -67,35 +68,28 @@ from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable
 
 from repro.backends import eventloop
-from repro.backends._server import FramedServer
-from repro.backends.base import Backend, InvokeHandle
-from repro.backends.tcp import (
-    DEFAULT_SERVER_WORKERS,
-    FRAME_OVERHEAD,
-    OP_ALLOC,
-    OP_CLOCK,
-    OP_FAILURE,
-    OP_FREE,
-    OP_INTROSPECT,
-    OP_INVOKE,
-    OP_PING,
-    OP_READ,
-    OP_REPLY_BIT,
-    OP_SHUTDOWN,
-    OP_TELEMETRY,
-    OP_WRITE,
-    _unsampled_reply_context,
+from repro.backends._client import (
+    FramedClient,
+    byte_view,
+    close_reply_span,
+    remote_failure,
 )
-from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
-from repro.ham.execution import build_invoke_parts
-from repro.ham.functor import Functor
-from repro.ham.registry import Catalog, ProcessImage
-from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
-from repro.telemetry import context as trace_context
-from repro.telemetry import flightrecorder
+from repro.backends._server import (
+    _FRAME_META,
+    _LEN,
+    _PREFIX,
+    _U64,
+    FRAME_OVERHEAD,
+    OP_FAILURE,
+    OP_REPLY_BIT,
+    FramedServer,
+    reset_forked_recorder,
+)
+from repro.backends.base import InvokeHandle
+from repro.backends.tcp import DEFAULT_SERVER_WORKERS
+from repro.errors import BackendError, OffloadTimeoutError
+from repro.ham.registry import Catalog
 from repro.telemetry import recorder as telemetry
-from repro.telemetry.distributed import ClockSync, align_records
-from repro.telemetry.export import dicts_to_records
 
 __all__ = [
     "DEFAULT_RING_CAPACITY",
@@ -106,13 +100,7 @@ __all__ = [
     "spawn_shm_server",
 ]
 
-_LEN = struct.Struct("<I")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-#: ``length | op | corr`` — the in-ring frame prefix (13 bytes).
-_PREFIX = struct.Struct("<IBQ")
-#: op byte + correlation id, counted inside the frame length.
-_FRAME_META = 1 + _U64.size
 
 #: Bytes per ring direction. Frames larger than this cannot be posted;
 #: the backend chunks bulk WRITE/READ traffic to stay under it.
@@ -170,16 +158,6 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:  # pragma: no cover - alive, different user
         return True
     return True
-
-
-def _byte_view(part: Any) -> Any:
-    """A flat byte-level view of one frame part (zero-copy)."""
-    if isinstance(part, (bytes, bytearray)):
-        return part
-    view = memoryview(part)
-    if view.format != "B" or view.ndim != 1:
-        view = view.cast("B")
-    return view
 
 
 class ShmSegment:
@@ -570,7 +548,7 @@ class ShmRing:
             views = parts
             body_len = len(parts[0])
         else:
-            views = [_byte_view(part) for part in parts if len(part)]
+            views = [byte_view(part) for part in parts if len(part)]
             body_len = sum(len(view) for view in views)
         total = 4 + _FRAME_META + body_len
         cap = self._capacity
@@ -688,8 +666,6 @@ class ShmTargetServer(FramedServer):
         )
         self._recv = _host_to_target_ring(segment, **knobs)
         self._send = _target_to_host_ring(segment, **knobs)
-        #: Every serving thread posts to the one reply ring.
-        self._send_lock = threading.Lock()
         #: Bound once — creating a bound method per frame costs real
         #: time at shared-memory latencies.
         self._client_gone_cb = self._client_gone
@@ -743,18 +719,34 @@ class ShmTargetServer(FramedServer):
 def _server_entry(
     segment: ShmSegment, catalog: Catalog | None, workers: int
 ) -> None:
-    recorder = telemetry.get()
-    if recorder is not None:
-        # Same rationale as the TCP fork: the sampling/SLO machinery is
-        # host-side; the target only records (or skips) spans.
-        recorder.sampler = None
-        recorder.pipeline = None
-        recorder.slo = None
+    reset_forked_recorder()
     server = ShmTargetServer(segment, catalog=catalog, workers=workers)
     try:
         server.serve_forever()
     finally:
         segment.close()
+
+
+def _await_ready(
+    segment: ShmSegment, timeout: float, alive_fn: Callable[[], bool] | None
+) -> None:
+    """Poll the state word until the target serves (``BackendError`` if
+    it stops, dies or stays silent for ``timeout`` seconds first)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        state = segment.state
+        if state == STATE_READY:
+            return
+        if state == STATE_STOPPED:
+            raise BackendError("shm target already stopped")
+        if alive_fn is not None and not alive_fn():
+            raise BackendError("shm target process died during startup")
+        if time.monotonic() >= deadline:
+            raise BackendError(
+                f"shm target not ready within {timeout:g} s "
+                f"(segment {segment.name!r})"
+            )
+        time.sleep(0.001)
 
 
 def spawn_shm_server(
@@ -779,25 +771,18 @@ def spawn_shm_server(
         target=_server_entry, args=(segment, catalog, workers), daemon=True
     )
     process.start()
-    deadline = time.monotonic() + startup_timeout
-    while segment.state != STATE_READY:
-        if not process.is_alive():
-            segment.close()
-            segment.unlink()
-            raise BackendError("shm target server died during startup")
-        if time.monotonic() >= deadline:
-            process.terminate()
-            process.join(timeout=5)
-            segment.close()
-            segment.unlink()
-            raise BackendError(
-                f"shm target server did not start within {startup_timeout:g} s"
-            )
-        time.sleep(0.001)
+    try:
+        _await_ready(segment, startup_timeout, process.is_alive)
+    except BackendError:
+        process.terminate()
+        process.join(timeout=5)
+        segment.close()
+        segment.unlink()
+        raise
     return process, segment
 
 
-class ShmBackend(Backend):
+class ShmBackend(FramedClient):
     """Client side of the shared-memory backend (one target).
 
     There is no receiver thread: whichever caller needs a reply takes
@@ -833,6 +818,7 @@ class ShmBackend(Backend):
     """
 
     name = "shm"
+    _peer_kind = "segment"
 
     def __init__(
         self,
@@ -847,39 +833,24 @@ class ShmBackend(Backend):
         sleep_min: float = DEFAULT_SLEEP_MIN,
         sleep_max: float = DEFAULT_SLEEP_MAX,
     ) -> None:
-        super().__init__()
         if isinstance(segment, str):
             segment = ShmSegment.attach(segment)
+        super().__init__(catalog, on_shutdown, op_timeout)
         self.segment = segment
-        self.host_image = ProcessImage("shm-host", catalog)
-        self._on_shutdown = on_shutdown
-        self.op_timeout = op_timeout
         self._alive_fn = alive_fn
         knobs = dict(
             spin_yields=spin_yields, sleep_min=sleep_min, sleep_max=sleep_max
         )
         self._h2t = _host_to_target_ring(segment, **knobs)
         self._t2h = _target_to_host_ring(segment, **knobs)
-        #: Correlation id -> reply sink: ("invoke", handle) or ("sync", box).
-        self._pending: dict[int, tuple[str, Any]] = {}
-        self._pending_lock = threading.Lock()
-        self._send_lock = threading.Lock()
         #: Serializes reply-ring consumption (the leader/follower gate).
         #: Reentrant so the send-stall drain can run while the sending
         #: thread itself is the leader (see :meth:`_send_stall`).
         self._drive_lock = threading.RLock()
-        self._sync_local = threading.local()
-        self._msg_id = 0
-        self._alive = True
-        self._closed = False
-        self._closing = False
         #: Bound once — creating a bound method per frame costs real
         #: time at shared-memory latencies.
         self._peer_error_cb = self._peer_error
         self._send_stall_cb = self._send_stall
-        self.invokes_posted = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
         #: Reactor backstop (see :meth:`_backstop_pump`): attached
         #: lazily, and only pumping while done-callbacks are armed, so
         #: the driven hot path never shares the CPU with a poller.
@@ -888,71 +859,19 @@ class ShmBackend(Backend):
         self._backstop_timer: Any = None
         self._backstop_interval = _BACKSTOP_MIN
         self.backstop_pumps = 0
-        self._wait_ready(startup_timeout)
+        _await_ready(segment, startup_timeout, alive_fn)
         self.segment.client_pid = os.getpid()
-        try:
-            server_digest = self._roundtrip(OP_PING, timeout=startup_timeout)
-            if server_digest and bytes(server_digest) != self.host_image.digest():
-                raise BackendError(
-                    "offloadable catalogs differ between host and target "
-                    "(both sides must import the same application modules)"
-                )
-        except BaseException:
-            self._closing = True
-            self._alive = False
-            self.segment.close()
-            self.segment.unlink()
-            raise
-        if telemetry.get() is not None:
-            self.clock_sync = self._estimate_clock()
-        else:
-            self.clock_sync = ClockSync.identity()
+        self._handshake(startup_timeout)
 
-    def _wait_ready(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while True:
-            state = self.segment.state
-            if state == STATE_READY:
-                return
-            if state == STATE_STOPPED:
-                raise BackendError("shm target already stopped")
-            if self._alive_fn is not None and not self._alive_fn():
-                raise BackendError("shm target process died during startup")
-            if time.monotonic() >= deadline:
-                raise BackendError(
-                    f"shm target not ready within {timeout:g} s "
-                    f"(segment {self.segment.name!r})"
-                )
-            time.sleep(0.001)
+    @property
+    def peer(self) -> str:
+        return self.segment.name
 
-    def _clock_probe(self, timeout: float) -> tuple[int, int, int]:
-        t0 = time.perf_counter_ns()
-        body = self._roundtrip(OP_CLOCK, timeout=timeout)
-        t1 = time.perf_counter_ns()
-        return t0, _U64.unpack(body)[0], t1
-
-    def _estimate_clock(
-        self, rounds: int = 8, timeout: float | None = None
-    ) -> ClockSync:
-        per_probe = timeout if timeout is not None else (self.op_timeout or 5.0)
-        try:
-            return ClockSync.estimate(
-                lambda: self._clock_probe(per_probe), rounds=rounds
-            )
-        except (RemoteExecutionError, OffloadTimeoutError, BackendError):
-            return ClockSync.identity()
-
-    # -- topology ----------------------------------------------------------
-    def num_nodes(self) -> int:
-        return 2
-
-    def descriptor(self, node: NodeId) -> NodeDescriptor:
-        if node == HOST_NODE:
-            return NodeDescriptor(node, "host", "host", "shm backend host")
-        self.check_target(node)
-        return NodeDescriptor(
-            node, f"shm:{self.segment.name}", "cpu", "shm target"
-        )
+    @property
+    def _max_payload(self) -> int:
+        # Half the ring per frame: a bulk transfer never deadlocks
+        # against its own backpressure, and two chunks can overlap.
+        return max(4096, self.segment.capacity // 2 - 64)
 
     # -- liveness ----------------------------------------------------------
     def _peer_error(self) -> BackendError | None:
@@ -974,45 +893,7 @@ class ShmBackend(Backend):
             return BackendError("shm target stopped serving")
         return None
 
-    def _check_alive(self) -> None:
-        if not self._alive:
-            raise BackendError("shm backend is shut down")
-
-    # -- reply plumbing ----------------------------------------------------
-    def _pending_count(self) -> int:
-        with self._pending_lock:
-            return len(self._pending)
-
-    def _next_corr(self) -> int:
-        return next(InvokeHandle._ids)
-
-    def _fail_pending(self, error: BaseException) -> None:
-        """Declare the transport lost: mark dead, fail every expectation."""
-        self._alive = False
-        with self._pending_lock:
-            sinks = list(self._pending.values())
-            self._pending.clear()
-        if not (self._closing or self._closed):
-            # Unplanned loss (peer death, ring corruption): snapshot the
-            # last few seconds of events before retries/failover churn
-            # overwrite the evidence. Clean shutdown passes through the
-            # _closing/_closed path and records nothing.
-            flightrecorder.trigger(
-                "peer_death",
-                force=True,  # rare + catastrophic: never debounced away
-                transport=self.name,
-                segment=self.segment.name,
-                orphaned=len(sinks),
-                error=str(error),
-            )
-        for kind, sink in sinks:
-            if kind == "invoke":
-                sink.complete_with_error(error)
-            else:
-                sink["error"] = error
-                sink["event"].set()
-        self._release_backstop()
-
+    # -- how a frame leaves ------------------------------------------------
     def _send_stall(self) -> BackendError | None:
         """Stop-callback while blocked on a full request ring.
 
@@ -1023,23 +904,8 @@ class ShmBackend(Backend):
         reentrant, so this works even when the stalled sender is the
         current reply-pumping leader.
         """
-        error = self._peer_error()
-        if error is not None:
-            return error
-        if self._drive_lock.acquire(blocking=False):
-            try:
-                ring = self._t2h
-                while ring.readable():
-                    op, corr, body = ring.read_frame()
-                    self.bytes_received += len(body) + FRAME_OVERHEAD
-                    self._dispatch_reply(op, corr, body)
-            except BackendError as exc:
-                if not self._closing:
-                    self._fail_pending(exc)
-                return exc
-            finally:
-                self._drive_lock.release()
-        return None
+        self._poll()
+        return self._peer_error()
 
     def _send(self, op: int, corr: int, *parts: Any) -> None:
         try:
@@ -1048,12 +914,21 @@ class ShmBackend(Backend):
                     op, corr, parts,
                     timeout=self.op_timeout, stop=self._send_stall_cb,
                 )
-        except (BackendError, OffloadTimeoutError) as exc:
-            if isinstance(exc, OffloadTimeoutError):
-                raise
+        except BackendError as exc:  # a ring that stays full only times out
             self._fail_pending(exc)
             raise
         self.bytes_sent += sent
+
+    # -- how a waiter blocks -----------------------------------------------
+    def _poll(self, patience: float = 0.0, wait: float = 0.0) -> None:
+        """Pump for up to ``wait`` seconds if the drive lock can be had
+        within ``patience``: if a leader holds it, it completes handles
+        for everyone anyway."""
+        if self._drive_lock.acquire(timeout=patience):
+            try:
+                self._pump(wait)
+            finally:
+                self._drive_lock.release()
 
     def _pump(self, wait: float) -> None:
         """Drive lock held: wait up to ``wait`` for replies, drain them.
@@ -1078,63 +953,23 @@ class ShmBackend(Backend):
                     except BaseException as exc:
                         reply_span.__exit__(type(exc), exc, exc.__traceback__)
                         raise
-                    reply_span.set("bytes", len(body) + FRAME_OVERHEAD)
-                    with trace_context.activate(_unsampled_reply_context(body)):
-                        reply_span.__exit__(None, None, None)
+                    close_reply_span(reply_span, body)
                 self.bytes_received += len(body) + FRAME_OVERHEAD
                 self._dispatch_reply(op, corr, body)
         except BackendError as exc:
             if not self._closing:
                 self._fail_pending(exc)
 
-    def _dispatch_reply(self, op: int, corr: int, body: memoryview) -> None:
-        """Complete the expectation filed under ``corr`` (any order)."""
-        with self._pending_lock:
-            entry = self._pending.pop(corr, None)
-        if entry is None:
-            telemetry.count("shm.unmatched_replies")
-            return
-        kind, sink = entry
-        if op == OP_FAILURE:
-            info = pickle.loads(body)
-            failure: BaseException = RemoteExecutionError(
-                f"remote {info['type']}: {info['message']}",
-                remote_traceback=info.get("traceback", ""),
-            )
-            if kind == "invoke":
-                sink.complete_with_error(failure)
-            else:
-                sink["error"] = failure
-                sink["event"].set()
-            return
-        if kind == "invoke":
-            if op != (OP_INVOKE | OP_REPLY_BIT):
-                sink.complete_with_error(
-                    BackendError(f"expected invoke reply, got op {op:#x}")
-                )
-                return
-            sink.complete_with_reply(body)
-            if telemetry.get() is not None:
-                telemetry.gauge("shm.pending_replies", self._pending_count())
-        else:
-            if op != (sink["op"] | OP_REPLY_BIT):
-                sink["error"] = BackendError(
-                    f"expected reply to op {sink['op']:#x}, got {op:#x}"
-                )
-            else:
-                sink["body"] = body
-            sink["event"].set()
-
-    def _drive_until(
+    def _wait(
         self,
         done: Callable[[], bool],
-        wait: Callable[[float], bool],
+        block: Callable[[float | None], bool],
         timeout: float | None,
         what: str,
     ) -> None:
         """Pump (or wait on the pumping leader) until ``done()`` holds.
 
-        ``wait(seconds)`` blocks on the expectation's completion; it is
+        ``block(seconds)`` sleeps on the expectation's completion; it is
         only called while another thread is the pumping leader. Raises
         :class:`OffloadTimeoutError` after ``timeout`` seconds — softly,
         the caller's expectation stays filed.
@@ -1148,7 +983,7 @@ class ShmBackend(Backend):
                 if remaining <= 0:
                     raise OffloadTimeoutError(
                         f"no reply through shm segment "
-                        f"{self.segment.name!r} within the deadline ({what})"
+                        f"{self.peer!r} within the deadline ({what})"
                     )
             if lock.acquire(timeout=0.005):
                 try:
@@ -1162,80 +997,35 @@ class ShmBackend(Backend):
                     lock.release()
             else:
                 # A leader is pumping; it completes us on arrival.
-                wait(0.002)
+                block(0.002)
             if not self._alive and not done():
                 # Filed after the drain — nothing will ever match it.
                 raise BackendError("shm transport lost while waiting for a reply")
 
-    def _sync_box(self, op: int) -> dict[str, Any]:
-        """A reusable per-thread expectation box for sync roundtrips.
-
-        Reuse keeps Event construction off the hot path. A roundtrip
-        that times out *abandons* its event (the stale expectation stays
-        filed and may be completed later) and the thread gets a fresh
-        one next time.
-        """
-        local = self._sync_local
-        event = getattr(local, "event", None)
-        if event is None:
-            event = local.event = threading.Event()
-        event.clear()
-        return {"op": op, "event": event}
-
     def _roundtrip(
         self, op: int, *parts: Any, timeout: float | None = None
     ) -> memoryview:
-        """Synchronous request: post, then drive until the reply matches."""
-        self._check_alive()
-        effective = timeout if timeout is not None else self.op_timeout
-        # Leader fast path: become the reply leader *before* sending.
-        # While this thread holds the drive lock nobody else can consume
-        # its reply, so the expectation table can be skipped entirely —
-        # the common case is that the very next frame is ours, and the
-        # saved bookkeeping is a measurable slice of a shared-memory
-        # RTT. Requires no recorder (the generic pump also emits the
-        # per-reply ``offload.reply`` spans).
+        """The shared roundtrip behind a leader fast path.
+
+        Become the reply leader *before* sending: while this thread
+        holds the drive lock nobody else can consume its reply, so the
+        expectation table can be skipped entirely — the common case is
+        that the very next frame is ours, and the saved bookkeeping is a
+        measurable slice of a shared-memory RTT. Requires no recorder
+        (the generic pump also emits the per-reply ``offload.reply``
+        spans).
+        """
         if telemetry.get() is None and self._drive_lock.acquire(blocking=False):
             try:
-                corr = next(InvokeHandle._ids)
-                try:
-                    with self._send_lock:
-                        self.bytes_sent += self._h2t.write_frame(
-                            op, corr, parts,
-                            timeout=self.op_timeout, stop=self._send_stall_cb,
-                        )
-                except BackendError as exc:
-                    self._fail_pending(exc)
-                    raise
-                return self._consume_inline(op, corr, effective)
+                self._check_alive()
+                corr = self._next_corr()
+                self._send(op, corr, *parts)
+                return self._consume_inline(
+                    op, corr, timeout if timeout is not None else self.op_timeout
+                )
             finally:
                 self._drive_lock.release()
-        corr = self._next_corr()
-        box = self._sync_box(op)
-        with self._pending_lock:
-            self._pending[corr] = ("sync", box)
-        try:
-            self._send(op, corr, *parts)
-        except BaseException:
-            with self._pending_lock:
-                self._pending.pop(corr, None)
-            raise
-        if not self._alive:
-            with self._pending_lock:
-                entry = self._pending.pop(corr, None)
-            if entry is not None and "error" not in box:
-                raise BackendError("shm transport lost during roundtrip")
-        try:
-            event = box["event"]
-            self._drive_until(event.is_set, event.wait, effective, f"op {op:#x}")
-        except OffloadTimeoutError:
-            self._sync_local.event = None  # the filed box keeps it
-            raise
-        if "error" in box:
-            raise box["error"]
-        if "body" not in box:
-            raise BackendError("shm transport lost during roundtrip")
-        return box["body"]
+        return super()._roundtrip(op, *parts, timeout=timeout)
 
     def _consume_inline(
         self, op: int, corr: int, timeout: float | None
@@ -1243,8 +1033,8 @@ class ShmBackend(Backend):
         """Drive-lock held: pump until ``corr``'s reply, returned directly.
 
         Replies for other callers are dispatched through the expectation
-        table on the way. A timeout is soft, like :meth:`_drive_until`:
-        the expectation is filed *now* (no reply can have slipped past —
+        table on the way. A timeout is soft, like :meth:`_wait`: the
+        expectation is filed *now* (no reply can have slipped past —
         this thread held the drive lock throughout) so a later pump can
         still complete it instead of counting it unmatched.
         """
@@ -1262,8 +1052,7 @@ class ShmBackend(Backend):
                         )
                     raise OffloadTimeoutError(
                         f"no reply through shm segment "
-                        f"{self.segment.name!r} within the deadline "
-                        f"(op {op:#x})"
+                        f"{self.peer!r} within the deadline (op {op:#x})"
                     )
             try:
                 if not ring.wait_readable(timeout=wait, stop=stop):
@@ -1280,16 +1069,11 @@ class ShmBackend(Backend):
             if reply_op == op | OP_REPLY_BIT:
                 return body
             if reply_op == OP_FAILURE:
-                info = pickle.loads(body)
-                raise RemoteExecutionError(
-                    f"remote {info['type']}: {info['message']}",
-                    remote_traceback=info.get("traceback", ""),
-                )
+                raise remote_failure(body)
             raise BackendError(
                 f"expected reply to op {op:#x}, got {reply_op:#x}"
             )
 
-    # -- invocation --------------------------------------------------------
     def _window_progress(self) -> Callable[[], None]:
         """Progress callback for window admission on a driven backend.
 
@@ -1312,85 +1096,9 @@ class ShmBackend(Backend):
                     f"in-flight window full ({limit} operations outstanding) "
                     "and no completion within the deadline"
                 )
-            if self._drive_lock.acquire(timeout=0.005):
-                try:
-                    self._pump(0.005)
-                finally:
-                    self._drive_lock.release()
+            self._poll(0.005, 0.005)
 
         return progress
-
-    def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
-        self._check_alive()
-        self.check_target(node)
-        # Backpressure point: pumping replies is what frees window slots.
-        self._admit_invoke(
-            label=functor.type_name, progress=self._window_progress()
-        )
-        try:
-            self._check_alive()
-            self._msg_id += 1
-            parts = build_invoke_parts(self.host_image, functor, self._msg_id)
-            # Only the enqueue span reads the size.
-            total = sum(map(len, parts)) if telemetry.enabled() else 0
-            handle = InvokeHandle(self, label=functor.type_name)
-        except BaseException:
-            self.window.cancel()
-            raise
-        # Telemetry phase ``offload.enqueue``: filing the expectation and
-        # copying the frame into the request ring.
-        with telemetry.span(
-            "offload.enqueue", bytes=total, functor=functor.type_name,
-            corr=handle.correlation_id,
-        ):
-            with self._pending_lock:
-                self._pending[handle.correlation_id] = ("invoke", handle)
-            self._register_invoke(handle)
-            try:
-                self._send(OP_INVOKE, handle.correlation_id, *parts)
-            except BaseException as exc:
-                with self._pending_lock:
-                    self._pending.pop(handle.correlation_id, None)
-                handle.complete_with_error(
-                    exc if isinstance(exc, (BackendError, OffloadTimeoutError))
-                    else BackendError(f"send failed while posting invoke: {exc}")
-                )
-                raise
-        # A pump may have declared the transport lost between the
-        # aliveness check and our registration; fail the straggler here.
-        if not self._alive:
-            with self._pending_lock:
-                entry = self._pending.pop(handle.correlation_id, None)
-            if entry is not None:
-                handle.complete_with_error(
-                    BackendError("shm transport lost while posting invoke")
-                )
-        self.invokes_posted += 1
-        if telemetry.get() is not None:
-            telemetry.gauge("shm.pending_replies", self._pending_count())
-        return handle
-
-    def drive(
-        self, handle: InvokeHandle, *, blocking: bool, timeout: float | None = None
-    ) -> None:
-        if handle.completed:
-            return
-        self._check_alive()
-        if not blocking:
-            # Opportunistic pump: drain whatever already arrived, never
-            # wait. If a leader holds the lock it completes handles for
-            # everyone anyway.
-            if self._drive_lock.acquire(blocking=False):
-                try:
-                    self._pump(0.0)
-                finally:
-                    self._drive_lock.release()
-            return
-        effective = timeout if timeout is not None else self.op_timeout
-        self._drive_until(
-            lambda: handle.completed, handle.wait_event,
-            effective, f"invoke {handle.label}",
-        )
 
     # -- reactor backstop --------------------------------------------------
     def _callback_armed(self, handle: InvokeHandle) -> None:
@@ -1432,14 +1140,11 @@ class ShmBackend(Backend):
             if self._closed or not self._alive or self._reactor is None:
                 return
         progressed = False
-        if self._pending_count() and self._drive_lock.acquire(blocking=False):
-            try:
-                before = self.bytes_received
-                self.backstop_pumps += 1
-                self._pump(0.0)
-                progressed = self.bytes_received != before
-            finally:
-                self._drive_lock.release()
+        if self._pending_count():
+            before = self.bytes_received
+            self.backstop_pumps += 1
+            self._poll()
+            progressed = self.bytes_received != before
         with self._reactor_lock:
             if (
                 self._closed
@@ -1457,8 +1162,10 @@ class ShmBackend(Backend):
                 self._backstop_interval, self._backstop_pump
             )
 
-    def _release_backstop(self) -> None:
-        """Cancel the backstop and detach from the shared reactor."""
+    # -- lifecycle ---------------------------------------------------------
+    def _detach(self) -> None:
+        """Cancel the backstop and detach from the shared reactor. The
+        mapping stays: other threads may still be polling the rings."""
         with self._reactor_lock:
             timer, self._backstop_timer = self._backstop_timer, None
             reactor, self._reactor = self._reactor, None
@@ -1467,72 +1174,12 @@ class ShmBackend(Backend):
         if reactor is not None:
             eventloop.release_reactor(reactor)
 
-    # -- memory ------------------------------------------------------------
-    def _chunk_size(self) -> int:
-        # Half the ring per frame: a bulk transfer never deadlocks
-        # against its own backpressure, and two chunks can overlap.
-        return max(4096, self.segment.capacity // 2 - 64)
-
-    def alloc_buffer(self, node: NodeId, nbytes: int) -> int:
-        self.check_target(node)
-        return _U64.unpack(self._roundtrip(OP_ALLOC, _U64.pack(nbytes)))[0]
-
-    def free_buffer(self, node: NodeId, addr: int) -> None:
-        self.check_target(node)
-        self._roundtrip(OP_FREE, _U64.pack(addr))
-
-    def write_buffer(self, node: NodeId, addr: int, data: Any) -> None:
-        self.check_target(node)
-        view = _byte_view(data)
-        chunk = self._chunk_size()
-        if len(view) <= chunk:
-            self._roundtrip(OP_WRITE, _U64.pack(addr), view)
-            return
-        # Chunked: HostedBuffers accepts offset addresses inside a live
-        # allocation, so each chunk lands at addr + offset.
-        for offset in range(0, len(view), chunk):
-            self._roundtrip(
-                OP_WRITE, _U64.pack(addr + offset), view[offset : offset + chunk]
-            )
-
-    def read_buffer(self, node: NodeId, addr: int, nbytes: int) -> bytes:
-        self.check_target(node)
-        chunk = self._chunk_size()
-        if nbytes <= chunk:
-            return bytes(
-                self._roundtrip(OP_READ, _U64.pack(addr) + _U64.pack(nbytes))
-            )
-        out = bytearray(nbytes)
-        for offset in range(0, nbytes, chunk):
-            n = min(chunk, nbytes - offset)
-            out[offset : offset + n] = self._roundtrip(
-                OP_READ, _U64.pack(addr + offset) + _U64.pack(n)
-            )
-        return bytes(out)
-
-    # -- telemetry ---------------------------------------------------------
-    def fetch_target_telemetry(
-        self, timeout: float | None = None, align: bool = True
-    ) -> list:
-        """Pull (and clear) the target server's telemetry records."""
-        if align:
-            self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
-        rows = pickle.loads(self._roundtrip(OP_TELEMETRY, timeout=timeout))
-        records = dicts_to_records(rows)
-        if align and self.clock_sync.offset_ns:
-            records = align_records(records, self.clock_sync.offset_ns)
-        return records
-
-    # -- health ------------------------------------------------------------
-    def ping(self, node: NodeId) -> float:
-        """Round-trip an ``OP_PING`` heartbeat; returns wall seconds."""
-        self.check_target(node)
-        start = time.monotonic()
-        self._roundtrip(OP_PING)
-        return time.monotonic() - start
-
-    def set_default_timeout(self, seconds: float | None) -> None:
-        self.op_timeout = seconds
+    def _close_transport(self) -> None:
+        """Close and — when this process owns it — unlink the segment,
+        so no ``/dev/shm`` entry outlives the backend."""
+        self._detach()
+        self.segment.close()
+        self.segment.unlink()
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -1552,7 +1199,7 @@ class ShmBackend(Backend):
             )
         return {
             "backend": self.name,
-            "segment": self.segment.name,
+            "segment": self.peer,
             "ring_capacity": self.segment.capacity,
             "invokes_posted": self.invokes_posted,
             "bytes_sent": self.bytes_sent,
@@ -1570,46 +1217,3 @@ class ShmBackend(Backend):
             "backstop_pumps": self.backstop_pumps,
             "backstop_armed": self._backstop_timer is not None,
         }
-
-    def introspect_target(
-        self, timeout: float | None = None
-    ) -> dict[str, Any]:
-        """Ask the target for its live state (``OP_INTROSPECT``).
-
-        Same transport-agnostic dict as the TCP backend's, with the
-        ``rings`` block populated from the target's side of the segment.
-        """
-        payload = pickle.loads(self._roundtrip(OP_INTROSPECT, timeout=timeout))
-        if not isinstance(payload, dict):
-            raise BackendError(
-                f"malformed introspection reply: {type(payload).__name__}"
-            )
-        return payload
-
-    # -- lifecycle ---------------------------------------------------------
-    def shutdown(self) -> None:
-        """Stop the target, fail stragglers, close and unlink the segment.
-
-        Robust against an already-dead target: the SHUTDOWN roundtrip is
-        skipped (or tolerated failing) and the segment is still closed
-        and — when this process owns it — unlinked, so no ``/dev/shm``
-        entry outlives the backend either way.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._alive:
-            try:
-                # The server acknowledges only once nothing executes or is
-                # backlogged, so invoke replies land ahead of this one.
-                self._roundtrip(OP_SHUTDOWN, timeout=self.op_timeout or 10.0)
-            except (BackendError, OffloadTimeoutError, RemoteExecutionError):
-                pass  # server already gone or wedged
-        self._closing = True
-        if self._alive:
-            self._fail_pending(BackendError("shm backend is shut down"))
-        self._release_backstop()
-        if self._on_shutdown is not None:
-            self._on_shutdown()
-        self.segment.close()
-        self.segment.unlink()

@@ -28,7 +28,9 @@ replies) echo the request's id. The client matches replies through an
 id-keyed table instead of a FIFO, so they may arrive in any order —
 which is what lets the target execute invocations concurrently (the
 leader/followers loop of :mod:`repro.backends._server`) while memory
-operations stay synchronous roundtrips.
+operations stay synchronous roundtrips. That table, and everything else
+on the host side that is not moving bytes, is shared with shm:
+:mod:`repro.backends._client` (docs/architecture.md, "Client core").
 
 Frames are assembled with vectored I/O (``sendmsg``): large array
 payloads travel as ``memoryview`` parts straight from the arrays' own
@@ -49,15 +51,18 @@ connections cost one loop, not fifty blocking readers.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import socket
 import struct
-import threading
-import time
 from typing import Any, Callable
 
 from repro.backends import eventloop
-from repro.backends._server import (  # noqa: F401 - the op table lives there
+from repro.backends._client import FramedClient, close_reply_span
+from repro.backends._server import (  # noqa: F401 - the frame grammar lives there
+    _FRAME_META,
+    _LEN,
+    _PREFIX,
+    _U64,
+    FRAME_OVERHEAD,
     OP_ALLOC,
     OP_CLOCK,
     OP_FAILURE,
@@ -71,30 +76,14 @@ from repro.backends._server import (  # noqa: F401 - the op table lives there
     OP_TELEMETRY,
     OP_WRITE,
     FramedServer,
+    reset_forked_recorder,
 )
-from repro.backends.base import Backend, CoalescePolicy, FrameCoalescer, InvokeHandle
-from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
-from repro.ham.execution import build_invoke_parts
-from repro.ham.functor import Functor
-from repro.ham.message import peek_trace
-from repro.ham.registry import Catalog, ProcessImage
-from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
-from repro.telemetry import context as trace_context
-from repro.telemetry import flightrecorder
+from repro.backends.base import FrameCoalescer
+from repro.errors import BackendError, OffloadTimeoutError
+from repro.ham.registry import Catalog
 from repro.telemetry import recorder as telemetry
-from repro.telemetry.distributed import ClockSync, align_records
-from repro.telemetry.export import dicts_to_records
 
 __all__ = ["TcpBackend", "TcpTargetServer", "spawn_local_server"]
-
-_LEN = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-#: ``length | op | corr`` — the frame prefix (13 bytes).
-_PREFIX = struct.Struct("<IBQ")
-#: op byte + correlation id, counted inside the frame length.
-_FRAME_META = 1 + _U64.size
-#: Full on-wire overhead of one frame (length prefix + op + corr).
-FRAME_OVERHEAD = _LEN.size + _FRAME_META
 
 #: Default number of concurrent INVOKEs a target executes.
 DEFAULT_SERVER_WORKERS = 4
@@ -127,34 +116,10 @@ def _sendmsg_all(sock: socket.socket, parts: list) -> None:
                 sent = 0
 
 
-def _send_frame(sock: socket.socket, op: int, corr: int, *parts) -> int:
-    """Send one frame; returns the number of wire bytes."""
+def _send_frame(sock: socket.socket, op: int, corr: int, *parts) -> None:
+    """Send one frame."""
     body_len = sum(len(part) for part in parts)
     _sendmsg_all(sock, [_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts])
-    return FRAME_OVERHEAD + body_len
-
-
-def _recv_frame(sock: socket.socket) -> tuple[int, int, memoryview]:
-    """Read exactly one frame; returns ``(op, correlation_id, body_view)``.
-
-    The stateless reader of the tests' stub servers — it never reads
-    past the frame. Both transport ends decode with :class:`FrameParser`.
-    """
-
-    def exact(nbytes: int, what: str) -> bytes:
-        data = sock.recv(nbytes, socket.MSG_WAITALL)
-        if len(data) < nbytes:
-            raise BackendError(
-                f"connection closed mid-{what}: received {len(data)} of "
-                f"{nbytes} expected bytes"
-            )
-        return data
-
-    (length,) = _LEN.unpack(exact(_LEN.size, "frame header"))
-    if length < _FRAME_META:
-        raise BackendError(f"short frame: length {length} < {_FRAME_META}")
-    payload = exact(length, "frame payload")
-    return payload[0], _U64.unpack_from(payload, 1)[0], memoryview(payload)[_FRAME_META:]
 
 
 class FrameParser:
@@ -317,8 +282,6 @@ class TcpTargetServer(FramedServer):
         super().__init__(catalog, workers)
         self._listener = socket.create_server((host, port))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        #: Every serving thread replies on the one socket.
-        self._send_lock = threading.Lock()
 
     def serve_forever(self) -> None:
         """Accept one client and serve requests until SHUTDOWN/EOF."""
@@ -350,36 +313,10 @@ class TcpTargetServer(FramedServer):
             _send_frame(self._conn, op, corr, *parts)
 
 
-def _unsampled_reply_context(body) -> "trace_context.TraceContext | None":
-    """The reply's trace context, only when it is unsampled.
-
-    Sampled (and untraced/v1) replies return ``None`` so their
-    ``offload.reply`` span records exactly as before; an unsampled
-    reply's context routes the span through the recorder's sampling
-    gate, tying its fate to the trace's tail-retention verdict.
-    """
-    peeked = peek_trace(body)
-    if peeked is None:
-        return None
-    tid, _parent, flags = peeked
-    if tid == 0 or flags & trace_context.FLAG_SAMPLED:
-        return None
-    return trace_context.TraceContext(trace_id=tid, sampled=False)
-
-
 def _server_entry(
     port_pipe: Any, catalog: Catalog | None, workers: int
 ) -> None:
-    recorder = telemetry.get()
-    if recorder is not None:
-        # The fork inherits the host recorder wholesale, including the
-        # host-only sampling machinery. A tail pipeline here would stage
-        # unsampled spans that no completion ever settles (completions
-        # happen host-side), and SLO windows would double-count — the
-        # target is the "skip unsampled work entirely" side.
-        recorder.sampler = None
-        recorder.pipeline = None
-        recorder.slo = None
+    reset_forked_recorder()
     server = TcpTargetServer(catalog=catalog, workers=workers)
     port_pipe.send(server.address)
     port_pipe.close()
@@ -417,17 +354,17 @@ def spawn_local_server(
     return process, address
 
 
-class TcpBackend(Backend):
+class TcpBackend(FramedClient):
     """Client side of the TCP backend (one target).
 
     The inbound side of the socket is owned by the process-wide
     reactor (:mod:`repro.backends.eventloop`): a read callback parses
-    frames incrementally on the shared loop thread, matches each reply
-    to its request through the correlation-id table, and completes the
-    waiting handle — so replies complete out of order and a soft
-    timeout never desynchronizes the stream (the frame is simply
-    matched when it eventually arrives). No thread is spawned per
-    connection; every ``TcpBackend`` in the process shares one loop.
+    frames incrementally on the shared loop thread and hands each reply
+    to the correlation table, which completes the waiting handle — so
+    replies complete out of order and a soft timeout never
+    desynchronizes the stream (the frame is simply matched when it
+    eventually arrives). No thread is spawned per connection; every
+    ``TcpBackend`` in the process shares one loop.
 
     The outbound side coalesces small invoke frames into one
     ``sendmsg`` batch (see :class:`~repro.backends.base.FrameCoalescer`),
@@ -453,16 +390,10 @@ class TcpBackend(Backend):
         on the runtime sets this via :meth:`set_default_timeout`.
     connect_timeout:
         Deadline for establishing the connection and handshake.
-    batch:
-        Coalescing knobs: ``True``/``None`` for the adaptive defaults,
-        ``False`` to disable (every frame is its own send, the PR 4
-        wire behavior), or a dict of
-        :class:`~repro.backends.base.CoalescePolicy` overrides
-        (``max_bytes``, ``max_frames``, ``max_delay_us``,
-        ``idle_depth``).
     """
 
     name = "tcp"
+    _peer_kind = "address"
 
     def __init__(
         self,
@@ -472,158 +403,135 @@ class TcpBackend(Backend):
         *,
         op_timeout: float | None = None,
         connect_timeout: float = 10.0,
-        batch: Any = None,
     ) -> None:
-        super().__init__()
-        self.host_image = ProcessImage("tcp-host", catalog)
+        super().__init__(catalog, on_shutdown, op_timeout)
         self.address = address
-        self._on_shutdown = on_shutdown
-        self.op_timeout = op_timeout
         self._sock = socket.create_connection(address, timeout=connect_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(None)
-        #: Correlation id -> reply sink: ("invoke", handle) or ("sync", box).
-        self._pending: dict[int, tuple[str, Any]] = {}
-        self._pending_lock = threading.Lock()
-        self._send_lock = threading.Lock()
-        self._msg_id = 0
-        self._alive = True
-        self._closed = False
-        self._closing = False
-        self.invokes_posted = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
         #: Inbound frame decoder, touched only on the loop.
         self._parser = FrameParser(self._sock)
         self._io_detached = False
         self._reactor = eventloop.get_reactor()
-        policy = CoalescePolicy.from_option(batch)
-        self._coalescer: FrameCoalescer | None = None
-        if policy is not None:
-            self._coalescer = FrameCoalescer(
-                transmit=self._transmit_batch,
-                schedule=self._reactor.call_later,
-                policy=policy,
-                depth=self._pending_count,
-            )
+        self._coalescer = FrameCoalescer(
+            transmit=self._transmit_batch,
+            schedule=self._reactor.call_later,
+            depth=self._pending_count,
+        )
         self._reactor.register(self._sock, self._on_readable)
-        try:
-            # Handshake: fetch the server's catalog digest and compare, to
-            # fail fast when host and target registered different
-            # offloadable sets. (An empty body asks without asserting, so
-            # the comparison happens client-side with a precise error.)
-            server_digest = self._roundtrip(OP_PING, timeout=connect_timeout)
-            if server_digest and bytes(server_digest) != self.host_image.digest():
-                raise BackendError(
-                    "offloadable catalogs differ between host and target "
-                    "(both sides must import the same application modules)"
-                )
-        except BaseException:
-            self._closing = True
-            self._alive = False
-            self._teardown_io()
-            raise
-        #: Target->host clock mapping, estimated at connect by clock
-        #: ping-pong (see :mod:`repro.telemetry.distributed`) and
-        #: refreshed on every telemetry pull. Identity when the server
-        #: predates ``OP_CLOCK``, or when telemetry is off (untraced
-        #: workloads get zero extra connect traffic).
-        if telemetry.get() is not None:
-            self.clock_sync = self._estimate_clock()
-        else:
-            self.clock_sync = ClockSync.identity()
+        self._handshake(connect_timeout)
 
-    def _clock_probe(self, timeout: float) -> tuple[int, int, int]:
-        """One ping-pong round: ``(t0_host, t_target, t1_host)`` in ns."""
-        t0 = time.perf_counter_ns()
-        body = self._roundtrip(OP_CLOCK, timeout=timeout)
-        t1 = time.perf_counter_ns()
-        return t0, _U64.unpack(body)[0], t1
+    @property
+    def peer(self) -> str:
+        return f"{self.address[0]}:{self.address[1]}"
 
-    def _estimate_clock(
-        self, rounds: int = 8, timeout: float | None = None
-    ) -> ClockSync:
-        """Ping-pong the server's clock; identity if it lacks OP_CLOCK."""
-        per_probe = timeout if timeout is not None else (self.op_timeout or 5.0)
-        try:
-            return ClockSync.estimate(
-                lambda: self._clock_probe(per_probe), rounds=rounds
-            )
-        except (RemoteExecutionError, OffloadTimeoutError, BackendError):
-            # Older server without OP_CLOCK (or one too wedged or broken
-            # to answer): fall back to the shared monotonic clock. If the
-            # probe killed the transport the next real op reports it.
-            return ClockSync.identity()
+    # -- how a frame leaves -------------------------------------------------------
+    def _send(self, op: int, corr: int, *parts: Any) -> None:
+        """Send one frame now, flushing any coalesced frames first.
 
-    # -- topology -------------------------------------------------------------
-    def num_nodes(self) -> int:
-        return 2
-
-    def descriptor(self, node: NodeId) -> NodeDescriptor:
-        if node == HOST_NODE:
-            return NodeDescriptor(node, "host", "host", "tcp backend host")
-        self.check_target(node)
-        return NodeDescriptor(
-            node, f"tcp:{self.address[0]}:{self.address[1]}", "cpu", "tcp target"
+        The ordered path for synchronous operations and large
+        payloads: everything buffered ahead of this frame goes out
+        before it, so the stream never reorders around a roundtrip.
+        """
+        self._coalescer.flush("sync")
+        body_len = sum(map(len, parts))
+        self._transmit_batch(
+            [_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts]
         )
 
-    # -- reply plumbing -----------------------------------------------------------
-    def _pending_count(self) -> int:
-        with self._pending_lock:
-            return len(self._pending)
+    def _transmit_batch(self, parts: list[Any]) -> None:
+        """One scatter-gather send (also the coalescer's sink). Socket
+        failures are translated into :class:`BackendError`."""
+        nbytes = sum(map(len, parts))
+        try:
+            with self._send_lock:
+                _sendmsg_all(self._sock, parts)
+        except OSError as exc:
+            error = BackendError(f"tcp send failed: {exc}")
+            self._fail_pending(error)
+            raise error from exc
+        self.bytes_sent += nbytes
 
-    def _next_corr(self) -> int:
-        """Correlation id for a synchronous (non-invoke) operation.
+    def _post_frame(self, op: int, corr: int, *parts: Any) -> None:
+        """Send or buffer one invoke frame (the coalescing path).
 
-        Drawn from the same process-wide counter as invoke handles so
-        ids never collide across the two kinds of traffic.
+        Small frames are copied into the batch buffer — detaching them
+        from caller-owned array storage, since the flush may happen up
+        to the coalescing deadline later — and ride the next
+        ``sendmsg`` batch. Large frames keep the zero-copy
+        scatter-gather path, flushing the buffer first so stream order
+        is preserved.
         """
-        return next(InvokeHandle._ids)
+        coalescer = self._coalescer
+        body_len = sum(map(len, parts))
+        if _FRAME_META + body_len >= coalescer.policy.max_bytes:
+            self._send(op, corr, *parts)
+            return
+        frame = b"".join((_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts))
+        coalescer.add([frame], len(frame))
 
-    def _fail_pending(self, error: BaseException) -> None:
-        """Declare the connection lost: mark dead, fail every expectation.
+    def _drop_unsent(self) -> tuple[int, int]:
+        return self._coalescer.discard()
 
-        A receive error or EOF means no outstanding operation can ever be
-        matched again — they all inherit ``error`` instead of hanging.
-        Frames still sitting in the coalescing buffer can never be
-        delivered either: they are dropped and the queued byte count is
-        folded into the error every waiter sees.
+    # -- how replies arrive ---------------------------------------------------------
+    def _on_readable(self) -> None:
+        """Reactor read callback: drain a chunk, dispatch complete frames.
+
+        Only the loop thread reads the socket, so a waiter's deadline
+        expiring never consumes half a frame — soft timeouts leave the
+        stream intact and the late reply is matched (or discarded) when
+        it arrives. EOF and receive errors poison the backend and fail
+        everything outstanding (nothing, and unrecorded, at a planned close).
         """
-        self._alive = False
-        if self._coalescer is not None:
-            frames, queued = self._coalescer.discard()
-            if frames:
-                error = BackendError(
-                    f"{error}; dropped {frames} coalesced frame"
-                    f"{'s' if frames != 1 else ''} ({queued} bytes) still "
-                    "queued for send"
-                )
-        with self._pending_lock:
-            sinks = list(self._pending.values())
-            self._pending.clear()
-        if not (self._closing or self._closed):
-            # Unplanned loss is exactly what the flight recorder exists
-            # for: capture the last few seconds of events before the
-            # failure cascades through retries and failover. A close
-            # initiated by shutdown() records nothing (the receiver may
-            # see the server's EOF before shutdown() flips _closing).
-            flightrecorder.trigger(
-                "peer_death",
-                force=True,  # rare + catastrophic: never debounced away
-                transport=self.name,
-                address=f"{self.address[0]}:{self.address[1]}",
-                orphaned=len(sinks),
-                error=str(error),
+        parser = self._parser
+        try:
+            received = parser.fill()
+        except (BlockingIOError, InterruptedError):  # pragma: no cover
+            return
+        except OSError as exc:
+            self._fail_pending(BackendError(f"tcp receive failed: {exc}"))
+            return
+        if not received:
+            self._fail_pending(_eof_error(parser, self._pending_count()))
+            return
+        self.bytes_received += received
+        while True:
+            try:
+                frame = parser.next_frame()
+            except BackendError as exc:
+                self._fail_pending(exc)
+                return
+            if frame is None:
+                return
+            op, corr, body = frame
+            if telemetry.enabled():  # peeking the header is not free
+                reply_span = telemetry.span("offload.reply")
+                reply_span.__enter__()
+                close_reply_span(reply_span, body)
+            self._dispatch_reply(op, corr, body)
+
+    # -- how a waiter blocks ----------------------------------------------------------
+    def _poll(self) -> None:
+        # A waiter implies latency-bound traffic: anything coalescing
+        # (possibly the very frame it waits behind) goes out now rather
+        # than at the batching deadline. The reactor does the rest.
+        self._coalescer.flush("drive")
+
+    def _wait(
+        self,
+        done: Callable[[], bool],
+        block: Callable[[float | None], bool],
+        timeout: float | None,
+        what: str,
+    ) -> None:
+        self._poll()
+        if not block(timeout):
+            raise OffloadTimeoutError(
+                f"no reply from {self.peer} within the deadline ({what})"
             )
-        for kind, sink in sinks:
-            if kind == "invoke":
-                sink.complete_with_error(error)
-            else:
-                sink["error"] = error
-                sink["event"].set()
-        self._teardown_io()
 
-    def _teardown_io(self) -> None:
+    # -- lifecycle ----------------------------------------------------------------------
+    def _detach(self) -> None:
         """Detach from the reactor, close the socket, drop the loop ref.
 
         Idempotent; safe from any thread including the loop itself
@@ -639,231 +547,7 @@ class TcpBackend(Backend):
             pass
         eventloop.release_reactor(self._reactor)
 
-    def _send(self, op: int, corr: int, *parts) -> None:
-        """Send one frame now, flushing any coalesced frames first.
-
-        The ordered path for synchronous operations and large
-        payloads: everything buffered ahead of this frame goes out
-        before it, so the stream never reorders around a roundtrip.
-        Socket failures are translated into :class:`BackendError`.
-        """
-        if self._coalescer is not None:
-            self._coalescer.flush("sync")
-        try:
-            with self._send_lock:
-                sent = _send_frame(self._sock, op, corr, *parts)
-        except OSError as exc:
-            error = BackendError(f"tcp send failed: {exc}")
-            self._fail_pending(error)
-            raise error from exc
-        self.bytes_sent += sent
-
-    def _transmit_batch(self, parts: list[Any]) -> None:
-        """Coalescer sink: one scatter-gather send for a whole batch."""
-        nbytes = sum(len(part) for part in parts)
-        try:
-            with self._send_lock:
-                _sendmsg_all(self._sock, parts)
-        except OSError as exc:
-            error = BackendError(f"tcp send failed: {exc}")
-            self._fail_pending(error)
-            raise error from exc
-        self.bytes_sent += nbytes
-
-    def _post_frame(self, op: int, corr: int, *parts) -> None:
-        """Send or buffer one invoke frame (the coalescing path).
-
-        Small frames are copied into the batch buffer — detaching them
-        from caller-owned array storage, since the flush may happen up
-        to the coalescing deadline later — and ride the next
-        ``sendmsg`` batch. Large frames keep the zero-copy
-        scatter-gather path, flushing the buffer first so stream order
-        is preserved.
-        """
-        coalescer = self._coalescer
-        body_len = sum(len(part) for part in parts)
-        if (
-            coalescer is None
-            or _FRAME_META + body_len >= coalescer.policy.max_bytes
-        ):
-            self._send(op, corr, *parts)
-            return
-        frame = b"".join((_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts))
-        coalescer.add([frame], len(frame))
-
-    def _on_readable(self) -> None:
-        """Reactor read callback: drain a chunk, dispatch complete frames.
-
-        Only the loop thread reads the socket, so a waiter's deadline
-        expiring never consumes half a frame — soft timeouts leave the
-        stream intact and the late reply is matched (or discarded) when
-        it arrives. EOF and receive errors poison the backend and fail
-        everything outstanding.
-        """
-        parser = self._parser
-        try:
-            received = parser.fill()
-        except (BlockingIOError, InterruptedError):  # pragma: no cover
-            return
-        except OSError as exc:
-            self._connection_lost(BackendError(f"tcp receive failed: {exc}"))
-            return
-        if not received:
-            self._connection_lost(_eof_error(parser, self._pending_count()))
-            return
-        self.bytes_received += received
-        while True:
-            try:
-                frame = parser.next_frame()
-            except BackendError as exc:
-                self._connection_lost(exc)
-                return
-            if frame is None:
-                return
-            op, corr, body = frame
-            # Telemetry phase ``offload.reply``: one reply frame pulled
-            # off the wire (the pre-reply wait lives in
-            # ``offload.transport``). The loop thread runs outside any
-            # trace context, so the span is closed under the reply's
-            # own (peeked) context when that trace is unsampled — the
-            # recorder gate then stages it with the trace instead of
-            # polluting the ring on the fast path.
-            if telemetry.enabled():  # peeking the header is not free
-                reply_span = telemetry.span("offload.reply")
-                reply_span.__enter__()
-                reply_span.set("bytes", len(body) + FRAME_OVERHEAD)
-                with trace_context.activate(_unsampled_reply_context(body)):
-                    reply_span.__exit__(None, None, None)
-            self._dispatch_reply(op, corr, body)
-
-    def _connection_lost(self, error: BackendError) -> None:
-        """Loop-side connection teardown (EOF or receive error)."""
-        if self._closing or self._closed:
-            self._teardown_io()  # planned close: nothing left to fail
-            return
-        self._fail_pending(error)
-
-    def _dispatch_reply(self, op: int, corr: int, body: memoryview) -> None:
-        """Complete the expectation filed under ``corr`` (any order)."""
-        with self._pending_lock:
-            entry = self._pending.pop(corr, None)
-        if entry is None:
-            # A reply nothing waits for: its expectation was already
-            # failed, or the peer invented a correlation id. Either way
-            # the stream itself stays consistent — count and move on.
-            telemetry.count("tcp.unmatched_replies")
-            return
-        kind, sink = entry
-        if op == OP_FAILURE:
-            info = pickle.loads(body)
-            failure: BaseException = RemoteExecutionError(
-                f"remote {info['type']}: {info['message']}",
-                remote_traceback=info.get("traceback", ""),
-            )
-            if kind == "invoke":
-                sink.complete_with_error(failure)
-            else:
-                sink["error"] = failure
-                sink["event"].set()
-            return
-        if kind == "invoke":
-            if op != (OP_INVOKE | OP_REPLY_BIT):
-                sink.complete_with_error(
-                    BackendError(f"expected invoke reply, got op {op:#x}")
-                )
-                return
-            sink.complete_with_reply(body)
-            if telemetry.enabled():  # the depth is read under a lock
-                telemetry.gauge("tcp.pending_replies", self._pending_count())
-        else:
-            if op != (sink["op"] | OP_REPLY_BIT):
-                sink["error"] = BackendError(
-                    f"expected reply to op {sink['op']:#x}, got {op:#x}"
-                )
-            else:
-                sink["body"] = body
-            sink["event"].set()
-
-    def _roundtrip(
-        self, op: int, *parts, timeout: float | None = None
-    ) -> memoryview:
-        """Synchronous request: send, then wait for the matching reply.
-
-        ``timeout`` (defaulting to :attr:`op_timeout`) bounds the whole
-        roundtrip; on expiry an :class:`OffloadTimeoutError` is raised
-        *softly* — the expectation stays registered, so the stream is
-        not poisoned and a late reply is consumed silently.
-        """
-        self._check_alive()
-        effective = timeout if timeout is not None else self.op_timeout
-        corr = self._next_corr()
-        box: dict[str, Any] = {"op": op, "event": threading.Event()}
-        with self._pending_lock:
-            self._pending[corr] = ("sync", box)
-        self._send(op, corr, *parts)
-        if not box["event"].wait(effective):
-            raise OffloadTimeoutError(
-                f"no reply from {self.address[0]}:{self.address[1]} "
-                "within the deadline"
-            )
-        if "error" in box:
-            raise box["error"]
-        return box["body"]
-
-    # -- invocation --------------------------------------------------------------
-    def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
-        self._check_alive()
-        self.check_target(node)
-        # Backpressure point: a window slot must free up (receiver thread
-        # completes a handle) before another invoke may enter the pipe.
-        self._admit_invoke(label=functor.type_name)
-        try:
-            self._check_alive()
-            self._msg_id += 1
-            parts = build_invoke_parts(self.host_image, functor, self._msg_id)
-            # Only the enqueue span reads the size.
-            total = sum(map(len, parts)) if telemetry.enabled() else 0
-            handle = InvokeHandle(self, label=functor.type_name)
-        except BaseException:
-            self.window.cancel()
-            raise
-        # Telemetry phase ``offload.enqueue``: filing the reply
-        # expectation and pushing the frame onto the socket.
-        with telemetry.span(
-            "offload.enqueue", bytes=total, functor=functor.type_name,
-            corr=handle.correlation_id,
-        ):
-            with self._pending_lock:
-                self._pending[handle.correlation_id] = ("invoke", handle)
-            self._register_invoke(handle)
-            try:
-                self._post_frame(OP_INVOKE, handle.correlation_id, *parts)
-            except BaseException as exc:
-                # The handle is already registered: completing it with
-                # the error frees its window slot (a bare re-raise would
-                # leak the slot until the window drained to zero).
-                with self._pending_lock:
-                    self._pending.pop(handle.correlation_id, None)
-                handle.complete_with_error(
-                    exc if isinstance(exc, BackendError)
-                    else BackendError(f"send failed while posting invoke: {exc}")
-                )
-                raise
-        # The receiver may have declared the connection lost between the
-        # aliveness check and our registration; a handle filed after that
-        # drain would wait forever, so fail it here ourselves.
-        if not self._alive:
-            with self._pending_lock:
-                entry = self._pending.pop(handle.correlation_id, None)
-            if entry is not None:
-                handle.complete_with_error(
-                    BackendError("tcp connection lost while posting invoke")
-                )
-        self.invokes_posted += 1
-        if telemetry.enabled():
-            telemetry.gauge("tcp.pending_replies", self._pending_count())
-        return handle
-
+    # -- introspection --------------------------------------------------------------------
     def stats(self) -> dict:
         """Transport counters of this connection."""
         depths = socket_queue_depths(self._sock) if self._alive else {
@@ -873,7 +557,7 @@ class TcpBackend(Backend):
         telemetry.gauge("tcp.recv_queue_bytes", depths["recv_queue"])
         return {
             "backend": self.name,
-            "address": f"{self.address[0]}:{self.address[1]}",
+            "address": self.peer,
             "invokes_posted": self.invokes_posted,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
@@ -886,147 +570,5 @@ class TcpBackend(Backend):
             # receiver thread exists (introspection asserts this).
             "receiver_threads": 0,
             "reactor": self._reactor.stats(),
-            "batch": (
-                self._coalescer.stats() if self._coalescer is not None else None
-            ),
+            "batch": self._coalescer.stats(),
         }
-
-    def introspect_target(
-        self, timeout: float | None = None
-    ) -> dict[str, Any]:
-        """Ask the target for its live state (``OP_INTROSPECT``).
-
-        Returns the transport-agnostic introspection dict — worker-pool
-        depth, executed-message count, live buffer count, ring cursors
-        (``None`` on TCP). Raises the usual transport errors when the
-        target is gone or predates the op.
-        """
-        payload = pickle.loads(self._roundtrip(OP_INTROSPECT, timeout=timeout))
-        if not isinstance(payload, dict):
-            raise BackendError(
-                f"malformed introspection reply: {type(payload).__name__}"
-            )
-        return payload
-
-    def drive(
-        self, handle: InvokeHandle, *, blocking: bool, timeout: float | None = None
-    ) -> None:
-        if handle.completed:
-            return
-        self._check_alive()
-        # A waiter implies latency-bound traffic: anything coalescing
-        # (possibly this very handle's frame) goes out now rather than
-        # at the batching deadline.
-        if self._coalescer is not None:
-            self._coalescer.flush("drive")
-        if not blocking:
-            # The reactor completes handles; nothing to pump here.
-            return
-        effective = timeout if timeout is not None else self.op_timeout
-        if not handle.wait_event(effective):
-            raise OffloadTimeoutError(
-                f"no reply from {self.address[0]}:{self.address[1]} "
-                "within the deadline"
-            )
-
-    # -- memory ----------------------------------------------------------------------
-    def alloc_buffer(self, node: NodeId, nbytes: int) -> int:
-        self.check_target(node)
-        return _U64.unpack(self._roundtrip(OP_ALLOC, _U64.pack(nbytes)))[0]
-
-    def free_buffer(self, node: NodeId, addr: int) -> None:
-        self.check_target(node)
-        self._roundtrip(OP_FREE, _U64.pack(addr))
-
-    def write_buffer(self, node: NodeId, addr: int, data: bytes) -> None:
-        self.check_target(node)
-        # Vectored send: the payload rides as its own buffer, no copy.
-        self._roundtrip(OP_WRITE, _U64.pack(addr), data)
-
-    def read_buffer(self, node: NodeId, addr: int, nbytes: int) -> bytes:
-        self.check_target(node)
-        return bytes(self._roundtrip(OP_READ, _U64.pack(addr) + _U64.pack(nbytes)))
-
-    # -- telemetry ----------------------------------------------------------------------
-    def fetch_target_telemetry(
-        self, timeout: float | None = None, align: bool = True
-    ) -> list:
-        """Pull (and clear) the target server's telemetry records.
-
-        Returns :class:`~repro.telemetry.recorder.SpanRecord` /
-        :class:`~repro.telemetry.recorder.EventRecord` objects recorded
-        in the server process — empty if telemetry is disabled there.
-        Servers forked via :func:`spawn_local_server` inherit the
-        client's enabled state, so enabling telemetry *before* spawning
-        captures target-side ``offload.execute`` spans too.
-
-        With ``align`` (the default) the clock offset is re-estimated
-        right before the pull and applied to the fetched timestamps, so
-        the records land on the host's ``perf_counter_ns`` timeline. On
-        a same-machine server the monotonic clock is shared and the
-        offset is near zero; across machines it is essential.
-        ``timeout`` bounds the pull round trip (falls back to
-        :attr:`op_timeout`).
-        """
-        if align:
-            self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
-        rows = pickle.loads(self._roundtrip(OP_TELEMETRY, timeout=timeout))
-        records = dicts_to_records(rows)
-        if align and self.clock_sync.offset_ns:
-            records = align_records(records, self.clock_sync.offset_ns)
-        return records
-
-    # -- health -------------------------------------------------------------------------
-    def ping(self, node: NodeId) -> float:
-        """Round-trip an ``OP_PING`` heartbeat; returns wall seconds."""
-        self.check_target(node)
-        start = time.monotonic()
-        self._roundtrip(OP_PING)
-        return time.monotonic() - start
-
-    def set_default_timeout(self, seconds: float | None) -> None:
-        self.op_timeout = seconds
-
-    # -- lifecycle ----------------------------------------------------------------------
-    def shutdown(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._alive and self._coalescer is not None:
-            # Drain the coalescing buffer before the shutdown exchange:
-            # a half-flushed batch must reach the wire (and its replies
-            # arrive, drained by the server ahead of the shutdown ack)
-            # rather than being stranded.
-            try:
-                self._coalescer.flush("shutdown")
-            except BackendError:
-                pass  # transmit failed; _fail_pending already ran
-        if self._alive:
-            try:
-                # The server acknowledges only once nothing executes or
-                # waits in its backlog, so outstanding invoke replies arrive
-                # (and complete their handles) ahead of this reply.
-                self._roundtrip(
-                    OP_SHUTDOWN, timeout=self.op_timeout or 10.0
-                )
-            except (BackendError, OffloadTimeoutError, RemoteExecutionError):
-                pass  # server already gone or wedged
-        self._closing = True
-        self._alive = False
-        # Anything still expected or buffered can never complete now;
-        # fail it (with the queued-bytes detail) instead of stranding
-        # waiters on a closed connection.
-        pending_frames = (
-            self._coalescer.pending()[0] if self._coalescer is not None else 0
-        )
-        if self._pending_count() or pending_frames:
-            self._fail_pending(
-                BackendError("tcp backend shut down with operations outstanding")
-            )
-        self._teardown_io()
-        if self._on_shutdown is not None:
-            self._on_shutdown()
-
-    def _check_alive(self) -> None:
-        if not self._alive:
-            raise BackendError("tcp backend is shut down")

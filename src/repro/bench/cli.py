@@ -306,14 +306,10 @@ def report_saturation(quick: bool) -> Report:
     data = exp.measure_saturation(depths=depths)
     rows = []
     for depth in depths:
-        tcp = data["tcp"][f"depth_{depth}"]
-        shm = data["shm"][f"depth_{depth}"]
         rows.append({
             "depth": f"{depth:,}",
-            "tcp unbatched": f"{tcp['unbatched_rate']:,.0f}/s",
-            "tcp batched": f"{tcp['batched_rate']:,.0f}/s",
-            "batch speedup": f"{tcp['batch_speedup']:.2f}x",
-            "shm": f"{shm['rate']:,.0f}/s",
+            "tcp": f"{data['tcp'][f'depth_{depth}']['rate']:,.0f}/s",
+            "shm": f"{data['shm'][f'depth_{depth}']['rate']:,.0f}/s",
         })
     text = render_table(
         rows,

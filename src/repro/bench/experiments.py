@@ -22,6 +22,7 @@ from repro.backends import (
     DmaCommBackend,
     TcpBackend,
     VeoCommBackend,
+    create_backend,
     spawn_local_server,
 )
 from repro.bench.harness import measure_sim, scaled_reps
@@ -37,7 +38,6 @@ __all__ = [
     "FIG10_MAX_SIZE",
     "FIG10_SHM_LHM_MAX",
     "fig10_sizes",
-    "measure_batch_gate",
     "measure_dma_manager_ablation",
     "measure_fig9",
     "measure_fig10",
@@ -449,39 +449,30 @@ def measure_saturation(
 
     The event-loop acceptance experiment: empty-kernel invokes (≤256 B
     frames) posted ``depth`` at a time through one connection, all
-    replies multiplexed on the shared reactor thread. TCP runs twice
-    per depth — coalescing off (one ``sendmsg`` per frame, the
-    threaded-receiver era's wire behavior) and on (adaptive batching)
-    — and reports the ratio as ``batch_speedup``; shm runs once per
-    depth (the rings coalesce physically, there is no knob).
+    replies multiplexed on the shared reactor thread, once per depth
+    and transport.
 
     The window equals the offered depth for TCP; shm is clamped to
     ``shm_cap`` because in-flight frames live inside the fixed-size
     ring segment.
 
-    Returns ``{transport: {depth_<n>: {..._rate, batch_speedup}},
-    params}`` — rates in invokes/s, every metric named so the
-    regression gate treats it as higher-is-better.
+    Returns ``{transport: {depth_<n>: {rate}}, params}`` — rates in
+    invokes/s, named so the regression gate treats them as
+    higher-is-better.
     """
-    from repro.backends.shm import ShmBackend, spawn_shm_server
-
     results: dict = {
         "params": {"workers": workers, "depths": list(depths)},
         "tcp": {},
         "shm": {},
     }
-    for mode, batch in (("unbatched", False), ("batched", True)):
-        process, address = spawn_local_server(workers=workers)
-        backend = TcpBackend(
-            address, batch=batch,
-            on_shutdown=lambda p=process: p.join(timeout=10),
-        )
-        runtime = Runtime(backend, window=max(depths))
+    for name, cap in (("tcp", max(depths)), ("shm", shm_cap)):
+        backend = create_backend(name, workers=workers)
+        runtime = Runtime(backend, window=cap)
         try:
             for _ in range(100):  # warm the path end to end
                 runtime.sync(1, f2f(_empty_kernel))
             for depth in depths:
-                backend.set_inflight_limit(depth)
+                backend.set_inflight_limit(min(depth, cap))
                 start = time.perf_counter()
                 futures = [
                     runtime.async_(1, f2f(_empty_kernel))
@@ -489,94 +480,12 @@ def measure_saturation(
                 ]
                 for future in futures:
                     future.get()
-                rate = depth / (time.perf_counter() - start)
-                results["tcp"].setdefault(f"depth_{depth}", {})[
-                    f"{mode}_rate"
-                ] = rate
+                results[name][f"depth_{depth}"] = {
+                    "rate": depth / (time.perf_counter() - start)
+                }
         finally:
             runtime.shutdown()
-    for depth, row in results["tcp"].items():
-        row["batch_speedup"] = row["batched_rate"] / row["unbatched_rate"]
-    process, segment = spawn_shm_server(workers=workers)
-    shm = ShmBackend(
-        segment,
-        alive_fn=process.is_alive,
-        on_shutdown=lambda: process.join(timeout=10),
-    )
-    runtime = Runtime(shm, window=shm_cap)
-    try:
-        for _ in range(100):
-            runtime.sync(1, f2f(_empty_kernel))
-        for depth in depths:
-            shm.set_inflight_limit(min(depth, shm_cap))
-            start = time.perf_counter()
-            futures = [
-                runtime.async_(1, f2f(_empty_kernel)) for _ in range(depth)
-            ]
-            for future in futures:
-                future.get()
-            results["shm"][f"depth_{depth}"] = {
-                "rate": depth / (time.perf_counter() - start)
-            }
-    finally:
-        runtime.shutdown()
     return results
-
-
-def measure_batch_gate(
-    depth: int = 1024, *, rounds: int = 5, workers: int = 4
-) -> dict[str, float]:
-    """S2 gate: coalescing on vs off at one pipelined depth, interleaved.
-
-    The regression-gate companion of :func:`measure_saturation`: two
-    identical server processes, one connection with adaptive coalescing
-    and one without, bursts of ``depth`` empty-kernel invokes alternated
-    between them ``rounds`` times so scheduler drift on a shared runner
-    hits both modes equally. Rates are medians over rounds; the
-    headline is their ratio (``batch_speedup``).
-
-    The unbatched mode (one ``sendmsg`` + one peer wakeup per frame) is
-    the wire behavior of the threaded-receiver era, so the ratio is the
-    machine-independent form of "batched throughput vs the threaded
-    baseline".
-    """
-    import statistics
-
-    runtimes: dict[str, Runtime] = {}
-    rates: dict[str, list[float]] = {"unbatched": [], "batched": []}
-    try:
-        for mode, batch in (("unbatched", False), ("batched", True)):
-            process, address = spawn_local_server(workers=workers)
-            backend = TcpBackend(
-                address, batch=batch,
-                on_shutdown=lambda p=process: p.join(timeout=10),
-            )
-            runtime = Runtime(backend, window=depth)
-            for _ in range(100):
-                runtime.sync(1, f2f(_empty_kernel))
-            runtimes[mode] = runtime
-        for _ in range(rounds):
-            for mode, runtime in runtimes.items():
-                start = time.perf_counter()
-                futures = [
-                    runtime.async_(1, f2f(_empty_kernel))
-                    for _ in range(depth)
-                ]
-                for future in futures:
-                    future.get()
-                rates[mode].append(depth / (time.perf_counter() - start))
-    finally:
-        for runtime in runtimes.values():
-            runtime.shutdown()
-    unbatched = statistics.median(rates["unbatched"])
-    batched = statistics.median(rates["batched"])
-    return {
-        "depth": float(depth),
-        "rounds": float(rounds),
-        "unbatched_rate": unbatched,
-        "batched_rate": batched,
-        "batch_speedup": batched / unbatched,
-    }
 
 
 def measure_telemetry_overhead(
@@ -727,7 +636,7 @@ def measure_tsdb_overhead(
 def _burst_ping_tcp(backend: TcpBackend, depth: int) -> float:
     """Seconds for one depth-``depth`` pipelined ping burst over TCP.
 
-    Mirrors ``TcpBackend._roundtrip`` but files all ``depth``
+    Mirrors ``FramedClient._roundtrip`` but files all ``depth``
     expectations before waiting, so replies stream back while later
     requests are still going out — the transport-level analogue of the
     invoke window, with serialization cost excluded.

@@ -14,6 +14,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.backends import (
@@ -27,13 +28,14 @@ from repro.backends import (
     spawn_shm_server,
 )
 from repro.backends.base import DEFAULT_INFLIGHT_LIMIT
-from repro.backends.tcp import OP_PING, OP_REPLY_BIT, _recv_frame, _send_frame
+from repro.backends.tcp import OP_PING, OP_REPLY_BIT, FrameParser, _send_frame
 from repro.errors import BackendError, OffloadTimeoutError
 from repro.ham import f2f
 from repro.offload import Runtime
 from repro.offload import api as offload_api
 
 from tests import apps
+from tests.backends.wire import read_frame
 
 BACKENDS = ["local", "faulty", "dma", "veo", "tcp", "shm"]
 
@@ -108,6 +110,28 @@ class TestChannelContract:
         assert backend.window.limit == DEFAULT_INFLIGHT_LIMIT
 
 
+@pytest.mark.parametrize("channel", ["tcp", "shm"], indirect=True)
+class TestFramedMemoryOps:
+    """Both framed transports take any buffer and count it in bytes."""
+
+    def test_ndarray_in_same_bytes_back(self, channel):
+        _name, _runtime, backend = channel
+        data = np.arange(16.0)
+        addr = backend.alloc_buffer(1, data.nbytes)
+        backend.write_buffer(1, addr, data)
+        assert backend.read_buffer(1, addr, data.nbytes) == data.tobytes()
+        backend.free_buffer(1, addr)
+
+    def test_roundtrip_whose_send_raises_files_nothing(self, channel):
+        _name, runtime, backend = channel
+        addr = backend.alloc_buffer(1, 8)
+        with pytest.raises(TypeError):
+            backend.write_buffer(1, addr, 5)
+        assert backend._pending_count() == 0
+        backend.free_buffer(1, addr)
+        assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+
+
 class TestWindowConfiguration:
     def test_runtime_window_parameter_sets_limit(self):
         backend = LocalBackend()
@@ -133,10 +157,11 @@ def _start_wedge_server() -> tuple[str, int]:
         try:
             conn, _peer = listener.accept()
             with conn:
-                op, corr, _body = _recv_frame(conn)
+                parser = FrameParser(conn)
+                op, corr, _body = read_frame(parser)
                 assert op == OP_PING
                 _send_frame(conn, OP_PING | OP_REPLY_BIT, corr, b"")
-                while _recv_frame(conn):
+                while read_frame(parser):
                     pass  # consume and stay silent forever
         except (OSError, BackendError):
             pass

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.backends import TcpBackend, spawn_local_server
+from repro.backends.base import CoalescePolicy
 from repro.errors import BackendError
 from repro.ham import f2f
 from repro.offload import Runtime
@@ -20,21 +21,22 @@ from tests import apps
 
 #: A policy that never flushes on its own once the pipeline is deep:
 #: effectively infinite byte/frame/delay budgets, zero idle threshold.
-STUCK = {"max_bytes": 1 << 30, "max_frames": 1 << 20,
-         "max_delay_us": 60_000_000, "idle_depth": 0}
+STUCK = CoalescePolicy(
+    max_bytes=1 << 30, max_frames=1 << 20, max_delay=60.0, idle_depth=0
+)
 
 
-def make_runtime(batch):
+def make_runtime(policy=None):
     process, address = spawn_local_server()
-    backend = TcpBackend(
-        address, batch=batch, on_shutdown=lambda: process.join(timeout=5)
-    )
+    backend = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
+    if policy is not None:
+        backend._coalescer.policy = policy
     return process, Runtime(backend)
 
 
 class TestBatchedSemantics:
     def test_pipelined_values_identical(self):
-        process, runtime = make_runtime(batch=True)
+        process, runtime = make_runtime()
         try:
             futures = [runtime.async_(1, f2f(apps.add, i, i)) for i in range(100)]
             assert [f.get() for f in futures] == [2 * i for i in range(100)]
@@ -48,7 +50,7 @@ class TestBatchedSemantics:
 
     def test_get_drains_stuck_batch(self):
         """A blocking get must flush the buffer it is waiting behind."""
-        process, runtime = make_runtime(batch=STUCK)
+        process, runtime = make_runtime(STUCK)
         try:
             future = runtime.async_(1, f2f(apps.add, 20, 22))
             # Nothing trips the budgets: the frame sits in the buffer
@@ -62,7 +64,7 @@ class TestBatchedSemantics:
                 process.terminate()
 
     def test_no_receiver_threads(self):
-        process, runtime = make_runtime(batch=True)
+        process, runtime = make_runtime()
         try:
             assert runtime.sync(1, f2f(apps.add, 1, 1)) == 2
             stats = runtime.backend.stats()
@@ -72,16 +74,6 @@ class TestBatchedSemantics:
             names = [t.name for t in threading.enumerate()]
             assert not any("tcp-receiver" in name for name in names)
             assert any("reactor" in name for name in names)
-        finally:
-            runtime.shutdown()
-            if process.is_alive():  # pragma: no cover - cleanup safety
-                process.terminate()
-
-    def test_batch_disabled_still_works(self):
-        process, runtime = make_runtime(batch=False)
-        try:
-            assert runtime.sync(1, f2f(apps.add, 2, 2)) == 4
-            assert runtime.backend.stats()["batch"] is None
         finally:
             runtime.shutdown()
             if process.is_alive():  # pragma: no cover - cleanup safety
@@ -102,7 +94,7 @@ class TestShutdownDrain:
         verdict through a done-callback (which neither drives nor
         flushes) before any ``get`` runs.
         """
-        process, runtime = make_runtime(batch=STUCK)
+        process, runtime = make_runtime(STUCK)
         backend = runtime.backend
         futures = [runtime.async_(1, f2f(apps.add, i, 1)) for i in range(3)]
         assert backend._coalescer.pending()[0] == 3  # all stuck in the buffer
@@ -121,7 +113,7 @@ class TestShutdownDrain:
 
     def test_clean_shutdown_flushes_buffer(self):
         """Runtime.shutdown never strands a half-flushed batch."""
-        process, runtime = make_runtime(batch=STUCK)
+        process, runtime = make_runtime(STUCK)
         backend = runtime.backend
         future = runtime.async_(1, f2f(apps.add, 1, 1))
         assert backend._coalescer.pending()[0] == 1
@@ -135,7 +127,7 @@ class TestShutdownDrain:
 class TestIdleLatencyPath:
     def test_single_offload_flushes_immediately(self):
         """Depth <= idle_depth: no 200 µs tax on a lone request."""
-        process, runtime = make_runtime(batch=True)
+        process, runtime = make_runtime()
         try:
             start = time.monotonic()
             assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3

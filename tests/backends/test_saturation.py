@@ -37,9 +37,7 @@ FLOOR = 5_000
 @pytest.fixture()
 def rt():
     process, address = spawn_local_server(workers=WORKERS)
-    backend = TcpBackend(
-        address, batch=True, on_shutdown=lambda: process.join(timeout=10)
-    )
+    backend = TcpBackend(address, on_shutdown=lambda: process.join(timeout=10))
     runtime = Runtime(backend, window=DEPTH)
     yield runtime
     runtime.shutdown()

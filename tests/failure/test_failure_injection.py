@@ -17,7 +17,7 @@ from repro.backends import (
     VeoCommBackend,
     spawn_local_server,
 )
-from repro.backends.tcp import OP_INVOKE, _recv_frame
+from repro.backends.tcp import OP_INVOKE, FrameParser
 from repro.errors import (
     BackendError,
     DmaatbError,
@@ -29,6 +29,7 @@ from repro.machine import AuroraMachine
 from repro.offload import Runtime
 
 from tests import apps
+from tests.backends.wire import read_frame
 
 
 class TestTcpTransportFailures:
@@ -91,7 +92,7 @@ class TestTcpTransportFailures:
         sock = socket.create_connection(address, timeout=5)
         # Valid length prefix and correlation id, bogus op.
         sock.sendall(struct.pack("<I", 9) + b"\xee" + struct.pack("<Q", 7))
-        op, corr, body = _recv_frame(sock)
+        op, corr, body = read_frame(FrameParser(sock))
         assert op == 0xFF
         assert corr == 7  # failure replies echo the request's id
         info = pickle.loads(bytes(body))

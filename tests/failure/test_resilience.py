@@ -21,7 +21,7 @@ from repro.backends import (
     TcpBackend,
     spawn_local_server,
 )
-from repro.backends.tcp import OP_PING, OP_REPLY_BIT, _recv_frame, _send_frame
+from repro.backends.tcp import OP_PING, OP_REPLY_BIT, FrameParser, _send_frame
 from repro.cluster import AuroraCluster
 from repro.errors import (
     BackendError,
@@ -37,6 +37,7 @@ from repro.ham import f2f
 from repro.offload import HealthMonitor, NodeHealth, ResiliencePolicy, Runtime
 
 from tests import apps
+from tests.backends.wire import read_frame
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +63,17 @@ def _start_misbehaving_server(behavior: str) -> tuple[str, int]:
         try:
             conn, _peer = listener.accept()
             with conn:
-                op, corr, _body = _recv_frame(conn)
+                parser = FrameParser(conn)
+                op, corr, _body = read_frame(parser)
                 assert op == OP_PING
                 # Empty digest: the client skips the catalog comparison.
                 _send_frame(conn, OP_PING | OP_REPLY_BIT, corr, b"")
                 if behavior == "wedge":
-                    while _recv_frame(conn):
+                    while read_frame(parser):
                         pass  # consume and stay silent forever
                 else:  # truncate
-                    _recv_frame(conn)
-                    _recv_frame(conn)
+                    read_frame(parser)
+                    read_frame(parser)
                     conn.sendall(struct.pack("<I", 64) + b"\x81")
         except (OSError, BackendError):
             pass

@@ -206,18 +206,3 @@ def test_policy_rejects_nonsense():
         CoalescePolicy(max_frames=0)
     with pytest.raises(BackendError):
         CoalescePolicy(max_delay=-1.0)
-    with pytest.raises(BackendError):
-        CoalescePolicy.from_option("yes")
-    with pytest.raises(BackendError):
-        CoalescePolicy.from_option({"bogus_knob": 3})
-
-
-def test_from_option_forms():
-    assert CoalescePolicy.from_option(False) is None
-    assert CoalescePolicy.from_option(None).max_frames == 16
-    assert CoalescePolicy.from_option(True).max_bytes == 64 * 1024
-    tuned = CoalescePolicy.from_option({"max_delay_us": 500, "max_frames": 4})
-    assert tuned.max_delay == pytest.approx(500e-6)
-    assert tuned.max_frames == 4
-    policy = CoalescePolicy(max_frames=2)
-    assert CoalescePolicy.from_option(policy) is policy
