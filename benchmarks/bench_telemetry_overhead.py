@@ -13,11 +13,22 @@ the absolute means in the committed baseline are informational.
 A second gate bounds the flight recorder (the always-on post-mortem
 ring): the sampling baseline runs with it armed, ``flight_off`` runs
 with noting disabled, and their ratio must clear the same 5% budget.
+
+5 % of that 10 ms kernel is 500 us — several traced offloads — so the
+ratio cannot see what telemetry costs an *empty* offload. Experiment T1b
+measures that in absolute microseconds on ``local`` (rates 0, 0.01, 1);
+it is reported here and gated by ``python -m repro.bench.regression``
+against ``benchmarks/results/baseline/BENCH_telemetry.json``, not against
+a constant in this file.
 """
 
 import pytest
 
-from repro.bench.experiments import measure_telemetry_overhead
+from repro.bench.cli import telemetry_empty_kernel_rows
+from repro.bench.experiments import (
+    measure_telemetry_empty_kernel,
+    measure_telemetry_overhead,
+)
 from repro.bench.tables import format_time, render_table
 
 OVERHEAD_BUDGET = 1.05  # <= 5% at sample_rate=0.01, per the acceptance bar
@@ -85,3 +96,17 @@ class TestTelemetryOverhead:
     def test_all_modes_measured(self, overhead_data):
         for mode, _label in _MODES:
             assert overhead_data[f"{mode}_mean_us"] > 0.0
+
+
+class TestEmptyKernelCost:
+    def test_added_cost_per_empty_offload_is_reported(self, report):
+        data = measure_telemetry_empty_kernel()
+        report("telemetry_empty_kernel", render_table(
+            telemetry_empty_kernel_rows(data),
+            title="T1b — telemetry's cost per empty offload (local)",
+        ))
+        # Every mode ran and recording costs something; how much is the
+        # regression gate's business.
+        assert data["cost_us_disabled"] > 0.0
+        for mode in ("rate_0", "rate_0_01", "rate_1"):
+            assert data[f"added_cost_us_{mode}"] > 0.0

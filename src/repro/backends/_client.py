@@ -34,9 +34,9 @@ from repro.backends._server import (
 )
 from repro.backends.base import Backend, InvokeHandle
 from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
-from repro.ham.execution import build_invoke_parts
+from repro.ham.execution import sized_invoke_parts
 from repro.ham.functor import Functor
-from repro.ham.message import peek_trace
+from repro.ham.message import peek_trace, peek_trace_flags
 from repro.ham.registry import Catalog, ProcessImage
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.telemetry import context as trace_context
@@ -74,13 +74,11 @@ def _unsampled_reply_context(body: Any) -> "trace_context.TraceContext | None":
     reply's context routes the span through the recorder's sampling
     gate, tying its fate to the trace's tail-retention verdict.
     """
-    peeked = peek_trace(body)
-    if peeked is None:
+    flags = peek_trace_flags(body)
+    if flags is None or flags & trace_context.FLAG_SAMPLED:
         return None
-    tid, _parent, flags = peeked
-    if tid == 0 or flags & trace_context.FLAG_SAMPLED:
-        return None
-    return trace_context.TraceContext(trace_id=tid, sampled=False)
+    tid = peek_trace(body)[0]
+    return trace_context.TraceContext(tid, 0, False) if tid else None
 
 
 def close_reply_span(reply_span: Any, body: Any) -> None:
@@ -254,8 +252,7 @@ class FramedClient(Backend):
 
     # -- the correlation table ---------------------------------------------------
     def _pending_count(self) -> int:
-        with self._pending_lock:
-            return len(self._pending)
+        return len(self._pending)  # one atomic read: no lock to take
 
     def _next_corr(self) -> int:
         """Correlation id for a synchronous (non-invoke) operation.
@@ -415,9 +412,9 @@ class FramedClient(Backend):
         try:
             self._check_alive()
             self._msg_id += 1
-            parts = build_invoke_parts(self.host_image, functor, self._msg_id)
-            # Only the enqueue span reads the size.
-            total = sum(map(len, parts)) if telemetry.enabled() else 0
+            parts, total = sized_invoke_parts(
+                self.host_image, functor, self._msg_id
+            )
             handle = InvokeHandle(self, label=functor.type_name)
         except BaseException:
             self.window.cancel()

@@ -68,17 +68,16 @@ FRAME_OVERHEAD = _LEN.size + _FRAME_META
 def reset_forked_recorder() -> None:
     """First thing in a forked target: keep the recorder, drop its host side.
 
-    The fork inherits the host recorder wholesale, including the
-    host-only sampling machinery. A tail pipeline here would stage
-    unsampled spans that no completion ever settles (completions happen
-    host-side), and SLO windows would double-count — the target is the
-    "skip unsampled work entirely" side.
+    The fork inherits the host recorder wholesale: its records (pulled
+    back through ``OP_TELEMETRY`` they would land in the host ring
+    twice), the forking thread's open spans, and the host-only sampling
+    machinery — a tail pipeline here would stage unsampled spans that no
+    completion ever settles (completions happen host-side), and SLO
+    windows would double-count.
     """
     recorder = telemetry.get()
     if recorder is not None:
-        recorder.sampler = None
-        recorder.pipeline = None
-        recorder.slo = None
+        recorder.reset_after_fork()
 
 
 class FramedServer:
@@ -114,6 +113,7 @@ class FramedServer:
         self._lock = threading.Condition(threading.Lock())
         self._executing = 0
         self._backlog: deque[tuple[int, Any]] = deque()
+        self._reply_span = f"{self.transport}.server.reply"
         #: Why the loop ended (``None`` while serving).
         self.stopped: str | None = None
 
@@ -141,6 +141,7 @@ class FramedServer:
             thread.join()
 
     def _run(self) -> None:
+        worker = threading.current_thread().name  # named on reply spans
         try:
             while True:
                 with self._token:
@@ -148,7 +149,7 @@ class FramedServer:
                 if job is None:
                     return
                 while job is not None:
-                    self._execute_invoke(*job)
+                    self._execute_invoke(*job, worker)
                     with self._lock:
                         if self._backlog:
                             job = self._backlog.popleft()
@@ -212,20 +213,22 @@ class FramedServer:
         """Transport-specific attributes of the server-side reply span."""
         return {}
 
-    def _execute_invoke(self, corr: int, body: memoryview) -> None:
+    def _execute_invoke(self, corr: int, body: memoryview, worker: str) -> None:
         """Execute one invocation on the thread that read it; reply."""
         try:
             # The sampling verdict travels in the v2 header's flag byte:
             # unsampled messages (and only those — v1/flagless messages
             # predate sampling and record as before) skip the
             # server-side reply span entirely.
-            flags = peek_trace_flags(body)
-            sampled = flags is None or bool(flags & trace_context.FLAG_SAMPLED)
+            traced = telemetry.enabled()
+            if traced:
+                flags = peek_trace_flags(body)
+                traced = flags is None or bool(flags & trace_context.FLAG_SAMPLED)
             reply, _keep = execute_message(self.image, body, resolver=self._resolve)
             with self._lock:
                 self.messages_executed += 1
                 pending = self._executing + len(self._backlog)
-            if not (sampled and telemetry.enabled()):
+            if not traced:
                 self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
                 return
             # Which thread produced which correlation id (the execute
@@ -235,8 +238,7 @@ class FramedServer:
             # is target-side congestion, with pending ~= 1 it is this
             # invocation's own execution.
             with telemetry.span(
-                f"{self.transport}.server.reply",
-                worker=threading.current_thread().name, corr=corr,
+                self._reply_span, worker=worker, corr=corr,
                 bytes=len(reply), pending=pending, **self._reply_span_attrs(),
             ):
                 self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)

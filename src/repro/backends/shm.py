@@ -313,6 +313,8 @@ class ShmRing:
         self._data_off = data_off
         self._capacity = segment.capacity
         self._name = name
+        self._stall_series = f"shm.wait.stall_us.{name}"
+        self._spin_series = f"shm.wait.spin_yields.{name}"
         self._spin = spin_yields
         self._sleep_min = sleep_min
         self._sleep_max = sleep_max
@@ -333,16 +335,13 @@ class ShmRing:
 
     def _account_wait(self, spins: int, slept: float) -> None:
         """Book one completed wait into the spin/stall counters."""
-        recording = telemetry.enabled()  # the series names are formatted
         if spins > self._spin:
             self.sleep_stalls += 1
             self.stalled_s += slept
-            if recording:
-                telemetry.observe(f"shm.wait.stall_us.{self._name}", slept * 1e6)
+            telemetry.observe(self._stall_series, slept * 1e6)
         else:
             self.spin_waits += 1
-            if recording:
-                telemetry.observe(f"shm.wait.spin_yields.{self._name}", spins)
+            telemetry.observe(self._spin_series, spins)
 
     # -- cursors -----------------------------------------------------------
     def readable(self) -> bool:

@@ -195,7 +195,28 @@ def report_telemetry(quick: bool) -> Report:
     text = render_table(
         rows, title="T1 — telemetry sampling overhead (TCP round trip)"
     )
-    return text, {"overhead": data}
+    empty = exp.measure_telemetry_empty_kernel(rounds=7 if quick else 15)
+    text += "\n\n" + render_table(
+        telemetry_empty_kernel_rows(empty),
+        title="T1b — telemetry's cost per empty offload (local)",
+    )
+    return text, {"overhead": data, "empty_kernel": empty}
+
+
+def telemetry_empty_kernel_rows(empty: dict) -> list[dict[str, str]]:
+    """Table rows of :func:`exp.measure_telemetry_empty_kernel`."""
+    return [
+        {"telemetry": label,
+         "one offload": f"{empty[f'cost_us_{mode}']:.1f} us",
+         "added": (f"{empty[f'added_cost_us_{mode}']:+.1f} us"
+                   if mode != "disabled" else "-")}
+        for mode, label in (
+            ("disabled", "disabled"),
+            ("rate_0", "sample_rate=0.0"),
+            ("rate_0_01", "sample_rate=0.01"),
+            ("rate_1", "sample_rate=1.0"),
+        )
+    ]
 
 
 def report_tsdb(quick: bool) -> Report:

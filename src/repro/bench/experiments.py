@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -52,6 +52,7 @@ __all__ = [
     "measure_shm_latency",
     "measure_switch_contention",
     "measure_table4",
+    "measure_telemetry_empty_kernel",
     "measure_telemetry_overhead",
     "measure_tsdb_overhead",
 ]
@@ -490,7 +491,7 @@ def measure_saturation(
 
 def measure_telemetry_overhead(
     invokes: int = 100, *, kernel_seconds: float = 0.01, warmup: int = 20
-) -> dict[str, float]:
+) -> dict[str, Any]:
     """T1: telemetry sampling overhead on the TCP round trip.
 
     Measures the mean ``sync`` round trip of a representative kernel
@@ -508,7 +509,9 @@ def measure_telemetry_overhead(
     than the absolute means. The kernel carries real work on purpose:
     on a single-CPU container every microsecond of two-process Python
     bookkeeping serializes into an empty-kernel round trip, which
-    measures context-switch amplification, not telemetry cost.
+    measures context-switch amplification, not telemetry cost. What the
+    ratio hides — 5 % of this kernel is 500 us — is measured by
+    :func:`measure_telemetry_empty_kernel`, in-process and in absolute us.
 
     Two extra modes bound the *flight recorder* (always-on post-mortem
     ring, :mod:`repro.telemetry.flightrecorder`): ``flight_off``
@@ -533,7 +536,7 @@ def measure_telemetry_overhead(
         ("rate_0_01", 0.01, True),
         ("rate_1", 1.0, True),
     ]
-    results: dict[str, float] = {}
+    results: dict[str, Any] = {}
     flight = flightrecorder.get()
     for mode, rate, flight_on in modes:
         telemetry_recorder.disable()
@@ -566,8 +569,63 @@ def measure_telemetry_overhead(
     results["overhead_flight_on"] = (
         results["disabled_mean_us"] / results["flight_off_mean_us"]
     )
-    results["invokes"] = float(invokes)
-    results["kernel_seconds"] = kernel_seconds
+    results["params"] = {"invokes": invokes, "kernel_seconds": kernel_seconds}
+    return results
+
+
+def measure_telemetry_empty_kernel(
+    rounds: int = 15, *, invokes: int = 300, warmup: int = 50
+) -> dict[str, Any]:
+    """T1b: what telemetry adds to one *empty* offload, in microseconds.
+
+    The figure :func:`measure_telemetry_overhead` cannot see (5 % of its
+    10 ms kernel is 500 us). An empty kernel on ``local`` — telemetry's
+    own path length, no context switch — is timed with telemetry off and
+    under ``offload.init(telemetry={"sample_rate": p})`` (``init``'s own
+    set-up) for p = 0, 0.01 and 1. The modes alternate inside each of
+    ``rounds`` rounds, so a slow stretch of the machine hits all of them;
+    a mode's figure is the median over rounds of its mean offload.
+    ``added_cost_us_*`` (mode minus ``disabled``) are absolute: compare
+    them with :mod:`repro.bench.regression` against a baseline of the
+    same machine class, not against a constant.
+    """
+    from repro.backends import LocalBackend
+    from repro.offload import api as offload_api
+    from repro.telemetry import recorder as telemetry_recorder
+
+    modes: list[tuple[str, float | None]] = [
+        ("disabled", None), ("rate_0", 0.0), ("rate_0_01", 0.01), ("rate_1", 1.0),
+    ]
+    samples: dict[str, list[float]] = {mode: [] for mode, _rate in modes}
+    functor = f2f(_empty_kernel)
+    for _ in range(rounds):
+        for mode, rate in modes:
+            telemetry_recorder.disable()
+            runtime = offload_api.init(
+                LocalBackend(),
+                telemetry=False if rate is None else {"sample_rate": rate},
+            )
+            try:
+                for _ in range(warmup):
+                    runtime.sync(1, functor)
+                start = time.perf_counter()
+                for _ in range(invokes):
+                    runtime.sync(1, functor)
+                elapsed = time.perf_counter() - start
+            finally:
+                offload_api.finalize()
+                telemetry_recorder.disable()
+            samples[mode].append(elapsed / invokes * 1e6)
+    # ("cost" in every key: bench.regression reads the direction off it.)
+    results: dict[str, Any] = {
+        f"cost_us_{mode}": float(np.median(values))
+        for mode, values in samples.items()
+    }
+    for mode, _rate in modes[1:]:
+        results[f"added_cost_us_{mode}"] = (
+            results[f"cost_us_{mode}"] - results["cost_us_disabled"]
+        )
+    results["params"] = {"rounds": rounds, "invokes": invokes}
     return results
 
 

@@ -18,10 +18,12 @@ Usage::
 
 Every numeric leaf of each payload's ``data`` tree is one metric (lists
 are compared by their median, so sweep curves collapse to one number per
-series). Whether a shift is a regression depends on the metric's
-direction, inferred from its path: times/costs/latencies regress when
-they go *up*, bandwidths/rates/peaks when they go *down*; unrecognized
-metrics are held two-sided.
+series), except under a ``params`` key: run parameters differ between a
+``--quick`` run and a full baseline without anything having regressed.
+Whether a shift is a regression depends on the metric's direction,
+inferred from its path: times/costs/latencies regress when they go *up*,
+bandwidths/rates/peaks when they go *down*; unrecognized metrics are
+held two-sided.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def direction_for(path: str) -> str:
 def _walk(obj: Any, path: str) -> Iterator[tuple[str, float]]:
     if isinstance(obj, dict):
         for key in sorted(obj):
-            yield from _walk(obj[key], f"{path}/{key}")
+            if key != "params":  # what a run was given, not what it measured
+                yield from _walk(obj[key], f"{path}/{key}")
     elif isinstance(obj, (list, tuple)):
         numbers = [v for v in obj if isinstance(v, (int, float))
                    and not isinstance(v, bool)]

@@ -38,6 +38,40 @@ __all__ = ["build_invoke", "build_invoke_parts", "execute_message", "unpack_resu
 Resolver = Callable[[Any], Any]
 
 
+def sized_invoke_parts(
+    image: ProcessImage, functor: Functor, msg_id: int
+) -> tuple[list, int]:
+    """:func:`build_invoke_parts` plus the message's size in bytes, which
+    only telemetry reads: summed once, here, and 0 while telemetry is off."""
+    recorder = telemetry.get()
+    nbytes = 0
+    with telemetry.span("offload.serialize", functor=functor.type_name) as span:
+        key = image.key_for(functor.type_name)
+        ctx = trace_context.current()
+        if ctx is None:
+            parts = build_message_parts(
+                MSG_INVOKE, key, msg_id, functor.serialize_args_parts()
+            )
+        else:
+            parts = build_message_parts(
+                MSG_INVOKE, key, msg_id, functor.serialize_args_parts(),
+                trace_id=ctx.trace_id,
+                # The serialize span itself (when recording) is the
+                # causal parent of the remote execution; fall back to
+                # the context's own parent when telemetry is off.
+                parent_span_id=span.span_id or ctx.span_id,
+                trace_flags=ctx.flags,
+            )
+        if recorder is not None:
+            nbytes = sum(map(len, parts))
+            span.set("bytes", nbytes)
+    if recorder is not None:
+        # Continuous profiling: per-kernel byte attribution, fed for
+        # every offload regardless of the sampling verdict.
+        recorder.profiles.add_bytes(functor.type_name, nbytes)
+    return parts, nbytes
+
+
 def build_invoke_parts(
     image: ProcessImage, functor: Functor, msg_id: int
 ) -> list:
@@ -57,32 +91,7 @@ def build_invoke_parts(
     execution spans re-attach there, forming one causal tree across the
     process boundary.
     """
-    recorder = telemetry.get()
-    with telemetry.span("offload.serialize", functor=functor.type_name) as span:
-        key = image.key_for(functor.type_name)
-        ctx = trace_context.current()
-        if ctx is None:
-            parts = build_message_parts(
-                MSG_INVOKE, key, msg_id, functor.serialize_args_parts()
-            )
-        else:
-            parts = build_message_parts(
-                MSG_INVOKE, key, msg_id, functor.serialize_args_parts(),
-                trace_id=ctx.trace_id,
-                # The serialize span itself (when recording) is the
-                # causal parent of the remote execution; fall back to
-                # the context's own parent when telemetry is off.
-                parent_span_id=span.span_id or ctx.span_id,
-                trace_flags=ctx.flags,
-            )
-        if recorder is not None:  # the size only feeds telemetry
-            nbytes = sum(map(len, parts))
-            span.set("bytes", nbytes)
-    if recorder is not None:
-        # Continuous profiling: per-kernel byte attribution, fed for
-        # every offload regardless of the sampling verdict.
-        recorder.profiles.add_bytes(functor.type_name, nbytes)
-    return parts
+    return sized_invoke_parts(image, functor, msg_id)[0]
 
 
 def build_invoke(image: ProcessImage, functor: Functor, msg_id: int) -> bytes:
@@ -92,7 +101,7 @@ def build_invoke(image: ProcessImage, functor: Functor, msg_id: int) -> bytes:
     joined form; the TCP backend sends :func:`build_invoke_parts`
     directly through vectored I/O.
     """
-    return b"".join(build_invoke_parts(image, functor, msg_id))
+    return b"".join(sized_invoke_parts(image, functor, msg_id)[0])
 
 
 def execute_message(
@@ -120,9 +129,8 @@ def execute_message(
     # parents itself to the host span named in the header.
     if header.trace_id:
         ctx = TraceContext(
-            trace_id=header.trace_id,
-            span_id=header.parent_span_id,
-            sampled=bool(header.trace_flags & trace_context.FLAG_SAMPLED),
+            header.trace_id, header.parent_span_id,
+            bool(header.trace_flags & trace_context.FLAG_SAMPLED),
         )
     else:
         ctx = None

@@ -185,9 +185,15 @@ def peek_trace(data) -> tuple[int, int, int] | None:
 
 
 def peek_trace_flags(data) -> int | None:
-    """Just the trace flag byte of :func:`peek_trace` (``None`` for v1)."""
-    peeked = peek_trace(data)
-    return None if peeked is None else peeked[2]
+    """Just the trace flag byte of :func:`peek_trace` (``None`` for v1).
+
+    Read in place — transports ask this of every traced message, and
+    mostly to learn that it is sampled.
+    """
+    if (len(data) < HEADER_SIZE_V2 or data[2] != _VERSION_2
+            or data[:2] != MAGIC):
+        return None
+    return data[HEADER_SIZE_V2 - 1]
 
 
 def parse_message(data) -> tuple[MessageHeader, bytes]:

@@ -211,7 +211,8 @@ class Future:
         self._done = True
         self._handle = None
         telemetry.count("future.settled")
-        if self._start_ns is not None and telemetry.enabled():
+        recorder = telemetry.get()
+        if self._start_ns is not None and recorder is not None:
             # The one completion hook per offload: folds the round trip
             # into per-kernel profiles and SLO windows, and lets the
             # tail pipeline pass its keep/drop verdict on an unsampled
@@ -221,6 +222,7 @@ class Future:
                 kernel=self._label,
                 duration_ns=time.perf_counter_ns() - self._start_ns,
                 error=self._error is not None,
+                recorder=recorder,
                 tenant=self._tenant,
                 node=self._node,
             )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "current",
     "current_trace_id_hex",
     "new_trace",
+    "new_trace_id",
 ]
 
 #: Header/traceparent flag bit: this trace is recorded.
@@ -68,6 +69,9 @@ class TraceContext:
     trace_id: int
     span_id: int = 0
     sampled: bool = True
+    #: ``trace_id_hex``, formatted by its first reader: every span and
+    #: event of the trace carries it, so it is computed once per context.
+    _hex: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.trace_id < 1 << 128:
@@ -78,7 +82,11 @@ class TraceContext:
     @property
     def trace_id_hex(self) -> str:
         """The trace id as the 32-char lowercase hex of ``traceparent``."""
-        return f"{self.trace_id:032x}"
+        hex_id = self._hex
+        if not hex_id:
+            hex_id = f"{self.trace_id:032x}"
+            object.__setattr__(self, "_hex", hex_id)
+        return hex_id
 
     @property
     def flags(self) -> int:
@@ -125,17 +133,22 @@ _CURRENT: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(
 )
 
 
-def new_trace(*, sampled: bool = True) -> TraceContext:
-    """A fresh root context with a random non-zero 128-bit trace id."""
+def new_trace_id() -> int:
+    """A random non-zero 128-bit trace id."""
     trace_id = 0
     while trace_id == 0:
         trace_id = int.from_bytes(os.urandom(16), "big")
-    return TraceContext(trace_id=trace_id, sampled=sampled)
+    return trace_id
 
 
-def current() -> TraceContext | None:
-    """The active trace context, or ``None`` outside any trace."""
-    return _CURRENT.get()
+def new_trace(*, sampled: bool = True) -> TraceContext:
+    """A fresh root context with a random non-zero 128-bit trace id."""
+    return TraceContext(new_trace_id(), 0, sampled)
+
+
+#: ``current()``: the active trace context, or ``None`` outside any
+#: trace — the variable's own ``get``, since every span reads it.
+current = _CURRENT.get
 
 
 def current_trace_id_hex() -> str:

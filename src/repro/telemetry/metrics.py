@@ -10,9 +10,9 @@ percentiles. A :class:`MetricsRegistry` creates them on first use
 (``registry.counter("offload.issued").inc()``) and produces a single
 JSON-friendly :meth:`~MetricsRegistry.snapshot`.
 
-All operations are thread-safe; the registry lock only guards the name
-table, each instrument carries its own lock so hot counters do not
-serialize against each other.
+All operations are thread-safe; the registry lock only guards additions
+to the name table (a hit never takes it), each instrument carries its own
+lock so hot counters do not serialize against each other.
 """
 
 from __future__ import annotations
@@ -291,28 +291,31 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram | LogHistogram] = {}
 
+    # A hit reads the name table without the lock (one dict read is
+    # atomic); only creation, which must not mint two instruments for
+    # one name, takes it.
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                instrument = self._counters[name] = Counter()
-            return instrument
+        instrument = self._counters.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._counters.setdefault(name, Counter())
+        return instrument
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge()
-            return instrument
+        instrument = self._gauges.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._gauges.setdefault(name, Gauge())
+        return instrument
 
     def histogram(self, name: str, maxlen: int = 4096) -> Histogram:
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(maxlen)
-            if not isinstance(instrument, Histogram):
-                raise TypeError(f"{name!r} is registered as a log histogram")
-            return instrument
+        instrument = self._histograms.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._histograms.setdefault(name, Histogram(maxlen))
+        if not isinstance(instrument, Histogram):
+            raise TypeError(f"{name!r} is registered as a log histogram")
+        return instrument
 
     def log_histogram(
         self, name: str, bounds: Sequence[float] | None = None,
@@ -326,13 +329,13 @@ class MetricsRegistry:
         ``exemplars=True`` turns per-bucket exemplar retention on for
         the instrument, whether it is being created or already exists.
         """
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = LogHistogram(
-                    bounds, exemplars=exemplars)
-            if not isinstance(instrument, LogHistogram):
-                raise TypeError(f"{name!r} is registered as a ring histogram")
+        instrument = self._histograms.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._histograms.setdefault(
+                    name, LogHistogram(bounds, exemplars=exemplars))
+        if not isinstance(instrument, LogHistogram):
+            raise TypeError(f"{name!r} is registered as a ring histogram")
         if exemplars:
             instrument.enable_exemplars()
         return instrument

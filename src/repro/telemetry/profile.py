@@ -44,11 +44,11 @@ class KernelProfile:
         self._phases: dict[str, LogHistogram] = {}
 
     def _phase(self, phase: str) -> LogHistogram:
-        with self._lock:
-            hist = self._phases.get(phase)
-            if hist is None:
-                hist = self._phases[phase] = LogHistogram()
-            return hist
+        hist = self._phases.get(phase)
+        if hist is None:  # only creation takes the lock, as in the registry
+            with self._lock:
+                hist = self._phases.setdefault(phase, LogHistogram())
+        return hist
 
     def record(self, duration_ns: int, *, error: bool = False) -> None:
         """Fold one completed offload's total round-trip time."""
@@ -91,11 +91,11 @@ class KernelProfiler:
         self._profiles: dict[str, KernelProfile] = {}
 
     def profile(self, kernel: str) -> KernelProfile:
-        with self._lock:
-            prof = self._profiles.get(kernel)
-            if prof is None:
-                prof = self._profiles[kernel] = KernelProfile(kernel)
-            return prof
+        prof = self._profiles.get(kernel)
+        if prof is None:
+            with self._lock:
+                prof = self._profiles.setdefault(kernel, KernelProfile(kernel))
+        return prof
 
     def record(self, kernel: str, duration_ns: int, *,
                error: bool = False) -> None:

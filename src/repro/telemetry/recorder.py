@@ -10,10 +10,18 @@ backends. Design constraints, in order:
    telemetry is disabled — the hot path allocates nothing and records
    nothing (guarded by ``tests/telemetry/test_overhead.py`` and, for a
    whole offload, ``tests/offload/test_offload_budget.py``).
-2. **Cheap when on.** Timestamps come from :func:`time.perf_counter_ns`;
-   finished spans append to a bounded ring (:class:`collections.deque`
-   with ``maxlen``), so a long soak cannot eat the heap — old records are
-   dropped and counted, never grown.
+2. **Cheap when on.** A recorded span is one small object, two clock
+   reads (:func:`time.perf_counter_ns`) and one record: :func:`span`
+   builds the span itself; enter and exit each read the thread's state
+   once (span stack and thread id, set up once per thread) and the trace
+   context at most once; the pid is cached (refreshed in a forked child),
+   a trace formats its hex id once, and the record is an unfrozen slots
+   dataclass built positionally. Two locks per record, each around a
+   read-modify-write: the phase histogram's and the ring's; instrument
+   look-ups read the registry without its lock. The ring is bounded
+   (:class:`collections.deque` with ``maxlen``): old records are dropped
+   and counted, never grown. Per-offload figures: ``docs/observability.md``
+   ("What tracing costs"), bounded by ``tests/offload/test_offload_budget.py``.
 3. **Thread-safe.** Appends are locked; span nesting is tracked per
    thread, so concurrent offloads interleave correctly in the trace.
 
@@ -61,9 +69,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+#: This process's id, read once (``os.getpid()`` is a system call and every
+#: record carries the pid twice) and again first thing in a forked child.
+_PID = os.getpid()
+
+
+def _refresh_pid() -> None:
+    global _PID
+    _PID = os.getpid()
+
+
+os.register_at_fork(after_in_child=_refresh_pid)
+
+
+@dataclass(slots=True)
 class SpanRecord:
-    """One finished span: a named, attributed stretch of wall time."""
+    """One finished span: a named, attributed stretch of wall time.
+
+    Never modified once built (:func:`dataclasses.replace` derives a
+    copy); not frozen, because a frozen dataclass's ``__init__`` stores
+    every field through ``object.__setattr__`` — 7x the cost per span.
+    """
 
     name: str
     category: str
@@ -86,7 +112,7 @@ class SpanRecord:
         return self.start_ns + self.duration_ns
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EventRecord:
     """One instantaneous occurrence (fault injected, retry, transition)."""
 
@@ -125,6 +151,15 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
+class _ThreadState(threading.local):
+    """Per-thread recording state (set up on a thread's first access)."""
+
+    def __init__(self) -> None:
+        #: Ids of the spans open on this thread, innermost last.
+        self.stack: list[int] = []
+        self.tid = threading.get_ident()
+
+
 class _Span:
     """An open span; created by :meth:`Recorder.span`, closed by ``with``."""
 
@@ -148,7 +183,7 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         recorder = self._recorder
-        stack = recorder._stack()
+        stack = recorder._thread.stack
         if stack:
             self.parent_id = stack[-1]
         else:
@@ -156,56 +191,44 @@ class _Span:
             # remote parent (the host span that built the message this
             # process is executing), if one is active.
             ctx = trace_context.current()
-            self.parent_id = ctx.span_id if ctx is not None else 0
-        self.span_id = recorder._next_id()
-        stack.append(self.span_id)
+            if ctx is not None:
+                self.parent_id = ctx.span_id
+        # Recorder._next_id(), written out.
+        span_id = self.span_id = (_PID << 40) | next(recorder._ids)
+        stack.append(span_id)
         self._start_ns = recorder._clock()
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         recorder = self._recorder
         end_ns = recorder._clock()
-        stack = recorder._stack()
+        thread = recorder._thread
+        stack = thread.stack
         if stack and stack[-1] == self.span_id:
             stack.pop()
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         ctx = trace_context.current()
-        if ctx is not None and not ctx.sampled:
-            # Unsampled trace: never touches the span ring. With a tail
-            # pipeline (the issuing host) the finished span is folded
-            # into aggregates and staged pending the completion verdict;
-            # without one (the execute-side target) it costs nothing.
-            pipeline = recorder.pipeline
-            if pipeline is None:
-                return False
-            record = SpanRecord(
-                name=self.name,
-                category=self.category,
-                start_ns=self._start_ns,
-                duration_ns=end_ns - self._start_ns,
-                span_id=self.span_id,
-                parent_id=self.parent_id,
-                pid=os.getpid(),
-                tid=threading.get_ident(),
-                attrs=self.attrs,
-                trace_id=ctx.trace_id_hex,
-            )
-            recorder._fold_span(record)
-            pipeline.stage(record)
-            return False
-        recorder._append(SpanRecord(
-            name=self.name,
-            category=self.category,
-            start_ns=self._start_ns,
-            duration_ns=end_ns - self._start_ns,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-            attrs=self.attrs,
-            trace_id=trace_context.current_trace_id_hex(),
-        ))
+        pipeline = None
+        if ctx is None:
+            trace_id = ""
+        else:
+            if not ctx.sampled:
+                # Unsampled trace: never touches the span ring. With a
+                # tail pipeline (the issuing host) the finished span is
+                # folded into aggregates and staged pending the
+                # completion verdict; without one (the execute-side
+                # target) it costs nothing.
+                pipeline = recorder.pipeline
+                if pipeline is None:
+                    return False
+            trace_id = ctx.trace_id_hex
+        start_ns = self._start_ns
+        recorder._finish_span(SpanRecord(
+            self.name, self.category, start_ns, end_ns - start_ns,
+            self.span_id, self.parent_id, _PID, thread.tid, self.attrs,
+            trace_id,
+        ), pipeline)
         return False
 
 
@@ -230,7 +253,7 @@ class Recorder:
         self._ring: deque[SpanRecord | EventRecord] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._tls = threading.local()
+        self._thread = _ThreadState()
         self._recorded = 0
         #: Metric instruments riding along with the trace.
         self.metrics = MetricsRegistry()
@@ -249,21 +272,15 @@ class Recorder:
         #: (:class:`repro.telemetry.tsdb.Tsdb`); ``None`` keeps history
         #: off — consumers probe with ``getattr(recorder, "tsdb", None)``.
         self.tsdb: Any = None
-        # Per-phase histogram cache: _fold_span runs for every span of
-        # every offload, so the registry lookup (lock + dict) is paid
-        # once per phase name, not once per span.
+        # Per-phase histogram cache: a span of every offload is folded
+        # here, so the registry lookup is paid once per phase name, not
+        # once per span.
         self._phase_hists: dict[str, Any] = {}
         #: Clock reading (ns) at the recorder's creation; exporters use
         #: it as the zero point of the trace timeline.
         self.epoch_ns = self._clock()
 
     # -- recording ---------------------------------------------------------
-    def _stack(self) -> list[int]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
     def _next_id(self) -> int:
         """Process-unique record id: ``pid`` in the high bits.
 
@@ -275,32 +292,38 @@ class Recorder:
         Linux pids fit in 22 bits (``pid_max`` <= 4194304); 40 bits of
         counter keeps the combined id well inside a signed 64-bit int.
         """
-        return (os.getpid() << 40) | next(self._ids)
+        return (_PID << 40) | next(self._ids)
 
-    def _fold_span(self, record: SpanRecord) -> None:
-        """Fold a finished span into the aggregate consumers.
+    def _finish_span(self, record: SpanRecord, pipeline: Any) -> None:
+        """Fold a finished span into the aggregates, then keep it.
 
-        Runs for every span — ring-bound or pipeline-staged — so the
+        The fold runs for every span — ring-bound or staged with
+        ``pipeline`` (an unsampled trace awaiting its verdict) — so the
         per-phase latency distributions (live-queryable through the
         metrics snapshot and ``/metrics``) and the SLO windows never
         have sampling error.
         """
-        hist = self._phase_hists.get(record.name)
+        name = record.name
+        hist = self._phase_hists.get(name)
         if hist is None:
             # Exemplars on: phase folds are the one place a duration and
             # its trace id meet, so each fat bucket keeps a live link to
             # the most recent trace that landed in it.
-            hist = self.metrics.log_histogram("phase." + record.name,
-                                              exemplars=True)
-            self._phase_hists[record.name] = hist
-        hist.observe(record.duration_ns / 1e9, trace_id=record.trace_id or None)
-        if self.slo is not None:
-            self.slo.observe_phase(record.name, record.duration_ns,
-                                   error="error" in record.attrs)
+            hist = self._phase_hists[name] = self.metrics.log_histogram(
+                "phase." + name, exemplars=True)
+        hist.observe(record.duration_ns / 1e9, record.trace_id or None)
+        slo = self.slo
+        if slo is not None and name in slo.phases:
+            slo.observe(name, record.duration_ns,
+                        error="error" in record.attrs)
+        if pipeline is not None:
+            pipeline.stage(record)
+        else:
+            with self._lock:
+                self._ring.append(record)
+                self._recorded += 1
 
     def _append(self, record: SpanRecord | EventRecord) -> None:
-        if record.kind == "span":
-            self._fold_span(record)
         with self._lock:
             self._ring.append(record)
             self._recorded += 1
@@ -315,10 +338,18 @@ class Recorder:
         allocation, clock reads, record construction — vanishes. That
         is what the v2 header's ``sampled`` flag buys the target.
         """
-        ctx = trace_context.current()
-        if ctx is not None and not ctx.sampled and self.pipeline is None:
-            return NOOP_SPAN
+        if self.pipeline is None:
+            ctx = trace_context.current()
+            if ctx is not None and not ctx.sampled:
+                return NOOP_SPAN
         return _Span(self, name, category, attrs)
+
+    def _event_record(self, name: str, category: str, parent_id: int,
+                      attrs: dict[str, Any], trace_id: str) -> EventRecord:
+        return EventRecord(
+            name, category, self._clock(), self._next_id(), parent_id,
+            _PID, self._thread.tid, attrs, trace_id,
+        )
 
     def event(self, name: str, category: str = "offload",
               **attrs: Any) -> None:
@@ -330,38 +361,22 @@ class Recorder:
         skipped otherwise.
         """
         ctx = trace_context.current()
-        stack = self._stack()
+        stack = self._thread.stack
         if stack:
             parent_id = stack[-1]
         else:
             parent_id = ctx.span_id if ctx is not None else 0
-        if ctx is not None and not ctx.sampled:
-            pipeline = self.pipeline
-            if pipeline is None:
-                return
-            pipeline.stage(EventRecord(
-                name=name,
-                category=category,
-                ts_ns=self._clock(),
-                span_id=self._next_id(),
-                parent_id=parent_id,
-                pid=os.getpid(),
-                tid=threading.get_ident(),
-                attrs=attrs,
-                trace_id=ctx.trace_id_hex,
+        if ctx is None or ctx.sampled:
+            self._append(self._event_record(
+                name, category, parent_id, attrs,
+                "" if ctx is None else ctx.trace_id_hex,
             ))
             return
-        self._append(EventRecord(
-            name=name,
-            category=category,
-            ts_ns=self._clock(),
-            span_id=self._next_id(),
-            parent_id=parent_id,
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-            attrs=attrs,
-            trace_id=trace_context.current_trace_id_hex(),
-        ))
+        pipeline = self.pipeline
+        if pipeline is not None:
+            pipeline.stage(self._event_record(
+                name, category, parent_id, attrs, ctx.trace_id_hex,
+            ))
 
     def force_event(self, name: str, category: str = "slo",
                     **attrs: Any) -> None:
@@ -372,17 +387,19 @@ class Recorder:
         they describe the aggregate stream, not one trace, so they carry
         no trace id and never ride the tail pipeline.
         """
-        self._append(EventRecord(
-            name=name,
-            category=category,
-            ts_ns=self._clock(),
-            span_id=self._next_id(),
-            parent_id=0,
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-            attrs=attrs,
-            trace_id="",
-        ))
+        self._append(self._event_record(name, category, 0, attrs, ""))
+
+    def reset_after_fork(self) -> None:
+        """In a forked child: drop what belongs to the parent — its
+        records, the forking thread's open spans, a ring lock another
+        thread may have held, and the sampler / tail pipeline / SLO
+        monitor only the issuing side feeds. Metrics and the id counter
+        stay (ids are pid-prefixed)."""
+        self.sampler = self.pipeline = self.slo = None
+        self._ring = deque(maxlen=self.capacity)
+        self._lock = threading.Lock()
+        self._thread = _ThreadState()
+        self._recorded = 0
 
     def ingest(self, records: "list[SpanRecord | EventRecord]") -> None:
         """Merge records produced elsewhere (e.g. a target process)."""
@@ -423,7 +440,7 @@ class Recorder:
 
     def current_span_id(self) -> int:
         """Id of the innermost open span on this thread (0 if none)."""
-        stack = self._stack()
+        stack = self._thread.stack
         return stack[-1] if stack else 0
 
     def clear(self) -> None:
@@ -477,11 +494,16 @@ def get() -> Recorder | None:
 
 
 def span(name: str, category: str = "offload", **attrs: Any):
-    """Module-level span helper: a no-op singleton while disabled."""
+    """Module-level span helper: a no-op singleton while disabled
+    (:meth:`Recorder.span` written out — every instrumented site calls this)."""
     recorder = _RECORDER
     if recorder is None:
         return NOOP_SPAN
-    return recorder.span(name, category, **attrs)
+    if recorder.pipeline is None:
+        ctx = trace_context.current()
+        if ctx is not None and not ctx.sampled:
+            return NOOP_SPAN
+    return _Span(recorder, name, category, attrs)
 
 
 def event(name: str, category: str = "offload", **attrs: Any) -> None:

@@ -28,7 +28,6 @@ the SLO monitor and the tail pipeline, sampled or not.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from repro.telemetry import context as trace_context
@@ -69,10 +68,8 @@ class HeadSampler:
 
     def new_trace(self) -> trace_context.TraceContext:
         """Mint a root context carrying this sampler's verdict."""
-        ctx = trace_context.new_trace()
-        if not self.decide(ctx.trace_id):
-            ctx = replace(ctx, sampled=False)
-        return ctx
+        trace_id = trace_context.new_trace_id()
+        return trace_context.TraceContext(trace_id, 0, self.decide(trace_id))
 
 
 class TailPipeline:

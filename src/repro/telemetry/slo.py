@@ -103,6 +103,7 @@ class _SLOState:
     __slots__ = (
         "slo", "fast", "slow", "fast_window", "slow_window",
         "fast_bad", "slow_bad", "breached", "total", "bad", "gauges",
+        "published",
     )
 
     def __init__(self, slo: SLO, fast_window: int, slow_window: int) -> None:
@@ -117,6 +118,8 @@ class _SLOState:
         self.total = 0
         self.bad = 0
         self.gauges: tuple[Any, Any, Any] | None = None
+        #: The (fast burn, slow burn, breached) last stored in ``gauges``.
+        self.published: tuple[float, float, bool] | None = None
 
     def push(self, bad: int) -> None:
         self.fast.append(bad)
@@ -223,6 +226,9 @@ class SLOMonitor:
                     metrics.gauge(f"slo.{state.slo.name}.slow_burn"),
                     metrics.gauge(f"slo.{state.slo.name}.breached"),
                 )
+        #: The phases some objective listens to; the recorder's span
+        #: fold asks before it calls :meth:`observe`.
+        self.phases = frozenset(self._by_phase)
 
     @property
     def slos(self) -> tuple[SLO, ...]:
@@ -263,8 +269,9 @@ class SLOMonitor:
         slo = state.slo
         state.push(int(slo.is_bad(duration_ns, error)))
         budget = 1.0 - slo.objective
-        fast_burn = state.fast_burn(budget)
-        slow_burn = state.slow_burn(budget)
+        # (fast_burn() / slow_burn() of windows the push left non-empty)
+        fast_burn = (state.fast_bad / len(state.fast)) / budget
+        slow_burn = (state.slow_bad / len(state.slow)) / budget
         breached = (
             len(state.fast) >= self.min_samples
             and fast_burn >= self.burn_threshold
@@ -273,11 +280,15 @@ class SLOMonitor:
         if breached != state.breached:
             state.breached = breached
             transitions.append((slo, breached, fast_burn, slow_burn, tenant))
-        if state.gauges is not None:
+        # A healthy stream folds the same three values every time: the
+        # gauges are stored (a lock each) only when one of them moved.
+        published = (fast_burn, slow_burn, breached)
+        if state.gauges is not None and published != state.published:
+            state.published = published
             fast_g, slow_g, breached_g = state.gauges
             fast_g.set(fast_burn)
             slow_g.set(slow_burn)
-            breached_g.set(1.0 if state.breached else 0.0)
+            breached_g.set(1.0 if breached else 0.0)
 
     def observe(self, phase: str, duration_ns: int, *,
                 error: bool = False, tenant: str | None = None) -> None:
@@ -327,7 +338,7 @@ class SLOMonitor:
                 name, dump_reason="slo_breach" if breached else None, **attrs
             )
 
-    # Alias used by the recorder's span fold, which feeds phase streams.
+    # The name under which phase streams (span folds) are fed.
     observe_phase = observe
 
     # -- queries -----------------------------------------------------------

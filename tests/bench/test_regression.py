@@ -56,6 +56,15 @@ class TestFlatten:
         )
         assert metrics == {"B/n": 7.0}
 
+    def test_run_parameters_are_not_metrics(self):
+        # A --quick run against a full baseline differs in what it was
+        # given (rounds, invokes, depths), which is no regression.
+        metrics = flatten_metrics(
+            {"data": {"x": {"params": {"invokes": 40, "depths": [1, 2]},
+                            "mean_us": 3.0}}}, "B"
+        )
+        assert metrics == {"B/x/mean_us": 3.0}
+
 
 class TestCompare:
     def test_identical_dirs_all_ok(self, tmp_path):

@@ -12,15 +12,18 @@ one; the wall-clock figures live in ``perfbench`` (``sync_local``).
 """
 
 import contextlib
-import sys
 import threading
+
+import pytest
 
 from repro.backends import LocalBackend
 from repro.ham import f2f
 from repro.offload import Runtime
+from repro.offload import api as offload_api
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
+from tests.callcount import CallCounts, profile_calls
 
 #: Calls (Python + builtin, the count ``cProfile`` reports) of one warm
 #: ``sync(1, f2f(add, 1, 2))``: 185 on CPython 3.11 after ISSUE 12, 308
@@ -31,6 +34,27 @@ MAX_CALLS = 195
 #: acquire + register + release.
 MAX_WINDOW_LOCK_ACQUISITIONS = 3
 
+#: The same offload with telemetry set up by ``init`` itself
+#: (``telemetry={"sample_rate": rate}``: recorder, head sampler, tail
+#: pipeline, SLO monitor), per sampling rate: calls, and locks taken
+#: (every ``with lock`` / ``lock.acquire()``, telemetry's and the
+#: window's alike). After ISSUE 15, on CPython 3.11: 427 calls and 38
+#: locks at rate 1.0 (every span recorded), 480 and 43 at rate 0.0
+#: (every span staged and folded, then dropped by the tail verdict);
+#: before it 538 / 65 and 597 / 79. One offload in 32 refreshes the tail
+#: threshold (+6 calls) and the first ones after a warm-up settle the
+#: pipeline's window (up to 498 / 47 at rate 0.0). The ceilings sit ~5 %
+#: above the usual figure and above the largest one seen.
+MAX_TRACED_CALLS = {1.0: 448, 0.0: 504}
+MAX_TRACED_LOCKS = {1.0: 40, 0.0: 49}
+
+#: Records one traced offload appends: on ``local`` the serialize,
+#: transport, execute and deserialize spans; a framed transport adds
+#: ``offload.enqueue`` and ``offload.reply`` on the host and records
+#: ``offload.execute`` and ``<transport>.server.reply`` in the target.
+LOCAL_RECORDS = 4
+FRAMED_HOST_RECORDS, FRAMED_TARGET_RECORDS = 5, 2
+
 
 def _warm_runtime() -> Runtime:
     assert not telemetry.enabled()
@@ -40,34 +64,11 @@ def _warm_runtime() -> Runtime:
     return runtime
 
 
-def _profile_one_offload(runtime: Runtime) -> tuple[int, list[str]]:
-    """``(calls, constructed)`` of one offload, via ``sys.setprofile``."""
-    banned = {
-        contextlib._GeneratorContextManagerBase.__init__.__code__:
-            "contextlib._GeneratorContextManager",
-        threading.Event.__init__.__code__: "threading.Event",
-    }
-    calls = 0
-    constructed: list[str] = []
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-            name = banned.get(frame.f_code)
-            if name is not None:
-                constructed.append(name)
-        elif event == "c_call":
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        value = runtime.sync(1, f2f(apps.add, 1, 2))
-    finally:
-        sys.setprofile(None)
-    assert value == 3
-    # The closing ``sys.setprofile(None)`` is itself reported.
-    return calls - 1, constructed
+def _profile_one_offload(runtime: Runtime) -> CallCounts:
+    """What one ``sync`` does, counted (see ``tests/callcount.py``)."""
+    counts = profile_calls(lambda: runtime.sync(1, f2f(apps.add, 1, 2)))
+    assert counts.value == 3
+    return counts
 
 
 class _CountingLock:
@@ -96,12 +97,12 @@ class TestDefaultPathBudget:
     def test_call_budget_and_no_heavy_constructs(self):
         runtime = _warm_runtime()
         try:
-            calls, constructed = _profile_one_offload(runtime)
+            counts = _profile_one_offload(runtime)
         finally:
             runtime.shutdown()
-        assert constructed == []
-        assert calls <= MAX_CALLS, (
-            f"one default-path offload made {calls} calls (budget "
+        assert counts.constructed == []
+        assert counts.calls <= MAX_CALLS, (
+            f"one default-path offload made {counts.calls} calls (budget "
             f"{MAX_CALLS}): something on the shared host path got more "
             "expensive — see tests/offload/test_offload_budget.py"
         )
@@ -129,10 +130,72 @@ class TestDefaultPathBudget:
             def sync(self, node, functor):
                 with scope():
                     threading.Event()
+                lock = threading.Lock()
+                with lock:
+                    pass
+                lock.acquire()
+                lock.release()
                 return 3
 
-        calls, constructed = _profile_one_offload(_Chatty())
-        assert constructed == [
+        counts = _profile_one_offload(_Chatty())
+        assert counts.constructed == [
             "contextlib._GeneratorContextManager", "threading.Event",
         ]
-        assert calls > 0
+        assert counts.calls > 0
+        assert counts.locks == 2
+
+
+class TestTracedPathBudget:
+    """The traced twin: what switching the instrument on may cost."""
+
+    @pytest.fixture
+    def traced_runtime(self):
+        def start(backend, rate):
+            runtime = offload_api.init(backend, telemetry={"sample_rate": rate})
+            for _ in range(50):
+                assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+            return runtime
+
+        yield start
+        offload_api.finalize()
+        telemetry.disable()
+
+    @pytest.mark.parametrize("rate", [1.0, 0.0])
+    def test_calls_locks_and_records_per_offload(self, traced_runtime, rate):
+        runtime = traced_runtime(LocalBackend(), rate)
+        recorder = telemetry.get()
+        # Sampled records go to the ring, unsampled ones are staged (and
+        # this offload, slowed by the profiler, may then be kept as a
+        # tail outlier: the ring is not asserted on at rate 0).
+        produced = ((lambda: recorder.recorded) if rate
+                    else (lambda: recorder.pipeline.staged))
+        before = produced()
+        counts = _profile_one_offload(runtime)
+        calls, locks = counts.calls, counts.locks
+        assert produced() - before == LOCAL_RECORDS
+        assert calls <= MAX_TRACED_CALLS[rate], (
+            f"one traced offload (sample_rate={rate}) made {calls} calls "
+            f"(budget {MAX_TRACED_CALLS[rate]}): telemetry's own cost per "
+            "offload grew — see docs/observability.md, 'What tracing costs'"
+        )
+        assert locks <= MAX_TRACED_LOCKS[rate], (
+            f"one traced offload (sample_rate={rate}) took {locks} locks "
+            f"(budget {MAX_TRACED_LOCKS[rate]})"
+        )
+
+    @pytest.mark.parametrize("backend", ["shm", "tcp"])
+    def test_records_per_offload_on_framed_transports(
+            self, traced_runtime, backend):
+        # Enabled before the target is forked, so that it records too.
+        recorder = telemetry.enable()
+        runtime = traced_runtime(backend, 1.0)
+        runtime.backend.fetch_target_telemetry()  # drains the warm-up's
+        recorded = recorder.recorded
+        for i in range(3):
+            assert runtime.sync(1, f2f(apps.echo, i)) == i
+        assert recorder.recorded - recorded == 3 * FRAMED_HOST_RECORDS
+        target = runtime.backend.fetch_target_telemetry()
+        assert len(target) == 3 * FRAMED_TARGET_RECORDS
+        assert sorted({r.name for r in target}) == [
+            "offload.execute", f"{backend}.server.reply",
+        ]

@@ -1,6 +1,8 @@
 """End-to-end tests: one causal trace across the process boundary."""
 
+import collections
 import os
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.backends.faulty import FaultInjectingBackend
 from repro.backends.local import LocalBackend
 from repro.ham import f2f
 from repro.offload import Runtime
+from repro.offload import api as offload_api
 from repro.offload.node import HOST_NODE, NodeDescriptor
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.distributed import critical_path, group_by_trace
@@ -139,6 +142,43 @@ class TestTcpTracing:
         assert not recorder.spans("offload.execute")
         runtime.shutdown()  # drains OP_TELEMETRY before closing
         assert recorder.spans("offload.execute")
+
+
+class TestFinalizeInitCycle:
+    """A second ``init`` forks its target from a host whose ring is not
+    empty: the child must start with none of it."""
+
+    @pytest.mark.parametrize("backend", ["shm", "tcp"])
+    def test_second_target_ships_no_pre_fork_record(self, backend):
+        def cycle():
+            offload_api.init(backend, telemetry={"sample_rate": 1.0})
+            try:
+                for i in range(3):
+                    assert offload_api.sync(1, f2f(apps.echo, i)) == i
+            finally:
+                offload_api.finalize()  # pulls the target's records
+
+        # Enabled before the first fork too, so that both targets record
+        # (init's string form spawns its target before it enables).
+        rec = telemetry.enable()
+        cycle()
+        first = rec.records()
+        assert first, "the first cycle recorded nothing"
+        forked_at = time.perf_counter_ns()
+        cycle()
+        merged = rec.records()
+        counts = collections.Counter(r.span_id for r in merged)
+        assert [i for i, n in counts.items() if n > 1] == []
+        # Both targets executed: 2 x 3 execute spans, from two pids.
+        executes = rec.spans("offload.execute")
+        assert len(executes) == 6
+        assert len({r.pid for r in executes}) == 2
+        first_pids = {r.pid for r in first}
+        second_target = [r for r in merged if r.pid not in first_pids]
+        assert second_target
+        for record in second_target:
+            started = record.start_ns if record.kind == "span" else record.ts_ns
+            assert started >= forked_at, record
 
 
 class _StubBackend(Backend):

@@ -7,6 +7,7 @@ response must parse as complete, well-formed exposition text; no tearing,
 no duplicate TYPE lines, no exceptions surfacing as 500s.
 """
 
+import sys
 import threading
 import urllib.request
 
@@ -83,3 +84,94 @@ def test_concurrent_scrapes_while_registry_mutates():
     assert final["counters"]["offload.issued"] > 0
     assert any(name.startswith("target.reply.")
                for name in final["histograms"])
+
+
+def test_racing_first_use_gets_one_instrument_and_loses_nothing():
+    """Get-or-create under a lock-free hit: threads that first-use a name
+    together must all end up on one instrument — a second one minted for
+    the same name would swallow its creator's updates."""
+    threads, rounds, per_round = 8, 200, 5
+    reg = MetricsRegistry()
+    barrier = threading.Barrier(threads)
+    seen: list[set[int]] = [set() for _ in range(rounds)]
+    errors: list[BaseException] = []
+
+    def work():
+        try:
+            for r in range(rounds):
+                barrier.wait(timeout=30)  # everybody first-uses round r at once
+                counter = reg.counter(f"c.{r}")
+                gauge = reg.gauge(f"g.{r}")
+                hist = reg.log_histogram(f"h.{r}", exemplars=True)
+                seen[r].update((id(counter), id(gauge), id(hist)))
+                for _ in range(per_round):
+                    reg.counter(f"c.{r}").inc()
+                    reg.gauge(f"g.{r}").add(1.0)
+                    reg.log_histogram(f"h.{r}").observe(0.001, trace_id="ab")
+        except BaseException as exc:  # noqa: BLE001 - reported by the test
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive(), "worker wedged"
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not errors, errors
+    assert all(len(ids) == 3 for ids in seen)  # one of each kind per name
+    snap = reg.snapshot()
+    expected = threads * per_round
+    assert set(snap["counters"].values()) == {expected}
+    assert set(snap["gauges"].values()) == {float(expected)}
+    assert {h["count"] for h in snap["histograms"].values()} == {expected}
+    assert len(snap["counters"]) == len(snap["histograms"]) == rounds
+
+
+def test_forced_first_use_race_still_mints_one_instrument():
+    """The same race, forced: every thread reads "missing" before any of
+    them creates. Only the re-check under the registry lock keeps that to
+    one instrument per name."""
+    threads = 4
+    reg = MetricsRegistry()
+    barrier = threading.Barrier(threads)
+
+    class Racy(dict):
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            if value is None:
+                try:
+                    barrier.wait(timeout=0.5)  # until everybody has missed
+                except threading.BrokenBarrierError:
+                    pass
+            return value
+
+    reg._counters, reg._gauges, reg._histograms = Racy(), Racy(), Racy()
+    got: list[tuple[int, int, int]] = []
+
+    def first_use():
+        counter = reg.counter("c")
+        gauge = reg.gauge("g")
+        hist = reg.log_histogram("h")
+        counter.inc()
+        gauge.add(1.0)
+        hist.observe(0.001)
+        got.append((id(counter), id(gauge), id(hist)))
+
+    workers = [threading.Thread(target=first_use) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "worker wedged"
+    assert len(got) == threads and len(set(got)) == 1
+    snap = reg.snapshot()
+    assert snap["counters"] == {"c": threads}
+    assert snap["gauges"] == {"g": float(threads)}
+    assert snap["histograms"]["h"]["count"] == threads
