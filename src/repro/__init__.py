@@ -14,18 +14,24 @@ See README.md for the tour, DESIGN.md for the system inventory, and
 EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from repro.machine import AuroraMachine
-from repro.offload import BufferPtr, Future, NodeDescriptor, Runtime, f2f, offloadable
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
+    from repro.machine import AuroraMachine
+    from repro.offload import BufferPtr, Future, NodeDescriptor, Runtime, f2f, offloadable
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AuroraMachine",
-    "BufferPtr",
-    "Future",
-    "NodeDescriptor",
-    "Runtime",
-    "__version__",
-    "f2f",
-    "offloadable",
+    "AuroraMachine", "BufferPtr", "Future", "NodeDescriptor", "Runtime",
+    "__version__", "f2f", "offloadable",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.machine": ("AuroraMachine",),
+    "repro.offload": (
+        "BufferPtr", "Future", "NodeDescriptor", "Runtime", "f2f", "offloadable",
+    ),
+})

@@ -34,36 +34,44 @@ drops, delays, disconnects and corrupt frames by seeded schedule — the
 test harness for the resilience layer.
 """
 
-from repro.backends.base import Backend, InvokeHandle
-from repro.backends.local import LocalBackend
-from repro.backends.tcp import TcpBackend, TcpTargetServer, spawn_local_server
-from repro.backends.shm import ShmBackend, ShmTargetServer, spawn_shm_server
-from repro.backends.veo_backend import VeoCommBackend
-from repro.backends.dma_backend import DmaCommBackend
-from repro.backends.cluster_backend import ClusterBackend
-from repro.backends.fanout import FanoutBackend
-from repro.backends.faulty import FaultInjectingBackend
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
+    from repro.backends.base import Backend, InvokeHandle
+    from repro.backends.cluster_backend import ClusterBackend
+    from repro.backends.dma_backend import DmaCommBackend
+    from repro.backends.fanout import FanoutBackend
+    from repro.backends.faulty import FaultInjectingBackend
+    from repro.backends.local import LocalBackend
+    from repro.backends.shm import ShmBackend, ShmTargetServer, spawn_shm_server
+    from repro.backends.tcp import TcpBackend, TcpTargetServer, spawn_local_server
+    from repro.backends.veo_backend import VeoCommBackend
 
 __all__ = [
-    "Backend",
-    "ClusterBackend",
-    "DmaCommBackend",
-    "FanoutBackend",
-    "FaultInjectingBackend",
-    "InvokeHandle",
-    "LocalBackend",
-    "ShmBackend",
-    "ShmTargetServer",
-    "TcpBackend",
-    "TcpTargetServer",
-    "VeoCommBackend",
-    "create_backend",
-    "spawn_local_server",
-    "spawn_shm_server",
+    "Backend", "ClusterBackend", "DmaCommBackend", "FanoutBackend",
+    "FaultInjectingBackend", "InvokeHandle", "LocalBackend", "ShmBackend",
+    "ShmTargetServer", "TcpBackend", "TcpTargetServer", "VeoCommBackend",
+    "create_backend", "spawn_local_server", "spawn_shm_server",
 ]
 
+# Where each name lives: importing this package loads no transport and no
+# simulator; `repro.backends.X` imports X's module on first access.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.backends.base": ("Backend", "InvokeHandle"),
+    "repro.backends.cluster_backend": ("ClusterBackend",),
+    "repro.backends.dma_backend": ("DmaCommBackend",),
+    "repro.backends.fanout": ("FanoutBackend",),
+    "repro.backends.faulty": ("FaultInjectingBackend",),
+    "repro.backends.local": ("LocalBackend",),
+    "repro.backends.shm": ("ShmBackend", "ShmTargetServer", "spawn_shm_server"),
+    "repro.backends.tcp": ("TcpBackend", "TcpTargetServer", "spawn_local_server"),
+    "repro.backends.veo_backend": ("VeoCommBackend",),
+})
 
-def create_backend(name: str, **options) -> Backend:
+
+def create_backend(name: str, **options) -> "Backend":
     """Build a ready-to-use functional backend from a short name.
 
     The string form of :func:`repro.offload.init`'s ``backend``
@@ -77,8 +85,12 @@ def create_backend(name: str, **options) -> Backend:
     by name.
     """
     if name == "local":
+        from repro.backends.local import LocalBackend
+
         return LocalBackend(**options)
     if name == "tcp":
+        from repro.backends.tcp import TcpBackend, spawn_local_server
+
         if "address" in options:
             return TcpBackend(**options)
         process, address = _spawn(spawn_local_server, options, "workers")
@@ -88,6 +100,8 @@ def create_backend(name: str, **options) -> Backend:
             **options,
         )
     if name == "shm":
+        from repro.backends.shm import ShmBackend, spawn_shm_server
+
         if "segment" in options:
             return ShmBackend(options.pop("segment"), **options)
         process, segment = _spawn(

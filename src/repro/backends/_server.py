@@ -64,6 +64,9 @@ _FRAME_META = 1 + _U64.size
 #: Full overhead of one frame (length prefix + op + corr).
 FRAME_OVERHEAD = _LEN.size + _FRAME_META
 
+#: Default number of concurrent INVOKEs a target executes.
+DEFAULT_SERVER_WORKERS = 4
+
 
 def reset_forked_recorder() -> None:
     """First thing in a forked target: keep the recorder, drop its host side.

@@ -60,6 +60,9 @@ the latency lives for small messages.
 from __future__ import annotations
 
 import multiprocessing
+# Joining the target with a timeout needs it (stdlib imports it inside
+# ``Popen.wait``); loaded here, with the transport, not in ``finalize``.
+import multiprocessing.connection  # noqa: F401
 import os
 import struct
 import threading
@@ -79,6 +82,7 @@ from repro.backends._server import (
     _LEN,
     _PREFIX,
     _U64,
+    DEFAULT_SERVER_WORKERS,
     FRAME_OVERHEAD,
     OP_FAILURE,
     OP_REPLY_BIT,
@@ -86,7 +90,6 @@ from repro.backends._server import (
     reset_forked_recorder,
 )
 from repro.backends.base import InvokeHandle
-from repro.backends.tcp import DEFAULT_SERVER_WORKERS
 from repro.errors import BackendError, OffloadTimeoutError
 from repro.ham.registry import Catalog
 from repro.telemetry import recorder as telemetry

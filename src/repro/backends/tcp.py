@@ -62,6 +62,7 @@ from repro.backends._server import (  # noqa: F401 - the frame grammar lives the
     _LEN,
     _PREFIX,
     _U64,
+    DEFAULT_SERVER_WORKERS,
     FRAME_OVERHEAD,
     OP_ALLOC,
     OP_CLOCK,
@@ -84,9 +85,6 @@ from repro.ham.registry import Catalog
 from repro.telemetry import recorder as telemetry
 
 __all__ = ["TcpBackend", "TcpTargetServer", "spawn_local_server"]
-
-#: Default number of concurrent INVOKEs a target executes.
-DEFAULT_SERVER_WORKERS = 4
 
 #: Bytes pulled off the socket per ``recv``. Bounded so one firehose
 #: connection cannot monopolize the shared loop (the level-triggered

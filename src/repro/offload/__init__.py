@@ -28,51 +28,43 @@ functional ``local``/``tcp`` backends and on the simulated ``veo``/``dma``
 backends — the paper's portability claim (Sec. V end).
 """
 
-from repro.ham import Migratable, f2f, offloadable
-from repro.offload.buffer import BufferPtr
-from repro.offload.future import Future
-from repro.offload.hedging import HedgePolicy, Hedger
-from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
-from repro.offload.qos import (
-    BEST_EFFORT,
-    PREMIUM,
-    STANDARD,
-    AdmissionController,
-    FairInflightWindow,
-    QoSConfig,
-    TenantContext,
-    TenantPolicy,
-    TokenBucket,
-    current_tenant,
-    tenant_scope,
-)
-from repro.offload.resilience import HealthMonitor, NodeHealth, ResiliencePolicy
-from repro.offload.runtime import Runtime
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
+    from repro.ham import Migratable, f2f, offloadable
+    from repro.offload.buffer import BufferPtr
+    from repro.offload.future import Future
+    from repro.offload.hedging import HedgePolicy, Hedger
+    from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
+    from repro.offload.qos import (
+        BEST_EFFORT, PREMIUM, STANDARD, AdmissionController, FairInflightWindow,
+        QoSConfig, TenantContext, TenantPolicy, TokenBucket, current_tenant,
+        tenant_scope,
+    )
+    from repro.offload.resilience import HealthMonitor, NodeHealth, ResiliencePolicy
+    from repro.offload.runtime import Runtime
 
 __all__ = [
-    "AdmissionController",
-    "BEST_EFFORT",
-    "BufferPtr",
-    "FairInflightWindow",
-    "Future",
-    "HOST_NODE",
-    "HealthMonitor",
-    "HedgePolicy",
-    "Hedger",
-    "Migratable",
-    "NodeDescriptor",
-    "NodeHealth",
-    "NodeId",
-    "PREMIUM",
-    "QoSConfig",
-    "ResiliencePolicy",
-    "Runtime",
-    "STANDARD",
-    "TenantContext",
-    "TenantPolicy",
-    "TokenBucket",
-    "current_tenant",
-    "f2f",
-    "offloadable",
-    "tenant_scope",
+    "AdmissionController", "BEST_EFFORT", "BufferPtr", "FairInflightWindow",
+    "Future", "HOST_NODE", "HealthMonitor", "HedgePolicy", "Hedger", "Migratable",
+    "NodeDescriptor", "NodeHealth", "NodeId", "PREMIUM", "QoSConfig",
+    "ResiliencePolicy", "Runtime", "STANDARD", "TenantContext", "TenantPolicy",
+    "TokenBucket", "current_tenant", "f2f", "offloadable", "tenant_scope",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.ham": ("Migratable", "f2f", "offloadable"),
+    "repro.offload.buffer": ("BufferPtr",),
+    "repro.offload.future": ("Future",),
+    "repro.offload.hedging": ("HedgePolicy", "Hedger"),
+    "repro.offload.node": ("HOST_NODE", "NodeDescriptor", "NodeId"),
+    "repro.offload.qos": (
+        "BEST_EFFORT", "PREMIUM", "STANDARD", "AdmissionController",
+        "FairInflightWindow", "QoSConfig", "TenantContext", "TenantPolicy",
+        "TokenBucket", "current_tenant", "tenant_scope",
+    ),
+    "repro.offload.resilience": ("HealthMonitor", "NodeHealth", "ResiliencePolicy"),
+    "repro.offload.runtime": ("Runtime",),
+})

@@ -37,13 +37,11 @@ from repro.offload.resilience import ResiliencePolicy
 from repro.offload.runtime import Runtime
 from repro.telemetry import flightrecorder as _flightrecorder
 from repro.telemetry import recorder as _telemetry
-from repro.telemetry.inspect import RuntimeInspector
-from repro.telemetry.promexport import MetricsServer, TelemetryConfig
-from repro.telemetry.sampling import HeadSampler, TailPipeline
-from repro.telemetry.slo import SLOMonitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import Backend
+    from repro.telemetry.promexport import MetricsServer, TelemetryConfig
+    from repro.telemetry.tsdb import Tsdb
 
 __all__ = [
     "init",
@@ -132,25 +130,63 @@ def init(
     ------
     OffloadError
         If a runtime is already initialized (call :func:`finalize` first).
+
+    An invalid option is rejected before a target is spawned, and an
+    ``init`` that raises later leaves nothing running: no target, no
+    segment, no endpoint, and a following ``init`` works.
     """
-    global _runtime, _metrics_server
+    global _runtime
     if _runtime is not None:
         raise OffloadError("offload API already initialized; call finalize() first")
-    if isinstance(backend, str):
-        from repro.backends import create_backend
-
-        backend = create_backend(backend, **backend_options)
-    elif backend_options:
+    if not isinstance(backend, str) and backend_options:
         raise OffloadError(
             "backend options "
             f"({', '.join(sorted(backend_options))}) only apply to the "
             "string form of init; pass them to the backend constructor "
             "instead"
         )
-    config = TelemetryConfig.coerce(telemetry)
+    # Options are validated before a target is spawned (and the recorder
+    # enabled only after, so the first target records nothing — see
+    # docs/observability.md). What an option selects is imported where it
+    # is selected: telemetry off loads no exporter, SLO or tsdb code.
+    config = None
+    if telemetry is not False:
+        from repro.telemetry.promexport import TelemetryConfig
+
+        config = TelemetryConfig.coerce(telemetry)
+    spawned = None
+    if isinstance(backend, str):
+        from repro.backends import create_backend
+
+        backend = spawned = create_backend(backend, **backend_options)
+    try:
+        tsdb = _apply_telemetry(config) if config is not None else None
+        _runtime = Runtime(backend, policy=policy, window=window, qos=qos)
+        if tsdb is not None:
+            # Started only now: the scoreboard needs the runtime's backend
+            # for its per-target stats before the first tick is useful.
+            tsdb.attach_runtime(_runtime)
+            tsdb.start()
+    except BaseException:
+        # Nothing init started outlives a failed init: the runtime, the
+        # recorder's sampler thread and endpoint, the spawned target.
+        finalize()
+        if spawned is not None:
+            spawned.shutdown()
+        raise
+    return _runtime
+
+
+def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
+    """Enable the recorder and install what ``config`` selects; returns
+    the time-series store if one was installed (``init`` starts it)."""
+    global _metrics_server
+    tsdb = None
     if config.enabled:
         recorder = _telemetry.enable(config.capacity)
         if config.sample_rate is not None:
+            from repro.telemetry.sampling import HeadSampler, TailPipeline
+
             recorder.sampler = HeadSampler(config.sample_rate)
             recorder.pipeline = TailPipeline(
                 max_pending=config.tail_max_pending,
@@ -158,6 +194,8 @@ def init(
                 min_samples=config.tail_min_samples,
             )
         if config.slo_enabled:
+            from repro.telemetry.slo import SLOMonitor
+
             recorder.slo = SLOMonitor(
                 config.slos or None,
                 fast_window=config.slo_fast_window,
@@ -170,7 +208,7 @@ def init(
         if config.tsdb:
             from repro.telemetry.tsdb import install_tsdb
 
-            install_tsdb(
+            tsdb = install_tsdb(
                 recorder,
                 interval=config.tsdb_interval,
                 retention=config.tsdb_retention,
@@ -178,6 +216,8 @@ def init(
                 probe=config.tsdb_probe,
             )
         if config.metrics_port is not None:
+            from repro.telemetry.promexport import MetricsServer
+
             _metrics_server = MetricsServer(
                 _full_snapshot_fn(recorder),
                 host=config.metrics_host,
@@ -189,15 +229,7 @@ def init(
         # Arm flight-recorder dumping (and SIGUSR2) for this process;
         # the recorder itself has been noting events since import.
         _flightrecorder.configure(config.crash_dir)
-    _runtime = Runtime(backend, policy=policy, window=window, qos=qos)
-    if config.enabled and config.tsdb:
-        # Started only now: the scoreboard needs the runtime's backend
-        # for its per-target stats before the first tick is useful.
-        recorder = _telemetry.get()
-        if recorder is not None and recorder.tsdb is not None:
-            recorder.tsdb.attach_runtime(_runtime)
-            recorder.tsdb.start()
-    return _runtime
+    return tsdb
 
 
 def _full_snapshot_fn(recorder: "_telemetry.Recorder"):
@@ -243,7 +275,7 @@ def _introspect_fn() -> dict:
     """
     if _runtime is None:
         return {"error": "offload API not initialized"}
-    return RuntimeInspector(_runtime).snapshot()
+    return introspect()
 
 
 def introspect(*, probe_target: bool = True) -> dict:
@@ -253,6 +285,8 @@ def introspect(*, probe_target: bool = True) -> dict:
     payload is served on the metrics server's ``/introspect`` endpoint
     when one is running.
     """
+    from repro.telemetry.inspect import RuntimeInspector
+
     return RuntimeInspector(runtime()).snapshot(probe_target=probe_target)
 
 

@@ -21,7 +21,6 @@ short exponential poll for handles without completion callbacks.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Any, Generator, Protocol
 
@@ -152,6 +151,8 @@ class Future:
         or ``await`` can still collect the reply.
         """
         if not self._done and not self.test():
+            import asyncio  # the awaiting caller has; get()-only users never do
+
             loop = asyncio.get_running_loop()
             attach = getattr(self._handle, "add_done_callback", None)
             if attach is not None:

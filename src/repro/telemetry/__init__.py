@@ -69,111 +69,72 @@ Phase taxonomy (span names) of one offload, host then target:
 See ``docs/observability.md`` for the full catalog.
 """
 
-from repro.telemetry.context import (
-    TraceContext,
-    activate,
-    current,
-    current_trace_id_hex,
-    new_trace,
-)
-from repro.telemetry.flightrecorder import FlightRecorder
-from repro.telemetry.inspect import RuntimeInspector
-from repro.telemetry.distributed import (
-    ClockSync,
-    align_records,
-    critical_path,
-    group_by_trace,
-    merge_traces,
-    trace_summary,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    LogHistogram,
-    MetricsRegistry,
-    percentile,
-)
-from repro.telemetry.profile import KernelProfile, KernelProfiler
-from repro.telemetry.promexport import (
-    MetricsServer,
-    TelemetryConfig,
-    to_prometheus,
-)
-from repro.telemetry.sampling import HeadSampler, TailPipeline, complete_offload
-from repro.telemetry.slo import SLO, SLOMonitor, default_slos
-from repro.telemetry.tsdb import (
-    AnomalyDetector,
-    Scoreboard,
-    SeriesRing,
-    TimeSeriesStore,
-    Tsdb,
-    install_tsdb,
-)
-from repro.telemetry.recorder import (
-    EventRecord,
-    Recorder,
-    SpanRecord,
-    count,
-    current_span_id,
-    disable,
-    enable,
-    enabled,
-    event,
-    gauge,
-    get,
-    observe,
-    span,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
+    from repro.telemetry.context import (
+        TraceContext, activate, current, current_trace_id_hex, new_trace,
+    )
+    from repro.telemetry.distributed import (
+        ClockSync, align_records, critical_path, group_by_trace, merge_traces,
+        trace_summary,
+    )
+    from repro.telemetry.flightrecorder import FlightRecorder
+    from repro.telemetry.inspect import RuntimeInspector
+    from repro.telemetry.metrics import (
+        Counter, Gauge, Histogram, LogHistogram, MetricsRegistry, percentile,
+    )
+    from repro.telemetry.profile import KernelProfile, KernelProfiler
+    from repro.telemetry.promexport import MetricsServer, TelemetryConfig, to_prometheus
+    from repro.telemetry.recorder import (
+        EventRecord, Recorder, SpanRecord, count, current_span_id, disable, enable,
+        enabled, event, gauge, get, observe, span,
+    )
+    from repro.telemetry.sampling import HeadSampler, TailPipeline, complete_offload
+    from repro.telemetry.slo import SLO, SLOMonitor, default_slos
+    from repro.telemetry.tsdb import (
+        AnomalyDetector, Scoreboard, SeriesRing, TimeSeriesStore, Tsdb, install_tsdb,
+    )
 
 __all__ = [
-    "AnomalyDetector",
-    "ClockSync",
-    "Counter",
-    "EventRecord",
-    "FlightRecorder",
-    "Gauge",
-    "HeadSampler",
-    "Histogram",
-    "KernelProfile",
-    "KernelProfiler",
-    "LogHistogram",
-    "MetricsRegistry",
-    "MetricsServer",
-    "Recorder",
-    "RuntimeInspector",
-    "SLO",
-    "SLOMonitor",
-    "Scoreboard",
-    "SeriesRing",
-    "SpanRecord",
-    "TailPipeline",
-    "TelemetryConfig",
-    "TimeSeriesStore",
-    "TraceContext",
-    "Tsdb",
-    "activate",
-    "align_records",
-    "complete_offload",
-    "count",
-    "critical_path",
-    "current",
-    "current_span_id",
-    "current_trace_id_hex",
-    "default_slos",
-    "disable",
-    "enable",
-    "enabled",
-    "event",
-    "gauge",
-    "get",
-    "group_by_trace",
-    "install_tsdb",
-    "merge_traces",
-    "new_trace",
-    "observe",
-    "percentile",
-    "span",
-    "to_prometheus",
-    "trace_summary",
+    "AnomalyDetector", "ClockSync", "Counter", "EventRecord", "FlightRecorder",
+    "Gauge", "HeadSampler", "Histogram", "KernelProfile", "KernelProfiler",
+    "LogHistogram", "MetricsRegistry", "MetricsServer", "Recorder",
+    "RuntimeInspector", "SLO", "SLOMonitor", "Scoreboard", "SeriesRing",
+    "SpanRecord", "TailPipeline", "TelemetryConfig", "TimeSeriesStore",
+    "TraceContext", "Tsdb", "activate", "align_records", "complete_offload",
+    "count", "critical_path", "current", "current_span_id", "current_trace_id_hex",
+    "default_slos", "disable", "enable", "enabled", "event", "gauge", "get",
+    "group_by_trace", "install_tsdb", "merge_traces", "new_trace", "observe",
+    "percentile", "span", "to_prometheus", "trace_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.telemetry.context": (
+        "TraceContext", "activate", "current", "current_trace_id_hex", "new_trace",
+    ),
+    "repro.telemetry.distributed": (
+        "ClockSync", "align_records", "critical_path", "group_by_trace",
+        "merge_traces", "trace_summary",
+    ),
+    "repro.telemetry.flightrecorder": ("FlightRecorder",),
+    "repro.telemetry.inspect": ("RuntimeInspector",),
+    "repro.telemetry.metrics": (
+        "Counter", "Gauge", "Histogram", "LogHistogram", "MetricsRegistry",
+        "percentile",
+    ),
+    "repro.telemetry.profile": ("KernelProfile", "KernelProfiler"),
+    "repro.telemetry.promexport": ("MetricsServer", "TelemetryConfig", "to_prometheus"),
+    "repro.telemetry.recorder": (
+        "EventRecord", "Recorder", "SpanRecord", "count", "current_span_id",
+        "disable", "enable", "enabled", "event", "gauge", "get", "observe", "span",
+    ),
+    "repro.telemetry.sampling": ("HeadSampler", "TailPipeline", "complete_offload"),
+    "repro.telemetry.slo": ("SLO", "SLOMonitor", "default_slos"),
+    "repro.telemetry.tsdb": (
+        "AnomalyDetector", "Scoreboard", "SeriesRing", "TimeSeriesStore", "Tsdb",
+        "install_tsdb",
+    ),
+})

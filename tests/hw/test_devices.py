@@ -1,5 +1,7 @@
 """Tests for VectorEngine, VectorHost, specs and topology."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import DmaError, HardwareError
@@ -76,6 +78,47 @@ class TestTopology:
         text = SystemTopology().describe()
         for ve in range(8):
             assert f"ve{ve}" in text
+
+    # The pins below hold with any path engine under ``upi_hops`` (they
+    # were written against the networkx one the BFS replaced).
+
+    @staticmethod
+    def _hops(topo):
+        spec = topo.spec
+        return [
+            [topo.upi_hops(s, ve) for ve in range(spec.num_ves)]
+            for s in range(spec.num_cpu_sockets)
+        ]
+
+    def test_a300_8_full_matrix_and_describe(self):
+        topo = SystemTopology(A300_8)
+        assert self._hops(topo) == [
+            [0, 0, 0, 0, 1, 1, 1, 1],
+            [1, 1, 1, 1, 0, 0, 0, 0],
+        ]
+        for ve in range(8):
+            assert topo.upi_hops(topo.local_socket(ve), ve) == 0
+        cpu = A300_8.cpu.name
+        assert topo.describe() == (
+            f"socket0 ({cpu}): ve0, ve1, ve2, ve3\n"
+            f"socket1 ({cpu}): ve4, ve5, ve6, ve7"
+        )
+
+    def test_single_socket_owns_both_switches(self):
+        topo = SystemTopology(replace(A300_8, num_cpu_sockets=1))
+        assert self._hops(topo) == [[0] * 8]
+        assert topo.ves_of_socket(0) == list(range(8))
+        assert topo.describe().count("\n") == 0
+
+    @pytest.mark.parametrize("num_ves", [4, 2])
+    def test_single_switch_hangs_off_socket0(self, num_ves):
+        topo = SystemTopology(replace(A300_8, num_ves=num_ves))
+        assert self._hops(topo) == [[0] * num_ves, [1] * num_ves]
+        assert topo.ves_of_socket(0) == list(range(num_ves))
+        assert topo.ves_of_socket(1) == []
+        assert topo.describe().splitlines()[1] == (
+            f"socket1 ({A300_8.cpu.name}): "
+        )
 
 
 class TestVectorEngineLhmShm:

@@ -1,12 +1,17 @@
 """Tests for the free-function API (paper Table II shape)."""
 
+import glob
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
-from repro.backends import LocalBackend
-from repro.errors import OffloadError
+from repro.backends import LocalBackend, eventloop
+from repro.errors import BackendError, OffloadError
 from repro.ham import f2f
 from repro.offload import api as offload
+from repro.telemetry import recorder as telemetry
 
 from tests import apps
 
@@ -40,6 +45,46 @@ class TestGlobalRuntimeLifecycle:
         offload.init(LocalBackend())
         assert offload.is_initialized()
         offload.finalize()
+
+
+def _left_behind() -> tuple:
+    """What a spawned target, its transport and init's helpers hold."""
+    return (
+        {child.pid for child in multiprocessing.active_children()},
+        set(glob.glob("/dev/shm/psm_*")),
+        eventloop._global_refs,
+        {t.name for t in threading.enumerate() if t.name.startswith("repro-")},
+    )
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        # Rejected before anything is spawned ...
+        ({"telemetry": {"sample_rate": 2.0}}, ValueError),
+        ({"telemetry": "yes"}, TypeError),
+        # ... and raised by Runtime(...) with the target already up,
+        # the second time with an endpoint and a sampler to take down.
+        ({"window": 0}, BackendError),
+        ({"window": 0, "telemetry": {"metrics_port": 0, "tsdb": True}}, BackendError),
+    ],
+)
+def test_failed_init_leaves_nothing_behind(transport, options, error):
+    before = _left_behind()
+    try:
+        with pytest.raises(error):
+            offload.init(transport, **options)
+        assert not offload.is_initialized()
+        assert offload.metrics_server() is None
+        assert _left_behind() == before
+        # ... and the next, valid init finds a clean slate.
+        offload.init(transport)
+        assert offload.sync(1, f2f(apps.echo, 7)) == 7
+    finally:
+        offload.finalize()
+        telemetry.disable()
+    assert _left_behind() == before
 
 
 class TestTableIIOperations:
