@@ -110,8 +110,7 @@ class FramedClient(Backend):
       ``done()`` holds (``block(seconds)`` sleeps on the expectation's
       own event), raising :class:`OffloadTimeoutError` after
       ``timeout``, and ``_poll()``, the progress that needs no waiting;
-      a driven transport pumps replies in both, and returns its
-      window-progress callback from ``_window_progress``;
+      a driven transport (``driven = True``) pumps replies in both;
     * ``_detach()`` — let go of what only a live transport needs
       (idempotent, any thread); a buffering transport also reports what
       it had not sent yet through ``_drop_unsent``;
@@ -138,7 +137,6 @@ class FramedClient(Backend):
         on_shutdown: Callable[[], None] | None,
         op_timeout: float | None,
     ) -> None:
-        super().__init__()
         self.host_image = ProcessImage(f"{self.name}-host", catalog)
         self._on_shutdown = on_shutdown
         self.op_timeout = op_timeout
@@ -179,11 +177,6 @@ class FramedClient(Backend):
         what: str,
     ) -> None:
         raise NotImplementedError
-
-    def _window_progress(self) -> Callable[[], None] | None:
-        """What frees window slots while ``post_invoke`` waits for one:
-        ``None`` when a receiver completes handles on its own."""
-        return None
 
     def _detach(self) -> None:
         raise NotImplementedError
@@ -404,21 +397,9 @@ class FramedClient(Backend):
     def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
         self._check_alive()
         self.check_target(node)
-        # Backpressure point: a window slot must free up (a reply
-        # completes a handle) before another invoke may enter the pipe.
-        self._admit_invoke(
-            label=functor.type_name, progress=self._window_progress()
-        )
-        try:
-            self._check_alive()
-            self._msg_id += 1
-            parts, total = sized_invoke_parts(
-                self.host_image, functor, self._msg_id
-            )
-            handle = InvokeHandle(self, label=functor.type_name)
-        except BaseException:
-            self.window.cancel()
-            raise
+        self._msg_id += 1
+        parts, total = sized_invoke_parts(self.host_image, functor, self._msg_id)
+        handle = InvokeHandle(self, label=functor.type_name)
         # Telemetry phase ``offload.enqueue``: filing the reply
         # expectation and handing the frame to the transport.
         with telemetry.span(
@@ -427,22 +408,14 @@ class FramedClient(Backend):
         ):
             with self._pending_lock:
                 self._pending[handle.correlation_id] = ("invoke", handle)
-            self._register_invoke(handle)
             try:
                 self._post_frame(OP_INVOKE, handle.correlation_id, *parts)
-            except BaseException as exc:
-                # The handle is already registered: completing it with
-                # the error frees its window slot (a bare re-raise would
-                # leak the slot until the window drained to zero).
+            except BaseException:
                 with self._pending_lock:
                     self._pending.pop(handle.correlation_id, None)
-                handle.complete_with_error(
-                    exc if isinstance(exc, (BackendError, OffloadTimeoutError))
-                    else BackendError(f"send failed while posting invoke: {exc}")
-                )
                 raise
         # The transport may have been declared lost between the
-        # aliveness check and our registration; a handle filed after that
+        # aliveness check and our filing; a handle filed after that
         # drain would wait forever, so fail it here ourselves.
         if not self._alive:
             with self._pending_lock:

@@ -131,6 +131,8 @@ class SimBackendBase(Backend):
 
     name = "sim-base"
     device_description = "simulated NEC VE"
+    #: Single-threaded: the simulator advances only while a caller polls.
+    driven = True
 
     def __init__(
         self,
@@ -156,7 +158,6 @@ class SimBackendBase(Backend):
         for index in ve_indices:
             if not 0 <= index < self.machine.num_ves:
                 raise BackendError(f"no VE {index} on this machine")
-        super().__init__()
         self.sim = self.machine.sim
         self.timing = self.machine.timing
         self.num_slots = num_slots
@@ -249,21 +250,6 @@ class SimBackendBase(Backend):
         kernel_seconds = float(self.kernel_cost_fn(functor))
         return self._post_raw(channel, invoke, functor.type_name, kernel_seconds)
 
-    def _window_progress(self) -> None:
-        """Window-acquire progress hook for this single-threaded backend.
-
-        There is no receiver thread to free slots, so a full window makes
-        progress by driving the oldest in-flight invocation to completion
-        (which releases its slot).
-        """
-        for handle in self.window.handles().values():
-            if not handle.completed:
-                self.drive(handle, blocking=True)
-                return
-        raise BackendError(
-            "in-flight window full with no driveable invocation"
-        )
-
     def _post_raw(
         self,
         channel: TargetChannel,
@@ -276,22 +262,13 @@ class SimBackendBase(Backend):
                 f"message of {len(message)} bytes exceeds slot capacity "
                 f"{self.msg_size}"
             )
-        self._admit_invoke(label=label, progress=self._window_progress)
-        try:
-            slot = self._acquire_slot(channel)
-            channel.slot_seq[slot] += 1
-            seq = channel.slot_seq[slot]
-            handle = SimInvokeHandle(self, channel, slot, seq, label)
-        except BaseException:
-            self.window.cancel()
-            raise
+        slot = self._acquire_slot(channel)
+        channel.slot_seq[slot] += 1
+        seq = channel.slot_seq[slot]
+        handle = SimInvokeHandle(self, channel, slot, seq, label)
         channel.slot_handles[slot] = handle
         if kernel_seconds > 0:
             channel.kernel_time[(slot, seq)] = kernel_seconds
-        # Register before sending: `_host_send` advances the simulator,
-        # which may complete the handle (and release the slot) before
-        # this method returns.
-        self._register_invoke(handle)
         start = self.sim.now
         self._host_send(channel, slot, seq, message)
         self._span("host.post", start)

@@ -13,11 +13,12 @@ Message-level contract (the *channel*):
   id-keyed in-flight table — never by arrival order. Replies may
   therefore complete **out of order**, which is what lets independent
   offloads overlap on a pipelined transport.
-* In-flight invocations are bounded by an :class:`InflightWindow`
-  (default :data:`DEFAULT_INFLIGHT_LIMIT`). ``post_invoke`` acquires a
-  window slot first — blocking (with the backend's window timeout) or
-  making progress via a drive callback on single-threaded backends —
-  so a runaway producer gets backpressure instead of unbounded queues.
+* Backends are transports: they move frames and know nothing of flow
+  control. In-flight invocations are bounded by the
+  :class:`InflightWindow` of the :class:`~repro.offload.runtime.Runtime`
+  that posts them (default :data:`DEFAULT_INFLIGHT_LIMIT`), so a runaway
+  producer gets backpressure instead of unbounded queues; a bare
+  ``post_invoke`` is not admitted by anything.
 * Completion is **thread-safe**: transports with receiver threads call
   :meth:`InvokeHandle.complete_with_reply` /
   :meth:`InvokeHandle.complete_with_error` from any thread; waiters
@@ -32,12 +33,10 @@ futures by the runtime.
 from __future__ import annotations
 
 import abc
-import contextlib
-import contextvars
 import itertools
 import threading
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,7 +54,6 @@ __all__ = [
     "InflightWindow",
     "InvokeHandle",
     "normalize_target_stats",
-    "window_budget",
 ]
 
 
@@ -73,7 +71,7 @@ def normalize_target_stats(stats: "dict[str, Any]") -> "dict[str, Any]":
         # Proxy backends (fault injection) nest the transport's stats.
         stats = inner
     vector: dict[str, Any] = {}
-    pending = stats.get("pending_replies", stats.get("inflight"))
+    pending = stats.get("pending_replies")
     if pending is not None:
         vector["in_flight"] = pending
     queue_bytes = stats.get("send_queue_bytes")
@@ -85,39 +83,10 @@ def normalize_target_stats(stats: "dict[str, Any]") -> "dict[str, Any]":
         vector["ring_fill"] = used / capacity
     return vector
 
-#: Default bound on invocations in flight per backend. Large enough to
+#: Default bound on invocations in flight per runtime. Large enough to
 #: keep a pipelined transport busy, small enough that a runaway producer
 #: hits backpressure before exhausting memory.
 DEFAULT_INFLIGHT_LIMIT = 64
-
-#: Absolute ``time.monotonic`` deadline bounding window-slot waits for
-#: the current offload (see :func:`window_budget`). ``None`` outside a
-#: budget scope: the backend's static window timeout applies alone.
-_window_budget: contextvars.ContextVar[float | None] = contextvars.ContextVar(
-    "repro_window_budget", default=None
-)
-
-
-@contextlib.contextmanager
-def window_budget(deadline: float | None) -> Iterator[None]:
-    """Scope window-slot waits to one offload's *remaining* budget.
-
-    ``deadline`` is an absolute ``time.monotonic`` instant, computed
-    **once** when the offload (with its retries) starts. Every window
-    acquisition inside the scope waits at most until that instant —
-    not the policy's full deadline again — so an offload that retries
-    N times cannot spend N full deadlines queueing for a slot. The
-    effective wait is the *minimum* of the scoped remainder and the
-    backend's static window timeout (:meth:`Backend.set_window_timeout`).
-    """
-    if deadline is None:
-        yield
-        return
-    token = _window_budget.set(deadline)
-    try:
-        yield
-    finally:
-        _window_budget.reset(token)
 
 
 class CoalescePolicy:
@@ -285,13 +254,18 @@ class FrameCoalescer:
 class InflightWindow:
     """Bounded, id-keyed table of in-flight invocations.
 
-    The window is the flow-control half of the channel contract:
-    :meth:`acquire` reserves capacity before a post (blocking, failing
-    fast, or driving backend progress when the backend is
-    single-threaded), :meth:`register` files the posted handle under its
-    correlation id, and :meth:`release` frees the slot when the handle
-    completes — from whichever thread delivers the reply.
+    The flow-control half of the channel contract, owned by the
+    :class:`~repro.offload.runtime.Runtime`: :meth:`acquire` reserves
+    capacity before a post (blocking, or failing after ``timeout``),
+    :meth:`register` files the posted handle under its correlation id,
+    and the handle's completion — from whichever thread delivers the
+    reply — calls :meth:`release`. A post that raised returns its slot
+    through :meth:`cancel`.
     """
+
+    #: Longest a waiter drives one handle before it looks again: a
+    #: younger invocation may have completed, and freed a slot, meanwhile.
+    _DRIVE_SLICE = 0.005
 
     def __init__(self, limit: int = DEFAULT_INFLIGHT_LIMIT) -> None:
         if limit < 1:
@@ -303,6 +277,8 @@ class InflightWindow:
         self._inflight: dict[int, "InvokeHandle"] = {}
         #: Slots acquired but not yet registered (post in progress).
         self._reserved = 0
+        #: Threads inside :meth:`_wait_locked`.
+        self._waiting = 0
 
     @property
     def limit(self) -> int:
@@ -328,22 +304,23 @@ class InflightWindow:
         with self._lock:
             return dict(self._inflight)
 
+    def _has_room_locked(self) -> bool:
+        return len(self._inflight) + self._reserved < self._limit
+
     def acquire(
         self,
         *,
+        tenant: Any = None,
         timeout: float | None = None,
-        progress: Callable[[], None] | None = None,
         label: str = "",
     ) -> None:
         """Reserve one window slot, applying backpressure when full.
 
-        Without ``progress``, blocks on the window condition until a
-        completion (from a receiver thread) frees a slot, raising
-        :class:`~repro.errors.OffloadTimeoutError` after ``timeout``
-        seconds. With ``progress`` — required on single-threaded
-        backends where completions only happen when the caller drives
-        the transport — the callback is invoked repeatedly (lock
-        released) until capacity appears.
+        Waits (see :meth:`_wait_locked`) until a completion frees a
+        slot, raising :class:`~repro.errors.OffloadTimeoutError` after
+        ``timeout`` seconds. ``tenant`` is what the fair window
+        (:class:`~repro.offload.qos.FairInflightWindow`) schedules by;
+        first come, first served here.
 
         Telemetry: the wait, when one actually happens, is recorded as
         an ``offload.window_wait`` span.
@@ -354,48 +331,103 @@ class InflightWindow:
                 return
         with telemetry.span(
             "offload.window_wait", label=label, limit=self._limit
-        ):
-            deadline = None if timeout is None else time.monotonic() + timeout
-            with self._lock:
-                while len(self._inflight) + self._reserved >= self._limit:
-                    if progress is not None:
-                        self._lock.release()
-                        try:
-                            progress()
-                        finally:
-                            self._lock.acquire()
-                        continue
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise OffloadTimeoutError(
-                                f"in-flight window full ({self._limit} "
-                                "operations outstanding) and no completion "
-                                "within the deadline"
-                            )
-                    self._slot_freed.wait(remaining)
-                self._reserved += 1
+        ), self._lock:
+            if not self._wait_locked(self._has_room_locked, timeout):
+                raise OffloadTimeoutError(
+                    f"in-flight window full ({self._limit} operations "
+                    "outstanding) and no completion within the deadline"
+                )
+            self._reserved += 1
+
+    def _wait_locked(
+        self, ready: Callable[[], bool], timeout: float | None
+    ) -> bool:
+        """Lock held: wait until ``ready()`` holds; ``False`` on timeout.
+
+        The one wait loop under the FIFO and the fair window. A handle
+        of a receiver-driven transport is completed by its reactor, and
+        the completion notifies the condition this sleeps on. A
+        :attr:`Backend.driven` transport completes handles only while
+        somebody drives it, so there *a waiter drives the oldest
+        in-flight handle* (lock released, a slice at a time) — through
+        any proxy or composition, because a handle names the transport
+        that posted it. A failure of that drive (the transport died
+        under it) propagates.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        self._waiting += 1
+        try:
+            while not ready():
+                wait = None
+                if deadline is not None:
+                    wait = deadline - time.monotonic()
+                    if wait <= 0:
+                        return False
+                oldest = next(
+                    (
+                        handle for handle in self._inflight.values()
+                        if not handle.completed
+                        and handle.backend is not None
+                        and handle.backend.driven
+                    ),
+                    None,
+                )
+                if oldest is None:
+                    self._slot_freed.wait(wait)
+                    continue
+                self._lock.release()
+                try:
+                    oldest.backend.drive(
+                        oldest, blocking=True,
+                        timeout=self._DRIVE_SLICE if wait is None
+                        else min(wait, self._DRIVE_SLICE),
+                    )
+                except OffloadTimeoutError:
+                    pass  # the slice ran out, not the caller's budget
+                finally:
+                    self._lock.acquire()
+            return True
+        finally:
+            self._waiting -= 1
 
     def register(self, handle: "InvokeHandle") -> None:
-        """File a posted handle under its correlation id."""
+        """File a posted handle; its completion releases the slot.
+
+        A handle that completed before it got here (a synchronous
+        backend, a fast reply) is released at once. Either this sees
+        ``completed`` or the completing thread sees ``_window``: both
+        write their side before they read the other's, and a second
+        release is a no-op.
+        """
         with self._lock:
             if self._reserved > 0:
                 self._reserved -= 1
+            handle._window = self
             self._inflight[handle.correlation_id] = handle
+            if self._waiting:
+                # Somebody now has a handle to drive (see _wait_locked).
+                self._slot_freed.notify_all()
+        if handle.completed:
+            self.release(handle)
 
     def cancel(self) -> None:
         """Return an acquired-but-unposted slot (post failed)."""
         with self._lock:
             if self._reserved > 0:
                 self._reserved -= 1
-            self._slot_freed.notify()
+            self._freed_locked()
 
     def release(self, handle: "InvokeHandle") -> None:
         """Free a completed handle's slot (idempotent)."""
         with self._lock:
             if self._inflight.pop(handle.correlation_id, None) is not None:
-                self._slot_freed.notify()
+                self._freed_locked()
+        if telemetry.enabled():
+            telemetry.gauge("offload.inflight", self.in_flight)
+
+    def _freed_locked(self) -> None:
+        """Capacity appeared: pass it on to whoever waits for it."""
+        self._slot_freed.notify()
 
 
 class InvokeHandle:
@@ -405,13 +437,16 @@ class InvokeHandle:
     key frames are tagged with on the wire and replies are matched by.
     Backends complete it by calling :meth:`complete_with_reply` (raw HAM
     reply bytes) or :meth:`complete_with_error` from any thread; both
-    publish completion and release the backend's in-flight window
-    slot. ``wait`` delegates to the backend's :meth:`Backend.drive` so
-    each backend decides how to make progress (wait on the receiver
-    thread's event, advance the simulator, ...).
+    publish completion and release the slot of the window the handle
+    was registered in, if any. ``wait`` delegates to the backend's
+    :meth:`Backend.drive` so each backend decides how to make progress
+    (wait on the receiver thread's event, advance the simulator, ...).
     """
 
     _ids = itertools.count(1)
+    #: The window this handle occupies a slot of (set by
+    #: :meth:`InflightWindow.register`).
+    _window: InflightWindow | None = None
 
     def __init__(self, backend: "Backend", label: str = "") -> None:
         self.backend = backend
@@ -457,7 +492,9 @@ class InvokeHandle:
             callbacks, self._callbacks = self._callbacks, []
         if event is not None:
             event.set()
-        self.backend._handle_completed(self)
+        window = self._window
+        if window is not None:
+            window.release(self)
         for fn in callbacks:
             self._run_callback(fn)
 
@@ -535,85 +572,19 @@ class InvokeHandle:
 
 
 class Backend(abc.ABC):
-    """Base class of all communication backends.
+    """Base class of all communication backends: a transport.
 
-    Subclasses that post invokes must call ``super().__init__()``: it
-    creates the in-flight window every invoke is admitted through.
+    A backend moves invocations and buffers; who may post next, and how
+    long they may wait, is the posting runtime's
+    :class:`InflightWindow`.
     """
 
     #: Backend name used in node descriptors and reports.
     name: str = "abstract"
-
-    def __init__(self) -> None:
-        self._window = InflightWindow()
-        self._window_timeout: float | None = None
-
-    # -- the in-flight window --------------------------------------------------
-    @property
-    def window(self) -> InflightWindow:
-        """This backend's in-flight window."""
-        return self._window
-
-    def install_window(self, window: InflightWindow) -> None:
-        """Replace this backend's in-flight window (the scheduler seam).
-
-        The QoS layer swaps the default FIFO window for a
-        :class:`~repro.offload.qos.FairInflightWindow` here, and
-        :class:`~repro.backends.fanout.FanoutBackend` shares one window
-        across its inner backends so admission and fairness are uniform.
-        Only legal while nothing is in flight — handles registered in
-        the old window would otherwise leak their slots on completion.
-        """
-        in_flight = self.window.in_flight
-        if in_flight:
-            raise BackendError(
-                f"cannot replace the in-flight window with "
-                f"{in_flight} operation(s) outstanding"
-            )
-        self._window = window
-
-    @property
-    def inflight_count(self) -> int:
-        """Invocations currently in flight on this backend."""
-        return self.window.in_flight
-
-    def set_inflight_limit(self, limit: int) -> None:
-        """Bound the number of in-flight invocations (backpressure)."""
-        self.window.set_limit(limit)
-
-    def set_window_timeout(self, seconds: float | None) -> None:
-        """Deadline for acquiring a window slot when the window is full.
-
-        ``None`` (the default) blocks until capacity frees up — on
-        threaded transports a completion always wakes the waiter; on
-        single-threaded backends the acquire drives progress instead of
-        sleeping. The runtime sets this from the resilience policy so a
-        full window against a dead target fails fast.
-        """
-        self._window_timeout = seconds
-
-    def _admit_invoke(
-        self, label: str = "", progress: Callable[[], None] | None = None
-    ) -> None:
-        """Reserve window capacity for one invoke (backpressure point).
-
-        The wait is bounded by the backend's static window timeout
-        *and* — inside a :func:`window_budget` scope — by the
-        offload's remaining budget, whichever is tighter. The budget
-        is an absolute deadline computed once per offload, so a
-        retried offload re-arms with what is *left*, never with the
-        full policy deadline again.
-        """
-        timeout = self._window_timeout
-        budget = _window_budget.get()
-        if budget is not None:
-            remaining = budget - time.monotonic()
-            if remaining <= 0:
-                raise OffloadTimeoutError(
-                    "offload budget exhausted before a window slot was acquired"
-                )
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        self.window.acquire(timeout=timeout, progress=progress, label=label)
+    #: Whether handles complete only while a caller drives the transport
+    #: (no receiver completes them on its own): a window waiter then
+    #: drives instead of sleeping, see :meth:`InflightWindow._wait_locked`.
+    driven: bool = False
 
     def _callback_armed(self, handle: "InvokeHandle") -> None:
         """Hook: a done-callback was attached to a pending handle.
@@ -624,20 +595,6 @@ class Backend(abc.ABC):
         consumer — an asyncio awaiter with no thread blocked in
         ``drive`` — still observes completion.
         """
-
-    def _register_invoke(self, handle: "InvokeHandle") -> None:
-        """File a posted handle in the in-flight table; updates the gauge."""
-        window = self.window
-        window.register(handle)
-        if telemetry.enabled():  # reading the depth takes the window lock
-            telemetry.gauge("offload.inflight", window.in_flight)
-
-    def _handle_completed(self, handle: "InvokeHandle") -> None:
-        """Completion hook: frees the handle's window slot (any thread)."""
-        window = self.window
-        window.release(handle)
-        if telemetry.enabled():
-            telemetry.gauge("offload.inflight", window.in_flight)
 
     # -- topology ---------------------------------------------------------
     @abc.abstractmethod
@@ -660,14 +617,7 @@ class Backend(abc.ABC):
     # -- invocation -----------------------------------------------------------
     @abc.abstractmethod
     def post_invoke(self, node: NodeId, functor: Any) -> InvokeHandle:
-        """Send a functor to ``node`` for execution; returns a handle.
-
-        Implementations acquire an in-flight window slot first (via
-        :meth:`_admit_invoke`) and register the handle in the window's
-        id-keyed table (:meth:`_register_invoke`) before the frame hits
-        the transport, so backpressure and reply matching are uniform
-        across backends.
-        """
+        """Send a functor to ``node`` for execution; returns a handle."""
 
     @abc.abstractmethod
     def drive(

@@ -7,9 +7,8 @@ live targets. :class:`FanoutBackend` composes N single-target backends
 server) into one backend whose node space is ``0`` (host) plus nodes
 ``1..N`` — outer node ``i`` maps to inner backend ``i-1``'s node ``1``.
 
-One window, N transports: the fan-out installs **its own** in-flight
-window into every inner backend (via
-:meth:`~repro.backends.base.Backend.install_window`), so admission,
+One window, N transports: the runtime admits every offload through its
+own in-flight window before the fan-out routes it, so admission,
 backpressure and — with a :class:`~repro.offload.qos.FairInflightWindow`
 — tenant fairness are enforced over the *union* of traffic, exactly as
 a single pipelined channel would. Completions on any inner transport
@@ -29,12 +28,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.backends.base import (
-    Backend,
-    InflightWindow,
-    InvokeHandle,
-    normalize_target_stats,
-)
+from repro.backends.base import Backend, InvokeHandle, normalize_target_stats
 from repro.errors import BackendError
 from repro.offload.buffer import BufferPtr
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
@@ -48,23 +42,9 @@ class FanoutBackend(Backend):
     name = "fanout"
 
     def __init__(self, inners: Sequence[Backend]) -> None:
-        super().__init__()
         if not inners:
             raise BackendError("FanoutBackend needs at least one inner backend")
         self._inners: list[Backend] = list(inners)
-        for inner in self._inners:
-            inner.install_window(self.window)
-
-    # -- the shared window -------------------------------------------------
-    def install_window(self, window: InflightWindow) -> None:
-        super().install_window(window)
-        for inner in self._inners:
-            inner.install_window(window)
-
-    def set_window_timeout(self, seconds: float | None) -> None:
-        super().set_window_timeout(seconds)
-        for inner in self._inners:
-            inner.set_window_timeout(seconds)
 
     def set_default_timeout(self, seconds: float | None) -> None:
         for inner in self._inners:
@@ -88,8 +68,8 @@ class FanoutBackend(Backend):
 
     # -- invocation --------------------------------------------------------
     def post_invoke(self, node: NodeId, functor: Any) -> InvokeHandle:
-        # The inner backend admits against the *shared* window and binds
-        # the handle to itself, so drive/completion route naturally.
+        # The inner backend binds the handle to itself, so drive and
+        # completion route naturally.
         return self._route(node).post_invoke(1, functor)
 
     def drive(

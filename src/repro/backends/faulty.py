@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.backends.base import Backend, InflightWindow, InvokeHandle
+from repro.backends.base import Backend, InvokeHandle
 from repro.errors import BackendError, CorruptFrameError, InjectedFaultError
 from repro.offload.buffer import BufferPtr
 from repro.offload.node import NodeDescriptor, NodeId
@@ -179,16 +179,6 @@ class FaultInjectingBackend(Backend):
     def ops_forwarded(self) -> int:
         """Operations that reached the schedule so far."""
         return self._op_index
-
-    # -- the channel contract: one window, owned by the real transport --------
-    @property
-    def window(self) -> InflightWindow:
-        """The wrapped backend's in-flight window (admission happens once,
-        in the inner ``post_invoke``; the proxy must not double-count)."""
-        return self.inner.window
-
-    def set_window_timeout(self, seconds: float | None) -> None:
-        self.inner.set_window_timeout(seconds)
 
     # -- topology (never faulted: metadata, not transport) -------------------
     def num_nodes(self) -> int:

@@ -61,7 +61,6 @@ class LocalBackend(Backend):
     def __init__(self, num_targets: int = 1, catalog: Catalog | None = None) -> None:
         if num_targets < 1:
             raise BackendError(f"need at least one target, got {num_targets}")
-        super().__init__()
         self.host_image = ProcessImage("local-host", catalog)
         self._targets = {
             node: _Target(node, catalog) for node in range(1, num_targets + 1)
@@ -83,32 +82,17 @@ class LocalBackend(Backend):
     def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
         self._check_alive()
         self.check_target(node)
-        # Execution is synchronous, so the slot frees again before this
-        # method returns — the admission still goes through the window so
-        # limits, gauges and the channel contract behave uniformly.
-        self._admit_invoke(label=functor.type_name)
-        try:
-            target = self._targets[node]
-            self._msg_id += 1
-            invoke = build_invoke(self.host_image, functor, self._msg_id)
-            handle = InvokeHandle(self, label=functor.type_name)
-        except BaseException:
-            self.window.cancel()
-            raise
-        self._register_invoke(handle)
+        target = self._targets[node]
+        self._msg_id += 1
+        invoke = build_invoke(self.host_image, functor, self._msg_id)
         # Telemetry phase ``offload.transport``: for the in-process
         # backend the "wire" is a synchronous call, so transport time is
         # the handoff around the nested ``offload.execute`` span.
-        try:
-            with telemetry.span("offload.transport", node=node, bytes=len(invoke)):
-                reply, _keep_running = execute_message(
-                    target.image, invoke, resolver=target.resolve
-                )
-        except BaseException as exc:
-            # Registered but never completed would leak the window slot;
-            # settle the handle with the error before re-raising.
-            handle.complete_with_error(exc)
-            raise
+        with telemetry.span("offload.transport", node=node, bytes=len(invoke)):
+            reply, _keep_running = execute_message(
+                target.image, invoke, resolver=target.resolve
+            )
+        handle = InvokeHandle(self, label=functor.type_name)
         handle._transport_spanned = True
         target.messages_executed += 1
         handle.complete_with_reply(reply)

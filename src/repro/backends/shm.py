@@ -46,9 +46,9 @@ another pipe: :mod:`repro.backends._server` and
 Both ends poll with the paper's adaptive *spin-then-sleep* loop: a
 bounded busy-spin phase (interleaved with ``sched_yield`` so a same-core
 peer gets the CPU immediately — the single-core analogue of the VE's LHM
-polling) followed by exponential sleep backoff for idle periods. Tune
-with ``spin_yields`` / ``sleep_min`` / ``sleep_max`` on both
-:class:`ShmBackend` and :class:`ShmTargetServer`.
+polling) followed by exponential sleep backoff for idle periods; the
+spin budget and the sleep bounds are constants of this module
+(:data:`SPIN_YIELDS`, :data:`SLEEP_MIN`, :data:`SLEEP_MAX`).
 
 Unlike the TCP backend there is **no receiver thread**: the client is
 *driven* — whichever caller waits on a reply takes the drive lock and
@@ -113,12 +113,12 @@ DEFAULT_RING_CAPACITY = 1 << 20
 #: loop starts sleeping. Yields hand the CPU straight to a same-core
 #: peer, so the spin phase is cheap even on one core; ~4000 yields span
 #: a few milliseconds — more than any healthy peer needs to respond.
-DEFAULT_SPIN_YIELDS = 4000
+SPIN_YIELDS = 4000
 #: First sleep of the backoff phase (seconds).
-DEFAULT_SLEEP_MIN = 50e-6
+SLEEP_MIN = 50e-6
 #: Sleep cap of the backoff phase (seconds) — bounds wakeup latency
 #: after a long idle period.
-DEFAULT_SLEEP_MAX = 2e-3
+SLEEP_MAX = 2e-3
 
 #: Reactor-backstop pump cadence while replies are flowing (seconds) —
 #: the completion latency an asyncio awaiter observes on shm.
@@ -305,9 +305,6 @@ class ShmRing:
         data_off: int,
         *,
         name: str,
-        spin_yields: int = DEFAULT_SPIN_YIELDS,
-        sleep_min: float = DEFAULT_SLEEP_MIN,
-        sleep_max: float = DEFAULT_SLEEP_MAX,
     ) -> None:
         self._buf = segment.buf
         self._cursors = cursors = segment.cursors
@@ -318,9 +315,6 @@ class ShmRing:
         self._name = name
         self._stall_series = f"shm.wait.stall_us.{name}"
         self._spin_series = f"shm.wait.spin_yields.{name}"
-        self._spin = spin_yields
-        self._sleep_min = sleep_min
-        self._sleep_max = sleep_max
         # Each side *owns* one cursor — nobody else ever writes it — so
         # its current value can live in a plain attribute and skip a
         # shared-memory load per operation. The peer's cursor must of
@@ -338,7 +332,7 @@ class ShmRing:
 
     def _account_wait(self, spins: int, slept: float) -> None:
         """Book one completed wait into the spin/stall counters."""
-        if spins > self._spin:
+        if spins > SPIN_YIELDS:
             self.sleep_stalls += 1
             self.stalled_s += slept
             telemetry.observe(self._stall_series, slept * 1e6)
@@ -411,9 +405,9 @@ class ShmRing:
             return True
         if timeout is not None and timeout <= 0:
             return False
-        spin = self._spin
+        spin = SPIN_YIELDS
         yield_cpu = os.sched_yield
-        sleep_s = self._sleep_min
+        sleep_s = SLEEP_MIN
         # The deadline clock is read lazily, at the first bookkeeping
         # interval — the overwhelmingly common wait is a handful of
         # yields, which shouldn't pay for timeout arithmetic.
@@ -432,7 +426,7 @@ class ShmRing:
             else:
                 time.sleep(sleep_s)
                 slept += sleep_s
-                sleep_s = min(sleep_s + sleep_s, self._sleep_max)
+                sleep_s = min(sleep_s + sleep_s, SLEEP_MAX)
             if stop is not None:
                 error = stop()
                 if error is not None:
@@ -498,9 +492,9 @@ class ShmRing:
         cursors = self._cursors
         head_idx = self._head_idx
         tail = self._tail
-        spin = self._spin
+        spin = SPIN_YIELDS
         yield_cpu = os.sched_yield
-        sleep_s = self._sleep_min
+        sleep_s = SLEEP_MIN
         deadline = None if timeout is None else time.monotonic() + timeout
         spins = 0
         slept = 0.0
@@ -513,7 +507,7 @@ class ShmRing:
             else:
                 time.sleep(sleep_s)
                 slept += sleep_s
-                sleep_s = min(sleep_s + sleep_s, self._sleep_max)
+                sleep_s = min(sleep_s + sleep_s, SLEEP_MAX)
             if stop is not None:
                 error = stop()
                 if error is not None:
@@ -618,17 +612,16 @@ def _ring_state(ring: ShmRing) -> dict[str, Any]:
     }
 
 
-def _host_to_target_ring(segment: ShmSegment, **knobs: Any) -> ShmRing:
+def _host_to_target_ring(segment: ShmSegment) -> ShmRing:
     return ShmRing(
-        segment, _OFF_H2T_TAIL, _OFF_H2T_HEAD, _DATA_OFFSET,
-        name="h2t", **knobs,
+        segment, _OFF_H2T_TAIL, _OFF_H2T_HEAD, _DATA_OFFSET, name="h2t"
     )
 
 
-def _target_to_host_ring(segment: ShmSegment, **knobs: Any) -> ShmRing:
+def _target_to_host_ring(segment: ShmSegment) -> ShmRing:
     return ShmRing(
         segment, _OFF_T2H_TAIL, _OFF_T2H_HEAD, _DATA_OFFSET + segment.capacity,
-        name="t2h", **knobs,
+        name="t2h",
     )
 
 
@@ -656,18 +649,11 @@ class ShmTargetServer(FramedServer):
         segment: ShmSegment,
         catalog: Catalog | None = None,
         workers: int = DEFAULT_SERVER_WORKERS,
-        *,
-        spin_yields: int = DEFAULT_SPIN_YIELDS,
-        sleep_min: float = DEFAULT_SLEEP_MIN,
-        sleep_max: float = DEFAULT_SLEEP_MAX,
     ) -> None:
         super().__init__(catalog, workers)
         self.segment = segment
-        knobs = dict(
-            spin_yields=spin_yields, sleep_min=sleep_min, sleep_max=sleep_max
-        )
-        self._recv = _host_to_target_ring(segment, **knobs)
-        self._send = _target_to_host_ring(segment, **knobs)
+        self._recv = _host_to_target_ring(segment)
+        self._send = _target_to_host_ring(segment)
         #: Bound once — creating a bound method per frame costs real
         #: time at shared-memory latencies.
         self._client_gone_cb = self._client_gone
@@ -815,12 +801,12 @@ class ShmBackend(FramedClient):
         probe of the segment's ``server_pid`` field.
     startup_timeout:
         Deadline for the segment to become ready + the handshake.
-    spin_yields / sleep_min / sleep_max:
-        The spin-then-sleep polling knobs (see the module docstring).
     """
 
     name = "shm"
     _peer_kind = "segment"
+    #: No receiver thread: replies are pumped by whoever waits for one.
+    driven = True
 
     def __init__(
         self,
@@ -831,20 +817,14 @@ class ShmBackend(FramedClient):
         op_timeout: float | None = None,
         alive_fn: Callable[[], bool] | None = None,
         startup_timeout: float = 10.0,
-        spin_yields: int = DEFAULT_SPIN_YIELDS,
-        sleep_min: float = DEFAULT_SLEEP_MIN,
-        sleep_max: float = DEFAULT_SLEEP_MAX,
     ) -> None:
         if isinstance(segment, str):
             segment = ShmSegment.attach(segment)
         super().__init__(catalog, on_shutdown, op_timeout)
         self.segment = segment
         self._alive_fn = alive_fn
-        knobs = dict(
-            spin_yields=spin_yields, sleep_min=sleep_min, sleep_max=sleep_max
-        )
-        self._h2t = _host_to_target_ring(segment, **knobs)
-        self._t2h = _target_to_host_ring(segment, **knobs)
+        self._h2t = _host_to_target_ring(segment)
+        self._t2h = _target_to_host_ring(segment)
         #: Serializes reply-ring consumption (the leader/follower gate).
         #: Reentrant so the send-stall drain can run while the sending
         #: thread itself is the leader (see :meth:`_send_stall`).
@@ -922,13 +902,12 @@ class ShmBackend(FramedClient):
         self.bytes_sent += sent
 
     # -- how a waiter blocks -----------------------------------------------
-    def _poll(self, patience: float = 0.0, wait: float = 0.0) -> None:
-        """Pump for up to ``wait`` seconds if the drive lock can be had
-        within ``patience``: if a leader holds it, it completes handles
-        for everyone anyway."""
-        if self._drive_lock.acquire(timeout=patience):
+    def _poll(self) -> None:
+        """Drain what has arrived if the drive lock is free: a leader
+        that holds it completes handles for everyone anyway."""
+        if self._drive_lock.acquire(blocking=False):
             try:
-                self._pump(wait)
+                self._pump(0.0)
             finally:
                 self._drive_lock.release()
 
@@ -1076,32 +1055,6 @@ class ShmBackend(FramedClient):
                 f"expected reply to op {op:#x}, got {reply_op:#x}"
             )
 
-    def _window_progress(self) -> Callable[[], None]:
-        """Progress callback for window admission on a driven backend.
-
-        The base window's ``acquire`` loops this instead of sleeping;
-        pumping replies is what frees slots here. It also enforces the
-        window timeout, since the progress path bypasses the window's
-        own deadline handling.
-        """
-        timeout = self._window_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        limit = self.window.limit
-
-        def progress() -> None:
-            if not self._alive:
-                raise BackendError(
-                    "shm transport lost while waiting for a window slot"
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                raise OffloadTimeoutError(
-                    f"in-flight window full ({limit} operations outstanding) "
-                    "and no completion within the deadline"
-                )
-            self._poll(0.005, 0.005)
-
-        return progress
-
     # -- reactor backstop --------------------------------------------------
     def _callback_armed(self, handle: InvokeHandle) -> None:
         """A done-callback was attached: make the driven client pollable.
@@ -1211,8 +1164,6 @@ class ShmBackend(FramedClient):
             "request_ring": _ring_state(self._h2t),
             "reply_ring": _ring_state(self._t2h),
             "pending_replies": self._pending_count(),
-            "inflight": self.inflight_count,
-            "inflight_limit": self.window.limit,
             # Driven client: no receiver thread here either; the async
             # bridge rides the shared reactor's backstop pump.
             "receiver_threads": 0,

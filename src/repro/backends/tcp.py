@@ -559,8 +559,6 @@ class TcpBackend(FramedClient):
             "invokes_posted": self.invokes_posted,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
-            "inflight": self.inflight_count,
-            "inflight_limit": self.window.limit,
             "pending_replies": self._pending_count(),
             "send_queue_bytes": depths["send_queue"],
             "recv_queue_bytes": depths["recv_queue"],

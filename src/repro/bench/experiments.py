@@ -473,7 +473,7 @@ def measure_saturation(
             for _ in range(100):  # warm the path end to end
                 runtime.sync(1, f2f(_empty_kernel))
             for depth in depths:
-                backend.set_inflight_limit(min(depth, cap))
+                runtime.window.set_limit(min(depth, cap))
                 start = time.perf_counter()
                 futures = [
                     runtime.async_(1, f2f(_empty_kernel))

@@ -40,7 +40,8 @@ from repro.telemetry import recorder as _telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import Backend
-    from repro.telemetry.promexport import MetricsServer, TelemetryConfig
+    from repro.telemetry.config import TelemetryConfig
+    from repro.telemetry.promexport import MetricsServer
     from repro.telemetry.tsdb import Tsdb
 
 __all__ = [
@@ -108,7 +109,7 @@ def init(
     whole session is traced; see ``docs/observability.md``. It accepts:
 
     * ``True`` — plain recording, default capacity;
-    * a :class:`~repro.telemetry.promexport.TelemetryConfig` (or a dict
+    * a :class:`~repro.telemetry.config.TelemetryConfig` (or a dict
       with its field names) — additionally:
 
       * ``metrics_port`` (0 for an ephemeral port) starts a live
@@ -121,10 +122,9 @@ def init(
       * ``slo_enabled`` / ``slos`` configure burn-rate SLO monitoring
         whose breaches degrade ``/healthz`` — see
         :mod:`repro.telemetry.slo`;
-      * ``tsdb`` (``True``, or a dict with ``interval`` / ``retention``
-        / ``max_series`` / ``probe``) installs the in-process
-        time-series store, per-target scoreboard and median/MAD anomaly
-        detector — see :mod:`repro.telemetry.tsdb`.
+      * ``tsdb`` installs the in-process time-series store, per-target
+        scoreboard and median/MAD anomaly detector — see
+        :mod:`repro.telemetry.tsdb`.
 
     Raises
     ------
@@ -151,7 +151,7 @@ def init(
     # is selected: telemetry off loads no exporter, SLO or tsdb code.
     config = None
     if telemetry is not False:
-        from repro.telemetry.promexport import TelemetryConfig
+        from repro.telemetry.config import TelemetryConfig
 
         config = TelemetryConfig.coerce(telemetry)
     spawned = None
@@ -188,33 +188,19 @@ def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
             from repro.telemetry.sampling import HeadSampler, TailPipeline
 
             recorder.sampler = HeadSampler(config.sample_rate)
-            recorder.pipeline = TailPipeline(
-                max_pending=config.tail_max_pending,
-                window=config.tail_window,
-                min_samples=config.tail_min_samples,
-            )
+            recorder.pipeline = TailPipeline(min_samples=config.tail_min_samples)
         if config.slo_enabled:
             from repro.telemetry.slo import SLOMonitor
 
             recorder.slo = SLOMonitor(
                 config.slos or None,
-                fast_window=config.slo_fast_window,
-                slow_window=config.slo_slow_window,
-                burn_threshold=config.slo_burn_threshold,
-                min_samples=config.slo_min_samples,
                 emit=recorder.force_event,
                 metrics=recorder.metrics,
             )
         if config.tsdb:
             from repro.telemetry.tsdb import install_tsdb
 
-            tsdb = install_tsdb(
-                recorder,
-                interval=config.tsdb_interval,
-                retention=config.tsdb_retention,
-                max_series=config.tsdb_max_series,
-                probe=config.tsdb_probe,
-            )
+            tsdb = install_tsdb(recorder)
         if config.metrics_port is not None:
             from repro.telemetry.promexport import MetricsServer
 

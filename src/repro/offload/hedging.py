@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ham.functor import Functor
     from repro.offload.future import Future
     from repro.offload.node import NodeId
+    from repro.offload.qos import TenantContext
     from repro.offload.runtime import Runtime
 
 __all__ = ["HedgePolicy", "Hedger"]
@@ -155,6 +156,7 @@ class Hedger:
         future: "Future",
         functor: "Functor",
         primary: "NodeId",
+        tenant: "TenantContext | None",
         deadline: float | None,
     ) -> Any:
         """Await ``future``, duplicating to a second target if it lags.
@@ -175,7 +177,9 @@ class Hedger:
         overall = None if deadline is None else time.monotonic() + deadline
         if not self._poll(future, min(delay, deadline) if deadline is not None
                           else delay):
-            hedge_future = self._issue_hedge(runtime, functor, primary)
+            hedge_future = self._issue_hedge(
+                runtime, functor, primary, tenant, overall
+            )
             if hedge_future is not None:
                 return self._race(future, hedge_future, overall)
         # Trigger never fired a duplicate (fast reply, or no secondary):
@@ -195,9 +199,15 @@ class Hedger:
             pause = min(_POLL_CEILING, pause * 2)
 
     def _issue_hedge(
-        self, runtime: "Runtime", functor: "Functor", primary: "NodeId"
+        self,
+        runtime: "Runtime",
+        functor: "Functor",
+        primary: "NodeId",
+        tenant: "TenantContext | None",
+        expiry: float | None,
     ) -> "Future | None":
-        """Post the duplicate to the healthiest target besides the primary."""
+        """Post the duplicate to the healthiest target besides the
+        primary, for the primary's tenant and within its budget."""
         assert runtime.monitor is not None
         candidates = runtime.monitor.preferred(
             runtime.targets(), exclude=[primary]
@@ -207,7 +217,7 @@ class Hedger:
         candidates, avoided = self._prefer_non_anomalous(candidates)
         secondary = candidates[0]
         try:
-            hedge_future = runtime.async_(secondary, functor)
+            hedge_future = runtime._post(secondary, functor, tenant, expiry)
         except OffloadError:
             # Posting the hedge failed (circuit opened between the
             # preferred() call and the post, transport refused): the

@@ -6,9 +6,10 @@ half of the ROADMAP's "millions of users" story. Three cooperating
 pieces:
 
 * :class:`TenantContext` tags every offload with a tenant id, a priority
-  class and an optional per-invoke deadline. The context travels on a
-  contextvar (:func:`tenant_scope`), so backends need no signature
-  changes.
+  class and an optional per-invoke deadline. Applications name it per
+  call (``tenant=``) or ambiently (:func:`tenant_scope`); the runtime
+  resolves it once and hands it to admission and to the window as an
+  argument — backends never see it.
 * :class:`AdmissionController` fast-fails work *before serialization*:
   a per-tenant token bucket enforces rate limits, and deadline-aware
   admission rejects an invoke whose deadline cannot cover the kernel's
@@ -24,10 +25,10 @@ pieces:
   backlog exceeds ``max_queue_depth`` the scheduler sheds load
   priority-ordered, lowest class first (``offload.shed`` telemetry).
 
-The layer is opt-in: ``Runtime(backend, qos=QoSConfig(...))`` (or
-``offload.init(backend, qos=...)``) installs the fair window through the
-:meth:`~repro.backends.base.Backend.install_window` seam; without a
-config the runtime behaves exactly as before.
+The layer is opt-in: with ``Runtime(backend, qos=QoSConfig(...))`` (or
+``offload.init(backend, qos=...)``) the runtime's window *is* the fair
+window, whatever transport, proxy or composition ``backend`` is; without
+a config the runtime behaves exactly as before.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ class TenantContext:
             )
 
 
-#: The ambient tenant of the current thread/task (set by the runtime
-#: around post_invoke so the fair window sees it without new backend
-#: signatures).
+#: The ambient tenant of the current thread/task (what an application
+#: sets with :func:`tenant_scope`; the runtime reads it once per offload).
 _CURRENT_TENANT: contextvars.ContextVar["str | TenantContext | None"] = (
     contextvars.ContextVar("repro_tenant", default=None)
 )
@@ -189,9 +189,6 @@ class QoSConfig:
     max_queue_depth:
         Total queued (not yet admitted) invokes across all tenants
         beyond which the scheduler sheds load, lowest priority first.
-    deadline_admission:
-        Whether to reject invokes whose deadline cannot cover the
-        rolling service-time estimate.
     admission_percentile:
         Percentile of the kernel's rolling service-time profile used as
         the estimate (the "p95 service time" of the admission rule).
@@ -207,7 +204,6 @@ class QoSConfig:
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     window: int | None = None
     max_queue_depth: int = 256
-    deadline_admission: bool = True
     admission_percentile: float = 95.0
     admission_min_samples: int = 10
     headroom: float = 1.0
@@ -385,7 +381,7 @@ class AdmissionController:
                 f"tenant {ctx.tenant!r} over its rate limit "
                 f"({bucket.rate:g}/s, burst {bucket.burst:g})"
             )
-        if self.config.deadline_admission and ctx.deadline is not None:
+        if ctx.deadline is not None:
             estimate = self._estimator(kernel)
             if estimate is not None and \
                     estimate * self.config.headroom > ctx.deadline:
@@ -441,15 +437,18 @@ class _Waiter:
         self.granted = False
         self.error: OffloadError | None = None
 
+    def settled(self) -> bool:
+        return self.granted or self.error is not None
+
 
 class FairInflightWindow(InflightWindow):
     """Deficit-weighted round-robin admission over per-tenant queues.
 
-    Drop-in replacement for the FIFO :class:`InflightWindow` installed
-    through :meth:`~repro.backends.base.Backend.install_window`. While
-    capacity is free, acquires are granted immediately; once the window
-    fills, each acquire parks in its tenant's queue and slots freed by
-    completions are granted by DRR: every round a tenant's deficit grows
+    What ``Runtime(qos=...)`` owns in place of the FIFO
+    :class:`InflightWindow`. While capacity is free, acquires are
+    granted immediately; once the window fills, each acquire parks in
+    its tenant's queue and slots freed by completions are granted by
+    DRR: every round a tenant's deficit grows
     by its weight and each granted slot costs one unit, so long-run
     shares converge to the weight ratios while every nonempty queue is
     visited each round (no starvation).
@@ -461,9 +460,9 @@ class FairInflightWindow(InflightWindow):
     higher-class arrival; arrivals at or below the lowest queued class
     are rejected outright.
 
-    Single-threaded backends that pass a ``progress`` callback (the sim
-    backends) fall back to the base FIFO path: with one driving thread
-    there is nothing to arbitrate.
+    Parked acquires wait in the base class's loop, so on a driven
+    transport (shm, the simulators) they pump replies like FIFO waiters
+    do, and whoever DRR picks takes the slot a completion frees.
     """
 
     def __init__(
@@ -489,28 +488,21 @@ class FairInflightWindow(InflightWindow):
     def acquire(
         self,
         *,
+        tenant: "str | TenantContext | None" = None,
         timeout: float | None = None,
-        progress: Callable[[], None] | None = None,
         label: str = "",
     ) -> None:
         """Reserve one slot, queueing under the tenant's DRR share.
 
-        ``timeout`` arrives from the backend's admission path already
-        clamped to the offload's remaining budget (the ambient
-        :func:`~repro.backends.base.window_budget` scope set by
-        ``Runtime.sync``), so a retried offload parks here only for
-        what is left of its overall deadline — never a fresh one.
+        The runtime passes the offload's resolved ``tenant`` and, as
+        ``timeout``, what is left of its overall budget — a retried
+        offload parks here only for the rest of its deadline, never a
+        fresh one. Without ``tenant`` the ambient :func:`tenant_scope`
+        (then the config's default tenant) is charged.
         """
-        if progress is not None:
-            # Single-threaded backend driving its own completions: the
-            # caller is the only producer, fairness is vacuous.
-            super().acquire(timeout=timeout, progress=progress, label=label)
-            return
-        ambient = current_tenant()
-        if isinstance(ambient, TenantContext):
-            ctx = ambient
-        else:  # bare tenant id or None: resolve against the config
-            ctx = self.config.context_for(ambient)
+        if tenant is None:
+            tenant = current_tenant()
+        ctx = self.config.context_for(tenant)
         with self._lock:
             if self._queued == 0 and \
                     len(self._inflight) + self._reserved < self._limit:
@@ -522,9 +514,25 @@ class FairInflightWindow(InflightWindow):
         with telemetry.span(
             "offload.window_wait", label=label,
             tenant=ctx.tenant, limit=self._limit,
-        ):
-            self._await_grant(waiter, timeout)
-        with self._lock:
+        ), self._lock:
+            try:
+                settled = self._wait_locked(waiter.settled, timeout)
+            except BaseException:
+                if waiter.granted:  # while the drive was failing
+                    self._reserved -= 1
+                    self._freed_locked()
+                else:
+                    self._remove_locked(waiter)
+                raise
+            if waiter.error is not None:
+                raise waiter.error
+            if not settled:
+                self._remove_locked(waiter)
+                raise OffloadTimeoutError(
+                    f"in-flight window full ({self._limit} operations "
+                    "outstanding) and no slot granted to tenant "
+                    f"{ctx.tenant!r} within the deadline"
+                )
             self._granted[ctx.tenant] = self._granted.get(ctx.tenant, 0) + 1
             flightrecorder.note(
                 "window.grant", tenant=ctx.tenant, queued=self._queued,
@@ -565,29 +573,10 @@ class FairInflightWindow(InflightWindow):
             f"qos.queue_depth.{tenant}", len(self._queues.get(tenant, ()))
         )
 
-    def _await_grant(self, waiter: _Waiter, timeout: float | None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            while not waiter.granted and waiter.error is None:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._remove_locked(waiter)
-                        raise OffloadTimeoutError(
-                            f"in-flight window full ({self._limit} operations "
-                            "outstanding) and no slot granted to tenant "
-                            f"{waiter.ctx.tenant!r} within the deadline"
-                        )
-                self._slot_freed.wait(remaining)
-            if waiter.error is not None:
-                raise waiter.error
-
     # -- scheduling --------------------------------------------------------
-    def _grant_locked(self) -> None:
+    def _freed_locked(self) -> None:
         """Hand freed capacity to queued waiters in DRR order."""
-        while self._queued and \
-                len(self._inflight) + self._reserved < self._limit:
+        while self._queued and self._has_room_locked():
             waiter = self._pick_locked()
             if waiter is None:  # pragma: no cover - defensive
                 break
@@ -595,9 +584,7 @@ class FairInflightWindow(InflightWindow):
             self._queued -= 1
             self._depth_gauges_locked(waiter.ctx.tenant)
             waiter.granted = True
-        # Wake everything: granted waiters return, FIFO-fallback waiters
-        # (base-class acquire on the progress path) re-check capacity.
-        self._slot_freed.notify_all()
+        self._slot_freed.notify_all()  # whoever was granted finds out
 
     def _pick_locked(self) -> _Waiter | None:
         """Deficit round robin: quantum = weight, one unit per grant."""
@@ -708,28 +695,10 @@ class FairInflightWindow(InflightWindow):
             if not queue:
                 self._retire_locked(waiter.ctx.tenant)
 
-    # -- base-class hooks --------------------------------------------------
-    def register(self, handle: Any) -> None:
-        with self._lock:
-            if self._reserved > 0:
-                self._reserved -= 1
-            self._inflight[handle.correlation_id] = handle
-
-    def cancel(self) -> None:
-        with self._lock:
-            if self._reserved > 0:
-                self._reserved -= 1
-            self._grant_locked()
-
-    def release(self, handle: Any) -> None:
-        with self._lock:
-            if self._inflight.pop(handle.correlation_id, None) is not None:
-                self._grant_locked()
-
     def set_limit(self, limit: int) -> None:
         super().set_limit(limit)
         with self._lock:
-            self._grant_locked()
+            self._freed_locked()
 
     # -- introspection -----------------------------------------------------
     @property

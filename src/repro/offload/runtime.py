@@ -30,7 +30,7 @@ from repro.errors import (
     OffloadTimeoutError,
     RemoteExecutionError,
 )
-from repro.backends.base import window_budget
+from repro.backends.base import DEFAULT_INFLIGHT_LIMIT, InflightWindow
 from repro.ham.functor import Functor
 from repro.offload.buffer import BufferPtr
 from repro.offload.future import CompletedHandle, Future
@@ -42,7 +42,6 @@ from repro.offload.qos import (
     QoSConfig,
     TenantContext,
     current_tenant,
-    tenant_scope,
 )
 from repro.offload.resilience import HealthMonitor, ResiliencePolicy
 from repro.telemetry import context as trace_context
@@ -67,7 +66,8 @@ class Runtime:
         The communication backend connecting this process to its targets.
     policy:
         Optional :class:`ResiliencePolicy`. When set, the policy deadline
-        becomes the backend's default operation timeout, a
+        becomes the backend's default operation timeout and bounds the
+        wait for a window slot, a
         :class:`HealthMonitor` tracks per-node health, and
         :meth:`sync` honors ``idempotent=True`` with bounded retries and
         failover. Without a policy the runtime behaves exactly like the
@@ -76,13 +76,13 @@ class Runtime:
         Optional externally-owned health monitor (e.g. shared between
         runtimes); defaults to a fresh one when a policy is given.
     window:
-        Optional bound on invocations in flight (the backend's
-        :class:`~repro.backends.base.InflightWindow` limit). ``None``
-        keeps the backend's default
-        (:data:`~repro.backends.base.DEFAULT_INFLIGHT_LIMIT`).
+        Optional bound on invocations this runtime holds in flight (the
+        limit of :attr:`window`, its
+        :class:`~repro.backends.base.InflightWindow`). ``None`` means
+        :data:`~repro.backends.base.DEFAULT_INFLIGHT_LIMIT`.
     qos:
-        Optional :class:`~repro.offload.qos.QoSConfig`. When set, the
-        backend's FIFO window is replaced by a
+        Optional :class:`~repro.offload.qos.QoSConfig`. When set,
+        :attr:`window` is a
         :class:`~repro.offload.qos.FairInflightWindow` (deficit-weighted
         round robin across tenants, priority-ordered load shedding) and
         every offload passes an
@@ -112,26 +112,27 @@ class Runtime:
         else:
             self.monitor = HealthMonitor(policy) if policy is not None else None
         self.admission: AdmissionController | None = None
-        self._fair_window: FairInflightWindow | None = None
+        if window is None and qos is not None:
+            window = qos.window
+        if window is None:
+            window = DEFAULT_INFLIGHT_LIMIT
+        #: Every offload of this runtime is admitted through this window
+        #: (in :meth:`_post`); the backend only moves it.
         if qos is not None:
-            limit = window if window is not None else qos.window
-            self._fair_window = FairInflightWindow(
-                limit if limit is not None else backend.window.limit, qos
-            )
-            backend.install_window(self._fair_window)
+            self.window: InflightWindow = FairInflightWindow(window, qos)
             self.admission = AdmissionController(qos)
-        elif window is not None:
-            backend.set_inflight_limit(window)
+        else:
+            self.window = InflightWindow(window)
         self._hedger = (
             Hedger(policy.hedge)
             if policy is not None and policy.hedge is not None
             else None
         )
-        if policy is not None and policy.deadline is not None:
-            backend.set_default_timeout(policy.deadline)
-            # A full window against a dead target must fail fast too:
-            # the policy deadline bounds the wait for a free slot.
-            backend.set_window_timeout(policy.deadline)
+        #: A full window against a dead target must fail fast too: the
+        #: policy deadline bounds the wait for a free slot.
+        self._window_timeout = policy.deadline if policy is not None else None
+        if self._window_timeout is not None:
+            backend.set_default_timeout(self._window_timeout)
         self._retry_rng = policy.rng() if policy is not None else None
         self._sleep: Callable[[float], None] = time.sleep
         #: (node, addr) -> (pointer, telemetry span id of the allocation
@@ -220,12 +221,22 @@ class Runtime:
         return self._post(node, functor, self._resolve_tenant(tenant))
 
     def _post(
-        self, node: NodeId, functor: Functor, tctx: TenantContext | None
+        self,
+        node: NodeId,
+        functor: Functor,
+        tctx: TenantContext | None,
+        expiry: float | None = None,
     ) -> Future:
         """Post one offload for an already resolved tenant.
 
-        ``node`` is validated by the backend's ``post_invoke`` (every
-        backend checks its target first), not a second time here.
+        The one place an offload is admitted: a window slot is acquired
+        (for ``tctx``, waiting at most until ``expiry`` — the absolute
+        ``time.monotonic`` end of the caller's budget — and never longer
+        than the policy deadline), the backend posts, the handle is
+        filed and its completion releases the slot; a post that raised
+        gives the slot back here, whatever the backend. ``node`` is
+        validated by the backend's ``post_invoke`` (every backend checks
+        its target first), not a second time here.
         """
         self._check_running()
         if not isinstance(functor, Functor):
@@ -250,9 +261,34 @@ class Runtime:
                 raise
         ctx = self._offload_trace()
         start_ns = time.perf_counter_ns()
+        window = self.window
         try:
-            with trace_context.activate(ctx), tenant_scope(tctx):
-                handle = self.backend.post_invoke(node, functor)
+            # The slot wait is bounded by the policy deadline and by
+            # what is left until ``expiry``, whichever is tighter: a
+            # retried offload re-arms with the rest of its budget.
+            timeout = self._window_timeout
+            if expiry is not None:
+                remaining = expiry - time.monotonic()
+                if remaining <= 0:
+                    raise OffloadTimeoutError(
+                        "offload budget exhausted before a window slot "
+                        "was acquired"
+                    )
+                timeout = remaining if timeout is None else min(timeout, remaining)
+            with trace_context.activate(ctx):
+                window.acquire(
+                    tenant=tctx, timeout=timeout, label=functor.type_name
+                )
+                # Set ahead of the post (the release sets it again): on
+                # traced_shm the same two lines after the post, where the
+                # handle is filed, cost 8 us per offload.
+                if telemetry.enabled():  # reading the depth takes a lock
+                    telemetry.gauge("offload.inflight", window.in_flight)
+                try:
+                    handle = self.backend.post_invoke(node, functor)
+                except BaseException:
+                    window.cancel()
+                    raise
         except _TRANSPORT_ERRORS as exc:
             if self.monitor is not None:
                 self.monitor.record_failure(node)
@@ -271,6 +307,7 @@ class Runtime:
                     tenant=tctx.tenant if tctx is not None else None,
                 )
             raise
+        window.register(handle)
         self._offloads_posted += 1
         telemetry.count("offload.issued")
         return Future(handle, label=functor.type_name, trace=ctx,
@@ -316,69 +353,40 @@ class Runtime:
             timeout = tctx.deadline
         if self.policy is None:
             return self._post(node, functor, tctx).get(timeout=timeout)
-        # The retry loop (and a hedge) re-posts through async_, which
-        # picks the tenant up from the ambient scope.
-        with tenant_scope(tctx):
-            policy = self.policy
-            deadline = timeout if timeout is not None else policy.deadline
-            attempts = (1 + policy.max_retries) if idempotent else 1
-            tried: list[NodeId] = []
-            last_error: Exception | None = None
-            # One trace spans the whole resilient operation: every retry
-            # and failover re-posts under the same trace_id, so the
-            # merged trace shows attempt N's spans (and the resilience.*
-            # events between them) re-parented onto the one logical
-            # offload.
-            with trace_context.activate(self._offload_trace()):
-                return self._sync_attempts(
-                    functor, deadline, attempts, node, tried, last_error,
-                    idempotent=idempotent,
-                )
+        # One trace spans the whole resilient operation: every retry and
+        # failover re-posts under the same trace_id, so the merged trace
+        # shows attempt N's spans (and the resilience.* events between
+        # them) re-parented onto the one logical offload.
+        with trace_context.activate(self._offload_trace()):
+            return self._sync_attempts(
+                node, functor, tctx,
+                timeout if timeout is not None else self.policy.deadline,
+                idempotent,
+            )
 
     def _sync_attempts(
         self,
-        functor: Functor,
-        deadline: float | None,
-        attempts: int,
         target: NodeId,
-        tried: list[NodeId],
-        last_error: Exception | None,
-        *,
-        idempotent: bool = False,
+        functor: Functor,
+        tctx: TenantContext | None,
+        deadline: float | None,
+        idempotent: bool,
     ) -> Any:
         """The retry/failover loop of :meth:`sync` (trace already active).
 
         ``deadline`` is the budget for the *whole* resilient operation,
-        not per attempt: the absolute expiry is computed once, every
-        retry gets only the time still remaining, and the window-slot
-        wait inside the backend is bounded by the same budget (via
-        :func:`~repro.backends.base.window_budget`). Previously each
-        retry re-armed the full deadline — three retries against a full
-        window could stall a 1 s policy for 4 s.
+        not per attempt: the absolute expiry is computed once, and every
+        retry — its wait for a window slot (:meth:`_post`), its reply
+        wait and a hedge posted beside it — gets only the time still
+        remaining. Re-arming the full deadline per attempt would let
+        three retries against a full window stall a 1 s policy for 4 s.
         """
         policy = self.policy
         node = target
         expiry = None if deadline is None else time.monotonic() + deadline
-        with window_budget(expiry):
-            return self._attempt_loop(
-                functor, expiry, attempts, target, tried, last_error,
-                node=node, idempotent=idempotent,
-            )
-
-    def _attempt_loop(
-        self,
-        functor: Functor,
-        expiry: float | None,
-        attempts: int,
-        target: NodeId,
-        tried: list[NodeId],
-        last_error: Exception | None,
-        *,
-        node: NodeId,
-        idempotent: bool,
-    ) -> Any:
-        policy = self.policy
-        for attempt in range(attempts):
+        tried: list[NodeId] = []
+        last_error: Exception | None = None
+        for attempt in range((1 + policy.max_retries) if idempotent else 1):
             if attempt:
                 self._sleep(policy.delay_for(attempt - 1, self._retry_rng))
                 if expiry is not None and time.monotonic() >= expiry:
@@ -414,9 +422,9 @@ class Runtime:
                         )
                     target = successor
             try:
-                future = self.async_(target, functor)
+                future = self._post(target, functor, tctx, expiry)
             except (CircuitOpenError, *_TRANSPORT_ERRORS) as exc:
-                # async_ already recorded transport failures.
+                # _post already recorded transport failures.
                 tried.append(target)
                 last_error = exc
                 continue
@@ -435,7 +443,7 @@ class Runtime:
                     # handling: transport errors out of await_hedged land
                     # in the same except arms as a plain get.
                     value = self._hedger.await_hedged(
-                        self, future, functor, target, remaining
+                        self, future, functor, target, tctx, remaining
                     )
                 else:
                     value = future.get(timeout=remaining)
@@ -629,6 +637,10 @@ class Runtime:
             "gets": self._gets,
             "copies": self._copies,
             "live_buffers": self.live_buffer_count,
+            "window": {
+                "in_flight": self.window.in_flight,
+                "limit": self.window.limit,
+            },
             "backend": self.backend.stats(),
         }
         if self.policy is not None:
@@ -636,11 +648,11 @@ class Runtime:
             data["failovers"] = self._failovers
         if self._hedger is not None:
             data["hedging"] = self._hedger.snapshot()
-        if self.admission is not None:
+        window = self.window
+        if self.admission is not None and isinstance(window, FairInflightWindow):
             data["qos"] = {
                 "admission": self.admission.snapshot(),
-                "window": self._fair_window.snapshot()
-                if self._fair_window is not None else {},
+                "window": window.snapshot(),
             }
         if self.monitor is not None:
             data["health"] = self.monitor.snapshot()

@@ -87,7 +87,8 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
         Counter, Gauge, Histogram, LogHistogram, MetricsRegistry, percentile,
     )
     from repro.telemetry.profile import KernelProfile, KernelProfiler
-    from repro.telemetry.promexport import MetricsServer, TelemetryConfig, to_prometheus
+    from repro.telemetry.config import TelemetryConfig
+    from repro.telemetry.promexport import MetricsServer, to_prometheus
     from repro.telemetry.recorder import (
         EventRecord, Recorder, SpanRecord, count, current_span_id, disable, enable,
         enabled, event, gauge, get, observe, span,
@@ -126,7 +127,8 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "percentile",
     ),
     "repro.telemetry.profile": ("KernelProfile", "KernelProfiler"),
-    "repro.telemetry.promexport": ("MetricsServer", "TelemetryConfig", "to_prometheus"),
+    "repro.telemetry.config": ("TelemetryConfig",),
+    "repro.telemetry.promexport": ("MetricsServer", "to_prometheus"),
     "repro.telemetry.recorder": (
         "EventRecord", "Recorder", "SpanRecord", "count", "current_span_id",
         "disable", "enable", "enabled", "event", "gauge", "get", "observe", "span",

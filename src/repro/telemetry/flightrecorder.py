@@ -216,14 +216,12 @@ class FlightRecorder:
         table: list[dict[str, Any]] = []
         for runtime in list(self._runtimes):
             try:
-                window = runtime.backend.window
+                window = runtime.window
                 table.append({
                     "backend": type(runtime.backend).__name__,
                     "in_flight": window.in_flight,
                     "limit": window.limit,
-                    "correlation_ids": [
-                        handle.correlation_id for handle in window.handles()
-                    ],
+                    "correlation_ids": list(window.handles()),
                 })
             except Exception as exc:  # noqa: BLE001 - crash path, best effort
                 table.append({"error": f"{type(exc).__name__}: {exc}"})
@@ -236,7 +234,7 @@ class FlightRecorder:
             try:
                 entry: dict[str, Any] = {
                     "backend": type(runtime.backend).__name__,
-                    "window_limit": runtime.backend.window.limit,
+                    "window_limit": runtime.window.limit,
                     "qos": runtime.qos is not None,
                 }
                 policy = runtime.policy
@@ -257,7 +255,7 @@ class FlightRecorder:
         total = 0
         for runtime in list(self._runtimes):
             try:
-                total += runtime.backend.window.in_flight
+                total += runtime.window.in_flight
             except Exception:  # noqa: BLE001 - crash path, best effort
                 pass
         return total

@@ -56,10 +56,10 @@ class RuntimeInspector:
 
     # -- host side ---------------------------------------------------------
     def _window_snapshot(self) -> dict[str, Any]:
-        window = self.runtime.backend.window
+        window = self.runtime.window
         handles = [
             {"corr": handle.correlation_id, "label": handle.label}
-            for handle in window.handles()
+            for handle in window.handles().values()
         ]
         return {
             "in_flight": window.in_flight,
@@ -78,8 +78,7 @@ class RuntimeInspector:
         if runtime.admission is not None:
             host["qos"] = {
                 "admission": runtime.admission.snapshot(),
-                "window": runtime._fair_window.snapshot()
-                if runtime._fair_window is not None else {},
+                "window": runtime.window.snapshot(),
             }
         if runtime.monitor is not None:
             host["health"] = runtime.monitor.snapshot()

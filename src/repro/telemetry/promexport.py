@@ -29,8 +29,9 @@ Everything is standard library (``http.server``); no Prometheus client
 dependency. :class:`MetricsServer` binds ``127.0.0.1:0`` by default —
 an ephemeral loopback port, printed/queried via :attr:`~MetricsServer.address`
 — and also answers ``/healthz`` for liveness probes.
-:class:`TelemetryConfig` is the declarative knob accepted by
-``offload.init(telemetry=...)``.
+:class:`~repro.telemetry.config.TelemetryConfig`, what
+``offload.init(telemetry=...)`` accepts, lives in a module of its own
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
+
+from repro.telemetry.config import TelemetryConfig
 
 __all__ = [
     "MetricsServer",
@@ -161,106 +163,6 @@ def to_prometheus(
     if openmetrics:
         lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Declarative telemetry setup for ``offload.init(telemetry=...)``.
-
-    ``init`` accepts ``True`` (plain recording), this class, or a dict
-    with the same field names. ``metrics_port=None`` means no HTTP
-    endpoint; ``0`` binds an ephemeral port (query it via
-    ``runtime-returned`` server's :attr:`MetricsServer.address`).
-
-    Sampling and SLO fields (see :mod:`repro.telemetry.sampling` and
-    :mod:`repro.telemetry.slo`): ``sample_rate=None`` keeps the
-    pre-sampling behavior of recording every trace; any float in
-    ``[0, 1]`` installs a head sampler plus the tail-retention pipeline.
-    ``slos=None`` with ``slo_enabled=True`` uses
-    :func:`repro.telemetry.slo.default_slos`; pass a tuple of
-    :class:`~repro.telemetry.slo.SLO` (or dicts of their fields) to
-    override. The window knobs are counted in operations, the
-    5m-/1h-equivalents of a time-based burn-rate stack.
-    """
-
-    enabled: bool = True
-    capacity: int = 65536
-    metrics_port: int | None = None
-    metrics_host: str = "127.0.0.1"
-    #: Head-sampling probability; None disables sampling (record all).
-    sample_rate: float | None = None
-    #: Tail retention: rolling-window size / warmup / staging bounds.
-    tail_window: int = 512
-    tail_min_samples: int = 20
-    tail_max_pending: int = 256
-    #: SLO burn-rate monitoring.
-    slo_enabled: bool = True
-    slos: tuple = ()
-    slo_fast_window: int = 50
-    slo_slow_window: int = 600
-    slo_burn_threshold: float = 2.0
-    slo_min_samples: int = 10
-    #: Flight-recorder crash-bundle directory (see
-    #: :mod:`repro.telemetry.flightrecorder`). ``None`` leaves dumping
-    #: governed by the ``REPRO_CRASH_DIR`` environment variable.
-    crash_dir: str | None = None
-    #: In-process time-series store (:mod:`repro.telemetry.tsdb`).
-    #: ``False`` keeps history off (no sampler thread exists); ``True``
-    #: installs the 1 s sampler with defaults. In the dict form of
-    #: ``init(telemetry=...)``, ``"tsdb"`` may itself be a dict with
-    #: ``interval`` / ``retention`` / ``max_series`` / ``probe`` keys,
-    #: normalized by :meth:`coerce` onto the ``tsdb_*`` fields below.
-    tsdb: bool = False
-    tsdb_interval: float = 1.0
-    tsdb_retention: int = 600
-    tsdb_max_series: int = 2048
-    #: Whether the scoreboard may issue OP_INTROSPECT probes (one wire
-    #: round trip per target every few seconds).
-    tsdb_probe: bool = False
-
-    @classmethod
-    def coerce(
-        cls, value: "bool | Mapping[str, Any] | TelemetryConfig"
-    ) -> "TelemetryConfig":
-        """Normalize the ``init(telemetry=...)`` argument."""
-        if isinstance(value, TelemetryConfig):
-            config = value
-        elif isinstance(value, bool):
-            config = cls(enabled=value)
-        elif isinstance(value, Mapping):
-            fields = dict(value)
-            tsdb = fields.get("tsdb")
-            if isinstance(tsdb, Mapping):
-                options = dict(tsdb)
-                fields["tsdb"] = True
-                for key in ("interval", "retention", "max_series", "probe"):
-                    if key in options:
-                        fields[f"tsdb_{key}"] = options.pop(key)
-                if options:
-                    raise ValueError(
-                        f"unknown tsdb options: {sorted(options)}"
-                    )
-            config = cls(**fields)
-        else:
-            raise TypeError(
-                "telemetry must be a bool, dict or TelemetryConfig, "
-                f"got {type(value).__name__}"
-            )
-        if config.sample_rate is not None and not (
-            0.0 <= float(config.sample_rate) <= 1.0
-        ):
-            raise ValueError(
-                f"sample_rate must be in [0, 1], got {config.sample_rate}"
-            )
-        if config.slos:
-            from repro.telemetry.slo import SLO
-
-            normalized = tuple(
-                s if isinstance(s, SLO) else SLO(**dict(s))
-                for s in config.slos
-            )
-            config = replace(config, slos=normalized)
-        return config
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -91,10 +91,11 @@ class TailPipeline:
     min_samples:
         Completions required before the p99 threshold is trusted; until
         then only errored traces are retained.
-    tail_percentile:
-        Retention threshold percentile of the rolling window (99.0 —
-        "slower than p99 of recent traffic is an outlier").
     """
+
+    #: Retention threshold percentile of the rolling window: "slower
+    #: than p99 of recent traffic is an outlier".
+    TAIL_PERCENTILE = 99.0
 
     def __init__(
         self,
@@ -103,18 +104,12 @@ class TailPipeline:
         max_records_per_trace: int = 128,
         window: int = 512,
         min_samples: int = 20,
-        tail_percentile: float = 99.0,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
-        if not 0.0 < tail_percentile <= 100.0:
-            raise ValueError(
-                f"tail_percentile must be in (0, 100], got {tail_percentile}"
-            )
         self.max_pending = max_pending
         self.max_records_per_trace = max_records_per_trace
         self.min_samples = max(1, min_samples)
-        self.tail_percentile = tail_percentile
         self._lock = threading.Lock()
         self._pending: dict[str, list[Any]] = {}
         self._durations: list[float] = []
@@ -161,7 +156,7 @@ class TailPipeline:
         if (self._threshold_cache is None
                 or self._threshold_stale >= self._threshold_refresh):
             self._threshold_cache = percentile(
-                self._durations, self.tail_percentile
+                self._durations, self.TAIL_PERCENTILE
             )
             self._threshold_stale = 0
         return self._threshold_cache

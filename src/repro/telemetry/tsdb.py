@@ -381,20 +381,29 @@ class Scoreboard:
         return out
 
 
+#: Floors of the anomaly score's scale, relative to the median and
+#: absolute: they keep near-constant series from flagging on noise.
+_REL_FLOOR = 0.05
+_ABS_FLOOR = 1e-9
+#: Cumulative series the level-shift detector never scores.
+_EXCLUDE_SUFFIXES = (".count",)
+_EXCLUDE_PREFIXES = ("target.errors.",)
+
+
 class AnomalyDetector:
     """Rolling median/MAD outlier scoring over store series.
 
     Every evaluation scores each watched series' newest sample against
     the median of its trailing window: ``score = |x - median| / scale``
-    with ``scale = max(1.4826 * MAD, rel_floor * |median|, abs_floor)``
+    with ``scale = max(1.4826 * MAD, 0.05 * |median|, 1e-9)``
     (the floors keep near-constant series from flagging on noise).
     Series whose baseline is identically zero (``MAD == 0`` and
     ``median == 0`` — an idle target's ``in_flight``/``error_rate``)
     are *not* scored: a zero history carries no scale information, and
     any floor small enough to keep latency series sensitive would make
     the first sample after an idle period score astronomically and flap
-    a healthy target. Cumulative series are excluded outright (see
-    ``exclude_suffixes`` / ``exclude_prefixes``): a monotone counter
+    a healthy target. Cumulative series (``*.count``,
+    ``target.errors.*``) are excluded outright: a monotone counter
     level like ``target.reply.N.count`` always drifts off its trailing
     median under normal traffic — consumers who want them watched
     should score their ``rate()`` instead (the scoreboard already
@@ -421,26 +430,18 @@ class AnomalyDetector:
         metrics: MetricsRegistry | None = None,
         *,
         prefixes: Iterable[str] = ("target.",),
-        exclude_suffixes: Iterable[str] = (".count",),
-        exclude_prefixes: Iterable[str] = ("target.errors.",),
         window: float = 60.0,
         min_samples: int = 8,
         threshold: float = 5.0,
-        rel_floor: float = 0.05,
-        abs_floor: float = 1e-9,
         enter_ticks: int = 2,
         emit: Callable[..., None] | None = None,
     ) -> None:
         self.store = store
         self.metrics = metrics
         self.prefixes = tuple(prefixes)
-        self.exclude_suffixes = tuple(exclude_suffixes)
-        self.exclude_prefixes = tuple(exclude_prefixes)
         self.window = window
         self.min_samples = max(3, min_samples)
         self.threshold = threshold
-        self.rel_floor = rel_floor
-        self.abs_floor = abs_floor
         self.enter_ticks = max(1, enter_ticks)
         self._emit = emit
         self._lock = threading.Lock()
@@ -457,9 +458,9 @@ class AnomalyDetector:
         """
         if not name.startswith(self.prefixes):
             return False
-        if name.endswith(self.exclude_suffixes):
+        if name.endswith(_EXCLUDE_SUFFIXES):
             return False
-        return not name.startswith(self.exclude_prefixes)
+        return not name.startswith(_EXCLUDE_PREFIXES)
 
     # -- scoring -----------------------------------------------------------
     def score(self, name: str, now: float | None = None) -> float | None:
@@ -477,7 +478,7 @@ class AnomalyDetector:
             # information — any finite floor either deadens latency
             # series or makes the first post-idle sample score ~1e9.
             return None
-        scale = max(1.4826 * mad, self.rel_floor * abs(med), self.abs_floor)
+        scale = max(1.4826 * mad, _REL_FLOOR * abs(med), _ABS_FLOOR)
         return abs(latest - med) / scale
 
     def evaluate(self, now: float) -> list[dict[str, Any]]:

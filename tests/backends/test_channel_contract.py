@@ -1,10 +1,12 @@
 """The Channel contract, parametrized over every backend.
 
 Every backend is a *channel*: invocations carry process-unique
-correlation ids, live in an id-keyed in-flight table bounded by the
-window, and complete in **any** order — the application may consume
-futures shuffled, and on a concurrent target the replies themselves
-arrive out of request order. See ``docs/architecture.md``.
+correlation ids and complete in **any** order — the application may
+consume futures shuffled, and on a concurrent target the replies
+themselves arrive out of request order. What bounds and schedules them
+is the posting runtime's window, which therefore has to behave the same
+over every transport, proxy and composition (``TestQoSConformance``).
+See ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 from repro.backends import (
     DmaCommBackend,
+    FanoutBackend,
     FaultInjectingBackend,
     LocalBackend,
     ShmBackend,
@@ -29,9 +32,9 @@ from repro.backends import (
 )
 from repro.backends.base import DEFAULT_INFLIGHT_LIMIT
 from repro.backends.tcp import OP_PING, OP_REPLY_BIT, FrameParser, _send_frame
-from repro.errors import BackendError, OffloadTimeoutError
+from repro.errors import BackendError, LoadShedError, OffloadTimeoutError
 from repro.ham import f2f
-from repro.offload import Runtime
+from repro.offload import QoSConfig, ResiliencePolicy, Runtime, TenantPolicy
 from repro.offload import api as offload_api
 
 from tests import apps
@@ -94,20 +97,20 @@ class TestChannelContract:
         assert all(future.correlation_id is None for future in futures)
 
     def test_window_bounds_inflight_invokes(self, channel):
-        """With the window clamped to 2, the backend never holds more
-        than 2 invocations in flight — ``post_invoke`` waits (or drives)
-        until a slot frees up, and all results still come out right."""
-        _name, runtime, backend = channel
-        backend.set_inflight_limit(2)
+        """With the window clamped to 2, the runtime never holds more
+        than 2 invocations in flight — a post waits (or drives) until a
+        slot frees up, and all results still come out right."""
+        _name, runtime, _backend = channel
+        runtime.window.set_limit(2)
         futures = []
         for i in range(6):
             futures.append(runtime.async_(1, f2f(apps.add, i, 7)))
-            assert backend.inflight_count <= 2
+            assert runtime.window.in_flight <= 2
         assert [future.get() for future in futures] == [i + 7 for i in range(6)]
 
     def test_default_window_limit(self, channel):
-        _name, _runtime, backend = channel
-        assert backend.window.limit == DEFAULT_INFLIGHT_LIMIT
+        _name, runtime, _backend = channel
+        assert runtime.window.limit == DEFAULT_INFLIGHT_LIMIT
 
 
 @pytest.mark.parametrize("channel", ["tcp", "shm"], indirect=True)
@@ -136,14 +139,15 @@ class TestWindowConfiguration:
     def test_runtime_window_parameter_sets_limit(self):
         backend = LocalBackend()
         runtime = Runtime(backend, window=3)
-        assert backend.window.limit == 3
+        assert runtime.window.limit == 3
+        assert runtime.stats()["window"] == {"in_flight": 0, "limit": 3}
         runtime.shutdown()
 
     def test_api_init_window_parameter(self):
         backend = LocalBackend()
-        offload_api.init(backend, window=5)
+        runtime = offload_api.init(backend, window=5)
         try:
-            assert backend.window.limit == 5
+            assert runtime.window.limit == 5
         finally:
             offload_api.finalize()
 
@@ -198,28 +202,131 @@ class TestTcpPipelining:
         futures = []
         for i in range(8):
             futures.append(runtime.async_(1, f2f(apps.sleep_then, 0.02, i)))
-            assert backend.inflight_count <= 2
+            assert runtime.window.in_flight <= 2
         assert [future.get(timeout=10.0) for future in futures] == list(range(8))
-        stats = backend.stats()
-        assert stats["inflight_limit"] == 2
-        assert stats["inflight"] == 0
+        assert runtime.stats()["window"] == {"in_flight": 0, "limit": 2}
         runtime.shutdown()
 
     @pytest.mark.slow_failure
     def test_full_window_fails_fast_when_target_is_silent(self):
         """Backpressure must respect the resilience deadline: with the
         window full against a wedged target, the next post raises
-        within the window timeout instead of blocking forever."""
+        within the policy deadline instead of blocking forever."""
         address = _start_wedge_server()
-        backend = TcpBackend(address, op_timeout=0.3)
-        backend.set_inflight_limit(2)
-        backend.set_window_timeout(0.2)
-        runtime = Runtime(backend)
+        backend = TcpBackend(address)
+        runtime = Runtime(backend, policy=ResiliencePolicy(deadline=0.2), window=2)
         runtime.async_(1, f2f(apps.add, 1, 1))
         runtime.async_(1, f2f(apps.add, 2, 2))
-        assert backend.inflight_count == 2
+        assert runtime.window.in_flight == 2
         start = time.monotonic()
         with pytest.raises(OffloadTimeoutError, match="window full"):
             runtime.async_(1, f2f(apps.add, 3, 3))
         assert time.monotonic() - start < 2.0
         runtime.shutdown()
+
+
+QOS_BACKENDS = ["local", "tcp", "shm", "faulty-tcp", "fanout-tcp"]
+QOS_WINDOW = 2
+QOS_QUEUE = 4
+
+
+def _tcp_backend() -> TcpBackend:
+    process, address = spawn_local_server(workers=4)
+    return TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
+
+
+@pytest.fixture(params=QOS_BACKENDS)
+def qos_runtime(request):
+    """A runtime under one ``QoSConfig`` over each transport, proxy and
+    composition: the scheduling has to be the same on all of them."""
+    name = request.param
+    if name == "local":
+        backend = LocalBackend()
+    elif name == "tcp":
+        backend = _tcp_backend()
+    elif name == "shm":
+        process, segment = spawn_shm_server(workers=4)
+        backend = ShmBackend(
+            segment,
+            alive_fn=process.is_alive,
+            on_shutdown=lambda: process.join(timeout=5),
+        )
+    elif name == "faulty-tcp":
+        backend = FaultInjectingBackend(_tcp_backend())
+    else:
+        backend = FanoutBackend([_tcp_backend(), _tcp_backend()])
+    config = QoSConfig(
+        window=QOS_WINDOW,
+        tenants={"a": TenantPolicy(weight=3.0), "b": TenantPolicy(weight=1.0)},
+        max_queue_depth=QOS_QUEUE,
+    )
+    runtime = Runtime(backend, qos=config)
+    yield runtime
+    runtime.shutdown()
+
+
+def _posting_threads(runtime, count, kernel_seconds, rounds, errors):
+    """``count`` threads, tenants a and b in turn, each posting ``rounds``
+    synchronous offloads spread over the runtime's targets."""
+    targets = runtime.targets()
+
+    def post(index: int) -> None:
+        tenant = "ab"[index % 2]
+        try:
+            for i in range(rounds):
+                node = targets[(index + i) % len(targets)]
+                functor = f2f(apps.sleep_then, kernel_seconds, (index, i))
+                assert runtime.sync(node, functor, tenant=tenant) == (index, i)
+        except BaseException as exc:  # noqa: BLE001 - reported by the test
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=post, args=(index,), daemon=True)
+        for index in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def _wait_for(condition) -> bool:
+    deadline = time.monotonic() + 10.0
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return condition()
+
+
+class TestQoSConformance:
+    def test_every_tenant_is_granted_within_the_window(self, qos_runtime):
+        runtime = qos_runtime
+        errors: list[BaseException] = []
+        threads = _posting_threads(runtime, 6, 0.01, 5, errors)
+        peak = 0
+        while any(thread.is_alive() for thread in threads):
+            peak = max(peak, runtime.window.in_flight)
+            time.sleep(0.001)
+        assert errors == []
+        assert 0 < peak <= QOS_WINDOW
+        window = runtime.stats()["qos"]["window"]
+        assert window["limit"] == QOS_WINDOW and window["queued"] == 0
+        for tenant in "ab":
+            assert window["tenants"][tenant]["granted"] == 15, window
+            assert window["tenants"][tenant]["shed"] == 0
+        assert runtime.window.in_flight == 0
+
+    def test_an_over_deep_queue_sheds(self, qos_runtime):
+        runtime = qos_runtime
+        errors: list[BaseException] = []
+        # Two slow offloads take the slots, four more park behind them.
+        threads = _posting_threads(runtime, QOS_WINDOW, 0.5, 1, errors)
+        assert _wait_for(lambda: runtime.window.in_flight == QOS_WINDOW)
+        threads += _posting_threads(runtime, QOS_QUEUE, 0.0, 1, errors)
+        assert _wait_for(lambda: runtime.window.queued == QOS_QUEUE)
+        with pytest.raises(LoadShedError):
+            runtime.async_(1, f2f(apps.add, 1, 2), tenant="b")
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert errors == [] and not any(t.is_alive() for t in threads)
+        window = runtime.stats()["qos"]["window"]
+        assert window["tenants"]["b"]["shed"] == 1 and window["queued"] == 0
+        assert runtime.window.in_flight == 0

@@ -50,8 +50,10 @@ def _rewrite_replies(target, rewrite):
     target.server._reply = lambda op, corr, *parts: rewrite(send, op, corr, parts)
 
 
-def _settled(backend):
-    return backend._pending_count() == 0 and backend.window.in_flight == 0
+def _settled(target):
+    """Nothing filed in the correlation table, no window slot held."""
+    return (target.backend._pending_count() == 0
+            and target.runtime.window.in_flight == 0)
 
 
 class TestDispatchReply:
@@ -65,7 +67,7 @@ class TestDispatchReply:
         assert client.runtime.sync(1, f2f(apps.add, 20, 22)) == 42
         addr = backend.alloc_buffer(1, 8)
         backend.free_buffer(1, addr)
-        assert _settled(backend) and backend._alive
+        assert _settled(client) and backend._alive
         recorder = telemetry.get()
         if recorder is not None:  # the counter only exists while recording
             counters = recorder.metrics.snapshot()["counters"]
@@ -81,7 +83,7 @@ class TestDispatchReply:
         future = client.runtime.async_(1, f2f(apps.add, 1, 2))
         with pytest.raises(BackendError, match="expected invoke reply, got op 0x87"):
             future.get(timeout=WAIT)
-        assert _settled(client.backend)
+        assert _settled(client)
         assert client.backend.ping(1) >= 0.0  # the stream itself is intact
 
     def test_wrong_op_fails_a_sync_sink(self, client):
@@ -93,7 +95,7 @@ class TestDispatchReply:
         _rewrite_replies(client, as_ping)
         with pytest.raises(BackendError, match="expected reply to op 0x2, got 0x87"):
             client.backend.alloc_buffer(1, 8)
-        assert _settled(client.backend)
+        assert _settled(client)
         assert client.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
 
     def test_failure_reply_carries_the_remote_traceback(self, client):
@@ -104,7 +106,7 @@ class TestDispatchReply:
         with pytest.raises(RemoteExecutionError, match="not inside a live") as sync:
             client.backend.read_buffer(1, 0xDEAD, 16)
         assert "Traceback" in sync.value.remote_traceback
-        assert _settled(client.backend)
+        assert _settled(client)
         assert client.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
 
 
@@ -152,7 +154,7 @@ class TestPeerLoss:
         for future in futures:
             with pytest.raises(BackendError):
                 future.get(timeout=WAIT)
-        assert _settled(backend) and not backend._alive
+        assert _settled(client) and not backend._alive
         with pytest.raises(BackendError, match="is shut down"):
             backend.ping(1)
         client.thread.join(WAIT)

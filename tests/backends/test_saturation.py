@@ -56,7 +56,7 @@ def test_10k_in_flight_single_thread(rt):
     ]
     backend._coalescer.flush()  # everything on the wire now
 
-    in_flight = backend.window.in_flight
+    in_flight = rt.window.in_flight
     assert in_flight >= FLOOR, f"only {in_flight} offloads in flight"
 
     # Zero receiver threads: the reactor owns the socket.

@@ -14,7 +14,7 @@ from repro.errors import (
     RemoteExecutionError,
 )
 from repro.ham import f2f
-from repro.offload import Runtime
+from repro.offload import ResiliencePolicy, Runtime
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
@@ -243,9 +243,8 @@ class TestShmBackpressure:
             alive_fn=process.is_alive,
             on_shutdown=lambda: process.join(timeout=10),
         )
-        backend.set_inflight_limit(2)
-        backend.set_window_timeout(0.2)
-        runtime = Runtime(backend)
+        # The policy deadline is what bounds the wait for a slot.
+        runtime = Runtime(backend, policy=ResiliencePolicy(deadline=0.2), window=2)
         try:
             runtime.async_(1, f2f(apps.sleep_then, 1.0, "a"))
             runtime.async_(1, f2f(apps.sleep_then, 1.0, "b"))

@@ -1,23 +1,29 @@
 """Regression tests: the in-flight window never leaks slots.
 
-A handle that is registered in the window and then orphaned by an
-exception on the send/execute path would hold its slot forever; enough
-of them and the window drains to zero capacity and every later offload
-deadlocks. These tests flood the failure path with a window small enough
-that even a few leaked slots would wedge the backend, then prove the
-transport still works.
+A slot that is acquired for a post and then orphaned by an exception on
+the send/execute path would be held forever; enough of them and the
+window drains to zero capacity and every later offload deadlocks. The
+slot of a post that raised is freed in one place, ``Runtime._post``,
+whatever the backend; these tests flood each backend's failure path with
+a window small enough that even a few leaked slots would wedge the
+runtime, then prove the next offload still works.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from repro.backends import LocalBackend, TcpBackend
+from repro.backends import FaultInjectingBackend, LocalBackend, TcpBackend
 from repro.backends.tcp import spawn_local_server
-from repro.errors import BackendError
+from repro.errors import BackendError, InjectedFaultError
 from repro.ham import f2f
+from repro.offload import QoSConfig, Runtime
 
 from tests import apps
+from tests.offload.stubs import DrivenStubBackend, ThreadedStubBackend
 
 FLOOD = 50
 WINDOW = 4
@@ -25,8 +31,7 @@ WINDOW = 4
 
 class TestLocalBackendAccounting:
     def test_execute_failure_frees_the_slot(self, monkeypatch):
-        backend = LocalBackend()
-        backend.set_inflight_limit(WINDOW)
+        runtime = Runtime(LocalBackend(), window=WINDOW)
 
         def boom(*args, **kwargs):
             raise BackendError("injected execute failure")
@@ -34,19 +39,17 @@ class TestLocalBackendAccounting:
         monkeypatch.setattr("repro.backends.local.execute_message", boom)
         for _ in range(FLOOD):
             with pytest.raises(BackendError):
-                backend.post_invoke(1, f2f(apps.add, 1, 2))
-            assert backend.window.in_flight == 0
+                runtime.async_(1, f2f(apps.add, 1, 2))
+            assert runtime.window.in_flight == 0
         monkeypatch.undo()
         # The window survived the flood with full capacity: a real invoke
         # (which needs a slot) still completes.
-        handle = backend.post_invoke(1, f2f(apps.add, 2, 3))
-        assert handle.wait(timeout=5.0) == 5
-        assert backend.window.in_flight == 0
-        backend.shutdown()
+        assert runtime.sync(1, f2f(apps.add, 2, 3)) == 5
+        assert runtime.window.in_flight == 0
+        runtime.shutdown()
 
     def test_non_backend_error_also_frees_the_slot(self, monkeypatch):
-        backend = LocalBackend()
-        backend.set_inflight_limit(WINDOW)
+        runtime = Runtime(LocalBackend(), window=WINDOW)
 
         def boom(*args, **kwargs):
             raise RuntimeError("unexpected crash inside the transport")
@@ -54,16 +57,18 @@ class TestLocalBackendAccounting:
         monkeypatch.setattr("repro.backends.local.execute_message", boom)
         for _ in range(FLOOD):
             with pytest.raises(RuntimeError):
-                backend.post_invoke(1, f2f(apps.add, 1, 2))
-            assert backend.window.in_flight == 0
-        backend.shutdown()
+                runtime.async_(1, f2f(apps.add, 1, 2))
+            assert runtime.window.in_flight == 0
+        monkeypatch.undo()
+        assert runtime.sync(1, f2f(apps.add, 2, 3)) == 5
+        runtime.shutdown()
 
 
 class TestTcpBackendAccounting:
     def test_send_failure_frees_slot_and_pending_entry(self):
         process, address = spawn_local_server()
         backend = TcpBackend(address, on_shutdown=lambda: process.join(5.0))
-        backend.set_inflight_limit(WINDOW)
+        runtime = Runtime(backend, window=WINDOW)
         try:
             real_post = backend._post_frame
 
@@ -75,19 +80,90 @@ class TestTcpBackendAccounting:
             backend._post_frame = refuse
             for _ in range(FLOOD):
                 with pytest.raises(BackendError):
-                    backend.post_invoke(1, f2f(apps.add, 1, 2))
-                assert backend.window.in_flight == 0
+                    runtime.async_(1, f2f(apps.add, 1, 2))
+                assert runtime.window.in_flight == 0
                 assert backend._pending_count() == 0
             backend._post_frame = real_post
             # Capacity intact: more invokes than the window can hold at
             # once all round-trip (a leaked slot would deadlock here).
-            handles = [
-                backend.post_invoke(1, f2f(apps.add, i, i))
-                for i in range(WINDOW * 2)
+            futures = [
+                runtime.async_(1, f2f(apps.add, i, i)) for i in range(WINDOW * 2)
             ]
-            assert [h.wait(timeout=10.0) for h in handles] == [
+            assert [f.get(timeout=10.0) for f in futures] == [
                 2 * i for i in range(WINDOW * 2)
             ]
-            assert backend.window.in_flight == 0
+            assert runtime.window.in_flight == 0
         finally:
-            backend.shutdown()
+            runtime.shutdown()
+
+
+class TestFaultProxyAccounting:
+    """A fault the proxy injects raises before the transport is reached."""
+
+    def test_injected_drops_free_the_slot(self):
+        proxy = FaultInjectingBackend(
+            LocalBackend(), schedule={i: "drop" for i in range(FLOOD)}
+        )
+        runtime = Runtime(proxy, window=WINDOW)
+        for _ in range(FLOOD):
+            with pytest.raises(InjectedFaultError):
+                runtime.async_(1, f2f(apps.add, 1, 2))
+            assert runtime.window.in_flight == 0
+        assert runtime.sync(1, f2f(apps.add, 2, 3)) == 5
+        runtime.shutdown()
+
+    def test_injected_disconnect_frees_the_slot(self):
+        proxy = FaultInjectingBackend(LocalBackend(), schedule={0: "disconnect"})
+        runtime = Runtime(proxy, window=WINDOW)
+        with pytest.raises(InjectedFaultError):
+            runtime.async_(1, f2f(apps.add, 1, 2))
+        for _ in range(FLOOD):  # down until reconnect(): each post raises
+            with pytest.raises(BackendError, match="connection is down"):
+                runtime.async_(1, f2f(apps.add, 1, 2))
+            assert runtime.window.in_flight == 0
+        proxy.reconnect()
+        assert runtime.sync(1, f2f(apps.add, 2, 3)) == 5
+        assert runtime.window.in_flight == 0
+        runtime.shutdown()
+
+
+class TestWaitLoopStress:
+    """Eight threads on two slots, switching every microsecond: a lost
+    wake-up in the window's one wait loop strands a poster (the joins
+    are bounded), a lost update leaves a slot taken at the end."""
+
+    @pytest.mark.parametrize("qos", [None, QoSConfig()], ids=["fifo", "fair"])
+    @pytest.mark.parametrize("driven", [False, True], ids=["threaded", "driven"])
+    def test_every_poster_gets_through(self, driven, qos):
+        backend = DrivenStubBackend() if driven else ThreadedStubBackend()
+        if driven:
+            backend.gate.set()
+        runtime = Runtime(backend, window=2, qos=qos)
+        failures: list[BaseException] = []
+
+        def poster(index: int) -> None:
+            try:
+                tenant = f"t{index % 3}"
+                for i in range(100):
+                    future = runtime.async_(1, f2f(apps.add, index, i), tenant=tenant)
+                    assert runtime.window.in_flight <= 2
+                    assert future.get(timeout=30.0) == index + i
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=poster, args=(index,), daemon=True)
+            for index in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and not any(t.is_alive() for t in threads)
+        assert runtime.window.in_flight == 0
+        runtime.shutdown()

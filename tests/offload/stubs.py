@@ -6,12 +6,15 @@ time, so the window never fills) or need forked server processes (tcp).
 on a worker thread after a configurable per-node delay, so tests can
 fill the in-flight window deterministically, observe fair-queue grants,
 and race a slow primary against a fast hedge target — all in-process.
+:class:`DrivenStubBackend` is the other kind of transport: nothing
+completes unless a caller drives it, and not before the test says so.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Any, Callable
 
 from repro.backends.base import Backend, InvokeHandle
@@ -21,7 +24,7 @@ from repro.ham.message import MSG_RESULT, build_message
 from repro.ham.serialization import serialize
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 
-__all__ = ["ThreadedStubBackend"]
+__all__ = ["DrivenStubBackend", "ThreadedStubBackend"]
 
 #: delay spec: scalar seconds, {node: seconds}, or fn(node, functor).
 DelaySpec = "float | dict[int, float] | Callable[[int, Functor], float]"
@@ -33,7 +36,6 @@ class ThreadedStubBackend(Backend):
     name = "threaded-stub"
 
     def __init__(self, num_targets: int = 1, delay: Any = 0.0) -> None:
-        super().__init__()
         if num_targets < 1:
             raise BackendError(f"need at least one target, got {num_targets}")
         self._num_targets = num_targets
@@ -66,14 +68,8 @@ class ThreadedStubBackend(Backend):
         if not self._alive:
             raise BackendError("stub backend is shut down")
         self.check_target(node)
-        self._admit_invoke(label=functor.type_name)
-        try:
-            handle = InvokeHandle(self, label=functor.type_name)
-            delay = self._delay_for(node, functor)
-        except BaseException:
-            self.window.cancel()
-            raise
-        self._register_invoke(handle)
+        handle = InvokeHandle(self, label=functor.type_name)
+        delay = self._delay_for(node, functor)
         with self._record_lock:
             self.posted.append((node, functor.type_name))
 
@@ -118,3 +114,48 @@ class ThreadedStubBackend(Backend):
     # -- lifecycle ---------------------------------------------------------
     def shutdown(self) -> None:
         self._alive = False
+
+
+class DrivenStubBackend(ThreadedStubBackend):
+    """A driven transport (``driven = True``, like shm and the
+    simulators): a posted invoke executes when somebody's ``drive``
+    pumps it, oldest first, and only once :attr:`gate` is set."""
+
+    name = "driven-stub"
+    driven = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self._queue: deque[tuple[InvokeHandle, Functor]] = deque()
+        #: The arguments of every posted functor, in post order.
+        self.posted_args: list[tuple] = []
+
+    def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
+        self.check_target(node)
+        handle = InvokeHandle(self, label=functor.type_name)
+        self.posted_args.append(functor.args)
+        self._queue.append((handle, functor))
+        return handle
+
+    def drive(
+        self, handle: InvokeHandle, *, blocking: bool,
+        timeout: float | None = None,
+    ) -> None:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not handle.completed:
+            if self.gate.is_set():
+                try:
+                    oldest, functor = self._queue.popleft()
+                except IndexError:
+                    pass  # another driver holds the last one
+                else:
+                    oldest.complete_with_reply(
+                        build_message(MSG_RESULT, 0, 0, serialize(functor.execute()))
+                    )
+                    continue
+            if not blocking:
+                return
+            if deadline is not None and time.monotonic() >= deadline:
+                raise OffloadTimeoutError("driven stub invoke outlived its deadline")
+            time.sleep(0.001)

@@ -3,8 +3,8 @@ the full policy deadline on every retry or window wait.
 
 Regression tests for the budget fix: ``Runtime.sync`` computes the
 absolute expiry once, threads the *remaining* time into each attempt's
-reply wait, and scopes window-slot waits to the same instant via
-:func:`repro.backends.base.window_budget`.
+reply wait, and hands the same instant to ``Runtime._post``, which bounds
+the wait for a window slot by it.
 """
 
 import time
@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro.backends import LocalBackend
-from repro.backends.base import window_budget
 from repro.errors import OffloadTimeoutError
 from repro.ham import f2f
 from repro.offload import Runtime
@@ -25,6 +24,7 @@ class _NeverDone:
     """A handle whose reply never arrives; records the waits it got."""
 
     correlation_id = 0
+    completed = False
 
     def __init__(self, waits):
         self._waits = waits
@@ -93,59 +93,64 @@ class TestRetryBudget:
         assert backend.waits == [None, None, None]
 
 
+def _policy(deadline):
+    return ResiliencePolicy(
+        deadline=deadline, max_retries=0, failover=False,
+        degraded_after=1000, down_after=1000,
+    )
+
+
 class TestWindowBudget:
-    def test_budget_bounds_window_wait(self):
-        backend = LocalBackend()
-        try:
-            backend.set_inflight_limit(1)
-            backend.window.acquire()  # occupy the only slot
-            start = time.monotonic()
-            with window_budget(time.monotonic() + 0.1):
-                with pytest.raises(OffloadTimeoutError):
-                    backend._admit_invoke(label="probe")
-            elapsed = time.monotonic() - start
-            # The static window timeout is None (wait forever): only
-            # the scoped budget can have bounded this.
-            assert 0.05 < elapsed < 1.0
-        finally:
-            backend.window.cancel()
-            backend.shutdown()
+    """The slot wait of one offload, with the only slot taken."""
 
-    def test_exhausted_budget_fails_fast(self):
-        backend = LocalBackend()
-        try:
-            backend.set_inflight_limit(1)
-            backend.window.acquire()
-            start = time.monotonic()
-            with window_budget(time.monotonic() - 0.01):
-                with pytest.raises(OffloadTimeoutError, match="budget exhausted"):
-                    backend._admit_invoke(label="probe")
-            assert time.monotonic() - start < 0.05
-        finally:
-            backend.window.cancel()
-            backend.shutdown()
+    @pytest.fixture
+    def full(self):
+        def start(policy=None):
+            runtime = Runtime(LocalBackend(), policy=policy, window=1)
+            runtime.window.acquire()  # occupy the only slot
+            runtimes.append(runtime)
+            return runtime
 
-    def test_budget_tighter_than_static_timeout_wins(self):
-        backend = LocalBackend()
-        try:
-            backend.set_inflight_limit(1)
-            backend.set_window_timeout(30.0)
-            backend.window.acquire()
-            start = time.monotonic()
-            with window_budget(time.monotonic() + 0.1):
-                with pytest.raises(OffloadTimeoutError):
-                    backend._admit_invoke(label="probe")
-            assert time.monotonic() - start < 1.0
-        finally:
-            backend.window.cancel()
-            backend.shutdown()
+        runtimes = []
+        yield start
+        for runtime in runtimes:
+            runtime.window.cancel()
+            runtime.shutdown()
+
+    def test_budget_bounds_window_wait(self, full):
+        runtime = full()
+        start = time.monotonic()
+        with pytest.raises(OffloadTimeoutError, match="window full"):
+            runtime._post(
+                1, f2f(apps.empty_kernel), None, time.monotonic() + 0.1
+            )
+        elapsed = time.monotonic() - start
+        # No policy, so no static window timeout (wait forever): only
+        # the offload's budget can have bounded this.
+        assert 0.05 < elapsed < 1.0
+        assert runtime.window.in_flight == 1  # the test's own slot
+
+    def test_exhausted_budget_fails_fast(self, full):
+        runtime = full()
+        start = time.monotonic()
+        with pytest.raises(OffloadTimeoutError, match="budget exhausted"):
+            runtime._post(
+                1, f2f(apps.empty_kernel), None, time.monotonic() - 0.01
+            )
+        assert time.monotonic() - start < 0.05
+
+    def test_budget_tighter_than_static_timeout_wins(self, full):
+        runtime = full(_policy(30.0))
+        start = time.monotonic()
+        with pytest.raises(OffloadTimeoutError, match="window full"):
+            runtime.sync(1, f2f(apps.empty_kernel), timeout=0.1)
+        assert time.monotonic() - start < 1.0
 
     def test_no_scope_is_a_no_op(self):
-        backend = LocalBackend()
+        runtime = Runtime(LocalBackend())
         try:
-            with window_budget(None):
-                assert backend.window.in_flight == 0
-                backend._admit_invoke(label="probe")
-            backend.window.cancel()
+            assert runtime.window.in_flight == 0
+            assert runtime._post(1, f2f(apps.add, 1, 2), None).get() == 3
+            assert runtime.window.in_flight == 0
         finally:
-            backend.shutdown()
+            runtime.shutdown()

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.backends import LocalBackend
+from repro.backends.base import InflightWindow, InvokeHandle
 from repro.errors import (
     AdmissionRejectedError,
     DeadlineInfeasibleError,
@@ -41,7 +42,7 @@ from repro.offload import (
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
-from tests.offload.stubs import ThreadedStubBackend
+from tests.offload.stubs import DrivenStubBackend, ThreadedStubBackend
 
 
 @pytest.fixture(autouse=True)
@@ -273,18 +274,11 @@ class TestAdmission:
 
 
 def _fill_window(window: FairInflightWindow, n: int) -> list:
-    """Occupy ``n`` slots with fake handles (registered, not completed)."""
-
-    class _FakeHandle:
-        _ids = iter(range(10_000, 20_000))
-
-        def __init__(self):
-            self.correlation_id = next(self._ids)
-
+    """Occupy ``n`` slots with handles nothing completes."""
     handles = []
     for _ in range(n):
         window.acquire()
-        handle = _FakeHandle()
+        handle = InvokeHandle(None)
         window.register(handle)
         handles.append(handle)
     return handles
@@ -434,19 +428,50 @@ class TestFairWindow:
         vip.join(timeout=5.0)
         assert shed_error, "queued best-effort waiter was not shed"
 
-    def test_progress_path_falls_back_to_fifo(self):
-        """Single-threaded backends (progress callback) bypass the DRR."""
-        window = FairInflightWindow(1)
-        handles = _fill_window(window, 1)
-        released = []
+    def test_driven_transport_gets_drr_order(self):
+        """On a transport nothing completes unless a waiter drives it
+        (shm, the simulators) parked tenants are still served by weight:
+        the waiters pump, DRR says whose turn the freed slot is."""
+        config = QoSConfig(window=1, tenants={
+            "heavy": TenantPolicy(weight=3.0),
+            "light": TenantPolicy(weight=1.0),
+        })
+        backend = DrivenStubBackend()
+        runtime = Runtime(backend, qos=config)
+        blocker = runtime.async_(1, f2f(apps.echo, "blocker"))  # the slot
+        failures: list[BaseException] = []
 
-        def progress() -> None:
-            if not released:
-                window.release(handles[0])
-                released.append(True)
+        def worker(tenant: str) -> None:
+            try:
+                assert runtime.sync(1, f2f(apps.echo, tenant), tenant=tenant) == tenant
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
 
-        window.acquire(progress=progress)
-        assert released
+        threads = [
+            threading.Thread(
+                target=worker, args=("heavy" if i % 2 else "light",),
+                daemon=True,
+            )
+            for i in range(24)
+        ]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 10.0
+        while runtime.window.queued < 24 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert runtime.window.queued == 24
+        backend.gate.set()  # from here on a drive completes something
+        for t in threads:
+            t.join(timeout=10.0)
+        assert failures == [] and not any(t.is_alive() for t in threads)
+        assert blocker.get(timeout=10.0) == "blocker"
+        # With one slot, posts happen one grant at a time, in grant order.
+        served = [args[0] for args in backend.posted_args[1:]]
+        assert len(served) == 24 and served[:8].count("heavy") >= 5, served
+        tenants = runtime.stats()["qos"]["window"]["tenants"]
+        assert tenants["heavy"]["granted"] == tenants["light"]["granted"] == 12
+        assert runtime.window.in_flight == 0
+        runtime.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +483,8 @@ class TestRuntimeIntegration:
     def test_qos_installs_fair_window(self):
         backend = LocalBackend()
         runtime = Runtime(backend, qos=QoSConfig(window=8))
-        assert isinstance(backend.window, FairInflightWindow)
-        assert backend.window.limit == 8
+        assert isinstance(runtime.window, FairInflightWindow)
+        assert runtime.window.limit == 8
         assert runtime.sync(1, f2f(apps.add, 2, 3)) == 5
         stats = runtime.stats()
         assert stats["qos"]["admission"]["default"]["admitted"] == 1
@@ -515,14 +540,14 @@ class TestRuntimeIntegration:
         backend = ThreadedStubBackend(num_targets=1, delay=0.0)
         runtime = Runtime(backend, qos=QoSConfig())
         assert runtime.sync(1, f2f(apps.add, 4, 5), tenant="gold") == 9
-        snap = backend.window.snapshot()
+        snap = runtime.window.snapshot()
         assert snap["tenants"]["gold"]["granted"] == 1
         runtime.shutdown()
 
     def test_without_qos_behavior_unchanged(self):
         backend = LocalBackend()
         runtime = Runtime(backend)
-        assert not isinstance(backend.window, FairInflightWindow)
+        assert type(runtime.window) is InflightWindow
         assert runtime.sync(1, f2f(apps.add, 1, 2), tenant="whoever") == 3
         assert "qos" not in runtime.stats()
         runtime.shutdown()

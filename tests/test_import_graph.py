@@ -85,13 +85,17 @@ def test_an_offload_loads_its_transport_and_nothing_else(transport):
     assert len(ours) <= 35, sorted(ours)
 
 
+#: What only a ``metrics_port`` selects: the exporter and its server.
+EXPORTER = ["http.server", "repro.telemetry.promexport"]
+
+
 @pytest.mark.parametrize(
     "telemetry, selected",
     [
-        (True, ["repro.telemetry.promexport", "repro.telemetry.slo"]),
+        (True, ["repro.telemetry.config", "repro.telemetry.slo"]),
         ({"sample_rate": 1.0}, ["repro.telemetry.sampling", "repro.telemetry.slo"]),
         ({"tsdb": True}, ["repro.telemetry.tsdb"]),
-        ({"metrics_port": 0}, ["http.server", "repro.telemetry.promexport"]),
+        ({"metrics_port": 0}, EXPORTER),
     ],
     ids=["true", "sample_rate", "tsdb", "metrics_port"],
 )
@@ -101,6 +105,9 @@ def test_an_option_loads_what_it_selects(telemetry, selected):
         assert name in modules, name
     if "repro.telemetry.tsdb" not in selected:
         assert "repro.telemetry.tsdb" not in modules
+    if selected is not EXPORTER:
+        for name in EXPORTER:
+            assert _loaded(modules, name) == [], name
     for prefix in ("networkx", "asyncio", "repro.machine", "repro.hw", "repro.sim"):
         assert _loaded(modules, prefix) == [], prefix
 
