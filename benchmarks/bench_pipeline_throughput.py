@@ -27,8 +27,8 @@ def pipeline_report(report, pipeline_data):
         {"mode": "serial sync",
          "throughput": f"{pipeline_data['serial_throughput']:,.0f} invokes/s",
          "wall time": format_time(pipeline_data["serial_seconds"])},
-        {"mode": f"pipelined (window {int(pipeline_data['window'])}, "
-                 f"{int(pipeline_data['workers'])} workers)",
+        {"mode": f"pipelined (window {pipeline_data['params']['window']}, "
+                 f"{pipeline_data['params']['workers']} workers)",
          "throughput": f"{pipeline_data['pipelined_throughput']:,.0f} invokes/s",
          "wall time": format_time(pipeline_data["pipelined_seconds"])},
         {"mode": "speedup",
@@ -50,6 +50,6 @@ class TestPipelineThroughput:
     def test_serial_baseline_is_latency_bound(self, pipeline_data):
         # One sync per kernel_seconds at most — if serial were faster,
         # the baseline (and hence the speedup) would be meaningless.
-        assert pipeline_data["serial_throughput"] <= 1.0 / pipeline_data[
-            "kernel_seconds"
-        ]
+        assert pipeline_data["serial_throughput"] <= (
+            1.0 / pipeline_data["params"]["kernel_seconds"]
+        )

@@ -3,20 +3,33 @@
 Both transports speak the same frames (see :mod:`repro.backends.tcp`),
 so everything behind the byte pipe is one class: the op table, the
 inline memory/control ops, running an invocation, failure replies,
-introspection — and the **leader/followers loop** that serves them.
+introspection — and the **dispatch loop** that serves them.
 
 The paper's VE loop polls the flag, runs the active-message handler
 *itself* and stores the result back (Sec. IV-B). This is that loop for
-``workers`` concurrent invocations: ``workers + 1`` threads share one
-**poll token**. Its holder, the leader, reads frames; memory and control
-operations run inline on it, strictly in arrival order. An ``OP_INVOKE``
-is booked, the token released (promoting a waiting follower to leader)
-and the invocation executed and answered on the reader's own stack: no
-queue, no future, no hand-off of the message. With ``workers``
-invocations executing, the leader keeps the token and parks further
+``workers`` concurrent invocations, on ``workers + 1`` threads of which
+exactly one, the **reader**, is ever in ``_next_frame``. Memory and
+control operations run inline on it, strictly in arrival order. An
+``OP_INVOKE`` is booked, executed and answered on the reader's own
+stack, and the same thread goes on reading: no queue, no future, no
+wake-up, no thread change per message. Two things move the reading to
+another thread, and both are decided from what the loop measures:
+
+* **The rule.** If the previous invocation ran longer than a hand-off
+  costs (:data:`HANDOFF_PAYS_NS`), the reader hands the reading to a
+  parked thread *before* it executes the next one, so kernels that
+  block or compute for long overlap, up to ``workers`` of them.
+* **The safety net.** One parked thread, the **standby**, looks at the
+  reader every :data:`WATCH_INTERVAL` while invocations flow (and
+  sleeps untimed once a whole interval saw none); a reader it finds
+  inside the same invocation a full interval later — a straggler after
+  fast kernels, a kernel wedged on the very first call — loses the
+  reading to it. That is why a target wedged in its kernels still
+  answers ``OP_INTROSPECT``.
+
+With ``workers`` invocations executing, the reader parks further
 invokes on a FIFO backlog that finishing executors drain before they
-queue for the token again — the spare thread is why a target wedged in
-its kernels still answers ``OP_INTROSPECT``.
+park themselves.
 """
 
 from __future__ import annotations
@@ -32,9 +45,9 @@ from collections import deque
 from typing import Any
 
 from repro.backends._target_memory import HostedBuffers
-from repro.errors import BackendError
+from repro.errors import BackendError, HamError
 from repro.ham.execution import execute_message
-from repro.ham.message import peek_trace_flags
+from repro.ham.message import parse_message, peek_trace_flags
 from repro.ham.registry import Catalog, ProcessImage
 from repro.offload.buffer import BufferPtr
 from repro.telemetry import context as trace_context
@@ -67,6 +80,19 @@ FRAME_OVERHEAD = _LEN.size + _FRAME_META
 #: Default number of concurrent INVOKEs a target executes.
 DEFAULT_SERVER_WORKERS = 4
 
+#: An invocation that ran longer than this (ns, wall clock — a sleeping
+#: kernel uses no CPU — and without its reply) makes the reader hand the
+#: reading on before it executes the next one. Six times what the
+#: hand-off itself costs the target (~17 µs of CPU: a futex wake, a lost
+#: GIL race, two switches), so an empty kernel (~7 µs) trips it only
+#: when it is preempted, and the most a kernel just under it forgoes is
+#: its own length in overlap.
+HANDOFF_PAYS_NS = 100_000
+#: How often (s) the standby looks at the reader while invocations flow.
+#: A wedged reader is replaced within two intervals. At 1 ms the
+#: wake-ups alone cost an empty shm offload 3–4 µs on a shared CPU.
+WATCH_INTERVAL = 0.005
+
 
 def reset_forked_recorder() -> None:
     """First thing in a forked target: keep the recorder, drop its host side.
@@ -88,7 +114,7 @@ class FramedServer:
 
     A transport supplies ``_next_frame()`` — block for the next
     ``(op, corr, body)``, raise :class:`BackendError` when the client is
-    gone or the stream corrupt; only the leader calls it — and
+    gone or the stream corrupt; only the reader calls it — and
     ``_reply(op, corr, *parts)``, which every serving thread calls and
     the transport therefore serializes.
     """
@@ -97,6 +123,9 @@ class FramedServer:
     transport = ""
     #: What ``_reply`` raises when nobody is left to reply to.
     _CLIENT_GONE: tuple[type[BaseException], ...] = ()
+    #: Times every kernel for :data:`HANDOFF_PAYS_NS`; a test
+    #: substitutes its own, so that "ran long" is its decision.
+    clock_ns = staticmethod(time.perf_counter_ns)
 
     def __init__(self, catalog: Catalog | None, workers: int) -> None:
         if workers < 1:
@@ -108,14 +137,33 @@ class FramedServer:
         #: The catalog is frozen once serving starts; hashing it per
         #: PING would dominate the heartbeat RTT.
         self._digest: bytes | None = None
-        self._token = threading.Lock()
         #: Every serving thread replies on the one pipe.
         self._send_lock = threading.Lock()
-        #: Guards the depths and the counter; notified when
-        #: ``_executing`` reaches zero.
-        self._lock = threading.Condition(threading.Lock())
+        #: Guards every field below and the counter above; the loop
+        #: takes it twice per invocation, to book and to un-book.
+        self._lock = threading.Lock()
+        #: The standby waits here (timed while ``_watching``), ...
+        self._standby = threading.Condition(self._lock)
+        #: ... every other parked thread here (``_idle`` of them), ...
+        self._parked = threading.Condition(self._lock)
+        #: ... and ``OP_SHUTDOWN`` here, for ``_executing`` to reach zero.
+        self._drained = threading.Condition(self._lock)
         self._executing = 0
         self._backlog: deque[tuple[int, Any]] = deque()
+        #: Name of the thread that reads frames; ``None`` from a hand-off
+        #: until a parked thread has taken it.
+        self._reader: str | None = None
+        #: Name of the parked thread that stands by.
+        self._seat: str | None = None
+        self._idle = 0
+        self._watching = False
+        #: ``(corr, body)`` the reader is executing, ``None`` while it reads.
+        self._inside: tuple[int, Any] | None = None
+        #: The last invocation to finish (or one found wedged) ran
+        #: longer than :data:`HANDOFF_PAYS_NS`.
+        self._ran_long = False
+        self._handoffs = 0
+        self._promotions = 0
         self._reply_span = f"{self.transport}.server.reply"
         #: Why the loop ended (``None`` while serving).
         self.stopped: str | None = None
@@ -126,7 +174,7 @@ class FramedServer:
     def _reply(self, op: int, corr: int, *parts: Any) -> None:
         raise NotImplementedError
 
-    # -- the leader/followers loop ------------------------------------------
+    # -- the dispatch loop ----------------------------------------------------
     def _serve(self) -> None:
         """Run the loop on ``workers + 1`` daemon threads; returns once
         it has stopped *and* every booked invocation has replied. The
@@ -144,53 +192,115 @@ class FramedServer:
             thread.join()
 
     def _run(self) -> None:
-        worker = threading.current_thread().name  # named on reply spans
+        me = threading.current_thread().name  # named on reply spans
         try:
-            while True:
-                with self._token:
-                    job = None if self.stopped is not None else self._lead()
-                if job is None:
-                    return
-                while job is not None:
-                    self._execute_invoke(*job, worker)
-                    with self._lock:
-                        if self._backlog:
-                            job = self._backlog.popleft()
-                        else:
-                            job = None
-                            self._executing -= 1
-                            if not self._executing:
-                                self._lock.notify_all()
+            while self._take_reading(me):
+                self._read(me)
         except BaseException:
             # A bug in the loop: the others leave at their next turn.
-            self.stopped = self.stopped or "internal error"
+            self._stop("internal error")
             raise
 
-    def _lead(self) -> tuple[int, Any] | None:
-        """Token held: serve frames until an invoke is booked for this
-        thread (returned) or the loop stops (``None``)."""
+    def _stop(self, reason: str) -> None:
+        with self._lock:
+            self.stopped = self.stopped or reason
+            self._standby.notify_all()
+            self._parked.notify_all()
+
+    def _take_reading(self, me: str) -> bool:
+        """Park until the reading falls to this thread (``True``) or the
+        loop has stopped (``False``). Whoever parks and finds the
+        standby's seat empty takes it; whoever takes the reading and
+        leaves the seat empty calls an idle thread to it."""
+        with self._lock:
+            while self.stopped is None:
+                vacant = self._seat is None or self._seat is me
+                if self._reader is None:
+                    self._reader = me
+                    if vacant:
+                        self._seat = None
+                        self._parked.notify()
+                    return True
+                if vacant:
+                    self._seat = me
+                    self._stand_by()
+                else:
+                    self._idle += 1
+                    self._parked.wait()
+                    self._idle -= 1
+            return False
+
+    def _stand_by(self) -> None:
+        """Lock held: one wait on the standby's seat. Notified (the
+        reading was handed here, invocations flow again, the loop
+        stopped), the caller looks again. Timed out, a whole interval
+        has passed: the reader found inside the invocation it was
+        already inside before the wait loses the reading."""
+        inside, executed = self._inside, self.messages_executed
+        if self._standby.wait(WATCH_INTERVAL if self._watching else None):
+            return
+        if self._inside is None:
+            if self.messages_executed == executed:
+                self._watching = False  # nothing flows: sleep untimed
+        elif self._inside is inside:
+            corr, body = inside
+            flightrecorder.note(
+                "target.promoted", transport=self.transport,
+                reader=self._reader, corr=corr, functor=self._functor_of(body),
+            )
+            self._promotions += 1
+            self._ran_long = True
+            self._inside = None
+            self._reader = None  # taken by the caller's next look
+
+    def _functor_of(self, body: Any) -> str:
+        """Type name of the functor an INVOKE body addresses."""
+        try:
+            key = parse_message(body)[0].handler_key
+            return self.image.entry_for_key(key).type_name
+        except HamError:  # malformed or unknown: its failure reply says so
+            return "?"
+
+    def _read(self, me: str) -> None:
+        """This thread reads: serve frames, executing every invoke it
+        books, until the reading has passed to another thread or the
+        loop has stopped."""
         try:
             while True:
                 op, corr, body = self._next_frame()
                 if op == OP_INVOKE:
                     with self._lock:
-                        if self._executing < self.workers:
-                            self._executing += 1
-                            return corr, body
-                        self._backlog.append((corr, body))
+                        if self._executing == self.workers:
+                            self._backlog.append((corr, body))
+                            continue
+                        self._executing += 1
+                        if self._ran_long:
+                            # The hand-off pays: another thread reads
+                            # while this one executes.
+                            self._reader = None
+                            self._handoffs += 1
+                            (self._parked if self._idle else self._standby).notify()
+                        else:
+                            self._inside = (corr, body)
+                            if not self._watching:
+                                self._watching = True
+                                self._standby.notify()
+                    if not self._execute_booked(corr, body, me):
+                        return
                 elif op == OP_SHUTDOWN:
                     # Acknowledged once nothing executes (the backlog is
                     # then empty too): the ack is the last frame sent.
                     with self._lock:
-                        self._lock.wait_for(lambda: not self._executing)
+                        while self._executing:
+                            self._drained.wait()
                     self._handle_inline(op, corr, body)
-                    self.stopped = "shutdown"
-                    return None
+                    self._stop("shutdown")
+                    return
                 else:
                     self._handle_inline(op, corr, body)
         except BackendError as exc:
             # Client gone or stream corrupt: leave a cause to read.
-            self.stopped = str(exc) or type(exc).__name__
+            self._stop(str(exc) or type(exc).__name__)
             flightrecorder.note(
                 "target.stopped", transport=self.transport, reason=self.stopped
             )
@@ -198,7 +308,27 @@ class FramedServer:
                 f"{self.transport} target (pid {os.getpid()}) stopped "
                 f"serving: {exc}", file=sys.stderr, flush=True,
             )
-            return None
+
+    def _execute_booked(self, corr: int, body: Any, me: str) -> bool:
+        """Execute a booked invocation, then what backed up behind the
+        workers meanwhile, and un-book; ``True`` while this thread is
+        still the reader of a running loop."""
+        while True:
+            ran_ns = self._execute_invoke(corr, body, me)
+            with self._lock:
+                if ran_ns is not None:
+                    self.messages_executed += 1
+                    self._ran_long = ran_ns > HANDOFF_PAYS_NS
+                reading = self._reader is me
+                if reading:
+                    self._inside = None
+                if self._backlog:
+                    corr, body = self._backlog.popleft()
+                    continue
+                self._executing -= 1
+                if not self._executing:
+                    self._drained.notify_all()
+                return reading and self.stopped is None
 
     # -- serving one frame ----------------------------------------------------
     def _send_failure(self, corr: int, exc: BaseException) -> None:
@@ -216,8 +346,14 @@ class FramedServer:
         """Transport-specific attributes of the server-side reply span."""
         return {}
 
-    def _execute_invoke(self, corr: int, body: memoryview, worker: str) -> None:
-        """Execute one invocation on the thread that read it; reply."""
+    def _execute_invoke(
+        self, corr: int, body: memoryview, worker: str
+    ) -> int | None:
+        """Execute one booked invocation and reply. Returns how long it
+        ran (ns, without the reply: on a shared CPU the client is
+        scheduled inside the send, which says nothing about the kernel),
+        ``None`` for a message refused as malformed instead."""
+        ran_ns = None
         try:
             # The sampling verdict travels in the v2 header's flag byte:
             # unsampled messages (and only those — v1/flagless messages
@@ -227,13 +363,14 @@ class FramedServer:
             if traced:
                 flags = peek_trace_flags(body)
                 traced = flags is None or bool(flags & trace_context.FLAG_SAMPLED)
+            began = self.clock_ns()
             reply, _keep = execute_message(self.image, body, resolver=self._resolve)
-            with self._lock:
-                self.messages_executed += 1
-                pending = self._executing + len(self._backlog)
+            ran_ns = self.clock_ns() - began
             if not traced:
                 self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
-                return
+                return ran_ns
+            with self._lock:
+                pending = self._executing + len(self._backlog)
             # Which thread produced which correlation id (the execute
             # span itself is recorded inside execute_message, parented to
             # the sender's trace). ``pending`` is the concurrent-invoke
@@ -247,6 +384,7 @@ class FramedServer:
                 self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
         except Exception as exc:  # noqa: BLE001 - shipped to the client
             self._send_failure(corr, exc)  # (dropped there if it has gone)
+        return ran_ns
 
     def _handle_inline(self, op: int, corr: int, body: memoryview) -> None:
         """Answer one memory/control op on the reading thread."""
@@ -325,11 +463,17 @@ class FramedServer:
             executed = self.messages_executed
             active = self._executing
             pending = active + len(self._backlog)
+            dispatch = {
+                "reader": self._reader,
+                "handoffs": self._handoffs,
+                "promotions": self._promotions,
+            }
         return {
             "role": "target",
             "transport": self.transport,
             "pid": os.getpid(),
             "workers": {"pool_size": self.workers, "active": active},
+            "dispatch": dispatch,
             "pending_invokes": pending,
             "messages_executed": executed,
             "live_buffers": self.buffers.live_count,

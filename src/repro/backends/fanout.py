@@ -167,6 +167,13 @@ class FanoutBackend(Backend):
                     p.get("workers", {}).get("active", 0) for p in payloads
                 ),
             },
+            "dispatch": {
+                "reader": None,  # one per target: see ``targets``
+                **{
+                    key: sum(p.get("dispatch", {}).get(key, 0) for p in payloads)
+                    for key in ("handoffs", "promotions")
+                },
+            },
             "pending_invokes": sum(
                 p.get("pending_invokes", 0) for p in payloads
             ),

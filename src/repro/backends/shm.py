@@ -48,7 +48,10 @@ bounded busy-spin phase (interleaved with ``sched_yield`` so a same-core
 peer gets the CPU immediately — the single-core analogue of the VE's LHM
 polling) followed by exponential sleep backoff for idle periods; the
 spin budget and the sleep bounds are constants of this module
-(:data:`SPIN_YIELDS`, :data:`SLEEP_MIN`, :data:`SLEEP_MAX`).
+(:data:`SPIN_YIELDS`, :data:`SLEEP_MIN`, :data:`SLEEP_MAX`). On the
+target, the thread that polls a message off the ring executes it and
+goes on polling, as the VE does — no wake-up and no thread change per
+message (the dispatch loop of :mod:`repro.backends._server`).
 
 Unlike the TCP backend there is **no receiver thread**: the client is
 *driven* — whichever caller waits on a reply takes the drive lock and
@@ -629,11 +632,14 @@ class ShmTargetServer(FramedServer):
     """The target-side polling loop: one client, concurrent execution.
 
     The mirror image of :class:`~repro.backends.tcp.TcpTargetServer`
-    over rings instead of a socket, on the same leader/followers loop
+    over rings instead of a socket, on the same dispatch loop
     (:class:`~repro.backends._server.FramedServer`): the thread that
-    polls an INVOKE off the request ring executes it and posts the reply
-    itself while another takes over polling — up to ``workers`` at once,
-    replies in completion order, tagged with their correlation ids — and
+    polls an INVOKE off the request ring executes it, posts the reply
+    itself and goes on polling — the paper's VE loop. Another thread
+    takes the polling over only when that pays (the previous invocation
+    ran long, or the poller is stuck in this one), so kernels still
+    overlap, up to ``workers`` at once, replies in completion order,
+    tagged with their correlation ids — and
     memory and control operations run inline on whichever thread is
     polling. The loop exits on SHUTDOWN, on a corrupt request ring, or
     when the client process disappears (pid liveness probe), setting the
@@ -670,7 +676,7 @@ class ShmTargetServer(FramedServer):
             self.segment.state = STATE_STOPPED
 
     def _next_frame(self) -> tuple[int, int, memoryview]:
-        """Leader only: poll the request ring for the next frame."""
+        """Reader only: poll the request ring for the next frame."""
         self._recv.wait_readable(stop=self._client_gone_cb)
         return self._recv.read_frame()
 

@@ -27,7 +27,7 @@ Every frame carries a **correlation id**; replies (including failure
 replies) echo the request's id. The client matches replies through an
 id-keyed table instead of a FIFO, so they may arrive in any order —
 which is what lets the target execute invocations concurrently (the
-leader/followers loop of :mod:`repro.backends._server`) while memory
+dispatch loop of :mod:`repro.backends._server`) while memory
 operations stay synchronous roundtrips. That table, and everything else
 on the host side that is not moving bytes, is shared with shm:
 :mod:`repro.backends._client` (docs/architecture.md, "Client core").
@@ -124,7 +124,7 @@ class FrameParser:
     """Incremental frame decoder over one stream socket, for both ends.
 
     :meth:`fill` is one ``recv`` (the host reactor calls it when the
-    socket is readable, the target's leader when it runs out of frames);
+    socket is readable, the target's reader when it runs out of frames);
     :meth:`next_frame` hands out every complete frame it carried as a
     view into the received chunk — no per-frame buffer or syscall. A
     frame longer than :data:`_RECV_CHUNK` is received into a buffer of
@@ -257,10 +257,12 @@ def socket_queue_depths(sock: socket.socket) -> dict[str, int]:
 class TcpTargetServer(FramedServer):
     """The target-side message loop: one client, concurrent execution.
 
-    Frames are served by the leader/followers loop of
+    Frames are served by the dispatch loop of
     :class:`~repro.backends._server.FramedServer`: the thread that reads
-    an INVOKE executes it and replies on its own stack while another
-    takes over the socket, so up to ``workers`` independent offloads
+    an INVOKE executes it, replies on its own stack and goes on reading
+    the socket. Another thread takes the socket over only when that
+    pays — the previous invocation ran long, or the reader is stuck in
+    this one — so up to ``workers`` independent offloads still
     execute concurrently and replies return in completion order (each
     tagged with its correlation id). Memory and control operations are
     handled inline on whichever thread is reading — they are cheap and
@@ -293,7 +295,7 @@ class TcpTargetServer(FramedServer):
             self._listener.close()
 
     def _next_frame(self) -> tuple[int, int, memoryview]:
-        """Leader only: the next frame, receiving more bytes as needed."""
+        """Reader only: the next frame, receiving more bytes as needed."""
         parser = self._parser
         while True:
             frame = parser.next_frame()

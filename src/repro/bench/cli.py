@@ -157,8 +157,8 @@ def report_pipeline(quick: bool) -> Report:
         {"mode": "serial sync",
          "throughput": f"{data['serial_throughput']:,.0f} invokes/s",
          "wall time": format_time(data["serial_seconds"])},
-        {"mode": f"pipelined (window {int(data['window'])}, "
-                 f"{int(data['workers'])} workers)",
+        {"mode": f"pipelined (window {data['params']['window']}, "
+                 f"{data['params']['workers']} workers)",
          "throughput": f"{data['pipelined_throughput']:,.0f} invokes/s",
          "wall time": format_time(data["pipelined_seconds"])},
         {"mode": "speedup", "throughput": f"{data['speedup']:.1f}x",

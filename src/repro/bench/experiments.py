@@ -390,7 +390,7 @@ def measure_pipeline_throughput(
     kernel_seconds: float = 0.02,
     workers: int = 4,
     window: int = 16,
-) -> dict[str, float]:
+) -> dict[str, Any]:
     """P2: pipelined vs serial TCP invoke throughput (wall clock).
 
     The serial baseline issues ``sync`` offloads one at a time, so every
@@ -403,11 +403,12 @@ def measure_pipeline_throughput(
     compute contention.
 
     Returns throughputs (invokes/s), wall times, the speedup, and the
-    run parameters.
+    run parameters under ``params`` (a ``--quick`` run and the full
+    baseline differ there without anything having regressed).
     """
     from repro.workloads.kernels import sleep_kernel
 
-    results: dict[str, float] = {}
+    results: dict[str, Any] = {}
     for mode in ("serial", "pipelined"):
         process, address = spawn_local_server(workers=workers)
         backend = TcpBackend(
@@ -433,10 +434,10 @@ def measure_pipeline_throughput(
     results["speedup"] = (
         results["pipelined_throughput"] / results["serial_throughput"]
     )
-    results["invokes"] = float(invokes)
-    results["kernel_seconds"] = kernel_seconds
-    results["workers"] = float(workers)
-    results["window"] = float(window)
+    results["params"] = {
+        "invokes": invokes, "kernel_seconds": kernel_seconds,
+        "workers": workers, "window": window,
+    }
     return results
 
 

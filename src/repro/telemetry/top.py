@@ -166,11 +166,22 @@ def _target_lines(target: Mapping[str, Any] | None) -> list[str]:
     if "error" in target:
         return [f"TARGET  unreachable: {target['error']}"]
     workers = target.get("workers") or {}
-    lines = [
-        f"TARGET  pid {target.get('pid', '?')} ({target.get('transport', '?')})",
+    workers_line = (
         f"  workers   {workers.get('active', 0)}/{workers.get('pool_size', 0)}"
         f" active   executed {target.get('messages_executed', 0)}"
-        f"   buffers {target.get('live_buffers', 0)}",
+        f"   buffers {target.get('live_buffers', 0)}"
+    )
+    dispatch = target.get("dispatch")
+    if dispatch:  # framed targets: what the dispatch loop did
+        workers_line += (
+            f"   handoffs {dispatch.get('handoffs', 0)}"
+            f"   promotions {dispatch.get('promotions', 0)}"
+        )
+        if dispatch.get("reader"):
+            workers_line += f"   reader {dispatch['reader']}"
+    lines = [
+        f"TARGET  pid {target.get('pid', '?')} ({target.get('transport', '?')})",
+        workers_line,
     ]
     rings = target.get("rings")
     if rings:

@@ -1,9 +1,10 @@
-"""The target dispatch loop (leader/followers) and the tcp frame parser.
+"""The target dispatch loop and the tcp frame parser.
 
 Every server here runs *in this process*, on a thread, so the tests can
 gate kernels with ``threading`` primitives and observe which thread did
 what. No assertion reads a clock: waits carry a 10 s timeout only so a
-regression fails instead of hanging.
+regression fails instead of hanging, and whether an invocation "ran
+long" is decided by the clock a test hands the server.
 """
 
 import functools
@@ -16,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.backends import _server
 from repro.backends.shm import (
     STATE_STOPPED,
     ShmBackend,
@@ -37,7 +39,7 @@ from repro.backends.tcp import (
     TcpTargetServer,
     _eof_error,
 )
-from repro.errors import BackendError
+from repro.errors import BackendError, RemoteExecutionError
 from repro.ham import f2f, offloadable
 from repro.offload import Runtime
 from repro.telemetry import flightrecorder
@@ -248,6 +250,141 @@ class TestDispatchLoop:
             if op in (OP_ALLOC, OP_WRITE, OP_READ, OP_FREE)
         ]
         assert memory_ops == [OP_ALLOC, OP_WRITE, OP_READ, OP_FREE]
+
+
+class _Clock:
+    """The server's ``clock_ns``, in the test's hands: it stands still
+    unless a kernel moves it."""
+
+    def __init__(self):
+        self.now = 0
+
+    def __call__(self):
+        return self.now
+
+    def run_long(self):
+        self.now += 10 * _server.HANDOFF_PAYS_NS
+
+
+def _dispatch(target):
+    """What the loop says it did, asked over the wire."""
+    return target.backend.introspect_target(timeout=WAIT)["dispatch"]
+
+
+class TestReaderKeepsReading:
+    """The rule (a long invocation makes the next one hand the reading
+    on first) and the safety net (the standby takes it from a reader
+    stuck in one invocation)."""
+
+    @pytest.fixture
+    def clock(self, target):
+        target.server.clock_ns = clock = _Clock()
+        _HOOKS["echo"] = lambda arg: arg
+        _HOOKS["slow"] = lambda _arg: clock.run_long()
+        return clock
+
+    def test_fast_kernels_never_change_threads(self, target, clock, monkeypatch):
+        # The standby's interval is real time; a box that stalls this
+        # process for 5 ms inside one echo must not decide this test.
+        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
+        for i in range(200):
+            assert target.runtime.sync(1, f2f(dispatch_hook, "echo", i)) == i
+        readers = set(target.server.invoke_readers)
+        assert len(target.server.invoke_readers) == 200 and len(readers) == 1
+        dispatch = _dispatch(target)
+        assert dispatch["handoffs"] == 0 and dispatch["promotions"] == 0
+        names = {t.ident: t.name for t in threading.enumerate()}
+        assert dispatch["reader"] == names[readers.pop()]
+
+    def test_straggler_loses_the_reading_to_the_standby(self, target, clock):
+        for i in range(20):
+            assert target.runtime.sync(1, f2f(dispatch_hook, "echo", i)) == i
+        entered, gate = threading.Event(), threading.Event()
+        _HOOKS["gates"] = [gate]
+        _HOOKS["park"] = lambda _arg: entered.set() or gate.wait(WAIT)
+        parked = []
+        poster = threading.Thread(target=lambda: parked.append(
+            target.runtime.sync(1, f2f(dispatch_hook, "park", None))
+        ))
+        poster.start()
+        assert entered.wait(WAIT)
+        # The reader sits in the kernel: only a promotion answers these.
+        assert target.backend.ping(1) >= 0.0
+        state = target.backend.introspect_target(timeout=WAIT)
+        assert target.runtime.sync(1, f2f(dispatch_hook, "echo", 7)) == 7
+        assert not gate.is_set()
+        assert state["workers"]["active"] == 1
+        assert state["dispatch"]["promotions"] >= 1
+        assert state["dispatch"]["handoffs"] == 0
+        attrs = [
+            record[2] for record in flightrecorder.get().records()
+            if record[1] == "target.promoted"
+        ][-1]
+        assert attrs["functor"].endswith("dispatch_hook") and attrs["corr"] > 0
+        assert attrs["reader"] != state["dispatch"]["reader"]
+        gate.set()
+        poster.join(WAIT)
+        assert parked == [True]
+
+    def test_after_a_long_invocation_kernels_overlap_by_handoff(
+            self, target, clock):
+        target.runtime.sync(1, f2f(dispatch_hook, "slow", None))
+        before = _dispatch(target)
+        # The barrier kernels run at once or not at all — and the reader
+        # is never inside one, so no promotion can have overlapped them.
+        gates, parked = _park_all(target)
+        state = target.backend.introspect_target(timeout=WAIT)
+        assert state["workers"]["active"] == WORKERS
+        for gate in gates:
+            gate.set()
+        assert [future.get(timeout=WAIT) for future in parked] == [True] * WORKERS
+        after = _dispatch(target)
+        assert after["promotions"] == before["promotions"]
+        assert after["handoffs"] >= before["handoffs"] + WORKERS
+
+    def test_no_invoke_lost_while_the_reading_moves(
+            self, target, clock, monkeypatch):
+        # Every third kernel "runs long" and the standby looks every
+        # 0.1 ms: hand-offs, promotions, parking and the backlog
+        # interleave, on more threads than CPUs.
+        monkeypatch.setattr(_server, "WATCH_INTERVAL", 1e-4)
+        count = 2000
+        seen = []
+
+        def mark(i):
+            seen.append(i)
+            if i % 3 == 0:
+                clock.run_long()
+            return i
+
+        _HOOKS["mark"] = mark
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            futures = [
+                target.runtime.async_(1, f2f(dispatch_hook, "mark", i))
+                for i in range(count)
+            ]
+            assert [f.get(timeout=WAIT) for f in futures] == list(range(count))
+        finally:
+            sys.setswitchinterval(interval)
+        assert _dispatch(target)["handoffs"] > 0
+        target.runtime.shutdown()
+        target.thread.join(WAIT)
+        server = target.server
+        assert sorted(seen) == list(range(count))
+        assert server.messages_executed == count
+        assert server._executing == 0 and not server._backlog
+        assert server.replies.count(OP_INVOKE | OP_REPLY_BIT) == count
+
+    def test_refused_message_is_answered_and_not_counted(self, target, clock):
+        assert target.runtime.sync(1, f2f(dispatch_hook, "echo", 1)) == 1
+        with pytest.raises(RemoteExecutionError, match="truncated"):
+            target.backend._roundtrip(OP_INVOKE, b"no HAM message", timeout=WAIT)
+        assert target.runtime.sync(1, f2f(dispatch_hook, "echo", 2)) == 2
+        state = target.backend.introspect_target(timeout=WAIT)
+        assert state["messages_executed"] == 2
+        assert state["workers"]["active"] == 0 == state["pending_invokes"]
 
 
 class TestStopReason:

@@ -13,6 +13,7 @@ import urllib.request
 import pytest
 
 from repro.backends import (
+    FanoutBackend,
     LocalBackend,
     ShmBackend,
     TcpBackend,
@@ -114,6 +115,28 @@ class TestIntrospectTarget:
         finally:
             shm_runtime.shutdown()
         assert set(tcp_payload) == set(shm_payload)
+        assert set(tcp_payload["dispatch"]) == {"reader", "handoffs", "promotions"}
+        assert tcp_payload["dispatch"]["reader"].startswith("ham-tcp-worker-")
+        assert shm_payload["dispatch"]["reader"].startswith("ham-shm-worker-")
+
+    def test_fanout_sums_what_the_dispatch_loops_did(self):
+        class Inner:
+            name = "stub"
+
+            def __init__(self, handoffs, promotions):
+                self.dispatch = {"reader": "ham-stub-worker-0",
+                                 "handoffs": handoffs, "promotions": promotions}
+
+            def introspect_target(self, timeout=None):
+                return {"role": "target", "dispatch": self.dispatch}
+
+        payload = FanoutBackend(
+            [Inner(2, 0), Inner(5, 1), LocalBackend()]
+        ).introspect_target()
+        assert payload["dispatch"] == {
+            "reader": None, "handoffs": 7, "promotions": 1,
+        }
+        assert payload["targets"][1]["dispatch"]["reader"] == "ham-stub-worker-0"
 
 
 class TestRuntimeInspector:
@@ -206,6 +229,8 @@ class TestTopRendering:
             "target": {
                 "role": "target", "transport": "shm", "pid": 200,
                 "workers": {"pool_size": 4, "active": 1},
+                "dispatch": {"reader": "ham-shm-worker-2", "handoffs": 3,
+                             "promotions": 1},
                 "pending_invokes": 1, "messages_executed": 42,
                 "live_buffers": 2,
                 "rings": {"capacity": 1024,
@@ -225,6 +250,7 @@ class TestTopRendering:
         assert "TARGET  pid 200 (shm)" in frame
         assert "1/4 active" in frame
         assert "executed 42" in frame
+        assert "handoffs 3   promotions 1   reader ham-shm-worker-2" in frame
         assert "FLIGHT  noted 7" in frame
         assert "1:up" in frame
 

@@ -13,34 +13,16 @@ import of a process, so every documented entry point is tried as one.
 
 import functools
 import json
-import os
-import pathlib
 import re
-import subprocess
-import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).parent.parent
-
-
-def _python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter; returns its stdout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
-    )
-    assert result.returncode == 0, f"{code}\n{result.stderr[-2000:]}"
-    return result.stdout
+from tests.fresh import ROOT, fresh_python
 
 
 def _modules_after_offload(transport: str, **init_options) -> set[str]:
     """``sys.modules`` after init + one checked echo + finalize."""
-    return set(json.loads(_python(f"""
+    return set(json.loads(fresh_python(f"""
 import json, sys
 from repro.offload import api
 from repro.ham import f2f
@@ -140,7 +122,7 @@ def _repro_imports(source: str) -> list[str]:
 def _imports_first(statement: str) -> None:
     """``statement`` as the first ``repro`` import of a process (tried
     once per session however many files show it)."""
-    _python(statement)
+    fresh_python(statement)
 
 
 @pytest.mark.parametrize("source", ENTRY_POINT_SOURCES)
@@ -179,7 +161,7 @@ def test_module_imports_first(module):
     "package", ["repro", "repro.backends", "repro.offload", "repro.telemetry"]
 )
 def test_package_namespace_resolves_every_public_name(package):
-    out = _python(f"""
+    out = fresh_python(f"""
 import {package} as pkg
 missing = set(pkg.__all__) - set(dir(pkg))
 assert not missing, missing
@@ -197,7 +179,7 @@ print(len(pkg.__all__))
 
 
 def test_submodules_resolve_as_package_attributes():
-    _python("""
+    fresh_python("""
 import repro.telemetry as t, repro.backends as b, repro.offload as o
 assert t.export.write_chrome_trace and t.recorder.enable is t.enable
 assert b.local.LocalBackend is b.LocalBackend
