@@ -11,16 +11,11 @@ We compare VEO write bandwidth with both manager generations.
 
 import pytest
 
+from repro.bench.experiments import measure_dma_manager_ablation
 from repro.bench.tables import format_bandwidth, format_size, render_table
-from repro.hw.memory import PAGE_HUGE_2M
 from repro.hw.specs import GIB, MIB
-from repro.machine import AuroraMachine
-from repro.veo import VeoProc
 
 SIZES = [MIB, 8 * MIB, 64 * MIB]
-
-
-from repro.bench.experiments import measure_dma_manager_ablation
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +54,3 @@ class TestDmaManagerAblation:
         small = ablation["4dma"][MIB] / ablation["classic"][MIB]
         large = ablation["4dma"][64 * MIB] / ablation["classic"][64 * MIB]
         assert large >= small * 0.9  # monotone-ish
-
-    def test_benchmark_classic_transfer(self, benchmark, ablation):
-        machine = AuroraMachine(
-            num_ves=1, four_dma=False, ve_memory_bytes=16 * MIB, vh_memory_bytes=16 * MIB
-        )
-        proc = VeoProc(machine, 0)
-        vh_buf = machine.vh.ddr.allocate(8 * MIB, page_size=PAGE_HUGE_2M)
-        ve_addr = proc.alloc_mem(8 * MIB)
-        benchmark(lambda: proc.transfer_region(
-            machine.vh.ddr, vh_buf.addr, ve_addr, 8 * MIB, direction="vh_to_ve"
-        ))

@@ -8,16 +8,11 @@ per-page translation cost; 4 KiB pages mean 512× more translations per
 
 import pytest
 
+from repro.bench.experiments import measure_hugepages_ablation
 from repro.bench.tables import format_bandwidth, format_size, render_table
-from repro.hw.memory import PAGE_4K
 from repro.hw.specs import MIB
-from repro.machine import AuroraMachine
-from repro.veo import VeoProc
 
 SIZES = [256 * 1024, 4 * MIB, 32 * MIB]
-
-
-from repro.bench.experiments import measure_hugepages_ablation
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +47,3 @@ class TestHugePages:
     def test_gain_grows_with_size(self, hugepages):
         gains = [hugepages["huge"][s] / hugepages["small"][s] for s in SIZES]
         assert gains == sorted(gains)
-
-    def test_benchmark_small_page_transfer(self, benchmark, hugepages):
-        machine = AuroraMachine(num_ves=1, ve_memory_bytes=16 * MIB, vh_memory_bytes=16 * MIB)
-        proc = VeoProc(machine, 0)
-        vh_buf = machine.vh.ddr.allocate(4 * MIB, page_size=PAGE_4K)
-        ve_addr = proc.alloc_mem(4 * MIB)
-        benchmark(lambda: proc.transfer_region(
-            machine.vh.ddr, vh_buf.addr, ve_addr, 4 * MIB,
-            direction="vh_to_ve", page_size=PAGE_4K,
-        ))

@@ -78,10 +78,3 @@ class TestResultPathAblation:
         assert winners[0] == "shm"
         assert winners[-1] == "udma"
         assert "udma" in winners[: RESULT_SIZES.index(4096) + 1]
-
-    def test_benchmark_shm_result_offload(self, benchmark, result_path):
-        runtime = Runtime(DmaCommBackend(result_path="shm"))
-        try:
-            benchmark(lambda: runtime.sync(1, f2f(produce_payload, 64)))
-        finally:
-            runtime.shutdown()

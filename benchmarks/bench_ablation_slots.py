@@ -94,6 +94,3 @@ class TestSlotAblation:
         # Covered inside _throughput's result check: 40 asyncs through a
         # single slot produce all results exactly once, in order.
         assert slots["async"][1] > 0
-
-    def test_benchmark_stream(self, benchmark, slots):
-        benchmark(lambda: _throughput(4, mode="async"))

@@ -120,13 +120,3 @@ class TestGranularity:
             return float("inf")
 
         assert crossover("dma") <= crossover("veo")
-
-    def test_benchmark_fine_grained_offload(self, benchmark, granularity):
-        backend = DmaCommBackend()
-        kernel = KERNELS["dgemm"]
-        backend.kernel_cost_fn = lambda functor: kernel.time_on(VE_DEVICE, functor.args[0])
-        runtime = Runtime(backend)
-        try:
-            benchmark(lambda: runtime.sync(1, f2f(granularity_stub, 24)))
-        finally:
-            runtime.shutdown()

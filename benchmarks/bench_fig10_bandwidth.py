@@ -23,7 +23,6 @@ import pytest
 from repro.bench.calibration import PAPER
 from repro.bench.figures import ascii_chart, render_series
 from repro.hw.specs import GIB, KIB, MIB
-from repro.machine import AuroraMachine
 
 from repro.bench.experiments import (
     FIG10_MAX_SIZE as MAX_SIZE,
@@ -130,20 +129,3 @@ class TestFig10Shapes:
         for direction in ("vh_to_ve", "ve_to_vh"):
             for curve in fig10[direction].values():
                 assert all(not (v == v) or v <= ceiling * 1.001 for v in curve)
-
-
-class TestFig10Benchmark:
-    def test_benchmark_simulated_udma_transfer(self, benchmark):
-        machine = AuroraMachine(num_ves=1)
-        ve = machine.ve(0)
-        segment = machine.vh.shmget(MIB)
-        entry = ve.dmaatb.register(segment, 0, MIB)
-        staging = ve.hbm.allocate(MIB)
-        sim = machine.sim
-
-        def one():
-            sim.run(until=sim.process(
-                ve.udma.read_host(entry.vehva, ve.hbm, staging.addr, MIB)
-            ))
-
-        benchmark(one)

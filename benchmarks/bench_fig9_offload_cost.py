@@ -176,19 +176,3 @@ class TestFig9:
             + phases["veo.host.read_result"]
         )
         assert privileged / phases["total"] > 0.95
-
-    def test_benchmark_simulated_dma_offload(self, benchmark, fig9):
-        """Wall-clock cost of simulating one DMA-protocol offload."""
-        runtime = Runtime(DmaCommBackend())
-        try:
-            benchmark(lambda: runtime.sync(1, f2f(fig9_empty_kernel)))
-        finally:
-            runtime.shutdown()
-
-    def test_benchmark_simulated_veo_offload(self, benchmark, fig9):
-        """Wall-clock cost of simulating one VEO-protocol offload."""
-        runtime = Runtime(VeoCommBackend())
-        try:
-            benchmark(lambda: runtime.sync(1, f2f(fig9_empty_kernel)))
-        finally:
-            runtime.shutdown()

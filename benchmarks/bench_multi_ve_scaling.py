@@ -10,24 +10,12 @@ the classic single-driver scaling curve.
 
 import pytest
 
-from repro.backends import DmaCommBackend
+from repro.bench.experiments import measure_multi_ve_scaling
 from repro.bench.tables import render_table
-from repro.ham import f2f, offloadable
-from repro.machine import AuroraMachine
-from repro.offload import Runtime
 
 KERNEL_TIME = 50e-6
 ROUNDS = 12
 VE_COUNTS = [1, 2, 4, 8]
-
-
-@offloadable
-def scaling_kernel(tag: int) -> int:
-    """Kernel body; VE time is charged via kernel_cost_fn."""
-    return tag
-
-
-from repro.bench.experiments import measure_multi_ve_scaling
 
 
 @pytest.fixture(scope="module")
@@ -69,22 +57,3 @@ class TestMultiVeScaling:
         # Single host driver: efficiency at 8 VEs below 100 % but the
         # setup must still deliver clearly more than 4 VEs' throughput.
         assert 0.4 < scaling[8] / scaling[1] / 8 <= 1.0
-
-    def test_benchmark_four_ve_round(self, benchmark, scaling):
-        machine = AuroraMachine(num_ves=4)
-        backend = DmaCommBackend(machine)
-        backend.kernel_cost_fn = lambda functor: KERNEL_TIME
-        runtime = Runtime(backend)
-
-        def round_robin():
-            futures = [
-                runtime.async_(node, f2f(scaling_kernel, 1))
-                for node in runtime.targets()
-            ]
-            for future in futures:
-                future.get()
-
-        try:
-            benchmark(round_robin)
-        finally:
-            runtime.shutdown()

@@ -10,23 +10,11 @@ socket 0 (local) and socket 1 (remote, one UPI hop to VE 0).
 
 import pytest
 
-from repro.backends import DmaCommBackend
 from repro.bench.calibration import PAPER
+from repro.bench.experiments import measure_numa_penalty
 from repro.bench.tables import format_time, render_table
-from repro.ham import f2f, offloadable
-from repro.machine import AuroraMachine
-from repro.offload import Runtime
 
 REPS = 40
-
-
-@offloadable
-def numa_empty_kernel() -> None:
-    """Empty kernel for the NUMA experiment."""
-    return None
-
-
-from repro.bench.experiments import measure_numa_penalty
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +61,3 @@ class TestNuma:
         # On the 432 µs VEO protocol the UPI penalty is negligible noise.
         extra = numa["veo_remote"] - numa["veo_local"]
         assert extra / numa["veo_local"] < 0.01
-
-    def test_benchmark_remote_socket_offload(self, benchmark, numa):
-        runtime = Runtime(DmaCommBackend(AuroraMachine(num_ves=1, socket=1)))
-        try:
-            benchmark(lambda: runtime.sync(1, f2f(numa_empty_kernel)))
-        finally:
-            runtime.shutdown()

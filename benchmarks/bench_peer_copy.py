@@ -81,13 +81,3 @@ class TestPeerCopy:
         # twice, so the ratio tends to ~2.
         ratio = peer_copy["host_staged"][16 * MIB] / peer_copy["peer_dma"][16 * MIB]
         assert 1.6 < ratio < 2.4
-
-    def test_benchmark_peer_copy(self, benchmark, peer_copy):
-        machine = AuroraMachine(num_ves=2, ve_memory_bytes=8 * MIB)
-        runtime = Runtime(DmaCommBackend(machine))
-        src = runtime.allocate(1, MIB, np.uint8)
-        dst = runtime.allocate(2, MIB, np.uint8)
-        try:
-            benchmark(lambda: runtime.copy(src, dst).get())
-        finally:
-            runtime.shutdown()

@@ -79,11 +79,3 @@ class TestRemoteOffload:
         # The headline of the extension: remote offloading through the
         # fast protocol is ~45x cheaper than the *local* VEO protocol.
         assert remote["remote"] < PAPER.fig9_ham_veo / 20
-
-    def test_benchmark_remote_offload(self, benchmark, remote):
-        cluster = AuroraCluster(num_nodes=2)
-        runtime = Runtime(ClusterBackend(cluster))
-        try:
-            benchmark(lambda: runtime.sync(2, f2f(remote_empty_kernel)))
-        finally:
-            runtime.shutdown()

@@ -10,36 +10,11 @@ experiment measures aggregate user-DMA bandwidth for three placements.
 
 import pytest
 
+from repro.bench.experiments import measure_switch_contention
 from repro.bench.tables import format_bandwidth, render_table
 from repro.hw.specs import GIB, MIB
-from repro.machine import AuroraMachine
 
 TRANSFER = 16 * MIB
-
-
-from repro.bench.experiments import measure_switch_contention
-
-
-def _aggregate_bandwidth(ve_indices):
-    """Kept for the pytest-benchmark case below."""
-    from repro.machine import AuroraMachine
-
-    machine = AuroraMachine(num_ves=8, ve_memory_bytes=TRANSFER + 16 * MIB)
-    sim = machine.sim
-    done = []
-    for index in ve_indices:
-        ve = machine.ve(index)
-        segment = machine.vh.shmget(TRANSFER)
-        entry = ve.dmaatb.register(segment, 0, TRANSFER)
-        staging = ve.hbm.allocate(TRANSFER)
-        done.append(
-            sim.process(
-                ve.udma.write_host(ve.hbm, staging.addr, entry.vehva, TRANSFER)
-            )
-        )
-    start = sim.now
-    sim.run(until=sim.all_of(done))
-    return len(ve_indices) * TRANSFER / (sim.now - start)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +63,3 @@ class TestSwitchContention:
 
     def test_baseline_matches_single_ve_peak(self, contention):
         assert contention["one_ve"] == pytest.approx(11.1 * GIB, rel=0.07)
-
-    def test_benchmark_concurrent_transfers(self, benchmark, contention):
-        benchmark(lambda: _aggregate_bandwidth([0, 1]))

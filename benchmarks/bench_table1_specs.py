@@ -87,6 +87,5 @@ class TestTable1:
         assert ve.fma_units == 3
         assert ve.pcie_max_payload == 256
 
-    def test_benchmark_table_rendering(self, benchmark, table1):
-        text = benchmark(lambda: render_table(table1))
-        assert "Cores" in text
+    def test_table_rendering(self, table1):
+        assert "Cores" in render_table(table1)

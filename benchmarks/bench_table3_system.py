@@ -56,7 +56,7 @@ class TestTable3:
         assert topo.upi_hops(0, 4) == 1
         assert topo.upi_hops(1, 3) == 1
 
-    def test_benchmark_topology_query(self, benchmark, table3):
+    def test_topology_query(self, table3):
         topo = SystemTopology(A300_8)
-        hops = benchmark(lambda: [topo.upi_hops(s, v) for s in (0, 1) for v in range(8)])
+        hops = [topo.upi_hops(s, v) for s in (0, 1) for v in range(8)]
         assert sum(hops) == 8  # half the (socket, ve) pairs are remote

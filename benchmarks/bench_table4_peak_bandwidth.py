@@ -9,15 +9,12 @@ SHM/LHM the paper's "max" corresponds to the sustained word-rate plateau
 import pytest
 
 from repro.bench.calibration import PAPER
+from repro.bench.experiments import measure_table4
 from repro.bench.tables import format_bandwidth, render_table
 from repro.hw.specs import MIB
-from repro.machine import AuroraMachine
 
 PEAK_SIZES = [64 * MIB, 128 * MIB, 256 * MIB]
 WORDWISE_SIZE = 4 * MIB  # SHM/LHM measured to 4 MiB in the paper
-
-
-from repro.bench.experiments import measure_table4
 
 
 @pytest.fixture(scope="module")
@@ -88,18 +85,3 @@ class TestTable4:
         ceiling = PAPER.pcie_theoretical_peak * PAPER.pcie_achievable_fraction
         for key in ("veo_write", "veo_read", "udma_read", "udma_write"):
             assert table4[key] <= ceiling
-
-    def test_benchmark_peak_measurement(self, benchmark, table4):
-        machine = AuroraMachine(num_ves=1, ve_memory_bytes=16 * MIB, vh_memory_bytes=16 * MIB)
-        ve = machine.ve(0)
-        segment = machine.vh.shmget(8 * MIB)
-        entry = ve.dmaatb.register(segment, 0, 8 * MIB)
-        staging = ve.hbm.allocate(8 * MIB)
-        sim = machine.sim
-
-        def one():
-            sim.run(until=sim.process(
-                ve.udma.write_host(ve.hbm, staging.addr, entry.vehva, 8 * MIB)
-            ))
-
-        benchmark(one)

@@ -1,12 +1,16 @@
 """Shared infrastructure for the reproduction benchmarks.
 
 Each benchmark module computes its experiment's data once (module-scoped
-fixture), asserts the paper anchors, registers a paper-style report, and
-benchmarks a representative operation with pytest-benchmark (wall-clock
-cost of driving the simulation).
+fixture) on the simulated platform, asserts the paper anchors and
+registers a paper-style report. Everything is simulated time: no module
+here reads a clock (``tests/bench/test_reports.py`` enforces it).
 
 Reports are printed in the terminal summary (so they appear even under
 output capture) and written to ``benchmarks/results/<experiment>.txt``.
+Those files are committed and deterministic, which makes them the
+paper-fidelity baseline: ``python -m pytest benchmarks -q`` rewrites them
+in place and ``git diff --exit-code -- benchmarks/results`` must then
+print nothing (CONTRIBUTING.md, "Which command gates what").
 """
 
 from __future__ import annotations

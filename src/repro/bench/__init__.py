@@ -2,8 +2,8 @@
 
 ``harness``
     The paper's measurement protocol (Sec. V): warm-up iterations, many
-    repetitions, averages — applied to both simulated-time and wall-clock
-    measurements.
+    repetitions, averages — applied to simulated time (the real path's
+    wall clock is ``perfbench/``'s).
 ``stats``
     Summary statistics of a measurement series.
 ``tables`` / ``figures``
@@ -15,7 +15,7 @@
 """
 
 from repro.bench.calibration import PAPER, CalibrationCheck, check_timing_model
-from repro.bench.harness import measure_sim, measure_wall, scaled_reps
+from repro.bench.harness import measure_sim, scaled_reps
 from repro.bench.stats import Stats
 from repro.bench.tables import format_bandwidth, format_time, render_table
 from repro.bench.figures import ascii_chart, render_series
@@ -29,7 +29,6 @@ __all__ = [
     "format_bandwidth",
     "format_time",
     "measure_sim",
-    "measure_wall",
     "render_series",
     "render_table",
     "scaled_reps",

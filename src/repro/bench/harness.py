@@ -7,19 +7,19 @@ warm-up iterations to avoid distortion from effects like cold caches.
 
 The simulator is deterministic, so far fewer repetitions suffice for the
 same averages; :func:`scaled_reps` keeps the *shape* of the protocol
-(warm-ups, more reps for cheap operations) while bounding wall-clock time
-of the benchmark suite.
+(warm-ups, more reps for cheap operations) while bounding the run time
+of the benchmark suite. Only simulated time is measured here; the real
+path's wall clock belongs to ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from repro.bench.stats import Stats
 from repro.sim import Simulator
 
-__all__ = ["measure_sim", "measure_wall", "scaled_reps"]
+__all__ = ["measure_sim", "scaled_reps"]
 
 #: Paper repetition counts (kept for reference / reports).
 PAPER_OFFLOAD_REPS = 1_000_000
@@ -63,21 +63,3 @@ def measure_sim(
         samples.append(sim.now - start)
     return Stats.from_samples(samples)
 
-
-def measure_wall(
-    operation: Callable[[], None],
-    *,
-    reps: int = 200,
-    warmup: int = PAPER_WARMUP,
-) -> Stats:
-    """Measure the wall-clock duration of ``operation`` (functional backends)."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    for _ in range(warmup):
-        operation()
-    samples = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        operation()
-        samples.append(time.perf_counter() - start)
-    return Stats.from_samples(samples)

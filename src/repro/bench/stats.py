@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.telemetry.metrics import percentile
-
 __all__ = ["Stats"]
 
 
@@ -16,9 +14,8 @@ class Stats:
     """Summary of a measurement series (times in seconds).
 
     The paper reports averages over all runs (Sec. V); we additionally
-    keep spread and tail information (median/p95), which for the
-    deterministic simulator mainly documents protocol warm-up effects
-    and for the functional backends captures scheduling jitter.
+    keep the spread, which for the deterministic simulator mainly
+    documents protocol warm-up effects.
     """
 
     n: int
@@ -26,8 +23,6 @@ class Stats:
     minimum: float
     maximum: float
     std: float
-    median: float = 0.0
-    p95: float = 0.0
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "Stats":
@@ -46,8 +41,6 @@ class Stats:
             minimum=min(samples),
             maximum=max(samples),
             std=math.sqrt(var),
-            median=percentile(samples, 50.0),
-            p95=percentile(samples, 95.0),
         )
 
     def bandwidth(self, nbytes: int) -> float:

@@ -33,7 +33,6 @@ from typing import Any, Callable, Type
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.telemetry import recorder as telemetry
 
 __all__ = [
     "Migratable",
@@ -143,11 +142,6 @@ def serialize_parts(value: Any) -> list:
         parts = _encode_numpy_parts(value)
     else:
         parts = [_serialize(value)]
-    recorder = telemetry.get()
-    if recorder is not None:
-        metrics = recorder.metrics
-        metrics.counter("serialize.calls").inc()
-        metrics.counter("serialize.bytes").inc(sum(len(p) for p in parts))
     return parts
 
 
@@ -211,11 +205,6 @@ def deserialize(data) -> Any:
     SerializationError
         On unknown tags, truncated frames or failing hooks.
     """
-    recorder = telemetry.get()
-    if recorder is not None:
-        metrics = recorder.metrics
-        metrics.counter("deserialize.calls").inc()
-        metrics.counter("deserialize.bytes").inc(len(data))
     if not len(data):
         raise SerializationError("empty payload")
     # A one-byte slice (bytes or memoryview) compares equal to the tags.

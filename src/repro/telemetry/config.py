@@ -20,8 +20,8 @@ class TelemetryConfig:
 
     ``init`` accepts ``True`` (plain recording), this class, or a dict
     with the same field names. ``metrics_port=None`` means no HTTP
-    endpoint; ``0`` binds an ephemeral port (query it via
-    ``runtime-returned`` server's :attr:`MetricsServer.address`).
+    endpoint; ``0`` binds an ephemeral port (read the actual one from
+    ``repro.offload.api.metrics_server().address``).
 
     Sampling and SLO fields (see :mod:`repro.telemetry.sampling` and
     :mod:`repro.telemetry.slo`): ``sample_rate=None`` keeps the

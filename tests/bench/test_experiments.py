@@ -1,7 +1,4 @@
-"""Tests for the bench CLI and the shared experiments module."""
-
-import subprocess
-import sys
+"""Tests for the shared (simulated-only) experiments module."""
 
 import pytest
 
@@ -36,26 +33,3 @@ class TestExperimentsModule:
     def test_multi_ve_scaling_monotone(self):
         data = exp.measure_multi_ve_scaling([1, 2], rounds=3)
         assert data[2] > data[1]
-
-
-class TestCli:
-    def _run(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro.bench.cli", *args],
-            capture_output=True, text=True, timeout=300,
-        )
-
-    def test_fig9_quick(self):
-        result = self._run("fig9", "--quick")
-        assert result.returncode == 0
-        assert "HAM-Offload (DMA)" in result.stdout
-        assert "speedup ratios" in result.stdout
-
-    def test_table4_quick(self):
-        result = self._run("table4", "--quick")
-        assert result.returncode == 0
-        assert "VE User DMA" in result.stdout
-
-    def test_unknown_experiment_rejected(self):
-        result = self._run("fig99")
-        assert result.returncode != 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.figures import ascii_chart, render_series
-from repro.bench.harness import measure_sim, measure_wall, scaled_reps
+from repro.bench.harness import measure_sim, scaled_reps
 from repro.bench.stats import Stats
 from repro.bench.tables import (
     format_bandwidth,
@@ -54,17 +54,10 @@ class TestHarness:
         assert stats.n == 5
         assert stats.mean == pytest.approx(1.0)
 
-    def test_measure_wall(self):
-        stats = measure_wall(lambda: None, reps=10, warmup=2)
-        assert stats.n == 10
-        assert stats.mean >= 0
-
     def test_reps_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             measure_sim(lambda: None, sim, reps=0)
-        with pytest.raises(ValueError):
-            measure_wall(lambda: None, reps=0)
 
     def test_scaled_reps_shrinks_with_size(self):
         assert scaled_reps(8) == 50

@@ -41,15 +41,17 @@ MAX_WINDOW_LOCK_ACQUISITIONS = 3
 #: (``telemetry={"sample_rate": rate}``: recorder, head sampler, tail
 #: pipeline, SLO monitor), per sampling rate: calls, and locks taken
 #: (every ``with lock`` / ``lock.acquire()``, telemetry's and the
-#: window's alike). After ISSUE 15, on CPython 3.11: 427 calls and 38
-#: locks at rate 1.0 (every span recorded), 480 and 43 at rate 0.0
-#: (every span staged and folded, then dropped by the tail verdict);
-#: before it 538 / 65 and 597 / 79. One offload in 32 refreshes the tail
-#: threshold (+6 calls) and the first ones after a warm-up settle the
-#: pipeline's window (up to 498 / 47 at rate 0.0). The ceilings sit ~5 %
-#: above the usual figure and above the largest one seen.
-MAX_TRACED_CALLS = {1.0: 448, 0.0: 504}
-MAX_TRACED_LOCKS = {1.0: 40, 0.0: 49}
+#: window's alike). On CPython 3.11: 347 calls and 26 locks at rate 1.0
+#: (every span recorded), 410 and 33 at rate 0.0 (every span staged and
+#: folded, then dropped by the tail verdict) since ISSUE 20 deleted the
+#: four ``serialize.*``/``deserialize.*`` counters nobody read (416 / 38
+#: and 479 / 45 with them; 538 / 65 and 597 / 79 before ISSUE 15). One
+#: offload in 32 refreshes the tail threshold (+6 calls) and the first
+#: ones after a warm-up settle the pipeline's window (up to 424 / 35 at
+#: rate 0.0). The ceilings sit ~5 % above the usual figure and above the
+#: largest one seen.
+MAX_TRACED_CALLS = {1.0: 365, 0.0: 431}
+MAX_TRACED_LOCKS = {1.0: 28, 0.0: 36}
 
 #: Records one traced offload appends: on ``local`` the serialize,
 #: transport, execute and deserialize spans; a framed transport adds

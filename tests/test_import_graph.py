@@ -94,6 +94,21 @@ def test_an_option_loads_what_it_selects(telemetry, selected):
         assert _loaded(modules, prefix) == [], prefix
 
 
+def test_the_experiments_module_is_simulated_only():
+    """The paper experiments start no real transport and read no wall
+    clock (that is perfbench's): importing them loads neither."""
+    modules = set(json.loads(fresh_python("""
+import json, sys
+import repro.bench.experiments
+print(json.dumps(sorted(sys.modules)))
+""")))
+    for prefix in (
+        "repro.backends.tcp", "repro.backends.shm", "repro.backends.eventloop",
+        "repro.telemetry.tsdb", "repro.telemetry.promexport",
+    ):
+        assert _loaded(modules, prefix) == [], prefix
+
+
 _IMPORT = re.compile(
     r"^[ \t]*(from repro[\w.]* import (?:\([^)]*\)|[^\n(#]+)|import repro[\w.]*)",
     re.MULTILINE,
