@@ -11,7 +11,6 @@ left to a transport is listed on :class:`FramedClient`.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from typing import Any, Callable
@@ -33,11 +32,17 @@ from repro.backends._server import (
     OP_WRITE,
 )
 from repro.backends.base import Backend, InvokeHandle
-from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
-from repro.ham.execution import sized_invoke_parts
+from repro.errors import (
+    BackendError,
+    OffloadTimeoutError,
+    RemoteExecutionError,
+    SerializationError,
+)
+from repro.ham.execution import remote_error, sized_invoke_parts
 from repro.ham.functor import Functor
 from repro.ham.message import peek_trace, peek_trace_flags
 from repro.ham.registry import Catalog, ProcessImage
+from repro.ham.serialization import restricted_loads
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
@@ -57,13 +62,14 @@ def byte_view(part: Any) -> Any:
     return view
 
 
-def remote_failure(body: Any) -> RemoteExecutionError:
-    """The exception an ``OP_FAILURE`` reply carries."""
-    info = pickle.loads(body)
-    return RemoteExecutionError(
-        f"remote {info['type']}: {info['message']}",
-        remote_traceback=info.get("traceback", ""),
-    )
+def remote_failure(body: Any) -> RemoteExecutionError | SerializationError:
+    """The exception an ``OP_FAILURE`` reply carries — or, for a body
+    the restricted loader refuses, the refusal (returned, not raised:
+    the caller must still complete whoever waits for this reply)."""
+    try:
+        return remote_error(restricted_loads(body))
+    except SerializationError as exc:
+        return exc
 
 
 def _unsampled_reply_context(body: Any) -> "trace_context.TraceContext | None":
@@ -509,7 +515,7 @@ class FramedClient(Backend):
         """
         if align:
             self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
-        rows = pickle.loads(self._roundtrip(OP_TELEMETRY, timeout=timeout))
+        rows = restricted_loads(self._roundtrip(OP_TELEMETRY, timeout=timeout))
         records = dicts_to_records(rows)
         if align and self.clock_sync.offset_ns:
             records = align_records(records, self.clock_sync.offset_ns)
@@ -525,7 +531,7 @@ class FramedClient(Backend):
         cursors (``None`` on TCP). Raises the usual transport errors
         when the target is gone or predates the op.
         """
-        payload = pickle.loads(self._roundtrip(OP_INTROSPECT, timeout=timeout))
+        payload = restricted_loads(self._roundtrip(OP_INTROSPECT, timeout=timeout))
         if not isinstance(payload, dict):
             raise BackendError(
                 f"malformed introspection reply: {type(payload).__name__}"

@@ -18,10 +18,14 @@ Wire protocol (all integers little-endian)::
     op 0x05 READ      body = addr:u64 | n:u64     -> 0x85 body = data
     op 0x06 SHUTDOWN  body = ""                   -> 0x86 body = ""
     op 0x07 PING      body = ""                   -> 0x87 body = ""
-    op 0x08 TELEMETRY body = ""                   -> 0x88 body = pickled records
+    op 0x08 TELEMETRY body = ""                   -> 0x88 body = record rows (*)
     op 0x09 CLOCK     body = ""                   -> 0x89 body = perf_ns:u64
-    op 0x0A INTROSPECT body = ""                  -> 0x8A body = pickled state
-    any failure                                    -> 0xFF body = pickled info
+    op 0x0A INTROSPECT body = ""                  -> 0x8A body = state dict (*)
+    any failure                                    -> 0xFF body = info dict (*)
+
+(*) a pickle of builtin containers, numbers and strings only; the client
+reads it with :func:`repro.ham.serialization.restricted_loads`, which
+resolves no global outside its allow-list.
 
 Every frame carries a **correlation id**; replies (including failure
 replies) echo the request's id. The client matches replies through an

@@ -23,15 +23,22 @@ from repro.ham.message import (
     MSG_SHUTDOWN,
     build_message,
     build_message_parts,
-    parse_message,
+    pack_header,
+    split_message,
 )
 from repro.ham.registry import ProcessImage
-from repro.ham.serialization import deserialize, serialize
+from repro.ham.serialization import decode_args, deserialize, serialize
 from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
 
-__all__ = ["build_invoke", "build_invoke_parts", "execute_message", "unpack_result"]
+__all__ = [
+    "build_invoke",
+    "build_invoke_parts",
+    "execute_message",
+    "remote_error",
+    "unpack_result",
+]
 
 #: Resolver hook: maps wire-level arguments (e.g. buffer_ptr) to
 #: target-local values (e.g. memory views). Identity by default.
@@ -115,61 +122,67 @@ def execute_message(
     VE-side failures never crash the message loop: they are captured into
     an ERROR reply carrying the remote traceback.
     """
-    header, payload = parse_message(data)
-    if header.kind == MSG_SHUTDOWN:
-        return build_message(MSG_RESULT, 0, header.msg_id, serialize(None)), False
-    if header.kind != MSG_INVOKE:
-        raise SerializationError(
-            f"target received non-invoke message kind {header.kind}"
-        )
+    (kind, handler_key, msg_id, start, end,
+     trace_id, parent_span_id, trace_flags) = split_message(data)
+    if kind == MSG_SHUTDOWN:
+        return build_message(MSG_RESULT, 0, msg_id, serialize(None)), False
+    if kind != MSG_INVOKE:
+        raise SerializationError(f"target received non-invoke message kind {kind}")
     # Re-enter the sender's distributed trace (version-2 headers carry
     # it; version-1 messages execute untraced, exactly as before): the
     # execute span below records the same trace_id and — when this
     # process's local span stack is empty, i.e. a real remote target —
     # parents itself to the host span named in the header.
-    if header.trace_id:
+    if trace_id:
         ctx = TraceContext(
-            header.trace_id, header.parent_span_id,
-            bool(header.trace_flags & trace_context.FLAG_SAMPLED),
+            trace_id, parent_span_id,
+            bool(trace_flags & trace_context.FLAG_SAMPLED),
         )
     else:
         ctx = None
     # Telemetry phase ``offload.execute``: argument decode + handler run +
     # reply build on the target (the host process for the local backend,
     # the forked server for TCP).
+    reply_kind = MSG_RESULT
     with trace_context.activate(ctx), \
             telemetry.span("offload.execute", bytes=len(data)) as span:
         try:
-            entry = image.entry_for_key(header.handler_key)
+            entry = image.entry_for_key(handler_key)
             span.set("handler", entry.type_name)
-            args, kwargs = Functor.deserialize_args(payload)
+            args, kwargs = decode_args(data, start, end)
             if resolver is not None:
                 args = tuple(map(resolver, args))
                 if kwargs:
                     kwargs = {k: resolver(v) for k, v in kwargs.items()}
-            value = entry.handler(*args, **kwargs)
-            reply_payload = serialize(value)
+            payload = serialize(entry.handler(*args, **kwargs))
         except Exception as exc:  # noqa: BLE001 - shipped back to the host
             telemetry.count("execute.errors")
             span.set("error", type(exc).__name__)
-            info = {
+            reply_kind = MSG_ERROR
+            payload = serialize({
                 "type": type(exc).__name__,
                 "message": str(exc),
                 "traceback": traceback.format_exc(),
-            }
-            return build_message(
-                MSG_ERROR, 0, header.msg_id, serialize(info),
-                trace_id=header.trace_id,
-                parent_span_id=span.span_id or header.parent_span_id,
-                trace_flags=header.trace_flags,
-            ), True
-    telemetry.count("execute.messages")
-    return build_message(
-        MSG_RESULT, 0, header.msg_id, reply_payload,
-        trace_id=header.trace_id,
-        parent_span_id=span.span_id or header.parent_span_id,
-        trace_flags=header.trace_flags,
-    ), True
+            })
+    if reply_kind == MSG_RESULT:
+        telemetry.count("execute.messages")
+    return pack_header(
+        reply_kind, 0, msg_id, len(payload),
+        trace_id, span.span_id or parent_span_id, trace_flags,
+    ) + payload, True
+
+
+def remote_error(info: Any) -> RemoteExecutionError:
+    """The exception a decoded ``{type, message, traceback}`` dict stands
+    for (an ERROR reply's payload, a transport's failure frame)."""
+    if not isinstance(info, dict):
+        raise SerializationError(
+            f"malformed error reply: {type(info).__name__} body"
+        )
+    return RemoteExecutionError(
+        f"remote {info.get('type')}: {info.get('message')}",
+        remote_traceback=str(info.get("traceback", "")),
+    )
 
 
 def unpack_result(data: bytes) -> tuple[int, Any]:
@@ -185,15 +198,10 @@ def unpack_result(data: bytes) -> tuple[int, Any]:
     """
     # Telemetry phase ``offload.deserialize``: reply decode on the host.
     with telemetry.span("offload.deserialize", bytes=len(data)):
-        header, payload = parse_message(data)
-        if header.kind == MSG_ERROR:
-            info = deserialize(payload)
-            raise RemoteExecutionError(
-                f"remote {info['type']}: {info['message']}",
-                remote_traceback=info.get("traceback", ""),
-            )
-        if header.kind != MSG_RESULT:
-            raise SerializationError(
-                f"expected a result message, got kind {header.kind}"
-            )
-        return header.msg_id, deserialize(payload)
+        (kind, _key, msg_id, start, end,
+         _trace_id, _parent, _flags) = split_message(data)
+        if kind == MSG_RESULT:
+            return msg_id, deserialize(data, start, end)
+        if kind != MSG_ERROR:
+            raise SerializationError(f"expected a result message, got kind {kind}")
+        raise remote_error(deserialize(data, start, end))

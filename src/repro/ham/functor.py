@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from repro.errors import HamError
 from repro.ham.registry import Catalog, global_catalog, type_name_of
-from repro.ham.serialization import deserialize, serialize_parts
+from repro.ham.serialization import decode_args, encode_args
 
 __all__ = ["Functor", "f2f"]
 
@@ -50,57 +50,28 @@ class Functor:
     def serialize_args_parts(self) -> list:
         """Encode the bound arguments as a list of wire buffers.
 
-        Each argument is encoded independently (so numpy arrays use the
-        raw fast path even when mixed with scalars), with a small count +
-        length framing; keyword arguments follow as name/value pairs.
-        Array payloads stay :class:`memoryview` objects over the arrays'
-        own storage, so scatter-gather transports never copy them.
+        One typed block per argument list (signature, packed fixed
+        fields, variable parts — :func:`~repro.ham.serialization.encode_args`),
+        through the codec compiled for this list's types. Array payloads
+        stay :class:`memoryview` objects over the arrays' own storage, so
+        scatter-gather transports never copy them.
         """
-        out: list = [len(self.args).to_bytes(2, "little")]
-        for arg in self.args:
-            parts = serialize_parts(arg)
-            total = sum(map(len, parts))
-            out.append(total.to_bytes(4, "little"))
-            out.extend(parts)
-        out.append(len(self.kwargs).to_bytes(2, "little"))
-        for name, value in self.kwargs:
-            name_bytes = name.encode()
-            parts = serialize_parts(value)
-            total = sum(map(len, parts))
-            out.append(len(name_bytes).to_bytes(2, "little"))
-            out.append(name_bytes)
-            out.append(total.to_bytes(4, "little"))
-            out.extend(parts)
-        return out
+        kwargs = self.kwargs
+        if not kwargs:
+            return encode_args(self.args)
+        return encode_args(
+            self.args + tuple(value for _name, value in kwargs),
+            tuple(name for name, _value in kwargs),
+        )
 
     @staticmethod
     def deserialize_args(data) -> tuple[tuple[Any, ...], dict[str, Any]]:
         """Decode bound arguments produced by :meth:`serialize_args`.
 
-        Accepts any bytes-like object (``memoryview`` slices stay
-        views). Returns ``(args, kwargs)``.
+        Accepts any bytes-like object, read in place. Returns
+        ``(args, kwargs)``.
         """
-        count = int.from_bytes(data[:2], "little")
-        offset = 2
-        args = []
-        for _ in range(count):
-            length = int.from_bytes(data[offset : offset + 4], "little")
-            offset += 4
-            args.append(deserialize(data[offset : offset + length]))
-            offset += length
-        kwargs: dict[str, Any] = {}
-        kw_count = int.from_bytes(data[offset : offset + 2], "little")
-        offset += 2
-        for _ in range(kw_count):
-            name_len = int.from_bytes(data[offset : offset + 2], "little")
-            offset += 2
-            name = bytes(data[offset : offset + name_len]).decode()
-            offset += name_len
-            length = int.from_bytes(data[offset : offset + 4], "little")
-            offset += 4
-            kwargs[name] = deserialize(data[offset : offset + length])
-            offset += length
-        return tuple(args), kwargs
+        return decode_args(data, 0, len(data))
 
     def execute(self, catalog: Catalog | None = None) -> Any:
         """Run the functor locally (host fallback / testing)."""

@@ -51,9 +51,11 @@ __all__ = [
     "MessageHeader",
     "build_message",
     "build_message_parts",
+    "pack_header",
     "parse_message",
     "peek_trace",
     "peek_trace_flags",
+    "split_message",
 ]
 
 MAGIC = b"HM"
@@ -88,6 +90,44 @@ class MessageHeader(NamedTuple):
     trace_flags: int = 0
 
 
+def pack_header(
+    kind: int,
+    handler_key: int,
+    msg_id: int,
+    payload_len: int,
+    trace_id: int = 0,
+    parent_span_id: int = 0,
+    trace_flags: int = 0,
+) -> bytes:
+    """The header of one message: version 1, or version 2 when a
+    non-zero ``trace_id`` rides along."""
+    if kind not in _KINDS:
+        raise SerializationError(f"invalid message kind {kind}")
+    if handler_key < 0 or msg_id < 0:
+        raise SerializationError("handler key and message id must be non-negative")
+    if trace_id == 0:
+        return _HEADER_V1.pack(
+            MAGIC, _VERSION_1, kind, handler_key, msg_id, payload_len
+        )
+    if not 0 < trace_id < 1 << 128:
+        raise SerializationError(f"trace id must be a 128-bit int, got {trace_id:#x}")
+    if not 0 <= parent_span_id < 1 << 64:
+        raise SerializationError(
+            f"parent span id must fit in 64 bits, got {parent_span_id:#x}"
+        )
+    return _HEADER_V2.pack(
+        MAGIC,
+        _VERSION_2,
+        kind,
+        handler_key,
+        msg_id,
+        payload_len,
+        trace_id.to_bytes(16, "big"),
+        parent_span_id,
+        trace_flags & 0xFF,
+    )
+
+
 def build_message_parts(
     kind: int,
     handler_key: int,
@@ -106,34 +146,11 @@ def build_message_parts(
     owner's storage without concatenating. ``payload_len`` in the header
     is the sum of the part lengths.
     """
-    if kind not in _KINDS:
-        raise SerializationError(f"invalid message kind {kind}")
-    if handler_key < 0 or msg_id < 0:
-        raise SerializationError("handler key and message id must be non-negative")
-    payload_len = sum(map(len, payload_parts))
-    if trace_id == 0:
-        header = _HEADER_V1.pack(
-            MAGIC, _VERSION_1, kind, handler_key, msg_id, payload_len
-        )
-        return [header, *payload_parts]
-    if not 0 < trace_id < 1 << 128:
-        raise SerializationError(f"trace id must be a 128-bit int, got {trace_id:#x}")
-    if not 0 <= parent_span_id < 1 << 64:
-        raise SerializationError(
-            f"parent span id must fit in 64 bits, got {parent_span_id:#x}"
-        )
-    header = _HEADER_V2.pack(
-        MAGIC,
-        _VERSION_2,
-        kind,
-        handler_key,
-        msg_id,
-        payload_len,
-        trace_id.to_bytes(16, "big"),
-        parent_span_id,
-        trace_flags & 0xFF,
-    )
-    return [header, *payload_parts]
+    return [
+        pack_header(kind, handler_key, msg_id, sum(map(len, payload_parts)),
+                    trace_id, parent_span_id, trace_flags),
+        *payload_parts,
+    ]
 
 
 def build_message(
@@ -152,17 +169,8 @@ def build_message(
     trace context fields; otherwise the compact version-1 header is
     emitted unchanged from the original format.
     """
-    return b"".join(
-        build_message_parts(
-            kind,
-            handler_key,
-            msg_id,
-            [payload],
-            trace_id=trace_id,
-            parent_span_id=parent_span_id,
-            trace_flags=trace_flags,
-        )
-    )
+    return pack_header(kind, handler_key, msg_id, len(payload),
+                       trace_id, parent_span_id, trace_flags) + payload
 
 
 def peek_trace(data) -> tuple[int, int, int] | None:
@@ -196,6 +204,50 @@ def peek_trace_flags(data) -> int | None:
     return data[HEADER_SIZE_V2 - 1]
 
 
+def split_message(data) -> tuple[int, int, int, int, int, int, int, int]:
+    """Validate a message's header and locate its payload in place.
+
+    Returns ``(kind, handler_key, msg_id, start, end, trace_id,
+    parent_span_id, trace_flags)`` with the payload at
+    ``data[start:end]`` — :func:`parse_message` without a header object
+    or a payload slice, for the per-offload path. Raises as
+    :func:`parse_message` does.
+    """
+    size = len(data)
+    if size < HEADER_SIZE:
+        raise SerializationError(
+            f"message truncated: {size} bytes < header size {HEADER_SIZE}"
+        )
+    magic, version, kind, handler_key, msg_id, payload_len = _HEADER_V1.unpack_from(data)
+    if magic != MAGIC:
+        raise SerializationError(f"bad message magic {magic!r}")
+    trace_id = 0
+    parent_span_id = 0
+    trace_flags = 0
+    if version == _VERSION_1:
+        start = HEADER_SIZE
+    elif version == _VERSION_2:
+        start = HEADER_SIZE_V2
+        if size < start:
+            raise SerializationError(
+                f"message truncated: {size} bytes < v2 header size {start}"
+            )
+        (_m, _v, _k, _hk, _mid, _pl,
+         trace_bytes, parent_span_id, trace_flags) = _HEADER_V2.unpack_from(data)
+        trace_id = int.from_bytes(trace_bytes, "big")
+    else:
+        raise SerializationError(f"unsupported message version {version}")
+    if kind not in _KINDS:
+        raise SerializationError(f"invalid message kind {kind}")
+    end = start + payload_len
+    if size < end:
+        raise SerializationError(
+            f"message truncated: payload {size - start} bytes < declared {payload_len}"
+        )
+    return (kind, handler_key, msg_id, start, end,
+            trace_id, parent_span_id, trace_flags)
+
+
 def parse_message(data) -> tuple[MessageHeader, bytes]:
     """Split wire bytes into ``(header, payload)``.
 
@@ -210,37 +262,9 @@ def parse_message(data) -> tuple[MessageHeader, bytes]:
     SerializationError
         On bad magic, unsupported version, truncation or trailing bytes.
     """
-    if len(data) < HEADER_SIZE:
-        raise SerializationError(
-            f"message truncated: {len(data)} bytes < header size {HEADER_SIZE}"
-        )
-    magic, version, kind, handler_key, msg_id, payload_len = _HEADER_V1.unpack_from(data)
-    if magic != MAGIC:
-        raise SerializationError(f"bad message magic {magic!r}")
-    trace_id = 0
-    parent_span_id = 0
-    trace_flags = 0
-    if version == _VERSION_1:
-        header_size = HEADER_SIZE
-    elif version == _VERSION_2:
-        header_size = HEADER_SIZE_V2
-        if len(data) < header_size:
-            raise SerializationError(
-                f"message truncated: {len(data)} bytes < v2 header size {header_size}"
-            )
-        (_m, _v, _k, _hk, _mid, _pl,
-         trace_bytes, parent_span_id, trace_flags) = _HEADER_V2.unpack_from(data)
-        trace_id = int.from_bytes(trace_bytes, "big")
-    else:
-        raise SerializationError(f"unsupported message version {version}")
-    if kind not in _KINDS:
-        raise SerializationError(f"invalid message kind {kind}")
-    payload = data[header_size : header_size + payload_len]
-    if len(payload) != payload_len:
-        raise SerializationError(
-            f"message truncated: payload {len(payload)} bytes < declared {payload_len}"
-        )
+    (kind, handler_key, msg_id, start, end,
+     trace_id, parent_span_id, trace_flags) = split_message(data)
     return MessageHeader(
-        kind, handler_key, msg_id, payload_len,
+        kind, handler_key, msg_id, end - start,
         trace_id, parent_span_id, trace_flags,
-    ), payload
+    ), data[start:end]

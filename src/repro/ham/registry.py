@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import HamError, HandlerKeyError
+from repro.ham import serialization
 
 __all__ = ["Catalog", "ProcessImage", "global_catalog", "offloadable", "type_name_of"]
 
@@ -239,14 +240,18 @@ class ProcessImage:
         return list(self._sorted_names)
 
     def digest(self) -> bytes:
-        """Fingerprint of the image's type set.
+        """Fingerprint of the image's type set and of the value codec.
 
-        Two images translate keys consistently **iff** their digests
-        match; backends exchange it at connection time to fail fast on
-        mismatched "binaries" instead of silently dispatching to wrong
-        handlers.
+        Two images translate keys consistently — and read each other's
+        arguments — **iff** their digests match; backends exchange it at
+        connection time to fail fast on mismatched "binaries" instead of
+        silently dispatching to wrong handlers or mis-parsing.
         """
         import hashlib
 
         self.build_tables()
-        return hashlib.sha256("\n".join(self._sorted_names).encode()).digest()
+        return hashlib.sha256(
+            "\n".join(
+                [f"codec {serialization.CODEC_REVISION}", *self._sorted_names]
+            ).encode()
+        ).digest()

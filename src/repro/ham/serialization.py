@@ -1,33 +1,72 @@
-"""Serialization of active-message payloads.
+"""The typed value codec of active-message payloads.
 
 The paper (Sec. I-A): "*Function arguments and return values are
 transported inside the active message. A special type wrapper provides
 hooks to transparently do serialisation and de-serialisation of (complex)
-data types if necessary.*"
+data types if necessary.*" A HAM message *is* its type, so nothing on
+the wire is parsed generically: every value carries a one-byte **type
+code** and is read by the decoder of exactly that code.
 
-Three mechanisms, tried in order:
+====  ======================  ===========  ================================
+code  value                   fixed field  variable part
+====  ======================  ===========  ================================
+``i``  ``int`` (64-bit)        ``<q``       —
+``d``  ``float``               ``<d``       —
+``?``  ``bool``                ``<?``       —
+``z``  ``None``                —            —
+``s``  ``str``                 length       UTF-8 (``surrogatepass``)
+``b``  ``bytes``               length       the bytes
+``N``  ``numpy.ndarray``       length       ``u8 len(dtype), u8 ndim, dtype,
+                                            ndim x u64 shape``, raw data
+``C``  :func:`register_serializer` type  length  ``u16 len(name), name``, hook's bytes
+``M``  :class:`Migratable`     length       ``u16 len(path), path``, hook's bytes
+``P``  anything else           length       pickle, read by :func:`restricted_loads`
+====  ======================  ===========  ================================
 
-1. **custom serializers** registered per type via
-   :func:`register_serializer` (the "type wrapper hooks");
-2. a **numpy fast path** — arrays are encoded as a small dtype/shape
-   header plus their raw bytes, avoiding pickle overhead for the large
-   payloads HPC codes ship;
-3. **pickle** for everything else.
+Types match *exactly* (``True`` is not an ``int``; an ``IntEnum``
+member, an ``np.int64`` or an int beyond 64 bits is "anything else"),
+so a value returns as the type it left as.
 
-The wire encoding is self-describing: a one-byte tag selects the decoder.
+One value (:func:`serialize` / :func:`deserialize`) is its code followed
+by its fixed field or its variable part. An argument list
+(:func:`encode_args` / :func:`decode_args`) travels as its *signature*
+— the codes and the keyword names — then one ``struct``-packed block of
+all fixed fields (a length word for every variable part), then the
+variable parts in order::
 
-Zero-copy contract: :func:`serialize_parts` returns the encoding as a
-list of buffers — for the numpy fast path the array's own memory rides
-along as a :class:`memoryview`, so a scatter-gather transport can hand
-it to the kernel without ever calling ``tobytes()`` on a large
-contiguous array. Decoders accept any bytes-like object (``bytes``,
-``bytearray``, ``memoryview``), and :func:`deserialize` of a numpy
-payload materializes exactly one writable copy.
+    signature:  u16 npos, u16 nkw, (npos + nkw) codes, nkw x (u16 len, name)
+    fixed block
+    variable parts
+
+The codec of a signature is compiled on first sight and cached — by the
+argument types on the send side, by the signature bytes on the receive
+side — so a warm ``echo(i)`` costs one lookup and one ``pack`` to build
+and one lookup and one ``unpack_from`` to decode.
+
+**No general unpickling.** The last-resort code is read by a restricted
+unpickler: a global is resolved only if its ``(module, name)`` pair is
+on the explicit allow-list below *and* it is a class defined in that
+module (plus numpy's two array/scalar reconstructors). Application
+classes travel through :func:`register_serializer` or
+:class:`Migratable` instead. Every decoder raises
+:class:`~repro.errors.SerializationError` — and nothing else — on
+malformed input, and no allocation is sized by a length the payload
+does not back.
+
+Zero-copy contract: array data rides along as a :class:`memoryview` of
+the array's own storage, so a scatter-gather transport never calls
+``tobytes()`` on a large contiguous array. Decoders accept any
+bytes-like object, and decoding an array materializes exactly one
+writable copy.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import pickle
+import struct
+import sys
 from typing import Any, Callable, Type
 
 import numpy as np
@@ -35,20 +74,65 @@ import numpy as np
 from repro.errors import SerializationError
 
 __all__ = [
+    "CODEC_REVISION",
     "Migratable",
+    "decode_args",
     "deserialize",
+    "encode_args",
     "register_serializer",
+    "restricted_loads",
     "serialize",
-    "serialize_parts",
 ]
 
-#: Anything the decoders accept.
-BytesLike = "bytes | bytearray | memoryview"
+#: Revision of the value codec. :meth:`ProcessImage.digest` mixes it in,
+#: so a peer speaking another argument format fails the handshake
+#: instead of mis-parsing. Bump on any change to the layouts above.
+CODEC_REVISION = 2
 
-_TAG_PICKLE = b"P"
-_TAG_NUMPY = b"N"
-_TAG_CUSTOM = b"C"
-_TAG_MIGRATABLE = b"M"
+_INT, _FLOAT, _BOOL, _NONE = b"i", b"d", b"?", b"z"
+_STR, _BYTES, _NUMPY, _CUSTOM_CODE, _MIGRATABLE, _PICKLE = (
+    b"s", b"b", b"N", b"C", b"M", b"P",
+)
+
+#: Exact type -> code, for the types the codec knows by themselves.
+_CODE_OF_TYPE: dict[type, bytes] = {
+    int: _INT, float: _FLOAT, bool: _BOOL, type(None): _NONE,
+    str: _STR, bytes: _BYTES,
+}
+#: code (as the int a buffer indexes to) -> struct format of its fixed
+#: field; every code that has a variable part gets a length word.
+_LENGTH = "I"
+_FIELD_OF_CODE: dict[int, str] = {
+    _INT[0]: "q", _FLOAT[0]: "d", _BOOL[0]: "?", _NONE[0]: "",
+    **{code[0]: _LENGTH
+       for code in (_STR, _BYTES, _NUMPY, _CUSTOM_CODE, _MIGRATABLE, _PICKLE)},
+}
+_SCALAR_FIELDS = frozenset("qd?")
+
+_U16 = struct.Struct("<H")
+_SIG_COUNTS = struct.Struct("<HH")
+_NUMPY_HEAD = struct.Struct("<BB")
+#: One scalar value: its code and its field in one ``pack``.
+_ONE_SCALAR: dict[type, tuple[bytes, struct.Struct]] = {
+    cls: (code, struct.Struct("<c" + _FIELD_OF_CODE[code[0]]))
+    for cls, code in _CODE_OF_TYPE.items()
+    if _FIELD_OF_CODE[code[0]] in _SCALAR_FIELDS
+}
+_ONE_SCALAR_BY_CODE = {code[0]: packer for code, packer in _ONE_SCALAR.values()}
+
+#: Compiled codecs; a peer (or a caller inventing keyword names) chooses
+#: the keys, so both are emptied when they reach this many entries.
+_CACHE_LIMIT = 1024
+_ENCODERS: dict[tuple, Callable[[tuple], list]] = {}
+_DECODERS: dict[bytes, Callable[[Any, int, int], tuple[tuple, dict]]] = {}
+_DTYPE_NAMES: dict[np.dtype, bytes] = {}
+
+
+def _cached(cache: dict, key: Any, value: Any) -> Any:
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
+    return value
 
 #: type -> (name, encode, decode); name is transferred on the wire.
 _CUSTOM: dict[Type[Any], tuple[str, Callable[[Any], bytes], Callable[[bytes], Any]]] = {}
@@ -68,6 +152,7 @@ def register_serializer(
     """
     _CUSTOM[cls] = (name, encode, decode)
     _CUSTOM_BY_NAME[name] = decode
+    _ENCODERS.clear()  # a codec compiled for ``cls`` chose another code
 
 
 class Migratable:
@@ -87,95 +172,178 @@ class Migratable:
         raise NotImplementedError
 
 
-def _encode_numpy_parts(arr: np.ndarray) -> list:
-    """Numpy fast-path encoding as ``[prefix, raw-data-view]``.
+class _WideInt:
+    """Stands in for ``int`` in an encoder key when the value does not
+    fit the ``i`` code's 64 bits: it takes the last-resort code."""
 
-    The second part is a flat :class:`memoryview` over the array's own
-    (contiguous) storage — no ``tobytes()`` copy. The view keeps the
-    array alive for as long as the parts list is referenced.
+
+# -- the restricted unpickler --------------------------------------------------
+#: The classes a pickle may name: explicit ``(module, name)`` pairs, no
+#: prefix rule. Containers, str, bytes, int, float, bool and None need no
+#: entry (pickle has opcodes for them).
+_ALLOWED_CLASSES = frozenset({
+    ("builtins", "complex"),
+    ("builtins", "range"),
+    ("builtins", "slice"),
+    ("builtins", "bytearray"),
+    ("numpy", "dtype"),
+    ("numpy", "ndarray"),
+})
+#: The two functions numpy's own ``__reduce__`` names (they build an
+#: empty array / a scalar of an allowed dtype); not classes, so listed
+#: apart. numpy 1.x spells the module ``numpy.core``.
+_ALLOWED_RECONSTRUCTORS = frozenset({
+    ("numpy._core.multiarray", "_reconstruct"),
+    ("numpy._core.multiarray", "scalar"),
+    ("numpy.core.multiarray", "_reconstruct"),
+    ("numpy.core.multiarray", "scalar"),
+})
+
+
+class _RestrictedUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        pair = (module, name)
+        if pair in _ALLOWED_RECONSTRUCTORS:
+            return getattr(sys.modules[module], name)
+        if pair not in _ALLOWED_CLASSES:
+            raise SerializationError(
+                f"refusing to unpickle {module}.{name}: not on the allow-list "
+                "(send application classes through register_serializer or "
+                "Migratable)"
+            )
+        obj = getattr(sys.modules.get(module), name, None)
+        if not isinstance(obj, type) or obj.__module__ != module:
+            raise SerializationError(
+                f"refusing to unpickle {module}.{name}: not a class defined there"
+            )
+        return obj
+
+
+def restricted_loads(data: Any) -> Any:
+    """``pickle.loads`` for bytes a peer wrote: only allow-listed classes.
+
+    The one place under ``src/repro`` that unpickles. Raises
+    :class:`SerializationError` for a refused global and for any other
+    decoding failure.
     """
-    if arr.dtype.hasobject:
+    try:
+        return _RestrictedUnpickler(io.BytesIO(data)).load()
+    except SerializationError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - corrupt or hostile frame
+        raise SerializationError(f"pickle decode failed: {exc}") from exc
+
+
+# -- variable parts: one encoder and one decoder per code ------------------------
+def _encode_str(value: str) -> list:
+    return [value.encode("utf-8", "surrogatepass")]
+
+
+def _decode_str(body: memoryview) -> str:
+    return str(body, "utf-8", "surrogatepass")
+
+
+def _encode_bytes(value: bytes) -> list:
+    return [value]
+
+
+def _encode_numpy(arr: np.ndarray) -> list:
+    """``[header, raw-data-view]``: the second part is a flat
+    :class:`memoryview` over the array's own (contiguous) storage — no
+    ``tobytes()`` copy; it keeps the array alive while referenced."""
+    dtype = arr.dtype
+    if dtype.hasobject:
         raise SerializationError("cannot serialize object-dtype arrays raw")
-    contiguous = np.ascontiguousarray(arr)
-    header = pickle.dumps((str(contiguous.dtype), contiguous.shape), protocol=4)
-    prefix = _TAG_NUMPY + len(header).to_bytes(4, "little") + header
-    if contiguous.nbytes == 0:
-        return [prefix]
-    return [prefix, contiguous.data.cast("B")]
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
+    name = _DTYPE_NAMES.get(dtype)
+    if name is None:  # ``str(dtype)`` costs more than the rest of this function
+        name = _cached(_DTYPE_NAMES, dtype, str(dtype).encode())
+    ndim = arr.ndim
+    try:
+        header = (_NUMPY_HEAD.pack(len(name), ndim) + name
+                  + struct.pack(f"<{ndim}Q", *arr.shape))
+    except struct.error as exc:
+        raise SerializationError(f"cannot describe array of {dtype}: {exc}") from exc
+    if arr.nbytes == 0:
+        return [header]
+    return [header, (arr if ndim else arr.reshape(1)).data.cast("B")]
 
 
-def _decode_numpy(data) -> np.ndarray:
-    header_len = int.from_bytes(data[:4], "little")
-    dtype_str, shape = pickle.loads(data[4 : 4 + header_len])
-    payload = data[4 + header_len :]
+def _decode_numpy(body: memoryview) -> np.ndarray:
+    if len(body) < _NUMPY_HEAD.size:
+        raise SerializationError("truncated array header")
+    name_len, ndim = _NUMPY_HEAD.unpack_from(body)
+    shape_at = _NUMPY_HEAD.size + name_len
+    data_at = shape_at + 8 * ndim
+    if len(body) < data_at:
+        raise SerializationError("truncated array header")
+    try:
+        dtype = np.dtype(str(body[_NUMPY_HEAD.size:shape_at], "ascii"))
+    except Exception as exc:  # noqa: BLE001 - whatever numpy makes of junk
+        raise SerializationError(f"corrupt array dtype: {exc}") from exc
+    if dtype.hasobject or not dtype.itemsize:
+        raise SerializationError(f"refusing array dtype {dtype}")
+    shape = struct.unpack_from(f"<{ndim}Q", body, shape_at)
+    # Before anything is allocated: the shape must account for exactly
+    # the bytes that arrived.
+    if math.prod(shape) * dtype.itemsize != len(body) - data_at:
+        raise SerializationError(
+            f"array shape {shape} of {dtype} does not match "
+            f"{len(body) - data_at} payload bytes"
+        )
     # Single copy: decode into writable bytearray-backed storage instead
     # of building a read-only frombuffer view and copying it again.
-    storage = bytearray(payload)
-    return np.frombuffer(storage, dtype=np.dtype(dtype_str)).reshape(shape)
+    storage = bytearray(body[data_at:])
+    return np.frombuffer(storage, dtype=dtype).reshape(shape)
 
 
-def serialize(value: Any) -> bytes:
-    """Encode ``value`` into self-describing bytes.
-
-    Raises
-    ------
-    SerializationError
-        If the value cannot be encoded by any mechanism.
-    """
-    parts = serialize_parts(value)
-    data = parts[0] if len(parts) == 1 else b"".join(parts)
-    return data if isinstance(data, bytes) else bytes(data)
-
-
-def serialize_parts(value: Any) -> list:
-    """Encode ``value`` as a list of buffers (``bytes`` / ``memoryview``).
-
-    Equivalent to :func:`serialize` concatenated, but numpy array data
-    is returned as a view on the array's own storage so scatter-gather
-    transports can send it without an intermediate copy.
-    """
-    if (
-        isinstance(value, np.ndarray)
-        and not isinstance(value, Migratable)
-        and type(value) not in _CUSTOM
-    ):
-        parts = _encode_numpy_parts(value)
-    else:
-        parts = [_serialize(value)]
-    return parts
-
-
-def _serialize(value: Any) -> bytes:
-    custom = _CUSTOM.get(type(value))
-    if custom is not None:
-        name, encode, _decode = custom
-        try:
-            body = encode(value)
-        except Exception as exc:  # noqa: BLE001 - user hook failed
-            raise SerializationError(
-                f"custom serializer {name!r} failed: {exc}"
-            ) from exc
-        name_bytes = name.encode()
-        return (
-            _TAG_CUSTOM + len(name_bytes).to_bytes(2, "little") + name_bytes + body
-        )
-    if isinstance(value, Migratable):
-        cls = type(value)
-        path = f"{cls.__module__}:{cls.__qualname__}"
-        body = value.__serialize__()
-        path_bytes = path.encode()
-        return (
-            _TAG_MIGRATABLE
-            + len(path_bytes).to_bytes(2, "little")
-            + path_bytes
-            + body
-        )
-    if isinstance(value, np.ndarray):
-        return b"".join(_encode_numpy_parts(value))
+def _named(name: str, body: bytes) -> list:
+    raw = name.encode()
     try:
-        return _TAG_PICKLE + pickle.dumps(value, protocol=4)
-    except Exception as exc:  # noqa: BLE001 - unpicklable
-        raise SerializationError(f"cannot serialize {type(value).__name__}: {exc}") from exc
+        return [_U16.pack(len(raw)) + raw + body]
+    except struct.error:
+        raise SerializationError(f"wire name too long: {name[:40]!r}...") from None
+
+
+def _split_named(body: memoryview, what: str) -> tuple[str, bytes]:
+    """``(name, rest)`` of a custom/migratable part. User hooks are
+    promised real bytes (their contract predates memoryview framing)."""
+    if len(body) < 2:
+        raise SerializationError(f"truncated {what} frame")
+    end = 2 + _U16.unpack_from(body)[0]
+    if len(body) < end:
+        raise SerializationError(f"truncated {what} frame")
+    try:
+        return str(body[2:end], "utf-8"), bytes(body[end:])
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"corrupt {what} name: {exc}") from exc
+
+
+def _encode_custom(value: Any) -> list:
+    name, encode, _decode = _CUSTOM[type(value)]
+    try:
+        return _named(name, encode(value))
+    except Exception as exc:  # noqa: BLE001 - user hook failed
+        raise SerializationError(f"custom serializer {name!r} failed: {exc}") from exc
+
+
+def _decode_custom(body: memoryview) -> Any:
+    name, rest = _split_named(body, "custom")
+    decode = _CUSTOM_BY_NAME.get(name)
+    if decode is None:
+        raise SerializationError(f"no custom serializer named {name!r}")
+    try:
+        return decode(rest)
+    except SerializationError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - user hook failed
+        raise SerializationError(f"custom decoder {name!r} failed: {exc}") from exc
+
+
+def _encode_migratable(value: Migratable) -> list:
+    cls = type(value)
+    return _named(f"{cls.__module__}:{cls.__qualname__}", value.__serialize__())
 
 
 def _load_migratable_class(path: str) -> Type[Migratable]:
@@ -193,68 +361,292 @@ def _load_migratable_class(path: str) -> Type[Migratable]:
     return obj
 
 
-def deserialize(data) -> Any:
-    """Decode a buffer produced by :func:`serialize`.
+def _decode_migratable(body: memoryview) -> Migratable:
+    path, rest = _split_named(body, "migratable")
+    cls = _load_migratable_class(path)
+    try:
+        return cls.__deserialize__(rest)
+    except SerializationError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - user hook failed
+        raise SerializationError(
+            f"migratable decoder for {path!r} failed: {exc}"
+        ) from exc
 
-    Accepts any bytes-like object; ``memoryview`` input is decoded
-    without an upfront copy (slices stay views until a decoder needs
-    real bytes).
+
+def _encode_pickle(value: Any) -> list:
+    try:
+        return [pickle.dumps(value, protocol=4)]
+    except Exception as exc:  # noqa: BLE001 - unpicklable
+        raise SerializationError(
+            f"cannot serialize {type(value).__name__}: {exc}"
+        ) from exc
+
+
+#: code -> (variable-part encoder, variable-part decoder).
+_PART_CODEC: dict[int, tuple[Callable[[Any], list], Callable[[memoryview], Any]]] = {
+    _STR[0]: (_encode_str, _decode_str),
+    _BYTES[0]: (_encode_bytes, bytes),
+    _NUMPY[0]: (_encode_numpy, _decode_numpy),
+    _CUSTOM_CODE[0]: (_encode_custom, _decode_custom),
+    _MIGRATABLE[0]: (_encode_migratable, _decode_migratable),
+    _PICKLE[0]: (_encode_pickle, restricted_loads),
+}
+
+
+def _code_of(cls: type) -> bytes:
+    """The code values of exactly this type travel under."""
+    code = _CODE_OF_TYPE.get(cls)
+    if code is not None:
+        return code
+    if cls in _CUSTOM:
+        return _CUSTOM_CODE
+    if issubclass(cls, Migratable):
+        return _MIGRATABLE
+    if issubclass(cls, np.ndarray):
+        return _NUMPY
+    return _PICKLE
+
+
+def _fits_length_word(parts: list) -> int:
+    total = sum(map(len, parts))
+    if total >> 32:
+        raise SerializationError(f"value of {total} bytes exceeds the 4 GiB part limit")
+    return total
+
+
+# -- one value ---------------------------------------------------------------------
+def serialize(value: Any) -> bytes:
+    """Encode ``value`` into self-describing bytes: its code, then its
+    fixed field or its variable part.
 
     Raises
     ------
     SerializationError
-        On unknown tags, truncated frames or failing hooks.
+        If the value cannot be encoded by any mechanism.
     """
-    if not len(data):
+    cls = type(value)
+    scalar = _ONE_SCALAR.get(cls)
+    if scalar is not None:
+        try:
+            return scalar[1].pack(scalar[0], value)
+        except struct.error:  # an int beyond 64 bits
+            cls = _WideInt
+    if value is None:
+        return _NONE
+    code = _code_of(cls)
+    return b"".join([code, *_PART_CODEC[code[0]][0](value)])
+
+
+def deserialize(data: Any, start: int = 0, end: int | None = None) -> Any:
+    """Decode a value produced by :func:`serialize`.
+
+    Accepts any bytes-like object and reads ``data[start:end]`` (all of
+    it by default) in place; a variable part is decoded through a
+    ``memoryview``, without an upfront copy.
+
+    Raises
+    ------
+    SerializationError
+        On unknown codes, truncated or oversized frames, refused
+        pickles and failing hooks — and nothing else.
+    """
+    if end is None:
+        end = len(data)
+    if start >= end:
         raise SerializationError("empty payload")
-    # A one-byte slice (bytes or memoryview) compares equal to the tags.
-    tag, body = data[:1], data[1:]
-    if tag == _TAG_PICKLE:
-        try:
-            return pickle.loads(body)
-        except Exception as exc:  # noqa: BLE001 - corrupt frame
-            raise SerializationError(f"pickle decode failed: {exc}") from exc
-    if tag == _TAG_NUMPY:
-        try:
-            return _decode_numpy(body)
-        except SerializationError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - corrupt frame
-            raise SerializationError(f"numpy decode failed: {exc}") from exc
-    if tag == _TAG_CUSTOM:
-        if len(body) < 2:
-            raise SerializationError("truncated custom frame")
-        name_len = int.from_bytes(body[:2], "little")
-        try:
-            name = bytes(body[2 : 2 + name_len]).decode()
-        except UnicodeDecodeError as exc:
-            raise SerializationError(f"corrupt custom-serializer name: {exc}") from exc
-        decode = _CUSTOM_BY_NAME.get(name)
-        if decode is None:
-            raise SerializationError(f"no custom serializer named {name!r}")
-        try:
-            # User hooks are promised real bytes (their documented
-            # contract predates memoryview framing).
-            return decode(bytes(body[2 + name_len :]))
-        except SerializationError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - user hook failed
-            raise SerializationError(f"custom decoder {name!r} failed: {exc}") from exc
-    if tag == _TAG_MIGRATABLE:
-        if len(body) < 2:
-            raise SerializationError("truncated migratable frame")
-        path_len = int.from_bytes(body[:2], "little")
-        try:
-            path = bytes(body[2 : 2 + path_len]).decode()
-        except UnicodeDecodeError as exc:
-            raise SerializationError(f"corrupt migratable class path: {exc}") from exc
-        cls = _load_migratable_class(path)
-        try:
-            return cls.__deserialize__(bytes(body[2 + path_len :]))
-        except SerializationError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - user hook failed
+    code = data[start]
+    packer = _ONE_SCALAR_BY_CODE.get(code)
+    if packer is not None:
+        if end - start != packer.size:
             raise SerializationError(
-                f"migratable decoder for {path!r} failed: {exc}"
-            ) from exc
-    raise SerializationError(f"unknown payload tag {bytes(tag)!r}")
+                f"scalar payload of {end - start} bytes, expected {packer.size}"
+            )
+        return packer.unpack_from(data, start)[1]
+    if code == _NONE[0]:
+        if end - start != 1:
+            raise SerializationError("None payload with trailing bytes")
+        return None
+    codec = _PART_CODEC.get(code)
+    if codec is None:
+        raise SerializationError(f"unknown payload tag {bytes([code])!r}")
+    try:
+        return codec[1](memoryview(data)[start + 1:end])
+    except SerializationError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - corrupt frame
+        raise SerializationError(f"decode of tag {chr(code)!r} failed: {exc}") from exc
+
+
+# -- an argument list ----------------------------------------------------------------
+def _steps(codes: bytes, side: int) -> tuple[Any, ...]:
+    """Per argument: its part encoder (``side`` 0) or decoder (1),
+    ``None`` for a scalar, ``False`` for ``None`` (no field at all)."""
+    return tuple(
+        None if _FIELD_OF_CODE[code] in _SCALAR_FIELDS
+        else _PART_CODEC[code][side] if _FIELD_OF_CODE[code] else False
+        for code in codes
+    )
+
+
+def _compile_encoder(types: tuple, names: tuple) -> Callable[[tuple], list]:
+    """The encoder of one ``(argument types, keyword names)`` signature."""
+    codes = b"".join(map(_code_of, types))
+    try:
+        signature = _SIG_COUNTS.pack(len(types) - len(names), len(names)) + codes
+        for name in names:
+            raw = name.encode("utf-8", "surrogatepass")
+            signature += _U16.pack(len(raw)) + raw
+    except struct.error:
+        raise SerializationError(
+            "argument list too long for the wire (65535 arguments, "
+            "65535-byte keyword names)"
+        ) from None
+    fields = "".join(_FIELD_OF_CODE[code] for code in codes)
+    pack = struct.Struct(f"<{len(signature)}s{fields}").pack
+
+    if _SCALAR_FIELDS.issuperset(fields) and len(fields) == len(types):
+        def encode_scalars(values: tuple) -> list:
+            return [pack(signature, *values)]
+        return encode_scalars
+
+    steps = _steps(codes, 0)
+
+    def encode(values: tuple) -> list:
+        fixed: list = [signature]
+        parts: list = [b""]
+        for step, value in zip(steps, values):
+            if step is None:
+                fixed.append(value)
+            elif step:
+                encoded = step(value)
+                fixed.append(_fits_length_word(encoded))
+                parts += encoded
+        parts[0] = pack(*fixed)
+        return parts
+    return encode
+
+
+def _encoder_for(types: tuple, names: tuple) -> Callable[[tuple], list]:
+    encoder = _ENCODERS.get((types, names))
+    if encoder is None:
+        encoder = _cached(_ENCODERS, (types, names), _compile_encoder(types, names))
+    return encoder
+
+
+def encode_args(values: tuple, names: tuple = ()) -> list:
+    """Encode an argument list as wire buffers.
+
+    ``values`` holds the positional arguments followed by one value per
+    keyword name in ``names``. Array payloads stay :class:`memoryview`
+    objects over the arrays' own storage.
+    """
+    types = tuple(map(type, values))
+    try:
+        return _encoder_for(types, names)(values)
+    except struct.error:
+        # Only an ``i`` field can refuse its value: same format, with the
+        # wide ints under the last-resort code.
+        types = tuple(
+            _WideInt if cls is int and not -1 << 63 <= value < 1 << 63 else cls
+            for cls, value in zip(types, values)
+        )
+        return _encoder_for(types, names)(values)
+
+
+def _compile_decoder(signature: bytes) -> Callable[[Any, int, int], tuple[tuple, dict]]:
+    """The decoder of one signature (validated here, once)."""
+    if len(signature) < _SIG_COUNTS.size:
+        raise SerializationError("truncated argument signature")
+    npos, nkw = _SIG_COUNTS.unpack_from(signature)
+    at = _SIG_COUNTS.size + npos + nkw
+    codes = signature[_SIG_COUNTS.size:at]
+    if len(codes) != npos + nkw:
+        raise SerializationError("truncated argument signature")
+    names = []
+    for _ in range(nkw):
+        if len(signature) < at + 2:
+            raise SerializationError("truncated argument signature")
+        end = at + 2 + _U16.unpack_from(signature, at)[0]
+        if len(signature) < end:
+            raise SerializationError("truncated argument signature")
+        try:
+            names.append(str(signature[at + 2:end], "utf-8", "surrogatepass"))
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"corrupt keyword name: {exc}") from exc
+        at = end
+    if at != len(signature) or len(set(names)) != nkw:
+        raise SerializationError("malformed argument signature")
+    try:
+        fields = "".join(_FIELD_OF_CODE[code] for code in codes)
+    except KeyError as exc:
+        raise SerializationError(
+            f"unknown payload tag {bytes([exc.args[0]])!r} in signature"
+        ) from None
+    block = struct.Struct("<" + fields)
+
+    if _SCALAR_FIELDS.issuperset(fields) and len(fields) == npos and not nkw:
+        def decode_scalars(data: Any, start: int, end: int) -> tuple[tuple, dict]:
+            if end - start != block.size:
+                raise SerializationError(
+                    f"argument block of {end - start} bytes, expected {block.size}"
+                )
+            return block.unpack_from(data, start), {}
+        return decode_scalars
+
+    steps = _steps(codes, 1)
+
+    def decode(data: Any, start: int, end: int) -> tuple[tuple, dict]:
+        at = start + block.size
+        if at > end:
+            raise SerializationError("truncated argument block")
+        fixed = iter(block.unpack_from(data, start))
+        view = memoryview(data)
+        values = []
+        for step in steps:
+            if step is None:
+                values.append(next(fixed))
+            elif step is False:
+                values.append(None)
+            else:
+                part_end = at + next(fixed)
+                if part_end > end:
+                    raise SerializationError("argument part runs past the payload")
+                values.append(step(view[at:part_end]))
+                at = part_end
+        if at != end:
+            raise SerializationError(f"{end - at} stray bytes after the arguments")
+        return tuple(values[:npos]), dict(zip(names, values[npos:]))
+    return decode
+
+
+def decode_args(data: Any, start: int, end: int) -> tuple[tuple, dict[str, Any]]:
+    """Decode the argument list in ``data[start:end]`` to ``(args, kwargs)``.
+
+    ``data`` may be any bytes-like object and is read in place.
+
+    Raises
+    ------
+    SerializationError
+        On anything that is not a well-formed argument list.
+    """
+    if end - start < _SIG_COUNTS.size:
+        raise SerializationError("truncated argument list")
+    npos, nkw = _SIG_COUNTS.unpack_from(data, start)
+    body = start + _SIG_COUNTS.size + npos + nkw
+    for _ in range(nkw):  # the signature ends after the last keyword name
+        if body + 2 > end:
+            raise SerializationError("truncated argument signature")
+        body += 2 + _U16.unpack_from(data, body)[0]
+    if body > end:
+        raise SerializationError("truncated argument signature")
+    signature = bytes(data[start:body])
+    decoder = _DECODERS.get(signature)
+    try:
+        if decoder is None:
+            decoder = _cached(_DECODERS, signature, _compile_decoder(signature))
+        return decoder(data, body, end)
+    except SerializationError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - corrupt frame
+        raise SerializationError(f"argument decode failed: {exc}") from exc

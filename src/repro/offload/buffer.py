@@ -1,9 +1,10 @@
 """Typed remote buffers (paper Table II: ``buffer_ptr<T>``).
 
 A :class:`BufferPtr` names memory on an offload target: the node address
-is part of the pointer, exactly as in the paper. It is a plain, picklable
-value object so it can travel *inside* active messages as a function
-argument; on the target, the runtime's resolver turns it into a live
+is part of the pointer, exactly as in the paper. It is a plain value
+object that travels *inside* active messages as a function argument
+(through the serializer hook registered at the bottom of this module);
+on the target, the runtime's resolver turns it into a live
 numpy view of the target-local memory (see
 :meth:`repro.backends.base.Backend.resolve_buffer`).
 
@@ -13,11 +14,13 @@ by *elements*, like the C++ original.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import OffloadError
+from repro.ham.serialization import register_serializer
 from repro.offload.node import NodeId
 
 __all__ = ["BufferPtr"]
@@ -87,3 +90,19 @@ class BufferPtr:
             f"BufferPtr(node={self.node}, addr={self.addr:#x}, "
             f"dtype={self.dtype_str}, count={self.count})"
         )
+
+
+#: Wire form: node, addr, count, then the dtype string.
+_WIRE = struct.Struct("<qQq")
+
+
+def _encode(ptr: BufferPtr) -> bytes:
+    return _WIRE.pack(ptr.node, ptr.addr, ptr.count) + ptr.dtype_str.encode()
+
+
+def _decode(data: bytes) -> BufferPtr:
+    node, addr, count = _WIRE.unpack_from(data)
+    return BufferPtr(node, addr, data[_WIRE.size:].decode(), count)
+
+
+register_serializer(BufferPtr, "buffer_ptr", _encode, _decode)

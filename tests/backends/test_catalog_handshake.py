@@ -9,6 +9,7 @@ import pytest
 
 from repro.backends import TcpBackend, spawn_local_server
 from repro.errors import BackendError
+from repro.ham import serialization
 from repro.ham.registry import Catalog, ProcessImage
 
 
@@ -48,6 +49,23 @@ class TestHandshake:
         try:
             with pytest.raises(BackendError, match="catalogs differ"):
                 TcpBackend(address, catalog=make_catalog(["only::one"]))
+        finally:
+            process.terminate()
+            process.join(timeout=5)
+
+    def test_other_codec_revision_rejected_at_connect(self, monkeypatch):
+        """Same catalog, another argument format: the digest covers the
+        value codec, so the peer is refused here instead of mis-parsed."""
+        process, address = spawn_local_server()  # forked with this revision
+        image = ProcessImage("a", make_catalog(["m::f"]))
+        before = image.digest()
+        monkeypatch.setattr(
+            serialization, "CODEC_REVISION", serialization.CODEC_REVISION + 1
+        )
+        assert image.digest() != before
+        try:
+            with pytest.raises(BackendError, match="catalogs differ"):
+                TcpBackend(address)
         finally:
             process.terminate()
             process.join(timeout=5)

@@ -1,13 +1,20 @@
-"""Tests for payload serialization (pickle, numpy fast path, hooks)."""
+"""Tests for the value codec (type codes, numpy fast path, hooks, and
+the restricted loader behind the last-resort code)."""
+
+import pathlib
+import pickle
+import re
 
 import numpy as np
 import pytest
 
 from repro.errors import SerializationError
+from repro.ham import serialization
 from repro.ham.serialization import (
     Migratable,
     deserialize,
     register_serializer,
+    restricted_loads,
     serialize,
 )
 
@@ -151,3 +158,87 @@ class TestErrorHandling:
     def test_unpicklable_value(self):
         with pytest.raises(SerializationError):
             serialize(lambda: None)  # local lambdas don't pickle
+
+
+def _pickle_calling(module: str, name: str, arg: str) -> bytes:
+    """A protocol-0 pickle of ``module.name(arg)`` — written by hand, so
+    the named callable need not exist (or be importable) here."""
+    return f"c{module}\n{name}\n(V{arg}\ntR.".encode()
+
+
+class TestRestrictedLoader:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"k": [1, 2.5, None, True, "s", b"b", (1, 2)], "s": {1, 2}},
+            frozenset({1}), complex(1, 2), range(3), slice(1, 2), bytearray(b"ab"),
+            np.int64(5), np.float32(1.5), np.dtype("f4"),
+            [np.arange(3)], 1 << 70,
+        ],
+    )
+    def test_plain_data_loads(self, value):
+        back = restricted_loads(pickle.dumps(value, protocol=4))
+        assert type(back) is type(value)
+        assert str(back) == str(value)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("os", "system"),
+            ("posix", "system"),
+            ("builtins", "eval"),
+            ("builtins", "getattr"),
+            ("numpy.distutils.exec_command", "exec_command"),
+            ("numpy", "load"),  # no "numpy.*" prefix rule
+            ("repro.offload.api", "init"),  # no "repro.*" prefix rule
+            ("numpy._core.multiarray", "frombuffer"),
+        ],
+    )
+    def test_unlisted_global_is_refused_unexecuted(self, module, name, tmp_path):
+        marker = tmp_path / "ran"
+        with pytest.raises(SerializationError, match="not on the allow-list"):
+            restricted_loads(_pickle_calling(module, name, f"touch {marker}"))
+        with pytest.raises(SerializationError, match="not on the allow-list"):
+            deserialize(b"P" + _pickle_calling(module, name, f"touch {marker}"))
+        assert not marker.exists()
+
+    def test_listed_name_must_be_a_class_defined_in_that_module(self, monkeypatch):
+        """Listing a pair is not enough: ``tests.apps.offloadable`` is a
+        function re-exported from ``repro.ham``, ``tests.apps.np.ndarray``
+        style aliases resolve elsewhere."""
+        from tests import apps  # noqa: F401 - must be in sys.modules
+
+        monkeypatch.setattr(
+            serialization, "_ALLOWED_CLASSES",
+            serialization._ALLOWED_CLASSES | {
+                ("tests.apps", "offloadable"), ("tests.apps", "np"),
+                ("os", "system"), ("unimported_module_xyz", "Thing"),
+            },
+        )
+        for module, name in [("tests.apps", "offloadable"), ("tests.apps", "np"),
+                             ("os", "system"), ("unimported_module_xyz", "Thing")]:
+            with pytest.raises(SerializationError, match="not a class defined there"):
+                restricted_loads(_pickle_calling(module, name, "x"))
+
+    def test_allow_list_is_explicit_pairs(self):
+        pairs = serialization._ALLOWED_CLASSES | serialization._ALLOWED_RECONSTRUCTORS
+        assert all(
+            isinstance(module, str) and isinstance(name, str)
+            and "*" not in module + name
+            for module, name in pairs
+        )
+
+    def test_only_the_restricted_loader_unpickles_under_src(self):
+        src = pathlib.Path(serialization.__file__).parents[1]
+        loads = re.compile(r"pickle\.loads?\b|Unpickler")
+        hits = [
+            f"{path.relative_to(src)}:{number}"
+            for path in sorted(src.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if loads.search(line)
+        ]
+        # The subclass statement, its one instantiation, and the docstring
+        # of ``restricted_loads`` saying what it replaces.
+        assert len(hits) == 3 and all(
+            hit.startswith("ham/serialization.py:") for hit in hits
+        ), hits

@@ -1,5 +1,9 @@
 """Property-based tests of serialization and the wire format."""
 
+import enum
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,8 @@ from repro.ham.message import (
     build_message,
     parse_message,
 )
-from repro.ham.serialization import deserialize, serialize
+from repro.ham.serialization import deserialize, register_serializer, serialize
+from repro.offload.buffer import BufferPtr
 
 # JSON-ish nested Python data.
 json_like = st.recursive(
@@ -76,6 +81,193 @@ class TestSerializationProperties:
         back_args, back_kwargs = Functor.deserialize_args(functor.serialize_args())
         assert back_args == tuple(args)
         assert back_kwargs == kwargs
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    GREEN = 2
+
+
+register_serializer(
+    Colour, "test.colour",
+    encode=lambda colour: colour.name.encode(),
+    decode=lambda data: Colour[data.decode()],
+)
+
+#: Values whose *type* the codec must bring back, not only their value:
+#: every one of them equals a plain int or float.
+typed_scalars = (
+    st.booleans()
+    | st.integers()  # unbounded: at and beyond +-2**63 too
+    | st.sampled_from([-(2**63), 2**63 - 1, -(2**63) - 1, 2**63, 0])
+    | st.floats()  # nan, +-inf and -0.0 included
+    | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+    | st.sampled_from(list(Colour))
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats(width=32).map(np.float32)
+)
+#: Any str (lone surrogates included) and any bytes, empty ones too.
+texts = st.text(st.characters(), max_size=20) | st.sampled_from(["", "\ud800", "a\udfffb"])
+blobs = st.binary(max_size=40) | st.just(b"")
+pointers = st.builds(
+    BufferPtr,
+    node=st.integers(0, 2**31),
+    addr=st.integers(0, 2**64 - 1),
+    dtype_str=st.sampled_from(["float64", "int32", "uint8"]),
+    count=st.integers(0, 2**40),
+)
+codec_values = st.none() | typed_scalars | texts | blobs | arrays | pointers | json_like
+
+
+def same(left, right) -> bool:
+    """Same type and same value, with nan == nan and -0.0 != 0.0."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, np.ndarray):
+        return (left.dtype == right.dtype and left.shape == right.shape
+                and np.array_equal(left, right, equal_nan=True))
+    if isinstance(left, (float, np.floating)):
+        return repr(left) == repr(right)
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(map(same, left, right))
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(same(left[k], right[k]) for k in left)
+    return left == right
+
+
+bytes_likes = st.sampled_from([bytes, bytearray, memoryview])
+
+
+class TestCompiledCodecProperties:
+    @given(value=codec_values, as_input=bytes_likes)
+    @settings(max_examples=300, deadline=None)
+    def test_value_roundtrip_keeps_type_and_value(self, value, as_input):
+        assert same(deserialize(as_input(serialize(value))), value)
+
+    @given(
+        args=st.lists(codec_values, max_size=6),
+        kwargs=st.dictionaries(texts, codec_values, max_size=3),
+        as_input=bytes_likes,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_argument_list_roundtrip_keeps_type_and_value(self, args, kwargs, as_input):
+        functor = Functor("t", tuple(args), tuple(sorted(kwargs.items())))
+        back_args, back_kwargs = Functor.deserialize_args(
+            as_input(functor.serialize_args())
+        )
+        assert same(list(back_args), args)
+        assert same(back_kwargs, kwargs)
+
+    def test_true_is_not_one_and_wide_ints_survive(self):
+        args = (True, 1, 2**63, -(2**63) - 1, Colour.RED, np.int64(1), 1.0, np.float32(1))
+        back, _ = Functor.deserialize_args(Functor("t", args).serialize_args())
+        assert [type(v) for v in back] == [type(v) for v in args]
+        assert back == args
+
+    def test_scalar_signature_costs_one_pack(self):
+        """``echo(i)``: signature + one packed block, in one buffer."""
+        parts = Functor("t", (7, 2.5, False)).serialize_args_parts()
+        assert len(parts) == 1
+        assert parts[0].endswith(struct.pack("<qd?", 7, 2.5, False))
+
+    def test_array_data_rides_as_a_view_of_the_array(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        parts = Functor("t", (1, arr, "s"), (("k", arr),)).serialize_args_parts()
+        views = [part for part in parts if isinstance(part, memoryview)]
+        assert len(views) == 2 and all(view.obj is arr for view in views)
+
+    def test_unregistered_application_class_is_refused_on_decode(self):
+        class Local(enum.IntEnum):
+            A = 1
+
+        with pytest.raises(SerializationError):
+            # Unpicklable here (a local class); a module-level one would
+            # pickle and then be refused by the receiver's allow-list.
+            serialize(Local.A)
+        wire = serialize(Colour.RED).replace(b"test.colour", b"test.nobody")
+        with pytest.raises(SerializationError, match="no custom serializer"):
+            deserialize(wire)
+
+
+@st.composite
+def mutated(draw, payload: bytes) -> bytes:
+    """``payload`` cut short, with a few bytes rewritten, or grown."""
+    data = bytearray(payload)
+    for _ in range(draw(st.integers(0, 4))):
+        if data:
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(data)))
+    return bytes(data[:cut] if draw(st.booleans()) else data) + draw(st.binary(max_size=4))
+
+
+class TestHostileBytesProperties:
+    """Whatever arrives, a decoder answers or raises SerializationError:
+    never ``struct.error``/``IndexError``/``UnicodeDecodeError``/
+    ``ValueError``/``MemoryError``."""
+
+    @given(data=st.data(), args=st.lists(codec_values, max_size=4),
+           kwargs=st.dictionaries(texts, codec_values, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_argument_lists(self, data, args, kwargs):
+        wire = Functor("t", tuple(args), tuple(sorted(kwargs.items()))).serialize_args()
+        try:
+            Functor.deserialize_args(data.draw(mutated(wire)))
+        except SerializationError:
+            pass
+
+    @given(data=st.data(), value=codec_values)
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_values(self, data, value):
+        try:
+            deserialize(data.draw(mutated(serialize(value))))
+        except SerializationError:
+            pass
+
+    @given(junk=st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_garbage_argument_lists(self, junk):
+        try:
+            Functor.deserialize_args(junk)
+        except SerializationError:
+            pass
+
+    @given(
+        dtype=st.sampled_from(["float64", "int8", "complex128", "O", "V0", "S5", "x", ""]),
+        shape=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+        ndim=st.integers(0, 255),
+        nbytes=st.integers(0, 64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_header_is_checked_before_anything_is_allocated(
+        self, dtype, shape, ndim, nbytes
+    ):
+        """A header may claim any shape (and an ``ndim`` that disagrees
+        with the words that follow); only an array whose byte count equals
+        the bytes that actually arrived is ever materialized."""
+        name = dtype.encode()
+        wire = (b"N" + struct.pack("<BB", len(name), ndim) + name
+                + struct.pack(f"<{len(shape)}Q", *shape) + bytes(nbytes))
+        try:
+            arr = deserialize(wire)
+        except SerializationError:
+            return
+        assert arr.nbytes == len(wire) - (3 + len(name) + 8 * ndim)
+        assert arr.ndim == ndim and not arr.dtype.hasobject
+
+    def test_huge_claimed_shape_is_refused_by_arithmetic(self):
+        header = struct.pack("<BB", 5, 2) + b"uint8" + struct.pack("<2Q", 2**40, 2**20)
+        with pytest.raises(SerializationError, match="does not match"):
+            deserialize(b"N" + header + b"\0" * 16)
+        block = (struct.pack("<HH", 1, 0) + b"N"
+                 + struct.pack("<I", len(header) + 16) + header + b"\0" * 16)
+        with pytest.raises(SerializationError, match="does not match"):
+            Functor.deserialize_args(block)
+
+    def test_length_word_past_the_payload_is_refused(self):
+        block = (struct.pack("<HH", 1, 0) + b"b"
+                 + struct.pack("<I", 2**32 - 1) + b"abc")
+        with pytest.raises(SerializationError, match="past the payload"):
+            Functor.deserialize_args(block)
 
 
 class TestWireFormatProperties:
