@@ -279,10 +279,6 @@ class FramedClient(Backend):
         if kind == "invoke":
             if op == OP_INVOKE | OP_REPLY_BIT:
                 sink.complete_with_reply(body)
-                if telemetry.enabled():  # the depth is read under a lock
-                    telemetry.gauge(
-                        f"{self.name}.pending_replies", self._pending_count()
-                    )
             elif op == OP_FAILURE:
                 sink.complete_with_error(remote_failure(body))
             else:
@@ -433,8 +429,6 @@ class FramedClient(Backend):
                     )
                 )
         self.invokes_posted += 1
-        if telemetry.enabled():
-            telemetry.gauge(f"{self.name}.pending_replies", self._pending_count())
         return handle
 
     def drive(

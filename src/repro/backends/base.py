@@ -136,11 +136,8 @@ class FrameCoalescer:
     ``cancel()``) and ``depth`` (the observed in-flight depth driving
     adaptivity). Thread-safe; the buffer is stolen under the internal
     lock and transmitted outside it, so a slow send never blocks
-    producers from buffering the next batch.
-
-    Telemetry: every flush records the ``net.batch_size`` (frames) and
-    ``net.batch_bytes`` histograms and bumps the
-    ``net.flush_reason.<reason>`` counter.
+    producers from buffering the next batch. :meth:`stats` reports
+    batches, frames per batch and flush reasons.
     """
 
     def __init__(
@@ -177,25 +174,25 @@ class FrameCoalescer:
                 or self._bytes >= policy.max_bytes
             ):
                 reason = "size" if self._bytes >= policy.max_bytes else "count"
-                batch, frames, nbytes = self._steal_locked()
+                batch, frames = self._steal_locked()
             elif self._depth() <= policy.idle_depth:
                 # Few offloads outstanding: the producer is waiting on
                 # latency, not building a pipeline — send immediately.
                 reason = "idle"
-                batch, frames, nbytes = self._steal_locked()
+                batch, frames = self._steal_locked()
             else:
                 if self._timer is None:
                     self._timer = self._schedule(policy.max_delay, self._on_deadline)
                 return
-        self._send_batch(batch, frames, nbytes, reason)
+        self._send_batch(batch, frames, reason)
 
     def flush(self, reason: str = "explicit") -> int:
         """Transmit everything buffered; returns the frame count sent."""
         with self._lock:
             if not self._frames:
                 return 0
-            batch, frames, nbytes = self._steal_locked()
-        self._send_batch(batch, frames, nbytes, reason)
+            batch, frames = self._steal_locked()
+        self._send_batch(batch, frames, reason)
         return frames
 
     def discard(self) -> tuple[int, int]:
@@ -215,26 +212,21 @@ class FrameCoalescer:
         with self._lock:
             return self._frames, self._bytes
 
-    def _steal_locked(self) -> tuple[list[Any], int, int]:
-        batch, frames, nbytes = self._parts, self._frames, self._bytes
+    def _steal_locked(self) -> tuple[list[Any], int]:
+        batch, frames = self._parts, self._frames
         self._parts, self._frames, self._bytes = [], 0, 0
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        return batch, frames, nbytes
+        return batch, frames
 
     def _on_deadline(self) -> None:
         self.flush("deadline")
 
-    def _send_batch(
-        self, parts: list[Any], frames: int, nbytes: int, reason: str
-    ) -> None:
+    def _send_batch(self, parts: list[Any], frames: int, reason: str) -> None:
         self.batches += 1
         self.frames_coalesced += frames
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-        telemetry.observe("net.batch_size", frames)
-        telemetry.observe("net.batch_bytes", nbytes)
-        telemetry.count(f"net.flush_reason.{reason}")
         self._transmit(parts)
 
     def stats(self) -> dict[str, Any]:
@@ -422,8 +414,6 @@ class InflightWindow:
         with self._lock:
             if self._inflight.pop(handle.correlation_id, None) is not None:
                 self._freed_locked()
-        if telemetry.enabled():
-            telemetry.gauge("offload.inflight", self.in_flight)
 
     def _freed_locked(self) -> None:
         """Capacity appeared: pass it on to whoever waits for it."""
@@ -554,20 +544,14 @@ class InvokeHandle:
         span), so every awaited offload shows the full phase taxonomy.
         """
         if not self.completed or not self._transport_spanned:
-            try:
-                with telemetry.span("offload.transport", label=self.label):
-                    if not self.completed:
-                        self.backend.drive(self, blocking=True, timeout=timeout)
-                self._transport_spanned = True
-            except OffloadTimeoutError:
-                telemetry.count("offload.timeouts")
-                raise
+            with telemetry.span("offload.transport", label=self.label):
+                if not self.completed:
+                    self.backend.drive(self, blocking=True, timeout=timeout)
+            self._transport_spanned = True
         if self._error is not None:
-            telemetry.count("offload.failed")
             raise self._error
         assert self._reply is not None
         _msg_id, value = unpack_result(self._reply)
-        telemetry.count("offload.completed")
         return value
 
 

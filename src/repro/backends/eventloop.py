@@ -77,7 +77,7 @@ class Reactor:
     File-descriptor callbacks take no arguments and are invoked on the
     loop thread whenever the fd is readable; they must not block. Timer
     and ``call_soon`` callbacks run on the loop thread too. Exceptions
-    escaping any callback are counted (``reactor.callback_errors``) and
+    escaping any callback are counted (``stats()["callback_errors"]``) and
     swallowed — a broken connection must not take down the loop that
     serves every other connection.
     """
@@ -213,7 +213,6 @@ class Reactor:
             callback()
         except Exception:  # noqa: BLE001 - the loop must survive any callback
             self.callback_errors += 1
-            telemetry.count("reactor.callback_errors")
 
     # -- lifecycle ---------------------------------------------------------------
     @property

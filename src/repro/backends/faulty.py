@@ -145,7 +145,6 @@ class FaultInjectingBackend(Backend):
             "fault.injected", category="fault",
             kind=kind, op=op, index=index, delay=event.delay,
         )
-        telemetry.count("faults.injected")
         return event
 
     def _apply(self, op: str) -> None:

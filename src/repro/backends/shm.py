@@ -316,8 +316,6 @@ class ShmRing:
         self._data_off = data_off
         self._capacity = segment.capacity
         self._name = name
-        self._stall_series = f"shm.wait.stall_us.{name}"
-        self._spin_series = f"shm.wait.spin_yields.{name}"
         # Each side *owns* one cursor — nobody else ever writes it — so
         # its current value can live in a plain attribute and skip a
         # shared-memory load per operation. The peer's cursor must of
@@ -338,10 +336,8 @@ class ShmRing:
         if spins > SPIN_YIELDS:
             self.sleep_stalls += 1
             self.stalled_s += slept
-            telemetry.observe(self._stall_series, slept * 1e6)
         else:
             self.spin_waits += 1
-            telemetry.observe(self._spin_series, spins)
 
     # -- cursors -----------------------------------------------------------
     def readable(self) -> bool:
@@ -1150,14 +1146,6 @@ class ShmBackend(FramedClient):
             reply_used = self._t2h.used()
         except ValueError:  # mapping released by shutdown()
             request_used = reply_used = 0
-        if telemetry.get() is not None:
-            capacity = self.segment.capacity
-            telemetry.gauge("shm.ring_fill.request", request_used / capacity)
-            telemetry.gauge("shm.ring_fill.reply", reply_used / capacity)
-            telemetry.gauge(
-                "shm.wait.sleep_stalls",
-                self._h2t.sleep_stalls + self._t2h.sleep_stalls,
-            )
         return {
             "backend": self.name,
             "segment": self.peer,

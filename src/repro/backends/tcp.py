@@ -557,8 +557,6 @@ class TcpBackend(FramedClient):
         depths = socket_queue_depths(self._sock) if self._alive else {
             "send_queue": 0, "recv_queue": 0,
         }
-        telemetry.gauge("tcp.send_queue_bytes", depths["send_queue"])
-        telemetry.gauge("tcp.recv_queue_bytes", depths["recv_queue"])
         return {
             "backend": self.name,
             "address": self.peer,

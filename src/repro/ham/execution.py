@@ -73,9 +73,9 @@ def sized_invoke_parts(
             nbytes = sum(map(len, parts))
             span.set("bytes", nbytes)
     if recorder is not None:
-        # Continuous profiling: per-kernel byte attribution, fed for
-        # every offload regardless of the sampling verdict.
-        recorder.profiles.add_bytes(functor.type_name, nbytes)
+        # Per-kernel byte attribution, fed for every offload regardless
+        # of the sampling verdict.
+        recorder.metrics.counter(f"kernel.{functor.type_name}.bytes").inc(nbytes)
     return parts, nbytes
 
 
@@ -156,7 +156,6 @@ def execute_message(
                     kwargs = {k: resolver(v) for k, v in kwargs.items()}
             payload = serialize(entry.handler(*args, **kwargs))
         except Exception as exc:  # noqa: BLE001 - shipped back to the host
-            telemetry.count("execute.errors")
             span.set("error", type(exc).__name__)
             reply_kind = MSG_ERROR
             payload = serialize({
@@ -164,8 +163,6 @@ def execute_message(
                 "message": str(exc),
                 "traceback": traceback.format_exc(),
             })
-    if reply_kind == MSG_RESULT:
-        telemetry.count("execute.messages")
     return pack_header(
         reply_kind, 0, msg_id, len(payload),
         trace_id, span.span_id or parent_span_id, trace_flags,

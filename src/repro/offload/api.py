@@ -114,7 +114,7 @@ def init(
 
       * ``metrics_port`` (0 for an ephemeral port) starts a live
         Prometheus ``/metrics`` + ``/healthz`` HTTP endpoint over the
-        recorder's metrics and kernel profiles; query its bound address
+        recorder's metrics registry; query its bound address
         via :func:`metrics_server`;
       * ``sample_rate`` installs head-based trace sampling plus the
         tail-retention pipeline (slow/errored traces survive even when
@@ -205,7 +205,7 @@ def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
             from repro.telemetry.promexport import MetricsServer
 
             _metrics_server = MetricsServer(
-                _full_snapshot_fn(recorder),
+                recorder.metrics.snapshot,
                 host=config.metrics_host,
                 port=config.metrics_port,
                 health_fn=_health_fn(recorder),
@@ -216,17 +216,6 @@ def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
         # the recorder itself has been noting events since import.
         _flightrecorder.configure(config.crash_dir)
     return tsdb
-
-
-def _full_snapshot_fn(recorder: "_telemetry.Recorder"):
-    """Metrics snapshot extended with the per-kernel profile series."""
-
-    def snapshot() -> dict:
-        snap = recorder.metrics.snapshot()
-        snap["histograms"].update(recorder.profiles.metric_series())
-        return snap
-
-    return snapshot
 
 
 def _health_fn(recorder: "_telemetry.Recorder"):

@@ -90,7 +90,7 @@ class Future:
         #: causal tree even when get() runs far from async_().
         self._trace = trace
         #: perf_counter_ns at issue time; when set, settling feeds the
-        #: round-trip duration to the continuous profiler / SLO monitor
+        #: round-trip duration to the kernel's histogram / SLO monitor
         #: / tail pipeline via complete_offload. None for trivially
         #: complete handles (put/get/copy parity futures).
         self._start_ns = start_ns
@@ -215,7 +215,7 @@ class Future:
         recorder = telemetry.get()
         if self._start_ns is not None and recorder is not None:
             # The one completion hook per offload: folds the round trip
-            # into per-kernel profiles and SLO windows, and lets the
+            # into the kernel's series and SLO windows, and lets the
             # tail pipeline pass its keep/drop verdict on an unsampled
             # trace's staged spans.
             complete_offload(

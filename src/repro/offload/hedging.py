@@ -5,13 +5,13 @@ react to *failure* — the first attempt must die before the second one
 starts, so a straggler still costs a full deadline. Hedging reacts to
 *slowness*: when a synchronous offload of an idempotent,
 location-independent functor has waited longer than the kernel's rolling
-tail latency (the p99 of its continuous profile, the "deferred hedge"
+tail latency (the p99 of ``kernel.<kernel>.offload``, the "deferred hedge"
 of the Tail at Scale playbook), the same functor is posted to a second
 healthy target and the first reply wins. The loser is simply abandoned:
 the channel contract matches replies by correlation id, so the late
 reply completes its own handle and is dropped — it can never be confused
-with the winner, and the abandoned future never settles, so per-kernel
-profiles and SLO windows count the logical offload exactly once.
+with the winner, and the abandoned future never settles, so the kernel's
+series and SLO windows count the logical offload exactly once.
 
 Safety gates (all must hold, checked per call):
 
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import OffloadError, RemoteExecutionError
 from repro.offload.buffer import BufferPtr
 from repro.telemetry import recorder as telemetry
-from repro.telemetry.profile import TOTAL_PHASE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ham.functor import Functor
@@ -121,7 +120,7 @@ class Hedger:
     """Issues hedge duplicates for straggling synchronous offloads.
 
     One instance per runtime, stateless apart from counters; the trigger
-    delay is read from the live recorder's per-kernel profile on every
+    delay is read from the kernel's live round-trip histogram on every
     call, so it tracks traffic shifts without explicit feeds.
     """
 
@@ -134,19 +133,13 @@ class Hedger:
     def delay_for(self, kernel: str) -> float | None:
         """Seconds to wait before hedging ``kernel``, or ``None``.
 
-        ``None`` — no telemetry or not enough profile samples — means
+        ``None`` — no telemetry or not enough round trips seen — means
         "do not hedge"; the hedger fails static rather than guessing.
         """
-        recorder = telemetry.get()
-        if recorder is None:
+        trigger = telemetry.kernel_percentile(
+            kernel, self.policy.percentile, self.policy.min_samples)
+        if trigger is None:
             return None
-        profile = recorder.profiles.profiles().get(kernel)
-        if profile is None:
-            return None
-        hist = profile.phases().get(TOTAL_PHASE)
-        if hist is None or hist.count < self.policy.min_samples:
-            return None
-        trigger = float(hist.percentile(self.policy.percentile))
         return max(self.policy.min_wait, trigger * self.policy.multiplier)
 
     # -- execution --------------------------------------------------------
@@ -225,7 +218,6 @@ class Hedger:
             # fail the operation.
             return None
         self.hedges += 1
-        telemetry.count("offload.hedges")
         telemetry.event(
             "resilience.hedge", category="resilience",
             functor=functor.type_name, primary=primary, secondary=secondary,
@@ -298,7 +290,6 @@ class Hedger:
                     continue
                 if name == "hedge":
                     self.hedge_wins += 1
-                    telemetry.count("offload.hedge_wins")
                 return value
             if not arms:
                 break

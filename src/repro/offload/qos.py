@@ -13,7 +13,7 @@ pieces:
 * :class:`AdmissionController` fast-fails work *before serialization*:
   a per-tenant token bucket enforces rate limits, and deadline-aware
   admission rejects an invoke whose deadline cannot cover the kernel's
-  rolling p95 service time (fed by the continuous profiler). A rejected
+  p95 round trip (``kernel.<kernel>.offload``). A rejected
   request raises :class:`~repro.errors.AdmissionRejectedError` in
   microseconds instead of burning a window slot and a deadline.
 * :class:`FairInflightWindow` replaces the FIFO
@@ -297,28 +297,15 @@ class TokenBucket:
 def profiled_service_time(
     percentile: float = 95.0, min_samples: int = 10
 ) -> Callable[[str], float | None]:
-    """Service-time estimator backed by the continuous profiler.
+    """Service-time estimator backed by the kernel's round-trip series.
 
     Returns a callable ``estimate(kernel) -> seconds | None`` reading
-    the kernel's rolling ``offload`` round-trip histogram from the live
-    recorder's :class:`~repro.telemetry.profile.KernelProfiler`.
-    ``None`` means "no telemetry / not enough samples" — admission then
-    admits, because rejecting on no data would fail closed.
+    :func:`repro.telemetry.recorder.kernel_percentile`. ``None`` means
+    "no telemetry / not enough samples" — admission then admits, because
+    rejecting on no data would fail closed.
     """
-
-    def estimate(kernel: str) -> float | None:
-        recorder = telemetry.get()
-        if recorder is None:
-            return None
-        profile = recorder.profiles.profiles().get(kernel)
-        if profile is None:
-            return None
-        hist = profile.phases().get("offload")
-        if hist is None or hist.count < min_samples:
-            return None
-        return float(hist.percentile(percentile))
-
-    return estimate
+    return lambda kernel: telemetry.kernel_percentile(
+        kernel, percentile, min_samples)
 
 
 class AdmissionController:
@@ -398,8 +385,6 @@ class AdmissionController:
     def _reject(self, ctx: TenantContext, kernel: str, reason: str) -> None:
         with self._lock:
             self._rejected[ctx.tenant] = self._rejected.get(ctx.tenant, 0) + 1
-        telemetry.count("offload.admission_rejected")
-        telemetry.count(f"offload.{reason}")
         telemetry.event(
             "qos.rejected", category="qos",
             tenant=ctx.tenant, kernel=kernel, reason=reason,
@@ -558,20 +543,7 @@ class FairInflightWindow(InflightWindow):
             self._ring.append(ctx.tenant)
         queue.append(waiter)
         self._queued += 1
-        self._depth_gauges_locked(ctx.tenant)
         return waiter
-
-    def _depth_gauges_locked(self, tenant: str) -> None:
-        """Mirror queue depths onto ``/metrics`` (transport-depth view).
-
-        ``qos.queued`` is the total backlog the shedder compares against
-        ``max_queue_depth``; ``qos.queue_depth.<tenant>`` shows which
-        tenant the backlog belongs to. No-ops while telemetry is off.
-        """
-        telemetry.gauge("qos.queued", self._queued)
-        telemetry.gauge(
-            f"qos.queue_depth.{tenant}", len(self._queues.get(tenant, ()))
-        )
 
     # -- scheduling --------------------------------------------------------
     def _freed_locked(self) -> None:
@@ -582,7 +554,6 @@ class FairInflightWindow(InflightWindow):
                 break
             self._reserved += 1
             self._queued -= 1
-            self._depth_gauges_locked(waiter.ctx.tenant)
             waiter.granted = True
         self._slot_freed.notify_all()  # whoever was granted finds out
 
@@ -661,7 +632,6 @@ class FairInflightWindow(InflightWindow):
             except ValueError:  # pragma: no cover - defensive
                 return
             self._queued -= 1
-            self._depth_gauges_locked(victim.ctx.tenant)
             if not queue:
                 self._retire_locked(victim.ctx.tenant)
         victim.error = LoadShedError(
@@ -673,7 +643,6 @@ class FairInflightWindow(InflightWindow):
 
     def _record_shed_locked(self, ctx: TenantContext) -> None:
         self._shed[ctx.tenant] = self._shed.get(ctx.tenant, 0) + 1
-        telemetry.count("offload.shed")
         telemetry.event(
             "offload.shed", category="qos",
             tenant=ctx.tenant, priority=ctx.priority, queued=self._queued,
@@ -689,7 +658,6 @@ class FairInflightWindow(InflightWindow):
             try:
                 queue.remove(waiter)
                 self._queued -= 1
-                self._depth_gauges_locked(waiter.ctx.tenant)
             except ValueError:
                 pass
             if not queue:

@@ -279,11 +279,6 @@ class Runtime:
                 window.acquire(
                     tenant=tctx, timeout=timeout, label=functor.type_name
                 )
-                # Set ahead of the post (the release sets it again): on
-                # traced_shm the same two lines after the post, where the
-                # handle is filed, cost 8 us per offload.
-                if telemetry.enabled():  # reading the depth takes a lock
-                    telemetry.gauge("offload.inflight", window.in_flight)
                 try:
                     handle = self.backend.post_invoke(node, functor)
                 except BaseException:
@@ -399,7 +394,6 @@ class Runtime:
                     )
                     break
                 self._retries += 1
-                telemetry.count("offload.retries")
                 telemetry.event(
                     "resilience.retry", category="resilience",
                     functor=functor.type_name, attempt=attempt, node=target,
@@ -414,7 +408,6 @@ class Runtime:
                         break
                     if successor != node:
                         self._failovers += 1
-                        telemetry.count("offload.failovers")
                         telemetry.event(
                             "resilience.failover", category="resilience",
                             functor=functor.type_name,
@@ -530,7 +523,6 @@ class Runtime:
         # Remember the allocation-site span so a leak at shutdown can be
         # traced back to the code path that allocated the buffer.
         self._live_buffers[(node, addr)] = (ptr, span.span_id)
-        telemetry.count("buffers.allocated")
         return ptr
 
     def free(self, ptr: BufferPtr) -> None:
@@ -547,7 +539,6 @@ class Runtime:
         with telemetry.span("offload.free", node=ptr.node):
             self._guard(ptr.node, lambda: self.backend.free_buffer(ptr.node, ptr.addr))
         self._live_buffers.pop(key, None)
-        telemetry.count("buffers.freed")
 
     # -- data transfer -----------------------------------------------------------------
     def put(self, src: np.ndarray, dst: BufferPtr, count: int | None = None) -> Future:

@@ -12,7 +12,9 @@ Layout:
   disabled) plus the module-level ``enable()/span()/event()/count()``
   switchboard used by the instrumented runtime, HAM and backend code;
 * :mod:`repro.telemetry.metrics` — counters/gauges/histograms with a
-  snapshot API;
+  snapshot API: the one aggregate store;
+* :mod:`repro.telemetry.signals` — the table declaring every series
+  that store may hold (name, kind, unit, help, consumer);
 * :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON and JSONL
   exporters (round-trippable);
 * :mod:`repro.telemetry.simbridge` — exports sim-tracer records to the
@@ -30,8 +32,6 @@ Layout:
 * :mod:`repro.telemetry.sampling` — head-based trace-id-consistent
   sampling plus the tail-retention pipeline that keeps slow/errored
   unsampled traces and drops fast ones after folding aggregates;
-* :mod:`repro.telemetry.profile` — per-kernel continuous profiles
-  (count, bytes, p50/p95/p99 per phase) fed by every completed offload;
 * :mod:`repro.telemetry.slo` — declarative SLOs with multi-window
   burn-rate alerting (``telemetry.slo_breach`` events, ``/healthz``
   degradation);
@@ -84,14 +84,13 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
     from repro.telemetry.flightrecorder import FlightRecorder
     from repro.telemetry.inspect import RuntimeInspector
     from repro.telemetry.metrics import (
-        Counter, Gauge, Histogram, LogHistogram, MetricsRegistry, percentile,
+        Counter, Gauge, LogHistogram, MetricsRegistry, percentile,
     )
-    from repro.telemetry.profile import KernelProfile, KernelProfiler
     from repro.telemetry.config import TelemetryConfig
     from repro.telemetry.promexport import MetricsServer, to_prometheus
     from repro.telemetry.recorder import (
         EventRecord, Recorder, SpanRecord, count, current_span_id, disable, enable,
-        enabled, event, gauge, get, observe, span,
+        enabled, event, gauge, get, span,
     )
     from repro.telemetry.sampling import HeadSampler, TailPipeline, complete_offload
     from repro.telemetry.slo import SLO, SLOMonitor, default_slos
@@ -101,15 +100,15 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
 
 __all__ = [
     "AnomalyDetector", "ClockSync", "Counter", "EventRecord", "FlightRecorder",
-    "Gauge", "HeadSampler", "Histogram", "KernelProfile", "KernelProfiler",
-    "LogHistogram", "MetricsRegistry", "MetricsServer", "Recorder",
+    "Gauge", "HeadSampler", "LogHistogram", "MetricsRegistry", "MetricsServer",
+    "Recorder",
     "RuntimeInspector", "SLO", "SLOMonitor", "Scoreboard", "SeriesRing",
     "SpanRecord", "TailPipeline", "TelemetryConfig", "TimeSeriesStore",
     "TraceContext", "Tsdb", "activate", "align_records", "complete_offload",
     "count", "critical_path", "current", "current_span_id", "current_trace_id_hex",
     "default_slos", "disable", "enable", "enabled", "event", "gauge", "get",
-    "group_by_trace", "install_tsdb", "merge_traces", "new_trace", "observe",
-    "percentile", "span", "to_prometheus", "trace_summary",
+    "group_by_trace", "install_tsdb", "merge_traces", "new_trace", "percentile",
+    "span", "to_prometheus", "trace_summary",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
@@ -123,15 +122,13 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.telemetry.flightrecorder": ("FlightRecorder",),
     "repro.telemetry.inspect": ("RuntimeInspector",),
     "repro.telemetry.metrics": (
-        "Counter", "Gauge", "Histogram", "LogHistogram", "MetricsRegistry",
-        "percentile",
+        "Counter", "Gauge", "LogHistogram", "MetricsRegistry", "percentile",
     ),
-    "repro.telemetry.profile": ("KernelProfile", "KernelProfiler"),
     "repro.telemetry.config": ("TelemetryConfig",),
     "repro.telemetry.promexport": ("MetricsServer", "to_prometheus"),
     "repro.telemetry.recorder": (
         "EventRecord", "Recorder", "SpanRecord", "count", "current_span_id",
-        "disable", "enable", "enabled", "event", "gauge", "get", "observe", "span",
+        "disable", "enable", "enabled", "event", "gauge", "get", "span",
     ),
     "repro.telemetry.sampling": ("HeadSampler", "TailPipeline", "complete_offload"),
     "repro.telemetry.slo": ("SLO", "SLOMonitor", "default_slos"),

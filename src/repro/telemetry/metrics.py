@@ -1,14 +1,15 @@
 """Counters, gauges and histograms for the offload path.
 
 The metric types are deliberately tiny: a :class:`Counter` is a locked
-integer, a :class:`Gauge` a locked float, a :class:`Histogram` a ring of
-recent observations with percentile queries, and a :class:`LogHistogram`
+integer, a :class:`Gauge` a locked float, and a :class:`LogHistogram`
 an HDR-style fixed-bucket latency histogram whose geometric bucket
 bounds give a bounded relative quantile error at O(1) memory — the shape
-behind the Prometheus ``_bucket`` series and the continuous-profiling
+behind the Prometheus ``_bucket`` series and the per-kernel
 percentiles. A :class:`MetricsRegistry` creates them on first use
 (``registry.counter("offload.issued").inc()``) and produces a single
-JSON-friendly :meth:`~MetricsRegistry.snapshot`.
+JSON-friendly :meth:`~MetricsRegistry.snapshot`; it is the only
+aggregate store, and the recorder's refuses a name
+:mod:`repro.telemetry.signals` does not declare.
 
 All operations are thread-safe; the registry lock only guards additions
 to the name table (a hit never takes it), each instrument carries its own
@@ -20,13 +21,14 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from collections import deque
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.signals import SignalRegistry
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "default_latency_bounds",
@@ -99,50 +101,6 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """Ring of recent observations with percentile queries.
-
-    Keeps the last ``maxlen`` samples (enough for p50/p95/p99 of a run)
-    plus exact lifetime ``count``/``total`` so means stay correct even
-    after the ring wraps.
-    """
-
-    __slots__ = ("_lock", "_samples", "count", "total")
-
-    def __init__(self, maxlen: int = 4096) -> None:
-        self._lock = threading.Lock()
-        self._samples: deque[float] = deque(maxlen=maxlen)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._samples.append(float(value))
-            self.count += 1
-            self.total += value
-
-    def percentile(self, q: float) -> float:
-        with self._lock:
-            return percentile(list(self._samples), q)
-
-    def summary(self) -> dict[str, float]:
-        """Count, mean, min/max and p50/p95 of the retained window."""
-        with self._lock:
-            samples = list(self._samples)
-            count, total = self.count, self.total
-        if not samples:
-            return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                    "p50": 0.0, "p95": 0.0}
-        return {
-            "count": count,
-            "mean": total / count,
-            "min": min(samples),
-            "max": max(samples),
-            "p50": percentile(samples, 50),
-            "p95": percentile(samples, 95),
-        }
-
-
 def default_latency_bounds() -> tuple[float, ...]:
     """Geometric bucket upper bounds for latencies, in seconds.
 
@@ -158,10 +116,10 @@ class LogHistogram:
     """HDR-style histogram over fixed geometric buckets.
 
     ``observe`` is O(log buckets) and allocation-free, which is what lets
-    the continuous profiler fold *every* completed offload — sampled or
-    not — without touching the span ring. Unlike :class:`Histogram` it
-    never forgets: counts are lifetime cumulative, so the summary's
-    ``buckets`` list renders directly as a Prometheus ``_bucket`` series.
+    *every* completed offload — sampled or not — fold into its kernel's
+    series without touching the span ring. It never forgets: counts are
+    lifetime cumulative, so the summary's ``buckets`` list renders
+    directly as a Prometheus ``_bucket`` series.
     Percentiles interpolate within the winning bucket and clamp to the
     observed min/max, so small-count queries stay sane.
 
@@ -283,59 +241,52 @@ class LogHistogram:
 
 
 class MetricsRegistry:
-    """Name -> instrument table with get-or-create accessors."""
+    """Name -> instrument table with get-or-create accessors. With
+    ``signals`` (the recorder's has them) a name must be declared there,
+    under the kind asked for, to be *created*; a hit is never checked."""
 
-    def __init__(self) -> None:
+    def __init__(self, signals: "SignalRegistry | None" = None) -> None:
         self._lock = threading.Lock()
+        self._signals = signals
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram | LogHistogram] = {}
+        self._histograms: dict[str, LogHistogram] = {}
+
+    def _create(self, table: dict[str, Any], name: str, kind: str,
+                factory: Callable[[], Any]) -> Any:
+        """The miss path: check the declaration, then mint exactly one
+        instrument per name however many threads ask at once."""
+        if self._signals is not None:
+            self._signals.check(name, kind)
+        with self._lock:
+            return table.setdefault(name, factory())
 
     # A hit reads the name table without the lock (one dict read is
-    # atomic); only creation, which must not mint two instruments for
-    # one name, takes it.
+    # atomic); only creation takes it.
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
-            with self._lock:
-                instrument = self._counters.setdefault(name, Counter())
+            instrument = self._create(self._counters, name, "counter", Counter)
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
-            with self._lock:
-                instrument = self._gauges.setdefault(name, Gauge())
-        return instrument
-
-    def histogram(self, name: str, maxlen: int = 4096) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            with self._lock:
-                instrument = self._histograms.setdefault(name, Histogram(maxlen))
-        if not isinstance(instrument, Histogram):
-            raise TypeError(f"{name!r} is registered as a log histogram")
+            instrument = self._create(self._gauges, name, "gauge", Gauge)
         return instrument
 
     def log_histogram(
         self, name: str, bounds: Sequence[float] | None = None,
         *, exemplars: bool = False,
     ) -> LogHistogram:
-        """Get-or-create a bucketed histogram sharing the name table.
-
-        Log and ring histograms share a namespace so ``snapshot()`` stays
-        a single ``histograms`` section; asking for the same name with
-        the other accessor is a programming error and raises.
-        ``exemplars=True`` turns per-bucket exemplar retention on for
-        the instrument, whether it is being created or already exists.
-        """
+        """Get-or-create a histogram. ``exemplars=True`` turns per-bucket
+        exemplar retention on for the instrument, whether it is being
+        created or already exists."""
         instrument = self._histograms.get(name)
         if instrument is None:
-            with self._lock:
-                instrument = self._histograms.setdefault(
-                    name, LogHistogram(bounds, exemplars=exemplars))
-        if not isinstance(instrument, LogHistogram):
-            raise TypeError(f"{name!r} is registered as a ring histogram")
+            instrument = self._create(
+                self._histograms, name, "histogram",
+                lambda: LogHistogram(bounds, exemplars=exemplars))
         if exemplars:
             instrument.enable_exemplars()
         return instrument

@@ -8,14 +8,12 @@ offload session can be scraped without touching the trace ring:
 
 * counters  -> ``repro_<name>_total``
 * gauges    -> ``repro_<name>``
-* ring histograms -> summaries: ``{quantile="0.5"|"0.95"}`` series plus
-  ``_sum`` / ``_count``
-* log histograms (snapshots carrying a ``buckets`` list, see
-  :class:`~repro.telemetry.metrics.LogHistogram`) -> real histogram
-  series: cumulative ``_bucket{le="..."}`` lines ending at
+* histograms (:class:`~repro.telemetry.metrics.LogHistogram`) -> real
+  histogram series: cumulative ``_bucket{le="..."}`` lines ending at
   ``le="+Inf"``, plus ``_sum`` / ``_count`` — the per-phase
-  ``phase.offload.*`` latencies and the per-kernel profiles land here
-  and scrape into native Prometheus quantile queries
+  ``phase.offload.*`` and per-kernel ``kernel.<kernel>.*`` latencies
+  scrape into native Prometheus quantile queries; ``# HELP`` and
+  ``# UNIT`` come from the series' row in :mod:`repro.telemetry.signals`
 
 Exemplars (``# {trace_id="..."} v`` bucket annotations) are only legal
 in the OpenMetrics exposition format — the Prometheus 0.0.4 text parser
@@ -43,6 +41,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
 
 from repro.telemetry.config import TelemetryConfig
+from repro.telemetry.signals import SIGNALS
 
 __all__ = [
     "MetricsServer",
@@ -94,12 +93,9 @@ def to_prometheus(
     ``snapshot`` is the dict from
     :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`:
     ``{"counters": {...}, "gauges": {...}, "histograms": {name: summary}}``.
-    Ring-histogram summaries (count/mean/min/max/p50/p95) become
-    Prometheus *summary* series with ``quantile`` labels; summaries that
-    carry a ``buckets`` list (log histograms) become native *histogram*
-    series with cumulative ``_bucket{le="..."}`` lines. In both cases
-    ``_sum`` is reconstructed as ``mean * count`` (exact: mean is
-    total/count).
+    A histogram summary's ``buckets`` list becomes cumulative
+    ``_bucket{le="..."}`` lines; ``_sum`` is reconstructed as
+    ``mean * count`` (exact: mean is total/count).
 
     ``openmetrics=False`` (the default) renders text format 0.0.4 and
     never emits exemplars — the 0.0.4 parser treats any trailing
@@ -108,56 +104,58 @@ def to_prometheus(
     counter metadata drops the ``_total`` suffix from the family name,
     retained bucket exemplars ride along as ``# {trace_id="..."} v``
     annotations and the output ends with the mandatory ``# EOF``.
+    ``# UNIT`` is written in 0.0.4 only, where it is a comment: an
+    OpenMetrics parser demands the unit as the family name's suffix.
     """
     lines: list[str] = []
+
+    def metadata(family: str, name: str, kind: str) -> None:
+        signal = SIGNALS.resolve(name)
+        if signal is None:  # a snapshot of some other registry
+            lines.append(f"# HELP {family} {kind.capitalize()} {name}")
+        else:
+            lines.append(f"# HELP {family} {signal.help} ({name})")
+            if not openmetrics:
+                lines.append(f"# UNIT {family} {signal.unit}")
+        lines.append(f"# TYPE {family} {kind}")
+
     for name, value in snapshot.get("counters", {}).items():
         metric = sanitize_metric_name(name, prefix) + "_total"
         # OpenMetrics names the counter *family* without _total; the
         # sample line keeps the suffix in both formats.
-        family = metric[: -len("_total")] if openmetrics else metric
-        lines.append(f"# HELP {family} Counter {name}")
-        lines.append(f"# TYPE {family} counter")
+        metadata(metric[: -len("_total")] if openmetrics else metric,
+                 name, "counter")
         lines.append(f"{metric} {_fmt(value)}")
     for name, value in snapshot.get("gauges", {}).items():
         metric = sanitize_metric_name(name, prefix)
-        lines.append(f"# HELP {metric} Gauge {name}")
-        lines.append(f"# TYPE {metric} gauge")
+        metadata(metric, name, "gauge")
         lines.append(f"{metric} {_fmt(value)}")
     for name, summary in snapshot.get("histograms", {}).items():
         metric = sanitize_metric_name(name, prefix)
         count = summary.get("count", 0)
         total = summary.get("mean", 0.0) * count
-        if "buckets" in summary:
-            lines.append(f"# HELP {metric} Histogram {name}")
-            lines.append(f"# TYPE {metric} histogram")
-            # Per-bucket exemplars (OpenMetrics: `... # {trace_id="..."} v`)
-            # keyed by the same formatted `le` the bucket line will use.
-            # Only legal in the OpenMetrics format, never in 0.0.4.
-            exemplars: dict[str, tuple[str, float]] = {}
-            if openmetrics:
-                for bound, trace_id, value in summary.get("exemplars", ()):
-                    le = "+Inf" if bound == "+Inf" else _fmt(float(bound))
-                    exemplars[le] = (str(trace_id), float(value))
-            saw_inf = False
-            for bound, cumulative in summary["buckets"]:
+        metadata(metric, name, "histogram")
+        # Per-bucket exemplars (OpenMetrics: `... # {trace_id="..."} v`)
+        # keyed by the same formatted `le` the bucket line will use.
+        # Only legal in the OpenMetrics format, never in 0.0.4.
+        exemplars: dict[str, tuple[str, float]] = {}
+        if openmetrics:
+            for bound, trace_id, value in summary.get("exemplars", ()):
                 le = "+Inf" if bound == "+Inf" else _fmt(float(bound))
-                saw_inf = saw_inf or le == "+Inf"
-                line = f'{metric}_bucket{{le="{le}"}} {cumulative}'
-                exemplar = exemplars.get(le)
-                if exemplar is not None:
-                    trace_id, value = exemplar
-                    line += f' # {{trace_id="{trace_id}"}} {_fmt(value)}'
-                lines.append(line)
-            if not saw_inf:
-                # The +Inf bucket is mandatory in the exposition format.
-                lines.append(f'{metric}_bucket{{le="+Inf"}} {count}')
-            lines.append(f"{metric}_sum {_fmt(total)}")
-            lines.append(f"{metric}_count {count}")
-            continue
-        lines.append(f"# HELP {metric} Histogram {name}")
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f'{metric}{{quantile="0.5"}} {_fmt(summary.get("p50", 0.0))}')
-        lines.append(f'{metric}{{quantile="0.95"}} {_fmt(summary.get("p95", 0.0))}')
+                exemplars[le] = (str(trace_id), float(value))
+        saw_inf = False
+        for bound, cumulative in summary.get("buckets", ()):
+            le = "+Inf" if bound == "+Inf" else _fmt(float(bound))
+            saw_inf = saw_inf or le == "+Inf"
+            line = f'{metric}_bucket{{le="{le}"}} {cumulative}'
+            exemplar = exemplars.get(le)
+            if exemplar is not None:
+                trace_id, value = exemplar
+                line += f' # {{trace_id="{trace_id}"}} {_fmt(value)}'
+            lines.append(line)
+        if not saw_inf:
+            # The +Inf bucket is mandatory in the exposition format.
+            lines.append(f'{metric}_bucket{{le="+Inf"}} {count}')
         lines.append(f"{metric}_sum {_fmt(total)}")
         lines.append(f"{metric}_count {count}")
     if openmetrics:

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.telemetry import context as trace_context
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profile import KernelProfiler
+from repro.telemetry.metrics import LogHistogram, MetricsRegistry
+from repro.telemetry.signals import SIGNALS
 
 __all__ = [
     "EventRecord",
@@ -64,7 +64,7 @@ __all__ = [
     "event",
     "gauge",
     "get",
-    "observe",
+    "kernel_percentile",
     "span",
 ]
 
@@ -255,11 +255,9 @@ class Recorder:
         self._ids = itertools.count(1)
         self._thread = _ThreadState()
         self._recorded = 0
-        #: Metric instruments riding along with the trace.
-        self.metrics = MetricsRegistry()
-        #: Per-kernel continuous profiles, fed by every completed
-        #: offload through :func:`repro.telemetry.sampling.complete_offload`.
-        self.profiles = KernelProfiler()
+        #: The one aggregate store: every counter, gauge and histogram
+        #: of this process, each declared in :mod:`repro.telemetry.signals`.
+        self.metrics = MetricsRegistry(SIGNALS)
         #: Head sampler consulted by the runtime when minting a trace
         #: (``None`` means record everything, the pre-sampling default).
         self.sampler: Any = None
@@ -276,6 +274,8 @@ class Recorder:
         # here, so the registry lookup is paid once per phase name, not
         # once per span.
         self._phase_hists: dict[str, Any] = {}
+        # The same per kernel, for ``kernel.<kernel>.offload``.
+        self._kernel_hists: dict[str, LogHistogram] = {}
         #: Clock reading (ns) at the recorder's creation; exporters use
         #: it as the zero point of the trace timeline.
         self.epoch_ns = self._clock()
@@ -327,6 +327,14 @@ class Recorder:
         with self._lock:
             self._ring.append(record)
             self._recorded += 1
+
+    def kernel_offload(self, kernel: str) -> LogHistogram:
+        """``kernel.<kernel>.offload``, resolved once per kernel."""
+        hist = self._kernel_hists.get(kernel)
+        if hist is None:
+            hist = self._kernel_hists[kernel] = self.metrics.log_histogram(
+                f"kernel.{kernel}.offload")
+        return hist
 
     def span(self, name: str, category: str = "offload",
              **attrs: Any) -> "_Span | _NoopSpan":
@@ -527,11 +535,16 @@ def gauge(name: str, value: float) -> None:
         recorder.metrics.gauge(name).set(value)
 
 
-def observe(name: str, value: float) -> None:
-    """Feed a histogram metric (no-op while disabled)."""
+def kernel_percentile(kernel: str, q: float, min_samples: int) -> float | None:
+    """The ``q``-th percentile (seconds) of ``kernel``'s round trips, or
+    ``None`` while telemetry is off or fewer than ``min_samples`` were
+    seen — QoS deadline admission and the hedger's trigger then decide
+    without an estimate."""
     recorder = _RECORDER
-    if recorder is not None:
-        recorder.metrics.histogram(name).observe(value)
+    hist = recorder._kernel_hists.get(kernel) if recorder is not None else None
+    if hist is None or hist.count < min_samples:
+        return None
+    return hist.percentile(q)
 
 
 def current_span_id() -> int:

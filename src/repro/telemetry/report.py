@@ -38,7 +38,7 @@ import json
 import time as _time
 from collections import Counter as _TallyCounter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.bench.tables import format_time, render_table
 from repro.telemetry import flightrecorder
@@ -49,8 +49,7 @@ from repro.telemetry.export import (
     durations_by_name,
     load_any,
 )
-from repro.telemetry.metrics import percentile
-from repro.telemetry.profile import KernelProfiler, render_profile_table
+from repro.telemetry.metrics import MetricsRegistry, percentile
 
 __all__ = [
     "main",
@@ -59,6 +58,7 @@ __all__ = [
     "render_critical_paths",
     "render_per_message",
     "render_profile",
+    "render_profile_table",
     "render_report",
     "summarize",
 ]
@@ -166,25 +166,28 @@ def render_critical_paths(records: Sequence[Record]) -> str:
     return "\n\n".join(blocks)
 
 
+#: Phase (and series leaf) of the whole issue->result round trip.
+TOTAL_PHASE = "offload"
+
+
 def profile_from_records(records: Sequence[Record]) -> dict[str, Any]:
-    """Reconstruct per-kernel profiles from a trace file's records.
+    """Fill the per-kernel series from a trace file's records.
 
-    The live system folds completions into
-    :class:`~repro.telemetry.profile.KernelProfiler` as they happen;
-    offline, the same aggregation is rebuilt per distributed trace: the
-    kernel name comes from the ``offload.serialize`` span's ``functor``
-    attribute (falling back to the execute span's ``handler``), the
-    round trip is the trace's wall extent, and every span feeds its
-    phase histogram. Untraced records (no ``trace_id``) contribute
-    nothing — they cannot be attributed to a kernel.
-
-    Each kernel summary also carries an ``exemplar``: the trace id and
-    round-trip time of that kernel's *slowest* observed offload, so the
-    percentile row links straight to one concrete trace the operator
-    can pull from the file (mirroring the OpenMetrics bucket exemplars
-    on the live ``/metrics`` endpoint).
+    The live recorder folds completions into ``kernel.<kernel>.offload``
+    / ``.errors`` / ``.bytes`` / ``.<phase>`` as they happen
+    (:mod:`repro.telemetry.signals`); offline the same names are filled
+    per distributed trace: the kernel name comes from the
+    ``offload.serialize`` span's ``functor`` attribute (falling back to
+    the execute span's ``handler``), the round trip is the trace's wall
+    extent, and every span feeds its phase histogram. Untraced records
+    (no ``trace_id``) contribute nothing — they cannot be attributed to
+    a kernel. Returned grouped: ``{kernel: {"kernel", "count", "errors",
+    "bytes", "phases": {phase: summary}, "exemplar"}}``, the ``exemplar``
+    being the trace id and round-trip time of the kernel's *slowest*
+    offload, so a percentile row links to one concrete trace in the file.
     """
-    profiler = KernelProfiler()
+    registry = MetricsRegistry()
+    phases: dict[str, dict[str, Any]] = {}
     slowest: dict[str, tuple[int, str]] = {}
     for trace_id, group in group_by_trace(records).items():
         spans = [r for r in group if r.kind == "span"]
@@ -203,19 +206,65 @@ def profile_from_records(records: Sequence[Record]) -> dict[str, Any]:
                 error = True
         kernel = kernel or "<unknown>"
         total_ns = max(s.end_ns for s in spans) - min(s.start_ns for s in spans)
-        profiler.record(kernel, total_ns, error=error)
-        if nbytes:
-            profiler.add_bytes(kernel, nbytes)
-        for span in spans:
-            profiler.record_phase(kernel, span.name, span.duration_ns)
+        registry.counter(f"kernel.{kernel}.errors").inc(error)  # 0 or 1
+        registry.counter(f"kernel.{kernel}.bytes").inc(nbytes)
+        hists = phases.setdefault(kernel, {})
+        for phase, duration_ns in [(TOTAL_PHASE, total_ns)] + [
+                (span.name, span.duration_ns) for span in spans]:
+            hists[phase] = registry.log_histogram(f"kernel.{kernel}.{phase}")
+            hists[phase].observe(duration_ns / 1e9)
         if trace_id and total_ns >= slowest.get(kernel, (-1, ""))[0]:
             slowest[kernel] = (total_ns, str(trace_id))
-    snapshot = profiler.snapshot()
-    for kernel, (total_ns, trace_id) in slowest.items():
-        snapshot[kernel]["exemplar"] = {
-            "trace_id": trace_id, "total_ns": total_ns,
+    counters = registry.snapshot()["counters"]
+    snapshot: dict[str, Any] = {}
+    for kernel, hists in sorted(phases.items()):
+        snapshot[kernel] = {
+            "kernel": kernel,
+            "count": hists[TOTAL_PHASE].count,
+            "errors": counters[f"kernel.{kernel}.errors"],
+            "bytes": counters[f"kernel.{kernel}.bytes"],
+            "phases": {p: h.summary() for p, h in sorted(hists.items())},
         }
+        if kernel in slowest:
+            total_ns, trace_id = slowest[kernel]
+            snapshot[kernel]["exemplar"] = {
+                "trace_id": trace_id, "total_ns": total_ns,
+            }
     return snapshot
+
+
+def render_profile_table(
+    snapshot: Mapping[str, Mapping[str, Any]], *, sort_by: str = "total"
+) -> str:
+    """Rank kernels by total or tail time for ``report.py --profile``.
+
+    ``snapshot`` is :func:`profile_from_records` output. Sorting is by
+    cumulative wall time in the ``offload`` phase (``sort_by="total"``)
+    or by its p99 (``sort_by="tail"``); the ``slowest_trace`` column
+    links each row to one concrete trace.
+    """
+    if sort_by not in ("total", "tail"):
+        raise ValueError(f"sort_by must be 'total' or 'tail', got {sort_by!r}")
+
+    def _key(summary: Mapping[str, Any]) -> float:
+        total = summary["phases"][TOTAL_PHASE]
+        return total["p99"] if sort_by == "tail" else total["mean"] * total["count"]
+
+    rows = []
+    for summary in sorted(snapshot.values(), key=_key, reverse=True):
+        total = summary["phases"][TOTAL_PHASE]
+        rows.append({
+            "kernel": summary["kernel"],
+            "count": summary["count"],
+            "errors": summary["errors"],
+            "bytes": f"{summary['bytes']:,}",
+            "total_s": f"{total['mean'] * total['count']:.4f}",
+            "p50_ms": f"{total['p50'] * 1e3:.3f}",
+            "p95_ms": f"{total['p95'] * 1e3:.3f}",
+            "p99_ms": f"{total['p99'] * 1e3:.3f}",
+            "slowest_trace": summary.get("exemplar", {}).get("trace_id", "-")[:16],
+        })
+    return render_table(rows) if rows else "no kernel profiles recorded"
 
 
 def render_profile(records: Sequence[Record], sort_by: str = "total") -> str:

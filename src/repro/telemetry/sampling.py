@@ -21,8 +21,8 @@ collectors do it:
   only).
 
 :func:`complete_offload` is the single completion hook the runtime
-calls for every finished offload — it feeds the per-kernel profiler,
-the SLO monitor and the tail pipeline, sampled or not.
+calls for every finished offload — it feeds the kernel's round-trip
+histogram, the SLO monitor and the tail pipeline, sampled or not.
 """
 
 from __future__ import annotations
@@ -174,9 +174,10 @@ class TailPipeline:
 
         Sampled traces only feed the rolling duration window (their
         spans already live in the ring). Unsampled traces pop their
-        staged records, attribute their phase durations to ``kernel``'s
-        profile, and are promoted into the ring when errored or slower
-        than the window's tail threshold, dropped otherwise.
+        staged records, attribute their phase durations to ``kernel``
+        (``kernel.<kernel>.<phase>``), and are promoted into the ring
+        when errored or slower than the window's tail threshold, dropped
+        otherwise.
         """
         duration = float(duration_ns)
         with self._lock:
@@ -193,9 +194,9 @@ class TailPipeline:
         if kernel:
             for record in staged:
                 if record.kind == "span":
-                    recorder.profiles.record_phase(
-                        kernel, record.name, record.duration_ns
-                    )
+                    recorder.metrics.log_histogram(
+                        f"kernel.{kernel}.{record.name}"
+                    ).observe(record.duration_ns / 1e9)
         slow = threshold is not None and duration > threshold
         if not (error or slow):
             recorder.metrics.counter("trace.tail_dropped").inc()
@@ -234,8 +235,9 @@ def complete_offload(
     """Fold one finished offload into every aggregate consumer.
 
     Called by the runtime/future layer exactly once per completed
-    offload (sampled or not): per-kernel profile, SLO windows, and the
-    tail pipeline's keep/drop verdict. A no-op while telemetry is off.
+    offload (sampled or not): ``kernel.<kernel>.offload`` (and
+    ``.errors``), SLO windows, and the tail pipeline's keep/drop verdict.
+    A no-op while telemetry is off.
     ``tenant`` (when the QoS layer tagged the offload) routes the
     observation into that tenant's own SLO windows as well. ``node``
     (the target the invocation was posted to) additionally feeds the
@@ -248,7 +250,10 @@ def complete_offload(
         recorder = recorder_mod.get()
     if recorder is None:
         return
-    recorder.profiles.record(kernel or "<anonymous>", duration_ns, error=error)
+    name = kernel or "<anonymous>"
+    recorder.kernel_offload(name).observe(duration_ns / 1e9)
+    if error:
+        recorder.metrics.counter(f"kernel.{name}.errors").inc()
     if node is not None and getattr(recorder, "tsdb", None) is not None:
         recorder.metrics.log_histogram(f"target.reply.{node}").observe(
             duration_ns / 1e9

@@ -220,12 +220,7 @@ class SLOMonitor:
         for state in self._states.values():
             phase_states = self._by_phase.get(state.slo.phase, ())
             self._by_phase[state.slo.phase] = phase_states + (state,)
-            if metrics is not None:
-                state.gauges = (
-                    metrics.gauge(f"slo.{state.slo.name}.fast_burn"),
-                    metrics.gauge(f"slo.{state.slo.name}.slow_burn"),
-                    metrics.gauge(f"slo.{state.slo.name}.breached"),
-                )
+            state.gauges = self._gauges(state.slo.name)
         #: The phases some objective listens to; the recorder's span
         #: fold asks before it calls :meth:`observe`.
         self.phases = frozenset(self._by_phase)
@@ -233,6 +228,13 @@ class SLOMonitor:
     @property
     def slos(self) -> tuple[SLO, ...]:
         return tuple(state.slo for state in self._states.values())
+
+    def _gauges(self, name: str) -> tuple[Any, Any, Any] | None:
+        if self.metrics is None:
+            return None
+        return (self.metrics.gauge(f"slo.{name}.fast_burn"),
+                self.metrics.gauge(f"slo.{name}.slow_burn"),
+                self.metrics.gauge(f"slo.{name}.breached"))
 
     # -- feeding -----------------------------------------------------------
     def _tenant_state_locked(
@@ -249,13 +251,7 @@ class SLOMonitor:
             tstate = self._tenant_states[key] = _SLOState(
                 state.slo, self._fast_window, self._slow_window
             )
-            if self.metrics is not None:
-                prefix = f"slo.{state.slo.name}.tenant.{tenant}"
-                tstate.gauges = (
-                    self.metrics.gauge(f"{prefix}.fast_burn"),
-                    self.metrics.gauge(f"{prefix}.slow_burn"),
-                    self.metrics.gauge(f"{prefix}.breached"),
-                )
+            tstate.gauges = self._gauges(f"{state.slo.name}.tenant.{tenant}")
         return tstate
 
     def _fold_locked(

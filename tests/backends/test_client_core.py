@@ -110,6 +110,18 @@ class TestDispatchReply:
         assert client.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
 
 
+def test_reading_stats_records_nothing(client):
+    """``stats()`` is a getter — its dict is what ``top``, the Scoreboard
+    and crash bundles read — and a traced offload mirrors no transport
+    depth onto a gauge either: the registry holds no gauge afterwards."""
+    assert client.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+    stats = client.backend.stats()
+    assert stats["pending_replies"] == 0 and stats["invokes_posted"] == 1
+    recorder = telemetry.get()
+    if recorder is not None:
+        assert recorder.metrics.snapshot()["gauges"] == {}
+
+
 def test_backend_keeps_a_shared_key_instance_dict(client):
     """CPython shares instance-dict keys up to 30 attributes; one more and
     every ``self.x`` of the hot path slows down (ShmBackend with 32 read

@@ -3,8 +3,8 @@
 Staged entirely in-process: :class:`ThreadedStubBackend` gives each
 target its own delay, so a slow primary and a fast secondary race
 deterministically. The hedge trigger is seeded by feeding the kernel's
-profile directly (``recorder.profiles.record``) — the same histogram the
-live trigger reads.
+round-trip histogram directly (``recorder.kernel_offload``) — the same
+``kernel.<kernel>.offload`` series the live trigger reads.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _seed_profile(kernel: str, seconds: float, samples: int = 10) -> None:
     """Make ``kernel``'s rolling p99 ≈ ``seconds``."""
     recorder = telemetry.enable()
     for _ in range(samples):
-        recorder.profiles.record(kernel, int(seconds * 1e9))
+        recorder.kernel_offload(kernel).observe(seconds)
 
 
 @pytest.fixture(autouse=True)

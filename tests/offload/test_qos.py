@@ -257,7 +257,7 @@ class TestAdmission:
     def test_profiled_estimator_reads_live_profile(self):
         recorder = telemetry.enable()
         for _ in range(20):
-            recorder.profiles.record("hot", 100_000_000)  # 0.1 s each
+            recorder.kernel_offload("hot").observe(0.1)  # 0.1 s each
         admission = AdmissionController(
             QoSConfig(admission_min_samples=10)
         )

@@ -53,11 +53,12 @@ class TestLocalBackendPhases:
         for _ in range(3):
             rt.sync(1, f2f(apps.empty_kernel))
         rt.shutdown()
-        counters = rec.metrics.snapshot()["counters"]
-        assert counters["offload.issued"] == 3
-        assert counters["offload.completed"] == 3
-        assert counters["execute.messages"] == 3
-        assert counters["future.settled"] == 3
+        snapshot = rec.metrics.snapshot()
+        assert snapshot["counters"]["offload.issued"] == 3
+        assert snapshot["counters"]["future.settled"] == 3
+        kernel = f2f(apps.empty_kernel).type_name
+        assert snapshot["histograms"][f"kernel.{kernel}.offload"]["count"] == 3
+        assert f"kernel.{kernel}.errors" not in snapshot["counters"]
 
     def test_data_transfer_spans_and_byte_counters(self):
         rec = telemetry.enable()
@@ -67,14 +68,13 @@ class TestLocalBackendPhases:
         out = np.empty(32)
         rt.get(ptr, out)
         rt.free(ptr)
+        assert rt.stats()["live_buffers"] == 0
         rt.shutdown()
         names = {r.name for r in rec.spans()}
         assert {"offload.allocate", "data.put", "data.get", "offload.free"} <= names
         counters = rec.metrics.snapshot()["counters"]
         assert counters["data.bytes_put"] == 32 * 8
         assert counters["data.bytes_got"] == 32 * 8
-        assert counters["buffers.allocated"] == 1
-        assert counters["buffers.freed"] == 1
 
     def test_remote_error_tagged_on_execute_span(self):
         rec = telemetry.enable()
@@ -82,8 +82,11 @@ class TestLocalBackendPhases:
         with pytest.raises(Exception, match="boom"):
             rt.sync(1, f2f(apps.raise_value_error, "boom"))
         rt.shutdown()
+        (execute,) = rec.spans("offload.execute")
+        assert execute.attrs["error"] == "ValueError"
+        kernel = f2f(apps.raise_value_error, "boom").type_name
         counters = rec.metrics.snapshot()["counters"]
-        assert counters["execute.errors"] == 1
+        assert counters[f"kernel.{kernel}.errors"] == 1
 
     def test_disabled_telemetry_leaves_no_trace(self):
         rt = Runtime(LocalBackend())
@@ -121,7 +124,7 @@ class TestFaultAndResilienceEvents:
         rt.shutdown()
         (event,) = rec.events("fault.injected")
         assert event.attrs["kind"] == "drop"
-        assert rec.metrics.snapshot()["counters"]["faults.injected"] == 1
+        assert backend.stats()["faults_injected"] == 1
 
     def test_retry_emits_resilience_events(self):
         rec = telemetry.enable()
@@ -132,8 +135,7 @@ class TestFaultAndResilienceEvents:
         assert rt.sync(1, f2f(apps.add, 1, 1), idempotent=True) == 2
         rt.shutdown()
         assert rec.events("resilience.retry")
-        counters = rec.metrics.snapshot()["counters"]
-        assert counters["offload.retries"] >= 1
+        assert rt.stats()["retries"] >= 1
 
     def test_health_transitions_emit_events(self):
         rec = telemetry.enable()

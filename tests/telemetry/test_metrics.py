@@ -8,7 +8,6 @@ import pytest
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     percentile,
 )
@@ -64,43 +63,18 @@ class TestGauge:
         assert g.value == 7.5
 
 
-class TestHistogram:
-    def test_summary(self):
-        h = Histogram()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            h.observe(v)
-        s = h.summary()
-        assert s["count"] == 4
-        assert s["mean"] == pytest.approx(2.5)
-        assert s["min"] == 1.0
-        assert s["max"] == 4.0
-        assert s["p50"] == pytest.approx(2.5)
-
-    def test_empty_summary(self):
-        assert Histogram().summary()["count"] == 0
-
-    def test_window_wraps_but_lifetime_counts(self):
-        h = Histogram(maxlen=2)
-        for v in [1.0, 2.0, 3.0]:
-            h.observe(v)
-        s = h.summary()
-        assert s["count"] == 3
-        assert s["mean"] == pytest.approx(2.0)  # lifetime mean
-        assert s["min"] == 2.0  # window dropped the 1.0
-
-
 class TestRegistry:
     def test_get_or_create(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
+        assert reg.log_histogram("c") is reg.log_histogram("c")
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("offload.issued").inc(2)
         reg.gauge("queue.depth").set(3)
-        reg.histogram("latency").observe(0.5)
+        reg.log_histogram("latency").observe(0.5)
         snap = reg.snapshot()
         assert snap["counters"] == {"offload.issued": 2}
         assert snap["gauges"] == {"queue.depth": 3.0}

@@ -13,6 +13,8 @@ import urllib.request
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.promexport import MetricsServer
+from repro.telemetry.recorder import Recorder
+from repro.telemetry.sampling import complete_offload
 
 SCRAPERS = 4
 SCRAPES_PER_THREAD = 25
@@ -35,7 +37,6 @@ def test_concurrent_scrapes_while_registry_mutates():
                 hist = reg.log_histogram(
                     f"target.reply.{i % 3 + 1}", exemplars=True)
                 hist.observe(0.001 * (i % 50 + 1), trace_id=f"{i:08x}")
-                reg.histogram("offload.sync.time").observe(0.001 * (i % 9))
         except BaseException as exc:  # noqa: BLE001 - reported by the test
             mutator_error.append(exc)
 
@@ -134,12 +135,9 @@ def test_racing_first_use_gets_one_instrument_and_loses_nothing():
     assert len(snap["counters"]) == len(snap["histograms"]) == rounds
 
 
-def test_forced_first_use_race_still_mints_one_instrument():
-    """The same race, forced: every thread reads "missing" before any of
-    them creates. Only the re-check under the registry lock keeps that to
-    one instrument per name."""
-    threads = 4
-    reg = MetricsRegistry()
+def _racy_dict(threads: int) -> type[dict]:
+    """A dict whose ``get`` holds every miss until all ``threads`` have
+    missed (or half a second passed): the forced first-use race."""
     barrier = threading.Barrier(threads)
 
     class Racy(dict):
@@ -152,6 +150,16 @@ def test_forced_first_use_race_still_mints_one_instrument():
                     pass
             return value
 
+    return Racy
+
+
+def test_forced_first_use_race_still_mints_one_instrument():
+    """The same race, forced: every thread reads "missing" before any of
+    them creates. Only the re-check under the registry lock keeps that to
+    one instrument per name."""
+    threads = 4
+    reg = MetricsRegistry()
+    Racy = _racy_dict(threads)
     reg._counters, reg._gauges, reg._histograms = Racy(), Racy(), Racy()
     got: list[tuple[int, int, int]] = []
 
@@ -175,3 +183,31 @@ def test_forced_first_use_race_still_mints_one_instrument():
     assert snap["counters"] == {"c": threads}
     assert snap["gauges"] == {"g": float(threads)}
     assert snap["histograms"]["h"]["count"] == threads
+
+
+def test_forced_first_completion_race_mints_one_series_per_kernel():
+    """A kernel's instruments are resolved once per kernel, in a cache
+    beside the registry: completions of a new kernel that all miss the
+    cache (and the registry) together must still land in one
+    ``kernel.<k>.offload`` and one ``kernel.<k>.errors``."""
+    threads = 4
+    rec = Recorder()
+    Racy = _racy_dict(threads)
+    rec._kernel_hists = Racy()
+    rec.metrics._counters, rec.metrics._histograms = Racy(), Racy()
+
+    def complete():
+        complete_offload(None, kernel="k", duration_ns=1_000_000, error=True,
+                         recorder=rec)
+
+    workers = [threading.Thread(target=complete) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "worker wedged"
+    snap = rec.metrics.snapshot()
+    assert snap["histograms"]["kernel.k.offload"]["count"] == threads
+    assert snap["counters"] == {"kernel.k.errors": threads}
+    assert rec.kernel_offload("k") is rec.metrics.log_histogram(
+        "kernel.k.offload")

@@ -24,7 +24,6 @@ class TestDisabledPath:
             with telemetry.span("s", i=i):
                 telemetry.event("e")
                 telemetry.count("c")
-                telemetry.observe("h", 0.1)
         rec = telemetry.enable()
         assert rec.records() == []
         assert rec.recorded == 0

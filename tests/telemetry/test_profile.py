@@ -1,13 +1,10 @@
-"""Log-bucketed histograms and continuous per-kernel profiles."""
+"""Log-bucketed histograms and the per-kernel ``report --profile`` table."""
 
 import pytest
 
 from repro.telemetry.metrics import LogHistogram, MetricsRegistry
-from repro.telemetry.profile import (
-    KernelProfile,
-    KernelProfiler,
-    render_profile_table,
-)
+from repro.telemetry.report import render_profile_table
+from repro.telemetry.signals import SIGNALS
 
 
 class TestLogHistogram:
@@ -67,80 +64,29 @@ class TestLogHistogram:
         assert counts == [1, 2, 3, 4]
 
     def test_registry_get_or_create_and_type_guard(self):
-        reg = MetricsRegistry()
+        reg = MetricsRegistry(SIGNALS)
         hist = reg.log_histogram("phase.offload.offload")
         assert reg.log_histogram("phase.offload.offload") is hist
-        with pytest.raises(TypeError, match="log histogram"):
-            reg.histogram("phase.offload.offload")
-        reg.histogram("ring")
-        with pytest.raises(TypeError, match="ring histogram"):
-            reg.log_histogram("ring")
-
-
-class TestKernelProfile:
-    def test_record_accumulates(self):
-        prof = KernelProfile("axpy")
-        prof.record(1_000_000)
-        prof.record(3_000_000, error=True)
-        prof.add_bytes(4096)
-        summary = prof.summary()
-        assert summary["kernel"] == "axpy"
-        assert summary["count"] == 2
-        assert summary["errors"] == 1
-        assert summary["bytes"] == 4096
-        total = summary["phases"]["offload"]
-        assert total["count"] == 2
-        assert total["mean"] == pytest.approx(0.002)
-
-    def test_record_phase_keeps_streams_separate(self):
-        prof = KernelProfile("axpy")
-        prof.record(2_000_000)
-        prof.record_phase("offload.execute", 1_000_000)
-        phases = prof.summary()["phases"]
-        assert set(phases) == {"offload", "offload.execute"}
-        # phase folds don't inflate the offload count
-        assert prof.summary()["count"] == 1
-
-
-class TestKernelProfiler:
-    def test_get_or_create_by_kernel(self):
-        profiler = KernelProfiler()
-        assert profiler.profile("a") is profiler.profile("a")
-        assert profiler.profile("a") is not profiler.profile("b")
-
-    def test_snapshot_sorted_by_kernel(self):
-        profiler = KernelProfiler()
-        profiler.record("zeta", 1000)
-        profiler.record("alpha", 1000)
-        assert list(profiler.snapshot()) == ["alpha", "zeta"]
-
-    def test_metric_series_names(self):
-        profiler = KernelProfiler()
-        profiler.record("axpy", 1_000_000)
-        profiler.record_phase("axpy", "offload.execute", 500_000)
-        series = profiler.metric_series()
-        assert set(series) == {
-            "kernel.axpy.offload", "kernel.axpy.offload.execute",
-        }
-        assert series["kernel.axpy.offload"]["count"] == 1
-        assert series["kernel.axpy.offload"]["buckets"][-1][0] == "+Inf"
-
-    def test_clear(self):
-        profiler = KernelProfiler()
-        profiler.record("axpy", 1000)
-        profiler.clear()
-        assert profiler.snapshot() == {}
+        with pytest.raises(TypeError, match="declared as a histogram"):
+            reg.counter("phase.offload.offload")
+        with pytest.raises(TypeError, match="declared as a counter"):
+            reg.log_histogram("offload.issued")
 
 
 class TestRenderProfileTable:
     @staticmethod
     def _snapshot(*specs):
-        """specs: (name, durations_ns...) -> profiler snapshot."""
-        profiler = KernelProfiler()
+        """specs: (name, durations_ns...) -> ``profile_from_records`` shape."""
+        snapshot = {}
         for name, *durations in specs:
+            hist = LogHistogram()
             for duration in durations:
-                profiler.record(name, duration)
-        return profiler.snapshot()
+                hist.observe(duration / 1e9)
+            snapshot[name] = {
+                "kernel": name, "count": hist.count, "errors": 0, "bytes": 0,
+                "phases": {"offload": hist.summary()},
+            }
+        return snapshot
 
     def test_empty_snapshot_message(self):
         assert render_profile_table({}) == "no kernel profiles recorded"
@@ -159,8 +105,3 @@ class TestRenderProfileTable:
         by_tail = render_profile_table(snapshot, sort_by="tail").splitlines()
         assert by_total[2].startswith("many_fast")
         assert by_tail[2].startswith("few_slow")
-
-    def test_limit_truncates_rows(self):
-        snapshot = self._snapshot(("a", 1000), ("b", 1000), ("c", 1000))
-        table = render_profile_table(snapshot, limit=1)
-        assert len(table.splitlines()) == 3  # header + rule + one row

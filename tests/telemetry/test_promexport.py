@@ -33,8 +33,8 @@ class TestToPrometheus:
     def registry(self):
         reg = MetricsRegistry()
         reg.counter("offload.issued").inc(5)
-        reg.gauge("tcp.pending_replies").set(1.5)
-        hist = reg.histogram("phase.offload.execute")
+        reg.gauge("reactor.loop_lag_us").set(1.5)
+        hist = reg.log_histogram("phase.offload.execute")
         for value in (0.010, 0.020, 0.030):
             hist.observe(value)
         return reg
@@ -46,19 +46,22 @@ class TestToPrometheus:
 
     def test_gauge_rendering(self, registry):
         text = to_prometheus(registry.snapshot())
-        assert "# TYPE repro_tcp_pending_replies gauge" in text
-        assert "repro_tcp_pending_replies 1.5" in text
+        assert "# TYPE repro_reactor_loop_lag_us gauge" in text
+        assert "repro_reactor_loop_lag_us 1.5" in text
 
-    def test_histogram_as_summary(self, registry):
+    def test_help_and_unit_come_from_the_signal_table(self, registry):
         text = to_prometheus(registry.snapshot())
-        assert "# TYPE repro_phase_offload_execute summary" in text
-        assert 'repro_phase_offload_execute{quantile="0.5"} 0.02' in text
-        assert 'repro_phase_offload_execute{quantile="0.95"}' in text
-        assert "repro_phase_offload_execute_count 3" in text
-        # _sum reconstructed as mean * count (exact).
-        sum_line = next(line for line in text.splitlines()
-                        if line.startswith("repro_phase_offload_execute_sum"))
-        assert float(sum_line.split()[1]) == pytest.approx(0.060)
+        assert ("# HELP repro_offload_issued_total invocations posted to a "
+                "backend (offload.issued)") in text
+        assert "# UNIT repro_offload_issued_total offloads" in text
+        assert "# UNIT repro_phase_offload_execute seconds" in text
+        # An OpenMetrics parser wants the unit as the family's suffix.
+        assert "# UNIT" not in to_prometheus(
+            registry.snapshot(), openmetrics=True)
+        # A snapshot of some other registry still renders.
+        other = to_prometheus({"counters": {"live": 1}})
+        assert "# HELP repro_live_total Counter live" in other
+        assert "# UNIT" not in other
 
     def test_empty_snapshot(self):
         text = to_prometheus({"counters": {}, "gauges": {}, "histograms": {}})
@@ -114,7 +117,7 @@ class TestHistogramBuckets:
 class TestExpositionGrammar:
     """Every line of the full dump obeys the 0.0.4 text format."""
 
-    _COMMENT = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$")
+    _COMMENT = re.compile(r"^# (HELP|TYPE|UNIT) [a-zA-Z_:][a-zA-Z0-9_:]* .+$")
     _SAMPLE = re.compile(
         r"^[a-zA-Z_:][a-zA-Z0-9_:]*"                 # metric name
         r'(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"\})?'     # optional one label
@@ -125,7 +128,6 @@ class TestExpositionGrammar:
         reg = MetricsRegistry()
         reg.counter("offload.issued").inc(3)
         reg.gauge("slo.lat.fast_burn").set(2.5)
-        reg.histogram("ring.phase").observe(0.01)
         log = reg.log_histogram("phase.offload.offload")
         for value in (0.001, 0.2, 40.0):
             log.observe(value)

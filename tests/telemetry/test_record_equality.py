@@ -177,7 +177,8 @@ def test_metrics_snapshot_series_by_series(scripted):
     rec, _ids = scripted
     snap = rec.metrics.snapshot()
     phases = {name: (h["count"], h["exemplars"])
-              for name, h in snap["histograms"].items()}
+              for name, h in snap["histograms"].items()
+              if name.startswith("phase.")}
     # 1 us lands in the first bucket (le = 1e-6), 4 us in the third.
     one_us = STEP / 1e9
     assert phases == {
@@ -192,6 +193,7 @@ def test_metrics_snapshot_series_by_series(scripted):
         "trace.tail_retained": 1,
         "trace.tail_retained_error": 1,
         "trace.tail_dropped": 1,
+        "kernel.k.errors": 1,
     }
     # Three completions, the first one errored: 1 bad of 3 on both
     # objectives, burning a 1 % budget, below min_samples.
@@ -202,9 +204,11 @@ def test_metrics_snapshot_series_by_series(scripted):
         for series, value in (("fast_burn", burn), ("slow_burn", burn),
                               ("breached", 0.0))
     }
-    profile = rec.profiles.snapshot()["k"]
-    assert (profile["count"], profile["errors"]) == (3, 1)
-    assert {phase: h["count"] for phase, h in profile["phases"].items()} == {
+    kernel = {name[len("kernel.k."):]: h["count"]
+              for name, h in snap["histograms"].items()
+              if name.startswith("kernel.k.")}
+    assert (kernel["offload"], snap["counters"]["kernel.k.errors"]) == (3, 1)
+    assert kernel == {
         "offload": 3,
         # Staged spans attribute their phases at the verdict.
         "offload.reply": 1,

@@ -162,7 +162,6 @@ class TestSwitchboard:
         telemetry.event("e")
         telemetry.count("c")
         telemetry.gauge("g", 1.0)
-        telemetry.observe("h", 1.0)
         # Nothing recorded anywhere once enabled afterwards.
         rec = telemetry.enable()
         assert rec.records() == []
@@ -172,12 +171,33 @@ class TestSwitchboard:
         rec = telemetry.enable()
         with telemetry.span("s", node=1):
             telemetry.event("e")
-        telemetry.count("c", 3)
-        telemetry.gauge("g", 2.5)
-        telemetry.observe("h", 0.1)
+        telemetry.count("offload.issued", 3)
+        telemetry.gauge("reactor.loop_lag_us", 2.5)
         assert [r.name for r in rec.spans()] == ["s"]
         assert [r.name for r in rec.events()] == ["e"]
         snap = rec.metrics.snapshot()
-        assert snap["counters"]["c"] == 3
-        assert snap["gauges"]["g"] == 2.5
-        assert snap["histograms"]["h"]["count"] == 1
+        assert snap["counters"]["offload.issued"] == 3
+        assert snap["gauges"]["reactor.loop_lag_us"] == 2.5
+        assert snap["histograms"]["phase.s"]["count"] == 1
+
+    def test_kernel_percentile_needs_a_recorder_and_enough_samples(self):
+        assert telemetry.kernel_percentile("k", 95.0, 1) is None  # off
+        rec = telemetry.enable()
+        assert telemetry.kernel_percentile("k", 95.0, 1) is None  # unseen
+        for _ in range(4):
+            rec.kernel_offload("k").observe(0.25)
+        assert telemetry.kernel_percentile("k", 95.0, 5) is None
+        assert telemetry.kernel_percentile("k", 95.0, 4) == 0.25
+        assert "kernel.other.offload" not in rec.metrics.snapshot()["histograms"]
+
+    def test_undeclared_or_wrong_kind_series_is_refused(self):
+        rec = telemetry.enable()
+        telemetry.count("offload.issued")  # declared: created, then a hit
+        with pytest.raises(LookupError, match="not declared"):
+            telemetry.count("offload.made_up")
+        with pytest.raises(TypeError, match="declared as a counter"):
+            telemetry.gauge("offload.issued", 1.0)
+        with pytest.raises(TypeError, match="declared as a histogram"):
+            rec.metrics.counter("kernel.k.offload")
+        assert rec.metrics.snapshot()["counters"] == {"offload.issued": 1}
+        assert rec.metrics.snapshot()["gauges"] == {}

@@ -172,8 +172,8 @@ class TestTailPipeline:
         ctx = unsampled_ctx()
         pipe.stage(span_for(ctx, name="offload.execute", duration_ns=2000))
         pipe.complete(rec, ctx, duration_ns=4000, kernel="my_kernel")
-        summary = rec.profiles.snapshot()["my_kernel"]
-        assert summary["phases"]["offload.execute"]["count"] == 1
+        hists = rec.metrics.snapshot()["histograms"]
+        assert hists["kernel.my_kernel.offload.execute"]["count"] == 1
 
     def test_clear_resets_staging_and_window(self):
         pipe = TailPipeline()
@@ -200,7 +200,7 @@ class TestCompleteOffload:
             trace_context.new_trace(), kernel="k", duration_ns=500,
             recorder=rec,
         )
-        assert rec.profiles.snapshot()["k"]["count"] == 1
+        assert rec.kernel_offload("k").count == 1
         assert rec.slo.snapshot()["lat"]["bad"] == 1
 
 
@@ -220,9 +220,9 @@ class TestUnsampledOffloadEndToEnd:
             assert counters["future.settled"] == 1
             assert counters["trace.tail_dropped"] == 1
             # ... while every aggregate still saw the offload.
-            (profile,) = rec.profiles.snapshot().values()
-            assert profile["count"] == 1
             hists = rec.metrics.snapshot()["histograms"]
+            kernel = f2f(apps.add, 2, 3).type_name
+            assert hists[f"kernel.{kernel}.offload"]["count"] == 1
             assert any(name.startswith("phase.offload.") for name in hists)
         finally:
             offload_api.finalize()
