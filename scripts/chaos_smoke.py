@@ -316,7 +316,7 @@ def run_anomaly(args: argparse.Namespace) -> int:
     # straggle manifests there deterministically, while the in-flight
     # gauges flicker 0/1 with the sync loop and would add noise.
     tsdb.detector = AnomalyDetector(
-        tsdb.store, prefixes=("target.reply.",),
+        tsdb.store, recorder.metrics, prefixes=("target.reply.",),
         emit=recorder.force_event,
     )
 

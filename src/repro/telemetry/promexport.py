@@ -110,7 +110,7 @@ def to_prometheus(
     lines: list[str] = []
 
     def metadata(family: str, name: str, kind: str) -> None:
-        signal = SIGNALS.resolve(name)
+        signal = SIGNALS.resolve(name, kind)
         if signal is None:  # a snapshot of some other registry
             lines.append(f"# HELP {family} {kind.capitalize()} {name}")
         else:

@@ -38,7 +38,7 @@ import json
 import time as _time
 from collections import Counter as _TallyCounter
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.bench.tables import format_time, render_table
 from repro.telemetry import flightrecorder
@@ -49,7 +49,7 @@ from repro.telemetry.export import (
     durations_by_name,
     load_any,
 )
-from repro.telemetry.metrics import MetricsRegistry, percentile
+from repro.telemetry.metrics import LogHistogram, percentile
 
 __all__ = [
     "main",
@@ -171,12 +171,12 @@ TOTAL_PHASE = "offload"
 
 
 def profile_from_records(records: Sequence[Record]) -> dict[str, Any]:
-    """Fill the per-kernel series from a trace file's records.
+    """Rebuild the per-kernel profiles from a trace file's records.
 
     The live recorder folds completions into ``kernel.<kernel>.offload``
     / ``.errors`` / ``.bytes`` / ``.<phase>`` as they happen
-    (:mod:`repro.telemetry.signals`); offline the same names are filled
-    per distributed trace: the kernel name comes from the
+    (:mod:`repro.telemetry.signals`); offline the same quantities are
+    rebuilt per distributed trace: the kernel name comes from the
     ``offload.serialize`` span's ``functor`` attribute (falling back to
     the execute span's ``handler``), the round trip is the trace's wall
     extent, and every span feeds its phase histogram. Untraced records
@@ -186,8 +186,7 @@ def profile_from_records(records: Sequence[Record]) -> dict[str, Any]:
     being the trace id and round-trip time of the kernel's *slowest*
     offload, so a percentile row links to one concrete trace in the file.
     """
-    registry = MetricsRegistry()
-    phases: dict[str, dict[str, Any]] = {}
+    profiles: dict[str, dict[str, Any]] = {}
     slowest: dict[str, tuple[int, str]] = {}
     for trace_id, group in group_by_trace(records).items():
         spans = [r for r in group if r.kind == "span"]
@@ -206,23 +205,21 @@ def profile_from_records(records: Sequence[Record]) -> dict[str, Any]:
                 error = True
         kernel = kernel or "<unknown>"
         total_ns = max(s.end_ns for s in spans) - min(s.start_ns for s in spans)
-        registry.counter(f"kernel.{kernel}.errors").inc(error)  # 0 or 1
-        registry.counter(f"kernel.{kernel}.bytes").inc(nbytes)
-        hists = phases.setdefault(kernel, {})
+        profile = profiles.setdefault(
+            kernel, {"kernel": kernel, "errors": 0, "bytes": 0, "phases": {}})
+        profile["errors"] += error
+        profile["bytes"] += nbytes
         for phase, duration_ns in [(TOTAL_PHASE, total_ns)] + [
                 (span.name, span.duration_ns) for span in spans]:
-            hists[phase] = registry.log_histogram(f"kernel.{kernel}.{phase}")
-            hists[phase].observe(duration_ns / 1e9)
+            profile["phases"].setdefault(phase, LogHistogram()).observe(
+                duration_ns / 1e9)
         if trace_id and total_ns >= slowest.get(kernel, (-1, ""))[0]:
             slowest[kernel] = (total_ns, str(trace_id))
-    counters = registry.snapshot()["counters"]
     snapshot: dict[str, Any] = {}
-    for kernel, hists in sorted(phases.items()):
+    for kernel, profile in sorted(profiles.items()):
+        hists = profile["phases"]
         snapshot[kernel] = {
-            "kernel": kernel,
-            "count": hists[TOTAL_PHASE].count,
-            "errors": counters[f"kernel.{kernel}.errors"],
-            "bytes": counters[f"kernel.{kernel}.bytes"],
+            **profile, "count": hists[TOTAL_PHASE].count,
             "phases": {p: h.summary() for p, h in sorted(hists.items())},
         }
         if kernel in slowest:
@@ -234,37 +231,68 @@ def profile_from_records(records: Sequence[Record]) -> dict[str, Any]:
 
 
 def render_profile_table(
-    snapshot: Mapping[str, Mapping[str, Any]], *, sort_by: str = "total"
+    snapshot: Mapping[str, Mapping[str, Any]],
+    *,
+    sort_by: str = "total",
+    limit: int | None = None,
 ) -> str:
     """Rank kernels by total or tail time for ``report.py --profile``.
 
-    ``snapshot`` is :func:`profile_from_records` output. Sorting is by
-    cumulative wall time in the ``offload`` phase (``sort_by="total"``)
-    or by its p99 (``sort_by="tail"``); the ``slowest_trace`` column
-    links each row to one concrete trace.
+    ``snapshot`` is :func:`profile_from_records` output (or the same
+    shape reconstructed from JSON). Sorting is by cumulative wall time
+    in the ``offload`` phase (``sort_by="total"``) or by its p99
+    (``sort_by="tail"``). Summaries carrying an ``exemplar`` (the
+    slowest offload's trace id, attached by :func:`profile_from_records`)
+    grow an extra column linking each row to one concrete trace.
     """
     if sort_by not in ("total", "tail"):
         raise ValueError(f"sort_by must be 'total' or 'tail', got {sort_by!r}")
 
-    def _key(summary: Mapping[str, Any]) -> float:
-        total = summary["phases"][TOTAL_PHASE]
-        return total["p99"] if sort_by == "tail" else total["mean"] * total["count"]
+    def _key(item: tuple[str, Mapping[str, Any]]) -> float:
+        summary = item[1].get("phases", {}).get(TOTAL_PHASE, {})
+        if sort_by == "tail":
+            return float(summary.get("p99", 0.0))
+        return float(summary.get("mean", 0.0)) * float(summary.get("count", 0))
 
-    rows = []
-    for summary in sorted(snapshot.values(), key=_key, reverse=True):
-        total = summary["phases"][TOTAL_PHASE]
-        rows.append({
-            "kernel": summary["kernel"],
-            "count": summary["count"],
-            "errors": summary["errors"],
-            "bytes": f"{summary['bytes']:,}",
-            "total_s": f"{total['mean'] * total['count']:.4f}",
-            "p50_ms": f"{total['p50'] * 1e3:.3f}",
-            "p95_ms": f"{total['p95'] * 1e3:.3f}",
-            "p99_ms": f"{total['p99'] * 1e3:.3f}",
-            "slowest_trace": summary.get("exemplar", {}).get("trace_id", "-")[:16],
-        })
-    return render_table(rows) if rows else "no kernel profiles recorded"
+    with_exemplars = any(
+        isinstance(summary.get("exemplar"), Mapping)
+        for summary in snapshot.values()
+    )
+    rows: list[dict[str, str]] = []
+    ranked: Iterable[tuple[str, Mapping[str, Any]]] = sorted(
+        snapshot.items(), key=_key, reverse=True
+    )
+    for name, summary in ranked:
+        total = summary.get("phases", {}).get(TOTAL_PHASE, {})
+        count = int(summary.get("count", 0))
+        mean = float(total.get("mean", 0.0))
+        row = {
+            "kernel": name,
+            "count": str(count),
+            "errors": str(int(summary.get("errors", 0))),
+            "bytes": f"{int(summary.get('bytes', 0)):,}",
+            "total_s": f"{mean * int(total.get('count', 0)):.4f}",
+            "p50_ms": f"{float(total.get('p50', 0.0)) * 1e3:.3f}",
+            "p95_ms": f"{float(total.get('p95', 0.0)) * 1e3:.3f}",
+            "p99_ms": f"{float(total.get('p99', 0.0)) * 1e3:.3f}",
+        }
+        if with_exemplars:
+            exemplar = summary.get("exemplar") or {}
+            trace_id = str(exemplar.get("trace_id", "") or "-")
+            row["slowest_trace"] = trace_id[:16] or "-"
+        rows.append(row)
+    if limit is not None:
+        rows = rows[:limit]
+    if not rows:
+        return "no kernel profiles recorded"
+
+    headers = list(rows[0])
+    widths = {h: max(len(h), *(len(r[h]) for r in rows)) for h in headers}
+    lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
+    lines.append("  ".join("-" * widths[h] for h in headers))
+    for row in rows:
+        lines.append("  ".join(row[h].ljust(widths[h]) for h in headers))
+    return "\n".join(lines)
 
 
 def render_profile(records: Sequence[Record], sort_by: str = "total") -> str:

@@ -9,10 +9,13 @@ a hit. ``# HELP`` / ``# UNIT`` on ``/metrics`` and the "Metrics" table of
 ``docs/observability.md`` (``python -m repro.telemetry.signals``) are
 generated from the same rows.
 
-A row names its consumer: the code that reads the series, or the
-question an operator's scrape answers with it when the number exists
-nowhere else. A series with neither is deleted, not declared
-(``tests/telemetry/test_signals.py`` holds the table to the source).
+One rule decides every row. A series stays when code reads it, when a
+documented procedure names it, or when it is the only place its number
+is held — then the consumer is the operator's scrape and the row says
+what only it answers. A series that mirrors a number a ``stats()`` /
+``snapshot()`` dict or another series already holds is deleted with its
+call sites, not declared (``tests/telemetry/test_signals.py`` holds the
+table to the source).
 """
 
 from __future__ import annotations
@@ -52,28 +55,33 @@ class SignalRegistry:
     def __iter__(self) -> Iterator[SignalDescriptor]:
         return iter(self._signals)
 
-    def resolve(self, name: str) -> SignalDescriptor | None:
-        """The row declaring ``name``, or ``None``."""
+    def resolve(self, name: str, kind: str = "") -> SignalDescriptor | None:
+        """The first row declaring ``name`` (as a ``kind``, if given), or
+        ``None``. Labels are free text, so a name can match rows of two
+        kinds: the span ``copy.bytes`` of kernel ``k`` is the histogram
+        ``kernel.k.copy.bytes`` although ``kernel.<kernel>.bytes`` fits."""
         signal = self._exact.get(name)
-        if signal is not None:
+        if signal is not None and kind in ("", signal.kind):
             return signal
         for prefix, suffix, signal in self._families:
             if (name.startswith(prefix) and name.endswith(suffix)
-                    and len(name) > len(prefix) + len(suffix)):
+                    and len(name) > len(prefix) + len(suffix)
+                    and kind in ("", signal.kind)):
                 return signal
         return None
 
     def check(self, name: str, kind: str) -> None:
-        """Raise unless ``name`` is declared, and as a ``kind``."""
+        """Raise unless some row declares ``name`` as a ``kind``."""
+        if self.resolve(name, kind) is not None:
+            return
         signal = self.resolve(name)
         if signal is None:
             raise LookupError(
                 f"metric series {name!r} is not declared in "
                 "repro.telemetry.signals")
-        if signal.kind != kind:
-            raise TypeError(
-                f"metric series {name!r} is declared as a {signal.kind} "
-                f"({signal.name!r}), not a {kind}")
+        raise TypeError(
+            f"metric series {name!r} is declared as a {signal.kind} "
+            f"({signal.name!r}), not a {kind}")
 
     def markdown(self) -> str:
         """The table as GitHub markdown (``docs/observability.md``)."""
@@ -156,9 +164,14 @@ SIGNALS = SignalRegistry((
          "the same over the slow window", _SLO),
     _ROW("slo.<slo>.breached", "gauge", "bool",
          "1 while both windows burn above the threshold", _SLO),
+    _ROW("anomaly.score.<series>", "gauge", "score",
+         "median/MAD score of a scoreboard series at the last TSDB tick",
+         "docs/observability.md, Anomaly detection: the score below the "
+         "threshold, which `anomalies()` does not list"),
     _ROW("perfbench.probe", "counter", "calls",
          "the benchmark's probe of one `telemetry.count`",
-         "perfbench/layers.py: the `telemetry.count_on_ns` row"),
+         "perfbench/layers.py: the `telemetry.count_on_ns` row (goes once "
+         "the probe counts a product series; perfbench/ is frozen per PR)"),
     # -- latency: per phase, per target, per kernel -------------------------
     _ROW("phase.<span>", "histogram", "seconds",
          "duration of every finished span of that name, sampled or not; "

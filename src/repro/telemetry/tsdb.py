@@ -21,9 +21,9 @@ module adds the missing axis of time at a fixed, tiny cost:
   optional OP_INTROSPECT probes, written as ``target.*.<node>`` series
   following the existing dotted-suffix gauge convention.
 * :class:`AnomalyDetector` — rolling median/MAD scoring over scoreboard
-  series: emits ``telemetry.anomaly`` events, notes the flight recorder
-  (bundle trigger-eligible) and advises the hedger away from anomalous
-  targets.
+  series: emits ``telemetry.anomaly`` events, exposes
+  ``anomaly.score.*`` gauges, notes the flight recorder (bundle
+  trigger-eligible) and advises the hedger away from anomalous targets.
 * :class:`Tsdb` — the assembled sampler: a daemon thread that ticks the
   snapshot + scoreboard + detector; ~zero cost when not installed (the
   recorder's ``tsdb`` attribute stays ``None`` and no thread exists).
@@ -422,13 +422,14 @@ class AnomalyDetector:
     recorder's sampling-proof ``force_event``), notes the flight
     recorder, and — entering only — fires a trigger-eligible crash
     bundle (``telemetry_anomaly``), armed or not being the flight
-    recorder's decision. :meth:`anomalies` lists the active entries
-    with their scores (``/healthz``, ``/introspect``, ``repro top``).
+    recorder's decision. ``anomaly.score.<series>`` gauges expose the
+    live scores for scraping.
     """
 
     def __init__(
         self,
         store: TimeSeriesStore,
+        metrics: MetricsRegistry | None = None,
         *,
         prefixes: Iterable[str] = ("target.",),
         window: float = 60.0,
@@ -438,6 +439,7 @@ class AnomalyDetector:
         emit: Callable[..., None] | None = None,
     ) -> None:
         self.store = store
+        self.metrics = metrics
         self.prefixes = tuple(prefixes)
         self.window = window
         self.min_samples = max(3, min_samples)
@@ -490,6 +492,8 @@ class AnomalyDetector:
             value = self.score(name, now)
             if value is None or not math.isfinite(value):
                 continue
+            if self.metrics is not None:
+                self.metrics.gauge(f"anomaly.score.{name}").set(value)
             with self._lock:
                 active = name in self._active
                 if value >= self.threshold and not active:
@@ -595,7 +599,7 @@ class Tsdb:
         self.store = TimeSeriesStore(retention=retention, max_series=max_series)
         self.scoreboard = Scoreboard(self.store, probe=probe)
         self.detector = detector if detector is not None else AnomalyDetector(
-            self.store, emit=emit)
+            self.store, registry, emit=emit)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         #: Ticks taken so far (tests and introspection).

@@ -113,13 +113,17 @@ class TestDispatchReply:
 def test_reading_stats_records_nothing(client):
     """``stats()`` is a getter — its dict is what ``top``, the Scoreboard
     and crash bundles read — and a traced offload mirrors no transport
-    depth onto a gauge either: the registry holds no gauge afterwards."""
+    depth onto a gauge either. (Other gauges may exist: the shared
+    reactor stores its loop lag whenever a timer fires.)"""
     assert client.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
     stats = client.backend.stats()
     assert stats["pending_replies"] == 0 and stats["invokes_posted"] == 1
     recorder = telemetry.get()
     if recorder is not None:
-        assert recorder.metrics.snapshot()["gauges"] == {}
+        mirrors = [name for name in recorder.metrics.snapshot()["gauges"]
+                   if name.endswith((".pending_replies", "_queue_bytes"))
+                   or name.startswith(("shm.ring_fill.", "shm.wait."))]
+        assert mirrors == []
 
 
 def test_backend_keeps_a_shared_key_instance_dict(client):

@@ -14,7 +14,7 @@ discriminating labels (node id, tenant, series) as the *final* segments
 import re
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tsdb import Tsdb
+from repro.telemetry.tsdb import AnomalyDetector, Tsdb
 
 #: One dotted segment: a plain token, or the ``<anonymous>`` /
 #: ``<unknown>`` kernel sentinels.
@@ -63,6 +63,17 @@ class TestDynamicGrammar:
         for section in ("counters", "gauges", "histograms"):
             for name in reg.snapshot()[section]:
                 assert_valid_name(name, where=f"registry {section}")
+
+    def test_anomaly_gauges_match(self):
+        reg = MetricsRegistry()
+        tsdb = Tsdb(reg, interval=1.0)
+        det = AnomalyDetector(tsdb.store, reg, min_samples=5)
+        for tick in range(19):
+            tsdb.store.record("target.in_flight.1", 1.0, float(tick))
+        tsdb.store.record("target.in_flight.1", 99.0, 19.0)
+        det.evaluate(now=19.0)
+        for name in reg.snapshot()["gauges"]:
+            assert_valid_name(name, where="anomaly gauges")
 
     def test_grammar_rejects_what_it_should(self):
         import pytest

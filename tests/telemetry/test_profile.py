@@ -105,3 +105,15 @@ class TestRenderProfileTable:
         by_tail = render_profile_table(snapshot, sort_by="tail").splitlines()
         assert by_total[2].startswith("many_fast")
         assert by_tail[2].startswith("few_slow")
+
+    def test_partial_json_snapshot_renders_with_defaults(self):
+        rows = render_profile_table({"k": {}}).splitlines()
+        assert rows[0].split() == ["kernel", "count", "errors", "bytes",
+                                   "total_s", "p50_ms", "p95_ms", "p99_ms"]
+        assert rows[2].split() == ["k", "0", "0", "0", "0.0000", "0.000",
+                                   "0.000", "0.000"]
+
+    def test_limit_truncates_rows(self):
+        snapshot = self._snapshot(("a", 1000), ("b", 1000), ("c", 1000))
+        table = render_profile_table(snapshot, limit=1)
+        assert len(table.splitlines()) == 3  # header + rule + one row

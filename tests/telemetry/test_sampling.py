@@ -175,6 +175,22 @@ class TestTailPipeline:
         hists = rec.metrics.snapshot()["histograms"]
         assert hists["kernel.my_kernel.offload.execute"]["count"] == 1
 
+    def test_a_span_named_like_a_counter_leaf_still_folds(self):
+        # Span names are public input: ``copy.bytes`` or ``errors`` end
+        # like the kernel's counters; the fold must not raise into the
+        # settle path, and the counters stay counters.
+        rec = Recorder()
+        pipe = rec.pipeline = TailPipeline(min_samples=50)
+        ctx = unsampled_ctx()
+        pipe.stage(span_for(ctx, name="copy.bytes", duration_ns=2000))
+        pipe.stage(span_for(ctx, name="errors", duration_ns=3000))
+        complete_offload(ctx, kernel="k", duration_ns=4000, error=True,
+                         recorder=rec)
+        snapshot = rec.metrics.snapshot()
+        assert snapshot["histograms"]["kernel.k.copy.bytes"]["count"] == 1
+        assert snapshot["histograms"]["kernel.k.errors"]["count"] == 1
+        assert snapshot["counters"]["kernel.k.errors"] == 1
+
     def test_clear_resets_staging_and_window(self):
         pipe = TailPipeline()
         ctx = unsampled_ctx()

@@ -93,6 +93,13 @@ class TestTable:
         assert SIGNALS.resolve("slo.lat.tenant.gold.breached").name == \
             "slo.<slo>.breached"
         assert SIGNALS.resolve("target.reply.") is None  # the label is empty
+        # Labels are free text: a phase may end like a counter's leaf.
+        assert SIGNALS.resolve("kernel.k.copy.bytes").kind == "counter"
+        assert SIGNALS.resolve("kernel.k.copy.bytes", "histogram").name == \
+            "kernel.<kernel>.<phase>"
+        SIGNALS.check("kernel.k.copy.bytes", "histogram")
+        with pytest.raises(TypeError, match="declared as a counter"):
+            SIGNALS.check("kernel.k.copy.bytes", "gauge")
         assert SIGNALS.resolve("offload.rejected") is None
 
     def test_docs_table_is_the_generated_one(self):

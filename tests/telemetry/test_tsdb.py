@@ -290,6 +290,15 @@ class TestAnomalyDetector:
         assert det.evaluate(now=19.0) == []
         assert det.anomalies() == []
 
+    def test_score_gauges_exported(self):
+        store = TimeSeriesStore()
+        reg = MetricsRegistry()
+        det = AnomalyDetector(store, reg, min_samples=5)
+        _feed_flat(store, "target.queue_bytes.2", 10.0)
+        det.evaluate(now=19.0)
+        snap = reg.snapshot()
+        assert "anomaly.score.target.queue_bytes.2" in snap["gauges"]
+
     def test_anomalous_nodes_parses_target_ids(self):
         store = TimeSeriesStore()
         det = AnomalyDetector(store, min_samples=5)
