@@ -311,7 +311,8 @@ def run_anomaly(args: argparse.Namespace) -> int:
     crash_dir = args.crash_dir or tempfile.mkdtemp(prefix="chaos-anomaly-")
     flightrecorder.configure(crash_dir)
     recorder = telemetry.enable()
-    tsdb = install_tsdb(recorder, interval=0.05)
+    tsdb = install_tsdb(recorder)
+    tsdb.interval = 0.05
     # Watch the per-target reply-latency series only: the injected
     # straggle manifests there deterministically, while the in-flight
     # gauges flicker 0/1 with the sync loop and would add noise.

@@ -456,11 +456,6 @@ class InvokeHandle:
         # this so ``wait`` doesn't add a redundant zero-duration one.
         self._transport_spanned = False
 
-    @property
-    def handle_id(self) -> int:
-        """Backward-compatible alias of :attr:`correlation_id`."""
-        return self.correlation_id
-
     # -- backend side --------------------------------------------------------
     def complete_with_reply(self, reply: bytes) -> None:
         """Deliver the raw reply message (thread-safe)."""

@@ -109,6 +109,7 @@ class FanoutBackend(Backend):
             (s["reactor"] for s in inner_stats if s.get("reactor")), None
         )
         return {
+            "backend": self.name,
             "targets": len(self._inners),
             "receiver_threads": 0,
             "reactor": reactor,

@@ -65,6 +65,8 @@ __all__ = [
 
 _runtime: Runtime | None = None
 _metrics_server: MetricsServer | None = None
+#: What :func:`init` replaced when it armed the flight recorder.
+_flight_replaced: tuple | None = None
 
 
 def init(
@@ -180,7 +182,7 @@ def init(
 def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
     """Enable the recorder and install what ``config`` selects; returns
     the time-series store if one was installed (``init`` starts it)."""
-    global _metrics_server
+    global _metrics_server, _flight_replaced
     tsdb = None
     if config.enabled:
         recorder = _telemetry.enable(config.capacity)
@@ -212,9 +214,9 @@ def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
                 introspect_fn=_introspect_fn,
             )
     if config.crash_dir is not None:
-        # Arm flight-recorder dumping (and SIGUSR2) for this process;
+        # Arm flight-recorder dumping (and SIGUSR2) until finalize();
         # the recorder itself has been noting events since import.
-        _flightrecorder.configure(config.crash_dir)
+        _flight_replaced = _flightrecorder.arm(config.crash_dir)
     return tsdb
 
 
@@ -268,9 +270,11 @@ def introspect(*, probe_target: bool = True) -> dict:
 def finalize() -> None:
     """Shut the global runtime down (idempotent).
 
-    Also stops the ``/metrics`` endpoint if :func:`init` started one.
+    Also stops the ``/metrics`` endpoint if :func:`init` started one and
+    gives the flight recorder back the crash directory and ``SIGUSR2``
+    handler it had before :func:`init` armed it.
     """
-    global _runtime, _metrics_server
+    global _runtime, _metrics_server, _flight_replaced
     recorder = _telemetry.get()
     if recorder is not None and recorder.tsdb is not None:
         recorder.tsdb.stop()
@@ -284,6 +288,9 @@ def finalize() -> None:
     if _metrics_server is not None:
         _metrics_server.close()
         _metrics_server = None
+    if _flight_replaced is not None:
+        _flightrecorder.disarm(_flight_replaced)
+        _flight_replaced = None
 
 
 def metrics_server() -> MetricsServer | None:

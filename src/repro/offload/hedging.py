@@ -241,7 +241,7 @@ class Hedger:
         that were demoted (attached to the hedge event for post-mortems).
         """
         recorder = telemetry.get()
-        tsdb = getattr(recorder, "tsdb", None) if recorder is not None else None
+        tsdb = recorder.tsdb if recorder is not None else None
         if tsdb is None:
             return candidates, set()
         anomalous = tsdb.detector.anomalous_nodes()

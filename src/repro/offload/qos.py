@@ -390,9 +390,6 @@ class AdmissionController:
             tenant=ctx.tenant, kernel=kernel, reason=reason,
             priority=ctx.priority,
         )
-        flightrecorder.note(
-            "qos.rejected", tenant=ctx.tenant, kernel=kernel, reason=reason,
-        )
 
     def snapshot(self) -> dict[str, Any]:
         """Per-tenant admitted/rejected counters and bucket levels."""
@@ -646,10 +643,6 @@ class FairInflightWindow(InflightWindow):
         telemetry.event(
             "offload.shed", category="qos",
             tenant=ctx.tenant, priority=ctx.priority, queued=self._queued,
-        )
-        flightrecorder.note(
-            "offload.shed", tenant=ctx.tenant, priority=ctx.priority,
-            queued=self._queued,
         )
 
     def _remove_locked(self, waiter: _Waiter) -> None:

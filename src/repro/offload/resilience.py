@@ -241,10 +241,6 @@ class HealthMonitor:
             node=node, previous=previous.value, new=new.value,
         )
         telemetry.count("health.transitions")
-        flightrecorder.note(
-            "health.transition", node=node,
-            previous=previous.value, new=new.value,
-        )
         if new is NodeHealth.DOWN:
             telemetry.count("health.circuit_opened")
             # A node going DOWN is the host-side face of peer death:

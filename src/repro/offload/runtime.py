@@ -16,6 +16,7 @@ a healthy peer target where the backend has one.
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from typing import TYPE_CHECKING, Any, Callable
@@ -146,8 +147,8 @@ class Runtime:
         self._puts = 0
         self._gets = 0
         self._copies = 0
-        # The black-box flight recorder includes this runtime's in-flight
-        # table in crash bundles until a clean shutdown detaches it.
+        # The black-box flight recorder includes this runtime's stats()
+        # in crash bundles until a clean shutdown detaches it.
         flightrecorder.attach_runtime(self)
 
     # -- topology ------------------------------------------------------------
@@ -398,10 +399,6 @@ class Runtime:
                     "resilience.retry", category="resilience",
                     functor=functor.type_name, attempt=attempt, node=target,
                 )
-                flightrecorder.note(
-                    "resilience.retry", functor=functor.type_name,
-                    attempt=attempt, node=target,
-                )
                 if policy.failover:
                     successor = self._failover_target(target, tried)
                     if successor is None:
@@ -621,25 +618,45 @@ class Runtime:
         return len(self._live_buffers)
 
     def stats(self) -> dict[str, Any]:
-        """Runtime counters plus the backend's transport statistics."""
+        """The one description of this runtime: counters, window
+        occupancy with the handles in flight, policy, QoS / health /
+        hedging state and the backend's transport statistics.
+
+        ``offload.introspect()["host"]``, ``repro top`` and a crash
+        bundle's ``state.json`` are this dict; nothing else reads the
+        runtime's parts to describe it.
+        """
+        window = self.window
         data: dict[str, Any] = {
+            "pid": os.getpid(),
             "offloads_posted": self._offloads_posted,
             "puts": self._puts,
             "gets": self._gets,
             "copies": self._copies,
             "live_buffers": self.live_buffer_count,
             "window": {
-                "in_flight": self.window.in_flight,
-                "limit": self.window.limit,
+                "in_flight": window.in_flight,
+                "limit": window.limit,
+                # What a crash would strand, by correlation id.
+                "handles": [
+                    {"corr": handle.correlation_id, "label": handle.label}
+                    for handle in window.handles().values()
+                ],
             },
             "backend": self.backend.stats(),
         }
-        if self.policy is not None:
+        policy = self.policy
+        if policy is not None:
             data["retries"] = self._retries
             data["failovers"] = self._failovers
+            data["policy"] = {
+                "deadline": policy.deadline,
+                "max_retries": policy.max_retries,
+                "failover": policy.failover,
+                "hedge": policy.hedge is not None,
+            }
         if self._hedger is not None:
             data["hedging"] = self._hedger.snapshot()
-        window = self.window
         if self.admission is not None and isinstance(window, FairInflightWindow):
             data["qos"] = {
                 "admission": self.admission.snapshot(),

@@ -3,12 +3,19 @@
 The span recorder (:mod:`repro.telemetry.recorder`) is opt-in and
 sampled — exactly wrong for the question "what was the runtime doing
 just before it died?". This module keeps a second, much smaller ring
-that is **always on**: every control-plane transition (window grant,
-admission rejection, load shed, health flip, retry, transport error)
-drops one tuple into a bounded lossy :class:`collections.deque`,
-independent of whether telemetry is enabled or any trace is sampled.
-Steady-state cost is one attribute check plus one deque append per
-noted event — no locks, no allocation beyond the tuple.
+that is **always on**: every control-plane transition drops one tuple
+into a bounded lossy :class:`collections.deque`, independent of whether
+telemetry is enabled or any trace is sampled. Steady-state cost is one
+attribute check plus one deque append per event — no locks, no
+allocation beyond the tuple.
+
+One rule says what lands here. An **event** — ``telemetry.event(name,
+category, **attrs)``: retry, failover, hedge, shed, rejection, health
+flip, injected fault — is one call that reaches *both* rings: this one
+always, the trace ring while telemetry records and the trace is kept. A
+**note** — :func:`note`: window grants, ``target.promoted`` /
+``target.stopped``, ``offload.post_failed`` — is black-box only:
+breadcrumbs too frequent or too low-level for a trace.
 
 On a *trigger* — an offload error escaping to the caller, peer-death
 detection in a transport, an SLO breach, ``SIGUSR2``, or process exit
@@ -16,20 +23,21 @@ with offloads still in flight — the recorder dumps a post-mortem
 bundle to the configured crash directory:
 
 ``crash-<pid>-<seq>-<reason>/``
-    * ``manifest.json`` — reason, pid, wall/mono clocks, ring stats;
-    * ``events.jsonl``  — the recent events, one telemetry-JSONL event
-      row per line (``repro.telemetry.report`` reads it directly);
-    * ``metrics.json``  — metrics snapshot (when telemetry is enabled)
-      plus a ``transport`` section — reactor loop-lag stats and
-      coalescer flush-reason counters from every attached runtime —
-      that is captured even while the span recorder is off, so a
-      post-mortem can see event-loop stalls;
+    * ``manifest.json`` — schema version, reason, trigger attrs, pid,
+      wall clock, ring stats, offloads pending;
+    * ``events.jsonl``  — the recent events, one row per line in the
+      exporter's shape (:func:`repro.telemetry.export.records_to_dicts`;
+      ``repro.telemetry.report`` reads it directly);
+    * ``state.json``    — one entry per attached runtime: the ``host``
+      part of ``offload.introspect()`` (``Runtime.stats()``: window
+      occupancy with the correlation ids a crash would strand, policy,
+      the backend's transport stats with reactor lag and flush reasons,
+      QoS / health / hedging state), captured whether or not the span
+      recorder is on;
+    * ``metrics.json``  — the registry snapshot (telemetry enabled);
     * ``timeseries.json`` — the in-process TSDB's recent history (last
       ``timeseries_window`` seconds of every series) when
-      ``offload.init(telemetry={"tsdb": ...})`` installed one;
-    * ``inflight.json`` — correlation ids still in flight per attached
-      runtime, with window occupancy;
-    * ``config.json``   — backend/policy/window configuration summary.
+      ``offload.init(telemetry={"tsdb": ...})`` installed one.
 
 Dumping only happens once a crash directory is configured — via
 :func:`configure`, ``offload.init(telemetry={"crash_dir": ...})`` or
@@ -54,26 +62,26 @@ import time
 import weakref
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.offload.runtime import Runtime
 
 __all__ = [
-    "BUNDLE_CONFIG",
     "BUNDLE_EVENTS",
-    "BUNDLE_INFLIGHT",
     "BUNDLE_MANIFEST",
     "BUNDLE_SCHEMA_VERSION",
+    "BUNDLE_STATE",
     "BUNDLE_TIMESERIES",
     "DEFAULT_CAPACITY",
     "FlightRecorder",
+    "arm",
     "attach_runtime",
     "configure",
     "detach_runtime",
+    "disarm",
     "find_bundles",
     "get",
-    "incident",
     "load_bundle",
     "note",
     "trigger",
@@ -82,16 +90,16 @@ __all__ = [
 #: Bundle file names (one directory per dump).
 BUNDLE_MANIFEST = "manifest.json"
 BUNDLE_EVENTS = "events.jsonl"
+BUNDLE_STATE = "state.json"
 BUNDLE_METRICS = "metrics.json"
-BUNDLE_INFLIGHT = "inflight.json"
-BUNDLE_CONFIG = "config.json"
 BUNDLE_TIMESERIES = "timeseries.json"
 
 #: Seconds of TSDB history persisted into ``timeseries.json``.
 DEFAULT_TIMESERIES_WINDOW = 300.0
 
-#: Bump when the on-disk bundle shape changes incompatibly.
-BUNDLE_SCHEMA_VERSION = 1
+#: Bump when the on-disk bundle shape changes incompatibly; there is one
+#: reader, and it refuses every other version.
+BUNDLE_SCHEMA_VERSION = 2
 
 #: Default ring size: generous for a control-plane event stream (the
 #: data plane never notes here), tiny next to the telemetry ring.
@@ -103,27 +111,9 @@ DEFAULT_CAPACITY = 2048
 DEFAULT_DEBOUNCE = 1.0
 
 
-def _find_key(tree: Any, key: str) -> Any:
-    """First value under ``key`` anywhere in a nested stats dict.
-
-    Backend stats nest differently per transport (the fan-out backend
-    wraps its members under ``inner``, the TCP backend keeps the
-    coalescer under ``coalescer``); a depth-first search keeps the
-    bundle writer agnostic to that shape.
-    """
-    if isinstance(tree, Mapping):
-        if key in tree:
-            return tree[key]
-        for value in tree.values():
-            found = _find_key(value, key)
-            if found is not None:
-                return found
-    elif isinstance(tree, (list, tuple)):
-        for value in tree:
-            found = _find_key(value, key)
-            if found is not None:
-                return found
-    return None
+def _pending(state: list[dict[str, Any]]) -> int:
+    """Offloads in flight across the runtimes of one state snapshot."""
+    return sum(e["window"]["in_flight"] for e in state if "window" in e)
 
 
 class FlightRecorder:
@@ -160,7 +150,7 @@ class FlightRecorder:
         self.debounce = debounce
         #: Seconds of TSDB history written to ``timeseries.json``.
         self.timeseries_window = DEFAULT_TIMESERIES_WINDOW
-        self._ring: deque[tuple[int, str, dict[str, Any]]] = deque(
+        self._ring: deque[tuple[int, str, str, dict[str, Any]]] = deque(
             maxlen=capacity
         )
         self._noted = 0
@@ -172,15 +162,21 @@ class FlightRecorder:
         self._runtimes: "weakref.WeakSet[Runtime]" = weakref.WeakSet()
 
     # -- recording ---------------------------------------------------------
-    def note(self, name: str, **attrs: Any) -> None:
-        """Drop one event into the ring (the near-zero hot call)."""
+    def record(self, name: str, category: str, attrs: dict[str, Any]) -> None:
+        """Drop one event into the ring (the near-zero hot call; the
+        black-box half of ``telemetry.event``)."""
         if not self.enabled:
             return
-        self._ring.append((time.time_ns(), name, attrs))
+        self._ring.append((time.time_ns(), name, category, attrs))
         self._noted += 1
 
-    def records(self) -> list[tuple[int, str, dict[str, Any]]]:
-        """Snapshot of retained ``(ts_ns, name, attrs)``, oldest first."""
+    def note(self, name: str, **attrs: Any) -> None:
+        """A black-box-only breadcrumb (category ``flight``)."""
+        self.record(name, "flight", attrs)
+
+    def records(self) -> list[tuple[int, str, str, dict[str, Any]]]:
+        """Snapshot of retained ``(ts_ns, name, category, attrs)``,
+        oldest first."""
         return list(self._ring)
 
     @property
@@ -211,54 +207,19 @@ class FlightRecorder:
         """Stop including ``runtime`` (clean shutdown is not a crash)."""
         self._runtimes.discard(runtime)
 
-    def _inflight_snapshot(self) -> list[dict[str, Any]]:
-        """Per-runtime in-flight table: the futures a crash would strand."""
-        table: list[dict[str, Any]] = []
-        for runtime in list(self._runtimes):
-            try:
-                window = runtime.window
-                table.append({
-                    "backend": type(runtime.backend).__name__,
-                    "in_flight": window.in_flight,
-                    "limit": window.limit,
-                    "correlation_ids": list(window.handles()),
-                })
-            except Exception as exc:  # noqa: BLE001 - crash path, best effort
-                table.append({"error": f"{type(exc).__name__}: {exc}"})
-        return table
+    def state(self) -> list[dict[str, Any]]:
+        """The state snapshot a bundle carries: per attached runtime,
+        the ``host`` entry of ``offload.introspect(probe_target=False)``
+        (a dying peer is not asked anything)."""
+        from repro.telemetry.inspect import RuntimeInspector
 
-    def _config_snapshot(self) -> list[dict[str, Any]]:
-        """Enough configuration to interpret the bundle without the code."""
-        configs: list[dict[str, Any]] = []
+        entries: list[dict[str, Any]] = []
         for runtime in list(self._runtimes):
             try:
-                entry: dict[str, Any] = {
-                    "backend": type(runtime.backend).__name__,
-                    "window_limit": runtime.window.limit,
-                    "qos": runtime.qos is not None,
-                }
-                policy = runtime.policy
-                if policy is not None:
-                    entry["policy"] = {
-                        "deadline": policy.deadline,
-                        "max_retries": policy.max_retries,
-                        "failover": policy.failover,
-                        "hedge": policy.hedge is not None,
-                    }
-                configs.append(entry)
+                entries.append(RuntimeInspector(runtime).host())
             except Exception as exc:  # noqa: BLE001 - crash path, best effort
-                configs.append({"error": f"{type(exc).__name__}: {exc}"})
-        return configs
-
-    def pending(self) -> int:
-        """Offloads currently in flight across attached runtimes."""
-        total = 0
-        for runtime in list(self._runtimes):
-            try:
-                total += runtime.window.in_flight
-            except Exception:  # noqa: BLE001 - crash path, best effort
-                pass
-        return total
+                entries.append({"error": f"{type(exc).__name__}: {exc}"})
+        return entries
 
     # -- dumping -----------------------------------------------------------
     def trigger(self, reason: str, *, force: bool = False,
@@ -300,23 +261,21 @@ class FlightRecorder:
             / f"crash-{os.getpid()}-{next(self._seq)}-{safe_reason}"
         )
         bundle.mkdir(parents=True, exist_ok=True)
+        # Imported lazily: the flight recorder is always on and must not
+        # pull the telemetry stack in at import time.
+        from repro.telemetry import recorder as telemetry
+        from repro.telemetry.export import records_to_dicts
+
         events = self.records()
         pid = os.getpid()
+        rows = records_to_dicts(
+            telemetry.EventRecord(name, category, ts_ns, 0, 0, pid, 0, attrs)
+            for ts_ns, name, category, attrs in events
+        )
         with (bundle / BUNDLE_EVENTS).open("w") as fh:
-            for ts_ns, name, event_attrs in events:
-                row = {
-                    "type": "event",
-                    "name": name,
-                    "cat": "flight",
-                    "ts_ns": ts_ns,
-                    "span_id": 0,
-                    "parent_id": 0,
-                    "pid": pid,
-                    "tid": 0,
-                    "attrs": event_attrs,
-                    "trace_id": "",
-                }
+            for row in rows:
                 fh.write(json.dumps(row, default=str) + "\n")
+        state = self.state()
         manifest = {
             "schema_version": BUNDLE_SCHEMA_VERSION,
             "reason": reason,
@@ -327,90 +286,36 @@ class FlightRecorder:
             "noted": self._noted,
             "dropped": self.dropped,
             "suppressed_triggers": self._suppressed,
-            "pending": self.pending(),
+            "pending": _pending(state),
         }
         (bundle / BUNDLE_MANIFEST).write_text(
             json.dumps(manifest, indent=1, default=str)
         )
-        (bundle / BUNDLE_INFLIGHT).write_text(
-            json.dumps(self._inflight_snapshot(), indent=1, default=str)
+        (bundle / BUNDLE_STATE).write_text(
+            json.dumps(state, indent=1, default=str)
         )
-        (bundle / BUNDLE_CONFIG).write_text(
-            json.dumps(self._config_snapshot(), indent=1, default=str)
-        )
-        metrics = self._metrics_snapshot()
-        if metrics is not None:
+        recorder = telemetry.get()
+        if recorder is not None:
             (bundle / BUNDLE_METRICS).write_text(
-                json.dumps(metrics, indent=1, default=str)
+                json.dumps(recorder.metrics.snapshot(), indent=1, default=str)
             )
-        series = self._timeseries_snapshot()
-        if series is not None:
-            (bundle / BUNDLE_TIMESERIES).write_text(
-                json.dumps(series, default=str)
-            )
+            if recorder.tsdb is not None:
+                try:
+                    series = recorder.tsdb.store.to_json(
+                        window=self.timeseries_window)
+                    (bundle / BUNDLE_TIMESERIES).write_text(
+                        json.dumps(series, default=str))
+                except Exception:  # noqa: BLE001 - crash path, best effort
+                    pass
         self._suppressed = 0
         self._dumps.append(bundle)
         return bundle
 
-    def _metrics_snapshot(self) -> dict[str, Any] | None:
-        # Imported lazily: the flight recorder must not pull the full
-        # telemetry stack in at import time (it is always-on, the span
-        # recorder is opt-in).
-        from repro.telemetry import recorder as telemetry
-
-        recorder = telemetry.get()
-        snapshot: dict[str, Any] | None = None
-        if recorder is not None:
-            snapshot = recorder.metrics.snapshot()
-        transport = self._transport_snapshot()
-        if transport:
-            if snapshot is None:
-                snapshot = {}
-            snapshot["transport"] = transport
-        return snapshot
-
-    def _transport_snapshot(self) -> list[dict[str, Any]]:
-        """Reactor + coalescer state per attached runtime.
-
-        Collected straight from ``backend.stats()`` — independent of the
-        span recorder, so a bundle from an un-instrumented process still
-        shows event-loop lag (``max_lag_us``) and why frames flushed.
-        """
-        entries: list[dict[str, Any]] = []
-        for runtime in list(self._runtimes):
-            try:
-                stats = runtime.backend.stats()
-            except Exception as exc:  # noqa: BLE001 - crash path, best effort
-                entries.append({"error": f"{type(exc).__name__}: {exc}"})
-                continue
-            reactor = _find_key(stats, "reactor")
-            flush_reasons = _find_key(stats, "flush_reasons")
-            if reactor is None and flush_reasons is None:
-                continue
-            entries.append({
-                "backend": type(runtime.backend).__name__,
-                "reactor": reactor,
-                "flush_reasons": flush_reasons,
-            })
-        return entries
-
-    def _timeseries_snapshot(self) -> dict[str, Any] | None:
-        from repro.telemetry import recorder as telemetry
-
-        recorder = telemetry.get()
-        tsdb = getattr(recorder, "tsdb", None) if recorder is not None else None
-        if tsdb is None:
-            return None
-        try:
-            return tsdb.store.to_json(window=self.timeseries_window)
-        except Exception:  # noqa: BLE001 - crash path, best effort
-            return None
-
     # -- process hooks -----------------------------------------------------
-    def install_signal_handler(self) -> bool:
+    def install_signal_handler(self) -> None:
         """Dump on ``SIGUSR2`` (operator-initiated snapshot of a live,
-        possibly wedged process). Returns False off the main thread,
-        where signal handlers cannot be installed."""
+        possibly wedged process); a no-op off the main thread, where
+        signal handlers cannot be installed."""
 
         def _on_sigusr2(signum: int, frame: Any) -> None:
             self.trigger("sigusr2", force=True)
@@ -418,11 +323,10 @@ class FlightRecorder:
         try:
             signal.signal(signal.SIGUSR2, _on_sigusr2)
         except ValueError:  # not the main thread
-            return False
-        return True
+            pass
 
     def _atexit_hook(self) -> None:
-        pending = self.pending()
+        pending = _pending(self.state())
         if pending:
             self.trigger("atexit_pending", force=True, pending=pending)
 
@@ -448,23 +352,6 @@ def note(name: str, **attrs: Any) -> None:
 def trigger(reason: str, *, force: bool = False, **attrs: Any) -> Path | None:
     """Trigger the global recorder (dumps only with a crash dir set)."""
     return _FLIGHT.trigger(reason, force=force, **attrs)
-
-
-def incident(event: str, *, dump_reason: str | None = None,
-             **attrs: Any) -> Path | None:
-    """Record one alert-state transition in the black box.
-
-    The shared shape behind every alerting subsystem (SLO burn-rate
-    breaches, TSDB anomalies): the transition is noted under ``event``,
-    and *entering* the bad state — signalled by passing ``dump_reason``
-    — additionally triggers a bundle dump under that reason, so the
-    evidence of why is captured while it is still in the ring.
-    Recoveries pass no ``dump_reason`` and cost one ring append.
-    """
-    _FLIGHT.note(event, **attrs)
-    if dump_reason is None:
-        return None
-    return _FLIGHT.trigger(dump_reason, **attrs)
 
 
 def configure(
@@ -496,6 +383,25 @@ def configure(
     return _FLIGHT
 
 
+def arm(crash_dir: "str | Path") -> tuple[Path | None, Any]:
+    """:func:`configure` for a session that ends (``offload.init``):
+    returns what it replaced — crash dir and ``SIGUSR2`` handler — for
+    :func:`disarm`, so a later session never dumps into a directory an
+    earlier one chose."""
+    replaced = (_FLIGHT.crash_dir, signal.getsignal(signal.SIGUSR2))
+    configure(crash_dir)
+    return replaced
+
+
+def disarm(replaced: tuple[Path | None, Any]) -> None:
+    """Undo :func:`arm` (``offload.finalize``)."""
+    _FLIGHT.crash_dir, handler = replaced
+    try:
+        signal.signal(signal.SIGUSR2, handler)
+    except (ValueError, TypeError):
+        pass  # off the main thread arm installed none; or not a Python handler
+
+
 def attach_runtime(runtime: "Runtime") -> None:
     """Include ``runtime`` in bundles and arm the atexit-with-pending
     trigger (once per process)."""
@@ -519,11 +425,13 @@ def detach_runtime(runtime: "Runtime") -> None:
 def load_bundle(path: "str | Path") -> dict[str, Any]:
     """Read a crash bundle directory back into memory.
 
-    Returns ``{"manifest", "events", "metrics", "inflight", "config",
-    "timeseries", "skipped_lines"}``. A truncated ``events.jsonl`` (the process died
+    Returns ``{"manifest", "events", "state", "metrics", "timeseries",
+    "skipped_lines"}``. A truncated ``events.jsonl`` (the process died
     mid-write) is expected, not an error: unparseable lines are skipped
-    and counted in ``skipped_lines``. A missing or unparseable manifest
-    raises ``ValueError`` — without it the directory is not a bundle.
+    and counted in ``skipped_lines``; a truncated side file reads as
+    ``None`` and keeps the events. A missing or unparseable manifest
+    raises ``ValueError`` — without it the directory is not a bundle —
+    and so does a manifest of another :data:`BUNDLE_SCHEMA_VERSION`.
     """
     bundle = Path(path)
     manifest_path = bundle / BUNDLE_MANIFEST
@@ -533,6 +441,12 @@ def load_bundle(path: "str | Path") -> dict[str, Any]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{manifest_path}: unparseable manifest: {exc}") from exc
+    version = manifest.get("schema_version")
+    if version != BUNDLE_SCHEMA_VERSION:
+        raise ValueError(
+            f"{bundle}: bundle schema version {version}, this reader "
+            f"reads version {BUNDLE_SCHEMA_VERSION} only"
+        )
     events: list[dict[str, Any]] = []
     skipped = 0
     events_path = bundle / BUNDLE_EVENTS
@@ -550,9 +464,8 @@ def load_bundle(path: "str | Path") -> dict[str, Any]:
         "events": events,
         "skipped_lines": skipped,
     }
-    for key, name in (("metrics", BUNDLE_METRICS),
-                      ("inflight", BUNDLE_INFLIGHT),
-                      ("config", BUNDLE_CONFIG),
+    for key, name in (("state", BUNDLE_STATE),
+                      ("metrics", BUNDLE_METRICS),
                       ("timeseries", BUNDLE_TIMESERIES)):
         side = bundle / name
         if side.is_file():
@@ -570,7 +483,9 @@ def find_bundles(crash_dir: "str | Path") -> list[Path]:
     root = Path(crash_dir)
     if not root.is_dir():
         return []
+    # By the manifest's write time: names sort ``-10-`` before ``-9-``.
     return sorted(
-        p for p in root.iterdir()
-        if p.is_dir() and (p / BUNDLE_MANIFEST).is_file()
+        (p for p in root.iterdir()
+         if p.is_dir() and (p / BUNDLE_MANIFEST).is_file()),
+        key=lambda p: (p / BUNDLE_MANIFEST).stat().st_mtime_ns,
     )

@@ -5,9 +5,11 @@ answers "what just happened". This module answers the operator's third
 question — **"what is it doing right now?"** — by merging, at call
 time:
 
-* host-side state straight off a :class:`~repro.offload.runtime.Runtime`
-  (in-flight window occupancy with per-handle labels, QoS queue depths,
-  health-monitor verdicts, hedger counters, transport-depth stats);
+* the runtime's own description, :meth:`Runtime.stats()
+  <repro.offload.runtime.Runtime.stats>` (in-flight window occupancy
+  with per-handle labels, policy, QoS queue depths, health-monitor
+  verdicts, hedger counters, the backend's transport stats) — the same
+  entry a crash bundle writes per runtime as ``state.json``;
 * target-side state fetched live over the wire via the backends'
   ``OP_INTROSPECT`` roundtrip (worker-pool depth, executed-message
   count, shm ring cursors/occupancy) — every transport answers the same
@@ -24,7 +26,6 @@ by ``python -m repro.telemetry.top``.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any
 
@@ -32,60 +33,32 @@ from repro.telemetry import flightrecorder
 
 __all__ = ["RuntimeInspector", "SNAPSHOT_SCHEMA_VERSION"]
 
-#: Bump when the snapshot shape changes incompatibly (the ``top`` CLI
-#: checks it before rendering).
-SNAPSHOT_SCHEMA_VERSION = 1
+#: Bump when the snapshot shape changes incompatibly (2: ``host`` is
+#: ``Runtime.stats()``, the transport stats sit under ``host["backend"]``).
+SNAPSHOT_SCHEMA_VERSION = 2
 
 
 class RuntimeInspector:
-    """Builds merged live-state snapshots for one runtime.
+    """Builds merged live-state snapshots for one
+    :class:`~repro.offload.runtime.Runtime`."""
 
-    Parameters
-    ----------
-    runtime:
-        The :class:`~repro.offload.runtime.Runtime` to introspect.
-    probe_timeout:
-        Deadline for the target-side ``OP_INTROSPECT`` roundtrip. Kept
-        short by default: introspection is an observer, it must not
-        hang alongside the thing it observes.
-    """
+    #: Deadline (s) for the target-side ``OP_INTROSPECT`` roundtrip.
+    #: Short: introspection is an observer, it must not hang alongside
+    #: the thing it observes.
+    PROBE_TIMEOUT = 1.0
 
-    def __init__(self, runtime: Any, *, probe_timeout: float = 1.0) -> None:
+    def __init__(self, runtime: Any) -> None:
         self.runtime = runtime
-        self.probe_timeout = probe_timeout
 
     # -- host side ---------------------------------------------------------
-    def _window_snapshot(self) -> dict[str, Any]:
-        window = self.runtime.window
-        handles = [
-            {"corr": handle.correlation_id, "label": handle.label}
-            for handle in window.handles().values()
-        ]
-        return {
-            "in_flight": window.in_flight,
-            "limit": window.limit,
-            "handles": handles,
-        }
-
-    def host_snapshot(self) -> dict[str, Any]:
-        """Everything knowable without touching the wire."""
-        runtime = self.runtime
-        host: dict[str, Any] = {
-            "pid": os.getpid(),
-            "window": self._window_snapshot(),
-            "transport": runtime.backend.stats(),
-        }
-        if runtime.admission is not None:
-            host["qos"] = {
-                "admission": runtime.admission.snapshot(),
-                "window": runtime.window.snapshot(),
-            }
-        if runtime.monitor is not None:
-            host["health"] = runtime.monitor.snapshot()
-        hedger = runtime._hedger
-        if hedger is not None:
-            host["hedging"] = hedger.snapshot()
-        return host
+    def host(self) -> dict[str, Any]:
+        """Everything knowable without touching the wire: the runtime's
+        ``stats()`` minus the registry snapshot — that is the process's,
+        not the runtime's, and has its own outlets (``/metrics``, a
+        bundle's ``metrics.json``)."""
+        state = self.runtime.stats()
+        state.pop("telemetry", None)
+        return state
 
     # -- target side -------------------------------------------------------
     def target_snapshot(self) -> dict[str, Any] | None:
@@ -98,7 +71,7 @@ class RuntimeInspector:
         if probe is None:
             return None
         try:
-            return probe(timeout=self.probe_timeout)
+            return probe(timeout=self.PROBE_TIMEOUT)
         except Exception as exc:  # noqa: BLE001 - observers must not raise
             return {
                 "role": "target",
@@ -123,8 +96,7 @@ class RuntimeInspector:
         from repro.telemetry import recorder as telemetry
 
         recorder = telemetry.get()
-        tsdb = getattr(recorder, "tsdb", None) if recorder is not None \
-            else None
+        tsdb = recorder.tsdb if recorder is not None else None
         if tsdb is None:
             return None
         store = tsdb.store
@@ -159,7 +131,7 @@ class RuntimeInspector:
         return {
             "schema_version": SNAPSHOT_SCHEMA_VERSION,
             "time_ns": time.time_ns(),
-            "host": self.host_snapshot(),
+            "host": self.host(),
             "target": self.target_snapshot() if probe_target else None,
             "tsdb": self.tsdb_snapshot(),
             "flight": {

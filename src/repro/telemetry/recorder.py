@@ -5,11 +5,13 @@ this module does the same for *wall-clock* execution on the functional
 backends. Design constraints, in order:
 
 1. **Free when off.** Every instrumented call site funnels through the
-   module-level :func:`span` / :func:`event` / :func:`count` helpers,
-   which reduce to a single global read plus a cached no-op object while
-   telemetry is disabled — the hot path allocates nothing and records
-   nothing (guarded by ``tests/telemetry/test_overhead.py`` and, for a
-   whole offload, ``tests/offload/test_offload_budget.py``).
+   module-level :func:`span` / :func:`count` helpers, which reduce to a
+   single global read plus a cached no-op object while telemetry is
+   disabled — the hot path allocates nothing and records nothing
+   (guarded by ``tests/telemetry/test_overhead.py`` and, for a whole
+   offload, ``tests/offload/test_offload_budget.py``). :func:`event` is
+   the exception by design: control-plane events are off the fault-free
+   path and always reach the black box.
 2. **Cheap when on.** A recorded span is one small object, two clock
    reads (:func:`time.perf_counter_ns`) and one record: :func:`span`
    builds the span itself; enter and exit each read the thread's state
@@ -46,9 +48,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.telemetry import context as trace_context
+from repro.telemetry import flightrecorder
 from repro.telemetry.metrics import LogHistogram, MetricsRegistry
 from repro.telemetry.signals import SIGNALS
 
@@ -267,8 +270,7 @@ class Recorder:
         #: SLO burn-rate monitor fed by span folds and completions.
         self.slo: Any = None
         #: In-process time-series store + anomaly detector
-        #: (:class:`repro.telemetry.tsdb.Tsdb`); ``None`` keeps history
-        #: off — consumers probe with ``getattr(recorder, "tsdb", None)``.
+        #: (:class:`repro.telemetry.tsdb.Tsdb`); ``None`` keeps history off.
         self.tsdb: Any = None
         # Per-phase histogram cache: a span of every offload is folded
         # here, so the registry lookup is paid once per phase name, not
@@ -361,7 +363,9 @@ class Recorder:
 
     def event(self, name: str, category: str = "offload",
               **attrs: Any) -> None:
-        """Record an instantaneous event at the current time.
+        """Record an instantaneous event in the trace ring (the
+        module-level :func:`event` is the call sites' one call: it drops
+        the event into the black box first).
 
         Inside an unsampled trace the event follows the trace's fate:
         staged with the tail pipeline when one is installed (so a
@@ -388,13 +392,16 @@ class Recorder:
 
     def force_event(self, name: str, category: str = "slo",
                     **attrs: Any) -> None:
-        """Record an event bypassing the sampling gate.
+        """:func:`event` for alert-grade events: black box and trace
+        ring, bypassing the sampling gate.
 
-        Alert-grade events (``telemetry.slo_breach``) must land in the
-        ring even when raised mid-flight inside an unsampled trace —
+        ``telemetry.slo_breach`` and ``telemetry.anomaly`` must land in
+        the ring even when raised mid-flight inside an unsampled trace —
         they describe the aggregate stream, not one trace, so they carry
-        no trace id and never ride the tail pipeline.
+        no trace id and never ride the tail pipeline. The SLO monitor
+        and the anomaly detector hold this method as their ``emit`` sink.
         """
+        flightrecorder.get().record(name, category, attrs)
         self._append(self._event_record(name, category, 0, attrs, ""))
 
     def reset_after_fork(self) -> None:
@@ -431,9 +438,6 @@ class Recorder:
         """Retained events whose name starts with ``prefix``."""
         return [r for r in self.records()
                 if r.kind == "event" and r.name.startswith(prefix)]
-
-    def iter_records(self) -> Iterator[SpanRecord | EventRecord]:
-        return iter(self.records())
 
     @property
     def recorded(self) -> int:
@@ -515,7 +519,15 @@ def span(name: str, category: str = "offload", **attrs: Any):
 
 
 def event(name: str, category: str = "offload", **attrs: Any) -> None:
-    """Module-level event helper: does nothing while disabled."""
+    """The one call for a control-plane event (retry, failover, shed,
+    health flip, injected fault): one stream, two retention policies.
+
+    The event always drops into the black-box ring
+    (:mod:`repro.telemetry.flightrecorder`: always on, small, dumped on a
+    trigger) and, while telemetry records, into the trace ring under the
+    sampling rules of :meth:`Recorder.event`.
+    """
+    flightrecorder.get().record(name, category, attrs)
     recorder = _RECORDER
     if recorder is not None:
         recorder.event(name, category, **attrs)

@@ -11,9 +11,9 @@ flat JSONL, auto-detected) and prints per-phase latency percentiles::
     python -m repro.telemetry.report trace.json --format json
 
 Passing a *directory* reads it as a flight-recorder crash bundle
-(see :mod:`repro.telemetry.flightrecorder`) instead: the manifest, the
-in-flight table at dump time, and a tally of the recorded control-plane
-events::
+(see :mod:`repro.telemetry.flightrecorder`) instead: the manifest, each
+runtime's window occupancy and policy at dump time (``state.json``), and
+a tally of the recorded control-plane events::
 
     python -m repro.telemetry.report /var/crash/repro/crash-1234-1-node_down
 
@@ -301,7 +301,7 @@ def render_profile(records: Sequence[Record], sort_by: str = "total") -> str:
 
 
 def render_bundle(bundle: dict[str, Any]) -> str:
-    """Render a loaded crash bundle: manifest, in-flight table, events.
+    """Render a loaded crash bundle: manifest, runtime state, events.
 
     ``bundle`` is the dict from
     :func:`repro.telemetry.flightrecorder.load_bundle`. The recent
@@ -333,19 +333,26 @@ def render_bundle(bundle: dict[str, Any]) -> str:
         lines.append(
             f"  ({bundle['skipped_lines']} truncated event line(s) skipped)"
         )
-    for entry in bundle.get("inflight") or []:
+    for entry in bundle.get("state") or []:
         if "error" in entry:
             lines.append(f"  in flight: <{entry['error']}>")
             continue
-        corrs = entry.get("correlation_ids") or []
-        shown = ", ".join(str(corr) for corr in corrs[:8])
-        if len(corrs) > 8:
+        window = entry.get("window") or {}
+        handles = window.get("handles") or []
+        shown = ", ".join(str(handle.get("corr")) for handle in handles[:8])
+        if len(handles) > 8:
             shown += ", ..."
         lines.append(
-            f"  in flight: {entry.get('in_flight', 0)}/"
-            f"{entry.get('limit', 0)} on {entry.get('backend', '?')}"
+            f"  in flight: {window.get('in_flight', 0)}/"
+            f"{window.get('limit', 0)} on "
+            f"{(entry.get('backend') or {}).get('backend', '?')}"
             + (f"  [{shown}]" if shown else "")
         )
+        if entry.get("policy"):
+            lines.append("  policy: " + " ".join(
+                f"{key}={value}"
+                for key, value in sorted(entry["policy"].items())
+            ))
     events = bundle.get("events") or []
     if not events:
         lines.append("\nno recorded events")

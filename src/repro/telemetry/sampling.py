@@ -254,7 +254,7 @@ def complete_offload(
     recorder.kernel_offload(name).observe(duration_ns / 1e9)
     if error:
         recorder.metrics.counter(f"kernel.{name}.errors").inc()
-    if node is not None and getattr(recorder, "tsdb", None) is not None:
+    if node is not None and recorder.tsdb is not None:
         recorder.metrics.log_histogram(f"target.reply.{node}").observe(
             duration_ns / 1e9
         )

@@ -160,8 +160,9 @@ class SLOMonitor:
         Operations required in the fast window before alerting at all —
         keeps a single cold-start failure from paging.
     emit:
-        ``emit(name, **attrs)`` event sink (the recorder's ``event``);
-        receives ``telemetry.slo_breach`` / ``telemetry.slo_recovered``.
+        ``emit(name, **attrs)`` event sink (the recorder's
+        ``force_event``: both rings, past the sampling gate); receives
+        ``telemetry.slo_breach`` / ``telemetry.slo_recovered``.
     metrics:
         A :class:`~repro.telemetry.metrics.MetricsRegistry` for the
         burn/breached gauges (optional).
@@ -327,15 +328,10 @@ class SLOMonitor:
             if slo_tenant is not None:
                 attrs["tenant"] = slo_tenant
             self.emit(name, **attrs)
-            # SLO breaches are flight-recorder incidents: when the burn
-            # rate pages, the evidence of *why* is the recent
-            # control-plane event stream, captured right now.
-            flightrecorder.incident(
-                name, dump_reason="slo_breach" if breached else None, **attrs
-            )
-
-    # The name under which phase streams (span folds) are fed.
-    observe_phase = observe
+            if breached:
+                # When the burn rate pages, the evidence of *why* is the
+                # recent control-plane event stream: capture it right now.
+                flightrecorder.trigger("slo_breach", **attrs)
 
     # -- queries -----------------------------------------------------------
     def breached(self) -> list[str]:

@@ -107,7 +107,7 @@ def _host_lines(host: Mapping[str, Any]) -> list[str]:
         f"  window    {window.get('in_flight', 0)}/{window.get('limit', 0)}"
         f" in flight{_fmt_handles(window.get('handles') or [])}"
     )
-    transport = host.get("transport") or {}
+    transport = host.get("backend") or {}
     backend = transport.get("backend", "?")
     if "request_ring" in transport:
         lines.append(

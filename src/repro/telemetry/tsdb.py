@@ -17,13 +17,13 @@ module adds the missing axis of time at a fixed, tiny cost:
   :meth:`~TimeSeriesStore.percentile_of_window`.
 * :class:`Scoreboard` — per-target health/load vectors (in-flight
   depth, reply p95, error rate, ring fill / send-queue bytes) derived
-  from the fan-out backend's per-member stats, the health monitor and
-  optional OP_INTROSPECT probes, written as ``target.*.<node>`` series
-  following the existing dotted-suffix gauge convention.
+  from the fan-out backend's per-member stats, written as
+  ``target.*.<node>`` series following the existing dotted-suffix gauge
+  convention.
 * :class:`AnomalyDetector` — rolling median/MAD scoring over scoreboard
-  series: emits ``telemetry.anomaly`` events, exposes
-  ``anomaly.score.*`` gauges, notes the flight recorder (bundle
-  trigger-eligible) and advises the hedger away from anomalous targets.
+  series: emits ``telemetry.anomaly`` events (both rings; entering is
+  bundle trigger-eligible), exposes ``anomaly.score.*`` gauges and
+  advises the hedger away from anomalous targets.
 * :class:`Tsdb` — the assembled sampler: a daemon thread that ticks the
   snapshot + scoreboard + detector; ~zero cost when not installed (the
   recorder's ``tsdb`` attribute stays ``None`` and no thread exists).
@@ -267,9 +267,7 @@ class Scoreboard:
 
     Each refresh reads the backend's per-member stats (the fan-out
     backend reports one entry per target; single-target backends report
-    node 1), the health monitor's node table and — every
-    ``probe_interval`` seconds when ``probe`` is on — an OP_INTROSPECT
-    round trip, and writes ``target.*.<node>`` series into the store:
+    node 1) and writes ``target.*.<node>`` series into the store:
 
     ========================== ========================================
     ``target.in_flight.<n>``   replies pending on the wire to target n
@@ -277,26 +275,19 @@ class Scoreboard:
     ``target.ring_fill.<n>``   shm request-ring occupancy (0..1)
     ``target.error_rate.<n>``  failed offloads per second (rate of the
                                ``target.errors.<n>`` counter)
-    ``target.pending_invokes.<n>`` target-side queue depth (probe only)
     ========================== ========================================
 
     Reply-latency p95 per target rides for free: the completion hook
     feeds ``target.reply.<n>`` log histograms, which the sampler already
-    derives into ``target.reply.<n>.p95`` series. The vector returned by
-    :meth:`vectors` merges all of the above for ``/introspect`` and
-    ``/healthz`` detail.
+    derives into ``target.reply.<n>.p95`` series.
     """
 
     #: Window over which the error rate is computed, seconds.
     ERROR_WINDOW = 30.0
 
-    def __init__(self, store: TimeSeriesStore, *, probe: bool = False,
-                 probe_interval: float = 5.0) -> None:
+    def __init__(self, store: TimeSeriesStore) -> None:
         self.store = store
-        self.probe = probe
-        self.probe_interval = probe_interval
         self._runtime: Any = None
-        self._last_probe = 0.0
 
     def attach_runtime(self, runtime: Any) -> None:
         self._runtime = runtime
@@ -328,59 +319,6 @@ class Scoreboard:
                                 now=now),
                 now,
             )
-        if self.probe and now - self._last_probe >= self.probe_interval:
-            self._last_probe = now
-            self._probe(backend, now)
-
-    def _probe(self, backend: Any, now: float) -> None:
-        introspect = getattr(backend, "introspect_target", None)
-        if introspect is None:
-            return
-        try:
-            payload = introspect()
-        except Exception:  # noqa: BLE001 - probes are best-effort
-            return
-        targets = payload.get("targets") or [payload]
-        for entry in targets:
-            node = entry.get("node", 1)
-            pending = entry.get("pending_invokes")
-            if pending is not None:
-                self.store.record(
-                    f"target.pending_invokes.{node}", float(pending), now
-                )
-
-    def vectors(self, window: float = 60.0) -> dict[int, dict[str, Any]]:
-        """Merged per-target vector from the latest samples."""
-        out: dict[int, dict[str, Any]] = {}
-        for name in self.store.names():
-            if not name.startswith("target."):
-                continue
-            parts = name.split(".")
-            try:
-                node = int(parts[-1])
-            except ValueError:
-                # target.reply.<n>.p95 and friends: node one from the end
-                try:
-                    node = int(parts[-2])
-                except (ValueError, IndexError):
-                    continue
-                key = ".".join(parts[1:-2] + [parts[-1]])
-            else:
-                key = ".".join(parts[1:-1])
-            value = self.store.latest(name)
-            if value is None:
-                continue
-            out.setdefault(node, {})[key] = value
-        runtime = self._runtime
-        monitor = getattr(runtime, "monitor", None) if runtime else None
-        if monitor is not None:
-            try:
-                for node, record in monitor.snapshot().items():
-                    out.setdefault(int(node), {})["health"] = record.get(
-                        "health", "unknown")
-            except Exception:  # noqa: BLE001
-                pass
-        return out
 
 
 #: Floors of the anomaly score's scale, relative to the median and
@@ -419,11 +357,11 @@ class AnomalyDetector:
 
     On each transition the detector emits a ``telemetry.anomaly`` /
     ``telemetry.anomaly_recovered`` event through ``emit`` (the
-    recorder's sampling-proof ``force_event``), notes the flight
-    recorder, and — entering only — fires a trigger-eligible crash
-    bundle (``telemetry_anomaly``), armed or not being the flight
-    recorder's decision. ``anomaly.score.<series>`` gauges expose the
-    live scores for scraping.
+    recorder's ``force_event``: both rings, past the sampling gate) and
+    — entering only — fires a trigger-eligible crash bundle
+    (``telemetry_anomaly``), armed or not being the flight recorder's
+    decision. ``anomaly.score.<series>`` gauges expose the live scores
+    for scraping.
     """
 
     def __init__(
@@ -528,15 +466,13 @@ class AnomalyDetector:
                   "since": entry.get("since", now)}
         if self._emit is not None:
             self._emit(event, category="telemetry", **fields)
-        from repro.telemetry import flightrecorder
+        if trigger:
+            from repro.telemetry import flightrecorder
 
-        # Entering an anomaly is trigger-eligible: dumps a bundle when a
-        # crash dir is armed, a silent no-op otherwise (and debounced
-        # either way). Recovery just leaves a note in the ring.
-        flightrecorder.incident(
-            event, dump_reason="telemetry_anomaly" if trigger else None,
-            **fields,
-        )
+            # Entering an anomaly is trigger-eligible: dumps a bundle
+            # when a crash dir is armed, a silent no-op otherwise (and
+            # debounced either way). Recovery is the event alone.
+            flightrecorder.trigger("telemetry_anomaly", **fields)
 
     # -- consumers ---------------------------------------------------------
     def anomalies(self) -> list[dict[str, Any]]:
@@ -575,8 +511,7 @@ class Tsdb:
 
     Installed on the recorder as ``recorder.tsdb`` by
     :func:`install_tsdb`; everything else in the codebase discovers it
-    via ``getattr(recorder, "tsdb", None)`` so the cost is one attribute
-    read when the store is off.
+    there, so the cost is one attribute read when the store is off.
     """
 
     def __init__(
@@ -586,20 +521,15 @@ class Tsdb:
         interval: float = 1.0,
         retention: int = DEFAULT_RETENTION,
         max_series: int = DEFAULT_MAX_SERIES,
-        probe: bool = False,
-        detector: AnomalyDetector | None = None,
         emit: Callable[..., None] | None = None,
-        clock: Callable[[], float] = time.time,
     ) -> None:
         if interval <= 0.0:
             raise ValueError(f"sampling interval must be positive, got {interval}")
         self.registry = registry
         self.interval = interval
-        self.clock = clock
         self.store = TimeSeriesStore(retention=retention, max_series=max_series)
-        self.scoreboard = Scoreboard(self.store, probe=probe)
-        self.detector = detector if detector is not None else AnomalyDetector(
-            self.store, registry, emit=emit)
+        self.scoreboard = Scoreboard(self.store)
+        self.detector = AnomalyDetector(self.store, registry, emit=emit)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         #: Ticks taken so far (tests and introspection).
@@ -639,29 +569,18 @@ class Tsdb:
 
     def sample_once(self, now: float | None = None) -> None:
         """One sampler tick: registry snapshot -> scoreboard -> detector."""
-        ts = self.clock() if now is None else now
+        ts = time.time() if now is None else now
         self.store.observe_snapshot(self.registry.snapshot(), ts)
         self.scoreboard.refresh(ts)
         self.detector.evaluate(ts)
         self.samples += 1
 
 
-def install_tsdb(recorder: Any, *, interval: float = 1.0,
-                 retention: int = DEFAULT_RETENTION,
-                 max_series: int = DEFAULT_MAX_SERIES,
-                 probe: bool = False) -> Tsdb:
+def install_tsdb(recorder: Any) -> Tsdb:
     """Build a :class:`Tsdb` over ``recorder`` and attach it.
 
     Does not start the sampler thread — the caller starts it once the
     runtime exists (so the scoreboard has per-target stats to read).
     """
-    tsdb = Tsdb(
-        recorder.metrics,
-        interval=interval,
-        retention=retention,
-        max_series=max_series,
-        probe=probe,
-        emit=recorder.force_event,
-    )
-    recorder.tsdb = tsdb
+    tsdb = recorder.tsdb = Tsdb(recorder.metrics, emit=recorder.force_event)
     return tsdb

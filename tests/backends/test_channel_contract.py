@@ -140,7 +140,8 @@ class TestWindowConfiguration:
         backend = LocalBackend()
         runtime = Runtime(backend, window=3)
         assert runtime.window.limit == 3
-        assert runtime.stats()["window"] == {"in_flight": 0, "limit": 3}
+        assert runtime.stats()["window"] == {
+            "in_flight": 0, "limit": 3, "handles": []}
         runtime.shutdown()
 
     def test_api_init_window_parameter(self):
@@ -204,7 +205,8 @@ class TestTcpPipelining:
             futures.append(runtime.async_(1, f2f(apps.sleep_then, 0.02, i)))
             assert runtime.window.in_flight <= 2
         assert [future.get(timeout=10.0) for future in futures] == list(range(8))
-        assert runtime.stats()["window"] == {"in_flight": 0, "limit": 2}
+        assert runtime.stats()["window"] == {
+            "in_flight": 0, "limit": 2, "handles": []}
         runtime.shutdown()
 
     @pytest.mark.slow_failure

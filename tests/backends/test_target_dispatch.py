@@ -317,7 +317,7 @@ class TestReaderKeepsReading:
         assert state["dispatch"]["promotions"] >= 1
         assert state["dispatch"]["handoffs"] == 0
         attrs = [
-            record[2] for record in flightrecorder.get().records()
+            record[3] for record in flightrecorder.get().records()
             if record[1] == "target.promoted"
         ][-1]
         assert attrs["functor"].endswith("dispatch_hook") and attrs["corr"] > 0
@@ -394,7 +394,7 @@ class TestStopReason:
         thread.join(WAIT)
         assert not thread.is_alive()
         assert fragment in capfd.readouterr().err
-        name, attrs = flightrecorder.get().records()[-1][1:]
+        _, name, _, attrs = flightrecorder.get().records()[-1]
         assert name == "target.stopped" and fragment in attrs["reason"]
 
     @pytest.mark.parametrize("sent, fragment", [

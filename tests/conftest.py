@@ -1,20 +1,28 @@
-"""Suite-wide leak check, first rung: process-global switches.
+"""Suite-wide leak check: process-global switches.
 
-Every test must leave the global runtime finalized and telemetry off,
-whatever it did in between — asserted, not reset, so a test that relies
-on (or causes) a leftover fails where it runs instead of changing the
-verdict of whichever test comes next.
+Every test must leave the global runtime finalized, telemetry off, and
+the flight recorder's crash directory and the ``SIGUSR2`` handler as it
+found them, whatever it did in between — asserted, not reset, so a test
+that relies on (or causes) a leftover fails where it runs instead of
+changing the verdict of whichever test comes next.
 """
+
+import signal
 
 import pytest
 
 from repro.offload import api as offload_api
+from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
 
 @pytest.fixture(autouse=True)
 def _leaves_no_global_state():
+    flight = flightrecorder.get()
+    armed = (flight.crash_dir, signal.getsignal(signal.SIGUSR2))
     yield
     assert not offload_api.is_initialized(), (
         "the test left offload.init() without a finalize()")
     assert not telemetry.enabled(), "the test left telemetry enabled"
+    assert (flight.crash_dir, signal.getsignal(signal.SIGUSR2)) == armed, (
+        "the test left the flight recorder armed (crash dir / SIGUSR2)")

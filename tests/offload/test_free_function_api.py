@@ -2,6 +2,7 @@
 
 import glob
 import multiprocessing
+import signal
 import threading
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.backends import LocalBackend, eventloop
 from repro.errors import BackendError, OffloadError
 from repro.ham import f2f
 from repro.offload import api as offload
+from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
@@ -45,6 +47,34 @@ class TestGlobalRuntimeLifecycle:
         offload.init(LocalBackend())
         assert offload.is_initialized()
         offload.finalize()
+
+    def test_finalize_gives_back_what_init_armed(self, tmp_path):
+        """A session's crash dir and SIGUSR2 handler end with it: the
+        next runtime does not dump into a directory this one chose."""
+        flight = flightrecorder.get()
+        before = (flight.crash_dir, signal.getsignal(signal.SIGUSR2))
+        assert before[0] is None
+        for session in ("first", "second"):
+            offload.init(LocalBackend(),
+                         telemetry={"enabled": False,
+                                    "crash_dir": tmp_path / session})
+            try:
+                assert flight.crash_dir == tmp_path / session
+                assert signal.getsignal(signal.SIGUSR2) != before[1]
+                bundle = flightrecorder.trigger("probe", force=True)
+                assert bundle.parent == tmp_path / session
+            finally:
+                offload.finalize()
+            assert (flight.crash_dir,
+                    signal.getsignal(signal.SIGUSR2)) == before
+        # A session that arms nothing leaves a direct configure() alone.
+        flightrecorder.configure(tmp_path / "mine", install_signal=False)
+        try:
+            offload.init(LocalBackend())
+            offload.finalize()
+            assert flight.crash_dir == tmp_path / "mine"
+        finally:
+            flight.crash_dir = None
 
 
 def _left_behind() -> tuple:

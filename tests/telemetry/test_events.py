@@ -1,0 +1,169 @@
+"""One control-plane stream: ``telemetry.event`` is one call, two rings.
+
+An event always drops into the black-box ring and, while telemetry
+records, into the trace ring under the sampling rules; a
+``flightrecorder.note`` is black-box only. Nothing is both — checked
+against the source — and ``docs/observability.md`` lists every name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.telemetry import context as trace_context
+from repro.telemetry import flightrecorder
+from repro.telemetry import recorder as telemetry
+from repro.telemetry.context import TraceContext
+from repro.telemetry.sampling import TailPipeline, complete_offload
+from repro.telemetry.slo import SLO, SLOMonitor
+
+ROOT = Path(__file__).resolve().parents[2]
+PACKAGE = ROOT / "src" / "repro"
+
+SLOW = TraceContext(trace_id=0xB2, span_id=0x88, sampled=False)
+FAST = TraceContext(trace_id=0xC3, sampled=False)
+
+
+@pytest.fixture
+def black_box():
+    flight = flightrecorder.get()
+    flight.clear()
+    return flight
+
+
+def _black_box_events(flight):
+    return [(name, category, attrs)
+            for _, name, category, attrs in flight.records()]
+
+
+def _trace_events(recorder):
+    return [(r.name, r.category, r.attrs) for r in recorder.events()]
+
+
+RETRY = ("resilience.retry", "resilience", {"attempt": 1, "node": 2})
+
+
+def _emit_retry():
+    telemetry.event("resilience.retry", category="resilience",
+                    attempt=1, node=2)
+
+
+class TestOneCall:
+    def test_telemetry_off_lands_in_the_black_box_only(self, black_box):
+        assert not telemetry.enabled()
+        _emit_retry()
+        assert _black_box_events(black_box) == [RETRY]
+
+    def test_telemetry_on_lands_in_both_rings_equal(self, black_box):
+        recorder = telemetry.enable()
+        _emit_retry()
+        assert _black_box_events(black_box) == [RETRY]
+        assert _trace_events(recorder) == [RETRY]
+
+    def test_unsampled_trace_black_box_keeps_trace_ring_follows_verdict(
+            self, black_box):
+        recorder = telemetry.enable()
+        recorder.pipeline = TailPipeline(min_samples=1000)  # errors only
+        for ctx in (SLOW, FAST):
+            with trace_context.activate(ctx):
+                _emit_retry()
+        assert _black_box_events(black_box) == [RETRY, RETRY]
+        assert _trace_events(recorder) == []  # both staged
+        complete_offload(SLOW, kernel="k", duration_ns=9, error=True,
+                         recorder=recorder)
+        complete_offload(FAST, kernel="k", duration_ns=9, recorder=recorder)
+        assert [r.trace_id for r in recorder.events()] == [SLOW.trace_id_hex]
+        assert _black_box_events(black_box) == [RETRY, RETRY]
+
+    def test_unsampled_trace_without_a_pipeline_is_black_box_only(
+            self, black_box):
+        recorder = telemetry.enable()
+        with trace_context.activate(FAST):
+            _emit_retry()
+        assert _black_box_events(black_box) == [RETRY]
+        assert _trace_events(recorder) == []
+
+    def test_an_slo_breach_lands_regardless(self, black_box):
+        recorder = telemetry.enable()
+        monitor = SLOMonitor(
+            [SLO("lat", "offload", threshold_ns=1000, objective=0.9)],
+            fast_window=10, slow_window=10, min_samples=5,
+            emit=recorder.force_event,
+        )
+        with trace_context.activate(FAST):  # unsampled, no pipeline
+            for _ in range(5):
+                monitor.observe("offload", 5000)
+        [(name, category, attrs)] = _trace_events(recorder)
+        assert (name, category, attrs["slo"]) == (
+            "telemetry.slo_breach", "slo", "lat")
+        assert _black_box_events(black_box)[0] == (name, category, attrs)
+        # The breach is also the trigger (a no-op without a crash dir).
+        assert black_box.records()[-1][1] == "flight.trigger"
+
+
+# --------------------------------------------------------------------------
+# The source: which names are events, which are notes
+# --------------------------------------------------------------------------
+
+#: Alert events go out through an injected ``emit`` sink (the recorder's
+#: ``force_event``), so their names are not spelled at a call the scan
+#: sees; ``flight.trigger`` is what ``trigger`` itself leaves.
+UNSCANNED = {
+    "telemetry.slo_breach", "telemetry.slo_recovered",
+    "telemetry.anomaly", "telemetry.anomaly_recovered", "flight.trigger",
+}
+
+
+def _calls(receiver: str, method: str,
+           default: str) -> dict[str, tuple[str, str]]:
+    """``{name literal: (category, module)}`` of every
+    ``<receiver>.<method>("name", ...)`` call under ``src/repro``;
+    ``default`` is the category of a call that passes none."""
+    found: dict[str, tuple[str, str]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == method
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == receiver):
+                continue
+            name = node.args[0]
+            assert isinstance(name, ast.Constant), (
+                f"{path}:{node.lineno}: spell the event name at the call")
+            category = next(
+                (kw.value.value for kw in node.keywords
+                 if kw.arg == "category"), default)
+            found[name.value] = (category, str(path.relative_to(PACKAGE)))
+    return found
+
+
+def _events() -> dict[str, tuple[str, str]]:
+    return _calls("telemetry", "event", "offload")
+
+
+def _notes() -> dict[str, tuple[str, str]]:
+    return _calls("flightrecorder", "note", "flight")
+
+
+def test_no_name_is_both_an_event_and_a_note():
+    events, notes = _events(), _notes()
+    assert len(events) >= 9 and len(notes) >= 4  # the scan bites
+    assert not set(events) & set(notes)
+
+
+def test_docs_table_lists_every_event_and_note():
+    docs = (ROOT / "docs" / "observability.md").read_text()
+    begin, end = "<!-- events:begin -->\n", "<!-- events:end -->"
+    table = docs[docs.index(begin) + len(begin):docs.index(end)]
+    rows = {tuple(cell.strip(" `") for cell in line.strip("|\n").split("|"))
+            for line in table.splitlines()[2:]}
+    expected = {
+        (name, category, module, rings)
+        for rings, calls in (("both", _events()), ("black box", _notes()))
+        for name, (category, module) in calls.items()
+    }
+    assert expected <= rows
+    assert {name for row in rows - expected
+            for name in row[0].split("` / `")} == UNSCANNED

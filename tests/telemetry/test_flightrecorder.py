@@ -13,6 +13,7 @@ from repro.telemetry import flightrecorder
 from repro.telemetry.flightrecorder import (
     BUNDLE_EVENTS,
     BUNDLE_MANIFEST,
+    BUNDLE_STATE,
     FlightRecorder,
 )
 
@@ -36,7 +37,8 @@ class TestRing:
         assert rec.noted == 10
         assert rec.dropped == 6
         # Lossy toward the *old* end: recency is the point.
-        assert [attrs["i"] for _, _, attrs in rec.records()] == [6, 7, 8, 9]
+        assert [attrs["i"] for *_, attrs in rec.records()] == [6, 7, 8, 9]
+        assert {category for _, _, category, _ in rec.records()} == {"flight"}
 
     def test_disabled_recorder_notes_nothing(self):
         rec = FlightRecorder(capacity=4)
@@ -82,8 +84,11 @@ class TestTriggerAndDump:
         assert rows[0]["name"] == "qos.shed"
         assert rows[0]["attrs"] == {"tenant": "noisy"}
         assert rows[-1]["name"] == "flight.trigger"
-        assert (bundle / "inflight.json").is_file()
-        assert (bundle / "config.json").is_file()
+        # The exporter's one row shape, readable as a trace file too.
+        assert rows[0]["type"] == "event" and rows[0]["cat"] == "flight"
+        assert {p.name for p in bundle.iterdir()} == {
+            BUNDLE_MANIFEST, BUNDLE_EVENTS, BUNDLE_STATE,
+        }
 
     def test_reason_is_sanitized_into_the_directory_name(self, tmp_path):
         rec = FlightRecorder(capacity=8, crash_dir=tmp_path)
@@ -144,6 +149,22 @@ class TestOfflineReading:
         with pytest.raises(ValueError, match="unparseable manifest"):
             flightrecorder.load_bundle(bundle)
 
+    def test_another_schema_version_is_refused_by_name(self, tmp_path):
+        bundle = self._bundle(tmp_path)
+        manifest = json.loads((bundle / BUNDLE_MANIFEST).read_text())
+        assert manifest["schema_version"] == 2
+        manifest["schema_version"] = 1
+        (bundle / BUNDLE_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="schema version 1"):
+            flightrecorder.load_bundle(bundle)
+
+    def test_truncated_state_keeps_the_events(self, tmp_path):
+        bundle = self._bundle(tmp_path)
+        (bundle / BUNDLE_STATE).write_text('[{"window": {"in_fl')
+        loaded = flightrecorder.load_bundle(bundle)
+        assert loaded["state"] is None
+        assert len(loaded["events"]) == 2
+
     def test_find_bundles_ignores_non_bundles(self, tmp_path):
         bundle = self._bundle(tmp_path)
         (tmp_path / "junk").mkdir()
@@ -171,36 +192,55 @@ class TestConfigure:
                 flight.note("tick", i=i)
             flightrecorder.configure(capacity=3, install_signal=False)
             assert flight.capacity == 3
-            assert [a["i"] for _, _, a in flight.records()] == [3, 4, 5]
+            assert [a["i"] for *_, a in flight.records()] == [3, 4, 5]
         finally:
             flightrecorder.configure(capacity=original, install_signal=False)
 
 
 class TestIncident:
-    def test_recovery_notes_without_dumping(self, tmp_path):
-        flight = flightrecorder.get()
-        flight.crash_dir = tmp_path
-        flight.clear()
-        before = list(flight.dumps)
-        assert flightrecorder.incident(
-            "telemetry.slo_recovered", slo="offload-latency") is None
-        assert flight.records()[-1][1] == "telemetry.slo_recovered"
-        assert flight.dumps == before
+    """An alert-state transition (here: the SLO monitor's) is the forced
+    event plus, entering the bad state only, the trigger."""
 
-    def test_entry_notes_and_dumps(self, tmp_path):
+    @pytest.fixture
+    def monitor(self, tmp_path):
+        from repro.telemetry import recorder as telemetry
+        from repro.telemetry.slo import SLO, SLOMonitor
+
         flight = flightrecorder.get()
         flight.crash_dir = tmp_path
         flight.debounce = 0.0
         flight.clear()
-        bundle = flightrecorder.incident(
-            "telemetry.anomaly", dump_reason="telemetry_anomaly",
-            series="target.reply.1.p95", score=9.2,
-        )
-        assert bundle is not None and "telemetry_anomaly" in bundle.name
-        names = [name for _, name, _ in flight.records()]
-        assert "telemetry.anomaly" in names
+        recorder = telemetry.enable()
+        try:
+            yield SLOMonitor(
+                [SLO("lat", "offload", threshold_ns=1000, objective=0.9)],
+                fast_window=10, slow_window=10, min_samples=5,
+                emit=recorder.force_event,
+            )
+        finally:
+            telemetry.disable()
+
+    def test_entry_notes_and_dumps(self, monitor):
+        flight = flightrecorder.get()
+        before = list(flight.dumps)
+        for _ in range(5):
+            monitor.observe("offload", 5000)
+        [bundle] = flight.dumps[len(before):]
+        assert "slo_breach" in bundle.name
+        names = [name for _, name, _, _ in flight.records()]
+        assert names == ["telemetry.slo_breach", "flight.trigger"]
         manifest = json.loads((bundle / BUNDLE_MANIFEST).read_text())
-        assert manifest["attrs"]["series"] == "target.reply.1.p95"
+        assert manifest["attrs"]["slo"] == "lat"
+
+    def test_recovery_notes_without_dumping(self, monitor):
+        flight = flightrecorder.get()
+        for _ in range(5):
+            monitor.observe("offload", 5000)
+        dumped = list(flight.dumps)
+        for _ in range(15):
+            monitor.observe("offload", 10)
+        assert flight.records()[-1][1] == "telemetry.slo_recovered"
+        assert flight.dumps == dumped
 
 
 class TestTimeseriesBundle:
@@ -261,60 +301,70 @@ class TestTimeseriesBundle:
 
 
 class TestTransportSnapshot:
-    class _Backend:
+    """``state.json`` is what each attached runtime says of itself —
+    the recorder looks for nothing in it."""
+
+    class _Runtime:
+        def __init__(self, stats):
+            self._stats = stats
+
         def stats(self):
-            return {
+            return dict(self._stats)
+
+    def test_state_json_carries_transport_stats(self, tmp_path):
+        rec = FlightRecorder(capacity=8, crash_dir=tmp_path)
+        stats = {
+            "window": {"in_flight": 2, "limit": 8, "handles": []},
+            "backend": {
                 "backend": "tcp",
                 "reactor": {"max_lag_us": 120, "loops": 42},
                 "batch": {"flush_reasons": {"deadline": 3, "full": 1}},
-            }
-
-    class _Runtime:
-        def __init__(self):
-            self.backend = TestTransportSnapshot._Backend()
-
-    def test_metrics_json_carries_reactor_and_flush_reasons(self, tmp_path):
-        rec = FlightRecorder(capacity=8, crash_dir=tmp_path)
-        runtime = self._Runtime()  # held: the recorder only weak-refs it
+            },
+            "telemetry": {"counters": {}},
+        }
+        runtime = self._Runtime(stats)  # held: the recorder only weak-refs it
         rec.attach(runtime)
         bundle = rec.dump("boom")
-        metrics = json.loads((bundle / "metrics.json").read_text())
-        [entry] = metrics["transport"]
-        assert entry["reactor"]["max_lag_us"] == 120
-        assert entry["flush_reasons"] == {"deadline": 3, "full": 1}
+        assert not (bundle / "metrics.json").exists()  # telemetry is off
+        [entry] = json.loads((bundle / BUNDLE_STATE).read_text())
+        # The registry snapshot is the process's, not the runtime's.
+        del stats["telemetry"]
+        assert entry == stats
+        manifest = json.loads((bundle / BUNDLE_MANIFEST).read_text())
+        assert manifest["pending"] == 2
 
-    def test_statless_backend_contributes_nothing(self, tmp_path):
-        class _Plain:
+    def test_a_runtime_that_cannot_answer_leaves_its_error(self, tmp_path):
+        class _Broken:
             def stats(self):
-                return {"backend": "local"}
-
-        class _Rt:
-            backend = _Plain()
+                raise RuntimeError("backend gone")
 
         rec = FlightRecorder(capacity=8, crash_dir=tmp_path)
-        runtime = _Rt()
+        runtime = _Broken()
         rec.attach(runtime)
-        assert rec._transport_snapshot() == []
+        bundle = rec.dump("boom")
+        assert json.loads((bundle / BUNDLE_STATE).read_text()) == [
+            {"error": "RuntimeError: backend gone"}
+        ]
 
 
 class TestRuntimeIntegration:
     def test_runtime_attach_fills_inflight_and_config(self, tmp_path):
         from repro.backends import LocalBackend
-        from repro.offload import Runtime
+        from repro.offload import ResiliencePolicy, Runtime
 
         from tests import apps  # noqa: F401 - registers the catalog
 
-        runtime = Runtime(LocalBackend())
+        runtime = Runtime(LocalBackend(), policy=ResiliencePolicy(deadline=2.0))
         try:
             rec = flightrecorder.get()
             rec.crash_dir = tmp_path
             bundle = rec.dump("manual")
-            loaded = flightrecorder.load_bundle(bundle)
-            backends = [e.get("backend") for e in loaded["inflight"]]
-            assert "LocalBackend" in backends
-            assert any(
-                c.get("backend") == "LocalBackend" for c in loaded["config"]
-            )
+            [entry] = flightrecorder.load_bundle(bundle)["state"]
+            assert entry["backend"]["backend"] == "local"
+            assert entry["window"] == {
+                "in_flight": 0, "limit": runtime.window.limit, "handles": [],
+            }
+            assert entry["policy"]["deadline"] == 2.0
         finally:
             runtime.shutdown()
 

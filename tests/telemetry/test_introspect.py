@@ -21,8 +21,8 @@ from repro.backends import (
     spawn_shm_server,
 )
 from repro.ham import f2f
-from repro.offload import Runtime
-from repro.telemetry import top
+from repro.offload import HedgePolicy, QoSConfig, ResiliencePolicy, Runtime
+from repro.telemetry import flightrecorder, top
 from repro.telemetry.inspect import SNAPSHOT_SCHEMA_VERSION, RuntimeInspector
 
 from tests import apps
@@ -151,6 +151,7 @@ class TestRuntimeInspector:
         assert snapshot["host"]["pid"] > 0
         window = snapshot["host"]["window"]
         assert window["in_flight"] == 0 and window["limit"] > 0
+        assert snapshot["host"]["backend"]["backend"] == "local"
         assert snapshot["target"]["role"] == "target"
         assert {"noted", "dropped", "dumps", "crash_dir"} <= set(
             snapshot["flight"]
@@ -172,6 +173,51 @@ class TestRuntimeInspector:
         finally:
             runtime.shutdown()
         json.dumps(snapshot, default=str)
+
+
+class TestOneSnapshot:
+    """A crash bundle's ``state.json`` is not a second description of
+    the runtime: entry for entry it is the snapshot's ``host``."""
+
+    def test_state_json_is_the_host_entry_of_introspect(self, tmp_path):
+        from repro.offload import api as offload
+
+        def host():
+            snapshot = offload.introspect(probe_target=False)
+            return json.loads(json.dumps(snapshot["host"], default=str))
+
+        process, address = spawn_local_server()
+        flight = flightrecorder.get()
+        crash_dir, flight.crash_dir = flight.crash_dir, tmp_path
+        offload.init(
+            TcpBackend(address, on_shutdown=lambda: process.join(timeout=5)),
+            policy=ResiliencePolicy(deadline=5.0, hedge=HedgePolicy()),
+            qos=QoSConfig(window=4),
+        )
+        try:
+            futures = [offload.async_(1, f2f(apps.sleep_then, 0.5, i))
+                       for i in range(2)]
+            for _ in range(10):  # "at the same moment": nothing moved across
+                before = host()
+                bundle = flight.dump("manual")
+                if before == host():
+                    break
+            [state] = flightrecorder.load_bundle(bundle)["state"]
+            assert state == before
+            assert [f.get() for f in futures] == [0, 1]
+        finally:
+            offload.finalize()
+            flight.crash_dir = crash_dir
+        window = state["window"]
+        assert (window["in_flight"], window["limit"]) == (2, 4)
+        assert len({handle["corr"] for handle in window["handles"]}) == 2
+        assert {handle["label"] for handle in window["handles"]} == {
+            f2f(apps.sleep_then, 0.5, 0).type_name}
+        assert state["policy"] == {"deadline": 5.0, "max_retries": 0,
+                                   "failover": True, "hedge": True}
+        assert "max_lag_us" in state["backend"]["reactor"]
+        assert "flush_reasons" in state["backend"]["batch"]
+        assert {"pid", "qos", "health", "hedging"} <= set(state)
 
 
 class TestIntrospectEndpoint:
@@ -207,7 +253,7 @@ class TestIntrospectEndpoint:
 class TestTopRendering:
     def _snapshot(self):
         return {
-            "schema_version": 1,
+            "schema_version": SNAPSHOT_SCHEMA_VERSION,
             "host": {
                 "pid": 100,
                 "window": {
@@ -217,7 +263,7 @@ class TestTopRendering:
                         {"corr": 2, "label": "stencil"},
                     ],
                 },
-                "transport": {
+                "backend": {
                     "backend": "shm",
                     "request_ring": {"used": 512, "capacity": 1024,
                                      "sleep_stalls": 3},

@@ -35,13 +35,9 @@ class _GrammarBackend:
     def per_target_stats(self):
         return {1: {"in_flight": 1, "queue_bytes": 10, "ring_fill": 0.5}}
 
-    def introspect_target(self, timeout=None):
-        return {"targets": [{"node": 1, "pending_invokes": 2}]}
-
 
 class _GrammarRuntime:
     backend = _GrammarBackend()
-    monitor = None
 
 
 class TestDynamicGrammar:
@@ -54,8 +50,6 @@ class TestDynamicGrammar:
         reg.gauge("slo.offload-latency.fast_burn").set(0.1)
         tsdb = Tsdb(reg, interval=1.0)
         tsdb.attach_runtime(_GrammarRuntime())
-        tsdb.scoreboard.probe = True
-        tsdb.scoreboard.probe_interval = 0.0
         for tick in range(10):
             tsdb.sample_once(now=float(tick + 1))
         for name in tsdb.store.names():

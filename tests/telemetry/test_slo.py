@@ -141,11 +141,6 @@ class TestBurnRateAlerting:
         assert mon.snapshot()["lat"]["total"] == 0
         assert mon.breached() == []
 
-    def test_observe_phase_is_an_alias(self):
-        mon = tight_monitor()
-        mon.observe_phase("offload", 1)
-        assert mon.snapshot()["lat"]["total"] == 1
-
     def test_window_counts_match_brute_force(self):
         # The O(1) incremental bad counts must agree with recounting the
         # retained window after arbitrary eviction traffic.

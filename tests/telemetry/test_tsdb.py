@@ -142,20 +142,10 @@ class _FakeBackend:
     def per_target_stats(self):
         return self.stats_table
 
-    def introspect_target(self, timeout=None):
-        return {"targets": [{"node": 1, "pending_invokes": 4},
-                            {"node": 2, "pending_invokes": 0}]}
-
-
-class _FakeMonitor:
-    def snapshot(self):
-        return {1: {"health": "healthy"}, 2: {"health": "degraded"}}
-
 
 class _FakeRuntime:
     def __init__(self):
         self.backend = _FakeBackend()
-        self.monitor = _FakeMonitor()
 
 
 class TestScoreboard:
@@ -179,26 +169,6 @@ class TestScoreboard:
             store.record("target.errors.1", float(ts), float(ts))
         board.refresh(now=5.0)
         assert store.latest("target.error_rate.1") == pytest.approx(1.0)
-
-    def test_probe_feeds_pending_invokes(self):
-        store = TimeSeriesStore()
-        board = Scoreboard(store, probe=True, probe_interval=0.0)
-        board.attach_runtime(_FakeRuntime())
-        board.refresh(now=1.0)
-        assert store.latest("target.pending_invokes.1") == 4.0
-        assert store.latest("target.pending_invokes.2") == 0.0
-
-    def test_vectors_merge_reply_p95_and_health(self):
-        store = TimeSeriesStore()
-        board = Scoreboard(store)
-        board.attach_runtime(_FakeRuntime())
-        board.refresh(now=1.0)
-        store.record("target.reply.1.p95", 0.125, 1.0)
-        vectors = board.vectors()
-        assert vectors[1]["in_flight"] == 2.0
-        assert vectors[1]["reply.p95"] == 0.125
-        assert vectors[1]["health"] == "healthy"
-        assert vectors[2]["health"] == "degraded"
 
     def test_refresh_without_runtime_is_a_noop(self):
         store = TimeSeriesStore()
@@ -367,11 +337,11 @@ class TestTsdb:
         from repro.telemetry.recorder import Recorder
 
         recorder = Recorder()
-        tsdb = install_tsdb(recorder, interval=0.5, retention=10)
+        tsdb = install_tsdb(recorder)
         assert recorder.tsdb is tsdb
         assert tsdb._thread is None
-        assert tsdb.interval == 0.5
-        assert tsdb.store.retention == 10
+        assert tsdb.interval == 1.0
+        assert tsdb.detector._emit == recorder.force_event
 
 
 class TestHedgeAdvisory:
