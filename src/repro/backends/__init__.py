@@ -96,7 +96,7 @@ def create_backend(name: str, **options) -> "Backend":
         process, address = _spawn(spawn_local_server, options, "workers")
         return TcpBackend(
             address,
-            on_shutdown=lambda: process.join(timeout=10),
+            on_shutdown=lambda: _reap(process),
             **options,
         )
     if name == "shm":
@@ -110,12 +110,20 @@ def create_backend(name: str, **options) -> "Backend":
         return ShmBackend(
             segment,
             alive_fn=process.is_alive,
-            on_shutdown=lambda: process.join(timeout=10),
+            on_shutdown=lambda: _reap(process),
             **options,
         )
     raise ValueError(
         f"unknown backend name {name!r}; expected 'local', 'tcp' or 'shm'"
     )
+
+
+def _reap(process) -> None:
+    """Join the forked target and close its handle: the sentinel pipe
+    goes now, not whenever the backend's reference cycle is collected."""
+    process.join(timeout=10)
+    if process.exitcode is not None:
+        process.close()
 
 
 def _spawn(spawn, options: dict, *spawn_keys: str):

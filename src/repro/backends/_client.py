@@ -5,8 +5,16 @@ same frames, so everything the host does that is not moving bytes is one
 class — the correlation table replies are matched through, posting an
 invocation, the synchronous roundtrip under every memory and control
 op, the catalog handshake, clock sync, telemetry and introspection
-pulls, failing what a lost transport strands, and shutdown. What is
-left to a transport is listed on :class:`FramedClient`.
+pulls, failing what a lost transport strands, and shutdown.
+
+It is also the one *drive*. The paper's receiver polls for its message
+itself (Sec. IV-B) and HAM's backends have no progress thread; here the
+caller that waits for a reply reads it: it takes the drive lock, calls
+the transport's :meth:`FramedClient._next_frame` and completes every
+reply that arrives, its own and everybody else's (leader/follower). No
+thread owns the receive side, so a depth-1 offload costs the host one
+timeslice and builds no ``threading.Event``. What is left to a
+transport is listed on :class:`FramedClient`.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.backends import eventloop
 from repro.backends._server import (
     _U64,
     FRAME_OVERHEAD,
@@ -111,25 +120,27 @@ class FramedClient(Backend):
       behind everything sent before it; on a lost transport call
       :meth:`_fail_pending` and raise :class:`BackendError`.
       ``_post_frame`` is the same for ``OP_INVOKE`` frames, which a
-      stream transport may batch (it defaults to ``_send``);
-    * ``_wait(done, block, timeout, what)`` — block the caller until
-      ``done()`` holds (``block(seconds)`` sleeps on the expectation's
-      own event), raising :class:`OffloadTimeoutError` after
-      ``timeout``, and ``_poll()``, the progress that needs no waiting;
-      a driven transport (``driven = True``) pumps replies in both;
-    * ``_detach()`` — let go of what only a live transport needs
+      stream transport may batch (it defaults to ``_send``) and then
+      sends before anybody waits for their replies;
+    * ``_next_frame(timeout)`` — the receive half, the mirror of
+      ``FramedServer._next_frame``: the next reply frame, or ``None``;
+    * ``_arm_backstop(progressed)`` — how :meth:`_backstop_pump` gets to
+      run on the reactor while done-callbacks are armed;
+    * ``_detach()`` — extended with what only a live transport needs
       (idempotent, any thread); a buffering transport also reports what
       it had not sent yet through ``_drop_unsent``;
     * ``_close_transport()`` — release what is left once ``on_shutdown``
       has joined the target (defaults to ``_detach``).
 
-    It calls :meth:`_dispatch_reply` for every frame it receives,
-    :meth:`_fail_pending` when the peer is lost, and ends its
-    constructor with :meth:`_handshake`.
+    It completes every frame ``_next_frame`` returns through
+    :meth:`_dispatch_reply`, calls :meth:`_fail_pending` when the peer
+    is lost, and ends its constructor with :meth:`_handshake`.
     """
 
     #: "tcp" / "shm": names the image, the metrics and the error texts.
     name = ""
+    #: No thread receives: replies are read by whoever waits for one.
+    driven = True
     #: How descriptors, errors and crash bundles name the target, and
     #: what that is ("address" / "segment") to the flight recorder.
     peer = ""
@@ -150,7 +161,16 @@ class FramedClient(Backend):
         self._pending: dict[int, tuple[str, Any]] = {}
         self._pending_lock = threading.Lock()
         self._send_lock = threading.Lock()
-        self._sync_local = threading.local()
+        #: Held by whoever reads replies (the leader/follower gate).
+        #: Reentrant: a sender stalled on a full transport drains replies
+        #: even when it is itself the leader (``_send_stall``).
+        self._drive_lock = threading.RLock()
+        #: The shared reactor, and what disarms the backstop armed on it
+        #: (see :meth:`_callback_armed`); both change under the lock.
+        self._reactor: eventloop.Reactor | None = None
+        self._backstop: Callable[[], None] | None = None
+        self._backstop_lock = threading.Lock()
+        self.backstop_pumps = 0
         self._msg_id = 0
         self._alive = True
         self._closed = False
@@ -172,20 +192,33 @@ class FramedClient(Backend):
     def _post_frame(self, op: int, corr: int, *parts: Any) -> None:
         self._send(op, corr, *parts)
 
-    def _poll(self) -> None:
+    def _next_frame(
+        self, timeout: float | None
+    ) -> tuple[int, int, memoryview] | None:
+        """Drive lock held: the next reply frame, waiting up to
+        ``timeout`` seconds for it to arrive (``0``: only what already
+        has, ``None``: as long as it takes). ``None`` when the time ran
+        out — never having consumed half a frame: what arrived of one
+        stays with the transport. Raises :class:`BackendError` once the
+        peer is lost."""
         raise NotImplementedError
 
-    def _wait(
-        self,
-        done: Callable[[], bool],
-        block: Callable[[float | None], bool],
-        timeout: float | None,
-        what: str,
-    ) -> None:
+    def _arm_backstop(self, progressed: bool) -> Callable[[], None]:
+        """Backstop lock held: have the reactor call
+        :meth:`_backstop_pump`; returns what disarms it. Called when the
+        first done-callback arms it and again after every pump that
+        leaves replies outstanding (``progressed``: that pump read one)."""
         raise NotImplementedError
 
     def _detach(self) -> None:
-        raise NotImplementedError
+        """Disarm the backstop and drop the reactor reference."""
+        with self._backstop_lock:
+            disarm, self._backstop = self._backstop, None
+            reactor, self._reactor = self._reactor, None
+        if disarm is not None:
+            disarm()
+        if reactor is not None:
+            eventloop.release_reactor(reactor)
 
     def _drop_unsent(self) -> tuple[int, int]:
         """Drop frames buffered for send; ``(frames, bytes)`` dropped."""
@@ -305,7 +338,6 @@ class FramedClient(Backend):
         delivered either: they are dropped and the queued byte count is
         folded into the error every waiter sees.
         """
-        self._alive = False
         frames, queued = self._drop_unsent()
         if frames:
             error = BackendError(
@@ -314,9 +346,12 @@ class FramedClient(Backend):
                 "queued for send"
             )
         with self._pending_lock:
+            # Several threads can see one loss (a failed send, the
+            # leader's EOF, a stalled sender): the first declares it.
+            first, self._alive = self._alive, False
             sinks = list(self._pending.values())
             self._pending.clear()
-        if not (self._closing or self._closed):
+        if first and not (self._closing or self._closed):
             # Unplanned loss is exactly what the flight recorder exists
             # for: capture the last few seconds of events before the
             # failure cascades through retries and failover. A close
@@ -339,21 +374,6 @@ class FramedClient(Backend):
         self._detach()
 
     # -- synchronous operations --------------------------------------------------
-    def _sync_box(self, op: int) -> dict[str, Any]:
-        """A reusable per-thread expectation box for sync roundtrips.
-
-        Reuse keeps Event construction off the hot path. A roundtrip
-        that times out *abandons* its event (the stale expectation stays
-        filed and may be completed later) and the thread gets a fresh
-        one next time.
-        """
-        local = self._sync_local
-        event = getattr(local, "event", None)
-        if event is None:
-            event = local.event = threading.Event()
-        event.clear()
-        return {"op": op, "event": event}
-
     def _roundtrip(
         self, op: int, *parts: Any, timeout: float | None = None
     ) -> memoryview:
@@ -363,11 +383,24 @@ class FramedClient(Backend):
         roundtrip; on expiry an :class:`OffloadTimeoutError` is raised
         *softly* — the expectation stays registered, so the stream is
         not poisoned and a late reply is consumed silently.
+
+        Leader fast path: a caller that gets the drive lock *before* it
+        sends knows nobody else can consume its reply, so it skips the
+        expectation table and reads until its own correlation id comes
+        by (:meth:`_consume_inline`). Not under a recorder — the pump
+        is what emits the per-reply ``offload.reply`` spans.
         """
         self._check_alive()
         effective = timeout if timeout is not None else self.op_timeout
         corr = self._next_corr()
-        box = self._sync_box(op)
+        if telemetry.get() is None and self._drive_lock.acquire(blocking=False):
+            try:
+                self._send(op, corr, *parts)
+                return self._consume_inline(op, corr, effective)
+            finally:
+                self._drive_lock.release()
+        # Traced, or somebody else leads: through the table, like an invoke.
+        box = {"op": op, "event": threading.Event()}
         with self._pending_lock:
             self._pending[corr] = ("sync", box)
         try:
@@ -386,14 +419,53 @@ class FramedClient(Backend):
                     f"{self.name} transport lost during roundtrip"
                 )
         event = box["event"]
-        try:
+        if not event.is_set():
             self._wait(event.is_set, event.wait, effective, f"op {op:#x}")
-        except OffloadTimeoutError:
-            self._sync_local.event = None  # the filed box keeps it
-            raise
         if "error" in box:
             raise box["error"]
         return box["body"]
+
+    def _consume_inline(
+        self, op: int, corr: int, timeout: float | None
+    ) -> memoryview:
+        """Drive lock held: read until ``corr``'s reply, returned directly.
+
+        Replies for other callers are dispatched through the expectation
+        table on the way. A timeout is soft, like :meth:`_wait`: the
+        expectation is filed *now* (no reply can have slipped past —
+        this thread held the drive lock throughout) so a later pump can
+        still complete it instead of counting it unmatched.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            wait = None
+            if deadline is not None:
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    with self._pending_lock:
+                        self._pending[corr] = (
+                            "sync", {"op": op, "event": threading.Event()},
+                        )
+                    raise self._no_reply(f"op {op:#x}")
+            try:
+                frame = self._next_frame(wait)
+            except BackendError as exc:
+                if not self._closing:
+                    self._fail_pending(exc)
+                raise
+            if frame is None:
+                continue
+            reply_op, reply_corr, body = frame
+            if reply_corr != corr:
+                self._dispatch_reply(reply_op, reply_corr, body)
+            elif reply_op == op | OP_REPLY_BIT:
+                return body
+            elif reply_op == OP_FAILURE:
+                raise remote_failure(body)
+            else:
+                raise BackendError(
+                    f"expected reply to op {op:#x}, got {reply_op:#x}"
+                )
 
     # -- invocation --------------------------------------------------------------
     def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
@@ -431,6 +503,7 @@ class FramedClient(Backend):
         self.invokes_posted += 1
         return handle
 
+    # -- the drive ---------------------------------------------------------------
     def drive(
         self, handle: InvokeHandle, *, blocking: bool, timeout: float | None = None
     ) -> None:
@@ -445,6 +518,126 @@ class FramedClient(Backend):
             timeout if timeout is not None else self.op_timeout,
             f"invoke {handle.label}",
         )
+
+    def _no_reply(self, what: str) -> OffloadTimeoutError:
+        return OffloadTimeoutError(
+            f"no reply from {self.name} {self._peer_kind} {self.peer} "
+            f"within the deadline ({what})"
+        )
+
+    def _poll(self) -> None:
+        """Progress that needs no waiting: complete what has arrived —
+        unless a leader holds the drive lock, who does that anyway."""
+        if self._drive_lock.acquire(blocking=False):
+            try:
+                self._pump(0.0)
+            finally:
+                self._drive_lock.release()
+
+    def _pump(self, wait: float) -> None:
+        """Drive lock held: wait up to ``wait`` for a reply, then
+        complete every one that has arrived, whoever it is for.
+
+        A lost peer fails everything outstanding (which wakes the
+        followers) instead of raising — each waiter then finds its own
+        sink failed.
+        """
+        recorder = telemetry.get()
+        try:
+            frame = self._next_frame(wait)
+            while frame is not None:
+                op, corr, body = frame
+                if recorder is not None:  # peeking the header is not free
+                    reply_span = telemetry.span(
+                        "offload.reply", transport=self.name
+                    )
+                    reply_span.__enter__()
+                    close_reply_span(reply_span, body)
+                self._dispatch_reply(op, corr, body)
+                frame = self._next_frame(0.0)
+        except BackendError as exc:
+            if not self._closing:
+                self._fail_pending(exc)
+
+    def _wait(
+        self,
+        done: Callable[[], bool],
+        block: Callable[[float | None], bool],
+        timeout: float | None,
+        what: str,
+    ) -> None:
+        """Read replies, or wait on the thread that does, until
+        ``done()`` holds; the caller has just seen it not to.
+
+        Whoever gets the drive lock is the leader and completes
+        everybody's replies; the others sleep on their own completion
+        (``block(seconds)``) in slices and contend again, so one takes
+        over within 5 ms of the leader leaving with its reply. Raises
+        :class:`OffloadTimeoutError` after ``timeout`` seconds — softly,
+        the caller's expectation stays filed.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        lock = self._drive_lock
+        pump_for = 0.05
+        while True:
+            if deadline is not None:
+                pump_for = min(deadline - time.monotonic(), 0.05)
+                if pump_for <= 0:
+                    raise self._no_reply(what)
+            if lock.acquire(timeout=0.005):
+                try:
+                    if done():
+                        return
+                    self._pump(pump_for)
+                finally:
+                    lock.release()
+            else:
+                # A leader is reading; it completes us on arrival.
+                block(0.002)
+            if done():
+                return
+            if not self._alive:
+                # Filed after the drain — nothing will ever match it.
+                raise BackendError(
+                    f"{self.name} transport lost while waiting for a reply"
+                )
+
+    # -- the backstop: completion for those who never drive ---------------------
+    def _callback_armed(self, handle: InvokeHandle) -> None:
+        """A done-callback was attached: somebody may never drive.
+
+        A callback-only consumer (an asyncio awaiter bridged through
+        ``Future.__await__``) blocks no thread in ``drive``, so nothing
+        would read its reply. While such callbacks are armed the shared
+        reactor calls :meth:`_backstop_pump` — how, is the transport's
+        :meth:`_arm_backstop`. Nothing is armed for callers that wait:
+        the driven hot path shares the CPU with no poller.
+        """
+        with self._backstop_lock:
+            if self._alive and not self._closed and self._backstop is None:
+                self._backstop = self._arm_backstop(True)
+
+    def _backstop_pump(self) -> None:
+        """Reactor thread: complete what has arrived, then stay armed
+        only while replies are outstanding.
+
+        Never blocks the loop: :meth:`_poll` reads only what is there
+        and leaves it to a leader when there is one. A handle is filed
+        before a callback can be attached to it, so checking the table
+        under the lock ``_callback_armed`` takes cannot strand one.
+        """
+        before = self.bytes_received
+        if self._pending_count():
+            self.backstop_pumps += 1
+            self._poll()
+        with self._backstop_lock:
+            if self._backstop is None:  # detached meanwhile
+                return
+            if self._alive and not self._closed and self._pending_count():
+                self._backstop = self._arm_backstop(self.bytes_received != before)
+            else:
+                self._backstop()
+                self._backstop = None
 
     # -- memory ------------------------------------------------------------------
     def alloc_buffer(self, node: NodeId, nbytes: int) -> int:

@@ -19,10 +19,10 @@ Message-level contract (the *channel*):
   that posts them (default :data:`DEFAULT_INFLIGHT_LIMIT`), so a runaway
   producer gets backpressure instead of unbounded queues; a bare
   ``post_invoke`` is not admitted by anything.
-* Completion is **thread-safe**: transports with receiver threads call
-  :meth:`InvokeHandle.complete_with_reply` /
-  :meth:`InvokeHandle.complete_with_error` from any thread; waiters
-  block on an event, not on polling loops.
+* Completion is **thread-safe**: :meth:`InvokeHandle.complete_with_reply`
+  / :meth:`InvokeHandle.complete_with_error` may come from any thread —
+  the waiter itself on a driven transport, another waiter leading the
+  drive, the reactor's backstop.
 
 The target executes messages through
 :func:`repro.ham.execution.execute_message` and returns reply bytes; the
@@ -165,6 +165,16 @@ class FrameCoalescer:
     def add(self, parts: list[Any], nbytes: int) -> None:
         """Buffer one encoded frame; flush if a budget trips or idle."""
         policy = self.policy
+        # Few offloads outstanding: the producer is waiting on latency,
+        # not building a pipeline — send immediately.
+        idle = self._depth() <= policy.idle_depth
+        if idle and not self._frames:
+            # Nothing ahead of it either: the frame is its own batch —
+            # no lock, no buffer, no timer. (A frame another thread
+            # buffers meanwhile may be overtaken; order only ever held
+            # within one thread.)
+            self._send_batch(parts, 1, "idle")
+            return
         with self._lock:
             self._parts.extend(parts)
             self._frames += 1
@@ -175,9 +185,7 @@ class FrameCoalescer:
             ):
                 reason = "size" if self._bytes >= policy.max_bytes else "count"
                 batch, frames = self._steal_locked()
-            elif self._depth() <= policy.idle_depth:
-                # Few offloads outstanding: the producer is waiting on
-                # latency, not building a pipeline — send immediately.
+            elif idle:
                 reason = "idle"
                 batch, frames = self._steal_locked()
             else:
@@ -188,6 +196,8 @@ class FrameCoalescer:
 
     def flush(self, reason: str = "explicit") -> int:
         """Transmit everything buffered; returns the frame count sent."""
+        if not self._frames:  # whoever emptied the buffer sends it
+            return 0
         with self._lock:
             if not self._frames:
                 return 0
@@ -337,9 +347,9 @@ class InflightWindow:
         """Lock held: wait until ``ready()`` holds; ``False`` on timeout.
 
         The one wait loop under the FIFO and the fair window. A handle
-        of a receiver-driven transport is completed by its reactor, and
-        the completion notifies the condition this sleeps on. A
-        :attr:`Backend.driven` transport completes handles only while
+        that something completes on its own notifies the condition this
+        sleeps on. A :attr:`Backend.driven` transport (tcp, shm, the
+        simulators) completes handles only while
         somebody drives it, so there *a waiter drives the oldest
         in-flight handle* (lock released, a slice at a time) — through
         any proxy or composition, because a handle names the transport
@@ -430,7 +440,7 @@ class InvokeHandle:
     publish completion and release the slot of the window the handle
     was registered in, if any. ``wait`` delegates to the backend's
     :meth:`Backend.drive` so each backend decides how to make progress
-    (wait on the receiver thread's event, advance the simulator, ...).
+    (read the transport, advance the simulator, ...).
     """
 
     _ids = itertools.count(1)
@@ -492,8 +502,8 @@ class InvokeHandle:
         window slot is released, from whichever thread delivers the
         completion — or immediately, in the calling thread, when the
         handle is already done. Callbacks must be cheap and must not
-        block (on reactor-driven transports they run on the shared I/O
-        loop); exceptions are counted and swallowed.
+        block (they may run on the shared I/O loop, or inside another
+        caller's wait); exceptions are counted and swallowed.
         """
         with self._cb_lock:
             if not self.completed:
@@ -534,9 +544,10 @@ class InvokeHandle:
 
         Telemetry phase ``offload.transport``: the wait from "posted"
         until the reply (or a transport error) arrives — wire plus
-        remote-execution time as seen by the host. Recorded even when a
-        pipelined receiver already completed the handle (a ~0-duration
-        span), so every awaited offload shows the full phase taxonomy.
+        remote-execution time as seen by the host. Recorded even when
+        another waiter's drive already completed the handle (a
+        ~0-duration span), so every awaited offload shows the full phase
+        taxonomy.
         """
         if not self.completed or not self._transport_spanned:
             with telemetry.span("offload.transport", label=self.label):
@@ -568,11 +579,10 @@ class Backend(abc.ABC):
     def _callback_armed(self, handle: "InvokeHandle") -> None:
         """Hook: a done-callback was attached to a pending handle.
 
-        Push-driven transports need no action (the reactor completes
-        handles regardless); pull-driven ones (shm's driven client)
-        override this to arm a backstop pump so a callback-only
-        consumer — an asyncio awaiter with no thread blocked in
-        ``drive`` — still observes completion.
+        Transports that complete handles on their own need no action;
+        driven ones (the framed client of tcp and shm) arm a backstop on
+        the reactor so a callback-only consumer — an asyncio awaiter
+        with no thread blocked in ``drive`` — still observes completion.
         """
 
     # -- topology ---------------------------------------------------------

@@ -1,13 +1,12 @@
 """Single-threaded I/O reactor — the client-side event-loop core.
 
-One daemon thread multiplexes *every* client transport in the process:
-TCP sockets register read callbacks, the shm backend registers a
-backstop poll timer, and the coalescing layer arms sub-millisecond
-flush deadlines — all through the same :class:`Reactor`. This replaces
-the per-connection receiver thread the TCP backend used to spawn
-(PR 4): one process with fifty connections used to run fifty blocking
-receivers; it now runs exactly one reactor thread, which is what lets a
-single host sustain thousands of concurrent in-flight offloads.
+One daemon thread per process for what a client transport cannot do on
+a caller's stack: the coalescing layer arms sub-millisecond flush
+deadlines, and while an awaited future has a done-callback armed its
+transport has the loop read replies — a TCP socket registers a read
+callback, the shm backend a backstop poll timer. It receives nothing
+for callers that wait; those read their own replies
+(:mod:`repro.backends._client`).
 
 Design notes:
 

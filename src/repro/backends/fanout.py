@@ -14,11 +14,11 @@ backpressure and — with a :class:`~repro.offload.qos.FairInflightWindow`
 a single pipelined channel would. Completions on any inner transport
 free capacity for posts to any other.
 
-One loop, N connections: every inner TCP backend registers its socket
-with the process-wide reactor (:mod:`repro.backends.eventloop`), so a
-fan-out over N targets multiplexes N connections — receive parsing,
-coalescing deadlines, backstop pumps — on **one** thread instead of
-running N receiver threads. :meth:`stats` surfaces the shared loop's
+No receiver threads, N connections: each inner transport's replies are
+read by whoever waits for one of them (a handle names the member that
+posted it), and what needs a thread — coalescing deadlines, the
+backstops of awaited futures — shares the process-wide reactor
+(:mod:`repro.backends.eventloop`). :meth:`stats` surfaces that loop's
 health alongside the per-inner counters.
 """
 
@@ -103,8 +103,8 @@ class FanoutBackend(Backend):
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict[str, Any]:
         inner_stats = [inner.stats() for inner in self._inners]
-        # All reactor-driven inners share one loop; surface it once at
-        # the top level (each inner's copy is identical by construction).
+        # The inners share one reactor; surface it once at the top
+        # level (each inner's copy is identical by construction).
         reactor = next(
             (s["reactor"] for s in inner_stats if s.get("reactor")), None
         )

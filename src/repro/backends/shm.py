@@ -53,11 +53,12 @@ target, the thread that polls a message off the ring executes it and
 goes on polling, as the VE does — no wake-up and no thread change per
 message (the dispatch loop of :mod:`repro.backends._server`).
 
-Unlike the TCP backend there is **no receiver thread**: the client is
-*driven* — whichever caller waits on a reply takes the drive lock and
-pumps the reply ring for everybody (leader/follower). On a small host
-that removes two context switches per roundtrip, which is exactly where
-the latency lives for small messages.
+There is **no receiver thread**: whichever caller waits on a reply reads
+the reply ring for everybody (the drive of
+:mod:`repro.backends._client`, shared with tcp). This module supplies
+its receive half — poll the reply ring, copy one frame out — and, since
+a ring has no descriptor a reactor could select on, a timer as the
+backstop for awaited futures.
 """
 
 from __future__ import annotations
@@ -68,18 +69,12 @@ import multiprocessing
 import multiprocessing.connection  # noqa: F401
 import os
 import struct
-import threading
 import time
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable
 
 from repro.backends import eventloop
-from repro.backends._client import (
-    FramedClient,
-    byte_view,
-    close_reply_span,
-    remote_failure,
-)
+from repro.backends._client import FramedClient, byte_view
 from repro.backends._server import (
     _FRAME_META,
     _LEN,
@@ -87,12 +82,9 @@ from repro.backends._server import (
     _U64,
     DEFAULT_SERVER_WORKERS,
     FRAME_OVERHEAD,
-    OP_FAILURE,
-    OP_REPLY_BIT,
     FramedServer,
     reset_forked_recorder,
 )
-from repro.backends.base import InvokeHandle
 from repro.errors import BackendError, OffloadTimeoutError
 from repro.ham.registry import Catalog
 from repro.telemetry import recorder as telemetry
@@ -324,20 +316,25 @@ class ShmRing:
         self._head = cursors[self._head_idx]
         # Spin-vs-sleep accounting: how many waits were satisfied inside
         # the busy-spin phase versus spilling into the sleep backoff (a
-        # "stall"), and how long the stalls slept in total. Only touched
-        # when a wait actually happened — the no-wait fast path (data or
-        # space already there) costs nothing extra.
+        # "stall"), how long the stalls slept in total, and how many
+        # ``sched_yield`` laps the waits took. Only touched when a wait
+        # actually happened — the no-wait fast path (data or space
+        # already there) costs nothing extra.
         self.spin_waits = 0
         self.sleep_stalls = 0
         self.stalled_s = 0.0
+        self.laps = 0
+        self._empty_polls = 0
 
     def _account_wait(self, spins: int, slept: float) -> None:
         """Book one completed wait into the spin/stall counters."""
         if spins > SPIN_YIELDS:
             self.sleep_stalls += 1
             self.stalled_s += slept
+            self.laps += SPIN_YIELDS
         else:
             self.spin_waits += 1
+            self.laps += spins
 
     # -- cursors -----------------------------------------------------------
     def readable(self) -> bool:
@@ -391,7 +388,8 @@ class ShmRing:
     ) -> bool:
         """Poll until a frame is available; ``False`` on timeout.
 
-        ``stop`` is consulted every :data:`_CHECK_MASK`+1 iterations;
+        ``stop`` is consulted every :data:`_CHECK_MASK`+1 iterations (of
+        the wait, or zero-``timeout`` calls that found nothing);
         when it returns an exception the ring is checked one final time
         (the peer may have replied *and then* died or stopped — those
         last frames must still be consumed) before the exception is
@@ -403,6 +401,16 @@ class ShmRing:
         if cursors[tail_idx] != head:
             return True
         if timeout is not None and timeout <= 0:
+            # No time to wait: a caller that only ever polls (a
+            # ``test()`` loop, the backstop of awaited futures) learns of
+            # a dead peer at the same cadence as one that spins.
+            self._empty_polls += 1
+            if stop is not None and not self._empty_polls & _CHECK_MASK:
+                error = stop()
+                if error is not None:
+                    if cursors[tail_idx] != head:
+                        return True
+                    raise error
             return False
         spin = SPIN_YIELDS
         yield_cpu = os.sched_yield
@@ -544,7 +552,7 @@ class ShmRing:
             body_len = len(parts[0])
         else:
             views = [byte_view(part) for part in parts if len(part)]
-            body_len = sum(len(view) for view in views)
+            body_len = sum(map(len, views))
         total = 4 + _FRAME_META + body_len
         cap = self._capacity
         if total > cap:
@@ -608,6 +616,7 @@ def _ring_state(ring: ShmRing) -> dict[str, Any]:
         "spin_waits": ring.spin_waits,
         "sleep_stalls": ring.sleep_stalls,
         "stalled_s": ring.stalled_s,
+        "laps": ring.laps,
     }
 
 
@@ -775,13 +784,10 @@ def spawn_shm_server(
 class ShmBackend(FramedClient):
     """Client side of the shared-memory backend (one target).
 
-    There is no receiver thread: whichever caller needs a reply takes
-    the drive lock and pumps the reply ring, completing *every* arriving
-    reply through the correlation-id table (leader/follower). Threads
-    that lose the race wait on their own completion events in short
-    slices and re-contend. On the posting side a full request ring is
-    transport backpressure *under* the in-flight window — the window is
-    what callers normally hit first.
+    Replies are read by whoever waits for one
+    (:class:`~repro.backends._client.FramedClient`). On the posting
+    side a full request ring is transport backpressure *under* the
+    in-flight window — the window is what callers normally hit first.
 
     Parameters
     ----------
@@ -807,8 +813,6 @@ class ShmBackend(FramedClient):
 
     name = "shm"
     _peer_kind = "segment"
-    #: No receiver thread: replies are pumped by whoever waits for one.
-    driven = True
 
     def __init__(
         self,
@@ -827,22 +831,11 @@ class ShmBackend(FramedClient):
         self._alive_fn = alive_fn
         self._h2t = _host_to_target_ring(segment)
         self._t2h = _target_to_host_ring(segment)
-        #: Serializes reply-ring consumption (the leader/follower gate).
-        #: Reentrant so the send-stall drain can run while the sending
-        #: thread itself is the leader (see :meth:`_send_stall`).
-        self._drive_lock = threading.RLock()
         #: Bound once — creating a bound method per frame costs real
         #: time at shared-memory latencies.
         self._peer_error_cb = self._peer_error
         self._send_stall_cb = self._send_stall
-        #: Reactor backstop (see :meth:`_backstop_pump`): attached
-        #: lazily, and only pumping while done-callbacks are armed, so
-        #: the driven hot path never shares the CPU with a poller.
-        self._reactor: eventloop.Reactor | None = None
-        self._reactor_lock = threading.Lock()
-        self._backstop_timer: Any = None
         self._backstop_interval = _BACKSTOP_MIN
-        self.backstop_pumps = 0
         _await_ready(segment, startup_timeout, alive_fn)
         self.segment.client_pid = os.getpid()
         self._handshake(startup_timeout)
@@ -903,237 +896,43 @@ class ShmBackend(FramedClient):
             raise
         self.bytes_sent += sent
 
-    # -- how a waiter blocks -----------------------------------------------
-    def _poll(self) -> None:
-        """Drain what has arrived if the drive lock is free: a leader
-        that holds it completes handles for everyone anyway."""
-        if self._drive_lock.acquire(blocking=False):
-            try:
-                self._pump(0.0)
-            finally:
-                self._drive_lock.release()
+    #: Nothing batches on a ring: an invoke frame leaves like any other.
+    _post_frame = _send
 
-    def _pump(self, wait: float) -> None:
-        """Drive lock held: wait up to ``wait`` for replies, drain them.
-
-        A peer-death verdict fails everything outstanding (which sets
-        the waiters' events) instead of raising — each waiter then finds
-        its own sink failed.
-        """
+    # -- how replies arrive ------------------------------------------------
+    def _next_frame(
+        self, timeout: float | None
+    ) -> tuple[int, int, memoryview] | None:
+        """Poll the reply ring (spin, then sleep) and copy one frame out;
+        a peer found dead or stopped meanwhile raises, after whatever it
+        still published has been read."""
         ring = self._t2h
-        recorder = telemetry.get()
-        try:
-            if not ring.wait_readable(timeout=wait, stop=self._peer_error_cb):
-                return
-            while ring.readable():
-                if recorder is None:
-                    op, corr, body = ring.read_frame()
-                else:
-                    reply_span = telemetry.span("offload.reply", transport="shm")
-                    reply_span.__enter__()
-                    try:
-                        op, corr, body = ring.read_frame()
-                    except BaseException as exc:
-                        reply_span.__exit__(type(exc), exc, exc.__traceback__)
-                        raise
-                    close_reply_span(reply_span, body)
-                self.bytes_received += len(body) + FRAME_OVERHEAD
-                self._dispatch_reply(op, corr, body)
-        except BackendError as exc:
-            if not self._closing:
-                self._fail_pending(exc)
+        if not ring.wait_readable(timeout, self._peer_error_cb):
+            return None
+        frame = ring.read_frame()
+        self.bytes_received += len(frame[2]) + FRAME_OVERHEAD
+        return frame
 
-    def _wait(
-        self,
-        done: Callable[[], bool],
-        block: Callable[[float | None], bool],
-        timeout: float | None,
-        what: str,
-    ) -> None:
-        """Pump (or wait on the pumping leader) until ``done()`` holds.
-
-        ``block(seconds)`` sleeps on the expectation's completion; it is
-        only called while another thread is the pumping leader. Raises
-        :class:`OffloadTimeoutError` after ``timeout`` seconds — softly,
-        the caller's expectation stays filed.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        lock = self._drive_lock
-        while not done():
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise OffloadTimeoutError(
-                        f"no reply through shm segment "
-                        f"{self.peer!r} within the deadline ({what})"
-                    )
-            if lock.acquire(timeout=0.005):
-                try:
-                    if done():
-                        return
-                    pump_for = 0.05
-                    if remaining is not None:
-                        pump_for = min(pump_for, max(remaining, 0.0))
-                    self._pump(pump_for)
-                finally:
-                    lock.release()
-            else:
-                # A leader is pumping; it completes us on arrival.
-                block(0.002)
-            if not self._alive and not done():
-                # Filed after the drain — nothing will ever match it.
-                raise BackendError("shm transport lost while waiting for a reply")
-
-    def _roundtrip(
-        self, op: int, *parts: Any, timeout: float | None = None
-    ) -> memoryview:
-        """The shared roundtrip behind a leader fast path.
-
-        Become the reply leader *before* sending: while this thread
-        holds the drive lock nobody else can consume its reply, so the
-        expectation table can be skipped entirely — the common case is
-        that the very next frame is ours, and the saved bookkeeping is a
-        measurable slice of a shared-memory RTT. Requires no recorder
-        (the generic pump also emits the per-reply ``offload.reply``
-        spans).
-        """
-        if telemetry.get() is None and self._drive_lock.acquire(blocking=False):
-            try:
-                self._check_alive()
-                corr = self._next_corr()
-                self._send(op, corr, *parts)
-                return self._consume_inline(
-                    op, corr, timeout if timeout is not None else self.op_timeout
-                )
-            finally:
-                self._drive_lock.release()
-        return super()._roundtrip(op, *parts, timeout=timeout)
-
-    def _consume_inline(
-        self, op: int, corr: int, timeout: float | None
-    ) -> memoryview:
-        """Drive-lock held: pump until ``corr``'s reply, returned directly.
-
-        Replies for other callers are dispatched through the expectation
-        table on the way. A timeout is soft, like :meth:`_wait`: the
-        expectation is filed *now* (no reply can have slipped past —
-        this thread held the drive lock throughout) so a later pump can
-        still complete it instead of counting it unmatched.
-        """
-        ring = self._t2h
-        deadline = None if timeout is None else time.monotonic() + timeout
-        stop = self._peer_error_cb
-        while True:
-            wait = None
-            if deadline is not None:
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    with self._pending_lock:
-                        self._pending[corr] = (
-                            "sync", {"op": op, "event": threading.Event()},
-                        )
-                    raise OffloadTimeoutError(
-                        f"no reply through shm segment "
-                        f"{self.peer!r} within the deadline (op {op:#x})"
-                    )
-            try:
-                if not ring.wait_readable(timeout=wait, stop=stop):
-                    continue
-                reply_op, reply_corr, body = ring.read_frame()
-            except BackendError as exc:
-                if not self._closing:
-                    self._fail_pending(exc)
-                raise
-            self.bytes_received += len(body) + FRAME_OVERHEAD
-            if reply_corr != corr:
-                self._dispatch_reply(reply_op, reply_corr, body)
-                continue
-            if reply_op == op | OP_REPLY_BIT:
-                return body
-            if reply_op == OP_FAILURE:
-                raise remote_failure(body)
-            raise BackendError(
-                f"expected reply to op {op:#x}, got {reply_op:#x}"
-            )
-
-    # -- reactor backstop --------------------------------------------------
-    def _callback_armed(self, handle: InvokeHandle) -> None:
-        """A done-callback was attached: make the driven client pollable.
-
-        The shm client is *driven* — replies are consumed by whoever
-        waits on them. A callback-only consumer (an asyncio awaiter
-        bridged through ``Future.__await__``) never enters ``drive``,
-        so nothing would pump the reply ring on its behalf. This arms a
-        self-rescheduling timer on the shared reactor that
-        opportunistically drains the ring until nothing is pending,
-        converting the pump into a reactor-registered pollable without
-        dedicating a thread to it.
-        """
-        with self._reactor_lock:
-            if self._closed or not self._alive:
-                return
-            if self._reactor is None:
-                self._reactor = eventloop.get_reactor()
-            if self._backstop_timer is None:
-                self._backstop_interval = _BACKSTOP_MIN
-                self._backstop_timer = self._reactor.call_later(
-                    self._backstop_interval, self._backstop_pump
-                )
-
-    def _backstop_pump(self) -> None:
-        """Reactor timer: drain whatever arrived, reschedule adaptively.
-
-        Never blocks the loop: the drive lock is taken opportunistically
-        (a pumping leader already completes handles for everyone) and
-        the pump itself only drains frames that are already readable.
-        Cadence tightens to ``_BACKSTOP_MIN`` while replies flow and
-        backs off toward ``_BACKSTOP_MAX`` while the outstanding work
-        is quiet; the timer disarms once nothing is pending (re-armed
-        by the next callback attachment).
-        """
-        with self._reactor_lock:
-            self._backstop_timer = None
-            if self._closed or not self._alive or self._reactor is None:
-                return
-        progressed = False
-        if self._pending_count():
-            before = self.bytes_received
-            self.backstop_pumps += 1
-            self._poll()
-            progressed = self.bytes_received != before
-        with self._reactor_lock:
-            if (
-                self._closed
-                or not self._alive
-                or self._reactor is None
-                or self._backstop_timer is not None
-                or not self._pending_count()
-            ):
-                return
-            self._backstop_interval = (
-                _BACKSTOP_MIN if progressed
-                else min(self._backstop_interval * 2, _BACKSTOP_MAX)
-            )
-            self._backstop_timer = self._reactor.call_later(
-                self._backstop_interval, self._backstop_pump
-            )
+    def _arm_backstop(self, progressed: bool) -> Callable[[], None]:
+        """A ring has no descriptor to select on: a one-shot reactor
+        timer, :data:`_BACKSTOP_MIN` apart while replies flow, backing
+        off toward :data:`_BACKSTOP_MAX` while the outstanding work is
+        quiet. The reactor is attached here, not at connect."""
+        if self._reactor is None:
+            self._reactor = eventloop.get_reactor()
+        self._backstop_interval = (
+            _BACKSTOP_MIN if progressed
+            else min(self._backstop_interval * 2, _BACKSTOP_MAX)
+        )
+        return self._reactor.call_later(
+            self._backstop_interval, self._backstop_pump
+        ).cancel
 
     # -- lifecycle ---------------------------------------------------------
-    def _detach(self) -> None:
-        """Cancel the backstop and detach from the shared reactor. The
-        mapping stays: other threads may still be polling the rings."""
-        with self._reactor_lock:
-            timer, self._backstop_timer = self._backstop_timer, None
-            reactor, self._reactor = self._reactor, None
-        if timer is not None:
-            timer.cancel()
-        if reactor is not None:
-            eventloop.release_reactor(reactor)
-
     def _close_transport(self) -> None:
         """Close and — when this process owns it — unlink the segment,
-        so no ``/dev/shm`` entry outlives the backend."""
+        so no ``/dev/shm`` entry outlives the backend. (Not in
+        ``_detach``: other threads may still be polling the rings.)"""
         self._detach()
         self.segment.close()
         self.segment.unlink()
@@ -1158,9 +957,7 @@ class ShmBackend(FramedClient):
             "request_ring": _ring_state(self._h2t),
             "reply_ring": _ring_state(self._t2h),
             "pending_replies": self._pending_count(),
-            # Driven client: no receiver thread here either; the async
-            # bridge rides the shared reactor's backstop pump.
             "receiver_threads": 0,
             "backstop_pumps": self.backstop_pumps,
-            "backstop_armed": self._backstop_timer is not None,
+            "backstop_armed": self._backstop is not None,
         }

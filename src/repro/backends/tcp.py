@@ -45,22 +45,26 @@ frame count or a sub-millisecond deadline. A batch is just frames
 back-to-back on the stream; both ends decode it with the same
 :class:`FrameParser`, many frames from one ``recv``.
 
-The client's inbound side is owned by the process-wide reactor
-(:mod:`repro.backends.eventloop`): the socket registers a read
-callback and frames are parsed incrementally on the shared loop
-thread. There is **no per-connection receiver thread** — fifty
-connections cost one loop, not fifty blocking readers.
+There is **no receiver thread**, per connection or shared: the caller
+that waits for a reply polls the socket and parses what arrives, for
+everybody (the drive of :mod:`repro.backends._client`, shared with
+shm). The process-wide reactor (:mod:`repro.backends.eventloop`) is
+left with what needs a thread of its own: the coalescer's flush
+deadline, and reading on behalf of awaited futures, whose callers block
+nowhere.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import select
 import socket
 import struct
 from typing import Any, Callable
 
 from repro.backends import eventloop
-from repro.backends._client import FramedClient, close_reply_span
+from repro.backends._client import FramedClient
 from repro.backends._server import (  # noqa: F401 - the frame grammar lives there
     _FRAME_META,
     _LEN,
@@ -83,16 +87,13 @@ from repro.backends._server import (  # noqa: F401 - the frame grammar lives the
     FramedServer,
     reset_forked_recorder,
 )
-from repro.backends.base import FrameCoalescer
-from repro.errors import BackendError, OffloadTimeoutError
+from repro.backends.base import FrameCoalescer, InvokeHandle
+from repro.errors import BackendError
 from repro.ham.registry import Catalog
-from repro.telemetry import recorder as telemetry
 
 __all__ = ["TcpBackend", "TcpTargetServer", "spawn_local_server"]
 
-#: Bytes pulled off the socket per ``recv``. Bounded so one firehose
-#: connection cannot monopolize the shared loop (the level-triggered
-#: selector re-fires while data remains) and small enough that the
+#: Bytes pulled off the socket per ``recv``: small enough that the
 #: receive buffer comes from the allocator's heap, not a fresh mapping
 #: per call. A frame longer than this is received into its own buffer.
 _RECV_CHUNK = 64 * 1024
@@ -127,8 +128,8 @@ def _send_frame(sock: socket.socket, op: int, corr: int, *parts) -> None:
 class FrameParser:
     """Incremental frame decoder over one stream socket, for both ends.
 
-    :meth:`fill` is one ``recv`` (the host reactor calls it when the
-    socket is readable, the target's reader when it runs out of frames);
+    :meth:`fill` is one ``recv`` (either end's reader calls it when it
+    runs out of frames, the host's once the socket polls readable);
     :meth:`next_frame` hands out every complete frame it carried as a
     view into the received chunk — no per-frame buffer or syscall. A
     frame longer than :data:`_RECV_CHUNK` is received into a buffer of
@@ -361,14 +362,11 @@ def spawn_local_server(
 class TcpBackend(FramedClient):
     """Client side of the TCP backend (one target).
 
-    The inbound side of the socket is owned by the process-wide
-    reactor (:mod:`repro.backends.eventloop`): a read callback parses
-    frames incrementally on the shared loop thread and hands each reply
-    to the correlation table, which completes the waiting handle — so
-    replies complete out of order and a soft timeout never
-    desynchronizes the stream (the frame is simply matched when it
-    eventually arrives). No thread is spawned per connection; every
-    ``TcpBackend`` in the process shares one loop.
+    Replies are read by whoever waits for one
+    (:class:`~repro.backends._client.FramedClient`): the receive half
+    here polls the socket and parses frames incrementally, so a soft
+    timeout never desynchronizes the stream — a partial frame stays in
+    the parser and is matched when the rest of it arrives.
 
     The outbound side coalesces small invoke frames into one
     ``sendmsg`` batch (see :class:`~repro.backends.base.FrameCoalescer`),
@@ -413,16 +411,17 @@ class TcpBackend(FramedClient):
         self._sock = socket.create_connection(address, timeout=connect_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(None)
-        #: Inbound frame decoder, touched only on the loop.
+        #: Inbound frame decoder and readiness poll, touched only under
+        #: the drive lock. (A poll object owns no descriptor.)
         self._parser = FrameParser(self._sock)
-        self._io_detached = False
+        self._poller = select.poll()
+        self._poller.register(self._sock, select.POLLIN)
         self._reactor = eventloop.get_reactor()
         self._coalescer = FrameCoalescer(
             transmit=self._transmit_batch,
             schedule=self._reactor.call_later,
             depth=self._pending_count,
         )
-        self._reactor.register(self._sock, self._on_readable)
         self._handshake(connect_timeout)
 
     @property
@@ -477,79 +476,64 @@ class TcpBackend(FramedClient):
     def _drop_unsent(self) -> tuple[int, int]:
         return self._coalescer.discard()
 
-    # -- how replies arrive ---------------------------------------------------------
-    def _on_readable(self) -> None:
-        """Reactor read callback: drain a chunk, dispatch complete frames.
-
-        Only the loop thread reads the socket, so a waiter's deadline
-        expiring never consumes half a frame — soft timeouts leave the
-        stream intact and the late reply is matched (or discarded) when
-        it arrives. EOF and receive errors poison the backend and fail
-        everything outstanding (nothing, and unrecorded, at a planned close).
-        """
-        parser = self._parser
-        try:
-            received = parser.fill()
-        except (BlockingIOError, InterruptedError):  # pragma: no cover
-            return
-        except OSError as exc:
-            self._fail_pending(BackendError(f"tcp receive failed: {exc}"))
-            return
-        if not received:
-            self._fail_pending(_eof_error(parser, self._pending_count()))
-            return
-        self.bytes_received += received
-        while True:
-            try:
-                frame = parser.next_frame()
-            except BackendError as exc:
-                self._fail_pending(exc)
-                return
-            if frame is None:
-                return
-            op, corr, body = frame
-            if telemetry.enabled():  # peeking the header is not free
-                reply_span = telemetry.span("offload.reply")
-                reply_span.__enter__()
-                close_reply_span(reply_span, body)
-            self._dispatch_reply(op, corr, body)
-
-    # -- how a waiter blocks ----------------------------------------------------------
-    def _poll(self) -> None:
+    def drive(
+        self, handle: InvokeHandle, *, blocking: bool, timeout: float | None = None
+    ) -> None:
         # A waiter implies latency-bound traffic: anything coalescing
         # (possibly the very frame it waits behind) goes out now rather
-        # than at the batching deadline. The reactor does the rest.
+        # than at the batching deadline.
         self._coalescer.flush("drive")
+        super().drive(handle, blocking=blocking, timeout=timeout)
 
-    def _wait(
-        self,
-        done: Callable[[], bool],
-        block: Callable[[float | None], bool],
-        timeout: float | None,
-        what: str,
-    ) -> None:
-        self._poll()
-        if not block(timeout):
-            raise OffloadTimeoutError(
-                f"no reply from {self.peer} within the deadline ({what})"
-            )
+    # -- how replies arrive ---------------------------------------------------------
+    def _next_frame(
+        self, timeout: float | None
+    ) -> tuple[int, int, memoryview] | None:
+        """The next frame the parser holds; failing that, poll the
+        socket, ``recv`` once it is readable and parse again. EOF and
+        receive errors raise (nothing is recorded at a planned close)."""
+        parser = self._parser
+        frame = parser.next_frame()
+        while frame is None:
+            if not self._alive:
+                raise BackendError("tcp transport lost")
+            if not self._poller.poll(None if timeout is None else timeout * 1e3):
+                return None
+            try:
+                received = parser.fill()
+            except OSError as exc:
+                raise BackendError(f"tcp receive failed: {exc}") from exc
+            if not received:
+                raise _eof_error(parser, self._pending_count())
+            self.bytes_received += received
+            frame = parser.next_frame()
+            # Part of a frame: take what else is already here and leave
+            # the rest of the deadline to the caller, who keeps it.
+            timeout = 0.0
+        return frame
+
+    def _arm_backstop(self, progressed: bool) -> Callable[[], None]:
+        """An awaited future completes on arrival, not on a timer: the
+        socket is readable on the reactor while, and only while,
+        done-callbacks are armed (level-triggered, so it stays)."""
+        if self._backstop is not None:
+            return self._backstop
+        reactor = self._reactor
+        assert reactor is not None  # armed only while alive
+        reactor.register(self._sock, self._backstop_pump)
+        return functools.partial(reactor.unregister, self._sock)
 
     # -- lifecycle ----------------------------------------------------------------------
     def _detach(self) -> None:
-        """Detach from the reactor, close the socket, drop the loop ref.
-
-        Idempotent; safe from any thread including the loop itself
-        (a receive error tears down from inside the read callback).
-        """
-        if self._io_detached:
-            return
-        self._io_detached = True
-        self._reactor.unregister(self._sock)
+        """Off the reactor first, then close the socket — shut down
+        before that: ``close`` alone does not wake a leader in ``poll``.
+        Idempotent; safe from any thread, the loop and a leader too."""
+        super()._detach()
         try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close never fails on Linux
-            pass
-        eventloop.release_reactor(self._reactor)
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, reset by the peer, or closed already
+        self._sock.close()
 
     # -- introspection --------------------------------------------------------------------
     def stats(self) -> dict:
@@ -566,9 +550,7 @@ class TcpBackend(FramedClient):
             "pending_replies": self._pending_count(),
             "send_queue_bytes": depths["send_queue"],
             "recv_queue_bytes": depths["recv_queue"],
-            # The channel runs on the shared reactor: no per-connection
-            # receiver thread exists (introspection asserts this).
             "receiver_threads": 0,
-            "reactor": self._reactor.stats(),
+            "reactor": self._reactor.stats() if self._reactor else {},
             "batch": self._coalescer.stats(),
         }

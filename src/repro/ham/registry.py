@@ -25,6 +25,7 @@ communication.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -153,6 +154,9 @@ class ProcessImage:
         self._by_key: list[_Entry] = []
         self._key_of: dict[str, int] = {}
         self._finalized = False
+        #: First use may come from several threads at once (a fresh
+        #: runtime under concurrent posters): one of them builds.
+        self._build_lock = threading.Lock()
         # Image-local address salt: distinct per image instance.
         self._address_base = next(self._address_space) * 0x1000
 
@@ -177,12 +181,15 @@ class ProcessImage:
         """
         if self._finalized:
             return
-        if not self._entries:
-            self.snapshot_catalog()
-        self._sorted_names = sorted(self._entries)
-        self._by_key = [self._entries[n] for n in self._sorted_names]
-        self._key_of = {n: k for k, n in enumerate(self._sorted_names)}
-        self._finalized = True
+        with self._build_lock:
+            if self._finalized:
+                return
+            if not self._entries:
+                self.snapshot_catalog()
+            self._sorted_names = sorted(self._entries)
+            self._by_key = [self._entries[n] for n in self._sorted_names]
+            self._key_of = {n: k for k, n in enumerate(self._sorted_names)}
+            self._finalized = True
 
     # -- queries ------------------------------------------------------------
     @property

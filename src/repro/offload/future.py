@@ -13,10 +13,12 @@ deadline or without one) can pick it up.
 
 Futures are also awaitable: ``await future`` inside an asyncio
 coroutine suspends the task (not the thread) until the reply lands.
-The bridge is callback-driven when the backend supports it — the
-reactor thread completes the handle, the attached done-callback pokes
-the event loop via ``call_soon_threadsafe`` — and falls back to a
-short exponential poll for handles without completion callbacks.
+The bridge is callback-driven when the backend supports it — attaching
+the done-callback has the transport read replies on the shared reactor
+for as long as callbacks are armed, whichever thread completes the
+handle runs it, and it pokes the event loop via
+``call_soon_threadsafe`` — and falls back to a short exponential poll
+for handles without completion callbacks.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class Future:
                         woken.set_result(None)
 
                 def _on_done(_handle: Any) -> None:
-                    # Runs on the completing thread (reactor / driver);
+                    # Runs on the completing thread (backstop / driver);
                     # a closed loop means the application is tearing
                     # down and nobody is left to wake.
                     if not loop.is_closed():

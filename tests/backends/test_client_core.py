@@ -1,28 +1,51 @@
-"""The client core (``FramedClient``): reply matching and peer loss.
+"""The client core (``FramedClient``): reply matching, the drive, peer loss.
 
-One ``_dispatch_reply`` and one ``_fail_pending`` serve both transports,
-so every case runs against an in-process shm and tcp server (the harness
-of ``test_target_dispatch``) whose replies the test rewrites on their way
-out. ``traced`` decides which roundtrip shm takes: with a recorder every
-sync op goes through the shared table, without one through the leader
-fast path — both must report the same errors. No assertion reads a
-clock; waits carry a 10 s timeout only so a regression fails instead of
-hanging.
+One ``_dispatch_reply``, one drive (``_wait`` / ``_pump`` / ``_poll`` and
+the backstop) and one ``_fail_pending`` serve both transports, so every
+case runs against an in-process shm and tcp server (the harness of
+``test_target_dispatch``) whose replies the test rewrites, or holds
+back, on their way out; the rows that SIGKILL the target fork one.
+``traced`` decides which roundtrip a sync op takes: with a recorder
+through the shared table, without one through the leader fast path —
+both must report the same errors. No assertion reads a clock; waits
+carry a 10 s timeout only so a regression fails instead of hanging.
 """
 
+import asyncio
+import gc
 import multiprocessing
+import os
+import signal
 import socket
 import threading
+import time
 
 import pytest
 
+from repro.backends import (
+    ShmBackend,
+    TcpBackend,
+    eventloop,
+    spawn_local_server,
+    spawn_shm_server,
+)
+from repro.backends._server import _FRAME_META, _PREFIX
 from repro.backends.tcp import OP_ALLOC, OP_INVOKE, OP_PING, OP_REPLY_BIT
-from repro.errors import BackendError, RemoteExecutionError
+from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
 from repro.ham import f2f
+from repro.ham.registry import Catalog
+from repro.offload import Runtime
+from repro.offload import api as offload_api
+from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
-from tests.backends.test_target_dispatch import WAIT, Target
+from tests.backends.test_target_dispatch import (
+    _HOOKS,
+    WAIT,
+    Target,
+    dispatch_hook,
+)
 
 
 @pytest.fixture(params=["shm-traced", "shm", "tcp-traced", "tcp"])
@@ -175,3 +198,317 @@ class TestPeerLoss:
             backend.ping(1)
         client.thread.join(WAIT)
         assert "stopped serving" in capfd.readouterr().err
+
+
+def _hold_replies(target):
+    """Keep every reply the server would send; returns the list of
+    ``(send, op, corr, parts)`` and a semaphore released once per reply."""
+    held, arrived = [], threading.Semaphore(0)
+
+    def hold(send, op, corr, parts):
+        held.append((send, op, corr, parts))
+        arrived.release()
+
+    _rewrite_replies(target, hold)
+    return held, arrived
+
+
+def _until(condition):
+    deadline = time.monotonic() + WAIT
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return condition()
+
+
+def _led(backend):
+    """Whether some thread holds the drive lock (reads replies) now."""
+    if backend._drive_lock.acquire(blocking=False):
+        backend._drive_lock.release()
+        return False
+    return True
+
+
+class TestTheDrive:
+    def test_leader_completes_the_follower_who_then_takes_over(self, client):
+        """Three gated kernels, a waiter each. The first waiter leads and
+        completes the second one's reply; when the leader leaves with its
+        own, the third — a follower so far — reads for itself."""
+        gates = {name: threading.Event() for name in "abc"}
+        _HOOKS["gate"] = lambda name: gates[name].wait(WAIT) and name
+        _HOOKS["gates"] = gates.values()  # opened by the fixture on failure
+        futures = {name: client.runtime.async_(1, f2f(dispatch_hook, "gate", name))
+                   for name in "abc"}
+        got = {}
+
+        def waiter(name):
+            thread = threading.Thread(
+                target=lambda: got.setdefault(name, futures[name].get(timeout=WAIT)))
+            thread.start()
+            return thread
+
+        leader = waiter("a")
+        assert _until(lambda: _led(client.backend))
+        followers = {name: waiter(name) for name in "bc"}
+        gates["b"].set()
+        followers["b"].join(WAIT)
+        assert got == {"b": "b"} and leader.is_alive()
+        gates["a"].set()
+        leader.join(WAIT)
+        assert got == {"a": "a", "b": "b"} and followers["c"].is_alive()
+        gates["c"].set()  # nobody is left to read it but its own waiter
+        followers["c"].join(WAIT)
+        assert got == {"a": "a", "b": "b", "c": "c"}
+        assert _settled(client)
+
+    def test_soft_timeout_mid_frame_then_the_late_reply_is_matched(self, client):
+        """Deadlines are soft: one that expires with half a reply on the
+        wire consumes none of it, and the rest completes the same future.
+        (A ring publishes whole frames only: on shm the reply is just late.)"""
+        held, arrived = _hold_replies(client)
+        backend = client.backend
+        future = client.runtime.async_(1, f2f(apps.add, 20, 22))
+        assert arrived.acquire(timeout=WAIT)
+        send, op, corr, parts = held.pop()
+        frame = _PREFIX.pack(_FRAME_META + sum(map(len, parts)), op, corr)
+        frame += b"".join(parts)
+        conn = getattr(client.server, "_conn", None)
+        if conn is not None:
+            conn.sendall(frame[:7])
+        with pytest.raises(OffloadTimeoutError):
+            future.get(timeout=0.05)
+        with pytest.raises(OffloadTimeoutError):  # a sync op, same rule
+            backend._roundtrip(OP_PING, timeout=0.05)
+        assert arrived.acquire(timeout=WAIT)
+        if conn is not None:
+            assert backend._parser.buffered == 7
+            conn.sendall(frame[7:])
+        else:
+            send(op, corr, *parts)
+        assert future.get(timeout=WAIT) == 42
+        send, op, corr, parts = held.pop()
+        send(op, corr, *parts)  # the late PING reply: matched, not stray
+        client.server.__dict__.pop("_reply")
+        assert backend.ping(1) >= 0.0
+        assert _settled(client)
+        recorder = telemetry.get()
+        if recorder is not None:
+            counters = recorder.metrics.snapshot()["counters"]
+            assert f"{backend.name}.unmatched_replies" not in counters
+
+    def test_test_makes_progress_without_blocking(self, client):
+        held, arrived = _hold_replies(client)
+        future = client.runtime.async_(1, f2f(apps.add, 1, 2))
+        assert arrived.acquire(timeout=WAIT)
+        assert future.test() is False  # returns: the reply is not coming
+        send, op, corr, parts = held.pop()
+        send(op, corr, *parts)
+        assert _until(future.test)  # no thread ever blocked in drive
+        assert future.get() == 3 and _settled(client)
+
+    def test_a_full_window_is_driven_by_whoever_waits_for_a_slot(self, client):
+        gate = threading.Event()
+        _HOOKS["gate"] = lambda value: gate.wait(WAIT) and value
+        _HOOKS["gates"] = [gate]
+        client.runtime.window.set_limit(1)
+        first = client.runtime.async_(1, f2f(dispatch_hook, "gate", "first"))
+        posted = []
+        poster = threading.Thread(target=lambda: posted.append(
+            client.runtime.async_(1, f2f(apps.add, 1, 2))))
+        poster.start()  # blocks in acquire: the window is full ...
+        assert _until(lambda: client.runtime.window._waiting == 1)
+        gate.set()  # ... and only it can read the reply that frees the slot
+        poster.join(WAIT)
+        assert not poster.is_alive() and first._handle.completed
+        assert posted[0].get(timeout=WAIT) == 3 and first.get() == "first"
+
+    def test_gather_of_awaited_futures_with_no_blocking_caller(self, client):
+        backend = client.backend
+        gate = threading.Event()
+        _HOOKS["gate"] = lambda value: gate.wait(WAIT) and value
+        _HOOKS["gates"] = [gate]
+
+        async def main():
+            gathered = asyncio.gather(*(
+                client.runtime.async_(1, f2f(dispatch_hook, "gate", i + 1))
+                for i in range(64)))
+            await asyncio.sleep(0)  # every task polled once, then suspended
+            gate.set()  # from here on only the backstop reads replies
+            return await gathered
+
+        assert asyncio.run(main()) == [i + 1 for i in range(64)]
+        assert backend.backstop_pumps > 0
+        # Armed only while a callback waits: nothing pumps an idle client.
+        assert _until(lambda: backend._backstop is None)
+        assert _settled(client)
+
+
+def _forked(transport):
+    if transport == "tcp":
+        process, address = spawn_local_server()
+        return process, TcpBackend(
+            address, on_shutdown=lambda: process.join(timeout=5))
+    process, segment = spawn_shm_server()
+    return process, ShmBackend(
+        segment, alive_fn=process.is_alive,
+        on_shutdown=lambda: process.join(timeout=5))
+
+
+#: What a waiter is told when the target is SIGKILLed under it.
+DEATH_TEXT = {
+    "tcp": "connection closed by peer; 1 pending operation can no longer "
+           "be matched",
+    "shm": "shm target process died",
+}
+
+
+@pytest.fixture(params=["shm", "tcp"])
+def forked(request, tmp_path):
+    """``(process, runtime, peer_deaths)`` over a forked target, the
+    flight recorder armed at a directory of this test's own."""
+    flight = flightrecorder.get()
+    saved = flight.crash_dir, flight.debounce
+    flightrecorder.configure(tmp_path, install_signal=False)
+    process, backend = _forked(request.param)
+    runtime = Runtime(backend)
+
+    def peer_deaths():
+        return [bundle for bundle in flightrecorder.find_bundles(tmp_path)
+                if "peer_death" in bundle.name]
+
+    try:
+        yield process, runtime, peer_deaths
+    finally:
+        runtime.shutdown()
+        flight.crash_dir, flight.debounce = saved
+        if process.is_alive():  # pragma: no cover - cleanup safety
+            process.terminate()
+
+
+class TestTargetKilled:
+    def test_under_a_blocked_waiter_it_fails_at_once(self, forked):
+        process, runtime, peer_deaths = forked
+        backend = runtime.backend
+        future = runtime.async_(1, f2f(apps.sleep_then, 30.0, 0))
+        errors = []
+
+        def blocked():
+            try:
+                future.get(timeout=WAIT)
+            except BackendError as exc:  # a timeout would not be one
+                errors.append(str(exc))
+
+        waiter = threading.Thread(target=blocked)
+        waiter.start()
+        assert _until(lambda: _led(backend))
+        os.kill(process.pid, signal.SIGKILL)
+        waiter.join(WAIT)
+        assert not waiter.is_alive()
+        assert errors == [DEATH_TEXT[backend.name]]
+        runtime.shutdown()
+        assert len(peer_deaths()) == 1
+
+    @pytest.mark.parametrize("how", ["get", "test", "post"])
+    def test_under_nobody_the_next_to_look_reports_it(self, forked, how):
+        process, runtime, peer_deaths = forked
+        backend = runtime.backend
+        future = runtime.async_(1, f2f(apps.sleep_then, 30.0, 0))
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(WAIT)
+        # Nobody reads, so nobody knows: no thread watches the transport.
+        assert backend._alive and peer_deaths() == []
+        if how == "test":
+            assert _until(future.test)
+        elif how == "post":
+            with pytest.raises(BackendError):
+                for _ in range(3):  # a dead socket takes the first frame
+                    runtime.sync(1, f2f(apps.add, 1, 2), timeout=WAIT)
+        with pytest.raises(BackendError):
+            future.get(timeout=WAIT)
+        assert not backend._alive and runtime.window.in_flight == 0
+        runtime.shutdown()
+        assert len(peer_deaths()) == 1
+
+
+def _resources(baseline=False):
+    """Everything a backend may hold that outlives it when leaked. The
+    ``baseline`` is taken after earlier tests' garbage went (a forked
+    ``Process`` in a reference cycle keeps its sentinel pipe); what the
+    test itself leaves in a cycle is not collected before it is counted."""
+    if baseline:
+        gc.collect()
+    reactor = eventloop._global_reactor
+    return {
+        "fds": len(os.listdir("/proc/self/fd")),
+        "threads": sorted(thread.name for thread in threading.enumerate()
+                          if thread.name.startswith(("repro-", "ham-"))),
+        "reactor_refs": eventloop._global_refs,
+        "registered_fds": reactor.stats()["registered_fds"] if reactor else 0,
+        "/dev/shm": sorted(os.listdir("/dev/shm")),
+    }
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+class TestNothingLeaks:
+    """ROADMAP aim 3: finalize -> init cycles leak nothing, on every way
+    out of a transport."""
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_init_finalize_cycles(self, transport):
+        def cycle():
+            offload_api.init(transport)
+            try:
+                for i in range(50):
+                    assert offload_api.sync(1, f2f(apps.echo, i)) == i
+
+                async def awaited():
+                    return await offload_api.async_(
+                        1, f2f(apps.sleep_then, 0.01, "late"))
+
+                assert asyncio.run(awaited()) == "late"
+            finally:
+                offload_api.finalize()
+
+        cycle()  # what lives as long as the process (shm's resource tracker)
+        before = _resources(baseline=True)
+        for _ in range(5):
+            cycle()
+        assert _resources() == before
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_target_death_found_by_the_armed_backstop(self, transport):
+        """EOF inside the pump, on the reactor thread itself, with the
+        read registration (tcp) or the timer (shm) armed."""
+        before = _resources(baseline=True)
+        process, backend = _forked(transport)
+        runtime = Runtime(backend)
+        failed = threading.Event()
+        try:
+            future = runtime.async_(1, f2f(apps.sleep_then, 30.0, 0))
+            future._handle.add_done_callback(lambda _handle: failed.set())
+            assert backend._backstop is not None
+            os.kill(process.pid, signal.SIGKILL)
+            assert failed.wait(WAIT), "nobody drove, and the backstop did not"
+            with pytest.raises(BackendError):
+                future.get(timeout=WAIT)
+        finally:
+            runtime.shutdown()
+            process.join(WAIT)
+            process.close()
+        # The reactor thread detached itself, after it had failed the
+        # future: it may still be on its way out.
+        assert _until(lambda: _resources() == before), (_resources(), before)
+        assert backend._backstop is None and backend._reactor is None
+
+    def test_failed_handshake(self):
+        before = _resources(baseline=True)
+        process, address = spawn_local_server()
+        try:
+            catalog = Catalog()
+            catalog.register(lambda: None, name="only::one")
+            with pytest.raises(BackendError, match="catalogs differ"):
+                TcpBackend(address, catalog=catalog)
+        finally:
+            process.terminate()
+            process.join(WAIT)
+            process.close()
+        assert _resources() == before

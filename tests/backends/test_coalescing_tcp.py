@@ -2,8 +2,8 @@
 
 The batching layer must be invisible to callers: same values, same
 errors, same shutdown guarantees — while the transport stats prove the
-batches actually happened and that no receiver thread exists anymore
-(the reactor owns every socket).
+batches actually happened and that no receiver thread exists (a caller
+that waits reads the socket itself).
 """
 
 import threading
@@ -64,16 +64,32 @@ class TestBatchedSemantics:
                 process.terminate()
 
     def test_no_receiver_threads(self):
+        """Nobody reads the socket for a caller that waits — it reads
+        itself; the reactor does only while a done-callback is armed."""
         process, runtime = make_runtime()
+
+        def registered_fds():
+            return runtime.backend.stats()["reactor"]["registered_fds"]
+
         try:
-            assert runtime.sync(1, f2f(apps.add, 1, 1)) == 2
+            for i in range(20):
+                assert runtime.sync(1, f2f(apps.add, i, 1)) == i + 1
             stats = runtime.backend.stats()
             assert stats["receiver_threads"] == 0
             assert stats["reactor"]["alive"]
-            assert stats["reactor"]["registered_fds"] >= 1
+            assert stats["reactor"]["registered_fds"] == 0
             names = [t.name for t in threading.enumerate()]
             assert not any("tcp-receiver" in name for name in names)
-            assert any("reactor" in name for name in names)
+            settled = threading.Event()
+            future = runtime.async_(1, f2f(apps.sleep_then, 0.2, "late"))
+            future._handle.add_done_callback(lambda _handle: settled.set())
+            assert registered_fds() >= 1  # the awaited reply has a reader
+            assert settled.wait(10.0)
+            deadline = time.monotonic() + 10.0
+            while registered_fds() and time.monotonic() < deadline:
+                time.sleep(0.001)  # disarmed right after the callback ran
+            assert registered_fds() == 0
+            assert future.get() == "late"
         finally:
             runtime.shutdown()
             if process.is_alive():  # pragma: no cover - cleanup safety

@@ -5,7 +5,7 @@ never hang, never corrupt unrelated state."""
 import pickle
 import socket
 import struct
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -52,25 +52,26 @@ class TestTcpTransportFailures:
         backend = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
         runtime = Runtime(backend)
         # Push a raw garbage invoke through the backend's socket, with a
-        # fake reply expectation filed under its correlation id; the
-        # receiver thread matches the failure reply back to it.
+        # fake reply expectation filed under its correlation id; whoever
+        # drives — here a non-blocking poll, as ``Future.test`` does —
+        # matches the failure reply back to it.
         handle_box = {}
-        dispatched = threading.Event()
 
         class FakeHandle:
             def complete_with_reply(self, reply):
                 handle_box["reply"] = reply
-                dispatched.set()
 
             def complete_with_error(self, error):
                 handle_box["error"] = error
-                dispatched.set()
 
         corr = backend._next_corr()
         with backend._pending_lock:
             backend._pending[corr] = ("invoke", FakeHandle())
         backend._send(OP_INVOKE, corr, b"not a ham message")
-        assert dispatched.wait(timeout=10.0)
+        deadline = time.monotonic() + 10.0
+        while not handle_box and time.monotonic() < deadline:
+            backend._poll()
+            time.sleep(0.001)
         assert isinstance(handle_box.get("error"), RemoteExecutionError)
         # Server is still alive and serving.
         assert runtime.sync(1, f2f(apps.add, 2, 2)) == 4

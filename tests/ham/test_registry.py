@@ -1,6 +1,8 @@
 """Tests for the HAM registry and cross-image key translation (Fig. 6)."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -129,6 +131,33 @@ class TestCrossImageTranslation:
         # "a::early" sorts first, shifting the key of "m::f".
         assert image.key_for("a::early") == 0
         assert image.key_for("m::f") == 1
+
+    def test_first_use_from_many_threads_builds_one_whole_table(self):
+        """A fresh image is finalized by whoever uses it first; a second
+        thread must not sort a half-taken snapshot (wrong keys, or none,
+        for a fresh runtime under concurrent posters)."""
+        names = [f"m::f{i:03d}" for i in range(200)]
+        catalog = make_catalog(names)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                image = ProcessImage("img", catalog)
+                barrier = threading.Barrier(6)
+                keys = []
+
+                def first_use():
+                    barrier.wait(10.0)
+                    keys.append(image.key_for(names[-1]))
+
+                threads = [threading.Thread(target=first_use) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+                assert keys == [len(names) - 1] * 6
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestOffloadableDecorator:
