@@ -15,11 +15,10 @@ a single pipelined channel would. Completions on any inner transport
 free capacity for posts to any other.
 
 No receiver threads, N connections: each inner transport's replies are
-read by whoever waits for one of them (a handle names the member that
-posted it), and what needs a thread — coalescing deadlines, the
-backstops of awaited futures — shares the process-wide reactor
-(:mod:`repro.backends.eventloop`). :meth:`stats` surfaces that loop's
-health alongside the per-inner counters.
+read by whoever waits for one of them — a blocking caller or an
+awaiting asyncio loop (a handle names the member that posted it) — and
+the coalescing deadlines of tcp members share the process's one timer
+(:data:`~repro.backends.base.DEADLINES`).
 """
 
 from __future__ import annotations
@@ -102,18 +101,11 @@ class FanoutBackend(Backend):
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        inner_stats = [inner.stats() for inner in self._inners]
-        # The inners share one reactor; surface it once at the top
-        # level (each inner's copy is identical by construction).
-        reactor = next(
-            (s["reactor"] for s in inner_stats if s.get("reactor")), None
-        )
         return {
             "backend": self.name,
             "targets": len(self._inners),
             "receiver_threads": 0,
-            "reactor": reactor,
-            "inner": inner_stats,
+            "inner": [inner.stats() for inner in self._inners],
         }
 
     def per_target_stats(self) -> dict[NodeId, dict[str, Any]]:

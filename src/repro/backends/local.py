@@ -6,8 +6,8 @@ deserialized — the full wire path is exercised — but execution happens
 synchronously at post time, so every handle completes immediately.
 The async surface degenerates accordingly: a done-callback attached to
 a local handle fires at once (the handle is already complete), and an
-``await`` on a local future resolves without suspending — no reactor
-involvement, same semantics.
+``await`` on a local future resolves without suspending — nothing polls,
+same semantics.
 
 This backend is the debugging/portability baseline: the same application
 runs here, over TCP, and on the simulated SX-Aurora protocols without

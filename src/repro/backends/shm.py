@@ -47,8 +47,9 @@ Both ends poll with the paper's adaptive *spin-then-sleep* loop: a
 bounded busy-spin phase (interleaved with ``sched_yield`` so a same-core
 peer gets the CPU immediately — the single-core analogue of the VE's LHM
 polling) followed by exponential sleep backoff for idle periods; the
-spin budget and the sleep bounds are constants of this module
-(:data:`SPIN_YIELDS`, :data:`SLEEP_MIN`, :data:`SLEEP_MAX`). On the
+spin budget and the sleep bounds are constants
+(:data:`SPIN_YIELDS`, :data:`SLEEP_MIN`, :data:`SLEEP_MAX`, shared with
+an asyncio loop awaiting a reply). On the
 target, the thread that polls a message off the ring executes it and
 goes on polling, as the VE does — no wake-up and no thread change per
 message (the dispatch loop of :mod:`repro.backends._server`).
@@ -56,9 +57,9 @@ message (the dispatch loop of :mod:`repro.backends._server`).
 There is **no receiver thread**: whichever caller waits on a reply reads
 the reply ring for everybody (the drive of
 :mod:`repro.backends._client`, shared with tcp). This module supplies
-its receive half — poll the reply ring, copy one frame out — and, since
-a ring has no descriptor a reactor could select on, a timer as the
-backstop for awaited futures.
+its receive half — poll the reply ring, copy one frame out. A ring has
+no descriptor to select on, so an asyncio loop awaiting a reply polls
+it, a lap per loop callback (:class:`~repro.offload.future.AwaitingLoop`).
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ import time
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable
 
-from repro.backends import eventloop
 from repro.backends._client import FramedClient, byte_view
 from repro.backends._server import (
     _FRAME_META,
@@ -85,6 +85,7 @@ from repro.backends._server import (
     FramedServer,
     reset_forked_recorder,
 )
+from repro.backends.base import SLEEP_MAX, SLEEP_MIN, SPIN_YIELDS
 from repro.errors import BackendError, OffloadTimeoutError
 from repro.ham.registry import Catalog
 from repro.telemetry import recorder as telemetry
@@ -103,23 +104,6 @@ _U32 = struct.Struct("<I")
 #: Bytes per ring direction. Frames larger than this cannot be posted;
 #: the backend chunks bulk WRITE/READ traffic to stay under it.
 DEFAULT_RING_CAPACITY = 1 << 20
-
-#: Busy-spin iterations (each one a ``sched_yield``) before the polling
-#: loop starts sleeping. Yields hand the CPU straight to a same-core
-#: peer, so the spin phase is cheap even on one core; ~4000 yields span
-#: a few milliseconds — more than any healthy peer needs to respond.
-SPIN_YIELDS = 4000
-#: First sleep of the backoff phase (seconds).
-SLEEP_MIN = 50e-6
-#: Sleep cap of the backoff phase (seconds) — bounds wakeup latency
-#: after a long idle period.
-SLEEP_MAX = 2e-3
-
-#: Reactor-backstop pump cadence while replies are flowing (seconds) —
-#: the completion latency an asyncio awaiter observes on shm.
-_BACKSTOP_MIN = 1e-3
-#: Backstop cadence cap while outstanding work is quiet.
-_BACKSTOP_MAX = 50e-3
 
 #: Segment header field offsets (see the module docstring's layout).
 _OFF_MAGIC = 0
@@ -402,7 +386,7 @@ class ShmRing:
             return True
         if timeout is not None and timeout <= 0:
             # No time to wait: a caller that only ever polls (a
-            # ``test()`` loop, the backstop of awaited futures) learns of
+            # ``test()`` loop, an awaiting asyncio loop) learns of
             # a dead peer at the same cadence as one that spins.
             self._empty_polls += 1
             if stop is not None and not self._empty_polls & _CHECK_MASK:
@@ -835,7 +819,6 @@ class ShmBackend(FramedClient):
         #: time at shared-memory latencies.
         self._peer_error_cb = self._peer_error
         self._send_stall_cb = self._send_stall
-        self._backstop_interval = _BACKSTOP_MIN
         _await_ready(segment, startup_timeout, alive_fn)
         self.segment.client_pid = os.getpid()
         self._handshake(startup_timeout)
@@ -913,27 +896,11 @@ class ShmBackend(FramedClient):
         self.bytes_received += len(frame[2]) + FRAME_OVERHEAD
         return frame
 
-    def _arm_backstop(self, progressed: bool) -> Callable[[], None]:
-        """A ring has no descriptor to select on: a one-shot reactor
-        timer, :data:`_BACKSTOP_MIN` apart while replies flow, backing
-        off toward :data:`_BACKSTOP_MAX` while the outstanding work is
-        quiet. The reactor is attached here, not at connect."""
-        if self._reactor is None:
-            self._reactor = eventloop.get_reactor()
-        self._backstop_interval = (
-            _BACKSTOP_MIN if progressed
-            else min(self._backstop_interval * 2, _BACKSTOP_MAX)
-        )
-        return self._reactor.call_later(
-            self._backstop_interval, self._backstop_pump
-        ).cancel
-
     # -- lifecycle ---------------------------------------------------------
     def _close_transport(self) -> None:
         """Close and — when this process owns it — unlink the segment,
         so no ``/dev/shm`` entry outlives the backend. (Not in
         ``_detach``: other threads may still be polling the rings.)"""
-        self._detach()
         self.segment.close()
         self.segment.unlink()
 
@@ -958,6 +925,5 @@ class ShmBackend(FramedClient):
             "reply_ring": _ring_state(self._t2h),
             "pending_replies": self._pending_count(),
             "receiver_threads": 0,
-            "backstop_pumps": self.backstop_pumps,
-            "backstop_armed": self._backstop is not None,
+            "backstop_pumps": self.loop_polls,  # an awaiting loop's polls
         }

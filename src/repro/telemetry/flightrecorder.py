@@ -31,7 +31,7 @@ bundle to the configured crash directory:
     * ``state.json``    — one entry per attached runtime: the ``host``
       part of ``offload.introspect()`` (``Runtime.stats()``: window
       occupancy with the correlation ids a crash would strand, policy,
-      the backend's transport stats with reactor lag and flush reasons,
+      the backend's transport stats with the timer's lag and flush reasons,
       QoS / health / hedging state), captured whether or not the span
       recorder is on;
     * ``metrics.json``  — the registry snapshot (telemetry enabled);

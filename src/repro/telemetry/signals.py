@@ -143,7 +143,7 @@ SIGNALS = SignalRegistry((
          "failures in a row on the node",
          "docs/observability.md: distance to the next health transition"),
     _ROW("reactor.loop_lag_us", "gauge", "us",
-         "how late the shared I/O loop ran its last timer", _TOP),
+         "how late the coalescer's deadline timer ran its last deadline", _TOP),
     # -- telemetry about itself ---------------------------------------------
     _ROW("telemetry.pull_failures", "counter", "pulls",
          "target-telemetry pulls that failed at shutdown",

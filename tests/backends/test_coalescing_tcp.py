@@ -6,6 +6,7 @@ batches actually happened and that no receiver thread exists (a caller
 that waits reads the socket itself).
 """
 
+import asyncio
 import threading
 import time
 
@@ -65,31 +66,30 @@ class TestBatchedSemantics:
 
     def test_no_receiver_threads(self):
         """Nobody reads the socket for a caller that waits — it reads
-        itself; the reactor does only while a done-callback is armed."""
+        itself — and no thread reads for an awaiting task either: its
+        loop watches the socket while, and only while, it awaits."""
         process, runtime = make_runtime()
-
-        def registered_fds():
-            return runtime.backend.stats()["reactor"]["registered_fds"]
-
+        fd = runtime.backend._sock.fileno()
         try:
             for i in range(20):
                 assert runtime.sync(1, f2f(apps.add, i, 1)) == i + 1
-            stats = runtime.backend.stats()
-            assert stats["receiver_threads"] == 0
-            assert stats["reactor"]["alive"]
-            assert stats["reactor"]["registered_fds"] == 0
+            assert runtime.backend.stats()["receiver_threads"] == 0
             names = [t.name for t in threading.enumerate()]
-            assert not any("tcp-receiver" in name for name in names)
-            settled = threading.Event()
-            future = runtime.async_(1, f2f(apps.sleep_then, 0.2, "late"))
-            future._handle.add_done_callback(lambda _handle: settled.set())
-            assert registered_fds() >= 1  # the awaited reply has a reader
-            assert settled.wait(10.0)
-            deadline = time.monotonic() + 10.0
-            while registered_fds() and time.monotonic() < deadline:
-                time.sleep(0.001)  # disarmed right after the callback ran
-            assert registered_fds() == 0
-            assert future.get() == "late"
+            assert not any("receiver" in name for name in names)
+
+            async def main():
+                selector = asyncio.get_running_loop()._selector
+                future = runtime.async_(1, f2f(apps.sleep_then, 0.2, "late"))
+                assert fd not in selector.get_map()
+                task = asyncio.ensure_future(future)
+                deadline = time.monotonic() + 10.0
+                while fd not in selector.get_map() and time.monotonic() < deadline:
+                    await asyncio.sleep(0.001)
+                assert fd in selector.get_map()  # the awaited reply has a reader
+                assert await task == "late"
+                return fd in selector.get_map()  # gone with its last awaiter
+
+            assert asyncio.run(main()) is False
         finally:
             runtime.shutdown()
             if process.is_alive():  # pragma: no cover - cleanup safety
@@ -100,25 +100,25 @@ class TestShutdownDrain:
     def test_dead_peer_reports_stranded_batch(self):
         """Pending futures must learn how many frames never hit the wire.
 
-        Two threads race once the peer is gone: the reactor reports EOF
-        (``_fail_pending`` discards the buffer and counts what it
-        dropped), and a blocking ``get`` drives the stuck buffer out
-        first — a ``sendmsg`` into a just-closed socket still succeeds,
-        so the frames count as sent and the EOF error then speaks of
-        three unmatched operations instead. Both reports are truthful;
-        this test is about the first, so it waits for the reactor's
-        verdict through a done-callback (which neither drives nor
-        flushes) before any ``get`` runs.
+        Whoever reads next finds the EOF: ``_fail_pending`` discards the
+        buffer and counts what it dropped. A waiter's ``drive`` would
+        flush the stuck buffer first — a ``sendmsg`` into a just-closed
+        socket still succeeds, so the frames count as sent and the EOF
+        error speaks of three unmatched operations instead. Both reports
+        are truthful; this test is about the first, so it reads with
+        ``_poll``, which neither blocks nor flushes, before any ``get``.
         """
         process, runtime = make_runtime(STUCK)
         backend = runtime.backend
         futures = [runtime.async_(1, f2f(apps.add, i, 1)) for i in range(3)]
         assert backend._coalescer.pending()[0] == 3  # all stuck in the buffer
-        failed = threading.Event()
-        futures[0]._handle.add_done_callback(lambda _handle: failed.set())
         process.terminate()
         process.join(timeout=5)
-        assert failed.wait(10.0), "reactor never reported the dead peer"
+        deadline = time.monotonic() + 10.0
+        while backend._alive and time.monotonic() < deadline:
+            backend._poll()
+            time.sleep(0.001)
+        assert not backend._alive, "nobody saw the dead peer"
         with pytest.raises(BackendError, match=r"dropped 3 coalesced frames"):
             futures[0].get(timeout=10.0)
         for future in futures[1:]:

@@ -1,23 +1,34 @@
 """The asyncio bridge: ``await future`` end to end.
 
 Futures are awaitable (paper Table II ``future<T>`` + an event-loop
-face): the reactor thread completes the handle, a done-callback pokes
-the asyncio loop, the task resumes. Semantics must be identical to the
-blocking ``get`` — same values, same remote-exception re-raise, same
-stays-pending behavior on abandonment.
+face): the running loop is the waiter — on a driven transport it reads
+the reply itself — and a done-callback resumes the task. Semantics must
+be identical to the blocking ``get`` — same values, same
+remote-exception re-raise, same stays-pending behavior on abandonment.
 """
 
 import asyncio
 
 import pytest
 
-from repro.backends import LocalBackend, TcpBackend, spawn_local_server
+from repro.backends import (
+    DmaCommBackend,
+    LocalBackend,
+    TcpBackend,
+    VeoCommBackend,
+    create_backend,
+    spawn_local_server,
+)
 from repro.errors import RemoteExecutionError
 from repro.ham import f2f
 from repro.offload import Runtime
 from repro.offload.future import CompletedHandle, Future
 
 from tests import apps
+
+#: Bounds every await below, so a reply nobody reads fails the test
+#: instead of hanging it.
+WAIT = 10.0
 
 
 @pytest.fixture()
@@ -90,6 +101,48 @@ class TestAwaitOverTcp:
         got, second = asyncio.run(main())
         assert got == 3
         assert second.get() == 7
+
+
+@pytest.fixture(params=["local", "tcp", "shm", "dma", "veo"])
+def any_rt(request):
+    simulated = {"dma": DmaCommBackend, "veo": VeoCommBackend}
+    if request.param in simulated:
+        backend = simulated[request.param]()
+        # A kernel that outlasts the first poll: only a driver finishes it.
+        backend.kernel_cost_fn = lambda functor: 1e-3
+    else:
+        backend = create_backend(request.param)
+    runtime = Runtime(backend)
+    yield runtime
+    runtime.shutdown()
+
+
+class TestAwaitOnEveryBackend:
+    """Nothing but the awaiting loop reads: on the simulators too, which
+    advance only while somebody drives them."""
+
+    def test_await_single(self, any_rt):
+        async def main():
+            return await asyncio.wait_for(
+                any_rt.async_(1, f2f(apps.add, 40, 2)), WAIT)
+
+        assert asyncio.run(main()) == 42
+
+    def test_gather_many(self, any_rt):
+        async def main():
+            futures = [any_rt.async_(1, f2f(apps.add, i, 1)) for i in range(64)]
+            return await asyncio.wait_for(asyncio.gather(*futures), WAIT)
+
+        assert asyncio.run(main()) == [i + 1 for i in range(64)]
+
+    def test_await_reraises_remote_error(self, any_rt):
+        async def main():
+            await asyncio.wait_for(
+                any_rt.async_(1, f2f(apps.raise_value_error, "awaited boom")),
+                WAIT)
+
+        with pytest.raises(RemoteExecutionError, match="awaited boom"):
+            asyncio.run(main())
 
 
 class TestAwaitDegenerateHandles:

@@ -219,8 +219,9 @@ class TestTracedPathBudget:
 #: its own batch: 49 calls, and the two locks are the correlation
 #: table's and the send lock (52 and 3 while the coalescer's lock, list
 #: and steal stood in between). At depth 256 the first frame of a batch
-#: buffers and arms the flush deadline (51, 3); the frames behind it
-#: only buffer (39, 2).
+#: buffers and arms the flush deadline (48, 3; +4 calls when that wakes
+#: the timer thread, 51 on a reactor); the frames behind it only buffer
+#: (39, 2).
 MAX_TCP_POST = {1: (52, 2), 256: (54, 3)}
 
 
@@ -249,7 +250,7 @@ class TestTcpPostBudget:
         batch = backend.stats()["batch"]
         handle, calls, locks, python = self._post(backend)
         assert python.count("_sendmsg_all") == 1
-        assert not {"_steal_locked", "call_later", "cancel"} & set(python)
+        assert not {"_steal_locked", "schedule", "cancel"} & set(python)
         assert calls <= MAX_TCP_POST[1][0] and locks <= MAX_TCP_POST[1][1]
         after = backend.stats()["batch"]
         assert after["batches"] == batch["batches"] + 1
@@ -264,10 +265,10 @@ class TestTcpPostBudget:
         handles = [backend.post_invoke(1, functor) for _ in range(255)]
         backend._coalescer.flush()
         first, calls, locks, python = self._post(backend)
-        assert "call_later" in python and "_sendmsg_all" not in python
+        assert "schedule" in python and "_sendmsg_all" not in python
         assert calls <= MAX_TCP_POST[256][0] and locks <= MAX_TCP_POST[256][1]
         behind, calls_behind, locks_behind, python = self._post(backend)
-        assert not {"call_later", "_sendmsg_all"} & set(python)
+        assert not {"schedule", "_sendmsg_all"} & set(python)
         assert calls_behind < calls and locks_behind < locks
         assert [h.wait() for h in (*handles, first, behind)] == [7] * 257
 
@@ -294,8 +295,15 @@ MAX_HOST_TIMESLICES = 1.5
 #: back empty-handed, which is all a doorbell could save.
 MAX_SHM_LAPS = 1.1
 
+#: Deadline-timer wake-ups per offload of 200 rounds of 256 pipelined tcp
+#: echoes on one CPU: ~0.060, one per batch that armed a deadline (16
+#: frames: at best 1/16 = 0.0625 per offload, less when the deadline was
+#: cancelled before the timer looked). The reactor that armed it before
+#: woke 0.065 times.
+MAX_PIPELINED_TIMER_WAKEUPS = 0.065
+
 _SCHEDULER_SCRIPT = """
-import glob, json, os
+import asyncio, glob, json, os, threading, time
 os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # before the import
 from repro.offload import api
 from repro.ham import f2f
@@ -327,8 +335,54 @@ for i in range(2000):
 after = counters()
 report = {key: (after[key] - before[key]) / 2000 for key in before}
 report["built"] = profile_calls(lambda: api.sync(1, f2f(echo, 7))).constructed
+report["threads"] = sorted(thread.name for thread in threading.enumerate())
+
+# 200 sequential awaited echoes, every way to sleep counted: time.sleep,
+# the loop's timers, and a select that blocks (on tcp that one is the
+# loop waiting for the socket to turn readable: not asserted on).
+sleeps, loop = [], asyncio.new_event_loop()
+sleep, call_later = time.sleep, loop.call_later
+select = loop._selector.select
+time.sleep = lambda seconds: sleeps.append(seconds) or sleep(seconds)
+loop.call_later = lambda delay, *a, **k: sleeps.append(delay) or call_later(delay, *a, **k)
+
+def counted_select(timeout=None):
+    if timeout != 0:
+        sleeps.append(timeout)
+    return select(timeout)
+
+loop._selector.select = counted_select
+
+async def awaited():
+    for i in range(200):
+        assert await api.async_(1, f2f(echo, i)) == i
+
+loop.run_until_complete(awaited())
+loop.close()
+time.sleep = sleep
+report["awaited_sleeps"] = len(sleeps)
 print(json.dumps(report))
 api.finalize()
+"""
+
+_PIPELINED_SCRIPT = """
+import json, os, threading
+os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # before the import
+from repro.offload import api
+from repro.ham import f2f
+from tests.apps import echo
+
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda thread: started.append(thread.name) or start(thread)
+backend = api.init("tcp", window=256).backend
+before = backend.stats()["reactor"]["wakeups"]
+for _ in range(200):
+    futures = [api.async_(1, f2f(echo, i)) for i in range(256)]
+    assert [future.get() for future in futures] == list(range(256))
+wakeups = (backend.stats()["reactor"]["wakeups"] - before) / (200 * 256)
+api.finalize()
+print(json.dumps({"wakeups": wakeups, "started": started,
+                  "after": sorted(t.name for t in threading.enumerate())}))
 """
 
 needs_schedstat = pytest.mark.skipif(
@@ -368,10 +422,27 @@ def test_host_runs_about_once_per_offload(transport):
         "waiting caller reads its reply again — see docs/architecture.md, "
         "'Client core'"
     )
-    # The reactor thread slept through all 2000 of them, and the caller
-    # waited on nothing it had to build.
+    # No thread but the caller's exists — no timer was ever armed — and
+    # the caller waited on nothing it had to build.
+    assert report["threads"] == ["MainThread"]
     assert report["wakeups"] == 0
     assert report["built"] == []
+
+
+@needs_schedstat
+def test_awaited_shm_echoes_sleep_nowhere():
+    """The loop that awaits polls the ring the way a blocking waiter
+    does: each echo comes back within the spin laps, and the loop never
+    blocks (on a reactor's timer backstop it slept 1 ms per echo)."""
+    assert _per_offload("shm")["awaited_sleeps"] == 0
+
+
+@needs_schedstat
+def test_pipelined_tcp_starts_one_timer_and_wakes_it_once_per_batch():
+    report = json.loads(fresh_python(_PIPELINED_SCRIPT))
+    assert report["started"] == ["repro-timer"]
+    assert report["after"] == ["MainThread"]  # finalize() stopped it
+    assert report["wakeups"] <= MAX_PIPELINED_TIMER_WAKEUPS, report
 
 
 @needs_schedstat

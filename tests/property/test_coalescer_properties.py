@@ -35,7 +35,7 @@ class ManualTimer:
 
 
 class ManualClock:
-    """Deterministic stand-in for ``Reactor.call_later``."""
+    """Deterministic stand-in for ``DeadlineTimer.schedule``."""
 
     def __init__(self):
         self.timers: list[ManualTimer] = []

@@ -50,9 +50,7 @@ NEVER = [
 ]
 #: The other transports' modules.
 NOT_ON = {
-    "local": [
-        "repro.backends.tcp", "repro.backends.shm", "repro.backends.eventloop",
-    ],
+    "local": ["repro.backends.tcp", "repro.backends.shm"],
     "shm": ["repro.backends.tcp"],
     "tcp": ["repro.backends.shm"],
 }
@@ -65,6 +63,13 @@ def test_an_offload_loads_its_transport_and_nothing_else(transport):
         assert _loaded(modules, prefix) == [], prefix
     ours = [m for m in modules if m.startswith("repro.")]
     assert len(ours) <= 35, sorted(ours)
+
+
+def test_a_tcp_offload_runs_no_event_loop():
+    """The caller that waits reads its own reply and the coalescer's
+    deadline is a plain timer thread: an event loop exists only where
+    the application awaits, and it is the application's."""
+    assert _loaded(_modules_after_offload("tcp"), "asyncio") == []
 
 
 #: What only a ``metrics_port`` selects: the exporter and its server.
@@ -103,7 +108,7 @@ import repro.bench.experiments
 print(json.dumps(sorted(sys.modules)))
 """)))
     for prefix in (
-        "repro.backends.tcp", "repro.backends.shm", "repro.backends.eventloop",
+        "repro.backends.tcp", "repro.backends.shm",
         "repro.telemetry.tsdb", "repro.telemetry.promexport",
     ):
         assert _loaded(modules, prefix) == [], prefix
