@@ -356,8 +356,8 @@ class FramedServer:
         ran_ns = None
         try:
             # The sampling verdict travels in the v2 header's flag byte:
-            # unsampled messages (and only those — v1/flagless messages
-            # predate sampling and record as before) skip the
+            # unsampled messages (and only those — a v1 header carries
+            # no verdict and records as sampled) skip the
             # server-side reply span entirely.
             traced = telemetry.enabled()
             if traced:

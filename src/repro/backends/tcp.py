@@ -8,24 +8,9 @@ real processes, genuine asynchrony. The target runs
 offloadable catalog, mirroring "build the same application for both
 sides") or started manually on another machine.
 
-Wire protocol (all integers little-endian)::
-
-    frame   := length:u32 | op:u8 | corr:u64 | body      (length = 9 + len(body))
-    op 0x01 INVOKE    body = HAM message          -> 0x81 body = HAM reply
-    op 0x02 ALLOC     body = nbytes:u64           -> 0x82 body = addr:u64
-    op 0x03 FREE      body = addr:u64             -> 0x83 body = ""
-    op 0x04 WRITE     body = addr:u64 | data      -> 0x84 body = ""
-    op 0x05 READ      body = addr:u64 | n:u64     -> 0x85 body = data
-    op 0x06 SHUTDOWN  body = ""                   -> 0x86 body = ""
-    op 0x07 PING      body = ""                   -> 0x87 body = ""
-    op 0x08 TELEMETRY body = ""                   -> 0x88 body = record rows (*)
-    op 0x09 CLOCK     body = ""                   -> 0x89 body = perf_ns:u64
-    op 0x0A INTROSPECT body = ""                  -> 0x8A body = state dict (*)
-    any failure                                    -> 0xFF body = info dict (*)
-
-(*) a pickle of builtin containers, numbers and strings only; the client
-reads it with :func:`repro.ham.serialization.restricted_loads`, which
-resolves no global outside its allow-list.
+The wire grammar — the frame, the op table, which ops the target runs
+inline, failure bodies and what each decoder checks — is specified once,
+for tcp and shm alike, in docs/protocols.md, "Real-path frames".
 
 Every frame carries a **correlation id**; replies (including failure
 replies) echo the request's id. The client matches replies through an

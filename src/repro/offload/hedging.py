@@ -1,6 +1,6 @@
 """Hedged requests: tail-tolerant duplication of straggling offloads.
 
-Retries (PR 4's :class:`~repro.offload.resilience.ResiliencePolicy`)
+Retries (:class:`~repro.offload.resilience.ResiliencePolicy`)
 react to *failure* — the first attempt must die before the second one
 starts, so a straggler still costs a full deadline. Hedging reacts to
 *slowness*: when a synchronous offload of an idempotent,

@@ -1,8 +1,7 @@
 """QoS layer: tenants, admission control, weighted fair scheduling.
 
-The pipelined channel (PR 4) bounds *how much* work is in flight; this
-module decides *whose* work gets in and in *what order* — the serving
-half of the ROADMAP's "millions of users" story. Three cooperating
+The in-flight window bounds *how much* work is in flight; this module
+decides *whose* work gets in and in *what order*. Three cooperating
 pieces:
 
 * :class:`TenantContext` tags every offload with a tenant id, a priority

@@ -178,8 +178,8 @@ class Runtime:
         fresh root generated here — "generated at offload()". When a
         head sampler is installed (``telemetry={"sample_rate": p}``),
         the fresh root carries its verdict; without one every trace is
-        sampled, the pre-sampling behavior. With telemetry off, no
-        context exists and the path stays free.
+        sampled. With telemetry off, no context exists and the path stays
+        free.
         """
         recorder = telemetry.get()
         if recorder is None:

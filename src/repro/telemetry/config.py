@@ -24,9 +24,9 @@ class TelemetryConfig:
     ``repro.offload.api.metrics_server().address``).
 
     Sampling and SLO fields (see :mod:`repro.telemetry.sampling` and
-    :mod:`repro.telemetry.slo`): ``sample_rate=None`` keeps the
-    pre-sampling behavior of recording every trace; any float in
-    ``[0, 1]`` installs a head sampler plus the tail-retention pipeline.
+    :mod:`repro.telemetry.slo`): ``sample_rate=None`` records every
+    trace; any float in ``[0, 1]`` installs a head sampler plus the
+    tail-retention pipeline.
     ``slos=None`` with ``slo_enabled=True`` uses
     :func:`repro.telemetry.slo.default_slos`; pass a tuple of
     :class:`~repro.telemetry.slo.SLO` (or dicts of their fields) to

@@ -1,8 +1,9 @@
 """Distributed trace context — the causal thread through one offload.
 
 One offload crosses a process boundary: the host serializes and sends,
-the target executes, the host decodes the reply. PR 2's recorder gave
-each process its own span tree, but nothing tied the two trees together.
+the target executes, the host decodes the reply. Each process's
+recorder keeps its own span tree, and a span alone cannot say which
+tree on the other side it belongs to.
 This module is that tie: a W3C-``traceparent``-style context
 (128-bit ``trace_id``, 64-bit parent ``span_id``, a sampled flag) that is
 

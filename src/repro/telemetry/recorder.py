@@ -262,7 +262,7 @@ class Recorder:
         #: of this process, each declared in :mod:`repro.telemetry.signals`.
         self.metrics = MetricsRegistry(SIGNALS)
         #: Head sampler consulted by the runtime when minting a trace
-        #: (``None`` means record everything, the pre-sampling default).
+        #: (``None`` means record everything).
         self.sampler: Any = None
         #: Tail-retention pipeline staging unsampled traces (``None``
         #: on execute-side processes, where unsampled spans are skipped).

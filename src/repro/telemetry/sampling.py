@@ -1,8 +1,7 @@
 """Head-based trace sampling plus tail-based retention.
 
-Recording every span of every offload is what PRs 2–4 needed to *build*
-the trace model, but it is exactly what a production offload path cannot
-afford. This module splits the decision in two, mirroring how OTel-style
+Recording every span of every offload is right for a test run, but it
+is exactly what a production offload path cannot afford. This module splits the decision in two, mirroring how OTel-style
 collectors do it:
 
 * **Head sampling** (:class:`HeadSampler`): at trace mint time, a

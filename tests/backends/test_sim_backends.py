@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.backends import DmaCommBackend, VeoCommBackend
+from repro.backends._sim_common import SlotLayout
 from repro.errors import BackendError, RemoteExecutionError
 from repro.ham import f2f
 from repro.machine import AuroraMachine
@@ -215,3 +216,20 @@ class TestProtocolInternals:
         rt.sync(1, f2f(apps.empty_kernel))
         assert backend.proc.daemon.dma_manager.transfer_count == before
         rt.shutdown()
+
+
+class TestSlotLayout:
+    def test_addresses(self):
+        layout = SlotLayout(base=100, num_slots=3, msg_size=64)
+        assert layout.slot_stride == 72
+        assert layout.total_size == 216
+        assert layout.flag_addr(0) == 100
+        assert layout.msg_addr(0) == 108
+        assert layout.flag_addr(2) == 100 + 2 * 72
+
+    def test_bounds_checked(self):
+        layout = SlotLayout(base=0, num_slots=2, msg_size=8)
+        with pytest.raises(BackendError):
+            layout.flag_addr(2)
+        with pytest.raises(BackendError):
+            layout.msg_addr(-1)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.backends import LocalBackend
+from repro.bench.breakdown import offload_breakdown
 from repro.bench.figures import ascii_chart, render_series
 from repro.bench.harness import measure_sim, scaled_reps
 from repro.bench.stats import Stats
@@ -11,7 +13,12 @@ from repro.bench.tables import (
     format_time,
     render_table,
 )
+from repro.errors import BackendError
+from repro.ham import f2f
+from repro.offload import Runtime
 from repro.sim import Simulator
+
+from tests import apps
 
 
 class TestStats:
@@ -134,3 +141,11 @@ class TestFigures:
     def test_ascii_chart_skips_nonpositive_on_log_axes(self):
         text = ascii_chart([1, 2], {"a": [0.0, 5.0]})
         assert text  # does not raise
+
+
+class TestBreakdownHelper:
+    def test_requires_simulated_backend(self):
+        runtime = Runtime(LocalBackend())
+        with pytest.raises(BackendError, match="simulated backend"):
+            offload_breakdown(runtime, f2f(apps.empty_kernel))
+        runtime.shutdown()

@@ -73,7 +73,7 @@ def test_running_a_bench_file_rewrites_its_committed_report(tmp_path):
     }
 
 
-#: The acceptance grep of ISSUE 20, kept as a test.
+#: Reading a wall clock, or timing a call whose figure nobody stores.
 _CLOCK = re.compile(r"perf_counter|time\.time|process_time|measure_wall|\bbenchmark\(")
 
 

@@ -79,8 +79,7 @@ class TestTopology:
         for ve in range(8):
             assert f"ve{ve}" in text
 
-    # The pins below hold with any path engine under ``upi_hops`` (they
-    # were written against the networkx one the BFS replaced).
+    # The pins below hold with any path engine under ``upi_hops``.
 
     @staticmethod
     def _hops(topo):
@@ -119,6 +118,20 @@ class TestTopology:
         assert topo.describe().splitlines()[1] == (
             f"socket1 ({A300_8.cpu.name}): "
         )
+
+
+class TestTopologyVariants:
+    def test_single_socket_spec(self):
+        from dataclasses import replace
+
+        from repro.hw.specs import A300_8
+        from repro.hw.topology import SystemTopology
+
+        small = replace(A300_8, num_cpu_sockets=1, num_ves=2, ves_per_switch=2)
+        topo = SystemTopology(small)
+        assert topo.upi_hops(0, 0) == 0
+        assert topo.upi_hops(0, 1) == 0
+        assert topo.ves_of_socket(0) == [0, 1]
 
 
 class TestVectorEngineLhmShm:

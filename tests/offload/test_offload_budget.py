@@ -30,13 +30,9 @@ from tests.callcount import CallCounts, profile_calls
 from tests.fresh import fresh_python
 
 #: Calls (Python + builtin, the count ``cProfile`` reports) of one warm
-#: ``sync(1, f2f(add, 1, 2))``: 119 on CPython 3.11 since ISSUE 22 (four
-#: disabled telemetry calls for series nobody read are gone), 123 since
-#: ISSUE 21 (the argument list and the result cross one compiled codec;
-#: headers are read into locals), 167 before it, 184 before ISSUE 17,
-#: 308 before ISSUE 12. The slack (~5 %) absorbs interpreter-version
-#: differences; raise it only together with a perfbench run that shows
-#: the cost.
+#: ``sync(1, f2f(add, 1, 2))``: 119 on CPython 3.11. The slack (~5 %)
+#: absorbs interpreter-version differences; raise it only together with
+#: a perfbench run that shows the cost.
 MAX_CALLS = 125
 
 #: acquire + register + release.
@@ -46,17 +42,12 @@ MAX_WINDOW_LOCK_ACQUISITIONS = 3
 #: (``telemetry={"sample_rate": rate}``: recorder, head sampler, tail
 #: pipeline, SLO monitor), per sampling rate: calls, and locks taken
 #: (every ``with lock`` / ``lock.acquire()``, telemetry's and the
-#: window's alike). On CPython 3.11: 267 calls and 19 locks at rate 1.0
-#: (every span recorded), 304 and 24 at rate 0.0 (every span staged and
-#: folded, then dropped by the tail verdict) since ISSUE 22 made the
-#: registry the one aggregate store and deleted the series that mirrored
-#: ``stats()`` (301 / 26 and 354 / 31 before it; 347 and 410 before
-#: ISSUE 21's codec; 416 / 38 and 479 / 45 before ISSUE 20 deleted four
-#: counters nobody read; 538 / 65 and 597 / 79 before ISSUE 15). One
-#: offload in 32 refreshes the tail threshold (+6 calls), and at rate 0.0
-#: the counted offload, slowed by the profiler, is usually kept as a tail
-#: outlier (330 / 28; 372 / 35 before ISSUE 22). The ceilings sit ~5 %
-#: above the largest figure seen.
+#: window's alike). On CPython 3.11: 266 calls and 19 locks at rate 1.0
+#: (every span recorded), 303 and 24 at rate 0.0 (every span staged and
+#: folded, then dropped by the tail verdict). One offload in 32 refreshes
+#: the tail threshold (+6 calls), and at rate 0.0 the counted offload,
+#: slowed by the profiler, is usually kept as a tail outlier (330 / 28).
+#: The ceilings sit ~5 % above the largest figure seen.
 MAX_TRACED_CALLS = {1.0: 281, 0.0: 346}
 MAX_TRACED_LOCKS = {1.0: 20, 0.0: 29}
 
@@ -217,17 +208,16 @@ class TestTracedPathBudget:
 #: the socket, (calls, locks) by in-flight depth, on CPython 3.11. At
 #: depth 1 (anything <= ``idle_depth`` with an empty buffer) the frame is
 #: its own batch: 49 calls, and the two locks are the correlation
-#: table's and the send lock (52 and 3 while the coalescer's lock, list
-#: and steal stood in between). At depth 256 the first frame of a batch
-#: buffers and arms the flush deadline (48, 3; +4 calls when that wakes
-#: the timer thread, 51 on a reactor); the frames behind it only buffer
-#: (39, 2).
+#: table's and the send lock; nothing of the coalescer's stands in
+#: between. At depth 256 the first frame of a batch buffers and arms the
+#: flush deadline (48, 3; +4 calls when that wakes the timer thread); the
+#: frames behind it only buffer (39, 2).
 MAX_TCP_POST = {1: (52, 2), 256: (54, 3)}
 
 
 class TestTcpPostBudget:
-    """ROADMAP "Coalescer on one CPU", settled by count: what stands
-    between ``_post_frame`` and ``sendmsg`` when nothing is to be batched."""
+    """What stands between ``_post_frame`` and ``sendmsg`` when nothing
+    is to be batched, counted."""
 
     @pytest.fixture
     def backend(self):
@@ -274,19 +264,18 @@ class TestTcpPostBudget:
 
 
 #: Scheduler timeslices the forked target runs per depth-1 echo offload
-#: when host and target share one CPU — a count of thread changes, where
-#: a wall-clock bound used to stand. The reader executes what it reads
-#: and keeps reading, so the target runs about once per offload: 1.0 on
-#: shm and, since the host's waiter reads its own reply (ISSUE 24), 1.03
-#: on tcp (1.3 while a reactor thread did). Handing the reading on for
-#: every message cost 4.25 and 3.7–3.8 (a follower woken, beaten to the
-#: GIL, put back to sleep and switched to again after the reply).
+#: when host and target share one CPU — a count of thread changes, not
+#: a wall-clock bound. The reader executes what it reads and keeps
+#: reading, so the target runs about once per offload: 1.0 on shm, 1.03
+#: on tcp. Handing the reading on for every message costs 4.25 and
+#: 3.7–3.8 (a follower woken, beaten to the GIL, put back to sleep and
+#: switched to again after the reply).
 MAX_TARGET_TIMESLICES = {"shm": 2.0, "tcp": 2.0}
 
 #: The host's twin, over all of its threads: the caller posts, waits,
 #: reads its own reply and returns — one timeslice, 1.01 on both
-#: transports. A thread that receives for the caller makes it 2.66 (tcp
-#: before ISSUE 24: every reply woke the reactor, which woke the caller).
+#: transports. A thread that receives for the caller makes it 2.66 on
+#: tcp: every reply wakes that thread, which wakes the caller.
 MAX_HOST_TIMESLICES = 1.5
 
 #: ``sched_yield`` laps per depth-1 shm offload, host (waiting for the
@@ -298,8 +287,7 @@ MAX_SHM_LAPS = 1.1
 #: Deadline-timer wake-ups per offload of 200 rounds of 256 pipelined tcp
 #: echoes on one CPU: ~0.060, one per batch that armed a deadline (16
 #: frames: at best 1/16 = 0.0625 per offload, less when the deadline was
-#: cancelled before the timer looked). The reactor that armed it before
-#: woke 0.065 times.
+#: cancelled before the timer looked).
 MAX_PIPELINED_TIMER_WAKEUPS = 0.065
 
 _SCHEDULER_SCRIPT = """
@@ -433,7 +421,7 @@ def test_host_runs_about_once_per_offload(transport):
 def test_awaited_shm_echoes_sleep_nowhere():
     """The loop that awaits polls the ring the way a blocking waiter
     does: each echo comes back within the spin laps, and the loop never
-    blocks (on a reactor's timer backstop it slept 1 ms per echo)."""
+    blocks."""
     assert _per_offload("shm")["awaited_sleeps"] == 0
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProcessError
-from repro.sim import Channel, Resource, Simulator, Store
+from repro.sim import Channel, Resource, Simulator, Store, Tracer
 
 
 @pytest.fixture()
@@ -296,3 +296,20 @@ class TestTracer:
         tracer.point("x")
         tracer.clear()
         assert tracer.records == []
+
+
+class TestTracerModes:
+    def test_record_events_mode(self):
+        sim = Simulator()
+        tracer = Tracer(record_events=True).attach(sim)
+        sim.timeout(1.0)
+        sim.run()
+        assert any(r.kind == "event" for r in tracer.records)
+
+    def test_spans_filter_by_prefix(self):
+        sim = Simulator()
+        tracer = Tracer().attach(sim)
+        tracer.span("a.x", 0.0)
+        tracer.span("b.y", 0.0)
+        assert len(tracer.spans("a.")) == 1
+        assert tracer.total_duration("") == 0.0

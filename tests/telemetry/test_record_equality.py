@@ -4,8 +4,8 @@ What a traced offload *produces* is the contract the recorder's hot path
 may be restructured under: this file drives one fixed script through a
 ``Recorder(clock_ns=fake)`` — no wall clock — and compares every record
 field by field, and the metrics snapshot series by series, against values
-worked out by hand from the script. It passes unchanged before and after
-ISSUE 15's restructuring of the span path.
+worked out by hand from the script. A change to the span path that
+makes this file fail changed what telemetry records, not only its cost.
 """
 
 import dataclasses

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import VeoCommandError, VeoProcError
 from repro.machine import AuroraMachine
-from repro.veo import RequestState, VeoProc
+from repro.sim import Simulator
+from repro.veo import RequestState, VeoProc, VeoRequest
 from repro.veos.loader import VeLibrary
 
 
@@ -172,3 +173,28 @@ class TestCalls:
         ctx = proc.open_context()
         proc.destroy()
         assert not ctx.is_open
+
+
+class TestVeoRequestStates:
+    def test_wait_on_dry_simulation_raises(self):
+        sim = Simulator()
+        request = VeoRequest(sim, 1, label="never")
+        with pytest.raises(VeoCommandError, match="ran dry"):
+            request.wait_result()
+
+    def test_state_transitions(self):
+        sim = Simulator()
+        request = VeoRequest(sim, 2)
+        assert request.state is RequestState.PENDING
+        request._complete("v")
+        assert request.peek_result() == (RequestState.DONE, "v")
+        assert request.wait_result() == "v"
+
+    def test_error_state(self):
+        sim = Simulator()
+        request = VeoRequest(sim, 3)
+        request._fail(RuntimeError("inner"))
+        assert request.state is RequestState.ERROR
+        with pytest.raises(VeoCommandError) as excinfo:
+            request.wait_result()
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
