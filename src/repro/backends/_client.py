@@ -4,8 +4,9 @@ The mirror of :mod:`repro.backends._server`: both transports speak the
 same frames, so everything the host does that is not moving bytes is one
 class — the correlation table replies are matched through, posting an
 invocation, the synchronous roundtrip under every memory and control
-op, the catalog handshake, clock sync, telemetry and introspection
-pulls, failing what a lost transport strands, and shutdown.
+op and under a plain sync's invoke, the catalog handshake, clock sync,
+telemetry and introspection pulls, failing what a lost transport
+strands, and shutdown.
 
 It is also the one *drive*. The paper's receiver polls for its message
 itself (Sec. IV-B) and HAM's backends have no progress thread; here the
@@ -48,7 +49,7 @@ from repro.errors import (
     RemoteExecutionError,
     SerializationError,
 )
-from repro.ham.execution import remote_error, sized_invoke_parts
+from repro.ham.execution import remote_error, sized_invoke_parts, unpack_result
 from repro.ham.functor import Functor
 from repro.ham.message import peek_trace, peek_trace_flags
 from repro.ham.registry import Catalog, ProcessImage
@@ -80,6 +81,10 @@ def remote_failure(body: Any) -> RemoteExecutionError | SerializationError:
         return remote_error(restricted_loads(body))
     except SerializationError as exc:
         return exc
+
+
+def _wrong_reply(expected: int, op: int) -> BackendError:
+    return BackendError(f"expected reply to op {expected:#x}, got {op:#x}")
 
 
 def _unsampled_reply_context(body: Any) -> "trace_context.TraceContext | None":
@@ -159,8 +164,10 @@ class FramedClient(Backend):
         self.host_image = ProcessImage(f"{self.name}-host", catalog)
         self._on_shutdown = on_shutdown
         self.op_timeout = op_timeout
-        #: Correlation id -> reply sink: ("invoke", handle) or ("sync", box).
-        self._pending: dict[int, tuple[str, Any]] = {}
+        #: Correlation id -> (the op its reply answers, the handle it
+        #: completes): an invoke's, or a roundtrip's that waits behind
+        #: another reader or outlived its deadline.
+        self._pending: dict[int, tuple[int, InvokeHandle]] = {}
         self._pending_lock = threading.Lock()
         self._send_lock = threading.Lock()
         #: Held by whoever reads replies (the leader/follower gate).
@@ -274,7 +281,7 @@ class FramedClient(Backend):
         return len(self._pending)  # one atomic read: no lock to take
 
     def _next_corr(self) -> int:
-        """Correlation id for a synchronous (non-invoke) operation.
+        """Correlation id for a roundtrip that files no handle.
 
         Drawn from the same process-wide counter as invoke handles so
         ids never collide across the two kinds of traffic.
@@ -295,26 +302,13 @@ class FramedClient(Backend):
             # the stream itself stays consistent — count and move on.
             telemetry.count(f"{self.name}.unmatched_replies")
             return
-        kind, sink = entry
-        if kind == "invoke":
-            if op == OP_INVOKE | OP_REPLY_BIT:
-                sink.complete_with_reply(body)
-            elif op == OP_FAILURE:
-                sink.complete_with_error(remote_failure(body))
-            else:
-                sink.complete_with_error(
-                    BackendError(f"expected invoke reply, got op {op:#x}")
-                )
-            return
-        if op == sink["op"] | OP_REPLY_BIT:
-            sink["body"] = body
+        expected, handle = entry
+        if op == expected | OP_REPLY_BIT:
+            handle.complete_with_reply(body)
         elif op == OP_FAILURE:
-            sink["error"] = remote_failure(body)
+            handle.complete_with_error(remote_failure(body))
         else:
-            sink["error"] = BackendError(
-                f"expected reply to op {sink['op']:#x}, got {op:#x}"
-            )
-        sink["event"].set()
+            handle.complete_with_error(_wrong_reply(expected, op))
 
     def _fail_pending(self, error: BaseException) -> None:
         """Declare the transport lost: mark dead, fail every expectation.
@@ -336,7 +330,7 @@ class FramedClient(Backend):
             # Several threads can see one loss (a failed send, the
             # leader's EOF, a stalled sender): the first declares it.
             first, self._alive = self._alive, False
-            sinks = list(self._pending.values())
+            orphans = [handle for _op, handle in self._pending.values()]
             self._pending.clear()
         if first and not (self._closing or self._closed):
             # Unplanned loss is exactly what the flight recorder exists
@@ -349,77 +343,58 @@ class FramedClient(Backend):
                 force=True,  # rare + catastrophic: never debounced away
                 transport=self.name,
                 **{self._peer_kind: self.peer},
-                orphaned=len(sinks),
+                orphaned=len(orphans),
                 error=str(error),
             )
-        for kind, sink in sinks:
-            if kind == "invoke":
-                sink.complete_with_error(error)
-            else:
-                sink["error"] = error
-                sink["event"].set()
+        for handle in orphans:
+            handle.complete_with_error(error)
         self._detach()
 
     # -- synchronous operations --------------------------------------------------
     def _roundtrip(
-        self, op: int, *parts: Any, timeout: float | None = None
+        self, op: int, *parts: Any, timeout: float | None = None,
+        label: str = "",
     ) -> memoryview:
         """Synchronous request: send, then wait for the matching reply.
 
         ``timeout`` (defaulting to :attr:`op_timeout`) bounds the whole
         roundtrip; on expiry an :class:`OffloadTimeoutError` is raised
-        *softly* — the expectation stays registered, so the stream is
-        not poisoned and a late reply is consumed silently.
+        *softly* — a handle (named ``label``, or after the op) stays
+        filed for the reply and rides on the error, so the stream is not
+        poisoned and a late reply is matched, not counted as a stray.
 
         Leader fast path: a caller that gets the drive lock *before* it
-        sends knows nobody else can consume its reply, so it skips the
-        expectation table and reads until its own correlation id comes
-        by (:meth:`_consume_inline`). Not under a recorder — the pump
-        is what emits the per-reply ``offload.reply`` spans.
+        sends knows nobody else can consume its reply, so it files
+        nothing and reads until its own correlation id comes by
+        (:meth:`_consume_inline`). Not under a recorder — the pump is
+        what emits the per-reply ``offload.reply`` spans.
         """
         self._check_alive()
         effective = timeout if timeout is not None else self.op_timeout
-        corr = self._next_corr()
         if telemetry.get() is None and self._drive_lock.acquire(blocking=False):
             try:
+                corr = self._next_corr()
                 self._send(op, corr, *parts)
-                return self._consume_inline(op, corr, effective)
+                return self._consume_inline(op, corr, effective, label)
             finally:
                 self._drive_lock.release()
         # Traced, or somebody else leads: through the table, like an invoke.
-        box = {"op": op, "event": threading.Event()}
-        with self._pending_lock:
-            self._pending[corr] = ("sync", box)
-        try:
-            self._send(op, corr, *parts)
-        except BaseException:
-            with self._pending_lock:
-                self._pending.pop(corr, None)
-            raise
-        if not self._alive:
-            # Declared lost between the aliveness check and the filing:
-            # if the drain missed it, nothing will ever match it.
-            with self._pending_lock:
-                entry = self._pending.pop(corr, None)
-            if entry is not None:
-                raise BackendError(
-                    f"{self.name} transport lost during roundtrip"
-                )
-        event = box["event"]
-        if not event.is_set():
-            self._wait(event.is_set, event.wait, effective, f"op {op:#x}")
-        if "error" in box:
-            raise box["error"]
-        return box["body"]
+        handle = InvokeHandle(self, label or f"op {op:#x}")
+        self._expect(op, handle, self._send, parts)
+        if not handle.completed:
+            self._wait(handle, effective)
+        if handle._error is not None:
+            raise handle._error
+        return handle._reply
 
     def _consume_inline(
-        self, op: int, corr: int, timeout: float | None
+        self, op: int, corr: int, timeout: float | None, label: str
     ) -> memoryview:
         """Drive lock held: read until ``corr``'s reply, returned directly.
 
         Replies for other callers are dispatched through the expectation
-        table on the way. A timeout is soft, like :meth:`_wait`: the
-        expectation is filed *now* (no reply can have slipped past —
+        table on the way. A timeout is soft, like :meth:`_wait`: a handle
+        is filed under ``corr`` *now* (no reply can have slipped past —
         this thread held the drive lock throughout) so a later pump can
         still complete it instead of counting it unmatched.
         """
@@ -429,11 +404,10 @@ class FramedClient(Backend):
             if deadline is not None:
                 wait = deadline - time.monotonic()
                 if wait <= 0:
+                    handle = InvokeHandle(self, label or f"op {op:#x}", corr)
                     with self._pending_lock:
-                        self._pending[corr] = (
-                            "sync", {"op": op, "event": threading.Event()},
-                        )
-                    raise self._no_reply(f"op {op:#x}")
+                        self._pending[corr] = (op, handle)
+                    raise self._no_reply(handle)
             try:
                 frame = self._next_frame(wait)
                 if frame is not None and frame[1] == corr:
@@ -455,8 +429,35 @@ class FramedClient(Backend):
             elif reply_op == OP_FAILURE:
                 raise remote_failure(body)
             else:
-                raise BackendError(
-                    f"expected reply to op {op:#x}, got {reply_op:#x}"
+                raise _wrong_reply(op, reply_op)
+
+    def _expect(
+        self,
+        op: int,
+        handle: InvokeHandle,
+        send: Callable[..., None],
+        parts: Any,
+    ) -> None:
+        """File ``handle`` for the reply to ``op``, then ``send`` its frame
+        (unfiled again if that raises)."""
+        corr = handle.correlation_id
+        with self._pending_lock:
+            self._pending[corr] = (op, handle)
+        try:
+            send(op, corr, *parts)
+        except BaseException:
+            with self._pending_lock:
+                self._pending.pop(corr, None)
+            raise
+        # The transport may have been declared lost between the
+        # aliveness check and our filing; a handle filed after that
+        # drain would wait forever, so fail it here ourselves.
+        if not self._alive:
+            with self._pending_lock:
+                entry = self._pending.pop(corr, None)
+            if entry is not None:
+                handle.complete_with_error(
+                    BackendError(f"{self.name} transport lost while posting")
                 )
 
     # -- invocation --------------------------------------------------------------
@@ -472,28 +473,22 @@ class FramedClient(Backend):
             "offload.enqueue", bytes=total, functor=functor.type_name,
             corr=handle.correlation_id,
         ):
-            with self._pending_lock:
-                self._pending[handle.correlation_id] = ("invoke", handle)
-            try:
-                self._post_frame(OP_INVOKE, handle.correlation_id, *parts)
-            except BaseException:
-                with self._pending_lock:
-                    self._pending.pop(handle.correlation_id, None)
-                raise
-        # The transport may have been declared lost between the
-        # aliveness check and our filing; a handle filed after that
-        # drain would wait forever, so fail it here ourselves.
-        if not self._alive:
-            with self._pending_lock:
-                entry = self._pending.pop(handle.correlation_id, None)
-            if entry is not None:
-                handle.complete_with_error(
-                    BackendError(
-                        f"{self.name} transport lost while posting invoke"
-                    )
-                )
+            self._expect(OP_INVOKE, handle, self._post_frame, parts)
         self.invokes_posted += 1
         return handle
+
+    def sync_invoke(
+        self, node: NodeId, functor: Functor, timeout: float | None = None
+    ) -> Any:
+        """:meth:`post_invoke` and the value of its reply in one call: an
+        ``OP_INVOKE`` roundtrip, read by the caller."""
+        self.check_target(node)
+        self._msg_id += 1
+        parts, _nbytes = sized_invoke_parts(self.host_image, functor, self._msg_id)
+        self.invokes_posted += 1
+        return unpack_result(self._roundtrip(
+            OP_INVOKE, *parts, timeout=timeout, label=functor.type_name,
+        ))[1]
 
     # -- the drive ---------------------------------------------------------------
     def drive(
@@ -505,17 +500,16 @@ class FramedClient(Backend):
         if not blocking:
             self._poll()
             return
-        self._wait(
-            lambda: handle.completed, handle.wait_event,
-            timeout if timeout is not None else self.op_timeout,
-            f"invoke {handle.label}",
-        )
+        self._wait(handle, timeout if timeout is not None else self.op_timeout)
 
-    def _no_reply(self, what: str) -> OffloadTimeoutError:
-        return OffloadTimeoutError(
+    def _no_reply(self, handle: InvokeHandle) -> OffloadTimeoutError:
+        """A soft timeout: ``handle`` stays filed and rides on the error."""
+        error = OffloadTimeoutError(
             f"no reply from {self.name} {self._peer_kind} {self.peer} "
-            f"within the deadline ({what})"
+            f"within the deadline ({handle.label})"
         )
+        error.handle = handle
+        return error
 
     def _poll(self) -> None:
         """Progress that needs no waiting: complete what has arrived —
@@ -551,22 +545,16 @@ class FramedClient(Backend):
             if not self._closing:
                 self._fail_pending(exc)
 
-    def _wait(
-        self,
-        done: Callable[[], bool],
-        block: Callable[[float | None], bool],
-        timeout: float | None,
-        what: str,
-    ) -> None:
+    def _wait(self, handle: InvokeHandle, timeout: float | None) -> None:
         """Read replies, or wait on the thread that does, until
-        ``done()`` holds; the caller has just seen it not to.
+        ``handle`` completes; the caller has just seen it not to.
 
         Whoever gets the drive lock is the leader and completes
         everybody's replies; the others sleep on their own completion
-        (``block(seconds)``) in slices and contend again, so one takes
+        (``handle.wait_event``) in slices and contend again, so one takes
         over within 5 ms of the leader leaving with its reply. Raises
         :class:`OffloadTimeoutError` after ``timeout`` seconds — softly,
-        the caller's expectation stays filed.
+        the handle stays filed.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         lock = self._drive_lock
@@ -575,18 +563,18 @@ class FramedClient(Backend):
             if deadline is not None:
                 pump_for = min(deadline - time.monotonic(), 0.05)
                 if pump_for <= 0:
-                    raise self._no_reply(what)
+                    raise self._no_reply(handle)
             if lock.acquire(timeout=0.005):
                 try:
-                    if done():
+                    if handle.completed:
                         return
                     self._pump(pump_for)
                 finally:
                     lock.release()
             else:
                 # A leader is reading; it completes us on arrival.
-                block(0.002)
-            if done():
+                handle.wait_event(0.002)
+            if handle.completed:
                 return
             if not self._alive:
                 # Filed after the drain — nothing will ever match it.

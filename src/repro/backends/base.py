@@ -386,7 +386,8 @@ class InflightWindow:
     :meth:`register` files the posted handle under its correlation id,
     and the handle's completion — from whichever thread delivers the
     reply — calls :meth:`release`. A post that raised returns its slot
-    through :meth:`cancel`.
+    through :meth:`cancel`, and so does a plain sync, which holds a slot
+    while it runs but files no handle.
     """
 
     #: Longest a waiter drives one handle before it looks again: a
@@ -537,7 +538,8 @@ class InflightWindow:
             self.release(handle)
 
     def cancel(self) -> None:
-        """Return an acquired-but-unposted slot (post failed)."""
+        """Return an acquired slot no handle took over: a post that
+        raised, or a plain ``Runtime.sync`` that is done."""
         with self._lock:
             if self._reserved > 0:
                 self._reserved -= 1
@@ -551,7 +553,8 @@ class InflightWindow:
 
     def _freed_locked(self) -> None:
         """Capacity appeared: pass it on to whoever waits for it."""
-        self._slot_freed.notify()
+        if self._waiting:
+            self._slot_freed.notify()
 
 
 class InvokeHandle:
@@ -572,9 +575,12 @@ class InvokeHandle:
     #: :meth:`InflightWindow.register`).
     _window: InflightWindow | None = None
 
-    def __init__(self, backend: "Backend", label: str = "") -> None:
+    def __init__(
+        self, backend: "Backend", label: str = "", correlation_id: int = 0
+    ) -> None:
         self.backend = backend
-        self.correlation_id = next(self._ids)
+        #: A fresh id, or the one of a frame already sent (0: draw one).
+        self.correlation_id = correlation_id or next(self._ids)
         self.label = label
         self._reply: Any = None
         self._error: BaseException | None = None
@@ -731,6 +737,11 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def post_invoke(self, node: NodeId, functor: Any) -> InvokeHandle:
         """Send a functor to ``node`` for execution; returns a handle."""
+
+    #: ``sync_invoke(node, functor, timeout)``: ``post_invoke`` and its
+    #: reply's value in one call, on a backend that reads replies on the
+    #: caller's thread (``None``: a sync goes through a handle, a future).
+    sync_invoke: Callable[[NodeId, Any, float | None], Any] | None = None
 
     @abc.abstractmethod
     def drive(

@@ -17,13 +17,14 @@ modification (paper Sec. V end).
 from __future__ import annotations
 
 import os
+from typing import Any
 
 import numpy as np
 
 from repro.backends._target_memory import HostedBuffers
 from repro.backends.base import Backend, InvokeHandle
 from repro.errors import BackendError
-from repro.ham.execution import build_invoke, execute_message
+from repro.ham.execution import build_invoke, execute_message, unpack_result
 from repro.ham.functor import Functor
 from repro.ham.registry import Catalog, ProcessImage
 from repro.offload.buffer import BufferPtr
@@ -79,7 +80,8 @@ class LocalBackend(Backend):
         return NodeDescriptor(node, f"local{node}", "cpu", "in-process target")
 
     # -- invocation -----------------------------------------------------------
-    def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
+    def _execute(self, node: NodeId, functor: Functor) -> bytes:
+        """Run ``functor`` on ``node``'s image; the raw reply message."""
         self._check_alive()
         self.check_target(node)
         target = self._targets[node]
@@ -92,11 +94,22 @@ class LocalBackend(Backend):
             reply, _keep_running = execute_message(
                 target.image, invoke, resolver=target.resolve
             )
+        target.messages_executed += 1
+        return reply
+
+    def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
+        reply = self._execute(node, functor)
         handle = InvokeHandle(self, label=functor.type_name)
         handle._transport_spanned = True
-        target.messages_executed += 1
         handle.complete_with_reply(reply)
         return handle
+
+    def sync_invoke(
+        self, node: NodeId, functor: Functor, timeout: float | None = None
+    ) -> Any:
+        """:meth:`post_invoke` and its value in one call (``timeout`` is
+        moot: the target runs on the caller's thread)."""
+        return unpack_result(self._execute(node, functor))[1]
 
     def drive(
         self, handle: InvokeHandle, *, blocking: bool, timeout: float | None = None

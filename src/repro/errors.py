@@ -9,6 +9,11 @@ and offload-runtime errors.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.backends.base import InvokeHandle
+
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
@@ -138,6 +143,10 @@ class OffloadTimeoutError(OffloadError, TimeoutError):
     :class:`~repro.offload.resilience.ResiliencePolicy` deadline (or an
     explicit ``timeout=``) is in force and the target goes silent.
     """
+
+    #: The handle still filed for the late reply, when a client core
+    #: timed out waiting for one (a plain ``Runtime.sync`` registers it).
+    handle: InvokeHandle | None = None
 
 
 class CircuitOpenError(OffloadError):

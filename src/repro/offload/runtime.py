@@ -135,6 +135,13 @@ class Runtime:
         if self._window_timeout is not None:
             backend.set_default_timeout(self._window_timeout)
         self._retry_rng = policy.rng() if policy is not None else None
+        #: The backend's ``sync_invoke`` while no policy, health monitor
+        #: or QoS stands between a sync and the backend: see :meth:`sync`.
+        self._sync_invoke = (
+            backend.sync_invoke
+            if policy is None and self.monitor is None and qos is None
+            else None
+        )
         self._sleep: Callable[[float], None] = time.sleep
         #: (node, addr) -> (pointer, telemetry span id of the allocation
         #: site, 0 when telemetry was off) — the span id lets the leak
@@ -239,11 +246,7 @@ class Runtime:
         validated by the backend's ``post_invoke`` (every backend checks
         its target first), not a second time here.
         """
-        self._check_running()
-        if not isinstance(functor, Functor):
-            raise OffloadError(
-                "async_/sync expect a Functor; build one with f2f(fn, args...)"
-            )
+        self._check_offload(functor)
         if self.monitor is not None:
             self.monitor.check(node)
         if self.admission is not None and tctx is not None:
@@ -288,11 +291,7 @@ class Runtime:
         except _TRANSPORT_ERRORS as exc:
             if self.monitor is not None:
                 self.monitor.record_failure(node)
-            telemetry.count("offload.issue_failures")
-            flightrecorder.note(
-                "offload.post_failed", node=node,
-                functor=functor.type_name, error=type(exc).__name__,
-            )
+            self._post_failed(node, functor, exc)
             # An offload that never left the host is still a failed
             # offload to its caller: count it against the availability
             # SLO (no future will ever settle to do it).
@@ -343,10 +342,28 @@ class Runtime:
             this offload is accounted to; defaults to the ambient
             :func:`~repro.offload.qos.tenant_scope`, then the QoS
             config's default tenant.
+
+        With no recorder installed and a ``Backend.sync_invoke``, the
+        sync is *plain*: it holds a window slot while the backend posts
+        and reads the reply, building no handle and no future, unless
+        the wait outlives ``timeout``.
         """
         tctx = self._resolve_tenant(tenant)
         if timeout is None and tctx is not None and tctx.deadline is not None:
             timeout = tctx.deadline
+        sync_invoke = self._sync_invoke
+        if sync_invoke is not None and telemetry.get() is None:
+            self._check_offload(functor)
+            window = self.window
+            window.acquire(label=functor.type_name)
+            try:
+                value = sync_invoke(node, functor, timeout)
+            except BaseException as exc:
+                self._plain_sync_failed(node, functor, exc)
+                raise
+            window.cancel()
+            self._offloads_posted += 1
+            return value
         if self.policy is None:
             return self._post(node, functor, tctx).get(timeout=timeout)
         # One trace spans the whole resilient operation: every retry and
@@ -359,6 +376,31 @@ class Runtime:
                 timeout if timeout is not None else self.policy.deadline,
                 idempotent,
             )
+
+    def _plain_sync_failed(
+        self, node: NodeId, functor: Functor, exc: BaseException
+    ) -> None:
+        """A plain :meth:`sync` raised ``exc``. A timed-out one's handle
+        keeps the slot until its late reply; post and wait are one call,
+        so a transport error anywhere in it is a failed post."""
+        handle = exc.handle if isinstance(exc, OffloadTimeoutError) else None
+        if handle is not None:
+            self.window.register(handle)
+        else:
+            self.window.cancel()
+        if isinstance(exc, BackendError):
+            self._post_failed(node, functor, exc)
+        elif isinstance(exc, (OffloadTimeoutError, RemoteExecutionError)):
+            self._offloads_posted += 1
+
+    def _post_failed(
+        self, node: NodeId, functor: Functor, exc: BaseException
+    ) -> None:
+        telemetry.count("offload.issue_failures")
+        flightrecorder.note(
+            "offload.post_failed", node=node,
+            functor=functor.type_name, error=type(exc).__name__,
+        )
 
     def _sync_attempts(
         self,
@@ -736,6 +778,14 @@ class Runtime:
     def _check_running(self) -> None:
         if self._shutdown:
             raise OffloadError("runtime already shut down")
+
+    def _check_offload(self, functor: Functor) -> None:
+        if self._shutdown:
+            raise OffloadError("runtime already shut down")
+        if not isinstance(functor, Functor):
+            raise OffloadError(
+                "async_/sync expect a Functor; build one with f2f(fn, args...)"
+            )
 
     def __enter__(self) -> "Runtime":
         return self

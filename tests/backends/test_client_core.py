@@ -106,8 +106,10 @@ class TestDispatchReply:
 
         _rewrite_replies(client, as_ping)
         future = client.runtime.async_(1, f2f(apps.add, 1, 2))
-        with pytest.raises(BackendError, match="expected invoke reply, got op 0x87"):
+        with pytest.raises(BackendError, match="expected reply to op 0x1, got 0x87"):
             future.get(timeout=WAIT)
+        with pytest.raises(BackendError, match="expected reply to op 0x1, got 0x87"):
+            client.runtime.sync(1, f2f(apps.add, 1, 2), timeout=WAIT)
         assert _settled(client)
         assert client.backend.ping(1) >= 0.0  # the stream itself is intact
 

@@ -142,11 +142,12 @@ class TestShutdownDrain:
 
 class TestIdleLatencyPath:
     def test_single_offload_flushes_immediately(self):
-        """Depth <= idle_depth: no 200 µs tax on a lone request."""
+        """Depth <= idle_depth: no 200 µs tax on a lone request. (A plain
+        sync passes no coalescer at all: its frame is sent directly.)"""
         process, runtime = make_runtime()
         try:
             start = time.monotonic()
-            assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+            assert runtime.async_(1, f2f(apps.add, 1, 2)).get() == 3
             # Generous bound: the point is that nothing waited for a
             # coalescing deadline timer chain across 1 RTT.
             assert time.monotonic() - start < 2.0

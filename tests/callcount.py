@@ -13,13 +13,19 @@ import sys
 import threading
 from typing import Any, Callable, NamedTuple
 
+from repro.backends.base import InvokeHandle
+from repro.offload.future import Future
+
 _LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
 
-#: Constructs a hot path must not build, by the code that builds them.
+#: Constructs a hot path must not build, by the code that builds them. A
+#: plain sync reads its own reply: it needs no handle and no future.
 _HEAVY = {
     contextlib._GeneratorContextManagerBase.__init__.__code__:
         "contextlib._GeneratorContextManager",
     threading.Event.__init__.__code__: "threading.Event",
+    InvokeHandle.__init__.__code__: "InvokeHandle",
+    Future.__init__.__code__: "Future",
 }
 
 

@@ -66,7 +66,7 @@ class TestTcpTransportFailures:
 
         corr = backend._next_corr()
         with backend._pending_lock:
-            backend._pending[corr] = ("invoke", FakeHandle())
+            backend._pending[corr] = (OP_INVOKE, FakeHandle())
         backend._send(OP_INVOKE, corr, b"not a ham message")
         deadline = time.monotonic() + 10.0
         while not handle_box and time.monotonic() < deadline:

@@ -1,0 +1,233 @@
+"""A plain ``Runtime.sync`` reads its own reply: no handle, no future.
+
+With no policy, monitor, QoS or recorder, and a backend that reads
+replies on the caller's thread (``local``, ``shm``, ``tcp``), a sync
+holds a window slot while ``Backend.sync_invoke`` posts and reads, and
+gives it back. These rows hold it to what the handle-and-future path did:
+a timed-out sync keeps its slot and its expectation until the late reply,
+every failure surfaces as it does through ``async_(...).get()``, and
+concurrent callers still complete each other's replies. Targets are
+forked by ``init``; no assertion reads a clock (waits carry a 10 s
+timeout only so a regression fails instead of hanging).
+"""
+
+import os
+import signal
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
+from repro.ham import f2f
+from repro.offload import api as offload_api
+from repro.telemetry import flightrecorder
+from repro.telemetry import recorder as telemetry
+
+from tests import apps
+
+WAIT = 10.0
+
+
+def _until(condition):
+    deadline = time.monotonic() + WAIT
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return condition()
+
+
+def _settled(runtime):
+    """No window slot held, nothing filed in the correlation table."""
+    pending = getattr(runtime.backend, "_pending_count", lambda: 0)()
+    return runtime.window.in_flight == 0 and pending == 0
+
+
+def _next_init_works(transport):
+    runtime = offload_api.init(transport)
+    try:
+        assert runtime.sync(1, f2f(apps.echo, "again")) == "again"
+    finally:
+        offload_api.finalize()
+
+
+class _HeldDriveLock:
+    """Another thread reads replies (holds the drive lock) meanwhile."""
+
+    def __init__(self, backend):
+        self._lock, self._release = backend._drive_lock, threading.Event()
+        held = threading.Event()
+
+        def hold():
+            with self._lock:
+                held.set()
+                self._release.wait(WAIT)
+
+        self._thread = threading.Thread(target=hold)
+        self._thread.start()
+        assert held.wait(WAIT)
+
+    def release(self):
+        self._release.set()
+        self._thread.join(WAIT)
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+@pytest.mark.parametrize("reader", ["leader", "follower"])
+def test_a_timed_out_sync_keeps_its_slot_until_the_late_reply(transport, reader):
+    """Read inline (leader) or behind another reader (follower), a sync
+    whose deadline passes leaves a handle for its reply: it holds the
+    window slot — listed under ``handles`` now — until the reply lands,
+    which is then matched, not counted as a stray."""
+    runtime = offload_api.init(transport)
+    backend = runtime.backend
+    try:
+        other = _HeldDriveLock(backend) if reader == "follower" else None
+        try:
+            with pytest.raises(OffloadTimeoutError) as timed_out:
+                runtime.sync(1, f2f(apps.sleep_then, 0.2, "late"), timeout=0.05)
+        finally:
+            if other is not None:
+                other.release()
+        assert timed_out.value.handle is not None
+        # Nobody reads now: the slot stays taken however late it is.
+        assert runtime.window.in_flight == 1
+        [held] = runtime.stats()["window"]["handles"]
+        assert held["corr"] == timed_out.value.handle.correlation_id
+        recorder = telemetry.enable()  # from here on a stray is counted
+        try:
+            assert _until(lambda: backend._poll() or runtime.window.in_flight == 0)
+            counters = recorder.metrics.snapshot()["counters"]
+            assert f"{transport}.unmatched_replies" not in counters
+        finally:
+            telemetry.disable()
+        assert _settled(runtime)
+        assert runtime.sync(1, f2f(apps.echo, 1)) == 1
+    finally:
+        offload_api.finalize()
+
+
+@pytest.mark.parametrize("transport", ["local", "shm", "tcp"])
+class TestFailureParity:
+    def test_a_raising_kernel_raises_what_a_future_raises(self, transport):
+        runtime = offload_api.init(transport)
+        try:
+            with pytest.raises(RemoteExecutionError) as through_future:
+                runtime.async_(1, f2f(apps.raise_value_error, "boom")).get()
+            with pytest.raises(RemoteExecutionError) as plain:
+                runtime.sync(1, f2f(apps.raise_value_error, "boom"))
+            assert type(plain.value) is type(through_future.value)
+            assert str(plain.value) == str(through_future.value)
+            assert "raise_value_error" in plain.value.remote_traceback
+            assert _settled(runtime)
+        finally:
+            offload_api.finalize()
+        _next_init_works(transport)
+
+    def test_a_frame_that_cannot_be_sent_is_a_failed_post(self, transport):
+        runtime = offload_api.init(transport)
+        flight = flightrecorder.get()
+        try:
+            runtime.backend.shutdown()  # the transport goes, the runtime stays
+            noted = flight.noted
+            functor = f2f(apps.echo, 1)
+            with pytest.raises(BackendError):
+                runtime.sync(1, functor)
+            assert flight.noted > noted
+            failed = [attrs for _ts, name, _category, attrs in flight.records()
+                      if name == "offload.post_failed"]
+            assert failed[-1] == {
+                "node": 1, "functor": functor.type_name, "error": "BackendError",
+            }
+            assert _settled(runtime)
+        finally:
+            offload_api.finalize()
+        _next_init_works(transport)
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+def test_a_target_killed_under_a_sync(transport):
+    runtime = offload_api.init(transport)
+    backend = runtime.backend
+    try:
+        pid = backend.introspect_target()["pid"]
+        errors = []
+
+        def blocked():
+            try:
+                runtime.sync(1, f2f(apps.sleep_then, 30.0, 0), timeout=WAIT)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        waiter = threading.Thread(target=blocked)
+        waiter.start()
+        assert _until(lambda: runtime.window.in_flight == 1)
+        os.kill(pid, signal.SIGKILL)
+        waiter.join(WAIT)
+        assert not waiter.is_alive()
+        [error] = errors
+        assert isinstance(error, BackendError), error  # a timeout is not one
+        assert _settled(runtime) and not backend._alive
+    finally:
+        offload_api.finalize()
+    _next_init_works(transport)
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+def test_eight_threads_mix_plain_syncs_with_futures(transport):
+    """Every thread posts a future, syncs, then collects the future, while
+    the interpreter switches threads every microsecond. Every value comes
+    back to its caller; a sync that reads inline completes the futures'
+    replies it meets; nothing is left in the window or the table."""
+    runtime = offload_api.init(transport)
+    backend = runtime.backend
+    inline = threading.local()
+    completed_inline = []
+    consume, dispatch = backend._consume_inline, backend._dispatch_reply
+
+    def consume_inline(*args):
+        inline.active = True
+        try:
+            return consume(*args)
+        finally:
+            inline.active = False
+
+    def dispatch_reply(op, corr, body):
+        if getattr(inline, "active", False):
+            completed_inline.append(corr)
+        dispatch(op, corr, body)
+
+    backend._consume_inline, backend._dispatch_reply = consume_inline, dispatch_reply
+    failures = []
+
+    def caller(index):
+        try:
+            for i in range(100):
+                future = runtime.async_(1, f2f(apps.echo, (index, i, "future")))
+                assert runtime.sync(1, f2f(apps.echo, (index, i))) == (index, i)
+                assert future.get(timeout=WAIT) == (index, i, "future")
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    try:
+        # Alone first: the sync's reply comes behind the future's, so the
+        # sync reads that one on its way and completes it.
+        future = runtime.async_(1, f2f(apps.echo, "ahead"))
+        assert runtime.sync(1, f2f(apps.echo, "behind")) == "behind"
+        assert future._handle.completed and completed_inline
+        assert future.get() == "ahead"
+        threads = [threading.Thread(target=caller, args=(index,), daemon=True)
+                   for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and not any(t.is_alive() for t in threads)
+        assert _settled(runtime)
+    finally:
+        offload_api.finalize()
