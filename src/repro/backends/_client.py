@@ -4,7 +4,7 @@ The mirror of :mod:`repro.backends._server`: both transports speak the
 same frames, so everything the host does that is not moving bytes is one
 class — the correlation table replies are matched through, posting an
 invocation, the synchronous roundtrip under every memory and control
-op and under a plain sync's invoke, the catalog handshake, clock sync,
+op and under a sync's invoke, the catalog handshake, clock sync,
 telemetry and introspection pulls, failing what a lost transport
 strands, and shutdown.
 
@@ -100,6 +100,11 @@ def _unsampled_reply_context(body: Any) -> "trace_context.TraceContext | None":
         return None
     tid = peek_trace(body)[0]
     return trace_context.TraceContext(tid, 0, False) if tid else None
+
+
+def _phase(traced: bool, name: str, **attrs: Any) -> Any:
+    """A traced invoke's span ``name``, else the no-op span."""
+    return telemetry.span(name, **attrs) if traced else telemetry.NOOP_SPAN
 
 
 def close_reply_span(reply_span: Any, body: Any) -> None:
@@ -353,7 +358,7 @@ class FramedClient(Backend):
     # -- synchronous operations --------------------------------------------------
     def _roundtrip(
         self, op: int, *parts: Any, timeout: float | None = None,
-        label: str = "",
+        label: str = "", nbytes: int = 0,
     ) -> memoryview:
         """Synchronous request: send, then wait for the matching reply.
 
@@ -363,40 +368,52 @@ class FramedClient(Backend):
         filed for the reply and rides on the error, so the stream is not
         poisoned and a late reply is matched, not counted as a stray.
 
-        Leader fast path: a caller that gets the drive lock *before* it
-        sends knows nobody else can consume its reply, so it files
-        nothing and reads until its own correlation id comes by
-        (:meth:`_consume_inline`). Not under a recorder — the pump is
-        what emits the per-reply ``offload.reply`` spans.
+        A caller that gets the drive lock *before* it sends is the
+        leader: nobody else can consume its reply, so it files nothing
+        and reads until its own correlation id comes by
+        (:meth:`_consume_inline`); behind another reader it files a
+        handle and follows. Traced, an invoke (of ``nbytes``) records the
+        spans of a posted one: ``offload.enqueue``, ``offload.transport``.
         """
         self._check_alive()
         effective = timeout if timeout is not None else self.op_timeout
-        if telemetry.get() is None and self._drive_lock.acquire(blocking=False):
+        recorder = telemetry.get()
+        traced = nbytes > 0 and recorder is not None
+        if self._drive_lock.acquire(blocking=False):
             try:
                 corr = self._next_corr()
-                self._send(op, corr, *parts)
-                return self._consume_inline(op, corr, effective, label)
+                if not traced:  # the hot path: nothing between send and read
+                    self._send(op, corr, *parts)
+                    return self._consume_inline(op, corr, effective, label, recorder)
+                with telemetry.span("offload.enqueue", bytes=nbytes,
+                                    functor=label, corr=corr):
+                    self._send(op, corr, *parts)
+                with telemetry.span("offload.transport", label=label):
+                    return self._consume_inline(op, corr, effective, label, recorder)
             finally:
                 self._drive_lock.release()
-        # Traced, or somebody else leads: through the table, like an invoke.
         handle = InvokeHandle(self, label or f"op {op:#x}")
-        self._expect(op, handle, self._send, parts)
+        with _phase(traced, "offload.enqueue", bytes=nbytes, functor=label,
+                    corr=handle.correlation_id):
+            self._expect(op, handle, self._send, parts)
         if not handle.completed:
-            self._wait(handle, effective)
+            with _phase(traced, "offload.transport", label=label):
+                self._wait(handle, effective)
         if handle._error is not None:
             raise handle._error
         return handle._reply
 
     def _consume_inline(
-        self, op: int, corr: int, timeout: float | None, label: str
+        self, op: int, corr: int, timeout: float | None, label: str, recorder: Any
     ) -> memoryview:
         """Drive lock held: read until ``corr``'s reply, returned directly.
 
         Replies for other callers are dispatched through the expectation
-        table on the way. A timeout is soft, like :meth:`_wait`: a handle
-        is filed under ``corr`` *now* (no reply can have slipped past —
-        this thread held the drive lock throughout) so a later pump can
-        still complete it instead of counting it unmatched.
+        table on the way (recorded as :meth:`_pump` does). A timeout is
+        soft, like :meth:`_wait`: a handle is filed under ``corr`` *now*
+        (no reply can have slipped past — this thread held the drive
+        lock throughout) so a later pump can still complete it instead of
+        counting it unmatched.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -410,10 +427,14 @@ class FramedClient(Backend):
                     raise self._no_reply(handle)
             try:
                 frame = self._next_frame(wait)
+                if frame is not None and recorder is not None:
+                    self._record_reply(frame[2])
                 if frame is not None and frame[1] == corr:
                     # Its own: first complete what else has arrived — a
                     # loop watching ``_reply_fd`` wakes on new bytes only.
                     for held in iter(self._held_frame, None):
+                        if recorder is not None:
+                            self._record_reply(held[2])
                         self._dispatch_reply(*held)
             except BackendError as exc:
                 if not self._closing:
@@ -484,10 +505,11 @@ class FramedClient(Backend):
         ``OP_INVOKE`` roundtrip, read by the caller."""
         self.check_target(node)
         self._msg_id += 1
-        parts, _nbytes = sized_invoke_parts(self.host_image, functor, self._msg_id)
+        parts, nbytes = sized_invoke_parts(self.host_image, functor, self._msg_id)
         self.invokes_posted += 1
         return unpack_result(self._roundtrip(
             OP_INVOKE, *parts, timeout=timeout, label=functor.type_name,
+            nbytes=nbytes,
         ))[1]
 
     # -- the drive ---------------------------------------------------------------
@@ -534,16 +556,18 @@ class FramedClient(Backend):
             while frame is not None:
                 op, corr, body = frame
                 if recorder is not None:  # peeking the header is not free
-                    reply_span = telemetry.span(
-                        "offload.reply", transport=self.name
-                    )
-                    reply_span.__enter__()
-                    close_reply_span(reply_span, body)
+                    self._record_reply(body)
                 self._dispatch_reply(op, corr, body)
                 frame = self._next_frame(0.0)
         except BackendError as exc:
             if not self._closing:
                 self._fail_pending(exc)
+
+    def _record_reply(self, body: Any) -> None:
+        """Telemetry phase ``offload.reply``: one frame read, by anyone."""
+        reply_span = telemetry.span("offload.reply", transport=self.name)
+        reply_span.__enter__()
+        close_reply_span(reply_span, body)
 
     def _wait(self, handle: InvokeHandle, timeout: float | None) -> None:
         """Read replies, or wait on the thread that does, until

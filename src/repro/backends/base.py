@@ -386,8 +386,8 @@ class InflightWindow:
     :meth:`register` files the posted handle under its correlation id,
     and the handle's completion — from whichever thread delivers the
     reply — calls :meth:`release`. A post that raised returns its slot
-    through :meth:`cancel`, and so does a plain sync, which holds a slot
-    while it runs but files no handle.
+    through :meth:`cancel`, and so does a ``Runtime.sync``, which holds a
+    slot while it runs but files no handle.
     """
 
     #: Longest a waiter drives one handle before it looks again: a
@@ -539,7 +539,7 @@ class InflightWindow:
 
     def cancel(self) -> None:
         """Return an acquired slot no handle took over: a post that
-        raised, or a plain ``Runtime.sync`` that is done."""
+        raised, or a ``Runtime.sync`` that is done."""
         with self._lock:
             if self._reserved > 0:
                 self._reserved -= 1
@@ -738,10 +738,17 @@ class Backend(abc.ABC):
     def post_invoke(self, node: NodeId, functor: Any) -> InvokeHandle:
         """Send a functor to ``node`` for execution; returns a handle."""
 
-    #: ``sync_invoke(node, functor, timeout)``: ``post_invoke`` and its
-    #: reply's value in one call, on a backend that reads replies on the
-    #: caller's thread (``None``: a sync goes through a handle, a future).
-    sync_invoke: Callable[[NodeId, Any, float | None], Any] | None = None
+    def sync_invoke(self, node: NodeId, functor: Any,
+                    timeout: float | None = None) -> Any:
+        """:meth:`post_invoke` and its result in one call, read by the
+        caller; past ``timeout`` the error carries the handle still filed
+        for the late reply (:attr:`OffloadTimeoutError.handle`)."""
+        handle = self.post_invoke(node, functor)
+        try:
+            return handle.wait(timeout)
+        except OffloadTimeoutError as exc:
+            exc.handle = handle
+            raise
 
     @abc.abstractmethod
     def drive(

@@ -144,8 +144,8 @@ class OffloadTimeoutError(OffloadError, TimeoutError):
     explicit ``timeout=``) is in force and the target goes silent.
     """
 
-    #: The handle still filed for the late reply, when a client core
-    #: timed out waiting for one (a plain ``Runtime.sync`` registers it).
+    #: The handle still filed for the late reply of a timed-out
+    #: ``Backend.sync_invoke`` (``Runtime.sync`` registers it).
     handle: InvokeHandle | None = None
 
 

@@ -160,8 +160,9 @@ class Migratable:
 
     Subclasses implement :meth:`__serialize__` returning bytes and the
     classmethod :meth:`__deserialize__` rebuilding the instance. The
-    subclass must be importable under the same module path in every
-    process image (same rule as for offloadable functions).
+    subclass must live under the same module path in every process image
+    (same rule as for offloadable functions), and the receiver must have
+    imported that module already: a frame never imports one.
     """
 
     def __serialize__(self) -> bytes:
@@ -347,14 +348,18 @@ def _encode_migratable(value: Migratable) -> list:
 
 
 def _load_migratable_class(path: str) -> Type[Migratable]:
-    import importlib
-
+    # Only from a module already loaded: a peer's frame imports nothing.
     module_name, _, qualname = path.partition(":")
+    obj: Any = sys.modules.get(module_name)
+    if obj is None:
+        raise SerializationError(
+            f"cannot import migratable class {path!r}: module "
+            f"{module_name!r} is not loaded here"
+        )
     try:
-        obj: Any = importlib.import_module(module_name)
         for part in qualname.split("."):
             obj = getattr(obj, part)
-    except (ImportError, AttributeError, ValueError, TypeError) as exc:
+    except AttributeError as exc:
         raise SerializationError(f"cannot import migratable class {path!r}") from exc
     if not (isinstance(obj, type) and issubclass(obj, Migratable)):
         raise SerializationError(f"{path!r} is not a Migratable subclass")

@@ -81,21 +81,15 @@ class Future:
         node: int | None = None,
     ) -> None:
         self._handle: OperationHandle | None = handle
+        #: What :func:`settle_offload` accounts the offload by: kernel,
+        #: target node, QoS tenant, issue time (``None``: a put/get/copy
+        #: parity future). The trace opened at ``async_`` is re-activated
+        #: around the wait, so its spans join that causal tree even when
+        #: ``get()`` runs far from ``async_()``.
         self._label = label
-        #: Target node the invocation was posted to; lets the settle
-        #: attribute the round trip per target (TSDB scoreboard series).
         self._node = node
-        #: Tenant this offload is accounted to (QoS layer); rides along
-        #: so the settle feeds the tenant's own SLO windows.
         self._tenant = tenant
-        #: Distributed trace opened at offload() time; re-activated
-        #: around the settle so the wait/decode spans join the same
-        #: causal tree even when get() runs far from async_().
         self._trace = trace
-        #: perf_counter_ns at issue time; when set, settling feeds the
-        #: round-trip duration to the kernel's histogram / SLO monitor
-        #: / tail pipeline via complete_offload. None for trivially
-        #: complete handles (put/get/copy parity futures).
         self._start_ns = start_ns
         self._done = False
         self._value: Any = None
@@ -203,47 +197,54 @@ class Future:
             # Deadline expired but the operation may still be in flight:
             # stay pending so a later get() can collect the reply (a
             # poisoned handle simply re-raises immediately next time).
-            # The caller-visible deadline miss still counts against the
-            # availability SLO — once per future, even if the straggler
-            # reply eventually lands — otherwise dropped messages (the
-            # most common chaos fault) would be invisible to burn-rate
-            # alerting.
-            telemetry.count("future.timeouts")
-            if self._start_ns is not None and not self._timeout_observed:
-                self._timeout_observed = True
-                recorder = telemetry.get()
-                if recorder is not None and recorder.slo is not None:
-                    recorder.slo.observe(
-                        "offload",
-                        time.perf_counter_ns() - self._start_ns,
-                        error=True,
-                        tenant=self._tenant,
-                    )
+            # The availability SLO sees the miss once per future, even
+            # if the straggler reply eventually lands.
+            settle_offload(
+                None if self._timeout_observed else self._start_ns,
+                self._label, self._trace, self._tenant, self._node,
+                timed_out=True,
+            )
+            self._timeout_observed = True
             raise
         except BaseException as exc:  # noqa: BLE001 - stored for re-raise
             self._error = exc
         self._done = True
         self._handle = None
-        telemetry.count("future.settled")
-        recorder = telemetry.get()
-        if self._start_ns is not None and recorder is not None:
-            # The one completion hook per offload: folds the round trip
-            # into the kernel's series and SLO windows, and lets the
-            # tail pipeline pass its keep/drop verdict on an unsampled
-            # trace's staged spans.
-            complete_offload(
-                self._trace,
-                kernel=self._label,
-                duration_ns=time.perf_counter_ns() - self._start_ns,
-                error=self._error is not None,
-                recorder=recorder,
-                tenant=self._tenant,
-                node=self._node,
-            )
+        settle_offload(self._start_ns, self._label, self._trace, self._tenant,
+                       self._node, error=self._error is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
         return f"<Future {self._label!r} {state}>"
+
+
+def settle_offload(start_ns: int | None, label: str, trace: TraceContext | None,
+                   tenant: str | None, node: int | None, *,
+                   error: bool = False, timed_out: bool = False) -> None:
+    """Account how one offload ended, a future's or a sync's: a missed
+    deadline counts ``future.timeouts`` and misses availability; any other
+    end counts ``future.settled`` and, given the issue time ``start_ns``,
+    goes to :func:`~repro.telemetry.sampling.complete_offload`."""
+    if timed_out:
+        telemetry.count("future.timeouts")
+        availability_miss(start_ns, tenant)
+        return
+    telemetry.count("future.settled")
+    recorder = telemetry.get()
+    if start_ns is not None and recorder is not None:
+        complete_offload(
+            trace, kernel=label, duration_ns=time.perf_counter_ns() - start_ns,
+            error=error, recorder=recorder, tenant=tenant, node=node,
+        )
+
+
+def availability_miss(start_ns: int | None, tenant: str | None) -> None:
+    """Charge the offload issued at ``start_ns`` to the availability SLO
+    as failed: a timed-out or unposted one, which nothing else settles."""
+    recorder = telemetry.get()
+    if start_ns is not None and recorder is not None and recorder.slo is not None:
+        recorder.slo.observe("offload", time.perf_counter_ns() - start_ns,
+                             error=True, tenant=tenant)
 
 
 class AwaitingLoop:

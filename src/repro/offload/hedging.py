@@ -210,7 +210,7 @@ class Hedger:
         candidates, avoided = self._prefer_non_anomalous(candidates)
         secondary = candidates[0]
         try:
-            hedge_future = runtime._post(secondary, functor, tenant, expiry)
+            hedge_future = runtime._offload(secondary, functor, tenant, expiry)
         except OffloadError:
             # Posting the hedge failed (circuit opened between the
             # preferred() call and the post, transport refused): the

@@ -92,11 +92,11 @@ class _FlakyNodeBackend(LocalBackend):
         self.dead_nodes = set(dead_nodes)
         self.attempted_nodes: list[int] = []
 
-    def post_invoke(self, node, functor):
+    def _execute(self, node, functor):  # under post_invoke and sync_invoke
         self.attempted_nodes.append(node)
         if node in self.dead_nodes:
             raise BackendError(f"node {node} unplugged (test)")
-        return super().post_invoke(node, functor)
+        return super()._execute(node, functor)
 
 
 FAST_RETRY = dict(backoff_base=1e-4, backoff_max=1e-3, jitter=0.0)

@@ -4,6 +4,7 @@ the restricted loader behind the last-resort code)."""
 import pathlib
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestCustomSerializers:
 
 
 class SampleMigratable(Migratable):
-    """Module-level so the decoder can re-import it."""
+    """Module-level, so the decoder finds it in this loaded module."""
 
     def __init__(self, payload: str) -> None:
         self.payload = payload
@@ -140,6 +141,25 @@ class TestMigratable:
         frame = b"M" + (12).to_bytes(2, "little") + b"nope:Missing" + b""
         with pytest.raises(SerializationError, match="cannot import"):
             deserialize(frame)
+
+    def test_a_frame_never_imports_the_module_it_names(self, tmp_path, monkeypatch):
+        """The class must be in a module this process already loaded: a
+        module the peer names is not imported, even when it could be."""
+        (tmp_path / "peer_named.py").write_text(
+            "from repro.ham.serialization import Migratable\n"
+            "IMPORTED = True\n"
+            "class Planted(Migratable):\n"
+            "    @classmethod\n"
+            "    def __deserialize__(cls, data):\n"
+            "        return cls()\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        path = b"peer_named:Planted"
+        frame = b"M" + len(path).to_bytes(2, "little") + path
+        loaded = set(sys.modules)
+        with pytest.raises(SerializationError, match="not loaded here"):
+            deserialize(frame)
+        assert set(sys.modules) == loaded
 
 
 class TestErrorHandling:

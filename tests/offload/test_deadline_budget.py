@@ -3,8 +3,9 @@ the full policy deadline on every retry or window wait.
 
 Regression tests for the budget fix: ``Runtime.sync`` computes the
 absolute expiry once, threads the *remaining* time into each attempt's
-reply wait, and hands the same instant to ``Runtime._post``, which bounds
-the wait for a window slot by it.
+reply wait, and hands the same instant to the admission every offload
+passes (``Runtime._offload``), which bounds the wait for a window slot by
+it.
 """
 
 import time
@@ -20,33 +21,17 @@ from repro.offload.resilience import ResiliencePolicy
 from tests import apps
 
 
-class _NeverDone:
-    """A handle whose reply never arrives; records the waits it got."""
-
-    correlation_id = 0
-    completed = False
-
-    def __init__(self, waits):
-        self._waits = waits
-
-    def test(self):
-        return False
-
-    def wait(self, timeout=None):
-        self._waits.append(timeout)
-        time.sleep(0.05)
-        raise OffloadTimeoutError("reply never arrives")
-
-
 class _StallingBackend(LocalBackend):
-    """Posts succeed; every reply wait times out."""
+    """Every reply wait of a sync times out; records the waits it got."""
 
     def __init__(self):
         super().__init__()
         self.waits: list[float | None] = []
 
-    def post_invoke(self, node, functor):
-        return _NeverDone(self.waits)
+    def sync_invoke(self, node, functor, timeout=None):
+        self.waits.append(timeout)
+        time.sleep(0.05)
+        raise OffloadTimeoutError("reply never arrives")
 
 
 class TestRetryBudget:
@@ -121,7 +106,7 @@ class TestWindowBudget:
         runtime = full()
         start = time.monotonic()
         with pytest.raises(OffloadTimeoutError, match="window full"):
-            runtime._post(
+            runtime._offload(
                 1, f2f(apps.empty_kernel), None, time.monotonic() + 0.1
             )
         elapsed = time.monotonic() - start
@@ -134,7 +119,7 @@ class TestWindowBudget:
         runtime = full()
         start = time.monotonic()
         with pytest.raises(OffloadTimeoutError, match="budget exhausted"):
-            runtime._post(
+            runtime._offload(
                 1, f2f(apps.empty_kernel), None, time.monotonic() - 0.01
             )
         assert time.monotonic() - start < 0.05
@@ -150,7 +135,7 @@ class TestWindowBudget:
         runtime = Runtime(LocalBackend())
         try:
             assert runtime.window.in_flight == 0
-            assert runtime._post(1, f2f(apps.add, 1, 2), None).get() == 3
+            assert runtime._offload(1, f2f(apps.add, 1, 2), None).get() == 3
             assert runtime.window.in_flight == 0
         finally:
             runtime.shutdown()

@@ -1,15 +1,11 @@
 """Tests for the free-function API (paper Table II shape)."""
 
-import glob
-import multiprocessing
 import signal
-import threading
 
 import numpy as np
 import pytest
 
 from repro.backends import LocalBackend
-from repro.backends.base import DEADLINES
 from repro.errors import BackendError, OffloadError
 from repro.ham import f2f
 from repro.offload import api as offload
@@ -17,6 +13,7 @@ from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
+from tests.leaks import resources
 
 
 @pytest.fixture()
@@ -78,16 +75,6 @@ class TestGlobalRuntimeLifecycle:
             flight.crash_dir = None
 
 
-def _left_behind() -> tuple:
-    """What a spawned target, its transport and init's helpers hold."""
-    return (
-        {child.pid for child in multiprocessing.active_children()},
-        set(glob.glob("/dev/shm/psm_*")),
-        DEADLINES._users,
-        {t.name for t in threading.enumerate() if t.name.startswith("repro-")},
-    )
-
-
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 @pytest.mark.parametrize(
     "options, error",
@@ -102,20 +89,20 @@ def _left_behind() -> tuple:
     ],
 )
 def test_failed_init_leaves_nothing_behind(transport, options, error):
-    before = _left_behind()
+    before = resources(baseline=True)
     try:
         with pytest.raises(error):
             offload.init(transport, **options)
         assert not offload.is_initialized()
         assert offload.metrics_server() is None
-        assert _left_behind() == before
+        assert resources() == before
         # ... and the next, valid init finds a clean slate.
         offload.init(transport)
         assert offload.sync(1, f2f(apps.echo, 7)) == 7
     finally:
         offload.finalize()
         telemetry.disable()
-    assert _left_behind() == before
+    assert resources() == before
 
 
 class TestTableIIOperations:
