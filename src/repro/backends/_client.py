@@ -1,18 +1,20 @@
 """The host-side client shared by the shm and tcp transports.
 
-The mirror of :mod:`repro.backends._server`: both transports speak the
-same frames, so everything the host does that is not moving bytes is one
-class — the correlation table replies are matched through, posting an
-invocation, the synchronous roundtrip under every memory and control
-op and under a sync's invoke, the catalog handshake, clock sync,
-telemetry and introspection pulls, failing what a lost transport
-strands, and shutdown.
+The mirror of :mod:`repro.backends._server`: both transports are byte
+pipes carrying the same frames, so everything the host does that is not
+moving bytes is one class — packing frames and taking them off the
+pipe with the one :class:`~repro.backends._server.FrameParser`, the
+correlation table replies are matched through, posting an invocation,
+the synchronous roundtrip under every memory and control op and under
+a sync's invoke, the catalog handshake, clock sync, telemetry and
+introspection pulls, failing what a lost transport strands, and
+shutdown.
 
 It is also the one *drive*. The paper's receiver polls for its message
 itself (Sec. IV-B) and HAM's backends have no progress thread; here the
 caller that waits for a reply reads it: it takes the drive lock, calls
-the transport's :meth:`FramedClient._next_frame` and completes every
-reply that arrives, its own and everybody else's (leader/follower). An
+:meth:`FramedClient._next_frame` and completes every reply that
+arrives, its own and everybody else's (leader/follower). An
 asyncio loop that awaits a reply is a waiter too: it polls through
 ``drive(blocking=False)`` (:class:`~repro.offload.future.AwaitingLoop`).
 No thread owns the receive side, so a depth-1 offload costs the host one
@@ -27,6 +29,9 @@ import time
 from typing import Any, Callable
 
 from repro.backends._server import (
+    _FRAME_META,
+    _LEN,
+    _PREFIX,
     _U64,
     FRAME_OVERHEAD,
     OP_ALLOC,
@@ -41,6 +46,7 @@ from repro.backends._server import (
     OP_SHUTDOWN,
     OP_TELEMETRY,
     OP_WRITE,
+    _eof_error,
 )
 from repro.backends.base import Backend, InvokeHandle
 from repro.errors import (
@@ -123,28 +129,31 @@ def close_reply_span(reply_span: Any, body: Any) -> None:
 
 
 class FramedClient(Backend):
-    """One target behind any frame pipe: the host side of the channel.
+    """One target behind any byte pipe: the host side of the channel.
 
-    A transport supplies ``peer`` and
+    It packs every frame and takes every reply off the pipe. A transport
+    supplies ``peer``, ``_parser`` (a
+    :class:`~repro.backends._server.FrameParser` over its byte source)
+    and
 
-    * ``_send(op, corr, *parts)`` — put one frame on the transport now,
-      behind everything sent before it; on a lost transport call
-      :meth:`_fail_pending` and raise :class:`BackendError`.
-      ``_post_frame`` is the same for ``OP_INVOKE`` frames, which a
-      stream transport may batch (it defaults to ``_send``) and then
-      sends before anybody waits for their replies;
-    * ``_next_frame(timeout)`` — the receive half, the mirror of
-      ``FramedServer._next_frame``: the next reply frame, or ``None``;
+    * ``_transmit(frame, nbytes)`` — put one framed request (its parts,
+      ``nbytes`` in all) on the pipe now, behind everything sent before
+      it; on a lost transport call :meth:`_fail_pending` and raise
+      :class:`BackendError`. ``_post`` is the same for ``OP_INVOKE``
+      frames, which a stream transport may batch and then sends before
+      anybody waits for their replies;
+    * ``_await_bytes(timeout)`` — drive lock held: wait up to
+      ``timeout`` for bytes (falsy: none came); raise
+      :class:`BackendError` once the peer is lost;
     * ``_reply_fd()`` — optionally, a descriptor an awaiting asyncio loop
-      watches instead of polling (tcp's socket), with ``_held_frame()``
-      handing out the frames already received from it;
+      watches instead of polling (tcp's socket);
     * ``_detach()`` — release what only a live transport holds
       (idempotent, any thread); a buffering transport also reports what
       it had not sent yet through ``_drop_unsent``;
     * ``_close_transport()`` — release what is left once ``on_shutdown``
       has joined the target (defaults to ``_detach``).
 
-    It completes every frame ``_next_frame`` returns through
+    It completes every frame :meth:`_next_frame` returns through
     :meth:`_dispatch_reply`, calls :meth:`_fail_pending` when the peer
     is lost, and ends its constructor with :meth:`_handshake`.
     """
@@ -195,27 +204,6 @@ class FramedClient(Backend):
         self.clock_sync = ClockSync.identity()
 
     # -- what a transport supplies -------------------------------------------
-    def _send(self, op: int, corr: int, *parts: Any) -> None:
-        raise NotImplementedError
-
-    def _post_frame(self, op: int, corr: int, *parts: Any) -> None:
-        self._send(op, corr, *parts)
-
-    def _next_frame(
-        self, timeout: float | None
-    ) -> tuple[int, int, memoryview] | None:
-        """Drive lock held: the next reply frame, waiting up to
-        ``timeout`` seconds for it to arrive (``0``: only what already
-        has, ``None``: as long as it takes). ``None`` when the time ran
-        out — never having consumed half a frame: what arrived of one
-        stays with the transport. Raises :class:`BackendError` once the
-        peer is lost."""
-        raise NotImplementedError
-
-    def _held_frame(self) -> tuple[int, int, memoryview] | None:
-        """Drive lock held: a reply already received, or ``None`` (no syscall)."""
-        return None
-
     def _detach(self) -> None:
         """Release what only a live transport holds (idempotent)."""
 
@@ -225,6 +213,46 @@ class FramedClient(Backend):
 
     def _close_transport(self) -> None:
         self._detach()
+
+    # -- the byte pipe -----------------------------------------------------------
+    def _send(self, op: int, corr: int, *parts: Any) -> None:
+        """Frame ``parts`` and send the frame now."""
+        length = _FRAME_META + sum(map(len, parts))
+        self._transmit([_PREFIX.pack(length, op, corr), *parts], _LEN.size + length)
+
+    def _post_frame(self, op: int, corr: int, *parts: Any) -> None:
+        """:meth:`_send` for an ``OP_INVOKE`` frame, which may be batched."""
+        length = _FRAME_META + sum(map(len, parts))
+        self._post([_PREFIX.pack(length, op, corr), *parts], _LEN.size + length)
+
+    def _next_frame(
+        self, timeout: float | None
+    ) -> tuple[int, int, memoryview] | None:
+        """Drive lock held: the next reply frame, waiting up to
+        ``timeout`` seconds for it to arrive (``0``: only what already
+        has, ``None``: as long as it takes). ``None`` when the time ran
+        out — what arrived of a frame stays in the parser. Raises
+        :class:`BackendError` once the peer is lost."""
+        parser = self._parser
+        # Only a parser holding unparsed bytes is asked: between a ring's
+        # tail store and the wait for the reply runs an attribute test,
+        # not a call (the rule of placement).
+        frame = parser.next_frame() if parser._pos != len(parser._data) else None
+        while frame is None:
+            if not self._await_bytes(timeout):
+                return None
+            try:
+                received = parser.fill()
+            except OSError as exc:
+                raise BackendError(f"{self.name} receive failed: {exc}") from exc
+            if not received:
+                raise _eof_error(parser, self._pending_count())
+            self.bytes_received += received
+            frame = parser.next_frame()
+            # Part of a frame: take what else is already here and leave
+            # the rest of the deadline to the caller, who keeps it.
+            timeout = 0.0
+        return frame
 
     # -- connect ---------------------------------------------------------------
     def _handshake(self, timeout: float) -> None:
@@ -432,10 +460,12 @@ class FramedClient(Backend):
                 if frame is not None and frame[1] == corr:
                     # Its own: first complete what else has arrived — a
                     # loop watching ``_reply_fd`` wakes on new bytes only.
-                    for held in iter(self._held_frame, None):
+                    held = self._parser.next_frame()
+                    while held is not None:
                         if recorder is not None:
                             self._record_reply(held[2])
                         self._dispatch_reply(*held)
+                        held = self._parser.next_frame()
             except BackendError as exc:
                 if not self._closing:
                     self._fail_pending(exc)
@@ -669,7 +699,9 @@ class FramedClient(Backend):
         """
         if align:
             self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
-        rows = restricted_loads(self._roundtrip(OP_TELEMETRY, timeout=timeout))
+        rows: list = []  # each reply carries what fits a frame, the last none
+        while pulled := restricted_loads(self._roundtrip(OP_TELEMETRY, timeout=timeout)):
+            rows += pulled
         records = dicts_to_records(rows)
         if align and self.clock_sync.offset_ns:
             records = align_records(records, self.clock_sync.offset_ns)

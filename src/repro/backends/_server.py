@@ -1,8 +1,13 @@
-"""The target-side server shared by the shm and tcp transports.
+"""The frame grammar and the target-side server, for the shm and tcp transports.
 
-Both transports speak the same frames (see :mod:`repro.backends.tcp`),
-so everything behind the byte pipe is one class: the op table, the
-inline memory/control ops, running an invocation, failure replies,
+A frame is ``length:u32 | op:u8 | corr:u64 | body`` whichever pipe
+carries it (docs/protocols.md, "Real-path frames"). This module is the
+only one that knows that: the op table, the prefix every frame is
+packed with (:class:`FramedServer` here, ``FramedClient`` in
+:mod:`repro.backends._client`) and the one decoder, :class:`FrameParser`,
+which reads frames off any byte source — a stream socket or an shm
+ring. Everything behind the byte pipe is one class: the inline
+memory/control ops, running an invocation, failure replies,
 introspection — and the **dispatch loop** that serves them.
 
 The paper's VE loop polls the flag, runs the active-message handler
@@ -76,6 +81,10 @@ _PREFIX = struct.Struct("<IBQ")
 _FRAME_META = 1 + _U64.size
 #: Full overhead of one frame (length prefix + op + corr).
 FRAME_OVERHEAD = _LEN.size + _FRAME_META
+#: Bytes a parser takes from its source per ``recv``: small enough that
+#: the receive buffer comes from the allocator's heap, not a fresh mapping
+#: per call. A frame longer than this is received into its own buffer.
+_RECV_CHUNK = 64 * 1024
 
 #: Default number of concurrent INVOKEs a target executes.
 DEFAULT_SERVER_WORKERS = 4
@@ -94,6 +103,107 @@ HANDOFF_PAYS_NS = 100_000
 WATCH_INTERVAL = 0.005
 
 
+class FrameParser:
+    """The one frame decoder, for both ends of both transports.
+
+    It reads from any byte source with ``recv(n)`` (up to ``n`` bytes,
+    ``b""`` at EOF) and ``recv_into(view)``: a stream socket, or an
+    :class:`~repro.backends.shm.ShmRing`. :meth:`fill` is one ``recv``
+    (a reader calls it once the source has bytes); :meth:`next_frame`
+    hands out every complete frame it carried as a view into the
+    received chunk — no per-frame buffer or copy. A frame longer than
+    :data:`_RECV_CHUNK` is received into a buffer of its own, so bulk
+    payloads are copied at most once. ``limit`` is the most bytes one
+    frame may fill, its length prefix included: a ring's capacity, by
+    default whatever a u32 length describes (tcp).
+    """
+
+    def __init__(self, source: Any, limit: int = _LEN.size + 0xFFFFFFFF) -> None:
+        self._source = source
+        self.limit = limit
+        self._max_length = limit - _LEN.size
+        #: Received bytes; the unparsed ones start at ``_pos``.
+        self._data = b""
+        self._pos = 0
+        #: A long frame being received, and how much of it has arrived.
+        self._big: bytearray | None = None
+        self._big_got = 0
+
+    @property
+    def buffered(self) -> int:
+        """Bytes received of a frame that is not complete yet."""
+        partial = len(self._data) - self._pos
+        if self._big is not None:
+            partial += _LEN.size + self._big_got
+        return partial
+
+    def fill(self) -> int:
+        """One receive from the source; returns its byte count (0 at EOF)."""
+        if self._big is not None:
+            got = self._source.recv_into(memoryview(self._big)[self._big_got:])
+            self._big_got += got
+            return got
+        chunk = self._source.recv(_RECV_CHUNK)
+        rest = self._data[self._pos:]
+        self._data = rest + chunk if rest else chunk
+        self._pos = 0
+        return len(chunk)
+
+    def next_frame(self) -> tuple[int, int, memoryview] | None:
+        """The next complete ``(op, corr, body)``, or ``None`` when more
+        bytes are needed. Raises :class:`BackendError` on a length
+        outside ``[9, limit - 4]``: too short to hold its own header, or
+        longer than any frame the source carries."""
+        data = self._data
+        pos = self._pos
+        have = len(data) - pos
+        if have < _LEN.size:  # also while a long frame arrives: no data then
+            big = self._big
+            if big is None or self._big_got < len(big):
+                return None
+            self._big = None
+            self._big_got = 0
+            return big[0], _U64.unpack_from(big, 1)[0], memoryview(big)[_FRAME_META:]
+        (length,) = _LEN.unpack_from(data, pos)
+        if length < _FRAME_META or length > self._max_length:
+            raise BackendError(
+                f"{'short' if length < _FRAME_META else 'long'} frame: length "
+                f"{length} outside [{_FRAME_META}, {self._max_length}] — a "
+                "corrupt frame, or a peer that speaks another protocol"
+            )
+        end = pos + _LEN.size + length
+        if end > len(data):
+            if length > _RECV_CHUNK:
+                self._big = big = bytearray(length)
+                self._big_got = have - _LEN.size
+                big[: self._big_got] = data[pos + _LEN.size:]
+                self._data = b""
+                self._pos = 0
+            return None
+        self._pos = end
+        return (
+            data[pos + _LEN.size],
+            _U64.unpack_from(data, pos + _LEN.size + 1)[0],
+            memoryview(data)[pos + FRAME_OVERHEAD:end],
+        )
+
+
+def _eof_error(parser: FrameParser, pending: int = 0) -> BackendError:
+    """Describe an EOF precisely: partial frame bytes + orphaned ops."""
+    context = ""
+    if pending:
+        context = (
+            f"; {pending} pending operation{'s' if pending != 1 else ''}"
+            " can no longer be matched"
+        )
+    if parser.buffered:
+        return BackendError(
+            f"connection closed mid-frame: {parser.buffered} byte(s) "
+            f"of a partial frame received{context}"
+        )
+    return BackendError(f"connection closed by peer{context}")
+
+
 def reset_forked_recorder() -> None:
     """First thing in a forked target: keep the recorder, drop its host side.
 
@@ -110,13 +220,13 @@ def reset_forked_recorder() -> None:
 
 
 class FramedServer:
-    """One client, ``workers`` concurrent invocations, over any frame pipe.
+    """One client, ``workers`` concurrent invocations, over any byte pipe.
 
-    A transport supplies ``_next_frame()`` — block for the next
-    ``(op, corr, body)``, raise :class:`BackendError` when the client is
-    gone or the stream corrupt; only the reader calls it — and
-    ``_reply(op, corr, *parts)``, which every serving thread calls and
-    the transport therefore serializes.
+    A transport sets ``_parser`` (a :class:`FrameParser` over its byte
+    source) before it serves, and supplies ``_transmit(frame)``, which
+    puts one framed reply on the pipe under the send lock. Only the
+    reader receives (:meth:`_next_frame`); every serving thread replies
+    (:meth:`_reply`).
     """
 
     #: "tcp" / "shm": names the image, the threads and the reply span.
@@ -167,12 +277,37 @@ class FramedServer:
         self._reply_span = f"{self.transport}.server.reply"
         #: Why the loop ended (``None`` while serving).
         self.stopped: str | None = None
+        #: Rows of the ``OP_TELEMETRY`` pull under way not sent yet.
+        self._unpulled: deque | None = None
 
-    def _next_frame(self) -> tuple[int, int, Any]:
-        raise NotImplementedError
+    # -- the byte pipe ------------------------------------------------------------
+    def _await_bytes(self) -> None:
+        """Reader only: return once the byte source has bytes, raise
+        :class:`BackendError` once the client is gone (a blocking
+        socket's ``recv`` waits by itself)."""
+
+    def _next_frame(self) -> tuple[int, int, memoryview]:
+        """Reader only: the next frame, receiving more bytes as needed."""
+        parser = self._parser
+        # As the client's: an attribute test, not a call, between the
+        # reply's tail store and the wait for the next request.
+        frame = parser.next_frame() if parser._pos != len(parser._data) else None
+        while frame is None:
+            self._await_bytes()
+            try:
+                received = parser.fill()
+            except OSError as exc:
+                raise BackendError(f"{self.transport} receive failed: {exc}") from exc
+            if not received:
+                raise _eof_error(parser)
+            frame = parser.next_frame()
+        return frame
 
     def _reply(self, op: int, corr: int, *parts: Any) -> None:
-        raise NotImplementedError
+        """Frame one reply and send it; any serving thread."""
+        frame = [_PREFIX.pack(_FRAME_META + sum(map(len, parts)), op, corr), *parts]
+        with self._send_lock:
+            self._transmit(frame)
 
     # -- the dispatch loop ----------------------------------------------------
     def _serve(self) -> None:
@@ -421,16 +556,7 @@ class FramedServer:
                     OP_READ | OP_REPLY_BIT, corr, self.buffers.read(addr, nbytes)
                 )
             elif op == OP_TELEMETRY:
-                # Drain this process's telemetry so the host can merge
-                # target-side spans (offload.execute, ...) into one
-                # timeline. Empty when telemetry is disabled here; a
-                # forked server inherits the parent's enabled state.
-                recorder = telemetry.get()
-                rows = records_to_dicts(recorder.drain()) if recorder else []
-                self._reply(
-                    OP_TELEMETRY | OP_REPLY_BIT, corr,
-                    pickle.dumps(rows, protocol=4),
-                )
+                self._reply(OP_TELEMETRY | OP_REPLY_BIT, corr, self._pull_rows())
             elif op == OP_CLOCK:
                 # Clock ping-pong: reply with this process's monotonic
                 # clock so the client can estimate the offset between
@@ -450,6 +576,42 @@ class FramedServer:
                 raise BackendError(f"unknown op {op:#x}")
         except Exception as exc:  # noqa: BLE001 - shipped to the client
             self._send_failure(corr, exc)  # (dropped there if it has gone)
+
+    def _pull_rows(self) -> bytes:
+        """One ``OP_TELEMETRY`` reply body: the oldest of this process's
+        records not pulled yet, as many as fit one frame, pickled.
+
+        The host pulls until a reply carries none, which ends the pull;
+        what is recorded meanwhile waits for the next one, so a pull ends
+        even when the host shares this recorder. A record too big for a
+        frame of its own arrives with ``{"attrs_dropped_bytes": n}`` for
+        attributes. Empty when telemetry is disabled here; a forked
+        server inherits the parent's state.
+        """
+        rows = self._unpulled
+        if rows is None:  # a pull begins
+            recorder = telemetry.get()
+            rows = deque(records_to_dicts(recorder.drain()) if recorder else ())
+        room = self._parser.limit - FRAME_OVERHEAD
+        page: list = []
+        used = 0
+        while rows:  # each row is pickled alone once: the pull stays linear
+            size = len(pickle.dumps(rows[0], protocol=4))
+            if size > room and rows[0].get("attrs"):
+                # Too big for any frame on its own: it travels without
+                # its attributes, which it says it lost.
+                rows[0] = {**rows[0], "attrs": {"attrs_dropped_bytes": size}}
+                continue
+            if page and used + size > room:
+                break
+            used += size
+            page.append(rows.popleft())
+        body = pickle.dumps(page, protocol=4)
+        while len(body) > room and len(page) > 1:  # a list pickles a little
+            rows.appendleft(page.pop())  # differently than its rows alone
+            body = pickle.dumps(page, protocol=4)
+        self._unpulled = rows if page else None
+        return body
 
     def introspect(self) -> dict[str, Any]:
         """Live target state, in the transport-agnostic introspection shape.

@@ -35,12 +35,13 @@ view of the header (:attr:`ShmSegment.cursors`): an aligned 8-byte
 access there is a single load or store, atomic on the architectures
 CPython runs multiprocessing on — ``struct.pack_into("<Q")`` is *not*,
 it stores byte by byte and a concurrent reader sees torn values — which
-makes the rings lock-free without any further synchronization. Frames reuse
-the TCP wire format (``length:u32 | op:u8 | corr:u64 | body``) including
-the correlation-id reply matching, so the whole channel contract —
-out-of-order completion, the in-flight window, QoS, hedging, telemetry —
-composes unchanged, and both ends are the tcp transport's classes over
-another pipe: :mod:`repro.backends._server` and
+makes the rings lock-free without any further synchronization. A ring
+is a byte pipe, like a socket: it takes frames packed elsewhere
+(``write``), gives bytes to the one decoder (``recv`` / ``recv_into``)
+and knows no format. The frames are the tcp frames, so the whole channel
+contract — out-of-order completion, the in-flight window, QoS, hedging,
+telemetry — composes unchanged, and both ends are the tcp transport's
+classes over another pipe: :mod:`repro.backends._server` and
 :mod:`repro.backends._client` (docs/architecture.md, "Client core").
 
 Both ends poll with the paper's adaptive *spin-then-sleep* loop: a
@@ -57,13 +58,14 @@ message (the dispatch loop of :mod:`repro.backends._server`).
 There is **no receiver thread**: whichever caller waits on a reply reads
 the reply ring for everybody (the drive of
 :mod:`repro.backends._client`, shared with tcp). This module supplies
-its receive half — poll the reply ring, copy one frame out. A ring has
+its receive half — poll the reply ring, copy what it holds out. A ring has
 no descriptor to select on, so an asyncio loop awaiting a reply polls
 it, a lap per loop callback (:class:`~repro.offload.future.AwaitingLoop`).
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 # Joining the target with a timeout needs it (stdlib imports it inside
 # ``Popen.wait``); loaded here, with the transport, not in ``finalize``.
@@ -74,14 +76,11 @@ import time
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable
 
-from repro.backends._client import FramedClient, byte_view
+from repro.backends._client import FramedClient
 from repro.backends._server import (
-    _FRAME_META,
-    _LEN,
-    _PREFIX,
     _U64,
     DEFAULT_SERVER_WORKERS,
-    FRAME_OVERHEAD,
+    FrameParser,
     FramedServer,
     reset_forked_recorder,
 )
@@ -266,14 +265,16 @@ class ShmSegment:
 
 
 class ShmRing:
-    """One lock-free SPSC ring of framed messages inside a segment.
+    """One lock-free SPSC byte pipe inside a segment.
 
     The producer owns the tail cursor, the consumer the head cursor;
     both are monotonic byte counters living in the segment header (each
     on its own cache line). A frame becomes visible atomically: its
-    bytes are copied in first, the tail published last. Waiting — for
-    data on the consumer side, for space on the producer side — is the
-    adaptive spin-then-sleep loop described in the module docstring.
+    bytes are copied in first, the tail published last. The consumer
+    takes bytes as from a socket (:meth:`recv`, :meth:`recv_into`).
+    Waiting — for data on the consumer side, for space on the producer
+    side — is the adaptive spin-then-sleep loop described in the module
+    docstring.
     """
 
     def __init__(
@@ -348,7 +349,7 @@ class ShmRing:
             buf[base : base + end - cap] = data[first:]
         return counter + n
 
-    def _copy_out(self, counter: int, dest: bytearray) -> None:
+    def _copy_out(self, counter: int, dest: Any) -> None:
         """Fill ``dest`` from the ring at ``counter`` (caller checked
         availability)."""
         buf = self._buf
@@ -435,43 +436,37 @@ class ShmRing:
                         return True
                     return False
 
-    def read_frame(self) -> tuple[int, int, memoryview]:
-        """Consume one frame; returns ``(op, correlation_id, body_view)``.
+    def recv(self, limit: int) -> bytes:
+        """Consume up to ``limit`` published bytes (``b""``: none are).
 
-        The body is a :class:`memoryview` over a freshly copied buffer —
-        the ring slot is released (head advanced) before returning, so
-        the view is safe to hand to another thread.
+        They are copied out and the head advanced before returning, so
+        the ring space is free again and the bytes are safe to hand to
+        another thread.
         """
-        buf = self._buf
         head = self._head
-        cap = self._capacity
-        base = self._data_off
-        pos = head % cap
-        if pos + 4 <= cap:
-            length = _LEN.unpack_from(buf, base + pos)[0]
-        else:
-            scratch = bytearray(4)
-            self._copy_out(head, scratch)
-            length = _LEN.unpack(scratch)[0]
-        if length < _FRAME_META or length > cap - 4:
-            raise BackendError(
-                f"corrupt frame in shm ring {self._name!r}: "
-                f"length {length} outside [{_FRAME_META}, {cap - 4}]"
-            )
-        start = pos + 4
-        if start + length <= cap:
-            # Hot path — the frame is contiguous: one C-level copy.
-            payload = bytes(buf[base + start : base + start + length])
-        else:
-            scratch = bytearray(length)
-            self._copy_out(head + 4, scratch)
-            payload = bytes(scratch)
-        head += 4 + length
-        self._head = head
+        n = self._cursors[self._tail_idx] - head
+        if n > limit:
+            n = limit
+        start = self._data_off + head % self._capacity
+        if start + n > self._data_off + self._capacity:  # wraps: rare
+            data = bytearray(n)
+            self.recv_into(data)
+            return bytes(data)
+        data = bytes(self._buf[start : start + n])  # one C-level copy
+        self._head = head = head + n
         self._cursors[self._head_idx] = head
-        return payload[0], _U64.unpack_from(payload, 1)[0], memoryview(payload)[
-            _FRAME_META:
-        ]
+        return data
+
+    def recv_into(self, view: Any) -> int:
+        """Consume published bytes into ``view``; returns their count."""
+        head = self._head
+        n = self._cursors[self._tail_idx] - head
+        if n > len(view):
+            n = len(view)
+        self._copy_out(head, memoryview(view)[:n])
+        self._head = head = head + n
+        self._cursors[self._head_idx] = head
+        return n
 
     # -- producer side -----------------------------------------------------
     def _await_space(
@@ -510,34 +505,25 @@ class ShmRing:
                 )
         self._account_wait(spins, slept)
 
-    def write_frame(
+    def write(
         self,
-        op: int,
-        corr: int,
-        parts: tuple,
+        frame: list,
         *,
         timeout: float | None = None,
         stop: Callable[[], BaseException | None] | None = None,
     ) -> int:
-        """Post one frame; returns its size in ring bytes.
+        """Publish one frame, its parts back to back; returns its size.
 
-        Blocks (spin-then-sleep) while the ring lacks space — that wait
-        is the transport-level backpressure under the in-flight window,
-        recorded as a ``shm.ring_wait`` span when telemetry is on.
-        Frames larger than the ring cannot ever fit and raise
-        :class:`BackendError` — bulk data travels chunked (see
-        :meth:`ShmBackend.write_buffer`).
+        The parts arrive framed: the ring knows no format. It takes a
+        frame whole — the consumer never sees part of one — so a frame
+        larger than the ring can never fit and raises
+        :class:`BackendError`; bulk data travels chunked (see
+        :meth:`ShmBackend.write_buffer`). Blocks (spin-then-sleep) while
+        the ring lacks space — that wait is the transport-level
+        backpressure under the in-flight window, recorded as a
+        ``shm.ring_wait`` span when telemetry is on.
         """
-        if not parts:
-            views: Any = ()
-            body_len = 0
-        elif len(parts) == 1 and type(parts[0]) is bytes:
-            views = parts
-            body_len = len(parts[0])
-        else:
-            views = [byte_view(part) for part in parts if len(part)]
-            body_len = sum(map(len, views))
-        total = 4 + _FRAME_META + body_len
+        total = sum(map(len, frame))
         cap = self._capacity
         if total > cap:
             raise BackendError(
@@ -545,7 +531,6 @@ class ShmRing:
                 f"{cap} — raise capacity= or stage bulk data "
                 "through put/get"
             )
-        buf = self._buf
         tail = self._tail
         if cap - (tail - self._cursors[self._head_idx]) < total:
             if telemetry.get() is not None:
@@ -555,22 +540,15 @@ class ShmRing:
                     self._await_space(total, timeout, stop)
             else:
                 self._await_space(total, timeout, stop)
-        prefix = _PREFIX.pack(_FRAME_META + body_len, op, corr)
         pos = tail % cap
-        base = self._data_off
-        if pos + total <= cap and body_len < 65536:
+        if pos + total <= cap and total < 65536:
             # Hot path — contiguous small frame: join and copy once.
-            if not views:
-                frame = prefix
-            elif type(views[0]) is bytes and len(views) == 1:
-                frame = prefix + views[0]
-            else:
-                frame = b"".join((prefix, *views))
-            buf[base + pos : base + pos + total] = frame
+            base = self._data_off + pos
+            self._buf[base : base + total] = b"".join(frame)
         else:
-            cursor = self._copy_in(tail, prefix)
-            for view in views:
-                cursor = self._copy_in(cursor, view)
+            cursor = tail
+            for part in frame:
+                cursor = self._copy_in(cursor, part)
         tail += total
         self._tail = tail
         # Publish last: the consumer never sees a partial frame.
@@ -649,9 +627,15 @@ class ShmTargetServer(FramedServer):
         self.segment = segment
         self._recv = _host_to_target_ring(segment)
         self._send = _target_to_host_ring(segment)
+        self._parser = FrameParser(self._recv, segment.capacity)
         #: Bound once — creating a bound method per frame costs real
-        #: time at shared-memory latencies.
-        self._client_gone_cb = self._client_gone
+        #: time at shared-memory latencies, and no frame of this class
+        #: runs between publishing a reply and waiting for the next
+        #: request (the rule of placement, docs/architecture.md).
+        self._transmit = functools.partial(self._send.write, stop=self._client_gone)
+        self._await_bytes = functools.partial(
+            self._recv.wait_readable, stop=self._client_gone
+        )
         segment.server_pid = os.getpid()
 
     def serve_forever(self) -> None:
@@ -664,20 +648,11 @@ class ShmTargetServer(FramedServer):
             # reply ring — everything it should see is already there.
             self.segment.state = STATE_STOPPED
 
-    def _next_frame(self) -> tuple[int, int, memoryview]:
-        """Reader only: poll the request ring for the next frame."""
-        self._recv.wait_readable(stop=self._client_gone_cb)
-        return self._recv.read_frame()
-
     def _client_gone(self) -> BackendError | None:
         pid = self.segment.client_pid
         if pid and not _pid_alive(pid):
             return BackendError(f"shm client process {pid} is gone")
         return None
-
-    def _reply(self, op: int, corr: int, *parts: Any) -> None:
-        with self._send_lock:
-            self._send.write_frame(op, corr, parts, stop=self._client_gone_cb)
 
     def _reply_span_attrs(self) -> dict[str, Any]:
         # The reply ring's occupancy *before* this reply is posted: a slow
@@ -815,9 +790,13 @@ class ShmBackend(FramedClient):
         self._alive_fn = alive_fn
         self._h2t = _host_to_target_ring(segment)
         self._t2h = _target_to_host_ring(segment)
-        #: Bound once — creating a bound method per frame costs real
-        #: time at shared-memory latencies.
-        self._peer_error_cb = self._peer_error
+        self._parser = FrameParser(self._t2h, segment.capacity)
+        #: Bound once, as the target's: ``_await_bytes`` polls the reply
+        #: ring (spin, then sleep) and raises for a peer found dead or
+        #: stopped, after whatever it still published has been read.
+        self._await_bytes = functools.partial(
+            self._t2h.wait_readable, stop=self._peer_error
+        )
         self._send_stall_cb = self._send_stall
         _await_ready(segment, startup_timeout, alive_fn)
         self.segment.client_pid = os.getpid()
@@ -853,7 +832,7 @@ class ShmBackend(FramedClient):
             return BackendError("shm target stopped serving")
         return None
 
-    # -- how a frame leaves ------------------------------------------------
+    # -- how bytes leave ---------------------------------------------------
     def _send_stall(self) -> BackendError | None:
         """Stop-callback while blocked on a full request ring.
 
@@ -867,34 +846,19 @@ class ShmBackend(FramedClient):
         self._poll()
         return self._peer_error()
 
-    def _send(self, op: int, corr: int, *parts: Any) -> None:
+    def _transmit(self, frame: list, nbytes: int) -> None:
         try:
             with self._send_lock:
-                sent = self._h2t.write_frame(
-                    op, corr, parts,
-                    timeout=self.op_timeout, stop=self._send_stall_cb,
+                self._h2t.write(
+                    frame, timeout=self.op_timeout, stop=self._send_stall_cb
                 )
         except BackendError as exc:  # a ring that stays full only times out
             self._fail_pending(exc)
             raise
-        self.bytes_sent += sent
+        self.bytes_sent += nbytes
 
     #: Nothing batches on a ring: an invoke frame leaves like any other.
-    _post_frame = _send
-
-    # -- how replies arrive ------------------------------------------------
-    def _next_frame(
-        self, timeout: float | None
-    ) -> tuple[int, int, memoryview] | None:
-        """Poll the reply ring (spin, then sleep) and copy one frame out;
-        a peer found dead or stopped meanwhile raises, after whatever it
-        still published has been read."""
-        ring = self._t2h
-        if not ring.wait_readable(timeout, self._peer_error_cb):
-            return None
-        frame = ring.read_frame()
-        self.bytes_received += len(frame[2]) + FRAME_OVERHEAD
-        return frame
+    _post = _transmit
 
     # -- lifecycle ---------------------------------------------------------
     def _close_transport(self) -> None:

@@ -8,9 +8,11 @@ real processes, genuine asynchrony. The target runs
 offloadable catalog, mirroring "build the same application for both
 sides") or started manually on another machine.
 
-The wire grammar — the frame, the op table, which ops the target runs
-inline, failure bodies and what each decoder checks — is specified once,
-for tcp and shm alike, in docs/protocols.md, "Real-path frames".
+The socket is a byte pipe: the frame, the op table, which ops the
+target runs inline, failure bodies and what the one decoder checks are
+specified once, for tcp and shm alike, in docs/protocols.md, "Real-path
+frames", and implemented once, in :mod:`repro.backends._server`. Both
+ends here only move bytes: ``sendmsg`` out, ``recv`` in.
 
 Every frame carries a **correlation id**; replies (including failure
 replies) echo the request's id. The client matches replies through an
@@ -21,14 +23,15 @@ operations stay synchronous roundtrips. That table, and everything else
 on the host side that is not moving bytes, is shared with shm:
 :mod:`repro.backends._client` (docs/architecture.md, "Client core").
 
-Frames are assembled with vectored I/O (``sendmsg``): large array
-payloads travel as ``memoryview`` parts straight from the arrays' own
-storage, never concatenated host-side. Small invoke frames take the
+Frames leave with vectored I/O (``sendmsg``): large array payloads
+travel as ``memoryview`` parts straight from the arrays' own storage,
+never concatenated host-side. Small invoke frames take the
 **coalescing path** instead (:class:`~repro.backends.base.FrameCoalescer`):
 they accumulate into one ``sendmsg`` batch flushed on byte budget,
 frame count or a sub-millisecond deadline. A batch is just frames
-back-to-back on the stream; both ends decode it with the same
-:class:`FrameParser`, many frames from one ``recv``.
+back-to-back on the stream; both ends decode it with the one
+:class:`~repro.backends._server.FrameParser`, many frames from one
+``recv``.
 
 There is **no receiver thread**, per connection or shared: the caller
 that waits for a reply polls the socket and parses what arrives, for
@@ -48,25 +51,9 @@ import struct
 from typing import Any, Callable
 
 from repro.backends._client import FramedClient
-from repro.backends._server import (  # noqa: F401 - the frame grammar lives there
-    _FRAME_META,
-    _LEN,
-    _PREFIX,
-    _U64,
+from repro.backends._server import (
     DEFAULT_SERVER_WORKERS,
-    FRAME_OVERHEAD,
-    OP_ALLOC,
-    OP_CLOCK,
-    OP_FAILURE,
-    OP_FREE,
-    OP_INTROSPECT,
-    OP_INVOKE,
-    OP_PING,
-    OP_READ,
-    OP_REPLY_BIT,
-    OP_SHUTDOWN,
-    OP_TELEMETRY,
-    OP_WRITE,
+    FrameParser,
     FramedServer,
     reset_forked_recorder,
 )
@@ -75,11 +62,6 @@ from repro.errors import BackendError
 from repro.ham.registry import Catalog
 
 __all__ = ["TcpBackend", "TcpTargetServer", "spawn_local_server"]
-
-#: Bytes pulled off the socket per ``recv``: small enough that the
-#: receive buffer comes from the allocator's heap, not a fresh mapping
-#: per call. A frame longer than this is received into its own buffer.
-_RECV_CHUNK = 64 * 1024
 
 
 def _sendmsg_all(sock: socket.socket, parts: list) -> None:
@@ -100,107 +82,6 @@ def _sendmsg_all(sock: socket.socket, parts: list) -> None:
             else:
                 views[0] = head[sent:]
                 sent = 0
-
-
-def _send_frame(sock: socket.socket, op: int, corr: int, *parts) -> None:
-    """Send one frame."""
-    body_len = sum(len(part) for part in parts)
-    _sendmsg_all(sock, [_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts])
-
-
-class FrameParser:
-    """Incremental frame decoder over one stream socket, for both ends.
-
-    :meth:`fill` is one ``recv`` (either end's reader calls it when it
-    runs out of frames, the host's once the socket polls readable);
-    :meth:`next_frame` hands out every complete frame it carried as a
-    view into the received chunk — no per-frame buffer or syscall. A
-    frame longer than :data:`_RECV_CHUNK` is received into a buffer of
-    its own, so bulk payloads are copied at most once.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        #: Received bytes; the unparsed ones start at ``_pos``.
-        self._data = b""
-        self._pos = 0
-        #: A long frame being received, and how much of it has arrived.
-        self._big: bytearray | None = None
-        self._big_got = 0
-
-    @property
-    def buffered(self) -> int:
-        """Bytes received of a frame that is not complete yet."""
-        partial = len(self._data) - self._pos
-        if self._big is not None:
-            partial += _LEN.size + self._big_got
-        return partial
-
-    def fill(self) -> int:
-        """One receive syscall; returns its byte count (0 at EOF)."""
-        if self._big is not None:
-            got = self._sock.recv_into(memoryview(self._big)[self._big_got:])
-            self._big_got += got
-            return got
-        chunk = self._sock.recv(_RECV_CHUNK)
-        rest = self._data[self._pos:]
-        self._data = rest + chunk if rest else chunk
-        self._pos = 0
-        return len(chunk)
-
-    def next_frame(self) -> tuple[int, int, memoryview] | None:
-        """The next complete ``(op, corr, body)``, or ``None`` when more
-        bytes are needed. Raises :class:`BackendError` on a frame too
-        short to hold its own header."""
-        big = self._big
-        if big is not None:
-            if self._big_got < len(big):
-                return None
-            self._big = None
-            self._big_got = 0
-            return big[0], _U64.unpack_from(big, 1)[0], memoryview(big)[_FRAME_META:]
-        data = self._data
-        pos = self._pos
-        have = len(data) - pos
-        if have < _LEN.size:
-            return None
-        (length,) = _LEN.unpack_from(data, pos)
-        if length < _FRAME_META:
-            raise BackendError(
-                f"short frame: length {length} < op + correlation header "
-                f"({_FRAME_META} bytes)"
-            )
-        end = pos + _LEN.size + length
-        if end > len(data):
-            if length > _RECV_CHUNK:
-                self._big = big = bytearray(length)
-                self._big_got = have - _LEN.size
-                big[: self._big_got] = data[pos + _LEN.size:]
-                self._data = b""
-                self._pos = 0
-            return None
-        self._pos = end
-        return (
-            data[pos + _LEN.size],
-            _U64.unpack_from(data, pos + _LEN.size + 1)[0],
-            memoryview(data)[pos + FRAME_OVERHEAD:end],
-        )
-
-
-def _eof_error(parser: FrameParser, pending: int = 0) -> BackendError:
-    """Describe an EOF precisely: partial frame bytes + orphaned ops."""
-    context = ""
-    if pending:
-        context = (
-            f"; {pending} pending operation{'s' if pending != 1 else ''}"
-            " can no longer be matched"
-        )
-    if parser.buffered:
-        return BackendError(
-            f"connection closed mid-frame: {parser.buffered} byte(s) "
-            f"of a partial frame received{context}"
-        )
-    return BackendError(f"connection closed by peer{context}")
 
 
 try:  # Linux-only kernel queue probes; depths read as zero elsewhere.
@@ -282,23 +163,8 @@ class TcpTargetServer(FramedServer):
         finally:
             self._listener.close()
 
-    def _next_frame(self) -> tuple[int, int, memoryview]:
-        """Reader only: the next frame, receiving more bytes as needed."""
-        parser = self._parser
-        while True:
-            frame = parser.next_frame()
-            if frame is not None:
-                return frame
-            try:
-                received = parser.fill()
-            except OSError as exc:
-                raise BackendError(f"tcp receive failed: {exc}") from exc
-            if not received:
-                raise _eof_error(parser)
-
-    def _reply(self, op: int, corr: int, *parts) -> None:
-        with self._send_lock:
-            _send_frame(self._conn, op, corr, *parts)
+    def _transmit(self, frame: list) -> None:
+        _sendmsg_all(self._conn, frame)
 
 
 def _server_entry(
@@ -347,9 +213,10 @@ class TcpBackend(FramedClient):
 
     Replies are read by whoever waits for one
     (:class:`~repro.backends._client.FramedClient`): the receive half
-    here polls the socket and parses frames incrementally, so a soft
-    timeout never desynchronizes the stream — a partial frame stays in
-    the parser and is matched when the rest of it arrives.
+    here polls the socket, and the parser takes frames off it
+    incrementally, so a soft timeout never desynchronizes the stream — a
+    partial frame stays in the parser and is matched when the rest of
+    it arrives.
 
     The outbound side coalesces small invoke frames into one
     ``sendmsg`` batch (see :class:`~repro.backends.base.FrameCoalescer`),
@@ -411,8 +278,8 @@ class TcpBackend(FramedClient):
     def peer(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
 
-    # -- how a frame leaves -------------------------------------------------------
-    def _send(self, op: int, corr: int, *parts: Any) -> None:
+    # -- how bytes leave ----------------------------------------------------------
+    def _transmit(self, frame: list, nbytes: int) -> None:
         """Send one frame now, flushing any coalesced frames first.
 
         The ordered path for synchronous operations and large
@@ -420,10 +287,7 @@ class TcpBackend(FramedClient):
         before it, so the stream never reorders around a roundtrip.
         """
         self._coalescer.flush("sync")
-        body_len = sum(map(len, parts))
-        self._transmit_batch(
-            [_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts]
-        )
+        self._transmit_batch(frame)
 
     def _transmit_batch(self, parts: list[Any]) -> None:
         """One scatter-gather send (also the coalescer's sink). Socket
@@ -438,7 +302,7 @@ class TcpBackend(FramedClient):
             raise error from exc
         self.bytes_sent += nbytes
 
-    def _post_frame(self, op: int, corr: int, *parts: Any) -> None:
+    def _post(self, frame: list, nbytes: int) -> None:
         """Send or buffer one invoke frame (the coalescing path).
 
         Small frames are copied into the batch buffer — detaching them
@@ -449,12 +313,10 @@ class TcpBackend(FramedClient):
         is preserved.
         """
         coalescer = self._coalescer
-        body_len = sum(map(len, parts))
-        if _FRAME_META + body_len >= coalescer.policy.max_bytes:
-            self._send(op, corr, *parts)
+        if nbytes >= coalescer.policy.max_bytes:
+            self._transmit(frame, nbytes)
             return
-        frame = b"".join((_PREFIX.pack(_FRAME_META + body_len, op, corr), *parts))
-        coalescer.add([frame], len(frame))
+        coalescer.add([b"".join(frame)], nbytes)
 
     def _drop_unsent(self) -> tuple[int, int]:
         return self._coalescer.discard()
@@ -468,35 +330,12 @@ class TcpBackend(FramedClient):
         self._coalescer.flush("drive")
         super().drive(handle, blocking=blocking, timeout=timeout)
 
-    # -- how replies arrive ---------------------------------------------------------
-    def _next_frame(
-        self, timeout: float | None
-    ) -> tuple[int, int, memoryview] | None:
-        """The next frame the parser holds; failing that, poll the
-        socket, ``recv`` once it is readable and parse again. EOF and
-        receive errors raise (nothing is recorded at a planned close)."""
-        parser = self._parser
-        frame = parser.next_frame()
-        while frame is None:
-            if not self._alive:
-                raise BackendError("tcp transport lost")
-            if not self._poller.poll(None if timeout is None else timeout * 1e3):
-                return None
-            try:
-                received = parser.fill()
-            except OSError as exc:
-                raise BackendError(f"tcp receive failed: {exc}") from exc
-            if not received:
-                raise _eof_error(parser, self._pending_count())
-            self.bytes_received += received
-            frame = parser.next_frame()
-            # Part of a frame: take what else is already here and leave
-            # the rest of the deadline to the caller, who keeps it.
-            timeout = 0.0
-        return frame
-
-    def _held_frame(self) -> tuple[int, int, memoryview] | None:
-        return self._parser.next_frame()
+    # -- how bytes arrive -----------------------------------------------------------
+    def _await_bytes(self, timeout: float | None) -> Any:
+        """Poll the socket; truthy once it is readable (EOF included)."""
+        if not self._alive:
+            raise BackendError("tcp transport lost")
+        return self._poller.poll(None if timeout is None else timeout * 1e3)
 
     def _reply_fd(self) -> int | None:
         """The socket: an awaited reply completes on arrival."""

@@ -31,14 +31,14 @@ from repro.backends import (
     spawn_shm_server,
 )
 from repro.backends.base import DEFAULT_INFLIGHT_LIMIT
-from repro.backends.tcp import OP_PING, OP_REPLY_BIT, FrameParser, _send_frame
+from repro.backends._server import OP_PING, OP_REPLY_BIT, FrameParser
 from repro.errors import BackendError, LoadShedError, OffloadTimeoutError
 from repro.ham import f2f
 from repro.offload import QoSConfig, ResiliencePolicy, Runtime, TenantPolicy
 from repro.offload import api as offload_api
 
 from tests import apps
-from tests.backends.wire import read_frame
+from tests.backends.wire import read_frame, send_frame
 
 BACKENDS = ["local", "faulty", "dma", "veo", "tcp", "shm"]
 
@@ -165,7 +165,7 @@ def _start_wedge_server() -> tuple[str, int]:
                 parser = FrameParser(conn)
                 op, corr, _body = read_frame(parser)
                 assert op == OP_PING
-                _send_frame(conn, OP_PING | OP_REPLY_BIT, corr, b"")
+                send_frame(conn, OP_PING | OP_REPLY_BIT, corr, b"")
                 while read_frame(parser):
                     pass  # consume and stay silent forever
         except (OSError, BackendError):

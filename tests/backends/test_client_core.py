@@ -28,8 +28,14 @@ from repro.backends import (
     spawn_local_server,
     spawn_shm_server,
 )
-from repro.backends._server import _FRAME_META, _PREFIX
-from repro.backends.tcp import OP_ALLOC, OP_INVOKE, OP_PING, OP_REPLY_BIT
+from repro.backends._server import (
+    _FRAME_META,
+    _PREFIX,
+    OP_ALLOC,
+    OP_INVOKE,
+    OP_PING,
+    OP_REPLY_BIT,
+)
 from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
 from repro.ham import f2f
 from repro.ham.registry import Catalog

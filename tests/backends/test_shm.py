@@ -2,12 +2,14 @@
 
 import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.backends import ShmBackend, create_backend, spawn_shm_server
-from repro.backends.shm import DEFAULT_RING_CAPACITY, ShmSegment
+from repro.backends._server import FRAME_OVERHEAD
+from repro.backends.shm import DEFAULT_RING_CAPACITY, ShmSegment, ShmTargetServer
 from repro.errors import (
     BackendError,
     OffloadTimeoutError,
@@ -276,6 +278,63 @@ class TestShmTelemetry:
                 runtime.shutdown()
         finally:
             telemetry.disable()
+
+    def test_records_that_outgrow_the_ring_arrive_in_several_pulls(self):
+        """A pull that does not fit one frame of a 64 KiB ring comes back
+        in several replies, oldest first, and the pull at shutdown too."""
+        recorder = telemetry.enable()  # before the fork: the target records
+        try:
+            process, segment = spawn_shm_server(capacity=1 << 16)
+            backend = ShmBackend(
+                segment,
+                alive_fn=process.is_alive,
+                on_shutdown=lambda: process.join(timeout=5),
+            )
+            runtime = Runtime(backend)
+            try:
+                backend.fetch_target_telemetry()  # what connecting recorded
+                for i in range(1000):
+                    assert runtime.sync(1, f2f(apps.echo, i)) == i
+                pulled = backend.fetch_target_telemetry(align=False)
+                # offload.execute and shm.server.reply per offload, in order
+                assert len(pulled) == 2000
+                assert [r.start_ns for r in pulled] == sorted(r.start_ns for r in pulled)
+                for i in range(1000):
+                    assert runtime.sync(1, f2f(apps.echo, i)) == i
+            finally:
+                runtime.shutdown()  # its last pull ingests the rest
+            assert len(recorder.spans("offload.execute")) == 1000
+            counters = recorder.metrics.snapshot()["counters"]
+            assert "telemetry.pull_failures" not in counters
+        finally:
+            telemetry.disable()
+
+    def test_a_pull_page_fits_a_frame_and_a_huge_record_still_arrives(self):
+        """On a 4 KiB ring every ``OP_TELEMETRY`` reply fits one frame; a
+        record no frame could hold arrives in order, without its attrs."""
+        segment = ShmSegment.create(4096)
+        telemetry.enable()
+        try:
+            server = ShmTargetServer(segment)
+            for i in range(200):
+                telemetry.event("test.small", category="test", i=i)
+                if i == 99:
+                    telemetry.event("test.huge", category="test", blob="x" * 8192)
+            pages = []
+            while page := pickle.loads(server._pull_rows()):
+                assert len(pickle.dumps(page, protocol=4)) <= 4096 - FRAME_OVERHEAD
+                pages.append(page)
+            assert len(pages) > 1 and server._unpulled is None
+            rows = [row for page in pages for row in page if row["cat"] == "test"]
+            assert [row["attrs"].get("i") for row in rows] == [
+                *range(100), None, *range(100, 200)
+            ]
+            (huge,) = [row for row in rows if row["name"] == "test.huge"]
+            assert huge["attrs"]["attrs_dropped_bytes"] > 8192
+        finally:
+            telemetry.disable()
+            segment.close()
+            segment.unlink()
 
     def test_host_spans_cover_offload_phases(self):
         telemetry.enable()

@@ -18,14 +18,7 @@ import numpy as np
 import pytest
 
 from repro.backends import _server
-from repro.backends.shm import (
-    STATE_STOPPED,
-    ShmBackend,
-    ShmSegment,
-    ShmTargetServer,
-    _OFF_H2T_TAIL,
-)
-from repro.backends.tcp import (
+from repro.backends._server import (
     _RECV_CHUNK,
     OP_ALLOC,
     OP_FREE,
@@ -35,10 +28,16 @@ from repro.backends.tcp import (
     OP_SHUTDOWN,
     OP_WRITE,
     FrameParser,
-    TcpBackend,
-    TcpTargetServer,
     _eof_error,
 )
+from repro.backends.shm import (
+    STATE_STOPPED,
+    ShmBackend,
+    ShmSegment,
+    ShmTargetServer,
+    _OFF_H2T_TAIL,
+)
+from repro.backends.tcp import TcpBackend, TcpTargetServer
 from repro.errors import BackendError, RemoteExecutionError
 from repro.ham import f2f, offloadable
 from repro.offload import Runtime

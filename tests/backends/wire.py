@@ -1,14 +1,24 @@
-"""Raw frames for tests that play one end of a tcp connection by hand."""
+"""Raw frames for tests that play one end of a byte pipe by hand."""
 
-from repro.backends.tcp import FrameParser
+from repro.backends._server import _FRAME_META, _PREFIX, FrameParser
 from repro.errors import BackendError
+
+
+def frame(op: int, corr: int, *parts) -> list:
+    """One frame as buffers: its prefix, then ``parts``."""
+    return [_PREFIX.pack(_FRAME_META + sum(map(len, parts)), op, corr), *parts]
+
+
+def send_frame(sock, op: int, corr: int, *parts) -> None:
+    """Send one frame."""
+    sock.sendall(b"".join(frame(op, corr, *parts)))
 
 
 def read_frame(parser: FrameParser):
     """Block for the next ``(op, corr, body)``; ``BackendError`` at EOF."""
     while True:
-        frame = parser.next_frame()
-        if frame is not None:
-            return frame
+        got = parser.next_frame()
+        if got is not None:
+            return got
         if not parser.fill():
             raise BackendError("connection closed by peer")

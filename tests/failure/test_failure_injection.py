@@ -17,7 +17,7 @@ from repro.backends import (
     VeoCommBackend,
     spawn_local_server,
 )
-from repro.backends.tcp import OP_INVOKE, FrameParser
+from repro.backends._server import OP_INVOKE, FrameParser
 from repro.errors import (
     BackendError,
     DmaatbError,

@@ -14,7 +14,7 @@ import struct
 
 import pytest
 
-from repro.backends.tcp import OP_FAILURE, OP_INVOKE, OP_REPLY_BIT
+from repro.backends._server import OP_FAILURE, OP_INVOKE, OP_REPLY_BIT
 from repro.errors import RemoteExecutionError, SerializationError
 from repro.ham import MSG_RESULT, Functor, build_message, f2f
 from repro.ham.registry import type_name_of

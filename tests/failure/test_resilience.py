@@ -21,7 +21,7 @@ from repro.backends import (
     TcpBackend,
     spawn_local_server,
 )
-from repro.backends.tcp import OP_PING, OP_REPLY_BIT, FrameParser, _send_frame
+from repro.backends._server import OP_PING, OP_REPLY_BIT, FrameParser
 from repro.cluster import AuroraCluster
 from repro.errors import (
     BackendError,
@@ -37,7 +37,7 @@ from repro.ham import f2f
 from repro.offload import HealthMonitor, NodeHealth, ResiliencePolicy, Runtime
 
 from tests import apps
-from tests.backends.wire import read_frame
+from tests.backends.wire import read_frame, send_frame
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def _start_misbehaving_server(behavior: str) -> tuple[str, int]:
                 op, corr, _body = read_frame(parser)
                 assert op == OP_PING
                 # Empty digest: the client skips the catalog comparison.
-                _send_frame(conn, OP_PING | OP_REPLY_BIT, corr, b"")
+                send_frame(conn, OP_PING | OP_REPLY_BIT, corr, b"")
                 if behavior == "wedge":
                     while read_frame(parser):
                         pass  # consume and stay silent forever

@@ -149,11 +149,18 @@ class TestDefaultPathBudget:
         assert counts.locks == 2
 
 
+#: Calls of one warm ``sync(1, f2f(echo, 7))`` on a framed transport,
+#: CPython 3.11: 88 on shm, 102 on tcp — one frame packed by the client
+#: core, sent, and read back by the one parser. The ceilings sit ~5 %
+#: above.
+MAX_FRAMED_SYNC_CALLS = {"shm": 92, "tcp": 107}
+
+
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 def test_plain_sync_files_nothing_on_framed_transports(transport):
     """A warm sync on a framed transport reads its own reply inline: no
-    handle, future or event is built and the correlation table's lock is
-    never taken."""
+    handle, future or event is built, the correlation table's lock is
+    never taken, and the calls stay within the transport's budget."""
     runtime = offload_api.init(transport)
     try:
         for i in range(50):
@@ -165,6 +172,10 @@ def test_plain_sync_files_nothing_on_framed_transports(transport):
         assert counts.constructed == []
         assert counting.acquisitions == 0
         assert runtime.window.in_flight == 0
+        assert counts.calls <= MAX_FRAMED_SYNC_CALLS[transport], (
+            f"one warm {transport} sync made {counts.calls} calls (budget "
+            f"{MAX_FRAMED_SYNC_CALLS[transport]})"
+        )
     finally:
         offload_api.finalize()
 
