@@ -118,14 +118,17 @@ def close_reply_span(reply_span: Any, body: Any) -> None:
 
     Telemetry phase ``offload.reply``: one reply frame pulled off the
     transport (the pre-reply wait lives in ``offload.transport``). The
-    receiving thread runs outside any trace context, so the span is
-    closed under the reply's own (peeked) context when that trace is
-    unsampled — the recorder gate then stages it with the trace instead
-    of polluting the ring on the fast path.
+    receiving thread may read a reply for another caller's trace, so the
+    span is closed under the reply's own (peeked) context when that
+    trace is unsampled — the recorder gate then stages it with the trace
+    instead of polluting the ring on the fast path. A leader's own reply
+    needs no peek: its trace is the one active on its thread.
     """
     reply_span.set("bytes", len(body) + FRAME_OVERHEAD)
-    with trace_context.activate(_unsampled_reply_context(body)):
-        reply_span.__exit__(None, None, None)
+    ctx = _unsampled_reply_context(body)
+    if ctx is not None and reply_span is not telemetry.NOOP_SPAN:
+        reply_span.ctx = ctx
+    reply_span.__exit__(None, None, None)
 
 
 class FramedClient(Backend):
@@ -400,24 +403,25 @@ class FramedClient(Backend):
         leader: nobody else can consume its reply, so it files nothing
         and reads until its own correlation id comes by
         (:meth:`_consume_inline`); behind another reader it files a
-        handle and follows. Traced, an invoke (of ``nbytes``) records the
-        spans of a posted one: ``offload.enqueue``, ``offload.transport``.
+        handle and follows. Traced, an invoke (of ``nbytes``, summed only
+        while telemetry records) records the spans of a posted one:
+        ``offload.enqueue``, ``offload.transport``.
         """
         self._check_alive()
         effective = timeout if timeout is not None else self.op_timeout
-        recorder = telemetry.get()
-        traced = nbytes > 0 and recorder is not None
+        traced = nbytes > 0
+        recording = traced or telemetry.get() is not None
         if self._drive_lock.acquire(blocking=False):
             try:
                 corr = self._next_corr()
                 if not traced:  # the hot path: nothing between send and read
                     self._send(op, corr, *parts)
-                    return self._consume_inline(op, corr, effective, label, recorder)
+                    return self._consume_inline(op, corr, effective, label, recording)
                 with telemetry.span("offload.enqueue", bytes=nbytes,
                                     functor=label, corr=corr):
                     self._send(op, corr, *parts)
                 with telemetry.span("offload.transport", label=label):
-                    return self._consume_inline(op, corr, effective, label, recorder)
+                    return self._consume_inline(op, corr, effective, label, True)
             finally:
                 self._drive_lock.release()
         handle = InvokeHandle(self, label or f"op {op:#x}")
@@ -432,12 +436,16 @@ class FramedClient(Backend):
         return handle._reply
 
     def _consume_inline(
-        self, op: int, corr: int, timeout: float | None, label: str, recorder: Any
+        self, op: int, corr: int, timeout: float | None, label: str,
+        recording: bool,
     ) -> memoryview:
         """Drive lock held: read until ``corr``'s reply, returned directly.
 
         Replies for other callers are dispatched through the expectation
-        table on the way (recorded as :meth:`_pump` does). A timeout is
+        table on the way (``recording``, recorded as :meth:`_pump` does;
+        its own reply belongs to the trace already active on this thread,
+        so its ``offload.reply`` span is recorded under it, with no peek
+        at the header and no context activated). A timeout is
         soft, like :meth:`_wait`: a handle is filed under ``corr`` *now*
         (no reply can have slipped past — this thread held the drive
         lock throughout) so a later pump can still complete it instead of
@@ -455,14 +463,19 @@ class FramedClient(Backend):
                     raise self._no_reply(handle)
             try:
                 frame = self._next_frame(wait)
-                if frame is not None and recorder is not None:
-                    self._record_reply(frame[2])
+                if frame is not None and recording:
+                    if frame[1] == corr:  # under the trace active here
+                        with telemetry.span("offload.reply", transport=self.name,
+                                            bytes=len(frame[2]) + FRAME_OVERHEAD):
+                            pass
+                    else:
+                        self._record_reply(frame[2])
                 if frame is not None and frame[1] == corr:
                     # Its own: first complete what else has arrived — a
                     # loop watching ``_reply_fd`` wakes on new bytes only.
                     held = self._parser.next_frame()
                     while held is not None:
-                        if recorder is not None:
+                        if recording:
                             self._record_reply(held[2])
                         self._dispatch_reply(*held)
                         held = self._parser.next_frame()

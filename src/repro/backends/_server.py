@@ -256,8 +256,11 @@ class FramedServer:
         self._standby = threading.Condition(self._lock)
         #: ... every other parked thread here (``_idle`` of them), ...
         self._parked = threading.Condition(self._lock)
-        #: ... and ``OP_SHUTDOWN`` here, for ``_executing`` to reach zero.
+        #: ... and ``OP_SHUTDOWN`` here, for ``_executing`` to reach
+        #: zero; ``_draining`` while it does, so that only then is it
+        #: notified.
         self._drained = threading.Condition(self._lock)
+        self._draining = False
         self._executing = 0
         self._backlog: deque[tuple[int, Any]] = deque()
         #: Name of the thread that reads frames; ``None`` from a hand-off
@@ -426,8 +429,10 @@ class FramedServer:
                     # Acknowledged once nothing executes (the backlog is
                     # then empty too): the ack is the last frame sent.
                     with self._lock:
+                        self._draining = True
                         while self._executing:
                             self._drained.wait()
+                        self._draining = False
                     self._handle_inline(op, corr, body)
                     self._stop("shutdown")
                     return
@@ -461,7 +466,7 @@ class FramedServer:
                     corr, body = self._backlog.popleft()
                     continue
                 self._executing -= 1
-                if not self._executing:
+                if not self._executing and self._draining:
                     self._drained.notify_all()
                 return reading and self.stopped is None
 

@@ -272,16 +272,27 @@ class FrameCoalescer:
 
 
 class _Deadline:
-    """A deadline armed on a :class:`DeadlineTimer`; ``cancel()`` disarms it."""
+    """A deadline armed on a :class:`DeadlineTimer`; ``cancel()`` disarms it.
 
-    __slots__ = ("when", "callback")
+    The callback is claimed once, under the timer's condition: by the
+    timer thread that fires it or by ``cancel``, whichever comes first.
+    """
 
-    def __init__(self, when: float, callback: Callable[[], None] | None) -> None:
+    __slots__ = ("when", "callback", "_cond")
+
+    def __init__(self, when: float, callback: Callable[[], None] | None,
+                 cond: threading.Condition) -> None:
         self.when = when
         self.callback = callback
+        self._cond = cond
 
-    def cancel(self) -> None:
-        self.callback = None
+    def cancel(self) -> bool:
+        """Disarm the deadline; ``False`` if it had fired (or was being
+        fired) already."""
+        with self._cond:
+            armed = self.callback is not None
+            self.callback = None
+        return armed
 
 
 class DeadlineTimer:
@@ -324,7 +335,7 @@ class DeadlineTimer:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> _Deadline:
         """Run ``callback`` on the timer thread ``delay`` seconds from now."""
-        deadline = _Deadline(time.monotonic() + delay, callback)
+        deadline = _Deadline(time.monotonic() + delay, callback, self._cond)
         with self._cond:
             self._queue.append(deadline)
             if self._thread is None and self._users:
@@ -348,8 +359,10 @@ class DeadlineTimer:
                     cond.wait(None if late is None else -late)
                     self.wakeups += 1
                     continue
-                callback = queue.popleft().callback
-                assert callback is not None  # dropped above, under the lock
+                deadline = queue.popleft()
+                callback, deadline.callback = deadline.callback, None
+                if callback is None:  # cancelled since the skip above
+                    continue
                 self.max_lag_us = max(self.max_lag_us, late * 1e6)
                 cond.release()
                 try:

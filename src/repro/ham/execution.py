@@ -75,7 +75,7 @@ def sized_invoke_parts(
     if recorder is not None:
         # Per-kernel byte attribution, fed for every offload regardless
         # of the sampling verdict.
-        recorder.metrics.counter(f"kernel.{functor.type_name}.bytes").inc(nbytes)
+        recorder.kernel_bytes[functor.type_name].inc(nbytes)
     return parts, nbytes
 
 
@@ -120,7 +120,8 @@ def execute_message(
     empty RESULT acknowledging termination).
 
     VE-side failures never crash the message loop: they are captured into
-    an ERROR reply carrying the remote traceback.
+    an ERROR reply carrying the remote traceback. A process that does not
+    record builds no trace context and opens no span for it.
     """
     (kind, handler_key, msg_id, start, end,
      trace_id, parent_span_id, trace_flags) = split_message(data)
@@ -128,44 +129,68 @@ def execute_message(
         return build_message(MSG_RESULT, 0, msg_id, serialize(None)), False
     if kind != MSG_INVOKE:
         raise SerializationError(f"target received non-invoke message kind {kind}")
+    recorder = telemetry.get()
+    if recorder is None:
+        # A process that does not record: no context, no span; the
+        # reply still carries the sender's trace back.
+        return _invoke(image, data, start, end, handler_key, msg_id, resolver,
+                      trace_id, parent_span_id, trace_flags, None)
     # Re-enter the sender's distributed trace (version-2 headers carry
     # it; version-1 messages execute untraced, exactly as before): the
     # execute span below records the same trace_id and — when this
     # process's local span stack is empty, i.e. a real remote target —
     # parents itself to the host span named in the header.
+    token: Any = None
     if trace_id:
-        ctx = TraceContext(
+        token = trace_context.enter(TraceContext(
             trace_id, parent_span_id,
             bool(trace_flags & trace_context.FLAG_SAMPLED),
-        )
-    else:
-        ctx = None
-    # Telemetry phase ``offload.execute``: argument decode + handler run +
-    # reply build on the target (the host process for the local backend,
-    # the forked server for TCP).
+        ))
+    try:
+        # Telemetry phase ``offload.execute``: argument decode + handler
+        # run + reply build on the target (the host process for the local
+        # backend, the forked server for TCP).
+        with telemetry.span("offload.execute", bytes=len(data)) as span:
+            return _invoke(image, data, start, end, handler_key, msg_id,
+                          resolver, trace_id, parent_span_id, trace_flags, span)
+    finally:
+        if token is not None:
+            trace_context.leave(token)
+
+
+def _invoke(
+    image: ProcessImage, data: Any, start: int, end: int, handler_key: int,
+    msg_id: int, resolver: Resolver | None, trace_id: int,
+    parent_span_id: int, trace_flags: int, span: Any,
+) -> tuple[bytes, bool]:
+    """Run the handler an INVOKE names and build the reply message: a
+    RESULT, or an ERROR carrying the remote traceback. ``span`` (``None``
+    while nothing records) is the open ``offload.execute`` span."""
     reply_kind = MSG_RESULT
-    with trace_context.activate(ctx), \
-            telemetry.span("offload.execute", bytes=len(data)) as span:
-        try:
-            entry = image.entry_for_key(handler_key)
+    try:
+        entry = image.entry_for_key(handler_key)
+        if span is not None:
             span.set("handler", entry.type_name)
-            args, kwargs = decode_args(data, start, end)
-            if resolver is not None:
-                args = tuple(map(resolver, args))
-                if kwargs:
-                    kwargs = {k: resolver(v) for k, v in kwargs.items()}
-            payload = serialize(entry.handler(*args, **kwargs))
-        except Exception as exc:  # noqa: BLE001 - shipped back to the host
+        args, kwargs = decode_args(data, start, end)
+        if resolver is not None:
+            args = tuple(map(resolver, args))
+            if kwargs:
+                kwargs = {k: resolver(v) for k, v in kwargs.items()}
+        payload = serialize(entry.handler(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - shipped back to the host
+        if span is not None:
             span.set("error", type(exc).__name__)
-            reply_kind = MSG_ERROR
-            payload = serialize({
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-            })
+        reply_kind = MSG_ERROR
+        payload = serialize({
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": traceback.format_exc(),
+        })
+    if span is not None and span.span_id:
+        parent_span_id = span.span_id  # the next hop's parent
     return pack_header(
         reply_kind, 0, msg_id, len(payload),
-        trace_id, span.span_id or parent_span_id, trace_flags,
+        trace_id, parent_span_id, trace_flags,
     ) + payload, True
 
 

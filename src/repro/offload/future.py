@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from typing import Any, Callable, Generator, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Generator, Protocol
 
 from repro.backends.base import SLEEP_MAX, SLEEP_MIN, SPIN_YIELDS, Backend, InvokeHandle
 from repro.errors import FutureError, OffloadTimeoutError
@@ -32,6 +32,9 @@ from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
 from repro.telemetry.sampling import complete_offload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.recorder import Recorder
 
 __all__ = ["AwaitingLoop", "CompletedHandle", "Future", "OperationHandle"]
 
@@ -199,39 +202,45 @@ class Future:
             # poisoned handle simply re-raises immediately next time).
             # The availability SLO sees the miss once per future, even
             # if the straggler reply eventually lands.
-            settle_offload(
-                None if self._timeout_observed else self._start_ns,
-                self._label, self._trace, self._tenant, self._node,
-                timed_out=True,
-            )
+            recorder = telemetry.get()
+            if recorder is not None:
+                settle_offload(
+                    recorder,
+                    None if self._timeout_observed else self._start_ns,
+                    self._label, self._trace, self._tenant, self._node,
+                    timed_out=True,
+                )
             self._timeout_observed = True
             raise
         except BaseException as exc:  # noqa: BLE001 - stored for re-raise
             self._error = exc
         self._done = True
         self._handle = None
-        settle_offload(self._start_ns, self._label, self._trace, self._tenant,
-                       self._node, error=self._error is not None)
+        recorder = telemetry.get()
+        if recorder is not None:
+            settle_offload(recorder, self._start_ns, self._label, self._trace,
+                           self._tenant, self._node, error=self._error is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
         return f"<Future {self._label!r} {state}>"
 
 
-def settle_offload(start_ns: int | None, label: str, trace: TraceContext | None,
-                   tenant: str | None, node: int | None, *,
-                   error: bool = False, timed_out: bool = False) -> None:
-    """Account how one offload ended, a future's or a sync's: a missed
-    deadline counts ``future.timeouts`` and misses availability; any other
-    end counts ``future.settled`` and, given the issue time ``start_ns``,
-    goes to :func:`~repro.telemetry.sampling.complete_offload`."""
+def settle_offload(recorder: "Recorder", start_ns: int | None, label: str,
+                   trace: TraceContext | None, tenant: str | None,
+                   node: int | None, *, error: bool = False,
+                   timed_out: bool = False) -> None:
+    """Account into ``recorder`` (the caller's, read once per offload) how
+    one offload ended, a future's or a sync's: a missed deadline counts
+    ``future.timeouts`` and misses availability; any other end counts
+    ``future.settled`` and, given the issue time ``start_ns``, goes to
+    :func:`~repro.telemetry.sampling.complete_offload`."""
     if timed_out:
-        telemetry.count("future.timeouts")
+        recorder.counters["future.timeouts"].inc()
         availability_miss(start_ns, tenant)
         return
-    telemetry.count("future.settled")
-    recorder = telemetry.get()
-    if start_ns is not None and recorder is not None:
+    recorder.counters["future.settled"].inc()
+    if start_ns is not None:
         complete_offload(
             trace, kernel=label, duration_ns=time.perf_counter_ns() - start_ns,
             error=error, recorder=recorder, tenant=tenant, node=node,

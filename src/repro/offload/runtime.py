@@ -179,7 +179,7 @@ class Runtime:
         head sampler is installed (``telemetry={"sample_rate": p}``),
         the fresh root carries its verdict; without one every trace is
         sampled. With telemetry off, no context exists and the path stays
-        free.
+        free. :meth:`_offload` does the same inline.
         """
         recorder = telemetry.get()
         if recorder is None:
@@ -255,29 +255,41 @@ class Runtime:
                 # An availability miss, charged to the tenant that caused it.
                 availability_miss(start_ns, tenant)
                 raise
-        ctx = self._offload_trace()
+        recorder = telemetry.get()
+        ctx: trace_context.TraceContext | None = None
+        token: Any = None
+        if recorder is not None:
+            # _offload_trace(), written out: a fresh root is active
+            # around the call, and left again on every way out.
+            ctx = trace_context.current()
+            if ctx is None:
+                sampler = recorder.sampler
+                ctx = (sampler.new_trace() if sampler is not None
+                       else trace_context.new_trace())
+                token = trace_context.enter(ctx)
         window = self.window
         acquired = False
         try:
-            with trace_context.activate(ctx):
-                slot_wait = self._window_timeout
-                if expiry is not None:
-                    remaining = expiry - time.monotonic()
-                    if remaining <= 0:
-                        raise OffloadTimeoutError(
-                            "offload budget exhausted before a window slot "
-                            "was acquired"
-                        )
-                    slot_wait = remaining if slot_wait is None else min(slot_wait, remaining)
-                window.acquire(tenant=tctx, timeout=slot_wait, label=functor.type_name)
-                acquired = True
-                if not sync:
-                    result = self.backend.post_invoke(node, functor)
-                else:
-                    if expiry is not None:  # what the slot wait left
-                        timeout = expiry - time.monotonic()
-                    result = self.backend.sync_invoke(node, functor, timeout)
+            slot_wait = self._window_timeout
+            if expiry is not None:
+                remaining = expiry - time.monotonic()
+                if remaining <= 0:
+                    raise OffloadTimeoutError(
+                        "offload budget exhausted before a window slot "
+                        "was acquired"
+                    )
+                slot_wait = remaining if slot_wait is None else min(slot_wait, remaining)
+            window.acquire(tenant=tctx, timeout=slot_wait, label=functor.type_name)
+            acquired = True
+            if not sync:
+                result = self.backend.post_invoke(node, functor)
+            else:
+                if expiry is not None:  # what the slot wait left
+                    timeout = expiry - time.monotonic()
+                result = self.backend.sync_invoke(node, functor, timeout)
         except BaseException as exc:
+            if token is not None:
+                trace_context.leave(token)
             if acquired:
                 late = exc.handle if isinstance(exc, OffloadTimeoutError) else None
                 if late is None:
@@ -286,9 +298,11 @@ class Runtime:
                     window.register(late)
             self._failed(node, functor, tenant, ctx, start_ns, exc, sync and acquired)
             raise
+        if token is not None:
+            trace_context.leave(token)
         self._offloads_posted += 1
-        if ctx is not None:
-            telemetry.count("offload.issued")
+        if recorder is not None:
+            recorder.counters["offload.issued"].inc()
         if not sync:
             window.register(result)
             return Future(result, label=functor.type_name, trace=ctx,
@@ -296,8 +310,8 @@ class Runtime:
         window.cancel()
         if self.policy is not None:  # the retry loop's health accounting
             self.monitor.record_success(node)
-        if ctx is not None:  # a recorder is installed
-            settle_offload(start_ns, functor.type_name, ctx, tenant, node)
+        if recorder is not None:
+            settle_offload(recorder, start_ns, functor.type_name, ctx, tenant, node)
         return result
 
     def sync(
@@ -371,10 +385,12 @@ class Runtime:
                 monitor.record_failure(node)
         if ended:
             self._offloads_posted += 1
-            telemetry.count("offload.issued")
-            settle_offload(start_ns, functor.type_name, ctx, tenant, node,
-                           error=True,
-                           timed_out=isinstance(exc, OffloadTimeoutError))
+            recorder = telemetry.get()
+            if recorder is not None:
+                recorder.counters["offload.issued"].inc()
+                settle_offload(recorder, start_ns, functor.type_name, ctx,
+                               tenant, node, error=True,
+                               timed_out=isinstance(exc, OffloadTimeoutError))
         else:
             telemetry.count("offload.issue_failures")
             availability_miss(start_ns, tenant)

@@ -13,21 +13,24 @@ This module is that tie: a W3C-``traceparent``-style context
   see :mod:`repro.ham.message`) — the header is the one structure that
   always crosses the boundary, on every backend;
 * **activated on the target** by
-  :func:`repro.ham.execution.execute_message`, so target-side spans
-  record the same ``trace_id`` and parent themselves to the host-side
-  span that produced the message bytes.
+  :func:`repro.ham.execution.execute_message` while that process
+  records, so target-side spans record the same ``trace_id`` and parent
+  themselves to the host-side span that produced the message bytes (a
+  target that does not record builds no context; its reply carries the
+  header's trace back all the same).
 
 The context rides a :class:`contextvars.ContextVar`, so concurrent
 offloads on different threads (or tasks) do not leak into each other.
 While telemetry is disabled no context is ever created — the hot path
-stays free.
+stays free. Trace ids come from a generator of this module's own
+(:func:`new_trace_id`), not from a system call per offload.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-from dataclasses import dataclass, field, replace
+import random
 from typing import Any
 
 __all__ = [
@@ -36,6 +39,8 @@ __all__ = [
     "activate",
     "current",
     "current_trace_id_hex",
+    "enter",
+    "leave",
     "new_trace",
     "new_trace_id",
 ]
@@ -46,9 +51,13 @@ FLAG_SAMPLED = 0x01
 _TRACEPARENT_VERSION = "00"
 
 
-@dataclass(frozen=True, slots=True)
 class TraceContext:
     """One causal trace: identity plus the current parent span.
+
+    Never modified once built, and equal and hashable by its three
+    fields. Not a frozen dataclass: its ``__init__`` would store every
+    field through ``object.__setattr__``, and the runtime builds one
+    root context per traced offload.
 
     Attributes
     ----------
@@ -65,38 +74,43 @@ class TraceContext:
         the same trace id agrees, and the tail pipeline needs the id to
         match staged spans with their completion — but its spans bypass
         the recorder ring (staged host-side, skipped target-side).
+    trace_id_hex:
+        The trace id as the 32-char lowercase hex of ``traceparent``,
+        formatted once here: every span and event of the trace carries it.
+    flags:
+        The header/traceparent flag byte.
     """
 
-    trace_id: int
-    span_id: int = 0
-    sampled: bool = True
-    #: ``trace_id_hex``, formatted by its first reader: every span and
-    #: event of the trace carries it, so it is computed once per context.
-    _hex: str = field(default="", init=False, repr=False, compare=False)
+    __slots__ = ("trace_id", "span_id", "sampled", "trace_id_hex", "flags")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.trace_id < 1 << 128:
-            raise ValueError(f"trace_id must be a non-zero 128-bit int")
-        if not 0 <= self.span_id < 1 << 64:
-            raise ValueError(f"span_id must fit in 64 bits, got {self.span_id}")
+    def __init__(self, trace_id: int, span_id: int = 0,
+                 sampled: bool = True) -> None:
+        if not 0 < trace_id < 1 << 128:
+            raise ValueError("trace_id must be a non-zero 128-bit int")
+        if not 0 <= span_id < 1 << 64:
+            raise ValueError(f"span_id must fit in 64 bits, got {span_id}")
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.sampled = sampled
+        self.trace_id_hex = f"{trace_id:032x}"
+        self.flags = FLAG_SAMPLED if sampled else 0
 
-    @property
-    def trace_id_hex(self) -> str:
-        """The trace id as the 32-char lowercase hex of ``traceparent``."""
-        hex_id = self._hex
-        if not hex_id:
-            hex_id = f"{self.trace_id:032x}"
-            object.__setattr__(self, "_hex", hex_id)
-        return hex_id
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceContext):
+            return NotImplemented
+        return (self.trace_id == other.trace_id and self.span_id == other.span_id
+                and self.sampled == other.sampled)
 
-    @property
-    def flags(self) -> int:
-        """The header/traceparent flag byte."""
-        return FLAG_SAMPLED if self.sampled else 0
+    def __hash__(self) -> int:
+        return hash((self.trace_id, self.span_id, self.sampled))
+
+    def __repr__(self) -> str:
+        return (f"TraceContext(trace_id={self.trace_id}, "
+                f"span_id={self.span_id}, sampled={self.sampled})")
 
     def child(self, span_id: int) -> "TraceContext":
         """The same trace re-parented under ``span_id`` (next hop)."""
-        return replace(self, span_id=span_id)
+        return TraceContext(self.trace_id, span_id, self.sampled)
 
     # -- W3C-style text encoding -------------------------------------------
     def to_traceparent(self) -> str:
@@ -134,11 +148,19 @@ _CURRENT: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(
 )
 
 
+#: Where trace ids come from: a generator of this module's own, seeded
+#: from ``os.urandom`` and again in a forked child (whose ids must not
+#: repeat the parent's). Not the global ``random``, which an application
+#: may seed; ``getrandbits`` costs no system call per offload.
+_IDS = random.Random()
+os.register_at_fork(after_in_child=_IDS.seed)
+
+
 def new_trace_id() -> int:
     """A random non-zero 128-bit trace id."""
-    trace_id = 0
-    while trace_id == 0:
-        trace_id = int.from_bytes(os.urandom(16), "big")
+    trace_id = _IDS.getrandbits(128)
+    while not trace_id:
+        trace_id = _IDS.getrandbits(128)
     return trace_id
 
 
@@ -150,6 +172,13 @@ def new_trace(*, sampled: bool = True) -> TraceContext:
 #: ``current()``: the active trace context, or ``None`` outside any
 #: trace — the variable's own ``get``, since every span reads it.
 current = _CURRENT.get
+
+#: ``token = enter(ctx)`` ... ``leave(token)``: :func:`activate` without
+#: the context manager, for the one-per-offload paths (the runtime's
+#: fresh root, a target's remote context), which restore the previous
+#: context on every way out themselves.
+enter = _CURRENT.set
+leave = _CURRENT.reset
 
 
 def current_trace_id_hex() -> str:

@@ -160,18 +160,23 @@ class LogHistogram:
                 self._exemplars = [None] * (len(self._bounds) + 1)
 
     def observe(self, value: float, trace_id: str | None = None) -> None:
+        with self._lock:
+            self.fold(value, trace_id)
+
+    def fold(self, value: float, trace_id: str | None = None) -> None:
+        """:meth:`observe` by a caller that holds the histogram's lock
+        (the recorder's phase histograms share the lock of its ring)."""
         value = float(value)
         idx = bisect.bisect_left(self._bounds, value)
-        with self._lock:
-            self._counts[idx] += 1
-            self.count += 1
-            self.total += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            if trace_id and self._exemplars is not None:
-                self._exemplars[idx] = (trace_id, value)
+        self._counts[idx] += 1
+        self.count += 1
+        self.total += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+        if trace_id and self._exemplars is not None:
+            self._exemplars[idx] = (trace_id, value)
 
     def percentile(self, q: float) -> float:
         if not 0.0 <= q <= 100.0:

@@ -13,19 +13,22 @@ backends. Design constraints, in order:
    the exception by design: control-plane events are off the fault-free
    path and always reach the black box.
 2. **Cheap when on.** A recorded span is one small object, two clock
-   reads (:func:`time.perf_counter_ns`) and one record: :func:`span`
-   builds the span itself; enter and exit each read the thread's state
-   once (span stack and thread id, set up once per thread) and the trace
-   context at most once; the pid is cached (refreshed in a forked child),
-   a trace formats its hex id once, and the record is an unfrozen slots
-   dataclass built positionally. Two locks per record, each around a
-   read-modify-write: the phase histogram's and the ring's; instrument
-   look-ups read the registry without its lock. The ring is bounded
+   reads (:func:`time.perf_counter_ns`), one record and one lock:
+   :func:`span` builds the span itself; enter reads the thread's span
+   stack (which carries the thread id) and the trace context once each,
+   and keeps both for the exit; the pid is cached (refreshed in a forked
+   child), a trace context carries its hex id as a plain attribute, and
+   the exit fills an unfrozen slots record field by field, then folds
+   the phase histogram and appends the record under the ring's lock,
+   which the phase histograms share. Instruments are resolved once per
+   name (``Recorder.counters``, the per-kernel and per-phase caches): a
+   hit is a subscript. The ring is bounded
    (:class:`collections.deque` with ``maxlen``): old records are dropped
    and counted, never grown. Per-offload figures: ``docs/observability.md``
    ("What tracing costs"), bounded by ``tests/offload/test_offload_budget.py``.
-3. **Thread-safe.** Appends are locked; span nesting is tracked per
-   thread, so concurrent offloads interleave correctly in the trace.
+3. **Thread-safe.** Appends and phase folds are locked; span nesting is
+   tracked per thread, so concurrent offloads interleave correctly in
+   the trace (``tests/telemetry/test_recording_contention.py``).
 
 Spans nest: a span opened while another is active records it as its
 parent, which is how the exporters reconstruct the
@@ -71,6 +74,9 @@ __all__ = [
     "span",
 ]
 
+
+#: The active trace context (``trace_context.current``), read once per span.
+_current_trace = trace_context.current
 
 #: This process's id, read once (``os.getpid()`` is a system call and every
 #: record carries the pid twice) and again first thing in a forked child.
@@ -154,20 +160,48 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
+class _SpanStack(list):
+    """Ids of the spans open on one thread, innermost last, and ``tid``,
+    the thread's id: what a span reads of its thread, in one object."""
+
+    __slots__ = ("tid",)
+    tid: int
+
+
 class _ThreadState(threading.local):
     """Per-thread recording state (set up on a thread's first access)."""
 
     def __init__(self) -> None:
-        #: Ids of the spans open on this thread, innermost last.
-        self.stack: list[int] = []
-        self.tid = threading.get_ident()
+        self.stack = _SpanStack()
+        self.stack.tid = threading.get_ident()
+
+
+class _Resolved(dict):
+    """``name -> instrument``, resolved by ``resolve(name)`` on the first
+    lookup of a name: a hit is a subscript, no call."""
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve: Any) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, name: str) -> Any:
+        instrument = self[name] = self._resolve(name)
+        return instrument
 
 
 class _Span:
-    """An open span; created by :meth:`Recorder.span`, closed by ``with``."""
+    """An open span; created by :meth:`Recorder.span`, closed by ``with``.
+
+    ``ctx`` is the trace context read once, on enter: the exit records
+    the span under it. The one caller that closes a span under another
+    trace (:func:`repro.backends._client.close_reply_span`) sets it
+    before the exit.
+    """
 
     __slots__ = ("_recorder", "name", "category", "attrs", "span_id",
-                 "parent_id", "_start_ns")
+                 "parent_id", "_start_ns", "_stack", "ctx")
 
     def __init__(self, recorder: "Recorder", name: str, category: str,
                  attrs: dict[str, Any]) -> None:
@@ -175,9 +209,6 @@ class _Span:
         self.name = name
         self.category = category
         self.attrs = attrs
-        self.span_id = 0
-        self.parent_id = 0
-        self._start_ns = 0
 
     def set(self, key: str, value: Any) -> "_Span":
         """Attach an attribute mid-span (e.g. byte counts known late)."""
@@ -186,16 +217,17 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         recorder = self._recorder
-        stack = recorder._thread.stack
+        stack = self._stack = recorder._thread.stack
+        ctx = self.ctx = _current_trace()
         if stack:
             self.parent_id = stack[-1]
-        else:
+        elif ctx is not None:
             # Top of the local stack: adopt the distributed trace's
             # remote parent (the host span that built the message this
-            # process is executing), if one is active.
-            ctx = trace_context.current()
-            if ctx is not None:
-                self.parent_id = ctx.span_id
+            # process is executing).
+            self.parent_id = ctx.span_id
+        else:
+            self.parent_id = 0
         # Recorder._next_id(), written out.
         span_id = self.span_id = (_PID << 40) | next(recorder._ids)
         stack.append(span_id)
@@ -203,15 +235,22 @@ class _Span:
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        """Fold the span into the aggregates, then keep it: in the ring,
+        or staged with the tail pipeline while its trace is unsampled.
+
+        The fold runs for every kept span, so the per-phase latency
+        distributions (live-queryable through the metrics snapshot and
+        ``/metrics``) and the SLO windows never have sampling error.
+        """
         recorder = self._recorder
         end_ns = recorder._clock()
-        thread = recorder._thread
-        stack = thread.stack
+        stack = self._stack
         if stack and stack[-1] == self.span_id:
             stack.pop()
+        attrs = self.attrs
         if exc_type is not None:
-            self.attrs["error"] = exc_type.__name__
-        ctx = trace_context.current()
+            attrs["error"] = exc_type.__name__
+        ctx = self.ctx
         pipeline = None
         if ctx is None:
             trace_id = ""
@@ -226,12 +265,34 @@ class _Span:
                 if pipeline is None:
                     return False
             trace_id = ctx.trace_id_hex
+        name = self.name
         start_ns = self._start_ns
-        recorder._finish_span(SpanRecord(
-            self.name, self.category, start_ns, end_ns - start_ns,
-            self.span_id, self.parent_id, _PID, thread.tid, self.attrs,
-            trace_id,
-        ), pipeline)
+        duration_ns = end_ns - start_ns
+        # SpanRecord(...) written out: ten stores cost less than the
+        # dataclass __init__'s frame around them.
+        record = SpanRecord.__new__(SpanRecord)
+        record.name = name
+        record.category = self.category
+        record.start_ns = start_ns
+        record.duration_ns = duration_ns
+        record.span_id = self.span_id
+        record.parent_id = self.parent_id
+        record.pid = _PID
+        record.tid = stack.tid
+        record.attrs = attrs
+        record.trace_id = trace_id
+        hist = recorder._phase_hists[name]
+        slo = recorder.slo
+        if slo is not None and name in slo.phases:
+            slo.observe(name, duration_ns, error="error" in attrs)
+        # One lock: the phase histograms share the ring's.
+        with recorder._lock:
+            hist.fold(duration_ns / 1e9, trace_id or None)
+            if pipeline is None:
+                recorder._ring.append(record)
+                recorder._recorded += 1
+        if pipeline is not None:
+            pipeline.stage(record)
         return False
 
 
@@ -272,12 +333,20 @@ class Recorder:
         #: In-process time-series store + anomaly detector
         #: (:class:`repro.telemetry.tsdb.Tsdb`); ``None`` keeps history off.
         self.tsdb: Any = None
-        # Per-phase histogram cache: a span of every offload is folded
-        # here, so the registry lookup is paid once per phase name, not
-        # once per span.
-        self._phase_hists: dict[str, Any] = {}
-        # The same per kernel, for ``kernel.<kernel>.offload``.
+        # Instrument caches beside the registry: a span or a completion
+        # of every offload reads one of these with a subscript, so the
+        # name is built and looked up in the registry once per phase,
+        # kernel or counter, not once per offload.
+        self._phase_hists = _Resolved(self._phase_hist)
+        #: ``kernel.<kernel>.offload`` by kernel (:meth:`kernel_offload`).
         self._kernel_hists: dict[str, LogHistogram] = {}
+        #: ``kernel.<kernel>.bytes`` / ``.errors`` by kernel, and the
+        #: counters by name (``recorder.counters["offload.issued"]``).
+        self.kernel_bytes = _Resolved(
+            lambda kernel: self.metrics.counter(f"kernel.{kernel}.bytes"))
+        self.kernel_errors = _Resolved(
+            lambda kernel: self.metrics.counter(f"kernel.{kernel}.errors"))
+        self.counters = _Resolved(self.metrics.counter)
         #: Clock reading (ns) at the recorder's creation; exporters use
         #: it as the zero point of the trace timeline.
         self.epoch_ns = self._clock()
@@ -296,34 +365,14 @@ class Recorder:
         """
         return (_PID << 40) | next(self._ids)
 
-    def _finish_span(self, record: SpanRecord, pipeline: Any) -> None:
-        """Fold a finished span into the aggregates, then keep it.
-
-        The fold runs for every span — ring-bound or staged with
-        ``pipeline`` (an unsampled trace awaiting its verdict) — so the
-        per-phase latency distributions (live-queryable through the
-        metrics snapshot and ``/metrics``) and the SLO windows never
-        have sampling error.
-        """
-        name = record.name
-        hist = self._phase_hists.get(name)
-        if hist is None:
-            # Exemplars on: phase folds are the one place a duration and
-            # its trace id meet, so each fat bucket keeps a live link to
-            # the most recent trace that landed in it.
-            hist = self._phase_hists[name] = self.metrics.log_histogram(
-                "phase." + name, exemplars=True)
-        hist.observe(record.duration_ns / 1e9, record.trace_id or None)
-        slo = self.slo
-        if slo is not None and name in slo.phases:
-            slo.observe(name, record.duration_ns,
-                        error="error" in record.attrs)
-        if pipeline is not None:
-            pipeline.stage(record)
-        else:
-            with self._lock:
-                self._ring.append(record)
-                self._recorded += 1
+    def _phase_hist(self, name: str) -> LogHistogram:
+        """``phase.<name>``, folded under the ring's lock, together with
+        the record. Exemplars on: phase folds are the one place a
+        duration and its trace id meet, so each fat bucket keeps a live
+        link to the most recent trace that landed in it."""
+        hist = self.metrics.log_histogram("phase." + name, exemplars=True)
+        hist._lock = self._lock
+        return hist
 
     def _append(self, record: SpanRecord | EventRecord) -> None:
         with self._lock:
@@ -358,7 +407,7 @@ class Recorder:
                       attrs: dict[str, Any], trace_id: str) -> EventRecord:
         return EventRecord(
             name, category, self._clock(), self._next_id(), parent_id,
-            _PID, self._thread.tid, attrs, trace_id,
+            _PID, self._thread.stack.tid, attrs, trace_id,
         )
 
     def event(self, name: str, category: str = "offload",
@@ -413,6 +462,8 @@ class Recorder:
         self.sampler = self.pipeline = self.slo = None
         self._ring = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
+        for hist in self._phase_hists.values():
+            hist._lock = self._lock
         self._thread = _ThreadState()
         self._recorded = 0
 
@@ -515,7 +566,13 @@ def span(name: str, category: str = "offload", **attrs: Any):
         ctx = trace_context.current()
         if ctx is not None and not ctx.sampled:
             return NOOP_SPAN
-    return _Span(recorder, name, category, attrs)
+    # _Span(recorder, name, category, attrs) written out.
+    opened = _Span.__new__(_Span)
+    opened._recorder = recorder
+    opened.name = name
+    opened.category = category
+    opened.attrs = attrs
+    return opened
 
 
 def event(name: str, category: str = "offload", **attrs: Any) -> None:
@@ -537,7 +594,7 @@ def count(name: str, amount: int = 1) -> None:
     """Bump a counter metric (no-op while disabled)."""
     recorder = _RECORDER
     if recorder is not None:
-        recorder.metrics.counter(name).inc(amount)
+        recorder.counters[name].inc(amount)
 
 
 def gauge(name: str, value: float) -> None:

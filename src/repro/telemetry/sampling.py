@@ -27,6 +27,7 @@ histogram, the SLO monitor and the tail pipeline, sampled or not.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.telemetry import context as trace_context
@@ -61,14 +62,14 @@ class HeadSampler:
         self._threshold = round(rate * float(_ID_MASK + 1))
 
     def decide(self, trace_id: int) -> bool:
-        if self._threshold > _ID_MASK:
-            return True
         return (trace_id & _ID_MASK) < self._threshold
 
     def new_trace(self) -> trace_context.TraceContext:
-        """Mint a root context carrying this sampler's verdict."""
+        """Mint a root context carrying this sampler's verdict
+        (:meth:`decide`, written out)."""
         trace_id = trace_context.new_trace_id()
-        return trace_context.TraceContext(trace_id, 0, self.decide(trace_id))
+        return trace_context.TraceContext(
+            trace_id, 0, (trace_id & _ID_MASK) < self._threshold)
 
 
 class TailPipeline:
@@ -111,8 +112,8 @@ class TailPipeline:
         self.min_samples = max(1, min_samples)
         self._lock = threading.Lock()
         self._pending: dict[str, list[Any]] = {}
-        self._durations: list[float] = []
         self._window = max(self.min_samples, window)
+        self._durations: deque[float] = deque(maxlen=self._window)
         # Sorting the whole window per completion would dominate the
         # unsampled fast path, so the percentile is cached and refreshed
         # every window/16 completions — tail thresholds track traffic
@@ -152,12 +153,8 @@ class TailPipeline:
     def _tail_threshold_locked(self) -> float | None:
         if len(self._durations) < self.min_samples:
             return None
-        if (self._threshold_cache is None
-                or self._threshold_stale >= self._threshold_refresh):
-            self._threshold_cache = percentile(
-                self._durations, self.TAIL_PERCENTILE
-            )
-            self._threshold_stale = 0
+        self._threshold_cache = percentile(self._durations, self.TAIL_PERCENTILE)
+        self._threshold_stale = 0
         return self._threshold_cache
 
     def complete(
@@ -179,15 +176,16 @@ class TailPipeline:
         otherwise.
         """
         duration = float(duration_ns)
+        sampled = ctx.sampled
         with self._lock:
-            threshold = self._tail_threshold_locked()
+            threshold = self._threshold_cache
+            if threshold is None or self._threshold_stale >= self._threshold_refresh:
+                threshold = self._tail_threshold_locked()
             self._durations.append(duration)
             self._threshold_stale += 1
-            if len(self._durations) > self._window:
-                del self._durations[: len(self._durations) - self._window]
+            if sampled:
+                return True
             staged = self._pending.pop(ctx.trace_id_hex, None)
-        if ctx.sampled:
-            return True
         if staged is None:
             return False
         if kernel:
@@ -198,14 +196,14 @@ class TailPipeline:
                     ).observe(record.duration_ns / 1e9)
         slow = threshold is not None and duration > threshold
         if not (error or slow):
-            recorder.metrics.counter("trace.tail_dropped").inc()
+            recorder.counters["trace.tail_dropped"].inc()
             return False
         recorder.ingest(staged)
-        recorder.metrics.counter("trace.tail_retained").inc()
+        recorder.counters["trace.tail_retained"].inc()
         if error:
-            recorder.metrics.counter("trace.tail_retained_error").inc()
+            recorder.counters["trace.tail_retained_error"].inc()
         if slow:
-            recorder.metrics.counter("trace.tail_retained_slow").inc()
+            recorder.counters["trace.tail_retained_slow"].inc()
         return True
 
     def pending_traces(self) -> int:
@@ -247,21 +245,25 @@ def complete_offload(
     """
     if recorder is None:
         recorder = recorder_mod.get()
-    if recorder is None:
-        return
+        if recorder is None:
+            return
     name = kernel or "<anonymous>"
-    recorder.kernel_offload(name).observe(duration_ns / 1e9)
+    try:
+        hist = recorder._kernel_hists[name]
+    except KeyError:
+        hist = recorder.kernel_offload(name)
+    hist.observe(duration_ns / 1e9)
     if error:
-        recorder.metrics.counter(f"kernel.{name}.errors").inc()
+        recorder.kernel_errors[name].inc()
     if node is not None and recorder.tsdb is not None:
         recorder.metrics.log_histogram(f"target.reply.{node}").observe(
             duration_ns / 1e9
         )
         if error:
             recorder.metrics.counter(f"target.errors.{node}").inc()
-    if recorder.slo is not None:
-        recorder.slo.observe("offload", duration_ns, error=error,
-                             tenant=tenant)
+    slo = recorder.slo
+    if slo is not None:
+        slo.observe("offload", duration_ns, error=error, tenant=tenant)
     pipeline = recorder.pipeline
     if pipeline is not None and ctx is not None:
         pipeline.complete(recorder, ctx, duration_ns=duration_ns, error=error,

@@ -95,23 +95,29 @@ def default_slos() -> tuple[SLO, ...]:
 class _SLOState:
     """Rolling windows with O(1) burn math — this sits on the hot path.
 
-    Bad counts are maintained incrementally on push/evict rather than
-    summed per observe, so one completion costs two deque appends, not a
-    600-element walk of the slow window.
+    Each window is a bounded deque with its length and its bad count
+    kept beside it, updated on push/evict, so one completion costs two
+    deque appends: no 600-element walk of the slow window, no ``len``.
+    :meth:`SLOMonitor.observe` does the push itself, and stops there
+    when nothing moved (full windows, a good completion evicting good
+    ones: the burn rates and the verdict stay what they were).
     """
 
     __slots__ = (
-        "slo", "fast", "slow", "fast_window", "slow_window",
+        "slo", "tenant", "budget", "fast", "slow", "fast_n", "slow_n",
         "fast_bad", "slow_bad", "breached", "total", "bad", "gauges",
         "published",
     )
 
-    def __init__(self, slo: SLO, fast_window: int, slow_window: int) -> None:
+    def __init__(self, slo: SLO, fast_window: int, slow_window: int,
+                 tenant: str | None = None) -> None:
         self.slo = slo
-        self.fast: deque[int] = deque()
-        self.slow: deque[int] = deque()
-        self.fast_window = fast_window
-        self.slow_window = slow_window
+        #: ``None`` for the global state, else the tenant it watches.
+        self.tenant = tenant
+        self.budget = 1.0 - slo.objective
+        self.fast: deque[int] = deque(maxlen=fast_window)
+        self.slow: deque[int] = deque(maxlen=slow_window)
+        self.fast_n = self.slow_n = 0
         self.fast_bad = 0
         self.slow_bad = 0
         self.breached = False
@@ -121,27 +127,15 @@ class _SLOState:
         #: The (fast burn, slow burn, breached) last stored in ``gauges``.
         self.published: tuple[float, float, bool] | None = None
 
-    def push(self, bad: int) -> None:
-        self.fast.append(bad)
-        self.fast_bad += bad
-        if len(self.fast) > self.fast_window:
-            self.fast_bad -= self.fast.popleft()
-        self.slow.append(bad)
-        self.slow_bad += bad
-        if len(self.slow) > self.slow_window:
-            self.slow_bad -= self.slow.popleft()
-        self.total += 1
-        self.bad += bad
-
-    def fast_burn(self, budget: float) -> float:
-        if not self.fast:
+    def fast_burn(self) -> float:
+        if not self.fast_n:
             return 0.0
-        return (self.fast_bad / len(self.fast)) / budget
+        return (self.fast_bad / self.fast_n) / self.budget
 
-    def slow_burn(self, budget: float) -> float:
-        if not self.slow:
+    def slow_burn(self) -> float:
+        if not self.slow_n:
             return 0.0
-        return (self.slow_bad / len(self.slow)) / budget
+        return (self.slow_bad / self.slow_n) / self.budget
 
 
 class SLOMonitor:
@@ -238,54 +232,27 @@ class SLOMonitor:
                 self.metrics.gauge(f"slo.{name}.breached"))
 
     # -- feeding -----------------------------------------------------------
-    def _tenant_state_locked(
-        self, state: _SLOState, tenant: str
-    ) -> _SLOState | None:
-        """Get-or-create the per-tenant twin of a global SLO state."""
-        key = (state.slo.name, tenant)
-        tstate = self._tenant_states.get(key)
-        if tstate is None:
-            if (tenant not in self._tenants
-                    and len(self._tenants) >= self.max_tenants):
-                return None
-            self._tenants.add(tenant)
-            tstate = self._tenant_states[key] = _SLOState(
-                state.slo, self._fast_window, self._slow_window
-            )
-            tstate.gauges = self._gauges(f"{state.slo.name}.tenant.{tenant}")
-        return tstate
-
-    def _fold_locked(
-        self,
-        state: _SLOState,
-        duration_ns: int,
-        error: bool,
-        tenant: str | None,
-        transitions: list[tuple[SLO, bool, float, float, str | None]],
-    ) -> None:
-        slo = state.slo
-        state.push(int(slo.is_bad(duration_ns, error)))
-        budget = 1.0 - slo.objective
-        # (fast_burn() / slow_burn() of windows the push left non-empty)
-        fast_burn = (state.fast_bad / len(state.fast)) / budget
-        slow_burn = (state.slow_bad / len(state.slow)) / budget
-        breached = (
-            len(state.fast) >= self.min_samples
-            and fast_burn >= self.burn_threshold
-            and slow_burn >= self.burn_threshold
-        )
-        if breached != state.breached:
-            state.breached = breached
-            transitions.append((slo, breached, fast_burn, slow_burn, tenant))
-        # A healthy stream folds the same three values every time: the
-        # gauges are stored (a lock each) only when one of them moved.
-        published = (fast_burn, slow_burn, breached)
-        if state.gauges is not None and published != state.published:
-            state.published = published
-            fast_g, slow_g, breached_g = state.gauges
-            fast_g.set(fast_burn)
-            slow_g.set(slow_burn)
-            breached_g.set(1.0 if breached else 0.0)
+    def _with_tenant_locked(
+        self, states: tuple[_SLOState, ...], tenant: str
+    ) -> tuple[_SLOState, ...]:
+        """``states``, each followed by its per-tenant twin (created on
+        first use while the tenant cap has room)."""
+        folded = []
+        for state in states:
+            folded.append(state)
+            key = (state.slo.name, tenant)
+            tstate = self._tenant_states.get(key)
+            if tstate is None:
+                if (tenant not in self._tenants
+                        and len(self._tenants) >= self.max_tenants):
+                    continue
+                self._tenants.add(tenant)
+                tstate = self._tenant_states[key] = _SLOState(
+                    state.slo, self._fast_window, self._slow_window, tenant
+                )
+                tstate.gauges = self._gauges(f"{state.slo.name}.tenant.{tenant}")
+            folded.append(tstate)
+        return tuple(folded)
 
     def observe(self, phase: str, duration_ns: int, *,
                 error: bool = False, tenant: str | None = None) -> None:
@@ -297,19 +264,65 @@ class SLOMonitor:
         over budget" from "the service is over budget". The global
         (tenant-less) state is always fed.
         """
-        states = self._by_phase.get(phase)
-        if states is None:
+        try:
+            states = self._by_phase[phase]
+        except KeyError:
             return
         transitions: list[tuple[SLO, bool, float, float, str | None]] = []
+        fast_window, slow_window = self._fast_window, self._slow_window
+        min_samples, threshold = self.min_samples, self.burn_threshold
         with self._lock:
+            if tenant is not None:
+                states = self._with_tenant_locked(states, tenant)
             for state in states:
-                self._fold_locked(state, duration_ns, error, None, transitions)
-                if tenant is not None:
-                    tstate = self._tenant_state_locked(state, tenant)
-                    if tstate is not None:
-                        self._fold_locked(
-                            tstate, duration_ns, error, tenant, transitions
-                        )
+                slo = state.slo
+                limit = slo.threshold_ns
+                bad = 1 if error or (limit is not None and duration_ns > limit) else 0
+                fast, slow = state.fast, state.slow
+                state.total += 1
+                if state.slow_n == slow_window:
+                    # Both windows full (the fast one fills first): the
+                    # append evicts each one's oldest entry. A good
+                    # operation evicting two good ones moves nothing.
+                    evicted_fast, evicted_slow = fast[0], slow[0]
+                    fast.append(bad)
+                    slow.append(bad)
+                    if not (bad or evicted_fast or evicted_slow):
+                        continue
+                    state.fast_bad += bad - evicted_fast
+                    state.slow_bad += bad - evicted_slow
+                else:
+                    if state.fast_n == fast_window:
+                        state.fast_bad -= fast[0]
+                    else:
+                        state.fast_n += 1
+                    state.slow_n += 1
+                    fast.append(bad)
+                    slow.append(bad)
+                    state.fast_bad += bad
+                    state.slow_bad += bad
+                state.bad += bad
+                fast_burn = (state.fast_bad / state.fast_n) / state.budget
+                slow_burn = (state.slow_bad / state.slow_n) / state.budget
+                breached = (
+                    state.fast_n >= min_samples
+                    and fast_burn >= threshold
+                    and slow_burn >= threshold
+                )
+                if breached != state.breached:
+                    state.breached = breached
+                    transitions.append(
+                        (slo, breached, fast_burn, slow_burn, state.tenant))
+                # A healthy stream folds the same three values every
+                # time: the gauges are stored (a lock each) only when
+                # one of them moved.
+                published = (fast_burn, slow_burn, breached)
+                if state.gauges is not None and published != state.published:
+                    state.published = published
+                    fast_g, slow_g, breached_g = state.gauges
+                    fast_g.set(fast_burn)
+                    slow_g.set(slow_burn)
+                    breached_g.set(1.0 if breached else 0.0)
         # Emit outside the lock: the sink is the recorder, which may
         # call back into metrics.
         for slo, breached, fast_burn, slow_burn, slo_tenant in transitions:
@@ -351,15 +364,14 @@ class SLOMonitor:
     @staticmethod
     def _state_summary(state: _SLOState) -> dict[str, Any]:
         slo = state.slo
-        budget = 1.0 - slo.objective
         return {
             "phase": slo.phase,
             "threshold_ns": slo.threshold_ns,
             "objective": slo.objective,
             "total": state.total,
             "bad": state.bad,
-            "fast_burn": state.fast_burn(budget),
-            "slow_burn": state.slow_burn(budget),
+            "fast_burn": state.fast_burn(),
+            "slow_burn": state.slow_burn(),
             "breached": state.breached,
         }
 

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 
+from repro.backends import base
 from repro.backends.base import DeadlineTimer
 
 WAIT = 10.0
@@ -55,7 +56,9 @@ def test_a_deadline_armed_on_an_idle_thread_wakes_it():
 def test_concurrent_arming_and_cancelling_loses_nothing():
     """Eight threads arm and cancel deadlines against one timer thread,
     the interpreter switching threads as often as it can: every live
-    deadline fires once, and no cancelled one does."""
+    deadline fires once, and no cancelled one does. A cancel that comes
+    too late (``cancel()`` returns ``False``: the timer had claimed the
+    deadline) leaves it live."""
     timer = DeadlineTimer()
     timer.attach()
     fired, live, lock = [], [], threading.Lock()
@@ -67,9 +70,7 @@ def test_concurrent_arming_and_cancelling_loses_nothing():
     def arm(worker):
         for i in range(200):
             deadline = timer.schedule(0.0005, functools.partial(record, (worker, i)))
-            if i % 3:
-                deadline.cancel()
-            else:
+            if not (i % 3 and deadline.cancel()):
                 with lock:
                     live.append((worker, i))
 
@@ -91,3 +92,34 @@ def test_concurrent_arming_and_cancelling_loses_nothing():
         timer.release()
     assert sorted(fired) == sorted(live)
     assert timer.stats()["callback_errors"] == 0
+
+
+def test_a_cancel_between_the_skip_and_the_pop_leaves_the_thread_alive(monkeypatch):
+    """The timer thread skips cancelled deadlines, reads the clock, then
+    pops the one due. A cancel that lands between the two (played here
+    by the clock read itself) must leave the thread running: the
+    cancelled deadline does not fire, and the next one does."""
+    timer = DeadlineTimer()
+    timer.attach()
+    fired, done, cancelled = [], threading.Event(), []
+    armed: list = []
+    clock = time.monotonic
+
+    def monotonic():
+        if armed and threading.current_thread() is timer._thread:
+            cancelled.append(armed.pop().cancel())
+        return clock()
+
+    monkeypatch.setattr(base.time, "monotonic", monotonic)
+    try:
+        with timer._cond:  # the thread looks only once the deadline is armed
+            armed.append(timer.schedule(0.0, functools.partial(fired.append, "a")))
+        deadline = time.monotonic() + WAIT
+        while not cancelled and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert cancelled == [True]
+        timer.schedule(0.0, done.set)
+        assert done.wait(WAIT)
+        assert fired == [] and timer.stats()["alive"]
+    finally:
+        timer.release()

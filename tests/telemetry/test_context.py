@@ -1,11 +1,19 @@
 """Tests for the distributed trace context (W3C-traceparent style)."""
 
 import asyncio
+import os
+import random
 
 import pytest
 
+from repro.backends import LocalBackend
+from repro.ham import f2f
+from repro.offload import api as offload_api
 from repro.telemetry import context as trace_context
+from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import FLAG_SAMPLED, TraceContext
+
+from tests import apps
 
 
 class TestTraceContext:
@@ -18,6 +26,14 @@ class TestTraceContext:
             TraceContext(trace_id=1, span_id=1 << 64)
         with pytest.raises(ValueError):
             TraceContext(trace_id=1, span_id=-1)
+
+    def test_equal_and_hashable_by_value(self):
+        a = TraceContext(trace_id=7, span_id=3, sampled=False)
+        b = TraceContext(trace_id=7, span_id=3, sampled=False)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != TraceContext(trace_id=7, span_id=3)
+        assert a != (7, 3, False)
+        assert a.trace_id_hex == f"{7:032x}"
 
     def test_flags_reflect_sampled(self):
         assert TraceContext(trace_id=1).flags == FLAG_SAMPLED
@@ -146,3 +162,45 @@ class TestActivationScoping:
         assert seen == contexts
         assert after == [None, None, None]
         assert outside is None
+
+
+def _offload_trace_id() -> str:
+    """The trace id one traced offload of a fresh ``init`` recorded."""
+    offload_api.init(LocalBackend(), telemetry=True)
+    try:
+        assert offload_api.sync(1, f2f(apps.add, 1, 2)) == 3
+        (trace_id,) = {record.trace_id for record in telemetry.get().records()}
+        return trace_id
+    finally:
+        offload_api.finalize()
+        telemetry.disable()
+
+
+class TestTraceIds:
+    """Trace ids come from a generator of the context module's own."""
+
+    def test_seeding_the_global_random_repeats_no_trace_id(self):
+        random.seed(0)
+        first = _offload_trace_id()
+        random.seed(0)
+        second = _offload_trace_id()
+        assert first and second and first != second
+
+    def test_a_forked_child_mints_ids_of_its_own(self):
+        read_fd, write_fd = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the forked child
+            status = 1
+            try:
+                ids = [trace_context.new_trace_id() for _ in range(8)]
+                os.write(write_fd, ",".join(map(str, ids)).encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as pipe:
+            in_child = [int(i) for i in pipe.read().split(",")]
+        assert os.waitpid(child, 0)[1] == 0
+        in_parent = [trace_context.new_trace_id() for _ in range(8)]
+        assert len(set(in_child) | set(in_parent)) == 16
+        assert all(0 < i < 1 << 128 for i in in_child + in_parent)

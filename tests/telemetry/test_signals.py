@@ -28,6 +28,8 @@ EMITTER_ROOTS = [ROOT / "src" / "repro", ROOT / "perfbench"]
 #: on any receiver; the ``telemetry.count(name)`` / ``.gauge(name, v)``
 #: helpers. (``count`` alone is also a ``str`` method.)
 _ACCESSORS = {"counter", "gauge", "log_histogram"}
+#: ``<recorder>.counters[name]``: the recorder's counters by name.
+_TABLES = {"counters"}
 
 
 def _literal(node: ast.expr) -> str | None:
@@ -52,6 +54,13 @@ def emitted_series() -> dict[str, str]:
     for root in EMITTER_ROOTS:
         for path in sorted(root.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Subscript)
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr in _TABLES):
+                    name = _literal(node.slice)
+                    if name is not None:
+                        found[name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+                    continue
                 if not (isinstance(node, ast.Call) and node.args
                         and isinstance(node.func, ast.Attribute)):
                     continue
