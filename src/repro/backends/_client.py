@@ -59,7 +59,7 @@ from repro.ham.execution import remote_error, sized_invoke_parts, unpack_result
 from repro.ham.functor import Functor
 from repro.ham.message import peek_trace, peek_trace_flags
 from repro.ham.registry import Catalog, ProcessImage
-from repro.ham.serialization import restricted_loads
+from repro.ham.serialization import deserialize
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
@@ -81,10 +81,10 @@ def byte_view(part: Any) -> Any:
 
 def remote_failure(body: Any) -> RemoteExecutionError | SerializationError:
     """The exception an ``OP_FAILURE`` reply carries — or, for a body
-    the restricted loader refuses, the refusal (returned, not raised:
-    the caller must still complete whoever waits for this reply)."""
+    that is no failure info, the refusal (returned, not raised: the
+    caller must still complete whoever waits for this reply)."""
     try:
-        return remote_error(restricted_loads(body))
+        return remote_error(deserialize(body))
     except SerializationError as exc:
         return exc
 
@@ -169,8 +169,6 @@ class FramedClient(Backend):
     #: what that is ("address" / "segment") to the flight recorder.
     peer = ""
     _peer_kind = "peer"
-    #: Most bulk bytes one WRITE/READ frame may carry (``None``: any).
-    _max_payload: int | None = None
 
     def __init__(
         self,
@@ -650,6 +648,13 @@ class FramedClient(Backend):
                 )
 
     # -- memory ------------------------------------------------------------------
+    @property
+    def _max_payload(self) -> int:
+        """Most bulk bytes one WRITE/READ frame carries: half the frame
+        limit, so a bulk transfer never deadlocks against a ring's own
+        backpressure, and two chunks can overlap."""
+        return self._parser.limit // 2 - 64
+
     def alloc_buffer(self, node: NodeId, nbytes: int) -> int:
         self.check_target(node)
         return _U64.unpack(self._roundtrip(OP_ALLOC, _U64.pack(nbytes)))[0]
@@ -660,34 +665,28 @@ class FramedClient(Backend):
 
     def write_buffer(self, node: NodeId, addr: int, data: Any) -> None:
         self.check_target(node)
-        # Callers pass buffers of any item size; frames count bytes. The
-        # payload rides as its own part, never copied host-side.
+        # Callers pass buffers of any item size; frames count bytes. Each
+        # chunk rides as its own part, never copied host-side, and lands
+        # at addr + offset (HostedBuffers accepts addresses inside a live
+        # allocation). No bytes still take one frame: the target checks
+        # the address.
         view = byte_view(data)
-        chunk = self._max_payload or len(view)
-        if len(view) <= chunk:
-            self._roundtrip(OP_WRITE, _U64.pack(addr), view)
-            return
-        # Chunked: HostedBuffers accepts offset addresses inside a live
-        # allocation, so each chunk lands at addr + offset.
-        for offset in range(0, len(view), chunk):
+        chunk = self._max_payload
+        for offset in range(0, len(view) or 1, chunk):
             self._roundtrip(
                 OP_WRITE, _U64.pack(addr + offset), view[offset : offset + chunk]
             )
 
     def read_buffer(self, node: NodeId, addr: int, nbytes: int) -> bytes:
         self.check_target(node)
-        chunk = self._max_payload or nbytes
-        if nbytes <= chunk:
-            return bytes(
-                self._roundtrip(OP_READ, _U64.pack(addr) + _U64.pack(nbytes))
+        chunk = self._max_payload
+        return b"".join([
+            self._roundtrip(
+                OP_READ, _U64.pack(addr + offset)
+                + _U64.pack(min(chunk, nbytes - offset))
             )
-        out = bytearray(nbytes)
-        for offset in range(0, nbytes, chunk):
-            n = min(chunk, nbytes - offset)
-            out[offset : offset + n] = self._roundtrip(
-                OP_READ, _U64.pack(addr + offset) + _U64.pack(n)
-            )
-        return bytes(out)
+            for offset in range(0, nbytes or 1, chunk)
+        ])
 
     # -- telemetry, introspection, health ------------------------------------------
     def fetch_target_telemetry(
@@ -713,7 +712,7 @@ class FramedClient(Backend):
         if align:
             self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
         rows: list = []  # each reply carries what fits a frame, the last none
-        while pulled := restricted_loads(self._roundtrip(OP_TELEMETRY, timeout=timeout)):
+        while pulled := deserialize(self._roundtrip(OP_TELEMETRY, timeout=timeout)):
             rows += pulled
         records = dicts_to_records(rows)
         if align and self.clock_sync.offset_ns:
@@ -730,7 +729,7 @@ class FramedClient(Backend):
         cursors (``None`` on TCP). Raises the usual transport errors
         when the target is gone or predates the op.
         """
-        payload = restricted_loads(self._roundtrip(OP_INTROSPECT, timeout=timeout))
+        payload = deserialize(self._roundtrip(OP_INTROSPECT, timeout=timeout))
         if not isinstance(payload, dict):
             raise BackendError(
                 f"malformed introspection reply: {type(payload).__name__}"

@@ -40,20 +40,19 @@ park themselves.
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import sys
 import threading
 import time
-import traceback
 from collections import deque
 from typing import Any
 
 from repro.backends._target_memory import HostedBuffers
-from repro.errors import BackendError, HamError
-from repro.ham.execution import execute_message
+from repro.errors import BackendError, HamError, SerializationError
+from repro.ham.execution import execute_message, failure_info
 from repro.ham.message import parse_message, peek_trace_flags
 from repro.ham.registry import Catalog, ProcessImage
+from repro.ham.serialization import serialize
 from repro.offload.buffer import BufferPtr
 from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
@@ -114,11 +113,12 @@ class FrameParser:
     received chunk — no per-frame buffer or copy. A frame longer than
     :data:`_RECV_CHUNK` is received into a buffer of its own, so bulk
     payloads are copied at most once. ``limit`` is the most bytes one
-    frame may fill, its length prefix included: a ring's capacity, by
-    default whatever a u32 length describes (tcp).
+    frame may fill, its length prefix included: a ring's capacity, or
+    tcp's :data:`~repro.backends.tcp.FRAME_LIMIT`; a longer frame is
+    refused from its length alone, before anything is allocated for it.
     """
 
-    def __init__(self, source: Any, limit: int = _LEN.size + 0xFFFFFFFF) -> None:
+    def __init__(self, source: Any, limit: int) -> None:
         self._source = source
         self.limit = limit
         self._max_length = limit - _LEN.size
@@ -472,13 +472,8 @@ class FramedServer:
 
     # -- serving one frame ----------------------------------------------------
     def _send_failure(self, corr: int, exc: BaseException) -> None:
-        info = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(),
-        }
         try:
-            self._reply(OP_FAILURE, corr, pickle.dumps(info))
+            self._reply(OP_FAILURE, corr, serialize(failure_info(exc)))
         except self._CLIENT_GONE:
             pass
 
@@ -572,8 +567,7 @@ class FramedServer:
                 )
             elif op == OP_INTROSPECT:
                 self._reply(
-                    OP_INTROSPECT | OP_REPLY_BIT, corr,
-                    pickle.dumps(self.introspect(), protocol=4),
+                    OP_INTROSPECT | OP_REPLY_BIT, corr, serialize(self.introspect())
                 )
             elif op == OP_SHUTDOWN:  # the loop drained the invokes first
                 self._reply(OP_SHUTDOWN | OP_REPLY_BIT, corr, b"")
@@ -583,40 +577,41 @@ class FramedServer:
             self._send_failure(corr, exc)  # (dropped there if it has gone)
 
     def _pull_rows(self) -> bytes:
-        """One ``OP_TELEMETRY`` reply body: the oldest of this process's
-        records not pulled yet, as many as fit one frame, pickled.
+        """One ``OP_TELEMETRY`` reply body: the list of the oldest rows of
+        this process's records not pulled yet, as many as fit one frame.
 
         The host pulls until a reply carries none, which ends the pull;
         what is recorded meanwhile waits for the next one, so a pull ends
-        even when the host shares this recorder. A record too big for a
-        frame of its own arrives with ``{"attrs_dropped_bytes": n}`` for
-        attributes. Empty when telemetry is disabled here; a forked
-        server inherits the parent's state.
+        even when the host shares this recorder. Empty when telemetry is
+        disabled here; a forked server inherits the parent's state.
         """
         rows = self._unpulled
         if rows is None:  # a pull begins
             recorder = telemetry.get()
             rows = deque(records_to_dicts(recorder.drain()) if recorder else ())
-        room = self._parser.limit - FRAME_OVERHEAD
+        empty = len(serialize([]))
+        room = self._parser.limit - FRAME_OVERHEAD - empty
         page: list = []
         used = 0
-        while rows:  # each row is pickled alone once: the pull stays linear
-            size = len(pickle.dumps(rows[0], protocol=4))
-            if size > room and rows[0].get("attrs"):
-                # Too big for any frame on its own: it travels without
-                # its attributes, which it says it lost.
-                rows[0] = {**rows[0], "attrs": {"attrs_dropped_bytes": size}}
+        while rows:
+            attrs = rows[0].get("attrs")
+            try:  # a row's share of a page: the page is sized exactly
+                size = len(serialize([rows[0]])) - empty
+                dropped = size > room and {"attrs_dropped_bytes": size}
+            except SerializationError as exc:  # an attribute with no code
+                if not attrs:
+                    raise
+                dropped = {"attrs_dropped": str(exc)}
+            if dropped and attrs:  # too big for any frame, or no code: the
+                # record travels without its attributes, which it says it lost
+                rows[0] = {**rows[0], "attrs": dropped}
                 continue
             if page and used + size > room:
                 break
             used += size
             page.append(rows.popleft())
-        body = pickle.dumps(page, protocol=4)
-        while len(body) > room and len(page) > 1:  # a list pickles a little
-            rows.appendleft(page.pop())  # differently than its rows alone
-            body = pickle.dumps(page, protocol=4)
         self._unpulled = rows if page else None
-        return body
+        return serialize(page)
 
     def introspect(self) -> dict[str, Any]:
         """Live target state, in the transport-agnostic introspection shape.

@@ -806,12 +806,6 @@ class ShmBackend(FramedClient):
     def peer(self) -> str:
         return self.segment.name
 
-    @property
-    def _max_payload(self) -> int:
-        # Half the ring per frame: a bulk transfer never deadlocks
-        # against its own backpressure, and two chunks can overlap.
-        return max(4096, self.segment.capacity // 2 - 64)
-
     # -- liveness ----------------------------------------------------------
     def _peer_error(self) -> BackendError | None:
         """Why waiting is futile — or ``None`` while the peer is fine."""

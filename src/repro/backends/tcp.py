@@ -61,7 +61,20 @@ from repro.backends.base import DEADLINES, FrameCoalescer, InvokeHandle
 from repro.errors import BackendError
 from repro.ham.registry import Catalog
 
-__all__ = ["TcpBackend", "TcpTargetServer", "spawn_local_server"]
+__all__ = ["FRAME_LIMIT", "TcpBackend", "TcpTargetServer", "spawn_local_server"]
+
+#: The most bytes one tcp frame may fill, its length prefix included:
+#: the limit of the parsers, and of the senders, on both ends.
+FRAME_LIMIT = 64 << 20
+
+
+def _check_frame(nbytes: int) -> None:
+    """Refuse, before a byte is written, a frame the peer would refuse."""
+    if nbytes > FRAME_LIMIT:
+        raise BackendError(
+            f"frame of {nbytes} bytes exceeds the tcp frame limit {FRAME_LIMIT}"
+            " — stage bulk data through put/get"
+        )
 
 
 def _sendmsg_all(sock: socket.socket, parts: list) -> None:
@@ -158,12 +171,13 @@ class TcpTargetServer(FramedServer):
         try:
             with self._conn as conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._parser = FrameParser(conn)
+                self._parser = FrameParser(conn, FRAME_LIMIT)
                 self._serve()
         finally:
             self._listener.close()
 
     def _transmit(self, frame: list) -> None:
+        _check_frame(sum(map(len, frame)))
         _sendmsg_all(self._conn, frame)
 
 
@@ -263,7 +277,7 @@ class TcpBackend(FramedClient):
         self._sock.settimeout(None)
         #: Inbound frame decoder and readiness poll, touched only under
         #: the drive lock. (A poll object owns no descriptor.)
-        self._parser = FrameParser(self._sock)
+        self._parser = FrameParser(self._sock, FRAME_LIMIT)
         self._poller = select.poll()
         self._poller.register(self._sock, select.POLLIN)
         DEADLINES.attach()  # released with the transport
@@ -286,6 +300,7 @@ class TcpBackend(FramedClient):
         payloads: everything buffered ahead of this frame goes out
         before it, so the stream never reorders around a roundtrip.
         """
+        _check_frame(nbytes)
         self._coalescer.flush("sync")
         self._transmit_batch(frame)
 
@@ -313,8 +328,8 @@ class TcpBackend(FramedClient):
         is preserved.
         """
         coalescer = self._coalescer
-        if nbytes >= coalescer.policy.max_bytes:
-            self._transmit(frame, nbytes)
+        if nbytes >= coalescer.policy.max_bytes or nbytes > FRAME_LIMIT:
+            self._transmit(frame, nbytes)  # (which refuses the latter)
             return
         coalescer.add([b"".join(frame)], nbytes)
 

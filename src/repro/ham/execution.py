@@ -36,6 +36,7 @@ __all__ = [
     "build_invoke",
     "build_invoke_parts",
     "execute_message",
+    "failure_info",
     "remote_error",
     "unpack_result",
 ]
@@ -181,17 +182,24 @@ def _invoke(
         if span is not None:
             span.set("error", type(exc).__name__)
         reply_kind = MSG_ERROR
-        payload = serialize({
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(),
-        })
+        payload = serialize(failure_info(exc))
     if span is not None and span.span_id:
         parent_span_id = span.span_id  # the next hop's parent
     return pack_header(
         reply_kind, 0, msg_id, len(payload),
         trace_id, parent_span_id, trace_flags,
     ) + payload, True
+
+
+def failure_info(exc: BaseException) -> dict[str, str]:
+    """The ``{type, message, traceback}`` dict a failure travels as (an
+    ERROR reply's payload, a transport's failure frame); called while
+    ``exc`` is being handled, whose traceback it formats."""
+    return {
+        "type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": traceback.format_exc(),
+    }
 
 
 def remote_error(info: Any) -> RemoteExecutionError:

@@ -32,6 +32,7 @@ from repro.backends import (
 )
 from repro.backends.base import DEFAULT_INFLIGHT_LIMIT
 from repro.backends._server import OP_PING, OP_REPLY_BIT, FrameParser
+from repro.backends.tcp import FRAME_LIMIT
 from repro.errors import BackendError, LoadShedError, OffloadTimeoutError
 from repro.ham import f2f
 from repro.offload import QoSConfig, ResiliencePolicy, Runtime, TenantPolicy
@@ -162,7 +163,7 @@ def _start_wedge_server() -> tuple[str, int]:
         try:
             conn, _peer = listener.accept()
             with conn:
-                parser = FrameParser(conn)
+                parser = FrameParser(conn, FRAME_LIMIT)
                 op, corr, _body = read_frame(parser)
                 assert op == OP_PING
                 send_frame(conn, OP_PING | OP_REPLY_BIT, corr, b"")

@@ -2,7 +2,6 @@
 
 import multiprocessing
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from repro.errors import (
     OffloadTimeoutError,
     RemoteExecutionError,
 )
-from repro.ham import f2f
+from repro.ham import deserialize, f2f
 from repro.offload import ResiliencePolicy, Runtime
 from repro.telemetry import recorder as telemetry
 
@@ -311,7 +310,8 @@ class TestShmTelemetry:
 
     def test_a_pull_page_fits_a_frame_and_a_huge_record_still_arrives(self):
         """On a 4 KiB ring every ``OP_TELEMETRY`` reply fits one frame; a
-        record no frame could hold arrives in order, without its attrs."""
+        record no frame could hold, or whose attrs have no wire code,
+        arrives in order, without its attrs."""
         segment = ShmSegment.create(4096)
         telemetry.enable()
         try:
@@ -320,17 +320,21 @@ class TestShmTelemetry:
                 telemetry.event("test.small", category="test", i=i)
                 if i == 99:
                     telemetry.event("test.huge", category="test", blob="x" * 8192)
+                if i == 149:
+                    telemetry.event("test.odd", category="test", span=range(3))
             pages = []
-            while page := pickle.loads(server._pull_rows()):
-                assert len(pickle.dumps(page, protocol=4)) <= 4096 - FRAME_OVERHEAD
+            while page := deserialize(body := server._pull_rows()):
+                assert len(body) <= 4096 - FRAME_OVERHEAD
                 pages.append(page)
             assert len(pages) > 1 and server._unpulled is None
             rows = [row for page in pages for row in page if row["cat"] == "test"]
             assert [row["attrs"].get("i") for row in rows] == [
-                *range(100), None, *range(100, 200)
+                *range(100), None, *range(100, 150), None, *range(150, 200)
             ]
             (huge,) = [row for row in rows if row["name"] == "test.huge"]
             assert huge["attrs"]["attrs_dropped_bytes"] > 8192
+            (odd,) = [row for row in rows if row["name"] == "test.odd"]
+            assert "no wire code for builtins.range" in odd["attrs"]["attrs_dropped"]
         finally:
             telemetry.disable()
             segment.close()

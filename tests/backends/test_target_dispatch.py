@@ -37,7 +37,7 @@ from repro.backends.shm import (
     ShmTargetServer,
     _OFF_H2T_TAIL,
 )
-from repro.backends.tcp import TcpBackend, TcpTargetServer
+from repro.backends.tcp import FRAME_LIMIT, TcpBackend, TcpTargetServer
 from repro.errors import BackendError, RemoteExecutionError
 from repro.ham import f2f, offloadable
 from repro.offload import Runtime
@@ -461,14 +461,14 @@ class TestFrameParser:
 
     def test_byte_at_a_time(self):
         stream = b"".join(_frame(*frame) for frame in self.FRAMES)
-        parser = FrameParser(_Chunks(stream[i:i + 1] for i in range(len(stream))))
+        parser = FrameParser(_Chunks(stream[i:i + 1] for i in range(len(stream))), FRAME_LIMIT)
         assert _drain(parser) == self.FRAMES
         assert parser.buffered == 0
 
     def test_many_frames_in_one_chunk(self):
         frames = self.FRAMES * 50
         sock = _Chunks([b"".join(_frame(*frame) for frame in frames)])
-        parser = FrameParser(sock)
+        parser = FrameParser(sock, FRAME_LIMIT)
         assert parser.fill() and not sock.chunks  # one recv carried them all
         assert [parser.next_frame()[1] for _ in frames] == [f[1] for f in frames]
         assert parser.next_frame() is None
@@ -477,21 +477,29 @@ class TestFrameParser:
         body = os.urandom(_RECV_CHUNK * 3 + 17)
         stream = _frame(1, 1, b"before") + _frame(4, 2, body) + _frame(1, 3, b"after")
         sock = _Chunks([stream[:1000], stream[1000:5000], stream[5000:]])
-        parser = FrameParser(sock)
+        parser = FrameParser(sock, FRAME_LIMIT)
         assert _drain(parser) == [(1, 1, b"before"), (4, 2, body), (1, 3, b"after")]
         assert sock.recv_into_calls  # the remainder skipped the chunk buffer
 
     def test_short_length_is_a_typed_error(self):
-        parser = FrameParser(_Chunks([_frame(1, 1) + struct.pack("<I", 8)]))
+        parser = FrameParser(_Chunks([_frame(1, 1) + struct.pack("<I", 8)]), FRAME_LIMIT)
         assert parser.fill()
         assert parser.next_frame()[:2] == (1, 1)
         with pytest.raises(BackendError, match="short frame: length 8"):
             parser.next_frame()
 
+    def test_a_length_over_the_limit_is_refused_before_a_buffer_is_made(self):
+        stream = struct.pack("<IBQ", 0xFFFFFFFF, 1, 1) + bytes(100)
+        parser = FrameParser(_Chunks([stream]), FRAME_LIMIT)
+        assert parser.fill()
+        with pytest.raises(BackendError, match="long frame: length 4294967295"):
+            parser.next_frame()
+        assert parser._big is None
+
     @pytest.mark.parametrize("size", [0, 3, 11, 70_000 + 4])
     def test_eof_mid_frame_keeps_its_byte_count(self, size):
         stream = _frame(1, 1, bytes(100_000))[:size]
-        parser = FrameParser(_Chunks([stream] if size else []))
+        parser = FrameParser(_Chunks([stream] if size else []), FRAME_LIMIT)
         assert _drain(parser) == []
         message = str(_eof_error(parser, pending=2))
         if size:

@@ -5,12 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends import TcpBackend, spawn_local_server
-from repro.errors import RemoteExecutionError
+from repro.backends import TcpBackend, spawn_local_server, tcp
+from repro.backends._server import OP_READ, OP_WRITE
+from repro.errors import BackendError, RemoteExecutionError
 from repro.ham import f2f
 from repro.offload import Runtime
 
 from tests import apps
+from tests.backends.test_target_dispatch import WAIT, Target
 
 
 @pytest.fixture()
@@ -91,6 +93,58 @@ class TestTcpMemory:
         rt.put(np.ones(16), ptr)
         assert rt.sync(1, f2f(apps.sum_buffer, ptr)) == pytest.approx(16.0)
         assert future.get() == 10
+
+
+class TestTcpFrameLimit:
+    """Every frame fits the parsers on both ends (``tcp.FRAME_LIMIT``):
+    bulk data travels in frames of ``_max_payload`` bytes, and a frame
+    over the limit is refused by its sender before a byte is written."""
+
+    def test_a_transfer_larger_than_a_frame_is_chunked(self, rt, monkeypatch):
+        backend = rt.backend
+        monkeypatch.setattr(type(backend), "_max_payload", 4096)  # a small test
+        ops = []
+        roundtrip = backend._roundtrip
+
+        def counted(op, *parts, **kwargs):
+            ops.append(op)
+            return roundtrip(op, *parts, **kwargs)
+
+        monkeypatch.setattr(backend, "_roundtrip", counted)
+        n = 3 * 4096 // 8 + 111
+        data = np.random.default_rng(5).random(n)
+        ptr = rt.allocate(1, n)
+        rt.put(data, ptr)
+        back = np.zeros(n)
+        rt.get(ptr, back)
+        np.testing.assert_array_equal(back, data)
+        assert ops.count(OP_WRITE) == ops.count(OP_READ) == 4
+
+    def test_a_frame_over_the_limit_is_refused_before_it_is_sent(
+        self, rt, monkeypatch
+    ):
+        monkeypatch.setattr(tcp, "FRAME_LIMIT", 1 << 16)
+        sent = rt.backend.bytes_sent
+        big = np.zeros(1 << 14)  # 128 KiB
+        with pytest.raises(BackendError, match="exceeds the tcp frame limit"):
+            rt.sync(1, f2f(apps.echo, big))
+        with pytest.raises(BackendError, match="exceeds the tcp frame limit"):
+            rt.async_(1, f2f(apps.echo, big)).get()
+        assert rt.backend.bytes_sent == sent
+        assert rt.sync(1, f2f(apps.add, 1, 2)) == 3
+
+    def test_a_reply_over_the_limit_comes_back_as_a_failure(self, monkeypatch):
+        target = Target("tcp")  # in this process: the limit applies to it
+        target.connect()
+        try:
+            ptr = target.runtime.allocate(1, 1 << 14)
+            monkeypatch.setattr(tcp, "FRAME_LIMIT", 1 << 16)
+            with pytest.raises(RemoteExecutionError, match="exceeds the tcp frame limit"):
+                target.runtime.get(ptr, np.zeros(1 << 14))
+            assert target.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+        finally:
+            target.runtime.shutdown()
+            target.thread.join(WAIT)
 
 
 class TestTcpLifecycle:

@@ -2,7 +2,6 @@
 exhaustion, stale handles. The framework must fail loudly and precisely —
 never hang, never corrupt unrelated state."""
 
-import pickle
 import socket
 import struct
 import time
@@ -18,13 +17,14 @@ from repro.backends import (
     spawn_local_server,
 )
 from repro.backends._server import OP_INVOKE, FrameParser
+from repro.backends.tcp import FRAME_LIMIT
 from repro.errors import (
     BackendError,
     DmaatbError,
     OutOfMemoryError,
     RemoteExecutionError,
 )
-from repro.ham import f2f
+from repro.ham import deserialize, f2f
 from repro.machine import AuroraMachine
 from repro.offload import Runtime
 
@@ -93,10 +93,10 @@ class TestTcpTransportFailures:
         sock = socket.create_connection(address, timeout=5)
         # Valid length prefix and correlation id, bogus op.
         sock.sendall(struct.pack("<I", 9) + b"\xee" + struct.pack("<Q", 7))
-        op, corr, body = read_frame(FrameParser(sock))
+        op, corr, body = read_frame(FrameParser(sock, FRAME_LIMIT))
         assert op == 0xFF
         assert corr == 7  # failure replies echo the request's id
-        info = pickle.loads(bytes(body))
+        info = deserialize(body)
         assert "unknown op" in info["message"]
         sock.close()
         process.terminate()

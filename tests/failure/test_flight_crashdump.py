@@ -142,14 +142,21 @@ class TestCleanShutdownIsNotACrash:
         assert deaths == []
 
 
-def _event_names(bundle):
-    return [event["name"] for event in flightrecorder.load_bundle(bundle)["events"]]
+def _event_names(bundle, since_ns):
+    """The names of the bundle's events noted at or after ``since_ns``
+    (``time.time_ns()``): the black box is process-wide, and an earlier
+    test's events are still in it."""
+    return [
+        event["name"] for event in flightrecorder.load_bundle(bundle)["events"]
+        if event["ts_ns"] >= since_ns
+    ]
 
 
 class TestEveryEventReachesTheBlackBox:
     """What follows the retry is in the bundle too, telemetry on or off."""
 
     def test_retry_then_failover_on_a_tcp_fanout(self, _armed_recorder):
+        since_ns = time.time_ns()
         servers = [spawn_local_server() for _ in range(2)]
         fanout = FanoutBackend([
             TcpBackend(address, on_shutdown=lambda p=process: p.join(timeout=5))
@@ -165,10 +172,11 @@ class TestEveryEventReachesTheBlackBox:
             bundle = flightrecorder.get().dump("manual")
         finally:
             runtime.shutdown()
-        names = _event_names(bundle)
+        names = _event_names(bundle, since_ns)
         assert names.index("resilience.retry") < names.index("resilience.failover")
 
     def test_retry_failover_hedge_and_the_fault_behind_them(self, _armed_recorder):
+        since_ns = time.time_ns()
         functor = f2f(apps.add, 20, 22)
         recorder = telemetry.enable()
         try:
@@ -191,7 +199,7 @@ class TestEveryEventReachesTheBlackBox:
             runtime.shutdown()
         finally:
             telemetry.disable()
-        names = _event_names(bundle)
+        names = _event_names(bundle, since_ns)
         order = [names.index(name) for name in (
             "fault.injected", "resilience.retry", "resilience.failover",
             "resilience.hedge")]

@@ -1,27 +1,37 @@
-"""A peer's bytes never reach a general unpickler — in either direction.
+"""A peer's bytes are read by the value codec alone — in either direction.
 
 An INVOKE whose argument is a pickle naming ``os.system`` (or ``eval``,
-or numpy's old ``exec_command``) comes back as a typed error, nothing
-runs, and the *same* target answers the next offload; a RESULT or an
-``OP_FAILURE`` carrying the same pickles raises a typed error on the
-client, whose runtime stays usable. Both over ``shm`` and ``tcp``, on
-the in-process servers of ``test_target_dispatch`` (so "the same target"
-is a thread this test can see). Waits carry a timeout only so a
-regression fails instead of hanging.
+or numpy's old ``exec_command``) under the retired ``P`` code comes back
+as a typed error, nothing runs, and the *same* target answers the next
+offload; a RESULT or an ``OP_FAILURE`` carrying the same pickles raises
+a typed error on the client, whose runtime stays usable. Both over
+``shm`` and ``tcp``, on the in-process servers of
+``test_target_dispatch`` (so "the same target" is a thread this test
+can see). Waits carry a timeout only so a regression fails instead of
+hanging.
+
+A pickle need not name a function to do harm: a forged numpy dtype,
+once decoded, makes the first read of one of its fields segfault. That
+row runs in a fresh interpreter, so a regression fails the row instead
+of killing the run.
 """
 
+import pickle
 import struct
 
+import numpy as np
 import pytest
 
 from repro.backends._server import OP_FAILURE, OP_INVOKE, OP_REPLY_BIT
 from repro.errors import RemoteExecutionError, SerializationError
 from repro.ham import MSG_RESULT, Functor, build_message, f2f
 from repro.ham.registry import type_name_of
+from repro.ham.serialization import deserialize, serialize
 
 from tests import apps
 from tests.backends.test_client_core import _rewrite_replies, _settled
 from tests.backends.test_target_dispatch import WAIT, Target
+from tests.fresh import fresh_python
 
 HOSTILE = [
     ("os", "system", "touch {marker}"),
@@ -60,19 +70,19 @@ class _RawArguments(Functor):
         return [self.args[0]]
 
 
-def _one_pickled_argument(body: bytes) -> bytes:
-    """The wire form of an argument list of one last-resort value."""
-    signature = struct.pack("<HH", 1, 0) + b"P"
+def _one_argument(code: bytes, body: bytes) -> bytes:
+    """The wire form of an argument list of one value of ``code``."""
+    signature = struct.pack("<HH", 1, 0) + code
     return signature + struct.pack("<I", len(body)) + body
 
 
 def test_hostile_invoke_is_refused_and_the_same_target_serves_on(target, hostile):
     body, marker = hostile
-    functor = _RawArguments(type_name_of(apps.echo), (_one_pickled_argument(body),))
+    functor = _RawArguments(type_name_of(apps.echo), (_one_argument(b"P", body),))
     future = target.runtime.async_(1, functor)
     with pytest.raises(RemoteExecutionError, match="SerializationError") as refused:
         future.get(timeout=WAIT)
-    assert "not on the allow-list" in str(refused.value)
+    assert "unknown payload tag" in str(refused.value)
     assert not marker.exists()
     assert target.thread.is_alive()
     assert target.runtime.sync(1, f2f(apps.add, 20, 22)) == 42
@@ -81,11 +91,9 @@ def test_hostile_invoke_is_refused_and_the_same_target_serves_on(target, hostile
 
 def test_well_formed_twin_of_the_hostile_invoke_executes(target):
     """The hand-built argument block is the real format: the same bytes
-    around a harmless pickle run the kernel."""
-    import pickle
-
-    block = _one_pickled_argument(pickle.dumps([1, 2], protocol=4))
-    functor = _RawArguments(type_name_of(apps.echo), (block,))
+    around a list's items run the kernel."""
+    items = b"".join(struct.pack("<I", 9) + serialize(i) for i in (1, 2))
+    functor = _RawArguments(type_name_of(apps.echo), (_one_argument(b"L", items),))
     assert target.runtime.sync(1, functor) == [1, 2]
 
 
@@ -99,7 +107,7 @@ def test_hostile_result_raises_a_typed_error_on_the_client(target, hostile):
 
     _rewrite_replies(target, as_hostile_result)
     future = target.runtime.async_(1, f2f(apps.add, 1, 2))
-    with pytest.raises(SerializationError, match="not on the allow-list"):
+    with pytest.raises(SerializationError, match="unknown payload tag"):
         future.get(timeout=WAIT)
     assert not marker.exists()
     target.server.__dict__.pop("_reply")
@@ -115,11 +123,73 @@ def test_hostile_failure_body_raises_a_typed_error_on_the_client(target, hostile
 
     _rewrite_replies(target, as_hostile_failure)
     future = target.runtime.async_(1, f2f(apps.add, 1, 2))
-    with pytest.raises(SerializationError, match="not on the allow-list"):
+    with pytest.raises(SerializationError, match="unknown payload tag"):
         future.get(timeout=WAIT)
-    with pytest.raises(SerializationError, match="not on the allow-list"):
+    with pytest.raises(SerializationError, match="unknown payload tag"):
         target.backend.alloc_buffer(1, 8)  # the sync-op sink takes the same path
     assert not marker.exists()
     target.server.__dict__.pop("_reply")
     assert target.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
     assert _settled(target)
+
+
+def _forged_dtype_pickle() -> bytes:
+    """A pickle of a ``V16`` dtype whose field ``b`` sits at offset 2**28:
+    numpy's ``__setstate__`` takes the offsets on trust."""
+
+    class Forged:
+        def __reduce__(self):
+            fields = {"a": (np.dtype("<i8"), 0), "b": (np.dtype("<i8"), 1 << 28)}
+            return np.dtype, ("V16", False, True), (
+                3, "|", None, ("a", "b"), fields, 16, 1, 16)
+
+    return pickle.dumps(Forged(), protocol=4)
+
+
+def refuse_the_forged_dtype_everywhere() -> None:
+    """As a value, as an INVOKE argument and as a RESULT, over shm and
+    tcp: each is refused, and the same target serves on. A decoder that
+    lets the dtype through gets it used, as a kernel would."""
+    forged = _forged_dtype_pickle()
+
+    def refused(decode):
+        try:
+            value = decode()
+        except (SerializationError, RemoteExecutionError) as exc:
+            assert "unknown payload tag" in str(exc), exc
+        else:
+            np.zeros(1, value)["b"].sum()  # reads 2**28 bytes past the element
+            raise AssertionError(f"decoded {value!r}")
+
+    def as_forged_result(send, op, corr, parts):
+        if op == OP_INVOKE | OP_REPLY_BIT:
+            parts = (build_message(MSG_RESULT, 0, 0, b"P" + forged),)
+        send(op, corr, *parts)
+
+    refused(lambda: deserialize(b"P" + forged))
+    for transport in ("shm", "tcp"):
+        target = Target(transport)
+        target.connect()
+        try:
+            argument = _one_argument(b"P", forged)
+            refused(lambda: target.runtime.sync(
+                1, _RawArguments(type_name_of(apps.echo), (argument,))))
+            assert target.runtime.sync(1, f2f(apps.add, 20, 22)) == 42
+            _rewrite_replies(target, as_forged_result)
+            refused(lambda: target.runtime.sync(1, f2f(apps.add, 1, 2)))
+            target.server.__dict__.pop("_reply")
+            assert target.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+            assert _settled(target)
+        finally:
+            target.server.__dict__.pop("_reply", None)
+            target.runtime.shutdown()
+            target.thread.join(WAIT)
+    print("refused")
+
+
+def test_forged_dtype_is_refused_in_a_fresh_process():
+    out = fresh_python(
+        "from tests.failure.test_hostile_input import "
+        "refuse_the_forged_dtype_everywhere as run; run()"
+    )
+    assert out.splitlines()[-1] == "refused"

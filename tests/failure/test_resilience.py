@@ -22,6 +22,7 @@ from repro.backends import (
     spawn_local_server,
 )
 from repro.backends._server import OP_PING, OP_REPLY_BIT, FrameParser
+from repro.backends.tcp import FRAME_LIMIT
 from repro.cluster import AuroraCluster
 from repro.errors import (
     BackendError,
@@ -63,7 +64,7 @@ def _start_misbehaving_server(behavior: str) -> tuple[str, int]:
         try:
             conn, _peer = listener.accept()
             with conn:
-                parser = FrameParser(conn)
+                parser = FrameParser(conn, FRAME_LIMIT)
                 op, corr, _body = read_frame(parser)
                 assert op == OP_PING
                 # Empty digest: the client skips the catalog comparison.

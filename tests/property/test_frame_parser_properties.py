@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends._server import _RECV_CHUNK, FrameParser, _eof_error
 from repro.backends.shm import ShmSegment, _host_to_target_ring
+from repro.backends.tcp import FRAME_LIMIT
 from repro.errors import BackendError
 
 from tests.backends.wire import frame
@@ -76,7 +77,7 @@ def _through_socket(stream_pieces):
     writer = threading.Thread(target=write)
     writer.start()
     try:
-        parser = FrameParser(ours)
+        parser = FrameParser(ours, FRAME_LIMIT)
         got = _read_all(parser)
     finally:
         writer.join(WAIT)

@@ -88,6 +88,12 @@ class Colour(enum.IntEnum):
     GREEN = 2
 
 
+class Shade(enum.IntEnum):
+    """An application type with no hook: it has no wire code."""
+
+    DARK = 1
+
+
 register_serializer(
     Colour, "test.colour",
     encode=lambda colour: colour.name.encode(),
@@ -116,7 +122,55 @@ pointers = st.builds(
     dtype_str=st.sampled_from(["float64", "int32", "uint8"]),
     count=st.integers(0, 2**40),
 )
-codec_values = st.none() | typed_scalars | texts | blobs | arrays | pointers | json_like
+#: One value of every numpy scalar kind the ``n`` code carries.
+numpy_scalars = (
+    st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers(0, 2**64 - 1).map(np.uint64)
+    | st.integers(-128, 127).map(np.int8)
+    | st.floats().map(np.float64)
+    | st.floats(width=16).map(np.float16)
+    | st.complex_numbers().map(np.complex128)
+    | st.booleans().map(np.bool_)
+    # numpy's fixed-width items drop trailing NULs, on the wire or not
+    | st.text(max_size=5).filter(lambda t: not t.endswith("\0")).map(np.str_)
+    | st.binary(max_size=5).filter(lambda b: not b.endswith(b"\0")).map(np.bytes_)
+    | st.integers(-(2**40), 2**40).map(lambda n: np.datetime64(n, "s"))
+)
+#: Leaves the closed code set added to ``int``/``float``/``str``/...:
+#: each keeps its exact type.
+coded_leaves = (
+    st.none() | typed_scalars | texts | blobs | numpy_scalars
+    | st.complex_numbers() | st.binary(max_size=10).map(bytearray)
+    | st.integers(min_value=2**63) | st.integers(max_value=-(2**63) - 1)
+)
+hashable_leaves = (
+    st.none() | st.booleans() | st.integers() | texts | blobs
+    | st.floats(allow_nan=False) | st.complex_numbers(allow_nan=False)
+)
+#: Every container code, nested in every other.
+nested_values = st.recursive(
+    coded_leaves | arrays,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(hashable_leaves, children, max_size=4)
+    | st.frozensets(hashable_leaves, max_size=4)
+    | st.sets(hashable_leaves | st.frozensets(hashable_leaves, max_size=2), max_size=4),
+    max_leaves=20,
+)
+codec_values = (st.none() | typed_scalars | texts | blobs | arrays | pointers
+                | json_like | nested_values)
+#: Each code that took over from the retired pickle code, on its own.
+new_codes = {
+    "B": st.binary(max_size=10).map(bytearray),
+    "j": st.complex_numbers(),
+    "W": st.integers(min_value=2**63) | st.integers(max_value=-(2**63) - 1),
+    "n": numpy_scalars,
+    "T": st.lists(coded_leaves, max_size=4).map(tuple),
+    "L": st.lists(coded_leaves, max_size=4),
+    "S": st.sets(hashable_leaves, max_size=4),
+    "F": st.frozensets(hashable_leaves, max_size=4),
+    "D": st.dictionaries(hashable_leaves, coded_leaves, max_size=4),
+}
 
 
 def same(left, right) -> bool:
@@ -126,13 +180,21 @@ def same(left, right) -> bool:
     if isinstance(left, np.ndarray):
         return (left.dtype == right.dtype and left.shape == right.shape
                 and np.array_equal(left, right, equal_nan=True))
-    if isinstance(left, (float, np.floating)):
+    if isinstance(left, (float, complex, np.inexact)):
         return repr(left) == repr(right)
     if isinstance(left, (list, tuple)):
         return len(left) == len(right) and all(map(same, left, right))
-    if isinstance(left, dict):
-        return left.keys() == right.keys() and all(same(left[k], right[k]) for k in left)
+    if isinstance(left, dict):  # keys, like set members: hashable leaves, no nan
+        return left.keys() == right.keys() and all(
+            same(key, _twin(key, right)) and same(left[key], right[key]) for key in left)
+    if isinstance(left, (set, frozenset)):
+        return left == right and all(same(key, _twin(key, right)) for key in left)
     return left == right
+
+
+def _twin(key, pool):
+    """The member of ``pool`` equal to ``key`` (``1 == True``; its type may not be)."""
+    return next(member for member in pool if member == key)
 
 
 bytes_likes = st.sampled_from([bytes, bytearray, memoryview])
@@ -143,6 +205,15 @@ class TestCompiledCodecProperties:
     @settings(max_examples=300, deadline=None)
     def test_value_roundtrip_keeps_type_and_value(self, value, as_input):
         assert same(deserialize(as_input(serialize(value))), value)
+
+    @pytest.mark.parametrize("code", sorted(new_codes))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_new_code_round_trips_alone(self, code, data):
+        value = data.draw(new_codes[code])
+        wire = serialize(value)
+        assert wire[:1] == code.encode()
+        assert same(deserialize(wire), value)
 
     @given(
         args=st.lists(codec_values, max_size=6),
@@ -177,13 +248,12 @@ class TestCompiledCodecProperties:
         assert len(views) == 2 and all(view.obj is arr for view in views)
 
     def test_unregistered_application_class_is_refused_on_decode(self):
-        class Local(enum.IntEnum):
-            A = 1
-
-        with pytest.raises(SerializationError):
-            # Unpicklable here (a local class); a module-level one would
-            # pickle and then be refused by the receiver's allow-list.
-            serialize(Local.A)
+        # On the host first: a type with no code and no hook is never sent.
+        for value in (Shade.DARK, [1, {"k": Shade.DARK}]):
+            with pytest.raises(SerializationError, match="register_serializer"):
+                serialize(value)
+            with pytest.raises(SerializationError, match="Migratable"):
+                Functor("t", (1, value)).serialize_args()
         wire = serialize(Colour.RED).replace(b"test.colour", b"test.nobody")
         with pytest.raises(SerializationError, match="no custom serializer"):
             deserialize(wire)
