@@ -298,13 +298,15 @@ def run_anomaly(args: argparse.Namespace) -> int:
       target 1 hedges to a duplicate and the hedge *avoids* target 2
       (``avoided`` names it, the secondary is a different node);
     * the anomaly dumped a ``telemetry_anomaly`` crash bundle whose
-      ``timeseries.json`` contains the anomalous series.
+      ``timeseries.json`` contains the anomalous series;
+    * the merged live snapshot lists targets 1, 2 and 3, none with an
+      ``error``: the chaos proxy around target 2 hides nothing.
     """
     import tempfile
 
     from repro.backends import FanoutBackend
     from repro.offload import HedgePolicy
-    from repro.telemetry import flightrecorder
+    from repro.telemetry import flightrecorder, inspect
     from repro.telemetry import recorder as telemetry
     from repro.telemetry.tsdb import AnomalyDetector, install_tsdb
 
@@ -398,6 +400,11 @@ def run_anomaly(args: argparse.Namespace) -> int:
                 break
         if hedged is None:
             print("ANOMALY FAIL: no hedge fired for the straggling offload")
+            return 1
+        targets = inspect.snapshot(runtime)["target"]["targets"]
+        if ([t["node"] for t in targets] != [1, 2, 3]
+                or any("error" in t for t in targets)):
+            print(f"ANOMALY FAIL: the snapshot's targets are {targets}")
             return 1
         code = 0
     finally:

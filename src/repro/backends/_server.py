@@ -617,7 +617,7 @@ class FramedServer:
         """Live target state, in the transport-agnostic introspection shape.
 
         Every target answers ``OP_INTROSPECT`` with this same dict layout
-        so host-side tooling (``RuntimeInspector``, ``repro.telemetry.top``)
+        so host-side tooling (``offload.introspect()``, ``repro.telemetry.top``)
         needs no per-transport cases. ``rings`` is ``None`` for stream
         transports; the shm target fills it in.
         """

@@ -58,35 +58,8 @@ __all__ = [
     "FrameCoalescer",
     "InflightWindow",
     "InvokeHandle",
-    "normalize_target_stats",
 ]
 
-
-def normalize_target_stats(stats: "dict[str, Any]") -> "dict[str, Any]":
-    """Project a backend ``stats()`` dict onto the scoreboard vector.
-
-    Transports disagree on key names (TCP reports ``send_queue_bytes``,
-    shm reports ring occupancy, proxies nest the real transport under
-    ``inner``); this maps whatever is present onto the canonical
-    ``in_flight`` / ``queue_bytes`` / ``ring_fill`` keys and omits the
-    rest — absent signals stay absent rather than reading as zero.
-    """
-    inner = stats.get("inner")
-    if isinstance(inner, dict):
-        # Proxy backends (fault injection) nest the transport's stats.
-        stats = inner
-    vector: dict[str, Any] = {}
-    pending = stats.get("pending_replies")
-    if pending is not None:
-        vector["in_flight"] = pending
-    queue_bytes = stats.get("send_queue_bytes")
-    if queue_bytes is not None:
-        vector["queue_bytes"] = queue_bytes
-    used = stats.get("request_ring_used")
-    capacity = stats.get("ring_capacity")
-    if used is not None and capacity:
-        vector["ring_fill"] = used / capacity
-    return vector
 
 #: Default bound on invocations in flight per runtime. Large enough to
 #: keep a pipelined transport busy, small enough that a runaway producer
@@ -852,19 +825,21 @@ class Backend(abc.ABC):
         """
         return {}
 
-    def per_target_stats(self) -> dict[NodeId, dict[str, Any]]:
-        """Normalized load vector per target node, for the scoreboard.
+    def introspect_target(
+        self, timeout: float | None = None
+    ) -> dict[str, Any] | None:
+        """The target's live state in the transport-agnostic shape
+        (``role``, ``transport``, ``pid``, ``workers``, ``dispatch``,
+        ``pending_invokes``, ``messages_executed``, ``live_buffers``,
+        ``rings``); ``None`` when the target has no state to report
+        (the simulators). ``timeout`` bounds a wire round trip."""
+        return None
 
-        ``{node: {"in_flight": .., "queue_bytes": .., "ring_fill": ..}}``
-        with absent signals omitted. The base maps the backend's own
-        :meth:`stats` onto its single target (node 1); the fan-out
-        backend overrides to report every member. Values feed the
-        TSDB's ``target.*.<node>`` series, so keys here ARE series name
-        segments — extend the table, don't rename it.
-        """
-        stats = self.stats()
-        vector = normalize_target_stats(stats)
-        return {1: vector} if vector else {}
+    def fetch_target_telemetry(self, timeout: float | None = None) -> list[Any]:
+        """Pull (and clear) the records the target process recorded;
+        ``[]`` when the target records nothing of its own (in-process
+        and simulated targets record into the host's recorder)."""
+        return []
 
     # -- lifecycle -----------------------------------------------------------------
     @abc.abstractmethod

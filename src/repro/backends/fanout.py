@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.backends.base import Backend, InvokeHandle, normalize_target_stats
+from repro.backends.base import Backend, InvokeHandle
 from repro.errors import BackendError
 from repro.offload.buffer import BufferPtr
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
@@ -104,32 +104,13 @@ class FanoutBackend(Backend):
         return {
             "backend": self.name,
             "targets": len(self._inners),
-            "receiver_threads": 0,
             "inner": [inner.stats() for inner in self._inners],
         }
-
-    def per_target_stats(self) -> dict[NodeId, dict[str, Any]]:
-        """One scoreboard vector per member, keyed by outer node id.
-
-        This is the TSDB scoreboard's per-target feed: each inner's
-        ``stats()`` normalized onto ``in_flight`` / ``queue_bytes`` /
-        ``ring_fill``, so ``target.*.<node>`` series exist for every
-        member even while only some are taking traffic.
-        """
-        table: dict[NodeId, dict[str, Any]] = {}
-        for index, inner in enumerate(self._inners):
-            try:
-                vector = normalize_target_stats(inner.stats())
-            except Exception:  # noqa: BLE001 - observer must not throw
-                continue
-            if vector:
-                table[index + 1] = vector
-        return table
 
     def introspect_target(
         self, timeout: float | None = None
     ) -> dict[str, Any]:
-        """Aggregate introspection over every inner that supports it.
+        """Aggregate introspection over every member that reports state.
 
         Returns the transport-agnostic shape with summed worker/pending
         counts plus a ``targets`` list holding each inner's full payload
@@ -138,14 +119,14 @@ class FanoutBackend(Backend):
         """
         payloads: list[dict[str, Any]] = []
         for index, inner in enumerate(self._inners):
-            probe = getattr(inner, "introspect_target", None)
-            if probe is None:
-                continue
             try:
-                payload = dict(probe(timeout=timeout))
+                state = inner.introspect_target(timeout=timeout)
             except BackendError:
-                payload = {"role": "target", "transport": inner.name,
-                           "error": "unreachable"}
+                state = {"role": "target", "transport": inner.name,
+                         "error": "unreachable"}
+            if state is None:
+                continue
+            payload = dict(state)
             payload["node"] = index + 1
             payloads.append(payload)
         return {
@@ -178,15 +159,10 @@ class FanoutBackend(Backend):
             "targets": payloads,
         }
 
-    def fetch_target_telemetry(self, timeout: float = 1.0) -> list[Any]:
-        """Drain target-side telemetry from every inner that supports it."""
-        records: list[Any] = []
-        for inner in self._inners:
-            fetch = getattr(inner, "fetch_target_telemetry", None)
-            if fetch is None:
-                continue
-            records.extend(fetch(timeout=timeout))
-        return records
+    def fetch_target_telemetry(self, timeout: float | None = None) -> list[Any]:
+        """Drain target-side telemetry from every member."""
+        return [record for inner in self._inners
+                for record in inner.fetch_target_telemetry(timeout=timeout)]
 
     # -- lifecycle ---------------------------------------------------------
     def shutdown(self) -> None:

@@ -220,25 +220,17 @@ class FaultInjectingBackend(Backend):
     def resolve_buffer(self, node: NodeId, ptr: BufferPtr) -> np.ndarray:
         return self.inner.resolve_buffer(node, ptr)
 
-    def fetch_target_telemetry(self, timeout: float | None = None,
-                               align: bool = True) -> list:
-        """Forward a telemetry pull to the wrapped backend (never faulted).
+    # Observability is never faulted: chaos must not hide the target.
+    def introspect_target(
+        self, timeout: float | None = None
+    ) -> dict[str, Any] | None:
+        return self.inner.introspect_target(timeout=timeout)
 
-        Observability must not be chaos-tested away: the pull bypasses
-        the fault schedule. Returns ``[]`` when the inner backend has no
-        target-side telemetry (e.g. the local backend).
-        """
-        fetch = getattr(self.inner, "fetch_target_telemetry", None)
-        if fetch is None:
-            return []
-        return fetch(timeout=timeout, align=align)
+    def fetch_target_telemetry(self, timeout: float | None = None) -> list:
+        return self.inner.fetch_target_telemetry(timeout=timeout)
 
     def set_default_timeout(self, seconds: float | None) -> None:
         self.inner.set_default_timeout(seconds)
-
-    def per_target_stats(self) -> dict[NodeId, dict[str, Any]]:
-        """Scoreboard feed comes from the real transport (never faulted)."""
-        return self.inner.per_target_stats()
 
     def stats(self) -> dict[str, Any]:
         counts: dict[str, int] = {}

@@ -882,6 +882,5 @@ class ShmBackend(FramedClient):
             "request_ring": _ring_state(self._h2t),
             "reply_ring": _ring_state(self._t2h),
             "pending_replies": self._pending_count(),
-            "receiver_threads": 0,
             "backstop_pumps": self.loop_polls,  # an awaiting loop's polls
         }

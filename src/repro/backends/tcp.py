@@ -388,7 +388,6 @@ class TcpBackend(FramedClient):
             "pending_replies": self._pending_count(),
             "send_queue_bytes": depths["send_queue"],
             "recv_queue_bytes": depths["recv_queue"],
-            "receiver_threads": 0,
             "reactor": DEADLINES.stats(),  # the coalescer's timer
             "batch": self._coalescer.stats(),
         }

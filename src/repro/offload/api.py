@@ -258,13 +258,13 @@ def _introspect_fn() -> dict:
 def introspect(*, probe_target: bool = True) -> dict:
     """One merged live-state snapshot of the global runtime.
 
-    See :class:`repro.telemetry.inspect.RuntimeInspector`. The same
-    payload is served on the metrics server's ``/introspect`` endpoint
-    when one is running.
+    See :func:`repro.telemetry.inspect.snapshot`. The same payload is
+    served on the metrics server's ``/introspect`` endpoint when one is
+    running.
     """
-    from repro.telemetry.inspect import RuntimeInspector
+    from repro.telemetry.inspect import snapshot
 
-    return RuntimeInspector(runtime()).snapshot(probe_target=probe_target)
+    return snapshot(runtime(), probe_target=probe_target)
 
 
 def finalize() -> None:

@@ -15,8 +15,7 @@ Futures are also awaitable: ``await future`` inside an asyncio
 coroutine suspends the task (not the thread) until the reply lands.
 The running loop is then the waiter: on a driven transport it reads the
 replies itself (:class:`AwaitingLoop`), and whichever thread completes
-the handle wakes the task through a done-callback. Handles without
-completion callbacks are polled with a short exponential backoff.
+the handle wakes the task through a done-callback.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from typing import TYPE_CHECKING, Any, Callable, Generator, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.backends.base import SLEEP_MAX, SLEEP_MIN, SPIN_YIELDS, Backend, InvokeHandle
 from repro.errors import FutureError, OffloadTimeoutError
@@ -36,27 +35,14 @@ from repro.telemetry.sampling import complete_offload
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.recorder import Recorder
 
-__all__ = ["AwaitingLoop", "CompletedHandle", "Future", "OperationHandle"]
-
-
-class OperationHandle(Protocol):
-    """What backends hand to futures: a pollable pending operation."""
-
-    def test(self) -> bool:
-        """Non-blocking completion probe."""
-        ...
-
-    def wait(self, timeout: float | None = None) -> Any:
-        """Block until complete; return the value (raising on failure).
-
-        With ``timeout`` set, raise :class:`OffloadTimeoutError` instead
-        of blocking past the deadline.
-        """
-        ...
+__all__ = ["AwaitingLoop", "CompletedHandle", "Future"]
 
 
 class CompletedHandle:
-    """A trivially complete handle (synchronous backends)."""
+    """A trivially complete handle (put, get and copy futures)."""
+
+    #: Nothing went on the wire under an id.
+    correlation_id = None
 
     def __init__(self, value: Any = None, error: BaseException | None = None) -> None:
         self._value = value
@@ -76,14 +62,14 @@ class Future:
 
     def __init__(
         self,
-        handle: OperationHandle,
+        handle: InvokeHandle | CompletedHandle,
         label: str = "",
         trace: TraceContext | None = None,
         start_ns: int | None = None,
         tenant: str | None = None,
         node: int | None = None,
     ) -> None:
-        self._handle: OperationHandle | None = handle
+        self._handle: InvokeHandle | CompletedHandle | None = handle
         #: What :func:`settle_offload` accounts the offload by: kernel,
         #: target node, QoS tenant, issue time (``None``: a put/get/copy
         #: parity future). The trace opened at ``async_`` is re-activated
@@ -108,7 +94,8 @@ class Future:
         transport logs. ``None`` once the future has settled (the handle
         is released) or for trivially complete handles.
         """
-        return getattr(self._handle, "correlation_id", None)
+        handle = self._handle
+        return None if handle is None else handle.correlation_id
 
     def test(self) -> bool:
         """Whether the result is available (non-blocking)."""
@@ -143,11 +130,9 @@ class Future:
         running other coroutines while the reply is in flight, so one
         loop can hold thousands of offloads open concurrently.
 
-        Completion-capable handles (every transport backend) wake the
-        task exactly once via a done-callback; while the task waits on a
-        driven transport (tcp, shm, the simulators) its loop polls the
-        transport for it. Handles without ``add_done_callback`` are
-        polled with an exponential backoff capped at 5 ms. Cancelling the
+        The handle wakes the task exactly once via a done-callback;
+        while the task waits on a driven transport (tcp, shm, the
+        simulators) its loop polls the transport for it. Cancelling the
         awaiting task leaves the future *pending*, exactly like a
         timed-out ``get`` — a later ``get`` or ``await`` can still
         collect the reply.
@@ -157,35 +142,29 @@ class Future:
 
             loop = asyncio.get_running_loop()
             handle = self._handle
-            attach = getattr(handle, "add_done_callback", None)
-            if attach is not None:
-                woken = loop.create_future()
+            assert isinstance(handle, InvokeHandle)  # a completed one tested done
+            woken = loop.create_future()
 
-                def _wake() -> None:
-                    if not woken.done():
-                        woken.set_result(None)
+            def _wake() -> None:
+                if not woken.done():
+                    woken.set_result(None)
 
-                def _on_done(_handle: Any) -> None:
-                    # Runs on the completing thread: the loop's own poll,
-                    # or another waiter. A closed loop means the
-                    # application is tearing down and nobody is left to wake.
-                    if not loop.is_closed():
-                        loop.call_soon_threadsafe(_wake)
+            def _on_done(_handle: Any) -> None:
+                # Runs on the completing thread: the loop's own poll,
+                # or another waiter. A closed loop means the
+                # application is tearing down and nobody is left to wake.
+                if not loop.is_closed():
+                    loop.call_soon_threadsafe(_wake)
 
-                attach(_on_done)
-                release: Callable[[], None] | None = None
-                if isinstance(handle, InvokeHandle) and handle.backend.driven:
-                    release = AwaitingLoop.watch(loop, handle)
-                try:
-                    yield from woken.__await__()
-                finally:
-                    if release is not None:
-                        release()
-            else:
-                delay = 50e-6
-                while not self.test():
-                    yield from asyncio.sleep(delay).__await__()
-                    delay = min(delay * 2, 5e-3)
+            handle.add_done_callback(_on_done)
+            release: Callable[[], None] | None = None
+            if handle.backend.driven:
+                release = AwaitingLoop.watch(loop, handle)
+            try:
+                yield from woken.__await__()
+            finally:
+                if release is not None:
+                    release()
         # The handle is complete: get() settles without blocking and
         # re-raises a remote failure, identical to the sync surface.
         return self.get()

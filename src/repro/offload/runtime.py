@@ -651,7 +651,9 @@ class Runtime:
 
         ``offload.introspect()["host"]``, ``repro top`` and a crash
         bundle's ``state.json`` are this dict; nothing else reads the
-        runtime's parts to describe it.
+        runtime's parts to describe it. The metrics registry is the
+        process's, not the runtime's, and has its own outlets
+        (``/metrics``, a bundle's ``metrics.json``, the TSDB).
         """
         window = self.window
         data: dict[str, Any] = {
@@ -691,15 +693,13 @@ class Runtime:
             }
         if self.monitor is not None:
             data["health"] = self.monitor.snapshot()
-        if telemetry.enabled():
-            data["telemetry"] = telemetry.get().metrics.snapshot()
         return data
 
     def _drain_target_telemetry(self, timeout: float = 1.0) -> None:
         """Pull remaining target-side telemetry, best effort.
 
-        Backends exposing ``fetch_target_telemetry`` (the TCP backend's
-        ``OP_TELEMETRY``) hold target-process spans the host has not yet
+        A backend whose target is another process (``OP_TELEMETRY`` on
+        tcp and shm) holds target-process spans the host has not yet
         merged; shutdown is the last chance to collect them. The pull is
         bounded by ``timeout`` and never raises — a hung or dead target
         must not block shutdown — recording a ``telemetry.pull_failed``
@@ -708,11 +708,8 @@ class Runtime:
         recorder = telemetry.get()
         if recorder is None:
             return
-        fetch = getattr(self.backend, "fetch_target_telemetry", None)
-        if fetch is None:
-            return
         try:
-            records = fetch(timeout=timeout)
+            records = self.backend.fetch_target_telemetry(timeout=timeout)
         except Exception as exc:  # noqa: BLE001 - best effort by contract
             telemetry.event(
                 "telemetry.pull_failed", category="telemetry",

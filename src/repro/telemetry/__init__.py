@@ -47,8 +47,8 @@ Layout:
 * :mod:`repro.telemetry.flightrecorder` — always-on black-box ring of
   control-plane events, dumped as a crash bundle on offload errors,
   peer death, SLO breaches, ``SIGUSR2`` or exit-with-pending;
-* :mod:`repro.telemetry.inspect` — :class:`RuntimeInspector`, the
-  merged host + target live-state snapshot behind
+* :mod:`repro.telemetry.inspect` — :func:`~repro.telemetry.inspect.snapshot`,
+  the merged host + target live-state snapshot behind
   ``offload.introspect()`` and the ``/introspect`` endpoint;
 * :mod:`repro.telemetry.top` — ``python -m repro.telemetry.top``, a
   live terminal view (`top` for the offload runtime) over
@@ -82,7 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
         trace_summary,
     )
     from repro.telemetry.flightrecorder import FlightRecorder
-    from repro.telemetry.inspect import RuntimeInspector
     from repro.telemetry.metrics import (
         Counter, Gauge, LogHistogram, MetricsRegistry, percentile,
     )
@@ -101,8 +100,7 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
 __all__ = [
     "AnomalyDetector", "ClockSync", "Counter", "EventRecord", "FlightRecorder",
     "Gauge", "HeadSampler", "LogHistogram", "MetricsRegistry", "MetricsServer",
-    "Recorder",
-    "RuntimeInspector", "SLO", "SLOMonitor", "Scoreboard", "SeriesRing",
+    "Recorder", "SLO", "SLOMonitor", "Scoreboard", "SeriesRing",
     "SpanRecord", "TailPipeline", "TelemetryConfig", "TimeSeriesStore",
     "TraceContext", "Tsdb", "activate", "align_records", "complete_offload",
     "count", "critical_path", "current", "current_span_id", "current_trace_id_hex",
@@ -120,7 +118,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "merge_traces", "trace_summary",
     ),
     "repro.telemetry.flightrecorder": ("FlightRecorder",),
-    "repro.telemetry.inspect": ("RuntimeInspector",),
     "repro.telemetry.metrics": (
         "Counter", "Gauge", "LogHistogram", "MetricsRegistry", "percentile",
     ),

@@ -209,14 +209,12 @@ class FlightRecorder:
 
     def state(self) -> list[dict[str, Any]]:
         """The state snapshot a bundle carries: per attached runtime,
-        the ``host`` entry of ``offload.introspect(probe_target=False)``
+        ``Runtime.stats()``, the ``host`` entry of ``offload.introspect()``
         (a dying peer is not asked anything)."""
-        from repro.telemetry.inspect import RuntimeInspector
-
         entries: list[dict[str, Any]] = []
         for runtime in list(self._runtimes):
             try:
-                entries.append(RuntimeInspector(runtime).host())
+                entries.append(runtime.stats())
             except Exception as exc:  # noqa: BLE001 - crash path, best effort
                 entries.append({"error": f"{type(exc).__name__}: {exc}"})
         return entries

@@ -244,7 +244,7 @@ class MetricsServer:
     introspect_fn:
         Optional zero-argument callable returning the live-state
         snapshot served as JSON on ``/introspect`` — typically
-        :meth:`repro.telemetry.inspect.RuntimeInspector.snapshot`. When
+        :func:`repro.telemetry.inspect.snapshot`. When
         omitted the endpoint answers 404.
     """
 

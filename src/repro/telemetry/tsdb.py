@@ -13,8 +13,7 @@ module adds the missing axis of time at a fixed, tiny cost:
   live :class:`~repro.telemetry.metrics.MetricsRegistry` on a fixed
   interval (default 1 s), with PromQL-flavoured queries:
   :meth:`~TimeSeriesStore.range`, :meth:`~TimeSeriesStore.rate`
-  (counter-reset aware), :meth:`~TimeSeriesStore.delta`,
-  :meth:`~TimeSeriesStore.percentile_of_window`.
+  (counter-reset aware), :meth:`~TimeSeriesStore.delta`.
 * :class:`Scoreboard` — per-target health/load vectors (in-flight
   depth, reply p95, error rate, ring fill / send-queue bytes) derived
   from the fan-out backend's per-member stats, written as
@@ -231,15 +230,6 @@ class TimeSeriesStore:
             return 0.0
         return increase / span
 
-    def percentile_of_window(self, name: str, q: float,
-                             window: float | None = None,
-                             now: float | None = None) -> float:
-        """The ``q``-th percentile of the sample *values* in the window."""
-        points = self.range(name, window, now)
-        if not points:
-            return 0.0
-        return percentile([v for _, v in points], q)
-
     # -- persistence -------------------------------------------------------
     def to_json(self, window: float | None = None,
                 now: float | None = None) -> dict[str, Any]:
@@ -262,12 +252,50 @@ class TimeSeriesStore:
             self._series.clear()
 
 
+def _transport_stats(stats: Mapping[str, Any]) -> Mapping[str, Any]:
+    """A proxy's (fault injection) stats nest its transport's."""
+    while isinstance(stats.get("inner"), dict):
+        stats = stats["inner"]
+    return stats
+
+
+#: A load vector's keys (series name segments) and the transport
+#: ``stats()`` key each one reads.
+_LOAD_KEYS = (("in_flight", "pending_replies"), ("queue_bytes", "send_queue_bytes"))
+
+
+def _target_vectors(stats: Mapping[str, Any]) -> dict[int, dict[str, Any]]:
+    """Project a backend's ``stats()`` onto one load vector per target.
+
+    A fan-out's members are its ``inner`` list, numbered from 1; any
+    other backend has one target, node 1. Transports disagree on key
+    names, so each member's stats map onto :data:`_LOAD_KEYS` plus the
+    shm ring's ``ring_fill``. An absent signal stays absent rather than
+    reading as zero, and a member with none gets no vector.
+    """
+    stats = _transport_stats(stats)
+    members = stats.get("inner")
+    table: dict[int, dict[str, Any]] = {}
+    for node, member in enumerate(
+        members if isinstance(members, list) else [stats], 1
+    ):
+        member = _transport_stats(member)
+        vector = {key: member[name] for key, name in _LOAD_KEYS
+                  if member.get(name) is not None}
+        used, capacity = member.get("request_ring_used"), member.get("ring_capacity")
+        if used is not None and capacity:
+            vector["ring_fill"] = used / capacity
+        if vector:
+            table[node] = vector
+    return table
+
+
 class Scoreboard:
     """Per-target health/load vectors derived from live runtime state.
 
-    Each refresh reads the backend's per-member stats (the fan-out
-    backend reports one entry per target; single-target backends report
-    node 1) and writes ``target.*.<node>`` series into the store:
+    Each refresh reads the backend's ``stats()`` (the fan-out backend
+    reports one entry per member; single-target backends report node
+    1) and writes ``target.*.<node>`` series into the store:
 
     ========================== ========================================
     ``target.in_flight.<n>``   replies pending on the wire to target n
@@ -300,19 +328,13 @@ class Scoreboard:
         runtime = self._runtime
         if runtime is None:
             return
-        backend = getattr(runtime, "backend", None)
-        per_target = getattr(backend, "per_target_stats", None)
-        stats: Mapping[int, Mapping[str, Any]] = {}
-        if per_target is not None:
-            try:
-                stats = per_target()
-            except Exception:  # noqa: BLE001 - observer must not throw
-                stats = {}
-        for node, vec in stats.items():
-            for key in ("in_flight", "queue_bytes", "ring_fill"):
-                value = vec.get(key)
-                if value is not None:
-                    self.store.record(f"target.{key}.{node}", float(value), now)
+        try:
+            vectors = _target_vectors(runtime.backend.stats())
+        except Exception:  # noqa: BLE001 - observer must not throw
+            vectors = {}
+        for node, vector in vectors.items():
+            for key, value in vector.items():
+                self.store.record(f"target.{key}.{node}", float(value), now)
             self.store.record(
                 f"target.error_rate.{node}",
                 self.store.rate(f"target.errors.{node}", self.ERROR_WINDOW,

@@ -11,6 +11,8 @@ See ``docs/architecture.md``.
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
 import socket
 import threading
@@ -19,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.backends import (
     DmaCommBackend,
     FanoutBackend,
@@ -30,7 +33,7 @@ from repro.backends import (
     spawn_local_server,
     spawn_shm_server,
 )
-from repro.backends.base import DEFAULT_INFLIGHT_LIMIT
+from repro.backends.base import DEFAULT_INFLIGHT_LIMIT, Backend, InvokeHandle
 from repro.backends._server import OP_PING, OP_REPLY_BIT, FrameParser
 from repro.backends.tcp import FRAME_LIMIT
 from repro.errors import BackendError, LoadShedError, OffloadTimeoutError
@@ -333,3 +336,42 @@ class TestQoSConformance:
         window = runtime.stats()["qos"]["window"]
         assert window["tenants"]["b"]["shed"] == 1 and window["queued"] == 0
         assert runtime.window.in_flight == 0
+
+
+def contract_probes(src: pathlib.Path) -> list[str]:
+    """``getattr``/``hasattr`` calls under ``src`` whose string literal
+    names an attribute of ``Backend`` or ``InvokeHandle``."""
+    backend = LocalBackend()
+    names = {name for name in (*dir(Backend), *dir(InvokeHandle),
+                               *vars(InvokeHandle(backend)))
+             if not name.startswith("__")}
+    backend.shutdown()
+    hits = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in names):
+                hits.append(f"{path.relative_to(src)}:{node.lineno}")
+    return hits
+
+
+class TestOneContract:
+    """Every target operation is a ``Backend`` method: callers call it,
+    whatever wraps or composes the backend."""
+
+    def test_target_telemetry_through_proxies_and_simulators(self):
+        for backend in (
+            FanoutBackend([LocalBackend(), FaultInjectingBackend(LocalBackend())]),
+            FaultInjectingBackend(DmaCommBackend()),
+            VeoCommBackend(),
+        ):
+            try:
+                assert backend.fetch_target_telemetry() == []
+            finally:
+                backend.shutdown()
+
+    def test_nothing_probes_a_backend_or_handle_by_name(self):
+        assert contract_probes(pathlib.Path(repro.__file__).parent) == []

@@ -62,7 +62,6 @@ def test_10k_in_flight_single_thread(rt):
 
     # Zero receiver threads: whoever waits reads the socket.
     stats = backend.stats()
-    assert stats["receiver_threads"] == 0
     names = [t.name for t in threading.enumerate()]
     assert not any("tcp-receiver" in name for name in names)
 
@@ -94,4 +93,5 @@ def test_10k_awaited_futures_one_loop(rt):
 
     values = asyncio.run(main())
     assert values == [i + 2 for i in range(DEPTH)]
-    assert rt.backend.stats()["receiver_threads"] == 0
+    names = [t.name for t in threading.enumerate()]
+    assert not any("receiver" in name for name in names)

@@ -160,40 +160,10 @@ class TestAwaitDegenerateHandles:
             runtime.shutdown()
 
     def test_await_completed_handle_polls(self):
-        # CompletedHandle has no add_done_callback: exercises the
-        # poll fallback's fast exit.
+        # A CompletedHandle tests done: the await never suspends.
         future = Future(CompletedHandle("ready"))
 
         async def main():
             return await future
 
         assert asyncio.run(main()) == "ready"
-
-    def test_await_pollable_handle_without_callbacks(self):
-        # A handle that completes externally and only supports
-        # test()/wait(): the poll fallback must pick the value up.
-        class PollOnly:
-            def __init__(self):
-                self.done = False
-
-            def test(self):
-                return self.done
-
-            def wait(self, timeout=None):
-                assert self.done
-                return "polled"
-
-        handle = PollOnly()
-        future = Future(handle)
-
-        async def main():
-            async def complete_later():
-                await asyncio.sleep(0.02)
-                handle.done = True
-
-            task = asyncio.ensure_future(complete_later())
-            value = await future
-            await task
-            return value
-
-        assert asyncio.run(main()) == "polled"

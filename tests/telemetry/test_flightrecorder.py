@@ -320,15 +320,12 @@ class TestTransportSnapshot:
                 "reactor": {"max_lag_us": 120, "loops": 42},
                 "batch": {"flush_reasons": {"deadline": 3, "full": 1}},
             },
-            "telemetry": {"counters": {}},
         }
         runtime = self._Runtime(stats)  # held: the recorder only weak-refs it
         rec.attach(runtime)
         bundle = rec.dump("boom")
         assert not (bundle / "metrics.json").exists()  # telemetry is off
         [entry] = json.loads((bundle / BUNDLE_STATE).read_text())
-        # The registry snapshot is the process's, not the runtime's.
-        del stats["telemetry"]
         assert entry == stats
         manifest = json.loads((bundle / BUNDLE_MANIFEST).read_text())
         assert manifest["pending"] == 2

@@ -1,7 +1,7 @@
-"""Live introspection: OP_INTROSPECT, RuntimeInspector, /introspect, top.
+"""Live introspection: OP_INTROSPECT, inspect.snapshot, /introspect, top.
 
 The contract under test: every transport answers ``introspect_target``
-with the same payload shape, the inspector merges host + target + the
+with the same payload shape, ``inspect.snapshot`` merges host + target + the
 flight recorder into one snapshot, the metrics server serves it as
 JSON, and ``repro top`` renders it without touching the network.
 """
@@ -13,7 +13,9 @@ import urllib.request
 import pytest
 
 from repro.backends import (
+    DmaCommBackend,
     FanoutBackend,
+    FaultInjectingBackend,
     LocalBackend,
     ShmBackend,
     TcpBackend,
@@ -22,8 +24,8 @@ from repro.backends import (
 )
 from repro.ham import f2f
 from repro.offload import HedgePolicy, QoSConfig, ResiliencePolicy, Runtime
-from repro.telemetry import flightrecorder, top
-from repro.telemetry.inspect import SNAPSHOT_SCHEMA_VERSION, RuntimeInspector
+from repro.telemetry import flightrecorder, inspect, top
+from repro.telemetry.inspect import SNAPSHOT_SCHEMA_VERSION
 
 from tests import apps
 
@@ -140,11 +142,13 @@ class TestIntrospectTarget:
 
 
 class TestRuntimeInspector:
+    """``inspect.snapshot(runtime)``: host, target and flight in one."""
+
     def test_snapshot_merges_host_target_and_flight(self):
         runtime = Runtime(LocalBackend())
         try:
             runtime.sync(1, f2f(apps.add, 1, 2))
-            snapshot = RuntimeInspector(runtime).snapshot()
+            snapshot = inspect.snapshot(runtime)
         finally:
             runtime.shutdown()
         assert snapshot["schema_version"] == SNAPSHOT_SCHEMA_VERSION
@@ -160,7 +164,7 @@ class TestRuntimeInspector:
     def test_probe_target_false_skips_the_wire(self):
         runtime = Runtime(LocalBackend())
         try:
-            snapshot = RuntimeInspector(runtime).snapshot(probe_target=False)
+            snapshot = inspect.snapshot(runtime, probe_target=False)
         finally:
             runtime.shutdown()
         assert snapshot["target"] is None
@@ -169,10 +173,42 @@ class TestRuntimeInspector:
         """The /introspect endpoint must be able to serve it verbatim."""
         runtime = Runtime(LocalBackend())
         try:
-            snapshot = RuntimeInspector(runtime).snapshot()
+            snapshot = inspect.snapshot(runtime)
         finally:
             runtime.shutdown()
         json.dumps(snapshot, default=str)
+
+
+class TestThroughProxies:
+    """A chaos proxy forwards its target's state, and a fan-out lists a
+    wrapped member like any other."""
+
+    def test_a_faulty_proxy_shows_its_target(self):
+        runtime = Runtime(FaultInjectingBackend(LocalBackend()))
+        try:
+            runtime.sync(1, f2f(apps.add, 1, 2))
+            target = inspect.snapshot(runtime)["target"]
+        finally:
+            runtime.shutdown()
+        _check_payload(target, "local")
+
+    def test_a_fanout_lists_a_wrapped_member(self):
+        runtime = Runtime(FanoutBackend(
+            [LocalBackend(), FaultInjectingBackend(LocalBackend())]
+        ))
+        try:
+            targets = inspect.snapshot(runtime)["target"]["targets"]
+        finally:
+            runtime.shutdown()
+        assert [t["node"] for t in targets] == [1, 2]
+        assert not any("error" in t for t in targets)
+
+    def test_a_simulator_has_no_target_state(self):
+        runtime = Runtime(DmaCommBackend())
+        try:
+            assert inspect.snapshot(runtime)["target"] is None
+        finally:
+            runtime.shutdown()
 
 
 class TestOneSnapshot:
@@ -401,7 +437,7 @@ class TestTsdbSnapshot:
             for i in range(5):
                 tsdb.store.record("target.in_flight.1", float(i), now - 4 + i)
                 tsdb.store.record("offload.issued", float(i * 2), now - 4 + i)
-            section = RuntimeInspector(runtime).tsdb_snapshot()
+            section = inspect.tsdb_snapshot()
         finally:
             runtime.shutdown()
             recorder.tsdb = None
@@ -415,7 +451,7 @@ class TestTsdbSnapshot:
     def test_snapshot_tsdb_none_when_not_installed(self):
         runtime = Runtime(LocalBackend())
         try:
-            snapshot = RuntimeInspector(runtime).snapshot(probe_target=False)
+            snapshot = inspect.snapshot(runtime, probe_target=False)
         finally:
             runtime.shutdown()
         assert snapshot["tsdb"] is None

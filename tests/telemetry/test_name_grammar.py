@@ -32,8 +32,9 @@ def assert_valid_name(name: str, *, where: str = "") -> None:
 
 
 class _GrammarBackend:
-    def per_target_stats(self):
-        return {1: {"in_flight": 1, "queue_bytes": 10, "ring_fill": 0.5}}
+    def stats(self):
+        return {"pending_replies": 1, "send_queue_bytes": 10,
+                "request_ring_used": 1, "ring_capacity": 2}
 
 
 class _GrammarRuntime:

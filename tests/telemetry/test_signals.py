@@ -133,10 +133,10 @@ def _unarmed_flight_recorder():
     flight.crash_dir = crash_dir
 
 
-def test_four_readers_one_answer(tmp_path, _unarmed_flight_recorder):
-    """``Runtime.stats()``, ``/metrics``, a crash bundle's ``metrics.json``
-    and the TSDB all read the recorder's one registry: a kernel's series
-    is in all four after one offload."""
+def test_three_readers_one_answer(tmp_path, _unarmed_flight_recorder):
+    """``/metrics``, a crash bundle's ``metrics.json`` and the TSDB all
+    read the recorder's one registry: a kernel's series is in all three
+    after one offload."""
     kernel = f2f(apps.add, 1, 2).type_name
     series = f"kernel.{kernel}.offload"
     try:
@@ -144,9 +144,6 @@ def test_four_readers_one_answer(tmp_path, _unarmed_flight_recorder):
             "metrics_port": 0, "tsdb": True, "crash_dir": tmp_path,
         })
         assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
-
-        stats = runtime.stats()["telemetry"]["histograms"]
-        assert stats[series]["count"] == 1
 
         url = offload_api.metrics_server().url + "/metrics"
         body = urllib.request.urlopen(url, timeout=5).read().decode()

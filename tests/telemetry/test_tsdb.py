@@ -92,14 +92,6 @@ class TestStoreQueries:
             (2.0, 2.0), (3.0, 3.0), (4.0, 4.0), (5.0, 5.0)
         ]
 
-    def test_percentile_of_window(self):
-        store = TimeSeriesStore(retention=32)
-        for i in range(10):
-            store.record("lat", float(i * 10), float(i))
-        assert store.percentile_of_window("lat", 50) == pytest.approx(
-            40.0, abs=10.0)
-        assert store.percentile_of_window("lat", 100) == 90.0
-
     def test_max_series_cap(self):
         store = TimeSeriesStore(retention=4, max_series=2)
         store.record("a", 1.0, 0.0)
@@ -133,14 +125,14 @@ class TestStoreQueries:
 
 
 class _FakeBackend:
-    def __init__(self):
-        self.stats_table = {
-            1: {"in_flight": 2, "queue_bytes": 100},
-            2: {"in_flight": 0, "queue_bytes": 0, "ring_fill": 0.25},
-        }
+    """A fan-out of a tcp-like and an shm-like member."""
 
-    def per_target_stats(self):
-        return self.stats_table
+    def stats(self):
+        return {"backend": "fanout", "inner": [
+            {"pending_replies": 2, "send_queue_bytes": 100},
+            {"pending_replies": 0, "send_queue_bytes": 0,
+             "request_ring_used": 256, "ring_capacity": 1024},
+        ]}
 
 
 class _FakeRuntime:
