@@ -155,9 +155,8 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
     recorder = telemetry.enable()
     recorder.slo = SLOMonitor(
         (
-            SLO(name="qos-availability", phase="offload",
-                threshold_ns=None, objective=0.99),
-            SLO(name="qos-latency", phase="offload",
+            SLO(name="qos-availability", threshold_ns=None, objective=0.99),
+            SLO(name="qos-latency",
                 threshold_ns=int(args.premium_p99 * 1e9), objective=0.95),
         ),
         fast_window=20,
@@ -681,10 +680,10 @@ def main() -> int:
         # (bypassing any sampling gate) and flip /healthz to degraded.
         recorder.slo = SLOMonitor(
             (
-                SLO(name="chaos-availability", phase="offload",
-                    threshold_ns=None, objective=0.999),
-                SLO(name="chaos-latency", phase="offload",
-                    threshold_ns=int(0.03 * 1e9), objective=0.99),
+                SLO(name="chaos-availability", threshold_ns=None,
+                    objective=0.999),
+                SLO(name="chaos-latency", threshold_ns=int(0.03 * 1e9),
+                    objective=0.99),
             ),
             fast_window=20,
             slow_window=60,

@@ -118,9 +118,10 @@ def init(
         Prometheus ``/metrics`` + ``/healthz`` HTTP endpoint over the
         recorder's metrics registry; query its bound address
         via :func:`metrics_server`;
-      * ``sample_rate`` installs head-based trace sampling plus the
-        tail-retention pipeline (slow/errored traces survive even when
-        unsampled) — see :mod:`repro.telemetry.sampling`;
+      * ``sample_rate`` below 1.0 installs head-based trace sampling
+        plus the tail-retention pipeline (slow/errored traces survive
+        even when unsampled) — see :mod:`repro.telemetry.sampling`;
+        1.0 records every trace, as ``True`` does;
       * ``slo_enabled`` / ``slos`` configure burn-rate SLO monitoring
         whose breaches degrade ``/healthz`` — see
         :mod:`repro.telemetry.slo`;
@@ -186,7 +187,9 @@ def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
     tsdb = None
     if config.enabled:
         recorder = _telemetry.enable(config.capacity)
-        if config.sample_rate is not None:
+        if config.sample_rate is not None and config.sample_rate < 1.0:
+            # At 1.0 every trace is sampled: no verdict to make, nothing
+            # to stage, so no sampler and no pipeline.
             from repro.telemetry.sampling import HeadSampler, TailPipeline
 
             recorder.sampler = HeadSampler(config.sample_rate)

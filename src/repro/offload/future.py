@@ -231,7 +231,7 @@ def availability_miss(start_ns: int | None, tenant: str | None) -> None:
     as failed: a timed-out or unposted one, which nothing else settles."""
     recorder = telemetry.get()
     if start_ns is not None and recorder is not None and recorder.slo is not None:
-        recorder.slo.observe("offload", time.perf_counter_ns() - start_ns,
+        recorder.slo.observe(time.perf_counter_ns() - start_ns,
                              error=True, tenant=tenant)
 
 

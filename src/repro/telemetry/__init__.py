@@ -15,16 +15,14 @@ Layout:
   snapshot API: the one aggregate store;
 * :mod:`repro.telemetry.signals` — the table declaring every series
   that store may hold (name, kind, unit, help, consumer);
-* :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON and JSONL
-  exporters (round-trippable);
-* :mod:`repro.telemetry.simbridge` — exports sim-tracer records to the
-  same Chrome format for side-by-side simulated-vs-real timelines;
+* :mod:`repro.telemetry.export` — the Chrome ``trace_event`` JSON
+  exporter and its parser (round-trippable), the one trace file format;
 * :mod:`repro.telemetry.context` — the distributed trace context
   (``trace_id`` / parent span / sampled flag) minted per offload and
   carried in the version-2 active-message header across processes;
 * :mod:`repro.telemetry.distributed` — clock-offset estimation
-  (ping-pong), record alignment, trace merging and per-message critical
-  paths for two-process timelines;
+  (ping-pong), record alignment and per-message critical paths for
+  two-process timelines;
 * :mod:`repro.telemetry.promexport` — Prometheus text-format rendering
   of the metrics snapshot (native ``_bucket`` histogram series for
   log-bucketed instruments) plus a stdlib ``/metrics`` + ``/healthz``
@@ -74,12 +72,9 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
-    from repro.telemetry.context import (
-        TraceContext, activate, current, current_trace_id_hex, new_trace,
-    )
+    from repro.telemetry.context import TraceContext, activate, current, new_trace
     from repro.telemetry.distributed import (
-        ClockSync, align_records, critical_path, group_by_trace, merge_traces,
-        trace_summary,
+        ClockSync, align_records, critical_path, group_by_trace, trace_summary,
     )
     from repro.telemetry.flightrecorder import FlightRecorder
     from repro.telemetry.metrics import (
@@ -103,19 +98,17 @@ __all__ = [
     "Recorder", "SLO", "SLOMonitor", "Scoreboard", "SeriesRing",
     "SpanRecord", "TailPipeline", "TelemetryConfig", "TimeSeriesStore",
     "TraceContext", "Tsdb", "activate", "align_records", "complete_offload",
-    "count", "critical_path", "current", "current_span_id", "current_trace_id_hex",
+    "count", "critical_path", "current", "current_span_id",
     "default_slos", "disable", "enable", "enabled", "event", "gauge", "get",
-    "group_by_trace", "install_tsdb", "merge_traces", "new_trace", "percentile",
+    "group_by_trace", "install_tsdb", "new_trace", "percentile",
     "span", "to_prometheus", "trace_summary",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "repro.telemetry.context": (
-        "TraceContext", "activate", "current", "current_trace_id_hex", "new_trace",
-    ),
+    "repro.telemetry.context": ("TraceContext", "activate", "current", "new_trace"),
     "repro.telemetry.distributed": (
         "ClockSync", "align_records", "critical_path", "group_by_trace",
-        "merge_traces", "trace_summary",
+        "trace_summary",
     ),
     "repro.telemetry.flightrecorder": ("FlightRecorder",),
     "repro.telemetry.metrics": (

@@ -24,9 +24,9 @@ class TelemetryConfig:
     ``repro.offload.api.metrics_server().address``).
 
     Sampling and SLO fields (see :mod:`repro.telemetry.sampling` and
-    :mod:`repro.telemetry.slo`): ``sample_rate=None`` records every
-    trace; any float in ``[0, 1]`` installs a head sampler plus the
-    tail-retention pipeline.
+    :mod:`repro.telemetry.slo`): ``sample_rate=None`` or ``1.0``
+    records every trace; a float in ``[0, 1)`` installs a head sampler
+    plus the tail-retention pipeline.
     ``slos=None`` with ``slo_enabled=True`` uses
     :func:`repro.telemetry.slo.default_slos`; pass a tuple of
     :class:`~repro.telemetry.slo.SLO` (or dicts of their fields) to
@@ -37,7 +37,7 @@ class TelemetryConfig:
     capacity: int = 65536
     metrics_port: int | None = None
     metrics_host: str = "127.0.0.1"
-    #: Head-sampling probability; None disables sampling (record all).
+    #: Head-sampling probability; None or 1.0 records every trace.
     sample_rate: float | None = None
     #: Tail retention: completions before the p99 threshold is trusted.
     tail_min_samples: int = 20

@@ -4,8 +4,8 @@ One offload crosses a process boundary: the host serializes and sends,
 the target executes, the host decodes the reply. Each process's
 recorder keeps its own span tree, and a span alone cannot say which
 tree on the other side it belongs to.
-This module is that tie: a W3C-``traceparent``-style context
-(128-bit ``trace_id``, 64-bit parent ``span_id``, a sampled flag) that is
+This module is that tie: a context (128-bit ``trace_id``, 64-bit parent
+``span_id``, a sampled flag) that is
 
 * **generated at** ``offload()`` (:meth:`repro.offload.runtime.Runtime.async_`
   creates one per offload unless the caller already activated a trace);
@@ -38,17 +38,14 @@ __all__ = [
     "TraceContext",
     "activate",
     "current",
-    "current_trace_id_hex",
     "enter",
     "leave",
     "new_trace",
     "new_trace_id",
 ]
 
-#: Header/traceparent flag bit: this trace is recorded.
+#: Header flag bit: this trace is recorded.
 FLAG_SAMPLED = 0x01
-
-_TRACEPARENT_VERSION = "00"
 
 
 class TraceContext:
@@ -75,10 +72,10 @@ class TraceContext:
         match staged spans with their completion — but its spans bypass
         the recorder ring (staged host-side, skipped target-side).
     trace_id_hex:
-        The trace id as the 32-char lowercase hex of ``traceparent``,
-        formatted once here: every span and event of the trace carries it.
+        The trace id as 32-char lowercase hex, formatted once here:
+        every span and event of the trace carries it.
     flags:
-        The header/traceparent flag byte.
+        The header's flag byte.
     """
 
     __slots__ = ("trace_id", "span_id", "sampled", "trace_id_hex", "flags")
@@ -111,35 +108,6 @@ class TraceContext:
     def child(self, span_id: int) -> "TraceContext":
         """The same trace re-parented under ``span_id`` (next hop)."""
         return TraceContext(self.trace_id, span_id, self.sampled)
-
-    # -- W3C-style text encoding -------------------------------------------
-    def to_traceparent(self) -> str:
-        """Encode as a ``traceparent`` string: ``00-<trace>-<span>-<flags>``."""
-        return (
-            f"{_TRACEPARENT_VERSION}-{self.trace_id:032x}"
-            f"-{self.span_id:016x}-{self.flags:02x}"
-        )
-
-    @classmethod
-    def from_traceparent(cls, value: str) -> "TraceContext":
-        """Decode a string produced by :meth:`to_traceparent`.
-
-        Raises
-        ------
-        ValueError
-            On malformed input (wrong field count/width, zero trace id).
-        """
-        parts = value.strip().split("-")
-        if len(parts) != 4:
-            raise ValueError(f"traceparent needs 4 fields, got {len(parts)}")
-        version, trace_hex, span_hex, flags_hex = parts
-        if len(version) != 2 or len(trace_hex) != 32 or len(span_hex) != 16:
-            raise ValueError(f"malformed traceparent {value!r}")
-        return cls(
-            trace_id=int(trace_hex, 16),
-            span_id=int(span_hex, 16),
-            sampled=bool(int(flags_hex, 16) & FLAG_SAMPLED),
-        )
 
 
 #: The active trace of the current thread/task (None outside any trace).
@@ -179,14 +147,6 @@ current = _CURRENT.get
 #: context on every way out themselves.
 enter = _CURRENT.set
 leave = _CURRENT.reset
-
-
-def current_trace_id_hex() -> str:
-    """Hex trace id of the active *sampled* context ("" outside one)."""
-    ctx = _CURRENT.get()
-    if ctx is None or not ctx.sampled:
-        return ""
-    return ctx.trace_id_hex
 
 
 class _Activation:

@@ -11,14 +11,9 @@ module turns the two half-traces into one timeline:
    assumed to sit at the midpoint of the request/reply round trip, and
    the round with the smallest RTT bounds the error tightest.
 2. :func:`align_records` rewrites target-side records onto the host
-   clock using that offset.
-3. :func:`causal_offset_bounds` / :func:`merge_traces` clamp the
-   statistical estimate with *message-order* ground truth: an execute
-   span cannot start before the host serialized the message, nor end
-   after the host received the reply. Clamping guarantees the merged
-   timeline is causally monotone even when the ping-pong estimate is
-   noisy (on localhost the noise can exceed the one-way latency).
-4. :func:`group_by_trace` and :func:`critical_path` break a merged
+   clock using that offset. ``fetch_target_telemetry`` of the tcp and
+   shm backends does both whenever it pulls a target's records.
+3. :func:`group_by_trace` and :func:`critical_path` break a merged
    trace into its per-message phase sequence — serialize, enqueue,
    execute, reply, deserialize, and the uncovered "(wait)" stretches in
    between, which is where the wire time lives.
@@ -35,10 +30,8 @@ from repro.telemetry.recorder import EventRecord, SpanRecord
 __all__ = [
     "ClockSync",
     "align_records",
-    "causal_offset_bounds",
     "critical_path",
     "group_by_trace",
-    "merge_traces",
     "trace_summary",
 ]
 
@@ -63,10 +56,6 @@ class ClockSync:
     offset_ns: int = 0
     rtt_ns: int = 0
     samples: int = 0
-
-    def to_host_ns(self, target_ns: int) -> int:
-        """Map one target-clock reading onto the host clock."""
-        return target_ns + self.offset_ns
 
     @classmethod
     def identity(cls) -> "ClockSync":
@@ -115,87 +104,6 @@ def align_records(records: Iterable[Record], offset_ns: int) -> list[Record]:
                 dataclasses.replace(record, ts_ns=record.ts_ns + offset_ns)
             )
     return shifted
-
-
-#: Host-side span names that run strictly *before* the message is on the
-#: wire / *after* the reply is back — the causal fence posts.
-_HOST_BEFORE = ("offload.serialize", "offload.enqueue")
-_HOST_AFTER = ("offload.reply", "offload.deserialize")
-#: Target-side span marking remote execution of one message.
-_TARGET_EXECUTE = "offload.execute"
-
-
-def causal_offset_bounds(
-    host_records: Iterable[Record], target_records: Iterable[Record]
-) -> tuple[int | None, int | None]:
-    """Message-order bounds ``(lo, hi)`` on the target->host offset.
-
-    For every trace seen on both sides: the (aligned) execute span must
-    start no earlier than the host finished serializing the message, and
-    must end no later than the host finished reading the reply. Each
-    matched pair tightens the admissible offset interval; ``None`` means
-    unbounded on that side (no matching span found).
-    """
-    host_before: dict[str, int] = {}
-    host_after: dict[str, int] = {}
-    for record in host_records:
-        if record.kind != "span" or not record.trace_id:
-            continue
-        if record.name in _HOST_BEFORE:
-            prev = host_before.get(record.trace_id)
-            if prev is None or record.start_ns < prev:
-                host_before[record.trace_id] = record.start_ns
-        elif record.name in _HOST_AFTER:
-            prev = host_after.get(record.trace_id)
-            if prev is None or record.end_ns > prev:
-                host_after[record.trace_id] = record.end_ns
-    lo: int | None = None
-    hi: int | None = None
-    for record in target_records:
-        if record.kind != "span" or record.name != _TARGET_EXECUTE:
-            continue
-        sent = host_before.get(record.trace_id)
-        if sent is not None:
-            bound = sent - record.start_ns
-            if lo is None or bound > lo:
-                lo = bound
-        received = host_after.get(record.trace_id)
-        if received is not None:
-            bound = received - record.end_ns
-            if hi is None or bound < hi:
-                hi = bound
-    return lo, hi
-
-
-def merge_traces(
-    host_records: Iterable[Record],
-    target_records: Iterable[Record],
-    sync: ClockSync | None = None,
-) -> list[Record]:
-    """One causally monotone timeline from host + target half-traces.
-
-    The ping-pong estimate (``sync``) is clamped into the causal bounds
-    derived from the records themselves, so an execute span never
-    renders before its send nor after its reply receipt — even when the
-    statistical estimate is off by more than the one-way latency. With
-    inconsistent bounds (lo > hi: overlapping spans from clock noise
-    below resolution) the midpoint is used. Records come back sorted by
-    host-clock timestamp.
-    """
-    host = list(host_records)
-    target = list(target_records)
-    offset = sync.offset_ns if sync is not None else 0
-    lo, hi = causal_offset_bounds(host, target)
-    if lo is not None and hi is not None and lo > hi:
-        offset = (lo + hi) // 2
-    else:
-        if lo is not None and offset < lo:
-            offset = lo
-        if hi is not None and offset > hi:
-            offset = hi
-    merged = host + align_records(target, offset)
-    merged.sort(key=_record_start)
-    return merged
 
 
 def _record_start(record: Record) -> int:

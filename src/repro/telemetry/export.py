@@ -1,11 +1,12 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and flat JSONL.
+"""Trace exporter: Chrome ``trace_event`` JSON, the one trace file format.
 
-Both formats round-trip: ``parse_chrome_trace(to_chrome(records))`` and
-``read_jsonl`` after ``write_jsonl`` reconstruct equivalent
+``parse_chrome_trace(to_chrome(records))`` reconstructs equivalent
 :class:`~repro.telemetry.recorder.SpanRecord` /
 :class:`~repro.telemetry.recorder.EventRecord` lists, which is what lets
-the report CLI consume either file and what the exporter round-trip
-tests assert.
+the report CLI read a trace file and what the exporter round-trip tests
+assert. The plain-dict rows of :func:`records_to_dicts` are not a file
+format: they are the telemetry-fetch wire body and a crash bundle's
+``events.jsonl`` lines.
 
 Chrome format notes (the `trace_event` spec as consumed by
 ``chrome://tracing`` and https://ui.perfetto.dev):
@@ -32,13 +33,10 @@ __all__ = [
     "SCHEMA_VERSION",
     "dicts_to_records",
     "durations_by_name",
-    "load_any",
     "parse_chrome_trace",
-    "read_jsonl",
     "records_to_dicts",
     "to_chrome",
     "write_chrome_trace",
-    "write_jsonl",
 ]
 
 #: Bump when the on-disk record shape changes incompatibly.
@@ -56,7 +54,7 @@ def _coerce_records(
 
 
 # --------------------------------------------------------------------------
-# plain-dict shape (the JSONL rows and the TCP telemetry-fetch wire format)
+# plain-dict rows (the telemetry-fetch wire body, a bundle's events.jsonl)
 # --------------------------------------------------------------------------
 
 
@@ -207,78 +205,41 @@ def parse_chrome_trace(source: str | Path | dict[str, Any]) -> list[Record]:
         obj = source
     if not isinstance(obj, dict) or "traceEvents" not in obj:
         raise ValueError("not a Chrome trace_event object (no traceEvents)")
+    entries = obj["traceEvents"]
+    if not isinstance(entries, list):
+        raise ValueError("traceEvents is not a list")
     records: list[Record] = []
-    for entry in obj["traceEvents"]:
-        phase = entry.get("ph")
-        common = dict(
-            name=entry["name"],
-            category=entry.get("cat", "offload"),
-            span_id=int(entry.get("span_id", 0)),
-            parent_id=int(entry.get("parent_id", 0)),
-            pid=int(entry.get("pid", 0)),
-            tid=int(entry.get("tid", 0)),
-            attrs=dict(entry.get("args") or {}),
-            trace_id=str(entry.get("trace_id", "")),
-        )
-        if phase == "X":
-            records.append(SpanRecord(
-                start_ns=int(round(entry["ts"] * 1000)),
-                duration_ns=int(round(entry["dur"] * 1000)),
-                **common,
-            ))
-        elif phase == "i":
-            records.append(EventRecord(
-                ts_ns=int(round(entry["ts"] * 1000)),
-                **common,
-            ))
-        # Other phases (metadata events, counters) are ignored.
+    for index, entry in enumerate(entries):
+        try:
+            phase = entry.get("ph")
+            common = dict(
+                name=str(entry["name"]),
+                category=entry.get("cat", "offload"),
+                span_id=int(entry.get("span_id", 0)),
+                parent_id=int(entry.get("parent_id", 0)),
+                pid=int(entry.get("pid", 0)),
+                tid=int(entry.get("tid", 0)),
+                attrs=dict(entry.get("args") or {}),
+                trace_id=str(entry.get("trace_id", "")),
+            )
+            if phase == "X":
+                records.append(SpanRecord(
+                    start_ns=int(round(entry["ts"] * 1000)),
+                    duration_ns=int(round(entry["dur"] * 1000)),
+                    **common,
+                ))
+            elif phase == "i":
+                records.append(EventRecord(
+                    ts_ns=int(round(entry["ts"] * 1000)),
+                    **common,
+                ))
+            # Other phases (metadata events, counters) are ignored.
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
+            # One line for the report CLI, naming the entry at fault.
+            raise ValueError(
+                f"traceEvents[{index}] is malformed: {exc!r}") from None
     return records
-
-
-# --------------------------------------------------------------------------
-# flat JSONL
-# --------------------------------------------------------------------------
-
-
-def write_jsonl(path: str | Path, source: Recorder | Iterable[Record]) -> Path:
-    """Write one JSON record per line (grep/jq-friendly)."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for row in records_to_dicts(source):
-            fh.write(json.dumps(row) + "\n")
-    return path
-
-
-def read_jsonl(path: str | Path) -> list[Record]:
-    """Read records written by :func:`write_jsonl`."""
-    rows: list[dict[str, Any]] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            rows.append(json.loads(line))
-    return dicts_to_records(rows)
-
-
-def load_any(path: str | Path) -> list[Record]:
-    """Load records from either trace format, sniffing the content.
-
-    A Chrome trace is one JSON document with ``traceEvents``; JSONL is
-    one record object per line (which also starts with ``{``, so the
-    sniff parses rather than looking at the first character).
-    """
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict) and "traceEvents" in obj:
-        return parse_chrome_trace(obj)
-    if isinstance(obj, dict) and "type" in obj:
-        return dicts_to_records([obj])  # single-line JSONL
-    if obj is None:
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
-        return dicts_to_records(rows)
-    raise ValueError(f"{path}: neither a Chrome trace nor telemetry JSONL")
 
 
 def durations_by_name(

@@ -240,7 +240,7 @@ class _Span:
 
         The fold runs for every kept span, so the per-phase latency
         distributions (live-queryable through the metrics snapshot and
-        ``/metrics``) and the SLO windows never have sampling error.
+        ``/metrics``) never have sampling error.
         """
         recorder = self._recorder
         end_ns = recorder._clock()
@@ -282,9 +282,6 @@ class _Span:
         record.attrs = attrs
         record.trace_id = trace_id
         hist = recorder._phase_hists[name]
-        slo = recorder.slo
-        if slo is not None and name in slo.phases:
-            slo.observe(name, duration_ns, error="error" in attrs)
         # One lock: the phase histograms share the ring's.
         with recorder._lock:
             hist.fold(duration_ns / 1e9, trace_id or None)
@@ -326,9 +323,10 @@ class Recorder:
         #: (``None`` means record everything).
         self.sampler: Any = None
         #: Tail-retention pipeline staging unsampled traces (``None``
-        #: on execute-side processes, where unsampled spans are skipped).
+        #: without a sampler, and on execute-side processes, where
+        #: unsampled spans are skipped).
         self.pipeline: Any = None
-        #: SLO burn-rate monitor fed by span folds and completions.
+        #: SLO burn-rate monitor, fed once per completed offload.
         self.slo: Any = None
         #: In-process time-series store + anomaly detector
         #: (:class:`repro.telemetry.tsdb.Tsdb`); ``None`` keeps history off.

@@ -1,10 +1,11 @@
 """Human-readable trace summary — ``python -m repro.telemetry.report``.
 
-Reads a trace produced by the exporters (Chrome ``trace_event`` JSON or
-flat JSONL, auto-detected) and prints per-phase latency percentiles::
+Reads a Chrome ``trace_event`` file written by
+:func:`repro.telemetry.export.write_chrome_trace` and prints per-phase
+latency percentiles::
 
     python -m repro.telemetry.report trace.json
-    python -m repro.telemetry.report trace.jsonl --prefix offload.
+    python -m repro.telemetry.report trace.json --prefix offload.
     python -m repro.telemetry.report trace.json --per-message
     python -m repro.telemetry.report trace.json --critical-path
     python -m repro.telemetry.report trace.json --profile
@@ -47,7 +48,7 @@ from repro.telemetry.export import (
     Record,
     dicts_to_records,
     durations_by_name,
-    load_any,
+    parse_chrome_trace,
 )
 from repro.telemetry.metrics import LogHistogram, percentile
 
@@ -377,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the exit code."""
     parser = argparse.ArgumentParser(
         prog="repro-telemetry-report",
-        description="Summarize a telemetry trace (Chrome JSON or JSONL): "
+        description="Summarize a telemetry trace (Chrome trace_event JSON): "
         "per-phase latency percentiles and event tallies.",
     )
     parser.add_argument("trace", help="trace file written by repro.telemetry.export")
@@ -418,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
             print(render_bundle(bundle))
         return 0
     try:
-        records = load_any(args.trace)
+        records = parse_chrome_trace(path)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load {args.trace!r}: {exc}")
     if not records:

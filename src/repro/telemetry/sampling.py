@@ -263,7 +263,7 @@ def complete_offload(
             recorder.metrics.counter(f"target.errors.{node}").inc()
     slo = recorder.slo
     if slo is not None:
-        slo.observe("offload", duration_ns, error=error, tenant=tenant)
+        slo.observe(duration_ns, error=error, tenant=tenant)
     pipeline = recorder.pipeline
     if pipeline is not None and ctx is not None:
         pipeline.complete(recorder, ctx, duration_ns=duration_ns, error=error,

@@ -1,12 +1,12 @@
 """Declarative SLOs with multi-window burn-rate alerting.
 
-An :class:`SLO` states an objective over a phase of the offload path:
-"99% of ``offload`` round trips finish under 50 ms", or "99.9% of
-``offload`` attempts succeed" (``threshold_ns=None`` makes it an error
-SLO). The :class:`SLOMonitor` evaluates each objective over two rolling
-windows — a fast one that reacts within tens of operations and a slow
-one that filters blips — and alerts only when *both* burn too hot, the
-standard multi-window burn-rate recipe (Google SRE workbook, ch. 5).
+An :class:`SLO` states an objective over the offload round trip (issue
+to result): "99% of offloads finish under 50 ms", or "99.9% of offloads
+succeed" (``threshold_ns=None`` makes it an error SLO). The
+:class:`SLOMonitor` evaluates each objective over two rolling windows —
+a fast one that reacts within tens of operations and a slow one that
+filters blips — and alerts only when *both* burn too hot, the standard
+multi-window burn-rate recipe (Google SRE workbook, ch. 5).
 
 Burn rate is ``bad_fraction / error_budget`` where the budget is
 ``1 - objective``: burn 1.0 consumes the budget exactly at the allowed
@@ -37,21 +37,15 @@ from repro.telemetry import flightrecorder
 
 __all__ = ["SLO", "SLOMonitor", "default_slos"]
 
-#: Phase name carrying the whole issue->result round trip.
-TOTAL_PHASE = "offload"
-
 
 @dataclass(frozen=True, slots=True)
 class SLO:
-    """One objective over one phase of the offload path.
+    """One objective over the offload round trip.
 
     Attributes
     ----------
     name:
         Alert identity (``offload-latency-p99``); also the gauge prefix.
-    phase:
-        Which duration stream feeds it: ``"offload"`` for the round
-        trip, otherwise a span name (``"offload.execute"``).
     threshold_ns:
         An operation is *bad* when it runs longer than this; ``None``
         makes this an availability SLO where only errors are bad.
@@ -60,7 +54,6 @@ class SLO:
     """
 
     name: str
-    phase: str
     threshold_ns: int | None
     objective: float
 
@@ -76,19 +69,12 @@ class SLO:
                 f"threshold_ns must be positive, got {self.threshold_ns}"
             )
 
-    def is_bad(self, duration_ns: int, error: bool) -> bool:
-        if error:
-            return True
-        return self.threshold_ns is not None and duration_ns > self.threshold_ns
-
 
 def default_slos() -> tuple[SLO, ...]:
     """A sane starter set: round-trip latency + availability."""
     return (
-        SLO(name="offload-latency", phase=TOTAL_PHASE,
-            threshold_ns=250_000_000, objective=0.99),
-        SLO(name="offload-availability", phase=TOTAL_PHASE,
-            threshold_ns=None, objective=0.99),
+        SLO(name="offload-latency", threshold_ns=250_000_000, objective=0.99),
+        SLO(name="offload-availability", threshold_ns=None, objective=0.99),
     )
 
 
@@ -208,17 +194,11 @@ class SLOMonitor:
         #: (slo name, tenant) -> lazily created per-tenant state.
         self._tenant_states: dict[tuple[str, str], _SLOState] = {}
         self._tenants: set[str] = set()
-        # Hot-path accelerators: observe() is called for every span fold
-        # of every offload, so phases with no SLO must cost one dict get,
-        # and gauge objects are resolved once, not per observe.
-        self._by_phase: dict[str, tuple[_SLOState, ...]] = {}
-        for state in self._states.values():
-            phase_states = self._by_phase.get(state.slo.phase, ())
-            self._by_phase[state.slo.phase] = phase_states + (state,)
+        # observe() runs once per offload: gauge objects are resolved
+        # once here, not per observe.
+        self._global = tuple(self._states.values())
+        for state in self._global:
             state.gauges = self._gauges(state.slo.name)
-        #: The phases some objective listens to; the recorder's span
-        #: fold asks before it calls :meth:`observe`.
-        self.phases = frozenset(self._by_phase)
 
     @property
     def slos(self) -> tuple[SLO, ...]:
@@ -254,9 +234,9 @@ class SLOMonitor:
             folded.append(tstate)
         return tuple(folded)
 
-    def observe(self, phase: str, duration_ns: int, *,
+    def observe(self, duration_ns: int, *,
                 error: bool = False, tenant: str | None = None) -> None:
-        """Fold one finished operation of ``phase`` into its SLOs.
+        """Fold one finished offload round trip into every SLO.
 
         With ``tenant`` set, the operation also feeds that tenant's own
         rolling windows: breach events then carry the tenant and name
@@ -264,10 +244,7 @@ class SLOMonitor:
         over budget" from "the service is over budget". The global
         (tenant-less) state is always fed.
         """
-        try:
-            states = self._by_phase[phase]
-        except KeyError:
-            return
+        states = self._global
         transitions: list[tuple[SLO, bool, float, float, str | None]] = []
         fast_window, slow_window = self._fast_window, self._slow_window
         min_samples, threshold = self.min_samples, self.burn_threshold
@@ -333,7 +310,7 @@ class SLOMonitor:
             label = (slo.name if slo_tenant is None
                      else f"{slo.name}[{slo_tenant}]")
             attrs: dict[str, Any] = dict(
-                slo=label, phase=slo.phase,
+                slo=label,
                 fast_burn=round(fast_burn, 3),
                 slow_burn=round(slow_burn, 3),
                 objective=slo.objective,
@@ -365,7 +342,6 @@ class SLOMonitor:
     def _state_summary(state: _SLOState) -> dict[str, Any]:
         slo = state.slo
         return {
-            "phase": slo.phase,
             "threshold_ns": slo.threshold_ns,
             "objective": slo.objective,
             "total": state.total,

@@ -1,14 +1,12 @@
-"""Tests for clock alignment, trace merging and critical paths."""
+"""Tests for clock alignment and critical paths."""
 
 import pytest
 
 from repro.telemetry.distributed import (
     ClockSync,
     align_records,
-    causal_offset_bounds,
     critical_path,
     group_by_trace,
-    merge_traces,
     trace_summary,
 )
 from repro.telemetry.recorder import EventRecord, SpanRecord
@@ -45,7 +43,6 @@ class TestClockSync:
         assert sync.offset_ns == -1000
         assert sync.rtt_ns == 200
         assert sync.samples == 4
-        assert sync.to_host_ns(5000) == 4000
 
     def test_estimate_prefers_min_rtt_round(self):
         rounds = iter([
@@ -66,7 +63,6 @@ class TestClockSync:
     def test_identity(self):
         sync = ClockSync.identity()
         assert sync.offset_ns == 0 and sync.samples == 0
-        assert sync.to_host_ns(123) == 123
 
 
 class TestAlignment:
@@ -80,50 +76,6 @@ class TestAlignment:
     def test_align_zero_offset_is_identity(self):
         records = [span("a", 1000, 10)]
         assert align_records(records, 0) == records
-
-    def test_causal_bounds_from_matched_trace(self):
-        host = [
-            span("offload.serialize", 1000, 100, span_id=1),
-            span("offload.reply", 5000, 100, span_id=2),
-        ]
-        target = [span("offload.execute", 9000, 500, pid=TARGET_PID)]
-        lo, hi = causal_offset_bounds(host, target)
-        # execute must start >= 1000 -> offset >= 1000 - 9000 = -8000
-        # execute must end <= 5100 -> offset <= 5100 - 9500 = -4400
-        assert lo == -8000
-        assert hi == -4400
-
-    def test_bounds_empty_without_matches(self):
-        assert causal_offset_bounds([], []) == (None, None)
-        host = [span("offload.serialize", 0, 1, span_id=1)]
-        other = [span("offload.execute", 50, 10, trace="ff" * 16)]
-        assert causal_offset_bounds(host, other) == (None, None)
-
-    def test_merge_clamps_offset_into_causal_window(self):
-        host = [
-            span("offload.serialize", 1000, 100, span_id=1),
-            span("offload.reply", 5000, 100, span_id=2),
-        ]
-        target = [span("offload.execute", 9000, 500, pid=TARGET_PID)]
-        # Estimated offset 0 would put execute at 9000, after the reply:
-        # clamping pulls it inside [send, receipt].
-        merged = merge_traces(host, target, ClockSync(offset_ns=0))
-        execute = next(r for r in merged if r.name == "offload.execute")
-        assert execute.start_ns >= 1000
-        assert execute.end_ns <= 5100
-        assert [r.name for r in merged] == [
-            "offload.serialize", "offload.execute", "offload.reply",
-        ]
-
-    def test_merge_without_sync_uses_bounds_alone(self):
-        host = [
-            span("offload.serialize", 1000, 100, span_id=1),
-            span("offload.reply", 8000, 100, span_id=2),
-        ]
-        target = [span("offload.execute", 500, 200, pid=TARGET_PID)]
-        merged = merge_traces(host, target)
-        execute = next(r for r in merged if r.name == "offload.execute")
-        assert execute.start_ns >= 1000
 
 
 class TestGroupingAndPaths:

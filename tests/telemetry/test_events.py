@@ -87,13 +87,13 @@ class TestOneCall:
     def test_an_slo_breach_lands_regardless(self, black_box):
         recorder = telemetry.enable()
         monitor = SLOMonitor(
-            [SLO("lat", "offload", threshold_ns=1000, objective=0.9)],
+            [SLO("lat", threshold_ns=1000, objective=0.9)],
             fast_window=10, slow_window=10, min_samples=5,
             emit=recorder.force_event,
         )
         with trace_context.activate(FAST):  # unsampled, no pipeline
             for _ in range(5):
-                monitor.observe("offload", 5000)
+                monitor.observe(5000)
         [(name, category, attrs)] = _trace_events(recorder)
         assert (name, category, attrs["slo"]) == (
             "telemetry.slo_breach", "slo", "lat")

@@ -1,25 +1,19 @@
-"""Round-trip tests for the trace exporters and the sim bridge."""
+"""Round-trip tests for the trace exporter and the report CLI."""
 
 import json
 
 import pytest
 
-from repro.sim.core import Simulator
-from repro.sim.trace import TraceRecord, Tracer
 from repro.telemetry.export import (
     dicts_to_records,
     durations_by_name,
-    load_any,
     parse_chrome_trace,
-    read_jsonl,
     records_to_dicts,
     to_chrome,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.telemetry.recorder import EventRecord, Recorder, SpanRecord
 from repro.telemetry.report import main as report_main, render_report, summarize
-from repro.telemetry.simbridge import sim_to_chrome, write_sim_chrome_trace
 
 
 def sample_records():
@@ -90,20 +84,6 @@ class TestChrome:
             parse_chrome_trace({"foo": 1})
 
 
-class TestJsonl:
-    def test_file_round_trip(self, tmp_path):
-        records = sample_records()
-        path = write_jsonl(tmp_path / "trace.jsonl", records)
-        assert read_jsonl(path) == records
-
-    def test_load_any_sniffs_both_formats(self, tmp_path):
-        records = sample_records()
-        chrome = write_chrome_trace(tmp_path / "t.json", records)
-        jsonl = write_jsonl(tmp_path / "t.jsonl", records)
-        assert [r.name for r in load_any(chrome)] == [r.name for r in records]
-        assert load_any(jsonl) == records
-
-
 class TestReport:
     def test_durations_by_name_groups_spans(self):
         groups = durations_by_name(sample_records(), prefix="offload.")
@@ -139,29 +119,22 @@ class TestReport:
         with pytest.raises(SystemExit):
             report_main([str(bad)])
 
-
-class TestSimBridge:
-    def test_tracer_records_convert(self):
-        sim = Simulator()
-        tracer = Tracer().attach(sim)
-        sim.run(until=sim.timeout(1e-6))
-        tracer.span("dma.fetch", start=0.0)
-        tracer.point("flag.set")
-        obj = sim_to_chrome(tracer)
-        names = [e["name"] for e in obj["traceEvents"]]
-        assert names[0] == "process_name"  # metadata row
-        assert "dma.fetch" in names and "flag.set" in names
-        span = next(e for e in obj["traceEvents"] if e["name"] == "dma.fetch")
-        assert span["ph"] == "X"
-        assert span["ts"] == pytest.approx(0.0)
-        assert span["dur"] == pytest.approx(1.0)  # 1 µs in trace units
-
-    def test_written_file_parses_as_chrome_trace(self, tmp_path):
-        records = [TraceRecord(time=2e-6, kind="span", label="x", duration=1e-6)]
-        path = write_sim_chrome_trace(tmp_path / "sim.json", records)
-        back = parse_chrome_trace(path)
-        assert [r.name for r in back] == ["x"]
-        assert back[0].duration_ns == 1000
+    @pytest.mark.parametrize("entry", [
+        {"ph": "X", "ts": 1},  # no name
+        {"name": "x", "ph": "X", "ts": "1", "dur": 1},  # a string ts
+        5,  # not an object
+    ], ids=["missing-name", "string-ts", "not-an-object"])
+    def test_cli_refuses_a_malformed_entry_in_one_line(
+            self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.json"
+        good = {"name": "ok", "ph": "i", "ts": 0}
+        bad.write_text(json.dumps({"traceEvents": [good, entry]}))
+        with pytest.raises(SystemExit) as exc:
+            report_main([str(bad)])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("repro-telemetry-report: error: ")
+        assert "traceEvents[1]" in error
 
 
 def traced_records(trace="aa" * 16):
@@ -191,8 +164,12 @@ class TestReportCliModes:
         assert report_main([str(path)]) == 0
         assert "no records" in capsys.readouterr().out
 
-    def test_empty_jsonl_too(self, tmp_path, capsys):
-        path = write_jsonl(tmp_path / "empty.jsonl", [])
+    def test_metadata_only_trace_too(self, tmp_path, capsys):
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps({"traceEvents": [
+            {"name": "process_name", "ph": "M", "pid": 1,
+             "args": {"name": "host"}},
+        ]}))
         assert report_main([str(path)]) == 0
         assert "no records" in capsys.readouterr().out
 
@@ -233,21 +210,3 @@ class TestReportCliModes:
         path = write_chrome_trace(tmp_path / "trace.json", sample_records())
         assert report_main([str(path), "--per-message"]) == 0
         assert "no traced messages" in capsys.readouterr().out
-
-
-class TestSimBridgeReportRoundTrip:
-    def test_sim_trace_flows_through_report_cli(self, tmp_path, capsys):
-        # The full bridge: sim Tracer -> Chrome file -> report table.
-        sim = Simulator()
-        tracer = Tracer().attach(sim)
-        sim.run(until=sim.timeout(5e-6))
-        tracer.span("dma.descriptor", start=0.0)
-        tracer.span("dma.transfer", start=1e-6)
-        tracer.point("dma.done")
-        path = write_sim_chrome_trace(tmp_path / "sim.json", tracer)
-        assert report_main([str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "dma.descriptor" in out
-        assert "dma.transfer" in out
-        assert "dma.done" in out
-        assert "p95" in out

@@ -213,7 +213,7 @@ class TestIncident:
         recorder = telemetry.enable()
         try:
             yield SLOMonitor(
-                [SLO("lat", "offload", threshold_ns=1000, objective=0.9)],
+                [SLO("lat", threshold_ns=1000, objective=0.9)],
                 fast_window=10, slow_window=10, min_samples=5,
                 emit=recorder.force_event,
             )
@@ -224,7 +224,7 @@ class TestIncident:
         flight = flightrecorder.get()
         before = list(flight.dumps)
         for _ in range(5):
-            monitor.observe("offload", 5000)
+            monitor.observe(5000)
         [bundle] = flight.dumps[len(before):]
         assert "slo_breach" in bundle.name
         names = [name for _, name, _, _ in flight.records()]
@@ -235,10 +235,10 @@ class TestIncident:
     def test_recovery_notes_without_dumping(self, monitor):
         flight = flightrecorder.get()
         for _ in range(5):
-            monitor.observe("offload", 5000)
+            monitor.observe(5000)
         dumped = list(flight.dumps)
         for _ in range(15):
-            monitor.observe("offload", 10)
+            monitor.observe(10)
         assert flight.records()[-1][1] == "telemetry.slo_recovered"
         assert flight.dumps == dumped
 

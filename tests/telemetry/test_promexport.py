@@ -185,10 +185,8 @@ class TestTelemetryConfig:
 
         config = TelemetryConfig.coerce({
             "slos": (
-                {"name": "lat", "phase": "offload", "threshold_ns": 10**6,
-                 "objective": 0.99},
-                SLO(name="avail", phase="offload", threshold_ns=None,
-                    objective=0.999),
+                {"name": "lat", "threshold_ns": 10**6, "objective": 0.99},
+                SLO(name="avail", threshold_ns=None, objective=0.999),
             ),
         })
         assert all(isinstance(s, SLO) for s in config.slos)
@@ -197,8 +195,7 @@ class TestTelemetryConfig:
     def test_coerce_propagates_bad_slo_fields(self):
         with pytest.raises(ValueError, match="objective"):
             TelemetryConfig.coerce({
-                "slos": ({"name": "x", "phase": "offload",
-                          "threshold_ns": 1, "objective": 2.0},),
+                "slos": ({"name": "x", "threshold_ns": 1, "objective": 2.0},),
             })
 
 

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.telemetry import flightrecorder
+from repro.telemetry.export import write_chrome_trace
 from repro.telemetry.flightrecorder import BUNDLE_EVENTS, FlightRecorder
 from repro.telemetry.report import main, render_bundle
 
@@ -81,7 +82,6 @@ class TestMainOnDirectories:
         assert [e["name"] for e in payload["events"]][-1] == "flight.trigger"
 
     def test_plain_file_still_goes_through_trace_path(self, tmp_path, capsys):
-        trace = tmp_path / "empty.jsonl"
-        trace.write_text("")
+        trace = write_chrome_trace(tmp_path / "empty.json", [])
         assert main([str(trace)]) == 0
         assert "no records" in capsys.readouterr().out

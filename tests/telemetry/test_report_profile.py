@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.telemetry.distributed import ClockSync, merge_traces
-from repro.telemetry.export import write_chrome_trace, write_jsonl
+from repro.telemetry.distributed import ClockSync, align_records
+from repro.telemetry.export import write_chrome_trace
 from repro.telemetry.recorder import EventRecord, SpanRecord
 from repro.telemetry.report import main as report_main
 from repro.telemetry.report import profile_from_records
@@ -32,19 +32,19 @@ def offload_trace(trace_id="aa" * 16, functor="apps.add", nbytes=64,
 
 class TestProfileCli:
     def test_profile_on_empty_trace_exits_zero(self, tmp_path, capsys):
-        path = write_jsonl(tmp_path / "empty.jsonl", [])
+        path = write_chrome_trace(tmp_path / "empty.json", [])
         assert report_main([str(path), "--profile"]) == 0
         assert capsys.readouterr().out.strip() == "no records"
 
     def test_profile_table_lists_kernels(self, tmp_path, capsys):
-        path = write_jsonl(tmp_path / "t.jsonl", offload_trace())
+        path = write_chrome_trace(tmp_path / "t.json", offload_trace())
         assert report_main([str(path), "--profile"]) == 0
         out = capsys.readouterr().out
         assert "apps.add" in out
         assert "kernel" in out
 
     def test_profile_sort_tail_accepted(self, tmp_path, capsys):
-        path = write_jsonl(tmp_path / "t.jsonl", offload_trace())
+        path = write_chrome_trace(tmp_path / "t.json", offload_trace())
         assert report_main(
             [str(path), "--profile", "--profile-sort", "tail"]
         ) == 0
@@ -61,8 +61,8 @@ class TestProfileCli:
             EventRecord(name="fault.injected", category="fault", ts_ns=120,
                         span_id=10, parent_id=9, pid=1, tid=1),
         ]
-        path = write_jsonl(tmp_path / "mixed.jsonl",
-                           legacy + offload_trace())
+        path = write_chrome_trace(tmp_path / "mixed.json",
+                                  legacy + offload_trace())
         for view in ("--profile", "--per-message", "--critical-path"):
             assert report_main([str(path), view]) == 0
         out = capsys.readouterr().out
@@ -76,8 +76,9 @@ class TestProfileCli:
 
 class TestJsonRoundTrip:
     def test_json_payload_from_merged_trace(self, tmp_path, capsys):
-        # Host half + target half, merged through the clock mapping, then
-        # reported as JSON: the payload must parse and carry all views.
+        # Host half + target half, the target's aligned onto the host
+        # clock as the client aligns a pulled trace, then reported as
+        # JSON: the payload must parse and carry all views.
         trace_id = "bb" * 16
         host = [
             traced_span(trace_id, "offload.serialize", 1000, 500, 1,
@@ -87,10 +88,9 @@ class TestJsonRoundTrip:
         target = [
             traced_span(trace_id, "offload.execute", 900_000, 2000, 3),
         ]
-        merged = merge_traces(host, target, ClockSync(offset_ns=-897_000,
-                                                      rtt_ns=100,
-                                                      samples=3))
-        path = write_jsonl(tmp_path / "merged.jsonl", merged)
+        sync = ClockSync(offset_ns=-897_000, rtt_ns=100, samples=3)
+        merged = host + align_records(target, sync.offset_ns)
+        path = write_chrome_trace(tmp_path / "merged.json", merged)
         assert report_main(
             [str(path), "--profile", "--per-message", "--format", "json"]
         ) == 0
@@ -103,7 +103,7 @@ class TestJsonRoundTrip:
         assert message["trace_id"] == trace_id
 
     def test_json_on_plain_trace_parses(self, tmp_path, capsys):
-        path = write_jsonl(tmp_path / "t.jsonl", offload_trace())
+        path = write_chrome_trace(tmp_path / "t.json", offload_trace())
         assert report_main([str(path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "phases" in payload

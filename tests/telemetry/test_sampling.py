@@ -208,8 +208,7 @@ class TestCompleteOffload:
 
         rec = Recorder()
         rec.slo = SLOMonitor(
-            (SLO(name="lat", phase="offload", threshold_ns=100,
-                 objective=0.5),),
+            (SLO(name="lat", threshold_ns=100, objective=0.5),),
             min_samples=1,
         )
         complete_offload(
@@ -253,6 +252,28 @@ class TestUnsampledOffloadEndToEnd:
             }
         finally:
             offload_api.finalize()
+
+    def test_rate_one_records_like_telemetry_true_without_a_pipeline(self):
+        # At rate 1.0 every trace is sampled: no verdict to make, so init
+        # installs no sampler and no pipeline, and the records and
+        # counters are those of plain recording.
+        def traced_sync(option):
+            try:
+                offload_api.init(LocalBackend(), telemetry=option)
+                assert offload_api.sync(1, f2f(apps.add, 2, 3)) == 5
+                rec = telemetry.get()
+                names = {r.span_id: r.name for r in rec.spans()}
+                records = [(r.name, names.get(r.parent_id), r.attrs)
+                           for r in rec.records()]
+                return (rec.sampler, rec.pipeline, records,
+                        rec.metrics.snapshot()["counters"])
+            finally:
+                offload_api.finalize()
+                telemetry.disable()
+
+        sampler, pipeline, records, counters = traced_sync({"sample_rate": 1.0})
+        assert sampler is None and pipeline is None
+        assert (records, counters) == traced_sync(True)[2:]
 
     def test_slow_outlier_survives_zero_sampling(self):
         # The tentpole's acceptance story: rate 0, warm traffic, then an

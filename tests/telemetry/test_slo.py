@@ -7,8 +7,7 @@ from repro.telemetry.slo import SLO, SLOMonitor, default_slos
 
 
 def latency_slo(**overrides):
-    base = dict(name="lat", phase="offload", threshold_ns=1000,
-                objective=0.9)
+    base = dict(name="lat", threshold_ns=1000, objective=0.9)
     base.update(overrides)
     return SLO(**base)
 
@@ -23,7 +22,7 @@ def tight_monitor(slo=None, **overrides):
 class TestSLO:
     def test_requires_name(self):
         with pytest.raises(ValueError, match="name"):
-            SLO(name="", phase="offload", threshold_ns=1, objective=0.9)
+            SLO(name="", threshold_ns=1, objective=0.9)
 
     @pytest.mark.parametrize("objective", [0.0, 1.0, -0.5, 1.5])
     def test_objective_must_be_open_unit_interval(self, objective):
@@ -36,21 +35,24 @@ class TestSLO:
             latency_slo(threshold_ns=threshold_ns)
 
     def test_latency_slo_bad_on_slow_or_error(self):
-        slo = latency_slo(threshold_ns=1000)
-        assert not slo.is_bad(1000, error=False)  # at threshold is good
-        assert slo.is_bad(1001, error=False)
-        assert slo.is_bad(1, error=True)
+        mon = tight_monitor(latency_slo(threshold_ns=1000))
+        mon.observe(1000)  # at threshold is good
+        assert mon.snapshot()["lat"]["bad"] == 0
+        mon.observe(1001)
+        mon.observe(1, error=True)
+        assert mon.snapshot()["lat"]["bad"] == 2
 
     def test_availability_slo_bad_only_on_error(self):
-        slo = latency_slo(threshold_ns=None)
-        assert not slo.is_bad(10**12, error=False)
-        assert slo.is_bad(0, error=True)
+        mon = tight_monitor(latency_slo(threshold_ns=None))
+        mon.observe(10**12)
+        assert mon.snapshot()["lat"]["bad"] == 0
+        mon.observe(0, error=True)
+        assert mon.snapshot()["lat"]["bad"] == 1
 
     def test_default_slos_cover_latency_and_availability(self):
         slos = default_slos()
         thresholds = {s.threshold_ns is None for s in slos}
         assert thresholds == {True, False}
-        assert all(s.phase == "offload" for s in slos)
 
 
 class TestMonitorValidation:
@@ -77,9 +79,9 @@ class TestBurnRateAlerting:
     def test_burn_math(self):
         mon = tight_monitor()
         for _ in range(8):
-            mon.observe("offload", 500)
-        mon.observe("offload", 500, error=True)
-        mon.observe("offload", 500, error=True)
+            mon.observe(500)
+        mon.observe(500, error=True)
+        mon.observe(500, error=True)
         state = mon.snapshot()["lat"]
         # budget 0.1; fast window holds 10 ops, 2 bad -> burn 2.0.
         assert state["fast_burn"] == pytest.approx(2.0)
@@ -95,18 +97,17 @@ class TestBurnRateAlerting:
 
         mon = tight_monitor(emit=emit)
         for _ in range(5):
-            mon.observe("offload", 5000)  # all bad: burn 10x
+            mon.observe(5000)  # all bad: burn 10x
         assert [name for name, _ in events] == ["telemetry.slo_breach"]
         name, attrs = events[0]
         assert attrs["slo"] == "lat"
-        assert attrs["phase"] == "offload"
         assert attrs["fast_burn"] >= 2.0
         assert attrs["objective"] == 0.9
         assert mon.breached() == ["lat"]
 
         # Good traffic washes the fast window clean -> one recovery.
         for _ in range(15):
-            mon.observe("offload", 10)
+            mon.observe(10)
         assert [name for name, _ in events] == [
             "telemetry.slo_breach", "telemetry.slo_recovered",
         ]
@@ -115,9 +116,9 @@ class TestBurnRateAlerting:
     def test_min_samples_guards_cold_start(self):
         mon = tight_monitor(min_samples=5)
         for _ in range(4):
-            mon.observe("offload", 5000)
+            mon.observe(5000)
         assert mon.breached() == []
-        mon.observe("offload", 5000)
+        mon.observe(5000)
         assert mon.breached() == ["lat"]
 
     def test_slow_window_filters_blips(self):
@@ -126,19 +127,12 @@ class TestBurnRateAlerting:
         mon = tight_monitor(fast_window=5, slow_window=100, min_samples=5,
                             slo=latency_slo(objective=0.5))
         for _ in range(95):
-            mon.observe("offload", 10)
+            mon.observe(10)
         for _ in range(5):
-            mon.observe("offload", 5000)
+            mon.observe(5000)
         state = mon.snapshot()["lat"]
         assert state["fast_burn"] >= 2.0
         assert state["slow_burn"] < 2.0
-        assert mon.breached() == []
-
-    def test_phase_filtering(self):
-        mon = tight_monitor()
-        for _ in range(50):
-            mon.observe("offload.serialize", 10**9, error=True)
-        assert mon.snapshot()["lat"]["total"] == 0
         assert mon.breached() == []
 
     def test_window_counts_match_brute_force(self):
@@ -147,7 +141,7 @@ class TestBurnRateAlerting:
         mon = tight_monitor(fast_window=7, slow_window=13)
         pattern = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1]
         for bad in pattern:
-            mon.observe("offload", 5000 if bad else 10)
+            mon.observe(5000 if bad else 10)
         (state,) = mon._states.values()
         assert state.fast_bad == sum(pattern[-7:])
         assert state.slow_bad == sum(pattern[-13:])
@@ -160,7 +154,7 @@ class TestGaugeExport:
         reg = MetricsRegistry()
         mon = tight_monitor(metrics=reg)
         for _ in range(5):
-            mon.observe("offload", 5000)
+            mon.observe(5000)
         gauges = reg.snapshot()["gauges"]
         assert gauges["slo.lat.fast_burn"] >= 2.0
         assert gauges["slo.lat.slow_burn"] >= 2.0
@@ -168,10 +162,9 @@ class TestGaugeExport:
 
     def test_snapshot_shape(self):
         mon = tight_monitor()
-        mon.observe("offload", 10)
+        mon.observe(10)
         state = mon.snapshot()["lat"]
         assert state == {
-            "phase": "offload",
             "threshold_ns": 1000,
             "objective": 0.9,
             "total": 1,

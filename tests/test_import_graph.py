@@ -80,7 +80,7 @@ EXPORTER = ["http.server", "repro.telemetry.promexport"]
     "telemetry, selected",
     [
         (True, ["repro.telemetry.config", "repro.telemetry.slo"]),
-        ({"sample_rate": 1.0}, ["repro.telemetry.sampling", "repro.telemetry.slo"]),
+        ({"sample_rate": 0.5}, ["repro.telemetry.sampling", "repro.telemetry.slo"]),
         ({"tsdb": True}, ["repro.telemetry.tsdb"]),
         ({"metrics_port": 0}, EXPORTER),
     ],
