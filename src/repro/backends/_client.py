@@ -238,7 +238,7 @@ class FramedClient(Backend):
         # Only a parser holding unparsed bytes is asked: between a ring's
         # tail store and the wait for the reply runs an attribute test,
         # not a call (the rule of placement).
-        frame = parser.next_frame() if parser._pos != len(parser._data) else None
+        frame = parser.next_frame() if parser._data else None
         while frame is None:
             if not self._await_bytes(timeout):
                 return None
@@ -313,14 +313,6 @@ class FramedClient(Backend):
     # -- the correlation table ---------------------------------------------------
     def _pending_count(self) -> int:
         return len(self._pending)  # one atomic read: no lock to take
-
-    def _next_corr(self) -> int:
-        """Correlation id for a roundtrip that files no handle.
-
-        Drawn from the same process-wide counter as invoke handles so
-        ids never collide across the two kinds of traffic.
-        """
-        return next(InvokeHandle._ids)
 
     def _check_alive(self) -> None:
         if not self._alive:
@@ -405,13 +397,16 @@ class FramedClient(Backend):
         while telemetry records) records the spans of a posted one:
         ``offload.enqueue``, ``offload.transport``.
         """
-        self._check_alive()
+        if not self._alive:  # _check_alive(), inline
+            raise BackendError(f"{self.name} backend is shut down")
         effective = timeout if timeout is not None else self.op_timeout
         traced = nbytes > 0
         recording = traced or telemetry.get() is not None
         if self._drive_lock.acquire(blocking=False):
             try:
-                corr = self._next_corr()
+                # Files no handle, but draws from the handles' counter:
+                # ids never collide across the two kinds of traffic.
+                corr = next(InvokeHandle._ids)
                 if not traced:  # the hot path: nothing between send and read
                     self._send(op, corr, *parts)
                     return self._consume_inline(op, corr, effective, label, recording)
@@ -471,12 +466,14 @@ class FramedClient(Backend):
                 if frame is not None and frame[1] == corr:
                     # Its own: first complete what else has arrived — a
                     # loop watching ``_reply_fd`` wakes on new bytes only.
-                    held = self._parser.next_frame()
-                    while held is not None:
+                    parser = self._parser
+                    while parser._data:
+                        held = parser.next_frame()
+                        if held is None:  # part of a frame
+                            break
                         if recording:
                             self._record_reply(held[2])
                         self._dispatch_reply(*held)
-                        held = self._parser.next_frame()
             except BackendError as exc:
                 if not self._closing:
                     self._fail_pending(exc)

@@ -122,7 +122,9 @@ class FrameParser:
         self._source = source
         self.limit = limit
         self._max_length = limit - _LEN.size
-        #: Received bytes; the unparsed ones start at ``_pos``.
+        #: Received bytes; the unparsed ones start at ``_pos``. Empty
+        #: once every byte is parsed: a reader tests it for "anything
+        #: left?" without a call.
         self._data = b""
         self._pos = 0
         #: A long frame being received, and how much of it has arrived.
@@ -144,10 +146,10 @@ class FrameParser:
             self._big_got += got
             return got
         chunk = self._source.recv(_RECV_CHUNK)
-        rest = self._data[self._pos:]
-        self._data = rest + chunk if rest else chunk
+        got = len(chunk)
+        self._data = self._data[self._pos:] + chunk if self._data else chunk
         self._pos = 0
-        return len(chunk)
+        return got
 
     def next_frame(self) -> tuple[int, int, memoryview] | None:
         """The next complete ``(op, corr, body)``, or ``None`` when more
@@ -156,7 +158,8 @@ class FrameParser:
         longer than any frame the source carries."""
         data = self._data
         pos = self._pos
-        have = len(data) - pos
+        size = len(data)
+        have = size - pos
         if have < _LEN.size:  # also while a long frame arrives: no data then
             big = self._big
             if big is None or self._big_got < len(big):
@@ -172,7 +175,7 @@ class FrameParser:
                 "corrupt frame, or a peer that speaks another protocol"
             )
         end = pos + _LEN.size + length
-        if end > len(data):
+        if end > size:
             if length > _RECV_CHUNK:
                 self._big = big = bytearray(length)
                 self._big_got = have - _LEN.size
@@ -180,7 +183,11 @@ class FrameParser:
                 self._data = b""
                 self._pos = 0
             return None
-        self._pos = end
+        if end == size:
+            self._data = b""
+            self._pos = 0
+        else:
+            self._pos = end
         return (
             data[pos + _LEN.size],
             _U64.unpack_from(data, pos + _LEN.size + 1)[0],
@@ -223,10 +230,10 @@ class FramedServer:
     """One client, ``workers`` concurrent invocations, over any byte pipe.
 
     A transport sets ``_parser`` (a :class:`FrameParser` over its byte
-    source) before it serves, and supplies ``_transmit(frame)``, which
-    puts one framed reply on the pipe under the send lock. Only the
-    reader receives (:meth:`_next_frame`); every serving thread replies
-    (:meth:`_reply`).
+    source) before it serves, and supplies ``_transmit(frame, nbytes)``,
+    which puts one framed reply of ``nbytes`` on the pipe under the send
+    lock. Only the reader receives (:meth:`_next_frame`); every serving
+    thread replies (:meth:`_reply`).
     """
 
     #: "tcp" / "shm": names the image, the threads and the reply span.
@@ -294,7 +301,7 @@ class FramedServer:
         parser = self._parser
         # As the client's: an attribute test, not a call, between the
         # reply's tail store and the wait for the next request.
-        frame = parser.next_frame() if parser._pos != len(parser._data) else None
+        frame = parser.next_frame() if parser._data else None
         while frame is None:
             self._await_bytes()
             try:
@@ -308,9 +315,10 @@ class FramedServer:
 
     def _reply(self, op: int, corr: int, *parts: Any) -> None:
         """Frame one reply and send it; any serving thread."""
-        frame = [_PREFIX.pack(_FRAME_META + sum(map(len, parts)), op, corr), *parts]
+        length = _FRAME_META + sum(map(len, parts))
+        frame = [_PREFIX.pack(length, op, corr), *parts]
         with self._send_lock:
-            self._transmit(frame)
+            self._transmit(frame, _LEN.size + length)
 
     # -- the dispatch loop ----------------------------------------------------
     def _serve(self) -> None:
@@ -494,12 +502,15 @@ class FramedServer:
             # unsampled messages (and only those — a v1 header carries
             # no verdict and records as sampled) skip the
             # server-side reply span entirely.
-            traced = telemetry.enabled()
+            recorder = telemetry.get()
+            traced = recorder is not None
             if traced:
                 flags = peek_trace_flags(body)
                 traced = flags is None or bool(flags & trace_context.FLAG_SAMPLED)
             began = self.clock_ns()
-            reply, _keep = execute_message(self.image, body, resolver=self._resolve)
+            reply, _keep = execute_message(
+                self.image, body, self._resolve, recorder=recorder
+            )
             ran_ns = self.clock_ns() - began
             if not traced:
                 self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)

@@ -87,13 +87,19 @@ class LocalBackend(Backend):
         target = self._targets[node]
         self._msg_id += 1
         invoke = build_invoke(self.host_image, functor, self._msg_id)
-        # Telemetry phase ``offload.transport``: for the in-process
-        # backend the "wire" is a synchronous call, so transport time is
-        # the handoff around the nested ``offload.execute`` span.
-        with telemetry.span("offload.transport", node=node, bytes=len(invoke)):
+        recorder = telemetry.get()
+        if recorder is None:
             reply, _keep_running = execute_message(
-                target.image, invoke, resolver=target.resolve
+                target.image, invoke, target.resolve, recorder=None
             )
+        else:
+            # Telemetry phase ``offload.transport``: for the in-process
+            # backend the "wire" is a synchronous call, so transport time
+            # is the handoff around the nested ``offload.execute`` span.
+            with telemetry.span("offload.transport", node=node, bytes=len(invoke)):
+                reply, _keep_running = execute_message(
+                    target.image, invoke, target.resolve, recorder=recorder
+                )
         target.messages_executed += 1
         return reply
 

@@ -408,7 +408,11 @@ class ShmRing:
         slept = 0.0
         while True:
             if cursors[tail_idx] != head:
-                self._account_wait(spins, slept)
+                if spins <= spin:  # _account_wait's spin phase, inline
+                    self.spin_waits += 1
+                    self.laps += spins
+                else:
+                    self._account_wait(spins, slept)
                 return True
             spins += 1
             if spins <= spin:
@@ -508,22 +512,23 @@ class ShmRing:
     def write(
         self,
         frame: list,
+        total: int,
         *,
         timeout: float | None = None,
         stop: Callable[[], BaseException | None] | None = None,
     ) -> int:
-        """Publish one frame, its parts back to back; returns its size.
+        """Publish one frame of ``total`` bytes, its parts back to back;
+        returns its size.
 
-        The parts arrive framed: the ring knows no format. It takes a
-        frame whole — the consumer never sees part of one — so a frame
-        larger than the ring can never fit and raises
+        The parts arrive framed, and sized by the framer: the ring knows
+        no format. It takes a frame whole — the consumer never sees part
+        of one — so a frame larger than the ring can never fit and raises
         :class:`BackendError`; bulk data travels chunked (see
         :meth:`ShmBackend.write_buffer`). Blocks (spin-then-sleep) while
         the ring lacks space — that wait is the transport-level
         backpressure under the in-flight window, recorded as a
         ``shm.ring_wait`` span when telemetry is on.
         """
-        total = sum(map(len, frame))
         cap = self._capacity
         if total > cap:
             raise BackendError(
@@ -844,7 +849,8 @@ class ShmBackend(FramedClient):
         try:
             with self._send_lock:
                 self._h2t.write(
-                    frame, timeout=self.op_timeout, stop=self._send_stall_cb
+                    frame, nbytes, timeout=self.op_timeout,
+                    stop=self._send_stall_cb,
                 )
         except BackendError as exc:  # a ring that stays full only times out
             self._fail_pending(exc)

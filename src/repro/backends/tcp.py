@@ -176,8 +176,8 @@ class TcpTargetServer(FramedServer):
         finally:
             self._listener.close()
 
-    def _transmit(self, frame: list) -> None:
-        _check_frame(sum(map(len, frame)))
+    def _transmit(self, frame: list, nbytes: int) -> None:
+        _check_frame(nbytes)
         _sendmsg_all(self._conn, frame)
 
 

@@ -52,32 +52,42 @@ def sized_invoke_parts(
     """:func:`build_invoke_parts` plus the message's size in bytes, which
     only telemetry reads: summed once, here, and 0 while telemetry is off."""
     recorder = telemetry.get()
-    nbytes = 0
-    with telemetry.span("offload.serialize", functor=functor.type_name) as span:
-        key = image.key_for(functor.type_name)
+    if recorder is None:
+        # Nothing records, so no span is entered; a trace active anyway
+        # still rides the v2 header, under the context's own parent.
         ctx = trace_context.current()
-        if ctx is None:
-            parts = build_message_parts(
-                MSG_INVOKE, key, msg_id, functor.serialize_args_parts()
-            )
-        else:
-            parts = build_message_parts(
-                MSG_INVOKE, key, msg_id, functor.serialize_args_parts(),
-                trace_id=ctx.trace_id,
-                # The serialize span itself (when recording) is the
-                # causal parent of the remote execution; fall back to
-                # the context's own parent when telemetry is off.
-                parent_span_id=span.span_id or ctx.span_id,
-                trace_flags=ctx.flags,
-            )
-        if recorder is not None:
-            nbytes = sum(map(len, parts))
-            span.set("bytes", nbytes)
-    if recorder is not None:
-        # Per-kernel byte attribution, fed for every offload regardless
-        # of the sampling verdict.
-        recorder.kernel_bytes[functor.type_name].inc(nbytes)
+        parent = 0 if ctx is None else ctx.span_id
+        return _invoke_parts(image, functor, msg_id, ctx, parent), 0
+    with telemetry.span("offload.serialize", functor=functor.type_name) as span:
+        ctx = trace_context.current()
+        # The serialize span (when this trace is sampled) is the causal
+        # parent of the remote execution.
+        parent = 0 if ctx is None else span.span_id or ctx.span_id
+        parts = _invoke_parts(image, functor, msg_id, ctx, parent)
+        nbytes = sum(map(len, parts))
+        span.set("bytes", nbytes)
+    # Per-kernel byte attribution, fed for every offload regardless of
+    # the sampling verdict.
+    recorder.kernel_bytes[functor.type_name].inc(nbytes)
     return parts, nbytes
+
+
+def _invoke_parts(
+    image: ProcessImage, functor: Functor, msg_id: int,
+    ctx: TraceContext | None, parent_span_id: int,
+) -> list:
+    """The INVOKE message of ``functor`` as buffers: a v2 header naming
+    ``parent_span_id`` as the remote parent while ``ctx`` is active."""
+    key = image.key_for(functor.type_name)
+    if ctx is None:
+        return build_message_parts(
+            MSG_INVOKE, key, msg_id, functor.serialize_args_parts()
+        )
+    return build_message_parts(
+        MSG_INVOKE, key, msg_id, functor.serialize_args_parts(),
+        trace_id=ctx.trace_id, parent_span_id=parent_span_id,
+        trace_flags=ctx.flags,
+    )
 
 
 def build_invoke_parts(
@@ -112,8 +122,13 @@ def build_invoke(image: ProcessImage, functor: Functor, msg_id: int) -> bytes:
     return b"".join(sized_invoke_parts(image, functor, msg_id)[0])
 
 
+#: :func:`execute_message`'s default ``recorder``: read it there.
+_UNREAD: Any = object()
+
+
 def execute_message(
-    image: ProcessImage, data: bytes, resolver: Resolver | None = None
+    image: ProcessImage, data: bytes, resolver: Resolver | None = None, *,
+    recorder: Any = _UNREAD,
 ) -> tuple[bytes, bool]:
     """Execute one received message; returns ``(reply_bytes, keep_running)``.
 
@@ -121,8 +136,10 @@ def execute_message(
     empty RESULT acknowledging termination).
 
     VE-side failures never crash the message loop: they are captured into
-    an ERROR reply carrying the remote traceback. A process that does not
-    record builds no trace context and opens no span for it.
+    an ERROR reply carrying the remote traceback. ``recorder`` is
+    ``telemetry.get()`` where the caller has read it for its own phase
+    already; while it is ``None`` (a process that does not record) no
+    trace context is built and no span opened.
     """
     (kind, handler_key, msg_id, start, end,
      trace_id, parent_span_id, trace_flags) = split_message(data)
@@ -130,7 +147,8 @@ def execute_message(
         return build_message(MSG_RESULT, 0, msg_id, serialize(None)), False
     if kind != MSG_INVOKE:
         raise SerializationError(f"target received non-invoke message kind {kind}")
-    recorder = telemetry.get()
+    if recorder is _UNREAD:
+        recorder = telemetry.get()
     if recorder is None:
         # A process that does not record: no context, no span; the
         # reply still carries the sender's trace back.
@@ -172,11 +190,7 @@ def _invoke(
         entry = image.entry_for_key(handler_key)
         if span is not None:
             span.set("handler", entry.type_name)
-        args, kwargs = decode_args(data, start, end)
-        if resolver is not None:
-            args = tuple(map(resolver, args))
-            if kwargs:
-                kwargs = {k: resolver(v) for k, v in kwargs.items()}
+        args, kwargs = decode_args(data, start, end, resolver)
         payload = serialize(entry.handler(*args, **kwargs))
     except Exception as exc:  # noqa: BLE001 - shipped back to the host
         if span is not None:
@@ -226,12 +240,19 @@ def unpack_result(data: bytes) -> tuple[int, Any]:
     SerializationError
         If the message is not a result at all.
     """
+    if telemetry.get() is None:
+        return _result_of(data)
     # Telemetry phase ``offload.deserialize``: reply decode on the host.
     with telemetry.span("offload.deserialize", bytes=len(data)):
-        (kind, _key, msg_id, start, end,
-         _trace_id, _parent, _flags) = split_message(data)
-        if kind == MSG_RESULT:
-            return msg_id, deserialize(data, start, end)
-        if kind != MSG_ERROR:
-            raise SerializationError(f"expected a result message, got kind {kind}")
-        raise remote_error(deserialize(data, start, end))
+        return _result_of(data)
+
+
+def _result_of(data: bytes) -> tuple[int, Any]:
+    """:func:`unpack_result`'s decode."""
+    (kind, _key, msg_id, start, end,
+     _trace_id, _parent, _flags) = split_message(data)
+    if kind == MSG_RESULT:
+        return msg_id, deserialize(data, start, end)
+    if kind != MSG_ERROR:
+        raise SerializationError(f"expected a result message, got kind {kind}")
+    raise remote_error(deserialize(data, start, end))

@@ -205,7 +205,8 @@ class ProcessImage:
         HandlerKeyError
             If the type is unknown to this image.
         """
-        self.build_tables()
+        if not self._finalized:
+            self.build_tables()
         try:
             return self._key_of[type_name]
         except KeyError:
@@ -215,7 +216,8 @@ class ProcessImage:
 
     def entry_for_key(self, key: int) -> _Entry:
         """Translate a received key to the local table row (O(1))."""
-        self.build_tables()
+        if not self._finalized:
+            self.build_tables()
         if not 0 <= key < len(self._by_key):
             raise HandlerKeyError(
                 f"image {self.name!r}: handler key {key} outside table "

@@ -114,7 +114,8 @@ _COMPLEX_FIELDS = struct.Struct("<dd")
 #: the keys, so both are emptied when they reach this many entries.
 _CACHE_LIMIT = 1024
 _ENCODERS: dict[tuple, Callable[[tuple], list]] = {}
-_DECODERS: dict[bytes, Callable[[Any, int, int], tuple[tuple, dict]]] = {}
+#: A decoder, and whether its block is scalars alone (fields ``q d ?``).
+_DECODERS: dict[bytes, tuple[Callable[[Any, int, int], tuple[tuple, dict]], bool]] = {}
 _DTYPE_NAMES: dict[np.dtype, bytes] = {}
 
 
@@ -577,8 +578,11 @@ def encode_args(values: tuple, names: tuple = ()) -> list:
         return _encoder_for(types, names)(values)
 
 
-def _compile_decoder(signature: bytes) -> Callable[[Any, int, int], tuple[tuple, dict]]:
-    """The decoder of one signature (validated here, once)."""
+def _compile_decoder(
+    signature: bytes,
+) -> tuple[Callable[[Any, int, int], tuple[tuple, dict]], bool]:
+    """The decoder of one signature (validated here, once), and whether
+    its block is scalars alone."""
     if len(signature) < _SIG_COUNTS.size:
         raise SerializationError("truncated argument signature")
     npos, nkw = _SIG_COUNTS.unpack_from(signature)
@@ -615,7 +619,7 @@ def _compile_decoder(signature: bytes) -> Callable[[Any, int, int], tuple[tuple,
                     f"argument block of {end - start} bytes, expected {block.size}"
                 )
             return block.unpack_from(data, start), {}
-        return decode_scalars
+        return decode_scalars, True
 
     steps = _steps(codes, 1)
 
@@ -640,13 +644,19 @@ def _compile_decoder(signature: bytes) -> Callable[[Any, int, int], tuple[tuple,
         if at != end:
             raise SerializationError(f"{end - at} stray bytes after the arguments")
         return tuple(values[:npos]), dict(zip(names, values[npos:]))
-    return decode
+    return decode, False
 
 
-def decode_args(data: Any, start: int, end: int) -> tuple[tuple, dict[str, Any]]:
+def decode_args(
+    data: Any, start: int, end: int,
+    resolve: Callable[[Any], Any] | None = None,
+) -> tuple[tuple, dict[str, Any]]:
     """Decode the argument list in ``data[start:end]`` to ``(args, kwargs)``.
 
     ``data`` may be any bytes-like object and is read in place.
+    ``resolve``, when given, maps every argument to the value the callee
+    gets (a target's buffer pointers to views of its memory). A block of
+    scalars alone holds nothing to map and is returned as decoded.
 
     Raises
     ------
@@ -664,12 +674,19 @@ def decode_args(data: Any, start: int, end: int) -> tuple[tuple, dict[str, Any]]
     if body > end:
         raise SerializationError("truncated argument signature")
     signature = bytes(data[start:body])
-    decoder = _DECODERS.get(signature)
+    compiled = _DECODERS.get(signature)
     try:
-        if decoder is None:
-            decoder = _cached(_DECODERS, signature, _compile_decoder(signature))
-        return decoder(data, body, end)
+        if compiled is None:
+            compiled = _cached(_DECODERS, signature, _compile_decoder(signature))
+        decoder, scalars_only = compiled
+        args, kwargs = decoder(data, body, end)
     except SerializationError:
         raise
     except Exception as exc:  # noqa: BLE001 - corrupt frame
         raise SerializationError(f"argument decode failed: {exc}") from exc
+    if resolve is None or scalars_only:
+        return args, kwargs
+    args = tuple(map(resolve, args))
+    if kwargs:
+        kwargs = {name: resolve(value) for name, value in kwargs.items()}
+    return args, kwargs

@@ -38,6 +38,7 @@ from repro.offload.future import CompletedHandle, Future, availability_miss, set
 from repro.offload.hedging import Hedger, is_location_free
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.offload.qos import (
+    _CURRENT_TENANT,
     AdmissionController,
     FairInflightWindow,
     QoSConfig,
@@ -348,7 +349,11 @@ class Runtime:
             :func:`~repro.offload.qos.tenant_scope`, then the QoS
             config's default tenant.
         """
-        tctx = self._resolve_tenant(tenant)
+        if tenant is None:
+            tenant = _CURRENT_TENANT.get()  # current_tenant(), inline
+        # No tenant and no QoS resolve to no context, without a call.
+        tctx = (None if tenant is None and self.qos is None
+                else self._resolve_tenant(tenant))
         if timeout is None and tctx is not None and tctx.deadline is not None:
             timeout = tctx.deadline
         if self.policy is None:

@@ -9,6 +9,12 @@ def frame(op: int, corr: int, *parts) -> list:
     return [_PREFIX.pack(_FRAME_META + sum(map(len, parts)), op, corr), *parts]
 
 
+def sized(parts: list) -> tuple[list, int]:
+    """``parts`` and their byte count: a ring's ``write(frame, total)``
+    arguments."""
+    return parts, sum(map(len, parts))
+
+
 def send_frame(sock, op: int, corr: int, *parts) -> None:
     """Send one frame."""
     sock.sendall(b"".join(frame(op, corr, *parts)))

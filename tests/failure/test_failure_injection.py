@@ -17,6 +17,7 @@ from repro.backends import (
     spawn_local_server,
 )
 from repro.backends._server import OP_INVOKE, FrameParser
+from repro.backends.base import InvokeHandle
 from repro.backends.tcp import FRAME_LIMIT
 from repro.errors import (
     BackendError,
@@ -64,7 +65,7 @@ class TestTcpTransportFailures:
             def complete_with_error(self, error):
                 handle_box["error"] = error
 
-        corr = backend._next_corr()
+        corr = next(InvokeHandle._ids)
         with backend._pending_lock:
             backend._pending[corr] = (OP_INVOKE, FakeHandle())
         backend._send(OP_INVOKE, corr, b"not a ham message")

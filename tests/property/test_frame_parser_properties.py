@@ -23,7 +23,7 @@ from repro.backends.shm import ShmSegment, _host_to_target_ring
 from repro.backends.tcp import FRAME_LIMIT
 from repro.errors import BackendError
 
-from tests.backends.wire import frame
+from tests.backends.wire import frame, sized
 
 WAIT = 10.0
 #: A ring four times smaller than the default, still above the largest
@@ -111,7 +111,7 @@ def _through_ring(writes, count):
         reader = threading.Thread(target=read)
         reader.start()
         for parts in writes:
-            producer.write(parts, timeout=WAIT)
+            producer.write(*sized(parts), timeout=WAIT)
         reader.join(WAIT)
         assert not reader.is_alive()
         return got

@@ -22,7 +22,7 @@ from repro.backends.shm import (
 )
 from repro.errors import BackendError, OffloadTimeoutError
 
-from tests.backends.wire import frame, read_frame
+from tests.backends.wire import frame, read_frame, sized
 
 CAPACITY = 4096
 
@@ -61,7 +61,7 @@ class TestRingProperties:
         try:
             producer, consumer = rings(seg)
             for index, body in enumerate(messages):
-                producer.write(frame(1, index, body), timeout=1.0)
+                producer.write(*sized(frame(1, index, body)), timeout=1.0)
                 op, corr, view = read_frame(consumer)
                 assert (op, corr, bytes(view)) == (1, index, body)
             assert drained(consumer)
@@ -94,7 +94,7 @@ class TestRingProperties:
                         want_corr, want_body = shadow.popleft()
                         assert (corr, bytes(view)) == (want_corr, want_body)
                     pending_bytes = 0
-                producer.write(frame(2, index, body), timeout=1.0)
+                producer.write(*sized(frame(2, index, body)), timeout=1.0)
                 shadow.append((index, body))
                 pending_bytes += size
                 if index % drain_after == 0:
@@ -120,7 +120,7 @@ class TestRingProperties:
         written = 0
         with pytest.raises(OffloadTimeoutError, match="stayed full"):
             for index in range(10):
-                producer.write(frame(3, index, body), timeout=0.05)
+                producer.write(*sized(frame(3, index, body)), timeout=0.05)
                 written += 1
         # Everything that *was* accepted is intact.
         for index in range(written):
@@ -132,12 +132,12 @@ class TestRingProperties:
         producer, consumer = rings(segment)
         body = bytes(CAPACITY // 4)
         for index in range(3):
-            producer.write(frame(4, index, body), timeout=0.5)
+            producer.write(*sized(frame(4, index, body)), timeout=0.5)
         # One more would exceed capacity; free a slot and retry.
         with pytest.raises(OffloadTimeoutError):
-            producer.write(frame(4, 3, body), timeout=0.05)
+            producer.write(*sized(frame(4, 3, body)), timeout=0.05)
         read_frame(consumer)
-        producer.write(frame(4, 3, body), timeout=0.5)
+        producer.write(*sized(frame(4, 3, body)), timeout=0.5)
         for index in range(1, 4):
             _op, corr, _view = read_frame(consumer)
             assert corr == index
@@ -145,7 +145,7 @@ class TestRingProperties:
     def test_oversized_frame_rejected_outright(self, segment):
         producer, _consumer = rings(segment)
         with pytest.raises(BackendError, match="exceeds shm ring capacity"):
-            producer.write(frame(5, 0, bytes(CAPACITY)), timeout=0.1)
+            producer.write(*sized(frame(5, 0, bytes(CAPACITY))), timeout=0.1)
 
     def test_wraparound_across_many_cycles(self, segment):
         """Cursors are monotonic u64s, positions are modulo: thousands
@@ -153,7 +153,7 @@ class TestRingProperties:
         producer, consumer = rings(segment)
         body = bytes(range(256)) * 3  # 768 bytes, co-prime-ish with 4096
         for index in range(2000):
-            producer.write(frame(6, index, body), timeout=1.0)
+            producer.write(*sized(frame(6, index, body)), timeout=1.0)
             op, corr, view = read_frame(consumer)
             assert (op, corr) == (6, index)
             assert bytes(view) == body
@@ -162,7 +162,7 @@ class TestRingProperties:
     def test_scattered_parts_concatenate(self, segment):
         producer, consumer = rings(segment)
         parts = (b"alpha", bytearray(b"beta"), memoryview(b"gamma"))
-        producer.write(frame(7, 42, *parts), timeout=1.0)
+        producer.write(*sized(frame(7, 42, *parts)), timeout=1.0)
         _op, _corr, view = read_frame(consumer)
         assert bytes(view) == b"alphabetagamma"
 
@@ -175,8 +175,8 @@ class TestRingProperties:
             _target_to_host_ring(segment),
             FrameParser(_target_to_host_ring(segment), CAPACITY),
         )
-        h2t_w.write(frame(1, 1, b"request"), timeout=1.0)
-        t2h_w.write(frame(2, 1, b"reply"), timeout=1.0)
+        h2t_w.write(*sized(frame(1, 1, b"request")), timeout=1.0)
+        t2h_w.write(*sized(frame(2, 1, b"reply")), timeout=1.0)
         assert bytes(read_frame(h2t_r)[2]) == b"request"
         assert bytes(read_frame(t2h_r)[2]) == b"reply"
         assert drained(h2t_r) and drained(t2h_r)

@@ -386,6 +386,34 @@ def test_no_doc_tells_history():
     _report(problems)
 
 
+# -- the changelog -------------------------------------------------------------
+_ENTRY = re.compile(r"- PR (\d+):")
+
+
+def test_the_newest_changelog_entry_is_short():
+    """CHANGES.md's newest ``- PR N:`` entry (the line, and the indented
+    lines under it) is at most 5 lines of at most 100 characters."""
+    lines = (ROOT / "CHANGES.md").read_text().splitlines()
+    starts = {
+        int(match.group(1)): number
+        for number, line in enumerate(lines)
+        if (match := _ENTRY.match(line))
+    }
+    assert starts, "CHANGES.md has no '- PR N:' entry"
+    first = starts[max(starts)]
+    entry = [lines[first]]
+    for line in lines[first + 1:]:
+        if not line.startswith(" ") or not line.strip():
+            break
+        entry.append(line)
+    assert len(entry) <= 5, f"the newest entry runs to {len(entry)} lines"
+    _report([
+        f"CHANGES.md:{first + 1 + offset}: {len(line)} characters"
+        for offset, line in enumerate(entry)
+        if len(line) > 100
+    ])
+
+
 # -- the real-path op table ----------------------------------------------------
 def _op_table() -> dict:
     text = (ROOT / "docs/protocols.md").read_text()
