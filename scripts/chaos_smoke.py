@@ -677,7 +677,7 @@ def main() -> int:
         # rates must breach within a short soak, loose enough that a
         # clean run would not. Completions feed these through
         # complete_offload; breaches land in the ring via force_event
-        # (bypassing any sampling gate) and flip /healthz to degraded.
+        # and flip /healthz to degraded.
         recorder.slo = SLOMonitor(
             (
                 SLO(name="chaos-availability", threshold_ns=None,

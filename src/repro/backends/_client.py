@@ -57,11 +57,9 @@ from repro.errors import (
 )
 from repro.ham.execution import remote_error, sized_invoke_parts, unpack_result
 from repro.ham.functor import Functor
-from repro.ham.message import peek_trace, peek_trace_flags
 from repro.ham.registry import Catalog, ProcessImage
 from repro.ham.serialization import deserialize
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
-from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.distributed import ClockSync, align_records
@@ -93,21 +91,6 @@ def _wrong_reply(expected: int, op: int) -> BackendError:
     return BackendError(f"expected reply to op {expected:#x}, got {op:#x}")
 
 
-def _unsampled_reply_context(body: Any) -> "trace_context.TraceContext | None":
-    """The reply's trace context, only when it is unsampled.
-
-    Sampled (and untraced/v1) replies return ``None`` so their
-    ``offload.reply`` span records exactly as before; an unsampled
-    reply's context routes the span through the recorder's sampling
-    gate, tying its fate to the trace's tail-retention verdict.
-    """
-    flags = peek_trace_flags(body)
-    if flags is None or flags & trace_context.FLAG_SAMPLED:
-        return None
-    tid = peek_trace(body)[0]
-    return trace_context.TraceContext(tid, 0, False) if tid else None
-
-
 def _phase(traced: bool, name: str, **attrs: Any) -> Any:
     """A traced invoke's span ``name``, else the no-op span."""
     return telemetry.span(name, **attrs) if traced else telemetry.NOOP_SPAN
@@ -117,17 +100,10 @@ def close_reply_span(reply_span: Any, body: Any) -> None:
     """End an entered ``offload.reply`` span for one received frame.
 
     Telemetry phase ``offload.reply``: one reply frame pulled off the
-    transport (the pre-reply wait lives in ``offload.transport``). The
-    receiving thread may read a reply for another caller's trace, so the
-    span is closed under the reply's own (peeked) context when that
-    trace is unsampled — the recorder gate then stages it with the trace
-    instead of polluting the ring on the fast path. A leader's own reply
-    needs no peek: its trace is the one active on its thread.
+    transport (the pre-reply wait lives in ``offload.transport``),
+    recorded under the trace active on the receiving thread.
     """
     reply_span.set("bytes", len(body) + FRAME_OVERHEAD)
-    ctx = _unsampled_reply_context(body)
-    if ctx is not None and reply_span is not telemetry.NOOP_SPAN:
-        reply_span.ctx = ctx
     reply_span.__exit__(None, None, None)
 
 
@@ -437,8 +413,7 @@ class FramedClient(Backend):
         Replies for other callers are dispatched through the expectation
         table on the way (``recording``, recorded as :meth:`_pump` does;
         its own reply belongs to the trace already active on this thread,
-        so its ``offload.reply`` span is recorded under it, with no peek
-        at the header and no context activated). A timeout is
+        so its ``offload.reply`` span is recorded under it). A timeout is
         soft, like :meth:`_wait`: a handle is filed under ``corr`` *now*
         (no reply can have slipped past — this thread held the drive
         lock throughout) so a later pump can still complete it instead of
@@ -593,7 +568,7 @@ class FramedClient(Backend):
             frame = self._next_frame(wait)
             while frame is not None:
                 op, corr, body = frame
-                if recorder is not None:  # peeking the header is not free
+                if recorder is not None:
                     self._record_reply(body)
                 self._dispatch_reply(op, corr, body)
                 frame = self._next_frame(0.0)

@@ -50,11 +50,10 @@ from typing import Any
 from repro.backends._target_memory import HostedBuffers
 from repro.errors import BackendError, HamError, SerializationError
 from repro.ham.execution import execute_message, failure_info
-from repro.ham.message import parse_message, peek_trace_flags
+from repro.ham.message import parse_message
 from repro.ham.registry import Catalog, ProcessImage
 from repro.ham.serialization import serialize
 from repro.offload.buffer import BufferPtr
-from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.export import records_to_dicts
@@ -216,10 +215,8 @@ def reset_forked_recorder() -> None:
 
     The fork inherits the host recorder wholesale: its records (pulled
     back through ``OP_TELEMETRY`` they would land in the host ring
-    twice), the forking thread's open spans, and the host-only sampling
-    machinery — a tail pipeline here would stage unsampled spans that no
-    completion ever settles (completions happen host-side), and SLO
-    windows would double-count.
+    twice), the forking thread's open spans, and the SLO monitor, whose
+    windows would double-count (completions happen host-side).
     """
     recorder = telemetry.get()
     if recorder is not None:
@@ -498,21 +495,13 @@ class FramedServer:
         ``None`` for a message refused as malformed instead."""
         ran_ns = None
         try:
-            # The sampling verdict travels in the v2 header's flag byte:
-            # unsampled messages (and only those — a v1 header carries
-            # no verdict and records as sampled) skip the
-            # server-side reply span entirely.
             recorder = telemetry.get()
-            traced = recorder is not None
-            if traced:
-                flags = peek_trace_flags(body)
-                traced = flags is None or bool(flags & trace_context.FLAG_SAMPLED)
             began = self.clock_ns()
             reply, _keep = execute_message(
                 self.image, body, self._resolve, recorder=recorder
             )
             ran_ns = self.clock_ns() - began
-            if not traced:
+            if recorder is None:
                 self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
                 return ran_ns
             with self._lock:

@@ -89,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         "--telemetry",
         action="store_true",
         help="record target-side spans (the host drains them via "
-        "OP_TELEMETRY); messages flagged unsampled by the host's head "
-        "sampler skip span recording here either way",
+        "OP_TELEMETRY)",
     )
     parser.add_argument(
         "--telemetry-capacity",

@@ -60,14 +60,12 @@ def sized_invoke_parts(
         return _invoke_parts(image, functor, msg_id, ctx, parent), 0
     with telemetry.span("offload.serialize", functor=functor.type_name) as span:
         ctx = trace_context.current()
-        # The serialize span (when this trace is sampled) is the causal
-        # parent of the remote execution.
+        # The serialize span is the causal parent of the remote execution.
         parent = 0 if ctx is None else span.span_id or ctx.span_id
         parts = _invoke_parts(image, functor, msg_id, ctx, parent)
         nbytes = sum(map(len, parts))
         span.set("bytes", nbytes)
-    # Per-kernel byte attribution, fed for every offload regardless of
-    # the sampling verdict.
+    # Per-kernel byte attribution, fed for every traced offload.
     recorder.kernel_bytes[functor.type_name].inc(nbytes)
     return parts, nbytes
 
@@ -161,10 +159,7 @@ def execute_message(
     # parents itself to the host span named in the header.
     token: Any = None
     if trace_id:
-        token = trace_context.enter(TraceContext(
-            trace_id, parent_span_id,
-            bool(trace_flags & trace_context.FLAG_SAMPLED),
-        ))
+        token = trace_context.enter(TraceContext(trace_id, parent_span_id))
     try:
         # Telemetry phase ``offload.execute``: argument decode + handler
         # run + reply build on the target (the host process for the local

@@ -20,7 +20,7 @@ makes it the natural carrier (HAM treats the header the same way)::
 
     24      16    trace id (128-bit, big-endian; zero = no trace)
     40      8     parent span id (the sender span that built the message)
-    48      1     trace flags (bit 0: sampled)
+    48      1     trace flags (bit 0 always set, ignored on receipt)
     49      ...   payload
 
 :func:`build_message` emits version 1 whenever no trace context is given
@@ -53,8 +53,6 @@ __all__ = [
     "build_message_parts",
     "pack_header",
     "parse_message",
-    "peek_trace",
-    "peek_trace_flags",
     "split_message",
 ]
 
@@ -171,37 +169,6 @@ def build_message(
     """
     return pack_header(kind, handler_key, msg_id, len(payload),
                        trace_id, parent_span_id, trace_flags) + payload
-
-
-def peek_trace(data) -> tuple[int, int, int] | None:
-    """Trace fields of a message without parsing the payload.
-
-    Returns ``(trace_id, parent_span_id, trace_flags)`` for a version-2
-    message; ``None`` for version-1 messages (no trace context on the
-    wire) and for anything too short or foreign to carry the v2 header.
-    Peeking never raises, so transports can consult the sampled bit
-    before deciding whether to open server-side spans for a message they
-    have not validated yet.
-    """
-    if len(data) < HEADER_SIZE_V2:
-        return None
-    magic, version = _HEADER_V1.unpack_from(data)[:2]
-    if magic != MAGIC or version != _VERSION_2:
-        return None
-    trace_bytes, parent_span_id, trace_flags = _HEADER_V2.unpack_from(data)[6:]
-    return int.from_bytes(trace_bytes, "big"), parent_span_id, trace_flags
-
-
-def peek_trace_flags(data) -> int | None:
-    """Just the trace flag byte of :func:`peek_trace` (``None`` for v1).
-
-    Read in place — transports ask this of every traced message, and
-    mostly to learn that it is sampled.
-    """
-    if (len(data) < HEADER_SIZE_V2 or data[2] != _VERSION_2
-            or data[:2] != MAGIC):
-        return None
-    return data[HEADER_SIZE_V2 - 1]
 
 
 def split_message(data) -> tuple[int, int, int, int, int, int, int, int]:

@@ -67,6 +67,8 @@ _runtime: Runtime | None = None
 _metrics_server: MetricsServer | None = None
 #: What :func:`init` replaced when it armed the flight recorder.
 _flight_replaced: tuple | None = None
+#: The recorder :func:`init` enabled, which :func:`finalize` disables.
+_enabled_recorder: "_telemetry.Recorder | None" = None
 
 
 def init(
@@ -107,8 +109,10 @@ def init(
     then accept a ``tenant=`` argument. See ``docs/resilience.md``.
 
     ``telemetry`` enables the process-global recorder
-    (:func:`repro.telemetry.enable`) before any operation runs, so the
-    whole session is traced; see ``docs/observability.md``. It accepts:
+    (:func:`repro.telemetry.enable`) before any operation runs, so every
+    offload of the session is recorded, and :func:`finalize` disables it
+    again (a recorder enabled before ``init`` stays); see
+    ``docs/observability.md``. It accepts:
 
     * ``True`` — plain recording, default capacity;
     * a :class:`~repro.telemetry.config.TelemetryConfig` (or a dict
@@ -118,10 +122,6 @@ def init(
         Prometheus ``/metrics`` + ``/healthz`` HTTP endpoint over the
         recorder's metrics registry; query its bound address
         via :func:`metrics_server`;
-      * ``sample_rate`` below 1.0 installs head-based trace sampling
-        plus the tail-retention pipeline (slow/errored traces survive
-        even when unsampled) — see :mod:`repro.telemetry.sampling`;
-        1.0 records every trace, as ``True`` does;
       * ``slo_enabled`` / ``slos`` configure burn-rate SLO monitoring
         whose breaches degrade ``/healthz`` — see
         :mod:`repro.telemetry.slo`;
@@ -172,7 +172,8 @@ def init(
             tsdb.start()
     except BaseException:
         # Nothing init started outlives a failed init: the runtime, the
-        # recorder's sampler thread and endpoint, the spawned target.
+        # recorder it enabled, the tsdb thread and endpoint, the spawned
+        # target.
         finalize()
         if spawned is not None:
             spawned.shutdown()
@@ -183,17 +184,12 @@ def init(
 def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
     """Enable the recorder and install what ``config`` selects; returns
     the time-series store if one was installed (``init`` starts it)."""
-    global _metrics_server, _flight_replaced
+    global _metrics_server, _flight_replaced, _enabled_recorder
     tsdb = None
     if config.enabled:
-        recorder = _telemetry.enable(config.capacity)
-        if config.sample_rate is not None and config.sample_rate < 1.0:
-            # At 1.0 every trace is sampled: no verdict to make, nothing
-            # to stage, so no sampler and no pipeline.
-            from repro.telemetry.sampling import HeadSampler, TailPipeline
-
-            recorder.sampler = HeadSampler(config.sample_rate)
-            recorder.pipeline = TailPipeline(min_samples=config.tail_min_samples)
+        recorder = _telemetry.get()
+        if recorder is None:
+            recorder = _enabled_recorder = _telemetry.enable(config.capacity)
         if config.slo_enabled:
             from repro.telemetry.slo import SLOMonitor
 
@@ -273,21 +269,26 @@ def introspect(*, probe_target: bool = True) -> dict:
 def finalize() -> None:
     """Shut the global runtime down (idempotent).
 
-    Also stops the ``/metrics`` endpoint if :func:`init` started one and
-    gives the flight recorder back the crash directory and ``SIGUSR2``
-    handler it had before :func:`init` armed it.
+    Also disables the recorder if :func:`init` enabled it, stops the
+    ``/metrics`` endpoint if :func:`init` started one and gives the
+    flight recorder back the crash directory and ``SIGUSR2`` handler it
+    had before :func:`init` armed it.
     """
-    global _runtime, _metrics_server, _flight_replaced
+    global _runtime, _metrics_server, _flight_replaced, _enabled_recorder
     recorder = _telemetry.get()
     if recorder is not None and recorder.tsdb is not None:
         recorder.tsdb.stop()
-        # The recorder survives finalize -> init cycles; a detached
+    if _runtime is not None:
+        _runtime.shutdown()  # pulls the target's records into the recorder
+        _runtime = None
+    if recorder is not None and recorder is _enabled_recorder:
+        _telemetry.disable()
+    elif recorder is not None:
+        # A recorder enabled before init survives finalize; a detached
         # store would keep stale anomalies visible (and per-target
         # metric plumbing paying for a consumer that no longer exists).
         recorder.tsdb = None
-    if _runtime is not None:
-        _runtime.shutdown()
-        _runtime = None
+    _enabled_recorder = None
     if _metrics_server is not None:
         _metrics_server.close()
         _metrics_server = None

@@ -30,7 +30,7 @@ from repro.errors import FutureError, OffloadTimeoutError
 from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
-from repro.telemetry.sampling import complete_offload
+from repro.telemetry.recorder import complete_offload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.recorder import Recorder
@@ -186,8 +186,7 @@ class Future:
                 settle_offload(
                     recorder,
                     None if self._timeout_observed else self._start_ns,
-                    self._label, self._trace, self._tenant, self._node,
-                    timed_out=True,
+                    self._label, self._tenant, self._node, timed_out=True,
                 )
             self._timeout_observed = True
             raise
@@ -197,8 +196,8 @@ class Future:
         self._handle = None
         recorder = telemetry.get()
         if recorder is not None:
-            settle_offload(recorder, self._start_ns, self._label, self._trace,
-                           self._tenant, self._node, error=self._error is not None)
+            settle_offload(recorder, self._start_ns, self._label, self._tenant,
+                           self._node, error=self._error is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
@@ -206,14 +205,13 @@ class Future:
 
 
 def settle_offload(recorder: "Recorder", start_ns: int | None, label: str,
-                   trace: TraceContext | None, tenant: str | None,
-                   node: int | None, *, error: bool = False,
+                   tenant: str | None, node: int | None, *, error: bool = False,
                    timed_out: bool = False) -> None:
     """Account into ``recorder`` (the caller's, read once per offload) how
     one offload ended, a future's or a sync's: a missed deadline counts
     ``future.timeouts`` and misses availability; any other end counts
     ``future.settled`` and, given the issue time ``start_ns``, goes to
-    :func:`~repro.telemetry.sampling.complete_offload`."""
+    :func:`~repro.telemetry.recorder.complete_offload`."""
     if timed_out:
         recorder.counters["future.timeouts"].inc()
         availability_miss(start_ns, tenant)
@@ -221,7 +219,7 @@ def settle_offload(recorder: "Recorder", start_ns: int | None, label: str,
     recorder.counters["future.settled"].inc()
     if start_ns is not None:
         complete_offload(
-            trace, kernel=label, duration_ns=time.perf_counter_ns() - start_ns,
+            kernel=label, duration_ns=time.perf_counter_ns() - start_ns,
             error=error, recorder=recorder, tenant=tenant, node=node,
         )
 

@@ -176,21 +176,15 @@ class Runtime:
         While telemetry records, every offload runs inside a trace
         context: the caller's active one if there is one (so an
         application can group several offloads under one trace), else a
-        fresh root generated here — "generated at offload()". When a
-        head sampler is installed (``telemetry={"sample_rate": p}``),
-        the fresh root carries its verdict; without one every trace is
-        sampled. With telemetry off, no context exists and the path stays
-        free. :meth:`_offload` does the same inline.
+        fresh root generated here — "generated at offload()". With
+        telemetry off, no context exists and the path stays free.
+        :meth:`_offload` does the same inline.
         """
-        recorder = telemetry.get()
-        if recorder is None:
+        if telemetry.get() is None:
             return None
         ctx = trace_context.current()
         if ctx is not None:
             return ctx
-        sampler = recorder.sampler
-        if sampler is not None:
-            return sampler.new_trace()
         return trace_context.new_trace()
 
     def _resolve_tenant(
@@ -264,9 +258,7 @@ class Runtime:
             # around the call, and left again on every way out.
             ctx = trace_context.current()
             if ctx is None:
-                sampler = recorder.sampler
-                ctx = (sampler.new_trace() if sampler is not None
-                       else trace_context.new_trace())
+                ctx = trace_context.new_trace()
                 token = trace_context.enter(ctx)
         window = self.window
         acquired = False
@@ -297,7 +289,7 @@ class Runtime:
                     window.cancel()
                 else:
                     window.register(late)
-            self._failed(node, functor, tenant, ctx, start_ns, exc, sync and acquired)
+            self._failed(node, functor, tenant, start_ns, exc, sync and acquired)
             raise
         if token is not None:
             trace_context.leave(token)
@@ -312,7 +304,7 @@ class Runtime:
         if self.policy is not None:  # the retry loop's health accounting
             self.monitor.record_success(node)
         if recorder is not None:
-            settle_offload(recorder, start_ns, functor.type_name, ctx, tenant, node)
+            settle_offload(recorder, start_ns, functor.type_name, tenant, node)
         return result
 
     def sync(
@@ -371,8 +363,7 @@ class Runtime:
 
     def _failed(
         self, node: NodeId, functor: Functor, tenant: str | None,
-        ctx: "trace_context.TraceContext | None", start_ns: int,
-        exc: BaseException, ended: bool,
+        start_ns: int, exc: BaseException, ended: bool,
     ) -> None:
         """Account an offload whose slot wait or backend call raised.
         ``ended``: a sync's call (post and wait in one) raised, so a
@@ -393,7 +384,7 @@ class Runtime:
             recorder = telemetry.get()
             if recorder is not None:
                 recorder.counters["offload.issued"].inc()
-                settle_offload(recorder, start_ns, functor.type_name, ctx,
+                settle_offload(recorder, start_ns, functor.type_name,
                                tenant, node, error=True,
                                timed_out=isinstance(exc, OffloadTimeoutError))
         else:

@@ -18,7 +18,7 @@ Layout:
 * :mod:`repro.telemetry.export` — the Chrome ``trace_event`` JSON
   exporter and its parser (round-trippable), the one trace file format;
 * :mod:`repro.telemetry.context` — the distributed trace context
-  (``trace_id`` / parent span / sampled flag) minted per offload and
+  (``trace_id`` / parent span) minted per offload and
   carried in the version-2 active-message header across processes;
 * :mod:`repro.telemetry.distributed` — clock-offset estimation
   (ping-pong), record alignment and per-message critical paths for
@@ -27,9 +27,6 @@ Layout:
   of the metrics snapshot (native ``_bucket`` histogram series for
   log-bucketed instruments) plus a stdlib ``/metrics`` + ``/healthz``
   HTTP endpoint (:class:`~repro.telemetry.promexport.MetricsServer`);
-* :mod:`repro.telemetry.sampling` — head-based trace-id-consistent
-  sampling plus the tail-retention pipeline that keeps slow/errored
-  unsampled traces and drops fast ones after folding aggregates;
 * :mod:`repro.telemetry.slo` — declarative SLOs with multi-window
   burn-rate alerting (``telemetry.slo_breach`` events, ``/healthz``
   degradation);
@@ -83,10 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
     from repro.telemetry.config import TelemetryConfig
     from repro.telemetry.promexport import MetricsServer, to_prometheus
     from repro.telemetry.recorder import (
-        EventRecord, Recorder, SpanRecord, count, current_span_id, disable, enable,
-        enabled, event, gauge, get, span,
+        EventRecord, Recorder, SpanRecord, complete_offload, count, current_span_id,
+        disable, enable, enabled, event, gauge, get, span,
     )
-    from repro.telemetry.sampling import HeadSampler, TailPipeline, complete_offload
     from repro.telemetry.slo import SLO, SLOMonitor, default_slos
     from repro.telemetry.tsdb import (
         AnomalyDetector, Scoreboard, SeriesRing, TimeSeriesStore, Tsdb, install_tsdb,
@@ -94,9 +90,9 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
 
 __all__ = [
     "AnomalyDetector", "ClockSync", "Counter", "EventRecord", "FlightRecorder",
-    "Gauge", "HeadSampler", "LogHistogram", "MetricsRegistry", "MetricsServer",
+    "Gauge", "LogHistogram", "MetricsRegistry", "MetricsServer",
     "Recorder", "SLO", "SLOMonitor", "Scoreboard", "SeriesRing",
-    "SpanRecord", "TailPipeline", "TelemetryConfig", "TimeSeriesStore",
+    "SpanRecord", "TelemetryConfig", "TimeSeriesStore",
     "TraceContext", "Tsdb", "activate", "align_records", "complete_offload",
     "count", "critical_path", "current", "current_span_id",
     "default_slos", "disable", "enable", "enabled", "event", "gauge", "get",
@@ -117,10 +113,10 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.telemetry.config": ("TelemetryConfig",),
     "repro.telemetry.promexport": ("MetricsServer", "to_prometheus"),
     "repro.telemetry.recorder": (
-        "EventRecord", "Recorder", "SpanRecord", "count", "current_span_id",
-        "disable", "enable", "enabled", "event", "gauge", "get", "span",
+        "EventRecord", "Recorder", "SpanRecord", "complete_offload", "count",
+        "current_span_id", "disable", "enable", "enabled", "event", "gauge", "get",
+        "span",
     ),
-    "repro.telemetry.sampling": ("HeadSampler", "TailPipeline", "complete_offload"),
     "repro.telemetry.slo": ("SLO", "SLOMonitor", "default_slos"),
     "repro.telemetry.tsdb": (
         "AnomalyDetector", "Scoreboard", "SeriesRing", "TimeSeriesStore", "Tsdb",

@@ -23,11 +23,12 @@ class TelemetryConfig:
     endpoint; ``0`` binds an ephemeral port (read the actual one from
     ``repro.offload.api.metrics_server().address``).
 
-    Sampling and SLO fields (see :mod:`repro.telemetry.sampling` and
-    :mod:`repro.telemetry.slo`): ``sample_rate=None`` or ``1.0``
-    records every trace; a float in ``[0, 1)`` installs a head sampler
-    plus the tail-retention pipeline.
-    ``slos=None`` with ``slo_enabled=True`` uses
+    Enabled telemetry records every offload. A dict may still spell
+    ``sample_rate`` as ``1.0`` or ``None`` (dropped); any other rate
+    raises ``ValueError``: trace sampling was removed.
+
+    SLO fields (see :mod:`repro.telemetry.slo`): ``slos=None`` with
+    ``slo_enabled=True`` uses
     :func:`repro.telemetry.slo.default_slos`; pass a tuple of
     :class:`~repro.telemetry.slo.SLO` (or dicts of their fields) to
     override.
@@ -37,10 +38,6 @@ class TelemetryConfig:
     capacity: int = 65536
     metrics_port: int | None = None
     metrics_host: str = "127.0.0.1"
-    #: Head-sampling probability; None or 1.0 records every trace.
-    sample_rate: float | None = None
-    #: Tail retention: completions before the p99 threshold is trusted.
-    tail_min_samples: int = 20
     #: SLO burn-rate monitoring.
     slo_enabled: bool = True
     slos: tuple = ()
@@ -63,17 +60,18 @@ class TelemetryConfig:
         elif isinstance(value, bool):
             config = cls(enabled=value)
         elif isinstance(value, Mapping):
-            config = cls(**value)
+            options = dict(value)
+            rate = options.pop("sample_rate", None)
+            if rate is not None and float(rate) != 1.0:
+                raise ValueError(
+                    f"sample_rate={rate}: trace sampling was removed; "
+                    "telemetry records every offload or none"
+                )
+            config = cls(**options)
         else:
             raise TypeError(
                 "telemetry must be a bool, dict or TelemetryConfig, "
                 f"got {type(value).__name__}"
-            )
-        if config.sample_rate is not None and not (
-            0.0 <= float(config.sample_rate) <= 1.0
-        ):
-            raise ValueError(
-                f"sample_rate must be in [0, 1], got {config.sample_rate}"
             )
         if config.slos:
             from repro.telemetry.slo import SLO

@@ -5,7 +5,7 @@ the target executes, the host decodes the reply. Each process's
 recorder keeps its own span tree, and a span alone cannot say which
 tree on the other side it belongs to.
 This module is that tie: a context (128-bit ``trace_id``, 64-bit parent
-``span_id``, a sampled flag) that is
+``span_id``) that is
 
 * **generated at** ``offload()`` (:meth:`repro.offload.runtime.Runtime.async_`
   creates one per offload unless the caller already activated a trace);
@@ -44,14 +44,15 @@ __all__ = [
     "new_trace_id",
 ]
 
-#: Header flag bit: this trace is recorded.
+#: Header flag bit 0, set on every traced message. A receiver ignores the
+#: flag byte: a v2 message is recorded whatever its flags say.
 FLAG_SAMPLED = 0x01
 
 
 class TraceContext:
     """One causal trace: identity plus the current parent span.
 
-    Never modified once built, and equal and hashable by its three
+    Never modified once built, and equal and hashable by its two
     fields. Not a frozen dataclass: its ``__init__`` would store every
     field through ``object.__setattr__``, and the runtime builds one
     root context per traced offload.
@@ -64,50 +65,40 @@ class TraceContext:
     span_id:
         64-bit id of the parent span for the *next* hop (0 at the trace
         root). On the wire this is the host span that built the message.
-    sampled:
-        The head sampler's verdict
-        (:class:`repro.telemetry.sampling.HeadSampler`). An unsampled
-        context still propagates identity — every process deciding from
-        the same trace id agrees, and the tail pipeline needs the id to
-        match staged spans with their completion — but its spans bypass
-        the recorder ring (staged host-side, skipped target-side).
     trace_id_hex:
         The trace id as 32-char lowercase hex, formatted once here:
         every span and event of the trace carries it.
     flags:
-        The header's flag byte.
+        The header's flag byte: always :data:`FLAG_SAMPLED`.
     """
 
-    __slots__ = ("trace_id", "span_id", "sampled", "trace_id_hex", "flags")
+    __slots__ = ("trace_id", "span_id", "trace_id_hex")
 
-    def __init__(self, trace_id: int, span_id: int = 0,
-                 sampled: bool = True) -> None:
+    flags = FLAG_SAMPLED
+
+    def __init__(self, trace_id: int, span_id: int = 0) -> None:
         if not 0 < trace_id < 1 << 128:
             raise ValueError("trace_id must be a non-zero 128-bit int")
         if not 0 <= span_id < 1 << 64:
             raise ValueError(f"span_id must fit in 64 bits, got {span_id}")
         self.trace_id = trace_id
         self.span_id = span_id
-        self.sampled = sampled
         self.trace_id_hex = f"{trace_id:032x}"
-        self.flags = FLAG_SAMPLED if sampled else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceContext):
             return NotImplemented
-        return (self.trace_id == other.trace_id and self.span_id == other.span_id
-                and self.sampled == other.sampled)
+        return self.trace_id == other.trace_id and self.span_id == other.span_id
 
     def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id, self.sampled))
+        return hash((self.trace_id, self.span_id))
 
     def __repr__(self) -> str:
-        return (f"TraceContext(trace_id={self.trace_id}, "
-                f"span_id={self.span_id}, sampled={self.sampled})")
+        return f"TraceContext(trace_id={self.trace_id}, span_id={self.span_id})"
 
     def child(self, span_id: int) -> "TraceContext":
         """The same trace re-parented under ``span_id`` (next hop)."""
-        return TraceContext(self.trace_id, span_id, self.sampled)
+        return TraceContext(self.trace_id, span_id)
 
 
 #: The active trace of the current thread/task (None outside any trace).
@@ -132,9 +123,9 @@ def new_trace_id() -> int:
     return trace_id
 
 
-def new_trace(*, sampled: bool = True) -> TraceContext:
+def new_trace() -> TraceContext:
     """A fresh root context with a random non-zero 128-bit trace id."""
-    return TraceContext(new_trace_id(), 0, sampled)
+    return TraceContext(new_trace_id())
 
 
 #: ``current()``: the active trace context, or ``None`` outside any

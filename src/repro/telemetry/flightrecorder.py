@@ -1,11 +1,11 @@
 """Black-box flight recorder: always-on evidence for post-mortems.
 
-The span recorder (:mod:`repro.telemetry.recorder`) is opt-in and
-sampled — exactly wrong for the question "what was the runtime doing
-just before it died?". This module keeps a second, much smaller ring
-that is **always on**: every control-plane transition drops one tuple
-into a bounded lossy :class:`collections.deque`, independent of whether
-telemetry is enabled or any trace is sampled. Steady-state cost is one
+The span recorder (:mod:`repro.telemetry.recorder`) is opt-in —
+exactly wrong for the question "what was the runtime doing just before
+it died?". This module keeps a second, much smaller ring that is
+**always on**: every control-plane transition drops one tuple into a
+bounded lossy :class:`collections.deque`, independent of whether
+telemetry is enabled. Steady-state cost is one
 attribute check plus one deque append per event — no locks, no
 allocation beyond the tuple.
 

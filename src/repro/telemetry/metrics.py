@@ -116,7 +116,7 @@ class LogHistogram:
     """HDR-style histogram over fixed geometric buckets.
 
     ``observe`` is O(log buckets) and allocation-free, which is what lets
-    *every* completed offload — sampled or not — fold into its kernel's
+    *every* completed offload fold into its kernel's
     series without touching the span ring. It never forgets: counts are
     lifetime cumulative, so the summary's ``buckets`` list renders
     directly as a Prometheus ``_bucket`` series.

@@ -62,6 +62,7 @@ __all__ = [
     "EventRecord",
     "Recorder",
     "SpanRecord",
+    "complete_offload",
     "count",
     "current_span_id",
     "disable",
@@ -195,9 +196,7 @@ class _Span:
     """An open span; created by :meth:`Recorder.span`, closed by ``with``.
 
     ``ctx`` is the trace context read once, on enter: the exit records
-    the span under it. The one caller that closes a span under another
-    trace (:func:`repro.backends._client.close_reply_span`) sets it
-    before the exit.
+    the span under it.
     """
 
     __slots__ = ("_recorder", "name", "category", "attrs", "span_id",
@@ -235,13 +234,7 @@ class _Span:
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        """Fold the span into the aggregates, then keep it: in the ring,
-        or staged with the tail pipeline while its trace is unsampled.
-
-        The fold runs for every kept span, so the per-phase latency
-        distributions (live-queryable through the metrics snapshot and
-        ``/metrics``) never have sampling error.
-        """
+        """Fold the span into its phase histogram and keep it in the ring."""
         recorder = self._recorder
         end_ns = recorder._clock()
         stack = self._stack
@@ -251,20 +244,7 @@ class _Span:
         if exc_type is not None:
             attrs["error"] = exc_type.__name__
         ctx = self.ctx
-        pipeline = None
-        if ctx is None:
-            trace_id = ""
-        else:
-            if not ctx.sampled:
-                # Unsampled trace: never touches the span ring. With a
-                # tail pipeline (the issuing host) the finished span is
-                # folded into aggregates and staged pending the
-                # completion verdict; without one (the execute-side
-                # target) it costs nothing.
-                pipeline = recorder.pipeline
-                if pipeline is None:
-                    return False
-            trace_id = ctx.trace_id_hex
+        trace_id = "" if ctx is None else ctx.trace_id_hex
         name = self.name
         start_ns = self._start_ns
         duration_ns = end_ns - start_ns
@@ -285,11 +265,8 @@ class _Span:
         # One lock: the phase histograms share the ring's.
         with recorder._lock:
             hist.fold(duration_ns / 1e9, trace_id or None)
-            if pipeline is None:
-                recorder._ring.append(record)
-                recorder._recorded += 1
-        if pipeline is not None:
-            pipeline.stage(record)
+            recorder._ring.append(record)
+            recorder._recorded += 1
         return False
 
 
@@ -319,13 +296,6 @@ class Recorder:
         #: The one aggregate store: every counter, gauge and histogram
         #: of this process, each declared in :mod:`repro.telemetry.signals`.
         self.metrics = MetricsRegistry(SIGNALS)
-        #: Head sampler consulted by the runtime when minting a trace
-        #: (``None`` means record everything).
-        self.sampler: Any = None
-        #: Tail-retention pipeline staging unsampled traces (``None``
-        #: without a sampler, and on execute-side processes, where
-        #: unsampled spans are skipped).
-        self.pipeline: Any = None
         #: SLO burn-rate monitor, fed once per completed offload.
         self.slo: Any = None
         #: In-process time-series store + anomaly detector
@@ -386,19 +356,8 @@ class Recorder:
         return hist
 
     def span(self, name: str, category: str = "offload",
-             **attrs: Any) -> "_Span | _NoopSpan":
-        """Open a span; finish it by leaving the ``with`` block.
-
-        Inside an unsampled trace on a process with no tail pipeline
-        (the execute-side target), the span could never be kept, so the
-        no-op singleton is returned and the whole enter/exit cost — id
-        allocation, clock reads, record construction — vanishes. That
-        is what the v2 header's ``sampled`` flag buys the target.
-        """
-        if self.pipeline is None:
-            ctx = trace_context.current()
-            if ctx is not None and not ctx.sampled:
-                return NOOP_SPAN
+             **attrs: Any) -> "_Span":
+        """Open a span; finish it by leaving the ``with`` block."""
         return _Span(self, name, category, attrs)
 
     def _event_record(self, name: str, category: str, parent_id: int,
@@ -412,41 +371,27 @@ class Recorder:
               **attrs: Any) -> None:
         """Record an instantaneous event in the trace ring (the
         module-level :func:`event` is the call sites' one call: it drops
-        the event into the black box first).
-
-        Inside an unsampled trace the event follows the trace's fate:
-        staged with the tail pipeline when one is installed (so a
-        retained outlier keeps its ``fault.injected`` breadcrumbs),
-        skipped otherwise.
-        """
+        the event into the black box first)."""
         ctx = trace_context.current()
         stack = self._thread.stack
         if stack:
             parent_id = stack[-1]
         else:
             parent_id = ctx.span_id if ctx is not None else 0
-        if ctx is None or ctx.sampled:
-            self._append(self._event_record(
-                name, category, parent_id, attrs,
-                "" if ctx is None else ctx.trace_id_hex,
-            ))
-            return
-        pipeline = self.pipeline
-        if pipeline is not None:
-            pipeline.stage(self._event_record(
-                name, category, parent_id, attrs, ctx.trace_id_hex,
-            ))
+        self._append(self._event_record(
+            name, category, parent_id, attrs,
+            "" if ctx is None else ctx.trace_id_hex,
+        ))
 
     def force_event(self, name: str, category: str = "slo",
                     **attrs: Any) -> None:
-        """:func:`event` for alert-grade events: black box and trace
-        ring, bypassing the sampling gate.
+        """:func:`event` for alert-grade events: black box and trace ring.
 
-        ``telemetry.slo_breach`` and ``telemetry.anomaly`` must land in
-        the ring even when raised mid-flight inside an unsampled trace —
-        they describe the aggregate stream, not one trace, so they carry
-        no trace id and never ride the tail pipeline. The SLO monitor
-        and the anomaly detector hold this method as their ``emit`` sink.
+        ``telemetry.slo_breach`` and ``telemetry.anomaly`` describe the
+        aggregate stream, not one trace, so they carry no trace id and
+        no parent, even when raised mid-flight inside a trace. The SLO
+        monitor and the anomaly detector hold this method as their
+        ``emit`` sink.
         """
         flightrecorder.get().record(name, category, attrs)
         self._append(self._event_record(name, category, 0, attrs, ""))
@@ -454,10 +399,9 @@ class Recorder:
     def reset_after_fork(self) -> None:
         """In a forked child: drop what belongs to the parent — its
         records, the forking thread's open spans, a ring lock another
-        thread may have held, and the sampler / tail pipeline / SLO
-        monitor only the issuing side feeds. Metrics and the id counter
-        stay (ids are pid-prefixed)."""
-        self.sampler = self.pipeline = self.slo = None
+        thread may have held, and the SLO monitor only the issuing side
+        feeds. Metrics and the id counter stay (ids are pid-prefixed)."""
+        self.slo = None
         self._ring = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
         for hist in self._phase_hists.values():
@@ -560,10 +504,6 @@ def span(name: str, category: str = "offload", **attrs: Any):
     recorder = _RECORDER
     if recorder is None:
         return NOOP_SPAN
-    if recorder.pipeline is None:
-        ctx = trace_context.current()
-        if ctx is not None and not ctx.sampled:
-            return NOOP_SPAN
     # _Span(recorder, name, category, attrs) written out.
     opened = _Span.__new__(_Span)
     opened._recorder = recorder
@@ -579,8 +519,8 @@ def event(name: str, category: str = "offload", **attrs: Any) -> None:
 
     The event always drops into the black-box ring
     (:mod:`repro.telemetry.flightrecorder`: always on, small, dumped on a
-    trigger) and, while telemetry records, into the trace ring under the
-    sampling rules of :meth:`Recorder.event`.
+    trigger) and, while telemetry records, into the trace ring
+    (:meth:`Recorder.event`).
     """
     flightrecorder.get().record(name, category, attrs)
     recorder = _RECORDER
@@ -612,6 +552,51 @@ def kernel_percentile(kernel: str, q: float, min_samples: int) -> float | None:
     if hist is None or hist.count < min_samples:
         return None
     return hist.percentile(q)
+
+
+def complete_offload(
+    *,
+    kernel: str,
+    duration_ns: int,
+    error: bool = False,
+    recorder: Recorder | None = None,
+    tenant: str | None = None,
+    node: int | None = None,
+) -> None:
+    """Fold one finished offload into every aggregate consumer.
+
+    Called by the runtime/future layer exactly once per completed
+    offload: ``kernel.<kernel>.offload`` (and ``.errors``) and the SLO
+    windows. A no-op while telemetry is off.
+    ``tenant`` (when the QoS layer tagged the offload) routes the
+    observation into that tenant's own SLO windows as well. ``node``
+    (the target the invocation was posted to) additionally feeds the
+    per-target ``target.reply.<node>`` histogram and
+    ``target.errors.<node>`` counter — but only while a TSDB is
+    installed, so the per-target cardinality is paid exactly when the
+    scoreboard consuming it exists.
+    """
+    if recorder is None:
+        recorder = _RECORDER
+        if recorder is None:
+            return
+    name = kernel or "<anonymous>"
+    try:
+        hist = recorder._kernel_hists[name]
+    except KeyError:
+        hist = recorder.kernel_offload(name)
+    hist.observe(duration_ns / 1e9)
+    if error:
+        recorder.kernel_errors[name].inc()
+    if node is not None and recorder.tsdb is not None:
+        recorder.metrics.log_histogram(f"target.reply.{node}").observe(
+            duration_ns / 1e9
+        )
+        if error:
+            recorder.metrics.counter(f"target.errors.{node}").inc()
+    slo = recorder.slo
+    if slo is not None:
+        slo.observe(duration_ns, error=error, tenant=tenant)
 
 
 def current_span_id() -> int:

@@ -175,9 +175,9 @@ def profile_from_records(records: Sequence[Record]) -> dict[str, Any]:
     """Rebuild the per-kernel profiles from a trace file's records.
 
     The live recorder folds completions into ``kernel.<kernel>.offload``
-    / ``.errors`` / ``.bytes`` / ``.<phase>`` as they happen
-    (:mod:`repro.telemetry.signals`); offline the same quantities are
-    rebuilt per distributed trace: the kernel name comes from the
+    / ``.errors`` / ``.bytes`` as they happen
+    (:mod:`repro.telemetry.signals`); offline the same quantities, and
+    the per-phase histograms, are rebuilt per distributed trace: the kernel name comes from the
     ``offload.serialize`` span's ``functor`` attribute (falling back to
     the execute span's ``handler``), the round trip is the trace's wall
     extent, and every span feeds its phase histogram. Untraced records

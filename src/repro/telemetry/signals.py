@@ -38,9 +38,8 @@ class SignalDescriptor(NamedTuple):
 class SignalRegistry:
     """Name -> :class:`SignalDescriptor`, exact names before families.
 
-    Families are tried in declaration order, so a more specific one
-    (``kernel.<kernel>.errors``) is declared ahead of the one that would
-    swallow it (``kernel.<kernel>.<phase>``).
+    Families are tried in declaration order: the first that matches
+    declares the name.
     """
 
     def __init__(self, signals: tuple[SignalDescriptor, ...]) -> None:
@@ -94,7 +93,6 @@ class SignalRegistry:
 _ROW = SignalDescriptor
 _TOP = "`repro top` SERIES headline (`inspect.TSDB_HEADLINES`)"
 _SCRAPE = "operator scrape of `/metrics`: "
-_TAIL = "docs/observability.md, Sampling: every tail verdict is accounted for"
 _SLO = "docs/observability.md, SLOs: the alerting surface on `/metrics`"
 _KERNEL = "per-kernel scrape of `/metrics`; offline twin `report --profile`, "
 
@@ -149,14 +147,6 @@ SIGNALS = SignalRegistry((
          "target-telemetry pulls that failed at shutdown",
          "docs/observability.md, docs/resilience.md: a wedged target's spans "
          "are missing from the trace"),
-    _ROW("trace.tail_dropped", "counter", "traces",
-         "unsampled traces dropped at the tail verdict", _TAIL),
-    _ROW("trace.tail_retained", "counter", "traces",
-         "unsampled traces promoted into the ring", _TAIL),
-    _ROW("trace.tail_retained_error", "counter", "traces",
-         "… because the offload failed", _TAIL),
-    _ROW("trace.tail_retained_slow", "counter", "traces",
-         "… because it ran slower than the rolling p99", _TAIL),
     _ROW("slo.<slo>.fast_burn", "gauge", "ratio",
          "error-budget burn rate over the fast window "
          "(per tenant: `slo.<slo>.tenant.<tenant>.fast_burn`)", _SLO),
@@ -174,7 +164,7 @@ SIGNALS = SignalRegistry((
          "the probe counts a product series; perfbench/ is frozen per PR)"),
     # -- latency: per phase, per target, per kernel -------------------------
     _ROW("phase.<span>", "histogram", "seconds",
-         "duration of every finished span of that name, sampled or not; "
+         "duration of every finished span of that name; "
          "buckets carry exemplars",
          "`/metrics` phase latencies with trace exemplars; "
          "`phase.perfbench.probe` is perfbench's `telemetry.span_on_ns`"),
@@ -193,9 +183,6 @@ SIGNALS = SignalRegistry((
          "issue → result round trip of every offload of the kernel",
          "`recorder.kernel_percentile`: QoS deadline admission, the hedger's "
          "trigger; `report --profile`"),
-    _ROW("kernel.<kernel>.<phase>", "histogram", "seconds",
-         "the kernel's span durations by phase, fed at the tail verdict "
-         "(unsampled traces only)", _KERNEL + "`--format json`, `phases`"),
 ))
 
 if __name__ == "__main__":  # pragma: no cover

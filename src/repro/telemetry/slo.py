@@ -141,7 +141,7 @@ class SLOMonitor:
         keeps a single cold-start failure from paging.
     emit:
         ``emit(name, **attrs)`` event sink (the recorder's
-        ``force_event``: both rings, past the sampling gate); receives
+        ``force_event``: both rings, no trace id); receives
         ``telemetry.slo_breach`` / ``telemetry.slo_recovered``.
     metrics:
         A :class:`~repro.telemetry.metrics.MetricsRegistry` for the

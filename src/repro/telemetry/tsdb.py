@@ -379,7 +379,7 @@ class AnomalyDetector:
 
     On each transition the detector emits a ``telemetry.anomaly`` /
     ``telemetry.anomaly_recovered`` event through ``emit`` (the
-    recorder's ``force_event``: both rings, past the sampling gate) and
+    recorder's ``force_event``: both rings, no trace id) and
     — entering only — fires a trigger-eligible crash bundle
     (``telemetry_anomaly``), armed or not being the flight recorder's
     decision. ``anomaly.score.<series>`` gauges expose the live scores

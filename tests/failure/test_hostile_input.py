@@ -25,8 +25,11 @@ import pytest
 from repro.backends._server import OP_FAILURE, OP_INVOKE, OP_REPLY_BIT
 from repro.errors import RemoteExecutionError, SerializationError
 from repro.ham import MSG_RESULT, Functor, build_message, f2f
+from repro.ham.message import HEADER_SIZE_V2
 from repro.ham.registry import type_name_of
 from repro.ham.serialization import deserialize, serialize
+from repro.telemetry import context as trace_context
+from repro.telemetry import recorder as telemetry
 
 from tests import apps
 from tests.backends.test_client_core import _rewrite_replies, _settled
@@ -95,6 +98,34 @@ def test_well_formed_twin_of_the_hostile_invoke_executes(target):
     items = b"".join(struct.pack("<I", 9) + serialize(i) for i in (1, 2))
     functor = _RawArguments(type_name_of(apps.echo), (_one_argument(b"L", items),))
     assert target.runtime.sync(1, functor) == [1, 2]
+
+
+def test_v2_invoke_with_flag_byte_zero_is_recorded(target):
+    """The flag byte is ignored on receipt: an INVOKE whose bit 0 is
+    clear executes on a recording target and records ``offload.execute``
+    in its trace, like any traced message."""
+    send = target.backend._send
+
+    def flags_cleared(op, corr, *parts):
+        if op == OP_INVOKE:
+            header = bytearray(parts[0])
+            assert (header[2], len(header)) == (2, HEADER_SIZE_V2)
+            header[-1] = 0
+            parts = (bytes(header), *parts[1:])
+        send(op, corr, *parts)
+
+    target.backend._send = flags_cleared
+    recorder = telemetry.enable()  # the in-process target records too
+    try:
+        ctx = trace_context.TraceContext(0xF1A9)
+        with trace_context.activate(ctx):
+            assert target.runtime.sync(1, f2f(apps.echo, 7)) == 7
+        [execute] = recorder.spans("offload.execute")
+        assert execute.trace_id == ctx.trace_id_hex
+    finally:
+        telemetry.disable()
+        del target.backend._send
+    assert _settled(target)
 
 
 def test_hostile_result_raises_a_typed_error_on_the_client(target, hostile):

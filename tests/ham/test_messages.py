@@ -120,21 +120,6 @@ class TestHeaderVersions:
         with pytest.raises(SerializationError, match="version"):
             parse_message(bytes(data))
 
-    def test_peeked_flags_agree_with_the_peeked_trace(self):
-        from repro.ham.message import peek_trace, peek_trace_flags
-
-        v2 = build_message(MSG_RESULT, 0, 5, b"p", trace_id=9,
-                           parent_span_id=3, trace_flags=1)
-        unsampled = build_message(MSG_RESULT, 0, 5, b"p", trace_id=9)
-        for data in (v2, unsampled, memoryview(v2), bytearray(unsampled)):
-            assert peek_trace_flags(data) == peek_trace(data)[2]
-        foreign = bytearray(v2)
-        foreign[0] = 0
-        for data in (build_message(MSG_RESULT, 0, 5, b"p" * 40),  # v1
-                     v2[:20], b"", bytes(foreign)):
-            assert peek_trace(data) is None
-            assert peek_trace_flags(data) is None
-
     def test_out_of_range_trace_fields_rejected(self):
         with pytest.raises(SerializationError, match="128-bit"):
             build_message(MSG_INVOKE, 0, 0, b"", trace_id=1 << 128)

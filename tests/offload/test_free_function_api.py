@@ -13,7 +13,9 @@ from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
+from tests.callcount import profile_calls
 from tests.leaks import resources
+from tests.offload.test_offload_budget import SPAN_CALLS
 
 
 @pytest.fixture()
@@ -75,15 +77,69 @@ class TestGlobalRuntimeLifecycle:
             flight.crash_dir = None
 
 
+    def test_finalize_disables_the_recorder_init_enabled(self):
+        """A traced session ends with it: the next ``init()`` records
+        nothing and its offloads enter no span."""
+        try:
+            offload.init("local", telemetry=True)
+            assert offload.sync(1, f2f(apps.echo, 1)) == 1
+            assert telemetry.get().spans()
+            offload.finalize()
+            assert telemetry.get() is None
+            runtime = offload.init("local")
+            for i in range(10):
+                assert runtime.sync(1, f2f(apps.echo, i)) == i
+            counts = profile_calls(lambda: runtime.sync(1, f2f(apps.echo, 7)))
+            assert counts.value == 7
+            assert not SPAN_CALLS & set(counts.python), counts.python
+            assert telemetry.get() is None
+        finally:
+            offload.finalize()
+            telemetry.disable()
+
+    def test_finalize_keeps_a_recorder_enabled_before_init(self):
+        recorder = telemetry.enable()
+        try:
+            offload.init(LocalBackend(), telemetry={"tsdb": True})
+            assert recorder.tsdb is not None
+            assert offload.sync(1, f2f(apps.echo, 1)) == 1
+            offload.finalize()
+            assert telemetry.get() is recorder
+            assert recorder.tsdb is None  # its thread stopped with the session
+            assert recorder.spans()
+        finally:
+            offload.finalize()
+            telemetry.disable()
+
+
+def test_sample_rate_one_records_what_true_does():
+    """``{"sample_rate": 1.0}`` is still accepted, and dropped: the
+    records and counters are those of ``telemetry=True``."""
+    def traced_sync(option):
+        try:
+            offload.init(LocalBackend(), telemetry=option)
+            assert offload.sync(1, f2f(apps.add, 2, 3)) == 5
+            recorder = telemetry.get()
+            names = {r.span_id: r.name for r in recorder.spans()}
+            records = [(r.name, names.get(r.parent_id), r.attrs)
+                       for r in recorder.records()]
+            return records, recorder.metrics.snapshot()["counters"]
+        finally:
+            offload.finalize()
+            telemetry.disable()
+
+    assert traced_sync({"sample_rate": 1.0}) == traced_sync(True)
+
+
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 @pytest.mark.parametrize(
     "options, error",
     [
-        # Rejected before anything is spawned ...
-        ({"telemetry": {"sample_rate": 2.0}}, ValueError),
+        # Rejected before anything is spawned (sampling was removed) ...
+        ({"telemetry": {"sample_rate": 0.5}}, ValueError),
         ({"telemetry": "yes"}, TypeError),
         # ... and raised by Runtime(...) with the target already up,
-        # the second time with an endpoint and a sampler to take down.
+        # the second time with an endpoint and a tsdb thread to take down.
         ({"window": 0}, BackendError),
         ({"window": 0, "telemetry": {"metrics_port": 0, "tsdb": True}}, BackendError),
     ],

@@ -48,19 +48,13 @@ MAX_CALLS = 75
 MAX_WINDOW_LOCK_ACQUISITIONS = 2
 
 #: The same offload with telemetry set up by ``init`` itself
-#: (``telemetry={"sample_rate": rate}``: recorder, head sampler, tail
-#: pipeline, SLO monitor), per sampling rate: calls, and locks taken
-#: (every ``with lock`` / ``lock.acquire()``, telemetry's and the
-#: window's alike). On CPython 3.11: 176 calls and 11 locks at rate 1.0
-#: (every span recorded: one lock each, the phase fold shares the
-#: ring's; no sampler, no tail pipeline), 219 and 21 at rate 0.0 (every
-#: span staged and folded, then dropped by the tail verdict). At rate
-#: 0.0 one offload in 32 refreshes the tail threshold (+8 calls), and
-#: the counted offload, slowed by the profiler, is sometimes kept as a
-#: tail outlier (249 / 25). The ceilings sit ~5 % above the largest
-#: figure seen.
-MAX_TRACED_CALLS = {1.0: 185, 0.0: 262}
-MAX_TRACED_LOCKS = {1.0: 12, 0.0: 26}
+#: (``telemetry=True``: recorder and SLO monitor): calls, and locks
+#: taken (every ``with lock`` / ``lock.acquire()``, telemetry's and the
+#: window's alike). On CPython 3.11: 172 calls and 11 locks (every span
+#: recorded: one lock each, the phase fold shares the ring's). The
+#: ceilings sit ~5 % above.
+MAX_TRACED_CALLS = 181
+MAX_TRACED_LOCKS = 12
 
 #: Records one traced offload appends: on ``local`` the serialize,
 #: transport, execute and deserialize spans; a framed transport adds
@@ -165,12 +159,12 @@ class TestDefaultPathBudget:
 #: "nothing held" by attribute. The ceilings sit ~5 % above.
 MAX_FRAMED_SYNC_CALLS = {"shm": 72, "tcp": 90}
 
-#: The same sync traced (``telemetry={"sample_rate": 1.0}``), host side:
-#: 181 calls and 14 locks on shm, 198 and 14 on tcp (CPython 3.11) —
-#: five spans recorded (serialize, enqueue, transport, the leader's own
-#: reply, deserialize), one trace minted, one completion folded. The
-#: ceilings sit ~5 % above.
-MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 190, "tcp": 208}
+#: The same sync traced (``telemetry=True``), host side: 177 calls and
+#: 14 locks on shm, 193 and 14 on tcp (CPython 3.11) — five spans
+#: recorded (serialize, enqueue, transport, the leader's own reply,
+#: deserialize), one trace minted, one completion folded. The ceilings
+#: sit ~5 % above.
+MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 185, "tcp": 203}
 MAX_TRACED_FRAMED_SYNC_LOCKS = 15
 
 
@@ -223,7 +217,7 @@ def test_untraced_sync_enters_no_span(transport):
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 def test_traced_sync_on_framed_transports(transport):
     """The traced twin of the row above, counted on the host."""
-    runtime = offload_api.init(transport, telemetry={"sample_rate": 1.0})
+    runtime = offload_api.init(transport, telemetry=True)
     try:
         for i in range(50):
             assert runtime.sync(1, f2f(apps.echo, i)) == i
@@ -340,7 +334,7 @@ class TestTargetInvokeBudget:
         untraced = self._one_invocation(runtime, server)
         # A trace active on the caller rides the v2 header even while
         # nothing records.
-        with trace_context.activate(TraceContext(0xABC, 5, True)):
+        with trace_context.activate(TraceContext(0xABC, 5)):
             traced = self._one_invocation(runtime, server)
         ceilings = MAX_TARGET_INVOKE_CALLS[transport]
         assert untraced.calls <= ceilings[0] and traced.calls <= ceilings[1], (
@@ -383,8 +377,8 @@ class TestTracedPathBudget:
 
     @pytest.fixture
     def traced_runtime(self):
-        def start(backend, rate):
-            runtime = offload_api.init(backend, telemetry={"sample_rate": rate})
+        def start(backend):
+            runtime = offload_api.init(backend, telemetry=True)
             for _ in range(50):
                 assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
             return runtime
@@ -393,27 +387,20 @@ class TestTracedPathBudget:
         offload_api.finalize()
         telemetry.disable()
 
-    @pytest.mark.parametrize("rate", [1.0, 0.0])
-    def test_calls_locks_and_records_per_offload(self, traced_runtime, rate):
-        runtime = traced_runtime(LocalBackend(), rate)
+    def test_calls_locks_and_records_per_offload(self, traced_runtime):
+        runtime = traced_runtime(LocalBackend())
         recorder = telemetry.get()
-        # Sampled records go to the ring, unsampled ones are staged (and
-        # this offload, slowed by the profiler, may then be kept as a
-        # tail outlier: the ring is not asserted on at rate 0).
-        produced = ((lambda: recorder.recorded) if rate
-                    else (lambda: recorder.pipeline.staged))
-        before = produced()
+        before = recorder.recorded
         counts = _profile_one_offload(runtime)
         calls, locks = counts.calls, counts.locks
-        assert produced() - before == LOCAL_RECORDS
-        assert calls <= MAX_TRACED_CALLS[rate], (
-            f"one traced offload (sample_rate={rate}) made {calls} calls "
-            f"(budget {MAX_TRACED_CALLS[rate]}): telemetry's own cost per "
-            "offload grew — see docs/observability.md, 'What tracing costs'"
+        assert recorder.recorded - before == LOCAL_RECORDS
+        assert calls <= MAX_TRACED_CALLS, (
+            f"one traced offload made {calls} calls (budget "
+            f"{MAX_TRACED_CALLS}): telemetry's own cost per offload grew — "
+            "see docs/observability.md, 'What tracing costs'"
         )
-        assert locks <= MAX_TRACED_LOCKS[rate], (
-            f"one traced offload (sample_rate={rate}) took {locks} locks "
-            f"(budget {MAX_TRACED_LOCKS[rate]})"
+        assert locks <= MAX_TRACED_LOCKS, (
+            f"one traced offload took {locks} locks (budget {MAX_TRACED_LOCKS})"
         )
 
     @pytest.mark.parametrize("backend", ["shm", "tcp"])
@@ -421,7 +408,7 @@ class TestTracedPathBudget:
             self, traced_runtime, backend):
         # Enabled before the target is forked, so that it records too.
         recorder = telemetry.enable()
-        runtime = traced_runtime(backend, 1.0)
+        runtime = traced_runtime(backend)
         runtime.backend.fetch_target_telemetry()  # drains the warm-up's
         recorded = recorder.recorded
         for i in range(3):

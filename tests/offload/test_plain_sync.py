@@ -188,12 +188,11 @@ def test_a_target_killed_under_a_sync(transport):
 
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 @pytest.mark.parametrize("via", ["sync", "future"])
-def test_a_killed_sync_gets_the_tail_verdict_a_future_gets(transport, via):
-    """At ``sample_rate`` 0.0 every span is staged until its offload is
-    settled. A sync that the target's death ends is settled as an error,
-    as its future's ``get`` would be: the tail keeps the error trace and
-    nothing stays staged."""
-    runtime = offload_api.init(transport, telemetry={"sample_rate": 0.0})
+def test_a_killed_sync_is_settled_as_a_future_is(transport, via):
+    """A sync that the target's death ends is settled as an error, as
+    its future's ``get`` would be: its error trace is in the ring and it
+    counts once in ``future.settled`` and the kernel's errors."""
+    runtime = offload_api.init(transport, telemetry=True)
     recorder = telemetry.get()
     try:
         pid = runtime.backend.introspect_target()["pid"]
@@ -216,10 +215,13 @@ def test_a_killed_sync_gets_the_tail_verdict_a_future_gets(transport, via):
         waiter.join(WAIT)
         assert not waiter.is_alive() and len(errors) == 1
         counters = recorder.metrics.snapshot()["counters"]
-        assert counters["trace.tail_retained_error"] == 1
         assert counters["future.settled"] == 1
         assert counters[f"kernel.{functor.type_name}.errors"] == 1
-        assert recorder.pipeline.pending_traces() == 0
+        [trace] = {span.trace_id for span in recorder.spans("offload.serialize")
+                   if span.attrs["functor"] == functor.type_name}
+        assert {span.name for span in recorder.spans()
+                if span.trace_id == trace} >= {"offload.serialize",
+                                               "offload.transport"}
     finally:
         offload_api.finalize()
         telemetry.disable()
@@ -290,7 +292,6 @@ def test_eight_threads_mix_plain_syncs_with_futures(transport):
 CONFIGS = {
     "plain": {},
     "traced": {"telemetry": {"sample_rate": 1.0}},
-    "unsampled": {"telemetry": {"sample_rate": 0.0}},
     "qos": {"qos": QoSConfig()},
     "policy": {"policy": ResiliencePolicy(deadline=WAIT)},
     "monitor": None,

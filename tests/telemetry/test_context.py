@@ -2,10 +2,12 @@
 
 import asyncio
 import os
+import pathlib
 import random
 
 import pytest
 
+import repro
 from repro.backends import LocalBackend
 from repro.ham import f2f
 from repro.offload import api as offload_api
@@ -28,23 +30,23 @@ class TestTraceContext:
             TraceContext(trace_id=1, span_id=-1)
 
     def test_equal_and_hashable_by_value(self):
-        a = TraceContext(trace_id=7, span_id=3, sampled=False)
-        b = TraceContext(trace_id=7, span_id=3, sampled=False)
+        a = TraceContext(trace_id=7, span_id=3)
+        b = TraceContext(trace_id=7, span_id=3)
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != TraceContext(trace_id=7, span_id=3)
-        assert a != (7, 3, False)
+        assert a != TraceContext(trace_id=7, span_id=4)
+        assert a != (7, 3)
         assert a.trace_id_hex == f"{7:032x}"
 
     def test_flags_reflect_sampled(self):
+        # Every trace is recorded: bit 0 is set on every context.
         assert TraceContext(trace_id=1).flags == FLAG_SAMPLED
-        assert TraceContext(trace_id=1, sampled=False).flags == 0
+        assert TraceContext(trace_id=1).child(5).flags == FLAG_SAMPLED
 
     def test_child_reparents_same_identity(self):
         ctx = TraceContext(trace_id=0xABC, span_id=1)
         child = ctx.child(99)
         assert child.trace_id == ctx.trace_id
         assert child.span_id == 99
-        assert child.sampled == ctx.sampled
 
 
 class TestActivation:
@@ -71,15 +73,10 @@ class TestActivation:
                 assert trace_context.current() is inner
             assert trace_context.current() is outer
 
-    def test_unsampled_context_hides_trace_id(self):
-        with trace_context.activate(TraceContext(trace_id=3, sampled=False)):
-            assert trace_context.current().sampled is False
-
     def test_new_trace_is_random_and_valid(self):
         a, b = trace_context.new_trace(), trace_context.new_trace()
         assert a.trace_id != b.trace_id
         assert a.span_id == 0
-        assert a.sampled is True
 
 
 class TestActivationScoping:
@@ -181,3 +178,20 @@ class TestTraceIds:
         in_parent = [trace_context.new_trace_id() for _ in range(8)]
         assert len(set(in_child) | set(in_parent)) == 16
         assert all(0 < i < 1 << 128 for i in in_child + in_parent)
+
+
+#: What trace sampling left in the source: telemetry is on or off.
+SAMPLING_NAMES = ("HeadSampler", "TailPipeline", ".sampled", "peek_trace_flags",
+                  "trace.tail_")
+
+
+def sampling_mentions(src: pathlib.Path) -> list[str]:
+    """``path:line: name`` for every mention of a sampling name under ``src``."""
+    return [f"{path.relative_to(src)}:{number}: {name}"
+            for path in sorted(src.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            for name in SAMPLING_NAMES if name in line]
+
+
+def test_no_module_mentions_trace_sampling():
+    assert sampling_mentions(pathlib.Path(repro.__file__).parent) == []

@@ -1,7 +1,7 @@
 """One control-plane stream: ``telemetry.event`` is one call, two rings.
 
 An event always drops into the black-box ring and, while telemetry
-records, into the trace ring under the sampling rules; a
+records, into the trace ring; a
 ``flightrecorder.note`` is black-box only. Nothing is both — checked
 against the source — and ``docs/observability.md`` lists every name.
 """
@@ -15,14 +15,12 @@ from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
-from repro.telemetry.sampling import TailPipeline, complete_offload
 from repro.telemetry.slo import SLO, SLOMonitor
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
 
-SLOW = TraceContext(trace_id=0xB2, span_id=0x88, sampled=False)
-FAST = TraceContext(trace_id=0xC3, sampled=False)
+TRACE = TraceContext(trace_id=0xC3)
 
 
 @pytest.fixture
@@ -61,29 +59,6 @@ class TestOneCall:
         assert _black_box_events(black_box) == [RETRY]
         assert _trace_events(recorder) == [RETRY]
 
-    def test_unsampled_trace_black_box_keeps_trace_ring_follows_verdict(
-            self, black_box):
-        recorder = telemetry.enable()
-        recorder.pipeline = TailPipeline(min_samples=1000)  # errors only
-        for ctx in (SLOW, FAST):
-            with trace_context.activate(ctx):
-                _emit_retry()
-        assert _black_box_events(black_box) == [RETRY, RETRY]
-        assert _trace_events(recorder) == []  # both staged
-        complete_offload(SLOW, kernel="k", duration_ns=9, error=True,
-                         recorder=recorder)
-        complete_offload(FAST, kernel="k", duration_ns=9, recorder=recorder)
-        assert [r.trace_id for r in recorder.events()] == [SLOW.trace_id_hex]
-        assert _black_box_events(black_box) == [RETRY, RETRY]
-
-    def test_unsampled_trace_without_a_pipeline_is_black_box_only(
-            self, black_box):
-        recorder = telemetry.enable()
-        with trace_context.activate(FAST):
-            _emit_retry()
-        assert _black_box_events(black_box) == [RETRY]
-        assert _trace_events(recorder) == []
-
     def test_an_slo_breach_lands_regardless(self, black_box):
         recorder = telemetry.enable()
         monitor = SLOMonitor(
@@ -91,12 +66,13 @@ class TestOneCall:
             fast_window=10, slow_window=10, min_samples=5,
             emit=recorder.force_event,
         )
-        with trace_context.activate(FAST):  # unsampled, no pipeline
+        with trace_context.activate(TRACE):  # the breach carries no trace id
             for _ in range(5):
                 monitor.observe(5000)
         [(name, category, attrs)] = _trace_events(recorder)
         assert (name, category, attrs["slo"]) == (
             "telemetry.slo_breach", "slo", "lat")
+        assert recorder.events()[0].trace_id == ""
         assert _black_box_events(black_box)[0] == (name, category, attrs)
         # The breach is also the trigger (a no-op without a crash dir).
         assert black_box.records()[-1][1] == "flight.trigger"

@@ -14,7 +14,7 @@ import urllib.request
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.promexport import MetricsServer
 from repro.telemetry.recorder import Recorder
-from repro.telemetry.sampling import complete_offload
+from repro.telemetry.recorder import complete_offload
 
 SCRAPERS = 4
 SCRAPES_PER_THREAD = 25
@@ -197,7 +197,7 @@ def test_forced_first_completion_race_mints_one_series_per_kernel():
     rec.metrics._counters, rec.metrics._histograms = Racy(), Racy()
 
     def complete():
-        complete_offload(None, kernel="k", duration_ns=1_000_000, error=True,
+        complete_offload(kernel="k", duration_ns=1_000_000, error=True,
                          recorder=rec)
 
     workers = [threading.Thread(target=complete) for _ in range(threads)]

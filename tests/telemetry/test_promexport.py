@@ -170,15 +170,16 @@ class TestTelemetryConfig:
         with pytest.raises(TypeError):
             TelemetryConfig.coerce({"bogus_field": 1})
 
-    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, 0.5, 0.0])
     def test_coerce_validates_sample_rate(self, rate):
-        with pytest.raises(ValueError, match="sample_rate"):
+        with pytest.raises(ValueError, match="sampling was removed"):
             TelemetryConfig.coerce({"sample_rate": rate})
 
     def test_coerce_accepts_boundary_rates(self):
-        assert TelemetryConfig.coerce({"sample_rate": 0.0}).sample_rate == 0.0
-        assert TelemetryConfig.coerce({"sample_rate": 1.0}).sample_rate == 1.0
-        assert TelemetryConfig.coerce(True).sample_rate is None
+        # Rate 1.0 (and None) record everything, so they are dropped.
+        for rate in (1.0, None):
+            config = TelemetryConfig.coerce({"sample_rate": rate, "capacity": 8})
+            assert config == TelemetryConfig(capacity=8)
 
     def test_coerce_normalizes_slo_dicts(self):
         from repro.telemetry.slo import SLO

@@ -21,18 +21,14 @@ from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
 from repro.telemetry.export import dicts_to_records, records_to_dicts
-from repro.telemetry.recorder import NOOP_SPAN, Recorder
-from repro.telemetry.sampling import TailPipeline, complete_offload
+from repro.telemetry.recorder import Recorder
 from repro.telemetry.slo import SLOMonitor
 
 STEP = 1000  # every clock read advances the fake clock by this much
 
-SAMPLED = TraceContext(trace_id=0xA1, span_id=0x77, sampled=True)
-UNSAMPLED = TraceContext(trace_id=0xB2, span_id=0x88, sampled=False)
-FAST = TraceContext(trace_id=0xC3, sampled=False)
-ORPHAN = TraceContext(trace_id=0xD4, sampled=False)
+SAMPLED = TraceContext(trace_id=0xA1, span_id=0x77)
 
-HEX = {ctx: f"{ctx.trace_id:032x}" for ctx in (SAMPLED, UNSAMPLED, FAST, ORPHAN)}
+HEX = {ctx: f"{ctx.trace_id:032x}" for ctx in (SAMPLED,)}
 
 
 class FakeClock:
@@ -60,7 +56,6 @@ def scripted():
     """
     clock = FakeClock()
     rec = Recorder(clock_ns=clock)
-    rec.pipeline = TailPipeline(min_samples=1000)  # only errors are kept
     rec.slo = SLOMonitor(emit=rec.force_event, metrics=rec.metrics)
     telemetry.enable(recorder=rec)
     ids: dict[str, int] = {}
@@ -82,46 +77,16 @@ def scripted():
     # closed at t8
     ids["failing"] = failing.span_id
 
-    # -- reply spans closed on the receiving thread, which runs outside
-    #    any context: under the reply's own context when it is unsampled --
+    # -- a reply span closed on the receiving thread, outside any context --
     reply = telemetry.span("offload.reply", transport="shm")
     reply.__enter__()  # t9
     close_reply_span(reply, reply_body(SAMPLED))  # t10 -> the ring, untraced
     ids["reply"] = reply.span_id
-    staged_reply = telemetry.span("offload.reply", transport="shm")
-    staged_reply.__enter__()  # t11
-    close_reply_span(staged_reply, reply_body(UNSAMPLED))  # t12 -> staged
-    ids["staged_reply"] = staged_reply.span_id
-
-    # -- an unsampled trace with a pipeline: staged ... ----------------------
-    with trace_context.activate(UNSAMPLED):
-        with telemetry.span("offload.serialize", functor="f") as staged:  # t13
-            pass
-        # closed at t14
-        telemetry.event("resilience.retry", category="resilience", attempt=1)  # t15
-    ids["staged"] = staged.span_id
-    assert [r.name for r in rec.records()] == [
-        "inner", "fault.injected", "outer", "failing", "offload.reply",
-    ]
-    # ... then promoted by an error verdict, fold included.
-    complete_offload(UNSAMPLED, kernel="k", duration_ns=123, error=True,
-                     recorder=rec)
-    # A sampled completion only feeds the aggregates.
-    complete_offload(SAMPLED, kernel="k", duration_ns=1000, recorder=rec)
-    # A fast unsampled trace is dropped after the fold.
-    with trace_context.activate(FAST):
-        with telemetry.span("offload.serialize", functor="g"):  # t16
-            pass
-        # closed at t17
-    complete_offload(FAST, kernel="k", duration_ns=500, recorder=rec)
-
-    # -- an unsampled trace without a pipeline (the target's side) ----------
-    rec.pipeline = None
-    with trace_context.activate(ORPHAN):
-        assert telemetry.span("offload.execute", bytes=1) is NOOP_SPAN
-        with telemetry.span("offload.execute"):
-            telemetry.event("fault.injected")
-    assert clock.now == 17 * STEP  # the no-op span read no clock
+    # An errored completion, then a plain one: aggregates only.
+    telemetry.complete_offload(kernel="k", duration_ns=123, error=True,
+                               recorder=rec)
+    telemetry.complete_offload(kernel="k", duration_ns=1000, recorder=rec)
+    assert clock.now == 10 * STEP
     yield rec, ids
     telemetry.disable()
 
@@ -150,15 +115,8 @@ def test_every_record_field_by_field(scripted):
          {"error": "ValueError"}, ""),
         ("span", "offload.reply", "offload", 9 * t, t, 0,
          {"transport": "shm", "bytes": reply_bytes}, ""),
-        # Promoted by the error verdict, in staging order.
-        ("span", "offload.reply", "offload", 11 * t, t, 0,
-         {"transport": "shm", "bytes": reply_bytes}, HEX[UNSAMPLED]),
-        ("span", "offload.serialize", "offload", 13 * t, t, UNSAMPLED.span_id,
-         {"functor": "f"}, HEX[UNSAMPLED]),
-        ("event", "resilience.retry", "resilience", 15 * t, UNSAMPLED.span_id,
-         {"attempt": 1}, HEX[UNSAMPLED]),
     ]
-    assert rec.recorded == len(records) == 8 and rec.dropped == 0
+    assert rec.recorded == len(records) == 5 and rec.dropped == 0
     pid, tid = os.getpid(), threading.get_ident()
     for record in records:
         assert (record.pid, record.tid) == (pid, tid)
@@ -166,7 +124,6 @@ def test_every_record_field_by_field(scripted):
     spans = [r for r in records if r.kind == "span"]
     assert [r.span_id for r in spans] == [
         ids["inner"], ids["outer"], ids["failing"], ids["reply"],
-        ids["staged_reply"], ids["staged"],
     ]
     assert len({r.span_id for r in records}) == len(records)
     assert spans[0].end_ns == 4 * t
@@ -185,19 +142,14 @@ def test_metrics_snapshot_series_by_series(scripted):
         "phase.inner": (1, [[1e-6, HEX[SAMPLED], one_us]]),
         "phase.outer": (1, [[4e-6, HEX[SAMPLED], 4 * one_us]]),
         "phase.failing": (1, []),  # outside any trace: no exemplar
-        # Two folds; the bucket keeps the latest trace that landed in it.
-        "phase.offload.reply": (2, [[1e-6, HEX[UNSAMPLED], one_us]]),
-        "phase.offload.serialize": (2, [[1e-6, HEX[FAST], one_us]]),
+        "phase.offload.reply": (1, []),
     }
     assert snap["counters"] == {
-        "trace.tail_retained": 1,
-        "trace.tail_retained_error": 1,
-        "trace.tail_dropped": 1,
         "kernel.k.errors": 1,
     }
-    # Three completions, the first one errored: 1 bad of 3 on both
+    # Two completions, the first one errored: 1 bad of 2 on both
     # objectives, burning a 1 % budget, below min_samples.
-    burn = (1 / 3) / (1.0 - 0.99)
+    burn = (1 / 2) / (1.0 - 0.99)
     assert snap["gauges"] == {
         f"slo.{name}.{series}": value
         for name in ("offload-latency", "offload-availability")
@@ -207,14 +159,10 @@ def test_metrics_snapshot_series_by_series(scripted):
     kernel = {name[len("kernel.k."):]: h["count"]
               for name, h in snap["histograms"].items()
               if name.startswith("kernel.k.")}
-    assert (kernel["offload"], snap["counters"]["kernel.k.errors"]) == (3, 1)
+    assert (kernel["offload"], snap["counters"]["kernel.k.errors"]) == (2, 1)
     assert kernel == {
-        "offload": 3,
-        # Staged spans attribute their phases at the verdict.
-        "offload.reply": 1,
-        "offload.serialize": 2,
+        "offload": 2,
     }
-    assert rec.pipeline is None
 
 
 def test_records_survive_replace_and_the_dict_round_trip(scripted):

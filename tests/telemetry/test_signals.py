@@ -78,7 +78,7 @@ def emitted_series() -> dict[str, str]:
 class TestTable:
     def test_every_series_literal_in_the_source_is_declared(self):
         emitted = emitted_series()
-        assert len(emitted) > 30  # the scan bites
+        assert len(emitted) > 25  # the scan bites
         undeclared = {name: where for name, where in emitted.items()
                       if SIGNALS.resolve(name) is None}
         assert not undeclared
@@ -97,16 +97,13 @@ class TestTable:
     def test_families_resolve_most_specific_first(self):
         assert SIGNALS.resolve("kernel.a.b::k.errors").kind == "counter"
         assert SIGNALS.resolve("kernel.a.b::k.offload").kind == "histogram"
-        assert SIGNALS.resolve("kernel.k.offload.serialize").name == \
-            "kernel.<kernel>.<phase>"
+        assert SIGNALS.resolve("kernel.k.offload.serialize") is None
         assert SIGNALS.resolve("slo.lat.tenant.gold.breached").name == \
             "slo.<slo>.breached"
         assert SIGNALS.resolve("target.reply.") is None  # the label is empty
-        # Labels are free text: a phase may end like a counter's leaf.
+        # Labels are free text: a kernel may end like another's leaf.
         assert SIGNALS.resolve("kernel.k.copy.bytes").kind == "counter"
-        assert SIGNALS.resolve("kernel.k.copy.bytes", "histogram").name == \
-            "kernel.<kernel>.<phase>"
-        SIGNALS.check("kernel.k.copy.bytes", "histogram")
+        assert SIGNALS.resolve("kernel.k.copy.bytes", "histogram") is None
         with pytest.raises(TypeError, match="declared as a counter"):
             SIGNALS.check("kernel.k.copy.bytes", "gauge")
         assert SIGNALS.resolve("offload.rejected") is None

@@ -80,11 +80,10 @@ EXPORTER = ["http.server", "repro.telemetry.promexport"]
     "telemetry, selected",
     [
         (True, ["repro.telemetry.config", "repro.telemetry.slo"]),
-        ({"sample_rate": 0.5}, ["repro.telemetry.sampling", "repro.telemetry.slo"]),
         ({"tsdb": True}, ["repro.telemetry.tsdb"]),
         ({"metrics_port": 0}, EXPORTER),
     ],
-    ids=["true", "sample_rate", "tsdb", "metrics_port"],
+    ids=["true", "tsdb", "metrics_port"],
 )
 def test_an_option_loads_what_it_selects(telemetry, selected):
     modules = _modules_after_offload("local", telemetry=telemetry)
