@@ -28,21 +28,12 @@ rather than collected with a blocking ``get``, proving the awaitable
 surface holds the same promises (typed errors, no hangs, no unraised
 corruption) under the same fault schedule. Composes with ``--backend``.
 
-A fourth mode, ``--anomaly``, validates the TSDB anomaly pipeline end
-to end: a three-target fan-out stack gets a seeded mid-run delay burst
-injected into one target, and the run fails unless the burst raises a
-``telemetry.anomaly`` event on that target's reply-latency series, a
-subsequent straggling offload hedges *away* from the anomalous target,
-and the flight recorder dumped a ``telemetry_anomaly`` crash bundle
-whose ``timeseries.json`` covers the incident.
-
 Usage::
 
     PYTHONPATH=src python scripts/chaos_smoke.py --seed 7 --duration 30
     PYTHONPATH=src python scripts/chaos_smoke.py --backend shm --duration 30
     PYTHONPATH=src python scripts/chaos_smoke.py --async --duration 20
     PYTHONPATH=src python scripts/chaos_smoke.py --noisy-tenant --duration 20
-    PYTHONPATH=src python scripts/chaos_smoke.py --anomaly --crash-dir /tmp/cb
 """
 
 from __future__ import annotations
@@ -280,193 +271,6 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_anomaly(args: argparse.Namespace) -> int:
-    """Straggler → anomaly → hedge-away → crash bundle, end to end.
-
-    Stack: three forked TCP targets behind one :class:`FanoutBackend`,
-    with target 2's transport wrapped in a :class:`FaultInjectingBackend`
-    whose *schedule* injects a deterministic burst of long delays midway
-    through the run (no random rates — same seed, same incident). The
-    TSDB samples fast (50 ms) so the incident spans many ticks.
-
-    Pass criteria:
-
-    * the burst drives the median/MAD detector into a
-      ``telemetry.anomaly`` event on ``target.reply.2.p95``;
-    * while the anomaly is active, a straggling idempotent offload to
-      target 1 hedges to a duplicate and the hedge *avoids* target 2
-      (``avoided`` names it, the secondary is a different node);
-    * the anomaly dumped a ``telemetry_anomaly`` crash bundle whose
-      ``timeseries.json`` contains the anomalous series;
-    * the merged live snapshot lists targets 1, 2 and 3, none with an
-      ``error``: the chaos proxy around target 2 hides nothing.
-    """
-    import tempfile
-
-    from repro.backends import FanoutBackend
-    from repro.offload import HedgePolicy
-    from repro.telemetry import flightrecorder, inspect
-    from repro.telemetry import recorder as telemetry
-    from repro.telemetry.tsdb import AnomalyDetector, install_tsdb
-
-    crash_dir = args.crash_dir or tempfile.mkdtemp(prefix="chaos-anomaly-")
-    flightrecorder.configure(crash_dir)
-    recorder = telemetry.enable()
-    tsdb = install_tsdb(recorder)
-    tsdb.interval = 0.05
-    # Watch the per-target reply-latency series only: the injected
-    # straggle manifests there deterministically, while the in-flight
-    # gauges flicker 0/1 with the sync loop and would add noise.
-    tsdb.detector = AnomalyDetector(
-        tsdb.store, recorder.metrics, prefixes=("target.reply.",),
-        emit=recorder.force_event,
-    )
-
-    base_per_node = 40  # clean warmup invokes per target
-    burst_ops = 6       # scheduled long-delay invokes on target 2
-    servers = [spawn_local_server(startup_timeout=30.0, workers=2)
-               for _ in range(3)]
-    inners = [
-        TcpBackend(address, on_shutdown=lambda p=proc: p.join(timeout=5))
-        for proc, address in servers
-    ]
-    # Target 2's op index counts only its own invokes, so the burst
-    # window is exactly ops [base_per_node, base_per_node + burst_ops).
-    inners[1] = FaultInjectingBackend(
-        inners[1],
-        seed=args.seed,
-        drop_rate=0.0, delay_rate=0.0, disconnect_rate=0.0, corrupt_rate=0.0,
-        delay_range=(0.25, 0.4),
-        schedule={base_per_node + i: "delay" for i in range(burst_ops)},
-    )
-    policy = ResiliencePolicy(
-        deadline=5.0, max_retries=2, backoff_base=0.01, backoff_max=0.1,
-        seed=args.seed,
-        hedge=HedgePolicy(
-            percentile=95.0, multiplier=1.0, min_wait=0.05, min_samples=10,
-        ),
-    )
-    runtime = Runtime(FanoutBackend(inners), policy=policy)
-    tsdb.attach_runtime(runtime)
-    tsdb.start()
-
-    code = 1
-    try:
-        # Phase A — clean baseline: steady fast traffic to every target
-        # builds flat target.reply.<n>.p95 series and the sleep_then
-        # profile the hedge trigger reads.
-        for i in range(base_per_node):
-            for node in (1, 2, 3):
-                runtime.sync(node, f2f(apps.sleep_then, 0.002, i),
-                             timeout=5.0)
-        # Let the sampler accumulate a long *flat* stretch of the p95
-        # series: the median/MAD window must stay anchored at the
-        # baseline through the whole burst-plus-hedge window, or the
-        # anomaly self-recovers before the hedge phase can observe it.
-        time.sleep(8.0)
-
-        # Phase B — the injected straggler: every scheduled invoke on
-        # target 2 stalls 0.25-0.4 s in the transport, dragging its
-        # reply p95 far above the flat baseline. A different kernel
-        # (add) keeps the hedge kernel's profile clean.
-        for i in range(burst_ops):
-            runtime.sync(2, f2f(apps.add, i, i), timeout=5.0)
-        deadline = time.monotonic() + 5.0
-        while (2 not in tsdb.detector.anomalous_nodes()
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        if 2 not in tsdb.detector.anomalous_nodes():
-            print(
-                "ANOMALY FAIL: delay burst on target 2 never flagged it — "
-                f"active anomalies: {tsdb.detector.anomalies()}"
-            )
-            return 1
-
-        # Phase C — the hedge: a genuinely slow idempotent offload to
-        # target 1 waits past the trigger (min_wait 50 ms vs the ~ms
-        # profile), so the runtime duplicates it; the advisory reorder
-        # must route the duplicate around the anomalous target 2.
-        hedged = None
-        for attempt in range(5):
-            runtime.sync(1, f2f(apps.sleep_then, 0.3, attempt),
-                         idempotent=True, timeout=5.0)
-            hedges = [
-                r for r in recorder.records()
-                if r.kind == "event" and r.name == "resilience.hedge"
-            ]
-            if hedges:
-                hedged = hedges[-1]
-                break
-        if hedged is None:
-            print("ANOMALY FAIL: no hedge fired for the straggling offload")
-            return 1
-        targets = inspect.snapshot(runtime)["target"]["targets"]
-        if ([t["node"] for t in targets] != [1, 2, 3]
-                or any("error" in t for t in targets)):
-            print(f"ANOMALY FAIL: the snapshot's targets are {targets}")
-            return 1
-        code = 0
-    finally:
-        tsdb.stop()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResourceWarning)
-            runtime.shutdown()
-        for process, _address in servers:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-    if code != 0:
-        return code
-
-    anomaly_events = [
-        r for r in recorder.records()
-        if r.kind == "event" and r.name == "telemetry.anomaly"
-        and str(r.attrs.get("series", "")).startswith("target.reply.2")
-    ]
-    secondary = hedged.attrs.get("secondary")
-    avoided = list(hedged.attrs.get("avoided") or [])
-    bundles = [
-        b for b in flightrecorder.find_bundles(crash_dir)
-        if "telemetry_anomaly" in b.name
-    ]
-
-    print(
-        f"anomaly run: {len(anomaly_events)} anomaly event(s) on target 2, "
-        f"hedge secondary={secondary} avoided={avoided}, "
-        f"{len(bundles)} telemetry_anomaly bundle(s) in {crash_dir}",
-        flush=True,
-    )
-    if not anomaly_events:
-        print("ANOMALY FAIL: no telemetry.anomaly event on target.reply.2.*")
-        return 1
-    if secondary == 2 or 2 not in avoided:
-        print(
-            "ANOMALY FAIL: the hedge did not route away from the anomalous "
-            f"target (secondary={secondary}, avoided={avoided})"
-        )
-        return 1
-    if not bundles:
-        print(f"ANOMALY FAIL: no telemetry_anomaly crash bundle in {crash_dir}")
-        return 1
-    try:
-        bundle = flightrecorder.load_bundle(bundles[-1])
-    except ValueError as exc:
-        print(f"ANOMALY FAIL: unreadable crash bundle: {exc}")
-        return 1
-    series = bundle.get("timeseries") or {}
-    if "target.reply.2.p95" not in series:
-        print(
-            "ANOMALY FAIL: crash bundle timeseries.json misses the "
-            f"anomalous series (has {sorted(series)[:8]}...)"
-        )
-        return 1
-    print(
-        "anomaly chaos OK: straggler flagged, hedge avoided it, bundle "
-        f"captured {len(series)} series", flush=True,
-    )
-    return 0
-
-
 def run_async_soak(args: argparse.Namespace) -> int:
     """Fault soak driven entirely from one asyncio event loop.
 
@@ -631,15 +435,6 @@ def main() -> int:
         "get (composes with --backend tcp|shm)",
     )
     parser.add_argument(
-        "--anomaly",
-        action="store_true",
-        help="TSDB anomaly acceptance instead of a soak: a scheduled "
-        "delay burst on one fan-out target must raise a "
-        "telemetry.anomaly event, make a straggler's hedge avoid that "
-        "target, and dump a telemetry_anomaly crash bundle with "
-        "timeseries.json (see run_anomaly; composes with --crash-dir)",
-    )
-    parser.add_argument(
         "--noisy-tenant",
         action="store_true",
         help="overload soak instead of fault injection: a best-effort "
@@ -655,8 +450,6 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    if args.anomaly:
-        return run_anomaly(args)
     if args.noisy_tenant:
         return run_noisy_tenant(args)
     if args.async_soak:

@@ -275,7 +275,7 @@ class DeadlineTimer:
     deadlines expire in the order they were armed: they queue first in,
     first out, :meth:`schedule` wakes the thread only when the queue was
     empty, and the thread drops cancelled deadlines when it looks. The
-    lag of each firing is the ``reactor.loop_lag_us`` gauge.
+    worst lag of a firing is ``stats()["max_lag_us"]``.
     """
 
     def __init__(self) -> None:
@@ -339,7 +339,6 @@ class DeadlineTimer:
                 self.max_lag_us = max(self.max_lag_us, late * 1e6)
                 cond.release()
                 try:
-                    telemetry.gauge("reactor.loop_lag_us", late * 1e6)
                     callback()
                 except Exception:  # noqa: BLE001 - the clock outlives a callback
                     self.callback_errors += 1

@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import Backend
     from repro.telemetry.config import TelemetryConfig
     from repro.telemetry.promexport import MetricsServer
-    from repro.telemetry.tsdb import Tsdb
 
 __all__ = [
     "init",
@@ -124,10 +123,7 @@ def init(
         via :func:`metrics_server`;
       * ``slo_enabled`` / ``slos`` configure burn-rate SLO monitoring
         whose breaches degrade ``/healthz`` — see
-        :mod:`repro.telemetry.slo`;
-      * ``tsdb`` installs the in-process time-series store, per-target
-        scoreboard and median/MAD anomaly detector — see
-        :mod:`repro.telemetry.tsdb`.
+        :mod:`repro.telemetry.slo`.
 
     Raises
     ------
@@ -151,7 +147,7 @@ def init(
     # Options are validated before a target is spawned (and the recorder
     # enabled only after, so the first target records nothing — see
     # docs/observability.md). What an option selects is imported where it
-    # is selected: telemetry off loads no exporter, SLO or tsdb code.
+    # is selected: telemetry off loads no exporter or SLO code.
     config = None
     if telemetry is not False:
         from repro.telemetry.config import TelemetryConfig
@@ -163,17 +159,12 @@ def init(
 
         backend = spawned = create_backend(backend, **backend_options)
     try:
-        tsdb = _apply_telemetry(config) if config is not None else None
+        if config is not None:
+            _apply_telemetry(config)
         _runtime = Runtime(backend, policy=policy, window=window, qos=qos)
-        if tsdb is not None:
-            # Started only now: the scoreboard needs the runtime's backend
-            # for its per-target stats before the first tick is useful.
-            tsdb.attach_runtime(_runtime)
-            tsdb.start()
     except BaseException:
         # Nothing init started outlives a failed init: the runtime, the
-        # recorder it enabled, the tsdb thread and endpoint, the spawned
-        # target.
+        # recorder it enabled, the endpoint, the spawned target.
         finalize()
         if spawned is not None:
             spawned.shutdown()
@@ -181,11 +172,9 @@ def init(
     return _runtime
 
 
-def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
-    """Enable the recorder and install what ``config`` selects; returns
-    the time-series store if one was installed (``init`` starts it)."""
+def _apply_telemetry(config: TelemetryConfig) -> None:
+    """Enable the recorder and install what ``config`` selects."""
     global _metrics_server, _flight_replaced, _enabled_recorder
-    tsdb = None
     if config.enabled:
         recorder = _telemetry.get()
         if recorder is None:
@@ -198,10 +187,6 @@ def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
                 emit=recorder.force_event,
                 metrics=recorder.metrics,
             )
-        if config.tsdb:
-            from repro.telemetry.tsdb import install_tsdb
-
-            tsdb = install_tsdb(recorder)
         if config.metrics_port is not None:
             from repro.telemetry.promexport import MetricsServer
 
@@ -216,29 +201,17 @@ def _apply_telemetry(config: TelemetryConfig) -> Tsdb | None:
         # Arm flight-recorder dumping (and SIGUSR2) until finalize();
         # the recorder itself has been noting events since import.
         _flight_replaced = _flightrecorder.arm(config.crash_dir)
-    return tsdb
 
 
 def _health_fn(recorder: "_telemetry.Recorder"):
-    """``/healthz`` body: degraded while any SLO burns too hot.
-
-    Active TSDB anomalies ride along as *detail* — advisory signal for
-    an operator or a placement layer, not a health verdict, so they
-    never flip the status on their own.
-    """
+    """``/healthz`` body: degraded while any SLO burns too hot."""
 
     def health() -> dict:
         monitor = recorder.slo
         breached = monitor.breached() if monitor is not None else []
-        body: dict = {"status": "ok"}
         if breached:
-            body = {"status": "degraded", "breached": breached}
-        tsdb = recorder.tsdb
-        if tsdb is not None:
-            anomalies = tsdb.detector.anomalies()
-            if anomalies:
-                body["anomalies"] = anomalies
-        return body
+            return {"status": "degraded", "breached": breached}
+        return {"status": "ok"}
 
     return health
 
@@ -276,18 +249,11 @@ def finalize() -> None:
     """
     global _runtime, _metrics_server, _flight_replaced, _enabled_recorder
     recorder = _telemetry.get()
-    if recorder is not None and recorder.tsdb is not None:
-        recorder.tsdb.stop()
     if _runtime is not None:
         _runtime.shutdown()  # pulls the target's records into the recorder
         _runtime = None
     if recorder is not None and recorder is _enabled_recorder:
         _telemetry.disable()
-    elif recorder is not None:
-        # A recorder enabled before init survives finalize; a detached
-        # store would keep stale anomalies visible (and per-target
-        # metric plumbing paying for a consumer that no longer exists).
-        recorder.tsdb = None
     _enabled_recorder = None
     if _metrics_server is not None:
         _metrics_server.close()

@@ -67,16 +67,14 @@ class Future:
         trace: TraceContext | None = None,
         start_ns: int | None = None,
         tenant: str | None = None,
-        node: int | None = None,
     ) -> None:
         self._handle: InvokeHandle | CompletedHandle | None = handle
         #: What :func:`settle_offload` accounts the offload by: kernel,
-        #: target node, QoS tenant, issue time (``None``: a put/get/copy
+        #: QoS tenant, issue time (``None``: a put/get/copy
         #: parity future). The trace opened at ``async_`` is re-activated
         #: around the wait, so its spans join that causal tree even when
         #: ``get()`` runs far from ``async_()``.
         self._label = label
-        self._node = node
         self._tenant = tenant
         self._trace = trace
         self._start_ns = start_ns
@@ -186,7 +184,7 @@ class Future:
                 settle_offload(
                     recorder,
                     None if self._timeout_observed else self._start_ns,
-                    self._label, self._tenant, self._node, timed_out=True,
+                    self._label, self._tenant, timed_out=True,
                 )
             self._timeout_observed = True
             raise
@@ -197,7 +195,7 @@ class Future:
         recorder = telemetry.get()
         if recorder is not None:
             settle_offload(recorder, self._start_ns, self._label, self._tenant,
-                           self._node, error=self._error is not None)
+                           error=self._error is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
@@ -205,7 +203,7 @@ class Future:
 
 
 def settle_offload(recorder: "Recorder", start_ns: int | None, label: str,
-                   tenant: str | None, node: int | None, *, error: bool = False,
+                   tenant: str | None, *, error: bool = False,
                    timed_out: bool = False) -> None:
     """Account into ``recorder`` (the caller's, read once per offload) how
     one offload ended, a future's or a sync's: a missed deadline counts
@@ -220,7 +218,7 @@ def settle_offload(recorder: "Recorder", start_ns: int | None, label: str,
     if start_ns is not None:
         complete_offload(
             kernel=label, duration_ns=time.perf_counter_ns() - start_ns,
-            error=error, recorder=recorder, tenant=tenant, node=node,
+            error=error, recorder=recorder, tenant=tenant,
         )
 
 

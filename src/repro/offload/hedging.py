@@ -207,7 +207,6 @@ class Hedger:
         )
         if not candidates:
             return None
-        candidates, avoided = self._prefer_non_anomalous(candidates)
         secondary = candidates[0]
         try:
             hedge_future = runtime._offload(secondary, functor, tenant, expiry)
@@ -222,36 +221,8 @@ class Hedger:
             "resilience.hedge", category="resilience",
             functor=functor.type_name, primary=primary, secondary=secondary,
             trigger_s=self.delay_for(functor.type_name),
-            avoided=sorted(avoided),
         )
         return hedge_future
-
-    @staticmethod
-    def _prefer_non_anomalous(
-        candidates: "list[NodeId]",
-    ) -> "tuple[list[NodeId], set[int]]":
-        """Stable-reorder ``candidates`` so anomalous targets go last.
-
-        Advisory input from the TSDB's median/MAD detector: a target the
-        detector currently flags (elevated reply p95, queue growth, error
-        burst) is a poor place to send the latency-rescue duplicate. The
-        health ranking still dominates — anomalous targets are demoted,
-        never removed, so a fleet that is entirely anomalous still
-        hedges somewhere. Returns the reordered list plus the node ids
-        that were demoted (attached to the hedge event for post-mortems).
-        """
-        recorder = telemetry.get()
-        tsdb = recorder.tsdb if recorder is not None else None
-        if tsdb is None:
-            return candidates, set()
-        anomalous = tsdb.detector.anomalous_nodes()
-        if not anomalous:
-            return candidates, set()
-        clean = [c for c in candidates if int(c) not in anomalous]
-        flagged = [c for c in candidates if int(c) in anomalous]
-        if not clean or not flagged:
-            return candidates, set()
-        return clean + flagged, {int(c) for c in flagged}
 
     def _race(
         self,

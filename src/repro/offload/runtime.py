@@ -299,12 +299,12 @@ class Runtime:
         if not sync:
             window.register(result)
             return Future(result, label=functor.type_name, trace=ctx,
-                          start_ns=start_ns, tenant=tenant, node=node)
+                          start_ns=start_ns, tenant=tenant)
         window.cancel()
         if self.policy is not None:  # the retry loop's health accounting
             self.monitor.record_success(node)
         if recorder is not None:
-            settle_offload(recorder, start_ns, functor.type_name, tenant, node)
+            settle_offload(recorder, start_ns, functor.type_name, tenant)
         return result
 
     def sync(
@@ -385,7 +385,7 @@ class Runtime:
             if recorder is not None:
                 recorder.counters["offload.issued"].inc()
                 settle_offload(recorder, start_ns, functor.type_name,
-                               tenant, node, error=True,
+                               tenant, error=True,
                                timed_out=isinstance(exc, OffloadTimeoutError))
         else:
             telemetry.count("offload.issue_failures")
@@ -649,7 +649,7 @@ class Runtime:
         bundle's ``state.json`` are this dict; nothing else reads the
         runtime's parts to describe it. The metrics registry is the
         process's, not the runtime's, and has its own outlets
-        (``/metrics``, a bundle's ``metrics.json``, the TSDB).
+        (``/metrics``, a bundle's ``metrics.json``).
         """
         window = self.window
         data: dict[str, Any] = {

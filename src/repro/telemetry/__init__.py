@@ -30,11 +30,6 @@ Layout:
 * :mod:`repro.telemetry.slo` — declarative SLOs with multi-window
   burn-rate alerting (``telemetry.slo_breach`` events, ``/healthz``
   degradation);
-* :mod:`repro.telemetry.tsdb` — bounded in-process time-series store
-  (fixed-interval snapshots of the registry into per-series float64
-  rings) with ``range``/``rate``/``delta`` queries, the per-target
-  :class:`~repro.telemetry.tsdb.Scoreboard` and rolling median/MAD
-  anomaly detection feeding hedging and ``/healthz``;
 * :mod:`repro.telemetry.report` — ``python -m repro.telemetry.report``,
   per-phase latency percentiles, per-message groupings, critical paths
   and per-kernel profiles from a trace file — or a post-mortem view of
@@ -84,19 +79,15 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
         disable, enable, enabled, event, gauge, get, span,
     )
     from repro.telemetry.slo import SLO, SLOMonitor, default_slos
-    from repro.telemetry.tsdb import (
-        AnomalyDetector, Scoreboard, SeriesRing, TimeSeriesStore, Tsdb, install_tsdb,
-    )
 
 __all__ = [
-    "AnomalyDetector", "ClockSync", "Counter", "EventRecord", "FlightRecorder",
+    "ClockSync", "Counter", "EventRecord", "FlightRecorder",
     "Gauge", "LogHistogram", "MetricsRegistry", "MetricsServer",
-    "Recorder", "SLO", "SLOMonitor", "Scoreboard", "SeriesRing",
-    "SpanRecord", "TelemetryConfig", "TimeSeriesStore",
-    "TraceContext", "Tsdb", "activate", "align_records", "complete_offload",
+    "Recorder", "SLO", "SLOMonitor", "SpanRecord", "TelemetryConfig",
+    "TraceContext", "activate", "align_records", "complete_offload",
     "count", "critical_path", "current", "current_span_id",
     "default_slos", "disable", "enable", "enabled", "event", "gauge", "get",
-    "group_by_trace", "install_tsdb", "new_trace", "percentile",
+    "group_by_trace", "new_trace", "percentile",
     "span", "to_prometheus", "trace_summary",
 ]
 
@@ -118,8 +109,4 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "span",
     ),
     "repro.telemetry.slo": ("SLO", "SLOMonitor", "default_slos"),
-    "repro.telemetry.tsdb": (
-        "AnomalyDetector", "Scoreboard", "SeriesRing", "TimeSeriesStore", "Tsdb",
-        "install_tsdb",
-    ),
 })

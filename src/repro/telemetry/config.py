@@ -45,10 +45,6 @@ class TelemetryConfig:
     #: :mod:`repro.telemetry.flightrecorder`). ``None`` leaves dumping
     #: governed by the ``REPRO_CRASH_DIR`` environment variable.
     crash_dir: str | None = None
-    #: In-process time-series store (:mod:`repro.telemetry.tsdb`).
-    #: ``False`` keeps history off (no sampler thread exists); ``True``
-    #: installs the 1 s sampler.
-    tsdb: bool = False
 
     @classmethod
     def coerce(

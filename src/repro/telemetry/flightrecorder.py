@@ -34,10 +34,7 @@ bundle to the configured crash directory:
       the backend's transport stats with the timer's lag and flush reasons,
       QoS / health / hedging state), captured whether or not the span
       recorder is on;
-    * ``metrics.json``  — the registry snapshot (telemetry enabled);
-    * ``timeseries.json`` — the in-process TSDB's recent history (last
-      ``timeseries_window`` seconds of every series) when
-      ``offload.init(telemetry={"tsdb": ...})`` installed one.
+    * ``metrics.json``  — the registry snapshot (telemetry enabled).
 
 Dumping only happens once a crash directory is configured — via
 :func:`configure`, ``offload.init(telemetry={"crash_dir": ...})`` or
@@ -72,7 +69,6 @@ __all__ = [
     "BUNDLE_MANIFEST",
     "BUNDLE_SCHEMA_VERSION",
     "BUNDLE_STATE",
-    "BUNDLE_TIMESERIES",
     "DEFAULT_CAPACITY",
     "FlightRecorder",
     "arm",
@@ -92,10 +88,6 @@ BUNDLE_MANIFEST = "manifest.json"
 BUNDLE_EVENTS = "events.jsonl"
 BUNDLE_STATE = "state.json"
 BUNDLE_METRICS = "metrics.json"
-BUNDLE_TIMESERIES = "timeseries.json"
-
-#: Seconds of TSDB history persisted into ``timeseries.json``.
-DEFAULT_TIMESERIES_WINDOW = 300.0
 
 #: Bump when the on-disk bundle shape changes incompatibly; there is one
 #: reader, and it refuses every other version.
@@ -148,8 +140,6 @@ class FlightRecorder:
             crash_dir = os.environ.get("REPRO_CRASH_DIR") or None
         self.crash_dir: Path | None = Path(crash_dir) if crash_dir else None
         self.debounce = debounce
-        #: Seconds of TSDB history written to ``timeseries.json``.
-        self.timeseries_window = DEFAULT_TIMESERIES_WINDOW
         self._ring: deque[tuple[int, str, str, dict[str, Any]]] = deque(
             maxlen=capacity
         )
@@ -297,14 +287,6 @@ class FlightRecorder:
             (bundle / BUNDLE_METRICS).write_text(
                 json.dumps(recorder.metrics.snapshot(), indent=1, default=str)
             )
-            if recorder.tsdb is not None:
-                try:
-                    series = recorder.tsdb.store.to_json(
-                        window=self.timeseries_window)
-                    (bundle / BUNDLE_TIMESERIES).write_text(
-                        json.dumps(series, default=str))
-                except Exception:  # noqa: BLE001 - crash path, best effort
-                    pass
         self._suppressed = 0
         self._dumps.append(bundle)
         return bundle
@@ -423,7 +405,7 @@ def detach_runtime(runtime: "Runtime") -> None:
 def load_bundle(path: "str | Path") -> dict[str, Any]:
     """Read a crash bundle directory back into memory.
 
-    Returns ``{"manifest", "events", "state", "metrics", "timeseries",
+    Returns ``{"manifest", "events", "state", "metrics",
     "skipped_lines"}``. A truncated ``events.jsonl`` (the process died
     mid-write) is expected, not an error: unparseable lines are skipped
     and counted in ``skipped_lines``; a truncated side file reads as
@@ -462,9 +444,7 @@ def load_bundle(path: "str | Path") -> dict[str, Any]:
         "events": events,
         "skipped_lines": skipped,
     }
-    for key, name in (("state", BUNDLE_STATE),
-                      ("metrics", BUNDLE_METRICS),
-                      ("timeseries", BUNDLE_TIMESERIES)):
+    for key, name in (("state", BUNDLE_STATE), ("metrics", BUNDLE_METRICS)):
         side = bundle / name
         if side.is_file():
             try:

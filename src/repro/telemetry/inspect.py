@@ -32,20 +32,17 @@ from typing import Any
 
 from repro.telemetry import flightrecorder
 
-__all__ = ["SNAPSHOT_SCHEMA_VERSION", "snapshot", "tsdb_snapshot"]
+__all__ = ["SNAPSHOT_SCHEMA_VERSION", "snapshot"]
 
 #: Bump when the snapshot shape changes incompatibly (2: ``host`` is
-#: ``Runtime.stats()``, the transport stats sit under ``host["backend"]``).
-SNAPSHOT_SCHEMA_VERSION = 2
+#: ``Runtime.stats()``, the transport stats sit under ``host["backend"]``;
+#: 3: no time-series section).
+SNAPSHOT_SCHEMA_VERSION = 3
 
 #: Deadline (s) for the target-side ``OP_INTROSPECT`` roundtrip. Short:
 #: introspection is an observer, it must not hang alongside the thing it
 #: observes.
 PROBE_TIMEOUT = 1.0
-
-#: Non-target series always included in the tsdb section when they
-#: exist — the headline "is it moving" signals.
-TSDB_HEADLINES = ("offload.issued", "future.settled", "reactor.loop_lag_us")
 
 
 def _target(backend: Any) -> dict[str, Any] | None:
@@ -55,42 +52,6 @@ def _target(backend: Any) -> dict[str, Any] | None:
         return backend.introspect_target(timeout=PROBE_TIMEOUT)
     except Exception as exc:  # noqa: BLE001 - observers must not raise
         return {"role": "target", "error": f"{type(exc).__name__}: {exc}"}
-
-
-def tsdb_snapshot(*, window: float = 60.0,
-                  points: int = 30) -> dict[str, Any] | None:
-    """Recent-history digest from the in-process TSDB, if installed.
-
-    One entry per ``target.*`` series plus the headline counters:
-    latest value, per-second :meth:`~repro.telemetry.tsdb.
-    TimeSeriesStore.rate` over ``window``, and the last ``points``
-    raw values (the ``top`` CLI renders these as sparklines).
-    """
-    from repro.telemetry import recorder as telemetry
-
-    recorder = telemetry.get()
-    tsdb = recorder.tsdb if recorder is not None else None
-    if tsdb is None:
-        return None
-    store = tsdb.store
-    names = [n for n in store.names()
-             if n.startswith("target.") or n in TSDB_HEADLINES]
-    series: dict[str, Any] = {}
-    for name in names:
-        samples = store.range(name, window)
-        if not samples:
-            continue
-        series[name] = {
-            "last": samples[-1][1],
-            "rate": round(store.rate(name, window), 6),
-            "points": [value for _, value in samples[-points:]],
-        }
-    return {
-        "samples": tsdb.samples,
-        "interval": tsdb.interval,
-        "series": series,
-        "anomalies": tsdb.detector.anomalies(),
-    }
 
 
 def snapshot(runtime: Any, *, probe_target: bool = True) -> dict[str, Any]:
@@ -106,7 +67,6 @@ def snapshot(runtime: Any, *, probe_target: bool = True) -> dict[str, Any]:
         "time_ns": time.time_ns(),
         "host": runtime.stats(),
         "target": _target(runtime.backend) if probe_target else None,
-        "tsdb": tsdb_snapshot(),
         "flight": {
             "noted": flight.noted,
             "dropped": flight.dropped,

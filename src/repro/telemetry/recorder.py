@@ -298,9 +298,6 @@ class Recorder:
         self.metrics = MetricsRegistry(SIGNALS)
         #: SLO burn-rate monitor, fed once per completed offload.
         self.slo: Any = None
-        #: In-process time-series store + anomaly detector
-        #: (:class:`repro.telemetry.tsdb.Tsdb`); ``None`` keeps history off.
-        self.tsdb: Any = None
         # Instrument caches beside the registry: a span or a completion
         # of every offload reads one of these with a subscript, so the
         # name is built and looked up in the registry once per phase,
@@ -387,11 +384,10 @@ class Recorder:
                     **attrs: Any) -> None:
         """:func:`event` for alert-grade events: black box and trace ring.
 
-        ``telemetry.slo_breach`` and ``telemetry.anomaly`` describe the
-        aggregate stream, not one trace, so they carry no trace id and
-        no parent, even when raised mid-flight inside a trace. The SLO
-        monitor and the anomaly detector hold this method as their
-        ``emit`` sink.
+        ``telemetry.slo_breach`` describes the aggregate stream, not one
+        trace, so it carries no trace id and no parent, even when raised
+        mid-flight inside a trace. The SLO monitor holds this method as
+        its ``emit`` sink.
         """
         flightrecorder.get().record(name, category, attrs)
         self._append(self._event_record(name, category, 0, attrs, ""))
@@ -561,7 +557,6 @@ def complete_offload(
     error: bool = False,
     recorder: Recorder | None = None,
     tenant: str | None = None,
-    node: int | None = None,
 ) -> None:
     """Fold one finished offload into every aggregate consumer.
 
@@ -569,12 +564,7 @@ def complete_offload(
     offload: ``kernel.<kernel>.offload`` (and ``.errors``) and the SLO
     windows. A no-op while telemetry is off.
     ``tenant`` (when the QoS layer tagged the offload) routes the
-    observation into that tenant's own SLO windows as well. ``node``
-    (the target the invocation was posted to) additionally feeds the
-    per-target ``target.reply.<node>`` histogram and
-    ``target.errors.<node>`` counter — but only while a TSDB is
-    installed, so the per-target cardinality is paid exactly when the
-    scoreboard consuming it exists.
+    observation into that tenant's own SLO windows as well.
     """
     if recorder is None:
         recorder = _RECORDER
@@ -588,12 +578,6 @@ def complete_offload(
     hist.observe(duration_ns / 1e9)
     if error:
         recorder.kernel_errors[name].inc()
-    if node is not None and recorder.tsdb is not None:
-        recorder.metrics.log_histogram(f"target.reply.{node}").observe(
-            duration_ns / 1e9
-        )
-        if error:
-            recorder.metrics.counter(f"target.errors.{node}").inc()
     slo = recorder.slo
     if slo is not None:
         slo.observe(duration_ns, error=error, tenant=tenant)

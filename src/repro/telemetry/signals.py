@@ -2,7 +2,7 @@
 
 Every series the recorder's registry may hold is declared in
 :data:`SIGNALS`, by exact name (``offload.issued``) or as a family with
-``<label>`` placeholders (``target.reply.<node>``), each standing for any
+``<label>`` placeholders (``health.node_state.<node>``), each standing for any
 non-empty text, dots included. The registry asks
 :meth:`SignalRegistry.check` before it *creates* an instrument, never on
 a hit. ``# HELP`` / ``# UNIT`` on ``/metrics`` and the "Metrics" table of
@@ -91,7 +91,6 @@ class SignalRegistry:
 
 
 _ROW = SignalDescriptor
-_TOP = "`repro top` SERIES headline (`inspect.TSDB_HEADLINES`)"
 _SCRAPE = "operator scrape of `/metrics`: "
 _SLO = "docs/observability.md, SLOs: the alerting surface on `/metrics`"
 _KERNEL = "per-kernel scrape of `/metrics`; offline twin `report --profile`, "
@@ -99,7 +98,8 @@ _KERNEL = "per-kernel scrape of `/metrics`; offline twin `report --profile`, "
 SIGNALS = SignalRegistry((
     # -- the offload path ---------------------------------------------------
     _ROW("offload.issued", "counter", "offloads",
-         "invocations posted to a backend", _TOP),
+         "invocations posted to a backend",
+         _SCRAPE + "issue rate by `rate()`"),
     _ROW("offload.issue_failures", "counter", "offloads",
          "posts a transport refused before anything left the host",
          _SCRAPE + "the only count of offloads that never settled"),
@@ -107,7 +107,8 @@ SIGNALS = SignalRegistry((
          "exceptions swallowed in a completion callback",
          _SCRAPE + "the only trace such an exception leaves"),
     _ROW("future.settled", "counter", "offloads",
-         "futures and syncs that reached a result or an error", _TOP),
+         "futures and syncs that reached a result or an error",
+         _SCRAPE + "settle rate by `rate()`"),
     _ROW("future.timeouts", "counter", "offloads",
          "`Future.get` and sync deadlines that expired (the offload may land)",
          _SCRAPE + "raw count behind the availability SLO's burn"),
@@ -140,8 +141,6 @@ SIGNALS = SignalRegistry((
     _ROW("health.consecutive_failures.<node>", "gauge", "failures",
          "failures in a row on the node",
          "docs/observability.md: distance to the next health transition"),
-    _ROW("reactor.loop_lag_us", "gauge", "us",
-         "how late the coalescer's deadline timer ran its last deadline", _TOP),
     # -- telemetry about itself ---------------------------------------------
     _ROW("telemetry.pull_failures", "counter", "pulls",
          "target-telemetry pulls that failed at shutdown",
@@ -154,27 +153,16 @@ SIGNALS = SignalRegistry((
          "the same over the slow window", _SLO),
     _ROW("slo.<slo>.breached", "gauge", "bool",
          "1 while both windows burn above the threshold", _SLO),
-    _ROW("anomaly.score.<series>", "gauge", "score",
-         "median/MAD score of a scoreboard series at the last TSDB tick",
-         "docs/observability.md, Anomaly detection: the score below the "
-         "threshold, which `anomalies()` does not list"),
     _ROW("perfbench.probe", "counter", "calls",
          "the benchmark's probe of one `telemetry.count`",
          "perfbench/layers.py: the `telemetry.count_on_ns` row (goes once "
          "the probe counts a product series; perfbench/ is frozen per PR)"),
-    # -- latency: per phase, per target, per kernel -------------------------
+    # -- latency: per phase, per kernel --------------------------------------
     _ROW("phase.<span>", "histogram", "seconds",
          "duration of every finished span of that name; "
          "buckets carry exemplars",
          "`/metrics` phase latencies with trace exemplars; "
          "`phase.perfbench.probe` is perfbench's `telemetry.span_on_ns`"),
-    _ROW("target.reply.<node>", "histogram", "seconds",
-         "round trips by the node they were posted to (only with a TSDB)",
-         "`tsdb.Scoreboard` `reply_p95`; the anomaly detector; the hedger's "
-         "destination ranking"),
-    _ROW("target.errors.<node>", "counter", "offloads",
-         "failed round trips by node (only with a TSDB)",
-         "`tsdb.Scoreboard`: `target.error_rate.<node>`"),
     _ROW("kernel.<kernel>.errors", "counter", "offloads",
          "failed round trips of the kernel", _KERNEL + "column `errors`"),
     _ROW("kernel.<kernel>.bytes", "counter", "bytes",

@@ -13,11 +13,7 @@ Usage::
     python -m repro.telemetry.top http://127.0.0.1:9100 --once
     python -m repro.telemetry.top http://127.0.0.1:9100 --json
 
-When the runtime has the TSDB sampler installed
-(``offload.init(telemetry={"tsdb": True})``), frames grow a SERIES
-section: per-target scoreboard series with rates and sparklines, plus
-any active anomalies. ``--json`` dumps the raw snapshot once for
-scripts.
+``--json`` dumps the raw snapshot once for scripts.
 
 Rendering is a pure function (:func:`render_frame`) over the snapshot
 dict, so tests and offline tooling can feed it saved payloads.
@@ -33,33 +29,10 @@ import urllib.error
 import urllib.request
 from typing import Any, Mapping
 
-__all__ = ["fetch_snapshot", "main", "render_frame", "sparkline"]
+__all__ = ["fetch_snapshot", "main", "render_frame"]
 
 #: ANSI clear-screen + cursor-home, prepended between live frames.
 _CLEAR = "\x1b[2J\x1b[H"
-
-#: Eight-level block ramp for sparklines, lowest to highest.
-_SPARK = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: list[float], width: int = 24) -> str:
-    """Render ``values`` as a unicode block sparkline (pure).
-
-    The last ``width`` values are scaled into the 8-level block ramp;
-    a flat series renders as the lowest block so "no movement" and
-    "no data" look different.
-    """
-    values = [float(v) for v in values][-width:]
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span <= 0:
-        return _SPARK[0] * len(values)
-    top = len(_SPARK) - 1
-    return "".join(
-        _SPARK[min(top, int((v - lo) / span * top + 0.5))] for v in values
-    )
 
 
 def fetch_snapshot(url: str, timeout: float = 2.0) -> dict[str, Any]:
@@ -199,39 +172,6 @@ def _target_lines(target: Mapping[str, Any] | None) -> list[str]:
     return lines
 
 
-#: Max series rows in the TSDB section before truncation.
-_TSDB_ROWS = 12
-
-
-def _tsdb_lines(tsdb: Mapping[str, Any] | None) -> list[str]:
-    if not tsdb:
-        return []
-    series = tsdb.get("series") or {}
-    lines = [
-        f"SERIES  samples {tsdb.get('samples', 0)}"
-        f"  interval {tsdb.get('interval', '?')}s"
-    ]
-    width = max((len(name) for name in series), default=0)
-    for name in sorted(series)[:_TSDB_ROWS]:
-        entry = series[name] or {}
-        spark = sparkline(entry.get("points") or [])
-        lines.append(
-            f"  {name:<{width}}  {entry.get('rate', 0.0):>10.3f}/s"
-            f"  {spark:<24}  {entry.get('last', 0.0):g}"
-        )
-    if len(series) > _TSDB_ROWS:
-        lines.append(f"  ... {len(series) - _TSDB_ROWS} more series")
-    anomalies = tsdb.get("anomalies") or []
-    if anomalies:
-        lines.append(
-            "  ANOMALY " + " ".join(
-                f"{entry.get('series', '?')}={entry.get('score', 0.0):.1f}"
-                for entry in anomalies
-            )
-        )
-    return lines
-
-
 def render_frame(snapshot: Mapping[str, Any], *, source: str = "") -> str:
     """Render one snapshot as a multi-line terminal frame (pure)."""
     if "error" in snapshot and "host" not in snapshot:
@@ -241,10 +181,6 @@ def render_frame(snapshot: Mapping[str, Any], *, source: str = "") -> str:
     lines.extend(_host_lines(snapshot.get("host") or {}))
     lines.append("")
     lines.extend(_target_lines(snapshot.get("target")))
-    tsdb_lines = _tsdb_lines(snapshot.get("tsdb"))
-    if tsdb_lines:
-        lines.append("")
-        lines.extend(tsdb_lines)
     flight = snapshot.get("flight")
     if flight:
         lines.append("")

@@ -148,10 +148,9 @@ class TestDispatchReply:
 
 
 def test_reading_stats_records_nothing(client):
-    """``stats()`` is a getter — its dict is what ``top``, the Scoreboard
-    and crash bundles read — and a traced offload mirrors no transport
-    depth onto a gauge either. (Other gauges may exist: the deadline
-    timer stores its lag whenever a deadline fires.)"""
+    """``stats()`` is a getter — its dict is what ``top`` and crash
+    bundles read — and a traced offload mirrors no transport depth onto
+    a gauge either."""
     assert client.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
     stats = client.backend.stats()
     assert stats["pending_replies"] == 0 and stats["invokes_posted"] == 1

@@ -100,12 +100,10 @@ class TestGlobalRuntimeLifecycle:
     def test_finalize_keeps_a_recorder_enabled_before_init(self):
         recorder = telemetry.enable()
         try:
-            offload.init(LocalBackend(), telemetry={"tsdb": True})
-            assert recorder.tsdb is not None
+            offload.init(LocalBackend(), telemetry=True)
             assert offload.sync(1, f2f(apps.echo, 1)) == 1
             offload.finalize()
             assert telemetry.get() is recorder
-            assert recorder.tsdb is None  # its thread stopped with the session
             assert recorder.spans()
         finally:
             offload.finalize()
@@ -139,9 +137,12 @@ def test_sample_rate_one_records_what_true_does():
         ({"telemetry": {"sample_rate": 0.5}}, ValueError),
         ({"telemetry": "yes"}, TypeError),
         # ... and raised by Runtime(...) with the target already up,
-        # the second time with an endpoint and a tsdb thread to take down.
+        # the second time with an endpoint to take down.
         ({"window": 0}, BackendError),
-        ({"window": 0, "telemetry": {"metrics_port": 0, "tsdb": True}}, BackendError),
+        ({"window": 0, "telemetry": {"metrics_port": 0}}, BackendError),
+        # An option that no longer exists: the dataclass's own TypeError,
+        # before anything is spawned (the time-series store was removed).
+        ({"telemetry": {"tsdb": True}}, TypeError),
     ],
 )
 def test_failed_init_leaves_nothing_behind(transport, options, error):

@@ -180,18 +180,21 @@ class TestTraceIds:
         assert all(0 < i < 1 << 128 for i in in_child + in_parent)
 
 
-#: What trace sampling left in the source: telemetry is on or off.
-SAMPLING_NAMES = ("HeadSampler", "TailPipeline", ".sampled", "peek_trace_flags",
-                  "trace.tail_")
+#: What removed mechanisms left in the source: trace sampling (telemetry
+#: is on or off) and the in-process time-series store with its per-target
+#: series and anomaly detector. Matched case-insensitively.
+REMOVED_NAMES = ("HeadSampler", "TailPipeline", ".sampled", "peek_trace_flags",
+                 "trace.tail_", "tsdb", "Scoreboard", "AnomalyDetector",
+                 "anomal", "target.reply.")
 
 
-def sampling_mentions(src: pathlib.Path) -> list[str]:
-    """``path:line: name`` for every mention of a sampling name under ``src``."""
+def removed_mentions(src: pathlib.Path) -> list[str]:
+    """``path:line: name`` for every mention of a removed name under ``src``."""
     return [f"{path.relative_to(src)}:{number}: {name}"
             for path in sorted(src.rglob("*.py"))
-            for number, line in enumerate(path.read_text().splitlines(), 1)
-            for name in SAMPLING_NAMES if name in line]
+            for number, line in enumerate(path.read_text().lower().splitlines(), 1)
+            for name in REMOVED_NAMES if name.lower() in line]
 
 
-def test_no_module_mentions_trace_sampling():
-    assert sampling_mentions(pathlib.Path(repro.__file__).parent) == []
+def test_no_module_mentions_a_removed_mechanism():
+    assert removed_mentions(pathlib.Path(repro.__file__).parent) == []

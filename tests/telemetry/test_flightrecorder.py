@@ -243,63 +243,6 @@ class TestIncident:
         assert flight.dumps == dumped
 
 
-class TestTimeseriesBundle:
-    def test_bundle_includes_timeseries_json(self, tmp_path):
-        from repro.telemetry import recorder as telemetry
-        from repro.telemetry.flightrecorder import BUNDLE_TIMESERIES
-        from repro.telemetry.tsdb import install_tsdb
-
-        telemetry.enable()
-        recorder = telemetry.get()
-        tsdb = install_tsdb(recorder)
-        try:
-            import time as _time
-            now = _time.time()
-            for i in range(5):
-                tsdb.store.record(
-                    "target.in_flight.1", float(i), now - 4 + i)
-            rec = FlightRecorder(capacity=8, crash_dir=tmp_path)
-            bundle = rec.dump("anomaly")
-            payload = json.loads((bundle / BUNDLE_TIMESERIES).read_text())
-            assert payload["target.in_flight.1"]["v"] == [
-                0.0, 1.0, 2.0, 3.0, 4.0]
-            loaded = flightrecorder.load_bundle(bundle)
-            assert loaded["timeseries"] == payload
-        finally:
-            recorder.tsdb = None
-            telemetry.disable()
-
-    def test_no_tsdb_no_timeseries_file(self, tmp_path):
-        from repro.telemetry.flightrecorder import BUNDLE_TIMESERIES
-
-        rec = FlightRecorder(capacity=8, crash_dir=tmp_path)
-        bundle = rec.dump("boom")
-        assert not (bundle / BUNDLE_TIMESERIES).exists()
-        assert flightrecorder.load_bundle(bundle)["timeseries"] is None
-
-    def test_timeseries_window_bounds_the_dump(self, tmp_path):
-        from repro.telemetry import recorder as telemetry
-        from repro.telemetry.flightrecorder import BUNDLE_TIMESERIES
-        from repro.telemetry.tsdb import install_tsdb
-
-        telemetry.enable()
-        recorder = telemetry.get()
-        tsdb = install_tsdb(recorder)
-        try:
-            import time as _time
-            now = _time.time()
-            tsdb.store.record("g", 1.0, now - 10_000)  # far outside
-            tsdb.store.record("g", 2.0, now)
-            rec = FlightRecorder(capacity=8, crash_dir=tmp_path)
-            rec.timeseries_window = 60.0
-            bundle = rec.dump("boom")
-            payload = json.loads((bundle / BUNDLE_TIMESERIES).read_text())
-            assert payload["g"]["v"] == [2.0]
-        finally:
-            recorder.tsdb = None
-            telemetry.disable()
-
-
 class TestTransportSnapshot:
     """``state.json`` is what each attached runtime says of itself —
     the recorder looks for nothing in it."""

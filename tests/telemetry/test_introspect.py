@@ -203,6 +203,28 @@ class TestThroughProxies:
         assert [t["node"] for t in targets] == [1, 2]
         assert not any("error" in t for t in targets)
 
+    def test_forked_tcp_targets_behind_a_fanout_all_show(self):
+        """Two spawned tcp targets, the second behind a chaos proxy: the
+        snapshot lists both as live targets, the proxied one too."""
+        inners = []
+        for _ in range(2):
+            process, address = spawn_local_server()
+            inners.append(TcpBackend(
+                address, on_shutdown=lambda p=process: p.join(timeout=5)
+            ))
+        runtime = Runtime(FanoutBackend(
+            [inners[0], FaultInjectingBackend(inners[1])]
+        ))
+        try:
+            for node in (1, 2):
+                assert runtime.sync(node, f2f(apps.add, node, 1)) == node + 1
+            targets = inspect.snapshot(runtime)["target"]["targets"]
+        finally:
+            runtime.shutdown()
+        assert [t["node"] for t in targets] == [1, 2]
+        for target in targets:
+            _check_payload(target, "tcp")
+
     def test_a_simulator_has_no_target_state(self):
         runtime = Runtime(DmaCommBackend())
         try:
@@ -348,38 +370,6 @@ class TestTopRendering:
         )
         assert "offload API not initialized" in frame
 
-    def test_render_frame_shows_tsdb_series_and_anomalies(self):
-        snapshot = self._snapshot()
-        snapshot["tsdb"] = {
-            "samples": 30, "interval": 1.0,
-            "series": {
-                "target.in_flight.1": {
-                    "last": 2.0, "rate": 0.0,
-                    "points": [0.0, 1.0, 2.0, 4.0, 2.0],
-                },
-                "offload.issued": {
-                    "last": 90.0, "rate": 10.5,
-                    "points": [50.0, 60.0, 70.0, 80.0, 90.0],
-                },
-            },
-            "anomalies": [{"series": "target.in_flight.1", "score": 7.3,
-                           "since": 123.0}],
-        }
-        frame = top.render_frame(snapshot, source="test")
-        assert "SERIES  samples 30" in frame
-        assert "target.in_flight.1" in frame
-        assert "10.500/s" in frame
-        assert "ANOMALY target.in_flight.1=7.3" in frame
-        # Sparkline blocks present for the varying series.
-        assert any(ch in frame for ch in "▁▂▃▄▅▆▇█")
-
-    def test_sparkline_shapes(self):
-        assert top.sparkline([]) == ""
-        assert top.sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
-        ramp = top.sparkline([0.0, 1.0, 2.0, 3.0])
-        assert ramp[0] == "▁" and ramp[-1] == "█"
-        assert len(top.sparkline(list(range(100)), width=24)) == 24
-
     def test_once_against_dead_endpoint_exits_nonzero(self, capsys):
         rc = top.main(["http://127.0.0.1:1", "--once", "--timeout", "0.2"])
         assert rc == 1
@@ -399,8 +389,7 @@ class TestTopRendering:
     def test_json_one_shot_prints_raw_snapshot(self, capsys):
         from repro.offload import api as offload
 
-        offload.init(LocalBackend(),
-                     telemetry={"metrics_port": 0, "tsdb": True})
+        offload.init(LocalBackend(), telemetry={"metrics_port": 0})
         try:
             offload.sync(1, f2f(apps.add, 2, 3))
             rc = top.main([offload.metrics_server().url, "--json"])
@@ -410,7 +399,6 @@ class TestTopRendering:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == SNAPSHOT_SCHEMA_VERSION
         assert payload["host"]["pid"] > 0
-        assert "tsdb" in payload
 
     def test_json_against_dead_endpoint_exits_nonzero(self, capsys):
         rc = top.main(["http://127.0.0.1:1", "--json", "--timeout", "0.2"])
@@ -419,39 +407,3 @@ class TestTopRendering:
         assert out.out == ""
         assert "unreachable" in out.err
 
-
-class TestTsdbSnapshot:
-    def test_snapshot_has_tsdb_section_when_installed(self):
-        from repro.telemetry import recorder as telemetry
-        from repro.telemetry.tsdb import install_tsdb
-
-        telemetry.enable()
-        recorder = telemetry.get()
-        tsdb = install_tsdb(recorder)
-        runtime = Runtime(LocalBackend())
-        try:
-            tsdb.attach_runtime(runtime)
-            runtime.sync(1, f2f(apps.add, 1, 2))
-            import time as _time
-            now = _time.time()
-            for i in range(5):
-                tsdb.store.record("target.in_flight.1", float(i), now - 4 + i)
-                tsdb.store.record("offload.issued", float(i * 2), now - 4 + i)
-            section = inspect.tsdb_snapshot()
-        finally:
-            runtime.shutdown()
-            recorder.tsdb = None
-        entry = section["series"]["target.in_flight.1"]
-        assert entry["last"] == 4.0
-        assert entry["points"] == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert section["series"]["offload.issued"]["rate"] == pytest.approx(
-            2.0)
-        assert section["anomalies"] == []
-
-    def test_snapshot_tsdb_none_when_not_installed(self):
-        runtime = Runtime(LocalBackend())
-        try:
-            snapshot = inspect.snapshot(runtime, probe_target=False)
-        finally:
-            runtime.shutdown()
-        assert snapshot["tsdb"] is None

@@ -31,11 +31,11 @@ def test_concurrent_scrapes_while_registry_mutates():
             while not stop.is_set():
                 i += 1
                 reg.counter(f"offload.issued").inc()
-                reg.counter(f"target.errors.{i % 3 + 1}").inc(i % 2)
+                reg.counter(f"kernel.k{i % 3 + 1}.errors").inc(i % 2)
                 reg.gauge(f"window.in_flight").set(i % 7)
                 reg.gauge(f"health.node_state.{i % 3 + 1}").set(1.0)
                 hist = reg.log_histogram(
-                    f"target.reply.{i % 3 + 1}", exemplars=True)
+                    f"kernel.k{i % 3 + 1}.offload", exemplars=True)
                 hist.observe(0.001 * (i % 50 + 1), trace_id=f"{i:08x}")
         except BaseException as exc:  # noqa: BLE001 - reported by the test
             mutator_error.append(exc)
@@ -83,8 +83,7 @@ def test_concurrent_scrapes_while_registry_mutates():
     # The mutator made progress while being scraped.
     final = reg.snapshot()
     assert final["counters"]["offload.issued"] > 0
-    assert any(name.startswith("target.reply.")
-               for name in final["histograms"])
+    assert any(name.endswith(".offload") for name in final["histograms"])
 
 
 def test_racing_first_use_gets_one_instrument_and_loses_nothing():

@@ -33,7 +33,7 @@ class TestToPrometheus:
     def registry(self):
         reg = MetricsRegistry()
         reg.counter("offload.issued").inc(5)
-        reg.gauge("reactor.loop_lag_us").set(1.5)
+        reg.gauge("health.node_state.1").set(1.5)
         hist = reg.log_histogram("phase.offload.execute")
         for value in (0.010, 0.020, 0.030):
             hist.observe(value)
@@ -46,8 +46,8 @@ class TestToPrometheus:
 
     def test_gauge_rendering(self, registry):
         text = to_prometheus(registry.snapshot())
-        assert "# TYPE repro_reactor_loop_lag_us gauge" in text
-        assert "repro_reactor_loop_lag_us 1.5" in text
+        assert "# TYPE repro_health_node_state_1 gauge" in text
+        assert "repro_health_node_state_1 1.5" in text
 
     def test_help_and_unit_come_from_the_signal_table(self, registry):
         text = to_prometheus(registry.snapshot())

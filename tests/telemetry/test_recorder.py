@@ -172,12 +172,12 @@ class TestSwitchboard:
         with telemetry.span("s", node=1):
             telemetry.event("e")
         telemetry.count("offload.issued", 3)
-        telemetry.gauge("reactor.loop_lag_us", 2.5)
+        telemetry.gauge("health.node_state.1", 2.5)
         assert [r.name for r in rec.spans()] == ["s"]
         assert [r.name for r in rec.events()] == ["e"]
         snap = rec.metrics.snapshot()
         assert snap["counters"]["offload.issued"] == 3
-        assert snap["gauges"]["reactor.loop_lag_us"] == 2.5
+        assert snap["gauges"]["health.node_state.1"] == 2.5
         assert snap["histograms"]["phase.s"]["count"] == 1
 
     def test_kernel_percentile_needs_a_recorder_and_enough_samples(self):

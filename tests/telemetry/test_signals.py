@@ -1,6 +1,6 @@
 """The signal table is held to the code: every series the source emits
 is declared, every declared row is emitted, the docs table is the
-generated one — and the one store gives its four readers one answer."""
+generated one — and the one store gives its readers one answer."""
 
 import ast
 import json
@@ -78,7 +78,7 @@ def emitted_series() -> dict[str, str]:
 class TestTable:
     def test_every_series_literal_in_the_source_is_declared(self):
         emitted = emitted_series()
-        assert len(emitted) > 25  # the scan bites
+        assert len(emitted) > 21  # the scan bites
         undeclared = {name: where for name, where in emitted.items()
                       if SIGNALS.resolve(name) is None}
         assert not undeclared
@@ -100,7 +100,7 @@ class TestTable:
         assert SIGNALS.resolve("kernel.k.offload.serialize") is None
         assert SIGNALS.resolve("slo.lat.tenant.gold.breached").name == \
             "slo.<slo>.breached"
-        assert SIGNALS.resolve("target.reply.") is None  # the label is empty
+        assert SIGNALS.resolve("health.node_state.") is None  # the label is empty
         # Labels are free text: a kernel may end like another's leaf.
         assert SIGNALS.resolve("kernel.k.copy.bytes").kind == "counter"
         assert SIGNALS.resolve("kernel.k.copy.bytes", "histogram") is None
@@ -131,14 +131,14 @@ def _unarmed_flight_recorder():
 
 
 def test_three_readers_one_answer(tmp_path, _unarmed_flight_recorder):
-    """``/metrics``, a crash bundle's ``metrics.json`` and the TSDB all
-    read the recorder's one registry: a kernel's series is in all three
-    after one offload."""
+    """``/metrics``, a crash bundle's ``metrics.json`` and the hedger's
+    trigger (``kernel_percentile``) all read the recorder's one registry:
+    a kernel's series is in all three after one offload."""
     kernel = f2f(apps.add, 1, 2).type_name
     series = f"kernel.{kernel}.offload"
     try:
         runtime = offload_api.init(LocalBackend(), telemetry={
-            "metrics_port": 0, "tsdb": True, "crash_dir": tmp_path,
+            "metrics_port": 0, "crash_dir": tmp_path,
         })
         assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
 
@@ -150,9 +150,8 @@ def test_three_readers_one_answer(tmp_path, _unarmed_flight_recorder):
         metrics = json.loads((bundle / "metrics.json").read_text())
         assert metrics["histograms"][series]["count"] == 1
 
-        tsdb = telemetry.get().tsdb
-        tsdb.sample_once()
-        assert tsdb.store.latest(series + ".count") == 1
+        assert telemetry.kernel_percentile(kernel, 50.0, 1) == \
+            metrics["histograms"][series]["p50"]
     finally:
         offload_api.finalize()
         telemetry.disable()

@@ -45,7 +45,7 @@ NEVER = [
     "networkx", "scipy", "asyncio", "http.server",
     "repro.machine", "repro.cluster", "repro.hw", "repro.sim", "repro.veo",
     "repro.veos", "repro.bench", "repro.workloads",
-    "repro.telemetry.tsdb", "repro.telemetry.promexport", "repro.telemetry.slo",
+    "repro.telemetry.promexport", "repro.telemetry.slo",
     "repro.telemetry.inspect", "repro.telemetry.report",
 ]
 #: The other transports' modules.
@@ -80,17 +80,14 @@ EXPORTER = ["http.server", "repro.telemetry.promexport"]
     "telemetry, selected",
     [
         (True, ["repro.telemetry.config", "repro.telemetry.slo"]),
-        ({"tsdb": True}, ["repro.telemetry.tsdb"]),
         ({"metrics_port": 0}, EXPORTER),
     ],
-    ids=["true", "tsdb", "metrics_port"],
+    ids=["true", "metrics_port"],
 )
 def test_an_option_loads_what_it_selects(telemetry, selected):
     modules = _modules_after_offload("local", telemetry=telemetry)
     for name in selected:
         assert name in modules, name
-    if "repro.telemetry.tsdb" not in selected:
-        assert "repro.telemetry.tsdb" not in modules
     if selected is not EXPORTER:
         for name in EXPORTER:
             assert _loaded(modules, name) == [], name
@@ -107,8 +104,7 @@ import repro.bench.experiments
 print(json.dumps(sorted(sys.modules)))
 """)))
     for prefix in (
-        "repro.backends.tcp", "repro.backends.shm",
-        "repro.telemetry.tsdb", "repro.telemetry.promexport",
+        "repro.backends.tcp", "repro.backends.shm", "repro.telemetry.promexport",
     ):
         assert _loaded(modules, prefix) == [], prefix
 
