@@ -496,18 +496,23 @@ class FramedClient(Backend):
 
     # -- invocation --------------------------------------------------------------
     def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
-        self._check_alive()
-        self.check_target(node)
+        if not self._alive:  # _check_alive(), inline
+            raise BackendError(f"{self.name} backend is shut down")
+        if node != 1:  # check_target(), inline: the one target is node 1
+            self.check_target(node)
         self._msg_id += 1
         parts, total = sized_invoke_parts(self.host_image, functor, self._msg_id)
         handle = InvokeHandle(self, label=functor.type_name)
-        # Telemetry phase ``offload.enqueue``: filing the reply
-        # expectation and handing the frame to the transport.
-        with telemetry.span(
-            "offload.enqueue", bytes=total, functor=functor.type_name,
-            corr=handle.correlation_id,
-        ):
+        if telemetry.get() is None:
             self._expect(OP_INVOKE, handle, self._post_frame, parts)
+        else:
+            # Telemetry phase ``offload.enqueue``: filing the reply
+            # expectation and handing the frame to the transport.
+            with telemetry.span(
+                "offload.enqueue", bytes=total, functor=functor.type_name,
+                corr=handle.correlation_id,
+            ):
+                self._expect(OP_INVOKE, handle, self._post_frame, parts)
         self.invokes_posted += 1
         return handle
 
@@ -531,7 +536,8 @@ class FramedClient(Backend):
     ) -> None:
         if handle.completed:
             return
-        self._check_alive()
+        if not self._alive:  # _check_alive(), inline
+            raise BackendError(f"{self.name} backend is shut down")
         if not blocking:
             self._poll()
             return

@@ -35,6 +35,10 @@ another thread, and both are decided from what the loop measures:
 With ``workers`` invocations executing, the reader parks further
 invokes on a FIFO backlog that finishing executors drain before they
 park themselves.
+
+Replies to one burst of requests leave in one write: the reader holds
+the reply of the invocation it is inside while its parser has bytes
+left, and sends what it holds before it waits for more (``_reply``).
 """
 
 from __future__ import annotations
@@ -83,6 +87,9 @@ FRAME_OVERHEAD = _LEN.size + _FRAME_META
 #: the receive buffer comes from the allocator's heap, not a fresh mapping
 #: per call. A frame longer than this is received into its own buffer.
 _RECV_CHUNK = 64 * 1024
+
+#: The op byte of an invocation's reply.
+_INVOKE_REPLY = OP_INVOKE | OP_REPLY_BIT
 
 #: Default number of concurrent INVOKEs a target executes.
 DEFAULT_SERVER_WORKERS = 4
@@ -253,6 +260,14 @@ class FramedServer:
         self._digest: bytes | None = None
         #: Every serving thread replies on the one pipe.
         self._send_lock = threading.Lock()
+        #: Under the send lock: the parts of the framed replies the
+        #: reader holds back while more requests wait in its parser
+        #: (joined into one buffer when sent: a scatter-gather write
+        #: takes at most ``IOV_MAX`` parts), their byte count, and its
+        #: bound, fixed once the parser exists (:meth:`_serve`).
+        self._held: list[Any] = []
+        self._held_bytes = 0
+        self._hold_limit = 0
         #: Guards every field below and the counter above; the loop
         #: takes it twice per invocation, to book and to un-book.
         self._lock = threading.Lock()
@@ -300,6 +315,8 @@ class FramedServer:
         # reply's tail store and the wait for the next request.
         frame = parser.next_frame() if parser._data else None
         while frame is None:
+            if self._held:  # the burst is parsed: its replies leave now
+                self._flush()
             self._await_bytes()
             try:
                 received = parser.fill()
@@ -311,17 +328,57 @@ class FramedServer:
         return frame
 
     def _reply(self, op: int, corr: int, *parts: Any) -> None:
-        """Frame one reply and send it; any serving thread."""
+        """Frame one reply and send it, behind every reply held; any
+        serving thread.
+
+        The reply to the invocation the reader is inside is held instead
+        while the parser has bytes left, up to :attr:`_hold_limit` bytes
+        in all: the requests of one burst are answered in one write (a
+        depth-1 request leaves nothing unparsed, so it is sent at once).
+        Any other reply — another thread's, an inline op's, a failure —
+        takes the held ones with it.
+        """
         length = _FRAME_META + sum(map(len, parts))
+        nbytes = _LEN.size + length
         frame = [_PREFIX.pack(length, op, corr), *parts]
         with self._send_lock:
-            self._transmit(frame, _LEN.size + length)
+            held = self._held
+            inside = self._inside
+            if (self._parser._data and inside is not None and inside[0] == corr
+                    and op == _INVOKE_REPLY
+                    and self._held_bytes + nbytes <= self._hold_limit):
+                held += frame
+                self._held_bytes += nbytes
+                return
+            if held:
+                held_bytes = self._held_bytes
+                self._held, self._held_bytes = [], 0
+                if held_bytes + nbytes <= self._parser.limit:
+                    frame = [b"".join(held), *frame]
+                    nbytes += held_bytes
+                else:  # too long to ride along: the held ones go first
+                    self._transmit([b"".join(held)], held_bytes)
+            self._transmit(frame, nbytes)
+
+    def _flush(self) -> None:
+        """Send the held replies, in one write; any serving thread."""
+        with self._send_lock:
+            held, nbytes = self._held, self._held_bytes
+            if not held:
+                return
+            self._held, self._held_bytes = [], 0
+            try:
+                self._transmit([b"".join(held)], nbytes)
+            except self._CLIENT_GONE:
+                pass  # the reader's next receive finds the client gone
 
     # -- the dispatch loop ----------------------------------------------------
     def _serve(self) -> None:
         """Run the loop on ``workers + 1`` daemon threads; returns once
         it has stopped *and* every booked invocation has replied. The
         caller only joins, so interrupting it ends serving at once."""
+        # A held burst never outgrows one receive, nor half a frame.
+        self._hold_limit = min(_RECV_CHUNK, self._parser.limit // 2)
         threads = [
             threading.Thread(
                 target=self._run, name=f"ham-{self.transport}-worker-{i}",
@@ -433,6 +490,8 @@ class FramedServer:
                 elif op == OP_SHUTDOWN:
                     # Acknowledged once nothing executes (the backlog is
                     # then empty too): the ack is the last frame sent.
+                    # Nothing held waits for that drain.
+                    self._flush()
                     with self._lock:
                         self._draining = True
                         while self._executing:
@@ -502,7 +561,7 @@ class FramedServer:
             )
             ran_ns = self.clock_ns() - began
             if recorder is None:
-                self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
+                self._reply(_INVOKE_REPLY, corr, reply)
                 return ran_ns
             with self._lock:
                 pending = self._executing + len(self._backlog)
@@ -516,7 +575,7 @@ class FramedServer:
                 self._reply_span, worker=worker, corr=corr,
                 bytes=len(reply), pending=pending, **self._reply_span_attrs(),
             ):
-                self._reply(OP_INVOKE | OP_REPLY_BIT, corr, reply)
+                self._reply(_INVOKE_REPLY, corr, reply)
         except Exception as exc:  # noqa: BLE001 - shipped to the client
             self._send_failure(corr, exc)  # (dropped there if it has gone)
         return ran_ns

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.backends._sim_common import Doorbell
 from repro.backends.base import Backend, InvokeHandle
-from repro.errors import BackendError, OffloadTimeoutError
+from repro.errors import BackendError, BadAddressError, OffloadTimeoutError
 from repro.ham.execution import build_invoke, execute_message
 from repro.ham.functor import Functor
 from repro.ham.message import MSG_SHUTDOWN, build_message
@@ -109,6 +109,25 @@ class TargetChannel:
             raise BackendError(
                 f"VE {self.ve_index} message loop crashed"
             ) from self.server.value
+
+
+def _live_view(channel: TargetChannel, ptr: BufferPtr) -> np.ndarray:
+    """The VE memory ``ptr`` names, as a typed view. The range must lie
+    inside one live allocation, as ``HostedBuffers`` requires: a freed
+    or foreign pointer raises :class:`BadAddressError` instead of
+    reading whatever the memory holds now. (A table lookup: no
+    simulated time is charged.)"""
+    hbm = channel.ve.hbm
+    end = ptr.addr + ptr.nbytes
+    try:
+        inside = end <= hbm.allocation_at(ptr.addr).end
+    except BadAddressError:
+        inside = False
+    if not inside:
+        raise BadAddressError(
+            f"range [{ptr.addr:#x}, {end:#x}) is not inside a live buffer"
+        )
+    return hbm.view(ptr.addr, ptr.nbytes).view(ptr.dtype)
 
 
 class SimBackendBase(Backend):
@@ -342,12 +361,11 @@ class SimBackendBase(Backend):
                 raise BackendError(
                     f"buffer of node {arg.node} dereferenced on node {channel.node}"
                 )
-            return channel.ve.hbm.view(arg.addr, arg.nbytes).view(arg.dtype)
+            return _live_view(channel, arg)
         return arg
 
     def resolve_buffer(self, node: NodeId, ptr: BufferPtr) -> np.ndarray:
-        channel = self.channel(node)
-        return channel.ve.hbm.view(ptr.addr, ptr.nbytes).view(ptr.dtype)
+        return _live_view(self.channel(node), ptr)
 
     # -- memory (via VEO in both protocols) --------------------------------------------------
     def alloc_buffer(self, node: NodeId, nbytes: int) -> int:

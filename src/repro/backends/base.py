@@ -666,10 +666,14 @@ class InvokeHandle:
         taxonomy.
         """
         if not self.completed or not self._transport_spanned:
-            with telemetry.span("offload.transport", label=self.label):
+            if telemetry.get() is None:  # nothing records: no span entered
                 if not self.completed:
                     self.backend.drive(self, blocking=True, timeout=timeout)
-            self._transport_spanned = True
+            else:
+                with telemetry.span("offload.transport", label=self.label):
+                    if not self.completed:
+                        self.backend.drive(self, blocking=True, timeout=timeout)
+                self._transport_spanned = True
         if self._error is not None:
             raise self._error
         assert self._reply is not None

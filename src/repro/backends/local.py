@@ -82,8 +82,10 @@ class LocalBackend(Backend):
     # -- invocation -----------------------------------------------------------
     def _execute(self, node: NodeId, functor: Functor) -> bytes:
         """Run ``functor`` on ``node``'s image; the raw reply message."""
-        self._check_alive()
-        self.check_target(node)
+        if not self._alive:  # _check_alive(), inline
+            raise BackendError("local backend is shut down")
+        if node not in self._targets:  # check_target(), inline
+            self.check_target(node)
         target = self._targets[node]
         self._msg_id += 1
         invoke = build_invoke(self.host_image, functor, self._msg_id)

@@ -171,8 +171,11 @@ class Future:
         if self._handle is None:
             raise FutureError(f"future {self._label!r} detached from its backend")
         try:
-            with trace_context.activate(self._trace):
+            if self._trace is None:  # nothing recorded at async_: no trace
                 self._value = self._handle.wait(timeout=timeout)
+            else:
+                with trace_context.activate(self._trace):
+                    self._value = self._handle.wait(timeout=timeout)
         except OffloadTimeoutError:
             # Deadline expired but the operation may still be in flight:
             # stay pending so a later get() can collect the reply (a

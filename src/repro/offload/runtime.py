@@ -214,7 +214,12 @@ class Runtime:
         tenant: "str | TenantContext | None" = None,
     ) -> Future:
         """Asynchronous offload of ``functor`` to ``node`` (paper ``async``)."""
-        return self._offload(node, functor, self._resolve_tenant(tenant))
+        if tenant is None:
+            tenant = _CURRENT_TENANT.get()  # current_tenant(), inline
+        # No tenant and no QoS resolve to no context, without a call.
+        tctx = (None if tenant is None and self.qos is None
+                else self._resolve_tenant(tenant))
+        return self._offload(node, functor, tctx)
 
     def _offload(
         self, node: NodeId, functor: Functor, tctx: TenantContext | None,

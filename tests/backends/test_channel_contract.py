@@ -36,7 +36,12 @@ from repro.backends import (
 from repro.backends.base import DEFAULT_INFLIGHT_LIMIT, Backend, InvokeHandle
 from repro.backends._server import OP_PING, OP_REPLY_BIT, FrameParser
 from repro.backends.tcp import FRAME_LIMIT
-from repro.errors import BackendError, LoadShedError, OffloadTimeoutError
+from repro.errors import (
+    BackendError,
+    LoadShedError,
+    OffloadTimeoutError,
+    RemoteExecutionError,
+)
 from repro.ham import f2f
 from repro.offload import QoSConfig, ResiliencePolicy, Runtime, TenantPolicy
 from repro.offload import api as offload_api
@@ -115,6 +120,20 @@ class TestChannelContract:
     def test_default_window_limit(self, channel):
         _name, runtime, _backend = channel
         assert runtime.window.limit == DEFAULT_INFLIGHT_LIMIT
+
+
+@pytest.mark.parametrize(
+    "channel", ["local", "dma", "veo", "shm", "tcp"], indirect=True)
+def test_a_kernel_given_a_freed_buffer_gets_a_bad_address(channel):
+    """The target checks a pointer against its live allocations, on the
+    simulated VE as on a hosted target: a freed buffer is not read."""
+    _name, runtime, _backend = channel
+    ptr = runtime.allocate(1, 4)
+    runtime.put(np.ones(4), ptr).get()
+    assert runtime.sync(1, f2f(apps.sum_buffer, ptr)) == 4.0
+    runtime.free(ptr)
+    with pytest.raises(RemoteExecutionError, match="BadAddressError"):
+        runtime.sync(1, f2f(apps.sum_buffer, ptr))
 
 
 @pytest.mark.parametrize("channel", ["tcp", "shm"], indirect=True)

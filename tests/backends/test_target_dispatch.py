@@ -7,6 +7,7 @@ regression fails instead of hanging, and whether an invocation "ran
 long" is decided by the clock a test hands the server.
 """
 
+import contextlib
 import functools
 import os
 import socket
@@ -19,7 +20,9 @@ import pytest
 
 from repro.backends import _server
 from repro.backends._server import (
+    _PREFIX,
     _RECV_CHUNK,
+    _U64,
     OP_ALLOC,
     OP_FREE,
     OP_INVOKE,
@@ -30,6 +33,7 @@ from repro.backends._server import (
     FrameParser,
     _eof_error,
 )
+from repro.backends.base import InvokeHandle
 from repro.backends.shm import (
     STATE_STOPPED,
     ShmBackend,
@@ -40,8 +44,12 @@ from repro.backends.shm import (
 from repro.backends.tcp import FRAME_LIMIT, TcpBackend, TcpTargetServer
 from repro.errors import BackendError, RemoteExecutionError
 from repro.ham import f2f, offloadable
+from repro.ham.execution import sized_invoke_parts, unpack_result
 from repro.offload import Runtime
 from repro.telemetry import flightrecorder
+
+from tests.backends.wire import frame
+from tests.leaks import resources
 
 WAIT = 10.0
 WORKERS = 3
@@ -65,6 +73,15 @@ def _probed(server_class):
             self.inline_ops = []
             self.replies = []
             self.saw_shutdown = threading.Event()
+            #: ``(op, corr)`` of the frames each write put on the pipe.
+            self.writes = []
+            transmit = self._transmit
+
+            def recorded(parts, nbytes):
+                self.writes.append(_frames_in(parts))
+                transmit(parts, nbytes)
+
+            self._transmit = recorded
 
         def _next_frame(self):
             frame = super()._next_frame()
@@ -83,6 +100,27 @@ def _probed(server_class):
             super()._reply(op, corr, *parts)
 
     return Probe
+
+
+def _frames_in(parts):
+    """``(op, corr)`` of each frame in one write's parts, which may cut
+    frames anywhere; bodies are skipped, not copied."""
+    frames, prefix, skip = [], b"", 0
+    for part in parts:
+        view = memoryview(part).cast("B")
+        while len(view):
+            if skip:
+                taken = min(skip, len(view))
+                skip -= taken
+            else:
+                taken = _PREFIX.size - len(prefix)
+                prefix += bytes(view[:taken])
+                if len(prefix) == _PREFIX.size:
+                    length, op, corr = _PREFIX.unpack(prefix)
+                    frames.append((op, corr))
+                    prefix, skip = b"", length - 9
+            view = view[taken:]
+    return frames
 
 
 class Target:
@@ -249,6 +287,165 @@ class TestDispatchLoop:
             if op in (OP_ALLOC, OP_WRITE, OP_READ, OP_FREE)
         ]
         assert memory_ops == [OP_ALLOC, OP_WRITE, OP_READ, OP_FREE]
+
+
+@contextlib.contextmanager
+def _served(transport):
+    """A connected in-process target on a clock that stands still (no
+    invocation "runs long"); whatever it used is gone once it is."""
+    _HOOKS.clear()
+    _HOOKS["echo"] = lambda arg: arg
+    before = resources(baseline=True)
+    target = Target(transport)
+    target.server.clock_ns = _Clock()
+    target.connect()
+    try:
+        yield target
+    finally:
+        for gate in _HOOKS.get("gates", ()):
+            gate.set()
+        target.runtime.shutdown()
+        target.thread.join(WAIT)
+    assert not target.thread.is_alive()
+    assert resources() == before
+
+
+def _echo(backend, value):
+    """An ``OP_INVOKE`` request of ``dispatch_hook("echo", value)``."""
+    parts, _nbytes = sized_invoke_parts(
+        backend.host_image, f2f(dispatch_hook, "echo", value), 0)
+    return (OP_INVOKE, *parts)
+
+
+def _framed(backend, requests):
+    """File a handle for each ``(op, *body)`` request; returns the
+    handles and the requests framed back to back."""
+    handles, parts = [], []
+    for op, *body in requests:
+        handle = InvokeHandle(backend, f"op {op:#x}")
+        backend._expect(
+            op, handle, lambda op, corr, *body: parts.extend(frame(op, corr, *body)),
+            body,
+        )
+        handles.append(handle)
+    return handles, parts
+
+
+def _write_at_once(backend, requests):
+    """Put ``requests`` on the pipe in one write; returns their handles."""
+    handles, parts = _framed(backend, requests)
+    burst = b"".join(parts)
+    backend._transmit([burst], len(burst))
+    return handles
+
+
+def _wait_all(backend, handles):
+    for handle in handles:
+        backend.drive(handle, blocking=True, timeout=WAIT)
+        assert handle._error is None, handle._error
+
+
+def _reply_writes(server, handles):
+    """The writes that carried a reply to one of ``handles``, and every
+    correlation id on the wire in write order."""
+    ids = {handle.correlation_id for handle in handles}
+    writes = [write for write in server.writes if ids & {corr for _op, corr in write}]
+    return writes, [corr for write in server.writes for _op, corr in write]
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+class TestBurstReplies:
+    """The reader holds the replies of a burst until it has parsed the
+    burst, and sends them in one write."""
+
+    def test_a_burst_of_16_echoes_is_answered_in_at_most_two_writes(
+            self, transport, monkeypatch):
+        # The standby's interval is real time: a box that stalls this
+        # process inside one echo must not decide this test.
+        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
+        with _served(transport) as target:
+            backend = target.backend
+            handles = _write_at_once(backend, [_echo(backend, i) for i in range(16)])
+            _wait_all(backend, handles)
+            assert [unpack_result(h._reply)[1] for h in handles] == list(range(16))
+            writes, _order = _reply_writes(target.server, handles)
+            assert 1 <= len(writes) <= 2
+            assert [corr for write in writes for _op, corr in write] == [
+                handle.correlation_id for handle in handles
+            ]
+
+    def test_a_burst_of_more_replies_than_a_write_takes_parts(
+            self, transport, monkeypatch):
+        """A scatter-gather write takes at most ``IOV_MAX`` (1024)
+        parts; 1,100 held replies still leave whole."""
+        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
+        with _served(transport) as target:
+            backend = target.backend
+            handles = _write_at_once(backend, [_echo(backend, i) for i in range(1100)])
+            _wait_all(backend, handles)
+            assert [unpack_result(h._reply)[1] for h in handles] == list(range(1100))
+            writes, _order = _reply_writes(target.server, handles)
+            assert len(writes) < 1100 // 16
+
+    def test_an_alloc_inside_a_burst_is_answered_in_arrival_order(
+            self, transport, monkeypatch):
+        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
+        with _served(transport) as target:
+            backend = target.backend
+            requests = [_echo(backend, i) for i in range(4)]
+            requests += [(OP_ALLOC, _U64.pack(64))]
+            requests += [_echo(backend, i) for i in range(4, 8)]
+            handles = _write_at_once(backend, requests)
+            _wait_all(backend, handles)
+            ids = [handle.correlation_id for handle in handles]
+            _writes, order = _reply_writes(target.server, handles)
+            assert [corr for corr in order if corr in ids] == ids
+            backend.free_buffer(1, _U64.unpack(handles[4]._reply)[0])
+
+    def test_the_shutdown_ack_is_still_the_last_frame(self, transport, monkeypatch):
+        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
+        with _served(transport) as target:
+            backend, server = target.backend, target.server
+            transmit = backend._transmit
+            echoes = []
+
+            def behind_a_burst(parts, nbytes):
+                if _frames_in(parts)[0][0] == OP_SHUTDOWN:
+                    handles, ahead = _framed(backend, [_echo(backend, i) for i in range(8)])
+                    echoes.extend(handles)
+                    parts, nbytes = ahead + parts, nbytes + sum(map(len, ahead))
+                transmit(parts, nbytes)
+
+            backend._transmit = behind_a_burst
+            target.runtime.shutdown()
+            target.thread.join(WAIT)
+            assert [unpack_result(h._reply)[1] for h in echoes] == list(range(8))
+            frames = [frame for write in server.writes for frame in write]
+            assert frames[-1][0] == OP_SHUTDOWN | OP_REPLY_BIT
+            assert {corr for _op, corr in frames[-9:-1]} == {
+                handle.correlation_id for handle in echoes
+            }
+
+    def test_an_echo_ahead_of_a_blocked_kernel_is_answered_meanwhile(
+            self, transport):
+        """The echo's reply is held while the reader goes on to the
+        kernel; the standby takes the reading from the kernel, finds the
+        burst parsed and sends what was held."""
+        with _served(transport) as target:
+            backend = target.backend
+            entered, gate = threading.Event(), threading.Event()
+            _HOOKS["gates"] = [gate]
+            _HOOKS["park"] = lambda _arg: entered.set() or gate.wait(WAIT)
+            parked = (OP_INVOKE, *sized_invoke_parts(
+                backend.host_image, f2f(dispatch_hook, "park", None), 0)[0])
+            echo, park = _write_at_once(backend, [_echo(backend, 7), parked])
+            assert entered.wait(WAIT)
+            backend.drive(echo, blocking=True, timeout=WAIT)
+            assert unpack_result(echo._reply)[1] == 7
+            assert not gate.is_set() and not park.completed
+            gate.set()
+            backend.drive(park, blocking=True, timeout=WAIT)
+            assert unpack_result(park._reply)[1] is True
 
 
 class _Clock:
