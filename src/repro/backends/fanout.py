@@ -1,8 +1,8 @@
 """Fan-out backend: N single-target backends behind one node space.
 
 The TCP backend connects the host to exactly one server process; the
-resilience layer, hedging and multi-target failover all want *several*
-live targets. :class:`FanoutBackend` composes N single-target backends
+resilience layer's multi-target failover wants *several* live
+targets. :class:`FanoutBackend` composes N single-target backends
 (typically one :class:`~repro.backends.tcp.TcpBackend` per forked
 server) into one backend whose node space is ``0`` (host) plus nodes
 ``1..N`` — outer node ``i`` maps to inner backend ``i-1``'s node ``1``.

@@ -39,7 +39,7 @@ makes the rings lock-free without any further synchronization. A ring
 is a byte pipe, like a socket: it takes frames packed elsewhere
 (``write``), gives bytes to the one decoder (``recv`` / ``recv_into``)
 and knows no format. The frames are the tcp frames, so the whole channel
-contract — out-of-order completion, the in-flight window, QoS, hedging,
+contract — out-of-order completion, the in-flight window, QoS,
 telemetry — composes unchanged, and both ends are the tcp transport's
 classes over another pipe: :mod:`repro.backends._server` and
 :mod:`repro.backends._client` (docs/architecture.md, "Client core").

@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
     from repro.ham import Migratable, f2f, offloadable
     from repro.offload.buffer import BufferPtr
     from repro.offload.future import Future
-    from repro.offload.hedging import HedgePolicy, Hedger
     from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
     from repro.offload.qos import (
         BEST_EFFORT, PREMIUM, STANDARD, AdmissionController, FairInflightWindow,
@@ -48,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
 
 __all__ = [
     "AdmissionController", "BEST_EFFORT", "BufferPtr", "FairInflightWindow",
-    "Future", "HOST_NODE", "HealthMonitor", "HedgePolicy", "Hedger", "Migratable",
+    "Future", "HOST_NODE", "HealthMonitor", "Migratable",
     "NodeDescriptor", "NodeHealth", "NodeId", "PREMIUM", "QoSConfig",
     "ResiliencePolicy", "Runtime", "STANDARD", "TenantContext", "TenantPolicy",
     "TokenBucket", "current_tenant", "f2f", "offloadable", "tenant_scope",
@@ -58,7 +57,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.ham": ("Migratable", "f2f", "offloadable"),
     "repro.offload.buffer": ("BufferPtr",),
     "repro.offload.future": ("Future",),
-    "repro.offload.hedging": ("HedgePolicy", "Hedger"),
     "repro.offload.node": ("HOST_NODE", "NodeDescriptor", "NodeId"),
     "repro.offload.qos": (
         "BEST_EFFORT", "PREMIUM", "STANDARD", "AdmissionController",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +24,10 @@ from repro.errors import OffloadError
 from repro.ham.serialization import register_serializer
 from repro.offload.node import NodeId
 
-__all__ = ["BufferPtr"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.ham.functor import Functor
+
+__all__ = ["BufferPtr", "is_location_free"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,17 @@ class BufferPtr:
             f"BufferPtr(node={self.node}, addr={self.addr:#x}, "
             f"dtype={self.dtype_str}, count={self.count})"
         )
+
+
+def is_location_free(functor: "Functor") -> bool:
+    """Whether ``functor`` may execute on any target node: it carries no
+    :class:`BufferPtr`, which names one node's memory (every target
+    allocates from the same addresses, so on another node the pointer is
+    another buffer)."""
+    return not any(
+        isinstance(value, BufferPtr)
+        for value in (*functor.args, *(value for _name, value in functor.kwargs))
+    )
 
 
 #: Wire form: node, addr, count, then the dtype string.

@@ -38,7 +38,6 @@ from repro.telemetry import recorder as telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import Backend
-    from repro.offload.hedging import HedgePolicy
     from repro.offload.node import NodeId
 
 __all__ = ["NodeHealth", "ResiliencePolicy", "HealthMonitor"]
@@ -83,19 +82,14 @@ class ResiliencePolicy:
     failover:
         Whether idempotent operations may be re-posted to a healthy peer
         node after the original target fails (multi-target backends).
+        A functor with a :class:`~repro.offload.buffer.BufferPtr`
+        argument is retried on its own node regardless.
     degraded_after / down_after:
         Consecutive transport failures after which a node is marked
         DEGRADED resp. DOWN. Any success resets the node to HEALTHY.
     probe_interval:
         Seconds a DOWN node's circuit stays open before one half-open
         probe operation is allowed through to test recovery.
-    hedge:
-        Optional :class:`~repro.offload.hedging.HedgePolicy`. When set,
-        ``sync(..., idempotent=True)`` of a location-free functor on a
-        multi-target backend duplicates a straggling attempt to a second
-        healthy target once it outwaits the kernel's rolling tail
-        latency — the latency-tolerance twin of the retry path, which
-        only reacts to outright failure. ``None`` disables hedging.
     """
 
     deadline: float | None = None
@@ -109,7 +103,6 @@ class ResiliencePolicy:
     degraded_after: int = 1
     down_after: int = 3
     probe_interval: float = 1.0
-    hedge: "HedgePolicy | None" = None
 
     def __post_init__(self) -> None:
         if self.deadline is not None and self.deadline <= 0:

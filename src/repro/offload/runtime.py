@@ -33,9 +33,8 @@ from repro.errors import (
 )
 from repro.backends.base import DEFAULT_INFLIGHT_LIMIT, InflightWindow
 from repro.ham.functor import Functor
-from repro.offload.buffer import BufferPtr
+from repro.offload.buffer import BufferPtr, is_location_free
 from repro.offload.future import CompletedHandle, Future, availability_miss, settle_offload
-from repro.offload.hedging import Hedger, is_location_free
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.offload.qos import (
     _CURRENT_TENANT,
@@ -74,9 +73,6 @@ class Runtime:
         :meth:`sync` honors ``idempotent=True`` with bounded retries and
         failover. Without a policy the runtime behaves exactly like the
         paper's: raw speed, no protection.
-    monitor:
-        Optional externally-owned health monitor (e.g. shared between
-        runtimes); defaults to a fresh one when a policy is given.
     window:
         Optional bound on invocations this runtime holds in flight (the
         limit of :attr:`window`, its
@@ -101,7 +97,6 @@ class Runtime:
         self,
         backend: "Backend",
         policy: ResiliencePolicy | None = None,
-        monitor: HealthMonitor | None = None,
         *,
         window: int | None = None,
         qos: QoSConfig | None = None,
@@ -109,10 +104,8 @@ class Runtime:
         self.backend = backend
         self.policy = policy
         self.qos = qos
-        if monitor is not None:
-            self.monitor = monitor
-        else:
-            self.monitor = HealthMonitor(policy) if policy is not None else None
+        #: A policy brings a health monitor; no policy, no monitor.
+        self.monitor = HealthMonitor(policy) if policy is not None else None
         self.admission: AdmissionController | None = None
         if window is None and qos is not None:
             window = qos.window
@@ -125,11 +118,6 @@ class Runtime:
             self.admission = AdmissionController(qos)
         else:
             self.window = InflightWindow(window)
-        self._hedger = (
-            Hedger(policy.hedge)
-            if policy is not None and policy.hedge is not None
-            else None
-        )
         #: A full window against a dead target must fail fast too: the
         #: policy deadline bounds the wait for a free slot.
         self._window_timeout = policy.deadline if policy is not None else None
@@ -322,7 +310,7 @@ class Runtime:
         tenant: "str | TenantContext | None" = None,
     ) -> Any:
         """Synchronous offload: ``async_`` + ``get``, read by the caller
-        with no future built (:meth:`_offload` per unhedged attempt).
+        with no future built (one :meth:`_offload` per attempt).
 
         Parameters
         ----------
@@ -331,12 +319,10 @@ class Runtime:
             (and on a different target, if the policy allows failover) is
             safe. Only then are transport failures retried under the
             runtime's :class:`ResiliencePolicy` — the runtime cannot know
-            whether a timed-out offload also executed — and only then may
-            a straggling attempt be *hedged* to a second target when the
-            policy carries a :class:`~repro.offload.hedging.HedgePolicy`.
-            Functors closing over node-local :class:`BufferPtr` arguments
-            are *not* location-independent and are never failed over or
-            hedged.
+            whether a timed-out offload also executed. Functors closing
+            over node-local :class:`BufferPtr` arguments are *not*
+            location-independent: they are retried on their own node and
+            never failed over.
         timeout:
             Per-call deadline override (seconds); defaults to the
             tenant's deadline (under QoS), then the policy deadline.
@@ -379,7 +365,7 @@ class Runtime:
         if not (reply or isinstance(exc, _TRANSPORT_ERRORS)):
             return  # not the transport's: a bad node, an unencodable functor
         monitor = self.monitor
-        if monitor is not None and (self.policy is not None or not reply):
+        if monitor is not None:
             if isinstance(exc, RemoteExecutionError):  # the transport works
                 monitor.record_success(node)
             else:
@@ -413,16 +399,16 @@ class Runtime:
 
         ``deadline`` is the budget for the *whole* resilient operation,
         not per attempt: the absolute expiry is computed once, and every
-        retry — its wait for a window slot, its reply wait and a hedge
-        posted beside it — gets only the time still remaining.
+        retry — its wait for a window slot and its reply wait — gets
+        only the time still remaining.
         Re-arming the full deadline per attempt would let three retries
         against a full window stall a 1 s policy for 4 s.
         """
         policy = self.policy
         node = target
         expiry = None if deadline is None else time.monotonic() + deadline
-        hedger = self._hedger if idempotent and is_location_free(functor) else None
-        monitor = self.monitor  # a policy brings one
+        # A BufferPtr argument binds the functor to its node's memory.
+        failover = policy.failover and is_location_free(functor)
         tried: list[NodeId] = []
         last_error: Exception | None = None
         for attempt in range((1 + policy.max_retries) if idempotent else 1):
@@ -442,7 +428,7 @@ class Runtime:
                     "resilience.retry", category="resilience",
                     functor=functor.type_name, attempt=attempt, node=target,
                 )
-                if policy.failover:
+                if failover:
                     successor = self._failover_target(target, tried)
                     if successor is None:
                         break
@@ -455,32 +441,12 @@ class Runtime:
                         )
                     target = successor
             try:
-                if hedger is None or monitor is None or self.num_nodes() < 3:
-                    return self._offload(target, functor, tctx, expiry, sync=True)
-                future = self._offload(target, functor, tctx, expiry)
+                return self._offload(target, functor, tctx, expiry, sync=True)
             except (CircuitOpenError, *_TRANSPORT_ERRORS) as exc:
                 # Health is accounted. A RemoteExecutionError propagates:
                 # the transport worked, and a retry would repeat it.
                 tried.append(target)
                 last_error = exc
-                continue
-            # The hedger races this future against a twin. The post may
-            # have waited for a slot: the wait gets what is left.
-            remaining = None if expiry is None else expiry - time.monotonic()
-            try:
-                value = hedger.await_hedged(
-                    self, future, functor, target, tctx, remaining
-                )
-            except RemoteExecutionError:
-                monitor.record_success(target)
-                raise
-            except _TRANSPORT_ERRORS as exc:
-                monitor.record_failure(target)
-                tried.append(target)
-                last_error = exc
-                continue
-            monitor.record_success(target)
-            return value
         assert last_error is not None
         # Every retry and failover is spent: this error reaches the
         # caller, which is exactly the moment a post-mortem bundle pays.
@@ -508,13 +474,11 @@ class Runtime:
     def heartbeat(self) -> dict[NodeId, float | None]:
         """Ping every target and feed the health monitor.
 
-        Requires a runtime constructed with a policy (or monitor).
+        Requires a runtime constructed with a policy.
         Returns per-node round-trip seconds, ``None`` for failed pings.
         """
         if self.monitor is None:
-            raise OffloadError(
-                "heartbeat needs a ResiliencePolicy/HealthMonitor on the runtime"
-            )
+            raise OffloadError("heartbeat needs a ResiliencePolicy on the runtime")
         return self.monitor.heartbeat(self.backend, self.targets())
 
     def _guard(self, node: NodeId, operation: Callable[[], Any]) -> Any:
@@ -647,8 +611,8 @@ class Runtime:
 
     def stats(self) -> dict[str, Any]:
         """The one description of this runtime: counters, window
-        occupancy with the handles in flight, policy, QoS / health /
-        hedging state and the backend's transport statistics.
+        occupancy with the handles in flight, policy, QoS and health
+        state and the backend's transport statistics.
 
         ``offload.introspect()["host"]``, ``repro top`` and a crash
         bundle's ``state.json`` are this dict; nothing else reads the
@@ -683,10 +647,7 @@ class Runtime:
                 "deadline": policy.deadline,
                 "max_retries": policy.max_retries,
                 "failover": policy.failover,
-                "hedge": policy.hedge is not None,
             }
-        if self._hedger is not None:
-            data["hedging"] = self._hedger.snapshot()
         if self.admission is not None and isinstance(window, FairInflightWindow):
             data["qos"] = {
                 "admission": self.admission.snapshot(),

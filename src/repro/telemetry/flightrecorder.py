@@ -10,7 +10,7 @@ attribute check plus one deque append per event — no locks, no
 allocation beyond the tuple.
 
 One rule says what lands here. An **event** — ``telemetry.event(name,
-category, **attrs)``: retry, failover, hedge, shed, rejection, health
+category, **attrs)``: retry, failover, shed, rejection, health
 flip, injected fault — is one call that reaches *both* rings: this one
 always, the trace ring while telemetry records and the trace is kept. A
 **note** — :func:`note`: window grants, ``target.promoted`` /
@@ -32,7 +32,7 @@ bundle to the configured crash directory:
       part of ``offload.introspect()`` (``Runtime.stats()``: window
       occupancy with the correlation ids a crash would strand, policy,
       the backend's transport stats with the timer's lag and flush reasons,
-      QoS / health / hedging state), captured whether or not the span
+      QoS / health state), captured whether or not the span
       recorder is on;
     * ``metrics.json``  — the registry snapshot (telemetry enabled).
 

@@ -8,7 +8,7 @@ time:
 * the runtime's own description, :meth:`Runtime.stats()
   <repro.offload.runtime.Runtime.stats>` (in-flight window occupancy
   with per-handle labels, policy, QoS queue depths, health-monitor
-  verdicts, hedger counters, the backend's transport stats) — the same
+  verdicts, the backend's transport stats) — the same
   entry a crash bundle writes per runtime as ``state.json``;
 * target-side state fetched live through the backend contract's
   :meth:`~repro.backends.base.Backend.introspect_target` (over the
@@ -36,8 +36,9 @@ __all__ = ["SNAPSHOT_SCHEMA_VERSION", "snapshot"]
 
 #: Bump when the snapshot shape changes incompatibly (2: ``host`` is
 #: ``Runtime.stats()``, the transport stats sit under ``host["backend"]``;
-#: 3: no time-series section).
-SNAPSHOT_SCHEMA_VERSION = 3
+#: 3: no time-series section; 4: ``host`` lost the duplicate-request
+#: counters and ``host["policy"]`` their flag).
+SNAPSHOT_SCHEMA_VERSION = 4
 
 #: Deadline (s) for the target-side ``OP_INTROSPECT`` roundtrip. Short:
 #: introspection is an observer, it must not hang alongside the thing it

@@ -541,8 +541,7 @@ def gauge(name: str, value: float) -> None:
 def kernel_percentile(kernel: str, q: float, min_samples: int) -> float | None:
     """The ``q``-th percentile (seconds) of ``kernel``'s round trips, or
     ``None`` while telemetry is off or fewer than ``min_samples`` were
-    seen — QoS deadline admission and the hedger's trigger then decide
-    without an estimate."""
+    seen — QoS deadline admission then decides without an estimate."""
     recorder = _RECORDER
     hist = recorder._kernel_hists.get(kernel) if recorder is not None else None
     if hist is None or hist.count < min_samples:

@@ -123,13 +123,6 @@ def _host_lines(host: Mapping[str, Any]) -> list[str]:
         )
         if verdicts:
             lines.append(f"  health    {verdicts}")
-    hedging = host.get("hedging")
-    if hedging:
-        lines.append(
-            "  hedging   " + " ".join(
-                f"{key}={value}" for key, value in sorted(hedging.items())
-            )
-        )
     return lines
 
 

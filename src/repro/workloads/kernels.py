@@ -12,7 +12,6 @@ Each kernel exists twice, deliberately:
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -28,7 +27,6 @@ __all__ = [
     "daxpy",
     "dgemm",
     "inner_product",
-    "intermittent_straggler",
     "jacobi_sweep",
     "sleep_kernel",
 ]
@@ -88,35 +86,6 @@ def sleep_kernel(seconds: float) -> float:
     """
     time.sleep(seconds)
     return float(seconds)
-
-
-#: Per-target-process call counter behind intermittent_straggler. The
-#: state lives in the *executing* process (each forked server keeps its
-#: own), so straggles are a property of the target, not the arguments —
-#: the hedge duplicate posted to a different node does not inherit the
-#: primary's straggle.
-_straggler_calls = {"count": 0}
-_straggler_lock = threading.Lock()
-
-
-@offloadable
-def intermittent_straggler(
-    base: float, straggle: float, every: int, value: float
-) -> float:
-    """Latency kernel whose every ``every``-th call on a target straggles.
-
-    Sleeps ``base`` seconds normally and ``straggle`` seconds on each
-    ``every``-th call of the executing process — a deterministic stand-in
-    for the occasional GC pause / page fault / contended device of the
-    Tail at Scale problem statement. Idempotent and location-free by
-    construction, so it is hedgeable; ``every`` directly bounds the
-    steady-state hedge duplicate rate near ``1 / every``.
-    """
-    with _straggler_lock:
-        _straggler_calls["count"] += 1
-        slow = _straggler_calls["count"] % every == 0
-    time.sleep(straggle if slow else base)
-    return float(value)
 
 
 # -- cost descriptors ----------------------------------------------------------

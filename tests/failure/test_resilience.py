@@ -11,11 +11,13 @@ import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.backends import (
     ClusterBackend,
     DmaCommBackend,
+    FanoutBackend,
     FaultInjectingBackend,
     LocalBackend,
     TcpBackend,
@@ -337,6 +339,32 @@ class TestFailover:
         with pytest.raises(BackendError, match="unplugged"):
             runtime.sync(1, f2f(apps.add, 5, 6), idempotent=True)
         assert backend.attempted_nodes == [1, 1, 1]
+
+    def test_a_buffer_bound_invoke_retries_on_its_own_node(self):
+        """Every tcp target allocates from the same addresses, so node 2
+        holds another buffer at node 1's pointer: a dropped sum over
+        node 1's buffer is retried on node 1, never failed over."""
+        servers = [spawn_local_server() for _ in range(2)]
+        fanout = FanoutBackend([
+            TcpBackend(address, on_shutdown=lambda p=process: p.join(timeout=5))
+            for process, address in servers
+        ])
+        # Ops 0-3: allocate and put on each node; op 4, the invoke, is lost.
+        backend = FaultInjectingBackend(fanout, schedule={4: "drop"})
+        runtime = Runtime(backend, policy=ResiliencePolicy(max_retries=2, **FAST_RETRY))
+        try:
+            ptrs = []
+            for node, values in ((1, [1.0, 2, 3, 4]), (2, [100.0, 200, 300, 400])):
+                ptrs.append(runtime.allocate(node, 4))
+                runtime.put(np.array(values), ptrs[-1]).get()
+            assert ptrs[0].addr == ptrs[1].addr
+            assert runtime.sync(1, f2f(apps.sum_buffer, ptrs[0]), idempotent=True) == 10.0
+            stats = runtime.stats()
+            assert (stats["retries"], stats["failovers"]) == (1, 0)
+            for ptr in ptrs:
+                runtime.free(ptr)
+        finally:
+            runtime.shutdown()
 
     def test_cluster_failover_of_idempotent_invoke(self):
         """Multi-VE cluster: with VE 1 fenced as down, an idempotent

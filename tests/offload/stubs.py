@@ -1,11 +1,11 @@
-"""Test backends with controllable timing for QoS and hedging tests.
+"""Test backends with controllable timing for QoS and window tests.
 
 The functional backends are either synchronous (local: completes at post
 time, so the window never fills) or need forked server processes (tcp).
 :class:`ThreadedStubBackend` sits in between: every invoke is executed
 on a worker thread after a configurable per-node delay, so tests can
 fill the in-flight window deterministically, observe fair-queue grants,
-and race a slow primary against a fast hedge target — all in-process.
+and hold one node slow while another answers — all in-process.
 :class:`DrivenStubBackend` is the other kind of transport: nothing
 completes unless a caller drives it, and not before the test says so.
 """

@@ -180,6 +180,7 @@ def test_plain_sync_files_nothing_on_framed_transports(transport):
             assert runtime.sync(1, f2f(apps.echo, i)) == i
         backend = runtime.backend
         counting = backend._pending_lock = _CountingLock(backend._pending_lock)
+        gc.collect()  # no earlier test's garbage is finalized in the count
         counts = profile_calls(lambda: runtime.sync(1, f2f(apps.echo, 7)))
         assert counts.value == 7
         assert counts.constructed == []
@@ -307,6 +308,7 @@ def test_traced_sync_on_framed_transports(transport):
     try:
         for i in range(50):
             assert runtime.sync(1, f2f(apps.echo, i)) == i
+        gc.collect()
         counts = profile_calls(lambda: runtime.sync(1, f2f(apps.echo, 7)))
         assert counts.value == 7
         assert counts.constructed == []

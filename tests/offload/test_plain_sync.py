@@ -1,6 +1,6 @@
 """Every ``Runtime.sync`` reads its own reply: no future.
 
-A sync, and every attempt of a resilient one that is not hedged, holds a
+A sync, and every attempt of a resilient one, holds a
 window slot while ``Backend.sync_invoke`` posts and reads, and gives it
 back. On ``local``, ``shm`` and ``tcp`` that builds no handle either,
 traced or not; every other backend posts and waits on its handle. These
@@ -32,7 +32,6 @@ from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
 from repro.ham import f2f
 from repro.offload import QoSConfig, ResiliencePolicy, Runtime
 from repro.offload import api as offload_api
-from repro.offload.resilience import HealthMonitor
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
@@ -288,7 +287,8 @@ def test_eight_threads_mix_plain_syncs_with_futures(transport):
 
 
 #: ``init`` options of each runtime configuration a sync must not build a
-#: future in (``monitor``: a bare health monitor, no policy).
+#: future in (``monitor``: a ``Runtime`` built with a default policy —
+#: a health monitor, no deadline).
 CONFIGS = {
     "plain": {},
     "traced": {"telemetry": {"sample_rate": 1.0}},
@@ -324,7 +324,7 @@ def test_a_sync_builds_no_future_and_no_handle(transport, config):
     options = CONFIGS[config]
     try:
         if options is None:
-            runtime = Runtime(create_backend(transport), monitor=HealthMonitor())
+            runtime = Runtime(create_backend(transport), policy=ResiliencePolicy())
         else:
             runtime = offload_api.init(transport, **options)
         try:

@@ -23,7 +23,7 @@ from repro.backends import (
     spawn_shm_server,
 )
 from repro.ham import f2f
-from repro.offload import HedgePolicy, QoSConfig, ResiliencePolicy, Runtime
+from repro.offload import QoSConfig, ResiliencePolicy, Runtime
 from repro.telemetry import flightrecorder, inspect, top
 from repro.telemetry.inspect import SNAPSHOT_SCHEMA_VERSION
 
@@ -249,7 +249,7 @@ class TestOneSnapshot:
         crash_dir, flight.crash_dir = flight.crash_dir, tmp_path
         offload.init(
             TcpBackend(address, on_shutdown=lambda: process.join(timeout=5)),
-            policy=ResiliencePolicy(deadline=5.0, hedge=HedgePolicy()),
+            policy=ResiliencePolicy(deadline=5.0),
             qos=QoSConfig(window=4),
         )
         try:
@@ -272,10 +272,10 @@ class TestOneSnapshot:
         assert {handle["label"] for handle in window["handles"]} == {
             f2f(apps.sleep_then, 0.5, 0).type_name}
         assert state["policy"] == {"deadline": 5.0, "max_retries": 0,
-                                   "failover": True, "hedge": True}
+                                   "failover": True}
         assert "max_lag_us" in state["backend"]["reactor"]
         assert "flush_reasons" in state["backend"]["batch"]
-        assert {"pid", "qos", "health", "hedging"} <= set(state)
+        assert {"pid", "qos", "health"} <= set(state)
 
 
 class TestIntrospectEndpoint:

@@ -131,9 +131,9 @@ def _unarmed_flight_recorder():
 
 
 def test_three_readers_one_answer(tmp_path, _unarmed_flight_recorder):
-    """``/metrics``, a crash bundle's ``metrics.json`` and the hedger's
-    trigger (``kernel_percentile``) all read the recorder's one registry:
-    a kernel's series is in all three after one offload."""
+    """``/metrics``, a crash bundle's ``metrics.json`` and QoS deadline
+    admission's estimate (``kernel_percentile``) all read the recorder's
+    one registry: a kernel's series is in all three after one offload."""
     kernel = f2f(apps.add, 1, 2).type_name
     series = f"kernel.{kernel}.offload"
     try:
