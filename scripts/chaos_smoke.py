@@ -19,8 +19,8 @@ reproduce.
 A second mode, ``--noisy-tenant``, soaks the QoS layer instead of the
 fault injector: one best-effort tenant floods a QoS-enabled runtime
 while a premium tenant keeps a modest request rate, and the run fails
-unless the premium tenant's p99 latency and SLO hold while the shed /
-rejection counters show the noisy tenant absorbed the overload.
+unless the premium tenant's p99 latency and SLO hold while the
+rejection counter shows the noisy tenant's rate limit took effect.
 
 A third mode, ``--async``, runs the fault soak from a single asyncio
 event loop: every offload is *awaited* through ``Future.__await__``
@@ -123,23 +123,18 @@ def teardown_stack(process, runtime) -> None:
 def run_noisy_tenant(args: argparse.Namespace) -> int:
     """Overload soak: a flooding tenant must not hurt the premium one.
 
-    Stack: live TCP server + QoS runtime with a small fair window and
-    queue. Several best-effort worker threads flood it; one premium
-    thread keeps a steady, modest rate. Pass criteria:
+    Stack: live TCP server + QoS runtime with a small window and a
+    rate limit on the noisy tenant. Several best-effort worker threads
+    flood it; one premium thread keeps a steady, modest rate. Pass
+    criteria:
 
     * no ``telemetry.slo_breach`` event for the premium tenant;
     * premium p99 latency under ``--premium-p99`` seconds;
-    * the noisy tenant visibly absorbed the overload (load-shed or
-      admission-rejected at least once) — otherwise the run proved
-      nothing about fairness.
+    * the noisy tenant was admission-rejected at least once — otherwise
+      the flood never reached its rate limit and the run proved nothing.
     """
     from repro.errors import AdmissionRejectedError
-    from repro.offload import (
-        BEST_EFFORT,
-        PREMIUM,
-        QoSConfig,
-        TenantPolicy,
-    )
+    from repro.offload import QoSConfig, TenantPolicy
     from repro.telemetry import recorder as telemetry
     from repro.telemetry.slo import SLO, SLOMonitor
 
@@ -157,22 +152,13 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
         metrics=recorder.metrics,
     )
 
-    config = QoSConfig(
-        tenants={
-            "premium": TenantPolicy(weight=4.0, priority=PREMIUM),
-            # The noisy tenant is also rate limited, so overload is
-            # absorbed by *both* mechanisms: admission rejections at the
-            # gate and load shedding in the queue.
-            "noisy": TenantPolicy(
-                weight=1.0, priority=BEST_EFFORT, rate=400.0, burst=50.0
-            ),
-        },
-        window=4,
-        max_queue_depth=8,
-    )
+    config = QoSConfig(tenants={
+        "premium": TenantPolicy(),
+        "noisy": TenantPolicy(rate=400.0, burst=50.0),
+    })
     process, address = spawn_local_server(startup_timeout=30.0)
     tcp = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
-    runtime = Runtime(tcp, qos=config)
+    runtime = Runtime(tcp, window=4, qos=config)
 
     stop = threading.Event()
     premium_latencies: list[float] = []
@@ -219,10 +205,7 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
     stats = runtime.stats()
     teardown_stack(process, runtime)
 
-    qos = stats.get("qos", {})
-    shed = sum(entry.get("shed", 0)
-               for entry in qos.get("window", {}).get("tenants", {}).values())
-    rejected = qos.get("admission", {}).get("noisy", {}).get("rejected", 0)
+    rejected = stats["qos"]["admission"].get("noisy", {}).get("rejected", 0)
     premium_breaches = [
         r for r in recorder.records()
         if r.kind == "event" and r.name == "telemetry.slo_breach"
@@ -237,7 +220,7 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
         f"noisy-tenant soak: premium ops={len(premium_latencies)} "
         f"p99={p99 * 1e3:.1f} ms, premium failures={len(failures)}, "
         f"noisy outcomes={dict(noisy_outcomes)}, "
-        f"shed={shed}, noisy rejected={rejected}", flush=True,
+        f"noisy rejected={rejected}", flush=True,
     )
     for name, state in recorder.slo.snapshot().items():
         print(
@@ -260,14 +243,14 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
             f"the {args.premium_p99 * 1e3:.0f} ms bound"
         )
         return 1
-    if shed + rejected == 0:
+    if rejected == 0:
         print(
-            "NOISY-TENANT FAIL: no load was shed or rejected — the flood "
-            "never saturated the stack, the run proved nothing"
+            "NOISY-TENANT FAIL: no noisy offload was rejected — the flood "
+            "never reached its rate limit, the run proved nothing"
         )
         return 1
-    print("noisy-tenant soak OK: premium SLO held, overload absorbed "
-          "by the noisy tenant", flush=True)
+    print("noisy-tenant soak OK: premium SLO held, the noisy tenant's "
+          "rate limit took effect", flush=True)
     return 0
 
 

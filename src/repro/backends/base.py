@@ -362,6 +362,16 @@ DEADLINES = DeadlineTimer()
 os.register_at_fork(after_in_child=DEADLINES.__init__)
 
 
+class _Waiter:
+    """One parked :meth:`InflightWindow.acquire`, until a slot is
+    granted to it or its wait ends."""
+
+    __slots__ = ("granted",)
+
+    def __init__(self) -> None:
+        self.granted = False
+
+
 class InflightWindow:
     """Bounded, id-keyed table of in-flight invocations.
 
@@ -373,6 +383,10 @@ class InflightWindow:
     reply — calls :meth:`release`. A post that raised returns its slot
     through :meth:`cancel`, and so does a ``Runtime.sync``, which holds a
     slot while it runs but files no handle.
+
+    Waiters are served first come, first served: a slot freed while
+    anyone is parked is handed to the oldest parked acquire, never left
+    for whoever asks next (the thread that freed it, say).
     """
 
     #: Longest a waiter drives one handle before it looks again: a
@@ -387,10 +401,11 @@ class InflightWindow:
         self._slot_freed = threading.Condition(self._lock)
         #: correlation id -> in-flight handle (the id-keyed table).
         self._inflight: dict[int, "InvokeHandle"] = {}
-        #: Slots acquired but not yet registered (post in progress).
+        #: Slots acquired but not yet registered (post in progress), or
+        #: granted to a waiter that has not yet returned.
         self._reserved = 0
-        #: Threads inside :meth:`_wait_locked`.
-        self._waiting = 0
+        #: Parked acquires, oldest first; none of them granted yet.
+        self._waiters: collections.deque[_Waiter] = collections.deque()
 
     @property
     def limit(self) -> int:
@@ -398,12 +413,12 @@ class InflightWindow:
         return self._limit
 
     def set_limit(self, limit: int) -> None:
-        """Resize the window (waking waiters when it grows)."""
+        """Resize the window (granting the room it grows by)."""
         if limit < 1:
             raise BackendError(f"in-flight window needs a positive limit, got {limit}")
         with self._lock:
             self._limit = limit
-            self._slot_freed.notify_all()
+            self._grant_locked()
 
     @property
     def in_flight(self) -> int:
@@ -411,55 +426,63 @@ class InflightWindow:
         with self._lock:
             return len(self._inflight) + self._reserved
 
+    @property
+    def queued(self) -> int:
+        """Acquires parked waiting for a slot."""
+        with self._lock:
+            return len(self._waiters)
+
     def handles(self) -> dict[int, "InvokeHandle"]:
         """Snapshot of the in-flight table (correlation id -> handle)."""
         with self._lock:
             return dict(self._inflight)
 
-    def _has_room_locked(self) -> bool:
-        return len(self._inflight) + self._reserved < self._limit
-
-    def acquire(
-        self,
-        *,
-        tenant: Any = None,
-        timeout: float | None = None,
-        label: str = "",
-    ) -> None:
+    def acquire(self, *, timeout: float | None = None, label: str = "") -> None:
         """Reserve one window slot, applying backpressure when full.
 
-        Waits (see :meth:`_wait_locked`) until a completion frees a
-        slot, raising :class:`~repro.errors.OffloadTimeoutError` after
-        ``timeout`` seconds. ``tenant`` is what the fair window
-        (:class:`~repro.offload.qos.FairInflightWindow`) schedules by;
-        first come, first served here.
+        Takes a free slot at once; with none free, parks behind the
+        waiters already there and waits (see :meth:`_wait_locked`) until
+        a freed slot is granted to it, raising
+        :class:`~repro.errors.OffloadTimeoutError` after ``timeout``
+        seconds.
 
         Telemetry: the wait, when one actually happens, is recorded as
         an ``offload.window_wait`` span.
         """
         with self._lock:
+            # Room means nobody is parked: whatever frees a slot while
+            # somebody is grants it to them at once (_grant_locked).
             if len(self._inflight) + self._reserved < self._limit:
                 self._reserved += 1
                 return
+            waiter = _Waiter()
+            self._waiters.append(waiter)
         with telemetry.span(
             "offload.window_wait", label=label, limit=self._limit
         ), self._lock:
-            if not self._wait_locked(self._has_room_locked, timeout):
+            try:
+                granted = self._wait_locked(waiter, timeout)
+            except BaseException:
+                if waiter.granted:  # while the drive was failing
+                    self._reserved -= 1
+                    self._grant_locked()
+                else:
+                    self._waiters.remove(waiter)
+                raise
+            if not granted:
+                self._waiters.remove(waiter)
                 raise OffloadTimeoutError(
                     f"in-flight window full ({self._limit} operations "
                     "outstanding) and no completion within the deadline"
                 )
-            self._reserved += 1
 
-    def _wait_locked(
-        self, ready: Callable[[], bool], timeout: float | None
-    ) -> bool:
-        """Lock held: wait until ``ready()`` holds; ``False`` on timeout.
+    def _wait_locked(self, waiter: _Waiter, timeout: float | None) -> bool:
+        """Lock held: wait until ``waiter`` is granted; ``False`` on
+        timeout.
 
-        The one wait loop under the FIFO and the fair window. A handle
-        that something completes on its own notifies the condition this
-        sleeps on. A :attr:`Backend.driven` transport (tcp, shm, the
-        simulators) completes handles only while
+        A handle that something completes on its own notifies the
+        condition this sleeps on. A :attr:`Backend.driven` transport
+        (tcp, shm, the simulators) completes handles only while
         somebody drives it, so there *a waiter drives the oldest
         in-flight handle* (lock released, a slice at a time) — through
         any proxy or composition, because a handle names the transport
@@ -467,40 +490,36 @@ class InflightWindow:
         under it) propagates.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        self._waiting += 1
-        try:
-            while not ready():
-                wait = None
-                if deadline is not None:
-                    wait = deadline - time.monotonic()
-                    if wait <= 0:
-                        return False
-                oldest = next(
-                    (
-                        handle for handle in self._inflight.values()
-                        if not handle.completed
-                        and handle.backend is not None
-                        and handle.backend.driven
-                    ),
-                    None,
+        while not waiter.granted:
+            wait = None
+            if deadline is not None:
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    return False
+            oldest = next(
+                (
+                    handle for handle in self._inflight.values()
+                    if not handle.completed
+                    and handle.backend is not None
+                    and handle.backend.driven
+                ),
+                None,
+            )
+            if oldest is None:
+                self._slot_freed.wait(wait)
+                continue
+            self._lock.release()
+            try:
+                oldest.backend.drive(
+                    oldest, blocking=True,
+                    timeout=self._DRIVE_SLICE if wait is None
+                    else min(wait, self._DRIVE_SLICE),
                 )
-                if oldest is None:
-                    self._slot_freed.wait(wait)
-                    continue
-                self._lock.release()
-                try:
-                    oldest.backend.drive(
-                        oldest, blocking=True,
-                        timeout=self._DRIVE_SLICE if wait is None
-                        else min(wait, self._DRIVE_SLICE),
-                    )
-                except OffloadTimeoutError:
-                    pass  # the slice ran out, not the caller's budget
-                finally:
-                    self._lock.acquire()
-            return True
-        finally:
-            self._waiting -= 1
+            except OffloadTimeoutError:
+                pass  # the slice ran out, not the caller's budget
+            finally:
+                self._lock.acquire()
+        return True
 
     def register(self, handle: "InvokeHandle") -> None:
         """File a posted handle; its completion releases the slot.
@@ -516,7 +535,7 @@ class InflightWindow:
                 self._reserved -= 1
             handle._window = self
             self._inflight[handle.correlation_id] = handle
-            if self._waiting:
+            if self._waiters:
                 # Somebody now has a handle to drive (see _wait_locked).
                 self._slot_freed.notify_all()
         if handle.completed:
@@ -528,18 +547,27 @@ class InflightWindow:
         with self._lock:
             if self._reserved > 0:
                 self._reserved -= 1
-            self._freed_locked()
+            self._grant_locked()
 
     def release(self, handle: "InvokeHandle") -> None:
         """Free a completed handle's slot (idempotent)."""
         with self._lock:
             if self._inflight.pop(handle.correlation_id, None) is not None:
-                self._freed_locked()
+                self._grant_locked()
 
-    def _freed_locked(self) -> None:
-        """Capacity appeared: pass it on to whoever waits for it."""
-        if self._waiting:
-            self._slot_freed.notify()
+    def _grant_locked(self) -> None:
+        """Capacity may have appeared: grant it to the oldest waiters,
+        in order, and wake them."""
+        waiters = self._waiters
+        if not waiters:
+            return
+        granted = False
+        while waiters and len(self._inflight) + self._reserved < self._limit:
+            waiters.popleft().granted = True
+            self._reserved += 1
+            granted = True
+        if granted:
+            self._slot_freed.notify_all()
 
 
 class InvokeHandle:

@@ -9,9 +9,9 @@ server) into one backend whose node space is ``0`` (host) plus nodes
 
 One window, N transports: the runtime admits every offload through its
 own in-flight window before the fan-out routes it, so admission,
-backpressure and — with a :class:`~repro.offload.qos.FairInflightWindow`
-— tenant fairness are enforced over the *union* of traffic, exactly as
-a single pipelined channel would. Completions on any inner transport
+backpressure and first-come-first-served slot hand-off are enforced
+over the *union* of traffic, exactly as a single pipelined channel
+would. Completions on any inner transport
 free capacity for posts to any other.
 
 No receiver threads, N connections: each inner transport's replies are

@@ -165,8 +165,8 @@ class AdmissionRejectedError(OffloadError):
 
     Raised by the QoS layer (:mod:`repro.offload.qos`) when accepting the
     operation would violate a policy: the tenant is over its rate limit,
-    the remaining deadline cannot cover the kernel's observed service
-    time, or the scheduler is shedding load. Fast-fail by design — the
+    or the remaining deadline cannot cover the kernel's observed service
+    time. Fast-fail by design — the
     functor is never serialized and no window slot is consumed, so a
     rejected request costs microseconds, not a deadline.
     """
@@ -179,14 +179,6 @@ class RateLimitedError(AdmissionRejectedError):
 class DeadlineInfeasibleError(AdmissionRejectedError):
     """The remaining deadline cannot cover the kernel's rolling service
     time estimate, so the work would be dead on arrival."""
-
-
-class LoadShedError(AdmissionRejectedError):
-    """The scheduler shed this operation to protect higher classes.
-
-    Under overload the fair scheduler drops work lowest-priority-first;
-    the shed request never entered the in-flight window.
-    """
 
 
 class InjectedFaultError(BackendError):

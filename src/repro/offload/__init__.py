@@ -38,18 +38,16 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
     from repro.offload.future import Future
     from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
     from repro.offload.qos import (
-        BEST_EFFORT, PREMIUM, STANDARD, AdmissionController, FairInflightWindow,
-        QoSConfig, TenantContext, TenantPolicy, TokenBucket, current_tenant,
-        tenant_scope,
+        AdmissionController, QoSConfig, TenantContext, TenantPolicy, TokenBucket,
+        current_tenant, tenant_scope,
     )
     from repro.offload.resilience import HealthMonitor, NodeHealth, ResiliencePolicy
     from repro.offload.runtime import Runtime
 
 __all__ = [
-    "AdmissionController", "BEST_EFFORT", "BufferPtr", "FairInflightWindow",
-    "Future", "HOST_NODE", "HealthMonitor", "Migratable",
-    "NodeDescriptor", "NodeHealth", "NodeId", "PREMIUM", "QoSConfig",
-    "ResiliencePolicy", "Runtime", "STANDARD", "TenantContext", "TenantPolicy",
+    "AdmissionController", "BufferPtr", "Future", "HOST_NODE", "HealthMonitor",
+    "Migratable", "NodeDescriptor", "NodeHealth", "NodeId", "QoSConfig",
+    "ResiliencePolicy", "Runtime", "TenantContext", "TenantPolicy",
     "TokenBucket", "current_tenant", "f2f", "offloadable", "tenant_scope",
 ]
 
@@ -59,8 +57,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.offload.future": ("Future",),
     "repro.offload.node": ("HOST_NODE", "NodeDescriptor", "NodeId"),
     "repro.offload.qos": (
-        "BEST_EFFORT", "PREMIUM", "STANDARD", "AdmissionController",
-        "FairInflightWindow", "QoSConfig", "TenantContext", "TenantPolicy",
+        "AdmissionController", "QoSConfig", "TenantContext", "TenantPolicy",
         "TokenBucket", "current_tenant", "tenant_scope",
     ),
     "repro.offload.resilience": ("HealthMonitor", "NodeHealth", "ResiliencePolicy"),

@@ -101,11 +101,11 @@ def init(
     (backpressure for pipelined producers); ``None`` keeps the default
     of :data:`~repro.backends.base.DEFAULT_INFLIGHT_LIMIT`.
 
-    ``qos`` installs the multi-tenant serving layer
-    (:class:`~repro.offload.qos.QoSConfig`): weighted-fair window
-    scheduling across tenants, per-tenant rate limits, deadline-aware
-    admission and priority-ordered load shedding; ``sync``/``async_``
-    then accept a ``tenant=`` argument. See ``docs/resilience.md``.
+    ``qos`` installs the multi-tenant admission layer
+    (:class:`~repro.offload.qos.QoSConfig`): per-tenant rate limits and
+    deadline-aware admission, checked before an offload takes a window
+    slot; ``sync``/``async_`` then accept a ``tenant=`` argument. See
+    ``docs/resilience.md``.
 
     ``telemetry`` enables the process-global recorder
     (:func:`repro.telemetry.enable`) before any operation runs, so every

@@ -39,7 +39,6 @@ from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.offload.qos import (
     _CURRENT_TENANT,
     AdmissionController,
-    FairInflightWindow,
     QoSConfig,
     TenantContext,
     current_tenant,
@@ -75,14 +74,11 @@ class Runtime:
         paper's: raw speed, no protection.
     window:
         Optional bound on invocations this runtime holds in flight (the
-        limit of :attr:`window`, its
+        limit of :attr:`window`, its first-come-first-served
         :class:`~repro.backends.base.InflightWindow`). ``None`` means
         :data:`~repro.backends.base.DEFAULT_INFLIGHT_LIMIT`.
     qos:
         Optional :class:`~repro.offload.qos.QoSConfig`. When set,
-        :attr:`window` is a
-        :class:`~repro.offload.qos.FairInflightWindow` (deficit-weighted
-        round robin across tenants, priority-ordered load shedding) and
         every offload passes an
         :class:`~repro.offload.qos.AdmissionController` *before*
         serialization — per-tenant rate limits and deadline-feasibility
@@ -106,18 +102,12 @@ class Runtime:
         self.qos = qos
         #: A policy brings a health monitor; no policy, no monitor.
         self.monitor = HealthMonitor(policy) if policy is not None else None
-        self.admission: AdmissionController | None = None
-        if window is None and qos is not None:
-            window = qos.window
-        if window is None:
-            window = DEFAULT_INFLIGHT_LIMIT
+        self.admission = AdmissionController(qos) if qos is not None else None
         #: Every offload of this runtime is admitted through this window
         #: (in :meth:`_offload`); the backend only moves it.
-        if qos is not None:
-            self.window: InflightWindow = FairInflightWindow(window, qos)
-            self.admission = AdmissionController(qos)
-        else:
-            self.window = InflightWindow(window)
+        self.window = InflightWindow(
+            DEFAULT_INFLIGHT_LIMIT if window is None else window
+        )
         #: A full window against a dead target must fail fast too: the
         #: policy deadline bounds the wait for a free slot.
         self._window_timeout = policy.deadline if policy is not None else None
@@ -212,7 +202,6 @@ class Runtime:
     def _offload(
         self, node: NodeId, functor: Functor, tctx: TenantContext | None,
         expiry: float | None = None, *, sync: bool = False,
-        timeout: float | None = None,
     ) -> Any:
         """The one path of every offload: a future for ``post_invoke``'s
         handle or, ``sync``, the value ``sync_invoke`` read, settled here.
@@ -221,8 +210,8 @@ class Runtime:
         a rejected offload never touches the window); the offload's trace;
         a window slot, waited for no longer than the policy deadline and
         what is left until ``expiry`` (the ``time.monotonic`` end of the
-        budget, which else bounds the reply wait instead of ``timeout``);
-        the backend call. A failed call returns the slot, unless its
+        budget, which then bounds a sync's reply wait too); the backend
+        call. A failed call returns the slot, unless its
         timeout carries a handle filed for the late reply. The backend
         validates ``node``.
         """
@@ -265,13 +254,13 @@ class Runtime:
                         "was acquired"
                     )
                 slot_wait = remaining if slot_wait is None else min(slot_wait, remaining)
-            window.acquire(tenant=tctx, timeout=slot_wait, label=functor.type_name)
+            window.acquire(timeout=slot_wait, label=functor.type_name)
             acquired = True
             if not sync:
                 result = self.backend.post_invoke(node, functor)
             else:
-                if expiry is not None:  # what the slot wait left
-                    timeout = expiry - time.monotonic()
+                # What the slot wait left of the budget, if there is one.
+                timeout = None if expiry is None else expiry - time.monotonic()
                 result = self.backend.sync_invoke(node, functor, timeout)
         except BaseException as exc:
             if token is not None:
@@ -324,8 +313,9 @@ class Runtime:
             location-independent: they are retried on their own node and
             never failed over.
         timeout:
-            Per-call deadline override (seconds); defaults to the
-            tenant's deadline (under QoS), then the policy deadline.
+            Per-call deadline override (seconds), one budget for the
+            wait for a window slot and the wait for the reply; defaults
+            to the tenant's deadline, then the policy deadline.
         tenant:
             Tenant id or full :class:`~repro.offload.qos.TenantContext`
             this offload is accounted to; defaults to the ambient
@@ -340,7 +330,9 @@ class Runtime:
         if timeout is None and tctx is not None and tctx.deadline is not None:
             timeout = tctx.deadline
         if self.policy is None:
-            return self._offload(node, functor, tctx, sync=True, timeout=timeout)
+            # One budget for the slot wait and the reply wait, as below.
+            expiry = None if timeout is None else time.monotonic() + timeout
+            return self._offload(node, functor, tctx, expiry, sync=True)
         # One trace spans the whole resilient operation: every retry and
         # failover re-posts under the same trace_id, so the merged trace
         # shows attempt N's spans (and the resilience.* events between
@@ -648,11 +640,8 @@ class Runtime:
                 "max_retries": policy.max_retries,
                 "failover": policy.failover,
             }
-        if self.admission is not None and isinstance(window, FairInflightWindow):
-            data["qos"] = {
-                "admission": self.admission.snapshot(),
-                "window": window.snapshot(),
-            }
+        if self.admission is not None:
+            data["qos"] = {"admission": self.admission.snapshot()}
         if self.monitor is not None:
             data["health"] = self.monitor.snapshot()
         return data

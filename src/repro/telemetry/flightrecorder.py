@@ -10,11 +10,11 @@ attribute check plus one deque append per event — no locks, no
 allocation beyond the tuple.
 
 One rule says what lands here. An **event** — ``telemetry.event(name,
-category, **attrs)``: retry, failover, shed, rejection, health
-flip, injected fault — is one call that reaches *both* rings: this one
+category, **attrs)``: retry, failover, rejection, health flip,
+injected fault — is one call that reaches *both* rings: this one
 always, the trace ring while telemetry records and the trace is kept. A
-**note** — :func:`note`: window grants, ``target.promoted`` /
-``target.stopped``, ``offload.post_failed`` — is black-box only:
+**note** — :func:`note`: ``target.promoted`` / ``target.stopped``,
+``offload.post_failed`` — is black-box only:
 breadcrumbs too frequent or too low-level for a trace.
 
 On a *trigger* — an offload error escaping to the caller, peer-death

@@ -37,8 +37,9 @@ __all__ = ["SNAPSHOT_SCHEMA_VERSION", "snapshot"]
 #: Bump when the snapshot shape changes incompatibly (2: ``host`` is
 #: ``Runtime.stats()``, the transport stats sit under ``host["backend"]``;
 #: 3: no time-series section; 4: ``host`` lost the duplicate-request
-#: counters and ``host["policy"]`` their flag).
-SNAPSHOT_SCHEMA_VERSION = 4
+#: counters and ``host["policy"]`` their flag; 5: ``host["qos"]`` holds
+#: only ``admission``: ``host.qos.window`` went with the fair window).
+SNAPSHOT_SCHEMA_VERSION = 5
 
 #: Deadline (s) for the target-side ``OP_INTROSPECT`` roundtrip. Short:
 #: introspection is an observer, it must not hang alongside the thing it

@@ -100,20 +100,11 @@ def _host_lines(host: Mapping[str, Any]) -> list[str]:
         lines[-1] += f"  pending replies {transport['pending_replies']}"
     qos = host.get("qos")
     if qos:
-        window_snap = qos.get("window") or {}
-        tenants = window_snap.get("tenants") or {}
-        tenant_part = ""
-        shed = 0
-        if isinstance(tenants, Mapping) and tenants:
-            shed = sum(entry.get("shed", 0) for entry in tenants.values())
-            tenant_part = "  tenants: " + " ".join(
-                f"{tenant}={entry.get('queued', 0)}"
-                for tenant, entry in sorted(tenants.items())
-            )
-        lines.append(
-            f"  qos       queued {window_snap.get('queued', 0)}"
-            f"  shed {shed}{tenant_part}"
-        )
+        tenants = qos.get("admission") or {}
+        lines.append("  qos       admitted/rejected " + " ".join(
+            f"{tenant}={entry.get('admitted', 0)}/{entry.get('rejected', 0)}"
+            for tenant, entry in sorted(tenants.items())
+        ))
     health = host.get("health")
     if isinstance(health, Mapping) and health:
         verdicts = " ".join(

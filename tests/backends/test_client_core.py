@@ -408,7 +408,7 @@ class TestTheDrive:
         poster = threading.Thread(target=lambda: posted.append(
             client.runtime.async_(1, f2f(apps.add, 1, 2))))
         poster.start()  # blocks in acquire: the window is full ...
-        assert _until(lambda: client.runtime.window._waiting == 1)
+        assert _until(lambda: client.runtime.window.queued == 1)
         gate.set()  # ... and only it can read the reply that frees the slot
         poster.join(WAIT)
         assert not poster.is_alive() and first._handle.completed

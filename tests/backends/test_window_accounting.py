@@ -3,30 +3,42 @@
 A slot that is acquired for a post and then orphaned by an exception on
 the send/execute path would be held forever; enough of them and the
 window drains to zero capacity and every later offload deadlocks. The
-slot of a post that raised is freed in one place, ``Runtime._post``,
+slot of a post that raised is freed in one place, ``Runtime._offload``,
 whatever the backend; these tests flood each backend's failure path with
 a window small enough that even a few leaked slots would wedge the
-runtime, then prove the next offload still works.
+runtime, then prove the next offload still works. A freed slot also
+goes to the right thread: the oldest parked waiter (``TestFifoHandOff``).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.backends import FaultInjectingBackend, LocalBackend, TcpBackend
+from repro.backends.base import InflightWindow
 from repro.backends.tcp import spawn_local_server
-from repro.errors import BackendError, InjectedFaultError
+from repro.errors import BackendError, InjectedFaultError, OffloadTimeoutError
 from repro.ham import f2f
-from repro.offload import QoSConfig, Runtime
+from repro.offload import Runtime
 
 from tests import apps
 from tests.offload.stubs import DrivenStubBackend, ThreadedStubBackend
 
 FLOOD = 50
 WINDOW = 4
+#: Bound of every wait below: long enough never to expire on a green run.
+WAIT = 10.0
+
+
+def _until(condition) -> bool:
+    deadline = time.monotonic() + WAIT
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return condition()
 
 
 class TestLocalBackendAccounting:
@@ -132,20 +144,18 @@ class TestWaitLoopStress:
     wake-up in the window's one wait loop strands a poster (the joins
     are bounded), a lost update leaves a slot taken at the end."""
 
-    @pytest.mark.parametrize("qos", [None, QoSConfig()], ids=["fifo", "fair"])
     @pytest.mark.parametrize("driven", [False, True], ids=["threaded", "driven"])
-    def test_every_poster_gets_through(self, driven, qos):
+    def test_every_poster_gets_through(self, driven):
         backend = DrivenStubBackend() if driven else ThreadedStubBackend()
         if driven:
             backend.gate.set()
-        runtime = Runtime(backend, window=2, qos=qos)
+        runtime = Runtime(backend, window=2)
         failures: list[BaseException] = []
 
         def poster(index: int) -> None:
             try:
-                tenant = f"t{index % 3}"
                 for i in range(100):
-                    future = runtime.async_(1, f2f(apps.add, index, i), tenant=tenant)
+                    future = runtime.async_(1, f2f(apps.add, index, i))
                     assert runtime.window.in_flight <= 2
                     assert future.get(timeout=30.0) == index + i
             except BaseException as exc:  # noqa: BLE001 - reported below
@@ -167,3 +177,56 @@ class TestWaitLoopStress:
         assert failures == [] and not any(t.is_alive() for t in threads)
         assert runtime.window.in_flight == 0
         runtime.shutdown()
+
+
+class TestFifoHandOff:
+    """A slot freed while somebody is parked is the oldest waiter's."""
+
+    def test_the_freeing_thread_cannot_take_the_slot_back(self):
+        window = InflightWindow(1)
+        window.acquire()
+        granted = threading.Event()
+
+        def waiter() -> None:
+            window.acquire(timeout=WAIT)
+            granted.set()
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        assert _until(lambda: window.queued == 1)
+        window.cancel()
+        with pytest.raises(OffloadTimeoutError, match="window full"):
+            window.acquire(timeout=0)
+        assert granted.wait(WAIT) and window.in_flight == 1
+        thread.join(WAIT)
+        window.cancel()
+        assert window.in_flight == window.queued == 0
+
+    def test_parked_syncs_on_a_driven_transport_post_in_arrival_order(self):
+        """Waiters that drive the transport themselves (shm, the
+        simulators) still take freed slots oldest first."""
+        backend = DrivenStubBackend()
+        runtime = Runtime(backend, window=1)
+        blocker = runtime.async_(1, f2f(apps.echo, -1))  # the one slot
+        failures: list[BaseException] = []
+
+        def sync(index: int) -> None:
+            try:
+                assert runtime.sync(1, f2f(apps.echo, index)) == index
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = []
+        for index in range(8):  # one at a time: arrival order is index order
+            threads.append(threading.Thread(target=sync, args=(index,), daemon=True))
+            threads[-1].start()
+            assert _until(lambda: runtime.window.queued == index + 1)
+        backend.gate.set()  # from here on a drive completes something
+        for thread in threads:
+            thread.join(WAIT)
+        assert failures == [] and not any(t.is_alive() for t in threads)
+        assert blocker.get(timeout=WAIT) == -1
+        assert [args[0] for args in backend.posted_args] == [-1, *range(8)]
+        assert runtime.window.in_flight == 0
+        runtime.shutdown()
+

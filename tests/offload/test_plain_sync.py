@@ -25,12 +25,13 @@ from repro.backends import (
     DmaCommBackend,
     FanoutBackend,
     FaultInjectingBackend,
+    LocalBackend,
     VeoCommBackend,
     create_backend,
 )
 from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
 from repro.ham import f2f
-from repro.offload import QoSConfig, ResiliencePolicy, Runtime
+from repro.offload import QoSConfig, ResiliencePolicy, Runtime, TenantPolicy
 from repro.offload import api as offload_api
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
@@ -117,6 +118,39 @@ def test_a_timed_out_sync_keeps_its_slot_until_the_late_reply(transport, reader)
         assert runtime.sync(1, f2f(apps.echo, 1)) == 1
     finally:
         offload_api.finalize()
+
+
+@pytest.mark.parametrize("budget", ["timeout", "tenant-deadline"])
+def test_a_sync_budget_bounds_its_wait_for_a_window_slot(budget):
+    """Without a policy too, a sync's budget (``timeout``, or the
+    tenant's ``deadline`` it turns into) bounds the wait for a slot and
+    for the reply together: behind a slot nobody frees, it times out."""
+    if budget == "timeout":
+        runtime = Runtime(LocalBackend(), window=1)
+        options = {"timeout": 0.2}
+    else:
+        qos = QoSConfig(tenants={"t": TenantPolicy(deadline=0.2)})
+        runtime = Runtime(LocalBackend(), window=1, qos=qos)
+        options = {"tenant": "t"}
+    runtime.window.acquire()  # the one slot, not given back in time
+    raised = []
+
+    def sync():
+        try:
+            runtime.sync(1, f2f(apps.add, 1, 2), **options)
+        except OffloadTimeoutError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=sync, daemon=True)
+    thread.start()
+    thread.join(WAIT)
+    runtime.window.cancel()  # a sync still parked gets the slot now
+    thread.join(WAIT)
+    try:
+        assert len(raised) == 1 and "window full" in str(raised[0])
+        assert runtime.window.in_flight == runtime.window.queued == 0
+    finally:
+        runtime.shutdown()
 
 
 @pytest.mark.parametrize("transport", ["local", "shm", "tcp"])

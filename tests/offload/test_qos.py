@@ -1,36 +1,29 @@
-"""QoS layer tests: tenants, admission control, fair window, shedding.
+"""QoS layer tests: tenants and admission control.
 
 The serving-side invariants under test: admission rejections fail fast
-and *before* serialization, the fair window grants capacity by weight
-without starving anyone, overload sheds lowest-priority work first, and
-the tenant context flows from ``sync(tenant=...)`` down to the SLO
-stream without any backend signature changes.
+and *before* serialization, and the tenant context flows from
+``sync(tenant=...)`` down to the SLO stream without any backend
+signature changes.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
 
 from repro.backends import LocalBackend
-from repro.backends.base import InflightWindow, InvokeHandle
+from repro.backends.base import InflightWindow
 from repro.errors import (
     AdmissionRejectedError,
     DeadlineInfeasibleError,
-    LoadShedError,
     OffloadError,
     OffloadTimeoutError,
     RateLimitedError,
 )
 from repro.ham import f2f
 from repro.offload import (
-    BEST_EFFORT,
-    PREMIUM,
-    STANDARD,
     AdmissionController,
-    FairInflightWindow,
     QoSConfig,
     Runtime,
     TenantContext,
@@ -42,7 +35,7 @@ from repro.offload import (
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
-from tests.offload.stubs import DrivenStubBackend, ThreadedStubBackend
+from tests.offload.stubs import ThreadedStubBackend
 
 
 @pytest.fixture(autouse=True)
@@ -61,15 +54,9 @@ class TestTenantContext:
     def test_defaults(self):
         ctx = TenantContext()
         assert ctx.tenant == "default"
-        assert ctx.priority == STANDARD
-        assert ctx.weight == 1.0
         assert ctx.deadline is None
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(tenant=""), dict(weight=0.0), dict(weight=-1.0),
-         dict(deadline=0.0)],
-    )
+    @pytest.mark.parametrize("kwargs", [dict(tenant=""), dict(deadline=0.0)])
     def test_validation(self, kwargs):
         with pytest.raises(OffloadError):
             TenantContext(**kwargs)
@@ -127,43 +114,34 @@ class TestTenantScope:
         assert current_tenant() is None
 
     def test_sync_without_policy_sees_explicit_and_ambient_tenant(self):
-        """``sync`` resolves the tenant once and still hands it to the
-        window: the fair scheduler accounts the grant to that tenant."""
+        """``sync`` resolves the tenant once and hands it to admission,
+        which accounts the offload to that tenant."""
         runtime = Runtime(LocalBackend(), qos=QoSConfig())
         try:
             assert runtime.sync(1, f2f(apps.add, 1, 2), tenant="explicit") == 3
             with tenant_scope("ambient"):
                 assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
                 assert current_tenant() == "ambient"
-            tenants = runtime.stats()["qos"]["window"]["tenants"]
-            assert tenants["explicit"]["granted"] == 1
-            assert tenants["ambient"]["granted"] == 1
+            tenants = runtime.stats()["qos"]["admission"]
+            assert tenants["explicit"]["admitted"] == 1
+            assert tenants["ambient"]["admitted"] == 1
         finally:
             runtime.shutdown()
 
 
 class TestQoSConfig:
     def test_context_for_resolves_policy(self):
-        config = QoSConfig(tenants={
-            "gold": TenantPolicy(weight=4.0, priority=PREMIUM, deadline=0.5),
-        })
+        config = QoSConfig(tenants={"gold": TenantPolicy(deadline=0.5)})
         gold = config.context_for("gold")
-        assert gold.weight == 4.0
-        assert gold.priority == PREMIUM
-        assert gold.deadline == 0.5
-        anon = config.context_for("unknown")
-        assert anon.weight == 1.0 and anon.priority == STANDARD
+        assert gold == TenantContext(tenant="gold", deadline=0.5)
+        assert config.context_for("unknown").deadline is None
         assert config.context_for(None).tenant == "default"
-        explicit = TenantContext(tenant="x", weight=9.0)
+        explicit = TenantContext(tenant="x", deadline=9.0)
         assert config.context_for(explicit) is explicit
 
     def test_validation(self):
         with pytest.raises(OffloadError):
-            QoSConfig(max_queue_depth=0)
-        with pytest.raises(OffloadError):
             QoSConfig(admission_percentile=0.0)
-        with pytest.raises(OffloadError):
-            QoSConfig(window=0)
         with pytest.raises(OffloadError):
             QoSConfig(headroom=0.0)
 
@@ -269,221 +247,15 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# FairInflightWindow
-# ---------------------------------------------------------------------------
-
-
-def _fill_window(window: FairInflightWindow, n: int) -> list:
-    """Occupy ``n`` slots with handles nothing completes."""
-    handles = []
-    for _ in range(n):
-        window.acquire()
-        handle = InvokeHandle(None)
-        window.register(handle)
-        handles.append(handle)
-    return handles
-
-
-class TestFairWindow:
-    def test_fast_path_grants_under_capacity(self):
-        window = FairInflightWindow(4)
-        handles = _fill_window(window, 4)
-        assert window.in_flight == 4
-        for handle in handles:
-            window.release(handle)
-        assert window.in_flight == 0
-
-    def test_weighted_grant_order(self):
-        """With the window saturated, queued tenants are served ~by weight."""
-        config = QoSConfig(tenants={
-            "heavy": TenantPolicy(weight=3.0),
-            "light": TenantPolicy(weight=1.0),
-        })
-        window = FairInflightWindow(1, config)
-        blocker = _fill_window(window, 1)[0]
-
-        grants: list[str] = []
-        grant_lock = threading.Lock()
-        started = threading.Barrier(25)
-
-        def worker(tenant: str) -> None:
-            ctx = config.context_for(tenant)
-            with tenant_scope(ctx):
-                started.wait()
-                window.acquire(timeout=10.0)
-            with grant_lock:
-                grants.append(tenant)
-            # Grant consumed; hand the reserved slot straight back.
-            window.cancel()
-
-        threads = [
-            threading.Thread(
-                target=worker, args=("heavy" if i % 2 else "light",),
-                daemon=True,
-            )
-            for i in range(24)
-        ]
-        for t in threads:
-            t.start()
-        started.wait()  # all 24 queued (well, racing to queue)
-        time.sleep(0.2)  # let every worker actually park in its queue
-        window.release(blocker)
-        for t in threads:
-            t.join(timeout=10.0)
-        assert len(grants) == 24
-        # First 8 grants: heavy should take ~3/4 of them.
-        head = grants[:8]
-        assert head.count("heavy") >= 5, grants
-
-    def test_no_starvation_single_waiter(self):
-        config = QoSConfig(tenants={"big": TenantPolicy(weight=100.0)})
-        window = FairInflightWindow(1, config)
-        blocker = _fill_window(window, 1)[0]
-        got = threading.Event()
-
-        def small_tenant() -> None:
-            with tenant_scope(TenantContext(tenant="tiny", weight=0.1)):
-                window.acquire(timeout=5.0)
-            got.set()
-
-        thread = threading.Thread(target=small_tenant, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        window.release(blocker)
-        assert got.wait(5.0), "low-weight tenant starved"
-        thread.join(timeout=5.0)
-
-    def test_queue_timeout(self):
-        window = FairInflightWindow(1)
-        _fill_window(window, 1)
-        start = time.monotonic()
-        with pytest.raises(OffloadTimeoutError):
-            window.acquire(timeout=0.1)
-        assert time.monotonic() - start < 2.0
-        assert window.queued == 0  # timed-out waiter removed
-
-    def test_shed_rejects_lowest_class_arrival(self):
-        config = QoSConfig(max_queue_depth=1)
-        window = FairInflightWindow(1, config)
-        _fill_window(window, 1)
-        parked = threading.Event()
-
-        def premium_waiter() -> None:
-            ctx = TenantContext(tenant="vip", priority=PREMIUM)
-            with tenant_scope(ctx):
-                parked.set()
-                try:
-                    window.acquire(timeout=5.0)
-                except OffloadError:
-                    pass
-                else:
-                    window.cancel()
-
-        thread = threading.Thread(target=premium_waiter, daemon=True)
-        thread.start()
-        parked.wait(5.0)
-        time.sleep(0.1)  # premium waiter parks; queue is now at depth
-        with tenant_scope(TenantContext(tenant="junk", priority=BEST_EFFORT)):
-            with pytest.raises(LoadShedError):
-                window.acquire(timeout=1.0)
-        snap = window.snapshot()
-        assert snap["tenants"]["junk"]["shed"] == 1
-
-    def test_shed_evicts_queued_lower_class_for_premium_arrival(self):
-        config = QoSConfig(max_queue_depth=1)
-        window = FairInflightWindow(1, config)
-        blocker = _fill_window(window, 1)[0]
-        shed_error: list[BaseException] = []
-        parked = threading.Event()
-
-        def best_effort_waiter() -> None:
-            ctx = TenantContext(tenant="junk", priority=BEST_EFFORT)
-            with tenant_scope(ctx):
-                parked.set()
-                try:
-                    window.acquire(timeout=5.0)
-                except LoadShedError as exc:
-                    shed_error.append(exc)
-
-        thread = threading.Thread(target=best_effort_waiter, daemon=True)
-        thread.start()
-        parked.wait(5.0)
-        time.sleep(0.1)
-
-        granted = threading.Event()
-
-        def premium_arrival() -> None:
-            ctx = TenantContext(tenant="vip", priority=PREMIUM)
-            with tenant_scope(ctx):
-                window.acquire(timeout=5.0)
-            granted.set()
-            window.cancel()
-
-        vip = threading.Thread(target=premium_arrival, daemon=True)
-        vip.start()
-        time.sleep(0.1)
-        window.release(blocker)
-        assert granted.wait(5.0), "premium arrival not granted"
-        thread.join(timeout=5.0)
-        vip.join(timeout=5.0)
-        assert shed_error, "queued best-effort waiter was not shed"
-
-    def test_driven_transport_gets_drr_order(self):
-        """On a transport nothing completes unless a waiter drives it
-        (shm, the simulators) parked tenants are still served by weight:
-        the waiters pump, DRR says whose turn the freed slot is."""
-        config = QoSConfig(window=1, tenants={
-            "heavy": TenantPolicy(weight=3.0),
-            "light": TenantPolicy(weight=1.0),
-        })
-        backend = DrivenStubBackend()
-        runtime = Runtime(backend, qos=config)
-        blocker = runtime.async_(1, f2f(apps.echo, "blocker"))  # the slot
-        failures: list[BaseException] = []
-
-        def worker(tenant: str) -> None:
-            try:
-                assert runtime.sync(1, f2f(apps.echo, tenant), tenant=tenant) == tenant
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=worker, args=("heavy" if i % 2 else "light",),
-                daemon=True,
-            )
-            for i in range(24)
-        ]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 10.0
-        while runtime.window.queued < 24 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert runtime.window.queued == 24
-        backend.gate.set()  # from here on a drive completes something
-        for t in threads:
-            t.join(timeout=10.0)
-        assert failures == [] and not any(t.is_alive() for t in threads)
-        assert blocker.get(timeout=10.0) == "blocker"
-        # With one slot, posts happen one grant at a time, in grant order.
-        served = [args[0] for args in backend.posted_args[1:]]
-        assert len(served) == 24 and served[:8].count("heavy") >= 5, served
-        tenants = runtime.stats()["qos"]["window"]["tenants"]
-        assert tenants["heavy"]["granted"] == tenants["light"]["granted"] == 12
-        assert runtime.window.in_flight == 0
-        runtime.shutdown()
-
-
-# ---------------------------------------------------------------------------
 # Runtime integration
 # ---------------------------------------------------------------------------
 
 
 class TestRuntimeIntegration:
-    def test_qos_installs_fair_window(self):
+    def test_qos_installs_admission(self):
         backend = LocalBackend()
-        runtime = Runtime(backend, qos=QoSConfig(window=8))
-        assert isinstance(runtime.window, FairInflightWindow)
+        runtime = Runtime(backend, window=8, qos=QoSConfig())
+        assert type(runtime.window) is InflightWindow
         assert runtime.window.limit == 8
         assert runtime.sync(1, f2f(apps.add, 2, 3)) == 5
         stats = runtime.stats()
@@ -495,15 +267,11 @@ class TestRuntimeIntegration:
         # runtime's policy for that tenant (deadline included), exactly
         # like an explicit tenant= argument — not leak into the deadline
         # check as a str.
-        config = QoSConfig(tenants={
-            "gold": TenantPolicy(weight=4.0, deadline=5.0),
-        })
+        config = QoSConfig(tenants={"gold": TenantPolicy(deadline=5.0)})
         runtime = Runtime(LocalBackend(), qos=config)
         with tenant_scope("gold"):
             assert runtime.sync(1, f2f(apps.add, 2, 3)) == 5
-        snap = runtime.stats()["qos"]
-        assert snap["admission"]["gold"]["admitted"] == 1
-        assert snap["window"]["tenants"]["gold"]["granted"] == 1
+        assert runtime.stats()["qos"]["admission"]["gold"]["admitted"] == 1
         runtime.shutdown()
 
     def test_sync_rejects_rate_limited_tenant_fast(self):
@@ -540,8 +308,7 @@ class TestRuntimeIntegration:
         backend = ThreadedStubBackend(num_targets=1, delay=0.0)
         runtime = Runtime(backend, qos=QoSConfig())
         assert runtime.sync(1, f2f(apps.add, 4, 5), tenant="gold") == 9
-        snap = runtime.window.snapshot()
-        assert snap["tenants"]["gold"]["granted"] == 1
+        assert runtime.stats()["qos"]["admission"]["gold"]["admitted"] == 1
         runtime.shutdown()
 
     def test_without_qos_behavior_unchanged(self):

@@ -69,19 +69,19 @@ class TestTriggerAndDump:
 
     def test_trigger_writes_a_complete_bundle(self, tmp_path):
         rec = FlightRecorder(capacity=8, crash_dir=tmp_path)
-        rec.note("qos.shed", tenant="noisy")
+        rec.note("qos.rejected", tenant="noisy")
         bundle = rec.trigger("node_down", node=3)
         assert bundle is not None and bundle.is_dir()
         assert "node_down" in bundle.name
         manifest = json.loads((bundle / BUNDLE_MANIFEST).read_text())
         assert manifest["reason"] == "node_down"
         assert manifest["attrs"] == {"node": "3"}
-        assert manifest["events"] == 2  # the shed + the trigger itself
+        assert manifest["events"] == 2  # the rejection + the trigger itself
         rows = [
             json.loads(line)
             for line in (bundle / BUNDLE_EVENTS).read_text().splitlines()
         ]
-        assert rows[0]["name"] == "qos.shed"
+        assert rows[0]["name"] == "qos.rejected"
         assert rows[0]["attrs"] == {"tenant": "noisy"}
         assert rows[-1]["name"] == "flight.trigger"
         # The exporter's one row shape, readable as a trace file too.

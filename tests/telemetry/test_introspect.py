@@ -250,7 +250,8 @@ class TestOneSnapshot:
         offload.init(
             TcpBackend(address, on_shutdown=lambda: process.join(timeout=5)),
             policy=ResiliencePolicy(deadline=5.0),
-            qos=QoSConfig(window=4),
+            window=4,
+            qos=QoSConfig(),
         )
         try:
             futures = [offload.async_(1, f2f(apps.sleep_then, 0.5, i))
@@ -276,6 +277,8 @@ class TestOneSnapshot:
         assert "max_lag_us" in state["backend"]["reactor"]
         assert "flush_reasons" in state["backend"]["batch"]
         assert {"pid", "qos", "health"} <= set(state)
+        assert state["qos"] == {"admission": {"default": {
+            "admitted": 2, "rejected": 0, "tokens": None}}}
 
 
 class TestIntrospectEndpoint:
@@ -328,6 +331,10 @@ class TestTopRendering:
                     "reply_ring": {"used": 0, "capacity": 1024},
                     "pending_replies": 2,
                 },
+                "qos": {"admission": {
+                    "gold": {"admitted": 5, "rejected": 0, "tokens": None},
+                    "noisy": {"admitted": 9, "rejected": 4, "tokens": 0.5},
+                }},
                 "health": {1: {"health": "up"}},
             },
             "target": {
@@ -357,6 +364,7 @@ class TestTopRendering:
         assert "handoffs 3   promotions 1   reader ham-shm-worker-2" in frame
         assert "FLIGHT  noted 7" in frame
         assert "1:up" in frame
+        assert "admitted/rejected gold=5/0 noisy=9/4" in frame
 
     def test_render_frame_handles_unreachable_target(self):
         snapshot = self._snapshot()

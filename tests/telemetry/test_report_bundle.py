@@ -21,7 +21,7 @@ from repro.telemetry.report import main, render_bundle
 def bundle(tmp_path):
     rec = FlightRecorder(capacity=16, crash_dir=tmp_path)
     for i in range(3):
-        rec.note("qos.shed", tenant="noisy", seq=i)
+        rec.note("qos.rejected", tenant="noisy", seq=i)
     rec.note("health.transition", node=1, health="down")
     return rec.trigger("node_down", node=1)
 
@@ -31,7 +31,7 @@ class TestRenderBundle:
         text = render_bundle(flightrecorder.load_bundle(bundle))
         assert "reason=node_down" in text
         assert "events retained 5" in text
-        assert "qos.shed" in text
+        assert "qos.rejected" in text
         assert "last events:" in text
         assert "flight.trigger" in text
 
