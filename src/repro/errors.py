@@ -163,22 +163,15 @@ class CircuitOpenError(OffloadError):
 class AdmissionRejectedError(OffloadError):
     """An offload was refused *before* serialization by admission control.
 
-    Raised by the QoS layer (:mod:`repro.offload.qos`) when accepting the
-    operation would violate a policy: the tenant is over its rate limit,
-    or the remaining deadline cannot cover the kernel's observed service
-    time. Fast-fail by design — the
-    functor is never serialized and no window slot is consumed, so a
-    rejected request costs microseconds, not a deadline.
+    Raised by the QoS layer (:mod:`repro.offload.qos`) when the tenant is
+    over its rate limit. Fast-fail by design — the functor is never
+    serialized and no window slot is consumed, so a rejected request
+    costs microseconds, not a deadline.
     """
 
 
 class RateLimitedError(AdmissionRejectedError):
     """The tenant's token bucket is empty (per-tenant rate limit)."""
-
-
-class DeadlineInfeasibleError(AdmissionRejectedError):
-    """The remaining deadline cannot cover the kernel's rolling service
-    time estimate, so the work would be dead on arrival."""
 
 
 class InjectedFaultError(BackendError):

@@ -38,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
     from repro.offload.future import Future
     from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
     from repro.offload.qos import (
-        AdmissionController, QoSConfig, TenantContext, TenantPolicy, TokenBucket,
-        current_tenant, tenant_scope,
+        AdmissionController, QoSConfig, TenantPolicy, TokenBucket, current_tenant,
+        tenant_scope,
     )
     from repro.offload.resilience import HealthMonitor, NodeHealth, ResiliencePolicy
     from repro.offload.runtime import Runtime
@@ -47,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
 __all__ = [
     "AdmissionController", "BufferPtr", "Future", "HOST_NODE", "HealthMonitor",
     "Migratable", "NodeDescriptor", "NodeHealth", "NodeId", "QoSConfig",
-    "ResiliencePolicy", "Runtime", "TenantContext", "TenantPolicy",
-    "TokenBucket", "current_tenant", "f2f", "offloadable", "tenant_scope",
+    "ResiliencePolicy", "Runtime", "TenantPolicy", "TokenBucket",
+    "current_tenant", "f2f", "offloadable", "tenant_scope",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
@@ -57,8 +57,8 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.offload.future": ("Future",),
     "repro.offload.node": ("HOST_NODE", "NodeDescriptor", "NodeId"),
     "repro.offload.qos": (
-        "AdmissionController", "QoSConfig", "TenantContext", "TenantPolicy",
-        "TokenBucket", "current_tenant", "tenant_scope",
+        "AdmissionController", "QoSConfig", "TenantPolicy", "TokenBucket",
+        "current_tenant", "tenant_scope",
     ),
     "repro.offload.resilience": ("HealthMonitor", "NodeHealth", "ResiliencePolicy"),
     "repro.offload.runtime": ("Runtime",),

@@ -32,7 +32,7 @@ from repro.ham.functor import Functor
 from repro.offload.buffer import BufferPtr
 from repro.offload.future import Future
 from repro.offload.node import NodeDescriptor, NodeId
-from repro.offload.qos import QoSConfig, TenantContext
+from repro.offload.qos import QoSConfig
 from repro.offload.resilience import ResiliencePolicy
 from repro.offload.runtime import Runtime
 from repro.telemetry import flightrecorder as _flightrecorder
@@ -102,9 +102,9 @@ def init(
     of :data:`~repro.backends.base.DEFAULT_INFLIGHT_LIMIT`.
 
     ``qos`` installs the multi-tenant admission layer
-    (:class:`~repro.offload.qos.QoSConfig`): per-tenant rate limits and
-    deadline-aware admission, checked before an offload takes a window
-    slot; ``sync``/``async_`` then accept a ``tenant=`` argument. See
+    (:class:`~repro.offload.qos.QoSConfig`): per-tenant rate limits,
+    checked before an offload takes a window slot, for the tenant that
+    ``sync``/``async_``'s ``tenant=`` argument names. See
     ``docs/resilience.md``.
 
     ``telemetry`` enables the process-global recorder
@@ -292,7 +292,7 @@ def sync(
     *,
     idempotent: bool = False,
     timeout: float | None = None,
-    tenant: "str | TenantContext | None" = None,
+    tenant: str | None = None,
 ) -> Any:
     """Synchronous offload of ``functor`` to ``node`` (Table II ``sync``).
 
@@ -308,7 +308,7 @@ def async_(
     node: NodeId,
     functor: Functor,
     *,
-    tenant: "str | TenantContext | None" = None,
+    tenant: str | None = None,
 ) -> Future:
     """Asynchronous offload; returns a future (Table II ``async``)."""
     return runtime().async_(node, functor, tenant=tenant)

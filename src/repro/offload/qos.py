@@ -1,21 +1,19 @@
-"""QoS layer: tenants and admission control.
+"""QoS layer: tenants and their rate limits.
 
 The in-flight window (the runtime's
 :class:`~repro.backends.base.InflightWindow`, first come, first served)
 bounds *how much* work is in flight; this module decides *whose* work
-gets in at all. Two cooperating pieces:
+gets in at all.
 
-* :class:`TenantContext` tags every offload with a tenant id and an
-  optional per-invoke deadline. Applications name it per call
-  (``tenant=``) or ambiently (:func:`tenant_scope`); the runtime
-  resolves it once and hands it to admission as an argument — backends
-  never see it.
+* A tenant is a non-empty ``str``. Applications name it per call
+  (``tenant=``) or ambiently (:func:`tenant_scope`); the runtime reads
+  it once per offload and hands it to admission as an argument —
+  backends never see it.
 * :class:`AdmissionController` fast-fails work *before serialization*:
-  a per-tenant token bucket enforces rate limits, and deadline-aware
-  admission rejects an invoke whose deadline cannot cover the kernel's
-  p95 round trip (``kernel.<kernel>.offload``). A rejected
-  request raises :class:`~repro.errors.AdmissionRejectedError` in
-  microseconds instead of burning a window slot and a deadline.
+  a per-tenant token bucket enforces the tenant's rate limit. A rejected
+  request raises :class:`~repro.errors.RateLimitedError` in microseconds
+  instead of burning a window slot; it never made a round trip, so it is
+  counted here (``rejected``, the ``qos.rejected`` event) and by no SLO.
 
 The layer is opt-in: with ``Runtime(backend, qos=QoSConfig(...))`` (or
 ``offload.init(backend, qos=...)``) every offload passes admission,
@@ -31,82 +29,43 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.errors import DeadlineInfeasibleError, OffloadError, RateLimitedError
+from repro.errors import OffloadError, RateLimitedError
 from repro.telemetry import recorder as telemetry
 
 __all__ = [
     "AdmissionController",
     "QoSConfig",
-    "TenantContext",
     "TenantPolicy",
     "TokenBucket",
     "current_tenant",
-    "profiled_service_time",
     "tenant_scope",
 ]
 
-#: Tenant id used when the caller never names one.
+#: Tenant id of a QoS runtime's offload that names none.
 DEFAULT_TENANT_ID = "default"
-
-
-@dataclass(frozen=True)
-class TenantContext:
-    """Identity and QoS parameters of one offload's originator.
-
-    Attributes
-    ----------
-    tenant:
-        Stable tenant id (the rate-limit key; also the per-tenant SLO
-        dimension).
-    deadline:
-        Optional per-invoke deadline budget in seconds, measured from
-        admission. Deadline-aware admission rejects the invoke up front
-        when the kernel's rolling service-time estimate exceeds it.
-    """
-
-    tenant: str = DEFAULT_TENANT_ID
-    deadline: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.tenant:
-            raise OffloadError("tenant id must be non-empty")
-        if self.deadline is not None and self.deadline <= 0:
-            raise OffloadError(
-                f"tenant deadline must be positive, got {self.deadline}"
-            )
-
 
 #: The ambient tenant of the current thread/task (what an application
 #: sets with :func:`tenant_scope`; the runtime reads it once per offload).
-_CURRENT_TENANT: contextvars.ContextVar["str | TenantContext | None"] = (
+_CURRENT_TENANT: contextvars.ContextVar[str | None] = (
     contextvars.ContextVar("repro_tenant", default=None)
 )
 
 
-def current_tenant() -> "str | TenantContext | None":
-    """The ambient tenant, or ``None`` outside a scope.
-
-    A bare tenant id set via ``tenant_scope("name")`` is returned as the
-    string; consumers resolve it against their :class:`QoSConfig` (so
-    the same scope picks up each runtime's policy for that tenant).
-    """
+def current_tenant() -> str | None:
+    """The ambient tenant id, or ``None`` outside a scope."""
     return _CURRENT_TENANT.get()
 
 
 class tenant_scope:  # lower case: it is used like a function
-    """Make ``ctx`` the ambient tenant for the duration of the block.
+    """Make ``tenant`` the ambient tenant for the duration of the block."""
 
-    Accepts a full :class:`TenantContext` or a bare tenant id; a bare id
-    is resolved to the runtime's policy for that tenant at each offload.
-    """
+    __slots__ = ("_tenant", "_token")
 
-    __slots__ = ("_ctx", "_token")
-
-    def __init__(self, ctx: "str | TenantContext | None") -> None:
-        self._ctx = ctx
+    def __init__(self, tenant: str | None) -> None:
+        self._tenant = tenant
 
     def __enter__(self) -> None:
-        self._token = _CURRENT_TENANT.set(self._ctx)
+        self._token = _CURRENT_TENANT.set(self._tenant)
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         _CURRENT_TENANT.reset(self._token)
@@ -118,12 +77,11 @@ class TenantPolicy:
 
     ``rate``/``burst`` configure the tenant's token bucket in invokes
     per second / invokes; ``None`` rate disables rate limiting for the
-    tenant. ``deadline`` is the default per-invoke deadline budget.
+    tenant.
     """
 
     rate: float | None = None
     burst: float | None = None
-    deadline: float | None = None
 
     def __post_init__(self) -> None:
         if self.rate is not None and self.rate <= 0:
@@ -143,51 +101,14 @@ class QoSConfig:
         to ``default_policy``.
     default_policy:
         Policy applied to tenants not listed in ``tenants``.
-    admission_percentile:
-        Percentile of the kernel's rolling service-time profile used as
-        the estimate (the "p95 service time" of the admission rule).
-    admission_min_samples:
-        Completed offloads of a kernel required before its estimate is
-        trusted; below it deadline admission always admits.
-    headroom:
-        Safety factor on the estimate: reject when
-        ``estimate * headroom > deadline``.
     """
 
     tenants: Mapping[str, TenantPolicy] = field(default_factory=dict)
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
-    admission_percentile: float = 95.0
-    admission_min_samples: int = 10
-    headroom: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.admission_percentile <= 100.0:
-            raise OffloadError(
-                "admission_percentile must be in (0, 100], got "
-                f"{self.admission_percentile}"
-            )
-        if self.headroom <= 0:
-            raise OffloadError(f"headroom must be positive, got {self.headroom}")
 
     def policy_for(self, tenant: str) -> TenantPolicy:
         """The effective :class:`TenantPolicy` of ``tenant``."""
         return self.tenants.get(tenant, self.default_policy)
-
-    def context_for(
-        self, tenant: "str | TenantContext | None"
-    ) -> TenantContext:
-        """Resolve a caller-supplied tenant into a full context.
-
-        A bare tenant id picks up its policy's deadline; an explicit
-        :class:`TenantContext` is taken as-is; ``None`` resolves the
-        default tenant.
-        """
-        if isinstance(tenant, TenantContext):
-            return tenant
-        tenant_id = tenant if tenant is not None else DEFAULT_TENANT_ID
-        return TenantContext(
-            tenant=tenant_id, deadline=self.policy_for(tenant_id).deadline
-        )
 
 
 class TokenBucket:
@@ -236,27 +157,10 @@ class TokenBucket:
             return self._tokens
 
 
-def profiled_service_time(
-    percentile: float = 95.0, min_samples: int = 10
-) -> Callable[[str], float | None]:
-    """Service-time estimator backed by the kernel's round-trip series.
-
-    Returns a callable ``estimate(kernel) -> seconds | None`` reading
-    :func:`repro.telemetry.recorder.kernel_percentile`. ``None`` means
-    "no telemetry / not enough samples" — admission then admits, because
-    rejecting on no data would fail closed.
-    """
-    return lambda kernel: telemetry.kernel_percentile(
-        kernel, percentile, min_samples)
-
-
 class AdmissionController:
-    """Fast-fail gate run before an offload is serialized.
-
-    Checks, in order: the tenant's token bucket (rate limit), then
-    deadline feasibility against the kernel's rolling service-time
-    estimate. Raises an :class:`~repro.errors.AdmissionRejectedError`
-    subclass on refusal; counts both outcomes per tenant.
+    """Fast-fail gate run before an offload is serialized: the tenant's
+    token bucket. Raises :class:`~repro.errors.RateLimitedError` on
+    refusal; counts both outcomes per tenant.
     """
 
     def __init__(
@@ -264,15 +168,9 @@ class AdmissionController:
         config: QoSConfig,
         *,
         clock: Callable[[], float] = time.monotonic,
-        estimator: Callable[[str], float | None] | None = None,
     ) -> None:
         self.config = config
         self._clock = clock
-        self._estimator = estimator if estimator is not None else (
-            profiled_service_time(
-                config.admission_percentile, config.admission_min_samples
-            )
-        )
         self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket | None] = {}
         self._admitted: dict[str, int] = {}
@@ -292,45 +190,22 @@ class AdmissionController:
                     )
             return self._buckets[tenant]
 
-    def admit(self, ctx: TenantContext, kernel: str) -> None:
-        """Admit one invoke of ``kernel`` for ``ctx`` or raise.
-
-        Raises
-        ------
-        RateLimitedError
-            The tenant's token bucket is empty.
-        DeadlineInfeasibleError
-            ``ctx.deadline`` cannot cover the kernel's rolling
-            service-time estimate (with the configured headroom).
-        """
-        bucket = self._bucket(ctx.tenant)
+    def admit(self, tenant: str, kernel: str) -> None:
+        """Admit one invoke of ``kernel`` for ``tenant`` or raise
+        :class:`~repro.errors.RateLimitedError` (its bucket is empty)."""
+        bucket = self._bucket(tenant)
         if bucket is not None and not bucket.try_acquire():
-            self._reject(ctx, kernel, "rate_limited")
+            with self._lock:
+                self._rejected[tenant] = self._rejected.get(tenant, 0) + 1
+            telemetry.event(
+                "qos.rejected", category="qos", tenant=tenant, kernel=kernel,
+            )
             raise RateLimitedError(
-                f"tenant {ctx.tenant!r} over its rate limit "
+                f"tenant {tenant!r} over its rate limit "
                 f"({bucket.rate:g}/s, burst {bucket.burst:g})"
             )
-        if ctx.deadline is not None:
-            estimate = self._estimator(kernel)
-            if estimate is not None and \
-                    estimate * self.config.headroom > ctx.deadline:
-                self._reject(ctx, kernel, "deadline_infeasible")
-                raise DeadlineInfeasibleError(
-                    f"kernel {kernel!r} p{self.config.admission_percentile:g} "
-                    f"service time {estimate * 1e3:.2f} ms cannot meet the "
-                    f"{ctx.deadline * 1e3:.2f} ms deadline of tenant "
-                    f"{ctx.tenant!r}"
-                )
         with self._lock:
-            self._admitted[ctx.tenant] = self._admitted.get(ctx.tenant, 0) + 1
-
-    def _reject(self, ctx: TenantContext, kernel: str, reason: str) -> None:
-        with self._lock:
-            self._rejected[ctx.tenant] = self._rejected.get(ctx.tenant, 0) + 1
-        telemetry.event(
-            "qos.rejected", category="qos",
-            tenant=ctx.tenant, kernel=kernel, reason=reason,
-        )
+            self._admitted[tenant] = self._admitted.get(tenant, 0) + 1
 
     def snapshot(self) -> dict[str, Any]:
         """Per-tenant admitted/rejected counters and bucket levels."""

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.errors import (
-    AdmissionRejectedError,
     BackendError,
     CircuitOpenError,
     OffloadError,
@@ -38,10 +37,9 @@ from repro.offload.future import CompletedHandle, Future, availability_miss, set
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.offload.qos import (
     _CURRENT_TENANT,
+    DEFAULT_TENANT_ID,
     AdmissionController,
     QoSConfig,
-    TenantContext,
-    current_tenant,
 )
 from repro.offload.resilience import HealthMonitor, ResiliencePolicy
 from repro.telemetry import context as trace_context
@@ -81,12 +79,11 @@ class Runtime:
         Optional :class:`~repro.offload.qos.QoSConfig`. When set,
         every offload passes an
         :class:`~repro.offload.qos.AdmissionController` *before*
-        serialization — per-tenant rate limits and deadline-feasibility
-        checks fail in microseconds instead of burning a window slot.
-        Offloads pick up their :class:`~repro.offload.qos.TenantContext`
-        from the ``tenant=`` argument, the ambient
-        :func:`~repro.offload.qos.tenant_scope`, or the config's default
-        tenant, in that order.
+        serialization — a tenant over its rate limit fails in
+        microseconds instead of burning a window slot. An offload's
+        tenant is the ``tenant=`` argument, the ambient
+        :func:`~repro.offload.qos.tenant_scope`, or ``"default"``, in
+        that order.
     """
 
     def __init__(
@@ -99,7 +96,6 @@ class Runtime:
     ) -> None:
         self.backend = backend
         self.policy = policy
-        self.qos = qos
         #: A policy brings a health monitor; no policy, no monitor.
         self.monitor = HealthMonitor(policy) if policy is not None else None
         self.admission = AdmissionController(qos) if qos is not None else None
@@ -165,49 +161,27 @@ class Runtime:
             return ctx
         return trace_context.new_trace()
 
-    def _resolve_tenant(
-        self, tenant: "str | TenantContext | None"
-    ) -> TenantContext | None:
-        """Pick the offload's tenant: explicit, ambient, or QoS default."""
-        if tenant is None:
-            # The ambient scope may hold a bare tenant id too; it is
-            # normalized below, so it picks up the QoS policy exactly
-            # like an explicit tenant= argument.
-            tenant = current_tenant()
-        if tenant is not None:
-            if isinstance(tenant, TenantContext):
-                return tenant
-            if self.qos is not None:
-                return self.qos.context_for(tenant)
-            return TenantContext(tenant=tenant)
-        if self.qos is not None:
-            return self.qos.context_for(None)
-        return None
-
     def async_(
         self,
         node: NodeId,
         functor: Functor,
         *,
-        tenant: "str | TenantContext | None" = None,
+        tenant: str | None = None,
     ) -> Future:
         """Asynchronous offload of ``functor`` to ``node`` (paper ``async``)."""
-        if tenant is None:
-            tenant = _CURRENT_TENANT.get()  # current_tenant(), inline
-        # No tenant and no QoS resolve to no context, without a call.
-        tctx = (None if tenant is None and self.qos is None
-                else self._resolve_tenant(tenant))
-        return self._offload(node, functor, tctx)
+        return self._offload(node, functor, tenant)
 
     def _offload(
-        self, node: NodeId, functor: Functor, tctx: TenantContext | None,
+        self, node: NodeId, functor: Functor, tenant: str | None,
         expiry: float | None = None, *, sync: bool = False,
     ) -> Any:
         """The one path of every offload: a future for ``post_invoke``'s
         handle or, ``sync``, the value ``sync_invoke`` read, settled here.
 
-        In order: the node's circuit; QoS admission (before serializing:
-        a rejected offload never touches the window); the offload's trace;
+        In order: the node's circuit; the tenant (``tenant``, else the
+        ambient one, else a QoS runtime's default) and its admission
+        (before serializing: a rejected offload never touches the window
+        and is no round trip, so no SLO counts it); the offload's trace;
         a window slot, waited for no longer than the policy deadline and
         what is left until ``expiry`` (the ``time.monotonic`` end of the
         budget, which then bounds a sync's reply wait too); the backend
@@ -223,15 +197,16 @@ class Runtime:
             )
         if self.monitor is not None:
             self.monitor.check(node)
-        tenant = tctx.tenant if tctx is not None else None
         start_ns = time.perf_counter_ns()
-        if self.admission is not None and tctx is not None:
-            try:
-                self.admission.admit(tctx, functor.type_name)
-            except AdmissionRejectedError:
-                # An availability miss, charged to the tenant that caused it.
-                availability_miss(start_ns, tenant)
-                raise
+        if tenant is None:
+            tenant = _CURRENT_TENANT.get()  # current_tenant(), inline
+            if tenant is None and self.admission is not None:
+                tenant = DEFAULT_TENANT_ID
+        if tenant is not None:
+            if not tenant:
+                raise OffloadError("tenant id must be non-empty")
+            if self.admission is not None:
+                self.admission.admit(tenant, functor.type_name)
         recorder = telemetry.get()
         ctx: trace_context.TraceContext | None = None
         token: Any = None
@@ -296,7 +271,7 @@ class Runtime:
         *,
         idempotent: bool = False,
         timeout: float | None = None,
-        tenant: "str | TenantContext | None" = None,
+        tenant: str | None = None,
     ) -> Any:
         """Synchronous offload: ``async_`` + ``get``, read by the caller
         with no future built (one :meth:`_offload` per attempt).
@@ -315,31 +290,23 @@ class Runtime:
         timeout:
             Per-call deadline override (seconds), one budget for the
             wait for a window slot and the wait for the reply; defaults
-            to the tenant's deadline, then the policy deadline.
+            to the policy deadline.
         tenant:
-            Tenant id or full :class:`~repro.offload.qos.TenantContext`
-            this offload is accounted to; defaults to the ambient
-            :func:`~repro.offload.qos.tenant_scope`, then the QoS
-            config's default tenant.
+            Tenant id this offload is accounted to; defaults to the
+            ambient :func:`~repro.offload.qos.tenant_scope`, then (under
+            ``qos=``) ``"default"``.
         """
-        if tenant is None:
-            tenant = _CURRENT_TENANT.get()  # current_tenant(), inline
-        # No tenant and no QoS resolve to no context, without a call.
-        tctx = (None if tenant is None and self.qos is None
-                else self._resolve_tenant(tenant))
-        if timeout is None and tctx is not None and tctx.deadline is not None:
-            timeout = tctx.deadline
         if self.policy is None:
             # One budget for the slot wait and the reply wait, as below.
             expiry = None if timeout is None else time.monotonic() + timeout
-            return self._offload(node, functor, tctx, expiry, sync=True)
+            return self._offload(node, functor, tenant, expiry, sync=True)
         # One trace spans the whole resilient operation: every retry and
         # failover re-posts under the same trace_id, so the merged trace
         # shows attempt N's spans (and the resilience.* events between
         # them) re-parented onto the one logical offload.
         with trace_context.activate(self._offload_trace()):
             return self._sync_attempts(
-                node, functor, tctx,
+                node, functor, tenant,
                 timeout if timeout is not None else self.policy.deadline,
                 idempotent,
             )
@@ -383,7 +350,7 @@ class Runtime:
         self,
         target: NodeId,
         functor: Functor,
-        tctx: TenantContext | None,
+        tenant: str | None,
         deadline: float | None,
         idempotent: bool,
     ) -> Any:
@@ -433,7 +400,7 @@ class Runtime:
                         )
                     target = successor
             try:
-                return self._offload(target, functor, tctx, expiry, sync=True)
+                return self._offload(target, functor, tenant, expiry, sync=True)
             except (CircuitOpenError, *_TRANSPORT_ERRORS) as exc:
                 # Health is accounted. A RemoteExecutionError propagates:
                 # the transport worked, and a retry would repeat it.

@@ -71,7 +71,6 @@ __all__ = [
     "event",
     "gauge",
     "get",
-    "kernel_percentile",
     "span",
 ]
 
@@ -536,17 +535,6 @@ def gauge(name: str, value: float) -> None:
     recorder = _RECORDER
     if recorder is not None:
         recorder.metrics.gauge(name).set(value)
-
-
-def kernel_percentile(kernel: str, q: float, min_samples: int) -> float | None:
-    """The ``q``-th percentile (seconds) of ``kernel``'s round trips, or
-    ``None`` while telemetry is off or fewer than ``min_samples`` were
-    seen — QoS deadline admission then decides without an estimate."""
-    recorder = _RECORDER
-    hist = recorder._kernel_hists.get(kernel) if recorder is not None else None
-    if hist is None or hist.count < min_samples:
-        return None
-    return hist.percentile(q)
 
 
 def complete_offload(

@@ -169,7 +169,6 @@ SIGNALS = SignalRegistry((
          "INVOKE message bytes built for the kernel", _KERNEL + "column `bytes`"),
     _ROW("kernel.<kernel>.offload", "histogram", "seconds",
          "issue → result round trip of every offload of the kernel",
-         "`recorder.kernel_percentile`: QoS deadline admission; "
          "`report --profile`"),
 ))
 

@@ -26,7 +26,7 @@ from repro.backends import LocalBackend, TcpBackend, spawn_local_server
 from repro.backends.shm import ShmBackend, ShmSegment, ShmTargetServer
 from repro.backends.tcp import TcpTargetServer
 from repro.ham import f2f
-from repro.offload import Runtime
+from repro.offload import QoSConfig, Runtime, TenantPolicy
 from repro.offload import api as offload_api
 from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
@@ -152,6 +152,38 @@ class TestDefaultPathBudget:
         ]
         assert counts.calls > 0
         assert counts.locks == 2
+
+
+#: One warm ``sync(1, functor, tenant="gold")`` on ``local`` under a
+#: ``QoSConfig`` that rate-limits gold, the functor built before the
+#: count: 69 calls and 5 locks on CPython 3.11 (the plain sync's 60 and
+#: 2, plus admission: the bucket lookup, the bucket's refill and the
+#: admitted count take one lock each). The tenant is a bare id read by
+#: ``_offload``; the ceiling is 5 calls under the 77 it took while a
+#: tenant was resolved into a context object.
+MAX_QOS_TENANT_SYNC_CALLS = 72
+QOS_TENANT_SYNC_LOCKS = 5
+
+
+def test_tenant_tagged_qos_sync_call_budget():
+    config = QoSConfig(tenants={"gold": TenantPolicy(rate=1e9, burst=1e9)})
+    runtime = Runtime(LocalBackend(), qos=config)
+    try:
+        for _ in range(50):
+            assert runtime.sync(1, f2f(apps.add, 1, 2), tenant="gold") == 3
+        functor = f2f(apps.add, 1, 2)
+        gc.collect()  # no earlier test's garbage is finalized in the count
+        counts = profile_calls(lambda: runtime.sync(1, functor, tenant="gold"))
+        assert counts.value == 3
+        assert runtime.stats()["qos"]["admission"]["gold"]["admitted"] == 51
+    finally:
+        runtime.shutdown()
+    assert counts.constructed == []
+    assert counts.locks == QOS_TENANT_SYNC_LOCKS
+    assert counts.calls <= MAX_QOS_TENANT_SYNC_CALLS, (
+        f"one warm tenant-tagged QoS sync made {counts.calls} calls "
+        f"(budget {MAX_QOS_TENANT_SYNC_CALLS})"
+    )
 
 
 #: Calls of one warm ``sync(1, f2f(echo, 7))`` on a framed transport,

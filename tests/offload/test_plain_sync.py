@@ -31,7 +31,7 @@ from repro.backends import (
 )
 from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
 from repro.ham import f2f
-from repro.offload import QoSConfig, ResiliencePolicy, Runtime, TenantPolicy
+from repro.offload import QoSConfig, ResiliencePolicy, Runtime
 from repro.offload import api as offload_api
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
@@ -120,18 +120,13 @@ def test_a_timed_out_sync_keeps_its_slot_until_the_late_reply(transport, reader)
         offload_api.finalize()
 
 
-@pytest.mark.parametrize("budget", ["timeout", "tenant-deadline"])
+@pytest.mark.parametrize("budget", ["timeout"])
 def test_a_sync_budget_bounds_its_wait_for_a_window_slot(budget):
-    """Without a policy too, a sync's budget (``timeout``, or the
-    tenant's ``deadline`` it turns into) bounds the wait for a slot and
-    for the reply together: behind a slot nobody frees, it times out."""
-    if budget == "timeout":
-        runtime = Runtime(LocalBackend(), window=1)
-        options = {"timeout": 0.2}
-    else:
-        qos = QoSConfig(tenants={"t": TenantPolicy(deadline=0.2)})
-        runtime = Runtime(LocalBackend(), window=1, qos=qos)
-        options = {"tenant": "t"}
+    """Without a policy too, a sync's budget (``timeout``) bounds the
+    wait for a slot and for the reply together: behind a slot nobody
+    frees, it times out."""
+    runtime = Runtime(LocalBackend(), window=1)
+    options = {budget: 0.2}
     runtime.window.acquire()  # the one slot, not given back in time
     raised = []
 

@@ -1,9 +1,9 @@
 """QoS layer tests: tenants and admission control.
 
 The serving-side invariants under test: admission rejections fail fast
-and *before* serialization, and the tenant context flows from
-``sync(tenant=...)`` down to the SLO stream without any backend
-signature changes.
+and *before* serialization and are counted by admission alone, and the
+tenant id flows from ``sync(tenant=...)`` down to the SLO stream without
+any backend signature changes.
 """
 
 from __future__ import annotations
@@ -14,19 +14,12 @@ import pytest
 
 from repro.backends import LocalBackend
 from repro.backends.base import InflightWindow
-from repro.errors import (
-    AdmissionRejectedError,
-    DeadlineInfeasibleError,
-    OffloadError,
-    OffloadTimeoutError,
-    RateLimitedError,
-)
+from repro.errors import AdmissionRejectedError, OffloadError, RateLimitedError
 from repro.ham import f2f
 from repro.offload import (
     AdmissionController,
     QoSConfig,
     Runtime,
-    TenantContext,
     TenantPolicy,
     TokenBucket,
     current_tenant,
@@ -46,35 +39,22 @@ def _clean_telemetry():
 
 
 # ---------------------------------------------------------------------------
-# TenantContext / QoSConfig
+# tenant_scope / QoSConfig
 # ---------------------------------------------------------------------------
-
-
-class TestTenantContext:
-    def test_defaults(self):
-        ctx = TenantContext()
-        assert ctx.tenant == "default"
-        assert ctx.deadline is None
-
-    @pytest.mark.parametrize("kwargs", [dict(tenant=""), dict(deadline=0.0)])
-    def test_validation(self, kwargs):
-        with pytest.raises(OffloadError):
-            TenantContext(**kwargs)
-
-    def test_scope_is_ambient_and_restored(self):
-        assert current_tenant() is None
-        ctx = TenantContext(tenant="a")
-        with tenant_scope(ctx):
-            assert current_tenant() is ctx
-            with tenant_scope(None):
-                assert current_tenant() is None
-            assert current_tenant() is ctx
-        assert current_tenant() is None
 
 
 class TestTenantScope:
     """``tenant_scope`` is a plain context manager, not a generator: the
     contextvar set/reset semantics it must keep."""
+
+    def test_scope_is_ambient_and_restored(self):
+        assert current_tenant() is None
+        with tenant_scope("a"):
+            assert current_tenant() == "a"
+            with tenant_scope(None):
+                assert current_tenant() is None
+            assert current_tenant() == "a"
+        assert current_tenant() is None
 
     def test_restored_when_the_block_raises(self):
         with tenant_scope("outer"):
@@ -130,20 +110,18 @@ class TestTenantScope:
 
 
 class TestQoSConfig:
-    def test_context_for_resolves_policy(self):
-        config = QoSConfig(tenants={"gold": TenantPolicy(deadline=0.5)})
-        gold = config.context_for("gold")
-        assert gold == TenantContext(tenant="gold", deadline=0.5)
-        assert config.context_for("unknown").deadline is None
-        assert config.context_for(None).tenant == "default"
-        explicit = TenantContext(tenant="x", deadline=9.0)
-        assert config.context_for(explicit) is explicit
+    def test_policy_for_falls_back_to_the_default_policy(self):
+        gold = TenantPolicy(rate=5.0)
+        config = QoSConfig(tenants={"gold": gold})
+        assert config.policy_for("gold") is gold
+        assert config.policy_for("unknown") is config.default_policy
+        assert config.default_policy == TenantPolicy()
 
     def test_validation(self):
         with pytest.raises(OffloadError):
-            QoSConfig(admission_percentile=0.0)
+            TenantPolicy(rate=0.0)
         with pytest.raises(OffloadError):
-            QoSConfig(headroom=0.0)
+            TenantPolicy(burst=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,66 +162,21 @@ class TestAdmission:
         config = QoSConfig(tenants={
             "limited": TenantPolicy(rate=1.0, burst=2.0),
         })
-        admission = AdmissionController(
-            config, clock=lambda: clock[0], estimator=lambda kernel: None
-        )
-        ctx = config.context_for("limited")
-        admission.admit(ctx, "k")
-        admission.admit(ctx, "k")
+        admission = AdmissionController(config, clock=lambda: clock[0])
+        admission.admit("limited", "k")
+        admission.admit("limited", "k")
         with pytest.raises(RateLimitedError):
-            admission.admit(ctx, "k")
+            admission.admit("limited", "k")
         clock[0] += 1.0
-        admission.admit(ctx, "k")
+        admission.admit("limited", "k")
         snap = admission.snapshot()
         assert snap["limited"]["admitted"] == 3
         assert snap["limited"]["rejected"] == 1
 
     def test_unlimited_tenant_never_rate_limited(self):
-        admission = AdmissionController(
-            QoSConfig(), estimator=lambda kernel: None
-        )
-        ctx = TenantContext(tenant="free")
+        admission = AdmissionController(QoSConfig())
         for _ in range(100):
-            admission.admit(ctx, "k")
-
-    def test_deadline_infeasible(self):
-        admission = AdmissionController(
-            QoSConfig(), estimator=lambda kernel: 0.5
-        )
-        tight = TenantContext(tenant="t", deadline=0.1)
-        with pytest.raises(DeadlineInfeasibleError):
-            admission.admit(tight, "slow_kernel")
-        roomy = TenantContext(tenant="t", deadline=1.0)
-        admission.admit(roomy, "slow_kernel")
-        # No deadline -> nothing to be infeasible against.
-        admission.admit(TenantContext(tenant="t"), "slow_kernel")
-
-    def test_headroom_scales_estimate(self):
-        admission = AdmissionController(
-            QoSConfig(headroom=3.0), estimator=lambda kernel: 0.1
-        )
-        ctx = TenantContext(tenant="t", deadline=0.2)
-        with pytest.raises(DeadlineInfeasibleError):
-            admission.admit(ctx, "k")
-
-    def test_no_estimate_admits(self):
-        admission = AdmissionController(
-            QoSConfig(), estimator=lambda kernel: None
-        )
-        admission.admit(TenantContext(tenant="t", deadline=1e-9), "cold")
-
-    def test_profiled_estimator_reads_live_profile(self):
-        recorder = telemetry.enable()
-        for _ in range(20):
-            recorder.kernel_offload("hot").observe(0.1)  # 0.1 s each
-        admission = AdmissionController(
-            QoSConfig(admission_min_samples=10)
-        )
-        with pytest.raises(DeadlineInfeasibleError):
-            admission.admit(TenantContext(tenant="t", deadline=0.01), "hot")
-        admission.admit(TenantContext(tenant="t", deadline=10.0), "hot")
-        # Unknown kernel: no profile, admit.
-        admission.admit(TenantContext(tenant="t", deadline=0.01), "cold")
+            admission.admit("free", "k")
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +196,9 @@ class TestRuntimeIntegration:
         runtime.shutdown()
 
     def test_tenant_scope_accepts_bare_id(self):
-        # Regression: a bare string in tenant_scope must resolve to the
-        # runtime's policy for that tenant (deadline included), exactly
-        # like an explicit tenant= argument — not leak into the deadline
-        # check as a str.
-        config = QoSConfig(tenants={"gold": TenantPolicy(deadline=5.0)})
-        runtime = Runtime(LocalBackend(), qos=config)
+        # A bare id in tenant_scope is admitted as that tenant, exactly
+        # like an explicit tenant= argument.
+        runtime = Runtime(LocalBackend(), qos=QoSConfig())
         with tenant_scope("gold"):
             assert runtime.sync(1, f2f(apps.add, 2, 3)) == 5
         assert runtime.stats()["qos"]["admission"]["gold"]["admitted"] == 1
@@ -287,7 +217,10 @@ class TestRuntimeIntegration:
         assert time.monotonic() - start < 0.5  # fast-fail, not a deadline
         runtime.shutdown()
 
-    def test_rejection_counts_against_tenant_slo(self):
+    def test_rejection_is_counted_by_admission_not_by_an_slo(self):
+        """A refused offload made no round trip: admission counts it
+        (``rejected``, ``qos.rejected``), no SLO does, the tenant's own
+        included."""
         recorder = telemetry.enable()
         from repro.telemetry.slo import SLOMonitor
 
@@ -296,13 +229,19 @@ class TestRuntimeIntegration:
             "noisy": TenantPolicy(rate=0.001, burst=1.0),
         })
         runtime = Runtime(LocalBackend(), qos=config)
-        runtime.sync(1, f2f(apps.add, 1, 1), tenant="noisy")
-        with pytest.raises(AdmissionRejectedError):
+        try:
             runtime.sync(1, f2f(apps.add, 1, 1), tenant="noisy")
-        snap = recorder.slo.snapshot()
-        key = "offload-availability[noisy]"
-        assert key in snap and snap[key]["bad"] == 1
-        runtime.shutdown()
+            with pytest.raises(AdmissionRejectedError):
+                runtime.sync(1, f2f(apps.add, 1, 1), tenant="noisy")
+            snap = recorder.slo.snapshot()
+            assert "offload-availability[noisy]" in snap
+            assert {name: state["bad"] for name, state in snap.items()} == \
+                dict.fromkeys(snap, 0)
+            assert runtime.stats()["qos"]["admission"]["noisy"]["rejected"] == 1
+            assert [event.attrs["tenant"]
+                    for event in recorder.events("qos.rejected")] == ["noisy"]
+        finally:
+            runtime.shutdown()
 
     def test_tenant_flows_through_threaded_backend(self):
         backend = ThreadedStubBackend(num_targets=1, delay=0.0)
@@ -319,14 +258,20 @@ class TestRuntimeIntegration:
         assert "qos" not in runtime.stats()
         runtime.shutdown()
 
-    def test_tenant_deadline_becomes_sync_timeout(self):
-        config = QoSConfig(tenants={
-            "t": TenantPolicy(deadline=0.2),
-        })
-        backend = ThreadedStubBackend(num_targets=1, delay=2.0)
-        runtime = Runtime(backend, qos=config)
-        start = time.monotonic()
-        with pytest.raises(OffloadTimeoutError):
-            runtime.sync(1, f2f(apps.sleep_then, 0.0, "x"), tenant="t")
-        assert time.monotonic() - start < 1.5
-        runtime.shutdown()
+    @pytest.mark.parametrize("qos", [None, QoSConfig()], ids=["plain", "qos"])
+    @pytest.mark.parametrize("call", ["sync", "async_"])
+    @pytest.mark.parametrize("how", ["argument", "scope"])
+    def test_an_empty_tenant_id_is_refused(self, qos, call, how):
+        runtime = Runtime(LocalBackend(), qos=qos)
+        offload = getattr(runtime, call)
+        try:
+            with pytest.raises(OffloadError, match="non-empty"):
+                if how == "argument":
+                    offload(1, f2f(apps.add, 1, 1), tenant="")
+                else:
+                    with tenant_scope(""):
+                        offload(1, f2f(apps.add, 1, 1))
+            assert runtime.window.in_flight == 0
+            assert runtime.sync(1, f2f(apps.add, 1, 1), tenant="t") == 2
+        finally:
+            runtime.shutdown()

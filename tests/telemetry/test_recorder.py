@@ -180,16 +180,6 @@ class TestSwitchboard:
         assert snap["gauges"]["health.node_state.1"] == 2.5
         assert snap["histograms"]["phase.s"]["count"] == 1
 
-    def test_kernel_percentile_needs_a_recorder_and_enough_samples(self):
-        assert telemetry.kernel_percentile("k", 95.0, 1) is None  # off
-        rec = telemetry.enable()
-        assert telemetry.kernel_percentile("k", 95.0, 1) is None  # unseen
-        for _ in range(4):
-            rec.kernel_offload("k").observe(0.25)
-        assert telemetry.kernel_percentile("k", 95.0, 5) is None
-        assert telemetry.kernel_percentile("k", 95.0, 4) == 0.25
-        assert "kernel.other.offload" not in rec.metrics.snapshot()["histograms"]
-
     def test_undeclared_or_wrong_kind_series_is_refused(self):
         rec = telemetry.enable()
         telemetry.count("offload.issued")  # declared: created, then a hit

@@ -130,10 +130,10 @@ def _unarmed_flight_recorder():
     flight.crash_dir = crash_dir
 
 
-def test_three_readers_one_answer(tmp_path, _unarmed_flight_recorder):
-    """``/metrics``, a crash bundle's ``metrics.json`` and QoS deadline
-    admission's estimate (``kernel_percentile``) all read the recorder's
-    one registry: a kernel's series is in all three after one offload."""
+def test_two_readers_one_answer(tmp_path, _unarmed_flight_recorder):
+    """``/metrics`` and a crash bundle's ``metrics.json`` read the
+    recorder's one registry: a kernel's series is in both after one
+    offload."""
     kernel = f2f(apps.add, 1, 2).type_name
     series = f"kernel.{kernel}.offload"
     try:
@@ -149,9 +149,6 @@ def test_three_readers_one_answer(tmp_path, _unarmed_flight_recorder):
         bundle = flightrecorder.trigger("test", force=True)
         metrics = json.loads((bundle / "metrics.json").read_text())
         assert metrics["histograms"][series]["count"] == 1
-
-        assert telemetry.kernel_percentile(kernel, 50.0, 1) == \
-            metrics["histograms"][series]["p50"]
     finally:
         offload_api.finalize()
         telemetry.disable()
