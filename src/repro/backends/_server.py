@@ -56,7 +56,7 @@ from repro.errors import BackendError, HamError, SerializationError
 from repro.ham.execution import execute_message, failure_info
 from repro.ham.message import parse_message
 from repro.ham.registry import Catalog, ProcessImage
-from repro.ham.serialization import serialize
+from repro.ham.serialization import LIST_ITEM_OVERHEAD, encode_list, serialize
 from repro.offload.buffer import BufferPtr
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
@@ -648,29 +648,34 @@ class FramedServer:
         if rows is None:  # a pull begins
             recorder = telemetry.get()
             rows = deque(records_to_dicts(recorder.drain()) if recorder else ())
-        empty = len(serialize([]))
-        room = self._parser.limit - FRAME_OVERHEAD - empty
-        page: list = []
+        room = self._parser.limit - FRAME_OVERHEAD - len(encode_list([]))
+        page: list = []  # the rows' serialize() bytes
         used = 0
         while rows:
-            attrs = rows[0].get("attrs")
-            try:  # a row's share of a page: the page is sized exactly
-                size = len(serialize([rows[0]])) - empty
-                dropped = size > room and {"attrs_dropped_bytes": size}
-            except SerializationError as exc:  # an attribute with no code
-                if not attrs:
-                    raise
-                dropped = {"attrs_dropped": str(exc)}
-            if dropped and attrs:  # too big for any frame, or no code: the
-                # record travels without its attributes, which it says it lost
-                rows[0] = {**rows[0], "attrs": dropped}
-                continue
+            encoded = rows[0]
+            if encoded.__class__ is not bytes:  # not encoded by the last page
+                attrs = encoded.get("attrs")
+                try:  # a row's share of a page: the page is sized exactly
+                    encoded = serialize(encoded)
+                    size = LIST_ITEM_OVERHEAD + len(encoded)
+                    dropped = size > room and {"attrs_dropped_bytes": size}
+                except SerializationError as exc:  # an attribute with no code
+                    if not attrs:
+                        raise
+                    dropped = {"attrs_dropped": str(exc)}
+                if dropped and attrs:  # too big for any frame, or no code: the
+                    # record travels without its attributes, which it says it lost
+                    rows[0] = {**rows[0], "attrs": dropped}
+                    continue
+            size = LIST_ITEM_OVERHEAD + len(encoded)
             if page and used + size > room:
+                rows[0] = encoded  # the next page's first row, encoded once
                 break
             used += size
-            page.append(rows.popleft())
+            page.append(encoded)
+            rows.popleft()
         self._unpulled = rows if page else None
-        return serialize(page)
+        return encode_list(page)
 
     def introspect(self) -> dict[str, Any]:
         """Live target state, in the transport-agnostic introspection shape.

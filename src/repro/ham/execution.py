@@ -11,6 +11,7 @@ build the result (or error) message.
 
 from __future__ import annotations
 
+import struct
 import traceback
 from typing import Any, Callable
 
@@ -22,12 +23,14 @@ from repro.ham.message import (
     MSG_RESULT,
     MSG_SHUTDOWN,
     build_message,
-    build_message_parts,
     pack_header,
+    pack_scalar_result,
+    read_scalar_result,
     split_message,
+    trace_fields,
 )
 from repro.ham.registry import ProcessImage
-from repro.ham.serialization import decode_args, deserialize, serialize
+from repro.ham.serialization import decode_args, deserialize, serialize, wide_types
 from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
@@ -74,18 +77,39 @@ def _invoke_parts(
     image: ProcessImage, functor: Functor, msg_id: int,
     ctx: TraceContext | None, parent_span_id: int,
 ) -> list:
-    """The INVOKE message of ``functor`` as buffers: a v2 header naming
-    ``parent_span_id`` as the remote parent while ``ctx`` is active."""
-    key = image.key_for(functor.type_name)
-    if ctx is None:
-        return build_message_parts(
-            MSG_INVOKE, key, msg_id, functor.serialize_args_parts()
-        )
-    return build_message_parts(
-        MSG_INVOKE, key, msg_id, functor.serialize_args_parts(),
-        trace_id=ctx.trace_id, parent_span_id=parent_span_id,
-        trace_flags=ctx.flags,
-    )
+    """The INVOKE message of ``functor`` as buffers, through the encoder
+    ``image`` compiled for its message type and argument types: a v2
+    header naming ``parent_span_id`` as the remote parent while ``ctx``
+    is active."""
+    if functor.__class__ is not Functor:  # it encodes its arguments itself
+        return [build_message(
+            MSG_INVOKE, image.key_for(functor.type_name), msg_id,
+            functor.serialize_args(), trace_id=0 if ctx is None else ctx.trace_id,
+            parent_span_id=parent_span_id, trace_flags=0 if ctx is None else ctx.flags,
+        )]
+    trace = () if ctx is None else trace_fields(ctx.trace_id, parent_span_id, ctx.flags)
+    traced = ctx is not None
+    kwargs = functor.kwargs
+    if kwargs:
+        values = functor.args + tuple(value for _name, value in kwargs)
+        names = tuple(name for name, _value in kwargs)
+    else:
+        values, names = functor.args, ()
+    types = tuple(map(type, values))
+    # Warm, one lookup; cold, the image compiles the encoder.
+    encoder = image.invoke_encoders.get((functor.type_name, types, names, traced))
+    if encoder is None:
+        encoder = image.invoke_encoder(functor.type_name, types, names, traced)
+    try:
+        return encoder(msg_id, values, trace)
+    except struct.error as exc:
+        # Only an ``i`` field can refuse an argument: the same layout,
+        # with the wide ints under their own code.
+        wide = wide_types(types, values)
+        if wide == types:  # none: the message id or length is out of range
+            raise SerializationError(f"INVOKE {msg_id} does not fit the wire: {exc}") from None
+        return image.invoke_encoder(functor.type_name, wide, names, traced)(
+            msg_id, values, trace)
 
 
 def build_invoke_parts(
@@ -180,20 +204,25 @@ def _invoke(
     """Run the handler an INVOKE names and build the reply message: a
     RESULT, or an ERROR carrying the remote traceback. ``span`` (``None``
     while nothing records) is the open ``offload.execute`` span."""
-    reply_kind = MSG_RESULT
+    if span is not None and span.span_id:
+        parent_span_id = span.span_id  # the next hop's parent
     try:
         entry = image.entry_for_key(handler_key)
         if span is not None:
             span.set("handler", entry.type_name)
         args, kwargs = decode_args(data, start, end, resolver)
-        payload = serialize(entry.handler(*args, **kwargs))
+        value = entry.handler(*args, **kwargs)
+        reply = pack_scalar_result(msg_id, value, trace_fields(
+            trace_id, parent_span_id, trace_flags) if trace_id else ())
+        if reply is not None:
+            return reply, True
+        reply_kind = MSG_RESULT
+        payload = serialize(value)
     except Exception as exc:  # noqa: BLE001 - shipped back to the host
         if span is not None:
             span.set("error", type(exc).__name__)
         reply_kind = MSG_ERROR
         payload = serialize(failure_info(exc))
-    if span is not None and span.span_id:
-        parent_span_id = span.span_id  # the next hop's parent
     return pack_header(
         reply_kind, 0, msg_id, len(payload),
         trace_id, parent_span_id, trace_flags,
@@ -244,6 +273,9 @@ def unpack_result(data: bytes) -> tuple[int, Any]:
 
 def _result_of(data: bytes) -> tuple[int, Any]:
     """:func:`unpack_result`'s decode."""
+    scalar = read_scalar_result(data)
+    if scalar is not None:
+        return scalar
     (kind, _key, msg_id, start, end,
      _trace_id, _parent, _flags) = split_message(data)
     if kind == MSG_RESULT:

@@ -14,7 +14,6 @@ applied on the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import HamError
@@ -23,10 +22,17 @@ from repro.ham.serialization import decode_args, encode_args
 
 __all__ = ["Functor", "f2f"]
 
+#: The global catalog's function -> type name map.
+_BY_FUNCTION = global_catalog().by_function
 
-@dataclass(frozen=True)
+
 class Functor:
     """An offloadable closure: a message type plus bound arguments.
+
+    Never modified once built, and equal and hashable by its three
+    fields. Not a frozen dataclass: its ``__init__`` would store every
+    field through ``object.__setattr__``, and ``f2f`` builds one per
+    offload.
 
     Attributes
     ----------
@@ -35,13 +41,34 @@ class Functor:
     args:
         The bound positional arguments.
     kwargs:
-        The bound keyword arguments as a sorted tuple of ``(name, value)``
-        pairs (kept as a tuple so the functor stays a frozen value type).
+        The bound keyword arguments as a tuple of ``(name, value)``
+        pairs (sorted by name when :func:`f2f` binds them).
     """
 
-    type_name: str
-    args: tuple[Any, ...]
-    kwargs: tuple[tuple[str, Any], ...] = ()
+    __slots__ = ("type_name", "args", "kwargs")
+
+    def __init__(
+        self, type_name: str, args: tuple[Any, ...],
+        kwargs: tuple[tuple[str, Any], ...] = (),
+    ) -> None:
+        self.type_name = type_name
+        self.args = args
+        self.kwargs = kwargs
+
+    def _fields(self) -> tuple:
+        return self.type_name, self.args, self.kwargs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(type_name={self.type_name!r}, "
+                f"args={self.args!r}, kwargs={self.kwargs!r})")
 
     def serialize_args(self) -> bytes:
         """Encode the bound arguments for the wire (contiguous form)."""
@@ -51,10 +78,12 @@ class Functor:
         """Encode the bound arguments as a list of wire buffers.
 
         One typed block per argument list (signature, packed fixed
-        fields, variable parts — :func:`~repro.ham.serialization.encode_args`),
-        through the codec compiled for this list's types. Array payloads
-        stay :class:`memoryview` objects over the arrays' own storage, so
-        scatter-gather transports never copy them.
+        fields, variable parts — :func:`~repro.ham.serialization.encode_args`).
+        Array payloads stay :class:`memoryview` objects over the arrays'
+        own storage, so scatter-gather transports never copy them. An
+        offload of a :class:`Functor` writes the same bytes through the
+        INVOKE codec its image compiled; a subclass that overrides this
+        method is sent with what it returns.
         """
         kwargs = self.kwargs
         if not kwargs:
@@ -91,15 +120,13 @@ def f2f(
         design where only functions going through the template machinery
         get an active-message type.
     """
-    cat = catalog if catalog is not None else global_catalog()
-    type_name = type_name_of(fn)
-    if type_name not in cat:
-        raise HamError(
-            f"{type_name!r} is not offloadable; decorate it with "
-            "@offloadable (it must be importable on every process image)"
-        )
-    return Functor(
-        type_name=type_name,
-        args=args,
-        kwargs=tuple(sorted(kwargs.items())) if kwargs else (),
-    )
+    try:  # a registered function: its type name, derived once
+        type_name = (_BY_FUNCTION if catalog is None else catalog.by_function)[fn]
+    except (KeyError, TypeError):
+        type_name = type_name_of(fn)
+        if type_name not in (global_catalog() if catalog is None else catalog):
+            raise HamError(
+                f"{type_name!r} is not offloadable; decorate it with "
+                "@offloadable (it must be importable on every process image)"
+            ) from None
+    return Functor(type_name, args, tuple(sorted(kwargs.items())) if kwargs else ())

@@ -36,9 +36,10 @@ the handler key field is the "globally valid handler key" of Fig. 6.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import SerializationError
+from repro.ham import serialization
 
 __all__ = [
     "HEADER_SIZE",
@@ -50,10 +51,13 @@ __all__ = [
     "MSG_SHUTDOWN",
     "MessageHeader",
     "build_message",
-    "build_message_parts",
+    "compile_invoke",
     "pack_header",
+    "pack_scalar_result",
     "parse_message",
+    "read_scalar_result",
     "split_message",
+    "trace_fields",
 ]
 
 MAGIC = b"HM"
@@ -71,6 +75,33 @@ MSG_SHUTDOWN = 4
 
 _KINDS = {MSG_INVOKE, MSG_RESULT, MSG_ERROR, MSG_SHUTDOWN}
 
+#: What an INVOKE encoder fixes: magic, version, kind and handler key.
+_INVOKE_HEAD = struct.Struct("<2sBBQ")
+
+
+def _scalar_results(version: int, trace_format: str) -> dict[type, tuple]:
+    """A RESULT of one scalar in one ``struct``, per exact type: magic,
+    version and kind (the ``head``), a zero handler key, message id,
+    payload length, the version-2 trace fields, the payload's code and
+    value. Exact type -> (struct, head, code, payload length)."""
+    head = MAGIC + bytes((version, MSG_RESULT))
+    return {
+        cls: (struct.Struct(f"<4s8xQI{trace_format}c{field}"), head, code,
+              1 + struct.calcsize("<" + field))
+        for cls, (code, field) in serialization.SCALARS.items()
+    }
+
+
+_SCALAR_RESULTS_V1 = _scalar_results(_VERSION_1, "")
+_SCALAR_RESULTS_V2 = _scalar_results(_VERSION_2, "16sQB")
+_SCALAR_RESULT_HEAD = MAGIC + bytes((_VERSION_1, MSG_RESULT))
+#: code (as the int a buffer indexes to) -> (version-1 RESULT struct,
+#: payload length).
+_SCALAR_RESULT_OF_CODE = {
+    code[0]: (result, payload_len)
+    for result, _head, code, payload_len in _SCALAR_RESULTS_V1.values()
+}
+
 
 class MessageHeader(NamedTuple):
     """Parsed header of one active message (immutable).
@@ -86,6 +117,19 @@ class MessageHeader(NamedTuple):
     trace_id: int = 0
     parent_span_id: int = 0
     trace_flags: int = 0
+
+
+def trace_fields(
+    trace_id: int, parent_span_id: int, trace_flags: int
+) -> tuple[bytes, int, int]:
+    """The version-2 header's trace fields, validated, as packed."""
+    if not 0 < trace_id < 1 << 128:
+        raise SerializationError(f"trace id must be a 128-bit int, got {trace_id:#x}")
+    if not 0 <= parent_span_id < 1 << 64:
+        raise SerializationError(
+            f"parent span id must fit in 64 bits, got {parent_span_id:#x}"
+        )
+    return trace_id.to_bytes(16, "big"), parent_span_id, trace_flags & 0xFF
 
 
 def pack_header(
@@ -107,48 +151,47 @@ def pack_header(
         return _HEADER_V1.pack(
             MAGIC, _VERSION_1, kind, handler_key, msg_id, payload_len
         )
-    if not 0 < trace_id < 1 << 128:
-        raise SerializationError(f"trace id must be a 128-bit int, got {trace_id:#x}")
-    if not 0 <= parent_span_id < 1 << 64:
-        raise SerializationError(
-            f"parent span id must fit in 64 bits, got {parent_span_id:#x}"
-        )
     return _HEADER_V2.pack(
-        MAGIC,
-        _VERSION_2,
-        kind,
-        handler_key,
-        msg_id,
-        payload_len,
-        trace_id.to_bytes(16, "big"),
-        parent_span_id,
-        trace_flags & 0xFF,
+        MAGIC, _VERSION_2, kind, handler_key, msg_id, payload_len,
+        *trace_fields(trace_id, parent_span_id, trace_flags),
     )
 
 
-def build_message_parts(
-    kind: int,
-    handler_key: int,
-    msg_id: int,
-    payload_parts: list,
-    *,
-    trace_id: int = 0,
-    parent_span_id: int = 0,
-    trace_flags: int = 0,
-) -> list:
-    """Assemble one wire message as ``[header, *payload_parts]``.
+def compile_invoke(
+    handler_key: int, types: tuple, names: tuple, traced: bool
+) -> Callable[..., list]:
+    """The INVOKE encoder of one message type and argument signature.
 
-    The scatter-gather form of :func:`build_message`: the payload stays
-    a list of buffers (``bytes`` / ``memoryview``), so a transport with
-    vectored I/O (``sendmsg``) ships large array data straight from its
-    owner's storage without concatenating. ``payload_len`` in the header
-    is the sum of the part lengths.
+    ``encode(msg_id, values, trace=())`` returns the message as buffers,
+    byte for byte :func:`build_message` of ``MSG_INVOKE`` around
+    :func:`~repro.ham.serialization.encode_args`: one ``pack`` writes
+    the header (its version-2 trace fields, :func:`trace_fields`, when
+    ``traced``), the signature and every fixed field; arrays, strings
+    and containers follow as their own buffers. A value whose ``i``
+    field cannot hold it raises :class:`struct.error`.
     """
-    return [
-        pack_header(kind, handler_key, msg_id, sum(map(len, payload_parts)),
-                    trace_id, parent_span_id, trace_flags),
-        *payload_parts,
-    ]
+    signature, fields, steps = serialization.args_layout(types, names)
+    version, trace_format, header = (
+        (_VERSION_2, "16sQB", HEADER_SIZE_V2) if traced
+        else (_VERSION_1, "", HEADER_SIZE)
+    )
+    head = _INVOKE_HEAD.pack(MAGIC, version, MSG_INVOKE, handler_key)
+    block = struct.Struct(f"<{len(head)}sQI{trace_format}{len(signature)}s{fields}")
+    pack = block.pack
+    fixed_len = block.size - header
+
+    if steps is None:
+        def encode_scalars(msg_id: int, values: tuple, trace: tuple = ()) -> list:
+            return [pack(head, msg_id, fixed_len, *trace, signature, *values)]
+        return encode_scalars
+
+    encode_parts = serialization.encode_parts
+
+    def encode(msg_id: int, values: tuple, trace: tuple = ()) -> list:
+        fixed, parts, nbytes = encode_parts(steps, values)
+        parts[0] = pack(head, msg_id, fixed_len + nbytes, *trace, signature, *fixed)
+        return parts
+    return encode
 
 
 def build_message(
@@ -213,6 +256,39 @@ def split_message(data) -> tuple[int, int, int, int, int, int, int, int]:
         )
     return (kind, handler_key, msg_id, start, end,
             trace_id, parent_span_id, trace_flags)
+
+
+def pack_scalar_result(msg_id: int, value: Any, trace: tuple = ()) -> bytes | None:
+    """The RESULT of ``value`` in one ``pack`` when it is one scalar:
+    :func:`build_message` of its :func:`serialize` bytes, version 2 with
+    the :func:`trace_fields` ``trace`` if given. ``None`` for any other
+    value or an int beyond 64 bits."""
+    scalar = (_SCALAR_RESULTS_V2 if trace else _SCALAR_RESULTS_V1).get(value.__class__)
+    if scalar is None:
+        return None
+    result, head, code, payload_len = scalar
+    try:
+        if trace:
+            return result.pack(head, msg_id, payload_len, *trace, code, value)
+        return result.pack(head, msg_id, payload_len, code, value)
+    except struct.error:
+        return None
+
+
+def read_scalar_result(data: Any) -> tuple[int, Any] | None:
+    """``(msg_id, value)`` of a version-1 RESULT of one scalar, read in
+    one ``unpack_from``; ``None`` for any other message, which
+    :func:`split_message` then reads. Magic, version, kind and payload
+    length are checked as :func:`split_message` checks them."""
+    if len(data) <= HEADER_SIZE:
+        return None
+    scalar = _SCALAR_RESULT_OF_CODE.get(data[HEADER_SIZE])
+    if scalar is None or len(data) < scalar[0].size:
+        return None
+    head, msg_id, payload_len, _code, value = scalar[0].unpack_from(data)
+    if head != _SCALAR_RESULT_HEAD or payload_len != scalar[1]:
+        return None
+    return msg_id, value
 
 
 def parse_message(data) -> tuple[MessageHeader, bytes]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import HamError, HandlerKeyError
-from repro.ham import serialization
+from repro.ham import message, serialization
 
 __all__ = ["Catalog", "ProcessImage", "global_catalog", "offloadable", "type_name_of"]
 
@@ -58,6 +58,9 @@ class Catalog:
 
     def __init__(self) -> None:
         self._functions: dict[str, Callable[..., Any]] = {}
+        #: Every function registered under its own :func:`type_name_of`,
+        #: to that name: what ``f2f`` looks up.
+        self.by_function: dict[Callable[..., Any], str] = {}
 
     def register(self, fn: Callable[..., Any], name: str | None = None) -> str:
         """Register ``fn``; returns its type name.
@@ -66,7 +69,8 @@ class Catalog:
         different function under an existing name is an error (two
         distinct message types may not share a typeid).
         """
-        type_name = name or type_name_of(fn)
+        derived = type_name_of(fn)
+        type_name = name or derived
         existing = self._functions.get(type_name)
         if existing is not None and existing is not fn:
             raise HamError(
@@ -74,6 +78,11 @@ class Catalog:
                 "different function"
             )
         self._functions[type_name] = fn
+        if type_name == derived:
+            try:
+                self.by_function[fn] = type_name
+            except TypeError:  # an unhashable callable: f2f derives its name
+                pass
         return type_name
 
     def names(self) -> list[str]:
@@ -157,6 +166,9 @@ class ProcessImage:
         #: First use may come from several threads at once (a fresh
         #: runtime under concurrent posters): one of them builds.
         self._build_lock = threading.Lock()
+        #: The compiled INVOKE encoder of each ``(type name, argument
+        #: types, keyword names, traced)``: :meth:`invoke_encoder`.
+        self.invoke_encoders = serialization.encoder_cache()
         # Image-local address salt: distinct per image instance.
         self._address_base = next(self._address_space) * 0x1000
 
@@ -171,6 +183,7 @@ class ProcessImage:
             local_address = self._address_base + len(self._entries) * 0x40
             self._entries[type_name] = _Entry(type_name, local_address, fn)
             self._finalized = False
+            self.invoke_encoders.clear()  # they hold the old keys
 
     def build_tables(self) -> None:
         """Sort type names and build the O(1) translation arrays.
@@ -213,6 +226,28 @@ class ProcessImage:
             raise HandlerKeyError(
                 f"image {self.name!r} has no message type {type_name!r}"
             ) from None
+
+    def invoke_encoder(
+        self, type_name: str, types: tuple, names: tuple, traced: bool
+    ) -> Callable[..., list]:
+        """The INVOKE encoder of ``type_name`` called with arguments of
+        ``types`` and keyword ``names``, its header of version 2 when
+        ``traced`` (:func:`~repro.ham.message.compile_invoke`), compiled
+        on first use and kept in :attr:`invoke_encoders`.
+
+        Raises
+        ------
+        HandlerKeyError
+            If the type is unknown to this image.
+        SerializationError
+            If an argument type has no wire code.
+        """
+        signature = (type_name, types, names, traced)
+        encoder = self.invoke_encoders.get(signature)
+        if encoder is None:
+            encoder = self.invoke_encoders.put(signature, message.compile_invoke(
+                self.key_for(type_name), types, names, traced))
+        return encoder
 
     def entry_for_key(self, key: int) -> _Entry:
         """Translate a received key to the local table row (O(1))."""

@@ -43,10 +43,13 @@ variable parts in order::
     fixed block
     variable parts
 
-The codec of a signature is compiled on first sight and cached — by the
-argument types on the send side, by the signature bytes on the receive
-side — so a warm ``echo(i)`` costs one lookup and one ``pack`` to build
-and one lookup and one ``unpack_from`` to decode.
+The codec of a signature is compiled on first sight and cached. On the
+send side :func:`args_layout` is the half a process image compiles into
+one INVOKE encoder per message type and argument types
+(:meth:`~repro.ham.registry.ProcessImage.invoke_encoder`: header and
+block in one ``pack``); on the receive side the decoder is cached by the
+signature bytes. A warm ``echo(i)`` costs one lookup and one ``pack`` to
+build and one lookup and one ``unpack_from`` to decode.
 
 No generic deserializer exists: these decoders read every byte a peer
 sends. Each raises :class:`~repro.errors.SerializationError` — and
@@ -65,6 +68,8 @@ from __future__ import annotations
 import math
 import struct
 import sys
+import threading
+import weakref
 from functools import partial
 from itertools import chain
 from typing import Any, Callable, Type
@@ -75,13 +80,20 @@ from repro.errors import SerializationError
 
 __all__ = [
     "CODEC_REVISION",
+    "LIST_ITEM_OVERHEAD",
     "MAX_NESTING",
     "Migratable",
+    "SCALARS",
+    "args_layout",
     "decode_args",
     "deserialize",
     "encode_args",
+    "encode_list",
+    "encode_parts",
+    "encoder_cache",
     "register_serializer",
     "serialize",
+    "wide_types",
 ]
 
 #: Revision of the value codec. :meth:`ProcessImage.digest` mixes it in,
@@ -111,19 +123,42 @@ _NUMPY_HEAD = struct.Struct("<BB")
 _COMPLEX_FIELDS = struct.Struct("<dd")
 
 #: Compiled codecs; a peer (or a caller inventing keyword names) chooses
-#: the keys, so both are emptied when they reach this many entries.
+#: the keys, so a cache is emptied when it reaches this many entries.
 _CACHE_LIMIT = 1024
-_ENCODERS: dict[tuple, Callable[[tuple], list]] = {}
+
+
+class CodecCache(dict):
+    """Compiled codecs by key, bounded by :data:`_CACHE_LIMIT`."""
+
+    __slots__ = ("__weakref__",)
+
+    def put(self, key: Any, value: Any) -> Any:
+        """Store ``value`` under ``key`` unless a racing thread stored one
+        first; return the one stored."""
+        if len(self) >= _CACHE_LIMIT:
+            self.clear()
+        return self.setdefault(key, value)
+
+
+#: Every live cache of compiled encoders: a codec compiled for a type
+#: chose its code, which :func:`register_serializer` may change. Plain
+#: references without callbacks, so a cache that dies runs no code.
+_ENCODER_CACHES: "list[weakref.ref[CodecCache]]" = []
+_ENCODER_CACHES_LOCK = threading.Lock()
+
+
+def encoder_cache() -> CodecCache:
+    """A new cache of compiled encoders, emptied by :func:`register_serializer`."""
+    cache = CodecCache()
+    with _ENCODER_CACHES_LOCK:
+        _ENCODER_CACHES[:] = [ref for ref in _ENCODER_CACHES if ref() is not None]
+        _ENCODER_CACHES.append(weakref.ref(cache))
+    return cache
+
+
 #: A decoder, and whether its block is scalars alone (fields ``q d ?``).
-_DECODERS: dict[bytes, tuple[Callable[[Any, int, int], tuple[tuple, dict]], bool]] = {}
-_DTYPE_NAMES: dict[np.dtype, bytes] = {}
-
-
-def _cached(cache: dict, key: Any, value: Any) -> Any:
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
-    return value
+_DECODERS = CodecCache()
+_DTYPE_NAMES = CodecCache()
 
 #: type -> (name, encode, decode); name is transferred on the wire.
 _CUSTOM: dict[Type[Any], tuple[str, Callable[[Any], bytes], Callable[[bytes], Any]]] = {}
@@ -143,7 +178,11 @@ def register_serializer(
     """
     _CUSTOM[cls] = (name, encode, decode)
     _CUSTOM_BY_NAME[name] = decode
-    _ENCODERS.clear()  # a codec compiled for ``cls`` chose another code
+    with _ENCODER_CACHES_LOCK:  # a codec compiled for ``cls`` chose another code
+        for ref in _ENCODER_CACHES:
+            cache = ref()
+            if cache is not None:
+                cache.clear()
 
 
 class Migratable:
@@ -187,7 +226,7 @@ def _encode_numpy(arr: np.ndarray) -> list:
         arr = np.ascontiguousarray(arr)
     name = _DTYPE_NAMES.get(dtype)
     if name is None:  # ``str(dtype)`` costs more than the rest of this function
-        name = _cached(_DTYPE_NAMES, dtype, str(dtype).encode())
+        name = _DTYPE_NAMES.put(dtype, str(dtype).encode())
     ndim = arr.ndim
     try:
         header = (_NUMPY_HEAD.pack(len(name), ndim) + name
@@ -385,11 +424,15 @@ _FIELD_OF_CODE = {code[0]: spec[1] for code, spec in _CODES.items()}
 _PART_CODEC = {code[0]: spec[2:] for code, spec in _CODES.items() if spec[2]}
 #: The containers: their codecs take the nesting depth.
 _NESTED = {code[0] for code, spec in _CODES.items() if spec[2] is _encode_items}
-#: One scalar value: its code and its field in one ``pack``.
-_ONE_SCALAR = {
-    cls: (code, struct.Struct("<c" + _FIELD_OF_CODE[code[0]]))
+#: The scalars: exact type -> (code, fixed field).
+SCALARS = {
+    cls: (code, _FIELD_OF_CODE[code[0]])
     for cls, code in _CODE_OF_TYPE.items()
     if _FIELD_OF_CODE[code[0]] in _SCALAR_FIELDS
+}
+#: One scalar value: its code and its field in one ``pack``.
+_ONE_SCALAR = {
+    cls: (code, struct.Struct("<c" + field)) for cls, (code, field) in SCALARS.items()
 }
 _ONE_SCALAR_BY_CODE = {code[0]: packer for code, packer in _ONE_SCALAR.values()}
 
@@ -459,6 +502,17 @@ def serialize(value: Any) -> bytes:
     return b"".join(_value_parts(value, 0))
 
 
+#: What a list spends on an item besides the item's :func:`serialize` bytes.
+LIST_ITEM_OVERHEAD = _ITEM_LENGTH.size
+
+
+def encode_list(items: list) -> bytes:
+    """:func:`serialize` of a list, from its items' :func:`serialize`
+    bytes: a caller that sized each item encodes none twice."""
+    return b"L" + b"".join(
+        chain.from_iterable((_ITEM_LENGTH.pack(len(item)), item) for item in items))
+
+
 def deserialize(data: Any, start: int = 0, end: int | None = None, _depth: int = 0) -> Any:
     """Decode a value produced by :func:`serialize`.
 
@@ -512,8 +566,12 @@ def _steps(codes: bytes, side: int) -> tuple[Any, ...]:
     )
 
 
-def _compile_encoder(types: tuple, names: tuple) -> Callable[[tuple], list]:
-    """The encoder of one ``(argument types, keyword names)`` signature."""
+def args_layout(types: tuple, names: tuple) -> tuple[bytes, str, tuple | None]:
+    """The layout of one ``(argument types, keyword names)`` signature:
+    its signature bytes, the ``struct`` format of its fixed fields, and
+    per argument its part encoder (:func:`encode_parts`' ``steps``), or
+    ``None`` when every argument is a scalar (the block is one ``pack``).
+    """
     codes = b"".join(map(_code_of, types))
     try:
         signature = _SIG_COUNTS.pack(len(types) - len(names), len(names)) + codes
@@ -526,35 +584,37 @@ def _compile_encoder(types: tuple, names: tuple) -> Callable[[tuple], list]:
             "65535-byte keyword names)"
         ) from None
     fields = "".join(_FIELD_OF_CODE[code] for code in codes)
-    pack = struct.Struct(f"<{len(signature)}s{fields}").pack
-
     if _SCALAR_FIELDS.issuperset(fields) and len(fields) == len(types):
-        def encode_scalars(values: tuple) -> list:
-            return [pack(signature, *values)]
-        return encode_scalars
-
-    steps = _steps(codes, 0)
-
-    def encode(values: tuple) -> list:
-        fixed: list = [signature]
-        parts: list = [b""]
-        for step, value in zip(steps, values):
-            if step is None:
-                fixed.append(value)
-            elif step:
-                encoded = step(value)
-                fixed.append(_fits_length_word(encoded))
-                parts += encoded
-        parts[0] = pack(*fixed)
-        return parts
-    return encode
+        return signature, fields, None
+    return signature, fields, _steps(codes, 0)
 
 
-def _encoder_for(types: tuple, names: tuple) -> Callable[[tuple], list]:
-    encoder = _ENCODERS.get((types, names))
-    if encoder is None:
-        encoder = _cached(_ENCODERS, (types, names), _compile_encoder(types, names))
-    return encoder
+def encode_parts(steps: tuple, values: tuple) -> tuple[list, list, int]:
+    """``(fixed fields, parts, nbytes)`` of ``values`` under ``steps``:
+    the values of the fixed block (a length word for every variable
+    part), and the variable parts after a ``b""`` placeholder for the
+    packed block, ``nbytes`` long in all."""
+    fixed: list = []
+    parts: list = [b""]
+    nbytes = 0
+    for step, value in zip(steps, values):
+        if step is None:
+            fixed.append(value)
+        elif step:
+            encoded = step(value)
+            size = _fits_length_word(encoded)
+            fixed.append(size)
+            nbytes += size
+            parts += encoded
+    return fixed, parts, nbytes
+
+
+def wide_types(types: tuple, values: tuple) -> tuple:
+    """``types`` with every ``int`` beyond 64 bits under its own code."""
+    return tuple(
+        _WideInt if cls is int and not -1 << 63 <= value < 1 << 63 else cls
+        for cls, value in zip(types, values)
+    )
 
 
 def encode_args(values: tuple, names: tuple = ()) -> list:
@@ -563,19 +623,18 @@ def encode_args(values: tuple, names: tuple = ()) -> list:
     ``values`` holds the positional arguments followed by one value per
     keyword name in ``names``. Array payloads stay :class:`memoryview`
     objects over the arrays' own storage. A value with no code raises
-    :class:`SerializationError` here, before anything is sent.
+    :class:`SerializationError` here, before anything is sent. This is
+    the INVOKE payload without its header; an offload sends it through
+    the codec its image compiled (:meth:`ProcessImage.invoke_encoder`).
     """
-    types = tuple(map(type, values))
-    try:
-        return _encoder_for(types, names)(values)
-    except struct.error:
-        # Only an ``i`` field can refuse its value: same format, with the
-        # wide ints under their own code.
-        types = tuple(
-            _WideInt if cls is int and not -1 << 63 <= value < 1 << 63 else cls
-            for cls, value in zip(types, values)
-        )
-        return _encoder_for(types, names)(values)
+    signature, fields, steps = args_layout(
+        wide_types(tuple(map(type, values)), values), names)
+    block = f"<{len(signature)}s{fields}"
+    if steps is None:
+        return [struct.pack(block, signature, *values)]
+    fixed, parts, _nbytes = encode_parts(steps, values)
+    parts[0] = struct.pack(block, signature, *fixed)
+    return parts
 
 
 def _compile_decoder(
@@ -667,17 +726,20 @@ def decode_args(
         raise SerializationError("truncated argument list")
     npos, nkw = _SIG_COUNTS.unpack_from(data, start)
     body = start + _SIG_COUNTS.size + npos + nkw
-    for _ in range(nkw):  # the signature ends after the last keyword name
-        if body + 2 > end:
-            raise SerializationError("truncated argument signature")
-        body += 2 + _U16.unpack_from(data, body)[0]
+    if nkw:  # the signature ends after the last keyword name
+        for _ in range(nkw):
+            if body + 2 > end:
+                raise SerializationError("truncated argument signature")
+            body += 2 + _U16.unpack_from(data, body)[0]
     if body > end:
         raise SerializationError("truncated argument signature")
-    signature = bytes(data[start:body])
+    signature = data[start:body]
+    if signature.__class__ is not bytes:  # a view's slice: the key is bytes
+        signature = bytes(signature)
     compiled = _DECODERS.get(signature)
     try:
         if compiled is None:
-            compiled = _cached(_DECODERS, signature, _compile_decoder(signature))
+            compiled = _DECODERS.put(signature, _compile_decoder(signature))
         decoder, scalars_only = compiled
         args, kwargs = decoder(data, body, end)
     except SerializationError:

@@ -138,23 +138,33 @@ class TokenBucket:
         """Take ``tokens`` if available; never blocks."""
         now = self._clock()
         with self._lock:
-            elapsed = max(0.0, now - self._stamp)
-            self._stamp = now
-            self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-            if self._tokens >= tokens:
-                self._tokens -= tokens
-                return True
-            return False
+            return self._take(now, tokens)
 
     @property
     def available(self) -> float:
         """Tokens currently available (refreshes the bucket)."""
         now = self._clock()
         with self._lock:
-            elapsed = max(0.0, now - self._stamp)
-            self._stamp = now
-            self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-            return self._tokens
+            return self._refill(now)
+
+    def _refill(self, now: float) -> float:
+        """Add the tokens earned until ``now``; the caller holds the lock
+        that guards this bucket."""
+        elapsed = max(0.0, now - self._stamp)
+        self._stamp = now
+        self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
+        return self._tokens
+
+    def _take(self, now: float, tokens: float = 1.0) -> bool:
+        """:meth:`try_acquire` under the caller's lock."""
+        if self._refill(now) >= tokens:
+            self._tokens -= tokens
+            return True
+        return False
+
+
+#: :meth:`AdmissionController.admit`'s "no bucket made yet".
+_UNSEEN: Any = object()
 
 
 class AdmissionController:
@@ -176,39 +186,41 @@ class AdmissionController:
         self._admitted: dict[str, int] = {}
         self._rejected: dict[str, int] = {}
 
-    def _bucket(self, tenant: str) -> TokenBucket | None:
-        with self._lock:
-            if tenant not in self._buckets:
-                policy = self.config.policy_for(tenant)
-                if policy.rate is None:
-                    self._buckets[tenant] = None
-                else:
-                    burst = policy.burst if policy.burst is not None \
-                        else max(1.0, policy.rate)
-                    self._buckets[tenant] = TokenBucket(
-                        policy.rate, burst, clock=self._clock
-                    )
-            return self._buckets[tenant]
+    def _new_bucket(self, tenant: str) -> TokenBucket | None:
+        """The tenant's bucket, made on first sight; under ``_lock``."""
+        policy = self.config.policy_for(tenant)
+        if policy.rate is None:
+            bucket = None
+        else:
+            burst = policy.burst if policy.burst is not None else max(1.0, policy.rate)
+            bucket = TokenBucket(policy.rate, burst, clock=self._clock)
+        self._buckets[tenant] = bucket
+        return bucket
 
     def admit(self, tenant: str, kernel: str) -> None:
         """Admit one invoke of ``kernel`` for ``tenant`` or raise
-        :class:`~repro.errors.RateLimitedError` (its bucket is empty)."""
-        bucket = self._bucket(tenant)
-        if bucket is not None and not bucket.try_acquire():
-            with self._lock:
-                self._rejected[tenant] = self._rejected.get(tenant, 0) + 1
-            telemetry.event(
-                "qos.rejected", category="qos", tenant=tenant, kernel=kernel,
-            )
-            raise RateLimitedError(
-                f"tenant {tenant!r} over its rate limit "
-                f"({bucket.rate:g}/s, burst {bucket.burst:g})"
-            )
+        :class:`~repro.errors.RateLimitedError` (its bucket is empty).
+        One lock guards the buckets, their tokens and both counts."""
+        now = self._clock()
         with self._lock:
-            self._admitted[tenant] = self._admitted.get(tenant, 0) + 1
+            bucket = self._buckets.get(tenant, _UNSEEN)
+            if bucket is _UNSEEN:
+                bucket = self._new_bucket(tenant)
+            if bucket is None or bucket._take(now):
+                self._admitted[tenant] = self._admitted.get(tenant, 0) + 1
+                return
+            self._rejected[tenant] = self._rejected.get(tenant, 0) + 1
+        telemetry.event(
+            "qos.rejected", category="qos", tenant=tenant, kernel=kernel,
+        )
+        raise RateLimitedError(
+            f"tenant {tenant!r} over its rate limit "
+            f"({bucket.rate:g}/s, burst {bucket.burst:g})"
+        )
 
     def snapshot(self) -> dict[str, Any]:
         """Per-tenant admitted/rejected counters and bucket levels."""
+        now = self._clock()
         with self._lock:
             tenants = sorted(set(self._admitted) | set(self._rejected)
                              | set(self._buckets))
@@ -218,7 +230,7 @@ class AdmissionController:
                     "rejected": self._rejected.get(tenant, 0),
                     "tokens": (
                         None if self._buckets.get(tenant) is None
-                        else self._buckets[tenant].available  # type: ignore[union-attr]
+                        else self._buckets[tenant]._refill(now)  # type: ignore[union-attr]
                     ),
                 }
                 for tenant in tenants

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.backends import ShmBackend, create_backend, spawn_shm_server
+from repro.backends import _server
 from repro.backends._server import FRAME_OVERHEAD
 from repro.backends.shm import DEFAULT_RING_CAPACITY, ShmSegment, ShmTargetServer
 from repro.errors import (
@@ -14,7 +15,7 @@ from repro.errors import (
     OffloadTimeoutError,
     RemoteExecutionError,
 )
-from repro.ham import deserialize, f2f
+from repro.ham import deserialize, f2f, serialize
 from repro.offload import ResiliencePolicy, Runtime
 from repro.telemetry import recorder as telemetry
 
@@ -335,6 +336,32 @@ class TestShmTelemetry:
             assert huge["attrs"]["attrs_dropped_bytes"] > 8192
             (odd,) = [row for row in rows if row["name"] == "test.odd"]
             assert "no wire code for builtins.range" in odd["attrs"]["attrs_dropped"]
+        finally:
+            telemetry.disable()
+            segment.close()
+
+    def test_a_pull_encodes_each_row_once(self, monkeypatch):
+        """A page is assembled from its rows' encodings, the bytes of the
+        page's own ``serialize``: no row is encoded again to size it."""
+        segment = ShmSegment.create(4096)
+        telemetry.enable()
+        try:
+            server = ShmTargetServer(segment)
+            for i in range(120):
+                telemetry.event("test.small", category="test", i=i)
+            encoded = []
+
+            def counting(value):
+                encoded.append(value)
+                return serialize(value)
+
+            monkeypatch.setattr(_server, "serialize", counting)
+            pages = []
+            while page := deserialize(body := server._pull_rows()):
+                assert body == serialize(page)
+                pages.append(page)
+            assert len(pages) > 1
+            assert encoded == [row for page in pages for row in page]
         finally:
             telemetry.disable()
             segment.close()

@@ -107,11 +107,11 @@ def test_v2_invoke_with_flag_byte_zero_is_recorded(target):
     send = target.backend._send
 
     def flags_cleared(op, corr, *parts):
-        if op == OP_INVOKE:
-            header = bytearray(parts[0])
-            assert (header[2], len(header)) == (2, HEADER_SIZE_V2)
-            header[-1] = 0
-            parts = (bytes(header), *parts[1:])
+        if op == OP_INVOKE:  # the header leads the first part
+            first = bytearray(parts[0])
+            assert first[2] == 2 and len(first) >= HEADER_SIZE_V2
+            first[HEADER_SIZE_V2 - 1] = 0
+            parts = (bytes(first), *parts[1:])
         send(op, corr, *parts)
 
     target.backend._send = flags_cleared

@@ -1,5 +1,9 @@
 """Tests for the wire format, functors and the generic handler."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -11,9 +15,12 @@ from repro.ham import (
     f2f,
     parse_message,
 )
+from repro.ham import functor as functor_module
+from repro.ham import message
 from repro.ham.execution import build_invoke, execute_message, unpack_result
 from repro.ham.functor import Functor
 from repro.ham.registry import Catalog, ProcessImage
+from repro.ham.serialization import Migratable, register_serializer
 
 
 @pytest.fixture()
@@ -209,6 +216,47 @@ class TestFunctor:
         functor = Functor("t", ())
         assert Functor.deserialize_args(functor.serialize_args()) == ((), {})
 
+    def test_value_semantics(self):
+        functor = Functor("t", (1, 2), (("k", 3),))
+        assert functor == Functor("t", (1, 2), (("k", 3),))
+        assert hash(functor) == hash(Functor("t", (1, 2), (("k", 3),)))
+        assert functor != Functor("t", (1, 2)) and functor != ("t", (1, 2), (("k", 3),))
+        assert repr(functor) == "Functor(type_name='t', args=(1, 2), kwargs=(('k', 3),))"
+        assert not hasattr(functor, "__dict__")
+
+    def test_a_registered_name_is_derived_once(self, monkeypatch):
+        catalog = Catalog()
+
+        def kernel(x, *, scale=1):
+            return x * scale
+
+        name = catalog.register(kernel)
+        monkeypatch.setattr(functor_module, "type_name_of", None)  # not called again
+        assert f2f(kernel, 2, scale=3, catalog=catalog) == Functor(
+            name, (2,), (("scale", 3),))
+
+    def test_an_unregistered_function_grows_no_table(self, catalog):
+        def unregistered():
+            pass
+
+        for _ in range(3):
+            with pytest.raises(HamError, match="not offloadable"):
+                f2f(unregistered, catalog=catalog)
+        assert catalog.by_function == {}
+
+    def test_a_function_named_as_a_registered_one_binds(self):
+        """Membership is by type name, as the target resolves it: a second
+        function object of the same qualified name binds too."""
+        catalog = Catalog()
+
+        def make():
+            def kernel():
+                pass
+            return kernel
+
+        catalog.register(make())
+        assert f2f(make(), catalog=catalog).type_name.endswith("make.<locals>.kernel")
+
 
 class TestExecuteMessage:
     def test_invoke_result_roundtrip(self, catalog, images):
@@ -301,3 +349,67 @@ class TestExecuteMessage:
         assert keep_running
         with pytest.raises(RemoteExecutionError, match="handler key"):
             unpack_result(reply)
+
+
+class TestCompiledInvokeCodec:
+    def test_first_use_race_compiles_one_codec(self, catalog, monkeypatch):
+        """Threads using one signature for the first time on one image, at
+        once, get identical bytes, every one through the one codec the
+        image kept, whoever else compiled one meanwhile."""
+        compiled = []
+        compile_invoke = message.compile_invoke
+
+        def slow_compile(*args):
+            encoder = compile_invoke(*args)
+            uses = []
+            compiled.append(uses)
+            time.sleep(0.01)  # the other threads miss the cache meanwhile
+
+            def counted(*call):
+                uses.append(call[0])
+                return encoder(*call)
+            return counted
+
+        monkeypatch.setattr(message, "compile_invoke", slow_compile)
+        image = ProcessImage("vh", catalog)
+        functor = Functor("app::add", (1, 2.5, "x", np.arange(2)))
+        start = threading.Barrier(8)
+        out = [None] * 8
+
+        def first_use(i):
+            start.wait(10)
+            out[i] = build_invoke(image, functor, 5)
+
+        threads = [threading.Thread(target=first_use, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert out == [build_message(MSG_INVOKE, image.key_for("app::add"), 5,
+                                     functor.serialize_args())] * 8
+        assert len(image.invoke_encoders) == 1
+        assert sorted(map(len, compiled))[-1:] == [8] and sum(map(len, compiled)) == 8
+
+    def test_register_serializer_recompiles(self, images):
+        """A codec compiled while a type travelled as ``Migratable`` is
+        not used once the type has a hook, which gives it another code."""
+        host, _target = images
+
+        class Point(Migratable):
+            def __serialize__(self) -> bytes:
+                return b"migratable"
+
+        functor = Functor("app::add", (Point(), 1))
+        as_migratable = build_invoke(host, functor, 1)
+        register_serializer(Point, "tests.Point", lambda p: b"hook", lambda d: Point())
+        assert len(host.invoke_encoders) == 0
+        as_custom = build_invoke(host, functor, 1)
+        assert as_custom != as_migratable
+        assert as_custom == build_message(
+            MSG_INVOKE, host.key_for("app::add"), 1, functor.serialize_args())

@@ -37,13 +37,15 @@ from tests.callcount import CallCounts, profile_calls
 from tests.fresh import fresh_python
 
 #: Calls (Python + builtin, the count ``cProfile`` reports) of one warm
-#: ``sync(1, f2f(add, 1, 2))``: 67 on CPython 3.11 (no trace asked for
+#: ``sync(1, f2f(add, 1, 2))``: 50 on CPython 3.11 (no trace asked for
 #: and no span entered while telemetry is off, the tables', the
 #: tenant's, the liveness and the node's "nothing to do" read by
-#: attribute, and a scalar-only argument block passed to the kernel
-#: unresolved). The ceiling sits ~5 % above; raise it only together with
-#: a perfbench run that shows the cost.
-MAX_CALLS = 70
+#: attribute, the INVOKE built by its compiled codec in one ``pack``, a
+#: scalar-only argument block passed to the kernel unresolved, and the
+#: scalar RESULT packed and read in one step each). The ceiling sits
+#: ~5 % above; raise it only together with a perfbench run that shows
+#: the cost.
+MAX_CALLS = 53
 
 #: acquire + the slot's return (a plain sync registers no handle).
 MAX_WINDOW_LOCK_ACQUISITIONS = 2
@@ -51,10 +53,10 @@ MAX_WINDOW_LOCK_ACQUISITIONS = 2
 #: The same offload with telemetry set up by ``init`` itself
 #: (``telemetry=True``: recorder and SLO monitor): calls, and locks
 #: taken (every ``with lock`` / ``lock.acquire()``, telemetry's and the
-#: window's alike). On CPython 3.11: 172 calls and 11 locks (every span
+#: window's alike). On CPython 3.11: 157 calls and 11 locks (every span
 #: recorded: one lock each, the phase fold shares the ring's). The
 #: ceilings sit ~5 % above.
-MAX_TRACED_CALLS = 181
+MAX_TRACED_CALLS = 165
 MAX_TRACED_LOCKS = 12
 
 #: Records one traced offload appends: on ``local`` the serialize,
@@ -156,13 +158,12 @@ class TestDefaultPathBudget:
 
 #: One warm ``sync(1, functor, tenant="gold")`` on ``local`` under a
 #: ``QoSConfig`` that rate-limits gold, the functor built before the
-#: count: 69 calls and 5 locks on CPython 3.11 (the plain sync's 60 and
-#: 2, plus admission: the bucket lookup, the bucket's refill and the
-#: admitted count take one lock each). The tenant is a bare id read by
-#: ``_offload``; the ceiling is 5 calls under the 77 it took while a
-#: tenant was resolved into a context object.
-MAX_QOS_TENANT_SYNC_CALLS = 72
-QOS_TENANT_SYNC_LOCKS = 5
+#: count: 56 calls and 3 locks on CPython 3.11 (the plain sync's 2, plus
+#: admission's one: the bucket lookup, its refill and the admitted count
+#: share the controller's lock). The tenant is a bare id read by
+#: ``_offload``. The ceiling sits ~5 % above.
+MAX_QOS_TENANT_SYNC_CALLS = 59
+QOS_TENANT_SYNC_LOCKS = 3
 
 
 def test_tenant_tagged_qos_sync_call_budget():
@@ -187,17 +188,17 @@ def test_tenant_tagged_qos_sync_call_budget():
 
 
 #: Calls of one warm ``sync(1, f2f(echo, 7))`` on a framed transport,
-#: CPython 3.11: 69 on shm, 86 on tcp — one frame packed by the client
+#: CPython 3.11: 55 on shm, 68 on tcp — one frame packed by the client
 #: core, sized once, sent, and read back by the one parser, which tells
 #: "nothing held" by attribute. The ceilings sit ~5 % above.
-MAX_FRAMED_SYNC_CALLS = {"shm": 72, "tcp": 90}
+MAX_FRAMED_SYNC_CALLS = {"shm": 58, "tcp": 72}
 
-#: The same sync traced (``telemetry=True``), host side: 177 calls and
-#: 14 locks on shm, 193 and 14 on tcp (CPython 3.11) — five spans
+#: The same sync traced (``telemetry=True``), host side: 167 calls and
+#: 14 locks on shm, 180 and 14 on tcp (CPython 3.11) — five spans
 #: recorded (serialize, enqueue, transport, the leader's own reply,
 #: deserialize), one trace minted, one completion folded. The ceilings
 #: sit ~5 % above.
-MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 185, "tcp": 203}
+MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 176, "tcp": 189}
 MAX_TRACED_FRAMED_SYNC_LOCKS = 15
 
 
@@ -265,18 +266,18 @@ def test_untraced_async_get_enters_no_span(transport):
         offload_api.finalize()
 
 
-#: Calls of one warm ``async_(1, f2f(echo, 7)).get()``, CPython 3.11: 81
-#: on local, 89 on shm, 106 on tcp — a sync's path plus the handle, the
+#: Calls of one warm ``async_(1, f2f(echo, 7)).get()``, CPython 3.11: 64
+#: on local, 75 on shm, 92 on tcp — a sync's path plus the handle, the
 #: future and the window's register and release; the tenant, liveness
 #: and node read by attribute, no span entered and no trace activated
 #: while nothing records. The ceilings sit ~5 % above.
-MAX_ASYNC_GET_CALLS = {"local": 85, "shm": 93, "tcp": 111}
+MAX_ASYNC_GET_CALLS = {"local": 68, "shm": 79, "tcp": 97}
 
 #: Calls per offload of a batch of 64 ``async_`` posts on tcp, then their
-#: 64 ``get``: 86.3 on CPython 3.11 — the coalescer batches the requests
+#: 64 ``get``: 72.4 on CPython 3.11 — the coalescer batches the requests
 #: and the target answers each burst in one write, so a waiter's reads
 #: complete several replies each. The ceiling sits ~5 % above.
-MAX_PIPELINED_TCP_CALLS = 90
+MAX_PIPELINED_TCP_CALLS = 77
 
 
 def _reply_arrived(backend) -> bool:
@@ -359,13 +360,13 @@ def test_traced_sync_on_framed_transports(transport):
 #: Calls of one ``_execute_booked`` of an ``echo`` INVOKE on the target,
 #: (untraced, v2 header) while the target process does not record — a
 #: forked target, where ``init`` enables the recorder only after the
-#: fork. CPython 3.11: 31 and 34 on shm, 42 and 45 on tcp. The v2 header
-#: costs only its trace fields' decode and re-encode: no context is
-#: built, no span entered, the recorder is read once, a scalar-only
-#: argument block meets no resolver, the reply is sized once, and the
-#: shutdown drain is notified only while a shutdown waits. The ceilings
-#: sit ~5 % above.
-MAX_TARGET_INVOKE_CALLS = {"shm": (33, 36), "tcp": (44, 47)}
+#: fork. CPython 3.11: 28 and 32 on shm, 39 and 43 on tcp. The v2
+#: header costs only its trace fields' decode and re-encode: no context
+#: is built, no span entered, the recorder is read once, a scalar-only
+#: argument block meets no resolver, a scalar reply is packed in one
+#: step, and the shutdown drain is notified only while a shutdown
+#: waits. The ceilings sit ~5 % above.
+MAX_TARGET_INVOKE_CALLS = {"shm": (30, 34), "tcp": (41, 46)}
 
 #: The receive half of the target's round: one ``_next_frame`` that finds
 #: the next request already there — the wait, ``fill``, the source's
@@ -440,6 +441,11 @@ class TestTargetInvokeBudget:
     def _one_invocation(runtime, server):
         """The counts of the next invocation's ``_execute_booked``, read
         once the reader has un-booked it (the reply comes first)."""
+        # The reply of the last invocation comes before its count: wait
+        # for that count, so that the next one is this invocation's.
+        _within(lambda: len(server.profiled) == runtime.backend.invokes_posted,
+                "the target never finished the last invocation")
+        gc.collect()  # no earlier test's garbage is finalized in the count
         before = len(server.profiled)
         assert runtime.sync(1, f2f(apps.echo, 7)) == 7
         _within(lambda: len(server.profiled) > before,
@@ -544,12 +550,12 @@ class TestTracedPathBudget:
 #: One tcp ``post_invoke`` of ``echo(7)`` with the coalescer in front of
 #: the socket, (calls, locks) by in-flight depth, on CPython 3.11. At
 #: depth 1 (anything <= ``idle_depth`` with an empty buffer) the frame is
-#: its own batch: 49 calls, and the two locks are the correlation
+#: its own batch: 34 calls, and the two locks are the correlation
 #: table's and the send lock; nothing of the coalescer's stands in
 #: between. At depth 256 the first frame of a batch buffers and arms the
-#: flush deadline (48, 3; +4 calls when that wakes the timer thread); the
-#: frames behind it only buffer (39, 2).
-MAX_TCP_POST = {1: (52, 2), 256: (54, 3)}
+#: flush deadline (33, 3; +4 calls when that wakes the timer thread); the
+#: frames behind it only buffer (24, 2). The ceilings sit ~5 % above.
+MAX_TCP_POST = {1: (36, 2), 256: (39, 3)}
 
 
 class TestTcpPostBudget:
