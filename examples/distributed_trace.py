@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Distributed causal tracing across two processes, with live /metrics.
+"""Distributed causal tracing across two processes, with live metrics.
 
 The walkthrough for ``docs/observability.md``'s distributed-tracing
 section: a TCP target server runs in a forked child, every ``offload()``
@@ -11,9 +11,9 @@ estimation against the server) the merged Chrome trace is causally
 monotone: serialize -> enqueue -> execute -> reply -> deserialize, in
 order, across both pids.
 
-While the runtime is up, a stdlib HTTP endpoint serves the live metrics
-in Prometheus text format — the same counters and per-phase latency
-summaries a real deployment would scrape.
+While the runtime is up, the recorder's metrics registry holds the
+live counters and per-phase latency summaries; the example prints two
+of them from ``telemetry.get().metrics.snapshot()``.
 
 Run::
 
@@ -21,7 +21,6 @@ Run::
 """
 
 import tempfile
-import urllib.request
 from pathlib import Path
 
 from repro.backends import TcpBackend, spawn_local_server
@@ -41,12 +40,11 @@ def fma(a: float, b: float, c: float) -> float:
 
 def main() -> None:
     # Telemetry must be live BEFORE the server forks so the child
-    # inherits an enabled recorder; init() then starts the /metrics
-    # endpoint on an ephemeral loopback port.
+    # inherits an enabled recorder.
     telemetry.enable()
     process, address = spawn_local_server()
     tcp = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
-    offload.init(tcp, telemetry={"metrics_port": 0})
+    offload.init(tcp, telemetry=True)
     sync = tcp.clock_sync
     print(f"target server: pid={process.pid}, "
           f"clock offset {sync.offset_ns} ns (rtt {sync.rtt_ns} ns)")
@@ -54,20 +52,15 @@ def main() -> None:
     results = [offload.sync(1, f2f(fma, float(i), 2.0, 1.0)) for i in range(4)]
     assert results == [i * 2.0 + 1.0 for i in range(4)]
 
-    # Scrape the live endpoint exactly like Prometheus would.
-    server = offload.metrics_server()
-    assert server is not None
-    body = urllib.request.urlopen(server.url + "/metrics").read().decode()
-    interesting = [line for line in body.splitlines()
-                   if line.startswith(("repro_future_settled_total",
-                                       "repro_phase_offload_serialize"))]
-    print(f"metrics endpoint: {server.url}/metrics "
-          f"({len(body.splitlines())} lines), e.g.:")
-    for line in interesting[:4]:
-        print(f"  {line}")
+    # Two series of the live registry: a counter and a phase histogram.
+    metrics = telemetry.get().metrics.snapshot()
+    serialize = metrics["histograms"]["phase.offload.serialize"]
+    print(f"live metrics: future.settled {metrics['counters']['future.settled']}, "
+          f"phase.offload.serialize count {serialize['count']} "
+          f"p50 {serialize['p50'] * 1e6:.1f} us")
 
     # finalize() drains the target's telemetry over OP_TELEMETRY (clock
-    # aligned) before closing the transport, then stops /metrics.
+    # aligned) before closing the transport.
     recorder = telemetry.get()
     offload.finalize()
 

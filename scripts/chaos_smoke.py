@@ -461,7 +461,7 @@ def main() -> int:
         # rates must breach within a short soak, loose enough that a
         # clean run would not. Completions feed these through
         # complete_offload; breaches land in the ring via force_event
-        # and flip /healthz to degraded.
+        # and in SLOMonitor.breached(), which the soak reads at the end.
         recorder.slo = SLOMonitor(
             (
                 SLO(name="chaos-availability", threshold_ns=None,

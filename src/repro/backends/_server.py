@@ -681,8 +681,8 @@ class FramedServer:
         """Live target state, in the transport-agnostic introspection shape.
 
         Every target answers ``OP_INTROSPECT`` with this same dict layout
-        so host-side tooling (``offload.introspect()``, ``repro.telemetry.top``)
-        needs no per-transport cases. ``rings`` is ``None`` for stream
+        so host-side tooling (``offload.introspect()``) needs no
+        per-transport cases. ``rings`` is ``None`` for stream
         transports; the shm target fills it in.
         """
         with self._lock:

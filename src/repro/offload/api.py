@@ -41,7 +41,6 @@ from repro.telemetry import recorder as _telemetry
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import Backend
     from repro.telemetry.config import TelemetryConfig
-    from repro.telemetry.promexport import MetricsServer
 
 __all__ = [
     "init",
@@ -58,12 +57,10 @@ __all__ = [
     "num_nodes",
     "this_node",
     "get_node_descriptor",
-    "metrics_server",
     "introspect",
 ]
 
 _runtime: Runtime | None = None
-_metrics_server: MetricsServer | None = None
 #: What :func:`init` replaced when it armed the flight recorder.
 _flight_replaced: tuple | None = None
 #: The recorder :func:`init` enabled, which :func:`finalize` disables.
@@ -115,15 +112,10 @@ def init(
 
     * ``True`` — plain recording, default capacity;
     * a :class:`~repro.telemetry.config.TelemetryConfig` (or a dict
-      with its field names) — additionally:
-
-      * ``metrics_port`` (0 for an ephemeral port) starts a live
-        Prometheus ``/metrics`` + ``/healthz`` HTTP endpoint over the
-        recorder's metrics registry; query its bound address
-        via :func:`metrics_server`;
-      * ``slo_enabled`` / ``slos`` configure burn-rate SLO monitoring
-        whose breaches degrade ``/healthz`` — see
-        :mod:`repro.telemetry.slo`.
+      with its field names) — additionally ``slo_enabled`` / ``slos``
+      configure burn-rate SLO monitoring (see :mod:`repro.telemetry.slo`)
+      and ``crash_dir`` arms the flight recorder's crash bundles until
+      :func:`finalize`.
 
     Raises
     ------
@@ -132,7 +124,7 @@ def init(
 
     An invalid option is rejected before a target is spawned, and an
     ``init`` that raises later leaves nothing running: no target, no
-    segment, no endpoint, and a following ``init`` works.
+    segment, and a following ``init`` works.
     """
     global _runtime
     if _runtime is not None:
@@ -147,7 +139,7 @@ def init(
     # Options are validated before a target is spawned (and the recorder
     # enabled only after, so the first target records nothing — see
     # docs/observability.md). What an option selects is imported where it
-    # is selected: telemetry off loads no exporter or SLO code.
+    # is selected: telemetry off loads no SLO code.
     config = None
     if telemetry is not False:
         from repro.telemetry.config import TelemetryConfig
@@ -164,7 +156,7 @@ def init(
         _runtime = Runtime(backend, policy=policy, window=window, qos=qos)
     except BaseException:
         # Nothing init started outlives a failed init: the runtime, the
-        # recorder it enabled, the endpoint, the spawned target.
+        # recorder it enabled, the spawned target.
         finalize()
         if spawned is not None:
             spawned.shutdown()
@@ -174,7 +166,7 @@ def init(
 
 def _apply_telemetry(config: TelemetryConfig) -> None:
     """Enable the recorder and install what ``config`` selects."""
-    global _metrics_server, _flight_replaced, _enabled_recorder
+    global _flight_replaced, _enabled_recorder
     if config.enabled:
         recorder = _telemetry.get()
         if recorder is None:
@@ -187,52 +179,16 @@ def _apply_telemetry(config: TelemetryConfig) -> None:
                 emit=recorder.force_event,
                 metrics=recorder.metrics,
             )
-        if config.metrics_port is not None:
-            from repro.telemetry.promexport import MetricsServer
-
-            _metrics_server = MetricsServer(
-                recorder.metrics.snapshot,
-                host=config.metrics_host,
-                port=config.metrics_port,
-                health_fn=_health_fn(recorder),
-                introspect_fn=_introspect_fn,
-            )
     if config.crash_dir is not None:
         # Arm flight-recorder dumping (and SIGUSR2) until finalize();
         # the recorder itself has been noting events since import.
         _flight_replaced = _flightrecorder.arm(config.crash_dir)
 
 
-def _health_fn(recorder: "_telemetry.Recorder"):
-    """``/healthz`` body: degraded while any SLO burns too hot."""
-
-    def health() -> dict:
-        monitor = recorder.slo
-        breached = monitor.breached() if monitor is not None else []
-        if breached:
-            return {"status": "degraded", "breached": breached}
-        return {"status": "ok"}
-
-    return health
-
-
-def _introspect_fn() -> dict:
-    """``GET /introspect`` body: the live-state snapshot, or a stub.
-
-    Reads the module global lazily — the metrics server starts before
-    the runtime exists and may outlive a ``finalize``/``init`` cycle.
-    """
-    if _runtime is None:
-        return {"error": "offload API not initialized"}
-    return introspect()
-
-
 def introspect(*, probe_target: bool = True) -> dict:
     """One merged live-state snapshot of the global runtime.
 
-    See :func:`repro.telemetry.inspect.snapshot`. The same payload is
-    served on the metrics server's ``/introspect`` endpoint when one is
-    running.
+    See :func:`repro.telemetry.inspect.snapshot`.
     """
     from repro.telemetry.inspect import snapshot
 
@@ -242,12 +198,11 @@ def introspect(*, probe_target: bool = True) -> dict:
 def finalize() -> None:
     """Shut the global runtime down (idempotent).
 
-    Also disables the recorder if :func:`init` enabled it, stops the
-    ``/metrics`` endpoint if :func:`init` started one and gives the
+    Also disables the recorder if :func:`init` enabled it and gives the
     flight recorder back the crash directory and ``SIGUSR2`` handler it
     had before :func:`init` armed it.
     """
-    global _runtime, _metrics_server, _flight_replaced, _enabled_recorder
+    global _runtime, _flight_replaced, _enabled_recorder
     recorder = _telemetry.get()
     if _runtime is not None:
         _runtime.shutdown()  # pulls the target's records into the recorder
@@ -255,17 +210,9 @@ def finalize() -> None:
     if recorder is not None and recorder is _enabled_recorder:
         _telemetry.disable()
     _enabled_recorder = None
-    if _metrics_server is not None:
-        _metrics_server.close()
-        _metrics_server = None
     if _flight_replaced is not None:
         _flightrecorder.disarm(_flight_replaced)
         _flight_replaced = None
-
-
-def metrics_server() -> MetricsServer | None:
-    """The live ``/metrics`` endpoint, or ``None`` if not started."""
-    return _metrics_server
 
 
 def is_initialized() -> bool:

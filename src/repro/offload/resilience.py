@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["NodeHealth", "ResiliencePolicy", "HealthMonitor"]
 
-#: Gauge encoding of :class:`NodeHealth` for ``/metrics``
+#: Gauge encoding of :class:`NodeHealth` for the metrics snapshot
 #: (``health.node_state.<node>``): 0 healthy, 1 degraded, 2 down.
 _HEALTH_GAUGE = {"healthy": 0, "degraded": 1, "down": 2}
 
@@ -211,12 +211,12 @@ class HealthMonitor:
         return record.health
 
     def _export_gauges(self, node: NodeId, record: _NodeRecord) -> None:
-        """Mirror one node's failover state onto ``/metrics``.
+        """Mirror one node's failover state onto the metrics snapshot.
 
         ``health.node_state.<node>`` (0 healthy / 1 degraded / 2 down)
-        and ``health.consecutive_failures.<node>`` render through the
-        Prometheus exporter as ``repro_health_node_state_<node>`` etc.,
-        so a scrape shows circuit state without parsing the event log.
+        and ``health.consecutive_failures.<node>`` land in a crash
+        bundle's ``metrics.json``, so it shows circuit state without
+        parsing the event log.
         """
         telemetry.gauge(
             f"health.node_state.{node}", _HEALTH_GAUGE[record.health.value]

@@ -573,11 +573,11 @@ class Runtime:
         occupancy with the handles in flight, policy, QoS and health
         state and the backend's transport statistics.
 
-        ``offload.introspect()["host"]``, ``repro top`` and a crash
-        bundle's ``state.json`` are this dict; nothing else reads the
-        runtime's parts to describe it. The metrics registry is the
-        process's, not the runtime's, and has its own outlets
-        (``/metrics``, a bundle's ``metrics.json``).
+        ``offload.introspect()["host"]`` and a crash bundle's
+        ``state.json`` are this dict; nothing else reads the runtime's
+        parts to describe it. The metrics registry is the process's, not
+        the runtime's, and has its own outlet (a bundle's
+        ``metrics.json``).
         """
         window = self.window
         data: dict[str, Any] = {

@@ -23,13 +23,9 @@ Layout:
 * :mod:`repro.telemetry.distributed` — clock-offset estimation
   (ping-pong), record alignment and per-message critical paths for
   two-process timelines;
-* :mod:`repro.telemetry.promexport` — Prometheus text-format rendering
-  of the metrics snapshot (native ``_bucket`` histogram series for
-  log-bucketed instruments) plus a stdlib ``/metrics`` + ``/healthz``
-  HTTP endpoint (:class:`~repro.telemetry.promexport.MetricsServer`);
 * :mod:`repro.telemetry.slo` — declarative SLOs with multi-window
-  burn-rate alerting (``telemetry.slo_breach`` events, ``/healthz``
-  degradation);
+  burn-rate alerting (``telemetry.slo_breach`` events and
+  ``slo.<slo>.*`` gauges);
 * :mod:`repro.telemetry.report` — ``python -m repro.telemetry.report``,
   per-phase latency percentiles, per-message groupings, critical paths
   and per-kernel profiles from a trace file — or a post-mortem view of
@@ -39,10 +35,7 @@ Layout:
   peer death, SLO breaches, ``SIGUSR2`` or exit-with-pending;
 * :mod:`repro.telemetry.inspect` — :func:`~repro.telemetry.inspect.snapshot`,
   the merged host + target live-state snapshot behind
-  ``offload.introspect()`` and the ``/introspect`` endpoint;
-* :mod:`repro.telemetry.top` — ``python -m repro.telemetry.top``, a
-  live terminal view (`top` for the offload runtime) over
-  ``/introspect``.
+  ``offload.introspect()``.
 
 Quick start::
 
@@ -73,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
         Counter, Gauge, LogHistogram, MetricsRegistry, percentile,
     )
     from repro.telemetry.config import TelemetryConfig
-    from repro.telemetry.promexport import MetricsServer, to_prometheus
     from repro.telemetry.recorder import (
         EventRecord, Recorder, SpanRecord, complete_offload, count, current_span_id,
         disable, enable, enabled, event, gauge, get, span,
@@ -82,13 +74,13 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
 
 __all__ = [
     "ClockSync", "Counter", "EventRecord", "FlightRecorder",
-    "Gauge", "LogHistogram", "MetricsRegistry", "MetricsServer",
+    "Gauge", "LogHistogram", "MetricsRegistry",
     "Recorder", "SLO", "SLOMonitor", "SpanRecord", "TelemetryConfig",
     "TraceContext", "activate", "align_records", "complete_offload",
     "count", "critical_path", "current", "current_span_id",
     "default_slos", "disable", "enable", "enabled", "event", "gauge", "get",
     "group_by_trace", "new_trace", "percentile",
-    "span", "to_prometheus", "trace_summary",
+    "span", "trace_summary",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
@@ -102,7 +94,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "Counter", "Gauge", "LogHistogram", "MetricsRegistry", "percentile",
     ),
     "repro.telemetry.config": ("TelemetryConfig",),
-    "repro.telemetry.promexport": ("MetricsServer", "to_prometheus"),
     "repro.telemetry.recorder": (
         "EventRecord", "Recorder", "SpanRecord", "complete_offload", "count",
         "current_span_id", "disable", "enable", "enabled", "event", "gauge", "get",

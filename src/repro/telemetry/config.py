@@ -1,9 +1,8 @@
 """What ``offload.init(telemetry=...)`` accepts.
 
 A module of its own so that selecting telemetry loads only what the
-options select: the exporter (:mod:`repro.telemetry.promexport`, which
-imports ``http.server``) comes in with a ``metrics_port``, not with
-``telemetry=True``.
+options select: :mod:`repro.telemetry.slo` comes in with
+``slo_enabled``, not with the config.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ class TelemetryConfig:
     """Declarative telemetry setup for ``offload.init(telemetry=...)``.
 
     ``init`` accepts ``True`` (plain recording), this class, or a dict
-    with the same field names. ``metrics_port=None`` means no HTTP
-    endpoint; ``0`` binds an ephemeral port (read the actual one from
-    ``repro.offload.api.metrics_server().address``).
+    with the same field names.
 
     Enabled telemetry records every offload. A dict may still spell
     ``sample_rate`` as ``1.0`` or ``None`` (dropped); any other rate
@@ -36,8 +33,6 @@ class TelemetryConfig:
 
     enabled: bool = True
     capacity: int = 65536
-    metrics_port: int | None = None
-    metrics_host: str = "127.0.0.1"
     #: SLO burn-rate monitoring.
     slo_enabled: bool = True
     slos: tuple = ()

@@ -19,10 +19,8 @@ time:
   apart from an idle one ("nothing noted for minutes" vs "sheds every
   second").
 
-The snapshot is plain JSON-serializable data. It is surfaced on the
-metrics server as ``GET /introspect`` (see
-:class:`~repro.telemetry.promexport.MetricsServer`) and rendered live
-by ``python -m repro.telemetry.top``.
+The snapshot is plain JSON-serializable data; ``offload.introspect()``
+returns it for the global runtime.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ The metric types are deliberately tiny: a :class:`Counter` is a locked
 integer, a :class:`Gauge` a locked float, and a :class:`LogHistogram`
 an HDR-style fixed-bucket latency histogram whose geometric bucket
 bounds give a bounded relative quantile error at O(1) memory — the shape
-behind the Prometheus ``_bucket`` series and the per-kernel
-percentiles. A :class:`MetricsRegistry` creates them on first use
-(``registry.counter("offload.issued").inc()``) and produces a single
-JSON-friendly :meth:`~MetricsRegistry.snapshot`; it is the only
-aggregate store, and the recorder's refuses a name
+behind the phase and per-kernel percentiles. A :class:`MetricsRegistry`
+creates them on first use (``registry.counter("offload.issued").inc()``)
+and produces a single JSON-friendly :meth:`~MetricsRegistry.snapshot`;
+it is the only aggregate store, and the recorder's refuses a name
 :mod:`repro.telemetry.signals` does not declare.
 
 All operations are thread-safe; the registry lock only guards additions
@@ -118,24 +117,15 @@ class LogHistogram:
     ``observe`` is O(log buckets) and allocation-free, which is what lets
     *every* completed offload fold into its kernel's
     series without touching the span ring. It never forgets: counts are
-    lifetime cumulative, so the summary's ``buckets`` list renders
-    directly as a Prometheus ``_bucket`` series.
+    lifetime cumulative.
     Percentiles interpolate within the winning bucket and clamp to the
     observed min/max, so small-count queries stay sane.
-
-    With ``exemplars=True`` each bucket additionally retains the most
-    recent ``(trace_id, value)`` observed into it — the OpenMetrics
-    exemplar shape — so a fat latency bucket links straight to one
-    concrete trace that landed there. Off by default: the retention is
-    one tuple store per observation, but most histograms have no trace
-    to link.
     """
 
     __slots__ = ("_lock", "_bounds", "_counts", "count", "total", "_min",
-                 "_max", "_exemplars")
+                 "_max")
 
-    def __init__(self, bounds: Sequence[float] | None = None, *,
-                 exemplars: bool = False) -> None:
+    def __init__(self, bounds: Sequence[float] | None = None) -> None:
         self._bounds = tuple(bounds) if bounds is not None \
             else default_latency_bounds()
         if list(self._bounds) != sorted(set(self._bounds)):
@@ -149,42 +139,33 @@ class LogHistogram:
         self.total = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._exemplars: list[tuple[str, float] | None] | None = (
-            [None] * (len(self._bounds) + 1) if exemplars else None
-        )
 
-    def enable_exemplars(self) -> None:
-        """Start retaining per-bucket exemplars (idempotent)."""
+    def observe(self, value: float) -> None:
         with self._lock:
-            if self._exemplars is None:
-                self._exemplars = [None] * (len(self._bounds) + 1)
+            self.fold(value)
 
-    def observe(self, value: float, trace_id: str | None = None) -> None:
-        with self._lock:
-            self.fold(value, trace_id)
-
-    def fold(self, value: float, trace_id: str | None = None) -> None:
+    def fold(self, value: float) -> None:
         """:meth:`observe` by a caller that holds the histogram's lock
         (the recorder's phase histograms share the lock of its ring)."""
         value = float(value)
-        idx = bisect.bisect_left(self._bounds, value)
-        self._counts[idx] += 1
+        self._counts[bisect.bisect_left(self._bounds, value)] += 1
         self.count += 1
         self.total += value
         if value < self._min:
             self._min = value
         if value > self._max:
             self._max = value
-        if trace_id and self._exemplars is not None:
-            self._exemplars[idx] = (trace_id, value)
 
     def percentile(self, q: float) -> float:
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         with self._lock:
-            counts = list(self._counts)
-            count = self.count
-            lo_seen, hi_seen = self._min, self._max
+            state = list(self._counts), self.count, self._min, self._max
+        return self._interpolate(q, *state)
+
+    def _interpolate(self, q: float, counts: list[int], count: int,
+                     lo_seen: float, hi_seen: float) -> float:
+        """The ``q``-th percentile of one copy of the histogram's state."""
         if count == 0:
             return 0.0
         rank = (q / 100.0) * count
@@ -200,49 +181,24 @@ class LogHistogram:
         return float(hi_seen)
 
     def summary(self) -> dict[str, Any]:
-        """Lifetime stats plus cumulative ``buckets`` for exposition.
-
-        ``buckets`` is an ordered list of ``[le, cumulative_count]``
-        pairs ending with ``["+Inf", count]`` — exactly the shape
-        :func:`repro.telemetry.promexport.to_prometheus` turns into a
-        ``# TYPE ... histogram`` series. When exemplar retention is on,
-        an ``exemplars`` list of ``[le, trace_id, value]`` rides along
-        for the buckets that have one.
-        """
+        """Lifetime count, mean, min, max and p50/p95/p99, all read from
+        one copy of the state: a concurrent fold cannot tear them apart."""
         with self._lock:
-            counts = list(self._counts)
-            count, total = self.count, self.total
-            lo, hi = self._min, self._max
-            retained = list(self._exemplars) if self._exemplars is not None \
-                else None
+            state = list(self._counts), self.count, self._min, self._max
+            total = self.total
+        _, count, lo, hi = state
         if count == 0:
             return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0, "buckets": []}
-        buckets: list[list[Any]] = []
-        cumulative = 0
-        for bound, bucket_count in zip(self._bounds, counts):
-            cumulative += bucket_count
-            buckets.append([bound, cumulative])
-        buckets.append(["+Inf", count])
-        summary: dict[str, Any] = {
+                    "p50": 0.0, "p95": 0.0, "p99": 0.0}
+        return {
             "count": count,
             "mean": total / count,
             "min": lo,
             "max": hi,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "buckets": buckets,
+            "p50": self._interpolate(50, *state),
+            "p95": self._interpolate(95, *state),
+            "p99": self._interpolate(99, *state),
         }
-        if retained is not None:
-            bounds: list[Any] = list(self._bounds) + ["+Inf"]
-            summary["exemplars"] = [
-                [bounds[idx], trace_id, value]
-                for idx, slot in enumerate(retained)
-                if slot is not None
-                for trace_id, value in (slot,)
-            ]
-        return summary
 
 
 class MetricsRegistry:
@@ -282,18 +238,12 @@ class MetricsRegistry:
 
     def log_histogram(
         self, name: str, bounds: Sequence[float] | None = None,
-        *, exemplars: bool = False,
     ) -> LogHistogram:
-        """Get-or-create a histogram. ``exemplars=True`` turns per-bucket
-        exemplar retention on for the instrument, whether it is being
-        created or already exists."""
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._create(
                 self._histograms, name, "histogram",
-                lambda: LogHistogram(bounds, exemplars=exemplars))
-        if exemplars:
-            instrument.enable_exemplars()
+                lambda: LogHistogram(bounds))
         return instrument
 
     def snapshot(self) -> dict[str, Any]:

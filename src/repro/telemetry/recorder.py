@@ -243,7 +243,6 @@ class _Span:
         if exc_type is not None:
             attrs["error"] = exc_type.__name__
         ctx = self.ctx
-        trace_id = "" if ctx is None else ctx.trace_id_hex
         name = self.name
         start_ns = self._start_ns
         duration_ns = end_ns - start_ns
@@ -259,11 +258,11 @@ class _Span:
         record.pid = _PID
         record.tid = stack.tid
         record.attrs = attrs
-        record.trace_id = trace_id
+        record.trace_id = "" if ctx is None else ctx.trace_id_hex
         hist = recorder._phase_hists[name]
         # One lock: the phase histograms share the ring's.
         with recorder._lock:
-            hist.fold(duration_ns / 1e9, trace_id or None)
+            hist.fold(duration_ns / 1e9)
             recorder._ring.append(record)
             recorder._recorded += 1
         return False
@@ -331,10 +330,8 @@ class Recorder:
 
     def _phase_hist(self, name: str) -> LogHistogram:
         """``phase.<name>``, folded under the ring's lock, together with
-        the record. Exemplars on: phase folds are the one place a
-        duration and its trace id meet, so each fat bucket keeps a live
-        link to the most recent trace that landed in it."""
-        hist = self.metrics.log_histogram("phase." + name, exemplars=True)
+        the record."""
+        hist = self.metrics.log_histogram("phase." + name)
         hist._lock = self._lock
         return hist
 

@@ -5,14 +5,14 @@ Every series the recorder's registry may hold is declared in
 ``<label>`` placeholders (``health.node_state.<node>``), each standing for any
 non-empty text, dots included. The registry asks
 :meth:`SignalRegistry.check` before it *creates* an instrument, never on
-a hit. ``# HELP`` / ``# UNIT`` on ``/metrics`` and the "Metrics" table of
-``docs/observability.md`` (``python -m repro.telemetry.signals``) are
-generated from the same rows.
+a hit. The "Metrics" table of ``docs/observability.md`` (``python -m
+repro.telemetry.signals``) is generated from the same rows.
 
 One rule decides every row. A series stays when code reads it, when a
 documented procedure names it, or when it is the only place its number
-is held — then the consumer is the operator's scrape and the row says
-what only it answers. A series that mirrors a number a ``stats()`` /
+is held — then the consumer is a crash bundle's ``metrics.json`` (the
+registry snapshot a post-mortem reads) and the row says what only it
+answers. A series that mirrors a number a ``stats()`` /
 ``snapshot()`` dict or another series already holds is deleted with its
 call sites, not declared (``tests/telemetry/test_signals.py`` holds the
 table to the source).
@@ -91,53 +91,52 @@ class SignalRegistry:
 
 
 _ROW = SignalDescriptor
-_SCRAPE = "operator scrape of `/metrics`: "
-_SLO = "docs/observability.md, SLOs: the alerting surface on `/metrics`"
-_KERNEL = "per-kernel scrape of `/metrics`; offline twin `report --profile`, "
+_BUNDLE = "a crash bundle's `metrics.json`: "
+_SLO = "docs/observability.md, SLOs: the burn a bundle's `metrics.json` holds"
+_KERNEL = "a crash bundle's `metrics.json`; offline twin `report --profile`, "
 
 SIGNALS = SignalRegistry((
     # -- the offload path ---------------------------------------------------
     _ROW("offload.issued", "counter", "offloads",
          "invocations posted to a backend",
-         _SCRAPE + "issue rate by `rate()`"),
+         _BUNDLE + "offloads issued before the dump"),
     _ROW("offload.issue_failures", "counter", "offloads",
          "posts a transport refused before anything left the host",
-         _SCRAPE + "the only count of offloads that never settled"),
+         _BUNDLE + "the only count of offloads that never settled"),
     _ROW("offload.callback_errors", "counter", "errors",
          "exceptions swallowed in a completion callback",
-         _SCRAPE + "the only trace such an exception leaves"),
+         _BUNDLE + "the only trace such an exception leaves"),
     _ROW("future.settled", "counter", "offloads",
          "futures and syncs that reached a result or an error",
-         _SCRAPE + "settle rate by `rate()`"),
+         _BUNDLE + "issued minus settled is what never came back"),
     _ROW("future.timeouts", "counter", "offloads",
          "`Future.get` and sync deadlines that expired (the offload may land)",
-         _SCRAPE + "raw count behind the availability SLO's burn"),
+         _BUNDLE + "raw count behind the availability SLO's burn"),
     _ROW("<transport>.unmatched_replies", "counter", "frames",
          "replies whose correlation id had no waiter left (late or invented)",
          "docs/architecture.md, late replies: the only trace of a dropped one"),
     # -- data plane and target memory ---------------------------------------
     _ROW("data.bytes_put", "counter", "bytes", "payload of `put` transfers",
-         _SCRAPE + "data-plane volume, bandwidth by `rate()`"),
+         _BUNDLE + "data-plane volume"),
     _ROW("data.bytes_got", "counter", "bytes", "payload of `get` transfers",
-         _SCRAPE + "data-plane volume, bandwidth by `rate()`"),
+         _BUNDLE + "data-plane volume"),
     _ROW("data.bytes_copied", "counter", "bytes",
          "payload of target-to-target `copy` transfers",
-         _SCRAPE + "data-plane volume, bandwidth by `rate()`"),
+         _BUNDLE + "data-plane volume"),
     _ROW("buffers.leaked", "counter", "buffers",
          "buffers still live at `Runtime.shutdown()`",
-         _SCRAPE + "the leak the shutdown `ResourceWarning` names"),
+         _BUNDLE + "the leak the shutdown `ResourceWarning` names"),
     # -- resilience ---------------------------------------------------------
     _ROW("health.transitions", "counter", "transitions",
-         "health state changes of any node", _SCRAPE + "circuit-breaker flapping"),
+         "health state changes of any node", _BUNDLE + "circuit-breaker flapping"),
     _ROW("health.circuit_opened", "counter", "transitions",
-         "transitions into `down`", _SCRAPE + "how often a circuit opened"),
+         "transitions into `down`", _BUNDLE + "how often a circuit opened"),
     _ROW("health.circuit_rejections", "counter", "offloads",
          "operations refused because the node's circuit was open",
-         _SCRAPE + "work lost to an open circuit"),
+         _BUNDLE + "work lost to an open circuit"),
     _ROW("health.node_state.<node>", "gauge", "state",
          "0 healthy, 1 degraded, 2 down",
-         "docs/observability.md: circuit state by scrape, "
-         "`repro_health_node_state_1 2`"),
+         "docs/observability.md: circuit state in a bundle's `metrics.json`"),
     _ROW("health.consecutive_failures.<node>", "gauge", "failures",
          "failures in a row on the node",
          "docs/observability.md: distance to the next health transition"),
@@ -159,9 +158,8 @@ SIGNALS = SignalRegistry((
          "the probe counts a product series; perfbench/ is frozen per PR)"),
     # -- latency: per phase, per kernel --------------------------------------
     _ROW("phase.<span>", "histogram", "seconds",
-         "duration of every finished span of that name; "
-         "buckets carry exemplars",
-         "`/metrics` phase latencies with trace exemplars; "
+         "duration of every finished span of that name",
+         _BUNDLE + "phase latencies past the trace ring's horizon; "
          "`phase.perfbench.probe` is perfbench's `telemetry.span_on_ns`"),
     _ROW("kernel.<kernel>.errors", "counter", "offloads",
          "failed round trips of the kernel", _KERNEL + "column `errors`"),

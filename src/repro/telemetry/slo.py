@@ -21,9 +21,9 @@ Breaches surface three ways:
   trace (``scripts/chaos_smoke.py`` asserts the former fires under
   injected faults);
 * ``slo.<name>.fast_burn`` / ``slow_burn`` / ``breached`` gauges on the
-  metrics snapshot (and thus ``/metrics``);
-* :meth:`SLOMonitor.breached`, which the ``/healthz`` endpoint folds
-  into a ``degraded`` status.
+  metrics snapshot (and thus a crash bundle's ``metrics.json``);
+* :meth:`SLOMonitor.breached`, the names of the SLOs breached now
+  (``scripts/chaos_smoke.py`` reads it at the end of a soak).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ guards (``tests/telemetry/test_overhead.py``).
 import contextlib
 import sys
 import threading
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.backends.base import InvokeHandle
 from repro.offload.future import Future
@@ -44,19 +44,35 @@ class CallCounts(NamedTuple):
     locks: int
 
 
-def profile_calls(fn: Callable[[], Any]) -> CallCounts:
+def profile_calls(fn: Callable[[], Any], *,
+                  opaque: Iterable[Callable] = ()) -> CallCounts:
+    """Count what ``fn()`` does. A call to one of the ``opaque``
+    functions counts as one, and nothing it calls is counted: a wait
+    (a ring's spin laps, its sleeps, its liveness checks) costs the
+    other side's time, not the caller's path."""
     calls = locks = 0
     python: list[str] = []
     constructed: list[str] = []
+    hidden = {f.__code__ for f in opaque}
+    depth = 0  # opaque frames open
 
     def profiler(frame, event, arg):
-        nonlocal calls, locks
+        nonlocal calls, locks, depth
+        if depth:
+            if frame.f_code in hidden:
+                if event == "call":
+                    depth += 1
+                elif event == "return":
+                    depth -= 1
+            return
         if event == "call":
             calls += 1
             python.append(frame.f_code.co_name)
             heavy = _HEAVY.get(frame.f_code)
             if heavy is not None:
                 constructed.append(heavy)
+            if frame.f_code in hidden:
+                depth = 1
         elif event == "c_call":
             calls += 1
             if (arg.__name__ in ("__exit__", "acquire")

@@ -137,12 +137,14 @@ def test_sample_rate_one_records_what_true_does():
         ({"telemetry": {"sample_rate": 0.5}}, ValueError),
         ({"telemetry": "yes"}, TypeError),
         # ... and raised by Runtime(...) with the target already up,
-        # the second time with an endpoint to take down.
+        # the second time with a recorder and SLO monitor to take down.
         ({"window": 0}, BackendError),
-        ({"window": 0, "telemetry": {"metrics_port": 0}}, BackendError),
-        # An option that no longer exists: the dataclass's own TypeError,
-        # before anything is spawned (the time-series store was removed).
+        ({"window": 0, "telemetry": True}, BackendError),
+        # Options that no longer exist: the dataclass's own TypeError,
+        # before anything is spawned (the time-series store and the
+        # metrics endpoint were removed).
         ({"telemetry": {"tsdb": True}}, TypeError),
+        ({"telemetry": {"metrics_port": 0}}, TypeError),
     ],
 )
 def test_failed_init_leaves_nothing_behind(transport, options, error):
@@ -151,7 +153,7 @@ def test_failed_init_leaves_nothing_behind(transport, options, error):
         with pytest.raises(error):
             offload.init(transport, **options)
         assert not offload.is_initialized()
-        assert offload.metrics_server() is None
+        assert not telemetry.enabled()
         assert resources() == before
         # ... and the next, valid init finds a clean slate.
         offload.init(transport)
@@ -160,6 +162,25 @@ def test_failed_init_leaves_nothing_behind(transport, options, error):
         offload.finalize()
         telemetry.disable()
     assert resources() == before
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+def test_traced_session_leaves_nothing_behind(transport):
+    """A successful traced session, twice: init with SLOs, 200 syncs and
+    64 ``async_``/``get`` (a full window), finalize. What it started is
+    gone when it ends."""
+    before = resources(baseline=True)
+    for _ in range(2):
+        try:
+            offload.init(transport, telemetry={"slo_enabled": True})
+            for i in range(200):
+                assert offload.sync(1, f2f(apps.echo, i)) == i
+            futures = [offload.async_(1, f2f(apps.echo, i)) for i in range(64)]
+            assert [future.get() for future in futures] == list(range(64))
+        finally:
+            offload.finalize()
+            telemetry.disable()
+        assert resources() == before
 
 
 class TestTableIIOperations:

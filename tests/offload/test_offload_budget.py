@@ -17,13 +17,14 @@ import gc
 import json
 import os
 import select
+import signal
 import threading
 import time
 
 import pytest
 
 from repro.backends import LocalBackend, TcpBackend, spawn_local_server
-from repro.backends.shm import ShmBackend, ShmSegment, ShmTargetServer
+from repro.backends.shm import ShmBackend, ShmRing, ShmSegment, ShmTargetServer
 from repro.backends.tcp import TcpTargetServer
 from repro.ham import f2f
 from repro.offload import QoSConfig, Runtime, TenantPolicy
@@ -188,12 +189,13 @@ def test_tenant_tagged_qos_sync_call_budget():
 
 
 #: Calls of one warm ``sync(1, f2f(echo, 7))`` on a framed transport,
-#: CPython 3.11: 55 on shm, 68 on tcp — one frame packed by the client
+#: CPython 3.11: 54 on shm, 68 on tcp — one frame packed by the client
 #: core, sized once, sent, and read back by the one parser, which tells
-#: "nothing held" by attribute. The ceilings sit ~5 % above.
+#: "nothing held" by attribute. The wait for the reply counts as one
+#: call however long the target takes. The ceilings sit ~5 % above.
 MAX_FRAMED_SYNC_CALLS = {"shm": 58, "tcp": 72}
 
-#: The same sync traced (``telemetry=True``), host side: 167 calls and
+#: The same sync traced (``telemetry=True``), host side: 166 calls and
 #: 14 locks on shm, 180 and 14 on tcp (CPython 3.11) — five spans
 #: recorded (serialize, enqueue, transport, the leader's own reply,
 #: deserialize), one trace minted, one completion folded. The ceilings
@@ -202,19 +204,50 @@ MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 176, "tcp": 189}
 MAX_TRACED_FRAMED_SYNC_LOCKS = 15
 
 
+#: How long the framed rows stop the target during the profiled sync.
+STALL_S = 0.02
+
+
+def _profile_stalled_sync(runtime: Runtime, pid: int) -> CallCounts:
+    """One warm ``sync(1, f2f(echo, 7))``, counted while its target
+    (``pid``) is stopped: ``SIGSTOP`` before the sync posts, ``SIGCONT``
+    from a timer thread :data:`STALL_S` later. The sync waits that long
+    for its reply — on shm in the reply ring's spin, then its sleep — so
+    the count holds however slow the target is. The ring's wait is
+    opaque (see ``tests/callcount.py``): its laps are the target's time,
+    not the host's path."""
+    backend = runtime.backend
+    ring = backend._t2h if isinstance(backend, ShmBackend) else None
+    laps = ring.laps if ring is not None else 0
+    gc.collect()  # no earlier test's garbage is finalized in the count
+    os.kill(pid, signal.SIGSTOP)
+    resume = threading.Timer(STALL_S, os.kill, (pid, signal.SIGCONT))
+    resume.start()
+    try:
+        counts = profile_calls(lambda: runtime.sync(1, f2f(apps.echo, 7)),
+                               opaque=(ShmRing.wait_readable,))
+    finally:
+        resume.cancel()
+        os.kill(pid, signal.SIGCONT)
+    if ring is not None:
+        assert ring.laps > laps  # the sync did wait for the stopped target
+    return counts
+
+
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 def test_plain_sync_files_nothing_on_framed_transports(transport):
     """A warm sync on a framed transport reads its own reply inline: no
     handle, future or event is built, the correlation table's lock is
-    never taken, and the calls stay within the transport's budget."""
+    never taken, and the calls stay within the transport's budget, also
+    with the target stopped while the host waits."""
     runtime = offload_api.init(transport)
     try:
         for i in range(50):
             assert runtime.sync(1, f2f(apps.echo, i)) == i
         backend = runtime.backend
+        pid = backend.introspect_target()["pid"]
         counting = backend._pending_lock = _CountingLock(backend._pending_lock)
-        gc.collect()  # no earlier test's garbage is finalized in the count
-        counts = profile_calls(lambda: runtime.sync(1, f2f(apps.echo, 7)))
+        counts = _profile_stalled_sync(runtime, pid)
         assert counts.value == 7
         assert counts.constructed == []
         assert counting.acquisitions == 0
@@ -336,13 +369,14 @@ def test_pipelined_tcp_call_budget_per_offload():
 
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 def test_traced_sync_on_framed_transports(transport):
-    """The traced twin of the row above, counted on the host."""
+    """The traced twin of the row above, counted on the host with the
+    target stopped for the same 20 ms."""
     runtime = offload_api.init(transport, telemetry=True)
     try:
         for i in range(50):
             assert runtime.sync(1, f2f(apps.echo, i)) == i
-        gc.collect()
-        counts = profile_calls(lambda: runtime.sync(1, f2f(apps.echo, 7)))
+        pid = runtime.backend.introspect_target()["pid"]
+        counts = _profile_stalled_sync(runtime, pid)
         assert counts.value == 7
         assert counts.constructed == []
         assert counts.calls <= MAX_TRACED_FRAMED_SYNC_CALLS[transport], (

@@ -1,10 +1,9 @@
-"""HealthMonitor state exported as Prometheus gauges."""
+"""HealthMonitor state mirrored onto the metrics snapshot's gauges."""
 
 from __future__ import annotations
 
 from repro.offload.resilience import HealthMonitor, ResiliencePolicy
 from repro.telemetry import recorder as telemetry
-from repro.telemetry.promexport import to_prometheus
 
 POLICY = ResiliencePolicy(degraded_after=1, down_after=3)
 
@@ -44,13 +43,13 @@ class TestHealthGauges:
         assert gauges["health.node_state.1"] == 1
         assert gauges["health.node_state.2"] == 0
 
-    def test_renders_in_prometheus_exposition(self):
+    def test_reads_in_the_metrics_snapshot(self):
         recorder = telemetry.enable()
         monitor = HealthMonitor(POLICY)
         monitor.record_failure(3)
-        text = to_prometheus(recorder.metrics.snapshot())
-        assert "repro_health_node_state_3 1" in text
-        assert "repro_health_consecutive_failures_3 1" in text
+        gauges = recorder.metrics.snapshot()["gauges"]
+        assert gauges["health.node_state.3"] == 1
+        assert gauges["health.consecutive_failures.3"] == 1
 
     def test_no_recorder_no_crash(self):
         telemetry.disable()

@@ -1,16 +1,12 @@
-"""Live introspection: OP_INTROSPECT, inspect.snapshot, /introspect, top.
+"""Live introspection: OP_INTROSPECT, inspect.snapshot, offload.introspect.
 
 The contract under test: every transport answers ``introspect_target``
-with the same payload shape, ``inspect.snapshot`` merges host + target + the
-flight recorder into one snapshot, the metrics server serves it as
-JSON, and ``repro top`` renders it without touching the network.
+with the same payload shape, and ``inspect.snapshot`` merges host + target
++ the flight recorder into one JSON-serializable snapshot, which
+``offload.introspect()`` returns for the global runtime.
 """
 
 import json
-import urllib.error
-import urllib.request
-
-import pytest
 
 from repro.backends import (
     DmaCommBackend,
@@ -24,7 +20,7 @@ from repro.backends import (
 )
 from repro.ham import f2f
 from repro.offload import QoSConfig, ResiliencePolicy, Runtime
-from repro.telemetry import flightrecorder, inspect, top
+from repro.telemetry import flightrecorder, inspect
 from repro.telemetry.inspect import SNAPSHOT_SCHEMA_VERSION
 
 from tests import apps
@@ -170,13 +166,26 @@ class TestRuntimeInspector:
         assert snapshot["target"] is None
 
     def test_snapshot_is_json_serializable(self):
-        """The /introspect endpoint must be able to serve it verbatim."""
+        """Plain data: a caller can write it out verbatim."""
         runtime = Runtime(LocalBackend())
         try:
             snapshot = inspect.snapshot(runtime)
         finally:
             runtime.shutdown()
         json.dumps(snapshot, default=str)
+
+    def test_offload_introspect_probes_the_target(self):
+        from repro.offload import api as offload
+
+        offload.init(LocalBackend())
+        try:
+            offload.sync(1, f2f(apps.add, 2, 3))
+            snapshot = offload.introspect()
+        finally:
+            offload.finalize()
+        assert snapshot["schema_version"] == SNAPSHOT_SCHEMA_VERSION
+        assert snapshot["host"]["pid"] > 0
+        assert snapshot["target"]["transport"] == "local"
 
 
 class TestThroughProxies:
@@ -279,139 +288,3 @@ class TestOneSnapshot:
         assert {"pid", "qos", "health"} <= set(state)
         assert state["qos"] == {"admission": {"default": {
             "admitted": 2, "rejected": 0, "tokens": None}}}
-
-
-class TestIntrospectEndpoint:
-    def test_endpoint_serves_the_snapshot(self):
-        from repro.offload import api as offload
-
-        offload.init(LocalBackend(), telemetry={"metrics_port": 0})
-        try:
-            offload.sync(1, f2f(apps.add, 2, 3))
-            url = offload.metrics_server().url
-            snapshot = top.fetch_snapshot(url)
-            assert snapshot["host"]["pid"] > 0
-            assert snapshot["target"]["transport"] == "local"
-            # offload.introspect() returns the same merged payload.
-            direct = offload.introspect()
-            assert set(direct) == set(snapshot)
-        finally:
-            offload.finalize()
-
-    def test_server_without_introspect_fn_404s(self):
-        from repro.telemetry.metrics import MetricsRegistry
-        from repro.telemetry.promexport import MetricsServer
-
-        server = MetricsServer(MetricsRegistry().snapshot)
-        try:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(server.url + "/introspect", timeout=2)
-            assert err.value.code == 404
-        finally:
-            server.close()
-
-
-class TestTopRendering:
-    def _snapshot(self):
-        return {
-            "schema_version": SNAPSHOT_SCHEMA_VERSION,
-            "host": {
-                "pid": 100,
-                "window": {
-                    "in_flight": 2, "limit": 8,
-                    "handles": [
-                        {"corr": 1, "label": "stencil"},
-                        {"corr": 2, "label": "stencil"},
-                    ],
-                },
-                "backend": {
-                    "backend": "shm",
-                    "request_ring": {"used": 512, "capacity": 1024,
-                                     "sleep_stalls": 3},
-                    "reply_ring": {"used": 0, "capacity": 1024},
-                    "pending_replies": 2,
-                },
-                "qos": {"admission": {
-                    "gold": {"admitted": 5, "rejected": 0, "tokens": None},
-                    "noisy": {"admitted": 9, "rejected": 4, "tokens": 0.5},
-                }},
-                "health": {1: {"health": "up"}},
-            },
-            "target": {
-                "role": "target", "transport": "shm", "pid": 200,
-                "workers": {"pool_size": 4, "active": 1},
-                "dispatch": {"reader": "ham-shm-worker-2", "handoffs": 3,
-                             "promotions": 1},
-                "pending_invokes": 1, "messages_executed": 42,
-                "live_buffers": 2,
-                "rings": {"capacity": 1024,
-                          "request": {"used": 512, "capacity": 1024},
-                          "reply": {"used": 0, "capacity": 1024}},
-            },
-            "flight": {"noted": 7, "dropped": 0, "dumps": [],
-                       "crash_dir": None},
-        }
-
-    def test_render_frame_shows_all_sections(self):
-        frame = top.render_frame(self._snapshot(), source="test")
-        assert "HOST  pid 100" in frame
-        assert "2/8 in flight" in frame
-        assert "stencilx2" in frame
-        assert "512/1024 (50.0%) (3 stalls)" in frame
-        assert "TARGET  pid 200 (shm)" in frame
-        assert "1/4 active" in frame
-        assert "executed 42" in frame
-        assert "handoffs 3   promotions 1   reader ham-shm-worker-2" in frame
-        assert "FLIGHT  noted 7" in frame
-        assert "1:up" in frame
-        assert "admitted/rejected gold=5/0 noisy=9/4" in frame
-
-    def test_render_frame_handles_unreachable_target(self):
-        snapshot = self._snapshot()
-        snapshot["target"] = {"role": "target", "error": "unreachable"}
-        frame = top.render_frame(snapshot, source="test")
-        assert "TARGET  unreachable" in frame
-
-    def test_render_frame_handles_error_payload(self):
-        frame = top.render_frame(
-            {"error": "offload API not initialized"}, source="test"
-        )
-        assert "offload API not initialized" in frame
-
-    def test_once_against_dead_endpoint_exits_nonzero(self, capsys):
-        rc = top.main(["http://127.0.0.1:1", "--once", "--timeout", "0.2"])
-        assert rc == 1
-        assert "unreachable" in capsys.readouterr().out
-
-    def test_once_against_live_endpoint_exits_zero(self, capsys):
-        from repro.offload import api as offload
-
-        offload.init(LocalBackend(), telemetry={"metrics_port": 0})
-        try:
-            rc = top.main([offload.metrics_server().url, "--once"])
-        finally:
-            offload.finalize()
-        assert rc == 0
-        assert "HOST" in capsys.readouterr().out
-
-    def test_json_one_shot_prints_raw_snapshot(self, capsys):
-        from repro.offload import api as offload
-
-        offload.init(LocalBackend(), telemetry={"metrics_port": 0})
-        try:
-            offload.sync(1, f2f(apps.add, 2, 3))
-            rc = top.main([offload.metrics_server().url, "--json"])
-        finally:
-            offload.finalize()
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == SNAPSHOT_SCHEMA_VERSION
-        assert payload["host"]["pid"] > 0
-
-    def test_json_against_dead_endpoint_exits_nonzero(self, capsys):
-        rc = top.main(["http://127.0.0.1:1", "--json", "--timeout", "0.2"])
-        assert rc == 1
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert "unreachable" in out.err
-

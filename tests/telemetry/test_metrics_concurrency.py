@@ -1,26 +1,25 @@
-"""Concurrent scrape-vs-mutate: /metrics under registry churn.
+"""Concurrent snapshot-vs-mutate: ``MetricsRegistry.snapshot`` under churn.
 
-Four scraper threads hammer the metrics endpoint while a mutator keeps
-creating instruments and folding observations (with exemplars) — the
-shape of a real deployment where Prometheus scrapes mid-offload. Every
-response must parse as complete, well-formed exposition text; no tearing,
-no duplicate TYPE lines, no exceptions surfacing as 500s.
+Four reader threads take snapshots while a mutator keeps creating
+instruments and folding observations — the shape of a crash bundle
+written mid-offload. Every snapshot must be complete and consistent
+JSON: no tearing, no "dictionary changed size during iteration", no
+histogram whose summary contradicts itself, no counter going backwards.
 """
 
+import json
 import sys
 import threading
-import urllib.request
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.promexport import MetricsServer
 from repro.telemetry.recorder import Recorder
 from repro.telemetry.recorder import complete_offload
 
-SCRAPERS = 4
-SCRAPES_PER_THREAD = 25
+READERS = 4
+SNAPSHOTS_PER_THREAD = 25
 
 
-def test_concurrent_scrapes_while_registry_mutates():
+def test_concurrent_snapshots_while_registry_mutates():
     reg = MetricsRegistry()
     stop = threading.Event()
     mutator_error: list[BaseException] = []
@@ -34,53 +33,53 @@ def test_concurrent_scrapes_while_registry_mutates():
                 reg.counter(f"kernel.k{i % 3 + 1}.errors").inc(i % 2)
                 reg.gauge(f"window.in_flight").set(i % 7)
                 reg.gauge(f"health.node_state.{i % 3 + 1}").set(1.0)
-                hist = reg.log_histogram(
-                    f"kernel.k{i % 3 + 1}.offload", exemplars=True)
-                hist.observe(0.001 * (i % 50 + 1), trace_id=f"{i:08x}")
+                hist = reg.log_histogram(f"kernel.k{i % 3 + 1}.offload")
+                hist.observe(0.001 * (i % 50 + 1))
         except BaseException as exc:  # noqa: BLE001 - reported by the test
             mutator_error.append(exc)
 
-    srv = MetricsServer(reg.snapshot)
     mutator = threading.Thread(target=mutate, daemon=True)
     mutator.start()
     bodies: list[str] = []
     errors: list[BaseException] = []
 
-    def scrape():
+    def read():
+        issued = 0
         try:
-            for _ in range(SCRAPES_PER_THREAD):
-                with urllib.request.urlopen(
-                        srv.url + "/metrics", timeout=10) as rsp:
-                    assert rsp.status == 200
-                    bodies.append(rsp.read().decode())
+            for _ in range(SNAPSHOTS_PER_THREAD):
+                snap = reg.snapshot()
+                bodies.append(json.dumps(snap, allow_nan=False))
+                # Each reader sees the counter only go up.
+                now = snap["counters"].get("offload.issued", 0)
+                assert now >= issued
+                issued = now
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
 
     try:
-        scrapers = [threading.Thread(target=scrape) for _ in range(SCRAPERS)]
-        for thread in scrapers:
+        readers = [threading.Thread(target=read) for _ in range(READERS)]
+        for thread in readers:
             thread.start()
-        for thread in scrapers:
+        for thread in readers:
             thread.join(timeout=60)
-            assert not thread.is_alive(), "scraper wedged"
+            assert not thread.is_alive(), "reader wedged"
     finally:
         stop.set()
         mutator.join(timeout=10)
-        srv.close()
 
     assert not errors, errors
     assert not mutator_error, mutator_error
-    assert len(bodies) == SCRAPERS * SCRAPES_PER_THREAD
+    assert len(bodies) == READERS * SNAPSHOTS_PER_THREAD
     for body in bodies:
-        assert body.endswith("\n")
-        seen_types: set[str] = set()
-        for line in body.splitlines():
-            if line.startswith("# TYPE "):
-                metric = line.split()[2]
-                # A torn snapshot would render one family twice.
-                assert metric not in seen_types, f"duplicate TYPE {metric}"
-                seen_types.add(metric)
-    # The mutator made progress while being scraped.
+        snap = json.loads(body)
+        assert set(snap) == {"counters", "gauges", "histograms"}
+        for name, summary in snap["histograms"].items():
+            # A torn summary would mix two moments of one histogram.
+            if summary["count"]:
+                assert summary["min"] <= summary["p50"] <= summary["p95"] \
+                    <= summary["p99"] <= summary["max"], name
+                assert summary["min"] <= summary["mean"] <= summary["max"], name
+    # The mutator made progress while being read.
     final = reg.snapshot()
     assert final["counters"]["offload.issued"] > 0
     assert any(name.endswith(".offload") for name in final["histograms"])
@@ -102,12 +101,12 @@ def test_racing_first_use_gets_one_instrument_and_loses_nothing():
                 barrier.wait(timeout=30)  # everybody first-uses round r at once
                 counter = reg.counter(f"c.{r}")
                 gauge = reg.gauge(f"g.{r}")
-                hist = reg.log_histogram(f"h.{r}", exemplars=True)
+                hist = reg.log_histogram(f"h.{r}")
                 seen[r].update((id(counter), id(gauge), id(hist)))
                 for _ in range(per_round):
                     reg.counter(f"c.{r}").inc()
                     reg.gauge(f"g.{r}").add(1.0)
-                    reg.log_histogram(f"h.{r}").observe(0.001, trace_id="ab")
+                    reg.log_histogram(f"h.{r}").observe(0.001)
         except BaseException as exc:  # noqa: BLE001 - reported by the test
             errors.append(exc)
             barrier.abort()

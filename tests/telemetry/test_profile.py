@@ -21,7 +21,7 @@ class TestLogHistogram:
     def test_empty_summary_is_all_zeros(self):
         summary = LogHistogram().summary()
         assert summary == {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                           "p50": 0.0, "p95": 0.0, "p99": 0.0, "buckets": []}
+                           "p50": 0.0, "p95": 0.0, "p99": 0.0}
 
     def test_percentiles_clamp_to_observed_range(self):
         hist = LogHistogram()
@@ -50,18 +50,6 @@ class TestLogHistogram:
             LogHistogram(bounds=(1.0, 1.0, 2.0))
         with pytest.raises(ValueError, match="positive"):
             LogHistogram(bounds=(0.0, 1.0))
-
-    def test_buckets_cumulative_and_end_with_inf(self):
-        hist = LogHistogram(bounds=(0.001, 0.01, 0.1))
-        for value in (0.0005, 0.005, 0.05, 5.0):
-            hist.observe(value)
-        buckets = hist.summary()["buckets"]
-        assert buckets[-1] == ["+Inf", 4]
-        les = [le for le, _ in buckets[:-1]]
-        counts = [count for _, count in buckets]
-        assert les == [0.001, 0.01, 0.1]
-        assert counts == sorted(counts)  # cumulative => monotone
-        assert counts == [1, 2, 3, 4]
 
     def test_registry_get_or_create_and_type_guard(self):
         reg = MetricsRegistry(SIGNALS)

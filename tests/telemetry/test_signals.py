@@ -4,7 +4,6 @@ generated one — and the one store gives its readers one answer."""
 
 import ast
 import json
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,6 @@ from repro.ham import f2f
 from repro.offload import api as offload_api
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
-from repro.telemetry.promexport import sanitize_metric_name
 from repro.telemetry.signals import SIGNALS
 
 from tests import apps
@@ -131,24 +129,22 @@ def _unarmed_flight_recorder():
 
 
 def test_two_readers_one_answer(tmp_path, _unarmed_flight_recorder):
-    """``/metrics`` and a crash bundle's ``metrics.json`` read the
-    recorder's one registry: a kernel's series is in both after one
-    offload."""
+    """The live ``telemetry.get().metrics`` and a crash bundle's
+    ``metrics.json`` read the recorder's one registry: a kernel's series
+    is in both after one offload."""
     kernel = f2f(apps.add, 1, 2).type_name
     series = f"kernel.{kernel}.offload"
     try:
-        runtime = offload_api.init(LocalBackend(), telemetry={
-            "metrics_port": 0, "crash_dir": tmp_path,
-        })
+        runtime = offload_api.init(LocalBackend(),
+                                   telemetry={"crash_dir": tmp_path})
         assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
 
-        url = offload_api.metrics_server().url + "/metrics"
-        body = urllib.request.urlopen(url, timeout=5).read().decode()
-        assert f"{sanitize_metric_name(series)}_count 1" in body
+        live = telemetry.get().metrics.snapshot()
+        assert live["histograms"][series]["count"] == 1
 
         bundle = flightrecorder.trigger("test", force=True)
         metrics = json.loads((bundle / "metrics.json").read_text())
-        assert metrics["histograms"][series]["count"] == 1
+        assert metrics["histograms"][series] == live["histograms"][series]
     finally:
         offload_api.finalize()
         telemetry.disable()

@@ -3,7 +3,7 @@ interpreter per case.
 
 ``setup_s`` is an import bill. What keeps it small is that a process
 loads the modules its offloads run and no others: no simulated platform,
-no exporter, no asyncio for ``init("local")``. These tests read
+no HTTP server, no asyncio for ``init("local")``. These tests read
 ``sys.modules``, not a clock, so they give the same verdict on any box.
 
 The second half is the price of laziness: with package ``__init__``
@@ -11,6 +11,7 @@ modules that import nothing, *every* module can be the first ``repro``
 import of a process, so every documented entry point is tried as one.
 """
 
+import dataclasses
 import functools
 import json
 import re
@@ -45,8 +46,8 @@ NEVER = [
     "networkx", "scipy", "asyncio", "http.server",
     "repro.machine", "repro.cluster", "repro.hw", "repro.sim", "repro.veo",
     "repro.veos", "repro.bench", "repro.workloads",
-    "repro.telemetry.promexport", "repro.telemetry.slo",
-    "repro.telemetry.inspect", "repro.telemetry.report",
+    "repro.telemetry.slo", "repro.telemetry.inspect",
+    "repro.telemetry.report",
 ]
 #: The other transports' modules.
 NOT_ON = {
@@ -72,25 +73,27 @@ def test_a_tcp_offload_runs_no_event_loop():
     assert _loaded(_modules_after_offload("tcp"), "asyncio") == []
 
 
-#: What only a ``metrics_port`` selects: the exporter and its server.
-EXPORTER = ["http.server", "repro.telemetry.promexport"]
+def _full_config(crash_dir: str) -> dict:
+    """Every ``TelemetryConfig`` field, spelled as ``init`` takes it."""
+    return {
+        "enabled": True, "capacity": 1024, "slo_enabled": True,
+        "slos": ({"name": "lat", "threshold_ns": 10**6, "objective": 0.99},),
+        "crash_dir": crash_dir,
+    }
 
 
-@pytest.mark.parametrize(
-    "telemetry, selected",
-    [
-        (True, ["repro.telemetry.config", "repro.telemetry.slo"]),
-        ({"metrics_port": 0}, EXPORTER),
-    ],
-    ids=["true", "metrics_port"],
-)
-def test_an_option_loads_what_it_selects(telemetry, selected):
-    modules = _modules_after_offload("local", telemetry=telemetry)
-    for name in selected:
+@pytest.mark.parametrize("full", [False, True], ids=["true", "full_config"])
+def test_an_option_loads_what_it_selects(full, tmp_path):
+    from repro.telemetry.config import TelemetryConfig
+
+    config = _full_config(str(tmp_path))
+    assert set(config) == {f.name for f in dataclasses.fields(TelemetryConfig)}
+    modules = _modules_after_offload(
+        "local", telemetry=config if full else True)
+    for name in ("repro.telemetry.config", "repro.telemetry.slo"):
         assert name in modules, name
-    if selected is not EXPORTER:
-        for name in EXPORTER:
-            assert _loaded(modules, name) == [], name
+    # Telemetry serves nothing: no option loads an HTTP server.
+    assert _loaded(modules, "http.server") == []
     for prefix in ("networkx", "asyncio", "repro.machine", "repro.hw", "repro.sim"):
         assert _loaded(modules, prefix) == [], prefix
 
@@ -103,9 +106,7 @@ import json, sys
 import repro.bench.experiments
 print(json.dumps(sorted(sys.modules)))
 """)))
-    for prefix in (
-        "repro.backends.tcp", "repro.backends.shm", "repro.telemetry.promexport",
-    ):
+    for prefix in ("repro.backends.tcp", "repro.backends.shm"):
         assert _loaded(modules, prefix) == [], prefix
 
 
