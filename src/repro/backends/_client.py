@@ -64,6 +64,7 @@ from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.distributed import ClockSync, align_records
 from repro.telemetry.export import dicts_to_records
+from repro.telemetry.recorder import ENQUEUE, REPLY, TRANSPORT, OffloadTrace
 
 
 def byte_view(part: Any) -> Any:
@@ -89,11 +90,6 @@ def remote_failure(body: Any) -> RemoteExecutionError | SerializationError:
 
 def _wrong_reply(expected: int, op: int) -> BackendError:
     return BackendError(f"expected reply to op {expected:#x}, got {op:#x}")
-
-
-def _phase(traced: bool, name: str, **attrs: Any) -> Any:
-    """A traced invoke's span ``name``, else the no-op span."""
-    return telemetry.span(name, **attrs) if traced else telemetry.NOOP_SPAN
 
 
 def close_reply_span(reply_span: Any, body: Any) -> None:
@@ -355,7 +351,7 @@ class FramedClient(Backend):
     # -- synchronous operations --------------------------------------------------
     def _roundtrip(
         self, op: int, *parts: Any, timeout: float | None = None,
-        label: str = "", nbytes: int = 0,
+        label: str = "", trace: OffloadTrace | None = None,
     ) -> memoryview:
         """Synchronous request: send, then wait for the matching reply.
 
@@ -369,51 +365,79 @@ class FramedClient(Backend):
         leader: nobody else can consume its reply, so it files nothing
         and reads until its own correlation id comes by
         (:meth:`_consume_inline`); behind another reader it files a
-        handle and follows. Traced, an invoke (of ``nbytes``, summed only
-        while telemetry records) records the spans of a posted one:
-        ``offload.enqueue``, ``offload.transport``.
+        handle and follows. A traced invoke (``trace``, its record) is
+        stamped with the phases of a posted one: ``offload.enqueue``,
+        ``offload.transport`` and, inside it, ``offload.reply``.
         """
         if not self._alive:  # _check_alive(), inline
             raise BackendError(f"{self.name} backend is shut down")
         effective = timeout if timeout is not None else self.op_timeout
-        traced = nbytes > 0
-        recording = traced or telemetry.get() is not None
+        recording = trace is not None or telemetry.get() is not None
         if self._drive_lock.acquire(blocking=False):
             try:
                 # Files no handle, but draws from the handles' counter:
                 # ids never collide across the two kinds of traffic.
                 corr = next(InvokeHandle._ids)
-                if not traced:  # the hot path: nothing between send and read
+                if trace is None:  # the hot path: nothing between send and read
                     self._send(op, corr, *parts)
                     return self._consume_inline(op, corr, effective, label, recording)
-                with telemetry.span("offload.enqueue", bytes=nbytes,
-                                    functor=label, corr=corr):
-                    self._send(op, corr, *parts)
-                with telemetry.span("offload.transport", label=label):
-                    return self._consume_inline(op, corr, effective, label, True)
+                return self._traced_roundtrip(op, corr, parts, effective, label, trace)
             finally:
                 self._drive_lock.release()
         handle = InvokeHandle(self, label or f"op {op:#x}")
-        with _phase(traced, "offload.enqueue", bytes=nbytes, functor=label,
-                    corr=handle.correlation_id):
+        if trace is None:
             self._expect(op, handle, self._send, parts)
-        if not handle.completed:
-            with _phase(traced, "offload.transport", label=label):
+            if not handle.completed:
                 self._wait(handle, effective)
+        else:
+            handle.trace = trace
+            trace.corr = handle.correlation_id
+            stack = trace.stack
+            trace.run(ENQUEUE, stack, self._expect, op, handle, self._send, parts)
+            trace.run(TRANSPORT, stack, self._follow, handle, effective)
         if handle._error is not None:
             raise handle._error
         return handle._reply
 
+    def _traced_roundtrip(
+        self, op: int, corr: int, parts: Any, timeout: float | None,
+        label: str, trace: OffloadTrace,
+    ) -> memoryview:
+        """The leader's send and read of a traced invoke, stamped as
+        phases ``offload.enqueue`` then ``offload.transport``: one clock
+        reading ends the one and starts the other (``OffloadTrace.run``
+        twice, written out)."""
+        trace.corr = corr
+        stack, clock, starts = trace.stack, trace.clock, trace.starts
+        span_id = trace.span_id
+        phase = ENQUEUE
+        starts[ENQUEUE] = clock()
+        stack.append(span_id + ENQUEUE)
+        try:
+            self._send(op, corr, *parts)
+            trace.ends[ENQUEUE] = starts[TRANSPORT] = clock()
+            phase = TRANSPORT
+            stack[-1] = span_id + TRANSPORT
+            body = self._consume_inline(op, corr, timeout, label, True, trace)
+        except BaseException as exc:
+            stack.pop()
+            trace.failed(phase, exc)
+            raise
+        stack.pop()
+        trace.ends[TRANSPORT] = clock()
+        return body
+
     def _consume_inline(
         self, op: int, corr: int, timeout: float | None, label: str,
-        recording: bool,
+        recording: bool, trace: OffloadTrace | None = None,
     ) -> memoryview:
         """Drive lock held: read until ``corr``'s reply, returned directly.
 
         Replies for other callers are dispatched through the expectation
         table on the way (``recording``, recorded as :meth:`_pump` does;
-        its own reply belongs to the trace already active on this thread,
-        so its ``offload.reply`` span is recorded under it). A timeout is
+        its own reply is stamped into ``trace``, a traced invoke's
+        record, or else recorded as an ``offload.reply`` span under the
+        trace active on this thread). A timeout is
         soft, like :meth:`_wait`: a handle is filed under ``corr`` *now*
         (no reply can have slipped past — this thread held the drive
         lock throughout) so a later pump can still complete it instead of
@@ -431,14 +455,15 @@ class FramedClient(Backend):
                     raise self._no_reply(handle)
             try:
                 frame = self._next_frame(wait)
-                if frame is not None and recording:
-                    if frame[1] == corr:  # under the trace active here
-                        with telemetry.span("offload.reply", transport=self.name,
-                                            bytes=len(frame[2]) + FRAME_OVERHEAD):
-                            pass
-                    else:
-                        self._record_reply(frame[2])
                 if frame is not None and frame[1] == corr:
+                    if trace is not None:
+                        # trace.stamp_reply(...), written out.
+                        trace.starts[REPLY] = trace.clock()
+                        trace.transport = self.name
+                        trace.reply_bytes = len(frame[2]) + FRAME_OVERHEAD
+                        trace.ends[REPLY] = trace.clock()
+                    elif recording:
+                        self._record_reply(frame[2])
                     # Its own: first complete what else has arrived — a
                     # loop watching ``_reply_fd`` wakes on new bytes only.
                     parser = self._parser
@@ -447,7 +472,7 @@ class FramedClient(Backend):
                         if held is None:  # part of a frame
                             break
                         if recording:
-                            self._record_reply(held[2])
+                            self._record_frame(held[1], held[2])
                         self._dispatch_reply(*held)
             except BackendError as exc:
                 if not self._closing:
@@ -457,6 +482,8 @@ class FramedClient(Backend):
                 continue
             reply_op, reply_corr, body = frame
             if reply_corr != corr:
+                if recording:
+                    self._record_frame(reply_corr, body)
                 self._dispatch_reply(reply_op, reply_corr, body)
             elif reply_op == op | OP_REPLY_BIT:
                 return body
@@ -501,18 +528,17 @@ class FramedClient(Backend):
         if node != 1:  # check_target(), inline: the one target is node 1
             self.check_target(node)
         self._msg_id += 1
-        parts, total = sized_invoke_parts(self.host_image, functor, self._msg_id)
+        parts, trace = sized_invoke_parts(self.host_image, functor, self._msg_id)
         handle = InvokeHandle(self, label=functor.type_name)
-        if telemetry.get() is None:
+        if trace is None:
             self._expect(OP_INVOKE, handle, self._post_frame, parts)
         else:
             # Telemetry phase ``offload.enqueue``: filing the reply
             # expectation and handing the frame to the transport.
-            with telemetry.span(
-                "offload.enqueue", bytes=total, functor=functor.type_name,
-                corr=handle.correlation_id,
-            ):
-                self._expect(OP_INVOKE, handle, self._post_frame, parts)
+            handle.trace = trace
+            trace.corr = handle.correlation_id
+            trace.run(ENQUEUE, trace.stack, self._expect, OP_INVOKE, handle,
+                      self._post_frame, parts)
         self.invokes_posted += 1
         return handle
 
@@ -523,12 +549,12 @@ class FramedClient(Backend):
         ``OP_INVOKE`` roundtrip, read by the caller."""
         self.check_target(node)
         self._msg_id += 1
-        parts, nbytes = sized_invoke_parts(self.host_image, functor, self._msg_id)
+        parts, trace = sized_invoke_parts(self.host_image, functor, self._msg_id)
         self.invokes_posted += 1
         return unpack_result(self._roundtrip(
             OP_INVOKE, *parts, timeout=timeout, label=functor.type_name,
-            nbytes=nbytes,
-        ))[1]
+            trace=trace,
+        ), trace)[1]
 
     # -- the drive ---------------------------------------------------------------
     def drive(
@@ -569,24 +595,43 @@ class FramedClient(Backend):
         followers) instead of raising — each waiter then finds its own
         sink failed.
         """
-        recorder = telemetry.get()
+        recording = telemetry.get() is not None
         try:
             frame = self._next_frame(wait)
             while frame is not None:
                 op, corr, body = frame
-                if recorder is not None:
-                    self._record_reply(body)
+                if recording:
+                    self._record_frame(corr, body)
                 self._dispatch_reply(op, corr, body)
                 frame = self._next_frame(0.0)
         except BackendError as exc:
             if not self._closing:
                 self._fail_pending(exc)
 
+    def _record_frame(self, corr: int, body: Any) -> None:
+        """Telemetry phase ``offload.reply``: one frame read, by anyone,
+        before it is dispatched. The reply of a traced offload is
+        stamped into the record its handle carries; any other frame (a
+        control op's, a stray) is recorded as a span."""
+        entry = self._pending.get(corr)  # one atomic read, as _pending_count
+        trace = None if entry is None else entry[1].trace
+        if trace is None:
+            self._record_reply(body)
+        else:
+            trace.stamp_reply(self.name, len(body) + FRAME_OVERHEAD)
+
     def _record_reply(self, body: Any) -> None:
-        """Telemetry phase ``offload.reply``: one frame read, by anyone."""
+        """The ``offload.reply`` span of a frame no traced offload waits
+        for."""
         reply_span = telemetry.span("offload.reply", transport=self.name)
         reply_span.__enter__()
         close_reply_span(reply_span, body)
+
+    def _follow(self, handle: InvokeHandle, timeout: float | None) -> None:
+        """A follower's wait for ``handle``, which may have completed
+        already (a traced one stamps its transport phase either way)."""
+        if not handle.completed:
+            self._wait(handle, timeout)
 
     def _wait(self, handle: InvokeHandle, timeout: float | None) -> None:
         """Read replies, or wait on the thread that does, until

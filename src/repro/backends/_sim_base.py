@@ -35,7 +35,7 @@ import numpy as np
 from repro.backends._sim_common import Doorbell
 from repro.backends.base import Backend, InvokeHandle
 from repro.errors import BackendError, BadAddressError, OffloadTimeoutError
-from repro.ham.execution import build_invoke, execute_message
+from repro.ham.execution import execute_message, sized_invoke_parts
 from repro.ham.functor import Functor
 from repro.ham.message import MSG_SHUTDOWN, build_message
 from repro.ham.registry import Catalog, ProcessImage
@@ -264,10 +264,13 @@ class SimBackendBase(Backend):
         channel = self.channel(node)
         start = self.sim.now
         self._advance(self.timing.cpu_serialize)
-        invoke = build_invoke(self.host_image, functor, next(self._msg_id))
+        parts, trace = sized_invoke_parts(self.host_image, functor, next(self._msg_id))
         self._span("host.serialize", start)
         kernel_seconds = float(self.kernel_cost_fn(functor))
-        return self._post_raw(channel, invoke, functor.type_name, kernel_seconds)
+        handle = self._post_raw(channel, b"".join(parts), functor.type_name,
+                                kernel_seconds)
+        handle.trace = trace
+        return handle
 
     def _post_raw(
         self,

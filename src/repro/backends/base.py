@@ -48,6 +48,7 @@ from repro.ham.execution import unpack_result
 from repro.offload.buffer import BufferPtr
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.telemetry import recorder as telemetry
+from repro.telemetry.recorder import TRANSPORT, OffloadTrace
 
 __all__ = [
     "Backend",
@@ -587,6 +588,10 @@ class InvokeHandle:
     #: The window this handle occupies a slot of (set by
     #: :meth:`InflightWindow.register`).
     _window: InflightWindow | None = None
+    #: The record of the traced offload this handle carries (set by the
+    #: backend that posts it): its reply and its wait's phases are
+    #: stamped there.
+    trace: OffloadTrace | None = None
 
     def __init__(
         self, backend: "Backend", label: str = "", correlation_id: int = 0
@@ -605,9 +610,6 @@ class InvokeHandle:
         self._event: threading.Event | None = None
         self._callbacks: list[Callable[["InvokeHandle"], None]] = []
         self._cb_lock = threading.Lock()
-        # Synchronous backends that record their own transport span set
-        # this so ``wait`` doesn't add a redundant zero-duration one.
-        self._transport_spanned = False
 
     # -- backend side --------------------------------------------------------
     def complete_with_reply(self, reply: bytes) -> None:
@@ -686,27 +688,29 @@ class InvokeHandle:
         :class:`~repro.errors.OffloadTimeoutError` instead of blocking
         past the deadline (the handle stays pending).
 
-        Telemetry phase ``offload.transport``: the wait from "posted"
-        until the reply (or a transport error) arrives — wire plus
-        remote-execution time as seen by the host. Recorded even when
-        another waiter's drive already completed the handle (a
-        ~0-duration span), so every awaited offload shows the full phase
-        taxonomy.
+        Telemetry phase ``offload.transport``, stamped into a traced
+        offload's record: the wait from "posted" until the reply (or a
+        transport error) arrives — wire plus remote-execution time as
+        seen by the host. Stamped even when another waiter's drive
+        already completed the handle (~0 ns), so every awaited offload
+        shows the full phase taxonomy; a backend that stamped it at post
+        (local's synchronous call) is not stamped again.
         """
-        if not self.completed or not self._transport_spanned:
-            if telemetry.get() is None:  # nothing records: no span entered
-                if not self.completed:
-                    self.backend.drive(self, blocking=True, timeout=timeout)
-            else:
-                with telemetry.span("offload.transport", label=self.label):
-                    if not self.completed:
-                        self.backend.drive(self, blocking=True, timeout=timeout)
-                self._transport_spanned = True
+        trace = self.trace
+        if trace is not None and not trace.starts[TRANSPORT]:
+            stack = trace.wait_stack = trace.recorder._thread.stack
+            trace.run(TRANSPORT, stack, self._drive, timeout)
+        elif not self.completed:
+            self.backend.drive(self, blocking=True, timeout=timeout)
         if self._error is not None:
             raise self._error
         assert self._reply is not None
-        _msg_id, value = unpack_result(self._reply)
+        _msg_id, value = unpack_result(self._reply, trace)
         return value
+
+    def _drive(self, timeout: float | None) -> None:
+        if not self.completed:
+            self.backend.drive(self, blocking=True, timeout=timeout)
 
 
 class Backend(abc.ABC):

@@ -24,12 +24,12 @@ import numpy as np
 from repro.backends._target_memory import HostedBuffers
 from repro.backends.base import Backend, InvokeHandle
 from repro.errors import BackendError
-from repro.ham.execution import build_invoke, execute_message, unpack_result
+from repro.ham.execution import execute_message, sized_invoke_parts, unpack_result
 from repro.ham.functor import Functor
 from repro.ham.registry import Catalog, ProcessImage
 from repro.offload.buffer import BufferPtr
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
-from repro.telemetry import recorder as telemetry
+from repro.telemetry.recorder import TRANSPORT, OffloadTrace
 
 __all__ = ["LocalBackend"]
 
@@ -80,35 +80,39 @@ class LocalBackend(Backend):
         return NodeDescriptor(node, f"local{node}", "cpu", "in-process target")
 
     # -- invocation -----------------------------------------------------------
-    def _execute(self, node: NodeId, functor: Functor) -> bytes:
-        """Run ``functor`` on ``node``'s image; the raw reply message."""
+    def _execute(
+        self, node: NodeId, functor: Functor
+    ) -> tuple[bytes, OffloadTrace | None]:
+        """Run ``functor`` on ``node``'s image; the raw reply message and
+        the offload's record (``None``: untraced)."""
         if not self._alive:  # _check_alive(), inline
             raise BackendError("local backend is shut down")
         if node not in self._targets:  # check_target(), inline
             self.check_target(node)
         target = self._targets[node]
         self._msg_id += 1
-        invoke = build_invoke(self.host_image, functor, self._msg_id)
-        recorder = telemetry.get()
-        if recorder is None:
+        parts, trace = sized_invoke_parts(self.host_image, functor, self._msg_id)
+        invoke = b"".join(parts)
+        if trace is None:
             reply, _keep_running = execute_message(
-                target.image, invoke, target.resolve, recorder=None
+                target.image, invoke, target.resolve
             )
         else:
             # Telemetry phase ``offload.transport``: for the in-process
             # backend the "wire" is a synchronous call, so transport time
             # is the handoff around the nested ``offload.execute`` span.
-            with telemetry.span("offload.transport", node=node, bytes=len(invoke)):
-                reply, _keep_running = execute_message(
-                    target.image, invoke, target.resolve, recorder=recorder
-                )
+            trace.node = node
+            reply, _keep_running = trace.run(
+                TRANSPORT, trace.stack, execute_message,
+                target.image, invoke, target.resolve,
+            )
         target.messages_executed += 1
-        return reply
+        return reply, trace
 
     def post_invoke(self, node: NodeId, functor: Functor) -> InvokeHandle:
-        reply = self._execute(node, functor)
+        reply, trace = self._execute(node, functor)
         handle = InvokeHandle(self, label=functor.type_name)
-        handle._transport_spanned = True
+        handle.trace = trace
         handle.complete_with_reply(reply)
         return handle
 
@@ -117,7 +121,8 @@ class LocalBackend(Backend):
     ) -> Any:
         """:meth:`post_invoke` and its value in one call (``timeout`` is
         moot: the target runs on the caller's thread)."""
-        return unpack_result(self._execute(node, functor))[1]
+        reply, trace = self._execute(node, functor)
+        return unpack_result(reply, trace)[1]
 
     def drive(
         self, handle: InvokeHandle, *, blocking: bool, timeout: float | None = None

@@ -65,6 +65,7 @@ it, a lap per loop callback (:class:`~repro.offload.future.AwaitingLoop`).
 
 from __future__ import annotations
 
+import atexit
 import functools
 import multiprocessing
 # Joining the target with a timeout needs it (stdlib imports it inside
@@ -165,6 +166,16 @@ class ShmSegment:
         self._owner = owner
         self._closed = False
         self._unlinked = False
+        # A process that exits without shutting its backend down still
+        # releases the mapping (SharedMemory's own finalizer cannot
+        # close it while ``cursors`` is exported) and, owning the
+        # segment, unlinks it: nothing is left in /dev/shm for the
+        # resource tracker to warn about.
+        atexit.register(self._release)
+
+    def _release(self) -> None:
+        self.close()
+        self.unlink()
 
     @classmethod
     def create(
@@ -252,6 +263,8 @@ class ShmSegment:
             self._shm.close()
         except BufferError:  # pragma: no cover - a live view escaped
             pass
+        if self._unlinked or not self._owner:
+            atexit.unregister(self._release)
 
     def unlink(self) -> None:
         """Remove the segment system-wide (owner only, idempotent)."""
@@ -262,6 +275,8 @@ class ShmSegment:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
+        if self._closed:
+            atexit.unregister(self._release)
 
 
 class ShmRing:

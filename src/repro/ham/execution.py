@@ -34,6 +34,7 @@ from repro.ham.serialization import decode_args, deserialize, serialize, wide_ty
 from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
+from repro.telemetry.recorder import DESERIALIZE, SERIALIZE, OffloadTrace
 
 __all__ = [
     "build_invoke",
@@ -51,26 +52,28 @@ Resolver = Callable[[Any], Any]
 
 def sized_invoke_parts(
     image: ProcessImage, functor: Functor, msg_id: int
-) -> tuple[list, int]:
-    """:func:`build_invoke_parts` plus the message's size in bytes, which
-    only telemetry reads: summed once, here, and 0 while telemetry is off."""
+) -> tuple[list, OffloadTrace | None]:
+    """:func:`build_invoke_parts` plus the record of the offload it
+    serializes: the :class:`~repro.telemetry.recorder.OffloadTrace` the
+    runtime began on this thread, taken (one serialize per offload) and
+    stamped with phase ``offload.serialize`` and the message's size.
+    ``None`` while nothing records, or outside a runtime's offload."""
     recorder = telemetry.get()
-    if recorder is None:
-        # Nothing records, so no span is entered; a trace active anyway
-        # still rides the v2 header, under the context's own parent.
+    trace = None if recorder is None else recorder._thread.stack.offload
+    if trace is None:
+        # No phase to stamp; a trace active anyway still rides the v2
+        # header, under the context's own parent.
         ctx = trace_context.current()
         parent = 0 if ctx is None else ctx.span_id
-        return _invoke_parts(image, functor, msg_id, ctx, parent), 0
-    with telemetry.span("offload.serialize", functor=functor.type_name) as span:
-        ctx = trace_context.current()
-        # The serialize span is the causal parent of the remote execution.
-        parent = 0 if ctx is None else span.span_id or ctx.span_id
-        parts = _invoke_parts(image, functor, msg_id, ctx, parent)
-        nbytes = sum(map(len, parts))
-        span.set("bytes", nbytes)
-    # Per-kernel byte attribution, fed for every traced offload.
-    recorder.kernel_bytes[functor.type_name].inc(nbytes)
-    return parts, nbytes
+        return _invoke_parts(image, functor, msg_id, ctx, parent), None
+    stack = trace.stack
+    stack.offload = None
+    ctx = trace.ctx  # the runtime's, active around this call
+    # The serialize phase is the causal parent of the remote execution.
+    parts = trace.run(SERIALIZE, stack, _invoke_parts, image, functor, msg_id,
+                      ctx, 0 if ctx is None else trace.span_id + SERIALIZE)
+    trace.nbytes = sum(map(len, parts))
+    return parts, trace
 
 
 def _invoke_parts(
@@ -122,12 +125,14 @@ def build_invoke_parts(
     :class:`memoryview` objects over their own storage, so a vectored
     transport ships them without ``tobytes()`` copies.
 
-    Telemetry phase ``offload.serialize``: the cost of turning the typed
-    functor into wire bytes, on whichever backend posts it.
+    Telemetry phase ``offload.serialize`` (stamped by
+    :func:`sized_invoke_parts`, which backends call to keep the offload's
+    record): the cost of turning the typed functor into wire bytes, on
+    whichever backend posts it.
 
     When a distributed trace is active (the runtime opens one per
     offload), its context is stamped into the version-2 header with the
-    ``offload.serialize`` span as the wire parent — the target-side
+    ``offload.serialize`` phase as the wire parent — the target-side
     execution spans re-attach there, forming one causal tree across the
     process boundary.
     """
@@ -137,9 +142,8 @@ def build_invoke_parts(
 def build_invoke(image: ProcessImage, functor: Functor, msg_id: int) -> bytes:
     """Serialize a functor into one contiguous INVOKE message.
 
-    Backends that place messages into fixed slots (local, sim) use this
-    joined form; the TCP backend sends :func:`build_invoke_parts`
-    directly through vectored I/O.
+    The joined form of :func:`build_invoke_parts`, for a caller that
+    places messages into fixed slots itself.
     """
     return b"".join(sized_invoke_parts(image, functor, msg_id)[0])
 
@@ -253,8 +257,13 @@ def remote_error(info: Any) -> RemoteExecutionError:
     )
 
 
-def unpack_result(data: bytes) -> tuple[int, Any]:
+def unpack_result(
+    data: bytes, trace: OffloadTrace | None = None
+) -> tuple[int, Any]:
     """Decode a RESULT/ERROR message on the host; returns ``(msg_id, value)``.
+
+    Telemetry phase ``offload.deserialize``, stamped into ``trace`` (the
+    offload's record, when it is traced) on the thread that waited.
 
     Raises
     ------
@@ -264,11 +273,10 @@ def unpack_result(data: bytes) -> tuple[int, Any]:
     SerializationError
         If the message is not a result at all.
     """
-    if telemetry.get() is None:
+    if trace is None:
         return _result_of(data)
-    # Telemetry phase ``offload.deserialize``: reply decode on the host.
-    with telemetry.span("offload.deserialize", bytes=len(data)):
-        return _result_of(data)
+    trace.result_bytes = len(data)
+    return trace.run(DESERIALIZE, trace.wait_stack, _result_of, data)
 
 
 def _result_of(data: bytes) -> tuple[int, Any]:

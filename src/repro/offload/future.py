@@ -33,7 +33,7 @@ from repro.telemetry.context import TraceContext
 from repro.telemetry.recorder import complete_offload
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry.recorder import Recorder
+    from repro.telemetry.recorder import OffloadTrace, Recorder
 
 __all__ = ["AwaitingLoop", "CompletedHandle", "Future"]
 
@@ -41,8 +41,9 @@ __all__ = ["AwaitingLoop", "CompletedHandle", "Future"]
 class CompletedHandle:
     """A trivially complete handle (put, get and copy futures)."""
 
-    #: Nothing went on the wire under an id.
+    #: Nothing went on the wire under an id, and nothing is traced.
     correlation_id = None
+    trace = None
 
     def __init__(self, value: Any = None, error: BaseException | None = None) -> None:
         self._value = value
@@ -168,26 +169,31 @@ class Future:
         return self.get()
 
     def _settle(self, timeout: float | None = None) -> None:
-        if self._handle is None:
+        handle = self._handle
+        if handle is None:
             raise FutureError(f"future {self._label!r} detached from its backend")
         try:
             if self._trace is None:  # nothing recorded at async_: no trace
-                self._value = self._handle.wait(timeout=timeout)
+                self._value = handle.wait(timeout=timeout)
             else:
                 with trace_context.activate(self._trace):
-                    self._value = self._handle.wait(timeout=timeout)
+                    self._value = handle.wait(timeout=timeout)
         except OffloadTimeoutError:
             # Deadline expired but the operation may still be in flight:
             # stay pending so a later get() can collect the reply (a
             # poisoned handle simply re-raises immediately next time).
             # The availability SLO sees the miss once per future, even
-            # if the straggler reply eventually lands.
-            recorder = telemetry.get()
+            # if the straggler reply eventually lands. The offload's
+            # record ends with the missed deadline: committed now, it
+            # leaves the handle, and a later reply is not stamped.
+            trace = handle.trace
+            handle.trace = None
+            recorder = telemetry.get() if trace is None else trace.recorder
             if recorder is not None:
                 settle_offload(
                     recorder,
                     None if self._timeout_observed else self._start_ns,
-                    self._label, self._tenant, timed_out=True,
+                    self._label, self._tenant, timed_out=True, trace=trace,
                 )
             self._timeout_observed = True
             raise
@@ -195,10 +201,11 @@ class Future:
             self._error = exc
         self._done = True
         self._handle = None
-        recorder = telemetry.get()
+        trace = handle.trace
+        recorder = telemetry.get() if trace is None else trace.recorder
         if recorder is not None:
             settle_offload(recorder, self._start_ns, self._label, self._tenant,
-                           error=self._error is not None)
+                           error=self._error is not None, trace=trace)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
@@ -207,22 +214,38 @@ class Future:
 
 def settle_offload(recorder: "Recorder", start_ns: int | None, label: str,
                    tenant: str | None, *, error: bool = False,
-                   timed_out: bool = False) -> None:
+                   timed_out: bool = False, trace: "OffloadTrace | None" = None,
+                   issued: bool = False) -> None:
     """Account into ``recorder`` (the caller's, read once per offload) how
     one offload ended, a future's or a sync's: a missed deadline counts
     ``future.timeouts`` and misses availability; any other end counts
     ``future.settled`` and, given the issue time ``start_ns``, goes to
-    :func:`~repro.telemetry.recorder.complete_offload`."""
+    :func:`~repro.telemetry.recorder.complete_offload`.
+
+    A traced offload's record ``trace`` is committed here, with
+    ``offload.issued`` when ``issued`` (a sync's), ``future.settled``
+    and the kernel's round trip in the same commit."""
     if timed_out:
+        if trace is not None:
+            recorder.commit_offload(trace, issued=issued)
         recorder.counters["future.timeouts"].inc()
         availability_miss(start_ns, tenant)
         return
-    recorder.counters["future.settled"].inc()
-    if start_ns is not None:
-        complete_offload(
-            kernel=label, duration_ns=time.perf_counter_ns() - start_ns,
-            error=error, recorder=recorder, tenant=tenant,
-        )
+    if trace is None:
+        recorder.counters["future.settled"].inc()
+        if start_ns is not None:
+            complete_offload(
+                kernel=label, duration_ns=time.perf_counter_ns() - start_ns,
+                error=error, recorder=recorder, tenant=tenant,
+            )
+        return
+    duration_ns = time.perf_counter_ns() - start_ns
+    recorder.commit_offload(trace, issued=issued, duration_ns=duration_ns)
+    if error:
+        recorder.kernel_errors[label or "<anonymous>"].inc()
+    slo = recorder.slo
+    if slo is not None:
+        slo.observe(duration_ns, error=error, tenant=tenant)
 
 
 def availability_miss(start_ns: int | None, tenant: str | None) -> None:

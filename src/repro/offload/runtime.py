@@ -45,6 +45,7 @@ from repro.offload.resilience import HealthMonitor, ResiliencePolicy
 from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
+from repro.telemetry.recorder import OffloadTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import Backend
@@ -210,6 +211,7 @@ class Runtime:
         recorder = telemetry.get()
         ctx: trace_context.TraceContext | None = None
         token: Any = None
+        trace: OffloadTrace | None = None
         if recorder is not None:
             # _offload_trace(), written out: a fresh root is active
             # around the call, and left again on every way out.
@@ -231,6 +233,10 @@ class Runtime:
                 slot_wait = remaining if slot_wait is None else min(slot_wait, remaining)
             window.acquire(timeout=slot_wait, label=functor.type_name)
             acquired = True
+            if recorder is not None:
+                # The offload's record: its phases are stamped as they
+                # run and committed once, where it settles.
+                trace = OffloadTrace(recorder, ctx, functor.type_name)
             if not sync:
                 result = self.backend.post_invoke(node, functor)
             else:
@@ -246,22 +252,27 @@ class Runtime:
                     window.cancel()
                 else:
                     window.register(late)
-            self._failed(node, functor, tenant, start_ns, exc, sync and acquired)
+            self._failed(node, functor, tenant, start_ns, exc, sync and acquired,
+                         trace)
             raise
+        finally:
+            if trace is not None:  # in case no serialize took it
+                trace.stack.offload = None
         if token is not None:
             trace_context.leave(token)
         self._offloads_posted += 1
-        if recorder is not None:
-            recorder.counters["offload.issued"].inc()
         if not sync:
+            if trace is not None:
+                recorder.counters["offload.issued"].inc()
             window.register(result)
             return Future(result, label=functor.type_name, trace=ctx,
                           start_ns=start_ns, tenant=tenant)
         window.cancel()
         if self.policy is not None:  # the retry loop's health accounting
             self.monitor.record_success(node)
-        if recorder is not None:
-            settle_offload(recorder, start_ns, functor.type_name, tenant)
+        if trace is not None:
+            settle_offload(recorder, start_ns, functor.type_name, tenant,
+                           trace=trace, issued=True)
         return result
 
     def sync(
@@ -314,15 +325,20 @@ class Runtime:
     def _failed(
         self, node: NodeId, functor: Functor, tenant: str | None,
         start_ns: int, exc: BaseException, ended: bool,
+        trace: OffloadTrace | None,
     ) -> None:
         """Account an offload whose slot wait or backend call raised.
         ``ended``: a sync's call (post and wait in one) raised, so a
         transport or remote error ends an issued offload, settled as a
         future's wait is. Before that, a transport error is a failed
-        post. Each but a reply timeout is noted; health: docs/resilience.md."""
+        post. Each but a reply timeout is noted; health: docs/resilience.md.
+        A traced offload's record (``trace``) is committed either way."""
         reply = ended and isinstance(exc, (OffloadTimeoutError, RemoteExecutionError))
         if not (reply or isinstance(exc, _TRANSPORT_ERRORS)):
-            return  # not the transport's: a bad node, an unencodable functor
+            # Not the transport's: a bad node, an unencodable functor.
+            if trace is not None:
+                trace.recorder.commit_offload(trace)
+            return
         monitor = self.monitor
         if monitor is not None:
             if isinstance(exc, RemoteExecutionError):  # the transport works
@@ -331,13 +347,14 @@ class Runtime:
                 monitor.record_failure(node)
         if ended:
             self._offloads_posted += 1
-            recorder = telemetry.get()
-            if recorder is not None:
-                recorder.counters["offload.issued"].inc()
-                settle_offload(recorder, start_ns, functor.type_name,
+            if trace is not None:
+                settle_offload(trace.recorder, start_ns, functor.type_name,
                                tenant, error=True,
-                               timed_out=isinstance(exc, OffloadTimeoutError))
+                               timed_out=isinstance(exc, OffloadTimeoutError),
+                               trace=trace, issued=True)
         else:
+            if trace is not None:
+                trace.recorder.commit_offload(trace)
             telemetry.count("offload.issue_failures")
             availability_miss(start_ns, tenant)
         if not reply:

@@ -125,7 +125,8 @@ def new_trace_id() -> int:
 
 def new_trace() -> TraceContext:
     """A fresh root context with a random non-zero 128-bit trace id."""
-    return TraceContext(new_trace_id())
+    # new_trace_id(), written out: a draw is zero once in 2**128.
+    return TraceContext(_IDS.getrandbits(128) or new_trace_id())
 
 
 #: ``current()``: the active trace context, or ``None`` outside any

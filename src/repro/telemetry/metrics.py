@@ -141,13 +141,13 @@ class LogHistogram:
         self._max = -math.inf
 
     def observe(self, value: float) -> None:
+        value = float(value)
         with self._lock:
             self.fold(value)
 
     def fold(self, value: float) -> None:
-        """:meth:`observe` by a caller that holds the histogram's lock
-        (the recorder's phase histograms share the lock of its ring)."""
-        value = float(value)
+        """:meth:`observe` of a ``float`` by a caller that holds the
+        histogram's lock (the recorder's share the lock of its ring)."""
         self._counts[bisect.bisect_left(self._bounds, value)] += 1
         self.count += 1
         self.total += value

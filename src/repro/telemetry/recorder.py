@@ -20,18 +20,25 @@ backends. Design constraints, in order:
    child), a trace context carries its hex id as a plain attribute, and
    the exit fills an unfrozen slots record field by field, then folds
    the phase histogram and appends the record under the ring's lock,
-   which the phase histograms share. Instruments are resolved once per
-   name (``Recorder.counters``, the per-kernel and per-phase caches): a
-   hit is a subscript. The ring is bounded
-   (:class:`collections.deque` with ``maxlen``): old records are dropped
-   and counted, never grown. Per-offload figures: ``docs/observability.md``
-   ("What tracing costs"), bounded by ``tests/offload/test_offload_budget.py``.
-3. **Thread-safe.** Appends and phase folds are locked; span nesting is
-   tracked per thread, so concurrent offloads interleave correctly in
+   which the phase histograms share. A traced offload opens no span
+   for its host phases: an :class:`OffloadTrace` is stamped as they run
+   and committed once, where the offload settles — its records, its
+   five phase folds and its counters under one acquisition of the
+   ring's lock, which every instrument of the recorder's shares — and
+   is read back as the five records the spans would have made.
+   Instruments are resolved once per name (``Recorder.counters``, the
+   per-kernel and per-phase caches): a hit is a subscript. The ring is
+   bounded (:class:`collections.deque` with ``maxlen``, counting
+   records): old records are dropped and counted, never grown.
+   Per-offload figures: ``docs/observability.md`` ("What tracing
+   costs"), bounded by ``tests/offload/test_offload_budget.py``.
+3. **Thread-safe.** Appends, commits and folds are locked; span nesting
+   is tracked per thread, so concurrent offloads interleave correctly in
    the trace (``tests/telemetry/test_recording_contention.py``).
 
-Spans nest: a span opened while another is active records it as its
-parent, which is how the exporters reconstruct the
+Spans nest: a span opened while another is active — or while an
+offload's phase runs — records it as its parent, which is how the
+exporters reconstruct the
 serialize -> enqueue -> transport -> execute -> reply -> deserialize
 flame of one offload. Use the module like::
 
@@ -60,6 +67,7 @@ from repro.telemetry.signals import SIGNALS
 
 __all__ = [
     "EventRecord",
+    "OffloadTrace",
     "Recorder",
     "SpanRecord",
     "complete_offload",
@@ -161,11 +169,14 @@ NOOP_SPAN = _NoopSpan()
 
 
 class _SpanStack(list):
-    """Ids of the spans open on one thread, innermost last, and ``tid``,
-    the thread's id: what a span reads of its thread, in one object."""
+    """Ids of the spans open on one thread, innermost last, ``tid``, the
+    thread's id, and ``offload``, the :class:`OffloadTrace` the thread's
+    next serialize stamps: what a span or a phase reads of its thread,
+    in one object."""
 
-    __slots__ = ("tid",)
+    __slots__ = ("tid", "offload")
     tid: int
+    offload: "OffloadTrace | None"
 
 
 class _ThreadState(threading.local):
@@ -174,6 +185,7 @@ class _ThreadState(threading.local):
     def __init__(self) -> None:
         self.stack = _SpanStack()
         self.stack.tid = threading.get_ident()
+        self.stack.offload = None
 
 
 class _Resolved(dict):
@@ -268,6 +280,175 @@ class _Span:
         return False
 
 
+#: The host's phases of one offload, numbered as their span ids are
+#: reserved: one draw of the id counter, ``span_id + phase`` each. The
+#: serialize id is the v2 header's remote parent.
+SERIALIZE, ENQUEUE, TRANSPORT, REPLY, DESERIALIZE = range(5)
+PHASES = ("offload.serialize", "offload.enqueue", "offload.transport",
+          "offload.reply", "offload.deserialize")
+#: The order an offload's records are read in: each phase as it ends (a
+#: reply ends inside its transport).
+_RECORD_ORDER = (SERIALIZE, ENQUEUE, REPLY, TRANSPORT, DESERIALIZE)
+#: Record ids are drawn this far apart, so an offload's phases share one.
+_ID_STRIDE = 8
+
+
+class OffloadTrace:
+    """The host's record of one traced offload: its five phases stamped
+    as they run, committed once when the offload settles.
+
+    ``Runtime._offload`` starts one, next to the offload's trace context
+    ``ctx``; it waits on the thread for the offload's serialize
+    (:func:`~repro.ham.execution.sized_invoke_parts`), which takes it;
+    from there it rides with the offload — through the backend's sync
+    call, or on its :class:`~repro.backends.base.InvokeHandle` to the
+    future's wait. Each phase writes its clock readings into
+    ``starts``/``ends`` (0: the phase did not run) and its attributes into
+    the slots below, opening no span: :meth:`run` keeps the phase's id
+    on the running thread's span stack meanwhile, so a span or event
+    nested in a phase (local's ``offload.execute``, a fault event) names
+    it as its parent. :meth:`Recorder.commit_offload` keeps the whole
+    offload as one ring entry, read back as the records the five phase
+    spans would have made (:meth:`records`).
+    """
+
+    __slots__ = ("recorder", "clock", "span_id", "parent_id", "ctx",
+                 "label", "stack", "wait_stack", "starts", "ends", "nbytes",
+                 "corr", "node", "transport", "reply_bytes", "result_bytes",
+                 "error_phase", "error", "folds")
+
+    def __init__(self, recorder: "Recorder", ctx: Any, label: str) -> None:
+        stack = recorder._thread.stack
+        # Left on the thread for the offload's serialize to take; the
+        # caller takes it off again once the backend call returns.
+        stack.offload = self
+        self.recorder = recorder
+        self.clock = recorder._clock
+        # Recorder._next_id(), written out: the phases' ids follow it.
+        self.span_id = (_PID << 40) | next(recorder._ids)
+        if stack:
+            self.parent_id = stack[-1]
+        else:
+            self.parent_id = 0 if ctx is None else ctx.span_id
+        #: The offload's trace context: the v2 header's.
+        self.ctx = ctx
+        self.label = label
+        #: The issuing thread's stack (serialize, enqueue, a sync's wait)
+        #: and the waiting thread's (a future's transport, reply and
+        #: deserialize): the records carry their threads' ids.
+        self.stack = self.wait_stack = stack
+        self.starts = [0] * 5
+        self.ends = [0] * 5
+        #: INVOKE bytes; the correlation id; the node of local's transport
+        #: (``None``: a wire's); the reply frame's transport and bytes;
+        #: the RESULT message's bytes.
+        self.nbytes = self.corr = self.reply_bytes = self.result_bytes = 0
+        self.node: int | None = None
+        self.transport = ""
+        #: The phase an exception ended, and its type's name.
+        self.error_phase = -1
+        self.error = ""
+        #: ``(phase, histogram, seconds)`` of every phase that ran, fixed
+        #: by the commit: what the records are read from.
+        self.folds: list[tuple[int, LogHistogram, float]] = []
+
+    def run(self, phase: int, stack: _SpanStack, fn: Any, *args: Any) -> Any:
+        """``fn(*args)`` as ``phase``: stamped, with the phase's id on
+        ``stack`` (the running thread's) while it runs; an exception
+        ends the phase and is its ``error``."""
+        clock = self.clock
+        self.starts[phase] = clock()
+        stack.append(self.span_id + phase)
+        try:
+            result = fn(*args)
+        except BaseException as exc:
+            stack.pop()
+            self.failed(phase, exc)
+            raise
+        stack.pop()
+        self.ends[phase] = clock()
+        return result
+
+    def failed(self, phase: int, exc: BaseException) -> None:
+        """``phase`` ended by raising ``exc``, its ``error``."""
+        self.ends[phase] = self.clock()
+        self.error_phase = phase
+        self.error = type(exc).__name__
+
+    def stamp_reply(self, transport: str, nbytes: int) -> None:
+        """Telemetry phase ``offload.reply``: the offload's reply frame
+        (``nbytes`` with its framing) is in hand, off ``transport``."""
+        clock = self.clock
+        self.starts[REPLY] = clock()
+        self.transport = transport
+        self.reply_bytes = nbytes
+        self.ends[REPLY] = clock()
+
+    def records(self) -> list[SpanRecord]:
+        """The committed phases as records, field for field what their
+        spans made, in the order those were appended."""
+        pid = self.span_id >> 40
+        ctx = self.ctx
+        trace_id = "" if ctx is None else ctx.trace_id_hex
+        records = []
+        for phase, _hist, _seconds in self.folds:
+            start = self.starts[phase]
+            record = SpanRecord.__new__(SpanRecord)
+            record.name = PHASES[phase]
+            record.category = "offload"
+            record.start_ns = start
+            record.duration_ns = self.ends[phase] - start
+            record.span_id = self.span_id + phase
+            record.parent_id = (self.span_id + TRANSPORT if phase == REPLY
+                                else self.parent_id)
+            record.pid = pid
+            record.tid = (self.stack if phase <= ENQUEUE else self.wait_stack).tid
+            record.attrs = self._attrs(phase)
+            record.trace_id = trace_id
+            records.append(record)
+        return records
+
+    def _attrs(self, phase: int) -> dict[str, Any]:
+        if phase == SERIALIZE:
+            attrs: dict[str, Any] = {"functor": self.label}
+            if self.nbytes:  # serialized: the size is known
+                attrs["bytes"] = self.nbytes
+        elif phase == ENQUEUE:
+            attrs = {"bytes": self.nbytes, "functor": self.label, "corr": self.corr}
+        elif phase == TRANSPORT:
+            attrs = ({"label": self.label} if self.node is None
+                     else {"node": self.node, "bytes": self.nbytes})
+        elif phase == REPLY:
+            attrs = {"transport": self.transport, "bytes": self.reply_bytes}
+        else:
+            attrs = {"bytes": self.result_bytes}
+        if phase == self.error_phase:
+            attrs["error"] = self.error
+        return attrs
+
+
+def _expanded(held: list[Any]) -> list[SpanRecord | EventRecord]:
+    """The records ring items ``held`` (oldest first) stand for. An
+    offload's entry is held once per record, and the ring drops the
+    oldest first: a run of ``n`` holds stands for its newest ``n``."""
+    records: list[SpanRecord | EventRecord] = []
+    entry, run = None, 0
+    for item in held:
+        if item is entry:
+            run += 1
+            continue
+        if entry is not None:
+            records += entry.records()[-run:]
+            entry = None
+        if item.__class__ is OffloadTrace:
+            entry, run = item, 1
+        else:
+            records.append(item)
+    if entry is not None:
+        records += entry.records()[-run:]
+    return records
+
+
 class Recorder:
     """Thread-safe, ring-buffered span/event store.
 
@@ -286,9 +467,12 @@ class Recorder:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._clock = clock_ns
-        self._ring: deque[SpanRecord | EventRecord] = deque(maxlen=capacity)
+        #: Records, oldest first; a committed offload is held once per
+        #: record it stands for (:func:`_expanded` reads them back).
+        self._ring: deque[SpanRecord | EventRecord | OffloadTrace] = deque(
+            maxlen=capacity)
         self._lock = threading.Lock()
-        self._ids = itertools.count(1)
+        self._ids = itertools.count(_ID_STRIDE, _ID_STRIDE)
         self._thread = _ThreadState()
         self._recorded = 0
         #: The one aggregate store: every counter, gauge and histogram
@@ -299,17 +483,21 @@ class Recorder:
         # Instrument caches beside the registry: a span or a completion
         # of every offload reads one of these with a subscript, so the
         # name is built and looked up in the registry once per phase,
-        # kernel or counter, not once per offload.
-        self._phase_hists = _Resolved(self._phase_hist)
+        # kernel or counter, not once per offload. Every instrument they
+        # resolve shares the ring's lock, so an offload's commit updates
+        # them all under one acquisition (:meth:`commit_offload`).
+        self._phase_hists = _Resolved(
+            lambda name: self._locked(self.metrics.log_histogram("phase." + name)))
         #: ``kernel.<kernel>.offload`` by kernel (:meth:`kernel_offload`).
         self._kernel_hists: dict[str, LogHistogram] = {}
         #: ``kernel.<kernel>.bytes`` / ``.errors`` by kernel, and the
         #: counters by name (``recorder.counters["offload.issued"]``).
-        self.kernel_bytes = _Resolved(
-            lambda kernel: self.metrics.counter(f"kernel.{kernel}.bytes"))
-        self.kernel_errors = _Resolved(
-            lambda kernel: self.metrics.counter(f"kernel.{kernel}.errors"))
-        self.counters = _Resolved(self.metrics.counter)
+        self.kernel_bytes = _Resolved(lambda kernel: self._locked(
+            self.metrics.counter(f"kernel.{kernel}.bytes")))
+        self.kernel_errors = _Resolved(lambda kernel: self._locked(
+            self.metrics.counter(f"kernel.{kernel}.errors")))
+        self.counters = _Resolved(
+            lambda name: self._locked(self.metrics.counter(name)))
         #: Clock reading (ns) at the recorder's creation; exporters use
         #: it as the zero point of the trace timeline.
         self.epoch_ns = self._clock()
@@ -328,12 +516,10 @@ class Recorder:
         """
         return (_PID << 40) | next(self._ids)
 
-    def _phase_hist(self, name: str) -> LogHistogram:
-        """``phase.<name>``, folded under the ring's lock, together with
-        the record."""
-        hist = self.metrics.log_histogram("phase." + name)
-        hist._lock = self._lock
-        return hist
+    def _locked(self, instrument: Any) -> Any:
+        """``instrument``, updated under the ring's lock from now on."""
+        instrument._lock = self._lock
+        return instrument
 
     def _append(self, record: SpanRecord | EventRecord) -> None:
         with self._lock:
@@ -344,9 +530,50 @@ class Recorder:
         """``kernel.<kernel>.offload``, resolved once per kernel."""
         hist = self._kernel_hists.get(kernel)
         if hist is None:
-            hist = self._kernel_hists[kernel] = self.metrics.log_histogram(
-                f"kernel.{kernel}.offload")
+            hist = self._kernel_hists[kernel] = self._locked(
+                self.metrics.log_histogram(f"kernel.{kernel}.offload"))
         return hist
+
+    def commit_offload(self, trace: OffloadTrace, *, issued: bool = False,
+                       duration_ns: int | None = None) -> None:
+        """Keep one offload's records and fold what they feed, under one
+        acquisition of the ring's lock: the ring entry (held once per
+        phase that ran), the phases' ``phase.*`` histograms,
+        ``kernel.<k>.bytes``, ``offload.issued`` (``issued``: a sync,
+        whose post and settle are one call) and, given the round trip's
+        ``duration_ns``, ``future.settled`` and ``kernel.<k>.offload``.
+        The SLO windows, fed by the caller, keep their own lock."""
+        starts, ends, phase_hists = trace.starts, trace.ends, self._phase_hists
+        folds = trace.folds = [
+            (phase, phase_hists[PHASES[phase]], (ends[phase] - starts[phase]) / 1e9)
+            for phase in _RECORD_ORDER if starts[phase]
+        ]
+        kernel = trace.label or "<anonymous>"
+        nbytes = trace.nbytes
+        sent = self.kernel_bytes[kernel] if nbytes else None
+        counters = self.counters
+        issued_count = counters["offload.issued"] if issued else None
+        if duration_ns is not None:
+            settled_count = counters["future.settled"]
+            try:
+                kernel_hist = self._kernel_hists[kernel]
+            except KeyError:
+                kernel_hist = self.kernel_offload(kernel)
+        count = len(folds)
+        # Counters are bumped in place: they share this lock, as the
+        # histograms' folds do.
+        with self._lock:
+            self._ring.extend((trace,) * count)
+            self._recorded += count
+            for _phase, hist, seconds in folds:
+                hist.fold(seconds)
+            if sent is not None:
+                sent._value += nbytes
+            if issued_count is not None:
+                issued_count._value += 1
+            if duration_ns is not None:
+                settled_count._value += 1
+                kernel_hist.fold(duration_ns / 1e9)
 
     def span(self, name: str, category: str = "offload",
              **attrs: Any) -> "_Span":
@@ -396,8 +623,10 @@ class Recorder:
         self.slo = None
         self._ring = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
-        for hist in self._phase_hists.values():
-            hist._lock = self._lock
+        for cache in (self._phase_hists, self._kernel_hists, self.kernel_bytes,
+                      self.kernel_errors, self.counters):
+            for instrument in cache.values():
+                self._locked(instrument)
         self._thread = _ThreadState()
         self._recorded = 0
 
@@ -412,7 +641,8 @@ class Recorder:
     def records(self) -> list[SpanRecord | EventRecord]:
         """Snapshot of the retained records, oldest first."""
         with self._lock:
-            return list(self._ring)
+            held = list(self._ring)
+        return _expanded(held)
 
     def spans(self, prefix: str = "") -> list[SpanRecord]:
         """Retained spans whose name starts with ``prefix``."""
@@ -448,9 +678,9 @@ class Recorder:
     def drain(self) -> list[SpanRecord | EventRecord]:
         """Atomically take and clear the retained records."""
         with self._lock:
-            records = list(self._ring)
+            held = list(self._ring)
             self._ring.clear()
-            return records
+        return _expanded(held)
 
 
 # --------------------------------------------------------------------------
@@ -544,9 +774,10 @@ def complete_offload(
 ) -> None:
     """Fold one finished offload into every aggregate consumer.
 
-    Called by the runtime/future layer exactly once per completed
-    offload: ``kernel.<kernel>.offload`` (and ``.errors``) and the SLO
-    windows. A no-op while telemetry is off.
+    Called by the future layer once per completed offload that keeps
+    no record (one issued before telemetry was enabled; a traced one is
+    folded by :meth:`Recorder.commit_offload`): ``kernel.<kernel>.offload``
+    (and ``.errors``) and the SLO windows. A no-op while telemetry is off.
     ``tenant`` (when the QoS layer tagged the offload) routes the
     observation into that tenant's own SLO windows as well.
     """

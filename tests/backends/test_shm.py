@@ -2,6 +2,9 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,9 +20,11 @@ from repro.errors import (
 )
 from repro.ham import deserialize, f2f, serialize
 from repro.offload import ResiliencePolicy, Runtime
+from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
+from tests.fresh import ROOT
 
 
 @pytest.fixture()
@@ -386,3 +391,51 @@ class TestShmTelemetry:
             assert "offload.reply" in names
         finally:
             telemetry.disable()
+
+
+#: A process that offloads over shm and exits without ``finalize()``:
+#: by returning, or by an uncaught exception (``argv[1] == "raise"``),
+#: with one offload left pending, for the flight recorder's exit trigger.
+_UNFINALIZED = """
+import sys
+from repro.ham import f2f
+from repro.offload import api
+from repro.telemetry import flightrecorder
+from tests import apps
+
+flightrecorder.configure(sys.argv[2], install_signal=False)
+runtime = api.init("shm")
+backend = runtime.backend
+print(backend.segment.name, backend.introspect_target()["pid"], flush=True)
+assert runtime.sync(1, f2f(apps.echo, 3)) == 3
+runtime.async_(1, f2f(apps.echo, 4))  # never collected
+if sys.argv[1] == "raise":
+    raise RuntimeError("the script fails")
+"""
+
+
+@pytest.mark.parametrize("exit_kind", ["return", "raise"])
+def test_an_exit_without_finalize_leaves_nothing_behind(exit_kind, tmp_path):
+    """The segment's owner releases its views and unlinks it at exit:
+    no ``BufferError`` from ``SharedMemory.__del__``, no leak warning of
+    the resource tracker, no /dev/shm entry, no target left running;
+    and the pending offload still dumps the ``atexit_pending`` bundle."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+    result = subprocess.run(
+        [sys.executable, "-c", _UNFINALIZED, exit_kind, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+    )
+    assert result.returncode == (1 if exit_kind == "raise" else 0), result.stderr
+    name, pid = result.stdout.split()
+    for text in ("BufferError", "leaked shared_memory"):
+        assert text not in result.stderr, result.stderr
+    assert not os.path.exists(f"/dev/shm/{name}")
+    for _ in range(1000):  # an orphaned zombie is reaped by init
+        if not os.path.exists(f"/proc/{pid}"):
+            break
+        time.sleep(0.01)
+    assert not os.path.exists(f"/proc/{pid}"), "the target outlived its host"
+    reasons = [flightrecorder.load_bundle(path)["manifest"]["reason"]
+               for path in flightrecorder.find_bundles(tmp_path)]
+    assert "atexit_pending" in reasons

@@ -14,15 +14,29 @@ import threading
 
 import pytest
 
-from repro.backends._client import close_reply_span
-from repro.backends._server import FRAME_OVERHEAD
+from repro.backends._client import FramedClient, close_reply_span
+from repro.backends._server import (
+    _PREFIX,
+    FRAME_OVERHEAD,
+    OP_INVOKE,
+    OP_REPLY_BIT,
+    FrameParser,
+)
+from repro.errors import RemoteExecutionError
+from repro.ham import f2f
+from repro.ham.execution import execute_message
 from repro.ham.message import MSG_RESULT, build_message
+from repro.ham.registry import ProcessImage
+from repro.offload import Runtime
 from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
 from repro.telemetry.export import dicts_to_records, records_to_dicts
-from repro.telemetry.recorder import Recorder
+from repro.telemetry.recorder import Recorder, SpanRecord
 from repro.telemetry.slo import SLOMonitor
+
+from tests import apps
+from tests.backends import wire
 
 STEP = 1000  # every clock read advances the fake clock by this much
 
@@ -203,3 +217,199 @@ def test_span_minted_in_a_forked_child_carries_the_childs_pid():
     assert (event_pid, event_id >> 40) == (child, child)
     (parent_span,) = rec.spans()
     assert parent_span.pid == parent_span.span_id >> 40 == os.getpid()
+
+
+# -- a traced offload: stamped phases, one commit --------------------------
+
+
+class Scripted(FramedClient):
+    """A framed client whose target is this test: every frame it sends
+    is answered at once, through the one parser, by frames built with
+    ``tests/backends/wire.py`` — an INVOKE by executing it on an image
+    that records nothing (a remote target's spans are its own)."""
+
+    name = "tcp"
+    peer = "script"
+
+    def __init__(self) -> None:
+        super().__init__(None, None, None)
+        self.target = ProcessImage("scripted-target")
+        self._parser = FrameParser(self, 1 << 20)
+        self._arrived = b""
+        #: ``(op, corr, body)`` of every frame sent.
+        self.sent: list[tuple[int, int, bytes]] = []
+        #: Called on every wait for bytes: mid-transport on a sync.
+        self.on_wait = lambda: None
+
+    # The byte source of the parser: what the "target" wrote.
+    def recv(self, limit: int) -> bytes:
+        chunk, self._arrived = self._arrived[:limit], self._arrived[limit:]
+        return chunk
+
+    def _await_bytes(self, timeout: float | None) -> bool:
+        self.on_wait()
+        return bool(self._arrived)
+
+    def _transmit(self, frame: list, nbytes: int) -> None:
+        data = b"".join(map(bytes, frame))
+        assert len(data) == nbytes
+        _length, op, corr = _PREFIX.unpack_from(data)
+        body = data[_PREFIX.size:]
+        self.sent.append((op, corr, body))
+        reply = (execute_message(self.target, body, recorder=None)[0]
+                 if op == OP_INVOKE else b"")
+        self._arrived += b"".join(wire.frame(op | OP_REPLY_BIT, corr, reply))
+
+    _post = _transmit
+
+
+@pytest.fixture
+def traced_runtime():
+    """A runtime on a :class:`Scripted` client, recording into
+    ``Recorder(clock_ns=FakeClock())`` with an SLO monitor; yields
+    ``(runtime, recorder)``. Offloads run inside the ``SAMPLED`` trace."""
+    rec = Recorder(clock_ns=FakeClock())  # t1: the epoch
+    rec.slo = SLOMonitor(emit=rec.force_event, metrics=rec.metrics)
+    telemetry.enable(recorder=rec)
+    runtime = Runtime(Scripted())
+    try:
+        with trace_context.activate(SAMPLED):
+            yield runtime, rec
+    finally:
+        telemetry.disable()
+        runtime.shutdown()
+
+
+def offload_tree(backend, rec, *, serialize, enqueue, transport, reply,
+                 deserialize, kernel=apps.echo, error=None):
+    """The records the five spans of the last offload of ``kernel`` made,
+    hand-worked: each phase given as ``(start, end)`` in clock reads;
+    ``error``, the phase and exception of a failed one."""
+    op, corr, body = backend.sent[-1]
+    assert op == OP_INVOKE
+    result = execute_message(backend.target, body, recorder=None)[0]
+    label = f2f(kernel).type_name
+    base = rec.records()[-5].span_id  # the serialize id: the remote parent
+    assert base >> 40 == os.getpid()
+    rows = [
+        ("offload.serialize", serialize, {"functor": label, "bytes": len(body)}),
+        ("offload.enqueue", enqueue,
+         {"bytes": len(body), "functor": label, "corr": corr}),
+        ("offload.reply", reply,
+         {"transport": "tcp", "bytes": len(result) + FRAME_OVERHEAD}),
+        ("offload.transport", transport, {"label": label}),
+        ("offload.deserialize", deserialize, {"bytes": len(result)}),
+    ]
+    ids = {"offload.serialize": 0, "offload.enqueue": 1,
+           "offload.transport": 2, "offload.reply": 3,
+           "offload.deserialize": 4}
+    records = []
+    for name, (start, end), attrs in rows:
+        if error is not None and error[0] == name:
+            attrs["error"] = error[1]
+        records.append(SpanRecord(
+            name, "offload", start * STEP, (end - start) * STEP,
+            base + ids[name],
+            base + 2 if name == "offload.reply" else SAMPLED.span_id,
+            os.getpid(), threading.get_ident(), attrs, HEX[SAMPLED],
+        ))
+    return records
+
+
+def test_a_traced_sync_is_its_five_spans_field_by_field(traced_runtime):
+    runtime, rec = traced_runtime
+    assert runtime.sync(1, f2f(apps.echo, 7)) == 7
+    # Clock reads: t2/t3 serialize; t4 enqueue, t5 ends it and starts the
+    # transport, t6/t7 the reply in it, t8 ends it; t9/t10 deserialize.
+    assert rec.records() == offload_tree(
+        runtime.backend, rec, serialize=(2, 3), enqueue=(4, 5),
+        transport=(5, 8), reply=(6, 7), deserialize=(9, 10))
+    assert rec.recorded == 5 and rec.dropped == 0
+    assert rec.current_span_id() == 0
+    snap = rec.metrics.snapshot()
+    phases = {name: h["count"] for name, h in snap["histograms"].items()
+              if name.startswith("phase.")}
+    assert phases == {f"phase.offload.{phase}": 1 for phase in (
+        "serialize", "enqueue", "transport", "reply", "deserialize")}
+    kernel = f2f(apps.echo, 0).type_name
+    _op, _corr, body = runtime.backend.sent[-1]
+    assert snap["counters"] == {
+        "offload.issued": 1, "future.settled": 1,
+        f"kernel.{kernel}.bytes": len(body),
+    }
+    assert snap["histograms"][f"kernel.{kernel}.offload"]["count"] == 1
+
+
+def test_a_traced_future_is_its_five_spans_field_by_field(traced_runtime):
+    runtime, rec = traced_runtime
+    future = runtime.async_(1, f2f(apps.echo, 7))
+    assert rec.records() == []  # committed where it settles
+    assert future.get() == 7
+    # The wait's transport starts at t6 and holds the reply read by the
+    # pump (t7/t8); the waiter then decodes it (t10/t11).
+    assert rec.records() == offload_tree(
+        runtime.backend, rec, serialize=(2, 3), enqueue=(4, 5),
+        transport=(6, 9), reply=(7, 8), deserialize=(10, 11))
+    counters = rec.metrics.snapshot()["counters"]
+    assert (counters["offload.issued"], counters["future.settled"]) == (1, 1)
+
+
+def test_a_raising_kernel_tags_the_deserialize_record(traced_runtime):
+    runtime, rec = traced_runtime
+    with pytest.raises(RemoteExecutionError, match="ValueError: no"):
+        runtime.sync(1, f2f(apps.raise_value_error, "no"))
+    assert rec.records() == offload_tree(
+        runtime.backend, rec, serialize=(2, 3), enqueue=(4, 5),
+        transport=(5, 8), reply=(6, 7), deserialize=(9, 10),
+        kernel=apps.raise_value_error,
+        error=("offload.deserialize", "RemoteExecutionError"))
+    kernel = f2f(apps.raise_value_error, "").type_name
+    snap = rec.metrics.snapshot()
+    assert snap["counters"][f"kernel.{kernel}.errors"] == 1
+    assert snap["counters"]["future.settled"] == 1
+    assert snap["histograms"][f"kernel.{kernel}.offload"]["count"] == 1
+
+
+def test_an_event_mid_transport_parents_to_the_transport(traced_runtime):
+    runtime, rec = traced_runtime
+    backend = runtime.backend
+    backend.on_wait = lambda: telemetry.event(  # t6, on the wait
+        "fault.injected", category="fault", kind="delay")
+    assert runtime.sync(1, f2f(apps.echo, 7)) == 7
+    event, *offload = rec.records()  # the event lands first: the
+    # offload's records are kept when it settles
+    assert offload == offload_tree(
+        backend, rec, serialize=(2, 3), enqueue=(4, 5), transport=(5, 9),
+        reply=(7, 8), deserialize=(10, 11))
+    transport = next(r for r in offload if r.name == "offload.transport")
+    assert as_tuple(event) == (
+        "event", "fault.injected", "fault", 6 * STEP, transport.span_id,
+        {"kind": "delay"}, HEX[SAMPLED])
+    assert rec.recorded == 6
+
+
+def test_the_ring_wraps_by_records_not_by_offloads():
+    rec = Recorder(capacity=7, clock_ns=FakeClock())
+    telemetry.enable(recorder=rec)
+    runtime = Runtime(Scripted())
+    try:
+        for i in range(3):
+            assert runtime.sync(1, f2f(apps.echo, i)) == i
+        kept = rec.records()
+        assert (rec.recorded, rec.dropped, len(kept)) == (15, 8, 7)
+        phases = rec.metrics.snapshot()["histograms"]
+        assert all(phases[f"phase.{name}"]["count"] == 3 for name in (
+            "offload.serialize", "offload.enqueue", "offload.transport",
+            "offload.reply", "offload.deserialize"))
+    finally:
+        telemetry.disable()
+        runtime.shutdown()
+    # The newest 7: the second offload's last two, the third's five.
+    assert [r.name for r in kept] == [
+        "offload.transport", "offload.deserialize",
+        "offload.serialize", "offload.enqueue", "offload.reply",
+        "offload.transport", "offload.deserialize",
+    ]
+    assert len({r.trace_id for r in kept[:2]}) == 1
+    assert kept[1].trace_id != kept[2].trace_id
+    assert [r.span_id - kept[2].span_id for r in kept[2:]] == [0, 1, 3, 2, 4]
