@@ -19,9 +19,10 @@ reproduce.
 A second mode, ``--noisy-tenant``, soaks the QoS layer instead of the
 fault injector: one best-effort tenant floods a QoS-enabled runtime
 while a premium tenant keeps a modest request rate, and the run fails
-unless the premium tenant's p99 latency holds, no SLO breaches (fleet
-or any tenant's), and the rejection counter shows the noisy tenant's
-rate limit took effect.
+unless the premium tenant's p99 latency holds, the fleet's round trips
+hold the same bound with at most 1 % failed (read from the recorder's
+kernel histogram and failure counters), and the rejection counter shows
+the noisy tenant's rate limit took effect.
 
 A third mode, ``--async``, runs the fault soak from a single asyncio
 event loop: every offload is *awaited* through ``Future.__await__``
@@ -109,6 +110,18 @@ def build_stack(seed: int, args: argparse.Namespace):
     return process, transport, faulty, runtime
 
 
+def failures_recorded(recorder) -> int:
+    """The recorder's failure counters, summed: every kernel's
+    ``kernel.<k>.errors``, ``future.timeouts`` and
+    ``offload.issue_failures``."""
+    counters = recorder.metrics.snapshot()["counters"]
+    return sum(
+        value for name, value in counters.items()
+        if name.startswith("kernel.") and name.endswith(".errors")
+        or name in ("future.timeouts", "offload.issue_failures")
+    )
+
+
 def teardown_stack(process, runtime) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResourceWarning)  # chaos leaks buffers
@@ -129,40 +142,22 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
     flood it; one premium thread keeps a steady, modest rate. Pass
     criteria:
 
-    * no ``telemetry.slo_breach`` event at all, fleet-wide or for any
-      tenant: a rejected offload made no round trip, so the rate limit
-      saying no is no SLO's miss;
     * premium p99 latency under ``--premium-p99`` seconds;
+    * the fleet's p99, every admitted round trip of either tenant as
+      ``kernel.<k>.offload`` holds it, under the same bound;
+    * failed round trips (``kernel.<k>.errors`` + ``future.timeouts``)
+      at most 1 % of the admitted offloads. A rejected offload made no
+      round trip, so the rate limit saying no counts as no failure;
     * the noisy tenant was admission-rejected at least once — otherwise
       the flood never reached its rate limit and the run proved nothing.
     """
     from repro.errors import AdmissionRejectedError
     from repro.offload import QoSConfig, TenantPolicy
     from repro.telemetry import recorder as telemetry
-    from repro.telemetry.slo import SLO, SLOMonitor
 
     recorder = telemetry.enable()
-    # Every breach, counted as it is raised: the flood's records overrun
-    # the trace ring long before the run ends.
-    breaches: list[dict] = []
-
-    def emit(name: str, **attrs) -> None:
-        if name == "telemetry.slo_breach":
-            breaches.append(attrs)
-        recorder.force_event(name, **attrs)
-
-    recorder.slo = SLOMonitor(
-        (
-            SLO(name="qos-availability", threshold_ns=None, objective=0.99),
-            SLO(name="qos-latency",
-                threshold_ns=int(args.premium_p99 * 1e9), objective=0.95),
-        ),
-        fast_window=20,
-        slow_window=60,
-        min_samples=10,
-        emit=emit,
-        metrics=recorder.metrics,
-    )
+    functor = f2f(apps.sleep_then, 0.002, 0)
+    kernel = functor.type_name
 
     config = QoSConfig(tenants={
         "premium": TenantPolicy(),
@@ -178,7 +173,6 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
     failures: list[str] = []
 
     def noisy_worker() -> None:
-        functor = f2f(apps.sleep_then, 0.002, 0)
         while not stop.is_set():
             try:
                 runtime.sync(1, functor, tenant="noisy", timeout=args.deadline)
@@ -192,7 +186,6 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
                 noisy_outcomes[type(exc).__name__] += 1
 
     def premium_worker() -> None:
-        functor = f2f(apps.sleep_then, 0.002, 0)
         while not stop.is_set():
             start = time.monotonic()
             try:
@@ -217,11 +210,16 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
     stats = runtime.stats()
     teardown_stack(process, runtime)
 
-    rejected = stats["qos"]["admission"].get("noisy", {}).get("rejected", 0)
+    admission = stats["qos"]["admission"]
+    rejected = admission.get("noisy", {}).get("rejected", 0)
+    admitted = sum(tenant["admitted"] for tenant in admission.values())
     p99 = (
         float(np.percentile(premium_latencies, 99))
         if premium_latencies else float("inf")
     )
+    fleet_p99 = recorder.kernel_offload(kernel).percentile(99)
+    bad = (recorder.kernel_errors[kernel].value
+           + recorder.counters["future.timeouts"].value)
 
     print(
         f"noisy-tenant soak: premium ops={len(premium_latencies)} "
@@ -229,20 +227,24 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
         f"noisy outcomes={dict(noisy_outcomes)}, "
         f"noisy rejected={rejected}", flush=True,
     )
-    for name, state in recorder.slo.snapshot().items():
-        print(
-            f"slo {name}: {state['bad']}/{state['total']} bad, "
-            f"breached={state['breached']}", flush=True,
-        )
+    print(
+        f"fleet: {bad}/{admitted} admitted round trips failed, "
+        f"p99={fleet_p99 * 1e3:.1f} ms", flush=True,
+    )
 
     if not premium_latencies:
         print("NOISY-TENANT FAIL: premium tenant completed no operations")
         return 1
-    if breaches:
-        breached = sorted({str(attrs["slo"]) for attrs in breaches})
+    if fleet_p99 > args.premium_p99:
         print(
-            f"NOISY-TENANT FAIL: {len(breaches)} slo_breach event(s) "
-            f"under best-effort flood: {', '.join(breached)}"
+            f"NOISY-TENANT FAIL: fleet p99 {fleet_p99 * 1e3:.1f} ms exceeds "
+            f"the {args.premium_p99 * 1e3:.0f} ms bound"
+        )
+        return 1
+    if bad > 0.01 * admitted:
+        print(
+            f"NOISY-TENANT FAIL: {bad} of {admitted} admitted round trips "
+            "failed, more than 1 %"
         )
         return 1
     if p99 > args.premium_p99:
@@ -257,8 +259,8 @@ def run_noisy_tenant(args: argparse.Namespace) -> int:
             "never reached its rate limit, the run proved nothing"
         )
         return 1
-    print("noisy-tenant soak OK: no SLO breached, premium p99 held, the "
-          "noisy tenant's rate limit took effect", flush=True)
+    print("noisy-tenant soak OK: premium and fleet p99 held, failures "
+          "under 1 %, the noisy tenant's rate limit took effect", flush=True)
     return 0
 
 
@@ -404,10 +406,11 @@ def main() -> int:
         help="write a Chrome trace of the soak (spans, faults, retries) here",
     )
     parser.add_argument(
-        "--assert-slo-breach",
+        "--assert-faults-recorded",
         action="store_true",
-        help="fail (exit 1) unless the injected faults drive the SLO "
-        "burn-rate monitor into at least one telemetry.slo_breach event",
+        help="fail (exit 1) unless the injected faults show in the "
+        "recorder's failure counters (kernel.<k>.errors, future.timeouts, "
+        "offload.issue_failures)",
     )
     parser.add_argument(
         "--crash-dir",
@@ -429,7 +432,7 @@ def main() -> int:
         "--noisy-tenant",
         action="store_true",
         help="overload soak instead of fault injection: a best-effort "
-        "tenant floods a QoS runtime and the premium tenant's SLO must "
+        "tenant floods a QoS runtime and the premium tenant's p99 must "
         "hold (see run_noisy_tenant)",
     )
     parser.add_argument(
@@ -452,29 +455,10 @@ def main() -> int:
         flightrecorder.configure(args.crash_dir)
 
     recorder = None
-    if args.trace_out or args.assert_slo_breach:
+    if args.trace_out or args.assert_faults_recorded:
         from repro.telemetry import recorder as telemetry
-        from repro.telemetry.slo import SLO, SLOMonitor
 
         recorder = telemetry.enable()
-        # Chaos-tuned objectives: tight enough that the configured fault
-        # rates must breach within a short soak, loose enough that a
-        # clean run would not. Completions feed these through
-        # complete_offload; breaches land in the ring via force_event
-        # and in SLOMonitor.breached(), which the soak reads at the end.
-        recorder.slo = SLOMonitor(
-            (
-                SLO(name="chaos-availability", threshold_ns=None,
-                    objective=0.999),
-                SLO(name="chaos-latency", threshold_ns=int(0.03 * 1e9),
-                    objective=0.99),
-            ),
-            fast_window=20,
-            slow_window=60,
-            min_samples=10,
-            emit=recorder.force_event,
-            metrics=recorder.metrics,
-        )
 
     last_tick = [time.monotonic()]
     hang_budget = args.deadline * 10 + 10.0
@@ -562,25 +546,13 @@ def main() -> int:
                 return 1
     finally:
         teardown_stack(process, runtime)
-        slo_breaches = 0
+        recorded = 0
         if recorder is not None:
-            slo_breaches = sum(
-                1 for r in recorder.records()
-                if r.kind == "event" and r.name == "telemetry.slo_breach"
+            recorded = failures_recorded(recorder)
+            print(
+                f"failures recorded: {recorded}, surfaced errors: "
+                f"{sum(surfaced.values())}", flush=True,
             )
-            if recorder.slo is not None:
-                for name, state in recorder.slo.snapshot().items():
-                    print(
-                        f"slo {name}: {state['bad']}/{state['total']} bad, "
-                        f"fast burn {state['fast_burn']:.1f}, "
-                        f"slow burn {state['slow_burn']:.1f}, "
-                        f"breached={state['breached']}", flush=True,
-                    )
-                health = ("degraded" if recorder.slo.breached() else "ok")
-                print(
-                    f"slo_breach events: {slo_breaches}, "
-                    f"final health: {health}", flush=True,
-                )
             if args.trace_out:
                 from repro.telemetry.export import write_chrome_trace
 
@@ -609,10 +581,10 @@ def main() -> int:
             f"{latest['manifest'].get('events')} events", flush=True,
         )
 
-    if args.assert_slo_breach and slo_breaches == 0:
+    if args.assert_faults_recorded and recorded == 0:
         print(
-            "SLO MONITOR SILENT: injected faults raised no "
-            "telemetry.slo_breach event"
+            "FAILURE COUNTERS SILENT: injected faults bumped no "
+            "kernel.<k>.errors, future.timeouts or offload.issue_failures"
         )
         return 1
 

@@ -222,8 +222,7 @@ def reset_forked_recorder() -> None:
 
     The fork inherits the host recorder wholesale: its records (pulled
     back through ``OP_TELEMETRY`` they would land in the host ring
-    twice), the forking thread's open spans, and the SLO monitor, whose
-    windows would double-count (completions happen host-side).
+    twice) and the forking thread's open spans.
     """
     recorder = telemetry.get()
     if recorder is not None:

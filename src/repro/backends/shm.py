@@ -72,6 +72,7 @@ import multiprocessing
 # ``Popen.wait``); loaded here, with the transport, not in ``finalize``.
 import multiprocessing.connection  # noqa: F401
 import os
+import secrets
 import struct
 import time
 from multiprocessing import resource_tracker, shared_memory
@@ -142,6 +143,12 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def segment_prefix(pid: int | None = None) -> str:
+    """The name prefix of the segments process ``pid`` (default: this
+    one) created: ``repro-<pid>-``, so a leak is traced to its owner."""
+    return f"repro-{os.getpid() if pid is None else pid}-"
+
+
 class ShmSegment:
     """One shared-memory segment: header plus the two rings.
 
@@ -181,11 +188,14 @@ class ShmSegment:
     def create(
         cls, capacity: int = DEFAULT_RING_CAPACITY, name: str | None = None
     ) -> "ShmSegment":
-        """Create (and own) a fresh segment sized for two rings."""
+        """Create (and own) a fresh segment sized for two rings, named
+        ``name`` or, by default, ``repro-<pid>-<random>``."""
         if capacity < 4096:
             raise BackendError(
                 f"ring capacity must be at least 4096 bytes, got {capacity}"
             )
+        if name is None:
+            name = segment_prefix() + secrets.token_hex(4)
         shm = shared_memory.SharedMemory(
             name=name, create=True, size=_DATA_OFFSET + 2 * capacity
         )

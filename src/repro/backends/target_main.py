@@ -25,7 +25,7 @@ at startup is what the host attaches to)::
 
     # terminal 2 (host)
     from repro.backends import ShmBackend
-    runtime = Runtime(ShmBackend("psm_xxxxxxxx"))  # name printed above
+    runtime = Runtime(ShmBackend("repro-<pid>-xxxxxxxx"))  # name printed above
 
 The shm target owns the segment: it creates it at startup and unlinks
 it on shutdown, so an aborted host never leaves ``/dev/shm`` entries

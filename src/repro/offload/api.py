@@ -112,8 +112,7 @@ def init(
 
     * ``True`` — plain recording, default capacity;
     * a :class:`~repro.telemetry.config.TelemetryConfig` (or a dict
-      with its field names) — additionally ``slo_enabled`` / ``slos``
-      configure burn-rate SLO monitoring (see :mod:`repro.telemetry.slo`)
+      with its field names) — additionally ``capacity`` sizes the ring
       and ``crash_dir`` arms the flight recorder's crash bundles until
       :func:`finalize`.
 
@@ -139,7 +138,7 @@ def init(
     # Options are validated before a target is spawned (and the recorder
     # enabled only after, so the first target records nothing — see
     # docs/observability.md). What an option selects is imported where it
-    # is selected: telemetry off loads no SLO code.
+    # is selected.
     config = None
     if telemetry is not False:
         from repro.telemetry.config import TelemetryConfig
@@ -167,18 +166,8 @@ def init(
 def _apply_telemetry(config: TelemetryConfig) -> None:
     """Enable the recorder and install what ``config`` selects."""
     global _flight_replaced, _enabled_recorder
-    if config.enabled:
-        recorder = _telemetry.get()
-        if recorder is None:
-            recorder = _enabled_recorder = _telemetry.enable(config.capacity)
-        if config.slo_enabled:
-            from repro.telemetry.slo import SLOMonitor
-
-            recorder.slo = SLOMonitor(
-                config.slos or None,
-                emit=recorder.force_event,
-                metrics=recorder.metrics,
-            )
+    if config.enabled and _telemetry.get() is None:
+        _enabled_recorder = _telemetry.enable(config.capacity)
     if config.crash_dir is not None:
         # Arm flight-recorder dumping (and SIGUSR2) until finalize();
         # the recorder itself has been noting events since import.

@@ -67,22 +67,19 @@ class Future:
         label: str = "",
         trace: TraceContext | None = None,
         start_ns: int | None = None,
-        tenant: str | None = None,
     ) -> None:
         self._handle: InvokeHandle | CompletedHandle | None = handle
-        #: What :func:`settle_offload` accounts the offload by: kernel,
-        #: QoS tenant, issue time (``None``: a put/get/copy
-        #: parity future). The trace opened at ``async_`` is re-activated
-        #: around the wait, so its spans join that causal tree even when
-        #: ``get()`` runs far from ``async_()``.
+        #: What :func:`settle_offload` accounts the offload by: kernel
+        #: and issue time (``None``: a put/get/copy parity future). The
+        #: trace opened at ``async_`` is re-activated around the wait, so
+        #: its spans join that causal tree even when ``get()`` runs far
+        #: from ``async_()``.
         self._label = label
-        self._tenant = tenant
         self._trace = trace
         self._start_ns = start_ns
         self._done = False
         self._value: Any = None
         self._error: BaseException | None = None
-        self._timeout_observed = False
 
     @property
     def correlation_id(self) -> int | None:
@@ -182,20 +179,15 @@ class Future:
             # Deadline expired but the operation may still be in flight:
             # stay pending so a later get() can collect the reply (a
             # poisoned handle simply re-raises immediately next time).
-            # The availability SLO sees the miss once per future, even
-            # if the straggler reply eventually lands. The offload's
-            # record ends with the missed deadline: committed now, it
-            # leaves the handle, and a later reply is not stamped.
+            # The offload's record ends with the missed deadline:
+            # committed now, it leaves the handle, and a later reply is
+            # not stamped.
             trace = handle.trace
             handle.trace = None
             recorder = telemetry.get() if trace is None else trace.recorder
             if recorder is not None:
-                settle_offload(
-                    recorder,
-                    None if self._timeout_observed else self._start_ns,
-                    self._label, self._tenant, timed_out=True, trace=trace,
-                )
-            self._timeout_observed = True
+                settle_offload(recorder, self._start_ns, self._label,
+                               timed_out=True, trace=trace)
             raise
         except BaseException as exc:  # noqa: BLE001 - stored for re-raise
             self._error = exc
@@ -204,7 +196,7 @@ class Future:
         trace = handle.trace
         recorder = telemetry.get() if trace is None else trace.recorder
         if recorder is not None:
-            settle_offload(recorder, self._start_ns, self._label, self._tenant,
+            settle_offload(recorder, self._start_ns, self._label,
                            error=self._error is not None, trace=trace)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -213,12 +205,12 @@ class Future:
 
 
 def settle_offload(recorder: "Recorder", start_ns: int | None, label: str,
-                   tenant: str | None, *, error: bool = False,
-                   timed_out: bool = False, trace: "OffloadTrace | None" = None,
+                   *, error: bool = False, timed_out: bool = False,
+                   trace: "OffloadTrace | None" = None,
                    issued: bool = False) -> None:
     """Account into ``recorder`` (the caller's, read once per offload) how
     one offload ended, a future's or a sync's: a missed deadline counts
-    ``future.timeouts`` and misses availability; any other end counts
+    ``future.timeouts``; any other end counts
     ``future.settled`` and, given the issue time ``start_ns``, goes to
     :func:`~repro.telemetry.recorder.complete_offload`.
 
@@ -229,32 +221,19 @@ def settle_offload(recorder: "Recorder", start_ns: int | None, label: str,
         if trace is not None:
             recorder.commit_offload(trace, issued=issued)
         recorder.counters["future.timeouts"].inc()
-        availability_miss(start_ns, tenant)
         return
     if trace is None:
         recorder.counters["future.settled"].inc()
         if start_ns is not None:
             complete_offload(
                 kernel=label, duration_ns=time.perf_counter_ns() - start_ns,
-                error=error, recorder=recorder, tenant=tenant,
+                error=error, recorder=recorder,
             )
         return
-    duration_ns = time.perf_counter_ns() - start_ns
-    recorder.commit_offload(trace, issued=issued, duration_ns=duration_ns)
+    recorder.commit_offload(trace, issued=issued,
+                            duration_ns=time.perf_counter_ns() - start_ns)
     if error:
         recorder.kernel_errors[label or "<anonymous>"].inc()
-    slo = recorder.slo
-    if slo is not None:
-        slo.observe(duration_ns, error=error, tenant=tenant)
-
-
-def availability_miss(start_ns: int | None, tenant: str | None) -> None:
-    """Charge the offload issued at ``start_ns`` to the availability SLO
-    as failed: a timed-out or unposted one, which nothing else settles."""
-    recorder = telemetry.get()
-    if start_ns is not None and recorder is not None and recorder.slo is not None:
-        recorder.slo.observe(time.perf_counter_ns() - start_ns,
-                             error=True, tenant=tenant)
 
 
 class AwaitingLoop:

@@ -13,7 +13,8 @@ gets in at all.
   a per-tenant token bucket enforces the tenant's rate limit. A rejected
   request raises :class:`~repro.errors.RateLimitedError` in microseconds
   instead of burning a window slot; it never made a round trip, so it is
-  counted here (``rejected``, the ``qos.rejected`` event) and by no SLO.
+  counted here (``rejected``, the ``qos.rejected`` event) and by no
+  failure counter.
 
 The layer is opt-in: with ``Runtime(backend, qos=QoSConfig(...))`` (or
 ``offload.init(backend, qos=...)``) every offload passes admission,

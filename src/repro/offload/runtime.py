@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.backends.base import DEFAULT_INFLIGHT_LIMIT, InflightWindow
 from repro.ham.functor import Functor
 from repro.offload.buffer import BufferPtr, is_location_free
-from repro.offload.future import CompletedHandle, Future, availability_miss, settle_offload
+from repro.offload.future import CompletedHandle, Future, settle_offload
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.offload.qos import (
     _CURRENT_TENANT,
@@ -182,7 +182,8 @@ class Runtime:
         In order: the node's circuit; the tenant (``tenant``, else the
         ambient one, else a QoS runtime's default) and its admission
         (before serializing: a rejected offload never touches the window
-        and is no round trip, so no SLO counts it); the offload's trace;
+        and is no round trip, so no failure counter counts it); the
+        offload's trace;
         a window slot, waited for no longer than the policy deadline and
         what is left until ``expiry`` (the ``time.monotonic`` end of the
         budget, which then bounds a sync's reply wait too); the backend
@@ -252,8 +253,7 @@ class Runtime:
                     window.cancel()
                 else:
                     window.register(late)
-            self._failed(node, functor, tenant, start_ns, exc, sync and acquired,
-                         trace)
+            self._failed(node, functor, start_ns, exc, sync and acquired, trace)
             raise
         finally:
             if trace is not None:  # in case no serialize took it
@@ -266,12 +266,12 @@ class Runtime:
                 recorder.counters["offload.issued"].inc()
             window.register(result)
             return Future(result, label=functor.type_name, trace=ctx,
-                          start_ns=start_ns, tenant=tenant)
+                          start_ns=start_ns)
         window.cancel()
         if self.policy is not None:  # the retry loop's health accounting
             self.monitor.record_success(node)
         if trace is not None:
-            settle_offload(recorder, start_ns, functor.type_name, tenant,
+            settle_offload(recorder, start_ns, functor.type_name,
                            trace=trace, issued=True)
         return result
 
@@ -323,9 +323,8 @@ class Runtime:
             )
 
     def _failed(
-        self, node: NodeId, functor: Functor, tenant: str | None,
-        start_ns: int, exc: BaseException, ended: bool,
-        trace: OffloadTrace | None,
+        self, node: NodeId, functor: Functor, start_ns: int,
+        exc: BaseException, ended: bool, trace: OffloadTrace | None,
     ) -> None:
         """Account an offload whose slot wait or backend call raised.
         ``ended``: a sync's call (post and wait in one) raised, so a
@@ -349,14 +348,13 @@ class Runtime:
             self._offloads_posted += 1
             if trace is not None:
                 settle_offload(trace.recorder, start_ns, functor.type_name,
-                               tenant, error=True,
+                               error=True,
                                timed_out=isinstance(exc, OffloadTimeoutError),
                                trace=trace, issued=True)
         else:
             if trace is not None:
                 trace.recorder.commit_offload(trace)
             telemetry.count("offload.issue_failures")
-            availability_miss(start_ns, tenant)
         if not reply:
             flightrecorder.note(
                 "offload.post_failed", node=node,

@@ -23,16 +23,13 @@ Layout:
 * :mod:`repro.telemetry.distributed` — clock-offset estimation
   (ping-pong), record alignment and per-message critical paths for
   two-process timelines;
-* :mod:`repro.telemetry.slo` — declarative SLOs with multi-window
-  burn-rate alerting (``telemetry.slo_breach`` events and
-  ``slo.<slo>.*`` gauges);
 * :mod:`repro.telemetry.report` — ``python -m repro.telemetry.report``,
   per-phase latency percentiles, per-message groupings, critical paths
   and per-kernel profiles from a trace file — or a post-mortem view of
   a flight-recorder crash bundle directory;
 * :mod:`repro.telemetry.flightrecorder` — always-on black-box ring of
   control-plane events, dumped as a crash bundle on offload errors,
-  peer death, SLO breaches, ``SIGUSR2`` or exit-with-pending;
+  peer death, ``SIGUSR2`` or exit-with-pending;
 * :mod:`repro.telemetry.inspect` — :func:`~repro.telemetry.inspect.snapshot`,
   the merged host + target live-state snapshot behind
   ``offload.introspect()``.
@@ -70,15 +67,14 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
         EventRecord, Recorder, SpanRecord, complete_offload, count, current_span_id,
         disable, enable, enabled, event, gauge, get, span,
     )
-    from repro.telemetry.slo import SLO, SLOMonitor, default_slos
 
 __all__ = [
     "ClockSync", "Counter", "EventRecord", "FlightRecorder",
     "Gauge", "LogHistogram", "MetricsRegistry",
-    "Recorder", "SLO", "SLOMonitor", "SpanRecord", "TelemetryConfig",
+    "Recorder", "SpanRecord", "TelemetryConfig",
     "TraceContext", "activate", "align_records", "complete_offload",
     "count", "critical_path", "current", "current_span_id",
-    "default_slos", "disable", "enable", "enabled", "event", "gauge", "get",
+    "disable", "enable", "enabled", "event", "gauge", "get",
     "group_by_trace", "new_trace", "percentile",
     "span", "trace_summary",
 ]
@@ -99,5 +95,4 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "current_span_id", "disable", "enable", "enabled", "event", "gauge", "get",
         "span",
     ),
-    "repro.telemetry.slo": ("SLO", "SLOMonitor", "default_slos"),
 })

@@ -1,13 +1,8 @@
-"""What ``offload.init(telemetry=...)`` accepts.
-
-A module of its own so that selecting telemetry loads only what the
-options select: :mod:`repro.telemetry.slo` comes in with
-``slo_enabled``, not with the config.
-"""
+"""What ``offload.init(telemetry=...)`` accepts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 __all__ = ["TelemetryConfig"]
@@ -23,19 +18,10 @@ class TelemetryConfig:
     Enabled telemetry records every offload. A dict may still spell
     ``sample_rate`` as ``1.0`` or ``None`` (dropped); any other rate
     raises ``ValueError``: trace sampling was removed.
-
-    SLO fields (see :mod:`repro.telemetry.slo`): ``slos=None`` with
-    ``slo_enabled=True`` uses
-    :func:`repro.telemetry.slo.default_slos`; pass a tuple of
-    :class:`~repro.telemetry.slo.SLO` (or dicts of their fields) to
-    override.
     """
 
     enabled: bool = True
     capacity: int = 65536
-    #: SLO burn-rate monitoring.
-    slo_enabled: bool = True
-    slos: tuple = ()
     #: Flight-recorder crash-bundle directory (see
     #: :mod:`repro.telemetry.flightrecorder`). ``None`` leaves dumping
     #: governed by the ``REPRO_CRASH_DIR`` environment variable.
@@ -64,12 +50,4 @@ class TelemetryConfig:
                 "telemetry must be a bool, dict or TelemetryConfig, "
                 f"got {type(value).__name__}"
             )
-        if config.slos:
-            from repro.telemetry.slo import SLO
-
-            normalized = tuple(
-                s if isinstance(s, SLO) else SLO(**dict(s))
-                for s in config.slos
-            )
-            config = replace(config, slos=normalized)
         return config

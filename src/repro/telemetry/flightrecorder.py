@@ -18,7 +18,7 @@ always, the trace ring while telemetry records and the trace is kept. A
 breadcrumbs too frequent or too low-level for a trace.
 
 On a *trigger* — an offload error escaping to the caller, peer-death
-detection in a transport, an SLO breach, ``SIGUSR2``, or process exit
+detection in a transport, ``SIGUSR2``, or process exit
 with offloads still in flight — the recorder dumps a post-mortem
 bundle to the configured crash directory:
 

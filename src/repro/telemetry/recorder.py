@@ -478,8 +478,6 @@ class Recorder:
         #: The one aggregate store: every counter, gauge and histogram
         #: of this process, each declared in :mod:`repro.telemetry.signals`.
         self.metrics = MetricsRegistry(SIGNALS)
-        #: SLO burn-rate monitor, fed once per completed offload.
-        self.slo: Any = None
         # Instrument caches beside the registry: a span or a completion
         # of every offload reads one of these with a subscript, so the
         # name is built and looked up in the registry once per phase,
@@ -541,8 +539,7 @@ class Recorder:
         phase that ran), the phases' ``phase.*`` histograms,
         ``kernel.<k>.bytes``, ``offload.issued`` (``issued``: a sync,
         whose post and settle are one call) and, given the round trip's
-        ``duration_ns``, ``future.settled`` and ``kernel.<k>.offload``.
-        The SLO windows, fed by the caller, keep their own lock."""
+        ``duration_ns``, ``future.settled`` and ``kernel.<k>.offload``."""
         starts, ends, phase_hists = trace.starts, trace.ends, self._phase_hists
         folds = trace.folds = [
             (phase, phase_hists[PHASES[phase]], (ends[phase] - starts[phase]) / 1e9)
@@ -603,24 +600,11 @@ class Recorder:
             "" if ctx is None else ctx.trace_id_hex,
         ))
 
-    def force_event(self, name: str, category: str = "slo",
-                    **attrs: Any) -> None:
-        """:func:`event` for alert-grade events: black box and trace ring.
-
-        ``telemetry.slo_breach`` describes the aggregate stream, not one
-        trace, so it carries no trace id and no parent, even when raised
-        mid-flight inside a trace. The SLO monitor holds this method as
-        its ``emit`` sink.
-        """
-        flightrecorder.get().record(name, category, attrs)
-        self._append(self._event_record(name, category, 0, attrs, ""))
-
     def reset_after_fork(self) -> None:
         """In a forked child: drop what belongs to the parent — its
-        records, the forking thread's open spans, a ring lock another
-        thread may have held, and the SLO monitor only the issuing side
-        feeds. Metrics and the id counter stay (ids are pid-prefixed)."""
-        self.slo = None
+        records, the forking thread's open spans and a ring lock another
+        thread may have held. Metrics and the id counter stay (ids are
+        pid-prefixed)."""
         self._ring = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
         for cache in (self._phase_hists, self._kernel_hists, self.kernel_bytes,
@@ -770,16 +754,13 @@ def complete_offload(
     duration_ns: int,
     error: bool = False,
     recorder: Recorder | None = None,
-    tenant: str | None = None,
 ) -> None:
     """Fold one finished offload into every aggregate consumer.
 
     Called by the future layer once per completed offload that keeps
     no record (one issued before telemetry was enabled; a traced one is
     folded by :meth:`Recorder.commit_offload`): ``kernel.<kernel>.offload``
-    (and ``.errors``) and the SLO windows. A no-op while telemetry is off.
-    ``tenant`` (when the QoS layer tagged the offload) routes the
-    observation into that tenant's own SLO windows as well.
+    (and ``.errors``). A no-op while telemetry is off.
     """
     if recorder is None:
         recorder = _RECORDER
@@ -793,9 +774,6 @@ def complete_offload(
     hist.observe(duration_ns / 1e9)
     if error:
         recorder.kernel_errors[name].inc()
-    slo = recorder.slo
-    if slo is not None:
-        slo.observe(duration_ns, error=error, tenant=tenant)
 
 
 def current_span_id() -> int:

@@ -92,7 +92,6 @@ class SignalRegistry:
 
 _ROW = SignalDescriptor
 _BUNDLE = "a crash bundle's `metrics.json`: "
-_SLO = "docs/observability.md, SLOs: the burn a bundle's `metrics.json` holds"
 _KERNEL = "a crash bundle's `metrics.json`; offline twin `report --profile`, "
 
 SIGNALS = SignalRegistry((
@@ -111,7 +110,7 @@ SIGNALS = SignalRegistry((
          _BUNDLE + "issued minus settled is what never came back"),
     _ROW("future.timeouts", "counter", "offloads",
          "`Future.get` and sync deadlines that expired (the offload may land)",
-         _BUNDLE + "raw count behind the availability SLO's burn"),
+         _BUNDLE + "deadline misses; `scripts/chaos_smoke.py` counts them as failures"),
     _ROW("<transport>.unmatched_replies", "counter", "frames",
          "replies whose correlation id had no waiter left (late or invented)",
          "docs/architecture.md, late replies: the only trace of a dropped one"),
@@ -145,13 +144,6 @@ SIGNALS = SignalRegistry((
          "target-telemetry pulls that failed at shutdown",
          "docs/observability.md, docs/resilience.md: a wedged target's spans "
          "are missing from the trace"),
-    _ROW("slo.<slo>.fast_burn", "gauge", "ratio",
-         "error-budget burn rate over the fast window "
-         "(per tenant: `slo.<slo>.tenant.<tenant>.fast_burn`)", _SLO),
-    _ROW("slo.<slo>.slow_burn", "gauge", "ratio",
-         "the same over the slow window", _SLO),
-    _ROW("slo.<slo>.breached", "gauge", "bool",
-         "1 while both windows burn above the threshold", _SLO),
     _ROW("perfbench.probe", "counter", "calls",
          "the benchmark's probe of one `telemetry.count`",
          "perfbench/layers.py: the `telemetry.count_on_ns` row (goes once "

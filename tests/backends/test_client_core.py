@@ -36,6 +36,7 @@ from repro.backends._server import (
     OP_PING,
     OP_REPLY_BIT,
 )
+from repro.backends.shm import ShmSegment, segment_prefix
 from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
 from repro.ham import f2f
 from repro.ham.registry import Catalog
@@ -679,6 +680,26 @@ class TestNothingLeaks:
         for _ in range(5):
             cycle()
         assert resources() == before
+
+    def test_another_process_segment_is_not_ours(self):
+        """The leak rows see this process's segments only: one named by
+        another pid (a second suite's) is ignored, one of ours is not."""
+        before = resources(baseline=True)["/dev/shm"]
+        theirs = ShmSegment.create(4096, name=segment_prefix(os.getppid()) + "x")
+        try:
+            assert theirs.name.startswith(f"repro-{os.getppid()}-")
+            assert resources()["/dev/shm"] == before
+            ours = ShmSegment.create(4096)
+            try:
+                assert ours.name.startswith(f"repro-{os.getpid()}-")
+                assert resources()["/dev/shm"] == sorted(before + [ours.name])
+            finally:
+                ours.close()
+                ours.unlink()
+        finally:
+            theirs.close()
+            theirs.unlink()
+        assert resources()["/dev/shm"] == before
 
     @pytest.mark.parametrize("transport", ["shm", "tcp"])
     def test_target_death_found_by_the_armed_backstop(self, transport):

@@ -137,7 +137,7 @@ def test_sample_rate_one_records_what_true_does():
         ({"telemetry": {"sample_rate": 0.5}}, ValueError),
         ({"telemetry": "yes"}, TypeError),
         # ... and raised by Runtime(...) with the target already up,
-        # the second time with a recorder and SLO monitor to take down.
+        # the second time with a recorder to take down.
         ({"window": 0}, BackendError),
         ({"window": 0, "telemetry": True}, BackendError),
         # Options that no longer exist: the dataclass's own TypeError,
@@ -166,13 +166,13 @@ def test_failed_init_leaves_nothing_behind(transport, options, error):
 
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 def test_traced_session_leaves_nothing_behind(transport):
-    """A successful traced session, twice: init with SLOs, 200 syncs and
+    """A successful traced session, twice: init traced, 200 syncs and
     64 ``async_``/``get`` (a full window), finalize. What it started is
     gone when it ends."""
     before = resources(baseline=True)
     for _ in range(2):
         try:
-            offload.init(transport, telemetry={"slo_enabled": True})
+            offload.init(transport, telemetry=True)
             for i in range(200):
                 assert offload.sync(1, f2f(apps.echo, i)) == i
             futures = [offload.async_(1, f2f(apps.echo, i)) for i in range(64)]

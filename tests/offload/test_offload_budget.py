@@ -52,16 +52,15 @@ MAX_CALLS = 53
 MAX_WINDOW_LOCK_ACQUISITIONS = 2
 
 #: The same offload with telemetry set up by ``init`` itself
-#: (``telemetry=True``: recorder and SLO monitor): calls, and locks
-#: taken (every ``with lock`` / ``lock.acquire()``, telemetry's and the
-#: window's alike). On CPython 3.11: 125 calls and 5 locks — three
-#: phases stamped into one record around the ``offload.execute`` span
-#: (one lock), the record committed with its folds and counters under
-#: one lock, the SLO windows' one, and the window's two. The call ceiling
-#: sits ~5 % above, the lock ceiling at the figure (5 % of it is less
-#: than one lock).
-MAX_TRACED_CALLS = 131
-MAX_TRACED_LOCKS = 5
+#: (``telemetry=True``: the recorder): calls, and locks taken (every
+#: ``with lock`` / ``lock.acquire()``, telemetry's and the window's
+#: alike). On CPython 3.11: 119 calls and 4 locks — three phases
+#: stamped into one record around the ``offload.execute`` span (one
+#: lock), the record committed with its folds and counters under one
+#: lock, and the window's two. The call ceiling sits ~5 % above, the
+#: lock ceiling at the figure (5 % of it is less than one lock).
+MAX_TRACED_CALLS = 125
+MAX_TRACED_LOCKS = 4
 
 #: Records one traced offload appends: on ``local`` the serialize,
 #: transport and deserialize phases and the execute span; a framed
@@ -199,14 +198,14 @@ def test_tenant_tagged_qos_sync_call_budget():
 #: call however long the target takes. The ceilings sit ~5 % above.
 MAX_FRAMED_SYNC_CALLS = {"shm": 58, "tcp": 72}
 
-#: The same sync traced (``telemetry=True``), host side: 113 calls and
-#: 6 locks on shm, 127 and 6 on tcp (CPython 3.11) — one trace minted,
+#: The same sync traced (``telemetry=True``), host side: 107 calls and
+#: 5 locks on shm, 121 and 5 on tcp (CPython 3.11) — one trace minted,
 #: five phases stamped into one record (serialize, enqueue, transport,
 #: the leader's own reply, deserialize) and committed with their folds
-#: and counters under one lock, the SLO windows' one. The call ceilings
-#: sit ~5 % above, the lock ceiling at the figure.
-MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 119, "tcp": 133}
-MAX_TRACED_FRAMED_SYNC_LOCKS = 6
+#: and counters under one lock. The call ceilings sit ~5 % above, the
+#: lock ceiling at the figure.
+MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 113, "tcp": 127}
+MAX_TRACED_FRAMED_SYNC_LOCKS = 5
 
 
 #: How long the framed rows stop the target during the profiled sync.

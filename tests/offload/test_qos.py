@@ -1,9 +1,10 @@
 """QoS layer tests: tenants and admission control.
 
 The serving-side invariants under test: admission rejections fail fast
-and *before* serialization and are counted by admission alone, and the
-tenant id flows from ``sync(tenant=...)`` down to the SLO stream without
-any backend signature changes.
+and *before* serialization and are counted by admission alone, never as
+a failed round trip, and the tenant id reaches admission from
+``sync(tenant=...)`` or the ambient scope without any backend signature
+changes.
 """
 
 from __future__ import annotations
@@ -217,26 +218,27 @@ class TestRuntimeIntegration:
         assert time.monotonic() - start < 0.5  # fast-fail, not a deadline
         runtime.shutdown()
 
-    def test_rejection_is_counted_by_admission_not_by_an_slo(self):
+    def test_rejection_is_counted_by_admission_not_as_a_failed_round_trip(self):
         """A refused offload made no round trip: admission counts it
-        (``rejected``, ``qos.rejected``), no SLO does, the tenant's own
-        included."""
+        (``rejected``, ``qos.rejected``); no failure counter and no
+        round-trip histogram does."""
         recorder = telemetry.enable()
-        from repro.telemetry.slo import SLOMonitor
-
-        recorder.slo = SLOMonitor(min_samples=1)
         config = QoSConfig(tenants={
             "noisy": TenantPolicy(rate=0.001, burst=1.0),
         })
         runtime = Runtime(LocalBackend(), qos=config)
+        functor = f2f(apps.add, 1, 1)
+        kernel = functor.type_name
         try:
-            runtime.sync(1, f2f(apps.add, 1, 1), tenant="noisy")
+            runtime.sync(1, functor, tenant="noisy")
             with pytest.raises(AdmissionRejectedError):
-                runtime.sync(1, f2f(apps.add, 1, 1), tenant="noisy")
-            snap = recorder.slo.snapshot()
-            assert "offload-availability[noisy]" in snap
-            assert {name: state["bad"] for name, state in snap.items()} == \
-                dict.fromkeys(snap, 0)
+                runtime.sync(1, functor, tenant="noisy")
+            snap = recorder.metrics.snapshot()
+            for series in (f"kernel.{kernel}.errors", "future.timeouts",
+                           "offload.issue_failures"):
+                assert snap["counters"].get(series, 0) == 0, series
+            # The admitted sync's round trip, and no other.
+            assert snap["histograms"][f"kernel.{kernel}.offload"]["count"] == 1
             assert runtime.stats()["qos"]["admission"]["noisy"]["rejected"] == 1
             assert [event.attrs["tenant"]
                     for event in recorder.events("qos.rejected")] == ["noisy"]

@@ -26,7 +26,8 @@ class TestTelemetryConfig:
         with pytest.raises(TypeError):
             TelemetryConfig.coerce({"bogus_field": 1})
         # Options that went with their subsystems fail the same way.
-        for removed in ("metrics_port", "metrics_host", "tsdb"):
+        for removed in ("metrics_port", "metrics_host", "tsdb",
+                        "slo_enabled", "slos"):
             with pytest.raises(TypeError, match=removed):
                 TelemetryConfig.coerce({removed: 0})
 
@@ -40,21 +41,3 @@ class TestTelemetryConfig:
         for rate in (1.0, None):
             config = TelemetryConfig.coerce({"sample_rate": rate, "capacity": 8})
             assert config == TelemetryConfig(capacity=8)
-
-    def test_coerce_normalizes_slo_dicts(self):
-        from repro.telemetry.slo import SLO
-
-        config = TelemetryConfig.coerce({
-            "slos": (
-                {"name": "lat", "threshold_ns": 10**6, "objective": 0.99},
-                SLO(name="avail", threshold_ns=None, objective=0.999),
-            ),
-        })
-        assert all(isinstance(s, SLO) for s in config.slos)
-        assert [s.name for s in config.slos] == ["lat", "avail"]
-
-    def test_coerce_propagates_bad_slo_fields(self):
-        with pytest.raises(ValueError, match="objective"):
-            TelemetryConfig.coerce({
-                "slos": ({"name": "x", "threshold_ns": 1, "objective": 2.0},),
-            })

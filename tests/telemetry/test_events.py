@@ -11,16 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.telemetry import context as trace_context
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
-from repro.telemetry.context import TraceContext
-from repro.telemetry.slo import SLO, SLOMonitor
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
-
-TRACE = TraceContext(trace_id=0xC3)
 
 
 @pytest.fixture
@@ -59,35 +54,14 @@ class TestOneCall:
         assert _black_box_events(black_box) == [RETRY]
         assert _trace_events(recorder) == [RETRY]
 
-    def test_an_slo_breach_lands_regardless(self, black_box):
-        recorder = telemetry.enable()
-        monitor = SLOMonitor(
-            [SLO("lat", threshold_ns=1000, objective=0.9)],
-            fast_window=10, slow_window=10, min_samples=5,
-            emit=recorder.force_event,
-        )
-        with trace_context.activate(TRACE):  # the breach carries no trace id
-            for _ in range(5):
-                monitor.observe(5000)
-        [(name, category, attrs)] = _trace_events(recorder)
-        assert (name, category, attrs["slo"]) == (
-            "telemetry.slo_breach", "slo", "lat")
-        assert recorder.events()[0].trace_id == ""
-        assert _black_box_events(black_box)[0] == (name, category, attrs)
-        # The breach is also the trigger (a no-op without a crash dir).
-        assert black_box.records()[-1][1] == "flight.trigger"
-
 
 # --------------------------------------------------------------------------
 # The source: which names are events, which are notes
 # --------------------------------------------------------------------------
 
-#: Alert events go out through an injected ``emit`` sink (the recorder's
-#: ``force_event``), so their names are not spelled at a call the scan
-#: sees; ``flight.trigger`` is what ``trigger`` itself leaves.
-UNSCANNED = {
-    "telemetry.slo_breach", "telemetry.slo_recovered", "flight.trigger",
-}
+#: ``flight.trigger`` is what ``trigger`` itself leaves, not spelled at
+#: a call the scan sees.
+UNSCANNED = {"flight.trigger"}
 
 
 def _calls(receiver: str, method: str,

@@ -197,52 +197,6 @@ class TestConfigure:
             flightrecorder.configure(capacity=original, install_signal=False)
 
 
-class TestIncident:
-    """An alert-state transition (here: the SLO monitor's) is the forced
-    event plus, entering the bad state only, the trigger."""
-
-    @pytest.fixture
-    def monitor(self, tmp_path):
-        from repro.telemetry import recorder as telemetry
-        from repro.telemetry.slo import SLO, SLOMonitor
-
-        flight = flightrecorder.get()
-        flight.crash_dir = tmp_path
-        flight.debounce = 0.0
-        flight.clear()
-        recorder = telemetry.enable()
-        try:
-            yield SLOMonitor(
-                [SLO("lat", threshold_ns=1000, objective=0.9)],
-                fast_window=10, slow_window=10, min_samples=5,
-                emit=recorder.force_event,
-            )
-        finally:
-            telemetry.disable()
-
-    def test_entry_notes_and_dumps(self, monitor):
-        flight = flightrecorder.get()
-        before = list(flight.dumps)
-        for _ in range(5):
-            monitor.observe(5000)
-        [bundle] = flight.dumps[len(before):]
-        assert "slo_breach" in bundle.name
-        names = [name for _, name, _, _ in flight.records()]
-        assert names == ["telemetry.slo_breach", "flight.trigger"]
-        manifest = json.loads((bundle / BUNDLE_MANIFEST).read_text())
-        assert manifest["attrs"]["slo"] == "lat"
-
-    def test_recovery_notes_without_dumping(self, monitor):
-        flight = flightrecorder.get()
-        for _ in range(5):
-            monitor.observe(5000)
-        dumped = list(flight.dumps)
-        for _ in range(15):
-            monitor.observe(10)
-        assert flight.records()[-1][1] == "telemetry.slo_recovered"
-        assert flight.dumps == dumped
-
-
 class TestTransportSnapshot:
     """``state.json`` is what each attached runtime says of itself —
     the recorder looks for nothing in it."""

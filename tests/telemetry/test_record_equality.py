@@ -33,7 +33,6 @@ from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
 from repro.telemetry.export import dicts_to_records, records_to_dicts
 from repro.telemetry.recorder import Recorder, SpanRecord
-from repro.telemetry.slo import SLOMonitor
 
 from tests import apps
 from tests.backends import wire
@@ -70,7 +69,6 @@ def scripted():
     """
     clock = FakeClock()
     rec = Recorder(clock_ns=clock)
-    rec.slo = SLOMonitor(emit=rec.force_event, metrics=rec.metrics)
     telemetry.enable(recorder=rec)
     ids: dict[str, int] = {}
 
@@ -160,15 +158,7 @@ def test_metrics_snapshot_series_by_series(scripted):
     assert snap["counters"] == {
         "kernel.k.errors": 1,
     }
-    # Two completions, the first one errored: 1 bad of 2 on both
-    # objectives, burning a 1 % budget, below min_samples.
-    burn = (1 / 2) / (1.0 - 0.99)
-    assert snap["gauges"] == {
-        f"slo.{name}.{series}": value
-        for name in ("offload-latency", "offload-availability")
-        for series, value in (("fast_burn", burn), ("slow_burn", burn),
-                              ("breached", 0.0))
-    }
+    assert snap["gauges"] == {}
     kernel = {name[len("kernel.k."):]: h["count"]
               for name, h in snap["histograms"].items()
               if name.startswith("kernel.k.")}
@@ -266,10 +256,9 @@ class Scripted(FramedClient):
 @pytest.fixture
 def traced_runtime():
     """A runtime on a :class:`Scripted` client, recording into
-    ``Recorder(clock_ns=FakeClock())`` with an SLO monitor; yields
+    ``Recorder(clock_ns=FakeClock())``; yields
     ``(runtime, recorder)``. Offloads run inside the ``SAMPLED`` trace."""
     rec = Recorder(clock_ns=FakeClock())  # t1: the epoch
-    rec.slo = SLOMonitor(emit=rec.force_event, metrics=rec.metrics)
     telemetry.enable(recorder=rec)
     runtime = Runtime(Scripted())
     try:
