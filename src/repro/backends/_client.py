@@ -66,6 +66,12 @@ from repro.telemetry.distributed import ClockSync, align_records
 from repro.telemetry.export import dicts_to_records
 from repro.telemetry.recorder import ENQUEUE, REPLY, TRANSPORT, OffloadTrace
 
+#: The round trips of a session's bookkeeping — telemetry's clock
+#: probes and pulls, and the teardown: their replies record no span, or
+#: every pull would add to what it pulls and every ``finalize()`` would
+#: leave a record no offload made.
+_UNRECORDED_OPS = frozenset((OP_CLOCK, OP_TELEMETRY, OP_SHUTDOWN))
+
 
 def byte_view(part: Any) -> Any:
     """A flat byte-level view of one frame part (zero-copy): frames are
@@ -171,9 +177,10 @@ class FramedClient(Backend):
         self.bytes_received = 0
         #: Target->host clock mapping, estimated at connect by clock
         #: ping-pong (see :mod:`repro.telemetry.distributed`) and
-        #: refreshed on every telemetry pull. Identity when the server
-        #: predates ``OP_CLOCK``, or when telemetry is off (untraced
-        #: workloads get zero extra connect traffic).
+        #: refreshed by every telemetry pull that returns records.
+        #: Identity when the server predates ``OP_CLOCK``, or when
+        #: telemetry is off (untraced workloads get zero extra connect
+        #: traffic).
         self.clock_sync = ClockSync.identity()
 
     # -- what a transport supplies -------------------------------------------
@@ -462,7 +469,7 @@ class FramedClient(Backend):
                         trace.transport = self.name
                         trace.reply_bytes = len(frame[2]) + FRAME_OVERHEAD
                         trace.ends[REPLY] = trace.clock()
-                    elif recording:
+                    elif recording and op not in _UNRECORDED_OPS:
                         self._record_reply(frame[2])
                     # Its own: first complete what else has arrived — a
                     # loop watching ``_reply_fd`` wakes on new bytes only.
@@ -612,13 +619,15 @@ class FramedClient(Backend):
         """Telemetry phase ``offload.reply``: one frame read, by anyone,
         before it is dispatched. The reply of a traced offload is
         stamped into the record its handle carries; any other frame (a
-        control op's, a stray) is recorded as a span."""
+        control op's, a stray) is recorded as a span, unless it answers
+        a round trip of :data:`_UNRECORDED_OPS`."""
         entry = self._pending.get(corr)  # one atomic read, as _pending_count
-        trace = None if entry is None else entry[1].trace
-        if trace is None:
+        if entry is None:
             self._record_reply(body)
-        else:
-            trace.stamp_reply(self.name, len(body) + FRAME_OVERHEAD)
+        elif entry[1].trace is not None:
+            entry[1].trace.stamp_reply(self.name, len(body) + FRAME_OVERHEAD)
+        elif entry[0] not in _UNRECORDED_OPS:
+            self._record_reply(body)
 
     def _record_reply(self, body: Any) -> None:
         """The ``offload.reply`` span of a frame no traced offload waits
@@ -724,22 +733,26 @@ class FramedClient(Backend):
         telemetry *before* spawning captures target-side
         ``offload.execute`` spans too.
 
-        With ``align`` (the default) the clock offset is re-estimated
-        right before the pull and applied to the fetched timestamps, so
-        the records land on the host's ``perf_counter_ns`` timeline. On
-        a same-machine server the monotonic clock is shared and the
+        With ``align`` (the default) a pull that returned records
+        re-estimates the clock offset and applies it to their
+        timestamps, so they land on the host's ``perf_counter_ns``
+        timeline; an empty pull costs one round trip and no estimate.
+        On a same-machine server the monotonic clock is shared and the
         offset is near zero; across machines it is essential.
-        ``timeout`` bounds the pull round trip (falls back to
-        :attr:`op_timeout`).
+        ``timeout`` bounds each round trip (falls back to
+        :attr:`op_timeout`). Neither the pull nor the estimate records
+        a span.
         """
-        if align:
-            self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
         rows: list = []  # each reply carries what fits a frame, the last none
         while pulled := deserialize(self._roundtrip(OP_TELEMETRY, timeout=timeout)):
             rows += pulled
+        if not rows:
+            return []
         records = dicts_to_records(rows)
-        if align and self.clock_sync.offset_ns:
-            records = align_records(records, self.clock_sync.offset_ns)
+        if align:
+            self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
+            if self.clock_sync.offset_ns:
+                records = align_records(records, self.clock_sync.offset_ns)
         return records
 
     def introspect_target(
@@ -775,8 +788,8 @@ class FramedClient(Backend):
 
         Robust against an already-dead target: the SHUTDOWN roundtrip is
         skipped (or tolerated failing) and the transport is still
-        closed, so no socket, timer reference or ``/dev/shm`` entry
-        outlives the backend either way.
+        closed, so no socket or ``/dev/shm`` entry outlives the backend
+        either way.
         """
         if self._closed:
             return

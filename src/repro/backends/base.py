@@ -36,7 +36,6 @@ from __future__ import annotations
 import abc
 import collections
 import itertools
-import os
 import threading
 import time
 from typing import Any, Callable
@@ -53,9 +52,7 @@ from repro.telemetry.recorder import TRANSPORT, OffloadTrace
 __all__ = [
     "Backend",
     "CoalescePolicy",
-    "DEADLINES",
     "DEFAULT_INFLIGHT_LIMIT",
-    "DeadlineTimer",
     "FrameCoalescer",
     "InflightWindow",
     "InvokeHandle",
@@ -89,33 +86,30 @@ class CoalescePolicy:
     flushed by whichever trips first:
 
     * ``max_bytes`` — the byte budget of one ``sendmsg`` batch;
-    * ``max_frames`` — the frame-count budget;
-    * ``max_delay`` — a sub-millisecond deadline armed when the first
-      frame is buffered, so a lull never strands a batch.
+    * ``max_frames`` — the frame-count budget.
 
     Adaptivity: while the observed in-flight depth is at most
     ``idle_depth`` the producer is latency-bound, not rate-bound, and
     every frame is flushed immediately ("batch hard under load, flush
-    eagerly when idle").
+    eagerly when idle"). There is no clock: like the paper's DMA sender,
+    which writes its slot and arms nothing, a held batch otherwise
+    leaves when someone sends a roundtrip or drives the transport —
+    whoever waits for a reply sends what is held first.
     """
 
-    __slots__ = ("max_bytes", "max_frames", "max_delay", "idle_depth")
+    __slots__ = ("max_bytes", "max_frames", "idle_depth")
 
     def __init__(
         self,
         *,
         max_bytes: int = 64 * 1024,
         max_frames: int = 16,
-        max_delay: float = 200e-6,
         idle_depth: int = 2,
     ) -> None:
         if max_bytes < 1 or max_frames < 1:
             raise BackendError("coalescing budgets must be positive")
-        if max_delay < 0:
-            raise BackendError("coalescing delay must be non-negative")
         self.max_bytes = max_bytes
         self.max_frames = max_frames
-        self.max_delay = max_delay
         self.idle_depth = idle_depth
 
 
@@ -123,32 +117,29 @@ class FrameCoalescer:
     """Accumulates encoded frames into one scatter-gather batch.
 
     Transport-agnostic: the owner supplies ``transmit`` (send a list of
-    buffer parts — one kernel call for the whole batch), ``schedule``
-    (arm a flush deadline, ``DEADLINES.schedule``; returns a handle with
-    ``cancel()``) and ``depth`` (the observed in-flight depth driving
-    adaptivity). Thread-safe; the buffer is stolen under the internal
-    lock and transmitted outside it, so a slow send never blocks
-    producers from buffering the next batch. :meth:`stats` reports
-    batches, frames per batch and flush reasons.
+    buffer parts — one kernel call for the whole batch) and ``depth``
+    (the observed in-flight depth driving adaptivity), and calls
+    :meth:`flush` before it sends a roundtrip or waits. Thread-safe;
+    the buffer is stolen under the internal lock and transmitted
+    outside it, so a slow send never blocks producers from buffering
+    the next batch. :meth:`stats` reports batches, frames per batch and
+    flush reasons.
     """
 
     def __init__(
         self,
         *,
         transmit: Callable[[list[Any]], None],
-        schedule: Callable[[float, Callable[[], None]], Any],
         policy: CoalescePolicy | None = None,
         depth: Callable[[], int] = lambda: 0,
     ) -> None:
         self.policy = policy or CoalescePolicy()
         self._transmit = transmit
-        self._schedule = schedule
         self._depth = depth
         self._lock = threading.Lock()
         self._parts: list[Any] = []
         self._frames = 0
         self._bytes = 0
-        self._timer: Any = None
         #: Cumulative counters (see :meth:`stats`).
         self.batches = 0
         self.frames_coalesced = 0
@@ -162,9 +153,9 @@ class FrameCoalescer:
         idle = self._depth() <= policy.idle_depth
         if idle and not self._frames:
             # Nothing ahead of it either: the frame is its own batch —
-            # no lock, no buffer, no timer. (A frame another thread
-            # buffers meanwhile may be overtaken; order only ever held
-            # within one thread.)
+            # no lock, no buffer. (A frame another thread buffers
+            # meanwhile may be overtaken; order only ever held within
+            # one thread.)
             self._send_batch(parts, 1, "idle")
             return
         with self._lock:
@@ -181,8 +172,6 @@ class FrameCoalescer:
                 reason = "idle"
                 batch, frames = self._steal_locked()
             else:
-                if self._timer is None:
-                    self._timer = self._schedule(policy.max_delay, self._on_deadline)
                 return
         self._send_batch(batch, frames, reason)
 
@@ -217,13 +206,7 @@ class FrameCoalescer:
     def _steal_locked(self) -> tuple[list[Any], int]:
         batch, frames = self._parts, self._frames
         self._parts, self._frames, self._bytes = [], 0, 0
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         return batch, frames
-
-    def _on_deadline(self) -> None:
-        self.flush("deadline")
 
     def _send_batch(self, parts: list[Any], frames: int, reason: str) -> None:
         self.batches += 1
@@ -243,124 +226,6 @@ class FrameCoalescer:
             "buffered_frames": frames,
             "buffered_bytes": nbytes,
         }
-
-
-class _Deadline:
-    """A deadline armed on a :class:`DeadlineTimer`; ``cancel()`` disarms it.
-
-    The callback is claimed once, under the timer's condition: by the
-    timer thread that fires it or by ``cancel``, whichever comes first.
-    """
-
-    __slots__ = ("when", "callback", "_cond")
-
-    def __init__(self, when: float, callback: Callable[[], None] | None,
-                 cond: threading.Condition) -> None:
-        self.when = when
-        self.callback = callback
-        self._cond = cond
-
-    def cancel(self) -> bool:
-        """Disarm the deadline; ``False`` if it had fired (or was being
-        fired) already."""
-        with self._cond:
-            armed = self.callback is not None
-            self.callback = None
-        return armed
-
-
-class DeadlineTimer:
-    """The coalescer's clock: one ``repro-timer`` thread, started by the
-    first deadline armed while a user (:meth:`attach`) holds it, stopped
-    by the last :meth:`release`. A coalescer's delay is constant, so its
-    deadlines expire in the order they were armed: they queue first in,
-    first out, :meth:`schedule` wakes the thread only when the queue was
-    empty, and the thread drops cancelled deadlines when it looks. The
-    worst lag of a firing is ``stats()["max_lag_us"]``.
-    """
-
-    def __init__(self) -> None:
-        """Nothing armed, no thread (also a forked child's start)."""
-        self._cond = threading.Condition()  # an RLock's is-owned check takes no lock
-        self._queue: collections.deque[_Deadline] = collections.deque()
-        self._thread: threading.Thread | None = None
-        self._users = 0
-        #: Loop-health counters (see :meth:`stats`).
-        self.wakeups = self.callback_errors = 0
-        self.max_lag_us = 0.0
-
-    def attach(self) -> None:
-        """Become a user; pair with one :meth:`release`."""
-        with self._cond:
-            self._users += 1
-
-    def release(self) -> None:
-        """Stop being a user; the last one stops the thread."""
-        with self._cond:
-            self._users -= 1
-            thread = self._thread
-            if self._users:
-                return
-            self._thread = None
-            self._queue.clear()
-            self._cond.notify()
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(5.0)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> _Deadline:
-        """Run ``callback`` on the timer thread ``delay`` seconds from now."""
-        deadline = _Deadline(time.monotonic() + delay, callback, self._cond)
-        with self._cond:
-            self._queue.append(deadline)
-            if self._thread is None and self._users:
-                self._thread = threading.Thread(
-                    target=self._run, name="repro-timer", daemon=True
-                )
-                self._thread.start()
-            elif len(self._queue) == 1:
-                self._cond.notify()
-        return deadline
-
-    def _run(self) -> None:
-        me = threading.current_thread()
-        cond, queue = self._cond, self._queue
-        with cond:
-            while self._thread is me:
-                while queue and queue[0].callback is None:  # cancelled
-                    queue.popleft()
-                late = time.monotonic() - queue[0].when if queue else None
-                if late is None or late < 0:
-                    cond.wait(None if late is None else -late)
-                    self.wakeups += 1
-                    continue
-                deadline = queue.popleft()
-                callback, deadline.callback = deadline.callback, None
-                if callback is None:  # cancelled since the skip above
-                    continue
-                self.max_lag_us = max(self.max_lag_us, late * 1e6)
-                cond.release()
-                try:
-                    callback()
-                except Exception:  # noqa: BLE001 - the clock outlives a callback
-                    self.callback_errors += 1
-                finally:
-                    cond.acquire()
-
-    def stats(self) -> dict[str, Any]:
-        """Loop-health counters for introspection."""
-        thread = self._thread
-        return {
-            "alive": thread is not None and thread.is_alive(),
-            "wakeups": self.wakeups,
-            "callback_errors": self.callback_errors,
-            "max_lag_us": round(self.max_lag_us, 1),
-        }
-
-
-#: The process's one deadline timer: what tcp's coalescers arm. Its
-#: thread does not survive a fork, so a child starts from scratch.
-DEADLINES = DeadlineTimer()
-os.register_at_fork(after_in_child=DEADLINES.__init__)
 
 
 class _Waiter:

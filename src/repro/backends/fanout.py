@@ -17,8 +17,8 @@ free capacity for posts to any other.
 No receiver threads, N connections: each inner transport's replies are
 read by whoever waits for one of them — a blocking caller or an
 awaiting asyncio loop (a handle names the member that posted it) — and
-the coalescing deadlines of tcp members share the process's one timer
-(:data:`~repro.backends.base.DEADLINES`).
+a tcp member's held frames leave when a waiter drives that member: the
+fan-out starts no thread.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ travel as ``memoryview`` parts straight from the arrays' own storage,
 never concatenated host-side. Small invoke frames take the
 **coalescing path** instead (:class:`~repro.backends.base.FrameCoalescer`):
 they accumulate into one ``sendmsg`` batch flushed on byte budget,
-frame count or a sub-millisecond deadline. A batch is just frames
+frame count, an idle pipeline, or when anyone sends a roundtrip or
+waits for a reply (the sender arms no timer). A batch is just frames
 back-to-back on the stream; both ends decode it with the one
 :class:`~repro.backends._server.FrameParser`, many frames from one
 ``recv``.
@@ -37,9 +38,8 @@ There is **no receiver thread**, per connection or shared: the caller
 that waits for a reply polls the socket and parses what arrives, for
 everybody (the drive of :mod:`repro.backends._client`, shared with
 shm); an asyncio loop awaiting a reply watches the socket
-(``loop.add_reader``) and reads it the same way. The one thread a
-connection may start is the coalescer's flush deadline
-(:data:`~repro.backends.base.DEADLINES`).
+(``loop.add_reader``) and reads it the same way. A connection starts
+no thread at all.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.backends._server import (
     FramedServer,
     reset_forked_recorder,
 )
-from repro.backends.base import DEADLINES, FrameCoalescer, InvokeHandle
+from repro.backends.base import FrameCoalescer, InvokeHandle
 from repro.errors import BackendError
 from repro.ham.registry import Catalog
 
@@ -280,11 +280,8 @@ class TcpBackend(FramedClient):
         self._parser = FrameParser(self._sock, FRAME_LIMIT)
         self._poller = select.poll()
         self._poller.register(self._sock, select.POLLIN)
-        DEADLINES.attach()  # released with the transport
         self._coalescer = FrameCoalescer(
-            transmit=self._transmit_batch,
-            schedule=DEADLINES.schedule,
-            depth=self._pending_count,
+            transmit=self._transmit_batch, depth=self._pending_count
         )
         self._handshake(connect_timeout)
 
@@ -321,8 +318,8 @@ class TcpBackend(FramedClient):
         """Send or buffer one invoke frame (the coalescing path).
 
         Small frames are copied into the batch buffer — detaching them
-        from caller-owned array storage, since the flush may happen up
-        to the coalescing deadline later — and ride the next
+        from caller-owned array storage, since the flush may happen
+        after the caller has moved on — and ride the next
         ``sendmsg`` batch. Large frames keep the zero-copy
         scatter-gather path, flushing the buffer first so stream order
         is preserved.
@@ -339,9 +336,9 @@ class TcpBackend(FramedClient):
     def drive(
         self, handle: InvokeHandle, *, blocking: bool, timeout: float | None = None
     ) -> None:
-        # A waiter implies latency-bound traffic: anything coalescing
-        # (possibly the very frame it waits behind) goes out now rather
-        # than at the batching deadline.
+        # Send what is held before waiting: anything coalescing
+        # (possibly the very frame it waits behind) goes out now, or
+        # nobody would send it.
         self._coalescer.flush("drive")
         super().drive(handle, blocking=blocking, timeout=timeout)
 
@@ -368,11 +365,6 @@ class TcpBackend(FramedClient):
             pass  # never connected, reset by the peer, or closed already
         self._sock.close()
 
-    def _close_transport(self) -> None:
-        """Once, at shutdown or a failed handshake."""
-        self._detach()
-        DEADLINES.release()
-
     # -- introspection --------------------------------------------------------------------
     def stats(self) -> dict:
         """Transport counters of this connection."""
@@ -388,6 +380,7 @@ class TcpBackend(FramedClient):
             "pending_replies": self._pending_count(),
             "send_queue_bytes": depths["send_queue"],
             "recv_queue_bytes": depths["recv_queue"],
-            "reactor": DEADLINES.stats(),  # the coalescer's timer
+            # No host thread wakes; perfbench's tcp.reactor_wakeups row reads it.
+            "reactor": {"wakeups": 0},
             "batch": self._coalescer.stats(),
         }

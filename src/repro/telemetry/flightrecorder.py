@@ -31,9 +31,8 @@ bundle to the configured crash directory:
     * ``state.json``    — one entry per attached runtime: the ``host``
       part of ``offload.introspect()`` (``Runtime.stats()``: window
       occupancy with the correlation ids a crash would strand, policy,
-      the backend's transport stats with the timer's lag and flush reasons,
-      QoS / health state), captured whether or not the span
-      recorder is on;
+      the backend's transport stats with its flush reasons, QoS /
+      health state), captured whether or not the span recorder is on;
     * ``metrics.json``  — the registry snapshot (telemetry enabled).
 
 Dumping only happens once a crash directory is configured — via

@@ -2,9 +2,9 @@
 
 ``resources()`` lists what a spawned target, its transport and
 ``init``'s helpers hold, and what outlives them when leaked: child
-processes, file descriptors, this process's ``/dev/shm`` segments, the
-runtime's own threads and the users of the coalescer's timer. A test
-takes it before it starts and asserts the same snapshot when it is done.
+processes, file descriptors, this process's ``/dev/shm`` segments and
+the runtime's own threads. A test takes it before it starts and asserts
+the same snapshot when it is done.
 """
 
 import gc
@@ -13,7 +13,6 @@ import os
 import threading
 from multiprocessing import resource_tracker
 
-from repro.backends.base import DEADLINES
 from repro.backends.shm import segment_prefix
 
 
@@ -38,7 +37,4 @@ def resources(baseline: bool = False) -> dict:
         # second suite's, say) come and go on their own.
         "/dev/shm": sorted(name for name in os.listdir("/dev/shm")
                            if name.startswith(segment_prefix())),
-        # A leaked tcp backend's hold on the coalescer's timer: no thread
-        # shows until a deadline is armed, and then it never stops.
-        "timer users": DEADLINES._users,
     }

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.backends import TcpBackend, spawn_local_server
+from repro.backends._server import OP_CLOCK, OP_TELEMETRY
 from repro.backends.base import Backend
 from repro.backends.faulty import FaultInjectingBackend
 from repro.backends.local import LocalBackend
@@ -142,6 +143,30 @@ class TestTcpTracing:
         assert not recorder.spans("offload.execute")
         runtime.shutdown()  # drains OP_TELEMETRY before closing
         assert recorder.spans("offload.execute")
+
+
+class TestTelemetryPull:
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_an_empty_pull_sends_no_clock_probe(self, transport):
+        """``init`` forks its target before it enables the recorder, so
+        that target records nothing: a traced ``finalize()`` pulls once,
+        finds nothing, estimates no clock, and neither it nor the
+        shutdown records a span."""
+        runtime = offload_api.init(transport, telemetry=True)
+        recorder = telemetry.get()
+        backend = runtime.backend
+        ops, send = [], backend._send
+        backend._send = lambda op, *rest: ops.append(op) or send(op, *rest)
+        try:
+            for i in range(3):
+                assert offload_api.sync(1, f2f(apps.echo, i)) == i
+            recorded = recorder.recorded
+        finally:
+            offload_api.finalize()
+            telemetry.disable()
+        assert OP_TELEMETRY in ops
+        assert OP_CLOCK not in ops
+        assert recorder.recorded == recorded
 
 
 class TestFinalizeInitCycle:

@@ -214,8 +214,8 @@ class TestTransportSnapshot:
             "window": {"in_flight": 2, "limit": 8, "handles": []},
             "backend": {
                 "backend": "tcp",
-                "reactor": {"max_lag_us": 120, "loops": 42},
-                "batch": {"flush_reasons": {"deadline": 3, "full": 1}},
+                "reactor": {"wakeups": 0},
+                "batch": {"flush_reasons": {"drive": 3, "count": 1}},
             },
         }
         runtime = self._Runtime(stats)  # held: the recorder only weak-refs it

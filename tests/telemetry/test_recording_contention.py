@@ -107,14 +107,15 @@ def test_every_traced_offload_is_its_five_records_once():
         for worker in workers:
             worker.join(120)
         assert not any(worker.is_alive() for worker in workers)
-        # Read before finalize, whose pulls record control frames.
-        recorded = recorder.recorded - recorded
-        kept = recorder.records()[-recorded:]
-        histograms = recorder.metrics.snapshot()["histograms"]
     finally:
         sys.setswitchinterval(interval)
         offload_api.finalize()
         telemetry.disable()
+    # Counted after finalize: its pull from the target (which recorded
+    # nothing) and the shutdown add no record.
+    recorded = recorder.recorded - recorded
+    kept = recorder.records()[-recorded:]
+    histograms = recorder.metrics.snapshot()["histograms"]
     assert not failures, failures
     total = THREADS * offloads * 2
     assert recorded == 5 * total

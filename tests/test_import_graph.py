@@ -67,9 +67,9 @@ def test_an_offload_loads_its_transport_and_nothing_else(transport):
 
 
 def test_a_tcp_offload_runs_no_event_loop():
-    """The caller that waits reads its own reply and the coalescer's
-    deadline is a plain timer thread: an event loop exists only where
-    the application awaits, and it is the application's."""
+    """The caller that waits reads its own reply and sends the frames
+    the coalescer holds: an event loop exists only where the
+    application awaits, and it is the application's."""
     assert _loaded(_modules_after_offload("tcp"), "asyncio") == []
 
 
