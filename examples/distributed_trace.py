@@ -2,14 +2,15 @@
 """Distributed causal tracing across two processes, with live metrics.
 
 The walkthrough for ``docs/observability.md``'s distributed-tracing
-section: a TCP target server runs in a forked child, every ``offload()``
-mints a W3C-style trace context that rides inside the version-2
-active-message header, and the target's ``offload.execute`` spans come
-back carrying the same ``trace_id`` — parented to the exact host span
-that serialized the message. After clock alignment (ping-pong offset
-estimation against the server) the merged Chrome trace is causally
-monotone: serialize -> enqueue -> execute -> reply -> deserialize, in
-order, across both pids.
+section: ``init("tcp", telemetry=True)`` forks a TCP target server,
+every ``offload()`` mints a W3C-style trace context that rides inside
+the version-2 active-message header, and the target answers under a
+version-3 header that carries its pid and execute time back. The host
+records that as the offload's ``offload.execute``, with the same
+``trace_id``, inside the round trip it measured itself — so one
+recorder holds both ends, no clock offset is estimated, and each
+trace's critical path is monotone: serialize -> enqueue -> execute ->
+reply -> deserialize, in order, across both pids.
 
 While the runtime is up, the recorder's metrics registry holds the
 live counters and per-phase latency summaries; the example prints two
@@ -23,7 +24,6 @@ Run::
 import tempfile
 from pathlib import Path
 
-from repro.backends import TcpBackend, spawn_local_server
 from repro.offload import api as offload
 from repro.offload import f2f, offloadable
 from repro.telemetry import recorder as telemetry
@@ -39,15 +39,8 @@ def fma(a: float, b: float, c: float) -> float:
 
 
 def main() -> None:
-    # Telemetry must be live BEFORE the server forks so the child
-    # inherits an enabled recorder.
-    telemetry.enable()
-    process, address = spawn_local_server()
-    tcp = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
-    offload.init(tcp, telemetry=True)
-    sync = tcp.clock_sync
-    print(f"target server: pid={process.pid}, "
-          f"clock offset {sync.offset_ns} ns (rtt {sync.rtt_ns} ns)")
+    runtime = offload.init("tcp", telemetry=True)
+    print(f"target server: pid={runtime.backend.introspect_target()['pid']}")
 
     results = [offload.sync(1, f2f(fma, float(i), 2.0, 1.0)) for i in range(4)]
     assert results == [i * 2.0 + 1.0 for i in range(4)]
@@ -59,19 +52,19 @@ def main() -> None:
           f"phase.offload.serialize count {serialize['count']} "
           f"p50 {serialize['p50'] * 1e6:.1f} us")
 
-    # finalize() drains the target's telemetry over OP_TELEMETRY (clock
-    # aligned) before closing the transport.
     recorder = telemetry.get()
-    offload.finalize()
+    offload.finalize()  # the recorder stays readable after it
 
     records = recorder.records()
     groups = group_by_trace(records)
     pids = {record.pid for group in groups.values() for record in group}
     print(f"\n{len(groups)} distributed traces across pids {sorted(pids)}")
+    assert len(groups) == len(results)
     for trace_id, group in groups.items():
         spans = [r for r in group if r.kind == "span"]
         execs = [s for s in spans if s.name == "offload.execute"]
         assert execs, f"trace {trace_id} lost its target-side execute span"
+        assert len({r.pid for r in group}) == 2, "one trace, two processes"
         path = critical_path(group)
         starts = [segment["start_ns"] for segment in path]
         assert starts == sorted(starts), "merged timeline is not monotone"

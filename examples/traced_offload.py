@@ -2,15 +2,17 @@
 """A fully traced TCP remote offload, chaos included.
 
 Demonstrates the telemetry subsystem end to end on the real offload
-path: telemetry is enabled before the target server forks (so the child
-inherits a live recorder), a fault-injecting proxy drops one invoke on
-the wire, the resilience policy retries it, and the merged host+target
-records are written as a Chrome ``trace_event`` file. Open the trace in
+path: ``init(..., telemetry=True)`` forks a TCP target server behind a
+fault-injecting proxy that drops one invoke on the wire, the resilience
+policy retries it, and the host's records — which include the target's
+``offload.execute``, whose duration rides the target's reply — are
+written as a Chrome ``trace_event`` file. Open the trace in
 https://ui.perfetto.dev (or ``chrome://tracing``): the host row shows
 ``offload.serialize -> offload.enqueue -> offload.transport ->
 offload.reply -> offload.deserialize``, the server row shows
 ``offload.execute``, and the injected fault plus the retry appear as
-instant events between them.
+instant events between them. Each offload is one trace across the two
+pids, with a monotone critical path.
 
 Run::
 
@@ -23,10 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.backends import TcpBackend, spawn_local_server
+from repro.backends import create_backend
 from repro.backends.faulty import FaultInjectingBackend
-from repro.offload import Runtime, f2f, offloadable
+from repro.offload import api as offload
+from repro.offload import f2f, offloadable
 from repro.offload.resilience import ResiliencePolicy
+from repro.telemetry.distributed import critical_path, group_by_trace
 from repro.telemetry.export import write_chrome_trace
 from repro.telemetry.report import render_report
 
@@ -40,32 +44,30 @@ def dot(n: int, seed: int) -> float:
 
 
 def main() -> None:
-    # Enable telemetry BEFORE forking the server: the child inherits the
-    # enabled recorder, so target-side execute spans are captured too.
-    recorder = telemetry.enable()
-    process, address = spawn_local_server()
-    tcp = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
-
     # One scheduled drop (op #2) makes the chaos visible in the trace;
     # the resilience policy retries it, so the run still succeeds.
-    backend = FaultInjectingBackend(tcp, schedule={2: "drop"})
+    backend = FaultInjectingBackend(create_backend("tcp"), schedule={2: "drop"})
     policy = ResiliencePolicy(max_retries=2, backoff_base=0.001, deadline=30.0)
-    runtime = Runtime(backend, policy=policy)
-    print(f"target server: pid={process.pid}, address={address[0]}:{address[1]}")
+    runtime = offload.init(backend, telemetry=True, policy=policy)
+    recorder = telemetry.get()
+    print(f"target server: pid={backend.introspect_target()['pid']}")
 
     results = [
-        runtime.sync(1, f2f(dot, 50_000, seed), idempotent=True)
+        offload.sync(1, f2f(dot, 50_000, seed), idempotent=True)
         for seed in range(5)
     ]
     print(f"5 offloads done, faults injected: {len(backend.fault_log)}, "
           f"retries: {runtime.stats()['retries']}")
     assert len(results) == 5
+    offload.finalize()  # the recorder stays readable after it
 
-    # Pull the forked server's records over the wire and merge them into
-    # the host timeline (perf_counter_ns is system-wide on Linux, so the
-    # two processes share a clock).
-    recorder.ingest(tcp.fetch_target_telemetry())
-    runtime.shutdown()
+    groups = group_by_trace(recorder.records())
+    assert len(groups) == len(results)
+    for group in groups.values():
+        assert len({r.pid for r in group}) == 2, "one trace, two processes"
+        assert any(r.name == "offload.execute" for r in group)
+        starts = [segment["start_ns"] for segment in critical_path(group)]
+        assert starts == sorted(starts), "the critical path is not monotone"
 
     out = Path(tempfile.mkdtemp(prefix="repro-trace-")) / "traced_offload.json"
     write_chrome_trace(out, recorder, metadata={"example": "traced_offload"})

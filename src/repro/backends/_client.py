@@ -6,9 +6,8 @@ moving bytes is one class — packing frames and taking them off the
 pipe with the one :class:`~repro.backends._server.FrameParser`, the
 correlation table replies are matched through, posting an invocation,
 the synchronous roundtrip under every memory and control op and under
-a sync's invoke, the catalog handshake, clock sync, telemetry and
-introspection pulls, failing what a lost transport strands, and
-shutdown.
+a sync's invoke, the catalog handshake, the introspection pull, failing
+what a lost transport strands, and shutdown.
 
 It is also the one *drive*. The paper's receiver polls for its message
 itself (Sec. IV-B) and HAM's backends have no progress thread; here the
@@ -35,7 +34,6 @@ from repro.backends._server import (
     _U64,
     FRAME_OVERHEAD,
     OP_ALLOC,
-    OP_CLOCK,
     OP_FAILURE,
     OP_FREE,
     OP_INTROSPECT,
@@ -44,7 +42,6 @@ from repro.backends._server import (
     OP_READ,
     OP_REPLY_BIT,
     OP_SHUTDOWN,
-    OP_TELEMETRY,
     OP_WRITE,
     _eof_error,
 )
@@ -62,15 +59,7 @@ from repro.ham.serialization import deserialize
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
-from repro.telemetry.distributed import ClockSync, align_records
-from repro.telemetry.export import dicts_to_records
 from repro.telemetry.recorder import ENQUEUE, REPLY, TRANSPORT, OffloadTrace
-
-#: The round trips of a session's bookkeeping — telemetry's clock
-#: probes and pulls, and the teardown: their replies record no span, or
-#: every pull would add to what it pulls and every ``finalize()`` would
-#: leave a record no offload made.
-_UNRECORDED_OPS = frozenset((OP_CLOCK, OP_TELEMETRY, OP_SHUTDOWN))
 
 
 def byte_view(part: Any) -> Any:
@@ -175,13 +164,6 @@ class FramedClient(Backend):
         self.invokes_posted = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Target->host clock mapping, estimated at connect by clock
-        #: ping-pong (see :mod:`repro.telemetry.distributed`) and
-        #: refreshed by every telemetry pull that returns records.
-        #: Identity when the server predates ``OP_CLOCK``, or when
-        #: telemetry is off (untraced workloads get zero extra connect
-        #: traffic).
-        self.clock_sync = ClockSync.identity()
 
     # -- what a transport supplies -------------------------------------------
     def _detach(self) -> None:
@@ -239,7 +221,7 @@ class FramedClient(Backend):
         """Fetch the server's catalog digest and compare, to fail fast
         when host and target registered different offloadable sets. (An
         empty body asks without asserting, so the comparison happens
-        client-side with a precise error.) Then sync clocks."""
+        client-side with a precise error.)"""
         try:
             server_digest = self._roundtrip(OP_PING, timeout=timeout)
             if server_digest and bytes(server_digest) != self.host_image.digest():
@@ -252,30 +234,6 @@ class FramedClient(Backend):
             self._alive = False
             self._close_transport()
             raise
-        if telemetry.get() is not None:
-            self.clock_sync = self._estimate_clock()
-
-    def _clock_probe(self, timeout: float) -> tuple[int, int, int]:
-        """One ping-pong round: ``(t0_host, t_target, t1_host)`` in ns."""
-        t0 = time.perf_counter_ns()
-        body = self._roundtrip(OP_CLOCK, timeout=timeout)
-        t1 = time.perf_counter_ns()
-        return t0, _U64.unpack(body)[0], t1
-
-    def _estimate_clock(
-        self, rounds: int = 8, timeout: float | None = None
-    ) -> ClockSync:
-        """Ping-pong the server's clock; identity if it lacks OP_CLOCK."""
-        per_probe = timeout if timeout is not None else (self.op_timeout or 5.0)
-        try:
-            return ClockSync.estimate(
-                lambda: self._clock_probe(per_probe), rounds=rounds
-            )
-        except (RemoteExecutionError, OffloadTimeoutError, BackendError):
-            # Older server without OP_CLOCK (or one too wedged or broken
-            # to answer): fall back to the shared monotonic clock. If the
-            # probe killed the transport the next real op reports it.
-            return ClockSync.identity()
 
     # -- topology --------------------------------------------------------------
     def num_nodes(self) -> int:
@@ -469,7 +427,7 @@ class FramedClient(Backend):
                         trace.transport = self.name
                         trace.reply_bytes = len(frame[2]) + FRAME_OVERHEAD
                         trace.ends[REPLY] = trace.clock()
-                    elif recording and op not in _UNRECORDED_OPS:
+                    elif recording and op != OP_SHUTDOWN:
                         self._record_reply(frame[2])
                     # Its own: first complete what else has arrived — a
                     # loop watching ``_reply_fd`` wakes on new bytes only.
@@ -619,14 +577,15 @@ class FramedClient(Backend):
         """Telemetry phase ``offload.reply``: one frame read, by anyone,
         before it is dispatched. The reply of a traced offload is
         stamped into the record its handle carries; any other frame (a
-        control op's, a stray) is recorded as a span, unless it answers
-        a round trip of :data:`_UNRECORDED_OPS`."""
+        control op's, a stray) is recorded as a span, unless it
+        acknowledges the teardown's ``OP_SHUTDOWN``, which no offload
+        made."""
         entry = self._pending.get(corr)  # one atomic read, as _pending_count
         if entry is None:
             self._record_reply(body)
         elif entry[1].trace is not None:
             entry[1].trace.stamp_reply(self.name, len(body) + FRAME_OVERHEAD)
-        elif entry[0] not in _UNRECORDED_OPS:
+        elif entry[0] != OP_SHUTDOWN:
             self._record_reply(body)
 
     def _record_reply(self, body: Any) -> None:
@@ -720,41 +679,7 @@ class FramedClient(Backend):
             for offset in range(0, nbytes or 1, chunk)
         ])
 
-    # -- telemetry, introspection, health ------------------------------------------
-    def fetch_target_telemetry(
-        self, timeout: float | None = None, align: bool = True
-    ) -> list:
-        """Pull (and clear) the target server's telemetry records.
-
-        Returns :class:`~repro.telemetry.recorder.SpanRecord` /
-        :class:`~repro.telemetry.recorder.EventRecord` objects recorded
-        in the server process — empty if telemetry is disabled there.
-        Forked servers inherit the client's enabled state, so enabling
-        telemetry *before* spawning captures target-side
-        ``offload.execute`` spans too.
-
-        With ``align`` (the default) a pull that returned records
-        re-estimates the clock offset and applies it to their
-        timestamps, so they land on the host's ``perf_counter_ns``
-        timeline; an empty pull costs one round trip and no estimate.
-        On a same-machine server the monotonic clock is shared and the
-        offset is near zero; across machines it is essential.
-        ``timeout`` bounds each round trip (falls back to
-        :attr:`op_timeout`). Neither the pull nor the estimate records
-        a span.
-        """
-        rows: list = []  # each reply carries what fits a frame, the last none
-        while pulled := deserialize(self._roundtrip(OP_TELEMETRY, timeout=timeout)):
-            rows += pulled
-        if not rows:
-            return []
-        records = dicts_to_records(rows)
-        if align:
-            self.clock_sync = self._estimate_clock(rounds=4, timeout=timeout)
-            if self.clock_sync.offset_ns:
-                records = align_records(records, self.clock_sync.offset_ns)
-        return records
-
+    # -- introspection, health ----------------------------------------------------
     def introspect_target(
         self, timeout: float | None = None
     ) -> dict[str, Any]:

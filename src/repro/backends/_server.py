@@ -52,15 +52,13 @@ from collections import deque
 from typing import Any
 
 from repro.backends._target_memory import HostedBuffers
-from repro.errors import BackendError, HamError, SerializationError
+from repro.errors import BackendError, HamError
 from repro.ham.execution import execute_message, failure_info
 from repro.ham.message import parse_message
 from repro.ham.registry import Catalog, ProcessImage
-from repro.ham.serialization import LIST_ITEM_OVERHEAD, encode_list, serialize
+from repro.ham.serialization import serialize
 from repro.offload.buffer import BufferPtr
 from repro.telemetry import flightrecorder
-from repro.telemetry import recorder as telemetry
-from repro.telemetry.export import records_to_dicts
 
 OP_INVOKE = 0x01
 OP_ALLOC = 0x02
@@ -69,8 +67,6 @@ OP_WRITE = 0x04
 OP_READ = 0x05
 OP_SHUTDOWN = 0x06
 OP_PING = 0x07
-OP_TELEMETRY = 0x08
-OP_CLOCK = 0x09
 OP_INTROSPECT = 0x0A
 OP_REPLY_BIT = 0x80
 OP_FAILURE = 0xFF
@@ -217,18 +213,6 @@ def _eof_error(parser: FrameParser, pending: int = 0) -> BackendError:
     return BackendError(f"connection closed by peer{context}")
 
 
-def reset_forked_recorder() -> None:
-    """First thing in a forked target: keep the recorder, drop its host side.
-
-    The fork inherits the host recorder wholesale: its records (pulled
-    back through ``OP_TELEMETRY`` they would land in the host ring
-    twice) and the forking thread's open spans.
-    """
-    recorder = telemetry.get()
-    if recorder is not None:
-        recorder.reset_after_fork()
-
-
 class FramedServer:
     """One client, ``workers`` concurrent invocations, over any byte pipe.
 
@@ -239,7 +223,7 @@ class FramedServer:
     thread replies (:meth:`_reply`).
     """
 
-    #: "tcp" / "shm": names the image, the threads and the reply span.
+    #: "tcp" / "shm": names the image and the threads.
     transport = ""
     #: What ``_reply`` raises when nobody is left to reply to.
     _CLIENT_GONE: tuple[type[BaseException], ...] = ()
@@ -295,11 +279,8 @@ class FramedServer:
         self._ran_long = False
         self._handoffs = 0
         self._promotions = 0
-        self._reply_span = f"{self.transport}.server.reply"
         #: Why the loop ended (``None`` while serving).
         self.stopped: str | None = None
-        #: Rows of the ``OP_TELEMETRY`` pull under way not sent yet.
-        self._unpulled: deque | None = None
 
     # -- the byte pipe ------------------------------------------------------------
     def _await_bytes(self) -> None:
@@ -391,7 +372,7 @@ class FramedServer:
             thread.join()
 
     def _run(self) -> None:
-        me = threading.current_thread().name  # named on reply spans
+        me = threading.current_thread().name
         try:
             while self._take_reading(me):
                 self._read(me)
@@ -517,7 +498,7 @@ class FramedServer:
         workers meanwhile, and un-book; ``True`` while this thread is
         still the reader of a running loop."""
         while True:
-            ran_ns = self._execute_invoke(corr, body, me)
+            ran_ns = self._execute_invoke(corr, body)
             with self._lock:
                 if ran_ns is not None:
                     self.messages_executed += 1
@@ -540,41 +521,17 @@ class FramedServer:
         except self._CLIENT_GONE:
             pass
 
-    def _reply_span_attrs(self) -> dict[str, Any]:
-        """Transport-specific attributes of the server-side reply span."""
-        return {}
-
-    def _execute_invoke(
-        self, corr: int, body: memoryview, worker: str
-    ) -> int | None:
+    def _execute_invoke(self, corr: int, body: memoryview) -> int | None:
         """Execute one booked invocation and reply. Returns how long it
         ran (ns, without the reply: on a shared CPU the client is
         scheduled inside the send, which says nothing about the kernel),
         ``None`` for a message refused as malformed instead."""
         ran_ns = None
         try:
-            recorder = telemetry.get()
             began = self.clock_ns()
-            reply, _keep = execute_message(
-                self.image, body, self._resolve, recorder=recorder
-            )
+            reply, _keep = execute_message(self.image, body, self._resolve)
             ran_ns = self.clock_ns() - began
-            if recorder is None:
-                self._reply(_INVOKE_REPLY, corr, reply)
-                return ran_ns
-            with self._lock:
-                pending = self._executing + len(self._backlog)
-            # Which thread produced which correlation id (the execute
-            # span itself is recorded inside execute_message, parented to
-            # the sender's trace). ``pending`` is the concurrent-invoke
-            # depth at reply time — a slow reply with pending >= workers
-            # is target-side congestion, with pending ~= 1 it is this
-            # invocation's own execution.
-            with telemetry.span(
-                self._reply_span, worker=worker, corr=corr,
-                bytes=len(reply), pending=pending, **self._reply_span_attrs(),
-            ):
-                self._reply(_INVOKE_REPLY, corr, reply)
+            self._reply(_INVOKE_REPLY, corr, reply)
         except Exception as exc:  # noqa: BLE001 - shipped to the client
             self._send_failure(corr, exc)  # (dropped there if it has gone)
         return ran_ns
@@ -613,16 +570,6 @@ class FramedServer:
                 self._reply(
                     OP_READ | OP_REPLY_BIT, corr, self.buffers.read(addr, nbytes)
                 )
-            elif op == OP_TELEMETRY:
-                self._reply(OP_TELEMETRY | OP_REPLY_BIT, corr, self._pull_rows())
-            elif op == OP_CLOCK:
-                # Clock ping-pong: reply with this process's monotonic
-                # clock so the client can estimate the offset between
-                # the two perf_counter epochs (see telemetry.distributed).
-                self._reply(
-                    OP_CLOCK | OP_REPLY_BIT, corr,
-                    _U64.pack(time.perf_counter_ns()),
-                )
             elif op == OP_INTROSPECT:
                 self._reply(
                     OP_INTROSPECT | OP_REPLY_BIT, corr, serialize(self.introspect())
@@ -633,48 +580,6 @@ class FramedServer:
                 raise BackendError(f"unknown op {op:#x}")
         except Exception as exc:  # noqa: BLE001 - shipped to the client
             self._send_failure(corr, exc)  # (dropped there if it has gone)
-
-    def _pull_rows(self) -> bytes:
-        """One ``OP_TELEMETRY`` reply body: the list of the oldest rows of
-        this process's records not pulled yet, as many as fit one frame.
-
-        The host pulls until a reply carries none, which ends the pull;
-        what is recorded meanwhile waits for the next one, so a pull ends
-        even when the host shares this recorder. Empty when telemetry is
-        disabled here; a forked server inherits the parent's state.
-        """
-        rows = self._unpulled
-        if rows is None:  # a pull begins
-            recorder = telemetry.get()
-            rows = deque(records_to_dicts(recorder.drain()) if recorder else ())
-        room = self._parser.limit - FRAME_OVERHEAD - len(encode_list([]))
-        page: list = []  # the rows' serialize() bytes
-        used = 0
-        while rows:
-            encoded = rows[0]
-            if encoded.__class__ is not bytes:  # not encoded by the last page
-                attrs = encoded.get("attrs")
-                try:  # a row's share of a page: the page is sized exactly
-                    encoded = serialize(encoded)
-                    size = LIST_ITEM_OVERHEAD + len(encoded)
-                    dropped = size > room and {"attrs_dropped_bytes": size}
-                except SerializationError as exc:  # an attribute with no code
-                    if not attrs:
-                        raise
-                    dropped = {"attrs_dropped": str(exc)}
-                if dropped and attrs:  # too big for any frame, or no code: the
-                    # record travels without its attributes, which it says it lost
-                    rows[0] = {**rows[0], "attrs": dropped}
-                    continue
-            size = LIST_ITEM_OVERHEAD + len(encoded)
-            if page and used + size > room:
-                rows[0] = encoded  # the next page's first row, encoded once
-                break
-            used += size
-            page.append(encoded)
-            rows.popleft()
-        self._unpulled = rows if page else None
-        return encode_list(page)
 
     def introspect(self) -> dict[str, Any]:
         """Live target state, in the transport-agnostic introspection shape.

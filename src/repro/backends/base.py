@@ -735,12 +735,6 @@ class Backend(abc.ABC):
         (the simulators). ``timeout`` bounds a wire round trip."""
         return None
 
-    def fetch_target_telemetry(self, timeout: float | None = None) -> list[Any]:
-        """Pull (and clear) the records the target process recorded;
-        ``[]`` when the target records nothing of its own (in-process
-        and simulated targets record into the host's recorder)."""
-        return []
-
     # -- lifecycle -----------------------------------------------------------------
     @abc.abstractmethod
     def shutdown(self) -> None:

@@ -159,11 +159,6 @@ class FanoutBackend(Backend):
             "targets": payloads,
         }
 
-    def fetch_target_telemetry(self, timeout: float | None = None) -> list[Any]:
-        """Drain target-side telemetry from every member."""
-        return [record for inner in self._inners
-                for record in inner.fetch_target_telemetry(timeout=timeout)]
-
     # -- lifecycle ---------------------------------------------------------
     def shutdown(self) -> None:
         errors: list[BaseException] = []

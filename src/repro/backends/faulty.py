@@ -226,9 +226,6 @@ class FaultInjectingBackend(Backend):
     ) -> dict[str, Any] | None:
         return self.inner.introspect_target(timeout=timeout)
 
-    def fetch_target_telemetry(self, timeout: float | None = None) -> list:
-        return self.inner.fetch_target_telemetry(timeout=timeout)
-
     def set_default_timeout(self, seconds: float | None) -> None:
         self.inner.set_default_timeout(seconds)
 

@@ -84,7 +84,6 @@ from repro.backends._server import (
     DEFAULT_SERVER_WORKERS,
     FrameParser,
     FramedServer,
-    reset_forked_recorder,
 )
 from repro.backends.base import SLEEP_MAX, SLEEP_MIN, SPIN_YIELDS
 from repro.errors import BackendError, OffloadTimeoutError
@@ -684,12 +683,6 @@ class ShmTargetServer(FramedServer):
             return BackendError(f"shm client process {pid} is gone")
         return None
 
-    def _reply_span_attrs(self) -> dict[str, Any]:
-        # The reply ring's occupancy *before* this reply is posted: a slow
-        # reply with a near-full ring is host-side backpressure (the
-        # client is not draining), not slow execution.
-        return {"ring_used": self._send.used()}
-
     def introspect(self) -> dict[str, Any]:
         """The shared introspection dict with the ring block filled in:
         per-direction cursors and occupancy as this process sees them
@@ -707,7 +700,7 @@ class ShmTargetServer(FramedServer):
 def _server_entry(
     segment: ShmSegment, catalog: Catalog | None, workers: int
 ) -> None:
-    reset_forked_recorder()
+    telemetry.disable()  # the host's records and locks are not ours
     server = ShmTargetServer(segment, catalog=catalog, workers=workers)
     try:
         server.serve_forever()

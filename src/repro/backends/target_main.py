@@ -85,25 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         help="application module to import (repeatable); its @offloadable "
         "functions become callable by the host",
     )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="record target-side spans (the host drains them via "
-        "OP_TELEMETRY)",
-    )
-    parser.add_argument(
-        "--telemetry-capacity",
-        type=int,
-        default=65536,
-        metavar="N",
-        help="span ring capacity when --telemetry is set (default 65536)",
-    )
     args = parser.parse_args(argv)
-
-    if args.telemetry:
-        from repro.telemetry import recorder as telemetry
-
-        telemetry.enable(args.telemetry_capacity)
 
     for module_name in args.imports:
         try:

@@ -55,11 +55,11 @@ from repro.backends._server import (
     DEFAULT_SERVER_WORKERS,
     FrameParser,
     FramedServer,
-    reset_forked_recorder,
 )
 from repro.backends.base import FrameCoalescer, InvokeHandle
 from repro.errors import BackendError
 from repro.ham.registry import Catalog
+from repro.telemetry import recorder as telemetry
 
 __all__ = ["FRAME_LIMIT", "TcpBackend", "TcpTargetServer", "spawn_local_server"]
 
@@ -184,7 +184,7 @@ class TcpTargetServer(FramedServer):
 def _server_entry(
     port_pipe: Any, catalog: Catalog | None, workers: int
 ) -> None:
-    reset_forked_recorder()
+    telemetry.disable()  # the host's records and locks are not ours
     server = TcpTargetServer(catalog=catalog, workers=workers)
     port_pipe.send(server.address)
     port_pipe.close()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 import traceback
+from time import perf_counter_ns
 from typing import Any, Callable
 
 from repro.errors import RemoteExecutionError, SerializationError
@@ -24,13 +25,21 @@ from repro.ham.message import (
     MSG_SHUTDOWN,
     build_message,
     pack_header,
+    pack_reply_header,
     pack_scalar_result,
+    read_execute_block,
     read_scalar_result,
     split_message,
     trace_fields,
 )
 from repro.ham.registry import ProcessImage
-from repro.ham.serialization import decode_args, deserialize, serialize, wide_types
+from repro.ham.serialization import (
+    SCALARS,
+    decode_args,
+    deserialize,
+    serialize,
+    wide_types,
+)
 from repro.telemetry import context as trace_context
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
@@ -69,7 +78,7 @@ def sized_invoke_parts(
     stack = trace.stack
     stack.offload = None
     ctx = trace.ctx  # the runtime's, active around this call
-    # The serialize phase is the causal parent of the remote execution.
+    # The serialize phase is the header's remote parent.
     parts = trace.run(SERIALIZE, stack, _invoke_parts, image, functor, msg_id,
                       ctx, 0 if ctx is None else trace.span_id + SERIALIZE)
     trace.nbytes = sum(map(len, parts))
@@ -132,9 +141,9 @@ def build_invoke_parts(
 
     When a distributed trace is active (the runtime opens one per
     offload), its context is stamped into the version-2 header with the
-    ``offload.serialize`` phase as the wire parent — the target-side
-    execution spans re-attach there, forming one causal tree across the
-    process boundary.
+    ``offload.serialize`` phase as the wire parent; the target's
+    version-3 reply brings its execute time back to the offload's record
+    (:func:`execute_message`).
     """
     return sized_invoke_parts(image, functor, msg_id)[0]
 
@@ -148,13 +157,8 @@ def build_invoke(image: ProcessImage, functor: Functor, msg_id: int) -> bytes:
     return b"".join(sized_invoke_parts(image, functor, msg_id)[0])
 
 
-#: :func:`execute_message`'s default ``recorder``: read it there.
-_UNREAD: Any = object()
-
-
 def execute_message(
-    image: ProcessImage, data: bytes, resolver: Resolver | None = None, *,
-    recorder: Any = _UNREAD,
+    image: ProcessImage, data: bytes, resolver: Resolver | None = None
 ) -> tuple[bytes, bool]:
     """Execute one received message; returns ``(reply_bytes, keep_running)``.
 
@@ -162,10 +166,15 @@ def execute_message(
     empty RESULT acknowledging termination).
 
     VE-side failures never crash the message loop: they are captured into
-    an ERROR reply carrying the remote traceback. ``recorder`` is
-    ``telemetry.get()`` where the caller has read it for its own phase
-    already; while it is ``None`` (a process that does not record) no
-    trace context is built and no span opened.
+    an ERROR reply carrying the remote traceback.
+
+    Telemetry phase ``offload.execute``: a traced INVOKE (a version-2
+    header, non-zero trace id) is answered under a version-3 header that
+    carries this process's pid and the nanoseconds from the header's
+    decode to the reply's encode — argument decode, handler run, result
+    encode. The host stamps them into the offload's record
+    (:func:`unpack_result`), so no target records anything; an
+    untraced INVOKE reads no clock and gets a version-1 reply.
     """
     (kind, handler_key, msg_id, start, end,
      trace_id, parent_span_id, trace_flags) = split_message(data)
@@ -173,64 +182,34 @@ def execute_message(
         return build_message(MSG_RESULT, 0, msg_id, serialize(None)), False
     if kind != MSG_INVOKE:
         raise SerializationError(f"target received non-invoke message kind {kind}")
-    if recorder is _UNREAD:
-        recorder = telemetry.get()
-    if recorder is None:
-        # A process that does not record: no context, no span; the
-        # reply still carries the sender's trace back.
-        return _invoke(image, data, start, end, handler_key, msg_id, resolver,
-                      trace_id, parent_span_id, trace_flags, None)
-    # Re-enter the sender's distributed trace (version-2 headers carry
-    # it; version-1 messages execute untraced, exactly as before): the
-    # execute span below records the same trace_id and — when this
-    # process's local span stack is empty, i.e. a real remote target —
-    # parents itself to the host span named in the header.
-    token: Any = None
-    if trace_id:
-        token = trace_context.enter(TraceContext(trace_id, parent_span_id))
-    try:
-        # Telemetry phase ``offload.execute``: argument decode + handler
-        # run + reply build on the target (the host process for the local
-        # backend, the forked server for TCP).
-        with telemetry.span("offload.execute", bytes=len(data)) as span:
-            return _invoke(image, data, start, end, handler_key, msg_id,
-                          resolver, trace_id, parent_span_id, trace_flags, span)
-    finally:
-        if token is not None:
-            trace_context.leave(token)
-
-
-def _invoke(
-    image: ProcessImage, data: Any, start: int, end: int, handler_key: int,
-    msg_id: int, resolver: Resolver | None, trace_id: int,
-    parent_span_id: int, trace_flags: int, span: Any,
-) -> tuple[bytes, bool]:
-    """Run the handler an INVOKE names and build the reply message: a
-    RESULT, or an ERROR carrying the remote traceback. ``span`` (``None``
-    while nothing records) is the open ``offload.execute`` span."""
-    if span is not None and span.span_id:
-        parent_span_id = span.span_id  # the next hop's parent
+    began = perf_counter_ns() if trace_id else 0
     try:
         entry = image.entry_for_key(handler_key)
-        if span is not None:
-            span.set("handler", entry.type_name)
         args, kwargs = decode_args(data, start, end, resolver)
         value = entry.handler(*args, **kwargs)
-        reply = pack_scalar_result(msg_id, value, trace_fields(
-            trace_id, parent_span_id, trace_flags) if trace_id else ())
-        if reply is not None:
-            return reply, True
+        if value.__class__ in SCALARS:  # encoded and packed in one step
+            reply = pack_scalar_result(msg_id, value, _execute_block(
+                trace_id, parent_span_id, trace_flags, began) if trace_id else ())
+            if reply is not None:
+                return reply, True
         reply_kind = MSG_RESULT
         payload = serialize(value)
     except Exception as exc:  # noqa: BLE001 - shipped back to the host
-        if span is not None:
-            span.set("error", type(exc).__name__)
         reply_kind = MSG_ERROR
         payload = serialize(failure_info(exc))
-    return pack_header(
-        reply_kind, 0, msg_id, len(payload),
-        trace_id, parent_span_id, trace_flags,
-    ) + payload, True
+    if not trace_id:
+        return pack_header(reply_kind, 0, msg_id, len(payload)) + payload, True
+    return pack_reply_header(reply_kind, msg_id, len(payload), _execute_block(
+        trace_id, parent_span_id, trace_flags, began)) + payload, True
+
+
+def _execute_block(
+    trace_id: int, parent_span_id: int, trace_flags: int, began: int
+) -> tuple:
+    """A version-3 reply's fields past the version-1 ones: the INVOKE's
+    trace fields, this process's pid and the ns since ``began``."""
+    return (*trace_fields(trace_id, parent_span_id, trace_flags),
+            telemetry._PID, perf_counter_ns() - began)
 
 
 def failure_info(exc: BaseException) -> dict[str, str]:
@@ -263,7 +242,10 @@ def unpack_result(
     """Decode a RESULT/ERROR message on the host; returns ``(msg_id, value)``.
 
     Telemetry phase ``offload.deserialize``, stamped into ``trace`` (the
-    offload's record, when it is traced) on the thread that waited.
+    offload's record, when it is traced) on the thread that waited,
+    together with phase ``offload.execute`` as the target reported it
+    (the version-3 header's pid and execute ns, and an ERROR's remote
+    exception type).
 
     Raises
     ------
@@ -276,18 +258,25 @@ def unpack_result(
     if trace is None:
         return _result_of(data)
     trace.result_bytes = len(data)
-    return trace.run(DESERIALIZE, trace.wait_stack, _result_of, data)
+    return trace.run(DESERIALIZE, trace.wait_stack, _result_of, data, trace)
 
 
-def _result_of(data: bytes) -> tuple[int, Any]:
+def _result_of(data: bytes, trace: OffloadTrace | None = None) -> tuple[int, Any]:
     """:func:`unpack_result`'s decode."""
     scalar = read_scalar_result(data)
     if scalar is not None:
         return scalar
     (kind, _key, msg_id, start, end,
      _trace_id, _parent, _flags) = split_message(data)
+    if trace is not None:
+        block = read_execute_block(data)
+        if block is not None:
+            trace.target_pid, trace.execute_ns = block
     if kind == MSG_RESULT:
         return msg_id, deserialize(data, start, end)
     if kind != MSG_ERROR:
         raise SerializationError(f"expected a result message, got kind {kind}")
-    raise remote_error(deserialize(data, start, end))
+    error = remote_error(info := deserialize(data, start, end))
+    if trace is not None:
+        trace.execute_error = str(info.get("type"))
+    raise error

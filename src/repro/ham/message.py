@@ -1,7 +1,7 @@
 """Active-message wire format.
 
-Fixed little-endian header followed by the payload. Two header versions
-are in service:
+Fixed little-endian header followed by the payload. Three header
+versions are in service:
 
 Version 1 (24 bytes, the original layout)::
 
@@ -23,11 +23,19 @@ makes it the natural carrier (HAM treats the header the same way)::
     48      1     trace flags (bit 0 always set, ignored on receipt)
     49      ...   payload
 
+Version 3 (61 bytes) is the reply to a version-2 INVOKE: a RESULT or
+ERROR header that appends the executing target's share of the offload
+to the version-2 fields — a duration, so it needs no clock offset::
+
+    49      4     target pid (the process that executed the message)
+    53      8     execute ns (decode + run + encode, on the target's clock)
+    61      ...   payload
+
 :func:`build_message` emits version 1 whenever no trace context is given
 — untraced messages pay zero header growth — and version 2 only when a
-trace rides along. :func:`parse_message` accepts both, so a peer that
-predates tracing (or runs with telemetry off) interoperates in both
-directions.
+trace rides along; the target answers a version-2 INVOKE under version 3
+(:func:`pack_reply_header`). :func:`parse_message` accepts all three, so
+a peer that runs with telemetry off interoperates in both directions.
 
 The header is what the paper's protocols move through message buffers;
 the handler key field is the "globally valid handler key" of Fig. 6.
@@ -44,6 +52,7 @@ from repro.ham import serialization
 __all__ = [
     "HEADER_SIZE",
     "HEADER_SIZE_V2",
+    "HEADER_SIZE_V3",
     "MAGIC",
     "MSG_ERROR",
     "MSG_INVOKE",
@@ -53,8 +62,10 @@ __all__ = [
     "build_message",
     "compile_invoke",
     "pack_header",
+    "pack_reply_header",
     "pack_scalar_result",
     "parse_message",
+    "read_execute_block",
     "read_scalar_result",
     "split_message",
     "trace_fields",
@@ -63,10 +74,17 @@ __all__ = [
 MAGIC = b"HM"
 _VERSION_1 = 1
 _VERSION_2 = 2
+_VERSION_3 = 3
 _HEADER_V1 = struct.Struct("<2sBBQQI")
 _HEADER_V2 = struct.Struct("<2sBBQQI16sQB")
+#: Version 3 after the magic: version, kind, a zero handler key, message
+#: id, payload length, the version-2 trace fields, pid and execute ns.
+_HEADER_V3 = struct.Struct("<2sBBQQI16sQBIQ")
+#: The block version 3 appends: target pid, execute ns.
+_EXECUTE_BLOCK = struct.Struct("<IQ")
 HEADER_SIZE = _HEADER_V1.size
 HEADER_SIZE_V2 = _HEADER_V2.size
+HEADER_SIZE_V3 = _HEADER_V3.size
 
 MSG_INVOKE = 1
 MSG_RESULT = 2
@@ -74,6 +92,7 @@ MSG_ERROR = 3
 MSG_SHUTDOWN = 4
 
 _KINDS = {MSG_INVOKE, MSG_RESULT, MSG_ERROR, MSG_SHUTDOWN}
+_REPLY_KINDS = {MSG_RESULT, MSG_ERROR}
 
 #: What an INVOKE encoder fixes: magic, version, kind and handler key.
 _INVOKE_HEAD = struct.Struct("<2sBBQ")
@@ -82,8 +101,9 @@ _INVOKE_HEAD = struct.Struct("<2sBBQ")
 def _scalar_results(version: int, trace_format: str) -> dict[type, tuple]:
     """A RESULT of one scalar in one ``struct``, per exact type: magic,
     version and kind (the ``head``), a zero handler key, message id,
-    payload length, the version-2 trace fields, the payload's code and
-    value. Exact type -> (struct, head, code, payload length)."""
+    payload length, the version-3 trace fields and execute block, the
+    payload's code and value. Exact type -> (struct, head, code, payload
+    length)."""
     head = MAGIC + bytes((version, MSG_RESULT))
     return {
         cls: (struct.Struct(f"<4s8xQI{trace_format}c{field}"), head, code,
@@ -93,7 +113,7 @@ def _scalar_results(version: int, trace_format: str) -> dict[type, tuple]:
 
 
 _SCALAR_RESULTS_V1 = _scalar_results(_VERSION_1, "")
-_SCALAR_RESULTS_V2 = _scalar_results(_VERSION_2, "16sQB")
+_SCALAR_RESULTS_V3 = _scalar_results(_VERSION_3, "16sQBIQ")
 _SCALAR_RESULT_HEAD = MAGIC + bytes((_VERSION_1, MSG_RESULT))
 #: code (as the int a buffer indexes to) -> (version-1 RESULT struct,
 #: payload length).
@@ -155,6 +175,14 @@ def pack_header(
         MAGIC, _VERSION_2, kind, handler_key, msg_id, payload_len,
         *trace_fields(trace_id, parent_span_id, trace_flags),
     )
+
+
+def pack_reply_header(
+    kind: int, msg_id: int, payload_len: int, block: tuple
+) -> bytes:
+    """The version-3 header of a RESULT or ERROR: ``block`` is the
+    INVOKE's :func:`trace_fields` plus the target pid and execute ns."""
+    return _HEADER_V3.pack(MAGIC, _VERSION_3, kind, 0, msg_id, payload_len, *block)
 
 
 def compile_invoke(
@@ -236,12 +264,14 @@ def split_message(data) -> tuple[int, int, int, int, int, int, int, int]:
     trace_flags = 0
     if version == _VERSION_1:
         start = HEADER_SIZE
-    elif version == _VERSION_2:
-        start = HEADER_SIZE_V2
+    elif version == _VERSION_2 or version == _VERSION_3:
+        start = HEADER_SIZE_V2 if version == _VERSION_2 else HEADER_SIZE_V3
         if size < start:
             raise SerializationError(
-                f"message truncated: {size} bytes < v2 header size {start}"
+                f"message truncated: {size} bytes < v{version} header size {start}"
             )
+        if version == _VERSION_3 and kind not in _REPLY_KINDS:
+            raise SerializationError(f"a v3 header on a message of kind {kind}")
         (_m, _v, _k, _hk, _mid, _pl,
          trace_bytes, parent_span_id, trace_flags) = _HEADER_V2.unpack_from(data)
         trace_id = int.from_bytes(trace_bytes, "big")
@@ -258,18 +288,18 @@ def split_message(data) -> tuple[int, int, int, int, int, int, int, int]:
             trace_id, parent_span_id, trace_flags)
 
 
-def pack_scalar_result(msg_id: int, value: Any, trace: tuple = ()) -> bytes | None:
-    """The RESULT of ``value`` in one ``pack`` when it is one scalar:
-    :func:`build_message` of its :func:`serialize` bytes, version 2 with
-    the :func:`trace_fields` ``trace`` if given. ``None`` for any other
-    value or an int beyond 64 bits."""
-    scalar = (_SCALAR_RESULTS_V2 if trace else _SCALAR_RESULTS_V1).get(value.__class__)
+def pack_scalar_result(msg_id: int, value: Any, block: tuple = ()) -> bytes | None:
+    """The RESULT of ``value`` in one ``pack`` when it is one scalar: its
+    :func:`serialize` bytes behind a version-1 header, or behind the
+    version-3 one of :func:`pack_reply_header` if ``block`` is given.
+    ``None`` for any other value or an int beyond 64 bits."""
+    scalar = (_SCALAR_RESULTS_V3 if block else _SCALAR_RESULTS_V1).get(value.__class__)
     if scalar is None:
         return None
     result, head, code, payload_len = scalar
     try:
-        if trace:
-            return result.pack(head, msg_id, payload_len, *trace, code, value)
+        if block:
+            return result.pack(head, msg_id, payload_len, *block, code, value)
         return result.pack(head, msg_id, payload_len, code, value)
     except struct.error:
         return None
@@ -291,12 +321,21 @@ def read_scalar_result(data: Any) -> tuple[int, Any] | None:
     return msg_id, value
 
 
+def read_execute_block(data: Any) -> tuple[int, int] | None:
+    """``(target pid, execute ns)`` of a reply :func:`split_message` has
+    validated: its version-3 block, ``None`` under another version."""
+    if data[2] != _VERSION_3:
+        return None
+    return _EXECUTE_BLOCK.unpack_from(data, HEADER_SIZE_V2)
+
+
 def parse_message(data) -> tuple[MessageHeader, bytes]:
     """Split wire bytes into ``(header, payload)``.
 
-    Accepts both header versions: a version-1 message (no trace context,
-    e.g. from a sender running with telemetry off or a pre-tracing
-    build) parses with zeroed trace fields. ``data`` may be any
+    Accepts every header version: a version-1 message (no trace context,
+    e.g. from a sender running with telemetry off) parses with zeroed
+    trace fields, a version-3 reply without its execute block
+    (:func:`read_execute_block`). ``data`` may be any
     bytes-like object; a ``memoryview`` input yields the payload as a
     zero-copy view.
 

@@ -80,7 +80,6 @@ from repro.errors import SerializationError
 
 __all__ = [
     "CODEC_REVISION",
-    "LIST_ITEM_OVERHEAD",
     "MAX_NESTING",
     "Migratable",
     "SCALARS",
@@ -88,7 +87,6 @@ __all__ = [
     "decode_args",
     "deserialize",
     "encode_args",
-    "encode_list",
     "encode_parts",
     "encoder_cache",
     "register_serializer",
@@ -96,10 +94,11 @@ __all__ = [
     "wide_types",
 ]
 
-#: Revision of the value codec. :meth:`ProcessImage.digest` mixes it in,
-#: so a peer speaking another argument format fails the handshake
-#: instead of mis-parsing. Bump on any change to the layouts above.
-CODEC_REVISION = 3
+#: Revision of the value codec and the message headers
+#: (:mod:`repro.ham.message`). :meth:`ProcessImage.digest` mixes it in,
+#: so a peer speaking another format fails the handshake instead of
+#: mis-parsing. Bump on any change to either.
+CODEC_REVISION = 4
 
 #: How deep containers may nest inside one value.
 MAX_NESTING = 32
@@ -500,17 +499,6 @@ def serialize(value: Any) -> bytes:
     elif value is None:
         return _NONE
     return b"".join(_value_parts(value, 0))
-
-
-#: What a list spends on an item besides the item's :func:`serialize` bytes.
-LIST_ITEM_OVERHEAD = _ITEM_LENGTH.size
-
-
-def encode_list(items: list) -> bytes:
-    """:func:`serialize` of a list, from its items' :func:`serialize`
-    bytes: a caller that sized each item encodes none twice."""
-    return b"L" + b"".join(
-        chain.from_iterable((_ITEM_LENGTH.pack(len(item)), item) for item in items))
 
 
 def deserialize(data: Any, start: int = 0, end: int | None = None, _depth: int = 0) -> Any:

@@ -135,10 +135,8 @@ def init(
             "string form of init; pass them to the backend constructor "
             "instead"
         )
-    # Options are validated before a target is spawned (and the recorder
-    # enabled only after, so the first target records nothing — see
-    # docs/observability.md). What an option selects is imported where it
-    # is selected.
+    # Options are validated before a target is spawned. What an option
+    # selects is imported where it is selected.
     config = None
     if telemetry is not False:
         from repro.telemetry.config import TelemetryConfig
@@ -194,7 +192,7 @@ def finalize() -> None:
     global _runtime, _flight_replaced, _enabled_recorder
     recorder = _telemetry.get()
     if _runtime is not None:
-        _runtime.shutdown()  # pulls the target's records into the recorder
+        _runtime.shutdown()
         _runtime = None
     if recorder is not None and recorder is _enabled_recorder:
         _telemetry.disable()

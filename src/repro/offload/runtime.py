@@ -628,31 +628,6 @@ class Runtime:
             data["health"] = self.monitor.snapshot()
         return data
 
-    def _drain_target_telemetry(self, timeout: float = 1.0) -> None:
-        """Pull remaining target-side telemetry, best effort.
-
-        A backend whose target is another process (``OP_TELEMETRY`` on
-        tcp and shm) holds target-process spans the host has not yet
-        merged; shutdown is the last chance to collect them. The pull is
-        bounded by ``timeout`` and never raises — a hung or dead target
-        must not block shutdown — recording a ``telemetry.pull_failed``
-        event instead so the loss is visible in the trace.
-        """
-        recorder = telemetry.get()
-        if recorder is None:
-            return
-        try:
-            records = self.backend.fetch_target_telemetry(timeout=timeout)
-        except Exception as exc:  # noqa: BLE001 - best effort by contract
-            telemetry.event(
-                "telemetry.pull_failed", category="telemetry",
-                error=type(exc).__name__, detail=str(exc),
-            )
-            telemetry.count("telemetry.pull_failures")
-            return
-        if records:
-            recorder.ingest(records)
-
     def shutdown(self) -> None:
         """Terminate target message loops and the backend (idempotent).
 
@@ -662,17 +637,12 @@ class Runtime:
         size and, when telemetry was enabled at allocation time, the
         ``offload.allocate`` span id, so the trace pinpoints the leaking
         call site (span id 0 means telemetry was off).
-
-        When telemetry is recording and the backend can fetch
-        target-side records, they are drained (best effort, short
-        timeout) before the transport closes.
         """
         if not self._shutdown:
             self._shutdown = True
             # A clean shutdown is not a crash: leave the flight
             # recorder's bundle scope before futures are torn down.
             flightrecorder.detach_runtime(self)
-            self._drain_target_telemetry()
             if self._live_buffers:
                 pointers = ", ".join(
                     f"node {node} @ {addr:#x} "

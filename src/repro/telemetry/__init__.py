@@ -20,9 +20,8 @@ Layout:
 * :mod:`repro.telemetry.context` — the distributed trace context
   (``trace_id`` / parent span) minted per offload and
   carried in the version-2 active-message header across processes;
-* :mod:`repro.telemetry.distributed` — clock-offset estimation
-  (ping-pong), record alignment and per-message critical paths for
-  two-process timelines;
+* :mod:`repro.telemetry.distributed` — per-message groupings and
+  critical paths of traces that span host and target;
 * :mod:`repro.telemetry.report` — ``python -m repro.telemetry.report``,
   per-phase latency percentiles, per-message groupings, critical paths
   and per-kernel profiles from a trace file — or a post-mortem view of
@@ -56,7 +55,7 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
     from repro.telemetry.context import TraceContext, activate, current, new_trace
     from repro.telemetry.distributed import (
-        ClockSync, align_records, critical_path, group_by_trace, trace_summary,
+        critical_path, group_by_trace, trace_summary,
     )
     from repro.telemetry.flightrecorder import FlightRecorder
     from repro.telemetry.metrics import (
@@ -69,10 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - at run time: lazy_exports below
     )
 
 __all__ = [
-    "ClockSync", "Counter", "EventRecord", "FlightRecorder",
+    "Counter", "EventRecord", "FlightRecorder",
     "Gauge", "LogHistogram", "MetricsRegistry",
     "Recorder", "SpanRecord", "TelemetryConfig",
-    "TraceContext", "activate", "align_records", "complete_offload",
+    "TraceContext", "activate", "complete_offload",
     "count", "critical_path", "current", "current_span_id",
     "disable", "enable", "enabled", "event", "gauge", "get",
     "group_by_trace", "new_trace", "percentile",
@@ -82,8 +81,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.telemetry.context": ("TraceContext", "activate", "current", "new_trace"),
     "repro.telemetry.distributed": (
-        "ClockSync", "align_records", "critical_path", "group_by_trace",
-        "trace_summary",
+        "critical_path", "group_by_trace", "trace_summary",
     ),
     "repro.telemetry.flightrecorder": ("FlightRecorder",),
     "repro.telemetry.metrics": (

@@ -1,23 +1,20 @@
 """Distributed trace context — the causal thread through one offload.
 
 One offload crosses a process boundary: the host serializes and sends,
-the target executes, the host decodes the reply. Each process's
-recorder keeps its own span tree, and a span alone cannot say which
-tree on the other side it belongs to.
-This module is that tie: a context (128-bit ``trace_id``, 64-bit parent
-``span_id``) that is
+the target executes, the host decodes the reply. This module is the
+causal tie of its records: a context (128-bit ``trace_id``, 64-bit
+parent ``span_id``) that is
 
 * **generated at** ``offload()`` (:meth:`repro.offload.runtime.Runtime.async_`
   creates one per offload unless the caller already activated a trace);
 * **propagated in the active-message header** (version-2 header fields,
   see :mod:`repro.ham.message`) — the header is the one structure that
   always crosses the boundary, on every backend;
-* **activated on the target** by
-  :func:`repro.ham.execution.execute_message` while that process
-  records, so target-side spans record the same ``trace_id`` and parent
-  themselves to the host-side span that produced the message bytes (a
-  target that does not record builds no context; its reply carries the
-  header's trace back all the same).
+* **answered by the target** in its version-3 reply, which carries the
+  trace back together with the target's pid and execute time
+  (:func:`repro.ham.execution.execute_message`): the host records the
+  target's ``offload.execute`` under the offload's trace, and no target
+  builds a context or records a span.
 
 The context rides a :class:`contextvars.ContextVar`, so concurrent
 offloads on different threads (or tasks) do not leak into each other.

@@ -23,9 +23,10 @@ backends. Design constraints, in order:
    which the phase histograms share. A traced offload opens no span
    for its host phases: an :class:`OffloadTrace` is stamped as they run
    and committed once, where the offload settles — its records, its
-   five phase folds and its counters under one acquisition of the
+   phase folds and its counters under one acquisition of the
    ring's lock, which every instrument of the recorder's shares — and
-   is read back as the five records the spans would have made.
+   is read back as its records: the five host phases and the target's
+   ``offload.execute``, whose duration the target's reply carries.
    Instruments are resolved once per name (``Recorder.counters``, the
    per-kernel and per-phase caches): a hit is a subscript. The ring is
    bounded (:class:`collections.deque` with ``maxlen``, counting
@@ -280,22 +281,25 @@ class _Span:
         return False
 
 
-#: The host's phases of one offload, numbered as their span ids are
-#: reserved: one draw of the id counter, ``span_id + phase`` each. The
-#: serialize id is the v2 header's remote parent.
-SERIALIZE, ENQUEUE, TRANSPORT, REPLY, DESERIALIZE = range(5)
+#: The phases of one offload, numbered as their span ids are reserved:
+#: one draw of the id counter, ``span_id + phase`` each. The serialize id
+#: is the v2 header's remote parent. The host stamps five; the sixth,
+#: ``offload.execute``, is the target's, placed at the commit from the
+#: duration its reply carries.
+SERIALIZE, ENQUEUE, TRANSPORT, REPLY, DESERIALIZE, EXECUTE = range(6)
 PHASES = ("offload.serialize", "offload.enqueue", "offload.transport",
-          "offload.reply", "offload.deserialize")
-#: The order an offload's records are read in: each phase as it ends (a
-#: reply ends inside its transport).
-_RECORD_ORDER = (SERIALIZE, ENQUEUE, REPLY, TRANSPORT, DESERIALIZE)
+          "offload.reply", "offload.deserialize", "offload.execute")
+#: The order an offload's records are read in: each phase as it ends (an
+#: execute ends before its reply, a reply inside its transport).
+_RECORD_ORDER = (SERIALIZE, ENQUEUE, EXECUTE, REPLY, TRANSPORT, DESERIALIZE)
 #: Record ids are drawn this far apart, so an offload's phases share one.
 _ID_STRIDE = 8
 
 
 class OffloadTrace:
-    """The host's record of one traced offload: its five phases stamped
-    as they run, committed once when the offload settles.
+    """The record of one traced offload: the host's five phases stamped
+    as they run and the target's execute time, committed once when the
+    offload settles.
 
     ``Runtime._offload`` starts one, next to the offload's trace context
     ``ctx``; it waits on the thread for the offload's serialize
@@ -306,16 +310,19 @@ class OffloadTrace:
     ``starts``/``ends`` (0: the phase did not run) and its attributes into
     the slots below, opening no span: :meth:`run` keeps the phase's id
     on the running thread's span stack meanwhile, so a span or event
-    nested in a phase (local's ``offload.execute``, a fault event) names
-    it as its parent. :meth:`Recorder.commit_offload` keeps the whole
-    offload as one ring entry, read back as the records the five phase
-    spans would have made (:meth:`records`).
+    nested in a phase (a kernel's span on local, a fault event) names
+    it as its parent. The reply's version-3 header adds the target's pid
+    and execute ns (:func:`~repro.ham.execution.unpack_result`).
+    :meth:`Recorder.commit_offload` keeps the whole offload as one ring
+    entry, read back as the records its phases stand for
+    (:meth:`records`).
     """
 
     __slots__ = ("recorder", "clock", "span_id", "parent_id", "ctx",
                  "label", "stack", "wait_stack", "starts", "ends", "nbytes",
                  "corr", "node", "transport", "reply_bytes", "result_bytes",
-                 "error_phase", "error", "folds")
+                 "error_phase", "error", "target_pid", "execute_ns",
+                 "execute_error", "folds")
 
     def __init__(self, recorder: "Recorder", ctx: Any, label: str) -> None:
         stack = recorder._thread.stack
@@ -337,8 +344,8 @@ class OffloadTrace:
         #: and the waiting thread's (a future's transport, reply and
         #: deserialize): the records carry their threads' ids.
         self.stack = self.wait_stack = stack
-        self.starts = [0] * 5
-        self.ends = [0] * 5
+        self.starts = [0] * 6
+        self.ends = [0] * 6
         #: INVOKE bytes; the correlation id; the node of local's transport
         #: (``None``: a wire's); the reply frame's transport and bytes;
         #: the RESULT message's bytes.
@@ -348,6 +355,11 @@ class OffloadTrace:
         #: The phase an exception ended, and its type's name.
         self.error_phase = -1
         self.error = ""
+        #: What the reply reports of the target: the pid that executed
+        #: the INVOKE (0: no report), how long it took there, and the
+        #: type of the exception it raised, if any.
+        self.target_pid = self.execute_ns = 0
+        self.execute_error = ""
         #: ``(phase, histogram, seconds)`` of every phase that ran, fixed
         #: by the commit: what the records are read from.
         self.folds: list[tuple[int, LogHistogram, float]] = []
@@ -384,6 +396,26 @@ class OffloadTrace:
         self.reply_bytes = nbytes
         self.ends[REPLY] = clock()
 
+    def place_execute(self) -> None:
+        """Stamp phase ``offload.execute`` from what the reply reported:
+        ``execute_ns``, centred in the window from the INVOKE leaving the
+        host to its reply being read — enqueue's end to the reply's
+        start on a framed transport, the transport phase elsewhere — and
+        clamped to it, so the record never leaves its parent."""
+        starts, ends = self.starts, self.ends
+        if ends[ENQUEUE] and starts[REPLY]:
+            low, high = ends[ENQUEUE], starts[REPLY]
+        else:
+            low, high = starts[TRANSPORT], ends[TRANSPORT]
+        if not (low and high):
+            return
+        if low > high:  # another thread read the reply before the
+            low = high  # poster's enqueue ended: it closes the window
+        window = high - low
+        duration = self.execute_ns if self.execute_ns < window else window
+        starts[EXECUTE] = start = low + (window - duration) // 2
+        ends[EXECUTE] = start + duration
+
     def records(self) -> list[SpanRecord]:
         """The committed phases as records, field for field what their
         spans made, in the order those were appended."""
@@ -399,18 +431,27 @@ class OffloadTrace:
             record.start_ns = start
             record.duration_ns = self.ends[phase] - start
             record.span_id = self.span_id + phase
-            record.parent_id = (self.span_id + TRANSPORT if phase == REPLY
+            record.parent_id = (self.span_id + TRANSPORT
+                                if phase == REPLY or phase == EXECUTE
                                 else self.parent_id)
             record.pid = pid
             record.tid = (self.stack if phase <= ENQUEUE else self.wait_stack).tid
+            if phase == EXECUTE and self.target_pid != pid:
+                # Another process's thread: not one of ours.
+                record.pid, record.tid = self.target_pid, 0
             record.attrs = self._attrs(phase)
             record.trace_id = trace_id
             records.append(record)
         return records
 
     def _attrs(self, phase: int) -> dict[str, Any]:
+        if phase == EXECUTE:
+            attrs: dict[str, Any] = {"bytes": self.nbytes, "handler": self.label}
+            if self.execute_error:
+                attrs["error"] = self.execute_error
+            return attrs
         if phase == SERIALIZE:
-            attrs: dict[str, Any] = {"functor": self.label}
+            attrs = {"functor": self.label}
             if self.nbytes:  # serialized: the size is known
                 attrs["bytes"] = self.nbytes
         elif phase == ENQUEUE:
@@ -505,10 +546,10 @@ class Recorder:
         """Process-unique record id: ``pid`` in the high bits.
 
         Span ids cross process boundaries (the active-message header
-        carries the sender's span id as the remote parent, and a TCP
-        target's records merge into the host trace), so two processes
-        must never mint the same id — which a forked server would do if
-        ids were a bare counter, since fork copies the counter state.
+        carries the sender's span id as the remote parent, and traces of
+        several processes merge in one report), so two processes must
+        never mint the same id — which a forked child would do if ids
+        were a bare counter, since fork copies the counter state.
         Linux pids fit in 22 bits (``pid_max`` <= 4194304); 40 bits of
         counter keeps the combined id well inside a signed 64-bit int.
         """
@@ -536,10 +577,13 @@ class Recorder:
                        duration_ns: int | None = None) -> None:
         """Keep one offload's records and fold what they feed, under one
         acquisition of the ring's lock: the ring entry (held once per
-        phase that ran), the phases' ``phase.*`` histograms,
-        ``kernel.<k>.bytes``, ``offload.issued`` (``issued``: a sync,
-        whose post and settle are one call) and, given the round trip's
-        ``duration_ns``, ``future.settled`` and ``kernel.<k>.offload``."""
+        phase that ran, the target's execute among them), the phases'
+        ``phase.*`` histograms, ``kernel.<k>.bytes``, ``offload.issued``
+        (``issued``: a sync, whose post and settle are one call) and,
+        given the round trip's ``duration_ns``, ``future.settled`` and
+        ``kernel.<k>.offload``."""
+        if trace.target_pid:
+            trace.place_execute()
         starts, ends, phase_hists = trace.starts, trace.ends, self._phase_hists
         folds = trace.folds = [
             (phase, phase_hists[PHASES[phase]], (ends[phase] - starts[phase]) / 1e9)
@@ -600,27 +644,6 @@ class Recorder:
             "" if ctx is None else ctx.trace_id_hex,
         ))
 
-    def reset_after_fork(self) -> None:
-        """In a forked child: drop what belongs to the parent — its
-        records, the forking thread's open spans and a ring lock another
-        thread may have held. Metrics and the id counter stay (ids are
-        pid-prefixed)."""
-        self._ring = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
-        for cache in (self._phase_hists, self._kernel_hists, self.kernel_bytes,
-                      self.kernel_errors, self.counters):
-            for instrument in cache.values():
-                self._locked(instrument)
-        self._thread = _ThreadState()
-        self._recorded = 0
-
-    def ingest(self, records: "list[SpanRecord | EventRecord]") -> None:
-        """Merge records produced elsewhere (e.g. a target process)."""
-        with self._lock:
-            for record in records:
-                self._ring.append(record)
-                self._recorded += 1
-
     # -- queries -----------------------------------------------------------
     def records(self) -> list[SpanRecord | EventRecord]:
         """Snapshot of the retained records, oldest first."""
@@ -658,13 +681,6 @@ class Recorder:
         """Drop all retained records (keeps metrics and the id counter)."""
         with self._lock:
             self._ring.clear()
-
-    def drain(self) -> list[SpanRecord | EventRecord]:
-        """Atomically take and clear the retained records."""
-        with self._lock:
-            held = list(self._ring)
-            self._ring.clear()
-        return _expanded(held)
 
 
 # --------------------------------------------------------------------------

@@ -140,10 +140,6 @@ SIGNALS = SignalRegistry((
          "failures in a row on the node",
          "docs/observability.md: distance to the next health transition"),
     # -- telemetry about itself ---------------------------------------------
-    _ROW("telemetry.pull_failures", "counter", "pulls",
-         "target-telemetry pulls that failed at shutdown",
-         "docs/observability.md, docs/resilience.md: a wedged target's spans "
-         "are missing from the trace"),
     _ROW("perfbench.probe", "counter", "calls",
          "the benchmark's probe of one `telemetry.count`",
          "perfbench/layers.py: the `telemetry.count_on_ns` row (goes once "

@@ -347,14 +347,15 @@ class TestOneContract:
     """Every target operation is a ``Backend`` method: callers call it,
     whatever wraps or composes the backend."""
 
-    def test_target_telemetry_through_proxies_and_simulators(self):
-        for backend in (
-            FanoutBackend([LocalBackend(), FaultInjectingBackend(LocalBackend())]),
-            FaultInjectingBackend(DmaCommBackend()),
-            VeoCommBackend(),
-        ):
+    def test_target_introspection_through_proxies_and_simulators(self):
+        fanout = FanoutBackend([LocalBackend(), FaultInjectingBackend(LocalBackend())])
+        try:
+            assert [t["node"] for t in fanout.introspect_target()["targets"]] == [1, 2]
+        finally:
+            fanout.shutdown()
+        for backend in (FaultInjectingBackend(DmaCommBackend()), VeoCommBackend()):
             try:
-                assert backend.fetch_target_telemetry() == []
+                assert backend.introspect_target() is None
             finally:
                 backend.shutdown()
 

@@ -54,10 +54,7 @@ from tests.backends.test_target_dispatch import (
     dispatch_hook,
 )
 from tests.leaks import resources
-from tests.offload.test_offload_budget import (
-    FRAMED_HOST_RECORDS,
-    FRAMED_TARGET_RECORDS,
-)
+from tests.offload.test_offload_budget import FRAMED_RECORDS
 from tests.offload.test_plain_sync import _HeldDriveLock
 
 
@@ -353,7 +350,7 @@ class TestTheDrive:
         """A sync that finds the drive lock taken follows: it files a
         handle, and its reply is read by whoever holds the lock next.
         Traced, it records the same spans in the same tree as a sync that
-        leads (both ends here: the target runs in this process)."""
+        leads."""
         runtime, backend = client.runtime, client.backend
         got = []
 
@@ -370,13 +367,11 @@ class TestTheDrive:
 
         def recorded(offload):
             """``(name, parent's name)`` of each record ``offload`` adds,
-            sorted: the target's land among the host's, its last one
-            (the server's reply span) maybe after the sync returned."""
+            sorted."""
             before = recorder.recorded
             offload()
-            added = FRAMED_HOST_RECORDS + FRAMED_TARGET_RECORDS
-            assert _until(lambda: recorder.recorded - before == added)
-            records = recorder.records()[-added:]
+            assert recorder.recorded - before == FRAMED_RECORDS
+            records = recorder.records()[-FRAMED_RECORDS:]
             names = {record.span_id: record.name for record in records}
             return sorted((record.name, names.get(record.parent_id))
                           for record in records)

@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 from repro.backends import ShmBackend, create_backend, spawn_shm_server
-from repro.backends import _server
-from repro.backends._server import FRAME_OVERHEAD
-from repro.backends.shm import DEFAULT_RING_CAPACITY, ShmSegment, ShmTargetServer
+from repro.backends.shm import DEFAULT_RING_CAPACITY, ShmSegment
 from repro.errors import (
     BackendError,
     OffloadTimeoutError,
     RemoteExecutionError,
 )
-from repro.ham import deserialize, f2f, serialize
+from repro.ham import f2f
 from repro.offload import ResiliencePolicy, Runtime
 from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
@@ -262,8 +260,8 @@ class TestShmBackpressure:
 
 
 class TestShmTelemetry:
-    def test_fetch_target_telemetry(self):
-        telemetry.enable()
+    def test_the_execute_record_carries_the_target_pid(self):
+        telemetry.enable()  # before the fork: the target disables its own
         try:
             process, segment = spawn_shm_server(workers=2)
             backend = ShmBackend(
@@ -274,103 +272,13 @@ class TestShmTelemetry:
             runtime = Runtime(backend)
             try:
                 runtime.sync(1, f2f(apps.add, 1, 2))
-                records = backend.fetch_target_telemetry()
-                assert isinstance(records, list)
-                names = {record.name for record in records}
-                assert "offload.execute" in names
-                assert "shm.server.reply" in names
+                (execute,) = telemetry.get().spans("offload.execute")
+                assert execute.pid == process.pid
+                assert execute.attrs["handler"] == f2f(apps.add).type_name
             finally:
                 runtime.shutdown()
         finally:
             telemetry.disable()
-
-    def test_records_that_outgrow_the_ring_arrive_in_several_pulls(self):
-        """A pull that does not fit one frame of a 64 KiB ring comes back
-        in several replies, oldest first, and the pull at shutdown too."""
-        recorder = telemetry.enable()  # before the fork: the target records
-        try:
-            process, segment = spawn_shm_server(capacity=1 << 16)
-            backend = ShmBackend(
-                segment,
-                alive_fn=process.is_alive,
-                on_shutdown=lambda: process.join(timeout=5),
-            )
-            runtime = Runtime(backend)
-            try:
-                backend.fetch_target_telemetry()  # what connecting recorded
-                for i in range(1000):
-                    assert runtime.sync(1, f2f(apps.echo, i)) == i
-                pulled = backend.fetch_target_telemetry(align=False)
-                # offload.execute and shm.server.reply per offload, in order
-                assert len(pulled) == 2000
-                assert [r.start_ns for r in pulled] == sorted(r.start_ns for r in pulled)
-                for i in range(1000):
-                    assert runtime.sync(1, f2f(apps.echo, i)) == i
-            finally:
-                runtime.shutdown()  # its last pull ingests the rest
-            assert len(recorder.spans("offload.execute")) == 1000
-            counters = recorder.metrics.snapshot()["counters"]
-            assert "telemetry.pull_failures" not in counters
-        finally:
-            telemetry.disable()
-
-    def test_a_pull_page_fits_a_frame_and_a_huge_record_still_arrives(self):
-        """On a 4 KiB ring every ``OP_TELEMETRY`` reply fits one frame; a
-        record no frame could hold, or whose attrs have no wire code,
-        arrives in order, without its attrs."""
-        segment = ShmSegment.create(4096)
-        telemetry.enable()
-        try:
-            server = ShmTargetServer(segment)
-            for i in range(200):
-                telemetry.event("test.small", category="test", i=i)
-                if i == 99:
-                    telemetry.event("test.huge", category="test", blob="x" * 8192)
-                if i == 149:
-                    telemetry.event("test.odd", category="test", span=range(3))
-            pages = []
-            while page := deserialize(body := server._pull_rows()):
-                assert len(body) <= 4096 - FRAME_OVERHEAD
-                pages.append(page)
-            assert len(pages) > 1 and server._unpulled is None
-            rows = [row for page in pages for row in page if row["cat"] == "test"]
-            assert [row["attrs"].get("i") for row in rows] == [
-                *range(100), None, *range(100, 150), None, *range(150, 200)
-            ]
-            (huge,) = [row for row in rows if row["name"] == "test.huge"]
-            assert huge["attrs"]["attrs_dropped_bytes"] > 8192
-            (odd,) = [row for row in rows if row["name"] == "test.odd"]
-            assert "no wire code for builtins.range" in odd["attrs"]["attrs_dropped"]
-        finally:
-            telemetry.disable()
-            segment.close()
-
-    def test_a_pull_encodes_each_row_once(self, monkeypatch):
-        """A page is assembled from its rows' encodings, the bytes of the
-        page's own ``serialize``: no row is encoded again to size it."""
-        segment = ShmSegment.create(4096)
-        telemetry.enable()
-        try:
-            server = ShmTargetServer(segment)
-            for i in range(120):
-                telemetry.event("test.small", category="test", i=i)
-            encoded = []
-
-            def counting(value):
-                encoded.append(value)
-                return serialize(value)
-
-            monkeypatch.setattr(_server, "serialize", counting)
-            pages = []
-            while page := deserialize(body := server._pull_rows()):
-                assert body == serialize(page)
-                pages.append(page)
-            assert len(pages) > 1
-            assert encoded == [row for page in pages for row in page]
-        finally:
-            telemetry.disable()
-            segment.close()
-            segment.unlink()
 
     def test_host_spans_cover_offload_phases(self):
         telemetry.enable()
@@ -386,7 +294,7 @@ class TestShmTelemetry:
                 runtime.sync(1, f2f(apps.add, 1, 2))
             finally:
                 runtime.shutdown()
-            names = {record.name for record in telemetry.get().drain()}
+            names = {record.name for record in telemetry.get().records()}
             assert "offload.enqueue" in names
             assert "offload.reply" in names
         finally:

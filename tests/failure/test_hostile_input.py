@@ -10,6 +10,11 @@ a typed error on the client, whose runtime stays usable. Both over
 can see). Waits carry a timeout only so a regression fails instead of
 hanging.
 
+The version-3 reply header is read the same way: a block cut short
+fails the waiting future with a typed error, an execute time no round
+trip could hold is clamped into it, and the unassigned op codes
+``0x08`` and ``0x09`` are unknown ops like any other.
+
 A pickle need not name a function to do harm: a forged numpy dtype,
 once decoded, makes the first read of one of its fields segfault. That
 row runs in a fresh interpreter, so a regression fails the row instead
@@ -25,7 +30,7 @@ import pytest
 from repro.backends._server import OP_FAILURE, OP_INVOKE, OP_REPLY_BIT
 from repro.errors import RemoteExecutionError, SerializationError
 from repro.ham import MSG_RESULT, Functor, build_message, f2f
-from repro.ham.message import HEADER_SIZE_V2
+from repro.ham.message import HEADER_SIZE_V2, HEADER_SIZE_V3
 from repro.ham.registry import type_name_of
 from repro.ham.serialization import deserialize, serialize
 from repro.telemetry import context as trace_context
@@ -161,6 +166,62 @@ def test_hostile_failure_body_raises_a_typed_error_on_the_client(target, hostile
     assert not marker.exists()
     target.server.__dict__.pop("_reply")
     assert target.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+    assert _settled(target)
+
+
+def test_a_v3_reply_cut_short_fails_its_future(target):
+    def truncated(send, op, corr, parts):
+        if op == OP_INVOKE | OP_REPLY_BIT:
+            reply = bytes(parts[0])
+            assert reply[2] == 3  # a traced INVOKE's reply
+            parts = (reply[:HEADER_SIZE_V3 - 1],)
+        send(op, corr, *parts)
+
+    _rewrite_replies(target, truncated)
+    recorder = telemetry.enable()
+    try:
+        future = target.runtime.async_(1, f2f(apps.add, 1, 2))
+        with pytest.raises(SerializationError, match="v3 header size 61"):
+            future.get(timeout=WAIT)
+        (deserialize,) = recorder.spans("offload.deserialize")
+        assert deserialize.attrs["error"] == "SerializationError"
+        assert not recorder.spans("offload.execute")
+    finally:
+        telemetry.disable()
+    target.server.__dict__.pop("_reply")
+    assert target.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+    assert _settled(target)
+
+
+def test_an_execute_time_past_the_round_trip_is_clamped_to_it(target):
+    def overlong(send, op, corr, parts):
+        if op == OP_INVOKE | OP_REPLY_BIT:
+            reply = bytearray(parts[0])
+            struct.pack_into("<Q", reply, HEADER_SIZE_V3 - 8, 10**15)
+            parts = (bytes(reply),)
+        send(op, corr, *parts)
+
+    _rewrite_replies(target, overlong)
+    recorder = telemetry.enable()
+    try:
+        assert target.runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+        records = {r.name: r for r in recorder.spans("offload.")}
+    finally:
+        telemetry.disable()
+    execute, transport = records["offload.execute"], records["offload.transport"]
+    window = (records["offload.enqueue"].end_ns, records["offload.reply"].start_ns)
+    assert (execute.start_ns, execute.end_ns) == window
+    assert execute.parent_id == transport.span_id
+    assert transport.start_ns <= execute.start_ns <= execute.end_ns <= transport.end_ns
+    assert _settled(target)
+
+
+@pytest.mark.parametrize("op", [0x08, 0x09])
+def test_an_unassigned_op_is_an_unknown_op(target, op):
+    with pytest.raises(RemoteExecutionError, match=f"unknown op {op:#x}"):
+        target.backend._roundtrip(op)
+    assert target.thread.is_alive()
+    assert target.runtime.sync(1, f2f(apps.add, 20, 22)) == 42
     assert _settled(target)
 
 

@@ -1,5 +1,6 @@
 """Tests for the wire format, functors and the generic handler."""
 
+import os
 import sys
 import threading
 import time
@@ -21,6 +22,10 @@ from repro.ham.execution import build_invoke, execute_message, unpack_result
 from repro.ham.functor import Functor
 from repro.ham.registry import Catalog, ProcessImage
 from repro.ham.serialization import Migratable, register_serializer
+from repro.telemetry import context as trace_context
+from repro.telemetry.context import TraceContext
+
+from tests import apps
 
 
 @pytest.fixture()
@@ -126,6 +131,37 @@ class TestHeaderVersions:
         data[2] = 9
         with pytest.raises(SerializationError, match="version"):
             parse_message(bytes(data))
+
+    def test_a_traced_invoke_is_answered_under_version_3(self):
+        from repro.ham.message import HEADER_SIZE_V3, read_execute_block
+
+        image = ProcessImage("v3")
+        untraced = execute_message(image, build_invoke(image, f2f(apps.echo, 1), 1))[0]
+        assert untraced[2] == 1 and read_execute_block(untraced) is None
+        # A scalar result is packed in one step, a list the general way.
+        for value in (20, [20]):
+            with trace_context.activate(TraceContext(0xBEEF, 7)):
+                invoke = build_invoke(image, f2f(apps.echo, value), 2)
+            reply = execute_message(image, invoke)[0]
+            header, _payload = parse_message(reply)
+            assert reply[2] == 3 and len(reply) > HEADER_SIZE_V3
+            assert (header.kind, header.trace_id, header.parent_span_id) == (
+                MSG_RESULT, 0xBEEF, 7)
+            pid, execute_ns = read_execute_block(reply)
+            assert pid == os.getpid() and execute_ns > 0
+            assert unpack_result(reply)[1] == value
+
+    def test_v3_is_a_reply_header_only(self):
+        from repro.ham.message import pack_reply_header, trace_fields
+
+        block = (*trace_fields(1, 2, 1), 3, 4)
+        data = bytearray(pack_reply_header(MSG_RESULT, 5, 0, block))
+        assert parse_message(bytes(data))[0].msg_id == 5
+        data[3] = MSG_INVOKE
+        with pytest.raises(SerializationError, match="v3 header"):
+            parse_message(bytes(data))
+        with pytest.raises(SerializationError, match="v3 header size"):
+            parse_message(bytes(data[:-1]))
 
     def test_out_of_range_trace_fields_rejected(self):
         with pytest.raises(SerializationError, match="128-bit"):

@@ -38,7 +38,7 @@ from tests.callcount import CallCounts, profile_calls
 from tests.fresh import fresh_python
 
 #: Calls (Python + builtin, the count ``cProfile`` reports) of one warm
-#: ``sync(1, f2f(add, 1, 2))``: 48 on CPython 3.11 (no trace asked for
+#: ``sync(1, f2f(add, 1, 2))``: 46 on CPython 3.11 (no trace asked for
 #: and no span entered while telemetry is off, the tables', the
 #: tenant's, the liveness and the node's "nothing to do" read by
 #: attribute, the INVOKE built by its compiled codec in one ``pack``, a
@@ -54,21 +54,20 @@ MAX_WINDOW_LOCK_ACQUISITIONS = 2
 #: The same offload with telemetry set up by ``init`` itself
 #: (``telemetry=True``: the recorder): calls, and locks taken (every
 #: ``with lock`` / ``lock.acquire()``, telemetry's and the window's
-#: alike). On CPython 3.11: 119 calls and 4 locks — three phases
-#: stamped into one record around the ``offload.execute`` span (one
-#: lock), the record committed with its folds and counters under one
-#: lock, and the window's two. The call ceiling sits ~5 % above, the
-#: lock ceiling at the figure (5 % of it is less than one lock).
-MAX_TRACED_CALLS = 125
-MAX_TRACED_LOCKS = 4
+#: alike). On CPython 3.11: 105 calls and 3 locks — three phases
+#: stamped into one record, the target's execute time read off its
+#: version-3 reply, the record committed with its folds and counters
+#: under one lock, and the window's two. The call ceiling sits ~5 %
+#: above, the lock ceiling at the figure (5 % of it is less than one
+#: lock).
+MAX_TRACED_CALLS = 110
+MAX_TRACED_LOCKS = 3
 
-#: Records one traced offload appends: on ``local`` the serialize,
-#: transport and deserialize phases and the execute span; a framed
-#: transport adds ``offload.enqueue`` and ``offload.reply`` on the host
-#: and records ``offload.execute`` and ``<transport>.server.reply`` in
-#: the target.
-LOCAL_RECORDS = 4
-FRAMED_HOST_RECORDS, FRAMED_TARGET_RECORDS = 5, 2
+#: Records one traced offload appends, all in one commit: on ``local``
+#: the serialize, transport and deserialize phases and the target's
+#: execute; a framed transport adds ``offload.enqueue`` and
+#: ``offload.reply``.
+LOCAL_RECORDS, FRAMED_RECORDS = 4, 6
 
 
 def _warm_runtime() -> Runtime:
@@ -162,7 +161,7 @@ class TestDefaultPathBudget:
 
 #: One warm ``sync(1, functor, tenant="gold")`` on ``local`` under a
 #: ``QoSConfig`` that rate-limits gold, the functor built before the
-#: count: 54 calls and 3 locks on CPython 3.11 (the plain sync's 2, plus
+#: count: 52 calls and 3 locks on CPython 3.11 (the plain sync's 2, plus
 #: admission's one: the bucket lookup, its refill and the admitted count
 #: share the controller's lock). The tenant is a bare id read by
 #: ``_offload``. The ceiling sits ~5 % above.
@@ -198,13 +197,14 @@ def test_tenant_tagged_qos_sync_call_budget():
 #: call however long the target takes. The ceilings sit ~5 % above.
 MAX_FRAMED_SYNC_CALLS = {"shm": 58, "tcp": 72}
 
-#: The same sync traced (``telemetry=True``), host side: 107 calls and
-#: 5 locks on shm, 121 and 5 on tcp (CPython 3.11) — one trace minted,
+#: The same sync traced (``telemetry=True``), host side: 112 calls and
+#: 5 locks on shm, 126 and 5 on tcp (CPython 3.11) — one trace minted,
 #: five phases stamped into one record (serialize, enqueue, transport,
-#: the leader's own reply, deserialize) and committed with their folds
-#: and counters under one lock. The call ceilings sit ~5 % above, the
-#: lock ceiling at the figure.
-MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 113, "tcp": 127}
+#: the leader's own reply, deserialize), the target's execute read off
+#: the version-3 reply and placed in the round trip, and the six
+#: committed with their folds and counters under one lock. The call
+#: ceilings sit ~5 % above, the lock ceiling at the figure.
+MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 118, "tcp": 132}
 MAX_TRACED_FRAMED_SYNC_LOCKS = 5
 
 
@@ -303,7 +303,7 @@ def test_untraced_async_get_enters_no_span(transport):
         offload_api.finalize()
 
 
-#: Calls of one warm ``async_(1, f2f(echo, 7)).get()``, CPython 3.11: 62
+#: Calls of one warm ``async_(1, f2f(echo, 7)).get()``, CPython 3.11: 60
 #: on local, 72 on shm, 89 on tcp — a sync's path plus the handle, the
 #: future and the window's register and release; the tenant, liveness
 #: and node read by attribute, no span entered and no trace activated
@@ -396,15 +396,14 @@ def test_traced_sync_on_framed_transports(transport):
 
 
 #: Calls of one ``_execute_booked`` of an ``echo`` INVOKE on the target,
-#: (untraced, v2 header) while the target process does not record — a
-#: forked target, where ``init`` enables the recorder only after the
-#: fork. CPython 3.11: 28 and 32 on shm, 39 and 43 on tcp. The v2
-#: header costs only its trace fields' decode and re-encode: no context
-#: is built, no span entered, the recorder is read once, a scalar-only
-#: argument block meets no resolver, a scalar reply is packed in one
-#: step, and the shutdown drain is notified only while a shutdown
-#: waits. The ceilings sit ~5 % above.
-MAX_TARGET_INVOKE_CALLS = {"shm": (30, 34), "tcp": (41, 46)}
+#: (untraced, v2 header). CPython 3.11: 26 and 33 on shm, 37 and 44 on
+#: tcp. The v2 header costs its trace fields' decode and re-encode into
+#: the version-3 reply and two clock reads: no context is built, no span
+#: entered, the recorder not read, a scalar-only argument block meets no
+#: resolver, a scalar reply is packed in one step, and the shutdown
+#: drain is notified only while a shutdown waits. The ceilings sit ~5 %
+#: above.
+MAX_TARGET_INVOKE_CALLS = {"shm": (28, 35), "tcp": (39, 46)}
 
 #: The receive half of the target's round: one ``_next_frame`` that finds
 #: the next request already there — the wait, ``fill``, the source's
@@ -570,19 +569,28 @@ class TestTracedPathBudget:
     @pytest.mark.parametrize("backend", ["shm", "tcp"])
     def test_records_per_offload_on_framed_transports(
             self, traced_runtime, backend):
-        # Enabled before the target is forked, so that it records too.
-        recorder = telemetry.enable()
+        """The first target of the process, forked before ``init``
+        enables the recorder: each offload is still its six records,
+        from one commit, the execute one the target's."""
         runtime = traced_runtime(backend)
-        runtime.backend.fetch_target_telemetry()  # drains the warm-up's
+        recorder = telemetry.get()
         recorded = recorder.recorded
-        for i in range(3):
-            assert runtime.sync(1, f2f(apps.echo, i)) == i
-        assert recorder.recorded - recorded == 3 * FRAMED_HOST_RECORDS
-        target = runtime.backend.fetch_target_telemetry()
-        assert len(target) == 3 * FRAMED_TARGET_RECORDS
-        assert sorted({r.name for r in target}) == [
-            "offload.execute", f"{backend}.server.reply",
-        ]
+        commits = []
+        commit = recorder.commit_offload
+        recorder.commit_offload = lambda trace, **kw: (
+            commits.append(trace) or commit(trace, **kw))
+        try:
+            for i in range(3):
+                assert runtime.sync(1, f2f(apps.echo, i)) == i
+        finally:
+            del recorder.commit_offload
+        assert recorder.recorded - recorded == 3 * FRAMED_RECORDS
+        assert len(commits) == 3
+        executes = recorder.spans("offload.execute")[-3:]
+        pid = runtime.backend.introspect_target()["pid"]
+        assert [r.pid for r in executes] == [pid] * 3 != [os.getpid()] * 3
+        assert ({r.trace_id for r in executes}
+                == {trace.ctx.trace_id_hex for trace in commits})
 
 
 #: One tcp ``post_invoke`` of ``echo(7)`` with the coalescer in front of

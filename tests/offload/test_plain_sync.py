@@ -38,7 +38,7 @@ from repro.telemetry import recorder as telemetry
 
 from tests import apps
 from tests.callcount import profile_calls
-from tests.offload.test_offload_budget import FRAMED_HOST_RECORDS, LOCAL_RECORDS
+from tests.offload.test_offload_budget import FRAMED_RECORDS, LOCAL_RECORDS
 
 WAIT = 10.0
 
@@ -401,4 +401,4 @@ def test_a_traced_sync_records_what_a_traced_future_does(transport):
         telemetry.disable()
     assert via_sync == via_future
     assert len(via_sync) == (
-        LOCAL_RECORDS if transport == "local" else FRAMED_HOST_RECORDS)
+        LOCAL_RECORDS if transport == "local" else FRAMED_RECORDS)

@@ -1,10 +1,6 @@
-"""Tests for clock alignment and critical paths."""
-
-import pytest
+"""Tests for trace grouping and critical paths."""
 
 from repro.telemetry.distributed import (
-    ClockSync,
-    align_records,
     critical_path,
     group_by_trace,
     trace_summary,
@@ -28,54 +24,6 @@ def event(name, ts, *, pid=HOST_PID, trace=TRACE):
         name=name, category="offload", ts_ns=ts, span_id=0, parent_id=0,
         pid=pid, tid=1, trace_id=trace,
     )
-
-
-class TestClockSync:
-    def test_estimate_recovers_known_offset(self):
-        # Target clock runs 1000 ns ahead; symmetric 100 ns one-way trip.
-        host = iter(range(0, 10_000, 1000))
-
-        def probe():
-            t0 = next(host)
-            return t0, t0 + 100 + 1000, t0 + 200
-
-        sync = ClockSync.estimate(probe, rounds=4)
-        assert sync.offset_ns == -1000
-        assert sync.rtt_ns == 200
-        assert sync.samples == 4
-
-    def test_estimate_prefers_min_rtt_round(self):
-        rounds = iter([
-            (0, 5000, 10_000),   # rtt 10000, noisy
-            (100, 1350, 500),    # rtt 400, tight: offset = 300 - 1350
-            (600, 9000, 5000),   # rtt 4400
-        ])
-        sync = ClockSync.estimate(lambda: next(rounds), rounds=3)
-        assert sync.rtt_ns == 400
-        assert sync.offset_ns == 300 - 1350
-
-    def test_estimate_rejects_bad_rounds(self):
-        with pytest.raises(ValueError):
-            ClockSync.estimate(lambda: (100, 0, 50), rounds=1)
-        with pytest.raises(ValueError):
-            ClockSync.estimate(lambda: (0, 0, 0), rounds=0)
-
-    def test_identity(self):
-        sync = ClockSync.identity()
-        assert sync.offset_ns == 0 and sync.samples == 0
-
-
-class TestAlignment:
-    def test_align_shifts_spans_and_events(self):
-        records = [span("a", 1000, 10), event("e", 2000)]
-        shifted = align_records(records, -500)
-        assert shifted[0].start_ns == 500
-        assert shifted[0].duration_ns == 10
-        assert shifted[1].ts_ns == 1500
-
-    def test_align_zero_offset_is_identity(self):
-        records = [span("a", 1000, 10)]
-        assert align_records(records, 0) == records
 
 
 class TestGroupingAndPaths:

@@ -2,19 +2,16 @@
 
 import collections
 import os
-import time
 
 import pytest
 
 from repro.backends import TcpBackend, spawn_local_server
-from repro.backends._server import OP_CLOCK, OP_TELEMETRY
-from repro.backends.base import Backend
+from repro.backends._server import OP_SHUTDOWN
 from repro.backends.faulty import FaultInjectingBackend
 from repro.backends.local import LocalBackend
 from repro.ham import f2f
 from repro.offload import Runtime
 from repro.offload import api as offload_api
-from repro.offload.node import HOST_NODE, NodeDescriptor
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.distributed import critical_path, group_by_trace
 from repro.telemetry.export import to_chrome
@@ -100,31 +97,32 @@ class TestTcpTracing:
         process, address = spawn_local_server()
         backend = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
         runtime = Runtime(backend)
-        yield runtime, backend, recorder
+        yield runtime, process, recorder
         runtime.shutdown()
         if process.is_alive():  # pragma: no cover - cleanup safety
             process.terminate()
 
-    def test_execute_parents_to_host_serialize_span(self, traced):
-        runtime, backend, recorder = traced
+    def test_execute_nests_under_transport(self, traced):
+        runtime, process, recorder = traced
         assert runtime.sync(1, f2f(apps.add, 20, 22)) == 42
-        recorder.ingest(backend.fetch_target_telemetry())
         serialize = recorder.spans("offload.serialize")[0]
-        execute = next(s for s in recorder.spans("offload.execute"))
-        assert execute.pid != os.getpid()
+        transport = recorder.spans("offload.transport")[0]
+        (execute,) = recorder.spans("offload.execute")
+        assert execute.pid == process.pid != os.getpid()
         assert execute.trace_id == serialize.trace_id != ""
-        assert execute.parent_id == serialize.span_id
+        assert execute.parent_id == transport.span_id
+        assert transport.start_ns <= execute.start_ns <= execute.end_ns
+        assert execute.end_ns <= transport.end_ns
 
-    def test_clock_sync_estimated_at_connect(self, traced):
-        _runtime, backend, _recorder = traced
-        assert backend.clock_sync.samples > 0
-        assert backend.clock_sync.rtt_ns > 0
+    def test_execute_is_recorded_when_the_offload_settles(self, traced):
+        runtime, _process, recorder = traced
+        assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
+        assert len(recorder.spans("offload.execute")) == 1
 
     def test_merged_critical_path_is_monotone(self, traced):
-        runtime, backend, recorder = traced
+        runtime, _process, recorder = traced
         for i in range(3):
             assert runtime.sync(1, f2f(apps.add, i, i)) == 2 * i
-        recorder.ingest(backend.fetch_target_telemetry())
         groups = group_by_trace(recorder.records())
         assert len(groups) == 3
         for group in groups.values():
@@ -134,174 +132,55 @@ class TestTcpTracing:
             starts = [seg["start_ns"] for seg in path]
             assert starts == sorted(starts)
 
-    def test_shutdown_drains_target_telemetry(self):
-        recorder = telemetry.enable()
-        process, address = spawn_local_server()
-        backend = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
-        runtime = Runtime(backend)
-        assert runtime.sync(1, f2f(apps.add, 1, 2)) == 3
-        assert not recorder.spans("offload.execute")
-        runtime.shutdown()  # drains OP_TELEMETRY before closing
-        assert recorder.spans("offload.execute")
 
-
-class TestTelemetryPull:
+class TestTracedFinalize:
     @pytest.mark.parametrize("transport", ["shm", "tcp"])
-    def test_an_empty_pull_sends_no_clock_probe(self, transport):
-        """``init`` forks its target before it enables the recorder, so
-        that target records nothing: a traced ``finalize()`` pulls once,
-        finds nothing, estimates no clock, and neither it nor the
-        shutdown records a span."""
+    def test_a_traced_finalize_sends_only_shutdown(self, transport):
+        """The first target of a process, forked before ``init`` enables
+        the recorder, still reports its execute time; ``finalize()``
+        then sends ``OP_SHUTDOWN`` alone, and records nothing."""
         runtime = offload_api.init(transport, telemetry=True)
         recorder = telemetry.get()
         backend = runtime.backend
         ops, send = [], backend._send
-        backend._send = lambda op, *rest: ops.append(op) or send(op, *rest)
         try:
             for i in range(3):
                 assert offload_api.sync(1, f2f(apps.echo, i)) == i
             recorded = recorder.recorded
+            backend._send = lambda op, *rest: ops.append(op) or send(op, *rest)
         finally:
             offload_api.finalize()
             telemetry.disable()
-        assert OP_TELEMETRY in ops
-        assert OP_CLOCK not in ops
+        assert ops == [OP_SHUTDOWN]
         assert recorder.recorded == recorded
+        assert len(recorder.spans("offload.execute")) == 3
 
 
 class TestFinalizeInitCycle:
-    """A second ``init`` forks its target from a host whose ring is not
-    empty: the child must start with none of it."""
+    """Each ``init`` forks a fresh target: its execute records carry its
+    own pid, and nothing is recorded twice."""
 
     @pytest.mark.parametrize("backend", ["shm", "tcp"])
     def test_second_target_ships_no_pre_fork_record(self, backend):
+        rec = telemetry.enable()  # kept across both cycles
+
         def cycle():
-            offload_api.init(backend, telemetry={"sample_rate": 1.0})
+            runtime = offload_api.init(backend, telemetry={"sample_rate": 1.0})
             try:
+                pid = runtime.backend.introspect_target()["pid"]
                 for i in range(3):
                     assert offload_api.sync(1, f2f(apps.echo, i)) == i
             finally:
-                offload_api.finalize()  # pulls the target's records
+                offload_api.finalize()
+            return pid
 
-        # Enabled before the first fork too, so that both targets record
-        # (init's string form spawns its target before it enables).
-        rec = telemetry.enable()
-        cycle()
-        first = rec.records()
-        assert first, "the first cycle recorded nothing"
-        forked_at = time.perf_counter_ns()
-        cycle()
-        merged = rec.records()
-        counts = collections.Counter(r.span_id for r in merged)
+        try:
+            first = cycle()
+            second = cycle()
+        finally:
+            telemetry.disable()
+        assert first != second
+        counts = collections.Counter(r.span_id for r in rec.records())
         assert [i for i, n in counts.items() if n > 1] == []
-        # Both targets executed: 2 x 3 execute spans, from two pids.
         executes = rec.spans("offload.execute")
-        assert len(executes) == 6
-        assert len({r.pid for r in executes}) == 2
-        first_pids = {r.pid for r in first}
-        second_target = [r for r in merged if r.pid not in first_pids]
-        assert second_target
-        for record in second_target:
-            started = record.start_ns if record.kind == "span" else record.ts_ns
-            assert started >= forked_at, record
-
-
-class _StubBackend(Backend):
-    """Minimal backend for shutdown-drain unit tests."""
-
-    name = "stub"
-
-    def __init__(self):
-        self.shutdown_called = False
-
-    def num_nodes(self):
-        return 2
-
-    def descriptor(self, node):
-        return NodeDescriptor(node, "stub", "host", "stub")
-
-    def post_invoke(self, node, functor):  # pragma: no cover - unused
-        raise NotImplementedError
-
-    def drive(self, handle, *, blocking, timeout=None):  # pragma: no cover
-        raise NotImplementedError
-
-    def alloc_buffer(self, node, nbytes):  # pragma: no cover - unused
-        raise NotImplementedError
-
-    def free_buffer(self, node, addr):  # pragma: no cover - unused
-        raise NotImplementedError
-
-    def write_buffer(self, node, addr, data):  # pragma: no cover - unused
-        raise NotImplementedError
-
-    def read_buffer(self, node, addr, nbytes):  # pragma: no cover - unused
-        raise NotImplementedError
-
-    def shutdown(self):
-        self.shutdown_called = True
-
-
-class TestShutdownDrain:
-    def test_failing_pull_emits_event_not_exception(self):
-        rec = telemetry.enable()
-
-        class Hanging(_StubBackend):
-            def fetch_target_telemetry(self, timeout=None, align=True):
-                raise TimeoutError("target wedged")
-
-        backend = Hanging()
-        rt = Runtime(backend)
-        rt.shutdown()  # must not raise
-        assert backend.shutdown_called
-        (event,) = rec.events("telemetry.pull_failed")
-        assert event.attrs["error"] == "TimeoutError"
-        counters = rec.metrics.snapshot()["counters"]
-        assert counters["telemetry.pull_failures"] == 1
-
-    def test_drain_passes_short_timeout(self):
-        telemetry.enable()
-        seen = {}
-
-        class Observing(_StubBackend):
-            def fetch_target_telemetry(self, timeout=None, align=True):
-                seen["timeout"] = timeout
-                return []
-
-        rt = Runtime(Observing())
-        rt.shutdown()
-        assert seen["timeout"] is not None
-        assert seen["timeout"] <= 5.0
-
-    def test_no_drain_without_telemetry(self):
-        calls = []
-
-        class Observing(_StubBackend):
-            def fetch_target_telemetry(self, timeout=None, align=True):
-                calls.append(timeout)
-                return []
-
-        rt = Runtime(Observing())
-        rt.shutdown()
-        assert calls == []
-
-    def test_backend_without_fetch_is_fine(self):
-        telemetry.enable()
-        backend = _StubBackend()
-        rt = Runtime(backend)
-        rt.shutdown()
-        assert backend.shutdown_called
-
-    def test_faulty_wrapper_forwards_fetch(self):
-        telemetry.enable()
-
-        class Providing(_StubBackend):
-            def fetch_target_telemetry(self, timeout=None, align=True):
-                return ["sentinel"]
-
-        proxy = FaultInjectingBackend(Providing())
-        assert proxy.fetch_target_telemetry() == ["sentinel"]
-
-    def test_faulty_wrapper_over_plain_backend_returns_empty(self):
-        proxy = FaultInjectingBackend(_StubBackend())
-        assert proxy.fetch_target_telemetry() == []
+        assert [r.pid for r in executes] == [first] * 3 + [second] * 3

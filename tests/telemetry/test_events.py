@@ -98,7 +98,7 @@ def _notes() -> dict[str, tuple[str, str]]:
 
 def test_no_name_is_both_an_event_and_a_note():
     events, notes = _events(), _notes()
-    assert len(events) >= 7 and len(notes) >= 3  # the scan bites
+    assert len(events) >= 6 and len(notes) >= 3  # the scan bites
     assert not set(events) & set(notes)
 
 

@@ -10,6 +10,7 @@ makes this file fail changed what telemetry records, not only its cost.
 
 import dataclasses
 import os
+import struct
 import threading
 
 import pytest
@@ -25,7 +26,7 @@ from repro.backends._server import (
 from repro.errors import RemoteExecutionError
 from repro.ham import f2f
 from repro.ham.execution import execute_message
-from repro.ham.message import MSG_RESULT, build_message
+from repro.ham.message import HEADER_SIZE_V3, MSG_RESULT, build_message
 from repro.ham.registry import ProcessImage
 from repro.offload import Runtime
 from repro.telemetry import context as trace_context
@@ -42,6 +43,10 @@ STEP = 1000  # every clock read advances the fake clock by this much
 SAMPLED = TraceContext(trace_id=0xA1, span_id=0x77)
 
 HEX = {ctx: f"{ctx.trace_id:032x}" for ctx in (SAMPLED,)}
+
+#: The execute time the scripted target reports, in ns (its own clock
+#: is the wall clock: the reply is rewritten to this).
+EXECUTE_NS = 500
 
 
 class FakeClock:
@@ -246,11 +251,19 @@ class Scripted(FramedClient):
         _length, op, corr = _PREFIX.unpack_from(data)
         body = data[_PREFIX.size:]
         self.sent.append((op, corr, body))
-        reply = (execute_message(self.target, body, recorder=None)[0]
-                 if op == OP_INVOKE else b"")
+        reply = scripted_reply(self.target, body) if op == OP_INVOKE else b""
         self._arrived += b"".join(wire.frame(op | OP_REPLY_BIT, corr, reply))
 
     _post = _transmit
+
+
+def scripted_reply(image, body) -> bytes:
+    """:func:`execute_message`'s reply to ``body``, a version-3 one
+    reporting :data:`EXECUTE_NS`."""
+    reply = bytearray(execute_message(image, body)[0])
+    if reply[2] == 3:
+        struct.pack_into("<Q", reply, HEADER_SIZE_V3 - 8, EXECUTE_NS)
+    return bytes(reply)
 
 
 @pytest.fixture
@@ -270,36 +283,49 @@ def traced_runtime():
 
 
 def offload_tree(backend, rec, *, serialize, enqueue, transport, reply,
-                 deserialize, kernel=apps.echo, error=None):
-    """The records the five spans of the last offload of ``kernel`` made,
-    hand-worked: each phase given as ``(start, end)`` in clock reads;
-    ``error``, the phase and exception of a failed one."""
+                 deserialize, kernel=apps.echo, error=None, execute_error=None):
+    """The records the six phases of the last offload of ``kernel`` make,
+    hand-worked: each host phase given as ``(start, end)`` in clock
+    reads; ``error``, the phase and exception of a failed one. The
+    target's execute is :data:`EXECUTE_NS` centred between enqueue's end
+    and the reply's start (``execute_error``: what the kernel raised)."""
     op, corr, body = backend.sent[-1]
     assert op == OP_INVOKE
-    result = execute_message(backend.target, body, recorder=None)[0]
+    result = scripted_reply(backend.target, body)
     label = f2f(kernel).type_name
-    base = rec.records()[-5].span_id  # the serialize id: the remote parent
+    base = rec.records()[-6].span_id  # the serialize id: the remote parent
     assert base >> 40 == os.getpid()
+    window = (reply[0] - enqueue[1]) * STEP
+    execute_start = enqueue[1] * STEP + (window - EXECUTE_NS) // 2
+    execute = {"bytes": len(body), "handler": label}
+    if execute_error is not None:
+        execute["error"] = execute_error
+
+    def ns(reads):
+        return reads[0] * STEP, (reads[1] - reads[0]) * STEP
+
     rows = [
-        ("offload.serialize", serialize, {"functor": label, "bytes": len(body)}),
-        ("offload.enqueue", enqueue,
+        ("offload.serialize", ns(serialize), {"functor": label, "bytes": len(body)}),
+        ("offload.enqueue", ns(enqueue),
          {"bytes": len(body), "functor": label, "corr": corr}),
-        ("offload.reply", reply,
+        ("offload.execute", (execute_start, EXECUTE_NS), execute),
+        ("offload.reply", ns(reply),
          {"transport": "tcp", "bytes": len(result) + FRAME_OVERHEAD}),
-        ("offload.transport", transport, {"label": label}),
-        ("offload.deserialize", deserialize, {"bytes": len(result)}),
+        ("offload.transport", ns(transport), {"label": label}),
+        ("offload.deserialize", ns(deserialize), {"bytes": len(result)}),
     ]
     ids = {"offload.serialize": 0, "offload.enqueue": 1,
            "offload.transport": 2, "offload.reply": 3,
-           "offload.deserialize": 4}
+           "offload.deserialize": 4, "offload.execute": 5}
     records = []
-    for name, (start, end), attrs in rows:
+    for name, (start, duration), attrs in rows:
         if error is not None and error[0] == name:
             attrs["error"] = error[1]
         records.append(SpanRecord(
-            name, "offload", start * STEP, (end - start) * STEP,
+            name, "offload", start, duration,
             base + ids[name],
-            base + 2 if name == "offload.reply" else SAMPLED.span_id,
+            base + 2 if name in ("offload.reply", "offload.execute")
+            else SAMPLED.span_id,
             os.getpid(), threading.get_ident(), attrs, HEX[SAMPLED],
         ))
     return records
@@ -313,13 +339,13 @@ def test_a_traced_sync_is_its_five_spans_field_by_field(traced_runtime):
     assert rec.records() == offload_tree(
         runtime.backend, rec, serialize=(2, 3), enqueue=(4, 5),
         transport=(5, 8), reply=(6, 7), deserialize=(9, 10))
-    assert rec.recorded == 5 and rec.dropped == 0
+    assert rec.recorded == 6 and rec.dropped == 0
     assert rec.current_span_id() == 0
     snap = rec.metrics.snapshot()
     phases = {name: h["count"] for name, h in snap["histograms"].items()
               if name.startswith("phase.")}
     assert phases == {f"phase.offload.{phase}": 1 for phase in (
-        "serialize", "enqueue", "transport", "reply", "deserialize")}
+        "serialize", "enqueue", "transport", "reply", "deserialize", "execute")}
     kernel = f2f(apps.echo, 0).type_name
     _op, _corr, body = runtime.backend.sent[-1]
     assert snap["counters"] == {
@@ -351,7 +377,8 @@ def test_a_raising_kernel_tags_the_deserialize_record(traced_runtime):
         runtime.backend, rec, serialize=(2, 3), enqueue=(4, 5),
         transport=(5, 8), reply=(6, 7), deserialize=(9, 10),
         kernel=apps.raise_value_error,
-        error=("offload.deserialize", "RemoteExecutionError"))
+        error=("offload.deserialize", "RemoteExecutionError"),
+        execute_error="ValueError")
     kernel = f2f(apps.raise_value_error, "").type_name
     snap = rec.metrics.snapshot()
     assert snap["counters"][f"kernel.{kernel}.errors"] == 1
@@ -374,7 +401,7 @@ def test_an_event_mid_transport_parents_to_the_transport(traced_runtime):
     assert as_tuple(event) == (
         "event", "fault.injected", "fault", 6 * STEP, transport.span_id,
         {"kind": "delay"}, HEX[SAMPLED])
-    assert rec.recorded == 6
+    assert rec.recorded == 7
 
 
 def test_the_ring_wraps_by_records_not_by_offloads():
@@ -385,20 +412,19 @@ def test_the_ring_wraps_by_records_not_by_offloads():
         for i in range(3):
             assert runtime.sync(1, f2f(apps.echo, i)) == i
         kept = rec.records()
-        assert (rec.recorded, rec.dropped, len(kept)) == (15, 8, 7)
+        assert (rec.recorded, rec.dropped, len(kept)) == (18, 11, 7)
         phases = rec.metrics.snapshot()["histograms"]
         assert all(phases[f"phase.{name}"]["count"] == 3 for name in (
             "offload.serialize", "offload.enqueue", "offload.transport",
-            "offload.reply", "offload.deserialize"))
+            "offload.reply", "offload.deserialize", "offload.execute"))
     finally:
         telemetry.disable()
         runtime.shutdown()
-    # The newest 7: the second offload's last two, the third's five.
+    # The newest 7: the second offload's last one, the third's six.
     assert [r.name for r in kept] == [
-        "offload.transport", "offload.deserialize",
-        "offload.serialize", "offload.enqueue", "offload.reply",
-        "offload.transport", "offload.deserialize",
+        "offload.deserialize",
+        "offload.serialize", "offload.enqueue", "offload.execute",
+        "offload.reply", "offload.transport", "offload.deserialize",
     ]
-    assert len({r.trace_id for r in kept[:2]}) == 1
-    assert kept[1].trace_id != kept[2].trace_id
-    assert [r.span_id - kept[2].span_id for r in kept[2:]] == [0, 1, 3, 2, 4]
+    assert kept[0].trace_id != kept[1].trace_id
+    assert [r.span_id - kept[1].span_id for r in kept[1:]] == [0, 1, 5, 3, 2, 4]

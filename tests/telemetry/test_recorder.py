@@ -76,22 +76,6 @@ class TestRing:
         with pytest.raises(ValueError):
             Recorder(capacity=0)
 
-    def test_drain_empties_atomically(self):
-        rec = Recorder(clock_ns=FakeClock())
-        rec.event("a")
-        rec.event("b")
-        drained = rec.drain()
-        assert [r.name for r in drained] == ["a", "b"]
-        assert rec.records() == []
-
-    def test_ingest_merges_foreign_records(self):
-        src = Recorder(clock_ns=FakeClock())
-        src.event("remote")
-        dst = Recorder(clock_ns=FakeClock())
-        dst.event("local")
-        dst.ingest(src.drain())
-        assert sorted(r.name for r in dst.records()) == ["local", "remote"]
-
     def test_clear_keeps_counting_ids(self):
         rec = Recorder(clock_ns=FakeClock())
         with rec.span("a") as s1:

@@ -1,7 +1,7 @@
 """Recording under contention: nothing lost, nothing twice.
 
 A span's record and its phase fold are kept under one lock, and so are
-a traced offload's records, its five phase folds and its counters, in
+a traced offload's records, its six phase folds and its counters, in
 one commit. Eight threads open nested spans, or run traced offloads,
 while the interpreter switches threads as often as it can: every span
 opened and every offload is recorded once, in the ring and in its phase
@@ -9,6 +9,7 @@ histograms.
 """
 
 import collections
+import os
 import sys
 import threading
 
@@ -75,11 +76,12 @@ def test_every_nested_span_is_recorded_once():
             assert parent.tid == record.tid
 
 
-def test_every_traced_offload_is_its_five_records_once():
+def test_every_traced_offload_is_its_six_records_once():
     """Eight threads post a future, sync, then collect the future, on
     tcp: the syncs read replies inline, so replies are read by whichever
-    thread gets there first. Each offload still commits exactly its five
-    records, whole, and one fold into each phase histogram."""
+    thread gets there first. Each offload still commits exactly its six
+    records — the host's five phases and the target's execute — whole,
+    and one fold into each phase histogram."""
     offloads = 40
     runtime = offload_api.init("tcp", telemetry=True)
     recorder = telemetry.get()
@@ -111,31 +113,41 @@ def test_every_traced_offload_is_its_five_records_once():
         sys.setswitchinterval(interval)
         offload_api.finalize()
         telemetry.disable()
-    # Counted after finalize: its pull from the target (which recorded
-    # nothing) and the shutdown add no record.
+    # Counted after finalize: the shutdown adds no record.
     recorded = recorder.recorded - recorded
     kept = recorder.records()[-recorded:]
     histograms = recorder.metrics.snapshot()["histograms"]
     assert not failures, failures
     total = THREADS * offloads * 2
-    assert recorded == 5 * total
+    assert recorded == 6 * total
     assert recorder.dropped == 0
     by_trace = collections.defaultdict(list)
     for record in kept:
         by_trace[record.trace_id].append(record)
     assert len(by_trace) == total
     label = f2f(apps.echo, 0).type_name
-    corrs = set()
+    corrs, target_pids = set(), set()
     for records in by_trace.values():
         assert [r.name for r in records] == [
-            PHASES[0], PHASES[1], PHASES[3], PHASES[2], PHASES[4]]
-        serialize, enqueue, reply, transport, deserialize = records
+            PHASES[0], PHASES[1], PHASES[5], PHASES[3], PHASES[2], PHASES[4]]
+        serialize, enqueue, execute, reply, transport, deserialize = records
         base = serialize.span_id
-        assert [r.span_id - base for r in records] == [0, 1, 3, 2, 4]
-        assert reply.parent_id == transport.span_id
-        assert {r.parent_id for r in records if r is not reply} == {0}
-        assert len({r.tid for r in records}) == 1  # a thread's own offload
+        assert [r.span_id - base for r in records] == [0, 1, 5, 3, 2, 4]
+        assert reply.parent_id == execute.parent_id == transport.span_id
+        assert {r.parent_id for r in (serialize, enqueue, transport,
+                                      deserialize)} == {0}
+        host = [r for r in records if r is not execute]
+        assert len({r.tid for r in host}) == 1  # a thread's own offload
+        assert execute.tid == 0  # another process's thread
+        target_pids.add(execute.pid)
         assert all(r.duration_ns >= 0 for r in records)
+        # Inside the round trip: from the INVOKE leaving to its reply
+        # being read (which another thread may do before the poster's
+        # enqueue has ended).
+        assert min(enqueue.end_ns, reply.start_ns) <= execute.start_ns
+        assert execute.end_ns <= reply.start_ns
+        assert execute.attrs == {"bytes": enqueue.attrs["bytes"],
+                                 "handler": label}
         assert serialize.end_ns <= enqueue.start_ns <= transport.start_ns
         assert transport.end_ns <= deserialize.start_ns
         # A future's reply may be read by another thread before its
@@ -148,6 +160,7 @@ def test_every_traced_offload_is_its_five_records_once():
         assert reply.attrs["transport"] == "tcp"
         corrs.add(enqueue.attrs["corr"])
     assert len(corrs) == total
+    assert len(target_pids) == 1 and os.getpid() not in target_pids
     # The warm-up of init records nothing: every fold is one of these.
     for name in PHASES:
         assert histograms[f"phase.{name}"]["count"] == total

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.telemetry.distributed import ClockSync, align_records
 from repro.telemetry.export import write_chrome_trace
 from repro.telemetry.recorder import EventRecord, SpanRecord
 from repro.telemetry.report import main as report_main
@@ -76,9 +75,8 @@ class TestProfileCli:
 
 class TestJsonRoundTrip:
     def test_json_payload_from_merged_trace(self, tmp_path, capsys):
-        # Host half + target half, the target's aligned onto the host
-        # clock as the client aligns a pulled trace, then reported as
-        # JSON: the payload must parse and carry all views.
+        # Host half + the target's execute, reported as JSON: the
+        # payload must parse and carry all views.
         trace_id = "bb" * 16
         host = [
             traced_span(trace_id, "offload.serialize", 1000, 500, 1,
@@ -86,10 +84,9 @@ class TestJsonRoundTrip:
             traced_span(trace_id, "offload.wait", 1600, 4000, 2),
         ]
         target = [
-            traced_span(trace_id, "offload.execute", 900_000, 2000, 3),
+            traced_span(trace_id, "offload.execute", 3000, 2000, 3),
         ]
-        sync = ClockSync(offset_ns=-897_000, rtt_ns=100, samples=3)
-        merged = host + align_records(target, sync.offset_ns)
+        merged = host + target
         path = write_chrome_trace(tmp_path / "merged.json", merged)
         assert report_main(
             [str(path), "--profile", "--per-message", "--format", "json"]
