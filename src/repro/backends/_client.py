@@ -1,24 +1,23 @@
 """The host-side client shared by the shm and tcp transports.
 
-The mirror of :mod:`repro.backends._server`: both transports are byte
-pipes carrying the same frames, so everything the host does that is not
-moving bytes is one class — packing frames and taking them off the
-pipe with the one :class:`~repro.backends._server.FrameParser`, the
-correlation table replies are matched through, posting an invocation,
-the synchronous roundtrip under every memory and control op and under
-a sync's invoke, the catalog handshake, the introspection pull, failing
-what a lost transport strands, and shutdown.
+The mirror of :mod:`repro.backends._server`: both transports carry the
+same frames, so everything the host does that is not moving them is one
+class — the correlation table replies are matched through, posting an
+invocation, the synchronous roundtrip under every memory and control op
+and under a sync's invoke, the catalog handshake, the introspection
+pull, failing what a lost transport strands, and shutdown. A transport
+supplies two hooks, *publish one frame* and *take one frame*
+(:class:`FramedClient`).
 
 It is also the one *drive*. The paper's receiver polls for its message
 itself (Sec. IV-B) and HAM's backends have no progress thread; here the
-caller that waits for a reply reads it: it takes the drive lock, calls
-:meth:`FramedClient._next_frame` and completes every reply that
+caller that waits for a reply reads it: it takes the drive lock, takes
+frames off the pipe (``_next_frame``) and completes every reply that
 arrives, its own and everybody else's (leader/follower). An
 asyncio loop that awaits a reply is a waiter too: it polls through
 ``drive(blocking=False)`` (:class:`~repro.offload.future.AwaitingLoop`).
 No thread owns the receive side, so a depth-1 offload costs the host one
-timeslice and builds no ``threading.Event``. What is left to a
-transport is listed on :class:`FramedClient`.
+timeslice and builds no ``threading.Event``.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ import time
 from typing import Any, Callable
 
 from repro.backends._server import (
-    _FRAME_META,
-    _LEN,
-    _PREFIX,
     _U64,
     FRAME_OVERHEAD,
     OP_ALLOC,
@@ -43,7 +39,6 @@ from repro.backends._server import (
     OP_REPLY_BIT,
     OP_SHUTDOWN,
     OP_WRITE,
-    _eof_error,
 )
 from repro.backends.base import Backend, InvokeHandle
 from repro.errors import (
@@ -54,6 +49,7 @@ from repro.errors import (
 )
 from repro.ham.execution import remote_error, sized_invoke_parts, unpack_result
 from repro.ham.functor import Functor
+from repro.ham.message import read_scalar_result
 from repro.ham.registry import Catalog, ProcessImage
 from repro.ham.serialization import deserialize
 from repro.offload.node import HOST_NODE, NodeDescriptor, NodeId
@@ -87,34 +83,28 @@ def _wrong_reply(expected: int, op: int) -> BackendError:
     return BackendError(f"expected reply to op {expected:#x}, got {op:#x}")
 
 
-def close_reply_span(reply_span: Any, body: Any) -> None:
-    """End an entered ``offload.reply`` span for one received frame.
-
-    Telemetry phase ``offload.reply``: one reply frame pulled off the
-    transport (the pre-reply wait lives in ``offload.transport``),
-    recorded under the trace active on the receiving thread.
-    """
-    reply_span.set("bytes", len(body) + FRAME_OVERHEAD)
-    reply_span.__exit__(None, None, None)
-
-
 class FramedClient(Backend):
-    """One target behind any byte pipe: the host side of the channel.
+    """One target behind any pipe of frames: the host side of the channel.
 
-    It packs every frame and takes every reply off the pipe. A transport
-    supplies ``peer``, ``_parser`` (a
-    :class:`~repro.backends._server.FrameParser` over its byte source)
+    A transport supplies ``peer``, ``_frame_limit`` (the most bytes one
+    frame may fill), the two hooks of its pipe
+
+    * ``_send(op, corr, *parts)`` — *publish one frame*: frame the
+      byte-sized ``parts`` as one request and put it on the pipe now,
+      behind everything sent before it; on a lost transport call
+      :meth:`_fail_pending` and raise :class:`BackendError`.
+      ``_post_frame`` is the same for ``OP_INVOKE`` frames, which a
+      stream transport may batch and then sends before anybody waits
+      for their replies;
+    * ``_next_frame(timeout)`` — *take one frame*, drive lock held: the
+      next reply, ``(op, corr, body, more)``, waiting up to ``timeout``
+      seconds for it (``0``: only what has arrived, ``None``: as long as
+      it takes), ``None`` when the time ran out; ``more``: another
+      reply is in hand already. Raises :class:`BackendError` once the
+      peer is lost;
+
     and
 
-    * ``_transmit(frame, nbytes)`` — put one framed request (its parts,
-      ``nbytes`` in all) on the pipe now, behind everything sent before
-      it; on a lost transport call :meth:`_fail_pending` and raise
-      :class:`BackendError`. ``_post`` is the same for ``OP_INVOKE``
-      frames, which a stream transport may batch and then sends before
-      anybody waits for their replies;
-    * ``_await_bytes(timeout)`` — drive lock held: wait up to
-      ``timeout`` for bytes (falsy: none came); raise
-      :class:`BackendError` once the peer is lost;
     * ``_reply_fd()`` — optionally, a descriptor an awaiting asyncio loop
       watches instead of polling (tcp's socket);
     * ``_detach()`` — release what only a live transport holds
@@ -123,7 +113,7 @@ class FramedClient(Backend):
     * ``_close_transport()`` — release what is left once ``on_shutdown``
       has joined the target (defaults to ``_detach``).
 
-    It completes every frame :meth:`_next_frame` returns through
+    It completes every frame ``_next_frame`` returns through
     :meth:`_dispatch_reply`, calls :meth:`_fail_pending` when the peer
     is lost, and ends its constructor with :meth:`_handshake`.
     """
@@ -162,8 +152,6 @@ class FramedClient(Backend):
         self._closed = False
         self._closing = False
         self.invokes_posted = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     # -- what a transport supplies -------------------------------------------
     def _detach(self) -> None:
@@ -175,46 +163,6 @@ class FramedClient(Backend):
 
     def _close_transport(self) -> None:
         self._detach()
-
-    # -- the byte pipe -----------------------------------------------------------
-    def _send(self, op: int, corr: int, *parts: Any) -> None:
-        """Frame ``parts`` and send the frame now."""
-        length = _FRAME_META + sum(map(len, parts))
-        self._transmit([_PREFIX.pack(length, op, corr), *parts], _LEN.size + length)
-
-    def _post_frame(self, op: int, corr: int, *parts: Any) -> None:
-        """:meth:`_send` for an ``OP_INVOKE`` frame, which may be batched."""
-        length = _FRAME_META + sum(map(len, parts))
-        self._post([_PREFIX.pack(length, op, corr), *parts], _LEN.size + length)
-
-    def _next_frame(
-        self, timeout: float | None
-    ) -> tuple[int, int, memoryview] | None:
-        """Drive lock held: the next reply frame, waiting up to
-        ``timeout`` seconds for it to arrive (``0``: only what already
-        has, ``None``: as long as it takes). ``None`` when the time ran
-        out — what arrived of a frame stays in the parser. Raises
-        :class:`BackendError` once the peer is lost."""
-        parser = self._parser
-        # Only a parser holding unparsed bytes is asked: between a ring's
-        # tail store and the wait for the reply runs an attribute test,
-        # not a call (the rule of placement).
-        frame = parser.next_frame() if parser._data else None
-        while frame is None:
-            if not self._await_bytes(timeout):
-                return None
-            try:
-                received = parser.fill()
-            except OSError as exc:
-                raise BackendError(f"{self.name} receive failed: {exc}") from exc
-            if not received:
-                raise _eof_error(parser, self._pending_count())
-            self.bytes_received += received
-            frame = parser.next_frame()
-            # Part of a frame: take what else is already here and leave
-            # the rest of the deadline to the caller, who keeps it.
-            timeout = 0.0
-        return frame
 
     # -- connect ---------------------------------------------------------------
     def _handshake(self, timeout: float) -> None:
@@ -255,8 +203,13 @@ class FramedClient(Backend):
         if not self._alive:
             raise BackendError(f"{self.name} backend is shut down")
 
-    def _dispatch_reply(self, op: int, corr: int, body: memoryview) -> None:
-        """Complete the expectation filed under ``corr`` (any order)."""
+    def _dispatch_reply(self, op: int, corr: int, body: Any) -> None:
+        """Complete the expectation filed under ``corr`` (any order).
+
+        Telemetry phase ``offload.reply``: the reply of a traced
+        offload, read by anyone, is stamped into the record its handle
+        carries. No other frame records anything: a control op's reply,
+        an untraced offload's or a stray."""
         with self._pending_lock:
             entry = self._pending.pop(corr, None)
         if entry is None:
@@ -266,6 +219,8 @@ class FramedClient(Backend):
             telemetry.count(f"{self.name}.unmatched_replies")
             return
         expected, handle = entry
+        if handle.trace is not None:
+            handle.trace.stamp_reply(self.name, len(body) + FRAME_OVERHEAD)
         if op == expected | OP_REPLY_BIT:
             handle.complete_with_reply(body)
         elif op == OP_FAILURE:
@@ -337,7 +292,6 @@ class FramedClient(Backend):
         if not self._alive:  # _check_alive(), inline
             raise BackendError(f"{self.name} backend is shut down")
         effective = timeout if timeout is not None else self.op_timeout
-        recording = trace is not None or telemetry.get() is not None
         if self._drive_lock.acquire(blocking=False):
             try:
                 # Files no handle, but draws from the handles' counter:
@@ -345,7 +299,7 @@ class FramedClient(Backend):
                 corr = next(InvokeHandle._ids)
                 if trace is None:  # the hot path: nothing between send and read
                     self._send(op, corr, *parts)
-                    return self._consume_inline(op, corr, effective, label, recording)
+                    return self._consume_inline(op, corr, effective, label)
                 return self._traced_roundtrip(op, corr, parts, effective, label, trace)
             finally:
                 self._drive_lock.release()
@@ -383,7 +337,7 @@ class FramedClient(Backend):
             trace.ends[ENQUEUE] = starts[TRANSPORT] = clock()
             phase = TRANSPORT
             stack[-1] = span_id + TRANSPORT
-            body = self._consume_inline(op, corr, timeout, label, True, trace)
+            body = self._consume_inline(op, corr, timeout, label, trace)
         except BaseException as exc:
             stack.pop()
             trace.failed(phase, exc)
@@ -394,19 +348,17 @@ class FramedClient(Backend):
 
     def _consume_inline(
         self, op: int, corr: int, timeout: float | None, label: str,
-        recording: bool, trace: OffloadTrace | None = None,
-    ) -> memoryview:
-        """Drive lock held: read until ``corr``'s reply, returned directly.
+        trace: OffloadTrace | None = None,
+    ) -> Any:
+        """Drive lock held: take frames until ``corr``'s reply, returned
+        directly.
 
         Replies for other callers are dispatched through the expectation
-        table on the way (``recording``, recorded as :meth:`_pump` does;
-        its own reply is stamped into ``trace``, a traced invoke's
-        record, or else recorded as an ``offload.reply`` span under the
-        trace active on this thread). A timeout is
-        soft, like :meth:`_wait`: a handle is filed under ``corr`` *now*
-        (no reply can have slipped past — this thread held the drive
-        lock throughout) so a later pump can still complete it instead of
-        counting it unmatched.
+        table on the way; its own reply is stamped into ``trace``, a
+        traced invoke's record. A timeout is soft, like :meth:`_wait`: a
+        handle is filed under ``corr`` *now* (no reply can have slipped
+        past — this thread held the drive lock throughout) so a later
+        pump can still complete it instead of counting it unmatched.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -420,42 +372,36 @@ class FramedClient(Backend):
                     raise self._no_reply(handle)
             try:
                 frame = self._next_frame(wait)
-                if frame is not None and frame[1] == corr:
-                    if trace is not None:
-                        # trace.stamp_reply(...), written out.
-                        trace.starts[REPLY] = trace.clock()
-                        trace.transport = self.name
-                        trace.reply_bytes = len(frame[2]) + FRAME_OVERHEAD
-                        trace.ends[REPLY] = trace.clock()
-                    elif recording and op != OP_SHUTDOWN:
-                        self._record_reply(frame[2])
-                    # Its own: first complete what else has arrived — a
-                    # loop watching ``_reply_fd`` wakes on new bytes only.
-                    parser = self._parser
-                    while parser._data:
-                        held = parser.next_frame()
-                        if held is None:  # part of a frame
-                            break
-                        if recording:
-                            self._record_frame(held[1], held[2])
-                        self._dispatch_reply(*held)
+                if frame is None:
+                    continue
+                reply_op, reply_corr, body, more = frame
+                if reply_corr != corr:
+                    self._dispatch_reply(reply_op, reply_corr, body)
+                    continue
+                if trace is not None:
+                    # trace.stamp_reply(...), written out.
+                    trace.starts[REPLY] = trace.clock()
+                    trace.transport = self.name
+                    trace.reply_bytes = len(body) + FRAME_OVERHEAD
+                    trace.ends[REPLY] = trace.clock()
+                # Its own: first complete the replies already in hand — a
+                # loop watching ``_reply_fd`` wakes on new bytes only,
+                # and a follower would sleep out its slice.
+                while more:
+                    held = self._next_frame(0.0)
+                    if held is None:  # part of a frame
+                        break
+                    held_op, held_corr, held_body, more = held
+                    self._dispatch_reply(held_op, held_corr, held_body)
             except BackendError as exc:
                 if not self._closing:
                     self._fail_pending(exc)
                 raise
-            if frame is None:
-                continue
-            reply_op, reply_corr, body = frame
-            if reply_corr != corr:
-                if recording:
-                    self._record_frame(reply_corr, body)
-                self._dispatch_reply(reply_op, reply_corr, body)
-            elif reply_op == op | OP_REPLY_BIT:
+            if reply_op == op | OP_REPLY_BIT:
                 return body
-            elif reply_op == OP_FAILURE:
+            if reply_op == OP_FAILURE:
                 raise remote_failure(body)
-            else:
-                raise _wrong_reply(op, reply_op)
+            raise _wrong_reply(op, reply_op)
 
     def _expect(
         self,
@@ -512,14 +458,20 @@ class FramedClient(Backend):
     ) -> Any:
         """:meth:`post_invoke` and the value of its reply in one call: an
         ``OP_INVOKE`` roundtrip, read by the caller."""
-        self.check_target(node)
+        if node != 1:  # check_target(), inline: the one target is node 1
+            self.check_target(node)
         self._msg_id += 1
         parts, trace = sized_invoke_parts(self.host_image, functor, self._msg_id)
         self.invokes_posted += 1
-        return unpack_result(self._roundtrip(
+        body = self._roundtrip(
             OP_INVOKE, *parts, timeout=timeout, label=functor.type_name,
             trace=trace,
-        ), trace)[1]
+        )
+        if trace is None:
+            scalar = read_scalar_result(body)  # one unpack, as a rule
+            if scalar is not None:
+                return scalar[1]
+        return unpack_result(body, trace)[1]
 
     # -- the drive ---------------------------------------------------------------
     def drive(
@@ -560,40 +512,15 @@ class FramedClient(Backend):
         followers) instead of raising — each waiter then finds its own
         sink failed.
         """
-        recording = telemetry.get() is not None
         try:
             frame = self._next_frame(wait)
             while frame is not None:
-                op, corr, body = frame
-                if recording:
-                    self._record_frame(corr, body)
+                op, corr, body, _more = frame
                 self._dispatch_reply(op, corr, body)
                 frame = self._next_frame(0.0)
         except BackendError as exc:
             if not self._closing:
                 self._fail_pending(exc)
-
-    def _record_frame(self, corr: int, body: Any) -> None:
-        """Telemetry phase ``offload.reply``: one frame read, by anyone,
-        before it is dispatched. The reply of a traced offload is
-        stamped into the record its handle carries; any other frame (a
-        control op's, a stray) is recorded as a span, unless it
-        acknowledges the teardown's ``OP_SHUTDOWN``, which no offload
-        made."""
-        entry = self._pending.get(corr)  # one atomic read, as _pending_count
-        if entry is None:
-            self._record_reply(body)
-        elif entry[1].trace is not None:
-            entry[1].trace.stamp_reply(self.name, len(body) + FRAME_OVERHEAD)
-        elif entry[0] != OP_SHUTDOWN:
-            self._record_reply(body)
-
-    def _record_reply(self, body: Any) -> None:
-        """The ``offload.reply`` span of a frame no traced offload waits
-        for."""
-        reply_span = telemetry.span("offload.reply", transport=self.name)
-        reply_span.__enter__()
-        close_reply_span(reply_span, body)
 
     def _follow(self, handle: InvokeHandle, timeout: float | None) -> None:
         """A follower's wait for ``handle``, which may have completed
@@ -644,7 +571,7 @@ class FramedClient(Backend):
         """Most bulk bytes one WRITE/READ frame carries: half the frame
         limit, so a bulk transfer never deadlocks against a ring's own
         backpressure, and two chunks can overlap."""
-        return self._parser.limit // 2 - 64
+        return self._frame_limit // 2 - 64
 
     def alloc_buffer(self, node: NodeId, nbytes: int) -> int:
         self.check_target(node)

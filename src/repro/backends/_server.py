@@ -3,17 +3,17 @@
 A frame is ``length:u32 | op:u8 | corr:u64 | body`` whichever pipe
 carries it (docs/protocols.md, "Real-path frames"). This module is the
 only one that knows that: the op table, the prefix every frame is
-packed with (:class:`FramedServer` here, ``FramedClient`` in
-:mod:`repro.backends._client`) and the one decoder, :class:`FrameParser`,
-which reads frames off any byte source — a stream socket or an shm
-ring. Everything behind the byte pipe is one class: the inline
-memory/control ops, running an invocation, failure replies,
-introspection — and the **dispatch loop** that serves them.
+packed with, the one length check (:func:`check_frame_length`, made by
+the shm ring's take and by tcp's stream decoder, :class:`FrameParser`).
+Everything behind the pipe is one class: the inline memory/control ops,
+running an invocation, failure replies, introspection — and the
+**dispatch loop** that serves them. A transport supplies two hooks,
+*take one frame* and *publish one frame* (:class:`FramedServer`).
 
 The paper's VE loop polls the flag, runs the active-message handler
 *itself* and stores the result back (Sec. IV-B). This is that loop for
 ``workers`` concurrent invocations, on ``workers + 1`` threads of which
-exactly one, the **reader**, is ever in ``_next_frame``. Memory and
+exactly one, the **reader**, is ever in ``_take``. Memory and
 control operations run inline on it, strictly in arrival order. An
 ``OP_INVOKE`` is booked, executed and answered on the reader's own
 stack, and the same thread goes on reading: no queue, no future, no
@@ -37,8 +37,9 @@ invokes on a FIFO backlog that finishing executors drain before they
 park themselves.
 
 Replies to one burst of requests leave in one write: the reader holds
-the reply of the invocation it is inside while its parser has bytes
-left, and sends what it holds before it waits for more (``_reply``).
+the reply of the invocation it is inside while more requests were
+waiting when it took that one, and sends what it holds before it waits
+for more (``_reply``).
 """
 
 from __future__ import annotations
@@ -104,26 +105,40 @@ HANDOFF_PAYS_NS = 100_000
 WATCH_INTERVAL = 0.005
 
 
-class FrameParser:
-    """The one frame decoder, for both ends of both transports.
+def check_frame_length(length: int, limit: int) -> None:
+    """Refuse a frame ``length`` outside ``[9, limit - 4]``: too short to
+    hold its own header, or longer than the ``limit`` bytes (its length
+    prefix included) its pipe can hold — tcp's
+    :data:`~repro.backends.tcp.FRAME_LIMIT`, or what an shm ring holds
+    published. The one length check, made by the ring's take and by
+    :class:`FrameParser`."""
+    if length < _FRAME_META or length > limit - _LEN.size:
+        raise BackendError(
+            f"{'short' if length < _FRAME_META else 'long'} frame: length "
+            f"{length} outside [{_FRAME_META}, {limit - _LEN.size}] — a "
+            "corrupt frame, or a peer that speaks another protocol"
+        )
 
-    It reads from any byte source with ``recv(n)`` (up to ``n`` bytes,
-    ``b""`` at EOF) and ``recv_into(view)``: a stream socket, or an
-    :class:`~repro.backends.shm.ShmRing`. :meth:`fill` is one ``recv``
-    (a reader calls it once the source has bytes); :meth:`next_frame`
-    hands out every complete frame it carried as a view into the
-    received chunk — no per-frame buffer or copy. A frame longer than
-    :data:`_RECV_CHUNK` is received into a buffer of its own, so bulk
-    payloads are copied at most once. ``limit`` is the most bytes one
-    frame may fill, its length prefix included: a ring's capacity, or
-    tcp's :data:`~repro.backends.tcp.FRAME_LIMIT`; a longer frame is
-    refused from its length alone, before anything is allocated for it.
+
+class FrameParser:
+    """tcp's stream decoder, for both ends.
+
+    It reads from a byte stream with ``recv(n)`` (up to ``n`` bytes,
+    ``b""`` at EOF) and ``recv_into(view)``: a stream socket. A stream
+    may cut a frame anywhere, so the parser keeps what arrived of one.
+    :meth:`fill` is one ``recv`` (a reader calls it once the source has
+    bytes); :meth:`next_frame` hands out every complete frame it carried
+    as a view into the received chunk — no per-frame buffer or copy. A
+    frame longer than :data:`_RECV_CHUNK` is received into a buffer of
+    its own, so bulk payloads are copied at most once. ``limit`` is the
+    most bytes one frame may fill, its length prefix included; a longer
+    frame is refused from its length alone (:func:`check_frame_length`),
+    before anything is allocated for it.
     """
 
     def __init__(self, source: Any, limit: int) -> None:
         self._source = source
         self.limit = limit
-        self._max_length = limit - _LEN.size
         #: Received bytes; the unparsed ones start at ``_pos``. Empty
         #: once every byte is parsed: a reader tests it for "anything
         #: left?" without a call.
@@ -153,11 +168,11 @@ class FrameParser:
         self._pos = 0
         return got
 
-    def next_frame(self) -> tuple[int, int, memoryview] | None:
-        """The next complete ``(op, corr, body)``, or ``None`` when more
-        bytes are needed. Raises :class:`BackendError` on a length
-        outside ``[9, limit - 4]``: too short to hold its own header, or
-        longer than any frame the source carries."""
+    def next_frame(self) -> tuple[int, int, memoryview, bool] | None:
+        """The next complete ``(op, corr, body, more)``, or ``None`` when
+        more bytes are needed; ``more``: bytes of another frame are in
+        hand. Raises :class:`BackendError` on a length
+        :func:`check_frame_length` refuses."""
         data = self._data
         pos = self._pos
         size = len(data)
@@ -168,14 +183,10 @@ class FrameParser:
                 return None
             self._big = None
             self._big_got = 0
-            return big[0], _U64.unpack_from(big, 1)[0], memoryview(big)[_FRAME_META:]
+            return (big[0], _U64.unpack_from(big, 1)[0],
+                    memoryview(big)[_FRAME_META:], False)
         (length,) = _LEN.unpack_from(data, pos)
-        if length < _FRAME_META or length > self._max_length:
-            raise BackendError(
-                f"{'short' if length < _FRAME_META else 'long'} frame: length "
-                f"{length} outside [{_FRAME_META}, {self._max_length}] — a "
-                "corrupt frame, or a peer that speaks another protocol"
-            )
+        check_frame_length(length, self.limit)
         end = pos + _LEN.size + length
         if end > size:
             if length > _RECV_CHUNK:
@@ -185,15 +196,17 @@ class FrameParser:
                 self._data = b""
                 self._pos = 0
             return None
-        if end == size:
+        more = end != size
+        if more:
+            self._pos = end
+        else:
             self._data = b""
             self._pos = 0
-        else:
-            self._pos = end
         return (
             data[pos + _LEN.size],
             _U64.unpack_from(data, pos + _LEN.size + 1)[0],
             memoryview(data)[pos + FRAME_OVERHEAD:end],
+            more,
         )
 
 
@@ -214,13 +227,20 @@ def _eof_error(parser: FrameParser, pending: int = 0) -> BackendError:
 
 
 class FramedServer:
-    """One client, ``workers`` concurrent invocations, over any byte pipe.
+    """One client, ``workers`` concurrent invocations, over any pipe of frames.
 
-    A transport sets ``_parser`` (a :class:`FrameParser` over its byte
-    source) before it serves, and supplies ``_transmit(frame, nbytes)``,
-    which puts one framed reply of ``nbytes`` on the pipe under the send
-    lock. Only the reader receives (:meth:`_next_frame`); every serving
-    thread replies (:meth:`_reply`).
+    A transport supplies ``_frame_limit``, the most bytes one frame may
+    fill on its pipe, and the two hooks of that pipe:
+
+    * ``_take()`` — reader only: the next request, ``(op, corr, body,
+      more)``, waiting as long as it takes; ``more``: another request
+      was already waiting. Raises :class:`BackendError` once the client
+      is gone or the pipe is corrupt;
+    * ``_publish(op, corr, *parts)`` — send lock held: frame one reply
+      and send it now; and ``_transmit(frames, nbytes)``, the same for
+      replies the reader held, framed already.
+
+    Every serving thread replies (:meth:`_reply`).
     """
 
     #: "tcp" / "shm": names the image and the threads.
@@ -244,10 +264,10 @@ class FramedServer:
         #: Every serving thread replies on the one pipe.
         self._send_lock = threading.Lock()
         #: Under the send lock: the parts of the framed replies the
-        #: reader holds back while more requests wait in its parser
-        #: (joined into one buffer when sent: a scatter-gather write
-        #: takes at most ``IOV_MAX`` parts), their byte count, and its
-        #: bound, fixed once the parser exists (:meth:`_serve`).
+        #: reader holds back while more requests wait (joined into one
+        #: buffer when sent: a scatter-gather write takes at most
+        #: ``IOV_MAX`` parts), their byte count, and its bound, fixed
+        #: when serving starts (:meth:`_serve`).
         self._held: list[Any] = []
         self._held_bytes = 0
         self._hold_limit = 0
@@ -272,8 +292,10 @@ class FramedServer:
         self._seat: str | None = None
         self._idle = 0
         self._watching = False
-        #: ``(corr, body)`` the reader is executing, ``None`` while it reads.
-        self._inside: tuple[int, Any] | None = None
+        #: ``(corr, body, more)`` of the invocation the reader is
+        #: executing (``more``: another request was waiting when it took
+        #: this one), ``None`` while it reads.
+        self._inside: tuple[int, Any, bool] | None = None
         #: The last invocation to finish (or one found wedged) ran
         #: longer than :data:`HANDOFF_PAYS_NS`.
         self._ran_long = False
@@ -282,63 +304,42 @@ class FramedServer:
         #: Why the loop ended (``None`` while serving).
         self.stopped: str | None = None
 
-    # -- the byte pipe ------------------------------------------------------------
-    def _await_bytes(self) -> None:
-        """Reader only: return once the byte source has bytes, raise
-        :class:`BackendError` once the client is gone (a blocking
-        socket's ``recv`` waits by itself)."""
-
-    def _next_frame(self) -> tuple[int, int, memoryview]:
-        """Reader only: the next frame, receiving more bytes as needed."""
-        parser = self._parser
-        # As the client's: an attribute test, not a call, between the
-        # reply's tail store and the wait for the next request.
-        frame = parser.next_frame() if parser._data else None
-        while frame is None:
-            if self._held:  # the burst is parsed: its replies leave now
-                self._flush()
-            self._await_bytes()
-            try:
-                received = parser.fill()
-            except OSError as exc:
-                raise BackendError(f"{self.transport} receive failed: {exc}") from exc
-            if not received:
-                raise _eof_error(parser)
-            frame = parser.next_frame()
-        return frame
-
+    # -- the reply side ------------------------------------------------------------
     def _reply(self, op: int, corr: int, *parts: Any) -> None:
-        """Frame one reply and send it, behind every reply held; any
-        serving thread.
+        """Send one reply, behind every reply held; any serving thread.
 
         The reply to the invocation the reader is inside is held instead
-        while the parser has bytes left, up to :attr:`_hold_limit` bytes
-        in all: the requests of one burst are answered in one write (a
-        depth-1 request leaves nothing unparsed, so it is sent at once).
-        Any other reply — another thread's, an inline op's, a failure —
-        takes the held ones with it.
+        while more requests were waiting when the reader took it, up to
+        :attr:`_hold_limit` bytes in all: the requests of one burst are
+        answered in one write (a depth-1 request has none behind it, so
+        its reply is published at once). Any other reply — another
+        thread's, an inline op's, a failure — takes the held ones with
+        it.
         """
-        length = _FRAME_META + sum(map(len, parts))
-        nbytes = _LEN.size + length
-        frame = [_PREFIX.pack(length, op, corr), *parts]
         with self._send_lock:
             held = self._held
             inside = self._inside
-            if (self._parser._data and inside is not None and inside[0] == corr
-                    and op == _INVOKE_REPLY
-                    and self._held_bytes + nbytes <= self._hold_limit):
+            hold = (op == _INVOKE_REPLY and inside is not None
+                    and inside[0] == corr and inside[2])
+            if not (hold or held):
+                self._publish(op, corr, *parts)
+                return
+            length = _FRAME_META + sum(map(len, parts))
+            nbytes = _LEN.size + length
+            frame = [_PREFIX.pack(length, op, corr), *parts]
+            held_bytes = self._held_bytes
+            if hold and held_bytes + nbytes <= self._hold_limit:
                 held += frame
                 self._held_bytes += nbytes
                 return
-            if held:
-                held_bytes = self._held_bytes
-                self._held, self._held_bytes = [], 0
-                if held_bytes + nbytes <= self._parser.limit:
-                    frame = [b"".join(held), *frame]
-                    nbytes += held_bytes
-                else:  # too long to ride along: the held ones go first
-                    self._transmit([b"".join(held)], held_bytes)
-            self._transmit(frame, nbytes)
+            self._held, self._held_bytes = [], 0
+            if not held:
+                self._transmit(frame, nbytes)
+            elif held_bytes + nbytes <= self._frame_limit:
+                self._transmit([b"".join(held), *frame], held_bytes + nbytes)
+            else:  # too long to ride along: the held ones go first
+                self._transmit([b"".join(held)], held_bytes)
+                self._transmit(frame, nbytes)
 
     def _flush(self) -> None:
         """Send the held replies, in one write; any serving thread."""
@@ -350,7 +351,7 @@ class FramedServer:
             try:
                 self._transmit([b"".join(held)], nbytes)
             except self._CLIENT_GONE:
-                pass  # the reader's next receive finds the client gone
+                pass  # the reader's next take finds the client gone
 
     # -- the dispatch loop ----------------------------------------------------
     def _serve(self) -> None:
@@ -358,7 +359,7 @@ class FramedServer:
         it has stopped *and* every booked invocation has replied. The
         caller only joins, so interrupting it ends serving at once."""
         # A held burst never outgrows one receive, nor half a frame.
-        self._hold_limit = min(_RECV_CHUNK, self._parser.limit // 2)
+        self._hold_limit = min(_RECV_CHUNK, self._frame_limit // 2)
         threads = [
             threading.Thread(
                 target=self._run, name=f"ham-{self.transport}-worker-{i}",
@@ -423,7 +424,7 @@ class FramedServer:
             if self.messages_executed == executed:
                 self._watching = False  # nothing flows: sleep untimed
         elif self._inside is inside:
-            corr, body = inside
+            corr, body, _more = inside
             flightrecorder.note(
                 "target.promoted", transport=self.transport,
                 reader=self._reader, corr=corr, functor=self._functor_of(body),
@@ -445,9 +446,13 @@ class FramedServer:
         """This thread reads: serve frames, executing every invoke it
         books, until the reading has passed to another thread or the
         loop has stopped."""
+        take = self._take
+        more = False
         try:
             while True:
-                op, corr, body = self._next_frame()
+                if self._held and not more:
+                    self._flush()  # the burst is in: its replies leave now
+                op, corr, body, more = take()
                 if op == OP_INVOKE:
                     with self._lock:
                         if self._executing == self.workers:
@@ -461,7 +466,7 @@ class FramedServer:
                             self._handoffs += 1
                             (self._parked if self._idle else self._standby).notify()
                         else:
-                            self._inside = (corr, body)
+                            self._inside = (corr, body, more)
                             if not self._watching:
                                 self._watching = True
                                 self._standby.notify()
@@ -483,7 +488,7 @@ class FramedServer:
                 else:
                     self._handle_inline(op, corr, body)
         except BackendError as exc:
-            # Client gone or stream corrupt: leave a cause to read.
+            # Client gone or pipe corrupt: leave a cause to read.
             self._stop(str(exc) or type(exc).__name__)
             flightrecorder.note(
                 "target.stopped", transport=self.transport, reason=self.stopped
@@ -494,11 +499,23 @@ class FramedServer:
             )
 
     def _execute_booked(self, corr: int, body: Any, me: str) -> bool:
-        """Execute a booked invocation, then what backed up behind the
-        workers meanwhile, and un-book; ``True`` while this thread is
-        still the reader of a running loop."""
+        """Execute a booked invocation and publish its reply, then what
+        backed up behind the workers meanwhile, and un-book; ``True``
+        while this thread is still the reader of a running loop.
+
+        An invocation's time is wall clock without the reply (on a
+        shared CPU the client is scheduled inside the send, which says
+        nothing about the kernel); a message refused as malformed ran
+        for no time and is not counted."""
         while True:
-            ran_ns = self._execute_invoke(corr, body)
+            ran_ns = None
+            try:
+                began = self.clock_ns()
+                reply, _keep = execute_message(self.image, body, self._resolve)
+                ran_ns = self.clock_ns() - began
+                self._reply(_INVOKE_REPLY, corr, reply)
+            except Exception as exc:  # noqa: BLE001 - shipped to the client
+                self._send_failure(corr, exc)  # (dropped there if it has gone)
             with self._lock:
                 if ran_ns is not None:
                     self.messages_executed += 1
@@ -520,21 +537,6 @@ class FramedServer:
             self._reply(OP_FAILURE, corr, serialize(failure_info(exc)))
         except self._CLIENT_GONE:
             pass
-
-    def _execute_invoke(self, corr: int, body: memoryview) -> int | None:
-        """Execute one booked invocation and reply. Returns how long it
-        ran (ns, without the reply: on a shared CPU the client is
-        scheduled inside the send, which says nothing about the kernel),
-        ``None`` for a message refused as malformed instead."""
-        ran_ns = None
-        try:
-            began = self.clock_ns()
-            reply, _keep = execute_message(self.image, body, self._resolve)
-            ran_ns = self.clock_ns() - began
-            self._reply(_INVOKE_REPLY, corr, reply)
-        except Exception as exc:  # noqa: BLE001 - shipped to the client
-            self._send_failure(corr, exc)  # (dropped there if it has gone)
-        return ran_ns
 
     def _handle_inline(self, op: int, corr: int, body: memoryview) -> None:
         """Answer one memory/control op on the reading thread."""
@@ -561,8 +563,8 @@ class FramedServer:
                 self.buffers.free(addr)
                 self._reply(OP_FREE | OP_REPLY_BIT, corr, b"")
             elif op == OP_WRITE:
-                (addr,) = _U64.unpack(body[:8])
-                self.buffers.write(addr, body[8:])
+                (addr,) = _U64.unpack_from(body)
+                self.buffers.write(addr, memoryview(body)[8:])  # no copy
                 self._reply(OP_WRITE | OP_REPLY_BIT, corr, b"")
             elif op == OP_READ:
                 (addr,) = _U64.unpack(body[:8])

@@ -36,13 +36,15 @@ access there is a single load or store, atomic on the architectures
 CPython runs multiprocessing on — ``struct.pack_into("<Q")`` is *not*,
 it stores byte by byte and a concurrent reader sees torn values — which
 makes the rings lock-free without any further synchronization. A ring
-is a byte pipe, like a socket: it takes frames packed elsewhere
-(``write``), gives bytes to the one decoder (``recv`` / ``recv_into``)
-and knows no format. The frames are the tcp frames, so the whole channel
-contract — out-of-order completion, the in-flight window, QoS,
-telemetry — composes unchanged, and both ends are the tcp transport's
-classes over another pipe: :mod:`repro.backends._server` and
-:mod:`repro.backends._client` (docs/architecture.md, "Client core").
+holds whole frames only — the tcp frames — and works on them in place:
+``publish`` packs a frame's prefix at the tail and copies its parts in
+behind it, ``take`` reads the prefix at the head, checks the length and
+copies the body out. So neither end needs a stream decoder, and the
+whole channel contract — out-of-order completion, the in-flight window,
+QoS, telemetry — composes unchanged: both ends are the tcp transport's
+classes with the ring's two methods as their hooks,
+:mod:`repro.backends._server` and :mod:`repro.backends._client`
+(docs/architecture.md, "Client core").
 
 Both ends poll with the paper's adaptive *spin-then-sleep* loop: a
 bounded busy-spin phase (interleaved with ``sched_yield`` so a same-core
@@ -58,7 +60,7 @@ message (the dispatch loop of :mod:`repro.backends._server`).
 There is **no receiver thread**: whichever caller waits on a reply reads
 the reply ring for everybody (the drive of
 :mod:`repro.backends._client`, shared with tcp). This module supplies
-its receive half — poll the reply ring, copy what it holds out. A ring has
+its take — poll the reply ring, copy the next frame out. A ring has
 no descriptor to select on, so an asyncio loop awaiting a reply polls
 it, a lap per loop callback (:class:`~repro.offload.future.AwaitingLoop`).
 """
@@ -80,10 +82,14 @@ from typing import Any, Callable
 
 from repro.backends._client import FramedClient
 from repro.backends._server import (
+    _FRAME_META,
+    _LEN,
+    _PREFIX,
     _U64,
     DEFAULT_SERVER_WORKERS,
-    FrameParser,
+    FRAME_OVERHEAD,
     FramedServer,
+    check_frame_length,
 )
 from repro.backends.base import SLEEP_MAX, SLEEP_MIN, SPIN_YIELDS
 from repro.errors import BackendError, OffloadTimeoutError
@@ -289,16 +295,16 @@ class ShmSegment:
 
 
 class ShmRing:
-    """One lock-free SPSC byte pipe inside a segment.
+    """One lock-free SPSC frame pipe inside a segment.
 
     The producer owns the tail cursor, the consumer the head cursor;
     both are monotonic byte counters living in the segment header (each
     on its own cache line). A frame becomes visible atomically: its
-    bytes are copied in first, the tail published last. The consumer
-    takes bytes as from a socket (:meth:`recv`, :meth:`recv_into`).
-    Waiting — for data on the consumer side, for space on the producer
-    side — is the adaptive spin-then-sleep loop described in the module
-    docstring.
+    bytes are copied in first, the tail published last
+    (:meth:`publish`); the consumer takes the frame at the head
+    (:meth:`take`). Waiting — for a frame on the consumer side, for
+    space on the producer side — is the adaptive spin-then-sleep loop
+    described in the module docstring.
     """
 
     def __init__(
@@ -355,7 +361,7 @@ class ShmRing:
         cursors = self._cursors
         return cursors[self._tail_idx] - cursors[self._head_idx]
 
-    # -- byte copies (wrap-aware) ------------------------------------------
+    # -- byte copies across the ring's end (wrap-aware) ---------------------
     def _copy_in(self, counter: int, data: Any) -> int:
         """Copy ``data`` into the ring at ``counter``; returns the new
         counter. The caller guarantees the space exists."""
@@ -373,21 +379,21 @@ class ShmRing:
             buf[base : base + end - cap] = data[first:]
         return counter + n
 
-    def _copy_out(self, counter: int, dest: Any) -> None:
-        """Fill ``dest`` from the ring at ``counter`` (caller checked
-        availability)."""
+    def _bytes_at(self, counter: int, n: int) -> Any:
+        """The ``n`` bytes at ``counter``, copied out once (the caller
+        checked they are published)."""
         buf = self._buf
         cap = self._capacity
         base = self._data_off
         pos = counter % cap
-        n = len(dest)
         end = pos + n
         if end <= cap:
-            dest[:] = buf[base + pos : base + end]
-        else:
-            first = cap - pos
-            dest[:first] = buf[base + pos : base + cap]
-            dest[first:] = buf[base : base + end - cap]
+            return bytes(buf[base + pos : base + end])
+        out = bytearray(n)
+        first = cap - pos
+        out[:first] = buf[base + pos : base + cap]
+        out[first:] = buf[base : base + end - cap]
+        return out
 
     # -- consumer side -----------------------------------------------------
     def wait_readable(
@@ -464,37 +470,46 @@ class ShmRing:
                         return True
                     return False
 
-    def recv(self, limit: int) -> bytes:
-        """Consume up to ``limit`` published bytes (``b""``: none are).
+    def take(
+        self,
+        timeout: float | None = None,
+        stop: Callable[[], BaseException | None] | None = None,
+    ) -> tuple[int, int, bytes, bool] | None:
+        """The frame at the head, ``(op, corr, body, more)``, waiting up
+        to ``timeout`` for one (:meth:`wait_readable`, which consults
+        ``stop``); ``None`` when the time ran out.
 
-        They are copied out and the head advanced before returning, so
-        the ring space is free again and the bytes are safe to hand to
-        another thread.
+        The body is copied out before the head moves: the space is free
+        for the producer at once, and a value decoded from the body may
+        stay a view into it. ``more``: another frame was published
+        behind this one already. A ring holds whole frames only, so the
+        frame at the head may fill no more than the ring holds: a length
+        beyond that, or too short for the frame's own header, raises
+        :class:`BackendError` (:func:`check_frame_length`).
         """
+        cursors = self._cursors
         head = self._head
-        n = self._cursors[self._tail_idx] - head
-        if n > limit:
-            n = limit
-        start = self._data_off + head % self._capacity
-        if start + n > self._data_off + self._capacity:  # wraps: rare
-            data = bytearray(n)
-            self.recv_into(data)
-            return bytes(data)
-        data = bytes(self._buf[start : start + n])  # one C-level copy
-        self._head = head = head + n
-        self._cursors[self._head_idx] = head
-        return data
-
-    def recv_into(self, view: Any) -> int:
-        """Consume published bytes into ``view``; returns their count."""
-        head = self._head
-        n = self._cursors[self._tail_idx] - head
-        if n > len(view):
-            n = len(view)
-        self._copy_out(head, memoryview(view)[:n])
-        self._head = head = head + n
-        self._cursors[self._head_idx] = head
-        return n
+        ready = cursors[self._tail_idx] - head
+        if not ready:
+            if not self.wait_readable(timeout, stop):
+                return None
+            ready = cursors[self._tail_idx] - head
+        cap = self._capacity
+        pos = head % cap
+        start = self._data_off + pos
+        if pos + FRAME_OVERHEAD <= cap:
+            length, op, corr = _PREFIX.unpack_from(self._buf, start)
+        else:  # the prefix wraps
+            length, op, corr = _PREFIX.unpack(self._bytes_at(head, FRAME_OVERHEAD))
+        check_frame_length(length, ready)
+        size = _LEN.size + length
+        if pos + size <= cap:
+            body = bytes(self._buf[start + FRAME_OVERHEAD : start + size])
+        else:
+            body = self._bytes_at(head + FRAME_OVERHEAD, length - _FRAME_META)
+        self._head = head = head + size
+        cursors[self._head_idx] = head
+        return op, corr, body, ready != size
 
     # -- producer side -----------------------------------------------------
     def _await_space(
@@ -533,56 +548,85 @@ class ShmRing:
                 )
         self._account_wait(spins, slept)
 
+    def _make_room(
+        self,
+        total: int,
+        timeout: float | None,
+        stop: Callable[[], BaseException | None] | None,
+    ) -> None:
+        """Wait until ``total`` bytes fit — the transport-level
+        backpressure under the in-flight window, recorded as a
+        ``shm.ring_wait`` span when telemetry is on. A frame larger than
+        the ring can never fit and raises :class:`BackendError`: bulk
+        data travels chunked (see :meth:`ShmBackend.write_buffer`)."""
+        if total > self._capacity:
+            raise BackendError(
+                f"frame of {total} bytes exceeds shm ring capacity "
+                f"{self._capacity} — raise capacity= or stage bulk data "
+                "through put/get"
+            )
+        if telemetry.get() is not None:
+            with telemetry.span("shm.ring_wait", ring=self._name, bytes=total):
+                self._await_space(total, timeout, stop)
+        else:
+            self._await_space(total, timeout, stop)
+
+    def publish(
+        self,
+        op: int,
+        corr: int,
+        body: Any = b"",
+        *more: Any,
+        timeout: float | None = None,
+        stop: Callable[[], BaseException | None] | None = None,
+    ) -> None:
+        """Publish one frame in place: the ``op``/``corr`` prefix packed
+        at the tail, ``body`` and the parts ``more`` (byte-sized, each
+        copied once) behind it, the tail stored last — the consumer
+        never sees part of a frame. Blocks (spin-then-sleep, ``stop``
+        consulted) while the ring lacks space (:meth:`_make_room`)."""
+        size = len(body)
+        length = _FRAME_META + (size + sum(map(len, more)) if more else size)
+        total = _LEN.size + length
+        cap = self._capacity
+        tail = self._tail
+        if cap - (tail - self._cursors[self._head_idx]) < total:
+            self._make_room(total, timeout, stop)
+        pos = tail % cap
+        if pos + FRAME_OVERHEAD + size <= cap:
+            buf = self._buf
+            at = self._data_off + pos
+            _PREFIX.pack_into(buf, at, length, op, corr)
+            at += FRAME_OVERHEAD
+            buf[at : at + size] = body
+            cursor = tail + FRAME_OVERHEAD + size
+        else:  # the frame wraps
+            cursor = self._copy_in(
+                self._copy_in(tail, _PREFIX.pack(length, op, corr)), body
+            )
+        for part in more:
+            cursor = self._copy_in(cursor, part)
+        self._tail = tail = tail + total
+        # Publish last: the consumer never sees a partial frame.
+        self._cursors[self._tail_idx] = tail
+
     def write(
         self,
-        frame: list,
+        frames: list,
         total: int,
         *,
         timeout: float | None = None,
         stop: Callable[[], BaseException | None] | None = None,
-    ) -> int:
-        """Publish one frame of ``total`` bytes, its parts back to back;
-        returns its size.
-
-        The parts arrive framed, and sized by the framer: the ring knows
-        no format. It takes a frame whole — the consumer never sees part
-        of one — so a frame larger than the ring can never fit and raises
-        :class:`BackendError`; bulk data travels chunked (see
-        :meth:`ShmBackend.write_buffer`). Blocks (spin-then-sleep) while
-        the ring lacks space — that wait is the transport-level
-        backpressure under the in-flight window, recorded as a
-        ``shm.ring_wait`` span when telemetry is on.
-        """
-        cap = self._capacity
-        if total > cap:
-            raise BackendError(
-                f"frame of {total} bytes exceeds shm ring capacity "
-                f"{cap} — raise capacity= or stage bulk data "
-                "through put/get"
-            )
-        tail = self._tail
-        if cap - (tail - self._cursors[self._head_idx]) < total:
-            if telemetry.get() is not None:
-                with telemetry.span(
-                    "shm.ring_wait", ring=self._name, bytes=total
-                ):
-                    self._await_space(total, timeout, stop)
-            else:
-                self._await_space(total, timeout, stop)
-        pos = tail % cap
-        if pos + total <= cap and total < 65536:
-            # Hot path — contiguous small frame: join and copy once.
-            base = self._data_off + pos
-            self._buf[base : base + total] = b"".join(frame)
-        else:
-            cursor = tail
-            for part in frame:
-                cursor = self._copy_in(cursor, part)
-        tail += total
-        self._tail = tail
-        # Publish last: the consumer never sees a partial frame.
-        self._cursors[self._tail_idx] = tail
-        return total
+    ) -> None:
+        """Publish ``total`` bytes of whole frames, framed already (a
+        burst of replies the target held), in one tail store."""
+        if self._capacity - (self._tail - self._cursors[self._head_idx]) < total:
+            self._make_room(total, timeout, stop)
+        cursor = self._tail
+        for part in frames:
+            cursor = self._copy_in(cursor, part)
+        self._tail = cursor
+        self._cursors[self._tail_idx] = cursor
 
 
 def _ring_state(ring: ShmRing) -> dict[str, Any]:
@@ -656,15 +700,14 @@ class ShmTargetServer(FramedServer):
         self.segment = segment
         self._recv = _host_to_target_ring(segment)
         self._send = _target_to_host_ring(segment)
-        self._parser = FrameParser(self._recv, segment.capacity)
-        #: Bound once — creating a bound method per frame costs real
-        #: time at shared-memory latencies, and no frame of this class
-        #: runs between publishing a reply and waiting for the next
-        #: request (the rule of placement, docs/architecture.md).
+        #: The hooks are the rings' own methods, bound once — creating a
+        #: bound method per frame costs real time at shared-memory
+        #: latencies, and no frame of this class runs between publishing
+        #: a reply and waiting for the next request (the rule of
+        #: placement, docs/architecture.md).
+        self._take = functools.partial(self._recv.take, None, self._client_gone)
+        self._publish = functools.partial(self._send.publish, stop=self._client_gone)
         self._transmit = functools.partial(self._send.write, stop=self._client_gone)
-        self._await_bytes = functools.partial(
-            self._recv.wait_readable, stop=self._client_gone
-        )
         segment.server_pid = os.getpid()
 
     def serve_forever(self) -> None:
@@ -676,6 +719,10 @@ class ShmTargetServer(FramedServer):
             # After the state flips the client stops waiting on the
             # reply ring — everything it should see is already there.
             self.segment.state = STATE_STOPPED
+
+    @property
+    def _frame_limit(self) -> int:
+        return self.segment.capacity
 
     def _client_gone(self) -> BackendError | None:
         pid = self.segment.client_pid
@@ -813,13 +860,11 @@ class ShmBackend(FramedClient):
         self._alive_fn = alive_fn
         self._h2t = _host_to_target_ring(segment)
         self._t2h = _target_to_host_ring(segment)
-        self._parser = FrameParser(self._t2h, segment.capacity)
-        #: Bound once, as the target's: ``_await_bytes`` polls the reply
-        #: ring (spin, then sleep) and raises for a peer found dead or
-        #: stopped, after whatever it still published has been read.
-        self._await_bytes = functools.partial(
-            self._t2h.wait_readable, stop=self._peer_error
-        )
+        #: Bound once, as the target's hooks: ``_next_frame(timeout)``
+        #: takes the next reply, polling the ring (spin, then sleep), and
+        #: raises for a peer found dead or stopped, after whatever it
+        #: still published has been taken.
+        self._next_frame = functools.partial(self._t2h.take, stop=self._peer_error)
         self._send_stall_cb = self._send_stall
         _await_ready(segment, startup_timeout, alive_fn)
         self.segment.client_pid = os.getpid()
@@ -849,7 +894,11 @@ class ShmBackend(FramedClient):
             return BackendError("shm target stopped serving")
         return None
 
-    # -- how bytes leave ---------------------------------------------------
+    # -- how frames leave --------------------------------------------------
+    @property
+    def _frame_limit(self) -> int:
+        return self.segment.capacity
+
     def _send_stall(self) -> BackendError | None:
         """Stop-callback while blocked on a full request ring.
 
@@ -863,20 +912,20 @@ class ShmBackend(FramedClient):
         self._poll()
         return self._peer_error()
 
-    def _transmit(self, frame: list, nbytes: int) -> None:
+    def _send(self, op: int, corr: int, *parts: Any) -> None:
+        """Publish one request in place on the request ring, now."""
         try:
             with self._send_lock:
-                self._h2t.write(
-                    frame, nbytes, timeout=self.op_timeout,
+                self._h2t.publish(
+                    op, corr, *parts, timeout=self.op_timeout,
                     stop=self._send_stall_cb,
                 )
         except BackendError as exc:  # a ring that stays full only times out
             self._fail_pending(exc)
             raise
-        self.bytes_sent += nbytes
 
     #: Nothing batches on a ring: an invoke frame leaves like any other.
-    _post = _transmit
+    _post_frame = _send
 
     # -- lifecycle ---------------------------------------------------------
     def _close_transport(self) -> None:
@@ -899,8 +948,9 @@ class ShmBackend(FramedClient):
             "segment": self.peer,
             "ring_capacity": self.segment.capacity,
             "invokes_posted": self.invokes_posted,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
+            # The cursors this side owns count every byte it moved.
+            "bytes_sent": self._h2t._tail,
+            "bytes_received": self._t2h._head,
             "request_ring_used": request_used,
             "reply_ring_used": reply_used,
             "request_ring": _ring_state(self._h2t),

@@ -8,11 +8,13 @@ real processes, genuine asynchrony. The target runs
 offloadable catalog, mirroring "build the same application for both
 sides") or started manually on another machine.
 
-The socket is a byte pipe: the frame, the op table, which ops the
-target runs inline, failure bodies and what the one decoder checks are
+The socket is a byte stream: the frame, the op table, which ops the
+target runs inline, failure bodies and the one length check are
 specified once, for tcp and shm alike, in docs/protocols.md, "Real-path
-frames", and implemented once, in :mod:`repro.backends._server`. Both
-ends here only move bytes: ``sendmsg`` out, ``recv`` in.
+frames", and implemented once, in :mod:`repro.backends._server`. The
+two hooks at each end here, publish one frame and take one frame, pack
+the prefix in front of the parts for one ``sendmsg`` and feed ``recv``
+to the stream decoder, :class:`~repro.backends._server.FrameParser`.
 
 Every frame carries a **correlation id**; replies (including failure
 replies) echo the request's id. The client matches replies through an
@@ -52,9 +54,13 @@ from typing import Any, Callable
 
 from repro.backends._client import FramedClient
 from repro.backends._server import (
+    _FRAME_META,
+    _LEN,
+    _PREFIX,
     DEFAULT_SERVER_WORKERS,
     FrameParser,
     FramedServer,
+    _eof_error,
 )
 from repro.backends.base import FrameCoalescer, InvokeHandle
 from repro.errors import BackendError
@@ -176,6 +182,32 @@ class TcpTargetServer(FramedServer):
         finally:
             self._listener.close()
 
+    @property
+    def _frame_limit(self) -> int:
+        return self._parser.limit
+
+    def _take(self) -> tuple[int, int, memoryview, bool]:
+        """The next request off the socket, receiving as needed; the
+        replies held for a burst leave before the reader blocks."""
+        parser = self._parser
+        frame = parser.next_frame() if parser._data else None
+        while frame is None:
+            if self._held:
+                self._flush()
+            try:
+                received = parser.fill()
+            except OSError as exc:
+                raise BackendError(f"tcp receive failed: {exc}") from exc
+            if not received:
+                raise _eof_error(parser)
+            frame = parser.next_frame()
+        return frame
+
+    def _publish(self, op: int, corr: int, *parts: Any) -> None:
+        """Frame one reply and send it now (send lock held)."""
+        length = _FRAME_META + sum(map(len, parts))
+        self._transmit([_PREFIX.pack(length, op, corr), *parts], _LEN.size + length)
+
     def _transmit(self, frame: list, nbytes: int) -> None:
         _check_frame(nbytes)
         _sendmsg_all(self._conn, frame)
@@ -275,6 +307,8 @@ class TcpBackend(FramedClient):
         self._sock = socket.create_connection(address, timeout=connect_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(None)
+        self.bytes_sent = 0
+        self.bytes_received = 0
         #: Inbound frame decoder and readiness poll, touched only under
         #: the drive lock. (A poll object owns no descriptor.)
         self._parser = FrameParser(self._sock, FRAME_LIMIT)
@@ -289,7 +323,21 @@ class TcpBackend(FramedClient):
     def peer(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
 
+    @property
+    def _frame_limit(self) -> int:
+        return self._parser.limit
+
     # -- how bytes leave ----------------------------------------------------------
+    def _send(self, op: int, corr: int, *parts: Any) -> None:
+        """Frame one request and send it now (:meth:`_transmit`)."""
+        length = _FRAME_META + sum(map(len, parts))
+        self._transmit([_PREFIX.pack(length, op, corr), *parts], _LEN.size + length)
+
+    def _post_frame(self, op: int, corr: int, *parts: Any) -> None:
+        """Frame one invoke request for :meth:`_post`, which may batch it."""
+        length = _FRAME_META + sum(map(len, parts))
+        self._post([_PREFIX.pack(length, op, corr), *parts], _LEN.size + length)
+
     def _transmit(self, frame: list, nbytes: int) -> None:
         """Send one frame now, flushing any coalesced frames first.
 
@@ -343,6 +391,32 @@ class TcpBackend(FramedClient):
         super().drive(handle, blocking=blocking, timeout=timeout)
 
     # -- how bytes arrive -----------------------------------------------------------
+    def _next_frame(
+        self, timeout: float | None
+    ) -> tuple[int, int, memoryview, bool] | None:
+        """The next reply, polling the socket up to ``timeout`` for it;
+        what arrived of a frame when the time runs out stays in the
+        parser."""
+        parser = self._parser
+        # Only a parser holding unparsed bytes is asked: between the
+        # send and the poll for the reply runs an attribute test.
+        frame = parser.next_frame() if parser._data else None
+        while frame is None:
+            if not self._await_bytes(timeout):
+                return None
+            try:
+                received = parser.fill()
+            except OSError as exc:
+                raise BackendError(f"tcp receive failed: {exc}") from exc
+            if not received:
+                raise _eof_error(parser, self._pending_count())
+            self.bytes_received += received
+            frame = parser.next_frame()
+            # Part of a frame: take what else is already here and leave
+            # the rest of the deadline to the caller, who keeps it.
+            timeout = 0.0
+        return frame
+
     def _await_bytes(self, timeout: float | None) -> Any:
         """Poll the socket; truthy once it is readable (EOF included)."""
         if not self._alive:

@@ -29,6 +29,7 @@ from repro.ham.message import (
     pack_scalar_result,
     read_execute_block,
     read_scalar_result,
+    read_scalar_result_v3,
     split_message,
     trace_fields,
 )
@@ -262,10 +263,18 @@ def unpack_result(
 
 
 def _result_of(data: bytes, trace: OffloadTrace | None = None) -> tuple[int, Any]:
-    """:func:`unpack_result`'s decode."""
-    scalar = read_scalar_result(data)
-    if scalar is not None:
-        return scalar
+    """:func:`unpack_result`'s decode: a scalar RESULT in one unpack
+    (version 3 when traced), any other message through
+    :func:`split_message`."""
+    if trace is None:
+        scalar = read_scalar_result(data)
+        if scalar is not None:
+            return scalar
+    else:
+        traced = read_scalar_result_v3(data)
+        if traced is not None:
+            msg_id, value, trace.target_pid, trace.execute_ns = traced
+            return msg_id, value
     (kind, _key, msg_id, start, end,
      _trace_id, _parent, _flags) = split_message(data)
     if trace is not None:

@@ -67,6 +67,7 @@ __all__ = [
     "parse_message",
     "read_execute_block",
     "read_scalar_result",
+    "read_scalar_result_v3",
     "split_message",
     "trace_fields",
 ]
@@ -114,13 +115,22 @@ def _scalar_results(version: int, trace_format: str) -> dict[type, tuple]:
 
 _SCALAR_RESULTS_V1 = _scalar_results(_VERSION_1, "")
 _SCALAR_RESULTS_V3 = _scalar_results(_VERSION_3, "16sQBIQ")
+
+
+def _by_code(results: dict[type, tuple]) -> tuple:
+    """Payload code (the int a buffer indexes to) -> (RESULT struct,
+    payload length), ``None`` for a code that is no scalar's: read by
+    indexing, no lookup call."""
+    table: list = [None] * 256
+    for result, _head, code, payload_len in results.values():
+        table[code[0]] = (result, payload_len)
+    return tuple(table)
+
+
 _SCALAR_RESULT_HEAD = MAGIC + bytes((_VERSION_1, MSG_RESULT))
-#: code (as the int a buffer indexes to) -> (version-1 RESULT struct,
-#: payload length).
-_SCALAR_RESULT_OF_CODE = {
-    code[0]: (result, payload_len)
-    for result, _head, code, payload_len in _SCALAR_RESULTS_V1.values()
-}
+_SCALAR_RESULT_HEAD_V3 = MAGIC + bytes((_VERSION_3, MSG_RESULT))
+_SCALAR_RESULT_OF_CODE = _by_code(_SCALAR_RESULTS_V1)
+_SCALAR_RESULT_OF_CODE_V3 = _by_code(_SCALAR_RESULTS_V3)
 
 
 class MessageHeader(NamedTuple):
@@ -310,15 +320,35 @@ def read_scalar_result(data: Any) -> tuple[int, Any] | None:
     one ``unpack_from``; ``None`` for any other message, which
     :func:`split_message` then reads. Magic, version, kind and payload
     length are checked as :func:`split_message` checks them."""
-    if len(data) <= HEADER_SIZE:
+    try:
+        scalar = _SCALAR_RESULT_OF_CODE[data[HEADER_SIZE]]
+        if scalar is None:
+            return None
+        head, msg_id, payload_len, _code, value = scalar[0].unpack_from(data)
+    except (IndexError, struct.error):  # shorter than a scalar RESULT
         return None
-    scalar = _SCALAR_RESULT_OF_CODE.get(data[HEADER_SIZE])
-    if scalar is None or len(data) < scalar[0].size:
-        return None
-    head, msg_id, payload_len, _code, value = scalar[0].unpack_from(data)
     if head != _SCALAR_RESULT_HEAD or payload_len != scalar[1]:
         return None
     return msg_id, value
+
+
+def read_scalar_result_v3(data: Any) -> tuple[int, Any, int, int] | None:
+    """``(msg_id, value, target_pid, execute_ns)`` of a version-3 RESULT
+    of one scalar — the reply to a traced INVOKE — read in one
+    ``unpack_from``; ``None`` for any other message, which
+    :func:`split_message` then reads. Magic, version, kind and payload
+    length are checked as :func:`split_message` checks them."""
+    try:
+        scalar = _SCALAR_RESULT_OF_CODE_V3[data[HEADER_SIZE_V3]]
+        if scalar is None:
+            return None
+        (head, msg_id, payload_len, _trace_id, _parent, _flags, pid,
+         execute_ns, _code, value) = scalar[0].unpack_from(data)
+    except (IndexError, struct.error):  # shorter than a scalar RESULT
+        return None
+    if head != _SCALAR_RESULT_HEAD_V3 or payload_len != scalar[1]:
+        return None
+    return msg_id, value, pid, execute_ns
 
 
 def read_execute_block(data: Any) -> tuple[int, int] | None:

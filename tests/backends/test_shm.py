@@ -1,16 +1,26 @@
 """Tests for the shared-memory backend (SPSC rings, forked target)."""
 
+import functools
+import itertools
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.backends import ShmBackend, create_backend, spawn_shm_server
-from repro.backends.shm import DEFAULT_RING_CAPACITY, ShmSegment
+from repro.backends._server import _PREFIX, OP_INVOKE, OP_REPLY_BIT
+from repro.backends.shm import (
+    _OFF_T2H_TAIL,
+    DEFAULT_RING_CAPACITY,
+    ShmSegment,
+    ShmTargetServer,
+)
 from repro.errors import (
     BackendError,
     OffloadTimeoutError,
@@ -22,7 +32,9 @@ from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
+from tests.backends.test_target_dispatch import _HOOKS, WAIT, Target, dispatch_hook
 from tests.fresh import ROOT
+from tests.leaks import resources
 
 
 @pytest.fixture()
@@ -157,6 +169,125 @@ class TestShmMemory:
         back = np.zeros(n)
         rt.get(ptr, back)
         np.testing.assert_array_equal(back, data)
+
+
+#: The smallest ring a segment may have: frames wrap every few syncs.
+SMALL_RING = 4096
+
+
+def _frame_size(ring, sync):
+    """How far one ``sync()`` moves ``ring``'s cursor."""
+    before = ring._tail + ring._head  # one of them moves
+    sync()
+    return ring._tail + ring._head - before
+
+
+class TestRingWrap:
+    """Frames whose 13-byte prefix straddles the ring's end, at every
+    offset, on both rings, between bursts and chunked transfers: the
+    publish and the take off their straight line."""
+
+    def test_every_prefix_offset_on_both_rings(self):
+        before = resources(baseline=True)
+        segment = ShmSegment.create(SMALL_RING)
+        segment.client_pid = os.getpid()
+        server = ShmTargetServer(segment, workers=2)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        backend = ShmBackend(segment, on_shutdown=functools.partial(thread.join, WAIT))
+        runtime = Runtime(backend)
+        requests, replies = backend._h2t, backend._t2h
+        rng = random.Random(7)
+
+        def echo(payload):
+            assert runtime.sync(1, f2f(apps.echo, payload)) == payload
+
+        try:
+            # An echo of n bytes is a request of a + n bytes and a reply
+            # of b + n.
+            a = _frame_size(requests, lambda: echo(b""))
+            b = _frame_size(replies, lambda: echo(b""))
+            assert _frame_size(requests, lambda: echo(bytes(100))) == a + 100
+            assert _frame_size(replies, lambda: echo(bytes(100))) == b + 100
+            largest = SMALL_RING - max(a, b)
+            straddled = {"request": set(), "reply": set()}
+            offsets = {"request": itertools.cycle(range(1, 13)),
+                       "reply": itertools.cycle(range(1, 13))}
+            array = np.arange(3 * backend._max_payload + 17, dtype=np.uint8)
+            for i in range(2400):
+                # Where this sync's frames start: 1-12 bytes before the
+                # end, the prefix straddles it.
+                at = {"request": requests._tail % SMALL_RING,
+                      "reply": replies._head % SMALL_RING}
+                for name, start in at.items():
+                    if 0 < SMALL_RING - start < _PREFIX.size:
+                        straddled[name].add(SMALL_RING - start)
+                # Size this one to put the next frame of one ring (by
+                # turns) the chosen offset before the end.
+                name = ("request", "reply")[i % 2]
+                size = (SMALL_RING - next(offsets[name]) - at[name]
+                        - (a if name == "request" else b)) % SMALL_RING
+                if size > largest:  # too long for the ring: another time
+                    size = rng.randrange(64)
+                echo(bytes([i % 251]) * size)
+                if i % 97 == 0:
+                    payloads = [rng.randbytes(rng.randrange(400)) for _ in range(8)]
+                    futures = [runtime.async_(1, f2f(apps.echo, payload))
+                               for payload in payloads]
+                    assert [future.get(timeout=WAIT) for future in futures] == payloads
+                if i % 401 == 0:
+                    ptr = runtime.allocate(1, len(array), dtype=np.uint8)
+                    back = np.zeros_like(array)
+                    runtime.put(array, ptr).get(timeout=WAIT)
+                    runtime.get(ptr, back).get(timeout=WAIT)
+                    runtime.free(ptr)
+                    assert np.array_equal(back, array)
+                    array[i % len(array)] += 1
+            assert straddled == {"request": set(range(1, 13)),
+                                 "reply": set(range(1, 13))}
+            assert runtime.window.in_flight == 0
+        finally:
+            runtime.shutdown()
+            thread.join(WAIT)
+        assert not thread.is_alive()
+        assert resources() == before
+
+    def test_a_corrupt_reply_length_fails_every_pending_future(self):
+        _HOOKS.clear()
+        target = Target("shm")
+        target.connect()
+        runtime, backend, segment = target.runtime, target.backend, target.segment
+        entered, gate = threading.Semaphore(0), threading.Event()
+        _HOOKS["gates"] = [gate]
+        _HOOKS["park"] = lambda _arg: entered.release() or gate.wait(WAIT)
+        try:
+            futures = [runtime.async_(1, f2f(dispatch_hook, "park", i))
+                       for i in range(3)]
+            for _ in futures:
+                assert entered.acquire(timeout=WAIT)
+            # Every kernel is parked, so nothing else publishes on the
+            # reply ring: publish a frame of length 3 there.
+            ring = backend._t2h
+            head = ring._head
+            assert head % ring._capacity + _PREFIX.size <= ring._capacity
+            _PREFIX.pack_into(segment.buf, ring._data_off + head % ring._capacity,
+                              3, OP_INVOKE | OP_REPLY_BIT, futures[0]._handle.correlation_id)
+            segment.cursors[_OFF_T2H_TAIL // 8] = head + _PREFIX.size
+            for future in futures:
+                with pytest.raises(BackendError, match="short frame: length 3"):
+                    future.get(timeout=WAIT)
+            assert runtime.window.in_flight == 0
+            assert backend._pending_count() == 0
+        finally:
+            gate.set()
+            # The target serves a client that is gone once its pid is.
+            child = multiprocessing.get_context("fork").Process(target=int)
+            child.start()
+            child.join(WAIT)
+            segment.client_pid = child.pid
+            runtime.shutdown()
+            target.thread.join(WAIT)
+        assert not target.thread.is_alive()
 
 
 class TestShmLifecycle:

@@ -39,6 +39,7 @@ from repro.backends.shm import (
     ShmBackend,
     ShmSegment,
     ShmTargetServer,
+    _DATA_OFFSET,
     _OFF_H2T_TAIL,
 )
 from repro.backends.tcp import FRAME_LIMIT, TcpBackend, TcpTargetServer
@@ -75,21 +76,29 @@ def _probed(server_class):
             self.saw_shutdown = threading.Event()
             #: ``(op, corr)`` of the frames each write put on the pipe.
             self.writes = []
-            transmit = self._transmit
+            transmit, publish, take = self._transmit, self._publish, self._take
 
-            def recorded(parts, nbytes):
+            def transmitted(parts, nbytes):
                 self.writes.append(_frames_in(parts))
                 transmit(parts, nbytes)
 
-            self._transmit = recorded
+            def published(op, corr, *parts):
+                self.writes.append([(op, corr)])
+                publish(op, corr, *parts)
 
-        def _next_frame(self):
-            frame = super()._next_frame()
-            if frame[0] == OP_INVOKE:
-                self.invoke_readers.append(threading.get_ident())
-            elif frame[0] == OP_SHUTDOWN:
-                self.saw_shutdown.set()
-            return frame
+            def taken():
+                frame = take()
+                if frame[0] == OP_INVOKE:
+                    self.invoke_readers.append(threading.get_ident())
+                elif frame[0] == OP_SHUTDOWN:
+                    self.saw_shutdown.set()
+                return frame
+
+            self._transmit, self._take = transmitted, taken
+            if server_class is ShmTargetServer:
+                # A reply is published in place; tcp's passes through
+                # ``_transmit``.
+                self._publish = published
 
         def _handle_inline(self, op, corr, body):
             self.inline_ops.append(op)
@@ -331,11 +340,19 @@ def _framed(backend, requests):
     return handles, parts
 
 
+def _write_raw(backend, data):
+    """Put the frames ``data`` on the pipe in one write."""
+    if isinstance(backend, ShmBackend):
+        with backend._send_lock:
+            backend._h2t.write([data], len(data))
+    else:
+        backend._transmit([data], len(data))
+
+
 def _write_at_once(backend, requests):
     """Put ``requests`` on the pipe in one write; returns their handles."""
     handles, parts = _framed(backend, requests)
-    burst = b"".join(parts)
-    backend._transmit([burst], len(burst))
+    _write_raw(backend, b"".join(parts))
     return handles
 
 
@@ -406,17 +423,18 @@ class TestBurstReplies:
         monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
         with _served(transport) as target:
             backend, server = target.backend, target.server
-            transmit = backend._transmit
+            send = backend._send
             echoes = []
 
-            def behind_a_burst(parts, nbytes):
-                if _frames_in(parts)[0][0] == OP_SHUTDOWN:
-                    handles, ahead = _framed(backend, [_echo(backend, i) for i in range(8)])
-                    echoes.extend(handles)
-                    parts, nbytes = ahead + parts, nbytes + sum(map(len, ahead))
-                transmit(parts, nbytes)
+            def behind_a_burst(op, corr, *parts):
+                if op != OP_SHUTDOWN:
+                    send(op, corr, *parts)
+                    return
+                handles, ahead = _framed(backend, [_echo(backend, i) for i in range(8)])
+                echoes.extend(handles)
+                _write_raw(backend, b"".join([*ahead, *frame(op, corr, *parts)]))
 
-            backend._transmit = behind_a_burst
+            backend._send = behind_a_burst
             target.runtime.shutdown()
             target.thread.join(WAIT)
             assert [unpack_result(h._reply)[1] for h in echoes] == list(range(8))
@@ -614,6 +632,20 @@ class TestStopReason:
         finally:
             target.segment.close()
             target.segment.unlink()
+
+    def test_shm_length_over_the_ring_capacity_reason(self, capfd):
+        target = Target("shm")
+        segment = target.segment
+        try:
+            # Publish a prefix whose length is more than the ring holds.
+            _PREFIX.pack_into(segment.buf, _DATA_OFFSET, segment.capacity, OP_INVOKE, 1)
+            segment.cursors[_OFF_H2T_TAIL // 8] = _PREFIX.size
+            self._stopped_with(
+                capfd, target.thread, f"long frame: length {segment.capacity}")
+            assert segment.state == STATE_STOPPED
+        finally:
+            segment.close()
+            segment.unlink()
 
 
 class _Chunks:

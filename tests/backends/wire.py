@@ -25,6 +25,6 @@ def read_frame(parser: FrameParser):
     while True:
         got = parser.next_frame()
         if got is not None:
-            return got
+            return got[:3]
         if not parser.fill():
             raise BackendError("connection closed by peer")

@@ -59,6 +59,8 @@ class TestTcpTransportFailures:
         handle_box = {}
 
         class FakeHandle:
+            trace = None  # an untraced offload's, as InvokeHandle's
+
             def complete_with_reply(self, reply):
                 handle_box["reply"] = reply
 

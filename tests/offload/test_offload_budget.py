@@ -38,7 +38,7 @@ from tests.callcount import CallCounts, profile_calls
 from tests.fresh import fresh_python
 
 #: Calls (Python + builtin, the count ``cProfile`` reports) of one warm
-#: ``sync(1, f2f(add, 1, 2))``: 46 on CPython 3.11 (no trace asked for
+#: ``sync(1, f2f(add, 1, 2))``: 43 on CPython 3.11 (no trace asked for
 #: and no span entered while telemetry is off, the tables', the
 #: tenant's, the liveness and the node's "nothing to do" read by
 #: attribute, the INVOKE built by its compiled codec in one ``pack``, a
@@ -46,7 +46,7 @@ from tests.fresh import fresh_python
 #: scalar RESULT packed and read in one step each). The ceiling sits
 #: ~5 % above; raise it only together with a perfbench run that shows
 #: the cost.
-MAX_CALLS = 53
+MAX_CALLS = 45
 
 #: acquire + the slot's return (a plain sync registers no handle).
 MAX_WINDOW_LOCK_ACQUISITIONS = 2
@@ -54,13 +54,13 @@ MAX_WINDOW_LOCK_ACQUISITIONS = 2
 #: The same offload with telemetry set up by ``init`` itself
 #: (``telemetry=True``: the recorder): calls, and locks taken (every
 #: ``with lock`` / ``lock.acquire()``, telemetry's and the window's
-#: alike). On CPython 3.11: 105 calls and 3 locks — three phases
+#: alike). On CPython 3.11: 94 calls and 3 locks — three phases
 #: stamped into one record, the target's execute time read off its
 #: version-3 reply, the record committed with its folds and counters
 #: under one lock, and the window's two. The call ceiling sits ~5 %
 #: above, the lock ceiling at the figure (5 % of it is less than one
 #: lock).
-MAX_TRACED_CALLS = 110
+MAX_TRACED_CALLS = 99
 MAX_TRACED_LOCKS = 3
 
 #: Records one traced offload appends, all in one commit: on ``local``
@@ -161,11 +161,11 @@ class TestDefaultPathBudget:
 
 #: One warm ``sync(1, functor, tenant="gold")`` on ``local`` under a
 #: ``QoSConfig`` that rate-limits gold, the functor built before the
-#: count: 52 calls and 3 locks on CPython 3.11 (the plain sync's 2, plus
+#: count: 49 calls and 3 locks on CPython 3.11 (the plain sync's 2, plus
 #: admission's one: the bucket lookup, its refill and the admitted count
 #: share the controller's lock). The tenant is a bare id read by
 #: ``_offload``. The ceiling sits ~5 % above.
-MAX_QOS_TENANT_SYNC_CALLS = 59
+MAX_QOS_TENANT_SYNC_CALLS = 52
 QOS_TENANT_SYNC_LOCKS = 3
 
 
@@ -191,20 +191,23 @@ def test_tenant_tagged_qos_sync_call_budget():
 
 
 #: Calls of one warm ``sync(1, f2f(echo, 7))`` on a framed transport,
-#: CPython 3.11: 53 on shm, 67 on tcp — one frame packed by the client
-#: core, sized once, sent, and read back by the one parser, which tells
-#: "nothing held" by attribute. The wait for the reply counts as one
-#: call however long the target takes. The ceilings sit ~5 % above.
-MAX_FRAMED_SYNC_CALLS = {"shm": 58, "tcp": 72}
+#: CPython 3.11: 38 on shm, 60 on tcp — one frame published (on shm
+#: packed in place in the request ring), the reply taken (on shm read
+#: in place off the reply ring), a scalar RESULT read in one unpack, and
+#: "another reply in hand?" answered by the take itself. The wait for
+#: the reply counts as one call however long the target takes. The
+#: ceilings sit ~5 % above.
+MAX_FRAMED_SYNC_CALLS = {"shm": 40, "tcp": 63}
 
-#: The same sync traced (``telemetry=True``), host side: 112 calls and
-#: 5 locks on shm, 126 and 5 on tcp (CPython 3.11) — one trace minted,
+#: The same sync traced (``telemetry=True``), host side: 92 calls and
+#: 5 locks on shm, 114 and 5 on tcp (CPython 3.11) — one trace minted,
 #: five phases stamped into one record (serialize, enqueue, transport,
 #: the leader's own reply, deserialize), the target's execute read off
-#: the version-3 reply and placed in the round trip, and the six
-#: committed with their folds and counters under one lock. The call
-#: ceilings sit ~5 % above, the lock ceiling at the figure.
-MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 118, "tcp": 132}
+#: the version-3 scalar reply in one unpack and placed in the round
+#: trip, and the six committed with their folds and counters under one
+#: lock. The call ceilings sit ~5 % above, the lock ceiling at the
+#: figure.
+MAX_TRACED_FRAMED_SYNC_CALLS = {"shm": 97, "tcp": 120}
 MAX_TRACED_FRAMED_SYNC_LOCKS = 5
 
 
@@ -303,18 +306,18 @@ def test_untraced_async_get_enters_no_span(transport):
         offload_api.finalize()
 
 
-#: Calls of one warm ``async_(1, f2f(echo, 7)).get()``, CPython 3.11: 60
-#: on local, 72 on shm, 89 on tcp — a sync's path plus the handle, the
+#: Calls of one warm ``async_(1, f2f(echo, 7)).get()``, CPython 3.11: 57
+#: on local, 60 on shm, 86 on tcp — a sync's path plus the handle, the
 #: future and the window's register and release; the tenant, liveness
 #: and node read by attribute, no span entered and no trace activated
 #: while nothing records. The ceilings sit ~5 % above.
-MAX_ASYNC_GET_CALLS = {"local": 68, "shm": 79, "tcp": 97}
+MAX_ASYNC_GET_CALLS = {"local": 60, "shm": 63, "tcp": 90}
 
 #: Calls per offload of a batch of 64 ``async_`` posts on tcp, then their
-#: 64 ``get``: 69.4 on CPython 3.11 — the coalescer batches the requests
+#: 64 ``get``: 66.0 on CPython 3.11 — the coalescer batches the requests
 #: and the target answers each burst in one write, so a waiter's reads
 #: complete several replies each. The ceiling sits ~5 % above.
-MAX_PIPELINED_TCP_CALLS = 77
+MAX_PIPELINED_TCP_CALLS = 69
 
 
 def _reply_arrived(backend) -> bool:
@@ -396,22 +399,23 @@ def test_traced_sync_on_framed_transports(transport):
 
 
 #: Calls of one ``_execute_booked`` of an ``echo`` INVOKE on the target,
-#: (untraced, v2 header). CPython 3.11: 26 and 33 on shm, 37 and 44 on
-#: tcp. The v2 header costs its trace fields' decode and re-encode into
-#: the version-3 reply and two clock reads: no context is built, no span
-#: entered, the recorder not read, a scalar-only argument block meets no
-#: resolver, a scalar reply is packed in one step, and the shutdown
-#: drain is notified only while a shutdown waits. The ceilings sit ~5 %
-#: above.
-MAX_TARGET_INVOKE_CALLS = {"shm": (28, 35), "tcp": (39, 46)}
+#: (untraced, v2 header). CPython 3.11: 24 and 31 on shm, 37 and 44 on
+#: tcp. The reply is published by ``_reply`` through the transport's
+#: hook, on shm packed in place in the reply ring. The v2 header costs
+#: its trace fields' decode and re-encode into the version-3 reply and
+#: two clock reads: no context is built, no span entered, the recorder
+#: not read, a scalar-only argument block meets no resolver, a scalar
+#: reply is packed in one step, "more requests waiting?" is the
+#: attribute the take set, and the shutdown drain is notified only
+#: while a shutdown waits. The ceilings sit ~5 % above.
+MAX_TARGET_INVOKE_CALLS = {"shm": (25, 33), "tcp": (39, 46)}
 
-#: The receive half of the target's round: one ``_next_frame`` that finds
-#: the next request already there — the wait, ``fill``, the source's
-#: ``recv``, ``next_frame``. CPython 3.11: 8 on shm and on tcp.
-#: "Anything left?" is an attribute test on the parser, and the
-#: parser's data is measured once per frame. The ceilings sit at the
-#: figure: 5 % of it is less than one call.
-MAX_TARGET_READ_CALLS = {"shm": 8, "tcp": 8}
+#: The receive half of the target's round: one ``_take`` that finds the
+#: next request already there. CPython 3.11: 2 on shm — the prefix
+#: unpacked in place at the ring's head and its length checked — and 8
+#: on tcp — ``fill``, the socket's ``recv``, ``next_frame``. The
+#: ceilings sit at the figure: 5 % of it is less than one call.
+MAX_TARGET_READ_CALLS = {"shm": 2, "tcp": 8}
 
 
 def _within(condition, failure: str) -> None:
@@ -434,24 +438,30 @@ class TestTargetInvokeBudget:
         class Counting(server_class):
             profiled: list[CallCounts] = []
             reads: list[CallCounts] = []
-            #: Set by a test: the first read after that many counted
+            #: Set by a test: the first take after that many counted
             #: invocations waits for ``hold``, and is counted.
             hold_after: int | None = None
             hold = threading.Event()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                take = self._take
+
+                def counted_take():
+                    if self.hold_after is None or len(self.profiled) < self.hold_after:
+                        return take()
+                    self.hold_after = None
+                    self.hold.wait()
+                    counts = profile_calls(take)
+                    self.reads.append(counts)
+                    return counts.value
+
+                self._take = counted_take
 
             def _execute_booked(self, corr, body, me):
                 booked = super()._execute_booked
                 counts = profile_calls(lambda: booked(corr, body, me))
                 self.profiled.append(counts)
-                return counts.value
-
-            def _next_frame(self):
-                if self.hold_after is None or len(self.profiled) < self.hold_after:
-                    return super()._next_frame()
-                self.hold_after = None
-                self.hold.wait()
-                counts = profile_calls(super()._next_frame)
-                self.reads.append(counts)
                 return counts.value
 
         if transport == "shm":

@@ -1,13 +1,13 @@
-"""One decoder, two byte sources: properties of ``FrameParser``.
+"""One frame grammar, two pipes: tcp's ``FrameParser`` and the ring's take.
 
 The same random frame sequence goes through a ``socket.socketpair()``
-(written in pieces split at arbitrary points) and through a small shm
-ring (each frame written whole, from parts split at arbitrary points)
-read by a consumer thread. Bodies reach 200 KiB, so some frames take the
-parser's own-buffer path. Both sources must hand back the same frames
-in order; a stream cut mid-frame must end in an EOF error naming the
-partial bytes; a length outside what the source can carry must raise
-``BackendError`` and nothing else.
+(written in pieces split at arbitrary points, read by the parser) and
+through a small shm ring (each frame published whole, from parts split
+at arbitrary points, taken by a consumer thread). Bodies reach 200 KiB,
+so some frames take the parser's own-buffer path. Both pipes must hand
+back the same frames in order; a stream cut mid-frame must end in an EOF
+error naming the partial bytes; a length outside what the pipe can carry
+must raise ``BackendError`` — the one length check — and nothing else.
 """
 
 import random
@@ -86,32 +86,33 @@ def _through_socket(stream_pieces):
 
 
 def _through_ring(writes, count):
-    """The ``count`` frames (or the error) a consumer thread reads off a
-    ring the caller writes ``writes`` (lists of parts) to."""
+    """The ``count`` frames (or the error) a consumer thread takes off a
+    ring the caller puts ``writes`` on: ``(op, corr, parts)`` published,
+    or a list of raw parts written as they are."""
     segment = ShmSegment.create(CAPACITY)
     try:
         producer = _host_to_target_ring(segment)
         consumer = _host_to_target_ring(segment)
-        parser = FrameParser(consumer, CAPACITY)
         got = []
 
         def read():
             try:
                 while len(got) < count:
-                    got_frame = parser.next_frame()
-                    if got_frame is not None:
-                        got.append((got_frame[0], got_frame[1], bytes(got_frame[2])))
-                    elif consumer.wait_readable(WAIT):
-                        parser.fill()
-                    else:
+                    got_frame = consumer.take(WAIT)
+                    if got_frame is None:
                         return
+                    got.append((got_frame[0], got_frame[1], bytes(got_frame[2])))
             except BaseException as exc:  # the caller asserts on it
                 got.append(exc)
 
         reader = threading.Thread(target=read)
         reader.start()
-        for parts in writes:
-            producer.write(*sized(parts), timeout=WAIT)
+        for write in writes:
+            if isinstance(write, tuple):
+                op, corr, parts = write
+                producer.publish(op, corr, *parts, timeout=WAIT)
+            else:
+                producer.write(*sized(write), timeout=WAIT)
         reader.join(WAIT)
         assert not reader.is_alive()
         return got
@@ -128,7 +129,7 @@ def test_both_sources_hand_back_the_same_frames_in_order(spec, cut_at):
     from_socket, parser = _through_socket(_pieces(stream, cut_at))
     assert from_socket == sent and parser.buffered == 0
     from_ring = _through_ring(
-        [frame(op, corr, *_pieces(body, cut_at)) for op, corr, body in sent],
+        [(op, corr, _pieces(body, cut_at)) for op, corr, body in sent],
         len(sent),
     )
     assert from_ring == from_socket

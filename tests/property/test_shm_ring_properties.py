@@ -1,10 +1,10 @@
 """Property-based tests of the shm SPSC ring invariants.
 
 The ring is the correctness core of the shared-memory transport: a
-monotonic-cursor single-producer/single-consumer byte pipe inside one
-shared segment, written a whole frame at a time and read by the one
-frame decoder. Everything here runs both ring ends in one process — the
-invariants (FIFO frame integrity across wraparound,
+monotonic-cursor single-producer/single-consumer frame pipe inside one
+shared segment, published a whole frame at a time in place and taken a
+frame at a time. Everything here runs both ring ends in one process —
+the invariants (FIFO frame integrity across wraparound,
 never-overwrite-unread, capacity-full backpressure) are positional, not
 concurrency, properties.
 """
@@ -14,7 +14,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends._server import FRAME_OVERHEAD, FrameParser
+from repro.backends._server import FRAME_OVERHEAD
 from repro.backends.shm import (
     ShmSegment,
     _host_to_target_ring,
@@ -22,7 +22,7 @@ from repro.backends.shm import (
 )
 from repro.errors import BackendError, OffloadTimeoutError
 
-from tests.backends.wire import frame, read_frame, sized
+from tests.backends.wire import frame, sized
 
 CAPACITY = 4096
 
@@ -42,13 +42,19 @@ def segment():
 
 
 def rings(seg):
-    """The producer of the h2t ring, and a parser over its consumer."""
-    return _host_to_target_ring(seg), FrameParser(_host_to_target_ring(seg), CAPACITY)
+    """The producer and the consumer end of the h2t ring."""
+    return _host_to_target_ring(seg), _host_to_target_ring(seg)
 
 
-def drained(parser):
-    """Nothing left: not in the parser, not in its ring."""
-    return parser.next_frame() is None and not parser.buffered and not parser.fill()
+def read_frame(consumer):
+    """The next ``(op, corr, body)`` taken off ``consumer``."""
+    op, corr, body, _more = consumer.take(1.0)
+    return op, corr, body
+
+
+def drained(consumer):
+    """Nothing left in the ring."""
+    return not consumer.readable() and consumer.take(0) is None
 
 
 class TestRingProperties:
@@ -61,7 +67,7 @@ class TestRingProperties:
         try:
             producer, consumer = rings(seg)
             for index, body in enumerate(messages):
-                producer.write(*sized(frame(1, index, body)), timeout=1.0)
+                producer.publish(1, index, body, timeout=1.0)
                 op, corr, view = read_frame(consumer)
                 assert (op, corr, bytes(view)) == (1, index, body)
             assert drained(consumer)
@@ -94,7 +100,7 @@ class TestRingProperties:
                         want_corr, want_body = shadow.popleft()
                         assert (corr, bytes(view)) == (want_corr, want_body)
                     pending_bytes = 0
-                producer.write(*sized(frame(2, index, body)), timeout=1.0)
+                producer.publish(2, index, body, timeout=1.0)
                 shadow.append((index, body))
                 pending_bytes += size
                 if index % drain_after == 0:
@@ -120,7 +126,7 @@ class TestRingProperties:
         written = 0
         with pytest.raises(OffloadTimeoutError, match="stayed full"):
             for index in range(10):
-                producer.write(*sized(frame(3, index, body)), timeout=0.05)
+                producer.publish(3, index, body, timeout=0.05)
                 written += 1
         # Everything that *was* accepted is intact.
         for index in range(written):
@@ -132,12 +138,12 @@ class TestRingProperties:
         producer, consumer = rings(segment)
         body = bytes(CAPACITY // 4)
         for index in range(3):
-            producer.write(*sized(frame(4, index, body)), timeout=0.5)
+            producer.publish(4, index, body, timeout=0.5)
         # One more would exceed capacity; free a slot and retry.
         with pytest.raises(OffloadTimeoutError):
-            producer.write(*sized(frame(4, 3, body)), timeout=0.05)
+            producer.publish(4, 3, body, timeout=0.05)
         read_frame(consumer)
-        producer.write(*sized(frame(4, 3, body)), timeout=0.5)
+        producer.publish(4, 3, body, timeout=0.5)
         for index in range(1, 4):
             _op, corr, _view = read_frame(consumer)
             assert corr == index
@@ -145,7 +151,7 @@ class TestRingProperties:
     def test_oversized_frame_rejected_outright(self, segment):
         producer, _consumer = rings(segment)
         with pytest.raises(BackendError, match="exceeds shm ring capacity"):
-            producer.write(*sized(frame(5, 0, bytes(CAPACITY))), timeout=0.1)
+            producer.publish(5, 0, bytes(CAPACITY), timeout=0.1)
 
     def test_wraparound_across_many_cycles(self, segment):
         """Cursors are monotonic u64s, positions are modulo: thousands
@@ -153,7 +159,7 @@ class TestRingProperties:
         producer, consumer = rings(segment)
         body = bytes(range(256)) * 3  # 768 bytes, co-prime-ish with 4096
         for index in range(2000):
-            producer.write(*sized(frame(6, index, body)), timeout=1.0)
+            producer.publish(6, index, body, timeout=1.0)
             op, corr, view = read_frame(consumer)
             assert (op, corr) == (6, index)
             assert bytes(view) == body
@@ -162,21 +168,45 @@ class TestRingProperties:
     def test_scattered_parts_concatenate(self, segment):
         producer, consumer = rings(segment)
         parts = (b"alpha", bytearray(b"beta"), memoryview(b"gamma"))
-        producer.write(*sized(frame(7, 42, *parts)), timeout=1.0)
+        producer.publish(7, 42, *parts, timeout=1.0)
         _op, _corr, view = read_frame(consumer)
         assert bytes(view) == b"alphabetagamma"
 
     def test_both_directions_are_independent(self, segment):
-        h2t_w, h2t_r = (
-            _host_to_target_ring(segment),
-            FrameParser(_host_to_target_ring(segment), CAPACITY),
-        )
-        t2h_w, t2h_r = (
-            _target_to_host_ring(segment),
-            FrameParser(_target_to_host_ring(segment), CAPACITY),
-        )
-        h2t_w.write(*sized(frame(1, 1, b"request")), timeout=1.0)
-        t2h_w.write(*sized(frame(2, 1, b"reply")), timeout=1.0)
+        h2t_w, h2t_r = _host_to_target_ring(segment), _host_to_target_ring(segment)
+        t2h_w, t2h_r = _target_to_host_ring(segment), _target_to_host_ring(segment)
+        h2t_w.publish(1, 1, b"request", timeout=1.0)
+        t2h_w.publish(2, 1, b"reply", timeout=1.0)
         assert bytes(read_frame(h2t_r)[2]) == b"request"
         assert bytes(read_frame(t2h_r)[2]) == b"reply"
         assert drained(h2t_r) and drained(t2h_r)
+
+    @given(messages=st.lists(payloads, min_size=1, max_size=12),
+           lead=st.integers(min_value=0, max_value=CAPACITY))
+    @settings(max_examples=40, deadline=None)
+    def test_a_burst_written_whole_is_taken_frame_by_frame(self, messages, lead):
+        """Frames framed already (the replies a target held) go in with
+        one tail store, from any ring position, and come out one take
+        each, every take but the last saying another frame is there."""
+        seg = ShmSegment.create(CAPACITY)
+        try:
+            producer, consumer = rings(seg)
+            if lead >= FRAME_OVERHEAD:  # move the cursors to ``lead``
+                producer.publish(0, 0, bytes(lead - FRAME_OVERHEAD))
+                consumer.take(0)
+            burst, taken = [], []
+            for index, body in enumerate(messages):
+                if sum(map(len, burst)) + FRAME_OVERHEAD + len(body) > CAPACITY:
+                    break
+                burst += frame(8, index, body)
+            producer.write(*sized(burst), timeout=1.0)
+            while consumer.readable():
+                op, corr, body, more = consumer.take(0)
+                taken.append((corr, bytes(body), more))
+            count = len(taken)
+            assert taken == [(index, messages[index], index < count - 1)
+                             for index in range(count)]
+            assert count and drained(consumer)
+        finally:
+            seg.close()
+            seg.unlink()

@@ -231,3 +231,25 @@ class TestTcpEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert "offload.execute" in proc.stdout
         assert "p95" in proc.stdout
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+def test_only_an_offload_reply_is_an_offload_reply(transport):
+    """A traced session of 20 syncs, one introspection, one allocate and
+    one put: ``offload.reply`` counts the 20 offloads, and no control
+    op's reply."""
+    runtime = offload_api.init(transport, telemetry=True)
+    try:
+        for i in range(20):
+            assert runtime.sync(1, f2f(apps.echo, i)) == i
+        assert runtime.backend.introspect_target()["role"] == "target"
+        ptr = runtime.allocate(1, 8)
+        runtime.put(np.arange(8, dtype=np.float64), ptr).get(timeout=10.0)
+        recorder = telemetry.get()
+        histograms = recorder.metrics.snapshot()["histograms"]
+        assert histograms["phase.offload.reply"]["count"] == 20
+        assert len(recorder.spans("offload.reply")) == 20
+        runtime.free(ptr)
+    finally:
+        offload_api.finalize()
+        telemetry.disable()

@@ -15,14 +15,8 @@ import threading
 
 import pytest
 
-from repro.backends._client import FramedClient, close_reply_span
-from repro.backends._server import (
-    _PREFIX,
-    FRAME_OVERHEAD,
-    OP_INVOKE,
-    OP_REPLY_BIT,
-    FrameParser,
-)
+from repro.backends._client import FramedClient
+from repro.backends._server import FRAME_OVERHEAD, OP_INVOKE, OP_REPLY_BIT
 from repro.errors import RemoteExecutionError
 from repro.ham import f2f
 from repro.ham.execution import execute_message
@@ -36,7 +30,6 @@ from repro.telemetry.export import dicts_to_records, records_to_dicts
 from repro.telemetry.recorder import Recorder, SpanRecord
 
 from tests import apps
-from tests.backends import wire
 
 STEP = 1000  # every clock read advances the fake clock by this much
 
@@ -97,7 +90,8 @@ def scripted():
     # -- a reply span closed on the receiving thread, outside any context --
     reply = telemetry.span("offload.reply", transport="shm")
     reply.__enter__()  # t9
-    close_reply_span(reply, reply_body(SAMPLED))  # t10 -> the ring, untraced
+    reply.set("bytes", len(reply_body(SAMPLED)) + FRAME_OVERHEAD)
+    reply.__exit__(None, None, None)  # t10 -> the ring, untraced
     ids["reply"] = reply.span_id
     # An errored completion, then a plain one: aggregates only.
     telemetry.complete_offload(kernel="k", duration_ns=123, error=True,
@@ -219,42 +213,37 @@ def test_span_minted_in_a_forked_child_carries_the_childs_pid():
 
 class Scripted(FramedClient):
     """A framed client whose target is this test: every frame it sends
-    is answered at once, through the one parser, by frames built with
-    ``tests/backends/wire.py`` — an INVOKE by executing it on an image
-    that records nothing (a remote target's spans are its own)."""
+    is answered at once — an INVOKE by executing it on an image that
+    records nothing (a remote target's spans are its own)."""
 
     name = "tcp"
     peer = "script"
+    _frame_limit = 1 << 20
 
     def __init__(self) -> None:
         super().__init__(None, None, None)
         self.target = ProcessImage("scripted-target")
-        self._parser = FrameParser(self, 1 << 20)
-        self._arrived = b""
+        #: ``(op, corr, body)`` of every reply not taken yet.
+        self._arrived: list[tuple[int, int, bytes]] = []
         #: ``(op, corr, body)`` of every frame sent.
         self.sent: list[tuple[int, int, bytes]] = []
-        #: Called on every wait for bytes: mid-transport on a sync.
+        #: Called on every take: mid-transport on a sync.
         self.on_wait = lambda: None
 
-    # The byte source of the parser: what the "target" wrote.
-    def recv(self, limit: int) -> bytes:
-        chunk, self._arrived = self._arrived[:limit], self._arrived[limit:]
-        return chunk
-
-    def _await_bytes(self, timeout: float | None) -> bool:
+    def _next_frame(self, timeout: float | None):
         self.on_wait()
-        return bool(self._arrived)
+        if not self._arrived:
+            return None
+        op, corr, body = self._arrived.pop(0)
+        return op, corr, body, bool(self._arrived)
 
-    def _transmit(self, frame: list, nbytes: int) -> None:
-        data = b"".join(map(bytes, frame))
-        assert len(data) == nbytes
-        _length, op, corr = _PREFIX.unpack_from(data)
-        body = data[_PREFIX.size:]
+    def _send(self, op: int, corr: int, *parts) -> None:
+        body = b"".join(map(bytes, parts))
         self.sent.append((op, corr, body))
         reply = scripted_reply(self.target, body) if op == OP_INVOKE else b""
-        self._arrived += b"".join(wire.frame(op | OP_REPLY_BIT, corr, reply))
+        self._arrived.append((op | OP_REPLY_BIT, corr, reply))
 
-    _post = _transmit
+    _post_frame = _send
 
 
 def scripted_reply(image, body) -> bytes:
