@@ -93,19 +93,23 @@ def create_backend(name: str, **options) -> "Backend":
 
         if "address" in options:
             return TcpBackend(**options)
-        process, address = _spawn(spawn_local_server, options, "workers")
+        process, address = spawn_local_server()
         return TcpBackend(
             address,
             on_shutdown=lambda: _reap(process),
             **options,
         )
     if name == "shm":
-        from repro.backends.shm import ShmBackend, spawn_shm_server
+        from repro.backends.shm import (
+            DEFAULT_RING_CAPACITY,
+            ShmBackend,
+            spawn_shm_server,
+        )
 
         if "segment" in options:
             return ShmBackend(options.pop("segment"), **options)
-        process, segment = _spawn(
-            spawn_shm_server, options, "workers", "capacity"
+        process, segment = spawn_shm_server(
+            capacity=options.pop("capacity", DEFAULT_RING_CAPACITY)
         )
         return ShmBackend(
             segment,
@@ -125,9 +129,3 @@ def _reap(process) -> None:
     if process.exitcode is not None:
         process.close()
 
-
-def _spawn(spawn, options: dict, *spawn_keys: str):
-    """Fork a target with the ``spawn_keys`` among ``options`` (the rest
-    are the backend constructor's); returns what ``spawn`` returns."""
-    picked = {key: options.pop(key, None) for key in spawn_keys}
-    return spawn(**{k: v for k, v in picked.items() if v is not None})

@@ -729,9 +729,8 @@ class Backend(abc.ABC):
         self, timeout: float | None = None
     ) -> dict[str, Any] | None:
         """The target's live state in the transport-agnostic shape
-        (``role``, ``transport``, ``pid``, ``workers``, ``dispatch``,
-        ``pending_invokes``, ``messages_executed``, ``live_buffers``,
-        ``rings``); ``None`` when the target has no state to report
+        (``role``, ``transport``, ``pid``, ``messages_executed``,
+        ``live_buffers``, ``rings``); ``None`` when the target has no state to report
         (the simulators). ``timeout`` bounds a wire round trip."""
         return None
 

@@ -112,9 +112,9 @@ class FanoutBackend(Backend):
     ) -> dict[str, Any]:
         """Aggregate introspection over every member that reports state.
 
-        Returns the transport-agnostic shape with summed worker/pending
-        counts plus a ``targets`` list holding each inner's full payload
-        (keyed by outer node id), so per-target drill-down survives the
+        Returns the transport-agnostic shape with summed counts plus a
+        ``targets`` list holding each inner's full payload (keyed by
+        outer node id), so per-target drill-down survives the
         aggregation.
         """
         payloads: list[dict[str, Any]] = []
@@ -133,24 +133,6 @@ class FanoutBackend(Backend):
             "role": "target",
             "transport": self.name,
             "pid": 0,
-            "workers": {
-                "pool_size": sum(
-                    p.get("workers", {}).get("pool_size", 0) for p in payloads
-                ),
-                "active": sum(
-                    p.get("workers", {}).get("active", 0) for p in payloads
-                ),
-            },
-            "dispatch": {
-                "reader": None,  # one per target: see ``targets``
-                **{
-                    key: sum(p.get("dispatch", {}).get(key, 0) for p in payloads)
-                    for key in ("handoffs", "promotions")
-                },
-            },
-            "pending_invokes": sum(
-                p.get("pending_invokes", 0) for p in payloads
-            ),
             "messages_executed": sum(
                 p.get("messages_executed", 0) for p in payloads
             ),

@@ -183,16 +183,13 @@ class LocalBackend(Backend):
         """Live target state, in the transport-agnostic introspection shape.
 
         The in-process analogue of the remote backends' ``OP_INTROSPECT``
-        roundtrip: execution is synchronous, so the worker pool reads as
-        one always-idle worker and nothing is ever pending. ``timeout``
-        is accepted for signature parity and ignored.
+        roundtrip: execution is synchronous. ``timeout`` is accepted for
+        signature parity and ignored.
         """
         return {
             "role": "target",
             "transport": self.name,
             "pid": os.getpid(),
-            "workers": {"pool_size": 1, "active": 0},
-            "pending_invokes": 0,
             "messages_executed": sum(
                 t.messages_executed for t in self._targets.values()
             ),

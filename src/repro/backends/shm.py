@@ -86,7 +86,6 @@ from repro.backends._server import (
     _LEN,
     _PREFIX,
     _U64,
-    DEFAULT_SERVER_WORKERS,
     FRAME_OVERHEAD,
     FramedServer,
     check_frame_length,
@@ -669,20 +668,15 @@ def _target_to_host_ring(segment: ShmSegment) -> ShmRing:
 
 
 class ShmTargetServer(FramedServer):
-    """The target-side polling loop: one client, concurrent execution.
+    """The target-side polling loop: one client, one thread.
 
     The mirror image of :class:`~repro.backends.tcp.TcpTargetServer`
     over rings instead of a socket, on the same dispatch loop
     (:class:`~repro.backends._server.FramedServer`): the thread that
-    polls an INVOKE off the request ring executes it, posts the reply
-    itself and goes on polling — the paper's VE loop. Another thread
-    takes the polling over only when that pays (the previous invocation
-    ran long, or the poller is stuck in this one), so kernels still
-    overlap, up to ``workers`` at once, replies in completion order,
-    tagged with their correlation ids — and
-    memory and control operations run inline on whichever thread is
-    polling. The loop exits on SHUTDOWN, on a corrupt request ring, or
-    when the client process disappears (pid liveness probe), setting the
+    polls a request off the request ring executes or answers it, posts
+    the reply itself and goes on polling — the paper's VE loop, replies
+    in request order. The loop exits on SHUTDOWN, on a corrupt request
+    ring, or when the client process disappears (pid liveness probe), setting the
     segment's state word to ``STATE_STOPPED`` either way so the client's
     own polling loop can tell "stopped" from "wedged".
     """
@@ -694,9 +688,8 @@ class ShmTargetServer(FramedServer):
         self,
         segment: ShmSegment,
         catalog: Catalog | None = None,
-        workers: int = DEFAULT_SERVER_WORKERS,
     ) -> None:
-        super().__init__(catalog, workers)
+        super().__init__(catalog)
         self.segment = segment
         self._recv = _host_to_target_ring(segment)
         self._send = _target_to_host_ring(segment)
@@ -744,11 +737,9 @@ class ShmTargetServer(FramedServer):
         return state
 
 
-def _server_entry(
-    segment: ShmSegment, catalog: Catalog | None, workers: int
-) -> None:
+def _server_entry(segment: ShmSegment, catalog: Catalog | None) -> None:
     telemetry.disable()  # the host's records and locks are not ours
-    server = ShmTargetServer(segment, catalog=catalog, workers=workers)
+    server = ShmTargetServer(segment, catalog=catalog)
     try:
         server.serve_forever()
     finally:
@@ -781,7 +772,6 @@ def spawn_shm_server(
     catalog: Catalog | None = None,
     *,
     startup_timeout: float = 10.0,
-    workers: int = DEFAULT_SERVER_WORKERS,
     capacity: int = DEFAULT_RING_CAPACITY,
 ) -> tuple[multiprocessing.Process, ShmSegment]:
     """Fork a target-server child; returns ``(process, segment)``.
@@ -796,7 +786,7 @@ def spawn_shm_server(
     segment = ShmSegment.create(capacity=capacity)
     segment.client_pid = os.getpid()
     process = ctx.Process(
-        target=_server_entry, args=(segment, catalog, workers), daemon=True
+        target=_server_entry, args=(segment, catalog), daemon=True
     )
     process.start()
     try:

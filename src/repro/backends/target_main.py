@@ -38,7 +38,7 @@ import argparse
 import importlib
 import sys
 
-from repro.backends.tcp import DEFAULT_SERVER_WORKERS, TcpTargetServer
+from repro.backends.tcp import TcpTargetServer
 
 __all__ = ["main"]
 
@@ -70,13 +70,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default 1 MiB)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=DEFAULT_SERVER_WORKERS,
-        help="size of the concurrent-execution worker pool "
-        f"(default {DEFAULT_SERVER_WORKERS})",
-    )
-    parser.add_argument(
         "--import",
         dest="imports",
         action="append",
@@ -103,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
 
         segment = ShmSegment.create(args.capacity or DEFAULT_RING_CAPACITY)
         try:
-            shm_server = ShmTargetServer(segment, workers=args.workers)
+            shm_server = ShmTargetServer(segment)
             print(
                 f"HAM-Offload target on shared-memory segment {segment.name}",
                 flush=True,
@@ -120,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
             segment.unlink()
         return 0
 
-    server = TcpTargetServer(host=args.host, port=args.port, workers=args.workers)
+    server = TcpTargetServer(host=args.host, port=args.port)
     host, port = server.address
     print(f"HAM-Offload target listening on {host}:{port}", flush=True)
     print(

@@ -18,9 +18,9 @@ to the stream decoder, :class:`~repro.backends._server.FrameParser`.
 
 Every frame carries a **correlation id**; replies (including failure
 replies) echo the request's id. The client matches replies through an
-id-keyed table instead of a FIFO, so they may arrive in any order —
-which is what lets the target execute invocations concurrently (the
-dispatch loop of :mod:`repro.backends._server`) while memory
+id-keyed table instead of a FIFO, so they may arrive in any order
+(one target answers in request order, the dispatch loop of
+:mod:`repro.backends._server`; a fan-out need not) while memory
 operations stay synchronous roundtrips. That table, and everything else
 on the host side that is not moving bytes, is shared with shm:
 :mod:`repro.backends._client` (docs/architecture.md, "Client core").
@@ -57,7 +57,6 @@ from repro.backends._server import (
     _FRAME_META,
     _LEN,
     _PREFIX,
-    DEFAULT_SERVER_WORKERS,
     FrameParser,
     FramedServer,
     _eof_error,
@@ -143,18 +142,15 @@ def socket_queue_depths(sock: socket.socket) -> dict[str, int]:
 
 
 class TcpTargetServer(FramedServer):
-    """The target-side message loop: one client, concurrent execution.
+    """The target-side message loop: one client, one thread.
 
     Frames are served by the dispatch loop of
     :class:`~repro.backends._server.FramedServer`: the thread that reads
     an INVOKE executes it, replies on its own stack and goes on reading
-    the socket. Another thread takes the socket over only when that
-    pays — the previous invocation ran long, or the reader is stuck in
-    this one — so up to ``workers`` independent offloads still
-    execute concurrently and replies return in completion order (each
-    tagged with its correlation id). Memory and control operations are
-    handled inline on whichever thread is reading — they are cheap and
-    their strict ordering keeps alloc/free races out of the picture.
+    the socket; memory and control operations are answered inline.
+    Every request is answered in the order it arrived (each reply
+    tagged with its correlation id), which keeps alloc/free races out
+    of the picture.
     """
 
     transport = "tcp"
@@ -165,9 +161,8 @@ class TcpTargetServer(FramedServer):
         host: str = "127.0.0.1",
         port: int = 0,
         catalog: Catalog | None = None,
-        workers: int = DEFAULT_SERVER_WORKERS,
     ) -> None:
-        super().__init__(catalog, workers)
+        super().__init__(catalog)
         self._listener = socket.create_server((host, port))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
 
@@ -188,7 +183,7 @@ class TcpTargetServer(FramedServer):
 
     def _take(self) -> tuple[int, int, memoryview, bool]:
         """The next request off the socket, receiving as needed; the
-        replies held for a burst leave before the reader blocks."""
+        replies held for a burst leave before the loop blocks."""
         parser = self._parser
         frame = parser.next_frame() if parser._data else None
         while frame is None:
@@ -204,7 +199,7 @@ class TcpTargetServer(FramedServer):
         return frame
 
     def _publish(self, op: int, corr: int, *parts: Any) -> None:
-        """Frame one reply and send it now (send lock held)."""
+        """Frame one reply and send it now."""
         length = _FRAME_META + sum(map(len, parts))
         self._transmit([_PREFIX.pack(length, op, corr), *parts], _LEN.size + length)
 
@@ -213,11 +208,9 @@ class TcpTargetServer(FramedServer):
         _sendmsg_all(self._conn, frame)
 
 
-def _server_entry(
-    port_pipe: Any, catalog: Catalog | None, workers: int
-) -> None:
+def _server_entry(port_pipe: Any, catalog: Catalog | None) -> None:
     telemetry.disable()  # the host's records and locks are not ours
-    server = TcpTargetServer(catalog=catalog, workers=workers)
+    server = TcpTargetServer(catalog=catalog)
     port_pipe.send(server.address)
     port_pipe.close()
     server.serve_forever()
@@ -227,20 +220,18 @@ def spawn_local_server(
     catalog: Catalog | None = None,
     *,
     startup_timeout: float = 10.0,
-    workers: int = DEFAULT_SERVER_WORKERS,
 ) -> tuple[multiprocessing.Process, tuple[str, int]]:
     """Fork a target-server child process; returns ``(process, address)``.
 
     Forking inherits the parent's imported modules and offloadable
     catalog — the moral equivalent of building host and target binaries
     from the same source. ``startup_timeout`` bounds the wait for the
-    child to report its listening address; ``workers`` sizes the
-    server's concurrent-execution pool.
+    child to report its listening address.
     """
     ctx = multiprocessing.get_context("fork")
     parent_pipe, child_pipe = ctx.Pipe()
     process = ctx.Process(
-        target=_server_entry, args=(child_pipe, catalog, workers), daemon=True
+        target=_server_entry, args=(child_pipe, catalog), daemon=True
     )
     process.start()
     child_pipe.close()

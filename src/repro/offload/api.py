@@ -85,8 +85,9 @@ def init(
     connect to a target server in one call, e.g.
     ``offload.init(backend="shm")``). With a short name, extra keyword
     arguments are forwarded to the backend constructor — e.g.
-    ``offload.init("tcp", workers=8)`` sizes the spawned server's pool
-    and ``op_timeout=2.0`` bounds every blocking operation. A constructed
+    ``offload.init("shm", capacity=1 << 22)`` sizes the spawned
+    server's rings and ``op_timeout=2.0`` bounds every blocking
+    operation. A constructed
     backend carries its own options; passing extras alongside one is an
     error.
 

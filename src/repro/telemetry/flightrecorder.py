@@ -13,8 +13,8 @@ One rule says what lands here. An **event** — ``telemetry.event(name,
 category, **attrs)``: retry, failover, rejection, health flip,
 injected fault — is one call that reaches *both* rings: this one
 always, the trace ring while telemetry records and the trace is kept. A
-**note** — :func:`note`: ``target.promoted`` / ``target.stopped``,
-``offload.post_failed`` — is black-box only:
+**note** — :func:`note`: ``target.stopped``, ``offload.post_failed``
+— is black-box only:
 breadcrumbs too frequent or too low-level for a trace.
 
 On a *trigger* — an offload error escaping to the caller, peer-death

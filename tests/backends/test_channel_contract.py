@@ -42,6 +42,7 @@ from repro.offload import QoSConfig, ResiliencePolicy, Runtime, TenantPolicy
 from repro.offload import api as offload_api
 
 from tests import apps
+from tests.backends.test_target_dispatch import out_of_request_order_completion
 from tests.backends.wire import read_frame, send_frame
 
 BACKENDS = ["local", "faulty", "dma", "veo", "tcp", "shm"]
@@ -60,14 +61,14 @@ def channel(request):
     elif name == "veo":
         backend = VeoCommBackend()
     elif name == "shm":
-        process, segment = spawn_shm_server(workers=4)
+        process, segment = spawn_shm_server()
         backend = ShmBackend(
             segment,
             alive_fn=process.is_alive,
             on_shutdown=lambda: process.join(timeout=5),
         )
     else:
-        process, address = spawn_local_server(workers=4)
+        process, address = spawn_local_server()
         backend = TcpBackend(
             address, on_shutdown=lambda: process.join(timeout=5)
         )
@@ -197,23 +198,10 @@ def _start_wedge_server() -> tuple[str, int]:
 
 class TestTcpPipelining:
     def test_replies_complete_out_of_request_order(self):
-        """A slow invocation posted first must not head-of-line block a
-        fast one posted second: the worker pool executes them
-        concurrently and the fast reply overtakes on the wire."""
-        process, address = spawn_local_server(workers=2)
-        backend = TcpBackend(
-            address, on_shutdown=lambda: process.join(timeout=5)
-        )
-        runtime = Runtime(backend)
-        slow = runtime.async_(1, f2f(apps.sleep_then, 0.8, "slow"))
-        fast = runtime.async_(1, f2f(apps.sleep_then, 0.05, "fast"))
-        assert fast.get(timeout=10.0) == "fast"
-        assert not slow.test()  # the earlier request is still executing
-        assert slow.get(timeout=10.0) == "slow"
-        runtime.shutdown()
+        out_of_request_order_completion("tcp")
 
     def test_window_backpressure_keeps_pipeline_correct(self):
-        process, address = spawn_local_server(workers=4)
+        process, address = spawn_local_server()
         backend = TcpBackend(
             address, on_shutdown=lambda: process.join(timeout=5)
         )
@@ -250,7 +238,7 @@ QOS_WINDOW = 2
 
 
 def _tcp_backend() -> TcpBackend:
-    process, address = spawn_local_server(workers=4)
+    process, address = spawn_local_server()
     return TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
 
 
@@ -265,7 +253,7 @@ def qos_runtime(request):
     elif name == "tcp":
         backend = _tcp_backend()
     elif name == "shm":
-        process, segment = spawn_shm_server(workers=4)
+        process, segment = spawn_shm_server()
         backend = ShmBackend(
             segment,
             alive_fn=process.is_alive,

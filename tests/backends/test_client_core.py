@@ -254,14 +254,15 @@ async def _eventually(condition):
 
 class TestTheDrive:
     def test_leader_completes_the_follower_who_then_takes_over(self, client):
-        """Three gated kernels, a waiter each. The first waiter leads and
-        completes the second one's reply; when the leader leaves with its
-        own, the third — a follower so far — reads for itself."""
-        gates = {name: threading.Event() for name in "abc"}
-        _HOOKS["gate"] = lambda name: gates[name].wait(WAIT) and name
-        _HOOKS["gates"] = gates.values()  # opened by the fixture on failure
-        futures = {name: client.runtime.async_(1, f2f(dispatch_hook, "gate", name))
+        """Three offloads, a waiter each, their replies held by the test.
+        The first waiter leads and completes the second one's reply; when
+        the leader leaves with its own, the third — a follower so far —
+        reads for itself."""
+        held, arrived = _hold_replies(client)
+        futures = {name: client.runtime.async_(1, f2f(apps.echo, name))
                    for name in "abc"}
+        ids = {name: future._handle.correlation_id
+               for name, future in futures.items()}
         got = {}
 
         def waiter(name):
@@ -270,16 +271,24 @@ class TestTheDrive:
             thread.start()
             return thread
 
+        def release(name):
+            """Send the held reply of ``name`` (the target waits idle)."""
+            (reply,) = [reply for reply in held if reply[2] == ids[name]]
+            send, op, corr, parts = reply
+            send(op, corr, *parts)
+
         leader = waiter("a")
         assert _until(lambda: _led(client.backend))
+        for _ in "abc":  # the leader's drive sent what the host held
+            assert arrived.acquire(timeout=WAIT)
         followers = {name: waiter(name) for name in "bc"}
-        gates["b"].set()
+        release("b")
         followers["b"].join(WAIT)
         assert got == {"b": "b"} and leader.is_alive()
-        gates["a"].set()
+        release("a")
         leader.join(WAIT)
         assert got == {"a": "a", "b": "b"} and followers["c"].is_alive()
-        gates["c"].set()  # nobody is left to read it but its own waiter
+        release("c")  # nobody is left to read it but its own waiter
         followers["c"].join(WAIT)
         assert got == {"a": "a", "b": "b", "c": "c"}
         assert _settled(client)
@@ -436,24 +445,30 @@ class TestAwaitingLoop:
     """The loop that awaits a reply reads it, beside every other reader."""
 
     def test_an_awaiter_and_a_blocking_get_from_two_threads(self, client):
-        gates = {name: threading.Event() for name in ("awaited", "blocking")}
-        _HOOKS["gate"] = lambda name: gates[name].wait(WAIT) and name
-        _HOOKS["gates"] = gates.values()
+        held, _arrived = _hold_replies(client)
         runtime, backend = client.runtime, client.backend
-        awaited = runtime.async_(1, f2f(dispatch_hook, "gate", "awaited"))
-        blocking = runtime.async_(1, f2f(dispatch_hook, "gate", "blocking"))
+        awaited = runtime.async_(1, f2f(apps.echo, "awaited"))
+        blocking = runtime.async_(1, f2f(apps.echo, "blocking"))
         got = []
         getter = threading.Thread(
             target=lambda: got.append(blocking.get(timeout=WAIT)))
+
+        def release(future):
+            (reply,) = [reply for reply in held if reply[2] == future]
+            send, op, corr, parts = reply
+            send(op, corr, *parts)
+
+        ids = [future._handle.correlation_id for future in (awaited, blocking)]
 
         async def main():
             task = asyncio.ensure_future(awaited)
             assert await _eventually(lambda: _watching(backend) == 1)
             getter.start()
             assert await _eventually(lambda: _led(backend))
-            gates["awaited"].set()  # read by the getter or the loop
+            assert await _eventually(lambda: len(held) == 2)
+            release(ids[0])  # read by the getter or the loop
             value = await asyncio.wait_for(task, WAIT)
-            gates["blocking"].set()
+            release(ids[1])
             return value
 
         assert asyncio.run(main()) == "awaited"

@@ -32,14 +32,20 @@ from repro.telemetry import flightrecorder
 from repro.telemetry import recorder as telemetry
 
 from tests import apps
-from tests.backends.test_target_dispatch import _HOOKS, WAIT, Target, dispatch_hook
+from tests.backends.test_target_dispatch import (
+    _HOOKS,
+    WAIT,
+    Target,
+    dispatch_hook,
+    out_of_request_order_completion,
+)
 from tests.fresh import ROOT
 from tests.leaks import resources
 
 
 @pytest.fixture()
 def rt():
-    process, segment = spawn_shm_server(workers=4)
+    process, segment = spawn_shm_server()
     backend = ShmBackend(
         segment,
         alive_fn=process.is_alive,
@@ -110,14 +116,8 @@ class TestShmOffload:
         assert f2.get() == 2  # consuming the later future first
         assert f1.get() == 1
 
-    def test_out_of_request_order_completion(self, rt):
-        """The worker pool overlaps kernels, so a fast invoke posted
-        second overtakes a slow one posted first."""
-        slow = rt.async_(1, f2f(apps.sleep_then, 0.6, "slow"))
-        fast = rt.async_(1, f2f(apps.sleep_then, 0.02, "fast"))
-        assert fast.get(timeout=10.0) == "fast"
-        assert not slow.test()
-        assert slow.get(timeout=10.0) == "slow"
+    def test_out_of_request_order_completion(self):
+        out_of_request_order_completion("shm")
 
     def test_remote_exception(self, rt):
         with pytest.raises(RemoteExecutionError, match="shm boom"):
@@ -191,7 +191,7 @@ class TestRingWrap:
         before = resources(baseline=True)
         segment = ShmSegment.create(SMALL_RING)
         segment.client_pid = os.getpid()
-        server = ShmTargetServer(segment, workers=2)
+        server = ShmTargetServer(segment)
         thread = threading.Thread(target=server.serve_forever)
         thread.start()
         backend = ShmBackend(segment, on_shutdown=functools.partial(thread.join, WAIT))
@@ -257,16 +257,16 @@ class TestRingWrap:
         target = Target("shm")
         target.connect()
         runtime, backend, segment = target.runtime, target.backend, target.segment
-        entered, gate = threading.Semaphore(0), threading.Event()
+        entered, gate = threading.Event(), threading.Event()
         _HOOKS["gates"] = [gate]
-        _HOOKS["park"] = lambda _arg: entered.release() or gate.wait(WAIT)
+        _HOOKS["park"] = lambda _arg: entered.set() or gate.wait(WAIT)
         try:
-            futures = [runtime.async_(1, f2f(dispatch_hook, "park", i))
-                       for i in range(3)]
-            for _ in futures:
-                assert entered.acquire(timeout=WAIT)
-            # Every kernel is parked, so nothing else publishes on the
-            # reply ring: publish a frame of length 3 there.
+            futures = [runtime.async_(1, f2f(dispatch_hook, "park", None))]
+            assert entered.wait(WAIT)
+            futures += [runtime.async_(1, f2f(apps.echo, i)) for i in range(2)]
+            # The loop is parked in the first kernel, the others queue
+            # behind it, and nothing publishes on the reply ring: publish
+            # a frame of length 3 there.
             ring = backend._t2h
             head = ring._head
             assert head % ring._capacity + _PREFIX.size <= ring._capacity
@@ -294,7 +294,7 @@ class TestShmLifecycle:
     def test_attach_by_segment_name(self):
         """A host can attach with just the segment name (the printed
         handle of a standalone ``target_main --transport shm``)."""
-        process, segment = spawn_shm_server(workers=2)
+        process, segment = spawn_shm_server()
         backend = ShmBackend(
             segment.name, on_shutdown=lambda: process.join(timeout=5)
         )
@@ -308,7 +308,7 @@ class TestShmLifecycle:
         segment.unlink()
 
     def test_shutdown_unlinks_segment(self):
-        process, segment = spawn_shm_server(workers=2)
+        process, segment = spawn_shm_server()
         name = segment.name
         backend = ShmBackend(
             segment,
@@ -320,7 +320,7 @@ class TestShmLifecycle:
         assert not process.is_alive()
 
     def test_shutdown_is_idempotent(self):
-        process, segment = spawn_shm_server(workers=2)
+        process, segment = spawn_shm_server()
         backend = ShmBackend(
             segment,
             alive_fn=process.is_alive,
@@ -331,7 +331,7 @@ class TestShmLifecycle:
         assert not process.is_alive()
 
     def test_descriptor_names_segment(self):
-        process, segment = spawn_shm_server(workers=2)
+        process, segment = spawn_shm_server()
         backend = ShmBackend(
             segment,
             alive_fn=process.is_alive,
@@ -345,7 +345,7 @@ class TestShmLifecycle:
             backend.shutdown()
 
     def test_create_backend_factory(self):
-        backend = create_backend("shm", workers=2)
+        backend = create_backend("shm")
         runtime = Runtime(backend)
         try:
             assert runtime.sync(1, f2f(apps.add, 20, 22)) == 42
@@ -373,7 +373,7 @@ class TestShmBackpressure:
     def test_full_window_fails_fast_when_target_is_busy(self):
         """With the window full of still-executing invokes, the next
         post must raise within the window timeout, not block forever."""
-        process, segment = spawn_shm_server(workers=1)
+        process, segment = spawn_shm_server()
         backend = ShmBackend(
             segment,
             alive_fn=process.is_alive,
@@ -394,7 +394,7 @@ class TestShmTelemetry:
     def test_the_execute_record_carries_the_target_pid(self):
         telemetry.enable()  # before the fork: the target disables its own
         try:
-            process, segment = spawn_shm_server(workers=2)
+            process, segment = spawn_shm_server()
             backend = ShmBackend(
                 segment,
                 alive_fn=process.is_alive,
@@ -414,7 +414,7 @@ class TestShmTelemetry:
     def test_host_spans_cover_offload_phases(self):
         telemetry.enable()
         try:
-            process, segment = spawn_shm_server(workers=2)
+            process, segment = spawn_shm_server()
             backend = ShmBackend(
                 segment,
                 alive_fn=process.is_alive,

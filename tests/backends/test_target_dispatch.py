@@ -3,8 +3,7 @@
 Every server here runs *in this process*, on a thread, so the tests can
 gate kernels with ``threading`` primitives and observe which thread did
 what. No assertion reads a clock: waits carry a 10 s timeout only so a
-regression fails instead of hanging, and whether an invocation "ran
-long" is decided by the clock a test hands the server.
+regression fails instead of hanging.
 """
 
 import contextlib
@@ -18,7 +17,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.backends import _server
 from repro.backends._server import (
     _PREFIX,
     _RECV_CHUNK,
@@ -43,7 +41,7 @@ from repro.backends.shm import (
     _OFF_H2T_TAIL,
 )
 from repro.backends.tcp import FRAME_LIMIT, TcpBackend, TcpTargetServer
-from repro.errors import BackendError, RemoteExecutionError
+from repro.errors import BackendError, OffloadTimeoutError, RemoteExecutionError
 from repro.ham import f2f, offloadable
 from repro.ham.execution import sized_invoke_parts, unpack_result
 from repro.offload import Runtime
@@ -53,7 +51,6 @@ from tests.backends.wire import frame
 from tests.leaks import resources
 
 WAIT = 10.0
-WORKERS = 3
 
 #: Test-installed callables the kernel below runs inside the target.
 _HOOKS = {}
@@ -135,13 +132,15 @@ def _frames_in(parts):
 class Target:
     """One in-process server thread plus a connected runtime."""
 
-    def __init__(self, transport, workers=WORKERS):
+    def __init__(self, transport):
         if transport == "tcp":
-            self.server = _probed(TcpTargetServer)(workers=workers)
+            self.server = _probed(TcpTargetServer)()
         else:
             self.segment = ShmSegment.create()
             self.segment.client_pid = os.getpid()
-            self.server = _probed(ShmTargetServer)(self.segment, workers=workers)
+            self.server = _probed(ShmTargetServer)(self.segment)
+        #: Every thread alive before the server's own started.
+        self.threads_before = set(threading.enumerate())
         self.thread = threading.Thread(target=self.server.serve_forever)
         self.thread.start()
 
@@ -167,22 +166,13 @@ def target(request):
     assert not target.thread.is_alive()
 
 
-def _park_all(target):
-    """Occupy every worker: each kernel meets the others at one barrier
-    (so they provably run at once), then waits for its own gate."""
-    barrier = threading.Barrier(WORKERS)
-    gates = [threading.Event() for _ in range(WORKERS)]
-    _HOOKS["gates"] = gates
-
-    def park(i):
-        barrier.wait(WAIT)
-        return gates[i].wait(WAIT)
-
-    _HOOKS["park"] = park
-    return gates, [
-        target.runtime.async_(1, f2f(dispatch_hook, "park", i))
-        for i in range(WORKERS)
-    ]
+def _park_one(target):
+    """Post a kernel that waits for its gate; returns ``(entered, gate,
+    future)`` (``entered``: the loop is inside it)."""
+    entered, gate = threading.Event(), threading.Event()
+    _HOOKS["gates"] = [gate]
+    _HOOKS["park"] = lambda _arg: entered.set() or gate.wait(WAIT)
+    return entered, gate, target.runtime.async_(1, f2f(dispatch_hook, "park", None))
 
 
 def _mark_behind(target, labels):
@@ -195,6 +185,35 @@ def _mark_behind(target, labels):
     ]
 
 
+def out_of_request_order_completion(transport):
+    """Replies are matched by correlation id, not by request order: hold
+    the in-process target's replies to two offloads, send the second's
+    first, and it completes its own offload only."""
+    _HOOKS.clear()
+    _HOOKS["echo"] = lambda arg: arg
+    target = Target(transport)
+    target.connect()
+    server, held, arrived = target.server, [], threading.Semaphore(0)
+    send = server._reply
+    server._reply = lambda *reply: held.append(reply) or arrived.release()
+    try:
+        first, second = (target.runtime.async_(1, f2f(dispatch_hook, "echo", label))
+                         for label in ("first", "second"))
+        assert not first.test()  # a drive: tcp's coalescer sends what it holds
+        assert arrived.acquire(timeout=WAIT) and arrived.acquire(timeout=WAIT)
+        del server._reply  # the target waits idle: this thread sends
+        send(*held[1])
+        assert second.get(timeout=WAIT) == "second"
+        assert not first.test()
+        send(*held[0])
+        assert first.get(timeout=WAIT) == "first"
+    finally:
+        server.__dict__.pop("_reply", None)
+        target.runtime.shutdown()
+        target.thread.join(WAIT)
+    assert not target.thread.is_alive()
+
+
 class TestDispatchLoop:
     def test_invoke_executes_on_the_thread_that_read_it(self, target):
         _HOOKS["ident"] = lambda _arg: threading.get_ident()
@@ -205,55 +224,57 @@ class TestDispatchLoop:
         assert executed_on == target.server.invoke_readers
         assert threading.get_ident() not in executed_on
 
-    def test_workers_run_concurrently_then_backlog_is_fifo(self, target):
-        gates, parked = _park_all(target)
-        order, late = _mark_behind(target, "ab")
-        # The probe is read after the five invokes: by now all are booked.
-        state = target.backend.introspect_target(timeout=WAIT)
-        assert state["workers"] == {"pool_size": WORKERS, "active": WORKERS}
-        assert state["pending_invokes"] == WORKERS + 2
+    def test_an_echo_behind_a_parked_kernel_is_answered_after_it(self, target):
+        """One thread takes, executes and publishes: what arrives behind
+        a running kernel waits for it, and is answered after it, in
+        request order; the server starts no thread of its own."""
+        entered, gate, parked = _park_one(target)
+        assert entered.wait(WAIT)
+        order, (late,) = _mark_behind(target, ["echo"])
+        ids = [future._handle.correlation_id for future in (parked, late)]
+        with pytest.raises(OffloadTimeoutError):
+            late.get(timeout=0.05)  # nobody executes it meanwhile
         assert order == []
-        gates[0].set()  # one executor finishes and drains the backlog
-        assert [future.get(timeout=WAIT) for future in late] == ["a", "b"]
-        assert order == ["a", "b"]
-        for gate in gates:
-            gate.set()
-        assert [future.get(timeout=WAIT) for future in parked] == [True] * WORKERS
-
-    def test_wedged_target_still_answers_introspect(self, target):
-        gates, parked = _park_all(target)
-        for _ in range(3):
-            state = target.backend.introspect_target(timeout=WAIT)
-            assert state["workers"]["active"] == WORKERS
-        assert target.backend.ping(1) >= 0.0
-        for gate in gates:
-            gate.set()
-        assert all(future.get(timeout=WAIT) for future in parked)
+        assert set(threading.enumerate()) - target.threads_before == {target.thread}
+        gate.set()
+        assert late.get(timeout=WAIT) == "echo" and parked.get(timeout=WAIT) is True
+        replied = [corr for write in target.server.writes for _op, corr in write]
+        assert [corr for corr in replied if corr in ids] == ids
 
     def test_shutdown_acknowledged_after_every_reply(self, target):
-        gates, parked = _park_all(target)
+        entered, gate, parked = _park_one(target)
+        assert entered.wait(WAIT)
         _order, late = _mark_behind(target, "ab")
+        backend = target.backend
+        send, sent = backend._send, threading.Event()
+
+        def sending(op, corr, *parts):
+            send(op, corr, *parts)
+            if op == OP_SHUTDOWN:
+                sent.set()
+
+        backend._send = sending
         stopper = threading.Thread(target=target.runtime.shutdown)
         stopper.start()
-        # The leader has read SHUTDOWN and waits for the drain...
-        assert target.server.saw_shutdown.wait(WAIT)
+        # SHUTDOWN is on the pipe, behind the parked kernel...
+        assert sent.wait(WAIT)
+        assert not target.server.saw_shutdown.is_set()
         assert OP_SHUTDOWN | OP_REPLY_BIT not in target.server.replies
-        for gate in gates:  # ...which only now can finish.
-            gate.set()
+        gate.set()  # ...which only now is taken.
         stopper.join(WAIT)
         assert not stopper.is_alive()
         replies = target.server.replies
         assert replies[-1] == OP_SHUTDOWN | OP_REPLY_BIT
-        assert replies.count(OP_INVOKE | OP_REPLY_BIT) == WORKERS + 2
+        assert replies.count(OP_INVOKE | OP_REPLY_BIT) == 3
         assert [future.get(timeout=WAIT) for future in late] == ["a", "b"]
-        assert all(future.get(timeout=WAIT) for future in parked)
+        assert parked.get(timeout=WAIT) is True
 
     def test_no_invoke_lost_or_run_twice_under_thread_churn(self, target):
         count = 3000
         seen = []
         _HOOKS["mark"] = lambda i: seen.append(i) or i
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # four server threads + host on <= 2 CPUs
+        sys.setswitchinterval(1e-5)  # the server's thread and the host's
         try:
             futures = [
                 target.runtime.async_(1, f2f(dispatch_hook, "mark", i))
@@ -267,7 +288,6 @@ class TestDispatchLoop:
         server = target.server
         assert sorted(seen) == list(range(count))
         assert server.messages_executed == count
-        assert server._executing == 0 and not server._backlog
         assert server.replies.count(OP_INVOKE | OP_REPLY_BIT) == count
 
     def test_inline_ops_keep_their_order_between_invokes(self, target):
@@ -300,13 +320,11 @@ class TestDispatchLoop:
 
 @contextlib.contextmanager
 def _served(transport):
-    """A connected in-process target on a clock that stands still (no
-    invocation "runs long"); whatever it used is gone once it is."""
+    """A connected in-process target; whatever it used is gone once it is."""
     _HOOKS.clear()
     _HOOKS["echo"] = lambda arg: arg
     before = resources(baseline=True)
     target = Target(transport)
-    target.server.clock_ns = _Clock()
     target.connect()
     try:
         yield target
@@ -376,10 +394,7 @@ class TestBurstReplies:
     burst, and sends them in one write."""
 
     def test_a_burst_of_16_echoes_is_answered_in_at_most_two_writes(
-            self, transport, monkeypatch):
-        # The standby's interval is real time: a box that stalls this
-        # process inside one echo must not decide this test.
-        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
+            self, transport):
         with _served(transport) as target:
             backend = target.backend
             handles = _write_at_once(backend, [_echo(backend, i) for i in range(16)])
@@ -392,10 +407,9 @@ class TestBurstReplies:
             ]
 
     def test_a_burst_of_more_replies_than_a_write_takes_parts(
-            self, transport, monkeypatch):
+            self, transport):
         """A scatter-gather write takes at most ``IOV_MAX`` (1024)
         parts; 1,100 held replies still leave whole."""
-        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
         with _served(transport) as target:
             backend = target.backend
             handles = _write_at_once(backend, [_echo(backend, i) for i in range(1100)])
@@ -405,8 +419,7 @@ class TestBurstReplies:
             assert len(writes) < 1100 // 16
 
     def test_an_alloc_inside_a_burst_is_answered_in_arrival_order(
-            self, transport, monkeypatch):
-        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
+            self, transport):
         with _served(transport) as target:
             backend = target.backend
             requests = [_echo(backend, i) for i in range(4)]
@@ -419,8 +432,7 @@ class TestBurstReplies:
             assert [corr for corr in order if corr in ids] == ids
             backend.free_buffer(1, _U64.unpack(handles[4]._reply)[0])
 
-    def test_the_shutdown_ack_is_still_the_last_frame(self, transport, monkeypatch):
-        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
+    def test_the_shutdown_ack_is_still_the_last_frame(self, transport):
         with _served(transport) as target:
             backend, server = target.backend, target.server
             send = backend._send
@@ -444,161 +456,25 @@ class TestBurstReplies:
                 handle.correlation_id for handle in echoes
             }
 
-    def test_an_echo_ahead_of_a_blocked_kernel_is_answered_meanwhile(
-            self, transport):
-        """The echo's reply is held while the reader goes on to the
-        kernel; the standby takes the reading from the kernel, finds the
-        burst parsed and sends what was held."""
-        with _served(transport) as target:
-            backend = target.backend
-            entered, gate = threading.Event(), threading.Event()
-            _HOOKS["gates"] = [gate]
-            _HOOKS["park"] = lambda _arg: entered.set() or gate.wait(WAIT)
-            parked = (OP_INVOKE, *sized_invoke_parts(
-                backend.host_image, f2f(dispatch_hook, "park", None), 0)[0])
-            echo, park = _write_at_once(backend, [_echo(backend, 7), parked])
-            assert entered.wait(WAIT)
-            backend.drive(echo, blocking=True, timeout=WAIT)
-            assert unpack_result(echo._reply)[1] == 7
-            assert not gate.is_set() and not park.completed
-            gate.set()
-            backend.drive(park, blocking=True, timeout=WAIT)
-            assert unpack_result(park._reply)[1] is True
-
-
-class _Clock:
-    """The server's ``clock_ns``, in the test's hands: it stands still
-    unless a kernel moves it."""
-
-    def __init__(self):
-        self.now = 0
-
-    def __call__(self):
-        return self.now
-
-    def run_long(self):
-        self.now += 10 * _server.HANDOFF_PAYS_NS
-
-
-def _dispatch(target):
-    """What the loop says it did, asked over the wire."""
-    return target.backend.introspect_target(timeout=WAIT)["dispatch"]
-
 
 class TestReaderKeepsReading:
-    """The rule (a long invocation makes the next one hand the reading
-    on first) and the safety net (the standby takes it from a reader
-    stuck in one invocation)."""
+    """The thread that serves reads, executes and replies; nothing else
+    serves."""
 
-    @pytest.fixture
-    def clock(self, target):
-        target.server.clock_ns = clock = _Clock()
+    def test_fast_kernels_never_change_threads(self, target):
         _HOOKS["echo"] = lambda arg: arg
-        _HOOKS["slow"] = lambda _arg: clock.run_long()
-        return clock
-
-    def test_fast_kernels_never_change_threads(self, target, clock, monkeypatch):
-        # The standby's interval is real time; a box that stalls this
-        # process for 5 ms inside one echo must not decide this test.
-        monkeypatch.setattr(_server, "WATCH_INTERVAL", 10 * WAIT)
         for i in range(200):
             assert target.runtime.sync(1, f2f(dispatch_hook, "echo", i)) == i
-        readers = set(target.server.invoke_readers)
-        assert len(target.server.invoke_readers) == 200 and len(readers) == 1
-        dispatch = _dispatch(target)
-        assert dispatch["handoffs"] == 0 and dispatch["promotions"] == 0
-        names = {t.ident: t.name for t in threading.enumerate()}
-        assert dispatch["reader"] == names[readers.pop()]
+        assert target.server.invoke_readers == [target.thread.ident] * 200
 
-    def test_straggler_loses_the_reading_to_the_standby(self, target, clock):
-        for i in range(20):
-            assert target.runtime.sync(1, f2f(dispatch_hook, "echo", i)) == i
-        entered, gate = threading.Event(), threading.Event()
-        _HOOKS["gates"] = [gate]
-        _HOOKS["park"] = lambda _arg: entered.set() or gate.wait(WAIT)
-        parked = []
-        poster = threading.Thread(target=lambda: parked.append(
-            target.runtime.sync(1, f2f(dispatch_hook, "park", None))
-        ))
-        poster.start()
-        assert entered.wait(WAIT)
-        # The reader sits in the kernel: only a promotion answers these.
-        assert target.backend.ping(1) >= 0.0
-        state = target.backend.introspect_target(timeout=WAIT)
-        assert target.runtime.sync(1, f2f(dispatch_hook, "echo", 7)) == 7
-        assert not gate.is_set()
-        assert state["workers"]["active"] == 1
-        assert state["dispatch"]["promotions"] >= 1
-        assert state["dispatch"]["handoffs"] == 0
-        attrs = [
-            record[3] for record in flightrecorder.get().records()
-            if record[1] == "target.promoted"
-        ][-1]
-        assert attrs["functor"].endswith("dispatch_hook") and attrs["corr"] > 0
-        assert attrs["reader"] != state["dispatch"]["reader"]
-        gate.set()
-        poster.join(WAIT)
-        assert parked == [True]
-
-    def test_after_a_long_invocation_kernels_overlap_by_handoff(
-            self, target, clock):
-        target.runtime.sync(1, f2f(dispatch_hook, "slow", None))
-        before = _dispatch(target)
-        # The barrier kernels run at once or not at all — and the reader
-        # is never inside one, so no promotion can have overlapped them.
-        gates, parked = _park_all(target)
-        state = target.backend.introspect_target(timeout=WAIT)
-        assert state["workers"]["active"] == WORKERS
-        for gate in gates:
-            gate.set()
-        assert [future.get(timeout=WAIT) for future in parked] == [True] * WORKERS
-        after = _dispatch(target)
-        assert after["promotions"] == before["promotions"]
-        assert after["handoffs"] >= before["handoffs"] + WORKERS
-
-    def test_no_invoke_lost_while_the_reading_moves(
-            self, target, clock, monkeypatch):
-        # Every third kernel "runs long" and the standby looks every
-        # 0.1 ms: hand-offs, promotions, parking and the backlog
-        # interleave, on more threads than CPUs.
-        monkeypatch.setattr(_server, "WATCH_INTERVAL", 1e-4)
-        count = 2000
-        seen = []
-
-        def mark(i):
-            seen.append(i)
-            if i % 3 == 0:
-                clock.run_long()
-            return i
-
-        _HOOKS["mark"] = mark
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            futures = [
-                target.runtime.async_(1, f2f(dispatch_hook, "mark", i))
-                for i in range(count)
-            ]
-            assert [f.get(timeout=WAIT) for f in futures] == list(range(count))
-        finally:
-            sys.setswitchinterval(interval)
-        assert _dispatch(target)["handoffs"] > 0
-        target.runtime.shutdown()
-        target.thread.join(WAIT)
-        server = target.server
-        assert sorted(seen) == list(range(count))
-        assert server.messages_executed == count
-        assert server._executing == 0 and not server._backlog
-        assert server.replies.count(OP_INVOKE | OP_REPLY_BIT) == count
-
-    def test_refused_message_is_answered_and_not_counted(self, target, clock):
+    def test_refused_message_is_answered_and_not_counted(self, target):
+        _HOOKS["echo"] = lambda arg: arg
         assert target.runtime.sync(1, f2f(dispatch_hook, "echo", 1)) == 1
         with pytest.raises(RemoteExecutionError, match="truncated"):
             target.backend._roundtrip(OP_INVOKE, b"no HAM message", timeout=WAIT)
         assert target.runtime.sync(1, f2f(dispatch_hook, "echo", 2)) == 2
         state = target.backend.introspect_target(timeout=WAIT)
         assert state["messages_executed"] == 2
-        assert state["workers"]["active"] == 0 == state["pending_invokes"]
 
 
 class TestStopReason:

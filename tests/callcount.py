@@ -44,46 +44,70 @@ class CallCounts(NamedTuple):
     locks: int
 
 
+class CallCounter:
+    """What :func:`profile_calls` counts, over a stretch of code that is
+    not one call: from :meth:`start` to :meth:`stop`, on the calling
+    thread. Nothing the ``probes`` (the functions that start and stop
+    the count) call directly is counted, nor their own calls, nor what
+    :meth:`stop` does; a call to one of the ``opaque`` functions counts
+    as one, and nothing it calls is counted."""
+
+    def __init__(self, *, probes: Iterable[Callable] = (),
+                 opaque: Iterable[Callable] = ()) -> None:
+        self._skip = {f.__code__ for f in probes} | {CallCounter.stop.__code__}
+        self._hidden = {f.__code__ for f in opaque}
+        self._depth = 0  # opaque frames open
+        self.calls = self.locks = 0
+        self.python: list[str] = []
+        self.constructed: list[str] = []
+
+    def _profile(self, frame, event, arg):
+        code = frame.f_code
+        if self._depth:
+            if code in self._hidden:
+                if event == "call":
+                    self._depth += 1
+                elif event == "return":
+                    self._depth -= 1
+            return
+        if code in self._skip:
+            return
+        if event == "call":
+            self.calls += 1
+            self.python.append(code.co_name)
+            heavy = _HEAVY.get(code)
+            if heavy is not None:
+                self.constructed.append(heavy)
+            if code in self._hidden:
+                self._depth = 1
+        elif event == "c_call":
+            self.calls += 1
+            if (arg.__name__ in ("__exit__", "acquire")
+                    and isinstance(arg.__self__, _LOCK_TYPES)):
+                self.locks += 1
+
+    def start(self) -> None:
+        sys.setprofile(self._profile)
+
+    def stop(self, value: Any = None) -> CallCounts:
+        """End the count; ``value`` is what the counts carry."""
+        sys.setprofile(None)
+        return CallCounts(value, self.calls, self.python, self.constructed,
+                          self.locks)
+
+
 def profile_calls(fn: Callable[[], Any], *,
                   opaque: Iterable[Callable] = ()) -> CallCounts:
     """Count what ``fn()`` does. A call to one of the ``opaque``
     functions counts as one, and nothing it calls is counted: a wait
     (a ring's spin laps, its sleeps, its liveness checks) costs the
     other side's time, not the caller's path."""
-    calls = locks = 0
-    python: list[str] = []
-    constructed: list[str] = []
-    hidden = {f.__code__ for f in opaque}
-    depth = 0  # opaque frames open
-
-    def profiler(frame, event, arg):
-        nonlocal calls, locks, depth
-        if depth:
-            if frame.f_code in hidden:
-                if event == "call":
-                    depth += 1
-                elif event == "return":
-                    depth -= 1
-            return
-        if event == "call":
-            calls += 1
-            python.append(frame.f_code.co_name)
-            heavy = _HEAVY.get(frame.f_code)
-            if heavy is not None:
-                constructed.append(heavy)
-            if frame.f_code in hidden:
-                depth = 1
-        elif event == "c_call":
-            calls += 1
-            if (arg.__name__ in ("__exit__", "acquire")
-                    and isinstance(arg.__self__, _LOCK_TYPES)):
-                locks += 1
-
-    sys.setprofile(profiler)
+    counter = CallCounter(opaque=opaque)
+    counter.start()
     try:
         value = fn()
     finally:
-        sys.setprofile(None)
-    # ``fn``'s own frame and the closing ``sys.setprofile(None)`` are
-    # reported too.
-    return CallCounts(value, calls - 2, python[1:], constructed, locks)
+        counts = counter.stop()
+    # ``fn``'s own call is reported too.
+    return counts._replace(value=value, calls=counts.calls - 1,
+                           python=counts.python[1:])

@@ -301,6 +301,28 @@ class TestHealthMonitor:
         assert latencies[1] is None
         assert runtime.monitor.health(1) is NodeHealth.DOWN
 
+    def test_a_busy_target_answers_the_heartbeat_after_its_kernel(self):
+        """The target serves on one thread: a ping behind a running
+        kernel is answered once the kernel is done, and a heartbeat whose
+        op timeout is shorter than the kernel records a failure."""
+        process, address = spawn_local_server()
+        backend = TcpBackend(address, on_shutdown=lambda: process.join(timeout=5))
+        runtime = Runtime(backend, policy=ResiliencePolicy())
+        try:
+            began = time.monotonic()
+            kernel = runtime.async_(1, f2f(apps.sleep_then, 0.3, "slept"))
+            assert backend.ping(1) >= 0.0
+            assert time.monotonic() - began >= 0.3
+            assert kernel.get(timeout=5.0) == "slept"
+            backend.set_default_timeout(0.05)
+            kernel = runtime.async_(1, f2f(apps.sleep_then, 0.3, "slept"))
+            assert runtime.heartbeat() == {1: None}
+            assert runtime.stats()["health"][1]["failures"] == 1
+            backend.set_default_timeout(None)
+            assert kernel.get(timeout=5.0) == "slept"
+        finally:
+            runtime.shutdown()
+
     def test_heartbeat_requires_policy(self):
         runtime = Runtime(LocalBackend())
         with pytest.raises(OffloadError, match="ResiliencePolicy"):

@@ -24,8 +24,8 @@ from repro.offload import Runtime
 from tests import apps
 
 
-def _spawned_runtime(workers=2):
-    process, segment = spawn_shm_server(workers=workers)
+def _spawned_runtime():
+    process, segment = spawn_shm_server()
     backend = ShmBackend(
         segment,
         alive_fn=process.is_alive,
@@ -92,7 +92,7 @@ class TestCleanExit:
             from repro.ham import f2f
             from tests import apps
 
-            process, segment = spawn_shm_server(workers=2)
+            process, segment = spawn_shm_server()
             backend = ShmBackend(
                 segment,
                 alive_fn=process.is_alive,
@@ -133,7 +133,7 @@ class TestCleanExit:
             from repro.ham import f2f
             from tests import apps
 
-            process, segment = spawn_shm_server(workers=2)
+            process, segment = spawn_shm_server()
             backend = ShmBackend(
                 segment,
                 alive_fn=process.is_alive,

@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro.backends import LocalBackend, TcpBackend, spawn_local_server
+from repro.backends._server import OP_INVOKE
 from repro.backends.shm import ShmBackend, ShmRing, ShmSegment, ShmTargetServer
 from repro.backends.tcp import TcpTargetServer
 from repro.ham import f2f
@@ -34,7 +35,7 @@ from repro.telemetry import recorder as telemetry
 from repro.telemetry.context import TraceContext
 
 from tests import apps
-from tests.callcount import CallCounts, profile_calls
+from tests.callcount import CallCounter, CallCounts, profile_calls
 from tests.fresh import fresh_python
 
 #: Calls (Python + builtin, the count ``cProfile`` reports) of one warm
@@ -398,24 +399,27 @@ def test_traced_sync_on_framed_transports(transport):
         telemetry.disable()
 
 
-#: Calls of one ``_execute_booked`` of an ``echo`` INVOKE on the target,
-#: (untraced, v2 header). CPython 3.11: 24 and 31 on shm, 37 and 44 on
-#: tcp. The reply is published by ``_reply`` through the transport's
-#: hook, on shm packed in place in the reply ring. The v2 header costs
-#: its trace fields' decode and re-encode into the version-3 reply and
-#: two clock reads: no context is built, no span entered, the recorder
-#: not read, a scalar-only argument block meets no resolver, a scalar
-#: reply is packed in one step, "more requests waiting?" is the
-#: attribute the take set, and the shutdown drain is notified only
-#: while a shutdown waits. The ceilings sit ~5 % above.
-MAX_TARGET_INVOKE_CALLS = {"shm": (25, 33), "tcp": (39, 46)}
+#: Calls of the target's round for one ``echo`` INVOKE, from the take
+#: that returned it to the next take (untraced, v2 header), and the
+#: locks taken. CPython 3.11: 19 and 26 on shm, 32 and 39 on tcp, no
+#: lock. The loop executes the message and the reply is published by
+#: ``_reply`` through the transport's hook, on shm packed in place in
+#: the reply ring. The v2 header costs its trace fields' decode and
+#: re-encode into the version-3 reply and two clock reads: no context
+#: is built, no span entered, the recorder not read, a scalar-only
+#: argument block meets no resolver, a scalar reply is packed in one
+#: step, and "more requests waiting?" is the flag the take returned.
+#: The call ceilings sit ~5 % above, the lock ceiling at the figure.
+MAX_TARGET_INVOKE_CALLS = {"shm": (20, 27), "tcp": (34, 41)}
+MAX_TARGET_INVOKE_LOCKS = 0
 
 #: The receive half of the target's round: one ``_take`` that finds the
 #: next request already there. CPython 3.11: 2 on shm — the prefix
-#: unpacked in place at the ring's head and its length checked — and 8
-#: on tcp — ``fill``, the socket's ``recv``, ``next_frame``. The
-#: ceilings sit at the figure: 5 % of it is less than one call.
-MAX_TARGET_READ_CALLS = {"shm": 2, "tcp": 8}
+#: unpacked in place at the ring's head and its length checked — and 7
+#: on tcp — ``fill``, the socket's ``recv``, ``next_frame``, which
+#: compares the length inline. The ceilings sit at the figure: 5 % of
+#: it is less than one call.
+MAX_TARGET_READ_CALLS = {"shm": 2, "tcp": 7}
 
 
 def _within(condition, failure: str) -> None:
@@ -428,7 +432,7 @@ def _within(condition, failure: str) -> None:
 
 
 class TestTargetInvokeBudget:
-    """One invocation on an in-process target, counted on its reader."""
+    """One invocation on an in-process target, counted on its thread."""
 
     @pytest.fixture(params=["shm", "tcp"])
     def target(self, request):
@@ -446,33 +450,35 @@ class TestTargetInvokeBudget:
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 take = self._take
+                #: Counts the round of the invocation being served.
+                invocation: CallCounter | None = None
 
                 def counted_take():
+                    nonlocal invocation
+                    if invocation is not None:
+                        self.profiled.append(invocation.stop())
+                        invocation = None
                     if self.hold_after is None or len(self.profiled) < self.hold_after:
-                        return take()
-                    self.hold_after = None
-                    self.hold.wait()
-                    counts = profile_calls(take)
-                    self.reads.append(counts)
-                    return counts.value
+                        frame = take()
+                    else:
+                        self.hold_after = None
+                        self.hold.wait()
+                        counts = profile_calls(take)
+                        self.reads.append(counts)
+                        frame = counts.value
+                    if frame[0] == OP_INVOKE:
+                        invocation = CallCounter(probes=[counted_take])
+                        invocation.start()
+                    return frame
 
                 self._take = counted_take
-
-            def _execute_booked(self, corr, body, me):
-                booked = super()._execute_booked
-                counts = profile_calls(lambda: booked(corr, body, me))
-                self.profiled.append(counts)
-                return counts.value
 
         if transport == "shm":
             segment = ShmSegment.create()
             segment.client_pid = os.getpid()
-            server = Counting(segment, workers=1)
+            server = Counting(segment)
         else:
-            server = Counting(workers=1)
-        # No invocation "ran long", profiled or not: the reader keeps
-        # the reading, and no hand-off lands in a counted invocation.
-        server.clock_ns = lambda: 0
+            server = Counting()
         thread = threading.Thread(target=server.serve_forever)
         thread.start()
         join = functools.partial(thread.join, 10.0)
@@ -486,8 +492,9 @@ class TestTargetInvokeBudget:
 
     @staticmethod
     def _one_invocation(runtime, server):
-        """The counts of the next invocation's ``_execute_booked``, read
-        once the reader has un-booked it (the reply comes first)."""
+        """The counts of the next invocation's round, from the take that
+        returned it to the next take, read once that take has begun
+        (the reply comes first)."""
         # The reply of the last invocation comes before its count: wait
         # for that count, so that the next one is this invocation's.
         _within(lambda: len(server.profiled) == runtime.backend.invokes_posted,
@@ -516,8 +523,9 @@ class TestTargetInvokeBudget:
         )
         # No context built (``__init__``) or activated, no span entered.
         for counts in (untraced, traced):
-            assert not {"__init__", "activate", "span", "__enter__",
-                        "notify_all"} & set(counts.python), counts.python
+            assert not {"__init__", "activate", "span", "__enter__"} & set(
+                counts.python), counts.python
+            assert counts.locks <= MAX_TARGET_INVOKE_LOCKS, counts.python
 
     def test_the_next_read_of_the_round(self, target):
         """The reader's receive half, counted on a request already in the
@@ -674,12 +682,11 @@ class TestTcpPostBudget:
 
 #: Scheduler timeslices the forked target runs per depth-1 echo offload
 #: when host and target share one CPU — a count of thread changes, not
-#: a wall-clock bound. The reader executes what it reads and keeps
-#: reading, so the target runs about once per offload: 1.0 on shm, 1.03
-#: on tcp. Handing the reading on for every message costs 4.25 and
-#: 3.7–3.8 (a follower woken, beaten to the GIL, put back to sleep and
-#: switched to again after the reply).
-MAX_TARGET_TIMESLICES = {"shm": 2.0, "tcp": 2.0}
+#: a wall-clock bound. The target's one thread executes what it takes
+#: and takes the next, so it runs once per offload: 1.000 on shm and on
+#: tcp, beside a CPU burner on that CPU too (handing every message to
+#: another thread costs 3.7–4.25). The ceilings sit ~5 % above.
+MAX_TARGET_TIMESLICES = {"shm": 1.05, "tcp": 1.05}
 
 #: The host's twin, over all of its threads: the caller posts, waits,
 #: reads its own reply and returns — one timeslice, 1.01 on both
@@ -695,8 +702,8 @@ MAX_SHM_LAPS = 1.1
 
 #: Target writes (``_transmit`` calls) per offload of 200 rounds of 256
 #: pipelined tcp echoes on one CPU:
-#: ~0.05 — the reader answers the frames of one receive in one write (a
-#: write per reply would be 1.0).
+#: 0.065–0.069 — the target answers the frames of one receive in one
+#: write (a write per reply would be 1.0).
 MAX_PIPELINED_TARGET_WRITES = 0.25
 
 _SCHEDULER_SCRIPT = """
